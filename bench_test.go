@@ -454,6 +454,10 @@ func BenchmarkStreamEvalBuffering(b *testing.B) {
 //   - disjoint: //p<i>/c<i> — nothing shared; the engine's worst case.
 //   - predshared: //catalog/item[priority > k]/f<i> — shared predicated
 //     steps exercising the trie route.
+//   - preddisjoint: //catalog/item[priority > i]/f<i> — the inverse shape:
+//     every subscription its own predicated prefix with one leaf, over wide
+//     items (disseminationWideDoc). It guards the skeleton dispatch against
+//     trading predshared's fan-out cost for a per-open-scope one.
 
 // disseminationSubs builds a subscription workload.
 func disseminationSubs(topology string, n int) []string {
@@ -466,6 +470,8 @@ func disseminationSubs(topology string, n int) []string {
 			subs[i] = fmt.Sprintf("//p%d/c%d", i, i)
 		case "predshared":
 			subs[i] = fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i%(n/10+1))
+		case "preddisjoint":
+			subs[i] = fmt.Sprintf("//catalog/item[priority > %d]/f%d", i, i)
 		}
 	}
 	return subs
@@ -479,6 +485,24 @@ func disseminationDoc(items int) string {
 	b.WriteString("<catalog>")
 	for j := 0; j < items; j++ {
 		fmt.Fprintf(&b, "<item><priority>%d</priority><f%d/><f%d/></item>", j%12, j, j+items)
+	}
+	b.WriteString("</catalog>")
+	return b.String()
+}
+
+// disseminationWideDoc is the preddisjoint feed: items of 20 children
+// (a priority and 19 subscribed leaf names), so most events of a document
+// are leaf candidates under many open predicated scopes. Each item's
+// priority passes the predicates of its first 9 leaves' subscriptions.
+func disseminationWideDoc(items int) string {
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for j := 0; j < items; j++ {
+		fmt.Fprintf(&b, "<item><priority>%d</priority>", j*19+9)
+		for c := 0; c < 19; c++ {
+			fmt.Fprintf(&b, "<f%d/>", j*19+c)
+		}
+		b.WriteString("</item>")
 	}
 	b.WriteString("</catalog>")
 	return b.String()
@@ -568,8 +592,11 @@ func benchFanout(b *testing.B, subs []string, doc string) {
 // BenchmarkFilterSet is the full dissemination matrix: subscription count
 // × prefix topology × engine/fanout.
 func BenchmarkFilterSet(b *testing.B) {
-	doc := disseminationDoc(40)
-	for _, topology := range []string{"shared", "disjoint", "predshared"} {
+	for _, topology := range []string{"shared", "disjoint", "predshared", "preddisjoint"} {
+		doc := disseminationDoc(40)
+		if topology == "preddisjoint" {
+			doc = disseminationWideDoc(40)
+		}
 		for _, n := range []int{100, 1000, 10000} {
 			subs := disseminationSubs(topology, n)
 			b.Run(fmt.Sprintf("%s/subs=%d/engine", topology, n), func(b *testing.B) {

@@ -72,6 +72,9 @@ func main() {
 		}
 		fmt.Printf("doc %d (%d bytes) -> %v\n", i, len(doc), notified)
 	}
+	// Taken here, while the last document's work counters are still
+	// standing: the next Add recompiles the engine and clears them.
+	st := set.Stats()
 
 	// Fragment extraction: a subscription registered with AddExtract gets
 	// the matched element's whole subtree back alongside the verdict —
@@ -96,7 +99,6 @@ func main() {
 	set.Remove("router")
 
 	fmt.Println(strings.Repeat("-", 60))
-	st := set.Stats()
 	fmt.Println("shared engine state:")
 	fmt.Printf("  subscriptions:     %d (%d on the combined NFA, %d on the frontier trie)\n",
 		st.Subscriptions, st.NFARouted, st.TrieRouted)
@@ -104,8 +106,8 @@ func main() {
 	fmt.Printf("  shared states:     %d (prefix sharing: %.1fx)\n",
 		st.SharedStates, float64(st.SpineSteps)/float64(st.SharedStates))
 	fmt.Printf("  lazy DFA:          %d states, %d memoized transitions\n", st.DFAStates, st.DFATransitions)
-	fmt.Printf("  last doc:          %d tuple visits, peak %d tuples, peak buffer %dB\n",
-		st.TupleVisits, st.PeakTuples, st.PeakBufferBytes)
+	fmt.Printf("  last doc:          %d tuple visits, %d frontier inserts, peak %d tuples, peak buffer %dB\n",
+		st.TupleVisits, st.FrontierInserts, st.PeakTuples, st.PeakBufferBytes)
 
 	// The standing workload can change between documents.
 	set.Remove("bob")

@@ -123,7 +123,8 @@ func TestFilterSetOverlappingPrefixes(t *testing.T) {
 
 // TestFilterSetEarlyExit: a definitively matched subscription stops
 // consuming events — shared steps whose subscriptions have all matched
-// are evicted from the frontier — without perturbing other subscriptions.
+// are no longer offered candidates — without perturbing other
+// subscriptions.
 func TestFilterSetEarlyExit(t *testing.T) {
 	tail := strings.Repeat("<item><x/><y/></item>", 300)
 

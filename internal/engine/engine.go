@@ -26,7 +26,11 @@
 //     reached below a predicated step commit conditionally and resolve
 //     when the predicate's candidate scope closes, preserving
 //     per-subscription answers byte-identical to a standalone
-//     core.Filter.
+//     core.Filter. Only predicate nodes are held as frontier tuples: the
+//     continuations of an open spine scope are found by one lookup per
+//     edge of the trie's structural skeleton (spine steps grouped by axis
+//     and node test, predicates ignored), so a predicated prefix costs the
+//     same whether one subscription hangs off it or a thousand.
 //
 // Each subscription's match latches monotonically (conjunctive matching
 // is monotone, Section 8.1), and fully matched shared states stop
@@ -690,9 +694,17 @@ type Stats struct {
 	DFAStates      int
 	DFATransitions int
 
-	// Per-document work and peaks of the trie matcher.
+	// Per-document work and peaks of the trie matcher. TupleVisits counts
+	// the candidates examined at startElement events (predicate tuples in
+	// the event's frontier buckets plus live spine steps the skeleton
+	// lookup landed on); FrontierInserts counts predicate tuples inserted
+	// plus candidate scopes opened — the state-maintenance work visits do
+	// not see. Both grow with the distinct steps a document exercises, not
+	// with the subscription count. PeakTuples is the peak predicate
+	// frontier; spine continuations are looked up, not held.
 	Events          int
 	TupleVisits     int
+	FrontierInserts int
 	PeakTuples      int
 	PeakScopes      int
 	PeakBufferBytes int
@@ -724,6 +736,7 @@ func (e *Engine) Stats() Stats {
 	ms := e.mt.stats
 	st.Events = ms.Events
 	st.TupleVisits = ms.TupleVisits
+	st.FrontierInserts = ms.FrontierInserts
 	st.PeakTuples = ms.PeakTuples
 	st.PeakScopes = ms.PeakScopes
 	st.PeakBufferBytes = ms.PeakBufferBytes
@@ -733,9 +746,9 @@ func (e *Engine) Stats() Stats {
 
 // String renders the stats compactly.
 func (s Stats) String() string {
-	return fmt.Sprintf("subs=%d (nfa=%d trie=%d) steps=%d shared=%d predNodes=%d dfa=%d/%d events=%d visits=%d peakTuples=%d",
+	return fmt.Sprintf("subs=%d (nfa=%d trie=%d) steps=%d shared=%d predNodes=%d dfa=%d/%d events=%d visits=%d inserts=%d peakTuples=%d",
 		s.Subscriptions, s.NFARouted, s.TrieRouted, s.SpineSteps, s.SharedStates, s.PredNodes,
-		s.DFAStates, s.DFATransitions, s.Events, s.TupleVisits, s.PeakTuples)
+		s.DFAStates, s.DFATransitions, s.Events, s.TupleVisits, s.FrontierInserts, s.PeakTuples)
 }
 
 // MemStats is the engine's live-memory accounting for the last (or
@@ -746,9 +759,12 @@ func (s Stats) String() string {
 type MemStats struct {
 	// Events is the number of SAX events dispatched to the trie matcher.
 	Events int
-	// PeakLiveTuples is the peak concurrent matching state: frontier
-	// tuples + open candidate scopes + buffering leaf candidates (the
-	// component peaks summed — an upper bound on the true joint peak).
+	// PeakLiveTuples is the peak concurrent matching state: predicate
+	// frontier tuples + open candidate scopes + buffering leaf candidates
+	// (the component peaks summed — an upper bound on the true joint
+	// peak). Spine continuations are looked up from the open scopes, not
+	// held, and the frames that index those scopes are not counted: a
+	// frame's skeleton node and level are derivable from any scope in it.
 	PeakLiveTuples int
 	// PeakScopes / PeakPendings / PeakBufferedBytes are the component
 	// peaks: open candidate scopes, buffering leaf candidates, and

@@ -32,11 +32,18 @@ type tnode struct {
 	kind  nodeKind
 	axis  query.Axis
 	ntest string
-	// sym/wild are the interned form of ntest: the matcher's frontier is
-	// bucketed by symbol, so a startElement event dispatches on the
-	// tokenizer-supplied id without hashing the name.
+	// sym/wild are the interned form of ntest: the matcher's frontier and
+	// the skeleton's edges are keyed by symbol, so a startElement event
+	// dispatches on the tokenizer-supplied id without hashing the name.
 	sym  symtab.Sym
 	wild bool
+
+	// parent is the spine step this one continues (nil on the root and on
+	// predicate nodes); sk and slot place a spine node in the structural
+	// skeleton, as member number slot of skeleton node sk.
+	parent *tnode
+	sk     *skel
+	slot   int
 
 	// conj are the conjunctive children: for a spine node, the roots of
 	// its predicate subtrees; for a predicate node, all of its children
@@ -75,6 +82,66 @@ type tnode struct {
 	remaining int
 }
 
+// skel is one node of the trie's structural skeleton: the spine nodes
+// reached from the root by one sequence of (axis, node test) steps,
+// predicates ignored. //catalog/item[priority > 1] and
+// //catalog/item[priority > 2] are two members of one skeleton node, and
+// the f7 leaves below them two members of its f7 child. Spine
+// continuations are never held as frontier state: an element is looked up
+// once per skeleton edge, however many subscriptions hang off the step.
+type skel struct {
+	members []*tnode
+	// One edge set per axis class, nil when the node has no such edge, so a
+	// frame with nothing to offer an event costs it one nil test.
+	child, attr, desc *edges
+	free              []*frame
+}
+
+// edges are a skeleton node's out-edges of one axis class, by node test.
+type edges struct {
+	named map[symtab.Sym]*skel
+	wild  *skel
+}
+
+// join makes spine node n a member of sk's skeleton child along n's
+// (axis, node test) edge, creating the child for the first step of that
+// shape.
+func (sk *skel) join(n *tnode) {
+	ep := &sk.child
+	switch n.axis {
+	case query.AxisAttribute:
+		ep = &sk.attr
+	case query.AxisDescendant:
+		ep = &sk.desc
+	}
+	if *ep == nil {
+		*ep = &edges{named: map[symtab.Sym]*skel{}}
+	}
+	e := *ep
+	var to *skel
+	if n.wild {
+		if e.wild == nil {
+			e.wild = &skel{}
+		}
+		to = e.wild
+	} else if to = e.named[n.sym]; to == nil {
+		to = &skel{}
+		e.named[n.sym] = to
+	}
+	n.sk, n.slot = to, len(to.members)
+	to.members = append(to.members, n)
+}
+
+// frame is the run-time side of a skeleton node: the spine scopes with
+// continuations that one element opened at it, by member slot (nil where
+// that member was not a candidate). It is an index over scopes, not state
+// of its own — its skeleton node and level are those of any scope in it.
+type frame struct {
+	sk     *skel
+	level  int
+	scopes []*scope
+}
+
 // trie is the compiled shared index for the predicate-capable route: a
 // prefix-sharing trie over canonical step keys with predicate subtrees
 // hanging off spine nodes. Node tests are interned into the engine's
@@ -98,10 +165,9 @@ type trie struct {
 }
 
 func newTrie(tab *symtab.Table) *trie {
-	return &trie{
-		tab:  tab,
-		root: &tnode{kind: kindSpine, axis: query.AxisRoot, succIndex: map[string]*tnode{}},
-	}
+	root := &tnode{kind: kindSpine, axis: query.AxisRoot, succIndex: map[string]*tnode{}}
+	root.sk = &skel{members: []*tnode{root}}
+	return &trie{tab: tab, root: root}
 }
 
 // internNTest resolves a node test to its symbol form.
@@ -130,8 +196,10 @@ func (t *trie) add(q *query.Query, prog *core.Program) int {
 				axis:      u.Axis,
 				ntest:     u.NTest,
 				succIndex: map[string]*tnode{},
+				parent:    cur,
 			}
 			t.internNTest(child)
+			cur.sk.join(child)
 			for _, pc := range u.PredicateChildren() {
 				child.conj = append(child.conj, t.buildPred(pc, prog))
 			}
@@ -173,17 +241,17 @@ func (t *trie) buildPred(v *query.Node, prog *core.Program) *tnode {
 	return n
 }
 
-// tuple is one frontier entry of the shared matcher: a trie node awaiting
-// a candidate match within the candidate scope that created it. It is the
-// multi-query generalization of core.Tuple; origin links it back to its
-// creating scope, which is how a commit finds the predicate scopes that
-// gate it (only trie-ancestor scopes may gate a subscription — an
-// unrelated subscription's open predicate scope must not).
+// tuple is one frontier entry of the shared matcher: a predicate node
+// awaiting a candidate match within the candidate scope that created it —
+// the multi-query generalization of core.Tuple. Only predicate nodes are
+// held as tuples: they own state (the matched latch), whereas a spine
+// continuation is fully determined by its open origin scope and the
+// compiled trie, so it is looked up through the skeleton instead.
 type tuple struct {
 	node    *tnode
 	level   int
 	origin  *scope
-	matched bool // predicate nodes only; latches like core.Tuple.Matched
+	matched bool // latches like core.Tuple.Matched
 	slot    int  // index in its frontier bucket, -1 when parked/removed
 }
 
@@ -197,18 +265,26 @@ type commit struct {
 }
 
 // scope is an open candidate match of an internal trie node, generalizing
-// core's scope: children[:nconj] are the conjunctive obligations resolved
-// at endElement; the rest are spine continuations. commits holds the
+// core's scope. origin is the scope whose node this one's continues — for a
+// spine scope the next scope up the trie-ancestor chain, which is how a
+// commit finds the predicate scopes that gate it (an unrelated
+// subscription's open predicate scope must not). children are the
+// conjunctive obligations resolved at endElement. commits holds the
 // subscriptions whose match is conditional on this scope's predicates
-// resolving true (only scopes with nconj > 0 ever hold commits). cap,
-// when non-nil, is the capture of the scope's own candidate element,
-// taken at open time for the node's terminals — they resolve only when
-// the scope closes, long after the element's start has streamed past.
+// resolving true (only spine scopes with children ever hold commits). cap,
+// when non-nil, is the capture of the scope's own candidate element, taken
+// at open time for the node's terminals — they resolve only when the scope
+// closes, long after the element's start has streamed past.
 type scope struct {
+	node   *tnode
+	origin *scope
+	level  int
+	// tup is the predicate tuple this scope is a candidate for (nil on
+	// spine scopes); fr is the frame indexing a spine scope whose node has
+	// continuations (nil on every other scope).
 	tup      *tuple
-	level    int
+	fr       *frame
 	children []*tuple
-	nconj    int
 	commits  []commit
 	cap      *capture
 }
@@ -221,15 +297,26 @@ type pendingVal struct {
 	start int
 }
 
+// spineCand is a spine node offered the current element through src, the
+// open frame holding its parent's scope.
+type spineCand struct {
+	node *tnode
+	src  *frame
+}
+
 // matchStats instruments the shared matcher.
 type matchStats struct {
 	// Events counts SAX events dispatched to the trie matcher.
 	Events int
-	// TupleVisits counts frontier tuples examined across all startElement
-	// events — the engine's per-event work measure. With shared prefixes
-	// this grows with the number of distinct active steps, not with the
-	// subscription count.
+	// TupleVisits counts the candidates examined across all startElement
+	// events: predicate tuples in the event's frontier buckets plus live
+	// spine members the skeleton lookup landed on. It grows with the
+	// distinct steps that pass the name test, not the subscription count.
 	TupleVisits int
+	// FrontierInserts counts predicate tuples inserted into the frontier
+	// plus candidate scopes opened — the state-maintenance work visits do
+	// not see.
+	FrontierInserts int
 	// Peaks, as in core.Stats.
 	PeakTuples      int
 	PeakScopes      int
@@ -239,23 +326,28 @@ type matchStats struct {
 }
 
 // matcher is the streaming run state over a trie: a symbol-indexed
-// frontier of tuples, a stack of candidate scopes, pending text buffers,
-// and the per-subscription match vector. One matcher evaluates every
-// trie-routed subscription in a single document pass. Tuples and scopes
-// are recycled through free lists, so steady-state matching allocates
-// nothing once the document shapes have been seen.
+// frontier of predicate tuples, a stack of candidate scopes with the frames
+// that index the spine ones, pending text buffers, and the per-subscription
+// match vector. One matcher evaluates every trie-routed subscription in a
+// single document pass. Tuples, scopes and frames are recycled through free
+// lists, so steady-state matching allocates nothing once the document
+// shapes have been seen.
 type matcher struct {
 	tr *trie
 
-	// buckets index the frontier by node-test symbol so a startElement
-	// event only touches tuples that can pass the name test: the event
-	// symbol's bucket plus the wildcard bucket. Dispatch is one dense
-	// slice index — this is what makes per-event cost proportional to
-	// the active-state count instead of the subscription count, with no
-	// per-event hashing.
+	// buckets index the predicate frontier by node-test symbol so a
+	// startElement event only touches tuples that can pass the name test:
+	// the event symbol's bucket plus the wildcard bucket. Dispatch is one
+	// dense slice index, with no per-event hashing.
 	buckets [][]*tuple
 	wild    []*tuple
 	size    int
+
+	// frames are the open frames, a stack ordered by level like scopes;
+	// descFrames is the subsequence whose skeleton node has descendant
+	// edges — the only frames an event deeper than their children consults.
+	frames     []*frame
+	descFrames []*frame
 
 	scopes   []*scope
 	pendings []pendingVal
@@ -281,7 +373,8 @@ type matcher struct {
 	frags      []*capture
 	capCommits int
 
-	cands      []*tuple // scratch, reused across startElement calls
+	cands      []*tuple    // scratch, reused across startElement calls
+	spine      []spineCand // scratch, likewise
 	freeTuples []*tuple
 	freeScopes []*scope
 	support    []bool // scratch for the undecided sweep
@@ -301,6 +394,12 @@ func (m *matcher) reset() {
 	}
 	m.wild = m.wild[:0]
 	m.size = 0
+	// Frames are still open only after a mid-document abort, with the slots
+	// of the dropped scopes still set.
+	for _, fr := range m.frames {
+		clear(fr.scopes)
+	}
+	m.closeFrames(0)
 	m.scopes = m.scopes[:0]
 	m.pendings = m.pendings[:0]
 	m.buf = m.buf[:0]
@@ -309,17 +408,13 @@ func (m *matcher) reset() {
 	if len(m.matched) != len(m.tr.paths) {
 		m.matched = make([]bool, len(m.tr.paths))
 	} else {
-		for i := range m.matched {
-			m.matched[i] = false
-		}
+		clear(m.matched)
 	}
 	m.matchedCount = 0
 	if len(m.frags) != len(m.tr.paths) {
 		m.frags = make([]*capture, len(m.tr.paths))
 	} else {
-		for i := range m.frags {
-			m.frags[i] = nil
-		}
+		clear(m.frags)
 	}
 	m.capCommits = 0
 	for _, n := range m.tr.spineNodes {
@@ -347,8 +442,8 @@ func (m *matcher) freeTuple(t *tuple) {
 	m.freeTuples = append(m.freeTuples, t)
 }
 
-// bucket returns the frontier bucket for a trie node, growing the dense
-// index to cover its symbol.
+// frAdd inserts a predicate tuple into the frontier bucket of its node
+// test, growing the dense index to cover its symbol.
 func (m *matcher) frAdd(t *tuple) {
 	if t.node.wild {
 		t.slot = len(m.wild) | wildSlotBit
@@ -363,6 +458,7 @@ func (m *matcher) frAdd(t *tuple) {
 		t.slot = len(m.buckets[s])
 		m.buckets[s] = append(m.buckets[s], t)
 	}
+	m.stats.FrontierInserts++
 	m.size++
 	if m.size > m.stats.PeakTuples {
 		m.stats.PeakTuples = m.size
@@ -394,25 +490,51 @@ func (m *matcher) frRemove(t *tuple) {
 	m.size--
 }
 
+// openFrame pushes a frame for the current element at skeleton node sk.
+func (m *matcher) openFrame(sk *skel, level int) *frame {
+	var fr *frame
+	if k := len(sk.free); k > 0 {
+		fr = sk.free[k-1]
+		sk.free = sk.free[:k-1]
+	} else {
+		fr = &frame{sk: sk, scopes: make([]*scope, len(sk.members))}
+	}
+	fr.level = level
+	m.frames = append(m.frames, fr)
+	if sk.desc != nil {
+		m.descFrames = append(m.descFrames, fr)
+	}
+	return fr
+}
+
+// closeFrames pops the frames at the closing level (or deeper) back onto
+// their skeleton nodes' free lists. Their scopes have closed already, each
+// clearing its own slot, so a recycled frame is all-nil without a wipe.
+func (m *matcher) closeFrames(closing int) {
+	for k := len(m.frames); k > 0 && m.frames[k-1].level >= closing; k-- {
+		fr := m.frames[k-1]
+		m.frames = m.frames[:k-1]
+		if fr.sk.desc != nil {
+			m.descFrames = m.descFrames[:len(m.descFrames)-1]
+		}
+		fr.sk.free = append(fr.sk.free, fr)
+	}
+}
+
 // startDocument opens the root scope: the document root is the sole
 // candidate for the query root, shared by every subscription.
 func (m *matcher) startDocument() {
 	m.stats.Events++
-	root := m.newTuple(m.tr.root, 0, nil)
-	m.openScope(root, 0)
+	root := m.tr.root
+	var fr *frame
+	if len(root.succ) > 0 {
+		fr = m.openFrame(root.sk, 0)
+	}
+	m.openScope(root, nil, nil, 0, fr)
 	// Degenerate empty-spine subscriptions match any document. Their
 	// "matched element" is the document itself, which has no source
 	// region, so they never carry a fragment.
-	m.deliver(m.tr.root.terminals, nil, nil)
-}
-
-// dead reports that a tuple can never accept another candidate: matched
-// predicate tuples latch, and a spine step whose subscriptions have all
-// matched has nothing left to prove. Dead tuples are evicted from the
-// frontier lazily, on first touch, so fully satisfied shared state stops
-// costing per-event work (the shared form of the monotone early exit).
-func dead(t *tuple) bool {
-	return t.matched || (t.node.kind == kindSpine && t.node.remaining == 0)
+	m.deliver(root.terminals, nil, nil)
 }
 
 // candidate reports whether the element starting at elemLevel is a
@@ -429,13 +551,15 @@ func (m *matcher) candidate(t *tuple, isAttr bool, elemLevel int) bool {
 	return elemLevel == t.level
 }
 
-// collectCands gathers the live candidates from one frontier bucket,
-// evicting dead tuples as they are touched.
+// collectCands gathers the live candidates from one frontier bucket.
+// Matched tuples latch and can never accept another candidate; they are
+// evicted here, on first touch, so satisfied predicates stop costing
+// per-event work.
 func (m *matcher) collectCands(b *[]*tuple, isAttr bool, elemLevel int) {
 	for i := 0; i < len(*b); {
 		t := (*b)[i]
 		m.stats.TupleVisits++
-		if dead(t) {
+		if t.matched {
 			m.frRemove(t) // swaps the last tuple into slot i; rescan it
 			continue
 		}
@@ -446,11 +570,33 @@ func (m *matcher) collectCands(b *[]*tuple, isAttr bool, elemLevel int) {
 	}
 }
 
-// startElementSym selects candidates from the symbol's bucket and the
-// wildcard bucket, then processes them: predicate leaves start buffering
-// or match on existence, reached terminals commit their subscriptions,
-// and internal nodes open candidate scopes (child-axis owners are parked
-// for the scope's duration, as in core).
+// collectSpine looks the event's symbol up in one edge set of src's
+// skeleton node and gathers, from the skeleton nodes it lands on, the
+// members whose parent scope is open in src. A member whose subscriptions
+// have all matched is skipped uncounted — the shared form of the monotone
+// early exit.
+func (m *matcher) collectSpine(e *edges, sym symtab.Sym, src *frame) {
+	if e == nil {
+		return
+	}
+	for _, to := range [2]*skel{e.named[sym], e.wild} {
+		if to == nil {
+			continue
+		}
+		for _, n := range to.members {
+			if n.remaining > 0 && src.scopes[n.parent.slot] != nil {
+				m.stats.TupleVisits++
+				m.spine = append(m.spine, spineCand{n, src})
+			}
+		}
+	}
+}
+
+// startElementSym offers the element to the predicate tuples in the
+// symbol's bucket and the wildcard bucket — leaves start buffering or match
+// on existence, internal nodes open candidate scopes (child-axis owners are
+// parked for the scope's duration, as in core) — and then, if any frame is
+// open, to the spine.
 func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 	m.stats.Events++
 	elemLevel := m.level + 1
@@ -460,7 +606,6 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 	}
 	// Collect first: opening scopes mutates the buckets, and freshly
 	// inserted child tuples must not be considered for this same element.
-	// Dead tuples are evicted as they are touched.
 	m.cands = m.cands[:0]
 	if int(sym) < len(m.buckets) {
 		m.collectCands(&m.buckets[sym], isAttr, elemLevel)
@@ -468,88 +613,112 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 	m.collectCands(&m.wild, isAttr, elemLevel)
 	for _, t := range m.cands {
 		n := t.node
-		if dead(t) {
-			// An earlier candidate of this same element already satisfied
-			// every subscription this tuple serves.
-			continue
-		}
-		if len(n.conj) == 0 && len(n.succ) == 0 {
-			// Leaf: a predicate leaf buffers (value-restricted) or
-			// matches on existence; a spine leaf is a pure terminal whose
-			// subscriptions commit now, gated only by ancestor scopes.
-			if n.kind == kindPred {
-				if n.restricted {
-					m.pendings = append(m.pendings, pendingVal{tup: t, level: elemLevel, start: len(m.buf)})
-					m.refCount++
-					if len(m.pendings) > m.stats.PeakPendings {
-						m.stats.PeakPendings = len(m.pendings)
-					}
-				} else {
-					t.matched = true
-				}
-			} else {
-				m.deliverCaptured(n.terminals, t.origin)
+		switch {
+		case len(n.conj) > 0:
+			if n.axis == query.AxisChild {
+				m.frRemove(t) // parked until the scope closes (Fig. 20 lines 10-11)
 			}
+			m.openScope(n, t, t.origin, elemLevel, nil)
+		case n.restricted:
+			m.pendings = append(m.pendings, pendingVal{tup: t, level: elemLevel, start: len(m.buf)})
+			m.refCount++
+			if len(m.pendings) > m.stats.PeakPendings {
+				m.stats.PeakPendings = len(m.pendings)
+			}
+		default:
+			t.matched = true
+		}
+	}
+	if len(m.frames) > 0 {
+		m.startSpine(sym, isAttr, elemLevel)
+	}
+}
+
+// startSpine selects the element's spine candidates by skeleton lookup —
+// from the parent element's frames along child or attribute edges, from
+// every open frame with descendant edges along those — then processes them:
+// reached terminals commit their subscriptions and internal nodes open
+// candidate scopes.
+func (m *matcher) startSpine(sym symtab.Sym, isAttr bool, elemLevel int) {
+	// Collect first: this element's own frames must not be offered it.
+	m.spine = m.spine[:0]
+	for k := len(m.frames); k > 0 && m.frames[k-1].level == elemLevel-1; k-- {
+		fr := m.frames[k-1]
+		if isAttr {
+			m.collectSpine(fr.sk.attr, sym, fr)
+		} else {
+			m.collectSpine(fr.sk.child, sym, fr)
+		}
+	}
+	if !isAttr {
+		for _, fr := range m.descFrames {
+			m.collectSpine(fr.sk.desc, sym, fr)
+		}
+	}
+	// Members gathered by one lookup are adjacent, and each may open at most
+	// one scope (a member has one parent scope per source frame), so one
+	// frame per (source frame, skeleton node) run indexes them by slot.
+	var fr, src *frame
+	for _, c := range m.spine {
+		n := c.node
+		if n.remaining == 0 {
+			// An earlier candidate of this same element already satisfied
+			// every subscription this step serves.
 			continue
 		}
-		// Internal node. A terminal whose own step carries no predicates
-		// commits immediately (its continuation children serve other
-		// subscriptions); with predicates the commit waits for the scope
-		// to resolve at endElement.
-		if n.kind == kindSpine && len(n.terminals) > 0 && len(n.conj) == 0 {
-			m.deliverCaptured(n.terminals, t.origin)
+		origin := c.src.scopes[n.parent.slot]
+		// A terminal whose own step carries no predicates commits now, gated
+		// only by ancestor scopes (its continuations serve other
+		// subscriptions); with predicates the commit waits for the scope to
+		// resolve at endElement.
+		if len(n.conj) == 0 {
+			m.deliverCaptured(n.terminals, origin)
+			if len(n.succ) == 0 {
+				continue
+			}
 		}
-		if n.axis == query.AxisChild {
-			m.frRemove(t) // parked until the scope closes (Fig. 20 lines 10-11)
+		var in *frame // a scope without continuations is never looked up
+		if len(n.succ) > 0 {
+			if c.src != src || n.sk != fr.sk {
+				fr, src = m.openFrame(n.sk, elemLevel), c.src
+			}
+			in = fr
 		}
-		m.openScope(t, elemLevel)
+		m.openScope(n, nil, origin, elemLevel, in)
 	}
-	m.cands = m.cands[:0]
 }
 
-// startElement is the string-path entry: the name is interned into the
-// trie's table and dispatched by symbol.
-func (m *matcher) startElement(name string, isAttr bool) {
-	m.startElementSym(m.tr.tab.Intern(name), isAttr)
-}
-
-// openScope inserts the conjunctive children and the still-needed spine
-// continuations of t's node into the frontier.
-func (m *matcher) openScope(t *tuple, level int) {
+// openScope opens a candidate scope for node n — of predicate tuple tup, or
+// of a spine step indexed by fr — inserting n's conjunctive children into
+// the frontier. Spine continuations need no insertion: the scope's slot in
+// fr is what the skeleton lookup finds them by.
+func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int, fr *frame) {
 	var sc *scope
 	if k := len(m.freeScopes); k > 0 {
 		sc = m.freeScopes[k-1]
 		m.freeScopes = m.freeScopes[:k-1]
-		sc.children = sc.children[:0]
-		sc.commits = sc.commits[:0]
 	} else {
 		sc = &scope{}
 	}
-	sc.tup, sc.level = t, level
-	for _, c := range t.node.conj {
+	sc.node, sc.tup, sc.origin, sc.level, sc.fr = n, tup, origin, level, fr
+	for _, c := range n.conj {
 		ct := m.newTuple(c, level+1, sc)
 		sc.children = append(sc.children, ct)
 		m.frAdd(ct)
 	}
-	sc.nconj = len(sc.children)
-	for _, c := range t.node.succ {
-		if c.remaining == 0 {
-			continue // all subscriptions through this continuation matched
-		}
-		ct := m.newTuple(c, level+1, sc)
-		sc.children = append(sc.children, ct)
-		m.frAdd(ct)
+	if fr != nil {
+		fr.scopes[n.slot] = sc
 	}
-	sc.cap = nil
-	if m.capturing && t.node.kind == kindSpine && sc.nconj > 0 && len(t.node.terminals) > 0 {
+	if m.capturing && n.kind == kindSpine && len(n.conj) > 0 && len(n.terminals) > 0 {
 		// The node's own terminals resolve only when this scope closes; if
 		// any of them wants a fragment, capture the candidate element now,
 		// while its start event is current.
-		if c := m.capFor(t.node.terminals); c != nil {
+		if c := m.capFor(n.terminals); c != nil {
 			sc.cap = c
 			m.capCommits++
 		}
 	}
+	m.stats.FrontierInserts++
 	m.scopes = append(m.scopes, sc)
 	if len(m.scopes) > m.stats.PeakScopes {
 		m.stats.PeakScopes = len(m.scopes)
@@ -583,9 +752,9 @@ func (m *matcher) textBytes(data []byte) {
 
 // endElement resolves the pending leaf candidates and candidate scopes of
 // the closing level, innermost first (they form suffixes of their stacks,
-// as in core). Buffered candidate text is evaluated through a zero-copy
-// view — predicates only see a string for the duration of the Contains
-// call.
+// as in core), then retires the level's frames. Buffered candidate text is
+// evaluated through a zero-copy view — predicates only see a string for the
+// duration of the Contains call.
 func (m *matcher) endElement() {
 	m.stats.Events++
 	closing := m.level
@@ -612,6 +781,9 @@ func (m *matcher) endElement() {
 		m.scopes = m.scopes[:len(m.scopes)-1]
 		m.closeScope(sc)
 	}
+	if k := len(m.frames); k > 0 && m.frames[k-1].level == closing {
+		m.closeFrames(closing)
+	}
 }
 
 // closeScope resolves a candidate scope. For predicate nodes this is
@@ -624,8 +796,8 @@ func (m *matcher) endElement() {
 // free lists (their own inner scopes closed at deeper levels already).
 func (m *matcher) closeScope(sc *scope) {
 	conjOK := true
-	for i, c := range sc.children {
-		if i < sc.nconj && !c.matched {
+	for _, c := range sc.children {
+		if !c.matched {
 			conjOK = false
 		}
 		if c.slot >= 0 {
@@ -633,18 +805,25 @@ func (m *matcher) closeScope(sc *scope) {
 		}
 		m.freeTuple(c)
 	}
-	n := sc.tup.node
-	if n.kind == kindPred {
+	n := sc.node
+	switch {
+	case n.kind == kindPred:
 		if conjOK {
 			sc.tup.matched = true
 		}
-	} else if conjOK && sc.nconj > 0 {
+		// A parked child-axis owner returns to the frontier for sibling
+		// candidates (Fig. 21 lines 23-27) unless it has matched: the flag
+		// latches, so it can never accept another.
+		if n.axis == query.AxisChild && !sc.tup.matched {
+			m.frAdd(sc.tup)
+		}
+	case conjOK && len(sc.children) > 0:
 		for _, c := range sc.commits {
-			m.deliverEntry(c.sub, c.cap, sc.tup.origin)
+			m.deliverEntry(c.sub, c.cap, sc.origin)
 			m.dropCommitCap(c.cap)
 		}
-		m.deliver(n.terminals, sc.cap, sc.tup.origin)
-	} else {
+		m.deliver(n.terminals, sc.cap, sc.origin)
+	default:
 		// Predicates refuted: the conditional commits die with their
 		// capture holds.
 		for _, c := range sc.commits {
@@ -653,22 +832,12 @@ func (m *matcher) closeScope(sc *scope) {
 	}
 	if sc.cap != nil {
 		m.dropCommitCap(sc.cap)
-		sc.cap = nil
 	}
-	// A parked child-axis owner returns to the frontier for sibling
-	// candidates (Fig. 21 lines 23-27). The root tuple (origin nil) stays
-	// out, as do owners that can never accept another candidate: matched
-	// predicate tuples (the flag latches) and spine steps whose
-	// subscriptions have all matched.
-	if n.axis == query.AxisChild && sc.tup.origin != nil && !sc.tup.matched &&
-		!(n.kind == kindSpine && n.remaining == 0) {
-		m.frAdd(sc.tup)
+	if sc.fr != nil {
+		sc.fr.scopes[n.slot] = nil
 	}
-	if sc.tup.origin == nil {
-		// The root tuple is owned by no scope; recycle it with its scope.
-		m.freeTuple(sc.tup)
-	}
-	sc.tup = nil
+	children, commits := sc.children[:0], sc.commits[:0]
+	*sc = scope{children: children, commits: commits}
 	m.freeScopes = append(m.freeScopes, sc)
 }
 
@@ -682,8 +851,8 @@ func (m *matcher) deliver(outs []int, cap *capture, from *scope) {
 	if len(outs) == 0 {
 		return
 	}
-	for s := from; s != nil; s = s.tup.origin {
-		if s.nconj > 0 {
+	for s := from; s != nil; s = s.origin {
+		if len(s.children) > 0 {
 			for _, sub := range outs {
 				c := cap
 				if c != nil && !m.extract[sub] {
@@ -719,8 +888,8 @@ func (m *matcher) deliverCaptured(outs []int, from *scope) {
 // latches it), taking fresh capture holds; the caller still owns — and
 // must drop — the original entry's hold.
 func (m *matcher) deliverEntry(sub int, cap *capture, from *scope) {
-	for s := from; s != nil; s = s.tup.origin {
-		if s.nconj > 0 {
+	for s := from; s != nil; s = s.origin {
+		if len(s.children) > 0 {
 			if cap != nil {
 				cap.refs++
 				m.capCommits++
@@ -783,18 +952,6 @@ func (m *matcher) dropCommitCap(cap *capture) {
 	}
 }
 
-// viable reports whether a live spine tuple can still be offered a
-// candidate element by some continuation of the document. Deeper tuples
-// always can — their creating scope's element is still open, so more
-// children (or, for descendant axes, arbitrary descendants) may start —
-// but a non-descendant tuple expecting its candidate at level 1 died
-// the moment the document's one root element opened: no second level-1
-// element will ever start. (Attribute-axis tuples at level 1 could
-// never match at all; the same test retires them.)
-func (m *matcher) viable(t *tuple, rootSeen bool) bool {
-	return t.node.axis == query.AxisDescendant || t.level > 1 || !rootSeen
-}
-
 // markSupport latches support for the not-yet-matched subscriptions in
 // outs, returning how many became newly supported.
 func (m *matcher) markSupport(outs []int) int {
@@ -810,21 +967,25 @@ func (m *matcher) markSupport(outs []int) int {
 
 // undecided counts the subscriptions whose verdict is still open: not
 // yet matched, and supported by at least one avenue a continuation of
-// the document could still complete. Avenues are
+// the document could still complete. Avenues are, per open spine scope,
 //
-//   - a viable spine tuple on the frontier (the subscription's next step
-//     is still awaiting a candidate),
-//   - a parked child-axis spine owner of an open scope (it returns to
-//     the frontier for sibling candidates when the scope closes), and
-//   - an open spine scope with unresolved predicates: its conditional
-//     commits — and the node's own terminals — resolve when it closes,
-//     so they are pessimistically alive until then.
+//   - a continuation of its node that some element yet to start could be
+//     a candidate for. Below an open element that is every continuation
+//     with unmatched subscriptions — more children (or, for descendant
+//     axes, arbitrary descendants) may start — but a non-descendant step
+//     expecting its candidate at level 1 died the moment the document's
+//     one root element opened: no second level-1 element will ever start.
+//     (Attribute steps at level 1 could never match at all; the same test
+//     retires them.)
+//   - unresolved predicates: the scope's conditional commits — and the
+//     node's own terminals — resolve when it closes, so they are
+//     pessimistically alive until then.
 //
 // A subscription with no avenue left can never match (conjunctive
-// matching is monotone and candidates only arrive through the frontier),
+// matching is monotone and candidates only arrive through open scopes),
 // so its negative verdict is final mid-stream. The sweep is
-// O(frontier + scopes + their subscription lists); callers probe it per
-// chunk, not per event.
+// O(scopes + their continuation and subscription lists); callers probe it
+// per chunk, not per event.
 func (m *matcher) undecided() int {
 	open := len(m.tr.paths) - m.matchedCount
 	if open == 0 {
@@ -833,43 +994,29 @@ func (m *matcher) undecided() int {
 	if len(m.support) != len(m.tr.paths) {
 		m.support = make([]bool, len(m.tr.paths))
 	} else {
-		for i := range m.support {
-			m.support[i] = false
-		}
+		clear(m.support)
 	}
 	rootSeen := m.stats.MaxLevel > 0
 	n := 0
-	for _, b := range m.buckets {
-		for _, t := range b {
-			if t.node.kind == kindSpine && t.node.remaining > 0 && m.viable(t, rootSeen) {
-				n += m.markSupport(t.node.subs)
-			}
-		}
-	}
-	for _, t := range m.wild {
-		if t.node.kind == kindSpine && t.node.remaining > 0 && m.viable(t, rootSeen) {
-			n += m.markSupport(t.node.subs)
-		}
-	}
 	for _, sc := range m.scopes {
-		tn := sc.tup.node
-		if tn.kind != kindSpine {
+		if sc.node.kind != kindSpine {
 			// A predicate scope's resolution only feeds the spine scope
 			// that gated it, which is accounted below.
 			continue
 		}
-		if sc.nconj > 0 {
-			n += m.markSupport(tn.terminals)
+		for _, c := range sc.node.succ {
+			if c.remaining > 0 && (c.axis == query.AxisDescendant || sc.level > 0 || !rootSeen) {
+				n += m.markSupport(c.subs)
+			}
+		}
+		if len(sc.children) > 0 {
+			n += m.markSupport(sc.node.terminals)
 			for _, c := range sc.commits {
 				if !m.matched[c.sub] && !m.support[c.sub] {
 					m.support[c.sub] = true
 					n++
 				}
 			}
-		}
-		if tn.axis == query.AxisChild && sc.tup.origin != nil && !sc.tup.matched &&
-			tn.remaining > 0 && m.viable(sc.tup, rootSeen) {
-			n += m.markSupport(tn.subs)
 		}
 	}
 	return n
@@ -878,24 +1025,24 @@ func (m *matcher) undecided() int {
 // live returns the matcher's live-state count: frontier tuples, open
 // candidate scopes, and buffering leaf candidates. This is what the
 // MaxLiveTuples budget measures (plus the NFA runner's depth term, added
-// by the engine).
+// by the engine). Frames are not counted: each is an index over open
+// scopes, which are.
 func (m *matcher) live() int {
 	return m.size + len(m.scopes) + len(m.pendings)
 }
 
-// evictDead sweeps out state that can no longer influence a verdict: dead
-// tuples (matched predicate tuples, and spine steps whose subscriptions
-// have all matched) leave the frontier, and buffering leaf candidates
-// whose tuple already matched stop buffering. Frontier tuples are only
-// unlinked, never recycled — every tuple is owned by the scope that
-// created it, which frees it when the scope closes. The per-touch lazy
-// eviction in collectCands retires most dead state already; this sweep
-// backs the live-tuple budget check, which must not declare a breach on
-// account of state that is already dead.
+// evictDead sweeps out state that can no longer influence a verdict:
+// matched predicate tuples leave the frontier, and buffering leaf
+// candidates whose tuple already matched stop buffering. Frontier tuples
+// are only unlinked, never recycled — every tuple is owned by the scope
+// that created it, which frees it when the scope closes. The per-touch
+// lazy eviction in collectCands retires most dead state already; this
+// sweep backs the live-tuple budget check, which must not declare a breach
+// on account of state that is already dead.
 func (m *matcher) evictDead() {
 	for s := range m.buckets {
 		for i := 0; i < len(m.buckets[s]); {
-			if dead(m.buckets[s][i]) {
+			if m.buckets[s][i].matched {
 				m.frRemove(m.buckets[s][i]) // swap-remove: rescan slot i
 				continue
 			}
@@ -903,7 +1050,7 @@ func (m *matcher) evictDead() {
 		}
 	}
 	for i := 0; i < len(m.wild); {
-		if dead(m.wild[i]) {
+		if m.wild[i].matched {
 			m.frRemove(m.wild[i])
 			continue
 		}
@@ -936,4 +1083,5 @@ func (m *matcher) endDocument() {
 		m.scopes = m.scopes[:len(m.scopes)-1]
 		m.closeScope(sc)
 	}
+	m.closeFrames(0)
 }

@@ -42,9 +42,11 @@ type Limits struct {
 	// MaxLiveTuples bounds the evaluators' live matching state: frontier
 	// tuples plus open candidate scopes plus buffering leaf candidates
 	// (the paper's frontier-size term FS(Q), times recursion on recursive
-	// documents). Before declaring a breach the shared engine evicts
-	// dead-but-unremoved tuples, so the budget measures state that could
-	// still influence a verdict.
+	// documents). In the shared engine only predicate steps hold frontier
+	// tuples — a subscription's location-step continuations are looked up
+	// from its open scopes, not held — and dead-but-unremoved tuples are
+	// evicted before a breach is declared, so the budget measures state
+	// that could still influence a verdict.
 	MaxLiveTuples int
 	// MaxDocBytes bounds the total document size consumed from a reader
 	// or accepted in memory.

@@ -740,6 +740,7 @@ func (s *Sharded) Stats() engine.Stats {
 		out.DFATransitions += st.DFATransitions
 		out.Events += st.Events
 		out.TupleVisits += st.TupleVisits
+		out.FrontierInserts += st.FrontierInserts
 		out.PeakTuples += st.PeakTuples
 		out.PeakScopes += st.PeakScopes
 		out.PeakBufferBytes += st.PeakBufferBytes

@@ -55,7 +55,9 @@ type Limits struct {
 	MaxBufferedBytes int
 	// MaxLiveTuples bounds the live matching state: frontier tuples plus
 	// open candidate scopes plus buffering leaf candidates (the paper's
-	// FS(Q), times recursion on recursive documents). Dead-but-unremoved
+	// FS(Q), times recursion on recursive documents). In a FilterSet only
+	// predicate steps hold frontier tuples — location-step continuations
+	// are looked up from the open scopes, not held — and dead-but-unremoved
 	// tuples are evicted before a breach is declared, so the budget
 	// measures state that could still influence a verdict.
 	MaxLiveTuples int

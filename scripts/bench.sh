@@ -3,11 +3,13 @@
 # so the performance trajectory is tracked PR over PR.
 #
 # Usage:
-#   scripts/bench.sh [output.json]          # default: BENCH_pr10.json
+#   scripts/bench.sh [output.json]          # default: BENCH_pr13.json
 #   BENCHTIME=1s scripts/bench.sh           # longer, steadier numbers
 #   CPUS=1,2,4,8 scripts/bench.sh           # parallel-arm scaling sweep
 #   BENCH_FILTER='^BenchmarkMatchReader' scripts/bench.sh  # pinned subset
 #   BENCH_PARALLEL=0 scripts/bench.sh       # skip the -cpu sweep pass
+#   GOMAXPROCS=1 scripts/bench.sh           # unsuffixed main-pass arm names,
+#                                           # as in the committed snapshots
 #   BENCH_SERVER=1 scripts/bench.sh         # also load-test xpfilterd over
 #                                           # HTTP -> BENCH_pr8_server.json
 #   BENCH_SERVER_CLIENTS=64 BENCH_SERVER_REQUESTS=5000  # its knobs
@@ -26,7 +28,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_pr10.json}"
+out="${1:-BENCH_pr13.json}"
 benchtime="${BENCHTIME:-1x}"
 cpus="${CPUS:-1,2,4}"
 filter="${BENCH_FILTER:-^BenchmarkFilterSet$|^BenchmarkFilterSetLimits$|Throughput|^BenchmarkMatchReader$|^BenchmarkMatchReaderNoMatch$|^BenchmarkTokenizer$|^BenchmarkFanoutRouting$}"

@@ -1,0 +1,267 @@
+// Differential tests for the trie route's skeleton dispatch: spine
+// continuations are looked up through per-element frames instead of being
+// held as frontier tuples, so the shapes where one element lands on
+// several frames, several skeleton edges, or a step whose subscriptions
+// have all matched are pinned here against the tree oracle
+// (internal/semantics) — verdicts and fragments, buffered and chunked at
+// every split offset, and again with budgets breached mid-document.
+package streamxpath_test
+
+import (
+	"fmt"
+	"math/bits"
+	"testing"
+
+	"streamxpath"
+	"streamxpath/internal/query"
+	"streamxpath/internal/semantics"
+	"streamxpath/internal/tree"
+)
+
+// skeletonCases are standing subscription sets with the documents that
+// exercise one hard case each. Every query is trie-routed (predicated or
+// attribute-selecting) and every document is in canonical form, so
+// zero-copy fragments compare equal to the reference serializer's.
+var skeletonCases = []struct {
+	name string
+	subs []string
+	docs []string
+}{
+	// Nested same-name elements under a descendant step: two open frames
+	// of one skeleton node, each candidate gated by its own origin scope.
+	{"nested-same-name", []string{`//a[b]//a/c`, `//a[b]//a[d]/c`, `//a//a[b]`}, []string{
+		`<a><b></b><a><c></c></a></a>`,
+		`<a><a><c></c></a></a>`,
+		`<a><a><b></b><a><c></c><d></d></a></a></a>`,
+		`<r><a><a><b></b></a><a><c></c></a></a></r>`,
+		`<a><a><a><c></c></a><b></b></a></a>`,
+	}},
+	// One element feeding a named and a wildcard skeleton edge at once.
+	{"named-and-wildcard", []string{`//r/x[p]/y`, `//r/*[q]/y`, `//r[k]/x`, `//r[k]/*`, `/r/*[p]//*[q]`}, []string{
+		`<r><k></k><x><p></p><q></q><y></y></x></r>`,
+		`<r><x><q></q><y></y></x><z><p></p><y></y></z></r>`,
+		`<r><x><p></p><y><q></q></y></x></r>`,
+		`<s><r><k></k><w></w></r></s>`,
+	}},
+	// An attribute continuation under a predicated step.
+	{"attribute-under-predicate", []string{`//item[priority > 3]/@id`, `//item[priority > 3]/@*`, `//item[priority > 8]/name`}, []string{
+		`<feed><item id="a"><priority>2</priority></item><item id="b" lang="en"><priority>5</priority><name>n</name></item></feed>`,
+		`<feed><item><priority>9</priority><name id="x">n</name></item></feed>`,
+		`<feed><item id="c"><priority>1</priority><item id="d"><priority>4</priority></item></item></feed>`,
+	}},
+	// A predicated terminal that also has continuations.
+	{"terminal-with-continuations", []string{`//a[b]`, `//a[b]/c`, `//a[b]/c[d]`, `//a[b]/c/@k`}, []string{
+		`<r><a><c k="1"><d></d></c><b></b></a></r>`,
+		`<r><a><c></c></a><a><b></b></a></r>`,
+		`<a><a><b></b><c></c></a></a>`,
+	}},
+	// A prefix whose last subscription latches mid-document, with more
+	// siblings (and more candidates for the dead step) after it.
+	{"latch-then-siblings", []string{`//catalog/item[priority > 3]/f1`, `//catalog/item/@id`, `//catalog/item[priority > 3]/f2`}, []string{
+		`<catalog><item id="1"><priority>5</priority><f1></f1></item><item id="2"><priority>9</priority><f1></f1><f2></f2></item><item><priority>1</priority><f2></f2></item></catalog>`,
+		`<catalog><item><priority>1</priority><f1></f1></item><item id="3"><priority>4</priority><f2></f2><f1></f1></item><item><f1></f1></item></catalog>`,
+	}},
+}
+
+// skeletonSet registers subs under ids s0, s1, …, with or without
+// extraction.
+func skeletonSet(t *testing.T, subs []string, extract bool) *streamxpath.FilterSet {
+	t.Helper()
+	set := streamxpath.NewFilterSet()
+	for i, src := range subs {
+		add := set.Add
+		if extract {
+			add = set.AddExtract
+		}
+		if err := add(fmt.Sprintf("s%d", i), src); err != nil {
+			t.Fatalf("add %s: %v", src, err)
+		}
+	}
+	return set
+}
+
+// skeletonTruth is the oracle's answer for ids → queries over doc: the
+// matching ids in id order and each one's reference fragment.
+func skeletonTruth(ids, subs []string, doc string) (matched []string, frags map[string]string) {
+	d := tree.MustParse(doc)
+	frags = map[string]string{}
+	for i, src := range subs {
+		q := query.MustParse(src)
+		if !semantics.BoolEval(q, d) {
+			continue
+		}
+		matched = append(matched, ids[i])
+		frags[ids[i]], _ = refFragment(q, d)
+	}
+	return matched, frags
+}
+
+// checkSkeleton compares one result against the oracle. An abstained
+// result may miss matches but never invent one; its fragments, like a
+// complete result's, must be the reference ones.
+func checkSkeleton(t *testing.T, label string, res streamxpath.MatchResult, extract bool, want []string, frags map[string]string) {
+	t.Helper()
+	if res.Abstained {
+		for _, id := range res.MatchedIDs {
+			if _, ok := frags[id]; !ok {
+				t.Fatalf("%s: abstained result matched %s, oracle does not (truth %v)", label, id, want)
+			}
+		}
+	} else {
+		assertSameIDs(t, label, res.MatchedIDs, want)
+	}
+	if !extract {
+		return
+	}
+	for _, f := range res.Fragments {
+		if string(f.Data) != frags[f.ID] {
+			t.Fatalf("%s: fragment %s:\n  got  %q\n  want %q", label, f.ID, f.Data, frags[f.ID])
+		}
+	}
+	if !res.Abstained && len(res.Fragments) != len(want) {
+		t.Fatalf("%s: %d fragments for %d matches", label, len(res.Fragments), len(want))
+	}
+}
+
+// matchEverywhere runs doc through MatchBytesResult and through
+// MatchReaderResult split at every offset, checking each result.
+func matchEverywhere(t *testing.T, label string, set *streamxpath.FilterSet, extract bool, ids, subs []string, doc string) {
+	t.Helper()
+	want, frags := skeletonTruth(ids, subs, doc)
+	data := []byte(doc)
+	res, err := set.MatchBytesResult(data)
+	if err != nil {
+		t.Fatalf("%s: MatchBytesResult: %v", label, err)
+	}
+	checkSkeleton(t, label+" buffered", res, extract, want, frags)
+	for off := 0; off <= len(data); off++ {
+		res, err := set.MatchReaderResult(&boundaryReader{data: data, split: off})
+		if err != nil {
+			t.Fatalf("%s: split %d: MatchReaderResult: %v", label, off, err)
+		}
+		checkSkeleton(t, fmt.Sprintf("%s split %d", label, off), res, extract, want, frags)
+	}
+}
+
+func TestSkeletonDispatchAgainstOracle(t *testing.T) {
+	for _, c := range skeletonCases {
+		for _, extract := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/extract=%v", c.name, extract), func(t *testing.T) {
+				set := skeletonSet(t, c.subs, extract)
+				ids := set.IDs()
+				for _, doc := range c.docs {
+					matchEverywhere(t, doc, set, extract, ids, c.subs, doc)
+				}
+				// The same set under every live-state budget from "breached at
+				// the root" to "never breached": each breach abandons open
+				// frames mid-document, and the next document must not see them.
+				for budget := 1; budget <= 16; budget++ {
+					set.SetLimits(streamxpath.Limits{MaxLiveTuples: budget, Policy: streamxpath.LimitAbstain})
+					for _, doc := range c.docs {
+						matchEverywhere(t, fmt.Sprintf("budget %d: %s", budget, doc), set, extract, ids, c.subs, doc)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSkeletonRebuiltAcrossAddRemove: Add and Remove between documents
+// recompile the trie and its skeleton, and frames never outlive the
+// skeleton they index — including after a document abandoned mid-stream.
+func TestSkeletonRebuiltAcrossAddRemove(t *testing.T) {
+	docs := []string{
+		`<a><b></b><c></c><a><d><e></e></d></a></a>`,
+		`<r><a><c></c><b></b></a><a><b></b><d><e></e></d></a></r>`,
+	}
+	subs := map[string]string{"p": `//a[b]/c`, "q": `//a[b]`, "r": `//a[b]//d/e`}
+	set := streamxpath.NewFilterSet()
+	check := func(step string) {
+		t.Helper()
+		ids := set.IDs()
+		srcs := make([]string, len(ids))
+		for i, id := range ids {
+			srcs[i] = subs[id]
+		}
+		for _, doc := range docs {
+			matchEverywhere(t, step+": "+doc, set, true, ids, srcs, doc)
+		}
+	}
+	mustAdd := func(id string) {
+		t.Helper()
+		if err := set.AddExtract(id, subs[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustAdd("p")
+	mustAdd("q")
+	check("p,q")
+	set.Remove("p")
+	mustAdd("r")
+	check("q,r")
+	// Abandon a document with frames open, then change the set again.
+	set.SetLimits(streamxpath.Limits{MaxDepth: 2})
+	if _, err := set.MatchBytesResult([]byte(docs[0])); err == nil {
+		t.Fatal("depth budget not enforced")
+	}
+	set.SetLimits(streamxpath.Limits{})
+	check("q,r after abort")
+	set.Remove("q")
+	mustAdd("p")
+	check("r,p")
+}
+
+// trieCounts matches doc against subs and returns the counts the scaling
+// pin compares, with ⌈log₂|Q|⌉ — the cost model's per-tuple node-name
+// term, the one input of EstimatedBits that grows with the standing set
+// rather than with the matching state.
+func trieCounts(t *testing.T, subs []string, doc string) (st streamxpath.FilterSetStats, mem streamxpath.MemStats, nameBits int) {
+	t.Helper()
+	set := skeletonSet(t, subs, false)
+	res, err := set.MatchBytesResult([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = set.Stats()
+	return st, res.MemStats, bits.Len(uint(st.SharedStates + st.PredNodes - 1))
+}
+
+// TestTrieStateIndependentOfLeafFanout pins, by counts alone, that a
+// predicated prefix costs the same state and the same state maintenance
+// however many subscriptions hang off it: spine continuations are looked
+// up, not inserted. EstimatedBits may differ between two standing sets
+// only by the node-name term on the (equal) live tuples.
+func TestTrieStateIndependentOfLeafFanout(t *testing.T) {
+	same := func(label string, a, b []string, doc string) {
+		t.Helper()
+		sa, ma, na := trieCounts(t, a, doc)
+		sb, mb, nb := trieCounts(t, b, doc)
+		if sa.FrontierInserts != sb.FrontierInserts || sa.FrontierInserts == 0 {
+			t.Errorf("%s: FrontierInserts %d vs %d", label, sa.FrontierInserts, sb.FrontierInserts)
+		}
+		if ma.PeakLiveTuples != mb.PeakLiveTuples {
+			t.Errorf("%s: PeakLiveTuples %d vs %d", label, ma.PeakLiveTuples, mb.PeakLiveTuples)
+		}
+		if got, want := mb.EstimatedBits-ma.EstimatedBits, ma.PeakLiveTuples*(nb-na); got != want {
+			t.Errorf("%s: EstimatedBits %d vs %d: differ by %d, want %d (live tuples × node-name bits %d vs %d)",
+				label, ma.EstimatedBits, mb.EstimatedBits, got, want, na, nb)
+		}
+	}
+
+	// Ten predicated prefixes × 10 or 1,000 leaves each. f0 only occurs
+	// under priority 0, so no prefix runs out of unmatched subscriptions
+	// (and stops opening scopes) in either set.
+	fanout := func(leaves int) []string {
+		var subs []string
+		for k := 0; k < 10; k++ {
+			for j := 0; j < leaves; j++ {
+				subs = append(subs, fmt.Sprintf("//catalog/item[priority > %d]/f%d", k, j))
+			}
+		}
+		return subs
+	}
+	doc := disseminationDoc(40)
+	same("leaf fan-out 10 vs 1000", fanout(10), fanout(1000), doc)
+	same("predshared 100 vs 10000",
+		disseminationSubs("predshared", 100), disseminationSubs("predshared", 10000), doc)
+}

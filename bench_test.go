@@ -609,6 +609,50 @@ func BenchmarkFilterSet(b *testing.B) {
 	}
 }
 
+// BenchmarkFilterSetChurn is the cost of a subscription change on a
+// standing set: one iteration removes the oldest subscription, adds its
+// query back under a new id, and matches one document — the mutation ack a
+// caller waits for. The nfa arms hold "shared" subscriptions (all on the
+// merged NFA), the trie arms "predshared" ones (all on the frontier trie).
+// The change is O(|query|), so the arms should read alike across set sizes
+// but for the per-document O(subscriptions) reset and result sweep.
+func BenchmarkFilterSetChurn(b *testing.B) {
+	doc := []byte(disseminationDoc(40))
+	for _, route := range []struct{ name, topology string }{{"nfa", "shared"}, {"trie", "predshared"}} {
+		for _, n := range []int{100, 1000, 10000} {
+			subs := disseminationSubs(route.topology, n)
+			b.Run(fmt.Sprintf("%s/subs=%d", route.name, n), func(b *testing.B) {
+				s := streamxpath.NewFilterSet()
+				for i, src := range subs {
+					if err := s.Add(fmt.Sprintf("s%d", i), src); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := s.MatchBytes(doc); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var matched int
+				for i := 0; i < b.N; i++ {
+					if !s.Remove(fmt.Sprintf("s%d", i)) {
+						b.Fatalf("s%d is not subscribed", i)
+					}
+					if err := s.Add(fmt.Sprintf("s%d", n+i), subs[i%n]); err != nil {
+						b.Fatal(err)
+					}
+					ids, err := s.MatchBytes(doc)
+					if err != nil {
+						b.Fatal(err)
+					}
+					matched = len(ids)
+				}
+				b.ReportMetric(float64(matched), "matched")
+			})
+		}
+	}
+}
+
 // BenchmarkDissemination is the compact engine-vs-fanout pair (1k shared
 // subscriptions) run as the CI smoke benchmark.
 func BenchmarkDissemination(b *testing.B) {

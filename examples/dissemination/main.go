@@ -72,8 +72,8 @@ func main() {
 		}
 		fmt.Printf("doc %d (%d bytes) -> %v\n", i, len(doc), notified)
 	}
-	// Taken here, while the last document's work counters are still
-	// standing: the next Add recompiles the engine and clears them.
+	// Taken here: the work counters describe the last document matched,
+	// and the documents below are a different workload.
 	st := set.Stats()
 
 	// Fragment extraction: a subscription registered with AddExtract gets

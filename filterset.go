@@ -25,8 +25,10 @@ import (
 // (conjunctive matching is monotone, so a provisional match is final)
 // stops consuming events.
 //
-// Add and Remove may be called between documents; the shared indexes are
-// rebuilt lazily before the next document starts. A FilterSet is not safe
+// Add and Remove may be called between documents. They patch the shared
+// indexes in place, in time proportional to the query rather than to the
+// set, and the engine's warm state (the NFA's memoized transitions)
+// survives them. A FilterSet is not safe
 // for concurrent use; create one per goroutine — or use the multi-core
 // engines: ParallelFilterSet (one document fanned out to subscription
 // shards) and FilterPool (documents matched concurrently on replicas).
@@ -98,9 +100,9 @@ func (s *FilterSet) Len() int { return s.e.Len() }
 // IDs returns the subscription ids in insertion order.
 func (s *FilterSet) IDs() []string { return s.e.IDs() }
 
-// Reset prepares the set for the next document and applies any pending
-// Add/Remove calls. MatchReader resets implicitly; Reset exists for
-// callers driving the engine event by event across documents.
+// Reset prepares the set for the next document. MatchReader resets
+// implicitly; Reset exists for callers driving the engine event by event
+// across documents.
 func (s *FilterSet) Reset() { s.e.Reset() }
 
 // SetLimits configures the per-document resource budgets and breach
@@ -354,6 +356,5 @@ func (s *FilterSet) appendIDs() []string {
 // share. SpineSteps/SharedStates is the prefix-sharing factor.
 type FilterSetStats = engine.Stats
 
-// Stats returns the engine statistics. Pending Add/Remove calls are
-// compiled first.
+// Stats returns the engine statistics.
 func (s *FilterSet) Stats() FilterSetStats { return s.e.Stats() }

@@ -39,20 +39,33 @@ type NFA struct {
 // rejects queries with predicates or attribute axes — the classic automata
 // systems the paper compares against handle the /, //, * fragment.
 func FromQuery(q *query.Query) (*NFA, error) {
+	if err := Linear(q); err != nil {
+		return nil, err
+	}
 	n := &NFA{Query: q}
 	for u := q.Root.Successor; u != nil; u = u.Successor {
-		if u.Pred != nil || len(u.PredicateChildren()) > 0 {
-			return nil, fmt.Errorf("automaton: predicates not supported (query node %s)", u.NTest)
-		}
-		if u.Axis == query.AxisAttribute {
-			return nil, fmt.Errorf("automaton: attribute axis not supported")
-		}
 		n.steps = append(n.steps, step{ntest: u.NTest, descendant: u.Axis == query.AxisDescendant})
 	}
-	if len(n.steps) == 0 {
-		return nil, fmt.Errorf("automaton: empty query")
-	}
 	return n, nil
+}
+
+// Linear reports why q is outside the /, //, * fragment, nil if it is
+// inside. It allocates nothing on success.
+func Linear(q *query.Query) error {
+	if q.Root.Successor == nil {
+		return fmt.Errorf("automaton: empty query")
+	}
+	for u := q.Root.Successor; u != nil; u = u.Successor {
+		// A node's children are its successor, if any, and its predicate
+		// children.
+		if u.Pred != nil || len(u.Children) > 1 || (len(u.Children) == 1 && u.Successor == nil) {
+			return fmt.Errorf("automaton: predicates not supported (query node %s)", u.NTest)
+		}
+		if u.Axis == query.AxisAttribute {
+			return fmt.Errorf("automaton: attribute axis not supported")
+		}
+	}
+	return nil
 }
 
 // Accepting returns the accepting position.
@@ -128,10 +141,16 @@ type LazyDFA struct {
 
 // DFAStats accounts the automaton's memory.
 type DFAStats struct {
-	// States is the number of distinct state sets materialized.
+	// States is the number of distinct state sets materialized; a
+	// SharedRunner stops counting a set it dropped because one of its
+	// states was unlinked.
 	States int
 	// Transitions is the number of memoized transition-table entries.
 	Transitions int
+	// Materialized counts the transitions ever computed. It never falls:
+	// when a SharedRunner forgets an entry because its automaton changed,
+	// Transitions drops and computing the entry again counts here.
+	Materialized int
 	// Symbols is the number of distinct names known to the runner's
 	// alphabet: for LazyDFA, element names actually seen; for
 	// SharedRunner, the size of the symbol table it dispatches on (an
@@ -218,6 +237,7 @@ func (d *LazyDFA) Process(e sax.Event) error {
 			nextID = d.intern(next)
 			d.trans[key] = nextID
 			d.stats.Transitions = len(d.trans)
+			d.stats.Materialized++
 		}
 		if d.sets[nextID].contains(d.nfa.Accepting()) {
 			d.match = true

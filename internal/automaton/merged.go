@@ -10,185 +10,195 @@ import (
 // MergedNFA is a combined position automaton for MANY linear path queries
 // at once: a prefix-sharing trie over location steps, in the style of the
 // YFilter family of dissemination engines. Queries that agree on their
-// first k steps (same node test, same axis — compared via the canonical
-// step keys of internal/query) share k trie states, so the per-event work
-// of the shared evaluation depends on the number of distinct active
-// states, not on the number of subscriptions. Accepting states carry
-// output sets: the ids of the subscriptions whose final step they are.
+// first k steps (same node test, same axis) share k trie states, so the
+// per-event work of the shared evaluation depends on the number of
+// distinct active states, not on the number of subscriptions. Accepting
+// states carry output sets: the ids of the subscriptions whose final step
+// they are.
+//
+// The trie is edited where it stands. Add extends it through a per-state
+// child index and Remove unlinks the states no query passes through any
+// more, both in O(|query|); a SharedRunner bound to the automaton is told
+// which states' child sets changed and forgets only the memoized
+// transitions that depended on them. Unlinked state slots are tombstoned,
+// never reused, so a stale item set can never alias a new state; Slots
+// minus Size is the tombstone count an owner compacts on (by building a
+// fresh automaton with the same Add calls).
 //
 // Like the single-query NFA, the merged automaton covers the /, //, *
 // fragment; predicates and attribute axes are routed by internal/engine to
 // the frontier-based shared matcher instead.
 type MergedNFA struct {
-	states  []mstate
-	outputs int // number of Add calls accepted
+	tab    *symtab.Table
+	states []mstate
+	live   int // states not tombstoned, the root included
+
+	// Output ids index the runner's match vector. outState maps an id to
+	// its accepting state (-1 while the id is free); freed ids are handed
+	// out again before the vector grows.
+	outState []int
+	freeOuts []int
+	outputs  int // ids in use
+
+	runner *SharedRunner
+}
+
+// edge keys a state's child: the step's interned node test (symtab.None
+// for the wildcard) and axis. All per-event matching compares symbols,
+// never strings.
+type edge struct {
+	sym        symtab.Sym
+	descendant bool
 }
 
 // mstate is one trie state: the step that enters it plus its children.
 type mstate struct {
-	ntest      string
-	descendant bool
-	// sym/wild are the interned form of ntest, assigned by Bind; all
-	// per-event matching compares symbols, never strings.
-	sym      symtab.Sym
-	wild     bool
-	children []int
-	// hasDescChild caches whether any child is reached by a descendant
-	// step; only then may the state survive a non-matching element (the
-	// "gap" of //).
-	hasDescChild bool
-	// outputs are the subscription ids accepted when this state is
-	// entered by a direct match (not retained across a gap).
+	parent int
+	edge   edge
+	kids   map[edge]int
+	// descKids counts the children reached by a descendant step; only
+	// with one may the state survive a non-matching element (the "gap" of
+	// //).
+	descKids int
+	// outputs are the ids accepted when this state is entered by a direct
+	// match (not retained across a gap).
 	outputs []int
-	// reachFresh/reachLoop are the dead-state analysis: the output ids
-	// any path of one or more further elements can still emit from this
-	// state in fresh respectively looping mode. Fresh states may advance
-	// into any child; looping states only into descendant-axis children
-	// (a child-axis step must match exactly one level below the fresh
-	// occurrence). Both sets are computed once by Bind; the runner unions
-	// them per interned item set to learn which subscriptions a document
-	// suffix can still satisfy.
-	reachFresh []int
-	reachLoop  []int
+	// through counts the queries whose path passes through or ends at this
+	// state — the outputs accepted at it or below — and descThrough those
+	// that leave it by a descendant step. A state other than the root is
+	// unlinked when through drops to zero.
+	through     int
+	descThrough int
 }
 
-// NewMergedNFA returns an automaton containing only the root state.
-func NewMergedNFA() *MergedNFA {
-	return &MergedNFA{states: []mstate{{}}} // state 0: the query root $
+// NewMergedNFA returns an automaton containing only the root state,
+// interning node tests into tab (nil for a private table). States are
+// bound to the table as they are created, so the automaton can change
+// while a runner holds it.
+func NewMergedNFA(tab *symtab.Table) *MergedNFA {
+	if tab == nil {
+		tab = symtab.New()
+	}
+	return &MergedNFA{tab: tab, states: []mstate{{parent: -1}}, live: 1} // state 0: the query root $
 }
 
 // Add merges a linear (predicate-free, attribute-free) path query into the
-// trie and records out as the id accepted at its final state. It returns
+// trie and returns the output id accepted at its final state. It returns
 // an error for queries outside the /, //, * fragment.
-func (m *MergedNFA) Add(q *query.Query, out int) error {
-	if _, err := FromQuery(q); err != nil {
-		return err
+func (m *MergedNFA) Add(q *query.Query) (int, error) {
+	if err := Linear(q); err != nil {
+		return 0, err
 	}
 	cur := 0
+	m.states[0].through++
 	for u := q.Root.Successor; u != nil; u = u.Successor {
-		desc := u.Axis == query.AxisDescendant
-		next := -1
-		for _, c := range m.states[cur].children {
-			if m.states[c].ntest == u.NTest && m.states[c].descendant == desc {
-				next = c
-				break
-			}
+		e := edge{descendant: u.Axis == query.AxisDescendant}
+		if u.NTest != query.Wildcard {
+			e.sym = m.tab.Intern(u.NTest)
 		}
-		if next < 0 {
+		next, ok := m.states[cur].kids[e]
+		if !ok {
 			next = len(m.states)
-			m.states = append(m.states, mstate{ntest: u.NTest, descendant: desc})
-			m.states[cur].children = append(m.states[cur].children, next)
-			if desc {
-				m.states[cur].hasDescChild = true
+			m.states = append(m.states, mstate{parent: cur, edge: e})
+			m.live++
+			st := &m.states[cur]
+			if st.kids == nil {
+				st.kids = map[edge]int{}
 			}
+			st.kids[e] = next
+			m.childChanged(cur, e, +1)
 		}
+		if e.descendant {
+			m.states[cur].descThrough++
+		}
+		m.states[next].through++
 		cur = next
+	}
+	out := len(m.outState)
+	if k := len(m.freeOuts); k > 0 {
+		out = m.freeOuts[k-1]
+		m.freeOuts = m.freeOuts[:k-1]
+		m.outState[out] = cur
+	} else {
+		m.outState = append(m.outState, cur)
 	}
 	m.states[cur].outputs = append(m.states[cur].outputs, out)
 	m.outputs++
-	return nil
+	return out, nil
 }
 
-// Bind interns every state's node test into tab, enabling the symbol
-// step path, and computes the per-state reachable-output sets of the
-// dead-state analysis. It must be called (by NewSharedRunner) after the
-// last Add and before the first event.
-func (m *MergedNFA) Bind(tab *symtab.Table) {
-	for i := range m.states {
-		st := &m.states[i]
-		switch st.ntest {
-		case query.Wildcard:
-			st.wild = true
-		case "":
-			// the root state; never matched by name
-		default:
-			st.sym = tab.Intern(st.ntest)
+// Remove withdraws the query Add returned out for: the id is freed and the
+// states only that query passed through are unlinked. The scan for the id
+// is linear in the ids accepted at the same state (duplicates of one
+// query).
+func (m *MergedNFA) Remove(out int) {
+	cur := m.outState[out]
+	m.outState[out] = -1
+	m.freeOuts = append(m.freeOuts, out)
+	outs := m.states[cur].outputs
+	for i, o := range outs {
+		if o == out {
+			outs[i] = outs[len(outs)-1]
+			m.states[cur].outputs = outs[:len(outs)-1]
+			break
 		}
 	}
-	m.computeReach()
+	m.outputs--
+	// through never grows downwards, so the emptied states are a suffix of
+	// the path and each is a leaf by the time the walk reaches it.
+	for cur != 0 {
+		st := &m.states[cur]
+		st.through--
+		parent, e := st.parent, st.edge
+		if e.descendant {
+			m.states[parent].descThrough--
+		}
+		if st.through == 0 {
+			*st = mstate{parent: -1}
+			m.live--
+			delete(m.states[parent].kids, e)
+			if m.runner != nil {
+				m.runner.dropSets(cur)
+			}
+			m.childChanged(parent, e, -1)
+		}
+		cur = parent
+	}
+	m.states[0].through--
 }
 
-// computeReach fills every state's reachFresh/reachLoop sets bottom-up.
-// The state graph is a trie (plus self loops, which add nothing to
-// reachability), so children strictly follow their parents in state
-// order and a reverse sweep visits each subtree before its root:
-//
-//	reachFresh(s) = ∪ over all children c of outputs(c) ∪ reachFresh(c)
-//	reachLoop(s)  = the same union over descendant-axis children only
-//
-// Total size is bounded by the sum of all subscriptions' path lengths
-// (each output appears only in its trie ancestors' sets).
-func (m *MergedNFA) computeReach() {
-	var seen map[int]bool
-	union := func(children []int, descOnly bool) []int {
-		for k := range seen {
-			delete(seen, k)
-		}
-		var out []int
-		for _, ci := range children {
-			c := &m.states[ci]
-			if descOnly && !c.descendant {
-				continue
-			}
-			for _, o := range c.outputs {
-				if !seen[o] {
-					seen[o] = true
-					out = append(out, o)
-				}
-			}
-			for _, o := range c.reachFresh {
-				if !seen[o] {
-					seen[o] = true
-					out = append(out, o)
-				}
-			}
-		}
-		sort.Ints(out)
-		return out
+// childChanged records that state p gained (delta +1) or lost (-1) its
+// child along e and tells the runner which memoized transitions that
+// touches: those of the item sets containing p, on e's symbol — on every
+// symbol when e is a wildcard, or when p's first descendant child arrived
+// or its last one left, because that is what decides whether p survives a
+// non-matching element.
+func (m *MergedNFA) childChanged(p int, e edge, delta int) {
+	flipped := false
+	if e.descendant {
+		st := &m.states[p]
+		st.descKids += delta
+		flipped = st.descKids == 0 || (delta > 0 && st.descKids == 1)
 	}
-	seen = make(map[int]bool)
-	for i := len(m.states) - 1; i >= 0; i-- {
-		st := &m.states[i]
-		st.reachFresh = union(st.children, false)
-		if st.hasDescChild {
-			st.reachLoop = union(st.children, true)
-		} else {
-			st.reachLoop = nil
-		}
+	if m.runner != nil {
+		m.runner.invalidate(p, e.sym, flipped)
 	}
 }
 
-// liveOutputs returns the sorted union of the outputs any continuation
-// of one or more elements can still emit from an item set — the fresh
-// items' reachFresh sets plus the looping items' reachLoop sets. Outputs
-// of the set's own states are excluded: they were emitted (and latched)
-// when the set was entered.
-func (m *MergedNFA) liveOutputs(items []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, it := range items {
-		st := &m.states[it>>1]
-		reach := st.reachFresh
-		if it&loopingBit != 0 {
-			reach = st.reachLoop
-		}
-		for _, o := range reach {
-			if !seen[o] {
-				seen[o] = true
-				out = append(out, o)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Size returns the number of trie states (including the root) — the
+// Size returns the number of live trie states (including the root) — the
 // shared-structure measure reported by engine statistics.
-func (m *MergedNFA) Size() int { return len(m.states) }
+func (m *MergedNFA) Size() int { return m.live }
 
-// Outputs returns the number of accepted Add calls.
+// Slots returns the number of state slots ever allocated: Size plus the
+// tombstones of unlinked states.
+func (m *MergedNFA) Slots() int { return len(m.states) }
+
+// Outputs returns the number of output ids in use.
 func (m *MergedNFA) Outputs() int { return m.outputs }
+
+// OutputCap returns one more than the largest output id ever returned —
+// the length a vector indexed by output id needs.
+func (m *MergedNFA) OutputCap() int { return len(m.outState) }
 
 // An active item is a trie state in one of two modes. A "fresh" state was
 // entered by matching its own step at the current element; all its
@@ -201,47 +211,79 @@ func (m *MergedNFA) Outputs() int { return m.outputs }
 const loopingBit = 1
 
 // step computes the successor item set on reading an element with the
-// given interned name. It runs only when the runner memoizes a new
-// (set, symbol) transition; the steady state never reaches it.
+// given interned name: four child-index probes per fresh item, two per
+// looping one. It runs only when the runner memoizes a new (set, symbol)
+// transition; the steady state never reaches it.
 func (m *MergedNFA) step(items []int, sym symtab.Sym) []int {
-	next := map[int]bool{}
+	out := make([]int, 0, 2*len(items)) // never nil: a nil set is a dropped one
 	for _, it := range items {
 		id, looping := it>>1, it&loopingBit != 0
 		st := &m.states[id]
-		for _, ci := range st.children {
-			c := &m.states[ci]
-			if looping && !c.descendant {
-				continue
+		for _, e := range [4]edge{{sym, true}, {symtab.None, true}, {sym, false}, {symtab.None, false}} {
+			if looping && !e.descendant {
+				break
 			}
-			if c.wild || c.sym == sym {
-				next[ci<<1] = true
+			if c, ok := st.kids[e]; ok {
+				out = append(out, c<<1)
 			}
 		}
-		if st.hasDescChild {
-			next[id<<1|loopingBit] = true
+		if st.descKids > 0 {
+			out = append(out, id<<1|loopingBit)
 		}
 	}
-	out := make([]int, 0, len(next))
-	for it := range next {
-		out = append(out, it)
-	}
+	// A state held both fresh and looping offers its descendant-axis
+	// children, and its own looping item, twice.
 	sort.Ints(out)
-	return out
+	n := 0
+	for i, it := range out {
+		if i == 0 || it != out[i-1] {
+			out[n] = it
+			n++
+		}
+	}
+	return out[:n]
 }
 
-// start returns the initial item set: the root, fresh.
-func (m *MergedNFA) start() []int { return []int{0} }
-
-// emitted returns the output ids accepted on entering an item set: the
-// outputs of its fresh states.
-func (m *MergedNFA) emitted(items []int) []int {
-	var out []int
+// reach counts the outputs a continuation of one or more elements can still
+// emit from an item set that has just been entered: everything accepted in
+// the subtrees under the items' enabled children — all children of a fresh
+// item, the descendant-axis ones of a looping item — except what the set's
+// own fresh states accept, which latched on entry. The subtrees of a trie
+// are nested or disjoint and the through counts give their sizes, so the
+// count needs no walk: it sums the items no other item covers.
+func (m *MergedNFA) reach(items []int) int {
+	n := 0
 	for _, it := range items {
-		if it&loopingBit == 0 {
-			out = append(out, m.states[it>>1].outputs...)
+		s := it >> 1
+		st := &m.states[s]
+		covered := m.under(items, s)
+		switch {
+		case it&loopingBit == 0 && covered:
+			n -= len(st.outputs) // counted by the covering item, and latched
+		case it&loopingBit == 0:
+			n += st.through - len(st.outputs)
+		case !covered:
+			// (A state held fresh and looping at once was entered at two
+			// depths, so a descendant step leads to it and the looping item
+			// of that step's origin covers both.)
+			n += st.descThrough
 		}
 	}
-	return out
+	return n
+}
+
+// under reports whether state s lies in the subtree under an enabled child
+// of some item.
+func (m *MergedNFA) under(items []int, s int) bool {
+	for s != 0 {
+		st := &m.states[s]
+		if stateSet(items).contains(st.parent<<1) ||
+			(st.edge.descendant && stateSet(items).contains(st.parent<<1|loopingBit)) {
+			return true
+		}
+		s = st.parent
+	}
+	return false
 }
 
 // SharedRunner evaluates a MergedNFA over a document with a stack of
@@ -250,32 +292,43 @@ func (m *MergedNFA) emitted(items []int) []int {
 // bounds-checked array load per element once warm, no hashing, no
 // allocation, independent of subscription count. Matches latch into
 // Matched; the transition rows persist across Reset as a long-running
-// dissemination engine's would.
+// dissemination engine's would, and across the automaton's Add and Remove:
+// a row depends only on the child sets of the states in its item set, so a
+// mutation zeroes the entries under the states it relinked and nothing
+// else. What a set accepts is read from its states when it is entered, so
+// a change of outputs alone touches no row at all.
+//
+// The automaton must not change between StartDocument and the document's
+// last event.
 type SharedRunner struct {
-	m     *MergedNFA
-	tab   *symtab.Table
+	m *MergedNFA
+	// sets[id] is an interned item set, nil once dropped; index finds a set
+	// by its key.
 	sets  [][]int
-	emit  [][]int // per set id: outputs accepted on entry
 	index map[string]int
 	// rows[set][sym] holds the memoized successor set id + 1; 0 means not
 	// yet computed. Rows grow lazily to the symbol table's size.
 	rows [][]uint32
-	// liveOut[set] is the cached MergedNFA.liveOutputs of the set — which
-	// outputs a continuation from it can still emit.
-	liveOut [][]int
+	// setsOf[state] lists the ids of the sets holding the state in either
+	// mode — where a change of its children has to be forgotten. Ids of
+	// dropped sets are swept out on the next visit.
+	setsOf [][]int
+
 	startID int // interned id of the initial item set
 	stack   []int
 	depth   int // levels processed while short-circuited
+	// Matched[out] latches output out; it covers the automaton's OutputCap
+	// as of the last Reset.
 	Matched []bool
 	left    int // outputs not yet matched
-	// Dead-state bookkeeping. XML has exactly one root element (the
-	// tokenizers reject a second), so the moment the root's item set is
-	// pushed, the outputs any document suffix can still emit are fixed:
-	// liveOut of that set. live marks them; liveLeft counts those not yet
-	// matched — when it hits zero every remaining output is decided
-	// negative and the runner stops doing per-element work. Before the
-	// root element everything is considered live.
-	live     []bool
+	// liveLeft counts the outputs whose verdict is still open. XML has
+	// exactly one root element (the tokenizers reject a second), so the
+	// moment the root's item set is pushed, the outputs any document
+	// suffix can still emit are fixed: the automaton's reach from that
+	// set. From then on liveLeft counts those not yet matched — when it
+	// hits zero every remaining output is decided negative and the runner
+	// stops doing per-element work. Before the root element every output
+	// is live.
 	liveLeft int
 	stats    DFAStats
 
@@ -287,27 +340,14 @@ type SharedRunner struct {
 	OnMatch func(out int)
 }
 
-// NewSharedRunner returns a runner over the merged automaton with a
-// private symbol table. The automaton must not be modified afterwards.
+// NewSharedRunner returns a runner over the merged automaton, dispatching
+// on the automaton's symbol table: callers that tokenize with that table
+// feed the runner symbols directly via StartElementSym. The runner follows
+// the automaton's later Add and Remove calls; an automaton has one runner.
 func NewSharedRunner(m *MergedNFA) *SharedRunner {
-	return NewSharedRunnerTab(m, nil)
-}
-
-// NewSharedRunnerTab returns a runner interning names into tab (nil for
-// a private table), binding the automaton's node tests to it. Callers
-// that tokenize with a shared table pass it here and feed the runner
-// symbols directly via StartElementSym.
-func NewSharedRunnerTab(m *MergedNFA, tab *symtab.Table) *SharedRunner {
-	if tab == nil {
-		tab = symtab.New()
-	}
-	m.Bind(tab)
-	r := &SharedRunner{
-		m:     m,
-		tab:   tab,
-		index: make(map[string]int),
-	}
-	r.startID = r.intern(m.start())
+	r := &SharedRunner{m: m, index: make(map[string]int)}
+	m.runner = r
+	r.startID = r.intern([]int{0}) // the root, fresh
 	r.Reset()
 	return r
 }
@@ -317,21 +357,12 @@ func NewSharedRunnerTab(m *MergedNFA, tab *symtab.Table) *SharedRunner {
 func (r *SharedRunner) Reset() {
 	r.stack = r.stack[:0]
 	r.depth = 0
-	if len(r.Matched) == r.m.outputs {
-		for i := range r.Matched {
-			r.Matched[i] = false
-		}
-	} else {
-		r.Matched = make([]bool, r.m.outputs)
+	if n := r.m.OutputCap(); n > len(r.Matched) {
+		r.Matched = append(r.Matched, make([]bool, n-len(r.Matched))...)
 	}
+	clear(r.Matched)
 	r.left = r.m.outputs
-	if len(r.live) != r.m.outputs {
-		r.live = make([]bool, r.m.outputs)
-	}
-	for i := range r.live {
-		r.live[i] = true
-	}
-	r.liveLeft = r.m.outputs
+	r.liveLeft = r.left
 	r.stats.PeakStack = 0
 }
 
@@ -343,11 +374,85 @@ func (r *SharedRunner) intern(items []int) int {
 	id := len(r.sets)
 	r.sets = append(r.sets, items)
 	r.index[k] = id
-	r.emit = append(r.emit, r.m.emitted(items))
-	r.liveOut = append(r.liveOut, r.m.liveOutputs(items))
 	r.rows = append(r.rows, nil)
-	r.stats.States = len(r.sets)
+	if n := r.m.Slots(); n > len(r.setsOf) {
+		r.setsOf = append(r.setsOf, make([][]int, n-len(r.setsOf))...)
+	}
+	for i, it := range items {
+		if i == 0 || it>>1 != items[i-1]>>1 {
+			r.setsOf[it>>1] = append(r.setsOf[it>>1], id)
+		}
+	}
+	r.stats.States++
 	return id
+}
+
+// clearRow forgets every memoized transition out of set id.
+func (r *SharedRunner) clearRow(id int) {
+	for sym, to := range r.rows[id] {
+		if to != 0 {
+			r.rows[id][sym] = 0
+			r.stats.Transitions--
+		}
+	}
+}
+
+// holders returns the ids of the live sets holding state s, sweeping the
+// dropped ones out of the inverse index.
+func (r *SharedRunner) holders(s int) []int {
+	if s >= len(r.setsOf) {
+		return nil
+	}
+	live := r.setsOf[s][:0]
+	for _, id := range r.setsOf[s] {
+		if r.sets[id] != nil {
+			live = append(live, id)
+		}
+	}
+	r.setsOf[s] = live
+	return live
+}
+
+// invalidate forgets the transitions a change of state p's child along sym
+// made wrong: in every set holding p, the entry for sym, or the whole row
+// when sym is None (a wildcard child answers every symbol) or flipped is
+// set (p gained its first or lost its last descendant child, so its
+// looping item joins or leaves every successor). A set holding the looping
+// item of a p that can no longer loop has become unreachable — every
+// predecessor holds p and is being cleared — and is dropped.
+func (r *SharedRunner) invalidate(p int, sym symtab.Sym, flipped bool) {
+	stranded := flipped && r.m.states[p].descKids == 0
+	for _, id := range r.holders(p) {
+		switch row := r.rows[id]; {
+		case stranded && stateSet(r.sets[id]).contains(p<<1|loopingBit):
+			r.drop(id)
+		case flipped || sym == symtab.None:
+			r.clearRow(id)
+		case int(sym) < len(row) && row[sym] != 0:
+			row[sym] = 0
+			r.stats.Transitions--
+		}
+	}
+}
+
+// dropSets drops every set holding state s, which has just been unlinked.
+// Nothing still points at them: a set holding s is entered only from a set
+// holding s or s's parent, and the parent's sets are invalidated on s's
+// symbol by the same Remove.
+func (r *SharedRunner) dropSets(s int) {
+	for _, id := range r.holders(s) {
+		r.drop(id)
+	}
+	if s < len(r.setsOf) {
+		r.setsOf[s] = nil
+	}
+}
+
+func (r *SharedRunner) drop(id int) {
+	r.clearRow(id)
+	delete(r.index, stateSet(r.sets[id]).key())
+	r.sets[id], r.rows[id] = nil, nil
+	r.stats.States--
 }
 
 // StartDocument begins a document.
@@ -359,7 +464,7 @@ func (r *SharedRunner) StartDocument() {
 // path: the name is interned (one map probe when warm) and handed to
 // StartElementSym.
 func (r *SharedRunner) StartElement(name string) {
-	r.StartElementSym(r.tab.Intern(name))
+	r.StartElementSym(r.m.tab.Intern(name))
 }
 
 // StartElementSym processes a startElement event whose name was interned
@@ -369,8 +474,8 @@ func (r *SharedRunner) StartElement(name string) {
 // per-subscription monotone early exit, applied to the whole shared
 // index). The liveLeft shortcut applies only inside an element (stack
 // depth > 1): a start at depth 1 would be a new root, whose subtree the
-// live set does not describe, so it is processed in full and refreshes
-// the live set. Warm transitions touch no map and allocate nothing.
+// live count does not describe, so it is processed in full and recounts.
+// Warm transitions touch no map and allocate nothing.
 func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 	if len(r.stack) == 0 || r.left == 0 || (r.liveLeft == 0 && len(r.stack) > 1) {
 		r.depth++
@@ -394,8 +499,8 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 			if d := 2 * len(row); d > n {
 				n = d
 			}
-			if n > r.tab.Len() {
-				n = r.tab.Len()
+			if n > r.m.tab.Len() {
+				n = r.m.tab.Len()
 			}
 			grown := make([]uint32, n)
 			copy(grown, row)
@@ -404,17 +509,21 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 		}
 		row[sym] = uint32(nextID) + 1
 		r.stats.Transitions++
-		r.stats.Symbols = r.tab.Len() - 1
+		r.stats.Materialized++
+		r.stats.Symbols = r.m.tab.Len() - 1
 	}
-	for _, out := range r.emit[nextID] {
-		if !r.Matched[out] {
-			r.Matched[out] = true
-			r.left--
-			if r.live[out] {
+	for _, it := range r.sets[nextID] {
+		if it&loopingBit != 0 {
+			continue
+		}
+		for _, out := range r.m.states[it>>1].outputs {
+			if !r.Matched[out] {
+				r.Matched[out] = true
+				r.left--
 				r.liveLeft--
-			}
-			if r.OnMatch != nil {
-				r.OnMatch(out)
+				if r.OnMatch != nil {
+					r.OnMatch(out)
+				}
 			}
 		}
 	}
@@ -422,28 +531,14 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 	if len(r.stack) == 2 {
 		// The root element just opened: from here on only its subtree can
 		// produce elements, so the outputs reachable from its item set are
-		// the only ones still undecided. Applied after this transition's
-		// own emissions so freshly latched outputs are not double-counted.
-		r.applyLive(nextID)
+		// the only ones still undecided — and every later latch is one of
+		// them. (Fed a second root element, the count would take outputs
+		// latched under the first for open: too high, which only delays
+		// Undecided reaching zero.)
+		r.liveLeft = r.m.reach(r.sets[nextID])
 	}
 	if len(r.stack) > r.stats.PeakStack {
 		r.stats.PeakStack = len(r.stack)
-	}
-}
-
-// applyLive narrows the live set to the outputs reachable from set id —
-// the dead-state analysis applied at the document root. O(outputs), once
-// per document.
-func (r *SharedRunner) applyLive(id int) {
-	for i := range r.live {
-		r.live[i] = false
-	}
-	r.liveLeft = 0
-	for _, o := range r.liveOut[id] {
-		r.live[o] = true
-		if !r.Matched[o] {
-			r.liveLeft++
-		}
 	}
 }
 

@@ -31,10 +31,10 @@ func runMerged(r *SharedRunner, events []sax.Event) []bool {
 // c keeps that state alive across gap elements — which must NOT re-enable
 // the child-axis edge to b at deeper levels.
 func TestMergedChildAxisPrecision(t *testing.T) {
-	m := NewMergedNFA()
+	m := NewMergedNFA(nil)
 	for i, src := range []string{"//a/b", "//a//c"} {
-		if err := m.Add(query.MustParse(src), i); err != nil {
-			t.Fatal(err)
+		if out, err := m.Add(query.MustParse(src)); err != nil || out != i {
+			t.Fatalf("Add(%s) = %d, %v; want output %d", src, out, err, i)
 		}
 	}
 	r := NewSharedRunner(m)
@@ -53,10 +53,10 @@ func TestMergedChildAxisPrecision(t *testing.T) {
 }
 
 func TestMergedPrefixSharing(t *testing.T) {
-	m := NewMergedNFA()
+	m := NewMergedNFA(nil)
 	for i := 0; i < 100; i++ {
 		q := query.MustParse(fmt.Sprintf("//catalog/item/f%d", i))
-		if err := m.Add(q, i); err != nil {
+		if _, err := m.Add(q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,9 +67,9 @@ func TestMergedPrefixSharing(t *testing.T) {
 }
 
 func TestMergedRejectsOutsideFragment(t *testing.T) {
-	m := NewMergedNFA()
+	m := NewMergedNFA(nil)
 	for _, src := range []string{"/a[b]", "/a/@id", "/a[b > 5]/c"} {
-		if err := m.Add(query.MustParse(src), 0); err == nil {
+		if _, err := m.Add(query.MustParse(src)); err == nil {
 			t.Errorf("Add(%q) accepted; want error", src)
 		}
 	}
@@ -87,7 +87,7 @@ func TestMergedEquivalentToIndividual(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		nq := 1 + rng.Intn(6)
 		var sources []string
-		m := NewMergedNFA()
+		m := NewMergedNFA(nil)
 		for i := 0; i < nq; i++ {
 			depth := 1 + rng.Intn(4)
 			src := ""
@@ -100,8 +100,8 @@ func TestMergedEquivalentToIndividual(t *testing.T) {
 				src += steps[rng.Intn(len(steps))]
 			}
 			sources = append(sources, src)
-			if err := m.Add(query.MustParse(src), i); err != nil {
-				t.Fatal(err)
+			if out, err := m.Add(query.MustParse(src)); err != nil || out != i {
+				t.Fatalf("Add(%s) = %d, %v; want output %d", src, out, err, i)
 			}
 		}
 		doc := workload.RandomTree(rng, names, nil, 1+rng.Intn(5), 3).Events()
@@ -149,10 +149,10 @@ func feedMerged(r *SharedRunner, events []sax.Event) []int {
 // anything reachable through a // gap) stay undecided.
 func TestMergedUndecidedDeadStateAnalysis(t *testing.T) {
 	build := func(srcs ...string) *SharedRunner {
-		m := NewMergedNFA()
+		m := NewMergedNFA(nil)
 		for i, src := range srcs {
-			if err := m.Add(query.MustParse(src), i); err != nil {
-				t.Fatal(err)
+			if out, err := m.Add(query.MustParse(src)); err != nil || out != i {
+				t.Fatalf("Add(%s) = %d, %v; want output %d", src, out, err, i)
 			}
 		}
 		return NewSharedRunner(m)
@@ -199,5 +199,147 @@ func TestMergedUndecidedDeadStateAnalysis(t *testing.T) {
 	}
 	if r2.MatchedCount() != 0 {
 		t.Fatalf("dead queries matched: %v", r2.Matched)
+	}
+}
+
+// TestMergedRemoveUnlinksAndReusesOutputs: Remove frees the output id for
+// the next Add and unlinks exactly the states no other query passes
+// through, leaving their slots as tombstones.
+func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
+	m := NewMergedNFA(nil)
+	var outs []int
+	for _, src := range []string{"//a/b/c", "//a/b", "//a/x//y"} {
+		out, err := m.Add(query.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	if m.Size() != 6 || m.Slots() != 6 { // root a b c x y
+		t.Fatalf("size %d slots %d, want 6 and 6", m.Size(), m.Slots())
+	}
+	m.Remove(outs[0]) // c goes; a and b serve //a/b
+	if m.Size() != 5 || m.Slots() != 6 || m.Outputs() != 2 {
+		t.Fatalf("after removing //a/b/c: size %d slots %d outputs %d, want 5, 6, 2", m.Size(), m.Slots(), m.Outputs())
+	}
+	m.Remove(outs[2]) // x and y go
+	if m.Size() != 3 || m.Slots() != 6 {
+		t.Fatalf("after removing //a/x//y: size %d slots %d, want 3 and 6", m.Size(), m.Slots())
+	}
+	out, err := m.Add(query.MustParse("/q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != outs[0] && out != outs[2] {
+		t.Fatalf("Add after two removals returned output %d, want a freed one of %v", out, outs)
+	}
+	if m.OutputCap() != 3 || m.Slots() != 7 {
+		t.Fatalf("output cap %d slots %d, want 3 (ids reused) and 7 (state slots are not)", m.OutputCap(), m.Slots())
+	}
+}
+
+// walkReach is the dead-state analysis done the long way: the outputs
+// accepted in the subtrees under the enabled children of an item set.
+func walkReach(m *MergedNFA, items []int) map[int]bool {
+	out := map[int]bool{}
+	var subtree func(s int)
+	subtree = func(s int) {
+		for _, o := range m.states[s].outputs {
+			out[o] = true
+		}
+		for _, c := range m.states[s].kids {
+			subtree(c)
+		}
+	}
+	for _, it := range items {
+		for e, c := range m.states[it>>1].kids {
+			if e.descendant || it&loopingBit == 0 {
+				subtree(c)
+			}
+		}
+	}
+	return out
+}
+
+// TestMergedUndecidedMatchesWalk holds the runner's count of open outputs —
+// taken from the through counts when the root element opens, decremented
+// per latch afterwards — against a walk of the trie, on automata that are
+// patched between documents, and the patched runner's verdicts against a
+// runner built afresh.
+func TestMergedUndecidedMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	names := []string{"a", "b", "c"}
+	steps := []string{"a", "b", "c", "*"}
+	randQuery := func() string {
+		src := ""
+		for j := 1 + rng.Intn(3); j > 0; j-- {
+			src += []string{"/", "//"}[rng.Intn(2)] + steps[rng.Intn(len(steps))]
+		}
+		return src
+	}
+	for trial := 0; trial < 60; trial++ {
+		m := NewMergedNFA(nil)
+		r := NewSharedRunner(m)
+		live := map[int]string{} // output → query
+		for round := 0; round < 40; round++ {
+			for ops := 1 + rng.Intn(3); ops > 0; ops-- {
+				if len(live) > 0 && rng.Intn(5) < 2 {
+					for out := range live { // whichever the map yields first
+						m.Remove(out)
+						delete(live, out)
+						break
+					}
+					continue
+				}
+				src := randQuery()
+				out, err := m.Add(query.MustParse(src))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, dup := live[out]; dup {
+					t.Fatalf("Add returned output %d, which is in use", out)
+				}
+				live[out] = src
+			}
+			doc := workload.RandomTree(rng, names, nil, 1+rng.Intn(4), 3).Events()
+			r.Reset()
+			var reach map[int]bool
+			for _, e := range doc {
+				switch e.Kind {
+				case sax.StartDocument:
+					r.StartDocument()
+				case sax.EndElement:
+					r.EndElement()
+				case sax.StartElement:
+					r.StartElement(e.Name)
+					if reach == nil {
+						reach = walkReach(m, r.sets[r.stack[len(r.stack)-1]])
+					}
+					open := 0
+					for o := range reach {
+						if !r.Matched[o] {
+							open++
+						}
+					}
+					if r.Undecided() != open {
+						t.Fatalf("trial %d round %d: after <%s>: Undecided = %d, the walk finds %d open\nqueries %v", trial, round, e.Name, r.Undecided(), open, live)
+					}
+				}
+			}
+			fm := NewMergedNFA(nil)
+			fresh := map[int]int{} // patched output → fresh output
+			for out, src := range live {
+				fresh[out], _ = fm.Add(query.MustParse(src))
+			}
+			want := runMerged(NewSharedRunner(fm), doc)
+			for out, src := range live {
+				if r.Matched[out] != want[fresh[out]] {
+					t.Fatalf("trial %d round %d: %s: patched %v, fresh %v\nqueries %v", trial, round, src, r.Matched[out], want[fresh[out]], live)
+				}
+			}
+			if m.Size() != fm.Size() || m.Outputs() != fm.Outputs() {
+				t.Fatalf("trial %d round %d: patched automaton has %d states and %d outputs, a fresh one %d and %d", trial, round, m.Size(), m.Outputs(), fm.Size(), fm.Outputs())
+			}
+		}
 	}
 }

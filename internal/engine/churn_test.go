@@ -1,0 +1,394 @@
+package engine
+
+import (
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"streamxpath/internal/automaton"
+	"streamxpath/internal/core"
+	"streamxpath/internal/fragment"
+	"streamxpath/internal/query"
+	"streamxpath/internal/sax"
+	"streamxpath/internal/semantics"
+	"streamxpath/internal/tree"
+)
+
+// The churn differential: one engine lives through a random sequence of
+// Add, AddExtract and Remove calls, patching its indexes in place, and after
+// every few of them one document runs through it and through an engine
+// built from nothing with the subscriptions then standing. Everything a
+// caller can observe must agree — per event, whether the verdicts are
+// decided and how many have latched; per document, the matched ids, the
+// fragments, the sizes of the shared structures, NeedsText and the
+// lower-bound term of MemStats — and the verdicts must be the tree
+// evaluator's (internal/semantics). TestEngineChurnMatchesFreshEngine runs
+// it on seeded random bytes, FuzzEngineChurn on whatever the fuzzer finds.
+
+// dice reads the decisions of a run off a byte string; an exhausted string
+// answers 0 forever.
+type dice struct {
+	data []byte
+	pos  int
+}
+
+func (d *dice) n(k int) int {
+	if d.pos >= len(d.data) {
+		return 0
+	}
+	v := int(d.data[d.pos]) % k
+	d.pos++
+	return v
+}
+
+func (d *dice) done() bool { return d.pos >= len(d.data) }
+
+var churnNames = []string{"a", "b", "c", "d"}
+
+// churnQuery draws a query of one to three steps over /, //, the four names
+// and *, with [b] or [b > k] on some steps and sometimes a final attribute
+// step. The pool is small on purpose: independent draws share prefixes,
+// whole paths, and often the entire query.
+func churnQuery(d *dice) string {
+	var b strings.Builder
+	steps := 1 + d.n(3)
+	for i := 0; i < steps; i++ {
+		b.WriteString([]string{"/", "//"}[d.n(2)])
+		if d.n(6) == 0 {
+			b.WriteString("*")
+		} else {
+			b.WriteString(churnNames[d.n(len(churnNames))])
+		}
+		switch d.n(6) {
+		case 0:
+			b.WriteString("[b]")
+		case 1:
+			fmt.Fprintf(&b, "[b > %d]", d.n(4))
+		}
+	}
+	if d.n(8) == 0 {
+		b.WriteString("/@id")
+	}
+	return b.String()
+}
+
+// churnDoc draws a document over the same names, with id attributes and
+// single-digit text, in the serializer's canonical form.
+func churnDoc(d *dice) string {
+	var b strings.Builder
+	var elem func(depth int)
+	elem = func(depth int) {
+		name := churnNames[d.n(len(churnNames))]
+		b.WriteString("<" + name)
+		if d.n(3) == 0 {
+			fmt.Fprintf(&b, ` id="%d"`, d.n(4))
+		}
+		b.WriteString(">")
+		if kids := d.n(4); depth < 4 && kids > 0 {
+			for i := 0; i < kids; i++ {
+				elem(depth + 1)
+			}
+		} else if d.n(2) == 0 {
+			fmt.Fprintf(&b, "%d", d.n(5))
+		}
+		b.WriteString("</" + name + ">")
+	}
+	elem(0)
+	return b.String()
+}
+
+type churnSub struct {
+	id, src string
+	extract bool
+}
+
+func (s churnSub) addTo(e *Engine) error {
+	if s.extract {
+		return e.AddExtract(s.id, query.MustParse(s.src))
+	}
+	return e.Add(s.id, query.MustParse(s.src))
+}
+
+// runChurn plays data against one patched engine and returns its final
+// statistics.
+func runChurn(t testing.TB, data []byte) Stats {
+	d := &dice{data: data}
+	patched := New()
+	patched.SetCapture(CaptureSlice)
+	tokP := sax.NewTokenizerBytes(nil, patched.Symbols())
+	var live []churnSub
+	serial := 0
+	add := func(src string, extract bool) {
+		s := churnSub{id: fmt.Sprintf("s%d", serial), src: src, extract: extract}
+		serial++
+		if err := s.addTo(patched); err != nil {
+			t.Fatalf("Add(%s): %v", src, err)
+		}
+		live = append(live, s)
+	}
+	remove := func(i int) {
+		if !patched.Remove(live[i].id) {
+			t.Fatalf("Remove(%s) = false", live[i].id)
+		}
+		live = slices.Delete(live, i, i+1)
+	}
+	for round := 0; !d.done(); round++ {
+		for ops := 1 + d.n(3); ops > 0; ops-- {
+			switch k := d.n(16); {
+			case k == 0:
+				// Down to the empty set, and back up from it next round.
+				for len(live) > 0 {
+					remove(len(live) - 1)
+				}
+			case k == 1:
+				// Enough one-off linear queries, removed again, to push the
+				// merged NFA's tombstones past its compaction threshold.
+				for i := 0; i < 70; i++ {
+					add(fmt.Sprintf("/z/t%d/u", i), false)
+				}
+				for i := 0; i < 70; i++ {
+					remove(len(live) - 1)
+				}
+			case k < 7 && len(live) > 0:
+				remove(d.n(len(live)))
+			default:
+				add(churnQuery(d), d.n(3) == 0)
+			}
+		}
+		doc := churnDoc(d)
+		fresh := New()
+		fresh.SetCapture(CaptureSlice)
+		for _, s := range live {
+			if err := s.addTo(fresh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		label := fmt.Sprintf("round %d, doc %s, subscriptions %v", round, doc, live)
+		// Lockstep, so that what a streaming caller would see mid-document
+		// is compared too.
+		tokP.Reset([]byte(doc))
+		tokF := sax.NewTokenizerBytes([]byte(doc), fresh.Symbols())
+		for n := 0; ; n++ {
+			evP, errP := tokP.Next()
+			evF, errF := tokF.Next()
+			if errP == io.EOF && errF == io.EOF {
+				break
+			}
+			if errP != nil || errF != nil {
+				t.Fatalf("%s: tokenizers: %v / %v", label, errP, errF)
+			}
+			if err := patched.ProcessBytes(evP); err != nil {
+				t.Fatalf("%s: patched: %v", label, err)
+			}
+			if err := fresh.ProcessBytes(evF); err != nil {
+				t.Fatalf("%s: fresh: %v", label, err)
+			}
+			if p, f := patched.Decided(), fresh.Decided(); p != f {
+				t.Fatalf("%s: event %d: Decided patched=%v fresh=%v", label, n, p, f)
+			}
+			if p, f := patched.MatchedCount(), fresh.MatchedCount(); p != f {
+				t.Fatalf("%s: event %d: MatchedCount patched=%d fresh=%d", label, n, p, f)
+			}
+		}
+		got, want := patched.MatchedIDs(), fresh.MatchedIDs()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: matched patched=%v fresh=%v", label, got, want)
+		}
+		root := tree.MustParse(doc)
+		for _, s := range live {
+			if truth := semantics.BoolEval(query.MustParse(s.src), root); truth != slices.Contains(got, s.id) {
+				t.Fatalf("%s: %s %s: engines say %v, the tree evaluator %v", label, s.id, s.src, !truth, truth)
+			}
+		}
+		fp, ff := patched.AppendFragments(nil, []byte(doc)), fresh.AppendFragments(nil, []byte(doc))
+		if !slices.EqualFunc(fp, ff, func(a, b Fragment) bool { return a.ID == b.ID && string(a.Data) == string(b.Data) }) {
+			t.Fatalf("%s: fragments patched=%v fresh=%v", label, fp, ff)
+		}
+		sp, sf := patched.Stats(), fresh.Stats()
+		if sp.NFARouted != sf.NFARouted || sp.TrieRouted != sf.TrieRouted || sp.SpineSteps != sf.SpineSteps ||
+			sp.SharedStates != sf.SharedStates || sp.PredNodes != sf.PredNodes {
+			t.Fatalf("%s: stats\n patched %s\n fresh   %s", label, sp, sf)
+		}
+		if p, f := patched.NeedsText(), fresh.NeedsText(); p != f {
+			t.Fatalf("%s: NeedsText patched=%v fresh=%v", label, p, f)
+		}
+		if p, f := patched.MemStats(), fresh.MemStats(); p != f {
+			t.Fatalf("%s: MemStats\n patched %s\n fresh   %s", label, p, f)
+		}
+	}
+	return patched.Stats()
+}
+
+func TestEngineChurnMatchesFreshEngine(t *testing.T) {
+	seeds := 60
+	if testing.Short() {
+		seeds = 10
+	}
+	rebuilds := 0
+	for seed := 0; seed < seeds; seed++ {
+		data := make([]byte, 6000) // about 120 rounds
+		rand.New(rand.NewSource(int64(seed))).Read(data)
+		rebuilds += runChurn(t, data).Rebuilds
+	}
+	if rebuilds == 0 {
+		t.Error("no run crossed the tombstone threshold; the compaction path went untested")
+	}
+}
+
+func FuzzEngineChurn(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		data := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A round rebuilds the reference engine from every standing
+		// subscription, so the cost of an input is quadratic in its length;
+		// past a few dozen rounds more of them find nothing new.
+		runChurn(t, data[:min(len(data), 2048)])
+	})
+}
+
+// TestEngineMutationAbandonsDocument: Add and Remove between startDocument
+// and endDocument abandon the document — its remaining events are refused
+// and it reports no verdicts — and the next document runs on the patched
+// indexes as if the abandoned one had never opened its scopes and frames.
+func TestEngineMutationAbandonsDocument(t *testing.T) {
+	e := New()
+	mustAdd(t, e, "lin", "//a/c")
+	mustAdd(t, e, "pred", "//a[b]/c")
+	mustAdd(t, e, "deep", "//a[b]//d/e")
+	for _, mutate := range []func(){
+		func() { mustAdd(t, e, "late", "//a[b]/x") },
+		func() { e.Remove("deep") },
+		func() { e.Remove("lin") },
+	} {
+		// Mid-document: //a's scope and its frame are open, c has latched lin.
+		for _, ev := range []sax.Event{sax.StartDoc(), sax.Start("a"), sax.Start("c")} {
+			if err := e.Process(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mutate()
+		if e.Matched("lin") || len(e.MatchedIDs()) != 0 || e.MatchedCount() != 0 || e.Decided() {
+			t.Fatal("an abandoned document still reports verdicts")
+		}
+		for _, ev := range []sax.Event{sax.End("c"), sax.TextEvent("x"), sax.Start("b"), sax.EndDoc()} {
+			if err := e.Process(ev); err == nil {
+				t.Fatalf("%v accepted after a mid-document mutation", ev)
+			}
+		}
+		got := run(t, e, "<a><c/><b/><x/><d><e/></d></a>")
+		for _, id := range e.IDs() {
+			if !got[id] {
+				t.Fatalf("after the abandoned document: %s did not match (got %v)", id, got)
+			}
+		}
+	}
+	e.Reset()
+	if err := e.Process(sax.StartDoc()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Add("pred", query.MustParse("//z")); err == nil {
+		t.Fatal("duplicate id accepted")
+	}
+	if err := e.Process(sax.Start("a")); err != nil {
+		t.Fatalf("a rejected Add abandoned the document: %v", err)
+	}
+}
+
+// churnEngine holds n subscriptions //catalog/item/f<i>, the topology of
+// the benchmark's churn workload, and a catalog document carrying the
+// first 80 leaf names.
+func churnEngine(t *testing.T, n int) (*Engine, string) {
+	e := New()
+	for i := 0; i < n; i++ {
+		mustAdd(t, e, fmt.Sprintf("s%d", i), fmt.Sprintf("//catalog/item/f%d", i))
+	}
+	var doc strings.Builder
+	doc.WriteString("<catalog>")
+	for i := 0; i < 80; i += 2 {
+		fmt.Fprintf(&doc, "<item><priority>%d</priority><f%d/><f%d/></item>", i%12, i, i+1)
+	}
+	doc.WriteString("</catalog>")
+	return e, doc.String()
+}
+
+// TestEngineReplaceKeepsTheMemo counts what a subscription change costs the
+// lazy DFA: replacing one leaf subscription makes the next document compute
+// at most two transitions again (the whole table, 83, when the indexes were
+// recompiled), and leaves the table and the shared states exactly as large
+// as those of an engine built afresh.
+func TestEngineReplaceKeepsTheMemo(t *testing.T) {
+	e, doc := churnEngine(t, 1000)
+	run(t, e, doc)
+	warm := e.Stats()
+	if !e.Remove("s17") {
+		t.Fatal("s17 is not subscribed")
+	}
+	mustAdd(t, e, "again", "//catalog/item/f17")
+	if got := run(t, e, doc); !got["again"] || len(got) != 80 {
+		t.Fatalf("after the replacement: %d matches, again=%v", len(got), got["again"])
+	}
+	st := e.Stats()
+	if d := st.DFAMaterialized - warm.DFAMaterialized; d > 2 {
+		t.Errorf("one replacement made the next document compute %d transitions, want at most 2", d)
+	}
+	fresh, _ := churnEngine(t, 1000)
+	run(t, fresh, doc)
+	fs := fresh.Stats()
+	if st.DFATransitions != fs.DFATransitions || st.DFAStates != fs.DFAStates || st.SharedStates != fs.SharedStates {
+		t.Errorf("patched dfa=%d/%d shared=%d, fresh dfa=%d/%d shared=%d",
+			st.DFAStates, st.DFATransitions, st.SharedStates, fs.DFAStates, fs.DFATransitions, fs.SharedStates)
+	}
+	if st.Rebuilds != 0 {
+		t.Errorf("Rebuilds = %d after one replacement", st.Rebuilds)
+	}
+}
+
+// TestEngineTombstonesStayBounded: however long the churn, unlinked NFA
+// states never outnumber the live ones by more than the compaction slack.
+func TestEngineTombstonesStayBounded(t *testing.T) {
+	const n = 1000
+	e, doc := churnEngine(t, n)
+	for i := 0; i < 5000; i++ {
+		if !e.Remove(fmt.Sprintf("s%d", i)) {
+			t.Fatalf("s%d is not subscribed", i)
+		}
+		mustAdd(t, e, fmt.Sprintf("s%d", n+i), fmt.Sprintf("//catalog/item/f%d", i%n))
+		if slots, live := e.nfa.Slots(), e.nfa.Size(); slots > 2*live+64 {
+			t.Fatalf("after %d replacements: %d state slots for %d live states", i+1, slots, live)
+		}
+		if i%16 == 0 {
+			if got := run(t, e, doc); len(got) != 80 {
+				t.Fatalf("after %d replacements: %d matches, want 80", i+1, len(got))
+			}
+		}
+	}
+	if st := e.Stats(); st.Rebuilds == 0 || st.SharedStates != n+2 {
+		t.Errorf("rebuilds=%d shared=%d, want some rebuilds and %d shared states", st.Rebuilds, st.SharedStates, n+2)
+	}
+}
+
+// TestEngineLinearQueriesNeedNoProgram backs the shortcut Add takes for the
+// merged NFA's fragment: such a query always compiles, and its frontier
+// size is 1.
+func TestEngineLinearQueriesNeedNoProgram(t *testing.T) {
+	d := &dice{data: make([]byte, 4096)}
+	rand.New(rand.NewSource(1)).Read(d.data)
+	for !d.done() {
+		q := query.MustParse(churnQuery(d))
+		if automaton.Linear(q) != nil {
+			continue
+		}
+		if _, err := core.NewProgram(q); err != nil {
+			t.Errorf("%s: linear, but core rejects it: %v", q, err)
+		}
+		if fs := fragment.FrontierSize(q); fs != 1 {
+			t.Errorf("%s: linear, but FS = %d", q, fs)
+		}
+	}
+}

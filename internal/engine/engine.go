@@ -36,10 +36,20 @@
 // is monotone, Section 8.1), and fully matched shared states stop
 // accepting candidates — the per-filter early exit of the old fan-out
 // FilterSet, applied to shared state.
+//
+// A standing set changes while documents flow, so both indexes are edited
+// where they stand: Add walks or extends its route's trie, Remove drops
+// the subscription's result slot and unlinks the states only it passed
+// through, each in time proportional to the query. There is no batch
+// build beside the incremental one — an engine restored after a panic
+// (Rebuild) is an empty index and the same per-subscription step in a
+// loop — and the merged NFA's lazily materialized DFA survives a mutation
+// but for the transitions out of the states it relinked.
 package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"streamxpath/internal/automaton"
 	"streamxpath/internal/core"
@@ -62,49 +72,64 @@ const (
 
 // subscription is one standing query.
 type subscription struct {
-	id      string
-	q       *query.Query
+	id string
+	q  *query.Query
+	// prog is the query's compiled form, which the trie is built from; a
+	// query routed to the merged NFA has none.
 	prog    *core.Program
 	route   Route
-	out     int // index in the route's result vector (assigned at compile)
+	out     int // slot in the route's result vector
 	extract bool
+	// seq numbers the Add calls; subs is ordered by it, which is how Remove
+	// finds a subscription's position without an id → position map to
+	// renumber.
+	seq uint64
+	// fs is the query's frontier size FS(Q), computed once: FrontierSize
+	// walks the query tree allocating node slices. A linear query's is 1.
+	fs int
 }
 
 // Engine matches one document stream at a time against all subscriptions.
-// Add and Remove may be called between documents; the shared indexes are
-// rebuilt lazily before the next document starts. An Engine is not safe
-// for concurrent use.
+// Add and Remove patch the shared indexes where they stand, in time
+// proportional to the query, and take effect at the next document; called
+// while a document is in flight they abandon it. An Engine is not safe for
+// concurrent use.
 type Engine struct {
-	subs  []*subscription
-	byID  map[string]int
-	dirty bool
+	subs    []*subscription // in insertion order
+	byID    map[string]*subscription
+	nextSeq uint64
+	// stale is set by every mutation and cleared by Reset: the result
+	// vectors describe a document matched against another subscription
+	// set, so the result accessors answer as before any document.
+	stale bool
 
 	// tab is the engine's symbol table: query node tests and document
 	// names meet in it, so the byte-event path dispatches entirely on
-	// tokenizer-supplied symbols. It persists across compiles — symbols
-	// already handed to a tokenizer stay valid after Add/Remove.
+	// tokenizer-supplied symbols.
 	tab *symtab.Table
 
 	nfa    *automaton.MergedNFA
 	runner *automaton.SharedRunner
 	tr     *trie
 	mt     *matcher
+	// rebuilds counts the times an index was replaced by a fresh one.
+	rebuilds int
 
 	// Fragment-capture state. capMode is the caller-requested mode for the
 	// next document (effective only when some subscription has extraction
 	// enabled); cm manages the captures; nfaExtract/nfaFrags are the
 	// NFA route's per-output extraction flags and captured fragments (the
-	// trie route's live on the matcher).
+	// trie route's live on the matcher). extracting counts the
+	// subscriptions with extraction enabled.
 	capMode    CaptureMode
 	cm         *capman
-	hasExtract bool
+	extracting int
 	nfaExtract []bool
 	nfaFrags   []*capture
 
-	// maxFS is the largest per-subscription frontier size FS(Q), cached
-	// at compile time: FrontierSize walks the query tree allocating node
-	// slices, and MemStats — called once per Match*Result document —
-	// must not pay that per call when the subscription set is unchanged.
+	// maxFS is the largest per-subscription frontier size: MemStats —
+	// called once per Match*Result document — must not walk the
+	// subscriptions for it.
 	maxFS int
 
 	started  bool
@@ -133,7 +158,10 @@ func NewWithSymbols(tab *symtab.Table) *Engine {
 	if tab == nil {
 		tab = symtab.New()
 	}
-	return &Engine{byID: map[string]int{}, dirty: true, tab: tab, cm: newCapman(tab)}
+	e := &Engine{byID: map[string]*subscription{}, tab: tab, cm: newCapman(tab)}
+	e.newNFARoute()
+	e.newTrieRoute()
+	return e
 }
 
 // Symbols returns the engine's symbol table. Tokenizers that feed the
@@ -141,7 +169,7 @@ func NewWithSymbols(tab *symtab.Table) *Engine {
 func (e *Engine) Symbols() *symtab.Table { return e.tab }
 
 // SetLimits configures the per-document resource budgets (the zero value
-// disables them). Limits persist across Reset and recompiles; a breach
+// disables them). Limits persist across Reset, Add and Remove; a breach
 // surfaces as a *limits.Error from Process/ProcessBytes and leaves the
 // engine reusable after the next Reset.
 func (e *Engine) SetLimits(l limits.Limits) { e.lim = l }
@@ -149,14 +177,64 @@ func (e *Engine) SetLimits(l limits.Limits) { e.lim = l }
 // Limits returns the configured budgets.
 func (e *Engine) Limits() limits.Limits { return e.lim }
 
-// Rebuild discards the compiled shared indexes and every piece of
-// per-document run state; the next Reset (or the next document's
-// StartDocument) recompiles them from the intact subscription list. It is
-// the quarantine step after a recovered panic: matching state of
-// unknown integrity is thrown away wholesale instead of trusting Reset's
-// in-place sweeps, while subscriptions — never touched during matching —
-// survive.
-func (e *Engine) Rebuild() { e.dirty = true }
+// Rebuild replaces both shared indexes, and with them every piece of
+// per-document run state, by fresh ones holding the same subscriptions. It
+// is the quarantine step after a recovered panic: matching state of unknown
+// integrity is thrown away wholesale instead of trusting Reset's in-place
+// sweeps, while subscriptions — never touched during matching — survive.
+func (e *Engine) Rebuild() {
+	e.mutating()
+	e.rebuilds++
+	e.newNFARoute()
+	e.newTrieRoute()
+	for _, s := range e.subs {
+		e.link(s)
+	}
+}
+
+// newNFARoute and newTrieRoute install an empty index for their route; the
+// subscriptions routed there are entered by link, one by one, whether the
+// index is new or has been matching documents for a year.
+func (e *Engine) newNFARoute() {
+	e.nfa = automaton.NewMergedNFA(e.tab)
+	e.runner = automaton.NewSharedRunner(e.nfa)
+	e.runner.OnMatch = e.nfaMatch
+	e.nfaExtract, e.nfaFrags = nil, nil
+}
+
+func (e *Engine) newTrieRoute() {
+	e.tr = newTrie(e.tab)
+	e.mt = newMatcher(e.tr)
+	e.mt.cm = e.cm
+}
+
+// mutating is the preamble of every change to the subscription set: the
+// results on hand stop being reported, and a document in flight is
+// abandoned — its remaining events are refused as outside any document
+// until Reset or the next startDocument.
+func (e *Engine) mutating() {
+	e.stale = true
+	e.started = false
+}
+
+// link enters a subscription into the index of the route add chose for it
+// and records the result slot it was given.
+func (e *Engine) link(s *subscription) {
+	if s.route == RouteNFA {
+		s.out, _ = e.nfa.Add(s.q) // add found the query linear
+		for len(e.nfaExtract) <= s.out {
+			e.nfaExtract = append(e.nfaExtract, false)
+			e.nfaFrags = append(e.nfaFrags, nil)
+		}
+		e.nfaExtract[s.out] = s.extract
+		return
+	}
+	s.out = e.tr.add(s.q, s.prog)
+	for len(e.mt.extract) <= s.out {
+		e.mt.extract = append(e.mt.extract, false)
+	}
+	e.mt.extract[s.out] = s.extract
+}
 
 // Add registers a subscription under the given id. It returns an error
 // for duplicate ids and for queries outside the streamable fragment (the
@@ -177,37 +255,73 @@ func (e *Engine) AddExtract(id string, q *query.Query) error {
 
 // Extracting reports whether id is registered with extraction enabled.
 func (e *Engine) Extracting(id string) bool {
-	i, ok := e.byID[id]
-	return ok && e.subs[i].extract
+	s, ok := e.byID[id]
+	return ok && s.extract
 }
 
 func (e *Engine) add(id string, q *query.Query, extract bool) error {
 	if _, dup := e.byID[id]; dup {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
 	}
-	prog, err := core.NewProgram(q)
-	if err != nil {
-		return err
+	s := &subscription{id: id, q: q, route: RouteNFA, extract: extract, seq: e.nextSeq, fs: 1}
+	if automaton.Linear(q) != nil {
+		prog, err := core.NewProgram(q)
+		if err != nil {
+			return err
+		}
+		s.route, s.prog, s.fs = RouteTrie, prog, fragment.FrontierSize(q)
 	}
-	e.byID[id] = len(e.subs)
-	e.subs = append(e.subs, &subscription{id: id, q: q, prog: prog, extract: extract})
-	e.dirty = true
+	e.mutating()
+	e.nextSeq++
+	e.byID[id] = s
+	e.subs = append(e.subs, s)
+	if extract {
+		e.extracting++
+	}
+	if s.fs > e.maxFS {
+		e.maxFS = s.fs
+	}
+	e.link(s)
 	return nil
 }
 
 // Remove deregisters a subscription, reporting whether it existed. The
 // removal takes effect at the next document.
 func (e *Engine) Remove(id string) bool {
-	i, ok := e.byID[id]
+	s, ok := e.byID[id]
 	if !ok {
 		return false
 	}
-	e.subs = append(e.subs[:i], e.subs[i+1:]...)
+	e.mutating()
 	delete(e.byID, id)
-	for j := i; j < len(e.subs); j++ {
-		e.byID[e.subs[j].id] = j
+	i := sort.Search(len(e.subs), func(i int) bool { return e.subs[i].seq >= s.seq })
+	e.subs = append(e.subs[:i], e.subs[i+1:]...)
+	if s.extract {
+		e.extracting--
 	}
-	e.dirty = true
+	if s.fs == e.maxFS {
+		e.maxFS = 0
+		for _, o := range e.subs {
+			e.maxFS = max(e.maxFS, o.fs)
+		}
+	}
+	if s.route == RouteTrie {
+		e.tr.remove(s.out)
+		return true
+	}
+	e.nfa.Remove(s.out)
+	// Unlinked NFA states leave tombstones (see automaton.MergedNFA). Once
+	// they outnumber the live states the route is rebuilt, which costs one
+	// Add per subscription and comes round once per that many removals.
+	if dead := e.nfa.Slots() - e.nfa.Size(); dead > 64 && dead > e.nfa.Size() {
+		e.rebuilds++
+		e.newNFARoute()
+		for _, o := range e.subs {
+			if o.route == RouteNFA {
+				e.link(o)
+			}
+		}
+	}
 	return true
 }
 
@@ -223,44 +337,6 @@ func (e *Engine) IDs() []string {
 	return out
 }
 
-// compile rebuilds the shared indexes from the current subscriptions.
-func (e *Engine) compile() {
-	e.nfa = automaton.NewMergedNFA()
-	e.tr = newTrie(e.tab)
-	e.hasExtract = false
-	for _, s := range e.subs {
-		if s.extract {
-			e.hasExtract = true
-		}
-		if err := e.nfa.Add(s.q, e.nfa.Outputs()); err == nil {
-			s.route = RouteNFA
-			s.out = e.nfa.Outputs() - 1
-			continue
-		}
-		s.route = RouteTrie
-		s.out = e.tr.add(s.q, s.prog)
-	}
-	e.runner = automaton.NewSharedRunnerTab(e.nfa, e.tab)
-	e.runner.OnMatch = e.nfaMatch
-	e.mt = newMatcher(e.tr)
-	e.mt.cm = e.cm
-	e.nfaExtract = make([]bool, e.nfa.Outputs())
-	e.nfaFrags = make([]*capture, e.nfa.Outputs())
-	e.mt.extract = make([]bool, len(e.tr.paths))
-	e.maxFS = 0
-	for _, s := range e.subs {
-		if s.route == RouteNFA {
-			e.nfaExtract[s.out] = s.extract
-		} else {
-			e.mt.extract[s.out] = s.extract
-		}
-		if n := fragment.FrontierSize(s.q); n > e.maxFS {
-			e.maxFS = n
-		}
-	}
-	e.dirty = false
-}
-
 // nfaMatch is the merged runner's latch hook: an NFA-routed subscription
 // just matched on the current element, so begin (or join) that element's
 // capture. NFA latches fire at the matching element's startElement, so
@@ -273,25 +349,20 @@ func (e *Engine) nfaMatch(out int) {
 	e.nfaFrags[out] = e.cm.elemCapture()
 }
 
-// Reset prepares the engine for the next document, applying any pending
-// Add/Remove calls. Compiled shared indexes (and the NFA runner's
-// memoized transition table) survive across documents.
+// Reset prepares the engine for the next document. The shared indexes
+// (and the NFA runner's memoized transition table) survive across
+// documents and across Add/Remove.
 func (e *Engine) Reset() {
-	if e.dirty {
-		e.compile()
-	} else {
-		e.runner.Reset()
-		e.mt.reset()
-	}
+	e.runner.Reset()
+	e.mt.reset()
 	mode := e.capMode
-	if !e.hasExtract {
+	if e.extracting == 0 {
 		mode = CaptureOff
 	}
 	e.cm.reset(mode)
 	e.mt.capturing = mode != CaptureOff
-	for i := range e.nfaFrags {
-		e.nfaFrags[i] = nil
-	}
+	clear(e.nfaFrags)
+	e.stale = false
 	e.started = false
 	e.finished = false
 	e.level = 0
@@ -401,10 +472,10 @@ func (e *Engine) startDocument() error {
 	if e.started && !e.finished {
 		return fmt.Errorf("engine: duplicate startDocument")
 	}
-	if e.dirty || e.started {
-		// started==false with clean indexes means Reset already ran (the
-		// public Match* entry points reset up front); skip the second
-		// O(subscriptions) sweep on the per-document hot path.
+	if e.stale || e.started {
+		// Neither means Reset already ran (the public Match* entry points
+		// reset up front); skip the second O(subscriptions) sweep on the
+		// per-document hot path.
 		e.Reset()
 	}
 	e.started = true
@@ -510,25 +581,19 @@ func (e *Engine) Finished() bool { return e.finished }
 // NeedsText reports whether any subscription can read character data:
 // only value-restricted predicate leaves buffer text, so a false answer
 // means Text event payloads may be dropped (the events themselves must
-// still arrive). Pending Add/Remove calls are compiled first.
+// still arrive).
 func (e *Engine) NeedsText() bool {
-	if e.dirty {
-		e.compile()
-	}
 	// Extraction re-serializes matched subtrees (and captures attribute
 	// values), so text payloads must flow whenever it is enabled.
-	return e.tr.restrictedLeaves > 0 || e.hasExtract
+	return e.tr.restrictedLeaves > 0 || e.extracting > 0
 }
 
 // Matched reports subscription id's verdict for the current (or last)
 // document. Because matching is monotone, a true answer mid-stream is
 // already definitive.
 func (e *Engine) Matched(id string) bool {
-	i, ok := e.byID[id]
-	if !ok || e.dirty {
-		return false
-	}
-	return e.matchedSub(e.subs[i])
+	s, ok := e.byID[id]
+	return ok && !e.stale && e.matchedSub(s)
 }
 
 func (e *Engine) matchedSub(s *subscription) bool {
@@ -548,7 +613,7 @@ func (e *Engine) MatchedIDs() []string {
 // insertion order) and returns it — the allocation-free form of
 // MatchedIDs for callers that reuse a result buffer across documents.
 func (e *Engine) AppendMatchedIDs(dst []string) []string {
-	if e.dirty {
+	if e.stale {
 		return dst
 	}
 	for _, s := range e.subs {
@@ -594,7 +659,7 @@ func CopyVolatileFragments(frags []Fragment) {
 // return the engine's internal buffers, valid only until the next Reset
 // — callers that retain them must copy.
 func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
-	if e.dirty {
+	if e.stale {
 		return dst
 	}
 	for _, s := range e.subs {
@@ -629,7 +694,7 @@ func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
 // MatchedCount returns the number of subscriptions already definitively
 // matched — usable mid-stream thanks to monotonicity.
 func (e *Engine) MatchedCount() int {
-	if e.dirty {
+	if e.stale {
 		return 0
 	}
 	return e.runner.MatchedCount() + e.mt.matchedCount
@@ -649,7 +714,7 @@ func (e *Engine) MatchedCount() int {
 // verdict to decide), and a reader that exits on Decided skips
 // validating the document's remainder.
 func (e *Engine) Decided() bool {
-	if e.dirty || !e.started || len(e.subs) == 0 {
+	if e.stale || !e.started || len(e.subs) == 0 {
 		return false
 	}
 	if e.finished {
@@ -663,7 +728,7 @@ func (e *Engine) Decided() bool {
 		// though every boolean verdict is final.
 		return false
 	}
-	if e.runner.AllMatched() && e.mt.matchedCount == len(e.mt.tr.paths) {
+	if e.runner.AllMatched() && e.mt.matchedCount == e.tr.live {
 		return true
 	}
 	return e.runner.Undecided() == 0 && e.mt.undecided() == 0
@@ -690,9 +755,16 @@ type Stats struct {
 	PredNodes int
 
 	// DFAStates/DFATransitions are the merged runner's lazily
-	// materialized deterministic states and memoized transitions.
-	DFAStates      int
-	DFATransitions int
+	// materialized deterministic states and memoized transitions as they
+	// stand; DFAMaterialized counts the transitions ever computed, so its
+	// growth over a mutation is what the mutation made the runner forget.
+	// Rebuilds counts the times an index was replaced by a fresh one — by
+	// Rebuild, or when the merged NFA's tombstones outnumbered its states —
+	// losing its whole memo.
+	DFAStates       int
+	DFATransitions  int
+	DFAMaterialized int
+	Rebuilds        int
 
 	// Per-document work and peaks of the trie matcher. TupleVisits counts
 	// the candidates examined at startElement events (predicate tuples in
@@ -711,13 +783,9 @@ type Stats struct {
 	MaxLevel        int
 }
 
-// Stats returns the current statistics. With pending Add/Remove calls the
-// indexes are compiled first (clearing any in-progress document state).
+// Stats returns the current statistics.
 func (e *Engine) Stats() Stats {
-	if e.dirty {
-		e.compile()
-	}
-	st := Stats{Subscriptions: len(e.subs)}
+	st := Stats{Subscriptions: len(e.subs), Rebuilds: e.rebuilds}
 	nfaSteps := 0
 	for _, s := range e.subs {
 		if s.route == RouteNFA {
@@ -733,6 +801,7 @@ func (e *Engine) Stats() Stats {
 	ds := e.runner.Stats()
 	st.DFAStates = ds.States
 	st.DFATransitions = ds.Transitions
+	st.DFAMaterialized = ds.Materialized
 	ms := e.mt.stats
 	st.Events = ms.Events
 	st.TupleVisits = ms.TupleVisits
@@ -746,9 +815,9 @@ func (e *Engine) Stats() Stats {
 
 // String renders the stats compactly.
 func (s Stats) String() string {
-	return fmt.Sprintf("subs=%d (nfa=%d trie=%d) steps=%d shared=%d predNodes=%d dfa=%d/%d events=%d visits=%d inserts=%d peakTuples=%d",
+	return fmt.Sprintf("subs=%d (nfa=%d trie=%d) steps=%d shared=%d predNodes=%d dfa=%d/%d materialized=%d rebuilds=%d events=%d visits=%d inserts=%d peakTuples=%d",
 		s.Subscriptions, s.NFARouted, s.TrieRouted, s.SpineSteps, s.SharedStates, s.PredNodes,
-		s.DFAStates, s.DFATransitions, s.Events, s.TupleVisits, s.FrontierInserts, s.PeakTuples)
+		s.DFAStates, s.DFATransitions, s.DFAMaterialized, s.Rebuilds, s.Events, s.TupleVisits, s.FrontierInserts, s.PeakTuples)
 }
 
 // MemStats is the engine's live-memory accounting for the last (or
@@ -797,12 +866,8 @@ type MemStats struct {
 }
 
 // MemStats returns the live-memory accounting of the last (or current)
-// document. With pending Add/Remove calls the indexes are compiled first
-// (clearing any in-progress document state).
+// document.
 func (e *Engine) MemStats() MemStats {
-	if e.dirty {
-		e.compile()
-	}
 	ms := e.mt.stats
 	st := MemStats{
 		Events:            ms.Events,

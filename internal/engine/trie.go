@@ -40,10 +40,16 @@ type tnode struct {
 
 	// parent is the spine step this one continues (nil on the root and on
 	// predicate nodes); sk and slot place a spine node in the structural
-	// skeleton, as member number slot of skeleton node sk.
-	parent *tnode
-	sk     *skel
-	slot   int
+	// skeleton, as member number slot of skeleton node sk. key is the
+	// node's entry in parent.succIndex; succPos and spinePos are its
+	// positions in parent.succ and in the trie's spineNodes, kept so that
+	// unlinking it is a swap-delete.
+	parent   *tnode
+	sk       *skel
+	slot     int
+	key      string
+	succPos  int
+	spinePos int
 
 	// conj are the conjunctive children: for a spine node, the roots of
 	// its predicate subtrees; for a predicate node, all of its children
@@ -68,14 +74,10 @@ type tnode struct {
 	// spine node is: reaching it (with all predicates on the way
 	// satisfied) matches them.
 	terminals []int
-	// subs are the indexes of every subscription whose spine passes
-	// through this node (terminals included) — the subscriptions a live
-	// candidate avenue at this node can still satisfy, consulted by the
-	// matcher's dead-state sweep.
-	subs []int
 
 	// through counts the subscriptions whose spine passes through this
-	// node; remaining is the per-document count of those not yet matched.
+	// node (a node is unlinked when the last one is removed); remaining is
+	// the per-document count of those not yet matched.
 	// When remaining hits zero the node stops accepting candidates — the
 	// per-subscription monotone early exit, applied to shared state.
 	through   int
@@ -103,17 +105,22 @@ type edges struct {
 	wild  *skel
 }
 
+// edgesFor returns sk's edge set of the class a step along axis belongs to.
+func (sk *skel) edgesFor(axis query.Axis) **edges {
+	switch axis {
+	case query.AxisAttribute:
+		return &sk.attr
+	case query.AxisDescendant:
+		return &sk.desc
+	}
+	return &sk.child
+}
+
 // join makes spine node n a member of sk's skeleton child along n's
 // (axis, node test) edge, creating the child for the first step of that
 // shape.
 func (sk *skel) join(n *tnode) {
-	ep := &sk.child
-	switch n.axis {
-	case query.AxisAttribute:
-		ep = &sk.attr
-	case query.AxisDescendant:
-		ep = &sk.desc
-	}
+	ep := sk.edgesFor(n.axis)
 	if *ep == nil {
 		*ep = &edges{named: map[symtab.Sym]*skel{}}
 	}
@@ -130,6 +137,28 @@ func (sk *skel) join(n *tnode) {
 	}
 	n.sk, n.slot = to, len(to.members)
 	to.members = append(to.members, n)
+}
+
+// leave undoes join for a spine node without continuations. A skeleton node
+// left without members goes, and so does an edge set left without edges: a
+// frame with nothing to offer an event still costs it one nil test.
+func (sk *skel) leave(n *tnode) {
+	to := n.sk
+	last := to.members[len(to.members)-1]
+	to.members[n.slot], last.slot = last, n.slot
+	to.members = to.members[:len(to.members)-1]
+	if len(to.members) > 0 {
+		return
+	}
+	ep := sk.edgesFor(n.axis)
+	if e := *ep; n.wild {
+		e.wild = nil
+	} else {
+		delete(e.named, n.sym)
+	}
+	if e := *ep; e.wild == nil && len(e.named) == 0 {
+		*ep = nil
+	}
 }
 
 // frame is the run-time side of a skeleton node: the spine scopes with
@@ -150,9 +179,13 @@ type trie struct {
 	tab        *symtab.Table
 	root       *tnode
 	spineNodes []*tnode
-	// paths[i] is subscription i's spine path root→OUT (used to maintain
-	// the remaining counters on a match).
-	paths [][]*tnode
+	// paths[i] is the spine path root→OUT of the subscription holding
+	// result slot i (used to maintain the remaining counters on a match),
+	// nil while the slot is free. live counts the slots in use; a removed
+	// subscription's slot goes to the next one added.
+	paths     [][]*tnode
+	freeSlots []int
+	live      int
 	// steps counts spine steps added before sharing; len(spineNodes) is
 	// the count after. Their ratio is the prefix-sharing factor reported
 	// by Stats.
@@ -179,12 +212,18 @@ func (t *trie) internNTest(n *tnode) {
 	n.sym = t.tab.Intern(n.ntest)
 }
 
-// add merges one subscription's query into the trie and returns its index
+// add merges one subscription's query into the trie and returns its slot
 // in the matcher's result vector. prog supplies the fragment-checked truth
 // sets and value-restriction marks of the query's nodes (the reusable
 // compile product of internal/core).
 func (t *trie) add(q *query.Query, prog *core.Program) int {
 	idx := len(t.paths)
+	if k := len(t.freeSlots); k > 0 {
+		idx = t.freeSlots[k-1]
+		t.freeSlots = t.freeSlots[:k-1]
+	} else {
+		t.paths = append(t.paths, nil)
+	}
 	var path []*tnode
 	cur := t.root
 	for u := q.Root.Successor; u != nil; u = u.Successor {
@@ -197,6 +236,9 @@ func (t *trie) add(q *query.Query, prog *core.Program) int {
 				ntest:     u.NTest,
 				succIndex: map[string]*tnode{},
 				parent:    cur,
+				key:       key,
+				succPos:   len(cur.succ),
+				spinePos:  len(t.spineNodes),
 			}
 			t.internNTest(child)
 			cur.sk.join(child)
@@ -207,15 +249,69 @@ func (t *trie) add(q *query.Query, prog *core.Program) int {
 			cur.succ = append(cur.succ, child)
 			t.spineNodes = append(t.spineNodes, child)
 		}
-		t.steps++
 		child.through++
-		child.subs = append(child.subs, idx)
 		path = append(path, child)
 		cur = child
 	}
 	cur.terminals = append(cur.terminals, idx)
-	t.paths = append(t.paths, path)
+	t.steps += len(path)
+	t.paths[idx] = path
+	t.live++
 	return idx
+}
+
+// remove withdraws the subscription holding result slot idx, unlinking the
+// spine nodes only it passed through — from their parent, from spineNodes
+// and from the skeleton — deepest first, so each is a leaf when its turn
+// comes. The scan of the OUT node's terminals is linear in the
+// subscriptions ending there (duplicates of one query). Scopes and frames
+// a document in flight has open go stale; the engine abandons it, and
+// matcher.reset drops them without consulting the trie.
+func (t *trie) remove(idx int) {
+	path := t.paths[idx]
+	t.paths[idx] = nil
+	t.freeSlots = append(t.freeSlots, idx)
+	t.live--
+	t.steps -= len(path)
+	out := t.root
+	if len(path) > 0 {
+		out = path[len(path)-1]
+	}
+	for i, sub := range out.terminals {
+		if sub == idx {
+			out.terminals[i] = out.terminals[len(out.terminals)-1]
+			out.terminals = out.terminals[:len(out.terminals)-1]
+			break
+		}
+	}
+	for k := len(path) - 1; k >= 0; k-- {
+		n := path[k]
+		if n.through--; n.through > 0 {
+			continue
+		}
+		p := n.parent
+		delete(p.succIndex, n.key)
+		last := p.succ[len(p.succ)-1]
+		p.succ[n.succPos], last.succPos = last, n.succPos
+		p.succ = p.succ[:len(p.succ)-1]
+		last = t.spineNodes[len(t.spineNodes)-1]
+		t.spineNodes[n.spinePos], last.spinePos = last, n.spinePos
+		t.spineNodes = t.spineNodes[:len(t.spineNodes)-1]
+		p.sk.leave(n)
+		t.dropPreds(n.conj)
+	}
+}
+
+// dropPreds takes the predicate subtrees of an unlinked spine node out of
+// the trie's counts.
+func (t *trie) dropPreds(nodes []*tnode) {
+	for _, n := range nodes {
+		t.predNodes--
+		if n.restricted {
+			t.restrictedLeaves--
+		}
+		t.dropPreds(n.conj)
+	}
 }
 
 // buildPred compiles one predicate-subtree node. Predicate subtrees are
@@ -394,12 +490,15 @@ func (m *matcher) reset() {
 	}
 	m.wild = m.wild[:0]
 	m.size = 0
-	// Frames are still open only after a mid-document abort, with the slots
-	// of the dropped scopes still set.
+	// Frames are still open only after a document abandoned mid-stream,
+	// with the slots of the dropped scopes still set. The trie may have
+	// been patched since they opened, so they are returned without asking
+	// their skeleton nodes which of them were on descFrames.
 	for _, fr := range m.frames {
 		clear(fr.scopes)
+		fr.sk.free = append(fr.sk.free, fr)
 	}
-	m.closeFrames(0)
+	m.frames, m.descFrames = m.frames[:0], m.descFrames[:0]
 	m.scopes = m.scopes[:0]
 	m.pendings = m.pendings[:0]
 	m.buf = m.buf[:0]
@@ -496,6 +595,10 @@ func (m *matcher) openFrame(sk *skel, level int) *frame {
 	if k := len(sk.free); k > 0 {
 		fr = sk.free[k-1]
 		sk.free = sk.free[:k-1]
+		if short := len(sk.members) - len(fr.scopes); short > 0 {
+			// Members joined since the frame was made.
+			fr.scopes = append(fr.scopes, make([]*scope, short)...)
+		}
 	} else {
 		fr = &frame{sk: sk, scopes: make([]*scope, len(sk.members))}
 	}
@@ -965,6 +1068,19 @@ func (m *matcher) markSupport(outs []int) int {
 	return n
 }
 
+// markSubtree latches support for the not-yet-matched subscriptions whose
+// spine passes through n, returning how many became newly supported.
+func (m *matcher) markSubtree(n *tnode) int {
+	if n.remaining == 0 {
+		return 0
+	}
+	k := m.markSupport(n.terminals)
+	for _, c := range n.succ {
+		k += m.markSubtree(c)
+	}
+	return k
+}
+
 // undecided counts the subscriptions whose verdict is still open: not
 // yet matched, and supported by at least one avenue a continuation of
 // the document could still complete. Avenues are, per open spine scope,
@@ -984,11 +1100,10 @@ func (m *matcher) markSupport(outs []int) int {
 // A subscription with no avenue left can never match (conjunctive
 // matching is monotone and candidates only arrive through open scopes),
 // so its negative verdict is final mid-stream. The sweep is
-// O(scopes + their continuation and subscription lists); callers probe it
-// per chunk, not per event.
+// O(scopes + the unmatched part of the trie below their continuations);
+// callers probe it per chunk, not per event.
 func (m *matcher) undecided() int {
-	open := len(m.tr.paths) - m.matchedCount
-	if open == 0 {
+	if m.tr.live == m.matchedCount {
 		return 0
 	}
 	if len(m.support) != len(m.tr.paths) {
@@ -1005,8 +1120,8 @@ func (m *matcher) undecided() int {
 			continue
 		}
 		for _, c := range sc.node.succ {
-			if c.remaining > 0 && (c.axis == query.AxisDescendant || sc.level > 0 || !rootSeen) {
-				n += m.markSupport(c.subs)
+			if c.axis == query.AxisDescendant || sc.level > 0 || !rootSeen {
+				n += m.markSubtree(c)
 			}
 		}
 		if len(sc.children) > 0 {

@@ -98,11 +98,10 @@ type Sharded struct {
 	tab    *symtab.Table
 	shards []*shard
 
-	// order is the global subscription insertion order; index maps id to
-	// its position. Per-shard verdicts are merged through index so results
-	// come out identical to the sequential engine's.
-	order []string
-	index map[string]int
+	// subs is the global subscription insertion order. Per-shard verdicts
+	// are merged through it so results come out identical to the
+	// sequential engine's.
+	subs roster
 
 	// free recycles batches; alloc counts those created, capped at ringCap
 	// so a slow shard exerts backpressure instead of growing the heap.
@@ -183,9 +182,8 @@ func NewShardedTab(n int, tab *symtab.Table) *Sharded {
 		tab = symtab.New()
 	}
 	s := &Sharded{
-		tab:   tab,
-		index: map[string]int{},
-		free:  make(chan *batch, ringCap),
+		tab:  tab,
+		free: make(chan *batch, ringCap),
 	}
 	for i := 0; i < n; i++ {
 		sh := &shard{
@@ -260,7 +258,7 @@ func (s *Sharded) add(id string, q *query.Query, extract bool) error {
 	if s.closed {
 		return errClosed
 	}
-	if _, dup := s.index[id]; dup {
+	if s.subs.has(id) {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
 	}
 	var err error
@@ -272,8 +270,7 @@ func (s *Sharded) add(id string, q *query.Query, extract bool) error {
 	if err != nil {
 		return err
 	}
-	s.index[id] = len(s.order)
-	s.order = append(s.order, id)
+	s.subs.add(id)
 	return nil
 }
 
@@ -281,16 +278,10 @@ func (s *Sharded) add(id string, q *query.Query, extract bool) error {
 func (s *Sharded) Remove(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.index[id]
-	if !ok {
+	if !s.subs.remove(id) {
 		return false
 	}
 	s.shardOf(id).eng.Remove(id)
-	s.order = append(s.order[:i], s.order[i+1:]...)
-	delete(s.index, id)
-	for j := i; j < len(s.order); j++ {
-		s.index[s.order[j]] = j
-	}
 	return true
 }
 
@@ -298,16 +289,14 @@ func (s *Sharded) Remove(id string) bool {
 func (s *Sharded) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.order)
+	return len(s.subs.ids)
 }
 
 // IDs returns the subscription ids in insertion order.
 func (s *Sharded) IDs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
+	return s.subs.list()
 }
 
 var errClosed = fmt.Errorf("parallel: engine is closed")
@@ -363,9 +352,9 @@ func (s *Sharded) run(sh *shard) {
 // processBatch runs one batch through the shard's engine under panic
 // isolation: a recovered panic fails only the in-flight document, with a
 // typed *PanicError carrying the recovered value and stack, and
-// quarantines the shard's engine — Rebuild discards the matching state of
-// unknown integrity wholesale, and the next document recompiles from the
-// intact subscription list.
+// quarantines the shard's engine — Rebuild replaces the matching state of
+// unknown integrity wholesale by indexes built afresh from the intact
+// subscription list.
 func (s *Sharded) processBatch(sh *shard, b *batch) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -415,12 +404,12 @@ func (s *Sharded) setCapture(mode engine.CaptureMode) {
 // path. The result is freshly allocated per call: fragments outlive
 // the engine's scratch by design.
 func (s *Sharded) collectFrags(doc []byte) []engine.Fragment {
-	byPos := make([]engine.Fragment, len(s.order))
-	seen := make([]bool, len(s.order))
+	byPos := make([]engine.Fragment, len(s.subs.ids))
+	seen := make([]bool, len(s.subs.ids))
 	n := 0
 	for _, sh := range s.shards {
 		for _, f := range sh.eng.AppendFragments(nil, doc) {
-			if i, ok := s.index[f.ID]; ok && !seen[i] {
+			if i := s.subs.pos(f.ID); !seen[i] {
 				byPos[i] = f
 				seen[i] = true
 				n++
@@ -528,8 +517,7 @@ func (s *Sharded) matchBytes(doc []byte, mode engine.CaptureMode) ([]string, []e
 
 // needText reports whether any shard reads character data (a
 // value-restricted predicate leaf exists), so text payloads must ship in
-// the batches. NeedsText compiles dirty engines here, on the calling
-// goroutine, while the shards are idle.
+// the batches.
 func (s *Sharded) needText() bool {
 	for _, sh := range s.shards {
 		if sh.eng.NeedsText() {
@@ -635,7 +623,7 @@ func (s *Sharded) matchReader(r io.Reader, chunkSize int, mode engine.CaptureMod
 	for _, sh := range s.shards {
 		sh.decided.Store(false)
 	}
-	s.canDecide = len(s.order) > 0
+	s.canDecide = len(s.subs.ids) > 0
 	s.dispatched = false
 	s.wg.Add(len(s.shards))
 	s.curB = s.getBatch()
@@ -669,7 +657,7 @@ func (s *Sharded) matchReader(r io.Reader, chunkSize int, mode engine.CaptureMod
 	}
 	s.rstats = fromStream(ss)
 	if err == nil {
-		s.rstats.DecidedNegative = s.rstats.EarlyExit && len(ids) < len(s.order)
+		s.rstats.DecidedNegative = s.rstats.EarlyExit && len(ids) < len(s.subs.ids)
 	}
 	return ids, frags, s.rstats, err
 }
@@ -694,26 +682,25 @@ func (s *Sharded) ReadStats() ReadStats {
 
 // merge folds the per-shard verdict sets back into the global insertion
 // order. The sweep is O(subscriptions), the same per-document term the
-// sequential engine's AppendMatchedIDs already pays.
+// sequential engine's AppendMatchedIDs already pays, plus a binary search
+// per matched id.
 func (s *Sharded) merge() []string {
-	if len(s.matched) != len(s.order) {
-		s.matched = make([]bool, len(s.order))
+	if len(s.matched) != len(s.subs.ids) {
+		s.matched = make([]bool, len(s.subs.ids))
 	} else {
-		for i := range s.matched {
-			s.matched[i] = false
-		}
+		clear(s.matched)
 	}
 	for _, sh := range s.shards {
 		sh.ids = sh.eng.AppendMatchedIDs(sh.ids[:0])
 		for _, id := range sh.ids {
-			s.matched[s.index[id]] = true
+			s.matched[s.subs.pos(id)] = true
 		}
 	}
 	if s.ids == nil {
 		s.ids = make([]string, 0, 8)
 	}
 	s.ids = s.ids[:0]
-	for i, id := range s.order {
+	for i, id := range s.subs.ids {
 		if s.matched[i] {
 			s.ids = append(s.ids, id)
 		}
@@ -722,8 +709,7 @@ func (s *Sharded) merge() []string {
 }
 
 // Stats aggregates the shard engines' statistics: sizes and work counts
-// sum; MaxLevel is the maximum. Pending Add/Remove calls are compiled
-// first.
+// sum; MaxLevel is the maximum.
 func (s *Sharded) Stats() engine.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -738,6 +724,8 @@ func (s *Sharded) Stats() engine.Stats {
 		out.PredNodes += st.PredNodes
 		out.DFAStates += st.DFAStates
 		out.DFATransitions += st.DFATransitions
+		out.DFAMaterialized += st.DFAMaterialized
+		out.Rebuilds += st.Rebuilds
 		out.Events += st.Events
 		out.TupleVisits += st.TupleVisits
 		out.FrontierInserts += st.FrontierInserts

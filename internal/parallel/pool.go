@@ -50,7 +50,7 @@ type Pool struct {
 	// mu serializes Add/Remove/Len/IDs against each other and guards the
 	// last-call reader stats; matching only contends on the idle ring.
 	mu     sync.Mutex
-	order  []string
+	subs   roster
 	rstats ReadStats
 }
 
@@ -166,7 +166,7 @@ func (p *Pool) add(id string, q *query.Query, extract bool) error {
 	if first != nil {
 		return first
 	}
-	p.order = append(p.order, id)
+	p.subs.add(id)
 	return nil
 }
 
@@ -177,37 +177,24 @@ func (p *Pool) Remove(id string) bool {
 	defer p.mu.Unlock()
 	p.acquireAll()
 	defer p.releaseAll()
-	existed := false
 	for _, r := range p.reps {
-		if r.eng.Remove(id) {
-			existed = true
-		}
+		r.eng.Remove(id)
 	}
-	if existed {
-		for i, have := range p.order {
-			if have == id {
-				p.order = append(p.order[:i], p.order[i+1:]...)
-				break
-			}
-		}
-	}
-	return existed
+	return p.subs.remove(id)
 }
 
 // Len returns the number of subscriptions.
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.order)
+	return len(p.subs.ids)
 }
 
 // IDs returns the subscription ids in insertion order.
 func (p *Pool) IDs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, len(p.order))
-	copy(out, p.order)
-	return out
+	return p.subs.list()
 }
 
 // MatchBytes matches one in-memory document on a checked-out replica and
@@ -216,8 +203,8 @@ func (p *Pool) IDs() []string {
 // run concurrently, so no shared result buffer exists to reuse. A panic
 // inside the replica fails only this document with a typed *PanicError
 // and quarantines the replica's engine (rebuilt from its subscription
-// list at the next checkout); errors mid-document still carry the
-// verdicts decided before the failure.
+// list before it returns to the ring); errors mid-document still carry
+// the verdicts decided before the failure.
 func (p *Pool) MatchBytes(doc []byte) ([]string, error) {
 	ids, _, err := p.matchBytes(doc, engine.CaptureOff)
 	return ids, err

@@ -157,6 +157,10 @@ func TestGracefulDrain(t *testing.T) {
 // churn, buffered and chunked ingest, listings, and metric scrapes from
 // many goroutines — the -race acceptance criterion. A second tenant
 // runs untouched traffic concurrently to verify tenant independence.
+// Every match must answer 200: a subscription change that reached an
+// engine mid-document would abandon that document (engine.Add/Remove
+// refuse its remaining events), so a pass also pins that the matchers
+// make mutations wait for the documents in flight.
 func TestConcurrentCRUDAndIngest(t *testing.T) {
 	srv := New(Config{}, discardLogger())
 	ts := httptest.NewServer(srv.Handler())

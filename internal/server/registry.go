@@ -69,7 +69,7 @@ type MatchResult struct {
 // the read side — the Match*Result API returns each call's verdicts,
 // fragments and accounting together, so concurrent ingest within one
 // tenant is safe and correctly attributed — while subscription CRUD and
-// teardown (which recompile or close the shared indexes) take the write
+// teardown (which patch or close the shared indexes) take the write
 // side and therefore still drain in-flight matches. The lock is per
 // tenant: one tenant's traffic never blocks another's.
 type Tenant struct {

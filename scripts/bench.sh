@@ -3,7 +3,7 @@
 # so the performance trajectory is tracked PR over PR.
 #
 # Usage:
-#   scripts/bench.sh [output.json]          # default: BENCH_pr13.json
+#   scripts/bench.sh [output.json]          # default: BENCH_pr14.json
 #   BENCHTIME=1s scripts/bench.sh           # longer, steadier numbers
 #   CPUS=1,2,4,8 scripts/bench.sh           # parallel-arm scaling sweep
 #   BENCH_FILTER='^BenchmarkMatchReader' scripts/bench.sh  # pinned subset
@@ -15,6 +15,8 @@
 #   BENCH_SERVER_CLIENTS=64 BENCH_SERVER_REQUESTS=5000  # its knobs
 #
 # The main pass runs the sequential hot-path arms — including the
+# BenchmarkFilterSetChurn mutation-ack family (Remove + Add + one
+# document at 100/1k/10k subscriptions on each route), the
 # chunked-vs-buffered BenchmarkMatchReader family, the
 # BenchmarkMatchReaderNoMatch negative-early-exit family, and the
 # BenchmarkFanoutRouting content-based-routing family (delivered
@@ -28,10 +30,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_pr13.json}"
+out="${1:-BENCH_pr14.json}"
 benchtime="${BENCHTIME:-1x}"
 cpus="${CPUS:-1,2,4}"
-filter="${BENCH_FILTER:-^BenchmarkFilterSet$|^BenchmarkFilterSetLimits$|Throughput|^BenchmarkMatchReader$|^BenchmarkMatchReaderNoMatch$|^BenchmarkTokenizer$|^BenchmarkFanoutRouting$}"
+filter="${BENCH_FILTER:-^BenchmarkFilterSet$|^BenchmarkFilterSetChurn$|^BenchmarkFilterSetLimits$|Throughput|^BenchmarkMatchReader$|^BenchmarkMatchReaderNoMatch$|^BenchmarkTokenizer$|^BenchmarkFanoutRouting$}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 

@@ -167,8 +167,9 @@ func TestSkeletonDispatchAgainstOracle(t *testing.T) {
 }
 
 // TestSkeletonRebuiltAcrossAddRemove: Add and Remove between documents
-// recompile the trie and its skeleton, and frames never outlive the
-// skeleton they index — including after a document abandoned mid-stream.
+// patch the trie and its skeleton, and a frame is never used with fewer
+// slots than its skeleton node has members — including after a document
+// abandoned mid-stream.
 func TestSkeletonRebuiltAcrossAddRemove(t *testing.T) {
 	docs := []string{
 		`<a><b></b><c></c><a><d><e></e></d></a></a>`,

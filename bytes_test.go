@@ -183,6 +183,52 @@ func TestFilterSetMatchBytesZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFilterSetSkimZeroAlloc: a document that is decided early is only
+// validated from there on, and that costs no allocation either — on a
+// plain feed and on one whose every body is dense with references, which
+// a skim checks without decoding. The feeds are the scan workload's:
+// about 256 KB, 8 predicate-free subscriptions, every verdict final
+// within the first items.
+func TestFilterSetSkimZeroAlloc(t *testing.T) {
+	s := NewFilterSet()
+	for i, q := range []string{"/news/item", "/news/item/title", "/news//p", "/news/*/keyword",
+		"/feed/entry", "//item/body/p", "/news/item/priority", "//keyword"} {
+		if err := s.Add(fmt.Sprintf("s%d", i), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, body := range []string{"lorem ipsum ", "lorem & ips<m & "} {
+		items := make([]workload.NewsItem, 2000)
+		for i := range items {
+			items[i] = workload.NewsItem{Title: fmt.Sprintf("story %d", i), Keyword: "go", Priority: i % 10,
+				Body: strings.Repeat(body, 1+i%5)}
+		}
+		feed, err := sax.SerializeString(workload.NewsFeed(items).Events())
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := []byte(feed)
+		for i := 0; i < 3; i++ {
+			res, err := s.MatchBytesResult(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.MatchedIDs) != 7 || res.SkimmedBytes < int64(len(doc)-8<<10) {
+				t.Fatalf("%d-byte feed: matched %d, skimmed %d bytes; want 7 and all but the head",
+					len(doc), len(res.MatchedIDs), res.SkimmedBytes)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := s.MatchBytes(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm MatchBytes on a decided-early %d-byte feed (%q bodies): %v allocs/run, want 0", len(doc), body, allocs)
+		}
+	}
+}
+
 // TestFilterMatchBytesSteadyStateAllocs: the standalone Filter's byte
 // path must also be allocation-free once warm on a predicate-free query.
 func TestFilterMatchBytesSteadyStateAllocs(t *testing.T) {

@@ -233,6 +233,16 @@ func reportEarlyExit(rs streamxpath.ReaderStats) {
 	}
 }
 
+// reportSkim prints how much of a whole-buffer document was validated
+// without being dispatched, every verdict being final already — the
+// buffered counterpart of the reader path's early exit.
+func reportSkim(skimmed int64, docLen int) {
+	if skimmed > 0 {
+		fmt.Printf("  skimmed: verdicts final after %d of %d bytes; %d validated without dispatch\n",
+			int64(docLen)-skimmed, docLen, skimmed)
+	}
+}
+
 // benchReport re-runs a warm match loop and prints events/sec and
 // allocs/event, the two numbers the interned-symbol pipeline is tuned
 // for.
@@ -444,6 +454,7 @@ func runSet(set matcherSet, name string, stats bool, bench int) error {
 			return err
 		}
 		fmt.Printf("%s: %d/%d matched: %s\n", name, len(res.MatchedIDs), set.Len(), strings.Join(res.MatchedIDs, " "))
+		reportSkim(res.SkimmedBytes, len(doc))
 		reportAbstain(res.Abstained)
 		reportFragments(res.Fragments)
 		return benchReport(doc, bench, func() error {

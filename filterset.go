@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"streamxpath/internal/engine"
-	"streamxpath/internal/limits"
 	"streamxpath/internal/sax"
 )
 
@@ -34,9 +33,7 @@ import (
 // shards) and FilterPool (documents matched concurrently on replicas).
 type FilterSet struct {
 	e *engine.Engine
-	// tok and ids are the reusable tokenizer and result buffer of the
-	// MatchBytes fast path.
-	tok *sax.TokenizerBytes
+	// ids is the reusable result buffer of the MatchBytes fast path.
 	ids []string
 
 	// Chunked-reader state: the resumable tokenizer of MatchReader, its
@@ -114,9 +111,6 @@ func (s *FilterSet) Reset() { s.e.Reset() }
 func (s *FilterSet) SetLimits(l Limits) {
 	s.lim = l
 	s.e.SetLimits(l.internal())
-	if s.tok != nil {
-		s.tok.SetLimits(l.internal())
-	}
 	if s.stok != nil {
 		s.stok.SetLimits(l.internal())
 	}
@@ -253,8 +247,9 @@ func (s *FilterSet) ReaderStats() ReaderStats { return s.rs }
 
 // MatchString matches a document given as a string: it is staged into a
 // reusable buffer and matched through the MatchBytes fast path (the
-// whole document is therefore validated — no early exit). Unlike
-// MatchBytes and MatchReader the returned slice is freshly allocated.
+// whole document is therefore validated to its end, though dispatched
+// only until every verdict is final — see MatchBytes). Unlike MatchBytes
+// and MatchReader the returned slice is freshly allocated.
 func (s *FilterSet) MatchString(xml string) ([]string, error) {
 	s.buf = append(s.buf[:0], xml...)
 	res, err := s.matchBytes(s.buf, engine.CaptureOff, false)
@@ -286,8 +281,26 @@ func (s *FilterSet) MatchStringResult(xml string) (MatchResult, error) {
 // fast path: the tokenizer interns names into the engine's shared symbol
 // table and every matching layer dispatches on the resulting ids, so
 // steady-state matching of a predicate-free subscription set performs
-// zero allocations per event (and zero per document once warm). The
-// returned slice is reused by the next MatchBytes call — copy it if it
+// zero allocations per event (and zero per document once warm).
+//
+// The document is validated to its end, but dispatched only until every
+// verdict is final. Once each subscription has either matched (matches
+// latch, by monotonicity) or can no longer match (the dead-state analysis
+// behind MatchReader's early exit), no later event can change the result,
+// so the remainder is skimmed: every check the tokenizer makes — tag
+// balance by name, attribute syntax and duplicates, references, content
+// outside the root, MaxDepth and MaxTokenBytes — is still made, and a
+// malformed or over-budget remainder still fails the call with the error
+// it always did, but no event is built, no name interned, no text decoded
+// and the matcher is not called. The ids, fragments, errors and
+// MemStats.MaxDepth are those of dispatching everything; MemStats.Events
+// counts the events dispatched, MatchResult.SkimmedBytes the bytes that
+// were only validated. Verdicts are probed at document offsets 4 KiB,
+// 8 KiB, 16 KiB, …, so a document shorter than 4 KiB is always dispatched
+// whole. (MatchReader goes further and stops reading at the decision
+// point, leaving the remainder unvalidated.)
+//
+// The returned slice is reused by the next MatchBytes call — copy it if it
 // must outlive the call. It is non-nil even when empty.
 func (s *FilterSet) MatchBytes(doc []byte) ([]string, error) {
 	res, err := s.matchBytes(doc, engine.CaptureOff, false)
@@ -307,39 +320,15 @@ func (s *FilterSet) MatchBytesResult(doc []byte) (MatchResult, error) {
 
 func (s *FilterSet) matchBytes(doc []byte, mode engine.CaptureMode, copyAll bool) (MatchResult, error) {
 	s.abstained = false
-	s.e.SetCapture(mode)
-	s.e.Reset() // recover from a document abandoned mid-stream
-	if l := s.lim.MaxDocBytes; l > 0 && int64(len(doc)) > l {
-		return s.degraded(fmt.Errorf("streamxpath: %w",
-			&limits.Error{Resource: "doc-bytes", Limit: l, Observed: int64(len(doc))}),
-			doc, mode, copyAll)
+	skimmed, err := s.e.MatchBuffered(doc, mode)
+	var res MatchResult
+	if err == nil {
+		res = s.result(doc, mode, copyAll)
+	} else if res, err = s.degraded(err, doc, mode, copyAll); err != nil {
+		return res, err
 	}
-	if s.tok == nil {
-		s.tok = sax.NewTokenizerBytes(doc, s.e.Symbols())
-		s.tok.SetLimits(s.lim.internal())
-	} else {
-		s.tok.Reset(doc)
-	}
-	sawEnd := false
-	for {
-		e, err := s.tok.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return s.degraded(err, doc, mode, copyAll)
-		}
-		if e.Kind == sax.EndDocument {
-			sawEnd = true
-		}
-		if err := s.e.ProcessBytes(e); err != nil {
-			return s.degraded(fmt.Errorf("streamxpath: %w", err), doc, mode, copyAll)
-		}
-	}
-	if !sawEnd {
-		return MatchResult{}, fmt.Errorf("streamxpath: document ended prematurely")
-	}
-	return s.result(doc, mode, copyAll), nil
+	res.SkimmedBytes = skimmed
+	return res, nil
 }
 
 // appendIDs refills the reusable result buffer with the matched ids.

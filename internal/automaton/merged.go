@@ -532,9 +532,8 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 		// The root element just opened: from here on only its subtree can
 		// produce elements, so the outputs reachable from its item set are
 		// the only ones still undecided — and every later latch is one of
-		// them. (Fed a second root element, the count would take outputs
-		// latched under the first for open: too high, which only delays
-		// Undecided reaching zero.)
+		// them. (A second root element would break that; the engine refuses
+		// one, as the tokenizers do.)
 		r.liveLeft = r.m.reach(r.sets[nextID])
 	}
 	if len(r.stack) > r.stats.PeakStack {

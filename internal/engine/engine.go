@@ -112,6 +112,9 @@ type Engine struct {
 	runner *automaton.SharedRunner
 	tr     *trie
 	mt     *matcher
+	// tok is MatchBuffered's tokenizer, created by its first call and
+	// reused from then on.
+	tok *sax.TokenizerBytes
 	// rebuilds counts the times an index was replaced by a fresh one.
 	rebuilds int
 
@@ -135,6 +138,10 @@ type Engine struct {
 	started  bool
 	finished bool
 	level    int
+	// rootClosed: the document's root element has ended. A second one is
+	// refused, as the tokenizers refuse it: Decided rests on only the root's
+	// subtree producing elements.
+	rootClosed bool
 
 	// lim holds the per-document resource budgets (zero value: none).
 	// Depth is checked at startElement, buffered text before each append,
@@ -172,7 +179,12 @@ func (e *Engine) Symbols() *symtab.Table { return e.tab }
 // disables them). Limits persist across Reset, Add and Remove; a breach
 // surfaces as a *limits.Error from Process/ProcessBytes and leaves the
 // engine reusable after the next Reset.
-func (e *Engine) SetLimits(l limits.Limits) { e.lim = l }
+func (e *Engine) SetLimits(l limits.Limits) {
+	e.lim = l
+	if e.tok != nil {
+		e.tok.SetLimits(l)
+	}
+}
 
 // Limits returns the configured budgets.
 func (e *Engine) Limits() limits.Limits { return e.lim }
@@ -366,6 +378,7 @@ func (e *Engine) Reset() {
 	e.started = false
 	e.finished = false
 	e.level = 0
+	e.rootClosed = false
 }
 
 // SetCapture selects the fragment-capture mode for subsequent documents
@@ -497,6 +510,9 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 	if !e.started || e.finished {
 		return fmt.Errorf("engine: startElement outside document")
 	}
+	if e.level == 0 && e.rootClosed {
+		return fmt.Errorf("engine: second root element <%s>", e.tab.Name(sym))
+	}
 	e.level++
 	if e.lim.MaxDepth > 0 && e.level > e.lim.MaxDepth {
 		return &limits.Error{Resource: "depth", Limit: int64(e.lim.MaxDepth), Observed: int64(e.level)}
@@ -541,6 +557,9 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 	}
 	closing := e.level
 	e.level--
+	if e.level == 0 {
+		e.rootClosed = true
+	}
 	if !isAttr {
 		e.runner.EndElement()
 	}
@@ -711,8 +730,10 @@ func (e *Engine) MatchedCount() int {
 // fast path is O(1); otherwise the NFA side is an O(1) counter probe and
 // the trie side an O(live structures) sweep — callers probe Decided per
 // chunk, not per event. An empty engine reports false (there is no
-// verdict to decide), and a reader that exits on Decided skips
-// validating the document's remainder.
+// verdict to decide). What a caller does with true is its own contract: a
+// reader that exits on it skips validating the document's remainder, a
+// buffered caller skims it (MatchBuffered) — validates it to the end
+// without dispatching another event.
 func (e *Engine) Decided() bool {
 	if e.stale || !e.started || len(e.subs) == 0 {
 		return false
@@ -826,7 +847,10 @@ func (s Stats) String() string {
 // under the Theorem 8.8 cost model, and how far above the
 // information-theoretic floor (Sections 4-7) the evaluator actually sat.
 type MemStats struct {
-	// Events is the number of SAX events dispatched to the trie matcher.
+	// Events is the number of SAX events dispatched to the trie matcher —
+	// the document's whole event count, unless the caller stopped
+	// dispatching once every verdict was final: a reader that exited early,
+	// or a buffered match that skimmed the remainder (MatchBuffered).
 	Events int
 	// PeakLiveTuples is the peak concurrent matching state: predicate
 	// frontier tuples + open candidate scopes + buffering leaf candidates
@@ -842,7 +866,9 @@ type MemStats struct {
 	PeakPendings      int
 	PeakBufferedBytes int
 	// MaxDepth is the deepest open-element nesting reached (the paper's d;
-	// on fully recursive documents also its recursion term r).
+	// on fully recursive documents also its recursion term r). A skimmed
+	// remainder counts: it is the depth of the document, not of the part
+	// that was dispatched.
 	MaxDepth int
 	// CapturedBytes is the peak bytes held by fragment captures (zero
 	// without extraction). Captures are working state charged against

@@ -171,13 +171,16 @@ func (a *Auto) MatchBytes(doc []byte) ([]string, error) {
 }
 
 // MatchBytesFrags is MatchBytes additionally returning the captured
-// subtrees of matched extraction subscriptions. Both routes capture
+// subtrees of matched extraction subscriptions, and how many of the
+// document's bytes were validated without dispatch — the pool route's
+// count; the sharded route dispatches every event. Both routes capture
 // zero-copy subslices of doc where possible; volatile fragments are
 // copied before return.
-func (a *Auto) MatchBytesFrags(doc []byte) ([]string, []engine.Fragment, error) {
+func (a *Auto) MatchBytesFrags(doc []byte) (ids []string, frags []engine.Fragment, skimmed int64, err error) {
 	if a.sharded(len(doc)) {
 		a.setMode("shard")
-		return a.sh.MatchBytesFrags(doc)
+		ids, frags, err = a.sh.MatchBytesFrags(doc)
+		return ids, frags, 0, err
 	}
 	a.setMode("pool")
 	return a.pool.MatchBytesFrags(doc)
@@ -248,7 +251,7 @@ func (a *Auto) matchReader(r io.Reader, chunkSize int, extract bool) ([]string, 
 	if small {
 		// The whole document is staged: match it on a replica. Pool-routed
 		// readers run concurrently — nothing here is shared per call.
-		ids, frags, err := a.pool.matchBytes(buf, mode)
+		ids, frags, _, err := a.pool.matchBytes(buf, mode)
 		rs.BytesConsumed = int64(len(buf))
 		a.note("pool", rs)
 		return ids, frags, rs, err

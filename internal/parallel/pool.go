@@ -18,7 +18,6 @@ import (
 // further synchronization.
 type replica struct {
 	eng  *engine.Engine
-	tok  *sax.TokenizerBytes
 	stok *sax.StreamTokenizer
 	ids  []string
 	// lim holds the budgets, stored per replica so Match calls read them
@@ -90,9 +89,6 @@ func (p *Pool) SetLimits(l limits.Limits) {
 	for _, r := range p.reps {
 		r.lim = l
 		r.eng.SetLimits(l)
-		if r.tok != nil {
-			r.tok.SetLimits(l)
-		}
 		if r.stok != nil {
 			r.stok.SetLimits(l)
 		}
@@ -204,18 +200,22 @@ func (p *Pool) IDs() []string {
 // inside the replica fails only this document with a typed *PanicError
 // and quarantines the replica's engine (rebuilt from its subscription
 // list before it returns to the ring); errors mid-document still carry
-// the verdicts decided before the failure.
+// the verdicts decided before the failure. The document is validated to
+// its end but dispatched only until every verdict is final (see
+// engine.Engine.MatchBuffered).
 func (p *Pool) MatchBytes(doc []byte) ([]string, error) {
-	ids, _, err := p.matchBytes(doc, engine.CaptureOff)
+	ids, _, _, err := p.matchBytes(doc, engine.CaptureOff)
 	return ids, err
 }
 
 // MatchBytesFrags is MatchBytes additionally returning the captured
 // subtrees of matched extraction subscriptions, in subscription
-// insertion order. Non-volatile fragments are zero-copy subslices of
-// doc; volatile ones (attribute values) are copied before the replica
-// returns to the ring, so fragments never alias replica scratch.
-func (p *Pool) MatchBytesFrags(doc []byte) ([]string, []engine.Fragment, error) {
+// insertion order, and how many of the document's bytes were validated
+// without dispatch (engine.Engine.MatchBuffered). Non-volatile fragments
+// are zero-copy subslices of doc; volatile ones (attribute values) are
+// copied before the replica returns to the ring, so fragments never alias
+// replica scratch.
+func (p *Pool) MatchBytesFrags(doc []byte) (ids []string, frags []engine.Fragment, skimmed int64, err error) {
 	return p.matchBytes(doc, engine.CaptureSlice)
 }
 
@@ -231,7 +231,7 @@ func fragsOf(r *replica, doc []byte, mode engine.CaptureMode) []engine.Fragment 
 	return frags
 }
 
-func (p *Pool) matchBytes(doc []byte, mode engine.CaptureMode) (ids []string, frags []engine.Fragment, err error) {
+func (p *Pool) matchBytes(doc []byte, mode engine.CaptureMode) (ids []string, frags []engine.Fragment, skimmed int64, err error) {
 	r := <-p.idle
 	defer func() { p.idle <- r }()
 	// Declared after the checkout-return defer, so on a panic this runs
@@ -239,44 +239,14 @@ func (p *Pool) matchBytes(doc []byte, mode engine.CaptureMode) (ids []string, fr
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.eng.Rebuild()
-			ids, frags, err = nil, nil, newPanicError(rec)
+			ids, frags, skimmed, err = nil, nil, 0, newPanicError(rec)
 		}
 	}()
-	if l := r.lim.MaxDocBytes; l > 0 && int64(len(doc)) > l {
-		return nil, nil, fmt.Errorf("streamxpath: %w",
-			&limits.Error{Resource: "doc-bytes", Limit: l, Observed: int64(len(doc))})
-	}
-	r.eng.SetCapture(mode)
-	r.eng.Reset()
-	if r.tok == nil {
-		r.tok = sax.NewTokenizerBytes(doc, p.tab)
-		r.tok.SetLimits(r.lim)
-	} else {
-		r.tok.Reset(doc)
-	}
 	if r.fault != nil {
 		r.fault()
 	}
-	sawEnd := false
-	for {
-		ev, err := r.tok.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return matchedSoFar(r), fragsOf(r, doc, mode), err
-		}
-		if ev.Kind == sax.EndDocument {
-			sawEnd = true
-		}
-		if err := r.eng.ProcessBytes(ev); err != nil {
-			return matchedSoFar(r), fragsOf(r, doc, mode), fmt.Errorf("streamxpath: %w", err)
-		}
-	}
-	if !sawEnd {
-		return nil, nil, fmt.Errorf("streamxpath: document ended prematurely")
-	}
-	return matchedSoFar(r), fragsOf(r, doc, mode), nil
+	skimmed, err = r.eng.MatchBuffered(doc, mode)
+	return matchedSoFar(r), fragsOf(r, doc, mode), skimmed, err
 }
 
 // MatchReader streams one document from r on a checked-out replica

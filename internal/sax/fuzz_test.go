@@ -3,12 +3,17 @@ package sax_test
 import (
 	"testing"
 
+	"streamxpath/internal/limits"
 	"streamxpath/internal/sax"
 )
 
-// FuzzTokenizerBytes holds the byte tokenizer to two invariants on
+// FuzzTokenizerBytes holds the byte tokenizer to three invariants on
 // arbitrary input:
 //
+//  0. Skim ≡ Next: some number of events in (taken from the input), Skim
+//     ends the document exactly where the Next loop ends it — same error,
+//     same deepest level — with and without budgets
+//     (sax.CheckSkimEquivalence, the body of TestSkimMatchesNext).
 //  1. Differential: it accepts exactly the documents the streaming string
 //     tokenizer accepts, producing the identical (attribute-expanded)
 //     event stream.
@@ -31,6 +36,13 @@ func FuzzTokenizerBytes(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		k := 0
+		if len(data) > 0 {
+			k = int(data[len(data)-1]) % 24
+		}
+		sax.CheckSkimEquivalence(t, data, k, limits.Limits{})
+		sax.CheckSkimEquivalence(t, data, k, limits.Limits{MaxDepth: 3, MaxTokenBytes: 24})
+
 		got, gotErr := sax.ParseBytes(data)
 		want, wantErr := sax.Parse(string(data))
 		if (gotErr != nil) != (wantErr != nil) {

@@ -1,0 +1,201 @@
+package sax
+
+import (
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"streamxpath/internal/limits"
+	"streamxpath/internal/symtab"
+)
+
+// The skim differential: Skim is the Next loop with nothing materialized,
+// so from any event on it must end where the Next loop ends — the same
+// error (type and every field: a SyntaxError's offset and message, a
+// limits.Error's resource, limit and observed value), the same deepest
+// level, the same end of document.
+
+// skimOutcome is where a run over one document ended. deepest is the
+// deepest nesting of StartElement events (Depth), which is what an
+// evaluator fed from Next would count as depth: of the events delivered,
+// and for a skim also the level it reports for the events it spared its
+// caller.
+type skimOutcome struct {
+	err     error
+	deepest int
+	offset  int
+}
+
+// CheckSkimEquivalence runs doc to its end with Next, and again with k
+// calls of Next followed by Skim, under the same budgets, and fails t where
+// the two ends differ. It returns the number of events doc yields (those
+// before its first error), so a caller can walk k over all of them; a k
+// past that number checks nothing new. Exported for FuzzTokenizerBytes,
+// which lives in the external test package.
+func CheckSkimEquivalence(t testing.TB, doc []byte, k int, lim limits.Limits) int {
+	t.Helper()
+	tok := NewTokenizerBytes(doc, nil)
+	tok.SetLimits(lim)
+	var want skimOutcome
+	var events []Event
+	for {
+		ev, err := tok.Next()
+		if err == nil {
+			events = append(events, ev.Event(tok.Table()))
+			continue
+		}
+		if err != io.EOF {
+			want.err = err
+		}
+		want.deepest, want.offset = Depth(events), tok.Offset()
+		break
+	}
+	if k > len(events) {
+		return len(events) // doc ends or fails within k events: no skim to compare
+	}
+
+	tok.Reset(doc)
+	for i := 0; i < k; i++ {
+		if _, err := tok.Next(); err != nil {
+			t.Fatalf("%q: event %d of %d on a second pass: %v", doc, i, len(events), err)
+		}
+	}
+	deepest, err := tok.Skim()
+	got := skimOutcome{err, max(Depth(events[:k]), deepest), tok.Offset()}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q, limits %+v: %d × Next then Skim ended at %+v (%v), Next alone at %+v (%v)",
+			doc, lim, k, got, got.err, want, want.err)
+	}
+	if got.err == nil {
+		if _, err := tok.Next(); err != io.EOF {
+			t.Fatalf("%q: Next after a completed Skim = %v, want io.EOF", doc, err)
+		}
+	}
+	return len(events)
+}
+
+// checkSkimEveryK is CheckSkimEquivalence at every event index of doc.
+func checkSkimEveryK(t testing.TB, doc []byte, lim limits.Limits) {
+	t.Helper()
+	events := CheckSkimEquivalence(t, doc, 0, lim)
+	for k := 1; k <= events; k++ {
+		CheckSkimEquivalence(t, doc, k, lim)
+	}
+}
+
+// skimLimits are tight enough that the corpus below breaches both budgets
+// a skim enforces, at element, self-closing and attribute levels.
+var skimLimits = limits.Limits{MaxDepth: 3, MaxTokenBytes: 24}
+
+// skimCorpus is the hardening lists, depth and attribute shapes the lists
+// lack, and small generated feeds in the benchmark's two document shapes.
+func skimCorpus() []string {
+	docs := append([]string(nil), malformedInputs...)
+	for _, c := range robustInputs {
+		docs = append(docs, c.input)
+	}
+	docs = append(docs,
+		`<a><b x="1" y="&lt;2"><c/></b><b x="1"/></a>`,
+		`<a><b><c><d/></c></b></a>`,
+		`<a><b><c x="1"/></b></a>`,
+		`<a><b><c x="1"></c></b></a>`,
+		`<a><b x="1" x="2"/></a>`,
+		`<a><b x="&bad;"/></a>`,
+		`<a><b x="a<b"/></a>`,
+		`<a><b x='1'y='2'/></a>`,
+		"<a><b></b ></a >",
+		"<a><b></c ></a>",
+		"<a>&#32;</a>&#32;<!-- c --><?pi?>",
+		"<a></a>&amp;",
+		"<a><![CDATA[]]><![CDATA[a very long character data section]]></a>",
+		"<a><!-- a comment that is longer than the token budget --></a>",
+		"<a>a text run that is longer than the token budget</a>",
+		`<a x="an attribute value longer than the token budget"/>`,
+		"<a><!DOCTYPE b [ <!ENTITY c 'd'> ]></a>",
+	)
+	rng := rand.New(rand.NewSource(7))
+	var news, catalog strings.Builder
+	news.WriteString("<news>")
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&news, "<item><title>story %d</title><keyword>go</keyword><priority>%d</priority>"+
+			"<body><p>lorem &amp; ips&lt;m &#38; </p></body></item>", i, rng.Intn(10))
+	}
+	news.WriteString("</news>")
+	catalog.WriteString("<catalog>")
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&catalog, `<item id="%d"><priority>%d</priority><f%d/><f%d a="1" b='2'/></item>`,
+			i, rng.Intn(12), 2*i, 2*i+1)
+	}
+	catalog.WriteString("</catalog>")
+	return append(docs, news.String(), catalog.String())
+}
+
+func TestSkimMatchesNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const alphabet = "<>/&;=\"' !?[]-#xa"
+	for _, doc := range skimCorpus() {
+		for _, lim := range []limits.Limits{{}, skimLimits} {
+			checkSkimEveryK(t, []byte(doc), lim)
+		}
+		// One byte mutated: every kind of damage, at every distance from
+		// the point the skim starts at.
+		mutations := min(len(doc), 48)
+		for m := 0; m < mutations; m++ {
+			mut := []byte(doc)
+			mut[rng.Intn(len(mut))] = alphabet[rng.Intn(len(alphabet))]
+			for _, lim := range []limits.Limits{{}, skimLimits} {
+				checkSkimEveryK(t, mut, lim)
+			}
+		}
+	}
+}
+
+// TestSkimMaterializesNothing: elements first met by a skim are matched by
+// their bytes — their names never reach the symbol table — and a warm skim
+// allocates nothing, whatever it decodes and however deep it goes.
+func TestSkimMaterializesNothing(t *testing.T) {
+	doc := []byte(`<a><seen/><fresh x="&amp;"><deeper>t &lt; u</deeper><deeper >v</deeper ></fresh></a>`)
+	tab := symtab.New()
+	tok := NewTokenizerBytes(doc, tab)
+	skimAfter := func(events int) {
+		tok.Reset(doc)
+		for i := 0; i < events; i++ {
+			if _, err := tok.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tok.Skim(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	skimAfter(4) // StartDocument, <a>, <seen>, </seen>
+	for _, name := range []string{"fresh", "deeper"} {
+		if tab.Lookup(name) != symtab.None {
+			t.Errorf("element name %q was interned by the skim", name)
+		}
+	}
+	if tab.Lookup("seen") == symtab.None {
+		t.Error("an element tokenized before the skim is missing from the table")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { skimAfter(4) }); allocs != 0 {
+		t.Errorf("warm skim: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestSkimEntryMidTag: a skim may begin between a start tag's StartElement
+// and the attribute events staged behind it, or before a self-closing
+// tag's queued EndElement. They were validated with the tag; the skim
+// drops them and still balances the element they belong to.
+func TestSkimEntryMidTag(t *testing.T) {
+	for _, doc := range []string{
+		`<a><b x="1" y="2"><c/></b></a>`, // <b> is on the stack, attributes staged
+		`<a><b x="1" y="2"/><c/></a>`,    // <b/> was never pushed
+		`<b x="1"/>`,                     // a self-closing root
+	} {
+		checkSkimEveryK(t, []byte(doc), limits.Limits{})
+		checkSkimEveryK(t, []byte(doc), limits.Limits{MaxDepth: 2})
+	}
+}

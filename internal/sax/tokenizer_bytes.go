@@ -123,8 +123,8 @@ type TokenizerBytes struct {
 	attrEpoch uint32
 
 	// lim holds the per-document resource budgets (zero value: none).
-	// Depth is enforced at the element-stack push; token size at every
-	// unbounded scan — including the suspended-scan paths, where the
+	// Depth is enforced where a start tag closes (countLevels); token size at
+	// every unbounded scan — including the suspended-scan paths, where the
 	// budget is what stops an untermined giant construct from buffering
 	// whole before its terminator ever arrives. Budgets survive Reset:
 	// they configure the tokenizer, not the document.
@@ -136,6 +136,26 @@ type TokenizerBytes struct {
 	// map probe. Misses fall through to InternBytes and overwrite the
 	// slot.
 	nameCache []nameCacheEntry
+
+	// skim marks the rest of the document as validated without being
+	// materialized (see Skim). Elements opened while skimming are held in
+	// spans — the input span of each one's name, compared by bytes at its
+	// end tag, so no name is interned — above the elements that were open
+	// at skim entry, which stay on stack; tagName is the span of the start
+	// tag being scanned.
+	skim    bool
+	spans   []span
+	tagName span
+
+	// Depth accounting, in the engine's units: a self-closing tag is a
+	// level like any element, and the attributes folded into child events
+	// sit one level below their element (see countLevels). deepest is the
+	// deepest level the skim has reached, tagAttrs whether the start tag it
+	// is scanning has an attribute (Next sees that in pending), and breach
+	// a depth breach found at an attribute level, held back for one call.
+	deepest  int
+	tagAttrs bool
+	breach   error
 }
 
 // nameCacheBits sizes the direct-mapped name cache (the hash's top bits
@@ -149,6 +169,9 @@ type nameCacheEntry struct {
 	name string
 	sym  symtab.Sym
 }
+
+// span is a half-open range of window offsets.
+type span struct{ start, end int }
 
 // NewTokenizerBytes returns a tokenizer over data, interning names into
 // tab. A nil tab allocates a fresh table (retrievable via Table).
@@ -185,6 +208,11 @@ func (t *TokenizerBytes) Reset(data []byte) {
 	t.ended = false
 	t.rootSeen = false
 	t.stack = t.stack[:0]
+	t.skim = false
+	t.spans = t.spans[:0]
+	t.deepest = 0
+	t.tagAttrs = false
+	t.breach = nil
 	t.pending = t.pending[:0]
 	t.head = 0
 	t.stabilized = 0
@@ -313,6 +341,9 @@ func (t *TokenizerBytes) Next() (ByteEvent, error) {
 		}
 	}
 	if t.tagActive {
+		if t.breach != nil {
+			return ByteEvent{}, t.breach
+		}
 		// Resume the start tag suspended between attributes; pos sits at
 		// the attribute boundary scanAttrs rewound to.
 		t.tagActive = false
@@ -327,14 +358,9 @@ func (t *TokenizerBytes) Next() (ByteEvent, error) {
 			if t.suspendable() {
 				return ByteEvent{}, ErrNeedMoreData
 			}
-			if len(t.stack) > 0 {
-				return ByteEvent{}, t.errf("unexpected end of input: %d unclosed element(s), innermost <%s>",
-					len(t.stack), t.tab.Name(t.stack[len(t.stack)-1]))
+			if err := t.endOfInput(); err != nil {
+				return ByteEvent{}, err
 			}
-			if !t.rootSeen {
-				return ByteEvent{}, t.errf("document has no root element")
-			}
-			t.ended = true
 			return ByteEvent{Kind: EndDocument}, nil
 		}
 		// mark is the construct's first byte: a suspended scan that has no
@@ -398,6 +424,123 @@ func (t *TokenizerBytes) Next() (ByteEvent, error) {
 	}
 }
 
+// endOfInput closes the document at the end of the final window: every
+// element must be closed and a root must have been seen.
+func (t *TokenizerBytes) endOfInput() error {
+	if n := t.depth(); n > 0 {
+		return t.errf("unexpected end of input: %d unclosed element(s), innermost <%s>", n, t.innermost())
+	}
+	if !t.rootSeen {
+		return t.errf("document has no root element")
+	}
+	t.ended = true
+	return nil
+}
+
+// depth is the number of open elements.
+func (t *TokenizerBytes) depth() int { return len(t.stack) + len(t.spans) }
+
+// outside reports that no element is open: the scan position is before or
+// after the root element.
+func (t *TokenizerBytes) outside() bool { return len(t.stack) == 0 && len(t.spans) == 0 }
+
+// innermost names the innermost open element, for error messages.
+func (t *TokenizerBytes) innermost() string {
+	if n := len(t.spans); n > 0 {
+		return string(t.data[t.spans[n-1].start:t.spans[n-1].end])
+	}
+	return t.tab.Name(t.stack[len(t.stack)-1])
+}
+
+// Offset returns the document offset of the scan position: every byte
+// before it has been tokenized (or skimmed).
+func (t *TokenizerBytes) Offset() int { return t.base + t.pos }
+
+// Skim consumes the rest of a whole-buffer document without producing
+// events. Everything Next checks is checked, by the same scanners, and a
+// malformed or over-budget remainder fails with the error Next would have
+// reached: tag balance by name, attribute syntax and duplicates, reference
+// validity, content outside the root, a second root, comments, processing
+// instructions and DOCTYPE, MaxDepth and MaxTokenBytes. Nothing is
+// materialized: no event, no staged attribute events, no decoded text or
+// attribute value, and the names of elements met while skimming are
+// compared by bytes at their end tags, not interned. It is for a consumer
+// that has no more use for events — every verdict is final — but still
+// owes its caller a validated document.
+//
+// Skim may be entered after any event. Events Next had staged but not
+// yet delivered (a tag's attributes, a self-closing tag's EndElement) were
+// validated when their tag was scanned and are dropped. A nil error means
+// the document ended well-formed; Next then reports io.EOF, and the
+// EndDocument event is the caller's to account for.
+//
+// deepest is the deepest level among the events the caller was spared —
+// those dropped at entry and those the remainder would have produced, up to
+// the error if there is one — in the units an evaluator fed from Next
+// counts: one per StartElement event open at once, so a self-closing tag is
+// a level like any element and an attribute sits one below its element.
+func (t *TokenizerBytes) Skim() (deepest int, err error) {
+	t.skim = true
+	t.started = true
+	if t.head < len(t.pending) {
+		// The staged events belong to the last tag scanned: its element is
+		// on the stack unless the tag was self-closing (its EndElement is
+		// then staged last), and its attributes sit one level below it.
+		t.deepest = len(t.stack)
+		if last := t.pending[len(t.pending)-1]; last.Kind == EndElement && !last.Attribute {
+			t.deepest++
+		}
+		if len(t.pending)-t.head > 1 || t.pending[t.head].Attribute {
+			t.deepest++
+		}
+	}
+	t.pending, t.head, t.stabilized = t.pending[:0], 0, 0
+	err = t.skimRest()
+	return t.deepest, err
+}
+
+// skimRest is Next's dispatch loop with nothing returned.
+func (t *TokenizerBytes) skimRest() error {
+	if t.breach != nil {
+		return t.breach
+	}
+	if t.idx.synced != len(t.data) {
+		if err := t.syncIndex(); err != nil {
+			return err
+		}
+	}
+	for t.pos < len(t.data) {
+		if t.data[t.pos] != '<' {
+			if _, _, err := t.readText(); err != nil {
+				return err
+			}
+			continue
+		}
+		t.pos++
+		if t.pos >= len(t.data) {
+			return t.errf("unterminated markup")
+		}
+		var err error
+		switch t.data[t.pos] {
+		case '/':
+			t.pos++
+			_, err = t.readEndTag()
+		case '?':
+			t.pos++
+			err = t.skipUntil("?>")
+		case '!':
+			t.pos++
+			_, _, err = t.readBang()
+		default:
+			_, err = t.readStartTag()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return t.endOfInput()
+}
+
 // rewind handles a markup scanner's error: a suspension without
 // construct-level resume state rewinds to the construct's '<' and drops
 // half-queued attribute events, so the next attempt rescans the whole
@@ -444,16 +587,27 @@ func (t *TokenizerBytes) readText() ([]byte, bool, error) {
 	t.pos = start + end
 	out := t.data[start:t.pos]
 	if t.idx.amp.has(start, t.pos) {
+		// A skim only validates the references — each decoded over the one
+		// before it, the literal runs between them not copied — except
+		// outside the root, where what the run decodes to decides whether
+		// it is legal.
+		discard := t.skim && !t.outside()
 		t.textBuf = t.textBuf[:0]
 		p := start
 		for p < t.pos {
 			// Bulk-copy the literal run up to the next indexed reference.
 			a := t.idx.amp.next(p)
 			if a < 0 || a >= t.pos {
-				t.textBuf = append(t.textBuf, t.data[p:t.pos]...)
+				a = t.pos
+			}
+			if discard {
+				t.textBuf = t.textBuf[:0]
+			} else {
+				t.textBuf = append(t.textBuf, t.data[p:a]...)
+			}
+			if a == t.pos {
 				break
 			}
-			t.textBuf = append(t.textBuf, t.data[p:a]...)
 			var err error
 			t.textBuf, p, err = t.appendReference(t.textBuf, a+1)
 			if err != nil {
@@ -462,7 +616,7 @@ func (t *TokenizerBytes) readText() ([]byte, bool, error) {
 		}
 		out = t.textBuf
 	}
-	if len(t.stack) == 0 {
+	if t.outside() {
 		if len(bytes.TrimSpace(out)) != 0 {
 			return nil, false, t.errf("character data outside root element")
 		}
@@ -545,7 +699,7 @@ func (t *TokenizerBytes) readBang() ([]byte, bool, error) {
 		}
 		text := t.data[t.pos : t.pos+end]
 		t.pos += end + 3
-		if len(t.stack) == 0 {
+		if t.outside() {
 			return nil, false, t.errf("CDATA outside root element")
 		}
 		if len(text) == 0 {
@@ -635,10 +789,15 @@ func (t *TokenizerBytes) readStartTag() (symtab.Sym, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(t.stack) == 0 && t.rootSeen {
+	if t.rootSeen && t.outside() {
 		return 0, t.errf("second root element <%s>", name)
 	}
-	sym := t.internName(name)
+	var sym symtab.Sym
+	if t.skim {
+		t.tagName, t.tagAttrs = span{t.pos - len(name), t.pos}, false
+	} else {
+		sym = t.internName(name)
+	}
 	t.attrBuf = t.attrBuf[:0]
 	t.attrEpoch++
 	if t.attrEpoch == 0 {
@@ -646,6 +805,49 @@ func (t *TokenizerBytes) readStartTag() (symtab.Sym, error) {
 		t.attrEpoch = 1
 	}
 	return sym, t.scanAttrs(sym)
+}
+
+// tagNameOf names the start tag being scanned, for error messages: a
+// skimmed tag has a span where a tokenized one has a symbol.
+func (t *TokenizerBytes) tagNameOf(sym symtab.Sym) string {
+	if t.skim {
+		return string(t.data[t.tagName.start:t.tagName.end])
+	}
+	return t.tab.Name(sym)
+}
+
+// countLevels accounts for the levels the start tag now closing opens, in
+// the units an evaluator counts them — its element, self-closing or not,
+// and one more if it has attributes — and enforces MaxDepth on them: a
+// breach falls on the documents, and carries the Observed level, an
+// evaluator counting StartElement events would report, at the element when
+// it is itself too deep, at its first attribute when only they are. That
+// second breach lies one event after the element's StartElement, which an
+// evaluator sees and may match on (under LimitAbstain those verdicts
+// stand), so Next delivers the event first and fails on the following call;
+// a skim has no event to deliver and fails at once. Called only while
+// skimming or under a depth budget: tokenizing without one, the evaluator
+// does the counting.
+func (t *TokenizerBytes) countLevels() error {
+	elem, limit := t.depth()+1, t.lim.MaxDepth
+	if limit > 0 && elem > limit {
+		return t.limitErr("depth", limit, elem)
+	}
+	t.deepest = max(t.deepest, elem)
+	if !t.tagAttrs && len(t.pending) == 0 {
+		return nil
+	}
+	if limit <= 0 || elem < limit {
+		t.deepest = max(t.deepest, elem+1)
+		return nil
+	}
+	t.breach = t.limitErr("depth", limit, elem+1)
+	if t.skim {
+		return t.breach
+	}
+	t.pending, t.head, t.stabilized = t.pending[:0], 0, 0
+	t.tagActive = true // routes the next call to the breach
+	return nil
 }
 
 // suspendTag suspends the start tag at an attribute boundary: pos rewinds
@@ -691,15 +893,21 @@ func (t *TokenizerBytes) scanAttrs(sym symtab.Sym) error {
 			if t.suspendable() {
 				return t.suspendTag(sym, attrMark)
 			}
-			return t.errf("unterminated start tag <%s", t.tab.Name(sym))
+			return t.errf("unterminated start tag <%s", t.tagNameOf(sym))
 		}
 		c := t.data[t.pos]
 		if c == '>' {
 			t.pos++
-			if t.lim.MaxDepth > 0 && len(t.stack) >= t.lim.MaxDepth {
-				return t.limitErr("depth", t.lim.MaxDepth, len(t.stack)+1)
+			if t.skim || t.lim.MaxDepth > 0 {
+				if err := t.countLevels(); err != nil {
+					return err
+				}
 			}
-			t.stack = append(t.stack, sym)
+			if t.skim {
+				t.spans = append(t.spans, t.tagName)
+			} else {
+				t.stack = append(t.stack, sym)
+			}
 			return nil
 		}
 		if c == '/' {
@@ -708,15 +916,22 @@ func (t *TokenizerBytes) scanAttrs(sym symtab.Sym) error {
 				return t.suspendTag(sym, attrMark)
 			}
 			if t.pos >= len(t.data) || t.data[t.pos] != '>' {
-				return t.errf("malformed self-closing tag <%s", t.tab.Name(sym))
+				return t.errf("malformed self-closing tag <%s", t.tagNameOf(sym))
 			}
 			t.pos++
+			if t.skim || t.lim.MaxDepth > 0 {
+				if err := t.countLevels(); err != nil {
+					return err
+				}
+			}
 			// <n/> is shorthand for <n></n>: emit start now, queue end
 			// after any queued attribute events.
-			if len(t.stack) == 0 {
+			if t.outside() {
 				t.rootSeen = true
 			}
-			t.pending = append(t.pending, ByteEvent{Kind: EndElement, Sym: sym, Off: t.base + t.pos})
+			if !t.skim && t.breach == nil {
+				t.pending = append(t.pending, ByteEvent{Kind: EndElement, Sym: sym, Off: t.base + t.pos})
+			}
 			return nil
 		}
 		aname, err := t.readName()
@@ -762,11 +977,15 @@ func (t *TokenizerBytes) scanAttrs(sym symtab.Sym) error {
 			return t.errf("duplicate attribute %s", aname)
 		}
 		t.attrSeen[asym] = t.attrEpoch
-		t.pending = append(t.pending,
-			ByteEvent{Kind: StartElement, Sym: asym, Attribute: true, Off: t.base + attrMark},
-			ByteEvent{Kind: Text, Data: val, Off: t.base + attrMark},
-			ByteEvent{Kind: EndElement, Sym: asym, Attribute: true, Off: t.base + t.pos},
-		)
+		if t.skim {
+			t.tagAttrs = true
+		} else {
+			t.pending = append(t.pending,
+				ByteEvent{Kind: StartElement, Sym: asym, Attribute: true, Off: t.base + attrMark},
+				ByteEvent{Kind: Text, Data: val, Off: t.base + attrMark},
+				ByteEvent{Kind: EndElement, Sym: asym, Attribute: true, Off: t.base + t.pos},
+			)
+		}
 	}
 }
 
@@ -811,10 +1030,17 @@ func (t *TokenizerBytes) readAttrValue(aname []byte, quote byte) ([]byte, error)
 	for p < end {
 		a := t.idx.amp.next(p)
 		if a < 0 || a >= end {
-			t.attrBuf = append(t.attrBuf, t.data[p:end]...)
+			a = end
+		}
+		if t.skim {
+			// Only the references are checked, as in readText.
+			t.attrBuf = t.attrBuf[:vstart]
+		} else {
+			t.attrBuf = append(t.attrBuf, t.data[p:a]...)
+		}
+		if a == end {
 			break
 		}
-		t.attrBuf = append(t.attrBuf, t.data[p:a]...)
 		var err error
 		t.attrBuf, p, err = t.appendReference(t.attrBuf, a+1)
 		if err != nil {
@@ -826,11 +1052,24 @@ func (t *TokenizerBytes) readAttrValue(aname []byte, quote byte) ([]byte, error)
 
 // readEndTag parses an end tag after "</". The fast path handles the
 // overwhelmingly common shape — "</name>" exactly matching the open
-// element — with one memeq against the interned top-of-stack name and no
+// element — with one memeq against the innermost open name (the interned
+// top of stack, or while skimming the start tag's own bytes) and no
 // symbol-table probe at all; anything else (whitespace before '>',
 // window boundary, mismatch) falls through to the general scanner.
+// Elements opened by a skim close before the ones that were open when it
+// began. A skimmed element has no symbol; its end tag returns 0.
 func (t *TokenizerBytes) readEndTag() (symtab.Sym, error) {
-	if n := len(t.stack); n > 0 {
+	if n := len(t.spans); n > 0 {
+		name := t.data[t.spans[n-1].start:t.spans[n-1].end]
+		if end := t.pos + len(name); end < len(t.data) && t.data[end] == '>' && bytes.Equal(t.data[t.pos:end], name) {
+			t.pos = end + 1
+			t.spans = t.spans[:n-1]
+			if n == 1 && len(t.stack) == 0 {
+				t.rootSeen = true
+			}
+			return 0, nil
+		}
+	} else if n := len(t.stack); n > 0 {
 		top := t.stack[n-1]
 		name := t.tab.Name(top)
 		if end := t.pos + len(name); end < len(t.data) && t.data[end] == '>' && string(t.data[t.pos:end]) == name {
@@ -856,16 +1095,26 @@ func (t *TokenizerBytes) readEndTag() (symtab.Sym, error) {
 		return 0, t.errf("malformed end tag </%s", name)
 	}
 	t.pos++
-	if len(t.stack) == 0 {
+	if t.outside() {
 		return 0, t.errf("end tag </%s> with no open element", name)
 	}
-	sym := t.tab.LookupBytes(name)
-	top := t.stack[len(t.stack)-1]
-	if sym != top {
-		return 0, t.errf("end tag </%s> does not match open element <%s>", name, t.tab.Name(top))
+	var sym symtab.Sym
+	var matches bool
+	if n := len(t.spans); n > 0 {
+		matches = bytes.Equal(name, t.data[t.spans[n-1].start:t.spans[n-1].end])
+	} else {
+		sym = t.stack[len(t.stack)-1]
+		matches = string(name) == t.tab.Name(sym)
 	}
-	t.stack = t.stack[:len(t.stack)-1]
-	if len(t.stack) == 0 {
+	if !matches {
+		return 0, t.errf("end tag </%s> does not match open element <%s>", name, t.innermost())
+	}
+	if n := len(t.spans); n > 0 {
+		t.spans = t.spans[:n-1]
+	} else {
+		t.stack = t.stack[:len(t.stack)-1]
+	}
+	if t.outside() {
 		t.rootSeen = true
 	}
 	return sym, nil

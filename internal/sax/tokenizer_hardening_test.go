@@ -22,34 +22,69 @@ func drain(input string) ([]Event, error) {
 	}
 }
 
+// malformedInputs must each produce an error, never a panic or a silently
+// truncated event stream; robustInputs are unusual but legal. The skim
+// differential (skim_test.go) runs over both lists too.
+var malformedInputs = []string{
+	"<a>",                  // unclosed element
+	"<a></b>",              // mismatched end tag
+	"</a>",                 // end without start
+	"<a><b></a></b>",       // interleaved
+	"<a",                   // truncated start tag
+	"<a href>",             // attribute without value
+	`<a x=y>`,              // unquoted attribute value
+	`<a x="1>`,             // unterminated attribute value
+	"<>",                   // empty name
+	"< a>",                 // space before name
+	"<a/><b/>",             // two document elements
+	"text outside",         // top-level text
+	"<a>&unknown;</a>",     // unknown entity
+	"<a>&#xZZ;</a>",        // bad character reference
+	"<a>&#;</a>",           // empty character reference
+	"<a><![CDATA[x</a>",    // unterminated CDATA
+	"<a><!-- unterminated", // unterminated comment
+	"<a><? unterminated",   // unterminated PI
+	"",                     // empty input
+	"   ",                  // whitespace only
+	"<a></a><a></a>",       // second root
+	"<a></a>trailing",      // trailing text
+}
+
+var robustInputs = []struct {
+	input string
+	check func([]Event) bool
+}{
+	{"<a/>", func(ev []Event) bool { return len(ev) == 4 }},
+	{"<?xml version=\"1.0\"?><a/>", func(ev []Event) bool { return len(ev) == 4 }},
+	{"<!DOCTYPE a><a/>", func(ev []Event) bool { return len(ev) == 4 }},
+	{"<a><!-- c --><b/></a>", func(ev []Event) bool {
+		for _, e := range ev {
+			if e.Kind == StartElement && e.Name == "b" {
+				return true
+			}
+		}
+		return false
+	}},
+	{"<a>&amp;&lt;&gt;&quot;&apos;</a>", func(ev []Event) bool {
+		return textOf(ev) == `&<>"'`
+	}},
+	{"<a>&#65;&#x42;</a>", func(ev []Event) bool { return textOf(ev) == "AB" }},
+	{"<a><![CDATA[<not><markup>]]></a>", func(ev []Event) bool {
+		return textOf(ev) == "<not><markup>"
+	}},
+	{"  <a/>  ", func(ev []Event) bool { return len(ev) == 4 }},
+	{"<a\tx=\"1\"\ny=\"2\"/>", func(ev []Event) bool {
+		return len(ev) == 4 && len(ev[1].Attrs) == 2
+	}},
+	{"<a.b-c_d/>", func(ev []Event) bool { return ev[1].Name == "a.b-c_d" }},
+	{"<ns:a/>", func(ev []Event) bool { return ev[1].Name == "ns:a" }},
+	{"<a>é世界</a>", func(ev []Event) bool { return textOf(ev) == "é世界" }},
+}
+
 // TestTokenizerMalformedInputs: every malformed document must produce an
 // error, never a panic or a silently truncated event stream.
 func TestTokenizerMalformedInputs(t *testing.T) {
-	bad := []string{
-		"<a>",                  // unclosed element
-		"<a></b>",              // mismatched end tag
-		"</a>",                 // end without start
-		"<a><b></a></b>",       // interleaved
-		"<a",                   // truncated start tag
-		"<a href>",             // attribute without value
-		`<a x=y>`,              // unquoted attribute value
-		`<a x="1>`,             // unterminated attribute value
-		"<>",                   // empty name
-		"< a>",                 // space before name
-		"<a/><b/>",             // two document elements
-		"text outside",         // top-level text
-		"<a>&unknown;</a>",     // unknown entity
-		"<a>&#xZZ;</a>",        // bad character reference
-		"<a>&#;</a>",           // empty character reference
-		"<a><![CDATA[x</a>",    // unterminated CDATA
-		"<a><!-- unterminated", // unterminated comment
-		"<a><? unterminated",   // unterminated PI
-		"",                     // empty input
-		"   ",                  // whitespace only
-		"<a></a><a></a>",       // second root
-		"<a></a>trailing",      // trailing text
-	}
-	for _, input := range bad {
+	for _, input := range malformedInputs {
 		if _, err := drain(input); err == nil {
 			t.Errorf("%q: want error, got none", input)
 		}
@@ -58,37 +93,7 @@ func TestTokenizerMalformedInputs(t *testing.T) {
 
 // TestTokenizerRobustInputs: inputs with unusual but legal constructs.
 func TestTokenizerRobustInputs(t *testing.T) {
-	good := []struct {
-		input string
-		check func([]Event) bool
-	}{
-		{"<a/>", func(ev []Event) bool { return len(ev) == 4 }},
-		{"<?xml version=\"1.0\"?><a/>", func(ev []Event) bool { return len(ev) == 4 }},
-		{"<!DOCTYPE a><a/>", func(ev []Event) bool { return len(ev) == 4 }},
-		{"<a><!-- c --><b/></a>", func(ev []Event) bool {
-			for _, e := range ev {
-				if e.Kind == StartElement && e.Name == "b" {
-					return true
-				}
-			}
-			return false
-		}},
-		{"<a>&amp;&lt;&gt;&quot;&apos;</a>", func(ev []Event) bool {
-			return textOf(ev) == `&<>"'`
-		}},
-		{"<a>&#65;&#x42;</a>", func(ev []Event) bool { return textOf(ev) == "AB" }},
-		{"<a><![CDATA[<not><markup>]]></a>", func(ev []Event) bool {
-			return textOf(ev) == "<not><markup>"
-		}},
-		{"  <a/>  ", func(ev []Event) bool { return len(ev) == 4 }},
-		{"<a\tx=\"1\"\ny=\"2\"/>", func(ev []Event) bool {
-			return len(ev) == 4 && len(ev[1].Attrs) == 2
-		}},
-		{"<a.b-c_d/>", func(ev []Event) bool { return ev[1].Name == "a.b-c_d" }},
-		{"<ns:a/>", func(ev []Event) bool { return ev[1].Name == "ns:a" }},
-		{"<a>é世界</a>", func(ev []Event) bool { return textOf(ev) == "é世界" }},
-	}
-	for _, c := range good {
+	for _, c := range robustInputs {
 		ev, err := drain(c.input)
 		if err != nil {
 			t.Errorf("%q: unexpected error %v", c.input, err)

@@ -60,6 +60,7 @@ type tenantMetrics struct {
 	events        atomic.Int64
 	bytesRead     atomic.Int64
 	bytesConsumed atomic.Int64
+	skimmedBytes  atomic.Int64
 	earlyExitPos  atomic.Int64
 	earlyExitNeg  atomic.Int64
 
@@ -103,6 +104,7 @@ func (tm *tenantMetrics) recordDoc(res MatchResult, err error) {
 	tm.events.Add(int64(res.Mem.Events))
 	tm.bytesRead.Add(res.Stats.BytesRead)
 	tm.bytesConsumed.Add(res.Stats.BytesConsumed)
+	tm.skimmedBytes.Add(res.SkimmedBytes)
 	if res.Stats.EarlyExit {
 		if res.Stats.DecidedNegative {
 			tm.earlyExitNeg.Add(1)
@@ -193,6 +195,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, reg *Registry) {
 		func(tm *tenantMetrics) int64 { return tm.bytesRead.Load() })
 	counter("xpfilterd_bytes_consumed_total", "Document bytes actually tokenized (early exit stops short of bytes read).",
 		func(tm *tenantMetrics) int64 { return tm.bytesConsumed.Load() })
+	counter("xpfilterd_skimmed_bytes_total", "Consumed bytes of buffered documents validated without dispatch, every verdict being final already.",
+		func(tm *tenantMetrics) int64 { return tm.skimmedBytes.Load() })
 	counter("xpfilterd_limit_breaches_total", "Documents refused on a resource-budget breach (LimitFail policy).",
 		func(tm *tenantMetrics) int64 { return tm.limitBreaches.Load() })
 	counter("xpfilterd_abstained_total", "Documents degraded to partial verdicts on a budget breach (LimitAbstain policy).",

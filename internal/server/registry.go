@@ -54,6 +54,10 @@ type MatchResult struct {
 	Stats streamxpath.ReaderStats
 	// Mem is the live-memory accounting of this document.
 	Mem streamxpath.MemStats
+	// SkimmedBytes is how much of a buffered document was validated
+	// without being dispatched to the matcher, every verdict being final
+	// already (streamxpath.MatchResult.SkimmedBytes).
+	SkimmedBytes int64
 	// Fragments maps the ids of matched extraction-enabled
 	// subscriptions to their extracted content — the matched element's
 	// subtree as XML, or the decoded value for attribute-selecting
@@ -280,7 +284,9 @@ func (t *Tenant) MaxSubs() int {
 }
 
 // MatchBuffered matches one in-memory document — the fast path for
-// requests that arrived with a Content-Length. It holds only the read
+// requests that arrived with a Content-Length. The document is validated
+// to its end but dispatched only until every verdict is final
+// (MatchResult.SkimmedBytes is the rest). It holds only the read
 // side of the tenant lock, so any number of documents can be ingested
 // into one tenant concurrently; the Match*Result API returns this
 // call's verdicts, fragments and accounting together, so each request's
@@ -368,6 +374,7 @@ func (t *Tenant) finishRLocked(mr streamxpath.MatchResult, bodyLen int64, stream
 		Subscriptions: t.set.Len(),
 		Abstained:     mr.Abstained,
 		Mem:           mr.MemStats,
+		SkimmedBytes:  mr.SkimmedBytes,
 	}
 	if res.Matched == nil {
 		res.Matched = []string{}

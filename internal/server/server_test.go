@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -484,6 +485,49 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", body)
+	}
+}
+
+// TestMetricsSkimmedBytes: a buffered document whose verdicts are all final
+// early is validated to its end without being dispatched, and /metrics
+// says how much of it — beside bytes_read and bytes_consumed, which still
+// count the whole body. A tenant whose subscriptions stay open to the last
+// byte reports none.
+func TestMetricsSkimmedBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	seedSubs(t, ts.URL, "dead", rootedSubs) // all dead at <catalog>
+	seedSubs(t, ts.URL, "open", []SubInfo{{ID: "any", Query: "//nowhere"}})
+	catalog := []byte("<catalog>" + strings.Repeat("<item><name>n</name></item>", 1000) + "</catalog>")
+	for _, tenant := range []string{"dead", "open"} {
+		if mr, r := postMatch(t, ts.URL, tenant, catalog, false); r.status != http.StatusOK || len(mr.Matched) != 0 {
+			t.Fatalf("%s: status %d, matched %v", tenant, r.status, mr.Matched)
+		}
+	}
+	body := string(do(t, "GET", ts.URL+"/metrics", nil).body)
+	series := func(name, tenant string) int {
+		t.Helper()
+		prefix := fmt.Sprintf("%s{tenant=%q} ", name, tenant)
+		_, rest, ok := strings.Cut(body, prefix)
+		if !ok {
+			t.Fatalf("/metrics has no %s", prefix)
+		}
+		line, _, _ := strings.Cut(rest, "\n")
+		v, err := strconv.Atoi(line)
+		if err != nil {
+			t.Fatalf("%s%s: %v", prefix, line, err)
+		}
+		return v
+	}
+	for _, tenant := range []string{"dead", "open"} {
+		if got := series("xpfilterd_bytes_consumed_total", tenant); got != len(catalog) {
+			t.Errorf("%s: bytes_consumed_total = %d, want the whole %d-byte body", tenant, got, len(catalog))
+		}
+	}
+	if got := series("xpfilterd_skimmed_bytes_total", "dead"); got < len(catalog)-8<<10 || got >= len(catalog) {
+		t.Errorf("dead: skimmed_bytes_total = %d of %d bytes, want all but the first few KiB", got, len(catalog))
+	}
+	if got := series("xpfilterd_skimmed_bytes_total", "open"); got != 0 {
+		t.Errorf("open: skimmed_bytes_total = %d, want 0", got)
 	}
 }
 

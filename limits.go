@@ -37,11 +37,23 @@ const (
 // therefore one no streaming evaluator could handle in that budget — so
 // the principled response is a typed, recoverable refusal (or an abstain
 // verdict), never unbounded growth and never a panic.
+//
+// The whole-buffer Match methods stop dispatching a document once every
+// verdict is final and only validate the rest (see FilterSet.MatchBytes).
+// The budgets on the document itself — MaxDepth, MaxTokenBytes,
+// MaxDocBytes — are enforced over that remainder exactly as before it.
+// MaxBufferedBytes and MaxLiveTuples meter matching state, and a
+// remainder that is not dispatched creates none, so they cannot be
+// breached inside it: the verdicts are the same, and a document whose only
+// breach of those two lay past its decision point now completes.
 type Limits struct {
 	// MaxDepth bounds the open-element nesting depth (the paper's d, and
 	// its recursion term r on recursive documents). A 10^6-deep
 	// element chain is refused at depth MaxDepth+1, not parsed to
-	// completion.
+	// completion. Every layer counts it the same way: a self-closing tag
+	// is a level like any element, and an element's attributes — child
+	// events, in the paper's folding of the attribute axis — sit one
+	// level below it.
 	MaxDepth int
 	// MaxTokenBytes bounds a single token: text run, CDATA section,
 	// comment, processing instruction, or attribute value — and, on the

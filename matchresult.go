@@ -48,6 +48,13 @@ type MatchResult struct {
 	ReaderStats ReaderStats
 	// MemStats is the live-memory accounting of the call's document.
 	MemStats MemStats
+	// SkimmedBytes is how much of a whole-buffer document was validated
+	// without being dispatched to the matcher: the bytes after the point
+	// where every verdict was final (see FilterSet.MatchBytes). Zero when
+	// the document was never decided, was too short to be probed, or came
+	// from a reader — a reader stops there instead, which ReaderStats
+	// reports.
+	SkimmedBytes int64
 }
 
 // Fragment returns the extracted content for a subscription id, nil if

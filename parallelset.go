@@ -447,16 +447,17 @@ func (p *FilterPool) MatchString(xml string) ([]string, error) {
 // concurrent calls — the result carries this call's own flags, not
 // shared last-call state.
 func (p *FilterPool) MatchBytesResult(doc []byte) (MatchResult, error) {
-	ids, fr, err := p.p.MatchBytesFrags(doc)
+	ids, fr, skimmed, err := p.p.MatchBytesFrags(doc)
 	ids, abst, err := p.finishFlags(ids, err, false)
 	if err != nil {
 		return MatchResult{}, err
 	}
 	return MatchResult{
-		MatchedIDs: ids,
-		Fragments:  toFragments(fr, false),
-		Abstained:  abst,
-		MemStats:   p.p.MemStats(),
+		MatchedIDs:   ids,
+		Fragments:    toFragments(fr, false),
+		Abstained:    abst,
+		MemStats:     p.p.MemStats(),
+		SkimmedBytes: skimmed,
 	}, nil
 }
 
@@ -707,16 +708,17 @@ func (s *AdaptiveFilterSet) MatchString(xml string) ([]string, error) {
 // values are decoded copies. Safe for concurrent calls — the result
 // carries this call's own flags, not shared last-call state.
 func (s *AdaptiveFilterSet) MatchBytesResult(doc []byte) (MatchResult, error) {
-	ids, fr, err := s.a.MatchBytesFrags(doc)
+	ids, fr, skimmed, err := s.a.MatchBytesFrags(doc)
 	ids, abst, err := s.finishFlags(ids, err, false)
 	if err != nil {
 		return MatchResult{}, err
 	}
 	return MatchResult{
-		MatchedIDs: ids,
-		Fragments:  toFragments(fr, false),
-		Abstained:  abst,
-		MemStats:   s.a.MemStats(),
+		MatchedIDs:   ids,
+		Fragments:    toFragments(fr, false),
+		Abstained:    abst,
+		MemStats:     s.a.MemStats(),
+		SkimmedBytes: skimmed,
 	}, nil
 }
 
@@ -728,16 +730,17 @@ func (s *AdaptiveFilterSet) MatchStringResult(xml string) (MatchResult, error) {
 	s.buf = append(s.buf[:0], xml...)
 	buf := s.buf
 	s.mu.Unlock()
-	ids, fr, err := s.a.MatchBytesFrags(buf)
+	ids, fr, skimmed, err := s.a.MatchBytesFrags(buf)
 	ids, abst, err := s.finishFlags(ids, err, false)
 	if err != nil {
 		return MatchResult{}, err
 	}
 	return MatchResult{
-		MatchedIDs: ids,
-		Fragments:  toFragments(fr, true),
-		Abstained:  abst,
-		MemStats:   s.a.MemStats(),
+		MatchedIDs:   ids,
+		Fragments:    toFragments(fr, true),
+		Abstained:    abst,
+		MemStats:     s.a.MemStats(),
+		SkimmedBytes: skimmed,
 	}, nil
 }
 

@@ -899,7 +899,12 @@ func BenchmarkMatchReader(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		rs := s.ReaderStats()
+		r.Reset(big)
+		res, err := s.MatchReaderResult(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs := res.ReaderStats
 		if !rs.EarlyExit {
 			b.Fatal("expected early exit")
 		}
@@ -1004,8 +1009,9 @@ func BenchmarkMatchReaderNoMatch(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if rs := s.ReaderStats(); rs.EarlyExit {
-			b.Fatal("fullread arm exited early")
+		r.Reset(doc)
+		if res, err := s.MatchReaderResult(r); err != nil || res.ReaderStats.EarlyExit {
+			b.Fatalf("fullread arm exited early (%v)", err)
 		}
 	})
 	b.Run("chunked-negexit", func(b *testing.B) {
@@ -1025,7 +1031,12 @@ func BenchmarkMatchReaderNoMatch(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		rs := s.ReaderStats()
+		r.Reset(doc)
+		res, err := s.MatchReaderResult(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs := res.ReaderStats
 		if !rs.EarlyExit || !rs.DecidedNegative {
 			b.Fatalf("expected negative early exit, got %+v", rs)
 		}

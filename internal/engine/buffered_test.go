@@ -55,7 +55,7 @@ func sameFragments(a, b []Fragment) bool {
 	return slices.EqualFunc(a, b, func(x, y Fragment) bool { return x.ID == y.ID && string(x.Data) == string(y.Data) })
 }
 
-// TestDecidedIsFinal is the property MatchBuffered's skim (and the reader
+// TestDecidedIsFinal is the property MatchBytes's skim (and the reader
 // path's early exit) rests on: probing after every event, once Decided
 // reports true it never reports false again, and the matched ids — and
 // with extraction the fragments — it stands on are already those of
@@ -123,7 +123,7 @@ func TestDecidedIsFinal(t *testing.T) {
 	}
 }
 
-// fullDispatch is the loop MatchBuffered replaced: every event of doc goes
+// fullDispatch is the loop MatchBytes replaced: every event of doc goes
 // to the engine.
 func fullDispatch(e *Engine, doc []byte, mode CaptureMode) error {
 	e.SetCapture(mode)
@@ -161,7 +161,7 @@ func sameFailure(a, b error) bool {
 
 // TestMatchBufferedEqualsFullDispatch: with the first probe anywhere in the
 // document — so the skim begins at every point a verdict set can close at,
-// mid-tag included — MatchBuffered reports what dispatching every event
+// mid-tag included — MatchBytes reports what dispatching every event
 // reports: ids, fragments, error, and the depth the memory accounting takes
 // its log d from. The documents are random, whole and with one byte
 // damaged, with and without a depth budget.
@@ -265,10 +265,11 @@ func TestMatchBufferedSkimTriggers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		n, err := e.MatchBuffered(c.doc, c.mode)
+		out, err := e.MatchBytes(c.doc, c.mode)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		n := out.Skimmed
 		if !c.skimmed(int(n), len(c.doc)) || e.MatchedCount() != c.matched {
 			t.Errorf("%s: skimmed %d of %d bytes, matched %d (want %d)", c.name, n, len(c.doc), e.MatchedCount(), c.matched)
 		}
@@ -287,13 +288,13 @@ func TestMatchBufferedAfterSkim(t *testing.T) {
 	mustAdd(t, e, "pred", "//item[flag]/pad")
 	decidedEarly := []byte("<r><item><flag/><pad/></item>" + strings.Repeat("<item><pad>x</pad></item>", 400) + "</r>")
 	for round := 0; round < 2; round++ {
-		if n, err := e.MatchBuffered(decidedEarly, CaptureOff); err != nil || n == 0 || e.MatchedCount() != 2 {
-			t.Fatalf("round %d: skimmed %d, matched %d, err %v", round, n, e.MatchedCount(), err)
+		if out, err := e.MatchBytes(decidedEarly, CaptureOff); err != nil || out.Skimmed == 0 || len(out.IDs) != 2 {
+			t.Fatalf("round %d: skimmed %d, matched %v, err %v", round, out.Skimmed, out.IDs, err)
 		}
 		if got := run(t, e, "<r><item><pad/></item></r>"); !got["pad"] || got["pred"] {
 			t.Fatalf("round %d: event-driven document after a skim: %v", round, got)
 		}
-		if _, err := e.MatchBuffered(decidedEarly, CaptureOff); err != nil {
+		if _, err := e.MatchBytes(decidedEarly, CaptureOff); err != nil {
 			t.Fatal(err)
 		}
 		mustAdd(t, e, fmt.Sprintf("late%d", round), "/other/late") // dead at <r>

@@ -112,9 +112,15 @@ type Engine struct {
 	runner *automaton.SharedRunner
 	tr     *trie
 	mt     *matcher
-	// tok is MatchBuffered's tokenizer, created by its first call and
-	// reused from then on.
-	tok *sax.TokenizerBytes
+	// tok and stok are the tokenizers of MatchBytes and MatchReader, each
+	// created by its first call and reused from then on; process and decided
+	// are the callbacks MatchReader drives stok with, built once so a repeat
+	// call allocates nothing. ids is the result buffer both refill.
+	tok     *sax.TokenizerBytes
+	stok    *sax.StreamTokenizer
+	process func(sax.ByteEvent) error
+	decided func() bool
+	ids     []string
 	// rebuilds counts the times an index was replaced by a fresh one.
 	rebuilds int
 
@@ -183,6 +189,9 @@ func (e *Engine) SetLimits(l limits.Limits) {
 	e.lim = l
 	if e.tok != nil {
 		e.tok.SetLimits(l)
+	}
+	if e.stok != nil {
+		e.stok.SetLimits(l)
 	}
 }
 
@@ -731,9 +740,9 @@ func (e *Engine) MatchedCount() int {
 // the trie side an O(live structures) sweep — callers probe Decided per
 // chunk, not per event. An empty engine reports false (there is no
 // verdict to decide). What a caller does with true is its own contract: a
-// reader that exits on it skips validating the document's remainder, a
-// buffered caller skims it (MatchBuffered) — validates it to the end
-// without dispatching another event.
+// reader that exits on it skips validating the document's remainder
+// (MatchReader), a buffered caller skims it (MatchBytes) — validates it to
+// the end without dispatching another event.
 func (e *Engine) Decided() bool {
 	if e.stale || !e.started || len(e.subs) == 0 {
 		return false
@@ -850,7 +859,7 @@ type MemStats struct {
 	// Events is the number of SAX events dispatched to the trie matcher —
 	// the document's whole event count, unless the caller stopped
 	// dispatching once every verdict was final: a reader that exited early,
-	// or a buffered match that skimmed the remainder (MatchBuffered).
+	// or a buffered match that skimmed the remainder (MatchBytes).
 	Events int
 	// PeakLiveTuples is the peak concurrent matching state: predicate
 	// frontier tuples + open candidate scopes + buffering leaf candidates

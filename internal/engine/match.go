@@ -1,0 +1,194 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"slices"
+
+	"streamxpath/internal/limits"
+	"streamxpath/internal/sax"
+)
+
+// Outcome is everything one match call knows about its document, returned
+// once: the matchers built on the engine (internal/parallel, the public
+// package) hand it upwards whole, filled in while whatever serializes
+// access to the engine that ran the document is still held, so no part of
+// it can be another document's.
+//
+// From the Engine itself, IDs is the engine's result buffer, refilled by
+// its next match call, and volatile fragments alias its capture memory
+// until then; Detach makes the outcome independent of the engine.
+type Outcome struct {
+	// IDs holds the matched subscription ids in insertion order, non-nil
+	// even when empty. Alongside an error they are the verdicts decided
+	// before it, which are final because matching is monotone.
+	IDs []string
+	// Frags holds the fragments captured for matched extraction
+	// subscriptions, in insertion order, and Mem the document's live-memory
+	// accounting. Both are left zero under CaptureOff: that is the mode of
+	// the boolean callers, who discard them, and whose per-document cost
+	// they would add to.
+	Frags []Fragment
+	Mem   MemStats
+	// Read is the input accounting of a MatchReader call, zero for
+	// MatchBytes.
+	Read sax.StreamStats
+	// Skimmed is how many bytes MatchBytes validated without dispatching
+	// them, zero for MatchReader.
+	Skimmed int64
+	// Sharded is set by parallel.Auto alone: the document ran on its
+	// event-sharded half rather than on a pool replica.
+	Sharded bool
+}
+
+// Detach copies what the outcome shares with the engine — the id slice and
+// the data of volatile fragments — so it stays valid after the engine's next
+// document. Fragments that subslice the caller's document are left alone.
+func (o *Outcome) Detach() {
+	o.IDs = slices.Clone(o.IDs)
+	CopyVolatileFragments(o.Frags)
+}
+
+// outcome reads the verdicts, fragments and accounting off the engine as
+// the current document left them. doc is the buffer slice-mode captures
+// index, nil on the reader path.
+func (e *Engine) outcome(doc []byte, mode CaptureMode) Outcome {
+	if e.ids == nil {
+		e.ids = make([]string, 0, 8)
+	}
+	e.ids = e.AppendMatchedIDs(e.ids[:0])
+	out := Outcome{IDs: e.ids}
+	if mode != CaptureOff {
+		out.Frags = e.AppendFragments(nil, doc)
+		out.Mem = e.MemStats()
+	}
+	return out
+}
+
+var errTruncated = errors.New("streamxpath: document ended prematurely")
+
+// firstProbe is the document offset of MatchBytes's first Decided probe;
+// each later probe sits at twice the offset of the one before. The trie
+// side of Decided sweeps the open scopes' continuations — tens of
+// microseconds on a thousand predicated subscriptions — so it cannot run
+// per event or per kilobyte. On this schedule a document of n bytes pays
+// at most ⌈log₂(n/firstProbe)⌉+1 probes, dispatches at most twice its
+// decided prefix (plus firstProbe) in full, and pays nothing at all when
+// it is shorter than firstProbe.
+const firstProbe = 4 << 10
+
+// MatchBytes matches one document held whole in memory: the buffered
+// drive loop every engine-backed matcher shares. It selects the capture
+// mode, resets the engine, and dispatches the document's events until
+// every verdict is final; from there no event can change a result, so the
+// remainder is only validated — the tokenizer skims it (sax.TokenizerBytes.
+// Skim: every well-formedness and budget check, nothing materialized) and
+// the engine sees no more of it than the deepest level it reached and the
+// closing EndDocument. The verdicts, fragments and errors are those of
+// dispatching every event; Stats.Events counts the dispatched ones, and
+// the budgets on matching state (MaxLiveTuples, MaxBufferedBytes) cannot
+// be breached by a remainder that creates none.
+//
+// Outcome.Skimmed is the number of bytes validated without dispatch, 0 for
+// a document that was never decided. The error is ready for the public
+// surface: the engine's own errors are prefixed "streamxpath: ", the
+// tokenizer's pass through bare.
+func (e *Engine) MatchBytes(doc []byte, mode CaptureMode) (Outcome, error) {
+	skimmed, err := e.matchBuffered(doc, mode, firstProbe)
+	out := e.outcome(doc, mode)
+	out.Skimmed = skimmed
+	return out, err
+}
+
+// matchBuffered is MatchBytes's loop with the first probe at the given
+// offset, so that tests can reach every skim entry point with small
+// documents.
+func (e *Engine) matchBuffered(doc []byte, mode CaptureMode, probe int) (skimmed int64, err error) {
+	e.SetCapture(mode)
+	e.Reset() // also recovers from a document abandoned mid-stream
+	if l := e.lim.MaxDocBytes; l > 0 && int64(len(doc)) > l {
+		return 0, fmt.Errorf("streamxpath: %w",
+			&limits.Error{Resource: "doc-bytes", Limit: l, Observed: int64(len(doc))})
+	}
+	if e.tok == nil {
+		e.tok = sax.NewTokenizerBytes(doc, e.tab)
+		e.tok.SetLimits(e.lim)
+	} else {
+		e.tok.Reset(doc)
+	}
+	tok := e.tok
+	for {
+		ev, err := tok.Next()
+		if err == io.EOF {
+			return 0, errTruncated
+		}
+		if err != nil {
+			return 0, err
+		}
+		if err := e.ProcessBytes(ev); err != nil {
+			return 0, fmt.Errorf("streamxpath: %w", err)
+		}
+		if ev.Kind == sax.EndDocument {
+			return 0, nil
+		}
+		from := tok.Offset()
+		if from < probe {
+			continue
+		}
+		for probe <= from {
+			probe *= 2
+		}
+		if !e.Decided() {
+			continue
+		}
+		deepest, err := tok.Skim()
+		// The matcher's level stopped rising with dispatch; the memory
+		// accounting (log d) is owed the whole document's depth.
+		e.mt.stats.MaxLevel = max(e.mt.stats.MaxLevel, deepest)
+		if err == nil {
+			if err = e.endDocument(); err != nil {
+				err = fmt.Errorf("streamxpath: %w", err)
+			}
+		}
+		return int64(tok.Offset() - from), err
+	}
+}
+
+// MatchReader is MatchBytes's twin for a document that arrives through a
+// reader: the chunked drive loop every engine-backed matcher shares. The
+// document is read chunkSize bytes at a time (<= 0 selects
+// sax.DefaultChunkSize) into the engine's resumable tokenizer, which holds
+// only the unconsumed tail across chunk boundaries, and Decided is probed
+// between chunks: once every verdict is final the reader is abandoned —
+// Outcome.Read reports the early exit, how much input it took, and whether
+// any verdict was decided negatively — and the remainder is neither read
+// nor validated. Where MatchBytes skims, MatchReader stops. A warm call
+// allocates nothing. Errors follow MatchBytes's convention; the reader's
+// own pass through bare.
+func (e *Engine) MatchReader(r io.Reader, chunkSize int, mode CaptureMode) (Outcome, error) {
+	e.SetCapture(mode)
+	e.Reset() // also recovers from a document abandoned mid-stream
+	if e.stok == nil {
+		e.stok = sax.NewStreamTokenizer(e.tab)
+		e.stok.SetLimits(e.lim)
+		e.process = func(ev sax.ByteEvent) error {
+			if err := e.ProcessBytes(ev); err != nil {
+				return fmt.Errorf("streamxpath: %w", err)
+			}
+			return nil
+		}
+		e.decided = e.Decided
+	} else {
+		e.stok.Reset()
+	}
+	var read sax.StreamStats
+	sawEnd, err := e.stok.Drive(r, chunkSize, &read, e.process, nil, e.decided)
+	if err == nil && !sawEnd && !read.EarlyExit {
+		err = errTruncated
+	}
+	out := e.outcome(nil, mode)
+	read.DecidedNegative = read.EarlyExit && len(out.IDs) < len(e.subs)
+	out.Read = read
+	return out, err
+}

@@ -1,0 +1,153 @@
+package engine
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"streamxpath/internal/limits"
+)
+
+// TestMatchReaderEqualsMatchBytes: read in chunks of every size from 1 to
+// 64 bytes, a document yields the ids and (canonical-form) fragments the
+// buffered twin yields, and — unless the reader was abandoned at a decision
+// point, which the buffered path skims past instead — the same depth for
+// the memory accounting's log d.
+func TestMatchReaderEqualsMatchBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	fullReads := 0
+	for iter := 0; iter < 120; iter++ {
+		subs, doc := randomSet(rng, iter)
+		ref, e := New(), New()
+		for _, s := range subs {
+			if err := s.addTo(ref); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.addTo(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := ref.MatchBytes([]byte(doc), CaptureSerial)
+		if err != nil {
+			t.Fatalf("iter %d: the generator's own document %s: %v", iter, doc, err)
+		}
+		for chunk := 1; chunk <= 64; chunk++ {
+			label := fmt.Sprintf("iter %d, doc %s, subscriptions %v, chunk size %d", iter, doc, subs, chunk)
+			got, err := e.MatchReader(strings.NewReader(doc), chunk, CaptureSerial)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !slices.Equal(got.IDs, want.IDs) {
+				t.Fatalf("%s: matched %v, buffered %v", label, got.IDs, want.IDs)
+			}
+			if !sameFragments(got.Frags, want.Frags) {
+				t.Fatalf("%s: fragments %v, buffered %v", label, got.Frags, want.Frags)
+			}
+			if got.Read.EarlyExit {
+				if got.Read.DecidedNegative != (len(got.IDs) < len(subs)) {
+					t.Fatalf("%s: DecidedNegative = %v with %d of %d matched", label, got.Read.DecidedNegative, len(got.IDs), len(subs))
+				}
+				continue
+			}
+			fullReads++
+			if got.Read.BytesRead != int64(len(doc)) || got.Read.BytesConsumed != int64(len(doc)) {
+				t.Fatalf("%s: read %+v of %d bytes", label, got.Read, len(doc))
+			}
+			if got.Mem.MaxDepth != want.Mem.MaxDepth || got.Mem.LowerBoundBits != want.Mem.LowerBoundBits {
+				t.Fatalf("%s: MemStats %s, buffered %s", label, got.Mem, want.Mem)
+			}
+		}
+	}
+	if fullReads < 1000 {
+		t.Errorf("only %d runs read their document to the end; the generators decide too early", fullReads)
+	}
+}
+
+// TestMatchReaderEarlyExitLeavesEngineReusable: abandoning a reader at the
+// decision point leaves elements open on the engine's side and bytes unread
+// in the tokenizer's window; the next document, a mutation and the document
+// after it must not notice.
+func TestMatchReaderEarlyExitLeavesEngineReusable(t *testing.T) {
+	e := New()
+	mustAdd(t, e, "pad", "//item/pad")
+	decidedEarly := "<r><item><pad/></item>" + strings.Repeat("<item><pad>x</pad></item>", 400) + "</r>"
+	for round := 0; round < 2; round++ {
+		out, err := e.MatchReader(strings.NewReader(decidedEarly), 256, CaptureOff)
+		if err != nil || !out.Read.EarlyExit || out.Read.DecidedNegative || len(out.IDs) != 1+round {
+			t.Fatalf("round %d: ids %v, read %+v, err %v", round, out.IDs, out.Read, err)
+		}
+		if out.Read.BytesRead >= int64(len(decidedEarly))/2 {
+			t.Fatalf("round %d: read %d of %d bytes", round, out.Read.BytesRead, len(decidedEarly))
+		}
+		out, err = e.MatchReader(strings.NewReader("<r><other/></r>"), 4, CaptureOff)
+		if err != nil || out.Read.EarlyExit || len(out.IDs) != 0 {
+			t.Fatalf("round %d: document after an early exit: ids %v, read %+v, err %v", round, out.IDs, out.Read, err)
+		}
+		if got, err := e.MatchBytes([]byte(decidedEarly), CaptureOff); err != nil || len(got.IDs) != 1+round {
+			t.Fatalf("round %d: buffered document after an early exit: %v, %v", round, got.IDs, err)
+		}
+		if _, err := e.MatchReader(strings.NewReader(decidedEarly), 256, CaptureOff); err != nil {
+			t.Fatal(err)
+		}
+		mustAdd(t, e, fmt.Sprintf("late%d", round), "/r/item") // matches at the first item
+		if e.Decided() || e.MatchedCount() != 0 {
+			t.Fatalf("round %d: a mutation after an abandoned document left its verdicts standing", round)
+		}
+	}
+}
+
+// failingReader yields data, then err.
+type failingReader struct {
+	data io.Reader
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if n, err := f.data.Read(p); err != io.EOF {
+		return n, err
+	}
+	return 0, f.err
+}
+
+// TestMatchReaderErrorsKeepDecidedVerdicts: a read error mid-stream and a
+// breached budget both come back with the verdicts decided before them —
+// final, because matching is monotone — and leave the engine reusable.
+func TestMatchReaderErrorsKeepDecidedVerdicts(t *testing.T) {
+	e := New()
+	mustAdd(t, e, "early", "/r/hit")
+	mustAdd(t, e, "deep", "//a/b")
+	errWire := errors.New("connection reset")
+	head := "<r><hit/>" + strings.Repeat("<a>", 50)
+
+	out, err := e.MatchReader(&failingReader{data: strings.NewReader(head), err: errWire}, 16, CaptureOff)
+	if !errors.Is(err, errWire) || !slices.Equal(out.IDs, []string{"early"}) {
+		t.Fatalf("read error: ids %v, err %v", out.IDs, err)
+	}
+	if out.Read.BytesRead != int64(len(head)) {
+		t.Fatalf("read error: BytesRead = %d, want %d", out.Read.BytesRead, len(head))
+	}
+
+	e.SetLimits(limits.Limits{MaxDepth: 20})
+	whole := head + strings.Repeat("</a>", 50) + "</r>"
+	out, err = e.MatchReader(strings.NewReader(whole), 16, CaptureSerial) // a capture mode, for Mem
+	var le *limits.Error
+	if !errors.As(err, &le) || le.Resource != "depth" || !slices.Equal(out.IDs, []string{"early"}) {
+		t.Fatalf("depth breach: ids %v, err %v", out.IDs, err)
+	}
+	if out.Mem.MaxDepth < 20 || out.Mem.MaxDepth > 22 {
+		t.Fatalf("depth breach: MemStats.MaxDepth = %d, want the budget's", out.Mem.MaxDepth)
+	}
+
+	out, err = e.MatchReader(bytes.NewReader([]byte("<r><hit/></r>")), 16, CaptureOff)
+	if err != nil || !slices.Equal(out.IDs, []string{"early"}) {
+		t.Fatalf("after the failures: ids %v, err %v", out.IDs, err)
+	}
+	if _, err := e.MatchReader(strings.NewReader("<r><hit/>"), 16, CaptureOff); err == nil {
+		t.Fatal("a truncated document was accepted")
+	}
+}

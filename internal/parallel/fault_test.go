@@ -45,14 +45,14 @@ func TestShardedPanicIsolation(t *testing.T) {
 	mustAdd(t, s.Add, "prices", "//item/price")
 	mustAdd(t, s.Add, "missing", "//zzz")
 
-	want, err := s.MatchBytes(doc)
+	want, err := idsOf(s.MatchBytes(doc, engine.CaptureOff))
 	if err != nil {
 		t.Fatalf("baseline MatchBytes: %v", err)
 	}
 	want = append([]string(nil), want...)
 
 	s.shards[1].fault = func() { panic("injected shard fault") }
-	if _, err := s.MatchBytes(doc); err == nil {
+	if _, err := s.MatchBytes(doc, engine.CaptureOff); err == nil {
 		t.Fatal("MatchBytes with faulty shard: want error, got nil")
 	} else {
 		wantPanicError(t, err)
@@ -62,7 +62,7 @@ func TestShardedPanicIsolation(t *testing.T) {
 	// shard rebuilds and verdicts are byte-identical to the baseline.
 	s.shards[1].fault = nil
 	for round := 0; round < 3; round++ {
-		got, err := s.MatchBytes(doc)
+		got, err := idsOf(s.MatchBytes(doc, engine.CaptureOff))
 		if err != nil {
 			t.Fatalf("round %d after recovery: %v", round, err)
 		}
@@ -81,21 +81,21 @@ func TestShardedPanicIsolationReader(t *testing.T) {
 	mustAdd(t, s.Add, "names", "//item/name")
 	mustAdd(t, s.Add, "missing", "//zzz")
 
-	want, err := s.MatchReader(bytes.NewReader(doc), 512)
+	want, err := idsOf(s.MatchReader(bytes.NewReader(doc), 512, engine.CaptureOff))
 	if err != nil {
 		t.Fatalf("baseline MatchReader: %v", err)
 	}
 	want = append([]string(nil), want...)
 
 	s.shards[2].fault = func() { panic("injected shard fault") }
-	if _, err := s.MatchReader(bytes.NewReader(doc), 512); err == nil {
+	if _, err := s.MatchReader(bytes.NewReader(doc), 512, engine.CaptureOff); err == nil {
 		t.Fatal("MatchReader with faulty shard: want error, got nil")
 	} else {
 		wantPanicError(t, err)
 	}
 
 	s.shards[2].fault = nil
-	got, err := s.MatchReader(bytes.NewReader(doc), 512)
+	got, err := idsOf(s.MatchReader(bytes.NewReader(doc), 512, engine.CaptureOff))
 	if err != nil {
 		t.Fatalf("after recovery: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestShardedPanicRingDrain(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := s.MatchBytes(doc); err == nil {
+				if _, err := s.MatchBytes(doc, engine.CaptureOff); err == nil {
 					t.Error("faulty shard: want error, got nil")
 					return
 				}
@@ -133,7 +133,7 @@ func TestShardedPanicRingDrain(t *testing.T) {
 		return
 	}
 	s.shards[0].fault = nil
-	ids, err := s.MatchBytes(doc)
+	ids, err := idsOf(s.MatchBytes(doc, engine.CaptureOff))
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("after clearing fault: ids=%v err=%v", ids, err)
 	}
@@ -148,7 +148,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 	mustAdd(t, p.Add, "names", "//item/name")
 	mustAdd(t, p.Add, "missing", "//zzz")
 
-	want, err := p.MatchBytes(doc)
+	want, err := idsOf(p.MatchBytes(doc, engine.CaptureOff))
 	if err != nil {
 		t.Fatalf("baseline MatchBytes: %v", err)
 	}
@@ -156,13 +156,13 @@ func TestPoolPanicIsolation(t *testing.T) {
 	for _, r := range p.reps {
 		r.fault = func() { panic("injected replica fault") }
 	}
-	if _, err := p.MatchBytes(doc); err == nil {
+	if _, err := p.MatchBytes(doc, engine.CaptureOff); err == nil {
 		t.Fatal("MatchBytes with faulty replica: want error, got nil")
 	} else {
 		wantPanicError(t, err)
 	}
-	if _, _, _, err := p.matchReader(bytes.NewReader(doc), 512, engine.CaptureOff); err == nil {
-		t.Fatal("matchReader with faulty replica: want error, got nil")
+	if _, err := p.MatchReader(bytes.NewReader(doc), 512, engine.CaptureOff); err == nil {
+		t.Fatal("MatchReader with faulty replica: want error, got nil")
 	} else {
 		wantPanicError(t, err)
 	}
@@ -173,7 +173,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 	// Hit every replica at least once so each quarantined engine proves
 	// it rebuilt.
 	for round := 0; round < 2*len(p.reps); round++ {
-		got, err := p.MatchBytes(doc)
+		got, err := idsOf(p.MatchBytes(doc, engine.CaptureOff))
 		if err != nil {
 			t.Fatalf("round %d after recovery: %v", round, err)
 		}

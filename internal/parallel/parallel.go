@@ -114,18 +114,16 @@ type Sharded struct {
 
 	tok     *sax.TokenizerBytes
 	matched []bool
-	ids     []string
 
 	// lim holds the per-document resource budgets, mirrored into every
 	// shard engine and the tokenizers (zero value: none).
 	lim limits.Limits
 
-	// Streaming state of MatchReader: the resumable chunked tokenizer,
-	// the last call's input accounting, and the per-document state the
-	// cached Drive callbacks operate on (curB is the batch being filled;
-	// the callbacks are built once so repeat calls allocate nothing).
+	// Streaming state of MatchReader: the resumable chunked tokenizer and
+	// the per-document state the cached Drive callbacks operate on (curB
+	// is the batch being filled; the callbacks are built once so repeat
+	// calls allocate nothing).
 	stok       *sax.StreamTokenizer
-	rstats     ReadStats
 	curB       *batch
 	needTextMR bool
 	dispatched bool
@@ -133,39 +131,6 @@ type Sharded struct {
 	procCb     func(sax.ByteEvent) error
 	chunkCb    func()
 	decCb      func() bool
-}
-
-// ReadStats is the input accounting of the last MatchReader call. It is
-// field-compatible with streamxpath.ReaderStats (the public layer
-// converts directly).
-type ReadStats struct {
-	// BytesRead is the number of bytes read from the io.Reader.
-	BytesRead int64
-	// BytesConsumed is the number of document bytes fully tokenized.
-	BytesConsumed int64
-	// Chunks is the number of non-empty reads.
-	Chunks int
-	// EarlyExit reports that reading stopped before end of input because
-	// every verdict was decided.
-	EarlyExit bool
-	// DecidedNegative refines EarlyExit: at least one subscription's
-	// verdict was decided negatively (it can never match the document).
-	DecidedNegative bool
-	// Abstained reports that a resource budget was breached and the
-	// abstain policy degraded the result to the verdicts decided before
-	// the breach (set by the public layer).
-	Abstained bool
-}
-
-// fromStream fills the Drive-level accounting; DecidedNegative is
-// settled by the caller once the verdicts are merged.
-func fromStream(ss sax.StreamStats) ReadStats {
-	return ReadStats{
-		BytesRead:     ss.BytesRead,
-		BytesConsumed: ss.BytesConsumed,
-		Chunks:        ss.Chunks,
-		EarlyExit:     ss.EarlyExit,
-	}
 }
 
 // NewSharded returns an engine with n shards (n < 1 is treated as 1).
@@ -219,16 +184,6 @@ func (s *Sharded) SetLimits(l limits.Limits) {
 	}
 }
 
-// Limits returns the configured budgets.
-func (s *Sharded) Limits() limits.Limits {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lim
-}
-
-// Symbols returns the shared symbol table.
-func (s *Sharded) Symbols() *symtab.Table { return s.tab }
-
 // shardOf assigns a subscription id to a shard by FNV-1a hash, so the
 // partition is stable under Add/Remove churn.
 func (s *Sharded) shardOf(id string) *shard {
@@ -247,7 +202,7 @@ func (s *Sharded) Add(id string, q *query.Query) error {
 }
 
 // AddExtract registers a subscription with fragment extraction enabled;
-// the Frags match variants capture and return its matched subtree.
+// match calls with a capture mode return its matched subtree.
 func (s *Sharded) AddExtract(id string, q *query.Query) error {
 	return s.add(id, q, true)
 }
@@ -398,8 +353,8 @@ func (s *Sharded) setCapture(mode engine.CaptureMode) {
 // collectFrags merges the shards' captured fragments back into the
 // global subscription insertion order and copies the volatile ones
 // (serial captures and attribute values alias engine-internal buffers
-// that the next document overwrites). Called after finishDoc — the
-// document WaitGroup has ordered the shard engines quiescent. doc is
+// that the next document overwrites). Called by finishDoc after its wait —
+// the document WaitGroup has ordered the shard engines quiescent. doc is
 // the whole-buffer document for slice-mode captures, nil on the reader
 // path. The result is freshly allocated per call: fragments outlive
 // the engine's scratch by design.
@@ -430,33 +385,21 @@ func (s *Sharded) collectFrags(doc []byte) []engine.Fragment {
 }
 
 // MatchBytes matches one in-memory document against every subscription:
-// tokenized once on the calling goroutine, matched concurrently by the
-// shards, merged into insertion order. The returned slice is reused by
-// the next call — copy it if it must outlive the call. It is non-nil
-// even when empty.
-func (s *Sharded) MatchBytes(doc []byte) ([]string, error) {
-	ids, _, err := s.matchBytes(doc, engine.CaptureOff)
-	return ids, err
-}
-
-// MatchBytesFrags is MatchBytes additionally returning the captured
-// subtrees of matched extraction subscriptions, in subscription
-// insertion order. Fragments of non-volatile origin are zero-copy
-// subslices of doc; the rest (attribute values, shared-capture copies)
-// are freshly allocated. The ids slice is reused by the next call; the
-// fragments are not.
-func (s *Sharded) MatchBytesFrags(doc []byte) ([]string, []engine.Fragment, error) {
-	return s.matchBytes(doc, engine.CaptureSlice)
-}
-
-func (s *Sharded) matchBytes(doc []byte, mode engine.CaptureMode) ([]string, []engine.Fragment, error) {
+// tokenized once on the calling goroutine (every event dispatched — there
+// is no skim on this path), matched concurrently by the shards, merged into
+// insertion order. The outcome is assembled before the document lock is
+// released and shares nothing with the engine: the id slice is freshly
+// allocated, fragments of non-volatile origin are zero-copy subslices of
+// doc and the rest (attribute values, shared-capture copies) private
+// copies, and Mem aggregates the shards' accounting for this document.
+func (s *Sharded) MatchBytes(doc []byte, mode engine.CaptureMode) (engine.Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, nil, errClosed
+		return engine.Outcome{}, errClosed
 	}
 	if l := s.lim.MaxDocBytes; l > 0 && int64(len(doc)) > l {
-		return nil, nil, fmt.Errorf("streamxpath: %w",
+		return engine.Outcome{}, fmt.Errorf("streamxpath: %w",
 			&limits.Error{Resource: "doc-bytes", Limit: l, Observed: int64(len(doc))})
 	}
 	if s.tok == nil {
@@ -504,15 +447,7 @@ func (s *Sharded) matchBytes(doc []byte, mode engine.CaptureMode) ([]string, []e
 	if tokErr == nil && !sawEnd {
 		tokErr = fmt.Errorf("streamxpath: document ended prematurely")
 	}
-	ids, err := s.finishDoc(b, tokErr)
-	var frags []engine.Fragment
-	if mode != engine.CaptureOff {
-		// Even on a degraded (abstained) document, captures that finalized
-		// before the failure are definitive — return them alongside the
-		// partial verdicts. Unfinalized captures are skipped by the engine.
-		frags = s.collectFrags(doc)
-	}
-	return ids, frags, err
+	return s.finishDoc(b, tokErr, doc, mode)
 }
 
 // needText reports whether any shard reads character data (a
@@ -528,26 +463,32 @@ func (s *Sharded) needText() bool {
 }
 
 // finishDoc dispatches the final batch (flagged abort on a tokenization
-// error), waits for the shards, and surfaces the first error or the
-// merged verdicts. On an error the merged verdicts decided BEFORE the
-// failure are still returned alongside it — matching is monotone, so
-// they are definitive, and the public abstain policy degrades to them. A
-// shard quarantined by a panic reports no verdicts (its state was
-// discarded), which only makes the partial result smaller, never wrong.
-func (s *Sharded) finishDoc(b *batch, tokErr error) ([]string, error) {
+// error), waits for the shards, and assembles the document's outcome from
+// the now-quiescent shard engines: the merged verdicts and, under a capture
+// mode, the merged fragments (doc is the whole-buffer document for
+// slice-mode captures, nil on the reader path) and the aggregated memory
+// accounting, with the first error if there was one. On an error the verdicts and finalized captures
+// decided BEFORE the failure are still returned alongside it — matching is
+// monotone, so they are definitive, and the public abstain policy degrades
+// to them. A shard quarantined by a panic reports no verdicts (its state
+// was discarded), which only makes the partial result smaller, never wrong.
+func (s *Sharded) finishDoc(b *batch, tokErr error, doc []byte, mode engine.CaptureMode) (engine.Outcome, error) {
 	b.last = true
 	b.abort = tokErr != nil
 	s.dispatch(b)
 	s.wg.Wait()
-	if tokErr != nil {
-		return s.merge(), tokErr
-	}
+	err := tokErr
 	for _, sh := range s.shards {
-		if sh.err != nil {
-			return s.merge(), sh.err
+		if err == nil {
+			err = sh.err
 		}
 	}
-	return s.merge(), nil
+	out := engine.Outcome{IDs: s.merge()}
+	if mode != engine.CaptureOff {
+		out.Frags = s.collectFrags(doc)
+		out.Mem = s.memStats()
+	}
+	return out, err
 }
 
 // MatchReader streams one document from r, tokenizing it chunk by chunk
@@ -559,32 +500,17 @@ func (s *Sharded) finishDoc(b *batch, tokErr error) ([]string, error) {
 // MatchBytes on the document's bytes. Between chunks the producer polls
 // the shards' decided flags; once every shard has nothing left to prove
 // — all its subscriptions matched, or the rest proven unable to match by
-// the dead-state analysis — the reader is abandoned (ReadStats reports
+// the dead-state analysis — the reader is abandoned (Outcome.Read reports
 // the early exit and whether it was negative) and the remainder goes
-// unvalidated.
-func (s *Sharded) MatchReader(r io.Reader, chunkSize int) ([]string, error) {
-	ids, _, _, err := s.matchReader(r, chunkSize, engine.CaptureOff)
-	return ids, err
-}
-
-// MatchReaderFrags is MatchReader additionally returning the captured
-// subtrees of matched extraction subscriptions, re-serialized to
-// canonical form (the input is never buffered whole, so zero-copy
-// slicing is impossible on this path). All fragments are freshly
-// allocated. Early exit waits for open captures to finalize before
-// abandoning the reader.
-func (s *Sharded) MatchReaderFrags(r io.Reader, chunkSize int) ([]string, []engine.Fragment, ReadStats, error) {
-	return s.matchReader(r, chunkSize, engine.CaptureSerial)
-}
-
-// matchReader is MatchReader returning this call's accounting directly
-// (concurrent callers make the stored "last call" stats ambiguous; the
-// adaptive engine needs its own call's numbers).
-func (s *Sharded) matchReader(r io.Reader, chunkSize int, mode engine.CaptureMode) ([]string, []engine.Fragment, ReadStats, error) {
+// unvalidated. Fragments are re-serialized to canonical form (the input is
+// never buffered whole, so zero-copy slicing is impossible on this path),
+// and early exit waits for open captures to finalize. The outcome is
+// assembled under the document lock, as in MatchBytes.
+func (s *Sharded) MatchReader(r io.Reader, chunkSize int, mode engine.CaptureMode) (engine.Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, nil, ReadStats{}, errClosed
+		return engine.Outcome{}, errClosed
 	}
 	if s.stok == nil {
 		s.stok = sax.NewStreamTokenizer(s.tab)
@@ -649,17 +575,11 @@ func (s *Sharded) matchReader(r io.Reader, chunkSize int, mode engine.CaptureMod
 	if tokErr == nil && !sawEnd && !ss.EarlyExit {
 		tokErr = fmt.Errorf("streamxpath: document ended prematurely")
 	}
-	ids, err := s.finishDoc(s.curB, tokErr)
+	out, err := s.finishDoc(s.curB, tokErr, nil, mode)
 	s.curB = nil
-	var frags []engine.Fragment
-	if mode != engine.CaptureOff {
-		frags = s.collectFrags(nil)
-	}
-	s.rstats = fromStream(ss)
-	if err == nil {
-		s.rstats.DecidedNegative = s.rstats.EarlyExit && len(ids) < len(s.subs.ids)
-	}
-	return ids, frags, s.rstats, err
+	ss.DecidedNegative = err == nil && ss.EarlyExit && len(out.IDs) < len(s.subs.ids)
+	out.Read = ss
+	return out, err
 }
 
 // allDecided reports whether every shard has published an early
@@ -673,39 +593,31 @@ func (s *Sharded) allDecided() bool {
 	return true
 }
 
-// ReadStats returns the input accounting of the last MatchReader call.
-func (s *Sharded) ReadStats() ReadStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rstats
-}
-
 // merge folds the per-shard verdict sets back into the global insertion
-// order. The sweep is O(subscriptions), the same per-document term the
-// sequential engine's AppendMatchedIDs already pays, plus a binary search
-// per matched id.
+// order, in a slice of the call's own. The sweep is O(subscriptions), the
+// same per-document term the sequential engine's AppendMatchedIDs already
+// pays, plus a binary search per matched id.
 func (s *Sharded) merge() []string {
 	if len(s.matched) != len(s.subs.ids) {
 		s.matched = make([]bool, len(s.subs.ids))
 	} else {
 		clear(s.matched)
 	}
+	n := 0
 	for _, sh := range s.shards {
 		sh.ids = sh.eng.AppendMatchedIDs(sh.ids[:0])
+		n += len(sh.ids)
 		for _, id := range sh.ids {
 			s.matched[s.subs.pos(id)] = true
 		}
 	}
-	if s.ids == nil {
-		s.ids = make([]string, 0, 8)
-	}
-	s.ids = s.ids[:0]
+	ids := make([]string, 0, n)
 	for i, id := range s.subs.ids {
 		if s.matched[i] {
-			s.ids = append(s.ids, id)
+			ids = append(ids, id)
 		}
 	}
-	return s.ids
+	return ids
 }
 
 // Stats aggregates the shard engines' statistics: sizes and work counts
@@ -739,13 +651,12 @@ func (s *Sharded) Stats() engine.Stats {
 	return out
 }
 
-// MemStats aggregates the shards' live-memory accounting for the last
-// document: component peaks and estimated bits sum across shards (each
-// held its state concurrently), depth and the lower bound are maxima,
-// and the optimality ratio is recomputed from the aggregates.
-func (s *Sharded) MemStats() engine.MemStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// memStats aggregates the shards' live-memory accounting for the document
+// just finished: component peaks and estimated bits sum across shards
+// (each held its state concurrently), depth and the lower bound are
+// maxima, and the optimality ratio is recomputed from the aggregates.
+// Caller holds s.mu.
+func (s *Sharded) memStats() engine.MemStats {
 	var out engine.MemStats
 	for _, sh := range s.shards {
 		ms := sh.eng.MemStats()

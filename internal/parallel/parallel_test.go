@@ -1,14 +1,19 @@
 package parallel
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"streamxpath/internal/engine"
 	"streamxpath/internal/query"
 )
+
+// idsOf narrows a match call's outcome to its verdicts.
+func idsOf(out engine.Outcome, err error) ([]string, error) { return out.IDs, err }
 
 func mustAdd(t *testing.T, add func(string, *query.Query) error, id, src string) {
 	t.Helper()
@@ -28,7 +33,7 @@ func TestShardedBasic(t *testing.T) {
 		mustAdd(t, s.Add, "c", `/news/other`)
 		mustAdd(t, s.Add, "d", `//missing`)
 		for round := 0; round < 3; round++ { // reuse across documents
-			ids, err := s.MatchBytes(doc)
+			ids, err := idsOf(s.MatchBytes(doc, engine.CaptureOff))
 			if err != nil {
 				t.Fatalf("shards=%d round=%d: %v", shards, round, err)
 			}
@@ -39,7 +44,7 @@ func TestShardedBasic(t *testing.T) {
 		if !s.Remove("a") || s.Remove("zz") {
 			t.Fatalf("Remove verdicts wrong")
 		}
-		ids, err := s.MatchBytes(doc)
+		ids, err := idsOf(s.MatchBytes(doc, engine.CaptureOff))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +52,7 @@ func TestShardedBasic(t *testing.T) {
 			t.Fatalf("after Remove: got %v, want %v", ids, want)
 		}
 		s.Close()
-		if _, err := s.MatchBytes(doc); err == nil {
+		if _, err := s.MatchBytes(doc, engine.CaptureOff); err == nil {
 			t.Fatal("MatchBytes after Close should fail")
 		}
 	}
@@ -73,7 +78,7 @@ func TestShardedLargeDocument(t *testing.T) {
 		want = append(want, id)
 	}
 	mustAdd(t, s.Add, "never", "//nope")
-	ids, err := s.MatchBytes(doc)
+	ids, err := idsOf(s.MatchBytes(doc, engine.CaptureOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +93,13 @@ func TestShardedAbortRecovers(t *testing.T) {
 	s := NewSharded(3)
 	defer s.Close()
 	mustAdd(t, s.Add, "a", "//item")
-	if _, err := s.MatchBytes([]byte("<news><item></news>")); err == nil {
+	if _, err := s.MatchBytes([]byte("<news><item></news>"), engine.CaptureOff); err == nil {
 		t.Fatal("malformed document should error")
 	}
-	if _, err := s.MatchBytes([]byte("<news><item")); err == nil {
+	if _, err := s.MatchBytes([]byte("<news><item"), engine.CaptureOff); err == nil {
 		t.Fatal("truncated document should error")
 	}
-	ids, err := s.MatchBytes([]byte("<news><item/></news>"))
+	ids, err := idsOf(s.MatchBytes([]byte("<news><item/></news>"), engine.CaptureOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ func TestPoolConcurrentMatch(t *testing.T) {
 			wg.Add(1)
 			go func(i int, doc []byte) {
 				defer wg.Done()
-				ids, err := p.MatchBytes(doc)
+				ids, err := idsOf(p.MatchBytes(doc, engine.CaptureOff))
 				if err != nil {
 					t.Errorf("doc %d: %v", i, err)
 					return
@@ -167,7 +172,7 @@ func TestShardedTextHeavyDocument(t *testing.T) {
 	doc := []byte("<feed><item><body>" + filler + "</body></item>" +
 		"<item><body>" + huge + "</body></item></feed>")
 	for round := 0; round < 2; round++ { // round 2 runs on recycled batches
-		ids, err := s.MatchBytes(doc)
+		ids, err := idsOf(s.MatchBytes(doc, engine.CaptureOff))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +192,7 @@ func TestShardedLinearOnlySkipsText(t *testing.T) {
 	mustAdd(t, s.Add, "lin", "//feed/item/body")
 	mustAdd(t, s.Add, "exist", "//item[body]") // existence predicate: no text needed
 	doc := []byte(`<feed><item><body>needle text here</body></item></feed>`)
-	ids, err := s.MatchBytes(doc)
+	ids, err := idsOf(s.MatchBytes(doc, engine.CaptureOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +201,63 @@ func TestShardedLinearOnlySkipsText(t *testing.T) {
 	}
 	// A value-restricted predicate flips NeedsText; text must now ship.
 	mustAdd(t, s.Add, "val", `//item[contains(body, "needle")]`)
-	ids, err = s.MatchBytes(doc)
+	ids, err = idsOf(s.MatchBytes(doc, engine.CaptureOff))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"lin", "exist", "val"}; !reflect.DeepEqual(ids, want) {
 		t.Fatalf("after value predicate: got %v, want %v", ids, want)
+	}
+}
+
+// TestAutoRouting pins the adaptive policy against the route each call
+// reports: a thin subscription set always runs on a pool replica, a dense
+// one fans a large document out and keeps a small one on a replica — by
+// both entry points, with the reader's own byte counts either way.
+func TestAutoRouting(t *testing.T) {
+	small := []byte(`<catalog><item><priority>5</priority><f1/></item></catalog>`)
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for j := 0; b.Len() < 4*autoSizeThreshold; j++ {
+		fmt.Fprintf(&b, "<item><priority>%d</priority><f1/></item>", j%8)
+	}
+	b.WriteString("</catalog>")
+	large := []byte(b.String())
+
+	thin, dense := NewAuto(3), NewAuto(3)
+	defer thin.Close()
+	defer dense.Close()
+	mustAdd(t, thin.Add, "f1", "//catalog/item/f1")
+	mustAdd(t, thin.Add, "x", "//x")
+	for i := 0; i < autoMinSubs; i++ {
+		mustAdd(t, dense.Add, fmt.Sprintf("d%d", i), fmt.Sprintf("//catalog/item/f%d", i%5))
+	}
+	for _, c := range []struct {
+		name    string
+		a       *Auto
+		doc     []byte
+		sharded bool
+		matched int
+	}{
+		{"thin set, small document", thin, small, false, 1},
+		{"thin set, large document", thin, large, false, 1},
+		{"dense set, small document", dense, small, false, (autoMinSubs + 3) / 5},
+		{"dense set, large document", dense, large, true, (autoMinSubs + 3) / 5},
+	} {
+		out, err := c.a.MatchBytes(c.doc, engine.CaptureOff)
+		if err != nil || out.Sharded != c.sharded || len(out.IDs) != c.matched {
+			t.Errorf("%s: MatchBytes sharded=%v matched %d, err %v; want sharded=%v matched %d",
+				c.name, out.Sharded, len(out.IDs), err, c.sharded, c.matched)
+		}
+		// "//x" and the f0, f2… subscriptions stay undecided to the last
+		// byte, so the reader is read whole on every route.
+		out, err = c.a.MatchReader(bytes.NewReader(c.doc), 4096, engine.CaptureOff)
+		if err != nil || out.Sharded != c.sharded || len(out.IDs) != c.matched {
+			t.Errorf("%s: MatchReader sharded=%v matched %d, err %v; want sharded=%v matched %d",
+				c.name, out.Sharded, len(out.IDs), err, c.sharded, c.matched)
+		}
+		if n := int64(len(c.doc)); out.Read.BytesRead != n || out.Read.BytesConsumed != n || out.Read.EarlyExit {
+			t.Errorf("%s: MatchReader read %+v of %d bytes", c.name, out.Read, n)
+		}
 	}
 }

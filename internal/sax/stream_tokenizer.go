@@ -167,6 +167,10 @@ type StreamStats struct {
 	// decided returned true. The unread remainder (and any unread suffix
 	// of the last chunk) was not validated.
 	EarlyExit bool
+	// DecidedNegative refines EarlyExit: at least one verdict was decided
+	// negatively. Drive cannot know — it is left false for the consumer,
+	// which holds the verdicts, to set.
+	DecidedNegative bool
 }
 
 // Drive runs one document from r through the tokenizer: read a chunk

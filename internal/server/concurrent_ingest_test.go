@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -213,5 +214,85 @@ func TestConcurrentIngestAbstainAttribution(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestResultIsThisCallsOwn is the server leg of the library test of the
+// same name: under concurrent Tenant.MatchBuffered every response's memory
+// accounting is its own request's — documents of different depth are told
+// apart by res.Mem.MaxDepth — and xpfilterd_events_total, which sums
+// res.Mem.Events, comes to exactly what a sequential FilterSet counts for
+// the same documents.
+func TestResultIsThisCallsOwn(t *testing.T) {
+	metrics := NewMetrics()
+	reg := NewRegistry(TenantConfig{}, metrics, nil)
+	defer reg.Close()
+	tn, err := reg.GetOrCreate("own")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := streamxpath.NewFilterSet()
+	// "never" keeps a document undecided to its last byte, so every event
+	// of it is dispatched and counted.
+	for id, q := range map[string]string{"pad": "//pad", "never": "//never"} {
+		if _, err := tn.PutSubscription(id, q, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := seq.Add(id, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goroutines, iters := 4, 100
+	if testing.Short() {
+		iters = 25
+	}
+	docs := make([][]byte, goroutines)
+	want := make([]streamxpath.MemStats, goroutines)
+	total := 0
+	for g := range docs {
+		depth := 5 + 7*g
+		docs[g] = []byte("<news><pad>" + strings.Repeat("x", 64*(g+1)) + "</pad>" +
+			strings.Repeat("<d>", depth) + strings.Repeat("</d>", depth) + "</news>")
+		res, err := seq.MatchBytesResult(docs[g])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[g] = res.MemStats; want[g].MaxDepth != depth+1 {
+			t.Fatalf("document %d: sequential MaxDepth = %d, want %d", g, want[g].MaxDepth, depth+1)
+		}
+		total += iters * want[g].Events
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				res, err := tn.MatchBuffered(docs[g])
+				if err != nil {
+					t.Errorf("g%d i%d: %v", g, i, err)
+					return
+				}
+				if res.Mem.MaxDepth != want[g].MaxDepth || res.Mem.Events != want[g].Events {
+					t.Errorf("g%d i%d: another request's accounting: depth %d events %d, own document has depth %d events %d",
+						g, i, res.Mem.MaxDepth, res.Mem.Events, want[g].MaxDepth, want[g].Events)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	var exposition bytes.Buffer
+	metrics.WritePrometheus(&exposition, reg)
+	_, rest, ok := strings.Cut(exposition.String(), `xpfilterd_events_total{tenant="own"} `)
+	if !ok {
+		t.Fatal("/metrics has no xpfilterd_events_total for the tenant")
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	if got, err := strconv.Atoi(line); err != nil || got != total {
+		t.Fatalf("xpfilterd_events_total = %q (%v), want %d: the sum of the documents' own event counts", line, err, total)
 	}
 }

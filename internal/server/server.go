@@ -103,8 +103,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 // as application/xml (identified by X-Xpfilterd-* headers) instead of
 // the JSON match event. Ingest within a tenant is concurrent: each
 // response reports its own call's verdicts, fragments, abstain flag,
-// and reader/memory stats (per-call MatchResult, not last-call
-// engine accessors).
+// and reader/memory stats (the call's MatchResult).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /v1/tenants/{tenant}", s.handlePutTenant)

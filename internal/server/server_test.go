@@ -213,13 +213,13 @@ func TestMatchEquivalence(t *testing.T) {
 			t.Errorf("doc %d buffered: stats %+v, want full-doc byte counts %d", i, got.Stats, len(doc))
 		}
 
-		wantStream, err := direct.MatchReader(bytes.NewReader(doc))
+		wantStream, err := direct.MatchReaderResult(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatalf("doc %d: direct MatchReader: %v", i, err)
 		}
-		wantRS := direct.ReaderStats()
-		if !reflect.DeepEqual(norm(append([]string(nil), wantStream...)), want) {
-			t.Fatalf("doc %d: library reader/bytes disagree: %v vs %v", i, wantStream, want)
+		wantRS := wantStream.ReaderStats
+		if !reflect.DeepEqual(norm(append([]string(nil), wantStream.MatchedIDs...)), want) {
+			t.Fatalf("doc %d: library reader/bytes disagree: %v vs %v", i, wantStream.MatchedIDs, want)
 		}
 		got, r = postMatch(t, ts.URL, "equiv", doc, true)
 		if r.status != http.StatusOK {
@@ -280,13 +280,14 @@ func TestMatchAbstainEquivalence(t *testing.T) {
 	deep := []byte("<news><item><title>t</title><keyword>go</keyword>" +
 		strings.Repeat("<d>", 500) + strings.Repeat("</d>", 500) + "</item></news>")
 
-	want, err := direct.MatchBytes(deep)
+	directRes, err := direct.MatchBytesResult(deep)
 	if err != nil {
 		t.Fatalf("direct MatchBytes under abstain: %v", err)
 	}
-	if !direct.Abstained() {
+	if !directRes.Abstained {
 		t.Fatal("direct set did not abstain; the document no longer breaches MaxDepth")
 	}
+	want := directRes.MatchedIDs
 	for _, stream := range []bool{false, true} {
 		got, r := postMatch(t, ts.URL, "abst", deep, stream)
 		if r.status != http.StatusOK {

@@ -20,9 +20,10 @@ const (
 	// LimitAbstain degrades gracefully: the Match call returns the
 	// verdicts that were already decided when the budget was hit — they
 	// are definitive, because matching is monotone — with a nil error,
-	// and abstains on the rest. Abstained() (and ReaderStats.Abstained
-	// for reader calls) report the degradation, so "matched" and "ran out
-	// of budget while unmatched" remain distinguishable.
+	// and abstains on the rest. MatchResult.Abstained (and
+	// ReaderStats.Abstained for reader calls) report the degradation, so
+	// "matched" and "ran out of budget while unmatched" remain
+	// distinguishable.
 	LimitAbstain
 )
 
@@ -111,7 +112,7 @@ type LimitError = limits.Error
 // subscription list before the next document. Detect with errors.As.
 type PanicError = parallel.PanicError
 
-// MemStats is the live-memory accounting of the last document, with the
+// MemStats is the live-memory accounting of one document, with the
 // paper's cost model and lower bound applied: component peaks of the
 // matching state, the bits they correspond to under the Theorem 8.8 cost
 // model (EstimatedBits), the paper's floor for the same document shape

@@ -87,7 +87,7 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 				t.Fatalf("abstained ids = %v, want none decided", ids)
 			}
 			if !abst {
-				t.Fatal("Abstained() = false after budget breach")
+				t.Fatal("Abstained = false after budget breach")
 			}
 		}
 
@@ -97,17 +97,17 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetLimits(lim)
-			ids, err := s.MatchBytes(doc)
-			checkSetErr(t, ids, err, s.Abstained())
-			checkStats(t, s.MemStats(), 1)
-			ids, err = s.MatchReader(bytes.NewReader(doc))
-			checkSetErr(t, ids, err, s.Abstained())
-			if pol == LimitAbstain && !s.ReaderStats().Abstained {
-				t.Fatal("ReaderStats().Abstained = false after breach")
+			res, err := s.MatchBytesResult(doc)
+			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+			checkStats(t, res.MemStats, 1)
+			res, err = s.MatchReaderResult(bytes.NewReader(doc))
+			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+			if pol == LimitAbstain && !res.ReaderStats.Abstained {
+				t.Fatal("ReaderStats.Abstained = false after breach")
 			}
-			ids, err = s.MatchString(okDoc)
-			if err != nil || len(ids) != 1 || s.Abstained() {
-				t.Fatalf("reuse: ids=%v err=%v abstained=%v", ids, err, s.Abstained())
+			res, err = s.MatchStringResult(okDoc)
+			if err != nil || len(res.MatchedIDs) != 1 || res.Abstained {
+				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
 		})
 		t.Run("Filter/"+name, func(t *testing.T) {
@@ -116,21 +116,21 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.SetLimits(lim)
-			ok, err := f.MatchBytes(doc)
+			res, err := f.MatchBytesResult(doc)
 			if pol == LimitFail {
 				wantLimitError(t, err, "")
-			} else if err != nil || ok || !f.Abstained() {
-				t.Fatalf("abstain: ok=%v err=%v abstained=%v", ok, err, f.Abstained())
+			} else if err != nil || len(res.MatchedIDs) != 0 || !res.Abstained {
+				t.Fatalf("abstain: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
-			ok, err = f.MatchReader(bytes.NewReader(doc))
+			res, err = f.MatchReaderResult(bytes.NewReader(doc))
 			if pol == LimitFail {
 				wantLimitError(t, err, "")
-			} else if err != nil || ok || !f.Abstained() {
-				t.Fatalf("abstain reader: ok=%v err=%v abstained=%v", ok, err, f.Abstained())
+			} else if err != nil || len(res.MatchedIDs) != 0 || !res.Abstained || !res.ReaderStats.Abstained {
+				t.Fatalf("abstain reader: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
-			ok, err = f.MatchString(okDoc)
-			if err != nil || !ok || f.Abstained() {
-				t.Fatalf("reuse: ok=%v err=%v abstained=%v", ok, err, f.Abstained())
+			res, err = f.MatchStringResult(okDoc)
+			if err != nil || len(res.MatchedIDs) != 1 || res.Abstained {
+				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
 		})
 		t.Run("ParallelFilterSet/"+name, func(t *testing.T) {
@@ -140,14 +140,14 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetLimits(lim)
-			ids, err := s.MatchBytes(doc)
-			checkSetErr(t, ids, err, s.Abstained())
-			checkStats(t, s.MemStats(), s.Shards())
-			ids, err = s.MatchReader(bytes.NewReader(doc))
-			checkSetErr(t, ids, err, s.Abstained())
-			ids, err = s.MatchString(okDoc)
-			if err != nil || len(ids) != 1 || s.Abstained() {
-				t.Fatalf("reuse: ids=%v err=%v abstained=%v", ids, err, s.Abstained())
+			res, err := s.MatchBytesResult(doc)
+			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+			checkStats(t, res.MemStats, s.Shards())
+			res, err = s.MatchReaderResult(bytes.NewReader(doc))
+			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+			res, err = s.MatchStringResult(okDoc)
+			if err != nil || len(res.MatchedIDs) != 1 || res.Abstained {
+				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
 		})
 		t.Run("FilterPool/"+name, func(t *testing.T) {
@@ -156,14 +156,14 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.SetLimits(lim)
-			ids, err := p.MatchBytes(doc)
-			checkSetErr(t, ids, err, p.Abstained())
-			checkStats(t, p.MemStats(), 1)
-			ids, err = p.MatchReader(bytes.NewReader(doc))
-			checkSetErr(t, ids, err, p.Abstained())
-			ids, err = p.MatchString(okDoc)
-			if err != nil || len(ids) != 1 || p.Abstained() {
-				t.Fatalf("reuse: ids=%v err=%v abstained=%v", ids, err, p.Abstained())
+			res, err := p.MatchBytesResult(doc)
+			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+			checkStats(t, res.MemStats, 1)
+			res, err = p.MatchReaderResult(bytes.NewReader(doc))
+			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+			res, err = p.MatchStringResult(okDoc)
+			if err != nil || len(res.MatchedIDs) != 1 || res.Abstained {
+				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
 		})
 		t.Run("AdaptiveFilterSet/"+name, func(t *testing.T) {
@@ -173,14 +173,14 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetLimits(lim)
-			ids, err := s.MatchBytes(doc)
-			checkSetErr(t, ids, err, s.Abstained())
-			checkStats(t, s.MemStats(), s.Shards())
-			ids, err = s.MatchReader(bytes.NewReader(doc))
-			checkSetErr(t, ids, err, s.Abstained())
-			ids, err = s.MatchString(okDoc)
-			if err != nil || len(ids) != 1 || s.Abstained() {
-				t.Fatalf("reuse: ids=%v err=%v abstained=%v", ids, err, s.Abstained())
+			res, err := s.MatchBytesResult(doc)
+			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+			checkStats(t, res.MemStats, s.Shards())
+			res, err = s.MatchReaderResult(bytes.NewReader(doc))
+			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+			res, err = s.MatchStringResult(okDoc)
+			if err != nil || len(res.MatchedIDs) != 1 || res.Abstained {
+				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
 		})
 	}
@@ -391,13 +391,12 @@ func TestLimitsVerdictsIdenticalUnderGenerousBudgets(t *testing.T) {
 		}
 	}
 
-	type matcher struct {
+	type arm struct {
 		name  string
-		match func([]byte) ([]string, error)
-		stats func() MemStats
+		match func([]byte) (MatchResult, error)
 		close func()
 	}
-	var ms []matcher
+	var ms []arm
 	{
 		s := NewFilterSet()
 		for _, q := range queries {
@@ -406,7 +405,7 @@ func TestLimitsVerdictsIdenticalUnderGenerousBudgets(t *testing.T) {
 			}
 		}
 		s.SetLimits(generous)
-		ms = append(ms, matcher{"FilterSet", s.MatchBytes, s.MemStats, nil})
+		ms = append(ms, arm{"FilterSet", s.MatchBytesResult, nil})
 	}
 	{
 		s := NewParallelFilterSet(2)
@@ -416,7 +415,7 @@ func TestLimitsVerdictsIdenticalUnderGenerousBudgets(t *testing.T) {
 			}
 		}
 		s.SetLimits(generous)
-		ms = append(ms, matcher{"ParallelFilterSet", s.MatchBytes, s.MemStats, s.Close})
+		ms = append(ms, arm{"ParallelFilterSet", s.MatchBytesResult, s.Close})
 	}
 	{
 		p := NewFilterPool(2)
@@ -426,7 +425,7 @@ func TestLimitsVerdictsIdenticalUnderGenerousBudgets(t *testing.T) {
 			}
 		}
 		p.SetLimits(generous)
-		ms = append(ms, matcher{"FilterPool", p.MatchBytes, p.MemStats, nil})
+		ms = append(ms, arm{"FilterPool", p.MatchBytesResult, nil})
 	}
 	{
 		s := NewAdaptiveFilterSet(2)
@@ -436,7 +435,7 @@ func TestLimitsVerdictsIdenticalUnderGenerousBudgets(t *testing.T) {
 			}
 		}
 		s.SetLimits(generous)
-		ms = append(ms, matcher{"AdaptiveFilterSet", s.MatchBytes, s.MemStats, s.Close})
+		ms = append(ms, arm{"AdaptiveFilterSet", s.MatchBytesResult, s.Close})
 	}
 	defer func() {
 		for _, m := range ms {
@@ -453,14 +452,14 @@ func TestLimitsVerdictsIdenticalUnderGenerousBudgets(t *testing.T) {
 		}
 		want = append([]string(nil), want...)
 		for _, m := range ms {
-			got, err := m.match(doc)
+			res, err := m.match(doc)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", m.name, docName, err)
 			}
-			if !reflect.DeepEqual(append([]string(nil), got...), want) {
+			if got := res.MatchedIDs; !reflect.DeepEqual(append([]string(nil), got...), want) {
 				t.Fatalf("%s on %s: ids = %v, want %v", m.name, docName, got, want)
 			}
-			if st := m.stats(); st.Events == 0 {
+			if res.MemStats.Events == 0 {
 				t.Errorf("%s on %s: MemStats.Events = 0, accounting not live", m.name, docName)
 			}
 		}
@@ -514,15 +513,15 @@ func TestLimitsAbstainKeepsDecidedVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetLimits(Limits{MaxDepth: 100, Policy: LimitAbstain})
-	ids, err := s.MatchBytes(doc)
+	res, err := s.MatchBytesResult(doc)
 	if err != nil {
 		t.Fatalf("abstain policy returned error: %v", err)
 	}
-	if !s.Abstained() {
-		t.Fatal("Abstained() = false")
+	if !res.Abstained {
+		t.Fatal("Abstained = false")
 	}
-	if !reflect.DeepEqual(ids, []string{"early"}) {
-		t.Fatalf("abstained ids = %v, want [early]", ids)
+	if !reflect.DeepEqual(res.MatchedIDs, []string{"early"}) {
+		t.Fatalf("abstained ids = %v, want [early]", res.MatchedIDs)
 	}
 }
 
@@ -535,10 +534,11 @@ func TestLimitsMemStatsOptimality(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := []byte("<catalog>" + strings.Repeat("<item><name>n</name></item>", 100) + "</catalog>")
-	if _, err := s.MatchBytes(doc); err != nil {
+	res, err := s.MatchBytesResult(doc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ms := s.MemStats()
+	ms := res.MemStats
 	if ms.Events == 0 || ms.MaxDepth == 0 {
 		t.Fatalf("MemStats not populated: %+v", ms)
 	}

@@ -12,8 +12,8 @@ import "streamxpath/internal/engine"
 // returns element subtrees as zero-copy subslices of the caller's
 // document buffer wherever the match came from a contiguous region —
 // the fragment is valid exactly as long as that buffer is. Everything
-// else (reader-path captures, attribute values, string-staged
-// documents) is freshly allocated and owned by the caller outright.
+// else (reader-path captures, attribute values, fragments of a
+// MatchStringResult call) is owned by the caller outright.
 type Fragment struct {
 	// ID is the subscription id the fragment was extracted for.
 	ID string
@@ -21,12 +21,12 @@ type Fragment struct {
 	Data []byte
 }
 
-// MatchResult is the unified outcome of one Match*Result call: the
-// matched subscription ids, the extracted fragments of
-// extraction-enabled subscriptions (AddExtract), and the call's own
-// accounting — replacing the racy last-call accessors (Abstained,
-// ReaderStats, MemStats), which read state a concurrent call may have
-// since overwritten.
+// MatchResult is the whole outcome of one Match*Result call: the matched
+// subscription ids, the extracted fragments of extraction-enabled
+// subscriptions (AddExtract), and the call's own accounting — nothing in
+// it is another call's, however many run concurrently. Beside a non-nil
+// error it holds no verdicts, only the accounting of the document that
+// failed (how deep it got, how much of it was read).
 type MatchResult struct {
 	// MatchedIDs holds the matched subscription ids in insertion order
 	// (for a single-query Filter: the query source when it matched).
@@ -70,17 +70,15 @@ func (r *MatchResult) Fragment(id string) []byte {
 
 // toFragments converts engine fragments to the public form. Volatile
 // data — aliasing engine scratch the next document overwrites — is
-// always copied; copyAll additionally copies zero-copy document
-// subslices, for callers whose document buffer is itself reused (the
-// MatchString staging buffer).
-func toFragments(fr []engine.Fragment, copyAll bool) []Fragment {
+// copied; zero-copy document subslices stay as they are.
+func toFragments(fr []engine.Fragment) []Fragment {
 	if len(fr) == 0 {
 		return nil
 	}
 	out := make([]Fragment, len(fr))
 	for i, f := range fr {
 		d := f.Data
-		if f.Volatile || copyAll {
+		if f.Volatile {
 			d = append(make([]byte, 0, len(d)), d...)
 		}
 		out[i] = Fragment{ID: f.ID, Data: d}

@@ -85,21 +85,21 @@ func TestNegativeEarlyExitReaderEntryPoints(t *testing.T) {
 	}
 
 	t.Run("FilterSet", func(t *testing.T) {
-		ids, err := seq.MatchReader(bytes.NewReader(doc))
+		res, err := seq.MatchReaderResult(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertNegativeExit(t, "FilterSet", seq.ReaderStats(), len(doc), ids)
+		assertNegativeExit(t, "FilterSet", res.ReaderStats, len(doc), res.MatchedIDs)
 	})
 
 	t.Run("FilterSetSmallChunks", func(t *testing.T) {
 		seq.SetChunkSize(4096)
 		defer seq.SetChunkSize(0)
-		ids, err := seq.MatchReader(bytes.NewReader(doc))
+		res, err := seq.MatchReaderResult(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertNegativeExit(t, "FilterSet/4KiB", seq.ReaderStats(), len(doc), ids)
+		assertNegativeExit(t, "FilterSet/4KiB", res.ReaderStats, len(doc), res.MatchedIDs)
 	})
 
 	// The fanned-out entry points poll shard decisions asynchronously, so
@@ -116,11 +116,11 @@ func TestNegativeEarlyExitReaderEntryPoints(t *testing.T) {
 			}
 		}
 		ps.SetChunkSize(4096)
-		ids, err := ps.MatchReader(bytes.NewReader(big))
+		res, err := ps.MatchReaderResult(bytes.NewReader(big))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertNegativeExit(t, "ParallelFilterSet", ps.ReaderStats(), len(big), ids)
+		assertNegativeExit(t, "ParallelFilterSet", res.ReaderStats, len(big), res.MatchedIDs)
 	})
 
 	t.Run("AdaptiveFilterSet", func(t *testing.T) {
@@ -132,11 +132,11 @@ func TestNegativeEarlyExitReaderEntryPoints(t *testing.T) {
 			}
 		}
 		as.SetChunkSize(4096)
-		ids, err := as.MatchReader(bytes.NewReader(big))
+		res, err := as.MatchReaderResult(bytes.NewReader(big))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertNegativeExit(t, "AdaptiveFilterSet", as.ReaderStats(), len(big), ids)
+		assertNegativeExit(t, "AdaptiveFilterSet", res.ReaderStats, len(big), res.MatchedIDs)
 	})
 
 	t.Run("FilterPool", func(t *testing.T) {
@@ -147,11 +147,11 @@ func TestNegativeEarlyExitReaderEntryPoints(t *testing.T) {
 			}
 		}
 		fp.SetChunkSize(4096)
-		ids, err := fp.MatchReader(bytes.NewReader(doc))
+		res, err := fp.MatchReaderResult(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertNegativeExit(t, "FilterPool", fp.ReaderStats(), len(doc), ids)
+		assertNegativeExit(t, "FilterPool", res.ReaderStats, len(doc), res.MatchedIDs)
 	})
 
 	t.Run("Filter", func(t *testing.T) {
@@ -159,14 +159,14 @@ func TestNegativeEarlyExitReaderEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, err := f.MatchReader(bytes.NewReader(doc))
+		res, err := f.MatchReaderResult(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
+		if len(res.MatchedIDs) != 0 {
 			t.Fatal("Filter matched the disjoint document")
 		}
-		rs := f.ReaderStats()
+		rs := res.ReaderStats
 		if !rs.EarlyExit || !rs.DecidedNegative {
 			t.Fatalf("Filter: want negative early exit, got %+v", rs)
 		}
@@ -193,11 +193,11 @@ func TestNegativeEarlyExitCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ids, err := s.MatchReader(bytes.NewReader(doc))
+		res, err := s.MatchReaderResult(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ids, s.ReaderStats()
+		return res.MatchedIDs, res.ReaderStats
 	}
 
 	t.Run("DisjointRootLinear", func(t *testing.T) {
@@ -219,14 +219,14 @@ func TestNegativeEarlyExitCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ids, err := s.MatchReader(bytes.NewReader(doc))
+		res, err := s.MatchReaderResult(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Join(ids, ",") != "live" {
+		if ids := res.MatchedIDs; strings.Join(ids, ",") != "live" {
 			t.Fatalf("ids = %v, want [live]", ids)
 		}
-		rs := s.ReaderStats()
+		rs := res.ReaderStats
 		if !rs.EarlyExit || !rs.DecidedNegative {
 			t.Fatalf("mixed exit: %+v", rs)
 		}
@@ -325,13 +325,13 @@ func TestNegativeEarlyExitEquivalenceRandomized(t *testing.T) {
 		wantIDs := strings.Join(want, ",")
 
 		s.SetChunkSize(1 + rng.Intn(64))
-		got, err := s.MatchReader(strings.NewReader(doc))
+		res, err := s.MatchReaderResult(strings.NewReader(doc))
 		if err != nil {
 			t.Fatalf("trial %d: %v\ndoc: %s", trial, err, doc)
 		}
-		if strings.Join(got, ",") != wantIDs {
+		if got := res.MatchedIDs; strings.Join(got, ",") != wantIDs {
 			t.Fatalf("trial %d: FilterSet.MatchReader=%v want %v (stats %+v)\ndoc: %s",
-				trial, got, want, s.ReaderStats(), doc)
+				trial, got, want, res.ReaderStats, doc)
 		}
 
 		par.SetChunkSize(1 + rng.Intn(64))
@@ -359,14 +359,14 @@ func TestNegativeEarlyExitEquivalenceRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.SetChunkSize(1 + rng.Intn(32))
-			ok, err := f.MatchReader(strings.NewReader(doc))
+			res, err := f.MatchReaderResult(strings.NewReader(doc))
 			if err != nil {
 				t.Fatal(err)
 			}
 			inSet := strings.Contains(","+wantIDs+",", ","+id+",")
-			if ok != inSet {
+			if ok := len(res.MatchedIDs) > 0; ok != inSet {
 				t.Fatalf("trial %d: %s (%s): Filter.MatchReader=%v set=%v (stats %+v)\ndoc: %s",
-					trial, id, q, ok, inSet, f.ReaderStats(), doc)
+					trial, id, q, ok, inSet, res.ReaderStats, doc)
 			}
 		}
 	}

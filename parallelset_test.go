@@ -177,8 +177,6 @@ func TestParallelFilterSetConcurrentMatch(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for _, doc := range docs {
-					// Results must be copied out: the engine's buffer is
-					// shared across the serialized Match calls.
 					if _, err := par.MatchBytes(doc); err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
 						return

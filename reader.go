@@ -12,10 +12,10 @@ import (
 // chunk size has been set.
 const DefaultChunkSize = sax.DefaultChunkSize
 
-// ReaderStats describes the last MatchReader/EvaluateReader call of the
-// object that returned it: how much input was pulled from the reader,
-// how much of it the tokenizer consumed, and whether the call stopped
-// early because the verdict was already decided.
+// ReaderStats describes one MatchReader/EvaluateReader call: how much
+// input was pulled from the reader, how much of it the tokenizer consumed,
+// and whether the call stopped early because the verdict was already
+// decided.
 type ReaderStats struct {
 	// BytesRead is the number of bytes read from the io.Reader.
 	BytesRead int64
@@ -40,18 +40,25 @@ type ReaderStats struct {
 	Abstained bool
 }
 
+// readerStats is the public form of a drive's input accounting; the
+// abstain flag is the caller's to add.
+func readerStats(ss sax.StreamStats) ReaderStats {
+	return ReaderStats{
+		BytesRead:       ss.BytesRead,
+		BytesConsumed:   ss.BytesConsumed,
+		Chunks:          ss.Chunks,
+		EarlyExit:       ss.EarlyExit,
+		DecidedNegative: ss.DecidedNegative,
+	}
+}
+
 // streamDoc drives one document from r through the chunked tokenizer
-// (see sax.StreamTokenizer.Drive), recording the input accounting into
-// st. The caller resets tok and the consumer first, and fills
-// st.DecidedNegative afterwards (only the consumer knows the verdicts).
-func streamDoc(r io.Reader, tok *sax.StreamTokenizer, chunkSize int, st *ReaderStats, process func(sax.ByteEvent) error, decided func() bool) (bool, error) {
+// (see sax.StreamTokenizer.Drive) for the two single-query drivers, Filter
+// and StreamEvaluator, returning the input accounting. The caller resets
+// tok and the consumer first, and fills DecidedNegative afterwards (only
+// the consumer knows the verdict).
+func streamDoc(r io.Reader, tok *sax.StreamTokenizer, chunkSize int, process func(sax.ByteEvent) error, decided func() bool) (ReaderStats, bool, error) {
 	var ss sax.StreamStats
 	sawEnd, err := tok.Drive(r, chunkSize, &ss, process, nil, decided)
-	*st = ReaderStats{
-		BytesRead:     ss.BytesRead,
-		BytesConsumed: ss.BytesConsumed,
-		Chunks:        ss.Chunks,
-		EarlyExit:     ss.EarlyExit,
-	}
-	return sawEnd, err
+	return readerStats(ss), sawEnd, err
 }

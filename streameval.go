@@ -63,7 +63,8 @@ func (s *StreamEvaluator) EvaluateReader(r io.Reader) ([]string, error) {
 	} else {
 		s.stok.Reset()
 	}
-	if _, err := streamDoc(r, s.stok, s.chunk, &s.rs, s.procFn, nil); err != nil {
+	var err error
+	if s.rs, _, err = streamDoc(r, s.stok, s.chunk, s.procFn, nil); err != nil {
 		return nil, err
 	}
 	if res := s.e.Results(); res != nil {

@@ -19,12 +19,18 @@
 //     for predicated ones — matched against each document in a single
 //     pass with per-event cost governed by structure sharing rather than
 //     subscription count;
-//   - parallel dissemination across cores: ParallelFilterSet shards the
-//     subscriptions over N engine instances bound to one concurrent
-//     symbol table and fans each document's (once-tokenized) event
-//     stream out to them, returning results identical to FilterSet;
-//     FilterPool runs full engine replicas matching whole documents
-//     concurrently for feed workloads;
+//   - parallel dissemination across cores, behind the same methods as
+//     FilterSet: FilterPool runs full engine replicas matching whole
+//     documents concurrently for feed workloads; ParallelFilterSet shards
+//     the subscriptions over N engine instances bound to one concurrent
+//     symbol table and fans each document's (once-tokenized) event stream
+//     out to them; AdaptiveFilterSet picks between the two per document.
+//     Every Match*Result call, on every matcher, returns one MatchResult
+//     — verdicts, extracted fragments, abstain flag, reader and memory
+//     accounting — that is that call's own, however many run at once;
+//   - per-document resource budgets (Limits) with typed errors or sound
+//     graceful degradation (LimitAbstain), and live-memory accounting
+//     (MemStats) against the paper's FS(Q)·⌈log₂ d⌉ lower bound;
 //   - query analysis: frontier size (the paper's lower-bound quantity),
 //     membership in Redundancy-free XPath and the other fragments the
 //     paper's theorems quantify over;
@@ -111,21 +117,17 @@ type Filter struct {
 	tok *sax.TokenizerBytes
 
 	// Chunked-reader state: the resumable tokenizer of MatchReader, its
-	// chunk size (0 = DefaultChunkSize), the stats of the last call, and
-	// the MatchString staging buffer. procFn/decFn are the streamDoc
-	// callbacks, built once so repeat MatchReader calls allocate nothing.
+	// chunk size (0 = DefaultChunkSize), and the MatchString staging
+	// buffer. procFn/decFn are the streamDoc callbacks, built once so
+	// repeat MatchReader calls allocate nothing.
 	stok   *sax.StreamTokenizer
 	chunk  int
-	rs     ReaderStats
 	buf    []byte
 	procFn func(sax.ByteEvent) error
 	decFn  func() bool
 
-	// lim holds the per-document resource budgets and breach policy;
-	// abstained records whether the last Match call degraded under
-	// LimitAbstain.
-	lim       Limits
-	abstained bool
+	// lim holds the per-document resource budgets and breach policy.
+	lim Limits
 }
 
 // NewFilter compiles the streaming filter. It returns an error if the
@@ -143,6 +145,14 @@ func (q *Query) NewFilter() (*Filter, error) {
 	return &Filter{f: f, tab: tab}, nil
 }
 
+// verdict is what one Filter match call decided: the answer, whether it is
+// the provisional one a breached budget left under LimitAbstain, and — for
+// a reader call — the input accounting.
+type verdict struct {
+	ok, abstained bool
+	rs            ReaderStats
+}
+
 // MatchReader streams an XML document from r through the chunked
 // interned-symbol byte path: the document is read in fixed-size chunks
 // (SetChunkSize; DefaultChunkSize otherwise), tokenized by a resumable
@@ -150,16 +160,20 @@ func (q *Query) NewFilter() (*Filter, error) {
 // boundaries, and matched event by event — peak memory is bounded by the
 // chunk size plus the open-element depth, never the document size, and
 // the steady-state per-event cost is allocation-free. The moment the
-// verdict is decided the reader stops being consumed; ReaderStats
-// reports the early exit, how many bytes it needed, and whether the
-// decision was negative. A provisional match is final by monotonicity;
-// a negative verdict latches when the dead-state analysis proves no
-// continuation of the document can satisfy one of the query root's
-// obligations (e.g. /news/item against a <catalog> document dies at the
-// first start tag). Note that on early exit the remainder of the
+// verdict is decided the reader stops being consumed; MatchReaderResult's
+// ReaderStats reports the early exit, how many bytes it needed, and
+// whether the decision was negative. A provisional match is final by
+// monotonicity; a negative verdict latches when the dead-state analysis
+// proves no continuation of the document can satisfy one of the query
+// root's obligations (e.g. /news/item against a <catalog> document dies at
+// the first start tag). Note that on early exit the remainder of the
 // document is not validated.
 func (f *Filter) MatchReader(r io.Reader) (bool, error) {
-	f.abstained = false
+	v, err := f.matchReader(r)
+	return v.ok, err
+}
+
+func (f *Filter) matchReader(r io.Reader) (verdict, error) {
 	f.f.Reset()
 	if f.stok == nil {
 		f.stok = sax.NewStreamTokenizer(f.tab)
@@ -169,24 +183,25 @@ func (f *Filter) MatchReader(r io.Reader) (bool, error) {
 	} else {
 		f.stok.Reset()
 	}
-	_, err := streamDoc(r, f.stok, f.chunk, &f.rs, f.procFn, f.decFn)
+	rs, _, err := streamDoc(r, f.stok, f.chunk, f.procFn, f.decFn)
 	if err != nil {
-		ok, err := f.limited(err)
-		f.rs.Abstained = f.abstained
-		return ok, err
+		v, err := f.limited(err)
+		v.rs = rs
+		v.rs.Abstained = v.abstained
+		return v, err
 	}
 	if !f.f.Done() {
-		if f.rs.EarlyExit {
-			// Decided mid-stream: the provisional-scope walk yields the
-			// final verdict — true on a positive decision, false when the
-			// dead-state analysis killed an obligation.
-			matched := f.f.WouldMatchIfClosedNow()
-			f.rs.DecidedNegative = !matched
-			return matched, nil
+		if !rs.EarlyExit {
+			return verdict{}, fmt.Errorf("streamxpath: document ended prematurely")
 		}
-		return false, fmt.Errorf("streamxpath: document ended prematurely")
+		// Decided mid-stream: the provisional-scope walk yields the final
+		// verdict — true on a positive decision, false when the dead-state
+		// analysis killed an obligation.
+		matched := f.f.WouldMatchIfClosedNow()
+		rs.DecidedNegative = !matched
+		return verdict{ok: matched, rs: rs}, nil
 	}
-	return f.f.Matched(), nil
+	return verdict{ok: f.f.Matched(), rs: rs}, nil
 }
 
 // SetChunkSize sets the read granularity of MatchReader (n <= 0 restores
@@ -196,9 +211,11 @@ func (f *Filter) SetChunkSize(n int) { f.chunk = n }
 // SetLimits configures the per-document resource budgets and breach
 // policy (the zero value disables them). Limits persist across
 // documents; a breach under LimitFail surfaces as a *LimitError, under
-// LimitAbstain as a degraded verdict (see Abstained). Either way the
-// filter stays reusable, and no budget check allocates until a breach
-// actually occurs.
+// LimitAbstain as a degraded verdict: the provisional one at the moment of
+// the breach, flagged by MatchResult.Abstained — true is definitive (a
+// provisional match is final by monotonicity), false means "not matched
+// within budget". Either way the filter stays reusable, and no budget
+// check allocates until a breach actually occurs.
 func (f *Filter) SetLimits(l Limits) {
 	f.lim = l
 	f.f.SetLimits(l.internal())
@@ -213,35 +230,16 @@ func (f *Filter) SetLimits(l Limits) {
 // Limits returns the configured budgets.
 func (f *Filter) Limits() Limits { return f.lim }
 
-// Abstained reports whether the last Match call hit a resource budget
-// under LimitAbstain. The verdict returned by that call was the
-// provisional one at the moment of the breach: true is definitive (a
-// provisional match is final by monotonicity); false means "not matched
-// within budget".
-//
-// Deprecated: use the Match*Result methods, whose MatchResult.Abstained
-// is the same call's flag rather than the last call's.
-func (f *Filter) Abstained() bool { return f.abstained }
-
 // limited applies the breach policy to an error carrying a *LimitError:
 // under LimitAbstain the provisional verdict at the moment of the breach
 // comes back with a nil error (a true verdict is already final by
 // monotonicity). Any other error passes through unchanged.
-func (f *Filter) limited(err error) (bool, error) {
+func (f *Filter) limited(err error) (verdict, error) {
 	if f.lim.Policy == LimitAbstain && limitBreach(err) {
-		f.abstained = true
-		return f.f.WouldMatchIfClosedNow(), nil
+		return verdict{ok: f.f.WouldMatchIfClosedNow(), abstained: true}, nil
 	}
-	return false, err
+	return verdict{}, err
 }
-
-// ReaderStats returns the input accounting of the last MatchReader call:
-// bytes read, bytes tokenized, and whether the verdict was decided
-// before end of input.
-//
-// Deprecated: use MatchReaderResult, whose MatchResult.ReaderStats is
-// the same call's accounting rather than the last call's.
-func (f *Filter) ReaderStats() ReaderStats { return f.rs }
 
 // MatchString filters an XML document given as a string: it is staged
 // into a reusable buffer and matched through the MatchBytes fast path,
@@ -260,7 +258,11 @@ func (f *Filter) MatchString(xml string) (bool, error) {
 // tokenizer and symbol table across calls, which is what makes repeat
 // matching allocation-free.
 func (f *Filter) MatchBytes(doc []byte) (bool, error) {
-	f.abstained = false
+	v, err := f.matchBytes(doc)
+	return v.ok, err
+}
+
+func (f *Filter) matchBytes(doc []byte) (verdict, error) {
 	f.f.Reset()
 	if l := f.lim.MaxDocBytes; l > 0 && int64(len(doc)) > l {
 		return f.limited(fmt.Errorf("streamxpath: %w",
@@ -285,20 +287,23 @@ func (f *Filter) MatchBytes(doc []byte) (bool, error) {
 		}
 	}
 	if !f.f.Done() {
-		return false, fmt.Errorf("streamxpath: document ended prematurely")
+		return verdict{}, fmt.Errorf("streamxpath: document ended prematurely")
 	}
-	return f.f.Matched(), nil
+	return verdict{ok: f.f.Matched()}, nil
 }
 
-// result assembles a single-query MatchResult: MatchedIDs carries the
-// query source when it matched (the Filter analogue of a subscription
-// id), and the memory accounting maps the filter's MemoryStats onto the
-// engine-level MemStats shape. A standalone Filter has no extraction
-// registration, so Fragments is always nil — use FilterSet.AddExtract
-// for fragment extraction.
-func (f *Filter) result(ok bool) MatchResult {
-	res := MatchResult{Abstained: f.abstained}
-	if ok {
+// result assembles a single-query MatchResult from a call's verdict:
+// MatchedIDs carries the query source when it matched (the Filter analogue
+// of a subscription id), and the memory accounting maps the filter's
+// MemoryStats onto the engine-level MemStats shape. A standalone Filter
+// has no extraction registration, so Fragments is always nil — use
+// FilterSet.AddExtract for fragment extraction.
+func (f *Filter) result(v verdict, err error) (MatchResult, error) {
+	if err != nil {
+		return MatchResult{}, err
+	}
+	res := MatchResult{Abstained: v.abstained, ReaderStats: v.rs}
+	if v.ok {
 		res.MatchedIDs = []string{f.f.Query().String()}
 	}
 	st := f.Stats()
@@ -311,38 +316,24 @@ func (f *Filter) result(ok bool) MatchResult {
 		LowerBoundBits:    st.LowerBoundBits,
 		OptimalityRatio:   st.OptimalityRatio,
 	}
-	return res
+	return res, nil
 }
 
 // MatchBytesResult is MatchBytes returning the unified MatchResult.
 func (f *Filter) MatchBytesResult(doc []byte) (MatchResult, error) {
-	ok, err := f.MatchBytes(doc)
-	if err != nil {
-		return MatchResult{}, err
-	}
-	return f.result(ok), nil
+	return f.result(f.matchBytes(doc))
 }
 
 // MatchStringResult is MatchString returning the unified MatchResult.
 func (f *Filter) MatchStringResult(xml string) (MatchResult, error) {
-	ok, err := f.MatchString(xml)
-	if err != nil {
-		return MatchResult{}, err
-	}
-	return f.result(ok), nil
+	f.buf = append(f.buf[:0], xml...)
+	return f.result(f.matchBytes(f.buf))
 }
 
 // MatchReaderResult is MatchReader returning the unified MatchResult,
-// with this call's reader accounting in place of the ReaderStats
-// accessor.
+// with the call's reader accounting.
 func (f *Filter) MatchReaderResult(r io.Reader) (MatchResult, error) {
-	ok, err := f.MatchReader(r)
-	if err != nil {
-		return MatchResult{}, err
-	}
-	res := f.result(ok)
-	res.ReaderStats = f.rs
-	return res, nil
+	return f.result(f.matchReader(r))
 }
 
 // MemoryStats reports the filter's peak memory use on the last document,

@@ -98,9 +98,10 @@ func TestMatchBytesEquivalenceRandomized(t *testing.T) {
 						inSet = true
 					}
 				}
-				if inSet != fb {
-					t.Fatalf("trial %d: %s (%s): set=%v standalone=%v\ndoc: %s",
-						trial, id, src, inSet, fb, doc)
+				ref := referenceVerdict(t, src, doc)
+				if inSet != fb || inSet != ref {
+					t.Fatalf("trial %d: %s (%s): set=%v standalone=%v core=%v\ndoc: %s",
+						trial, id, src, inSet, fb, ref, doc)
 				}
 			}
 		}

@@ -520,6 +520,7 @@ func runOne(q *streamxpath.Query, name string, stats, evaluate bool, bench, chun
 			return err
 		}
 		fmt.Printf("%s: %v\n", name, len(res.MatchedIDs) > 0)
+		reportSkim(res.SkimmedBytes, len(doc))
 		reportAbstain(res.Abstained)
 		return benchReport(doc, bench, func() error {
 			_, err := f.MatchBytes(doc)
@@ -540,8 +541,8 @@ func runOne(q *streamxpath.Query, name string, stats, evaluate bool, bench, chun
 	reportAbstain(res.Abstained)
 	if stats {
 		s := f.Stats()
-		fmt.Printf("  events=%d frontier=%d buffer=%dB depth=%d estBits=%d lowerBoundBits=%d optimality=%.2f\n",
-			s.Events, s.PeakFrontierTuples, s.PeakBufferBytes, s.MaxDepth, s.EstimatedBits,
+		fmt.Printf("  events=%d live=%d buffer=%dB depth=%d estBits=%d lowerBoundBits=%d optimality=%.2f\n",
+			s.Events, s.PeakLiveTuples, s.PeakBufferedBytes, s.MaxDepth, s.EstimatedBits,
 			s.LowerBoundBits, s.OptimalityRatio)
 	}
 	return nil

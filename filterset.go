@@ -12,11 +12,12 @@ import "streamxpath/internal/engine"
 // subscription count. A thousand subscriptions sharing a //catalog/item
 // prefix pay for that prefix once.
 //
-// Per subscription the engine preserves the standalone Filter's
-// semantics: answers are identical to running each query through its own
-// core filter, and a subscription whose match has become definitive
-// (conjunctive matching is monotone, so a provisional match is final)
-// stops consuming events.
+// Per subscription the engine preserves the semantics of the paper's
+// Section 8 filter (internal/core, the reference it is tested against):
+// answers are identical to running each query through a filter of its own
+// — which is what a Filter is, this engine holding one subscription — and a
+// subscription whose match has become definitive (conjunctive matching is
+// monotone, so a provisional match is final) stops consuming events.
 //
 // Add and Remove may be called between documents. They patch the shared
 // indexes in place, in time proportional to the query rather than to the

@@ -37,6 +37,13 @@
 //   - Leaves with unrestricted truth sets (TRUTH(u) = S) are marked matched
 //     at startElement without buffering: existence is already established,
 //     and skipping the buffer only shrinks the w term.
+//
+// This package is the repository's reference, not its production path: it
+// consumes string events and has no byte path, resource budgets or early
+// exit. Every public matcher, the single-query Filter included, runs on
+// internal/engine, which shares this package's Program and is tested
+// against this filter; the lower-bound experiments (internal/commcc,
+// cmd/xpexperiments) run over its Snapshot, examples/tracer over its Trace.
 package core
 
 import (
@@ -45,10 +52,8 @@ import (
 	"strings"
 
 	"streamxpath/internal/bytestr"
-	"streamxpath/internal/limits"
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
-	"streamxpath/internal/symtab"
 )
 
 // Tuple is one frontier entry: a query node awaiting (or having found) a
@@ -62,17 +67,8 @@ type Tuple struct {
 	Level int
 	// Matched records whether a real match has been found.
 	Matched bool
-
-	// sym/wild cache Ref's node test in interned form when the filter is
-	// bound to a symbol table (BindSymbols); the byte-event path matches
-	// on them instead of comparing name strings.
-	sym  symtab.Sym
-	wild bool
 	// drop marks the tuple for removal during a closeScope frontier sweep.
 	drop bool
-	// prov is scratch for Decided's allocation-free provisional walk; it
-	// is always false outside that call.
-	prov bool
 }
 
 // scope is an open candidate match of an internal query node: the element
@@ -100,12 +96,6 @@ type pending struct {
 type Filter struct {
 	prog *Program
 
-	// Symbol binding (BindSymbols): tab is the shared intern table and
-	// nodeSym the per-query-node symbols, consulted once per tuple
-	// creation so per-event matching is an integer compare.
-	tab     *symtab.Table
-	nodeSym map[*query.Node]symtab.Sym
-
 	// Streaming state.
 	level    int // level of the innermost open element (doc root = 0)
 	frontier []*Tuple
@@ -125,9 +115,6 @@ type Filter struct {
 	opened       []*Tuple // scratch for startElement
 
 	stats Stats
-	// lim holds the per-document resource budgets (zero value: none).
-	// Budgets configure the filter, not the document: they survive Reset.
-	lim limits.Limits
 	// Trace, if non-nil, is invoked after each processed event (used by
 	// the Fig. 22 example-run reproduction).
 	Trace func(e sax.Event, f *Filter)
@@ -169,68 +156,7 @@ func MustCompile(q *query.Query) *Filter {
 	return f
 }
 
-// Query returns the compiled query.
-func (f *Filter) Query() *query.Query { return f.prog.q }
-
-// Program returns the immutable compile product the filter runs off.
-func (f *Filter) Program() *Program { return f.prog }
-
-// BindSymbols interns the query's node tests into tab and switches the
-// filter's matching to symbol dispatch, enabling ProcessBytes. The table
-// must be the one the feeding tokenizer interns into. Bind before the
-// first event; rebinding mid-document is not supported.
-func (f *Filter) BindSymbols(tab *symtab.Table) {
-	f.tab = tab
-	f.nodeSym = make(map[*query.Node]symtab.Sym, len(f.prog.nodes))
-	for _, u := range f.prog.nodes {
-		if !u.IsRoot() && !u.IsWildcard() {
-			f.nodeSym[u] = tab.Intern(u.NTest)
-		}
-	}
-}
-
-// SetLimits configures the per-document resource budgets (the zero value
-// disables them). Limits persist across Reset; a breach surfaces as a
-// *limits.Error from Process/ProcessBytes and leaves the filter reusable
-// after the next Reset.
-func (f *Filter) SetLimits(l limits.Limits) { f.lim = l }
-
-// Limits returns the configured budgets.
-func (f *Filter) Limits() limits.Limits { return f.lim }
-
-// checkLive enforces MaxLiveTuples against the filter's live matching
-// state: frontier tuples, open candidate scopes (each holding one parked
-// or in-frontier owner), and buffering leaf candidates.
-func (f *Filter) checkLive() error {
-	if f.lim.MaxLiveTuples <= 0 {
-		return nil
-	}
-	live := len(f.frontier) + len(f.scopes) + len(f.pendings)
-	if live > f.lim.MaxLiveTuples {
-		return &limits.Error{Resource: "live-tuples", Limit: int64(f.lim.MaxLiveTuples), Observed: int64(live)}
-	}
-	return nil
-}
-
-// checkDepth enforces MaxDepth before an element opens.
-func (f *Filter) checkDepth() error {
-	if f.lim.MaxDepth > 0 && f.level+1 > f.lim.MaxDepth {
-		return &limits.Error{Resource: "depth", Limit: int64(f.lim.MaxDepth), Observed: int64(f.level + 1)}
-	}
-	return nil
-}
-
-// checkBuffer enforces MaxBufferedBytes before a text append (only when
-// some leaf candidate is actually buffering).
-func (f *Filter) checkBuffer(n int) error {
-	if f.lim.MaxBufferedBytes > 0 && f.refCount > 0 && len(f.buf)+n > f.lim.MaxBufferedBytes {
-		return &limits.Error{Resource: "buffered-bytes", Limit: int64(f.lim.MaxBufferedBytes), Observed: int64(len(f.buf) + n)}
-	}
-	return nil
-}
-
-// newTuple takes a tuple off the free list (or allocates one), caching
-// the node's interned symbol when the filter is bound.
+// newTuple takes a tuple off the free list (or allocates one).
 func (f *Filter) newTuple(v *query.Node, level int) *Tuple {
 	var t *Tuple
 	if k := len(f.freeTuples); k > 0 {
@@ -240,13 +166,6 @@ func (f *Filter) newTuple(v *query.Node, level int) *Tuple {
 		t = &Tuple{}
 	}
 	*t = Tuple{Ref: v, Level: level}
-	if f.tab != nil {
-		if v.IsWildcard() {
-			t.wild = true
-		} else {
-			t.sym = f.nodeSym[v]
-		}
-	}
 	return t
 }
 
@@ -309,60 +228,6 @@ func (f *Filter) Process(e sax.Event) error {
 	return nil
 }
 
-// ProcessBytes consumes one byte-slice event from a sax.TokenizerBytes
-// interning into the table the filter was bound to with BindSymbols.
-// Attribute events arrive already expanded from the tokenizer. Matching
-// dispatches on the event symbol and text stays on byte slices until a
-// truth set needs a (zero-copy) string view, so the steady-state path
-// does not allocate. Trace callbacks are not invoked on this path.
-func (f *Filter) ProcessBytes(e sax.ByteEvent) error {
-	if f.tab == nil {
-		return fmt.Errorf("core: ProcessBytes requires BindSymbols")
-	}
-	f.stats.Events++
-	switch e.Kind {
-	case sax.StartDocument:
-		if f.started {
-			return fmt.Errorf("core: duplicate startDocument")
-		}
-		f.startDocument()
-	case sax.EndDocument:
-		if !f.started || f.finished {
-			return fmt.Errorf("core: unexpected endDocument")
-		}
-		f.endDocument()
-	case sax.StartElement:
-		if !f.started || f.finished {
-			return fmt.Errorf("core: startElement outside document")
-		}
-		if err := f.checkDepth(); err != nil {
-			return err
-		}
-		f.startElementSym(e.Sym, e.Attribute)
-		if err := f.checkLive(); err != nil {
-			return err
-		}
-	case sax.EndElement:
-		if !f.started || f.finished {
-			return fmt.Errorf("core: endElement outside document")
-		}
-		if f.level == 0 {
-			return fmt.Errorf("core: unmatched endElement </%s>", f.tab.Name(e.Sym))
-		}
-		f.endElement()
-	case sax.Text:
-		if !f.started || f.finished {
-			return fmt.Errorf("core: text outside document")
-		}
-		if err := f.checkBuffer(len(e.Data)); err != nil {
-			return err
-		}
-		f.textBytes(e.Data)
-	}
-	f.noteStats()
-	return nil
-}
-
 func (f *Filter) process(e sax.Event) error {
 	f.stats.Events++
 	switch e.Kind {
@@ -380,13 +245,7 @@ func (f *Filter) process(e sax.Event) error {
 		if !f.started || f.finished {
 			return fmt.Errorf("core: startElement outside document")
 		}
-		if err := f.checkDepth(); err != nil {
-			return err
-		}
 		f.startElement(e.Name, e.Attribute)
-		if err := f.checkLive(); err != nil {
-			return err
-		}
 	case sax.EndElement:
 		if !f.started || f.finished {
 			return fmt.Errorf("core: endElement outside document")
@@ -398,9 +257,6 @@ func (f *Filter) process(e sax.Event) error {
 	case sax.Text:
 		if !f.started || f.finished {
 			return fmt.Errorf("core: text outside document")
-		}
-		if err := f.checkBuffer(len(e.Data)); err != nil {
-			return err
 		}
 		f.text(e.Data)
 	}
@@ -441,23 +297,6 @@ func (f *Filter) openScope(t *Tuple, level int) {
 // (internal nodes; child-axis tuples leave the frontier for the duration,
 // as no further candidates can occur among the element's descendants).
 func (f *Filter) startElement(name string, isAttr bool) {
-	f.startElementMatched(isAttr, func(t *Tuple) bool {
-		return t.Ref.IsWildcard() || t.Ref.NTest == name
-	})
-}
-
-// startElementSym is startElement on the symbol path: the node test is an
-// integer compare against the tuple's cached symbol.
-func (f *Filter) startElementSym(sym symtab.Sym, isAttr bool) {
-	f.startElementMatched(isAttr, func(t *Tuple) bool {
-		return t.wild || t.sym == sym
-	})
-}
-
-// startElementMatched runs the Fig. 20 startElement step with the name
-// test abstracted (string or symbol compare; the closures are static so
-// neither allocates).
-func (f *Filter) startElementMatched(isAttr bool, nameOK func(*Tuple) bool) {
 	elemLevel := f.level + 1
 	// Iterate over a snapshot of the frontier: openScope appends child
 	// tuples that must not be considered for this same element.
@@ -465,7 +304,7 @@ func (f *Filter) startElementMatched(isAttr bool, nameOK func(*Tuple) bool) {
 	kept := f.frontier[:0]
 	opened := f.opened[:0]
 	for _, t := range selected {
-		if !nameOK(t) || !f.candidate(t, isAttr, elemLevel) {
+		if (!t.Ref.IsWildcard() && t.Ref.NTest != name) || !f.candidate(t, isAttr, elemLevel) {
 			kept = append(kept, t)
 			continue
 		}
@@ -517,13 +356,6 @@ func (f *Filter) candidate(t *Tuple, isAttr bool, elemLevel int) bool {
 // text appends character data to the buffer if any leaf candidate is
 // consuming it.
 func (f *Filter) text(data string) {
-	if f.refCount > 0 {
-		f.buf = append(f.buf, data...)
-	}
-}
-
-// textBytes is text for the byte-event path.
-func (f *Filter) textBytes(data []byte) {
 	if f.refCount > 0 {
 		f.buf = append(f.buf, data...)
 	}
@@ -642,92 +474,6 @@ func (f *Filter) WouldMatchIfClosedNow() bool {
 	return f.root.Matched || provisional[f.root]
 }
 
-// Decided reports whether the filter's verdict is already final
-// mid-stream, so a reader-driven caller may stop consuming input. After
-// endDocument it is trivially true. Before that, both verdicts can latch
-// early:
-//
-//   - Positive: Decided answers WouldMatchIfClosedNow's question —
-//     resolve the open candidate scopes bottom-up under the
-//     all-children-matched rule — but allocation-free, by marking
-//     provisional tuples in place with a scratch flag that is cleared
-//     before returning. Monotonicity (matched flags latch; scope child
-//     sets are fixed at open) makes a true answer final.
-//
-//   - Negative (the dead-state analysis): the root scope's children are
-//     the query root's unconditional conjunctive obligations, and XML
-//     has exactly one root element. A child- or attribute-axis
-//     obligation expects its candidate at level 1, so once the document
-//     root has opened with no live avenue for it — no open candidate
-//     scope, no buffering leaf candidate, not already (provisionally)
-//     matched — no continuation can ever satisfy it and the false
-//     verdict is final. Descendant-axis obligations accept candidates
-//     at any level and never die mid-stream.
-//
-// The caller may therefore stop streaming on true and read the verdict
-// off WouldMatchIfClosedNow (equivalently: Matched after a hypothetical
-// close), knowing buffered matching of the full document would agree.
-func (f *Filter) Decided() bool {
-	if f.finished {
-		return true
-	}
-	if f.root == nil {
-		return false
-	}
-	for i := len(f.scopes) - 1; i >= 0; i-- { // innermost first
-		sc := &f.scopes[i]
-		all := true
-		for _, c := range sc.Children {
-			if !c.Matched && !c.prov {
-				all = false
-				break
-			}
-		}
-		if all {
-			sc.Tup.prov = true
-		}
-	}
-	decided := f.root.Matched || f.root.prov
-	if !decided && len(f.scopes) > 0 && f.stats.MaxLevel > 0 {
-		// Negative check, while the prov marks from the positive walk are
-		// still in place (a provisionally matched obligation is alive).
-		for _, c := range f.scopes[0].Children {
-			if !c.Matched && !c.prov && !f.canStillMatch(c) {
-				decided = true
-				break
-			}
-		}
-	}
-	for i := range f.scopes {
-		f.scopes[i].Tup.prov = false
-	}
-	f.root.prov = false
-	return decided
-}
-
-// canStillMatch reports whether some continuation of the document could
-// still match a root-scope obligation tuple (level 1). After the
-// document root has opened, the only live avenues for a non-descendant
-// obligation are an already open candidate scope (the root element was
-// its candidate; the conjunction resolves when it closes) or an open
-// buffering leaf candidate awaiting its truth-set evaluation.
-func (f *Filter) canStillMatch(c *Tuple) bool {
-	if c.Ref.Axis == query.AxisDescendant {
-		return true
-	}
-	for i := 1; i < len(f.scopes); i++ {
-		if f.scopes[i].Tup == c {
-			return true
-		}
-	}
-	for _, p := range f.pendings {
-		if p.Tup == c {
-			return true
-		}
-	}
-	return false
-}
-
 // ProcessAll streams a pre-materialized event sequence and returns the
 // match result.
 func (f *Filter) ProcessAll(events []sax.Event) (bool, error) {
@@ -793,13 +539,4 @@ func (f *Filter) FrontierString() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// FrontierTuples returns a copy of the current frontier tuples.
-func (f *Filter) FrontierTuples() []Tuple {
-	out := make([]Tuple, len(f.frontier))
-	for i, t := range f.frontier {
-		out[i] = *t
-	}
-	return out
 }

@@ -31,7 +31,9 @@ type backend interface {
 // matcher is the public surface FilterSet, FilterPool, ParallelFilterSet
 // and AdaptiveFilterSet share, derived once from a backend: subscription
 // management, limits and their breach policy, and the six Match methods,
-// every one of which is a view of the one per-call MatchResult. It keeps
+// every one of which is a view of the one per-call MatchResult. Filter is
+// the same thing over an engine holding one subscription, its id the query
+// source, with the id lists narrowed to "it matched". It keeps
 // nothing about a call after the call returns, so it adds no locking to its
 // backend's: the concurrent matchers' Match methods may be called from any
 // number of goroutines, alongside SetLimits and SetChunkSize.

@@ -363,10 +363,11 @@ func TestNegativeEarlyExitEquivalenceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := referenceVerdict(t, q, doc)
 			inSet := strings.Contains(","+wantIDs+",", ","+id+",")
-			if ok := len(res.MatchedIDs) > 0; ok != inSet {
-				t.Fatalf("trial %d: %s (%s): Filter.MatchReader=%v set=%v (stats %+v)\ndoc: %s",
-					trial, id, q, ok, inSet, res.ReaderStats, doc)
+			if ok := len(res.MatchedIDs) > 0; ok != inSet || ref != inSet {
+				t.Fatalf("trial %d: %s (%s): Filter.MatchReader=%v core=%v set=%v (stats %+v)\ndoc: %s",
+					trial, id, q, ok, ref, inSet, res.ReaderStats, doc)
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package streamxpath
 
-import (
-	"io"
-
-	"streamxpath/internal/sax"
-)
+import "streamxpath/internal/sax"
 
 // DefaultChunkSize is the read granularity of the chunked reader entry
 // points (Filter.MatchReader, FilterSet.MatchReader,
@@ -50,15 +46,4 @@ func readerStats(ss sax.StreamStats) ReaderStats {
 		EarlyExit:       ss.EarlyExit,
 		DecidedNegative: ss.DecidedNegative,
 	}
-}
-
-// streamDoc drives one document from r through the chunked tokenizer
-// (see sax.StreamTokenizer.Drive) for the two single-query drivers, Filter
-// and StreamEvaluator, returning the input accounting. The caller resets
-// tok and the consumer first, and fills DecidedNegative afterwards (only
-// the consumer knows the verdict).
-func streamDoc(r io.Reader, tok *sax.StreamTokenizer, chunkSize int, process func(sax.ByteEvent) error, decided func() bool) (ReaderStats, bool, error) {
-	var ss sax.StreamStats
-	sawEnd, err := tok.Drive(r, chunkSize, &ss, process, nil, decided)
-	return readerStats(ss), sawEnd, err
 }

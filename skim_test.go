@@ -176,10 +176,11 @@ func TestSkimmedTailIsStillValidated(t *testing.T) {
 			{MaxDepth: budget, Policy: streamxpath.LimitAbstain},
 			{MaxLiveTuples: 8, MaxBufferedBytes: 64, MaxTokenBytes: 64}, // never breached here
 		} {
-			for _, sf := range bufferedSurfaces(t, subs, lim) {
-				label := fmt.Sprintf("%s, %s, limits %+v", c.name, sf.name, lim)
-				got, err := sf.match(doc)
-				breach := c.tooDeep && lim.MaxDepth > 0
+			breach := c.tooDeep && lim.MaxDepth > 0
+			// failed holds a call's error to the case: the reference
+			// tokenizer's syntax error, the depth breach, or none. It reports
+			// whether there is no result to look at.
+			failed := func(label string, err error) bool {
 				switch {
 				case syntaxErr != nil:
 					var se, want *sax.SyntaxError
@@ -187,25 +188,23 @@ func TestSkimmedTailIsStillValidated(t *testing.T) {
 					if !errors.As(err, &se) || *se != *want {
 						t.Errorf("%s: error %v, reference tokenizer %v", label, err, syntaxErr)
 					}
-					continue
 				case breach && lim.Policy == streamxpath.LimitFail:
 					var le *streamxpath.LimitError
 					if !errors.As(err, &le) || *le != (streamxpath.LimitError{Resource: "depth", Limit: budget, Observed: budget + 1}) {
 						t.Errorf("%s: error %v, want a depth breach at level %d", label, err, budget+1)
 					}
-					continue
 				case err != nil:
 					t.Errorf("%s: %v", label, err)
-					continue
+				default:
+					return false
 				}
+				return true
+			}
+			// skimmedDepth holds what every result says of the remainder:
+			// skimmed but for the probed head, and counted in the depth.
+			skimmedDepth := func(label string, got skimAnswer) {
 				if got.abstained != breach {
 					t.Errorf("%s: Abstained = %v", label, got.abstained)
-				}
-				if !slices.Equal(got.ids, wantIDs) {
-					t.Errorf("%s: matched %v, want %v", label, got.ids, wantIDs)
-				}
-				if !reflect.DeepEqual(got.frags, wantFrags) {
-					t.Errorf("%s: fragments %q, want %q", label, got.frags, wantFrags)
 				}
 				if min := int64(len(doc) - 8<<10); got.skimmed < min || got.skimmed >= int64(len(doc)) {
 					t.Errorf("%s: SkimmedBytes = %d of %d, want at least %d", label, got.skimmed, len(doc), min)
@@ -215,6 +214,47 @@ func TestSkimmedTailIsStillValidated(t *testing.T) {
 				}
 				if breach && got.mem.MaxDepth != budget {
 					t.Errorf("%s: abstained at MemStats.MaxDepth = %d, want %d", label, got.mem.MaxDepth, budget)
+				}
+			}
+			for _, sf := range bufferedSurfaces(t, subs, lim) {
+				label := fmt.Sprintf("%s, %s, limits %+v", c.name, sf.name, lim)
+				got, err := sf.match(doc)
+				if failed(label, err) {
+					continue
+				}
+				skimmedDepth(label, got)
+				if !slices.Equal(got.ids, wantIDs) {
+					t.Errorf("%s: matched %v, want %v", label, got.ids, wantIDs)
+				}
+				if !reflect.DeepEqual(got.frags, wantFrags) {
+					t.Errorf("%s: fragments %q, want %q", label, got.frags, wantFrags)
+				}
+			}
+			// Filter is the same engine holding one subscription: each of the
+			// set's queries, alone, skims and fails as the set does. Its
+			// reader, which takes the head in its first chunk, stops where
+			// the buffered calls skim and never sees the remainder.
+			for _, sub := range subs {
+				f, err := streamxpath.MustCompile(sub.src).NewFilter()
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.SetLimits(lim)
+				f.SetChunkSize(1 << 10)
+				label := fmt.Sprintf("%s, Filter(%s), limits %+v", c.name, sub.src, lim)
+				want := slices.Contains(wantIDs, sub.id)
+				if ok, err := f.MatchReader(strings.NewReader(string(doc))); err != nil || ok != want {
+					t.Errorf("%s: MatchReader = %v, %v, want %v", label, ok, err, want)
+				}
+				res, err := f.MatchBytesResult(doc)
+				viaBytes, errBytes := f.MatchBytes(doc)
+				viaString, errString := f.MatchString(string(doc))
+				if failed(label, err) || failed(label+", MatchBytes", errBytes) || failed(label+", MatchString", errString) {
+					continue
+				}
+				skimmedDepth(label, answerOf(res))
+				if got := len(res.MatchedIDs) > 0; got != want || viaBytes != want || viaString != want {
+					t.Errorf("%s: MatchBytesResult, MatchBytes, MatchString = %v, %v, %v, want %v", label, got, viaBytes, viaString, want)
 				}
 			}
 		}

@@ -63,8 +63,10 @@ func (s *StreamEvaluator) EvaluateReader(r io.Reader) ([]string, error) {
 	} else {
 		s.stok.Reset()
 	}
-	var err error
-	if s.rs, _, err = streamDoc(r, s.stok, s.chunk, s.procFn, nil); err != nil {
+	var ss sax.StreamStats
+	_, err := s.stok.Drive(r, s.chunk, &ss, s.procFn, nil, nil)
+	s.rs = readerStats(ss)
+	if err != nil {
 		return nil, err
 	}
 	if res := s.e.Results(); res != nil {

@@ -1,11 +1,13 @@
-// Benchmark harness: one benchmark per experiment of DESIGN.md §3. Each
-// reports, besides ns/op, the custom metrics the paper's tables are stated
-// in (bits of memory, automaton states), via b.ReportMetric. Run with
+// Benchmark harness: one benchmark per experiment of the index that
+// `go run ./cmd/xpexperiments` prints (E3–E21, each headed by the theorem
+// it reproduces). Each reports, besides ns/op, the custom metrics the
+// paper's tables are stated in (bits of memory, automaton states), via
+// b.ReportMetric. Run with
 //
 //	go test -bench=. -benchmem
 //
-// EXPERIMENTS.md records a captured run and compares the shapes against
-// the paper's claims.
+// and compare the shapes against the tables of `go run ./cmd/xpexperiments`
+// (2 s, offline), which state the paper's claim beside each measurement.
 package streamxpath_test
 
 import (

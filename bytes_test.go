@@ -184,6 +184,60 @@ func TestFilterSetMatchBytesZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFilterSetPredicatedZeroAlloc is the same pin for the predicated route,
+// on the benchmark's fanout-pred shape — 1,000 subscriptions, ten thresholds
+// on each of 100 leaf names: whatever a document's predicate groups hold
+// (scopes, tuples, commits held against a member, equality hits) is recycled,
+// so a warm match allocates nothing, boolean or with its accounting.
+func TestFilterSetPredicatedZeroAlloc(t *testing.T) {
+	s := NewFilterSet()
+	for i := 0; i < 1000; i++ {
+		if err := s.Add(fmt.Sprintf("s%d", i), fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for j := 0; j < 40; j++ {
+		fmt.Fprintf(&b, "<item><f%d/><priority>%d</priority><f%d/></item>", j, j*7%12, j+40)
+	}
+	b.WriteString("</catalog>")
+	doc := []byte(b.String())
+
+	want := -1
+	for i := 0; i < 3; i++ {
+		ids, err := s.MatchBytes(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want < 0 {
+			want = len(ids)
+		}
+		if len(ids) != want || want == 0 || want == 1000 {
+			t.Fatalf("matched %d subscriptions, then %d", want, len(ids))
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.MatchBytes(doc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("steady-state predicated MatchBytes: %v allocs/run, want 0", allocs)
+	}
+	var res MatchResult
+	if allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if res, err = s.MatchBytesResult(doc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("steady-state predicated MatchBytesResult: %v allocs/run, want 0", allocs)
+	}
+	if len(res.MatchedIDs) != want || res.MemStats.GroupProbes != 40 {
+		t.Errorf("MatchBytesResult: %d matches, %d group probes; want %d, 40", len(res.MatchedIDs), res.MemStats.GroupProbes, want)
+	}
+}
+
 // TestFilterSetSkimZeroAlloc: a document that is decided early is only
 // validated from there on, and that costs no allocation either — on a
 // plain feed and on one whose every body is dense with references, which

@@ -1,9 +1,11 @@
-// Command xpexperiments regenerates every experiment in the reproduction's
-// per-experiment index (DESIGN.md §3): the three lower-bound families of
-// Sections 4 and 7 (machine-verified), the Theorem 8.8 space scalings of
-// the streaming filter, the automata-paradigm blowup comparison, and the
-// filter-vs-naive memory comparison. Output is a sequence of labeled
-// tables; EXPERIMENTS.md records a captured run.
+// Command xpexperiments regenerates every experiment of the reproduction
+// and is itself the experiment index — the experiments table in main, one id
+// (E3–E21) and one theorem or section of the paper per entry: the three
+// lower-bound families of Sections 4 and 7 (machine-verified), the Theorem
+// 8.8 space scalings of the streaming filter, the automata-paradigm blowup
+// comparison, and the filter-vs-naive memory comparison. Output is a
+// sequence of labeled tables (`go run ./cmd/xpexperiments`, about 2 s,
+// offline; -only E9 runs one); CI runs it on every push.
 package main
 
 import (

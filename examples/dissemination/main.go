@@ -106,8 +106,9 @@ func main() {
 	fmt.Printf("  shared states:     %d (prefix sharing: %.1fx)\n",
 		st.SharedStates, float64(st.SpineSteps)/float64(st.SharedStates))
 	fmt.Printf("  lazy DFA:          %d states, %d memoized transitions\n", st.DFAStates, st.DFATransitions)
-	fmt.Printf("  last doc:          %d tuple visits, %d frontier inserts, peak %d tuples, peak buffer %dB\n",
-		st.TupleVisits, st.FrontierInserts, st.PeakTuples, st.PeakBufferBytes)
+	fmt.Printf("  predicate groups:  %d (steps differing only in a constant, evaluated as one; the largest has %d)\n", st.PredGroups, st.LargestGroup)
+	fmt.Printf("  last doc:          %d tuple visits, %d frontier inserts, %d group probes, peak %d tuples, peak buffer %dB\n",
+		st.TupleVisits, st.FrontierInserts, st.GroupProbes, st.PeakTuples, st.PeakBufferBytes)
 
 	// The standing workload can change between documents.
 	set.Remove("bob")

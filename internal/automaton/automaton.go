@@ -9,7 +9,7 @@
 // like //a/*/*/…/b), and even the lazy DFA's transition table grows with
 // the document's name variety — whereas the paper's algorithm
 // (internal/core) stays near the frontier-size lower bound. Benchmarks
-// reproduce this comparison (the E18 experiment of DESIGN.md).
+// reproduce this comparison (experiment E18 of `go run ./cmd/xpexperiments`).
 package automaton
 
 import (

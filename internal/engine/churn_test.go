@@ -48,10 +48,18 @@ func (d *dice) done() bool { return d.pos >= len(d.data) }
 
 var churnNames = []string{"a", "b", "c", "d"}
 
+// churnPreds are the comparisons churnQuery draws, each taking a small
+// constant: with four constants, independent draws land on equal and
+// adjacent constants of one predicate group all the time — [%d < b] is
+// [b > %d] spelled as another step — and groups grow, shrink to one member
+// and vanish as subscriptions come and go. The last compares a two-step
+// path.
+var churnPreds = []string{"[b > %d]", "[b < %d]", "[b >= %d]", "[b = %d]", "[b != %d]", "[%d < b]", "[c/b <= %d]"}
+
 // churnQuery draws a query of one to three steps over /, //, the four names
-// and *, with [b] or [b > k] on some steps and sometimes a final attribute
-// step. The pool is small on purpose: independent draws share prefixes,
-// whole paths, and often the entire query.
+// and *, with [b], a numeric comparison of b or [b = "x"] on some steps and
+// sometimes a final attribute step. The pool is small on purpose:
+// independent draws share prefixes, whole paths, and often the entire query.
 func churnQuery(d *dice) string {
 	var b strings.Builder
 	steps := 1 + d.n(3)
@@ -67,6 +75,12 @@ func churnQuery(d *dice) string {
 			b.WriteString("[b]")
 		case 1:
 			fmt.Fprintf(&b, "[b > %d]", d.n(4))
+		case 2:
+			if k := d.n(len(churnPreds) + 1); k < len(churnPreds) {
+				fmt.Fprintf(&b, churnPreds[k], d.n(4))
+			} else {
+				b.WriteString(`[b = "x"]`)
+			}
 		}
 	}
 	if d.n(8) == 0 {
@@ -75,8 +89,13 @@ func churnQuery(d *dice) string {
 	return b.String()
 }
 
+// churnTexts are the text values churnDoc draws besides single digits:
+// whitespace-padded, negative, decimal, non-numeric and empty.
+var churnTexts = []string{" 2 ", "-1", "2.0", "x", "", "3\n"}
+
 // churnDoc draws a document over the same names, with id attributes and
-// single-digit text, in the serializer's canonical form.
+// mostly single-digit text, in the serializer's canonical form. Repeated b
+// children come of themselves: four names, up to three children.
 func churnDoc(d *dice) string {
 	var b strings.Builder
 	var elem func(depth int)
@@ -91,8 +110,10 @@ func churnDoc(d *dice) string {
 			for i := 0; i < kids; i++ {
 				elem(depth + 1)
 			}
-		} else if d.n(2) == 0 {
+		} else if k := d.n(8); k < 3 {
 			fmt.Fprintf(&b, "%d", d.n(5))
+		} else if k == 3 {
+			b.WriteString(churnTexts[d.n(len(churnTexts))])
 		}
 		b.WriteString("</" + name + ">")
 	}

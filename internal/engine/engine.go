@@ -30,7 +30,11 @@
 //     continuations of an open spine scope are found by one lookup per
 //     edge of the trie's structural skeleton (spine steps grouped by axis
 //     and node test, predicates ignored), so a predicated prefix costs the
-//     same whether one subscription hangs off it or a thousand.
+//     same whether one subscription hangs off it or a thousand. And steps
+//     that differ only in the constant of one comparison — [priority > 3],
+//     [priority > 4], … — are one predicate group (group.go): one scope,
+//     one tuple and one buffered value per candidate element, the value
+//     parsed once and resolved against all the constants by one search.
 //
 // Each subscription's match latches monotonically (conjunctive matching
 // is monotone, Section 8.1), and fully matched shared states stop
@@ -250,11 +254,7 @@ func (e *Engine) link(s *subscription) {
 		e.nfaExtract[s.out] = s.extract
 		return
 	}
-	s.out = e.tr.add(s.q, s.prog)
-	for len(e.mt.extract) <= s.out {
-		e.mt.extract = append(e.mt.extract, false)
-	}
-	e.mt.extract[s.out] = s.extract
+	s.out = e.tr.add(s.q, s.prog, s.extract)
 }
 
 // Add registers a subscription under the given id. It returns an error
@@ -761,7 +761,7 @@ func (e *Engine) Decided() bool {
 	if e.runner.AllMatched() && e.mt.matchedCount == e.tr.live {
 		return true
 	}
-	return e.runner.Undecided() == 0 && e.mt.undecided() == 0
+	return e.runner.Undecided() == 0 && !e.mt.undecided()
 }
 
 // Stats reports the size of the shared structures and the work done on
@@ -781,8 +781,13 @@ type Stats struct {
 	SharedStates int
 	// PredNodes counts the predicate-subtree nodes of the trie (each
 	// evaluated once per candidate regardless of how many subscriptions
-	// share its step).
-	PredNodes int
+	// share its step). PredGroups is the number of predicate groups —
+	// sets of steps that differ only in the constant of their one
+	// comparison, evaluated as one — and LargestGroup the most members any
+	// of them has.
+	PredNodes    int
+	PredGroups   int
+	LargestGroup int
 
 	// DFAStates/DFATransitions are the merged runner's lazily
 	// materialized deterministic states and memoized transitions as they
@@ -798,15 +803,18 @@ type Stats struct {
 
 	// Per-document work and peaks of the trie matcher. TupleVisits counts
 	// the candidates examined at startElement events (predicate tuples in
-	// the event's frontier buckets plus live spine steps the skeleton
-	// lookup landed on); FrontierInserts counts predicate tuples inserted
+	// the event's frontier buckets plus the live spine steps and predicate
+	// groups the skeleton lookup landed on); FrontierInserts counts predicate tuples inserted
 	// plus candidate scopes opened — the state-maintenance work visits do
 	// not see. Both grow with the distinct steps a document exercises, not
-	// with the subscription count. PeakTuples is the peak predicate
-	// frontier; spine continuations are looked up, not held.
+	// with the subscription count. GroupProbes counts the candidate values
+	// resolved against a predicate group — one search or lookup each,
+	// whatever the group's size. PeakTuples is the peak predicate frontier;
+	// spine continuations are looked up, not held.
 	Events          int
 	TupleVisits     int
 	FrontierInserts int
+	GroupProbes     int
 	PeakTuples      int
 	PeakScopes      int
 	PeakBufferBytes int
@@ -828,6 +836,10 @@ func (e *Engine) Stats() Stats {
 	st.SpineSteps = nfaSteps + e.tr.steps
 	st.SharedStates = (e.nfa.Size() - 1) + len(e.tr.spineNodes)
 	st.PredNodes = e.tr.predNodes
+	st.PredGroups = len(e.tr.groups)
+	for _, g := range e.tr.groups {
+		st.LargestGroup = max(st.LargestGroup, g.size)
+	}
 	ds := e.runner.Stats()
 	st.DFAStates = ds.States
 	st.DFATransitions = ds.Transitions
@@ -836,6 +848,7 @@ func (e *Engine) Stats() Stats {
 	st.Events = ms.Events
 	st.TupleVisits = ms.TupleVisits
 	st.FrontierInserts = ms.FrontierInserts
+	st.GroupProbes = ms.GroupProbes
 	st.PeakTuples = ms.PeakTuples
 	st.PeakScopes = ms.PeakScopes
 	st.PeakBufferBytes = ms.PeakBufferBytes
@@ -845,9 +858,9 @@ func (e *Engine) Stats() Stats {
 
 // String renders the stats compactly.
 func (s Stats) String() string {
-	return fmt.Sprintf("subs=%d (nfa=%d trie=%d) steps=%d shared=%d predNodes=%d dfa=%d/%d materialized=%d rebuilds=%d events=%d visits=%d inserts=%d peakTuples=%d",
-		s.Subscriptions, s.NFARouted, s.TrieRouted, s.SpineSteps, s.SharedStates, s.PredNodes,
-		s.DFAStates, s.DFATransitions, s.DFAMaterialized, s.Rebuilds, s.Events, s.TupleVisits, s.FrontierInserts, s.PeakTuples)
+	return fmt.Sprintf("subs=%d (nfa=%d trie=%d) steps=%d shared=%d predNodes=%d groups=%d/%d dfa=%d/%d materialized=%d rebuilds=%d events=%d visits=%d inserts=%d probes=%d peakTuples=%d",
+		s.Subscriptions, s.NFARouted, s.TrieRouted, s.SpineSteps, s.SharedStates, s.PredNodes, s.PredGroups, s.LargestGroup,
+		s.DFAStates, s.DFATransitions, s.DFAMaterialized, s.Rebuilds, s.Events, s.TupleVisits, s.FrontierInserts, s.GroupProbes, s.PeakTuples)
 }
 
 // MemStats is the engine's live-memory accounting for the last (or
@@ -861,13 +874,25 @@ type MemStats struct {
 	// dispatching once every verdict was final: a reader that exited early,
 	// or a buffered match that skimmed the remainder (MatchBytes).
 	Events int
+	// GroupProbes is the number of candidate values resolved against a
+	// predicate group's constants (Stats.GroupProbes), per document like
+	// Events.
+	GroupProbes int
 	// PeakLiveTuples is the peak concurrent matching state: predicate
 	// frontier tuples + open candidate scopes + buffering leaf candidates
 	// (the component peaks summed — an upper bound on the true joint
-	// peak). Spine continuations are looked up from the open scopes, not
-	// held, and the frames that index those scopes are not counted: a
-	// frame's skeleton node and level are derivable from any scope in it.
+	// peak). A predicate group holds one scope, one tuple per step of its
+	// path and one buffering candidate per open element, whatever its
+	// size, and what that scope holds beyond a scope's cost is
+	// PeakGroupBits. Spine continuations are looked up from the open
+	// scopes, not held, and the frames that index those scopes are not
+	// counted: a frame's skeleton node and level are derivable from any
+	// scope in it.
 	PeakLiveTuples int
+	// PeakGroupBits is the peak of the index state held by open group
+	// scopes: ⌈log₂(|group|+1)⌉ bits for a threshold group's boundary, and
+	// for each constant an equality group's values have hit.
+	PeakGroupBits int
 	// PeakScopes / PeakPendings / PeakBufferedBytes are the component
 	// peaks: open candidate scopes, buffering leaf candidates, and
 	// buffered candidate-text bytes (the paper's w term).
@@ -889,7 +914,7 @@ type MemStats struct {
 	// EstimatedBits applies the paper's cost model to the peaks: each
 	// tuple costs log|Q| + log d + log w bits plus a matched bit, the
 	// buffer 8 bits per byte (core.Stats.EstimatedBits, with |Q| the size
-	// of the shared index).
+	// of the shared index), plus PeakGroupBits.
 	EstimatedBits int
 	// LowerBoundBits is the paper's floor for the same document shape:
 	// FS(Q)·log d bits, with FS(Q) the largest frontier size among the
@@ -906,7 +931,9 @@ func (e *Engine) MemStats() MemStats {
 	ms := e.mt.stats
 	st := MemStats{
 		Events:            ms.Events,
+		GroupProbes:       ms.GroupProbes,
 		PeakLiveTuples:    ms.PeakTuples + ms.PeakScopes + ms.PeakPendings,
+		PeakGroupBits:     ms.PeakGroupBits,
 		PeakScopes:        ms.PeakScopes,
 		PeakPendings:      ms.PeakPendings,
 		PeakBufferedBytes: ms.PeakBufferBytes,
@@ -922,7 +949,7 @@ func (e *Engine) MemStats() MemStats {
 		PeakBufferBytes: ms.PeakBufferBytes,
 		MaxLevel:        ms.MaxLevel,
 	}
-	st.EstimatedBits = cs.EstimatedBits(nodes)
+	st.EstimatedBits = cs.EstimatedBits(nodes) + ms.PeakGroupBits
 	st.LowerBoundBits = core.LowerBoundBits(e.maxFS, ms.MaxLevel)
 	if st.LowerBoundBits > 0 {
 		st.OptimalityRatio = float64(st.EstimatedBits) / float64(st.LowerBoundBits)

@@ -1,0 +1,467 @@
+package engine
+
+import (
+	"math/bits"
+	"slices"
+	"strings"
+
+	"streamxpath/internal/core"
+	"streamxpath/internal/query"
+	"streamxpath/internal/value"
+)
+
+// Predicate groups. Subscribers to one step very often differ only in a
+// constant — //catalog/item[priority > 3], [priority > 4], … — the
+// selective-dissemination shape that XPush and YFilter index by predicate
+// value. Spine nodes that continue the same step, carry the same node test
+// and have as their only predicate one comparison of the same relative path
+// against a constant, with operators of one class, are the members of one
+// predicate group. An element that is a candidate for them opens ONE scope
+// with one tuple chain for the path and one pending text value; a value is
+// parsed once and resolved against every member by one search over the
+// group's constants. What the scope holds is the outcome of those searches —
+// for thresholds a single index, the boundary between the members the values
+// seen so far satisfy and the rest — so the frontier carries one entry per
+// group where the Section 8 algorithm carries one per subscriber, and
+// Theorem 8.8's per-tuple charge falls with it.
+//
+// A group of one runs the same code as a group of ten thousand; predicates
+// of any other shape (conjunctions, branching paths, string functions,
+// textual !=) keep a scope and a predicate subtree per node.
+
+// groupClass is the operator class of a group: what its members' constants
+// are indexed by.
+type groupClass uint8
+
+const (
+	// classThreshold: > and >=, or < and <= (over negated values, so that
+	// both read "the running maximum passes the constant"). The members are
+	// sorted by constant; those a value satisfies are a prefix.
+	classThreshold groupClass = iota
+	// classNumEq: numeric = and !=, hashed by constant.
+	classNumEq
+	// classStrEq: textual =, hashed by constant.
+	classStrEq
+)
+
+// predGroup is one predicate group: the members, indexed by constant, and
+// the predicate path they share.
+type predGroup struct {
+	// parent is the step the members continue — a group scope's origin is
+	// parent's scope — and sk their skeleton node, where the group holds
+	// frame slot fslot. key is the group's entry in parent.groups; skPos
+	// and triePos are its positions in sk.groups and the trie's groups.
+	parent  *tnode
+	sk      *skel
+	key     string
+	fslot   int
+	skPos   int
+	triePos int
+
+	class groupClass
+	neg   bool // classThreshold over negated values: the group of < and <=
+	// conj is the head of the shared predicate path, the one conjunctive
+	// child of a group scope; its leaf is restricted and has no truth set.
+	conj []*tnode
+
+	// sorted are a threshold group's members by ascending (constant,
+	// strictness). num or str hold an equality group's constants, and ne its
+	// != members. size counts the members.
+	sorted []*tnode
+	num    map[float64]*eqBucket
+	str    map[string]*eqBucket
+	ne     []*tnode
+	size   int
+
+	// terminals counts the subscriptions ending at a member and extracting
+	// those of them that want a fragment; through counts the subscriptions
+	// passing through a member. remaining and fragsWanted are their
+	// per-document counterparts: subscriptions not yet matched, fragments
+	// not yet latched.
+	terminals   int
+	extracting  int
+	through     int
+	remaining   int
+	fragsWanted int
+}
+
+// member is a grouped spine node's own part of its predicate: the constant
+// the group's path is compared against.
+type member struct {
+	grp *predGroup
+	// In a threshold group a value v satisfies the member iff c < v, or
+	// c == v and the comparison is not strict (c is negated with v in a <
+	// group).
+	c      float64
+	strict bool
+	// In an equality group the member is satisfied by its bucket's constant
+	// (=), or by any other numeric value (!=, with nePos its position in
+	// the group's ne).
+	bucket *eqBucket
+	ne     bool
+	nePos  int
+}
+
+// eqBucket is one constant of an equality group: the = members comparing
+// against it, and how many != members do.
+type eqBucket struct {
+	num float64
+	str string
+	eq  []*tnode
+	ne  int
+}
+
+// groupOf classifies a comparison: the operator class that indexes its
+// constant, whether values are negated first, and the tag that tells the
+// classes of one path apart in a group key. ok is false for a textual !=,
+// which no index by constant helps: every value but one satisfies it.
+func groupOf(cmp query.Comparison) (class groupClass, neg bool, tag string, ok bool) {
+	switch {
+	case !cmp.Numeric:
+		return classStrEq, false, `"`, cmp.Op == value.OpEq
+	case cmp.Op == value.OpGt || cmp.Op == value.OpGe:
+		return classThreshold, false, ">", true
+	case cmp.Op == value.OpLt || cmp.Op == value.OpLe:
+		return classThreshold, true, "<", true
+	}
+	return classNumEq, false, "=", true
+}
+
+// joinGroup makes spine node n, newly placed in its skeleton node, a member
+// of the predicate group its predicate belongs to, creating the group for
+// its first member; it reports false, having done nothing, for a predicate
+// no group evaluates. preds are the predicate children of n's query node.
+// The cost is the query's own size plus one search and one copy in the
+// group: no sort, no rebuild.
+func (t *trie) joinGroup(n *tnode, preds []*query.Node, prog *core.Program) bool {
+	if len(preds) != 1 {
+		return false
+	}
+	leaf := preds[0]
+	for len(leaf.Children) == 1 {
+		leaf = leaf.Children[0]
+	}
+	if len(leaf.Children) > 0 || !prog.Restricted(leaf) {
+		return false
+	}
+	cmp, ok := query.ComparisonOf(prog.TruthSet(leaf))
+	if !ok {
+		return false
+	}
+	class, neg, tag, ok := groupOf(cmp)
+	if !ok {
+		return false
+	}
+	var b strings.Builder
+	b.WriteString(n.axis.String())
+	b.WriteString(n.ntest)
+	b.WriteByte('[')
+	for v := preds[0]; ; v = v.Children[0] {
+		b.WriteString(v.Axis.String())
+		b.WriteString(v.NTest)
+		if v == leaf {
+			break
+		}
+	}
+	b.WriteString(tag)
+	key := b.String()
+
+	p := n.parent
+	g := p.groups[key]
+	if g == nil {
+		g = &predGroup{
+			parent: p, sk: n.sk, key: key, fslot: n.sk.takeSlot(),
+			skPos: len(n.sk.groups), triePos: len(t.groups),
+			class: class, neg: neg,
+			conj: []*tnode{t.buildPred(preds[0], prog)},
+		}
+		last := g.conj[0]
+		for len(last.conj) > 0 {
+			last = last.conj[0]
+		}
+		last.set = nil
+		switch class {
+		case classNumEq:
+			g.num = map[float64]*eqBucket{}
+		case classStrEq:
+			g.str = map[string]*eqBucket{}
+		}
+		if p.groups == nil {
+			p.groups = map[string]*predGroup{}
+		}
+		p.groups[key] = g
+		n.sk.groups = append(n.sk.groups, g)
+		t.groups = append(t.groups, g)
+	}
+	n.fslot = g.fslot
+	g.insert(n, cmp)
+	return true
+}
+
+// insert makes n the member of g that compares against cmp's constant.
+func (g *predGroup) insert(n *tnode, cmp query.Comparison) {
+	mb := &member{grp: g}
+	n.mem = mb
+	g.size++
+	if g.class == classThreshold {
+		mb.c, mb.strict = cmp.Num, cmp.Op == value.OpGt || cmp.Op == value.OpLt
+		if g.neg {
+			mb.c = -mb.c
+		}
+		i := g.rank(mb.c, mb.strict)
+		g.sorted = append(g.sorted, nil)
+		copy(g.sorted[i+1:], g.sorted[i:])
+		g.sorted[i] = n
+		return
+	}
+	var bk *eqBucket
+	if g.class == classNumEq {
+		if bk = g.num[cmp.Num]; bk == nil {
+			bk = &eqBucket{num: cmp.Num}
+			g.num[cmp.Num] = bk
+		}
+	} else if bk = g.str[cmp.Str]; bk == nil {
+		bk = &eqBucket{str: cmp.Str}
+		g.str[cmp.Str] = bk
+	}
+	mb.bucket = bk
+	if cmp.Op == value.OpNe {
+		mb.ne, mb.nePos = true, len(g.ne)
+		bk.ne++
+		g.ne = append(g.ne, n)
+	} else {
+		bk.eq = append(bk.eq, n)
+	}
+}
+
+// remove undoes insert; a constant no member compares against any more
+// leaves the index.
+func (g *predGroup) remove(n *tnode) {
+	mb := n.mem
+	g.size--
+	if g.class == classThreshold {
+		i := g.rank(mb.c, mb.strict) - 1 // the last of the members with n's key
+		for g.sorted[i] != n {
+			i--
+		}
+		copy(g.sorted[i:], g.sorted[i+1:])
+		g.sorted[len(g.sorted)-1] = nil
+		g.sorted = g.sorted[:len(g.sorted)-1]
+		return
+	}
+	bk := mb.bucket
+	if mb.ne {
+		last := g.ne[len(g.ne)-1]
+		g.ne[mb.nePos], last.mem.nePos = last, mb.nePos
+		g.ne = g.ne[:len(g.ne)-1]
+		bk.ne--
+	} else {
+		i := slices.Index(bk.eq, n)
+		bk.eq[i] = bk.eq[len(bk.eq)-1]
+		bk.eq = bk.eq[:len(bk.eq)-1]
+	}
+	if len(bk.eq) > 0 || bk.ne > 0 {
+		return
+	}
+	if g.class == classNumEq {
+		delete(g.num, bk.num)
+	} else {
+		delete(g.str, bk.str)
+	}
+}
+
+// leaveGroup takes spine node n, which no subscription passes through any
+// more, out of its group; a group left without members goes, with its
+// predicate path and its frame slot.
+func (t *trie) leaveGroup(n *tnode) {
+	g := n.mem.grp
+	if g.remove(n); g.size > 0 {
+		return
+	}
+	delete(g.parent.groups, g.key)
+	last := g.sk.groups[len(g.sk.groups)-1]
+	g.sk.groups[g.skPos], last.skPos = last, g.skPos
+	g.sk.groups = g.sk.groups[:len(g.sk.groups)-1]
+	g.sk.freeSlots = append(g.sk.freeSlots, g.fslot)
+	last = t.groups[len(t.groups)-1]
+	t.groups[g.triePos], last.triePos = last, g.triePos
+	t.groups = t.groups[:len(t.groups)-1]
+	t.dropPreds(g.conj)
+}
+
+// ends records d (±1) subscriptions ending at a member.
+func (g *predGroup) ends(d int, extract bool) {
+	g.terminals += d
+	if extract {
+		g.extracting += d
+	}
+}
+
+// rank returns how many members of a threshold group have a key no greater
+// than (c, strict) in the group's order — ascending constants, >= before >
+// at equal ones. rank(v, false) is the boundary a value v draws: exactly the
+// members before it are satisfied by v.
+func (g *predGroup) rank(c float64, strict bool) int {
+	lo, hi := 0, len(g.sorted)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if mb := g.sorted[mid].mem; mb.c < c || (mb.c == c && (strict || !mb.strict)) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// indexBits is what one index into the group's constants costs a scope, in
+// the units of the Theorem 8.8 accounting.
+func (g *predGroup) indexBits() int { return bits.Len(uint(g.size)) }
+
+// parsedText is the number a closing element's text parses to, computed for
+// the first group that asks and shared by every other pending on the same
+// element.
+type parsedText struct {
+	done, ok bool
+	num      float64
+}
+
+// openGroup opens the one scope a candidate element gets for all of g's
+// members: the shared predicate path enters the frontier once, and fr, when
+// some member has continuations, finds the scope by the group's slot.
+func (m *matcher) openGroup(g *predGroup, origin *scope, level int, fr *frame) {
+	sc := m.pushScope(origin, level, g.conj)
+	sc.grp, sc.fr = g, fr
+	if fr != nil {
+		fr.scopes[g.fslot] = sc
+	}
+	if m.capturing && g.fragsWanted > 0 {
+		// Members' own terminals resolve when the scope closes; capture the
+		// candidate element now, while its start event is current.
+		sc.cap = m.cm.elemCapture()
+		m.capCommits++
+	}
+	m.noteGroupBits(g.indexBits())
+}
+
+// noteGroupBits accounts for index state taken (or, negative, given back) by
+// open group scopes.
+func (m *matcher) noteGroupBits(d int) {
+	m.groupBits += d
+	if m.groupBits > m.stats.PeakGroupBits {
+		m.stats.PeakGroupBits = m.groupBits
+	}
+}
+
+// probe resolves the text of a closed candidate for a group's predicate
+// path — held by t, the path's leaf tuple — against the group's constants:
+// one search moves a threshold group's boundary (the running maximum of the
+// values seen is what XPath's existential comparison needs), one lookup
+// records an equality group's hit. Nothing is decided per member.
+func (m *matcher) probe(t *tuple, text string, pt *parsedText) {
+	sc := t.origin
+	for sc.grp == nil {
+		sc = sc.tup.origin
+	}
+	g := sc.grp
+	m.stats.GroupProbes++
+	if g.class == classStrEq {
+		if bk := g.str[text]; bk != nil {
+			m.hit(sc, bk)
+		}
+		return
+	}
+	if !pt.done {
+		pt.num, pt.ok = value.ParseNumber(text)
+		pt.done = true
+	}
+	if !pt.ok {
+		return
+	}
+	v := pt.num
+	if g.class == classNumEq {
+		if bk := g.num[v]; bk != nil {
+			m.hit(sc, bk)
+		} else {
+			sc.other = true
+		}
+		return
+	}
+	if g.neg {
+		v = -v
+	}
+	if b := g.rank(v, false); b > sc.bound {
+		sc.bound = b
+		// With every member satisfied no further value can tell anything:
+		// the leaf latches like any matched tuple and stops buffering.
+		t.matched = b == len(g.sorted)
+	}
+}
+
+// hit records that a value equalled an equality group's constant.
+func (m *matcher) hit(sc *scope, bk *eqBucket) {
+	for _, h := range sc.hits {
+		if h == bk {
+			return
+		}
+	}
+	sc.hits = append(sc.hits, bk)
+	m.noteGroupBits(sc.grp.indexBits())
+}
+
+// satisfied reports whether the values seen so far in group scope sc satisfy
+// member n's comparison. The answer only ever turns from false to true.
+func (sc *scope) satisfied(n *tnode) bool {
+	mb := n.mem
+	switch {
+	case sc.grp.class == classThreshold:
+		if sc.bound == 0 {
+			return false
+		}
+		at := sc.grp.sorted[sc.bound-1].mem
+		return mb.c < at.c || (mb.c == at.c && (at.strict || !mb.strict))
+	case mb.ne:
+		return sc.other || len(sc.hits) > 1 || (len(sc.hits) == 1 && sc.hits[0] != mb.bucket)
+	}
+	for _, h := range sc.hits {
+		if h == mb.bucket {
+			return true
+		}
+	}
+	return false
+}
+
+// closeGroup resolves a group scope: the commits held against members the
+// values did not satisfy in time are re-examined, once, and pass up or die;
+// the satisfied members' own terminals are delivered — the boundary's prefix
+// of a threshold group, the hit buckets of an equality group, never a walk
+// over the whole group.
+func (m *matcher) closeGroup(sc *scope) {
+	g := sc.grp
+	m.freeChildren(sc)
+	for _, c := range sc.commits {
+		if sc.satisfied(c.mem) {
+			m.deliverEntry(c.sub, c.cap, sc.origin, g.parent)
+		}
+		m.dropCommitCap(c.cap)
+	}
+	if g.terminals > 0 {
+		for _, n := range g.sorted[:sc.bound] {
+			m.deliver(n.terminals, sc.cap, sc.origin, g.parent)
+		}
+		for _, bk := range sc.hits {
+			for _, n := range bk.eq {
+				m.deliver(n.terminals, sc.cap, sc.origin, g.parent)
+			}
+		}
+		if sc.other || len(sc.hits) > 0 {
+			for _, n := range g.ne {
+				if sc.satisfied(n) {
+					m.deliver(n.terminals, sc.cap, sc.origin, g.parent)
+				}
+			}
+		}
+	}
+	m.noteGroupBits(-(1 + len(sc.hits)) * g.indexBits())
+	m.recycleScope(sc, g.fslot)
+}

@@ -70,9 +70,9 @@ var errTruncated = errors.New("streamxpath: document ended prematurely")
 
 // firstProbe is the document offset of MatchBytes's first Decided probe;
 // each later probe sits at twice the offset of the one before. The trie
-// side of Decided sweeps the open scopes' continuations — tens of
-// microseconds on a thousand predicated subscriptions — so it cannot run
-// per event or per kilobyte. On this schedule a document of n bytes pays
+// side of Decided sweeps the open scopes with their continuations and held
+// commits — to the end, whenever the answer is yes — so it cannot run per
+// event or per kilobyte. On this schedule a document of n bytes pays
 // at most ⌈log₂(n/firstProbe)⌉+1 probes, dispatches at most twice its
 // decided prefix (plus firstProbe) in full, and pays nothing at all when
 // it is shorter than firstProbe.

@@ -39,20 +39,28 @@ type tnode struct {
 	wild bool
 
 	// parent is the spine step this one continues (nil on the root and on
-	// predicate nodes); sk and slot place a spine node in the structural
-	// skeleton, as member number slot of skeleton node sk. key is the
-	// node's entry in parent.succIndex; succPos and spinePos are its
-	// positions in parent.succ and in the trie's spineNodes, kept so that
-	// unlinking it is a swap-delete.
+	// predicate nodes); sk places a spine node in the structural skeleton,
+	// and fslot is where a frame of sk holds the node's open scope — a slot
+	// of its own, or its group's (mem != nil). slot is an ungrouped node's
+	// position in sk.members. key is the node's entry in parent.succIndex;
+	// succPos and spinePos are its positions in parent.succ and in the
+	// trie's spineNodes, kept so that unlinking it is a swap-delete.
 	parent   *tnode
 	sk       *skel
 	slot     int
+	fslot    int
 	key      string
 	succPos  int
 	spinePos int
 
+	// mem is set on a spine node whose one predicate is a comparison of a
+	// path's value against a constant: the node is a member of a predicate
+	// group (group.go), which evaluates the path once for all its members.
+	mem *member
+
 	// conj are the conjunctive children: for a spine node, the roots of
-	// its predicate subtrees; for a predicate node, all of its children
+	// its predicate subtrees (none on a group member: the group holds the
+	// path, mem the constant); for a predicate node, all of its children
 	// (predicate children and successor alike). A candidate resolves its
 	// conjunctive obligations at endElement.
 	conj []*tnode
@@ -62,11 +70,15 @@ type tnode struct {
 	// subscriptions, and its subtree succeeds or fails independently.
 	succ      []*tnode
 	succIndex map[string]*tnode
+	// groups are the predicate groups among the continuations, by group key
+	// (nil until the first).
+	groups map[string]*predGroup
 
 	// Truth-set machinery for predicate leaves, taken from the owning
 	// subscription's core.Program (identical canonical steps have
 	// identical truth sets, so the first subscription's program serves
-	// all sharers).
+	// all sharers). The leaf of a predicate group's path is restricted
+	// with no set: its value is resolved against the group's constants.
 	set        query.Set
 	restricted bool
 
@@ -87,12 +99,20 @@ type tnode struct {
 // skel is one node of the trie's structural skeleton: the spine nodes
 // reached from the root by one sequence of (axis, node test) steps,
 // predicates ignored. //catalog/item[priority > 1] and
-// //catalog/item[priority > 2] are two members of one skeleton node, and
-// the f7 leaves below them two members of its f7 child. Spine
-// continuations are never held as frontier state: an element is looked up
-// once per skeleton edge, however many subscriptions hang off the step.
+// //catalog/item[priority > 2] are two nodes of one skeleton node — here
+// the two members of one predicate group — and the f7 leaves below them
+// two members of its f7 child. Spine continuations are never held as
+// frontier state: an element is looked up once per skeleton edge, however
+// many subscriptions hang off the step.
 type skel struct {
-	members []*tnode
+	// members are the nodes that open a scope of their own; groups hold the
+	// rest, each group opening one scope for all its members. slots is the
+	// size of a frame: one scope slot per member and per group, handed out
+	// by takeSlot and reused once released.
+	members   []*tnode
+	groups    []*predGroup
+	slots     int
+	freeSlots []int
 	// One edge set per axis class, nil when the node has no such edge, so a
 	// frame with nothing to offer an event costs it one nil test.
 	child, attr, desc *edges
@@ -116,38 +136,38 @@ func (sk *skel) edgesFor(axis query.Axis) **edges {
 	return &sk.child
 }
 
-// join makes spine node n a member of sk's skeleton child along n's
-// (axis, node test) edge, creating the child for the first step of that
-// shape.
-func (sk *skel) join(n *tnode) {
+// hasEdges reports whether any step continues from sk: only then is a scope
+// opened at it ever looked up through a frame.
+func (sk *skel) hasEdges() bool {
+	return sk.child != nil || sk.attr != nil || sk.desc != nil
+}
+
+// enter places spine node n in sk's skeleton child along n's (axis, node
+// test) edge, creating the child for the first step of that shape. The
+// caller makes n a member of it or of one of its groups.
+func (sk *skel) enter(n *tnode) {
 	ep := sk.edgesFor(n.axis)
 	if *ep == nil {
 		*ep = &edges{named: map[symtab.Sym]*skel{}}
 	}
 	e := *ep
-	var to *skel
 	if n.wild {
 		if e.wild == nil {
 			e.wild = &skel{}
 		}
-		to = e.wild
-	} else if to = e.named[n.sym]; to == nil {
-		to = &skel{}
-		e.named[n.sym] = to
+		n.sk = e.wild
+	} else if n.sk = e.named[n.sym]; n.sk == nil {
+		n.sk = &skel{}
+		e.named[n.sym] = n.sk
 	}
-	n.sk, n.slot = to, len(to.members)
-	to.members = append(to.members, n)
 }
 
-// leave undoes join for a spine node without continuations. A skeleton node
-// left without members goes, and so does an edge set left without edges: a
-// frame with nothing to offer an event still costs it one nil test.
+// leave takes spine node n, no longer a member of n.sk or of any group
+// there, out of the skeleton below sk. A skeleton node left without members
+// and groups goes, and so does an edge set left without edges: a frame with
+// nothing to offer an event still costs it one nil test.
 func (sk *skel) leave(n *tnode) {
-	to := n.sk
-	last := to.members[len(to.members)-1]
-	to.members[n.slot], last.slot = last, n.slot
-	to.members = to.members[:len(to.members)-1]
-	if len(to.members) > 0 {
+	if to := n.sk; len(to.members) > 0 || len(to.groups) > 0 {
 		return
 	}
 	ep := sk.edgesFor(n.axis)
@@ -161,10 +181,36 @@ func (sk *skel) leave(n *tnode) {
 	}
 }
 
+// takeSlot hands out a frame slot of sk.
+func (sk *skel) takeSlot() int {
+	if k := len(sk.freeSlots); k > 0 {
+		slot := sk.freeSlots[k-1]
+		sk.freeSlots = sk.freeSlots[:k-1]
+		return slot
+	}
+	sk.slots++
+	return sk.slots - 1
+}
+
+// addMember makes n a member of its skeleton node, with a scope of its own.
+func (sk *skel) addMember(n *tnode) {
+	n.slot, n.fslot = len(sk.members), sk.takeSlot()
+	sk.members = append(sk.members, n)
+}
+
+// dropMember undoes addMember.
+func (sk *skel) dropMember(n *tnode) {
+	last := sk.members[len(sk.members)-1]
+	sk.members[n.slot], last.slot = last, n.slot
+	sk.members = sk.members[:len(sk.members)-1]
+	sk.freeSlots = append(sk.freeSlots, n.fslot)
+}
+
 // frame is the run-time side of a skeleton node: the spine scopes with
-// continuations that one element opened at it, by member slot (nil where
-// that member was not a candidate). It is an index over scopes, not state
-// of its own — its skeleton node and level are those of any scope in it.
+// continuations that one element opened at it, by frame slot (nil where
+// that member or group was not a candidate). It is an index over scopes, not
+// state of its own — its skeleton node and level are those of any scope in
+// it.
 type frame struct {
 	sk     *skel
 	level  int
@@ -186,6 +232,12 @@ type trie struct {
 	paths     [][]*tnode
 	freeSlots []int
 	live      int
+	// extract flags, by result slot, the subscriptions that want the matched
+	// element's fragment.
+	extract []bool
+	// groups are the predicate groups of every spine node, for the
+	// per-document reset and for Stats.
+	groups []*predGroup
 	// steps counts spine steps added before sharing; len(spineNodes) is
 	// the count after. Their ratio is the prefix-sharing factor reported
 	// by Stats.
@@ -199,7 +251,8 @@ type trie struct {
 
 func newTrie(tab *symtab.Table) *trie {
 	root := &tnode{kind: kindSpine, axis: query.AxisRoot, succIndex: map[string]*tnode{}}
-	root.sk = &skel{members: []*tnode{root}}
+	root.sk = &skel{}
+	root.sk.addMember(root)
 	return &trie{tab: tab, root: root}
 }
 
@@ -215,15 +268,18 @@ func (t *trie) internNTest(n *tnode) {
 // add merges one subscription's query into the trie and returns its slot
 // in the matcher's result vector. prog supplies the fragment-checked truth
 // sets and value-restriction marks of the query's nodes (the reusable
-// compile product of internal/core).
-func (t *trie) add(q *query.Query, prog *core.Program) int {
+// compile product of internal/core); extract says whether the subscription
+// wants the matched element's fragment.
+func (t *trie) add(q *query.Query, prog *core.Program, extract bool) int {
 	idx := len(t.paths)
 	if k := len(t.freeSlots); k > 0 {
 		idx = t.freeSlots[k-1]
 		t.freeSlots = t.freeSlots[:k-1]
 	} else {
 		t.paths = append(t.paths, nil)
+		t.extract = append(t.extract, false)
 	}
+	t.extract[idx] = extract
 	var path []*tnode
 	cur := t.root
 	for u := q.Root.Successor; u != nil; u = u.Successor {
@@ -241,19 +297,28 @@ func (t *trie) add(q *query.Query, prog *core.Program) int {
 				spinePos:  len(t.spineNodes),
 			}
 			t.internNTest(child)
-			cur.sk.join(child)
-			for _, pc := range u.PredicateChildren() {
-				child.conj = append(child.conj, t.buildPred(pc, prog))
+			cur.sk.enter(child)
+			if preds := u.PredicateChildren(); !t.joinGroup(child, preds, prog) {
+				child.sk.addMember(child)
+				for _, pc := range preds {
+					child.conj = append(child.conj, t.buildPred(pc, prog))
+				}
 			}
 			cur.succIndex[key] = child
 			cur.succ = append(cur.succ, child)
 			t.spineNodes = append(t.spineNodes, child)
 		}
 		child.through++
+		if child.mem != nil {
+			child.mem.grp.through++
+		}
 		path = append(path, child)
 		cur = child
 	}
 	cur.terminals = append(cur.terminals, idx)
+	if cur.mem != nil {
+		cur.mem.grp.ends(1, extract)
+	}
 	t.steps += len(path)
 	t.paths[idx] = path
 	t.live++
@@ -262,8 +327,8 @@ func (t *trie) add(q *query.Query, prog *core.Program) int {
 
 // remove withdraws the subscription holding result slot idx, unlinking the
 // spine nodes only it passed through — from their parent, from spineNodes
-// and from the skeleton — deepest first, so each is a leaf when its turn
-// comes. The scan of the OUT node's terminals is linear in the
+// and from the skeleton or their group — deepest first, so each is a leaf
+// when its turn comes. The scan of the OUT node's terminals is linear in the
 // subscriptions ending there (duplicates of one query). Scopes and frames
 // a document in flight has open go stale; the engine abandons it, and
 // matcher.reset drops them without consulting the trie.
@@ -284,8 +349,14 @@ func (t *trie) remove(idx int) {
 			break
 		}
 	}
+	if out.mem != nil {
+		out.mem.grp.ends(-1, t.extract[idx])
+	}
 	for k := len(path) - 1; k >= 0; k-- {
 		n := path[k]
+		if n.mem != nil {
+			n.mem.grp.through--
+		}
 		if n.through--; n.through > 0 {
 			continue
 		}
@@ -297,8 +368,13 @@ func (t *trie) remove(idx int) {
 		last = t.spineNodes[len(t.spineNodes)-1]
 		t.spineNodes[n.spinePos], last.spinePos = last, n.spinePos
 		t.spineNodes = t.spineNodes[:len(t.spineNodes)-1]
+		if n.mem != nil {
+			t.leaveGroup(n)
+		} else {
+			n.sk.dropMember(n)
+			t.dropPreds(n.conj)
+		}
 		p.sk.leave(n)
-		t.dropPreds(n.conj)
 	}
 }
 
@@ -352,25 +428,28 @@ type tuple struct {
 }
 
 // commit is one conditional match held by a gating scope: subscription
-// sub matches if the scope's predicates resolve true, with cap the
-// fragment captured for the matching element (nil without extraction).
-// A commit entry with a capture holds one reference on it.
+// sub matches if the scope's predicates resolve true — in a group scope, if
+// member mem's comparison does — with cap the fragment captured for the
+// matching element (nil without extraction). A commit entry with a capture
+// holds one reference on it.
 type commit struct {
 	sub int
 	cap *capture
+	mem *tnode
 }
 
-// scope is an open candidate match of an internal trie node, generalizing
-// core's scope. origin is the scope whose node this one's continues — for a
-// spine scope the next scope up the trie-ancestor chain, which is how a
-// commit finds the predicate scopes that gate it (an unrelated
-// subscription's open predicate scope must not). children are the
-// conjunctive obligations resolved at endElement. commits holds the
-// subscriptions whose match is conditional on this scope's predicates
-// resolving true (only spine scopes with children ever hold commits). cap,
-// when non-nil, is the capture of the scope's own candidate element, taken
-// at open time for the node's terminals — they resolve only when the scope
-// closes, long after the element's start has streamed past.
+// scope is an open candidate match of an internal trie node — or of all the
+// members of a predicate group at once — generalizing core's scope. origin
+// is the scope whose node this one's continues — for a spine scope the next
+// scope up the trie-ancestor chain, which is how a commit finds the
+// predicate scopes that gate it (an unrelated subscription's open predicate
+// scope must not). children are the conjunctive obligations resolved at
+// endElement. commits holds the subscriptions whose match is conditional on
+// this scope's predicates resolving true (only spine scopes with children
+// ever hold commits). cap, when non-nil, is the capture of the scope's own
+// candidate element, taken at open time for the node's terminals — they
+// resolve only when the scope closes, long after the element's start has
+// streamed past.
 type scope struct {
 	node   *tnode
 	origin *scope
@@ -383,6 +462,15 @@ type scope struct {
 	children []*tuple
 	commits  []commit
 	cap      *capture
+	// grp marks a group scope (node is nil), and the rest is what the values
+	// seen so far have decided about its members: bound, in a threshold
+	// group, is how many of grp.sorted they satisfy; hits, in an equality
+	// group, are the constants they equalled, and other says that some
+	// numeric value equalled none.
+	grp   *predGroup
+	bound int
+	hits  []*eqBucket
+	other bool
 }
 
 // pendingVal is an open candidate of a value-restricted predicate leaf,
@@ -393,10 +481,12 @@ type pendingVal struct {
 	start int
 }
 
-// spineCand is a spine node offered the current element through src, the
-// open frame holding its parent's scope.
+// spineCand is a spine node — or a predicate group, for all its members —
+// offered the current element through src, the open frame holding its
+// parent's scope.
 type spineCand struct {
 	node *tnode
+	grp  *predGroup
 	src  *frame
 }
 
@@ -405,19 +495,27 @@ type matchStats struct {
 	// Events counts SAX events dispatched to the trie matcher.
 	Events int
 	// TupleVisits counts the candidates examined across all startElement
-	// events: predicate tuples in the event's frontier buckets plus live
-	// spine members the skeleton lookup landed on. It grows with the
-	// distinct steps that pass the name test, not the subscription count.
+	// events: predicate tuples in the event's frontier buckets plus the live
+	// spine members and predicate groups the skeleton lookup landed on (a
+	// group is one visit, whatever its size). It grows with the distinct
+	// steps that pass the name test, not the subscription count.
 	TupleVisits int
 	// FrontierInserts counts predicate tuples inserted into the frontier
 	// plus candidate scopes opened — the state-maintenance work visits do
 	// not see.
 	FrontierInserts int
-	// Peaks, as in core.Stats.
+	// GroupProbes counts the candidate values resolved against a predicate
+	// group's constants: one search or lookup each, whatever the group's
+	// size.
+	GroupProbes int
+	// Peaks, as in core.Stats. PeakGroupBits is the peak of what the open
+	// group scopes hold beyond a scope's cost: their indexes into the
+	// groups' constants.
 	PeakTuples      int
 	PeakScopes      int
 	PeakPendings    int
 	PeakBufferBytes int
+	PeakGroupBits   int
 	MaxLevel        int
 }
 
@@ -450,22 +548,23 @@ type matcher struct {
 	buf      []byte
 	refCount int
 	level    int
+	// groupBits is the index state the open group scopes hold (see
+	// predGroup.indexBits).
+	groupBits int
 
 	matched      []bool
 	matchedCount int
 
 	// Fragment-extraction state. capturing is set per document by the
-	// engine when a capture mode is active; extract flags the
-	// extraction-enabled subscriptions (by result index); frags holds the
-	// captured fragment latched per subscription — always the
-	// document-order-first match, so a later-resolving commit with an
-	// earlier start offset replaces the current one. capCommits counts
+	// engine when a capture mode is active; frags holds the captured
+	// fragment latched per extraction-enabled subscription (trie.extract) —
+	// always the document-order-first match, so a later-resolving commit
+	// with an earlier start offset replaces the current one. capCommits counts
 	// outstanding capture holds in commit entries and scope caps: while
 	// nonzero, an early exit could miss a better (earlier) fragment, so
 	// Decided stays false.
 	cm         *capman
 	capturing  bool
-	extract    []bool
 	frags      []*capture
 	capCommits int
 
@@ -473,7 +572,6 @@ type matcher struct {
 	spine      []spineCand // scratch, likewise
 	freeTuples []*tuple
 	freeScopes []*scope
-	support    []bool // scratch for the undecided sweep
 	stats      matchStats
 }
 
@@ -504,6 +602,7 @@ func (m *matcher) reset() {
 	m.buf = m.buf[:0]
 	m.refCount = 0
 	m.level = 0
+	m.groupBits = 0
 	if len(m.matched) != len(m.tr.paths) {
 		m.matched = make([]bool, len(m.tr.paths))
 	} else {
@@ -518,6 +617,9 @@ func (m *matcher) reset() {
 	m.capCommits = 0
 	for _, n := range m.tr.spineNodes {
 		n.remaining = n.through
+	}
+	for _, g := range m.tr.groups {
+		g.remaining, g.fragsWanted = g.through, g.extracting
 	}
 	m.stats = matchStats{}
 }
@@ -595,12 +697,12 @@ func (m *matcher) openFrame(sk *skel, level int) *frame {
 	if k := len(sk.free); k > 0 {
 		fr = sk.free[k-1]
 		sk.free = sk.free[:k-1]
-		if short := len(sk.members) - len(fr.scopes); short > 0 {
-			// Members joined since the frame was made.
+		if short := sk.slots - len(fr.scopes); short > 0 {
+			// Members and groups joined since the frame was made.
 			fr.scopes = append(fr.scopes, make([]*scope, short)...)
 		}
 	} else {
-		fr = &frame{sk: sk, scopes: make([]*scope, len(sk.members))}
+		fr = &frame{sk: sk, scopes: make([]*scope, sk.slots)}
 	}
 	fr.level = level
 	m.frames = append(m.frames, fr)
@@ -637,7 +739,7 @@ func (m *matcher) startDocument() {
 	// Degenerate empty-spine subscriptions match any document. Their
 	// "matched element" is the document itself, which has no source
 	// region, so they never carry a fragment.
-	m.deliver(root.terminals, nil, nil)
+	m.deliver(root.terminals, nil, nil, nil)
 }
 
 // candidate reports whether the element starting at elemLevel is a
@@ -675,9 +777,9 @@ func (m *matcher) collectCands(b *[]*tuple, isAttr bool, elemLevel int) {
 
 // collectSpine looks the event's symbol up in one edge set of src's
 // skeleton node and gathers, from the skeleton nodes it lands on, the
-// members whose parent scope is open in src. A member whose subscriptions
-// have all matched is skipped uncounted — the shared form of the monotone
-// early exit.
+// members and the groups whose parent scope is open in src. One whose
+// subscriptions have all matched is skipped uncounted — the shared form of
+// the monotone early exit.
 func (m *matcher) collectSpine(e *edges, sym symtab.Sym, src *frame) {
 	if e == nil {
 		return
@@ -687,9 +789,15 @@ func (m *matcher) collectSpine(e *edges, sym symtab.Sym, src *frame) {
 			continue
 		}
 		for _, n := range to.members {
-			if n.remaining > 0 && src.scopes[n.parent.slot] != nil {
+			if n.remaining > 0 && src.scopes[n.parent.fslot] != nil {
 				m.stats.TupleVisits++
-				m.spine = append(m.spine, spineCand{n, src})
+				m.spine = append(m.spine, spineCand{node: n, src: src})
+			}
+		}
+		for _, g := range to.groups {
+			if g.remaining > 0 && src.scopes[g.parent.fslot] != nil {
+				m.stats.TupleVisits++
+				m.spine = append(m.spine, spineCand{grp: g, src: src})
 			}
 		}
 	}
@@ -758,24 +866,39 @@ func (m *matcher) startSpine(sym symtab.Sym, isAttr bool, elemLevel int) {
 			m.collectSpine(fr.sk.desc, sym, fr)
 		}
 	}
-	// Members gathered by one lookup are adjacent, and each may open at most
-	// one scope (a member has one parent scope per source frame), so one
-	// frame per (source frame, skeleton node) run indexes them by slot.
+	// Candidates gathered by one lookup are adjacent, and each may open at
+	// most one scope (a member or group has one parent scope per source
+	// frame), so one frame per (source frame, skeleton node) run indexes them
+	// by slot.
 	var fr, src *frame
 	for _, c := range m.spine {
+		if g := c.grp; g != nil {
+			if g.remaining == 0 {
+				continue
+			}
+			var in *frame
+			if g.sk.hasEdges() {
+				if c.src != src || g.sk != fr.sk {
+					fr, src = m.openFrame(g.sk, elemLevel), c.src
+				}
+				in = fr
+			}
+			m.openGroup(g, c.src.scopes[g.parent.fslot], elemLevel, in)
+			continue
+		}
 		n := c.node
 		if n.remaining == 0 {
 			// An earlier candidate of this same element already satisfied
 			// every subscription this step serves.
 			continue
 		}
-		origin := c.src.scopes[n.parent.slot]
+		origin := c.src.scopes[n.parent.fslot]
 		// A terminal whose own step carries no predicates commits now, gated
 		// only by ancestor scopes (its continuations serve other
 		// subscriptions); with predicates the commit waits for the scope to
 		// resolve at endElement.
 		if len(n.conj) == 0 {
-			m.deliverCaptured(n.terminals, origin)
+			m.deliverCaptured(n.terminals, origin, n.parent)
 			if len(n.succ) == 0 {
 				continue
 			}
@@ -796,21 +919,10 @@ func (m *matcher) startSpine(sym symtab.Sym, isAttr bool, elemLevel int) {
 // the frontier. Spine continuations need no insertion: the scope's slot in
 // fr is what the skeleton lookup finds them by.
 func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int, fr *frame) {
-	var sc *scope
-	if k := len(m.freeScopes); k > 0 {
-		sc = m.freeScopes[k-1]
-		m.freeScopes = m.freeScopes[:k-1]
-	} else {
-		sc = &scope{}
-	}
-	sc.node, sc.tup, sc.origin, sc.level, sc.fr = n, tup, origin, level, fr
-	for _, c := range n.conj {
-		ct := m.newTuple(c, level+1, sc)
-		sc.children = append(sc.children, ct)
-		m.frAdd(ct)
-	}
+	sc := m.pushScope(origin, level, n.conj)
+	sc.node, sc.tup, sc.fr = n, tup, fr
 	if fr != nil {
-		fr.scopes[n.slot] = sc
+		fr.scopes[n.fslot] = sc
 	}
 	if m.capturing && n.kind == kindSpine && len(n.conj) > 0 && len(n.terminals) > 0 {
 		// The node's own terminals resolve only when this scope closes; if
@@ -821,11 +933,31 @@ func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int, fr *
 			m.capCommits++
 		}
 	}
+}
+
+// pushScope takes a scope off the free list (or allocates one), opens it
+// below origin at level and inserts the conjunctive children conj into the
+// frontier.
+func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
+	var sc *scope
+	if k := len(m.freeScopes); k > 0 {
+		sc = m.freeScopes[k-1]
+		m.freeScopes = m.freeScopes[:k-1]
+	} else {
+		sc = &scope{}
+	}
+	sc.origin, sc.level = origin, level
+	for _, c := range conj {
+		ct := m.newTuple(c, level+1, sc)
+		sc.children = append(sc.children, ct)
+		m.frAdd(ct)
+	}
 	m.stats.FrontierInserts++
 	m.scopes = append(m.scopes, sc)
 	if len(m.scopes) > m.stats.PeakScopes {
 		m.stats.PeakScopes = len(m.scopes)
 	}
+	return sc
 }
 
 // text appends character data to the shared buffer if any value-restricted
@@ -857,19 +989,27 @@ func (m *matcher) textBytes(data []byte) {
 // the closing level, innermost first (they form suffixes of their stacks,
 // as in core), then retires the level's frames. Buffered candidate text is
 // evaluated through a zero-copy view — predicates only see a string for the
-// duration of the Contains call.
+// duration of the Contains call — and parsed as a number at most once,
+// however many predicate groups are pending on it.
 func (m *matcher) endElement() {
 	m.stats.Events++
 	closing := m.level
 	m.level--
+	var parsed parsedText
 	for len(m.pendings) > 0 {
 		p := m.pendings[len(m.pendings)-1]
 		if p.level != closing {
 			break
 		}
 		m.pendings = m.pendings[:len(m.pendings)-1]
-		if !p.tup.matched && p.tup.node.set.Contains(bytestr.String(m.buf[p.start:])) {
-			p.tup.matched = true
+		if t := p.tup; !t.matched {
+			// Every pending of this level buffered the closing element's text.
+			text := bytestr.String(m.buf[p.start:])
+			if set := t.node.set; set == nil {
+				m.probe(t, text, &parsed)
+			} else if set.Contains(text) {
+				t.matched = true
+			}
 		}
 		m.refCount--
 		if m.refCount == 0 {
@@ -895,19 +1035,15 @@ func (m *matcher) endElement() {
 // gate the scope's conditional commits: if they all matched, the commits
 // (plus the node's own terminals, when predicated) propagate to the next
 // predicate scope up the trie-ancestor chain — or to the global match
-// vector if none is open. The scope and its child tuples return to the
-// free lists (their own inner scopes closed at deeper levels already).
+// vector if none is open. A group scope resolves member by member
+// (closeGroup). The scope and its child tuples return to the free lists
+// (their own inner scopes closed at deeper levels already).
 func (m *matcher) closeScope(sc *scope) {
-	conjOK := true
-	for _, c := range sc.children {
-		if !c.matched {
-			conjOK = false
-		}
-		if c.slot >= 0 {
-			m.frRemove(c)
-		}
-		m.freeTuple(c)
+	if sc.grp != nil {
+		m.closeGroup(sc)
+		return
 	}
+	conjOK := m.freeChildren(sc)
 	n := sc.node
 	switch {
 	case n.kind == kindPred:
@@ -922,10 +1058,10 @@ func (m *matcher) closeScope(sc *scope) {
 		}
 	case conjOK && len(sc.children) > 0:
 		for _, c := range sc.commits {
-			m.deliverEntry(c.sub, c.cap, sc.origin)
+			m.deliverEntry(c.sub, c.cap, sc.origin, n.parent)
 			m.dropCommitCap(c.cap)
 		}
-		m.deliver(n.terminals, sc.cap, sc.origin)
+		m.deliver(n.terminals, sc.cap, sc.origin, n.parent)
 	default:
 		// Predicates refuted: the conditional commits die with their
 		// capture holds.
@@ -933,75 +1069,113 @@ func (m *matcher) closeScope(sc *scope) {
 			m.dropCommitCap(c.cap)
 		}
 	}
+	m.recycleScope(sc, n.fslot)
+}
+
+// freeChildren returns a closing scope's child tuples to the free list,
+// reporting whether all of them matched.
+func (m *matcher) freeChildren(sc *scope) (all bool) {
+	all = true
+	for _, c := range sc.children {
+		if !c.matched {
+			all = false
+		}
+		if c.slot >= 0 {
+			m.frRemove(c)
+		}
+		m.freeTuple(c)
+	}
+	return all
+}
+
+// recycleScope drops a resolved scope's own capture hold, takes it out of
+// the frame that indexed it under fslot, and returns it to the free list.
+func (m *matcher) recycleScope(sc *scope, fslot int) {
 	if sc.cap != nil {
 		m.dropCommitCap(sc.cap)
 	}
 	if sc.fr != nil {
-		sc.fr.scopes[n.slot] = nil
+		sc.fr.scopes[fslot] = nil
 	}
-	children, commits := sc.children[:0], sc.commits[:0]
-	*sc = scope{children: children, commits: commits}
+	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], hits: sc.hits[:0]}
 	m.freeScopes = append(m.freeScopes, sc)
 }
 
+// gate returns the nearest scope up the trie-ancestor chain from from whose
+// predicates are still unresolved for a match arriving through at — the
+// spine node from is a scope of, which in a group scope names the member —
+// or nil when the match is final. A group scope gates only the members its
+// values have not satisfied yet: satisfaction is monotone, so a satisfied
+// member's scope is as good as closed and the match passes straight up.
+func (m *matcher) gate(from *scope, at *tnode) (*scope, *tnode) {
+	for s := from; s != nil; s, at = s.origin, at.parent {
+		if s.grp != nil {
+			if !s.satisfied(at) {
+				return s, at
+			}
+		} else if len(s.children) > 0 {
+			return s, nil
+		}
+	}
+	return nil, nil
+}
+
 // deliver routes matched subscriptions to the nearest trie-ancestor scope
-// whose predicates are still unresolved; with none open, the matches are
-// final and latch globally (decrementing the remaining counters that
-// drive the shared early exit). cap, when non-nil, is the fragment
-// captured for the matching element; commit entries for
-// extraction-enabled subscriptions take a reference each.
-func (m *matcher) deliver(outs []int, cap *capture, from *scope) {
+// whose predicates are still unresolved (gate; from is the scope of spine
+// node at); with none open, the matches are final and latch globally
+// (decrementing the remaining counters that drive the shared early exit).
+// cap, when non-nil, is the fragment captured for the matching element;
+// commit entries for extraction-enabled subscriptions take a reference each.
+func (m *matcher) deliver(outs []int, cap *capture, from *scope, at *tnode) {
 	if len(outs) == 0 {
 		return
 	}
-	for s := from; s != nil; s = s.origin {
-		if len(s.children) > 0 {
-			for _, sub := range outs {
-				c := cap
-				if c != nil && !m.extract[sub] {
-					c = nil
-				}
-				if c != nil {
-					c.refs++
-					m.capCommits++
-				}
-				s.commits = append(s.commits, commit{sub: sub, cap: c})
-			}
-			return
+	s, mem := m.gate(from, at)
+	if s == nil {
+		for _, sub := range outs {
+			m.latch(sub, cap)
 		}
+		return
 	}
 	for _, sub := range outs {
-		m.latch(sub, cap)
+		c := cap
+		if c != nil && !m.tr.extract[sub] {
+			c = nil
+		}
+		if c != nil {
+			c.refs++
+			m.capCommits++
+		}
+		s.commits = append(s.commits, commit{sub: sub, cap: c, mem: mem})
 	}
 }
 
 // deliverCaptured is deliver for terminals reached at the current
 // element's startElement: it starts (or joins) the element's capture when
 // some terminal wants a fragment.
-func (m *matcher) deliverCaptured(outs []int, from *scope) {
+func (m *matcher) deliverCaptured(outs []int, from *scope, at *tnode) {
 	if cap := m.capFor(outs); cap != nil {
-		m.deliver(outs, cap, from)
+		m.deliver(outs, cap, from, at)
 		m.cm.release(cap) // deliver took its own holds
 		return
 	}
-	m.deliver(outs, nil, from)
+	m.deliver(outs, nil, from, at)
 }
 
 // deliverEntry re-routes one resolved commit one gating scope up (or
 // latches it), taking fresh capture holds; the caller still owns — and
 // must drop — the original entry's hold.
-func (m *matcher) deliverEntry(sub int, cap *capture, from *scope) {
-	for s := from; s != nil; s = s.origin {
-		if len(s.children) > 0 {
-			if cap != nil {
-				cap.refs++
-				m.capCommits++
-			}
-			s.commits = append(s.commits, commit{sub: sub, cap: cap})
-			return
-		}
+func (m *matcher) deliverEntry(sub int, cap *capture, from *scope, at *tnode) {
+	s, mem := m.gate(from, at)
+	if s == nil {
+		m.latch(sub, cap)
+		return
 	}
-	m.latch(sub, cap)
+	if cap != nil {
+		cap.refs++
+		m.capCommits++
+	}
+	s.commits = append(s.commits, commit{sub: sub, cap: cap, mem: mem})
 }
 
 // latch finalizes a subscription's match. The fragment slot keeps the
@@ -1009,14 +1183,18 @@ func (m *matcher) deliverEntry(sub int, cap *capture, from *scope) {
 // scope close, so a later-resolving commit can carry an earlier element —
 // it replaces the slot when its start offset is smaller.
 func (m *matcher) latch(sub int, cap *capture) {
+	path := m.tr.paths[sub]
 	if !m.matched[sub] {
 		m.matched[sub] = true
 		m.matchedCount++
-		for _, n := range m.tr.paths[sub] {
+		for _, n := range path {
 			n.remaining--
+			if n.mem != nil {
+				n.mem.grp.remaining--
+			}
 		}
 	}
-	if cap == nil || !m.extract[sub] {
+	if cap == nil || !m.tr.extract[sub] {
 		return
 	}
 	old := m.frags[sub]
@@ -1026,6 +1204,8 @@ func (m *matcher) latch(sub int, cap *capture) {
 	cap.refs++
 	if old != nil {
 		m.cm.release(old)
+	} else if mb := path[len(path)-1].mem; mb != nil {
+		mb.grp.fragsWanted--
 	}
 	m.frags[sub] = cap
 }
@@ -1040,7 +1220,7 @@ func (m *matcher) capFor(outs []int) *capture {
 		return nil
 	}
 	for _, sub := range outs {
-		if m.extract[sub] && m.frags[sub] == nil {
+		if m.tr.extract[sub] && m.frags[sub] == nil {
 			return m.cm.elemCapture()
 		}
 	}
@@ -1055,35 +1235,19 @@ func (m *matcher) dropCommitCap(cap *capture) {
 	}
 }
 
-// markSupport latches support for the not-yet-matched subscriptions in
-// outs, returning how many became newly supported.
-func (m *matcher) markSupport(outs []int) int {
-	n := 0
+// unmatched reports whether any subscription in outs has yet to match.
+func (m *matcher) unmatched(outs []int) bool {
 	for _, sub := range outs {
-		if !m.matched[sub] && !m.support[sub] {
-			m.support[sub] = true
-			n++
+		if !m.matched[sub] {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
-// markSubtree latches support for the not-yet-matched subscriptions whose
-// spine passes through n, returning how many became newly supported.
-func (m *matcher) markSubtree(n *tnode) int {
-	if n.remaining == 0 {
-		return 0
-	}
-	k := m.markSupport(n.terminals)
-	for _, c := range n.succ {
-		k += m.markSubtree(c)
-	}
-	return k
-}
-
-// undecided counts the subscriptions whose verdict is still open: not
-// yet matched, and supported by at least one avenue a continuation of
-// the document could still complete. Avenues are, per open spine scope,
+// undecided reports whether some subscription's verdict is still open: not
+// yet matched, and supported by at least one avenue a continuation of the
+// document could still complete. Avenues are, per open spine scope,
 //
 //   - a continuation of its node that some element yet to start could be
 //     a candidate for. Below an open element that is every continuation
@@ -1097,44 +1261,48 @@ func (m *matcher) markSubtree(n *tnode) int {
 //     node's own terminals — resolve when it closes, so they are
 //     pessimistically alive until then.
 //
+// A group scope is an open element with unresolved predicates for every
+// member, so both avenues are open to every unmatched subscription that
+// passes through one: the group's remaining count is the whole answer.
+//
 // A subscription with no avenue left can never match (conjunctive
 // matching is monotone and candidates only arrive through open scopes),
-// so its negative verdict is final mid-stream. The sweep is
-// O(scopes + the unmatched part of the trie below their continuations);
-// callers probe it per chunk, not per event.
-func (m *matcher) undecided() int {
+// so its negative verdict is final mid-stream. The remaining counters say
+// whether anything unmatched lies below a step, so the sweep is
+// O(scopes + their continuations + their commits) and stops at the first
+// open verdict; callers probe it per chunk, not per event.
+func (m *matcher) undecided() bool {
 	if m.tr.live == m.matchedCount {
-		return 0
-	}
-	if len(m.support) != len(m.tr.paths) {
-		m.support = make([]bool, len(m.tr.paths))
-	} else {
-		clear(m.support)
+		return false
 	}
 	rootSeen := m.stats.MaxLevel > 0
-	n := 0
 	for _, sc := range m.scopes {
-		if sc.node.kind != kindSpine {
+		switch {
+		case sc.grp != nil:
+			if sc.grp.remaining > 0 {
+				return true
+			}
+		case sc.node.kind == kindSpine:
+			for _, c := range sc.node.succ {
+				if c.remaining > 0 && (c.axis == query.AxisDescendant || sc.level > 0 || !rootSeen) {
+					return true
+				}
+			}
+			if len(sc.children) > 0 && m.unmatched(sc.node.terminals) {
+				return true
+			}
+		default:
 			// A predicate scope's resolution only feeds the spine scope
-			// that gated it, which is accounted below.
+			// that gated it.
 			continue
 		}
-		for _, c := range sc.node.succ {
-			if c.axis == query.AxisDescendant || sc.level > 0 || !rootSeen {
-				n += m.markSubtree(c)
-			}
-		}
-		if len(sc.children) > 0 {
-			n += m.markSupport(sc.node.terminals)
-			for _, c := range sc.commits {
-				if !m.matched[c.sub] && !m.support[c.sub] {
-					m.support[c.sub] = true
-					n++
-				}
+		for _, c := range sc.commits {
+			if !m.matched[c.sub] {
+				return true
 			}
 		}
 	}
-	return n
+	return false
 }
 
 // live returns the matcher's live-state count: frontier tuples, open

@@ -2,7 +2,7 @@
 // document stream is materialized into a tree and evaluated with the
 // reference semantics. Its memory is Θ(|D|), the cost the streaming
 // algorithms exist to avoid; benchmarks compare it against internal/core
-// (the E20 experiment of DESIGN.md).
+// (experiment E20 of `go run ./cmd/xpexperiments`).
 package naive
 
 import (

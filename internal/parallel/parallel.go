@@ -661,6 +661,8 @@ func (s *Sharded) memStats() engine.MemStats {
 	for _, sh := range s.shards {
 		ms := sh.eng.MemStats()
 		out.Events += ms.Events
+		out.GroupProbes += ms.GroupProbes
+		out.PeakGroupBits += ms.PeakGroupBits
 		out.PeakLiveTuples += ms.PeakLiveTuples
 		out.PeakScopes += ms.PeakScopes
 		out.PeakPendings += ms.PeakPendings

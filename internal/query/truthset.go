@@ -202,6 +202,35 @@ func (s strNeSet) ExtendsToMember(string) bool { return true }
 func (s strNeSet) Candidates() []string        { return []string{s.c + "x", "zz", s.c} }
 func (s strNeSet) String() string              { return fmt.Sprintf("{s : s != %q}", s.c) }
 
+// Comparison is the comparison form {s : s Op constant} of a truth set: a
+// numeric comparison of number(s) against Num, or a textual (in)equality of
+// s against Str. It is what an index over many such sets keys on — the
+// constant — where Contains can only be asked one set at a time.
+type Comparison struct {
+	Op      value.CompOp
+	Numeric bool
+	Num     float64
+	Str     string
+}
+
+// ComparisonOf returns the comparison form of s; ok is false for every set
+// that is not one comparison against one constant (S, the empty set, the
+// numeric strings, string functions, length bounds, generic sets).
+func ComparisonOf(s Set) (c Comparison, ok bool) {
+	switch s := s.(type) {
+	case numSet:
+		if s.op == numAny || math.IsNaN(s.c) {
+			return Comparison{}, false // a NaN constant makes the set empty
+		}
+		return Comparison{Op: s.op, Numeric: true, Num: s.c}, true
+	case strEqSet:
+		return Comparison{Op: value.OpEq, Str: s.c}, true
+	case strNeSet:
+		return Comparison{Op: value.OpNe, Str: s.c}, true
+	}
+	return Comparison{}, false
+}
+
 // StrFuncKind selects which string-predicate truth set to build.
 type StrFuncKind uint8
 

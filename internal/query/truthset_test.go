@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,6 +97,36 @@ func TestNumSetOps(t *testing.T) {
 		if w, ok := s.Witness(); !ok || !s.Contains(w) {
 			t.Errorf("%s: witness %q invalid", c.src, w)
 		}
+	}
+}
+
+// TestComparisonOf: the comparison form of a truth set is its operator and
+// constant after normalization (operands flipped, linear arithmetic folded),
+// and only single comparisons have one.
+func TestComparisonOf(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want Comparison
+		ok   bool
+	}{
+		{"/a[b > 5]", Comparison{Op: value.OpGt, Numeric: true, Num: 5}, true},
+		{"/a[5 >= b]", Comparison{Op: value.OpLe, Numeric: true, Num: 5}, true},
+		{"/a[b + 1 = 3]", Comparison{Op: value.OpEq, Numeric: true, Num: 2}, true},
+		{`/a[b != "5"]`, Comparison{Op: value.OpNe, Numeric: true, Num: 5}, true},
+		{`/a[b = "x"]`, Comparison{Op: value.OpEq, Str: "x"}, true},
+		{`/a[b != "x"]`, Comparison{Op: value.OpNe, Str: "x"}, true},
+		{"/a[b]", Comparison{}, false},
+		{`/a[b > "x"]`, Comparison{}, false},
+		{`/a[contains(b, "x")]`, Comparison{}, false},
+		{"/a[string-length(b) > 2]", Comparison{}, false},
+		{"/a[b * 0 = 0]", Comparison{}, false},
+	} {
+		if got, ok := ComparisonOf(truthOf(t, c.src, "b")); got != c.want || ok != c.ok {
+			t.Errorf("%s: ComparisonOf = %+v, %v; want %+v, %v", c.src, got, ok, c.want, c.ok)
+		}
+	}
+	if _, ok := ComparisonOf(NumSet(value.OpGt, math.NaN())); ok {
+		t.Error("a NaN constant is the empty set, not a comparison")
 	}
 }
 

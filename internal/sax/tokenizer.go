@@ -23,11 +23,20 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sax: syntax error at byte %d: %s", e.Offset, e.Msg)
 }
 
-// Tokenizer converts raw XML bytes into the five-event stream of Section
-// 3.1.4. It is a strict one-pass scanner: it never buffers more than the
-// current token, which is what makes it a legitimate substrate for the
-// streaming algorithms (the memory accounting of the filter would be
-// meaningless if the parser itself buffered the document).
+// Tokenizer is the reference tokenizer: it converts raw XML bytes into the
+// five-event stream of Section 3.1.4 over strings. It is a strict one-pass
+// scanner: it never buffers more than the current token, which is what makes
+// it a legitimate substrate for the streaming algorithms (the memory
+// accounting of the filter would be meaningless if the parser itself
+// buffered the document).
+//
+// Nothing that ships matches documents with it — every public matcher and
+// the daemon tokenize with TokenizerBytes or StreamTokenizer. It is the
+// independent side of the oracles: internal/tree (hence internal/semantics)
+// parses with it, FuzzTokenizerBytes holds the byte tokenizer to it, and
+// internal/core, the paper's Section 8 reference filter, runs on its
+// events. A test at the repository root pins that no other non-test code
+// constructs one.
 //
 // Supported syntax: element tags with attributes, self-closing tags,
 // character data with the five predefined entities plus decimal/hex

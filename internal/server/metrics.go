@@ -61,6 +61,7 @@ type tenantMetrics struct {
 	bytesRead     atomic.Int64
 	bytesConsumed atomic.Int64
 	skimmedBytes  atomic.Int64
+	groupProbes   atomic.Int64
 	earlyExitPos  atomic.Int64
 	earlyExitNeg  atomic.Int64
 
@@ -105,6 +106,7 @@ func (tm *tenantMetrics) recordDoc(res MatchResult, err error) {
 	tm.bytesRead.Add(res.Stats.BytesRead)
 	tm.bytesConsumed.Add(res.Stats.BytesConsumed)
 	tm.skimmedBytes.Add(res.SkimmedBytes)
+	tm.groupProbes.Add(int64(res.Mem.GroupProbes))
 	if res.Stats.EarlyExit {
 		if res.Stats.DecidedNegative {
 			tm.earlyExitNeg.Add(1)
@@ -197,6 +199,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, reg *Registry) {
 		func(tm *tenantMetrics) int64 { return tm.bytesConsumed.Load() })
 	counter("xpfilterd_skimmed_bytes_total", "Consumed bytes of buffered documents validated without dispatch, every verdict being final already.",
 		func(tm *tenantMetrics) int64 { return tm.skimmedBytes.Load() })
+	counter("xpfilterd_predicate_group_probes_total", "Candidate values resolved against a predicate group (subscriptions differing only in one comparison's constant): one search each, whatever the group's size.",
+		func(tm *tenantMetrics) int64 { return tm.groupProbes.Load() })
 	counter("xpfilterd_limit_breaches_total", "Documents refused on a resource-budget breach (LimitFail policy).",
 		func(tm *tenantMetrics) int64 { return tm.limitBreaches.Load() })
 	counter("xpfilterd_abstained_total", "Documents degraded to partial verdicts on a budget breach (LimitAbstain policy).",

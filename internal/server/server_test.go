@@ -532,6 +532,31 @@ func TestMetricsSkimmedBytes(t *testing.T) {
 	}
 }
 
+// TestMetricsGroupProbes: xpfilterd_predicate_group_probes_total counts the
+// values a tenant's predicate groups resolved — one per candidate value, not
+// one per subscriber — summed over its documents.
+func TestMetricsGroupProbes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	seedSubs(t, ts.URL, "thresholds", []SubInfo{
+		{ID: "low", Query: "/catalog/item[priority > 1]"},
+		{ID: "mid", Query: "/catalog/item[priority > 4]"},
+		{ID: "high", Query: "/catalog/item[priority > 7]"},
+	})
+	seedSubs(t, ts.URL, "plain", []SubInfo{{ID: "any", Query: "/catalog/item/priority"}})
+	catalog := []byte("<catalog><item><priority>0</priority></item><item><priority>5</priority></item><item><priority>x</priority></item></catalog>")
+	for _, tenant := range []string{"thresholds", "thresholds", "plain"} {
+		if _, r := postMatch(t, ts.URL, tenant, catalog, false); r.status != http.StatusOK {
+			t.Fatalf("%s: status %d", tenant, r.status)
+		}
+	}
+	body := string(do(t, "GET", ts.URL+"/metrics", nil).body)
+	for tenant, want := range map[string]string{"thresholds": "6", "plain": "0"} {
+		if line := fmt.Sprintf("xpfilterd_predicate_group_probes_total{tenant=%q} %s\n", tenant, want); !strings.Contains(body, line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+}
+
 // TestHealthz pins the liveness answer.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

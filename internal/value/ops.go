@@ -168,7 +168,9 @@ func Neg(a Value) Value { return Number(-ToNumber(a)) }
 // FuncSig describes a function from the basic XPath function library
 // supported by this reproduction (the funcop production of Fig. 1, minus
 // position() and last() which the grammar excludes, and minus regular
-// expressions — see DESIGN.md substitutions).
+// expressions: the string predicates provided are those of the paper's
+// examples — contains, starts-with, ends-with — which is all the
+// experiments of `go run ./cmd/xpexperiments` use).
 type FuncSig struct {
 	Name string
 	// Arity is the required argument count; -1 means variadic (min 1).

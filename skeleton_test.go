@@ -61,19 +61,67 @@ var skeletonCases = []struct {
 		`<catalog><item id="1"><priority>5</priority><f1></f1></item><item id="2"><priority>9</priority><f1></f1><f2></f2></item><item><priority>1</priority><f2></f2></item></catalog>`,
 		`<catalog><item><priority>1</priority><f1></f1></item><item id="3"><priority>4</priority><f2></f2><f1></f1></item><item><f1></f1></item></catalog>`,
 	}},
+	// Steps that differ only in a constant are one predicate group per
+	// operator class — here >, <, numeric = and textual = on one step, the
+	// first with a predicated terminal that also has continuations: a
+	// continuation before the value, two values in either order, a value that
+	// satisfies no member, padded and non-numeric text, and an item inside
+	// an item, each with its own group scope.
+	{"threshold-group", []string{
+		`//item[priority > 3]/f1`, `//item[priority > 5]/f1`, `//item[priority >= 9]/f1`, `//item[priority > 5]`,
+		`//item[priority > 3]/f1/@id`, `//item[priority < 2]/f1`, `//item[priority <= 5]`, `//item[priority = 5]/f1`,
+		`//item[priority != 5]/f1`, `//item[priority = "n/a"]/f1`, `//item[priority > 5]//f2`,
+	}, []string{
+		`<feed><item><f1 id="a"></f1><priority>5</priority></item></feed>`,
+		`<feed><item><priority>1</priority><f1></f1><priority>9</priority></item></feed>`,
+		`<feed><item><priority>9</priority><priority>1</priority><f1 id="b"></f1></item></feed>`,
+		`<feed><item><priority>0</priority><f1></f1></item><item><priority>2</priority><f1></f1></item></feed>`,
+		`<feed><item><priority> 5 </priority><f1></f1></item><item><priority>n/a</priority><f1></f1></item></feed>`,
+		`<feed><item><priority>4</priority><item><f1></f1><priority>7</priority><g><f2></f2></g></item><f1 id="c"></f1></item></feed>`,
+		`<feed><item><item><priority>1</priority></item><priority>6</priority><f2></f2></item></feed>`,
+	}},
 }
 
-// skeletonSet registers subs under ids s0, s1, …, with or without
+// extractMode says which subscriptions of a skeleton case are registered
+// with extraction.
+type extractMode int
+
+const (
+	extractNone extractMode = iota
+	extractAll
+	// extractEven: s0, s2, … only, so that some members of a predicate
+	// group want the candidate element's fragment and others do not.
+	extractEven
+)
+
+// String names the mode as the subtests always have: extract=false,
+// extract=true, and now extract=even.
+func (m extractMode) String() string {
+	return [...]string{"false", "true", "even"}[m]
+}
+
+// wants reports whether subscription id (s<i> for extractEven) extracts.
+func (m extractMode) wants(id string) bool {
+	if m != extractEven {
+		return m == extractAll
+	}
+	var i int
+	fmt.Sscanf(id, "s%d", &i)
+	return i%2 == 0
+}
+
+// skeletonSet registers subs under ids s0, s1, …, those extract selects with
 // extraction.
-func skeletonSet(t *testing.T, subs []string, extract bool) *streamxpath.FilterSet {
+func skeletonSet(t *testing.T, subs []string, extract extractMode) *streamxpath.FilterSet {
 	t.Helper()
 	set := streamxpath.NewFilterSet()
 	for i, src := range subs {
+		id := fmt.Sprintf("s%d", i)
 		add := set.Add
-		if extract {
+		if extract.wants(id) {
 			add = set.AddExtract
 		}
-		if err := add(fmt.Sprintf("s%d", i), src); err != nil {
+		if err := add(id, src); err != nil {
 			t.Fatalf("add %s: %v", src, err)
 		}
 	}
@@ -99,7 +147,7 @@ func skeletonTruth(ids, subs []string, doc string) (matched []string, frags map[
 // checkSkeleton compares one result against the oracle. An abstained
 // result may miss matches but never invent one; its fragments, like a
 // complete result's, must be the reference ones.
-func checkSkeleton(t *testing.T, label string, res streamxpath.MatchResult, extract bool, want []string, frags map[string]string) {
+func checkSkeleton(t *testing.T, label string, res streamxpath.MatchResult, extract extractMode, want []string, frags map[string]string) {
 	t.Helper()
 	if res.Abstained {
 		for _, id := range res.MatchedIDs {
@@ -110,22 +158,28 @@ func checkSkeleton(t *testing.T, label string, res streamxpath.MatchResult, extr
 	} else {
 		assertSameIDs(t, label, res.MatchedIDs, want)
 	}
-	if !extract {
-		return
-	}
 	for _, f := range res.Fragments {
+		if !extract.wants(f.ID) {
+			t.Fatalf("%s: fragment for %s, which does not extract", label, f.ID)
+		}
 		if string(f.Data) != frags[f.ID] {
 			t.Fatalf("%s: fragment %s:\n  got  %q\n  want %q", label, f.ID, f.Data, frags[f.ID])
 		}
 	}
-	if !res.Abstained && len(res.Fragments) != len(want) {
-		t.Fatalf("%s: %d fragments for %d matches", label, len(res.Fragments), len(want))
+	extracting := 0
+	for _, id := range want {
+		if extract.wants(id) {
+			extracting++
+		}
+	}
+	if !res.Abstained && len(res.Fragments) != extracting {
+		t.Fatalf("%s: %d fragments for %d extracting matches", label, len(res.Fragments), extracting)
 	}
 }
 
 // matchEverywhere runs doc through MatchBytesResult and through
 // MatchReaderResult split at every offset, checking each result.
-func matchEverywhere(t *testing.T, label string, set *streamxpath.FilterSet, extract bool, ids, subs []string, doc string) {
+func matchEverywhere(t *testing.T, label string, set *streamxpath.FilterSet, extract extractMode, ids, subs []string, doc string) {
 	t.Helper()
 	want, frags := skeletonTruth(ids, subs, doc)
 	data := []byte(doc)
@@ -145,7 +199,7 @@ func matchEverywhere(t *testing.T, label string, set *streamxpath.FilterSet, ext
 
 func TestSkeletonDispatchAgainstOracle(t *testing.T) {
 	for _, c := range skeletonCases {
-		for _, extract := range []bool{false, true} {
+		for _, extract := range []extractMode{extractNone, extractAll, extractEven} {
 			t.Run(fmt.Sprintf("%s/extract=%v", c.name, extract), func(t *testing.T) {
 				set := skeletonSet(t, c.subs, extract)
 				ids := set.IDs()
@@ -185,7 +239,7 @@ func TestSkeletonRebuiltAcrossAddRemove(t *testing.T) {
 			srcs[i] = subs[id]
 		}
 		for _, doc := range docs {
-			matchEverywhere(t, step+": "+doc, set, true, ids, srcs, doc)
+			matchEverywhere(t, step+": "+doc, set, extractAll, ids, srcs, doc)
 		}
 	}
 	mustAdd := func(id string) {
@@ -218,7 +272,7 @@ func TestSkeletonRebuiltAcrossAddRemove(t *testing.T) {
 // rather than with the matching state.
 func trieCounts(t *testing.T, subs []string, doc string) (st streamxpath.FilterSetStats, mem streamxpath.MemStats, nameBits int) {
 	t.Helper()
-	set := skeletonSet(t, subs, false)
+	set := skeletonSet(t, subs, extractNone)
 	res, err := set.MatchBytesResult([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -265,4 +319,27 @@ func TestTrieStateIndependentOfLeafFanout(t *testing.T) {
 	same("leaf fan-out 10 vs 1000", fanout(10), fanout(1000), doc)
 	same("predshared 100 vs 10000",
 		disseminationSubs("predshared", 100), disseminationSubs("predshared", 10000), doc)
+}
+
+// TestTrieStateIndependentOfThresholdFanout is the same pin along the other
+// axis: however many thresholds subscribers hang on one step, an open
+// candidate holds one group scope, one tuple and one buffering value, so the
+// peak live state of 1, 10 and 100 thresholds is identical.
+func TestTrieStateIndependentOfThresholdFanout(t *testing.T) {
+	doc := disseminationDoc(40)
+	var peaks [][3]int
+	for _, n := range []int{1, 10, 100} {
+		var subs []string
+		for k := 0; k < n; k++ {
+			subs = append(subs, fmt.Sprintf("//catalog/item[priority > %d]/f%d", k, k%3))
+		}
+		st, mem, _ := trieCounts(t, subs, doc)
+		if st.PredGroups != 1 || st.LargestGroup != n {
+			t.Fatalf("%d thresholds: %d groups, largest %d", n, st.PredGroups, st.LargestGroup)
+		}
+		peaks = append(peaks, [3]int{mem.PeakLiveTuples, mem.PeakScopes, mem.PeakPendings})
+	}
+	if peaks[0] != peaks[1] || peaks[1] != peaks[2] {
+		t.Errorf("peak live/scopes/pendings for 1, 10, 100 thresholds: %v, want them identical", peaks)
+	}
 }

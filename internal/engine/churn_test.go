@@ -24,8 +24,10 @@ import (
 // caller can observe must agree — per event, whether the verdicts are
 // decided and how many have latched; per document, the matched ids, the
 // fragments, the sizes of the shared structures, NeedsText and the
-// lower-bound term of MemStats — and the verdicts must be the tree
-// evaluator's (internal/semantics). TestEngineChurnMatchesFreshEngine runs
+// lower-bound term of MemStats — the verdicts must be the tree evaluator's
+// (internal/semantics), and what the patched trie derives from its nodes
+// (the count vector every document starts from, the runs and their order)
+// must be what a recomputation from the nodes gives (checkIndex). TestEngineChurnMatchesFreshEngine runs
 // it on seeded random bytes, FuzzEngineChurn on whatever the fuzzer finds.
 
 // dice reads the decisions of a run off a byte string; an exhausted string
@@ -56,11 +58,22 @@ var churnNames = []string{"a", "b", "c", "d"}
 // path.
 var churnPreds = []string{"[b > %d]", "[b < %d]", "[b >= %d]", "[b = %d]", "[b != %d]", "[%d < b]", "[c/b <= %d]"}
 
+// churnTails are what churnQuery hangs below //a[b ⋄ k]/c: nothing, a
+// predicate no group takes, one a group does, a further step, an attribute.
+var churnTails = []string{"", "", "[b]", "[b > 1]", "/d", "/@id"}
+
 // churnQuery draws a query of one to three steps over /, //, the four names
 // and *, with [b], a numeric comparison of b or [b = "x"] on some steps and
 // sometimes a final attribute step. The pool is small on purpose:
 // independent draws share prefixes, whole paths, and often the entire query.
+// One draw in four is a continuation of a grouped step along one skeleton
+// edge — //a[b ⋄ k]/c… — so that the runs below //a's groups gain nodes in
+// and out of order, lose them from the middle, empty and come back.
 func churnQuery(d *dice) string {
+	if d.n(4) == 0 {
+		pred := fmt.Sprintf(churnPreds[d.n(len(churnPreds))], d.n(4))
+		return "//a" + pred + "/c" + churnTails[d.n(len(churnTails))]
+	}
 	var b strings.Builder
 	steps := 1 + d.n(3)
 	for i := 0; i < steps; i++ {
@@ -239,8 +252,94 @@ func runChurn(t testing.TB, data []byte) Stats {
 		if p, f := patched.MemStats(), fresh.MemStats(); p != f {
 			t.Fatalf("%s: MemStats\n patched %s\n fresh   %s", label, p, f)
 		}
+		checkIndex(t, label, patched.tr)
 	}
 	return patched.Stats()
+}
+
+// checkIndex recomputes from the trie's spine nodes everything add and
+// remove maintain beside them — the count vector with its recycled ids, the
+// membership, order and scope tally of every run — and holds the trie to it.
+func checkIndex(t testing.TB, label string, tr *trie) {
+	t.Helper()
+	want := make([]int32, len(tr.counts))
+	owned := make([]bool, len(tr.counts))
+	own := func(what string, ids ...int32) {
+		for _, id := range ids {
+			if owned[id] {
+				t.Fatalf("%s: %s: count id %d has two owners", label, what, id)
+			}
+			owned[id] = true
+		}
+	}
+	runs := map[*contRun][]*tnode{}
+	skels := map[*skel]bool{}
+	for _, n := range append([]*tnode{tr.root}, tr.spineNodes...) {
+		own(n.key, n.id)
+		skels[n.sk] = true
+		want[n.id] = int32(len(n.terminals) + len(n.succ))
+		extracting := int32(0)
+		for _, sub := range n.terminals {
+			if tr.outs[sub] != n {
+				t.Fatalf("%s: %s: result slot %d ends elsewhere", label, n.key, sub)
+			}
+			if tr.extract[sub] {
+				extracting++
+			}
+		}
+		switch grouped := n.parent != nil && n.parent.mem != nil; {
+		case n.mem != nil:
+			want[n.mem.grp.id]++
+			want[n.mem.grp.frags] += extracting
+		case grouped:
+			if n.run == nil || n.run.grp != n.parent.mem.grp {
+				t.Fatalf("%s: %s continues a group member outside its group's run", label, n.key)
+			}
+			runs[n.run] = append(runs[n.run], n)
+			want[n.run.id]++
+			want[n.run.frags] += extracting
+		case n.run != nil || n.sk.members[n.slot] != n:
+			t.Fatalf("%s: %s is not among its skeleton node's members", label, n.key)
+		}
+	}
+	for _, g := range tr.groups {
+		own("group "+g.key, g.id, g.frags)
+	}
+	held := 0
+	for sk := range skels {
+		held += len(sk.runs)
+		for pos, r := range sk.runs {
+			own("run below "+r.grp.key, r.id, r.frags)
+			nodes, scoped := runs[r], 0
+			for i, n := range r.nodes {
+				if !slices.Contains(nodes, n) {
+					t.Fatalf("%s: run below %s holds %s, which does not belong there", label, r.grp.key, n.key)
+				}
+				if n.opens() {
+					scoped++
+				}
+				if k := byKey(n); rank(r.nodes[:i], k.c, k.strict) != i {
+					t.Fatalf("%s: run below %s is out of order at %d", label, r.grp.key, i)
+				}
+			}
+			if len(r.nodes) != len(nodes) || scoped != r.scoped || r.pos != pos || sk.runOf[r.grp] != r {
+				t.Fatalf("%s: run below %s: holds %d nodes of %d, tallies %d scoped of %d, pos %d at %d",
+					label, r.grp.key, len(r.nodes), len(nodes), r.scoped, scoped, r.pos, pos)
+			}
+		}
+	}
+	if held != len(runs) {
+		t.Fatalf("%s: %d runs held by skeleton nodes, %d by spine nodes", label, held, len(runs))
+	}
+	if !slices.Equal(tr.counts, want) {
+		t.Fatalf("%s: count vector\n have %v\n want %v", label, tr.counts, want)
+	}
+	for _, id := range tr.freeIDs {
+		own("free list", id)
+	}
+	if i := slices.Index(owned, false); i >= 0 {
+		t.Fatalf("%s: count id %d is neither owned nor free", label, i)
+	}
 }
 
 func TestEngineChurnMatchesFreshEngine(t *testing.T) {

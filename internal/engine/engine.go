@@ -34,7 +34,10 @@
 //     that differ only in the constant of one comparison — [priority > 3],
 //     [priority > 4], … — are one predicate group (group.go): one scope,
 //     one tuple and one buffered value per candidate element, the value
-//     parsed once and resolved against all the constants by one search.
+//     parsed once and resolved against all the constants by one search;
+//     the steps that continue a group's members along one edge are one
+//     run, offered an element by one probe of the group's scope and split
+//     by one search against its boundary.
 //
 // Each subscription's match latches monotonically (conjunctive matching
 // is monotone, Section 8.1), and fully matched shared states stop
@@ -93,6 +96,18 @@ type subscription struct {
 	fs int
 }
 
+// result is what reading a document's results needs of one subscription:
+// the id to report and where its verdict and its fragment are latched. The
+// engine keeps one per subscription, in insertion order, in one flat vector
+// (Engine.results), so that collecting the matched ids of a document is a
+// sequential sweep and not a pointer chase through the subscriptions.
+type result struct {
+	id      string
+	out     int32 // subscription.out
+	route   Route
+	extract bool
+}
+
 // Engine matches one document stream at a time against all subscriptions.
 // Add and Remove patch the shared indexes where they stand, in time
 // proportional to the query, and take effect at the next document; called
@@ -100,6 +115,7 @@ type subscription struct {
 // concurrent use.
 type Engine struct {
 	subs    []*subscription // in insertion order
+	results []result        // results[i] is subs[i]'s
 	byID    map[string]*subscription
 	nextSeq uint64
 	// stale is set by every mutation and cleared by Reset: the result
@@ -212,8 +228,8 @@ func (e *Engine) Rebuild() {
 	e.rebuilds++
 	e.newNFARoute()
 	e.newTrieRoute()
-	for _, s := range e.subs {
-		e.link(s)
+	for i := range e.subs {
+		e.link(i)
 	}
 }
 
@@ -242,9 +258,10 @@ func (e *Engine) mutating() {
 	e.started = false
 }
 
-// link enters a subscription into the index of the route add chose for it
+// link enters subscription i into the index of the route add chose for it
 // and records the result slot it was given.
-func (e *Engine) link(s *subscription) {
+func (e *Engine) link(i int) {
+	s := e.subs[i]
 	if s.route == RouteNFA {
 		s.out, _ = e.nfa.Add(s.q) // add found the query linear
 		for len(e.nfaExtract) <= s.out {
@@ -252,9 +269,10 @@ func (e *Engine) link(s *subscription) {
 			e.nfaFrags = append(e.nfaFrags, nil)
 		}
 		e.nfaExtract[s.out] = s.extract
-		return
+	} else {
+		s.out = e.tr.add(s.q, s.prog, s.extract)
 	}
-	s.out = e.tr.add(s.q, s.prog, s.extract)
+	e.results[i].out = int32(s.out)
 }
 
 // Add registers a subscription under the given id. It returns an error
@@ -296,13 +314,14 @@ func (e *Engine) add(id string, q *query.Query, extract bool) error {
 	e.nextSeq++
 	e.byID[id] = s
 	e.subs = append(e.subs, s)
+	e.results = append(e.results, result{id: id, route: s.route, extract: extract})
 	if extract {
 		e.extracting++
 	}
 	if s.fs > e.maxFS {
 		e.maxFS = s.fs
 	}
-	e.link(s)
+	e.link(len(e.subs) - 1)
 	return nil
 }
 
@@ -317,6 +336,7 @@ func (e *Engine) Remove(id string) bool {
 	delete(e.byID, id)
 	i := sort.Search(len(e.subs), func(i int) bool { return e.subs[i].seq >= s.seq })
 	e.subs = append(e.subs[:i], e.subs[i+1:]...)
+	e.results = append(e.results[:i], e.results[i+1:]...)
 	if s.extract {
 		e.extracting--
 	}
@@ -337,9 +357,9 @@ func (e *Engine) Remove(id string) bool {
 	if dead := e.nfa.Slots() - e.nfa.Size(); dead > 64 && dead > e.nfa.Size() {
 		e.rebuilds++
 		e.newNFARoute()
-		for _, o := range e.subs {
+		for i, o := range e.subs {
 			if o.route == RouteNFA {
-				e.link(o)
+				e.link(i)
 			}
 		}
 	}
@@ -438,7 +458,11 @@ func (e *Engine) Process(ev sax.Event) error {
 // already expanded from the tokenizer, so no per-element attribute
 // handling happens here; the whole path is allocation-free in the steady
 // state.
-func (e *Engine) ProcessBytes(ev sax.ByteEvent) error {
+func (e *Engine) ProcessBytes(ev sax.ByteEvent) error { return e.processBytes(&ev) }
+
+// processBytes is ProcessBytes reading the event where the tokenizer left
+// it: the engine's own drive loops hand events over by pointer.
+func (e *Engine) processBytes(ev *sax.ByteEvent) error {
 	switch ev.Kind {
 	case sax.StartDocument:
 		return e.startDocument()
@@ -621,14 +645,15 @@ func (e *Engine) NeedsText() bool {
 // already definitive.
 func (e *Engine) Matched(id string) bool {
 	s, ok := e.byID[id]
-	return ok && !e.stale && e.matchedSub(s)
+	return ok && !e.stale && e.matchedOut(s.route, s.out)
 }
 
-func (e *Engine) matchedSub(s *subscription) bool {
-	if s.route == RouteNFA {
-		return e.runner.Matched[s.out]
+// matchedOut reads the verdict latched in result slot out of route's vector.
+func (e *Engine) matchedOut(route Route, out int) bool {
+	if route == RouteNFA {
+		return e.runner.Matched[out]
 	}
-	return e.mt.matched[s.out]
+	return e.mt.matched[out]
 }
 
 // MatchedIDs returns the ids matched by the current (or last) document,
@@ -644,9 +669,9 @@ func (e *Engine) AppendMatchedIDs(dst []string) []string {
 	if e.stale {
 		return dst
 	}
-	for _, s := range e.subs {
-		if e.matchedSub(s) {
-			dst = append(dst, s.id)
+	for i := range e.results {
+		if r := &e.results[i]; e.matchedOut(r.route, int(r.out)) {
+			dst = append(dst, r.id)
 		}
 	}
 	return dst
@@ -687,10 +712,11 @@ func CopyVolatileFragments(frags []Fragment) {
 // return the engine's internal buffers, valid only until the next Reset
 // — callers that retain them must copy.
 func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
-	if e.stale {
+	if e.stale || e.extracting == 0 {
 		return dst
 	}
-	for _, s := range e.subs {
+	for i := range e.results {
+		s := &e.results[i]
 		if !s.extract {
 			continue
 		}
@@ -803,11 +829,13 @@ type Stats struct {
 
 	// Per-document work and peaks of the trie matcher. TupleVisits counts
 	// the candidates examined at startElement events (predicate tuples in
-	// the event's frontier buckets plus the live spine steps and predicate
-	// groups the skeleton lookup landed on); FrontierInserts counts predicate tuples inserted
-	// plus candidate scopes opened — the state-maintenance work visits do
-	// not see. Both grow with the distinct steps a document exercises, not
-	// with the subscription count. GroupProbes counts the candidate values
+	// the event's frontier buckets plus the live spine steps, predicate
+	// groups and runs of group continuations the skeleton lookup found an
+	// open parent scope for — a group or a run is one visit, whatever its
+	// size); FrontierInserts counts predicate tuples inserted plus candidate
+	// scopes opened — the state-maintenance work visits do not see. Both
+	// grow with the distinct steps a document exercises, not with the
+	// subscription count. GroupProbes counts the candidate values
 	// resolved against a predicate group — one search or lookup each,
 	// whatever the group's size. PeakTuples is the peak predicate frontier;
 	// spine continuations are looked up, not held.

@@ -25,6 +25,15 @@ import (
 // group where the Section 8 algorithm carries one per subscriber, and
 // Theorem 8.8's per-tuple charge falls with it.
 //
+// The continuations of a group's members are indexed the same way. The
+// ungrouped steps that continue members of one group along one skeleton edge
+// — the f7 of …/item[priority > 3]/f7, of …/item[priority > 4]/f7, … — are
+// one run, kept in the order of the members they continue. An f7 element
+// below an open group scope costs one probe of the scope and one search
+// against its boundary: the nodes before it continue satisfied members and
+// their subscriptions pass the group at once, the rest wait in the scope as
+// one range commit, which the boundary at the scope's close resolves.
+//
 // A group of one runs the same code as a group of ten thousand; predicates
 // of any other shape (conjunctions, branching paths, string functions,
 // textual !=) keep a scope and a predicate subtree per node.
@@ -50,13 +59,16 @@ type predGroup struct {
 	// parent is the step the members continue — a group scope's origin is
 	// parent's scope — and sk their skeleton node, where the group holds
 	// frame slot fslot. key is the group's entry in parent.groups; skPos
-	// and triePos are its positions in sk.groups and the trie's groups.
-	parent  *tnode
-	sk      *skel
-	key     string
-	fslot   int
-	skPos   int
-	triePos int
+	// and triePos are its positions in sk.groups and the trie's groups. id
+	// and frags are the group's entries in the trie's count vector: its
+	// members, and the extracting subscriptions ending at one.
+	parent    *tnode
+	sk        *skel
+	key       string
+	fslot     int
+	skPos     int
+	triePos   int
+	id, frags int32
 
 	class groupClass
 	neg   bool // classThreshold over negated values: the group of < and <=
@@ -73,16 +85,26 @@ type predGroup struct {
 	ne     []*tnode
 	size   int
 
-	// terminals counts the subscriptions ending at a member and extracting
-	// those of them that want a fragment; through counts the subscriptions
-	// passing through a member. remaining and fragsWanted are their
-	// per-document counterparts: subscriptions not yet matched, fragments
-	// not yet latched.
-	terminals   int
-	extracting  int
-	through     int
-	remaining   int
-	fragsWanted int
+	// terminals counts the subscriptions ending at a member.
+	terminals int
+}
+
+// contRun is a run of continuations: the ungrouped spine nodes of one
+// skeleton node that continue members of one predicate group, which are the
+// steps a candidate element of which is parented by that group's scope.
+type contRun struct {
+	grp *predGroup
+	// nodes are ordered by the member they continue, as grp.sorted orders the
+	// members (byKey), so that a threshold scope's boundary splits them by one
+	// search; in an equality group every member has the same key and the
+	// order is that of arrival. scoped counts the nodes a candidate opens a
+	// scope for (tnode.opens); pos is the run's position in its skeleton
+	// node's runs; id and frags are its entries in the trie's count vector:
+	// its nodes, and the extracting subscriptions ending at one.
+	nodes     []*tnode
+	scoped    int
+	pos       int
+	id, frags int32
 }
 
 // member is a grouped spine node's own part of its predicate: the constant
@@ -172,6 +194,7 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node, prog *core.Program) bool
 		g = &predGroup{
 			parent: p, sk: n.sk, key: key, fslot: n.sk.takeSlot(),
 			skPos: len(n.sk.groups), triePos: len(t.groups),
+			id: t.newID(), frags: t.newID(),
 			class: class, neg: neg,
 			conj: []*tnode{t.buildPred(preds[0], prog)},
 		}
@@ -195,6 +218,7 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node, prog *core.Program) bool
 	}
 	n.fslot = g.fslot
 	g.insert(n, cmp)
+	t.counts[g.id]++
 	return true
 }
 
@@ -208,10 +232,7 @@ func (g *predGroup) insert(n *tnode, cmp query.Comparison) {
 		if g.neg {
 			mb.c = -mb.c
 		}
-		i := g.rank(mb.c, mb.strict)
-		g.sorted = append(g.sorted, nil)
-		copy(g.sorted[i+1:], g.sorted[i:])
-		g.sorted[i] = n
+		g.sorted = insertByKey(g.sorted, n)
 		return
 	}
 	var bk *eqBucket
@@ -240,13 +261,7 @@ func (g *predGroup) remove(n *tnode) {
 	mb := n.mem
 	g.size--
 	if g.class == classThreshold {
-		i := g.rank(mb.c, mb.strict) - 1 // the last of the members with n's key
-		for g.sorted[i] != n {
-			i--
-		}
-		copy(g.sorted[i:], g.sorted[i+1:])
-		g.sorted[len(g.sorted)-1] = nil
-		g.sorted = g.sorted[:len(g.sorted)-1]
+		g.sorted = removeByKey(g.sorted, n)
 		return
 	}
 	bk := mb.bucket
@@ -275,7 +290,9 @@ func (g *predGroup) remove(n *tnode) {
 // predicate path and its frame slot.
 func (t *trie) leaveGroup(n *tnode) {
 	g := n.mem.grp
-	if g.remove(n); g.size > 0 {
+	g.remove(n)
+	t.counts[g.id]--
+	if g.size > 0 {
 		return
 	}
 	delete(g.parent.groups, g.key)
@@ -287,25 +304,88 @@ func (t *trie) leaveGroup(n *tnode) {
 	t.groups[g.triePos], last.triePos = last, g.triePos
 	t.groups = t.groups[:len(t.groups)-1]
 	t.dropPreds(g.conj)
+	t.freeID(g.id)
+	t.freeID(g.frags)
 }
 
-// ends records d (±1) subscriptions ending at a member.
-func (g *predGroup) ends(d int, extract bool) {
-	g.terminals += d
-	if extract {
-		g.extracting += d
+// joinRun puts n, an ungrouped continuation of a member of g, in the run of
+// g at n's skeleton node, creating the run for its first node. Like joining
+// a group it costs one search and one copy.
+func (t *trie) joinRun(n *tnode, g *predGroup) {
+	sk := n.sk
+	r := sk.runOf[g]
+	if r == nil {
+		r = &contRun{grp: g, pos: len(sk.runs), id: t.newID(), frags: t.newID()}
+		if sk.runOf == nil {
+			sk.runOf = map[*predGroup]*contRun{}
+		}
+		sk.runOf[g] = r
+		sk.runs = append(sk.runs, r)
+	}
+	n.run = r
+	r.nodes = insertByKey(r.nodes, n)
+	t.counts[r.id]++
+	if n.opens() {
+		r.scoped++
 	}
 }
 
-// rank returns how many members of a threshold group have a key no greater
-// than (c, strict) in the group's order — ascending constants, >= before >
-// at equal ones. rank(v, false) is the boundary a value v draws: exactly the
-// members before it are satisfied by v.
-func (g *predGroup) rank(c float64, strict bool) int {
-	lo, hi := 0, len(g.sorted)
+// leaveRun takes n, a leaf by now, out of its run; a run left without nodes
+// goes.
+func (t *trie) leaveRun(n *tnode) {
+	r := n.run
+	r.nodes = removeByKey(r.nodes, n)
+	t.counts[r.id]--
+	if n.opens() {
+		r.scoped--
+	}
+	if len(r.nodes) > 0 {
+		return
+	}
+	sk := n.sk
+	delete(sk.runOf, r.grp)
+	last := sk.runs[len(sk.runs)-1]
+	sk.runs[r.pos], last.pos = last, r.pos
+	sk.runs = sk.runs[:len(sk.runs)-1]
+	t.freeID(r.id)
+	t.freeID(r.frags)
+}
+
+// byKey returns the member whose comparison orders spine node n among its
+// like: a threshold group's member by its own, a run's node by that of the
+// member it continues.
+func byKey(n *tnode) *member {
+	if n.mem != nil {
+		return n.mem
+	}
+	return n.parent.mem
+}
+
+// insertByKey and removeByKey keep a threshold group's members, or a run's
+// nodes, in ascending key order, by one search and one copy.
+func insertByKey(nodes []*tnode, n *tnode) []*tnode {
+	k := byKey(n)
+	return slices.Insert(nodes, rank(nodes, k.c, k.strict), n)
+}
+
+func removeByKey(nodes []*tnode, n *tnode) []*tnode {
+	k := byKey(n)
+	i := rank(nodes, k.c, k.strict) - 1 // the last of the nodes with n's key
+	for nodes[i] != n {
+		i--
+	}
+	return slices.Delete(nodes, i, i+1)
+}
+
+// rank returns how many of nodes, in key order, have a key no greater than
+// (c, strict) — ascending constants, >= before > at equal ones. Over a
+// threshold group's members, rank(v, false) is the boundary a value v draws:
+// exactly the members before it are satisfied by v.
+func rank(nodes []*tnode, c float64, strict bool) int {
+	lo, hi := 0, len(nodes)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if mb := g.sorted[mid].mem; mb.c < c || (mb.c == c && (strict || !mb.strict)) {
+		if mb := byKey(nodes[mid]); mb.c < c || (mb.c == c && (strict || !mb.strict)) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -335,7 +415,7 @@ func (m *matcher) openGroup(g *predGroup, origin *scope, level int, fr *frame) {
 	if fr != nil {
 		fr.scopes[g.fslot] = sc
 	}
-	if m.capturing && g.fragsWanted > 0 {
+	if m.capturing && m.remaining[g.frags] > 0 {
 		// Members' own terminals resolve when the scope closes; capture the
 		// candidate element now, while its start event is current.
 		sc.cap = m.cm.elemCapture()
@@ -390,7 +470,7 @@ func (m *matcher) probe(t *tuple, text string, pt *parsedText) {
 	if g.neg {
 		v = -v
 	}
-	if b := g.rank(v, false); b > sc.bound {
+	if b := rank(g.sorted, v, false); b > sc.bound {
 		sc.bound = b
 		// With every member satisfied no further value can tell anything:
 		// the leaf latches like any matched tuple and stops buffering.
@@ -431,33 +511,63 @@ func (sc *scope) satisfied(n *tnode) bool {
 	return false
 }
 
+// split places run r against what the values seen so far in group scope sc
+// have decided: the nodes before p continue satisfied members, the nodes
+// from q on unsatisfied ones, and those between have to be asked one by one.
+// A threshold run is ordered like its group, so one search against the
+// scope's boundary finds p == q; an equality run has no order to go by.
+func (sc *scope) split(r *contRun) (p, q int) {
+	if sc.grp.class != classThreshold {
+		return 0, len(r.nodes)
+	}
+	if sc.bound == 0 {
+		return 0, 0
+	}
+	at := sc.grp.sorted[sc.bound-1].mem
+	p = rank(r.nodes, at.c, at.strict)
+	return p, p
+}
+
 // closeGroup resolves a group scope: the commits held against members the
 // values did not satisfy in time are re-examined, once, and pass up or die;
-// the satisfied members' own terminals are delivered — the boundary's prefix
-// of a threshold group, the hit buckets of an equality group, never a walk
-// over the whole group.
+// each range commit delivers the part of its run the final values put on the
+// satisfied side; the satisfied members' own terminals are delivered — the
+// boundary's prefix of a threshold group, the hit buckets of an equality
+// group, never a walk over the whole group.
 func (m *matcher) closeGroup(sc *scope) {
 	g := sc.grp
 	m.freeChildren(sc)
+	up, mem := m.gate(sc.origin, g.parent)
 	for _, c := range sc.commits {
 		if sc.satisfied(c.mem) {
-			m.deliverEntry(c.sub, c.cap, sc.origin, g.parent)
+			m.routeEntry(c.sub, c.cap, up, mem)
 		}
 		m.dropCommitCap(c.cap)
 	}
+	for _, rc := range sc.ranges {
+		// An equality range starts at 0 and so covers the nodes delivered when
+		// the element started too; delivering a match twice is harmless.
+		p, q := sc.split(rc.run)
+		for i := rc.from; i < q; i++ {
+			if n := rc.run.nodes[i]; len(n.conj) == 0 && (i < p || sc.satisfied(n.parent)) {
+				m.route(n.terminals, rc.cap, up, mem)
+			}
+		}
+		m.dropCommitCap(rc.cap)
+	}
 	if g.terminals > 0 {
 		for _, n := range g.sorted[:sc.bound] {
-			m.deliver(n.terminals, sc.cap, sc.origin, g.parent)
+			m.route(n.terminals, sc.cap, up, mem)
 		}
 		for _, bk := range sc.hits {
 			for _, n := range bk.eq {
-				m.deliver(n.terminals, sc.cap, sc.origin, g.parent)
+				m.route(n.terminals, sc.cap, up, mem)
 			}
 		}
 		if sc.other || len(sc.hits) > 0 {
 			for _, n := range g.ne {
 				if sc.satisfied(n) {
-					m.deliver(n.terminals, sc.cap, sc.origin, g.parent)
+					m.route(n.terminals, sc.cap, up, mem)
 				}
 			}
 		}

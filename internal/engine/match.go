@@ -118,15 +118,16 @@ func (e *Engine) matchBuffered(doc []byte, mode CaptureMode, probe int) (skimmed
 		e.tok.Reset(doc)
 	}
 	tok := e.tok
+	var ev sax.ByteEvent // filled in by the tokenizer, read in place by the engine
 	for {
-		ev, err := tok.Next()
+		err := tok.NextInto(&ev)
 		if err == io.EOF {
 			return 0, errTruncated
 		}
 		if err != nil {
 			return 0, err
 		}
-		if err := e.ProcessBytes(ev); err != nil {
+		if err := e.processBytes(&ev); err != nil {
 			return 0, fmt.Errorf("streamxpath: %w", err)
 		}
 		if ev.Kind == sax.EndDocument {
@@ -173,7 +174,7 @@ func (e *Engine) MatchReader(r io.Reader, chunkSize int, mode CaptureMode) (Outc
 		e.stok = sax.NewStreamTokenizer(e.tab)
 		e.stok.SetLimits(e.lim)
 		e.process = func(ev sax.ByteEvent) error {
-			if err := e.ProcessBytes(ev); err != nil {
+			if err := e.processBytes(&ev); err != nil {
 				return fmt.Errorf("streamxpath: %w", err)
 			}
 			return nil

@@ -41,17 +41,21 @@ type tnode struct {
 	// parent is the spine step this one continues (nil on the root and on
 	// predicate nodes); sk places a spine node in the structural skeleton,
 	// and fslot is where a frame of sk holds the node's open scope — a slot
-	// of its own, or its group's (mem != nil). slot is an ungrouped node's
-	// position in sk.members. key is the node's entry in parent.succIndex;
+	// of its own, or its group's (mem != nil). An ungrouped node is held by
+	// sk.members, at slot, or — when the step it continues is a group member
+	// — by run, one of sk.runs. key is the node's entry in parent.succIndex;
 	// succPos and spinePos are its positions in parent.succ and in the
-	// trie's spineNodes, kept so that unlinking it is a swap-delete.
+	// trie's spineNodes, kept so that unlinking it is a swap-delete. id is
+	// the spine node's entry in the trie's count vector.
 	parent   *tnode
 	sk       *skel
+	run      *contRun
 	slot     int
 	fslot    int
 	key      string
 	succPos  int
 	spinePos int
+	id       int32
 
 	// mem is set on a spine node whose one predicate is a comparison of a
 	// path's value against a constant: the node is a member of a predicate
@@ -88,29 +92,40 @@ type tnode struct {
 	terminals []int
 
 	// through counts the subscriptions whose spine passes through this
-	// node (a node is unlinked when the last one is removed); remaining is
-	// the per-document count of those not yet matched.
-	// When remaining hits zero the node stops accepting candidates — the
-	// per-subscription monotone early exit, applied to shared state.
-	through   int
-	remaining int
+	// node: a node is unlinked when the last one is removed. What a document
+	// has left to match below the node is the matcher's to count
+	// (matcher.remaining), so that matching never writes to the trie.
+	through int
 }
+
+// opens reports whether a candidate element for spine node n opens a scope:
+// only a step with predicates to resolve or continuations to offer later
+// elements holds state.
+func (n *tnode) opens() bool { return len(n.conj) > 0 || len(n.succ) > 0 }
 
 // skel is one node of the trie's structural skeleton: the spine nodes
 // reached from the root by one sequence of (axis, node test) steps,
 // predicates ignored. //catalog/item[priority > 1] and
 // //catalog/item[priority > 2] are two nodes of one skeleton node — here
 // the two members of one predicate group — and the f7 leaves below them
-// two members of its f7 child. Spine continuations are never held as
-// frontier state: an element is looked up once per skeleton edge, however
-// many subscriptions hang off the step.
+// two nodes of its f7 child: one run, because one group scope parents them
+// both. Spine continuations are never held as frontier state: an element is
+// looked up once per skeleton edge, and costs one probe per scope that could
+// parent a candidate, however many subscriptions hang off the step.
 type skel struct {
-	// members are the nodes that open a scope of their own; groups hold the
-	// rest, each group opening one scope for all its members. slots is the
-	// size of a frame: one scope slot per member and per group, handed out
-	// by takeSlot and reused once released.
+	// The node's spine nodes, by the scope that parents them. members are
+	// the ungrouped continuations of ungrouped steps, each parented by its
+	// parent step's own scope; groups hold the grouped nodes, each group
+	// parented by one step's scope and opening one scope for all its members;
+	// runs hold the ungrouped continuations of group members, one run per
+	// group, parented by that group's scope (runOf finds a group's run; nil
+	// until the first). slots is the size of a frame: one scope slot per
+	// ungrouped node and per group, handed out by takeSlot and reused once
+	// released.
 	members   []*tnode
 	groups    []*predGroup
+	runs      []*contRun
+	runOf     map[*predGroup]*contRun
 	slots     int
 	freeSlots []int
 	// One edge set per axis class, nil when the node has no such edge, so a
@@ -162,12 +177,12 @@ func (sk *skel) enter(n *tnode) {
 	}
 }
 
-// leave takes spine node n, no longer a member of n.sk or of any group
-// there, out of the skeleton below sk. A skeleton node left without members
-// and groups goes, and so does an edge set left without edges: a frame with
-// nothing to offer an event still costs it one nil test.
+// leave takes spine node n, no longer held by n.sk, out of the skeleton
+// below sk. A skeleton node left without spine nodes goes, and so does an
+// edge set left without edges: a frame with nothing to offer an event still
+// costs it one nil test.
 func (sk *skel) leave(n *tnode) {
-	if to := n.sk; len(to.members) > 0 || len(to.groups) > 0 {
+	if to := n.sk; len(to.members) > 0 || len(to.groups) > 0 || len(to.runs) > 0 {
 		return
 	}
 	ep := sk.edgesFor(n.axis)
@@ -192,18 +207,31 @@ func (sk *skel) takeSlot() int {
 	return sk.slots - 1
 }
 
-// addMember makes n a member of its skeleton node, with a scope of its own.
-func (sk *skel) addMember(n *tnode) {
-	n.slot, n.fslot = len(sk.members), sk.takeSlot()
+// addMember has n's skeleton node hold the ungrouped spine node n, with a
+// scope slot of its own: among the members, or in the run of the group the
+// step it continues belongs to.
+func (t *trie) addMember(n *tnode) {
+	sk := n.sk
+	n.fslot = sk.takeSlot()
+	if p := n.parent; p != nil && p.mem != nil {
+		t.joinRun(n, p.mem.grp)
+		return
+	}
+	n.slot = len(sk.members)
 	sk.members = append(sk.members, n)
 }
 
 // dropMember undoes addMember.
-func (sk *skel) dropMember(n *tnode) {
+func (t *trie) dropMember(n *tnode) {
+	sk := n.sk
+	sk.freeSlots = append(sk.freeSlots, n.fslot)
+	if n.run != nil {
+		t.leaveRun(n)
+		return
+	}
 	last := sk.members[len(sk.members)-1]
 	sk.members[n.slot], last.slot = last, n.slot
 	sk.members = sk.members[:len(sk.members)-1]
-	sk.freeSlots = append(sk.freeSlots, n.fslot)
 }
 
 // frame is the run-time side of a skeleton node: the spine scopes with
@@ -220,23 +248,34 @@ type frame struct {
 // trie is the compiled shared index for the predicate-capable route: a
 // prefix-sharing trie over canonical step keys with predicate subtrees
 // hanging off spine nodes. Node tests are interned into the engine's
-// symbol table at build time.
+// symbol table at build time. Matching a document reads the trie and never
+// writes to it: everything per-document lives on the matcher.
 type trie struct {
 	tab        *symtab.Table
 	root       *tnode
 	spineNodes []*tnode
-	// paths[i] is the spine path root→OUT of the subscription holding
-	// result slot i (used to maintain the remaining counters on a match),
-	// nil while the slot is free. live counts the slots in use; a removed
-	// subscription's slot goes to the next one added.
-	paths     [][]*tnode
+	// outs[i] is the OUT node of the subscription holding result slot i —
+	// the rest of its spine path is the parent chain — nil while the slot is
+	// free. live counts the slots in use; a removed subscription's slot goes
+	// to the next one added.
+	outs      []*tnode
 	freeSlots []int
 	live      int
 	// extract flags, by result slot, the subscriptions that want the matched
 	// element's fragment.
 	extract []bool
-	// groups are the predicate groups of every spine node, for the
-	// per-document reset and for Stats.
+	// counts is what every document starts from (matcher.remaining is a copy
+	// of it), by the ids handed out by newID and recycled by freeID. A spine
+	// node's entry counts the subscriptions ending at it plus its
+	// continuations; a predicate group's its members; a run's its nodes —
+	// each the number of parts below that a document has yet to match out,
+	// so an entry is positive while anything below is unmatched. A group's
+	// and a run's second entry (frags) counts the extracting subscriptions
+	// ending there. add and remove keep the vector current along the one
+	// path they touch.
+	counts  []int32
+	freeIDs []int32
+	// groups are the predicate groups of every spine node, for Stats.
 	groups []*predGroup
 	// steps counts spine steps added before sharing; len(spineNodes) is
 	// the count after. Their ratio is the prefix-sharing factor reported
@@ -250,11 +289,26 @@ type trie struct {
 }
 
 func newTrie(tab *symtab.Table) *trie {
-	root := &tnode{kind: kindSpine, axis: query.AxisRoot, succIndex: map[string]*tnode{}}
-	root.sk = &skel{}
-	root.sk.addMember(root)
-	return &trie{tab: tab, root: root}
+	t := &trie{tab: tab}
+	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, succIndex: map[string]*tnode{}, sk: &skel{}, id: t.newID()}
+	t.addMember(t.root)
+	return t
 }
+
+// newID hands out an entry of the count vector, zero.
+func (t *trie) newID() int32 {
+	if k := len(t.freeIDs); k > 0 {
+		id := t.freeIDs[k-1]
+		t.freeIDs = t.freeIDs[:k-1]
+		return id
+	}
+	t.counts = append(t.counts, 0)
+	return int32(len(t.counts) - 1)
+}
+
+// freeID takes back an entry whose owner has left the trie; with nothing
+// left below the owner, the entry has counted down to zero.
+func (t *trie) freeID(id int32) { t.freeIDs = append(t.freeIDs, id) }
 
 // internNTest resolves a node test to its symbol form.
 func (t *trie) internNTest(n *tnode) {
@@ -265,22 +319,60 @@ func (t *trie) internNTest(n *tnode) {
 	n.sym = t.tab.Intern(n.ntest)
 }
 
+// link and unlink make spine node n a continuation of p, or undo it, with
+// p's count and — a step that gains its first continuation or loses its last
+// starts or stops opening scopes — the tally of p's run.
+func (t *trie) link(p, n *tnode) {
+	was := p.opens()
+	n.succPos = len(p.succ)
+	p.succIndex[n.key] = n
+	p.succ = append(p.succ, n)
+	t.counts[p.id]++
+	if p.run != nil && !was {
+		p.run.scoped++
+	}
+}
+
+func (t *trie) unlink(p, n *tnode) {
+	delete(p.succIndex, n.key)
+	last := p.succ[len(p.succ)-1]
+	p.succ[n.succPos], last.succPos = last, n.succPos
+	p.succ = p.succ[:len(p.succ)-1]
+	t.counts[p.id]--
+	if p.run != nil && !p.opens() {
+		p.run.scoped--
+	}
+}
+
+// ends records d (±1) subscriptions ending at spine node n.
+func (t *trie) ends(n *tnode, d int32, extract bool) {
+	t.counts[n.id] += d
+	switch {
+	case n.mem != nil:
+		n.mem.grp.terminals += int(d)
+		if extract {
+			t.counts[n.mem.grp.frags] += d
+		}
+	case n.run != nil && extract:
+		t.counts[n.run.frags] += d
+	}
+}
+
 // add merges one subscription's query into the trie and returns its slot
 // in the matcher's result vector. prog supplies the fragment-checked truth
 // sets and value-restriction marks of the query's nodes (the reusable
 // compile product of internal/core); extract says whether the subscription
 // wants the matched element's fragment.
 func (t *trie) add(q *query.Query, prog *core.Program, extract bool) int {
-	idx := len(t.paths)
+	idx := len(t.outs)
 	if k := len(t.freeSlots); k > 0 {
 		idx = t.freeSlots[k-1]
 		t.freeSlots = t.freeSlots[:k-1]
 	} else {
-		t.paths = append(t.paths, nil)
+		t.outs = append(t.outs, nil)
 		t.extract = append(t.extract, false)
 	}
 	t.extract[idx] = extract
-	var path []*tnode
 	cur := t.root
 	for u := q.Root.Successor; u != nil; u = u.Successor {
 		key := query.StepKey(u)
@@ -293,55 +385,43 @@ func (t *trie) add(q *query.Query, prog *core.Program, extract bool) int {
 				succIndex: map[string]*tnode{},
 				parent:    cur,
 				key:       key,
-				succPos:   len(cur.succ),
 				spinePos:  len(t.spineNodes),
+				id:        t.newID(),
 			}
 			t.internNTest(child)
 			cur.sk.enter(child)
 			if preds := u.PredicateChildren(); !t.joinGroup(child, preds, prog) {
-				child.sk.addMember(child)
 				for _, pc := range preds {
 					child.conj = append(child.conj, t.buildPred(pc, prog))
 				}
+				t.addMember(child)
 			}
-			cur.succIndex[key] = child
-			cur.succ = append(cur.succ, child)
+			t.link(cur, child)
 			t.spineNodes = append(t.spineNodes, child)
 		}
 		child.through++
-		if child.mem != nil {
-			child.mem.grp.through++
-		}
-		path = append(path, child)
+		t.steps++
 		cur = child
 	}
 	cur.terminals = append(cur.terminals, idx)
-	if cur.mem != nil {
-		cur.mem.grp.ends(1, extract)
-	}
-	t.steps += len(path)
-	t.paths[idx] = path
+	t.ends(cur, 1, extract)
+	t.outs[idx] = cur
 	t.live++
 	return idx
 }
 
 // remove withdraws the subscription holding result slot idx, unlinking the
 // spine nodes only it passed through — from their parent, from spineNodes
-// and from the skeleton or their group — deepest first, so each is a leaf
-// when its turn comes. The scan of the OUT node's terminals is linear in the
-// subscriptions ending there (duplicates of one query). Scopes and frames
-// a document in flight has open go stale; the engine abandons it, and
-// matcher.reset drops them without consulting the trie.
+// and from the skeleton, their group or their run — deepest first, so each
+// is a leaf when its turn comes. The scan of the OUT node's terminals is
+// linear in the subscriptions ending there (duplicates of one query).
+// Scopes and frames a document in flight has open go stale; the engine
+// abandons it, and matcher.reset drops them without consulting the trie.
 func (t *trie) remove(idx int) {
-	path := t.paths[idx]
-	t.paths[idx] = nil
+	out := t.outs[idx]
+	t.outs[idx] = nil
 	t.freeSlots = append(t.freeSlots, idx)
 	t.live--
-	t.steps -= len(path)
-	out := t.root
-	if len(path) > 0 {
-		out = path[len(path)-1]
-	}
 	for i, sub := range out.terminals {
 		if sub == idx {
 			out.terminals[i] = out.terminals[len(out.terminals)-1]
@@ -349,32 +429,25 @@ func (t *trie) remove(idx int) {
 			break
 		}
 	}
-	if out.mem != nil {
-		out.mem.grp.ends(-1, t.extract[idx])
-	}
-	for k := len(path) - 1; k >= 0; k-- {
-		n := path[k]
-		if n.mem != nil {
-			n.mem.grp.through--
-		}
-		if n.through--; n.through > 0 {
-			continue
-		}
+	t.ends(out, -1, t.extract[idx])
+	for n := out; n != t.root; {
 		p := n.parent
-		delete(p.succIndex, n.key)
-		last := p.succ[len(p.succ)-1]
-		p.succ[n.succPos], last.succPos = last, n.succPos
-		p.succ = p.succ[:len(p.succ)-1]
-		last = t.spineNodes[len(t.spineNodes)-1]
-		t.spineNodes[n.spinePos], last.spinePos = last, n.spinePos
-		t.spineNodes = t.spineNodes[:len(t.spineNodes)-1]
-		if n.mem != nil {
-			t.leaveGroup(n)
-		} else {
-			n.sk.dropMember(n)
-			t.dropPreds(n.conj)
+		t.steps--
+		if n.through--; n.through == 0 {
+			t.unlink(p, n)
+			last := t.spineNodes[len(t.spineNodes)-1]
+			t.spineNodes[n.spinePos], last.spinePos = last, n.spinePos
+			t.spineNodes = t.spineNodes[:len(t.spineNodes)-1]
+			if n.mem != nil {
+				t.leaveGroup(n)
+			} else {
+				t.dropMember(n)
+				t.dropPreds(n.conj)
+			}
+			p.sk.leave(n)
+			t.freeID(n.id)
 		}
-		p.sk.leave(n)
+		n = p
 	}
 }
 
@@ -431,11 +504,26 @@ type tuple struct {
 // sub matches if the scope's predicates resolve true — in a group scope, if
 // member mem's comparison does — with cap the fragment captured for the
 // matching element (nil without extraction). A commit entry with a capture
-// holds one reference on it.
+// holds one reference on it. Commits reach a scope from the scopes below
+// it, one subscription at a time; what an element offers a group scope
+// directly is held as one rangeCommit.
 type commit struct {
 	sub int
 	cap *capture
 	mem *tnode
+}
+
+// rangeCommit is what one candidate element of a run left undecided in the
+// run's group scope, whatever the run's size: the subscriptions ending at
+// the predicate-free nodes from from on match if the scope's values come to
+// satisfy the member their node continues. The nodes before from continued
+// members satisfied already and were delivered when the element started. cap
+// is the element's capture when some subscription of the run still wanted a
+// fragment, and the entry holds one reference on it.
+type rangeCommit struct {
+	run  *contRun
+	from int
+	cap  *capture
 }
 
 // scope is an open candidate match of an internal trie node — or of all the
@@ -462,15 +550,17 @@ type scope struct {
 	children []*tuple
 	commits  []commit
 	cap      *capture
-	// grp marks a group scope (node is nil), and the rest is what the values
+	// grp marks a group scope (node is nil); ranges are the conditional
+	// matches its runs hold in it, and the rest is what the values
 	// seen so far have decided about its members: bound, in a threshold
 	// group, is how many of grp.sorted they satisfy; hits, in an equality
 	// group, are the constants they equalled, and other says that some
 	// numeric value equalled none.
-	grp   *predGroup
-	bound int
-	hits  []*eqBucket
-	other bool
+	grp    *predGroup
+	ranges []rangeCommit
+	bound  int
+	hits   []*eqBucket
+	other  bool
 }
 
 // pendingVal is an open candidate of a value-restricted predicate leaf,
@@ -481,12 +571,13 @@ type pendingVal struct {
 	start int
 }
 
-// spineCand is a spine node — or a predicate group, for all its members —
-// offered the current element through src, the open frame holding its
-// parent's scope.
+// spineCand is what the skeleton lookup offers the current element through
+// src, the open frame holding the parent scope: a spine node, a predicate
+// group for all its members, or a run for all its nodes.
 type spineCand struct {
 	node *tnode
 	grp  *predGroup
+	run  *contRun
 	src  *frame
 }
 
@@ -495,10 +586,12 @@ type matchStats struct {
 	// Events counts SAX events dispatched to the trie matcher.
 	Events int
 	// TupleVisits counts the candidates examined across all startElement
-	// events: predicate tuples in the event's frontier buckets plus the live
-	// spine members and predicate groups the skeleton lookup landed on (a
-	// group is one visit, whatever its size). It grows with the distinct
-	// steps that pass the name test, not the subscription count.
+	// events: predicate tuples in the event's frontier buckets plus what the
+	// skeleton lookup found an open parent scope for — live spine members,
+	// predicate groups and runs, a group or a run being one visit whatever
+	// its size. It grows with the scopes that could parent a candidate for
+	// the element, not with the subscription count or the number of
+	// constants subscribers compare against.
 	TupleVisits int
 	// FrontierInserts counts predicate tuples inserted into the frontier
 	// plus candidate scopes opened — the state-maintenance work visits do
@@ -554,6 +647,11 @@ type matcher struct {
 
 	matched      []bool
 	matchedCount int
+	// remaining is the document's copy of the trie's count vector: what is
+	// left to match below each spine node, group and run (trie.counts).
+	// When an entry hits zero its owner stops accepting candidates — the
+	// per-subscription monotone early exit, applied to shared state.
+	remaining []int32
 
 	// Fragment-extraction state. capturing is set per document by the
 	// engine when a capture mode is active; frags holds the captured
@@ -568,11 +666,14 @@ type matcher struct {
 	frags      []*capture
 	capCommits int
 
-	cands      []*tuple    // scratch, reused across startElement calls
-	spine      []spineCand // scratch, likewise
-	freeTuples []*tuple
-	freeScopes []*scope
-	stats      matchStats
+	cands []*tuple    // scratch, reused across startElement calls
+	spine []spineCand // scratch, likewise
+	// spFrame is the frame the current element last opened, for the
+	// candidates offered it through spSrc (frameFor).
+	spFrame, spSrc *frame
+	freeTuples     []*tuple
+	freeScopes     []*scope
+	stats          matchStats
 }
 
 func newMatcher(t *trie) *matcher {
@@ -603,24 +704,19 @@ func (m *matcher) reset() {
 	m.refCount = 0
 	m.level = 0
 	m.groupBits = 0
-	if len(m.matched) != len(m.tr.paths) {
-		m.matched = make([]bool, len(m.tr.paths))
+	if len(m.matched) != len(m.tr.outs) {
+		m.matched = make([]bool, len(m.tr.outs))
+		m.frags = make([]*capture, len(m.tr.outs))
 	} else {
 		clear(m.matched)
-	}
-	m.matchedCount = 0
-	if len(m.frags) != len(m.tr.paths) {
-		m.frags = make([]*capture, len(m.tr.paths))
-	} else {
 		clear(m.frags)
 	}
+	m.matchedCount = 0
 	m.capCommits = 0
-	for _, n := range m.tr.spineNodes {
-		n.remaining = n.through
+	if len(m.remaining) != len(m.tr.counts) {
+		m.remaining = make([]int32, len(m.tr.counts))
 	}
-	for _, g := range m.tr.groups {
-		g.remaining, g.fragsWanted = g.through, g.extracting
-	}
+	copy(m.remaining, m.tr.counts)
 	m.stats = matchStats{}
 }
 
@@ -739,7 +835,7 @@ func (m *matcher) startDocument() {
 	// Degenerate empty-spine subscriptions match any document. Their
 	// "matched element" is the document itself, which has no source
 	// region, so they never carry a fragment.
-	m.deliver(root.terminals, nil, nil, nil)
+	m.route(root.terminals, nil, nil, nil)
 }
 
 // candidate reports whether the element starting at elemLevel is a
@@ -777,7 +873,8 @@ func (m *matcher) collectCands(b *[]*tuple, isAttr bool, elemLevel int) {
 
 // collectSpine looks the event's symbol up in one edge set of src's
 // skeleton node and gathers, from the skeleton nodes it lands on, the
-// members and the groups whose parent scope is open in src. One whose
+// members, the groups and the runs whose parent scope is open in src — one
+// probe of src each, whatever a group's or a run's size. One whose
 // subscriptions have all matched is skipped uncounted — the shared form of
 // the monotone early exit.
 func (m *matcher) collectSpine(e *edges, sym symtab.Sym, src *frame) {
@@ -789,15 +886,21 @@ func (m *matcher) collectSpine(e *edges, sym symtab.Sym, src *frame) {
 			continue
 		}
 		for _, n := range to.members {
-			if n.remaining > 0 && src.scopes[n.parent.fslot] != nil {
+			if m.remaining[n.id] > 0 && src.scopes[n.parent.fslot] != nil {
 				m.stats.TupleVisits++
 				m.spine = append(m.spine, spineCand{node: n, src: src})
 			}
 		}
 		for _, g := range to.groups {
-			if g.remaining > 0 && src.scopes[g.parent.fslot] != nil {
+			if m.remaining[g.id] > 0 && src.scopes[g.parent.fslot] != nil {
 				m.stats.TupleVisits++
 				m.spine = append(m.spine, spineCand{grp: g, src: src})
+			}
+		}
+		for _, r := range to.runs {
+			if m.remaining[r.id] > 0 && src.scopes[r.grp.fslot] != nil {
+				m.stats.TupleVisits++
+				m.spine = append(m.spine, spineCand{run: r, src: src})
 			}
 		}
 	}
@@ -866,52 +969,103 @@ func (m *matcher) startSpine(sym symtab.Sym, isAttr bool, elemLevel int) {
 			m.collectSpine(fr.sk.desc, sym, fr)
 		}
 	}
-	// Candidates gathered by one lookup are adjacent, and each may open at
-	// most one scope (a member or group has one parent scope per source
-	// frame), so one frame per (source frame, skeleton node) run indexes them
-	// by slot.
-	var fr, src *frame
+	m.spSrc = nil
 	for _, c := range m.spine {
-		if g := c.grp; g != nil {
-			if g.remaining == 0 {
-				continue
+		switch {
+		case c.run != nil:
+			m.startRun(c.run, c.src, elemLevel)
+		case c.grp != nil:
+			if g := c.grp; m.remaining[g.id] > 0 {
+				m.openGroup(g, c.src.scopes[g.parent.fslot], elemLevel, m.frameFor(g.sk, c.src, elemLevel))
 			}
-			var in *frame
-			if g.sk.hasEdges() {
-				if c.src != src || g.sk != fr.sk {
-					fr, src = m.openFrame(g.sk, elemLevel), c.src
-				}
-				in = fr
+		case m.remaining[c.node.id] > 0:
+			// (Zero: an earlier candidate of this same element already
+			// satisfied every subscription this step serves.)
+			n := c.node
+			origin := c.src.scopes[n.parent.fslot]
+			// A terminal whose own step carries no predicates commits now, gated
+			// only by ancestor scopes (its continuations serve other
+			// subscriptions); with predicates the commit waits for the scope to
+			// resolve at endElement.
+			if len(n.conj) == 0 && len(n.terminals) > 0 {
+				s, mem := m.gate(origin, n.parent)
+				m.routeCaptured(n.terminals, s, mem)
 			}
-			m.openGroup(g, c.src.scopes[g.parent.fslot], elemLevel, in)
-			continue
-		}
-		n := c.node
-		if n.remaining == 0 {
-			// An earlier candidate of this same element already satisfied
-			// every subscription this step serves.
-			continue
-		}
-		origin := c.src.scopes[n.parent.fslot]
-		// A terminal whose own step carries no predicates commits now, gated
-		// only by ancestor scopes (its continuations serve other
-		// subscriptions); with predicates the commit waits for the scope to
-		// resolve at endElement.
-		if len(n.conj) == 0 {
-			m.deliverCaptured(n.terminals, origin, n.parent)
-			if len(n.succ) == 0 {
-				continue
+			if n.opens() {
+				m.openSpine(n, origin, c.src, elemLevel)
 			}
 		}
-		var in *frame // a scope without continuations is never looked up
-		if len(n.succ) > 0 {
-			if c.src != src || n.sk != fr.sk {
-				fr, src = m.openFrame(n.sk, elemLevel), c.src
-			}
-			in = fr
-		}
-		m.openScope(n, nil, origin, elemLevel, in)
 	}
+}
+
+// frameFor returns the frame that indexes the scopes the current element
+// opens at sk for the candidates offered it through src, nil when sk has no
+// edges: a scope without continuations is never looked up. Candidates
+// gathered by one lookup are adjacent, and each may open at most one scope
+// per slot (a member or group has one parent scope per source frame), so
+// one frame per (source frame, skeleton node) serves them all.
+func (m *matcher) frameFor(sk *skel, src *frame, level int) *frame {
+	if !sk.hasEdges() {
+		return nil
+	}
+	if src != m.spSrc || sk != m.spFrame.sk {
+		m.spFrame, m.spSrc = m.openFrame(sk, level), src
+	}
+	return m.spFrame
+}
+
+// openSpine opens the scope of spine node n for the current element, a
+// candidate offered through src, below origin.
+func (m *matcher) openSpine(n *tnode, origin *scope, src *frame, level int) {
+	var in *frame
+	if len(n.succ) > 0 {
+		in = m.frameFor(n.sk, src, level)
+	}
+	m.openScope(n, nil, origin, level, in)
+}
+
+// startRun offers the current element to run r, whose group scope is open
+// in src. What the scope's values have decided so far splits the run: the
+// nodes that continue a satisfied member are past the group's predicate, so
+// the subscriptions ending at them are delivered to what gates the group
+// itself; the rest wait in the scope as one range commit. A node with
+// predicates or continuations of its own opens its scope below the group's,
+// as any spine node does. A threshold run is split by one search, and with
+// no scope to open nothing past the split is looked at.
+func (m *matcher) startRun(r *contRun, src *frame, level int) {
+	g := r.grp
+	sc := src.scopes[g.fslot]
+	p, q := sc.split(r)
+	up, mem := m.gate(sc.origin, g.parent)
+	held := q < len(r.nodes)
+	end := q
+	if r.scoped > 0 {
+		end = len(r.nodes)
+	}
+	for i, n := range r.nodes[:end] {
+		if m.remaining[n.id] == 0 {
+			continue
+		}
+		if len(n.conj) == 0 {
+			if i < p || (i < q && sc.satisfied(n.parent)) {
+				m.routeCaptured(n.terminals, up, mem)
+			} else {
+				held = true
+			}
+		}
+		if n.opens() {
+			m.openSpine(n, sc, src, level)
+		}
+	}
+	if !held || m.remaining[r.id] == 0 {
+		return
+	}
+	rc := rangeCommit{run: r, from: p}
+	if m.capturing && m.remaining[r.frags] > 0 {
+		rc.cap = m.cm.elemCapture()
+		m.capCommits++
+	}
+	sc.ranges = append(sc.ranges, rc)
 }
 
 // openScope opens a candidate scope for node n — of predicate tuple tup, or
@@ -1057,11 +1211,12 @@ func (m *matcher) closeScope(sc *scope) {
 			m.frAdd(sc.tup)
 		}
 	case conjOK && len(sc.children) > 0:
+		up, mem := m.gate(sc.origin, n.parent)
 		for _, c := range sc.commits {
-			m.deliverEntry(c.sub, c.cap, sc.origin, n.parent)
+			m.routeEntry(c.sub, c.cap, up, mem)
 			m.dropCommitCap(c.cap)
 		}
-		m.deliver(n.terminals, sc.cap, sc.origin, n.parent)
+		m.route(n.terminals, sc.cap, up, mem)
 	default:
 		// Predicates refuted: the conditional commits die with their
 		// capture holds.
@@ -1097,7 +1252,7 @@ func (m *matcher) recycleScope(sc *scope, fslot int) {
 	if sc.fr != nil {
 		sc.fr.scopes[fslot] = nil
 	}
-	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], hits: sc.hits[:0]}
+	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], ranges: sc.ranges[:0], hits: sc.hits[:0]}
 	m.freeScopes = append(m.freeScopes, sc)
 }
 
@@ -1120,17 +1275,15 @@ func (m *matcher) gate(from *scope, at *tnode) (*scope, *tnode) {
 	return nil, nil
 }
 
-// deliver routes matched subscriptions to the nearest trie-ancestor scope
-// whose predicates are still unresolved (gate; from is the scope of spine
-// node at); with none open, the matches are final and latch globally
-// (decrementing the remaining counters that drive the shared early exit).
-// cap, when non-nil, is the fragment captured for the matching element;
+// route delivers matched subscriptions to gate (s, mem) — what gate returned
+// for the scope they come from: the nearest trie-ancestor scope whose
+// predicates are still unresolved holds them as commits; with none open
+// (s nil) the matches are final and latch globally (counting down the
+// remaining vector that drives the shared early exit). A closing scope, or
+// a run offered an element, gates everything it delivers alike and asks
+// once. cap, when non-nil, is the fragment captured for the matching element;
 // commit entries for extraction-enabled subscriptions take a reference each.
-func (m *matcher) deliver(outs []int, cap *capture, from *scope, at *tnode) {
-	if len(outs) == 0 {
-		return
-	}
-	s, mem := m.gate(from, at)
+func (m *matcher) route(outs []int, cap *capture, s *scope, mem *tnode) {
 	if s == nil {
 		for _, sub := range outs {
 			m.latch(sub, cap)
@@ -1142,31 +1295,25 @@ func (m *matcher) deliver(outs []int, cap *capture, from *scope, at *tnode) {
 		if c != nil && !m.tr.extract[sub] {
 			c = nil
 		}
-		if c != nil {
-			c.refs++
-			m.capCommits++
-		}
-		s.commits = append(s.commits, commit{sub: sub, cap: c, mem: mem})
+		m.routeEntry(sub, c, s, mem)
 	}
 }
 
-// deliverCaptured is deliver for terminals reached at the current
-// element's startElement: it starts (or joins) the element's capture when
-// some terminal wants a fragment.
-func (m *matcher) deliverCaptured(outs []int, from *scope, at *tnode) {
-	if cap := m.capFor(outs); cap != nil {
-		m.deliver(outs, cap, from, at)
-		m.cm.release(cap) // deliver took its own holds
-		return
+// routeCaptured is route for terminals reached at the current element's
+// startElement: it starts (or joins) the element's capture when some
+// terminal wants a fragment.
+func (m *matcher) routeCaptured(outs []int, s *scope, mem *tnode) {
+	cap := m.capFor(outs)
+	m.route(outs, cap, s, mem)
+	if cap != nil {
+		m.cm.release(cap) // route took its own holds
 	}
-	m.deliver(outs, nil, from, at)
 }
 
-// deliverEntry re-routes one resolved commit one gating scope up (or
-// latches it), taking fresh capture holds; the caller still owns — and
-// must drop — the original entry's hold.
-func (m *matcher) deliverEntry(sub int, cap *capture, from *scope, at *tnode) {
-	s, mem := m.gate(from, at)
+// routeEntry routes one match — a resolved commit going one gating scope up,
+// or a fresh one — to gate (s, mem), taking a capture hold of its own; a
+// caller passing on a commit still owns, and must drop, that entry's hold.
+func (m *matcher) routeEntry(sub int, cap *capture, s *scope, mem *tnode) {
 	if s == nil {
 		m.latch(sub, cap)
 		return
@@ -1178,19 +1325,25 @@ func (m *matcher) deliverEntry(sub int, cap *capture, from *scope, at *tnode) {
 	s.commits = append(s.commits, commit{sub: sub, cap: cap, mem: mem})
 }
 
-// latch finalizes a subscription's match. The fragment slot keeps the
-// document-order-first capture: predicated matches resolve bottom-up at
-// scope close, so a later-resolving commit can carry an earlier element —
-// it replaces the slot when its start offset is smaller.
+// latch finalizes a subscription's match, and counts it out of what is left
+// to match below its OUT node — and, while a count hits zero, below what
+// that node is a part of: its group or run, and the step it continues. The
+// fragment slot keeps the document-order-first capture: predicated matches
+// resolve bottom-up at scope close, so a later-resolving commit can carry an
+// earlier element — it replaces the slot when its start offset is smaller.
 func (m *matcher) latch(sub int, cap *capture) {
-	path := m.tr.paths[sub]
+	out := m.tr.outs[sub]
 	if !m.matched[sub] {
 		m.matched[sub] = true
 		m.matchedCount++
-		for _, n := range path {
-			n.remaining--
+		for n := out; n != nil; n = n.parent {
+			if m.remaining[n.id]--; m.remaining[n.id] > 0 {
+				break
+			}
 			if n.mem != nil {
-				n.mem.grp.remaining--
+				m.remaining[n.mem.grp.id]--
+			} else if n.run != nil {
+				m.remaining[n.run.id]--
 			}
 		}
 	}
@@ -1204,8 +1357,10 @@ func (m *matcher) latch(sub int, cap *capture) {
 	cap.refs++
 	if old != nil {
 		m.cm.release(old)
-	} else if mb := path[len(path)-1].mem; mb != nil {
-		mb.grp.fragsWanted--
+	} else if out.mem != nil {
+		m.remaining[out.mem.grp.frags]--
+	} else if out.run != nil {
+		m.remaining[out.run.frags]--
 	}
 	m.frags[sub] = cap
 }
@@ -1263,11 +1418,12 @@ func (m *matcher) unmatched(outs []int) bool {
 //
 // A group scope is an open element with unresolved predicates for every
 // member, so both avenues are open to every unmatched subscription that
-// passes through one: the group's remaining count is the whole answer.
+// passes through one — those its range commits hold among them: the group's
+// remaining count is the whole answer.
 //
 // A subscription with no avenue left can never match (conjunctive
 // matching is monotone and candidates only arrive through open scopes),
-// so its negative verdict is final mid-stream. The remaining counters say
+// so its negative verdict is final mid-stream. The remaining counts say
 // whether anything unmatched lies below a step, so the sweep is
 // O(scopes + their continuations + their commits) and stops at the first
 // open verdict; callers probe it per chunk, not per event.
@@ -1279,12 +1435,12 @@ func (m *matcher) undecided() bool {
 	for _, sc := range m.scopes {
 		switch {
 		case sc.grp != nil:
-			if sc.grp.remaining > 0 {
+			if m.remaining[sc.grp.id] > 0 {
 				return true
 			}
 		case sc.node.kind == kindSpine:
 			for _, c := range sc.node.succ {
-				if c.remaining > 0 && (c.axis == query.AxisDescendant || sc.level > 0 || !rootSeen) {
+				if m.remaining[c.id] > 0 && (c.axis == query.AxisDescendant || sc.level > 0 || !rootSeen) {
 					return true
 				}
 			}

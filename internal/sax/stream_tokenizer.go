@@ -187,6 +187,7 @@ type StreamStats struct {
 func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, process func(ByteEvent) error, endChunk func(), decided func() bool) (bool, error) {
 	*st = StreamStats{}
 	sawEnd := false
+	var ev ByteEvent
 	for {
 		n, rerr := s.FeedReader(r, chunkSize)
 		if n > 0 {
@@ -202,7 +203,7 @@ func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, pro
 			s.Finish()
 		}
 		for {
-			ev, err := s.Next()
+			err := s.t.NextInto(&ev)
 			if err == ErrNeedMoreData || err == io.EOF {
 				break
 			}

@@ -311,57 +311,68 @@ func (t *TokenizerBytes) syncIndex() error {
 // and the last EndDocument; io.EOF follows. The Data slice of a Text
 // event is only valid until the next call.
 func (t *TokenizerBytes) Next() (ByteEvent, error) {
+	var ev ByteEvent
+	err := t.NextInto(&ev)
+	return ev, err
+}
+
+// NextInto is Next writing the event into *ev, for a per-event loop that
+// would otherwise copy every event out of Next and again into its consumer.
+// *ev is left untouched when an error is returned.
+func (t *TokenizerBytes) NextInto(ev *ByteEvent) error {
 	if t.head < len(t.pending) && !t.tagActive {
-		ev := t.pending[t.head]
+		*ev = t.pending[t.head]
 		t.head++
 		if t.head == len(t.pending) {
 			t.pending = t.pending[:0]
 			t.head = 0
 			t.stabilized = 0
 		}
-		return ev, nil
+		return nil
 	}
 	if t.ended {
-		return ByteEvent{}, io.EOF
+		return io.EOF
 	}
 	if !t.started {
 		t.started = true
-		return ByteEvent{Kind: StartDocument}, nil
+		*ev = ByteEvent{Kind: StartDocument}
+		return nil
 	}
-	// From here on Next is the event assembler: it dispatches on the
+	// From here on NextInto is the event assembler: it dispatches on the
 	// construct's lead bytes once and hands off to the per-construct
 	// scanner, which delimits the construct with index hops and single
 	// bulk scans. The flat shape is deliberate — scanners return the
 	// minimum (a symbol or a subslice) and the event is materialized
-	// directly into Next's result registers; this is the per-event hot
-	// path.
+	// directly into the caller's *ev; this is the per-event hot path.
 	if t.idx.synced != len(t.data) {
 		if err := t.syncIndex(); err != nil {
-			return ByteEvent{}, err
+			return err
 		}
 	}
 	if t.tagActive {
 		if t.breach != nil {
-			return ByteEvent{}, t.breach
+			return t.breach
 		}
 		// Resume the start tag suspended between attributes; pos sits at
 		// the attribute boundary scanAttrs rewound to.
 		t.tagActive = false
 		sym := t.tagSym
 		if err := t.scanAttrs(sym); err != nil {
-			return ByteEvent{}, err
+			return err
 		}
-		return ByteEvent{Kind: StartElement, Sym: sym, Off: t.tagOff}, nil
+		*ev = ByteEvent{Kind: StartElement, Sym: sym, Off: t.tagOff}
+		return nil
 	}
 	for {
 		if t.pos >= len(t.data) {
 			if t.suspendable() {
-				return ByteEvent{}, ErrNeedMoreData
+				return ErrNeedMoreData
 			}
 			if err := t.endOfInput(); err != nil {
-				return ByteEvent{}, err
+				return err
 			}
-			return ByteEvent{Kind: EndDocument}, nil
+			*ev = ByteEvent{Kind: EndDocument}
+			return nil
 		}
 		// mark is the construct's first byte: a suspended scan that has no
 		// finer-grained resume state rewinds here (dropping any half-queued
@@ -372,41 +383,44 @@ func (t *TokenizerBytes) Next() (ByteEvent, error) {
 			if t.pos >= len(t.data) {
 				if t.suspendable() {
 					t.pos = mark
-					return ByteEvent{}, ErrNeedMoreData
+					return ErrNeedMoreData
 				}
-				return ByteEvent{}, t.errf("unterminated markup")
+				return t.errf("unterminated markup")
 			}
 			switch t.data[t.pos] {
 			case '/':
 				t.pos++
 				sym, err := t.readEndTag()
 				if err != nil {
-					return ByteEvent{}, t.rewind(mark, err)
+					return t.rewind(mark, err)
 				}
-				return ByteEvent{Kind: EndElement, Sym: sym, Off: t.base + t.pos}, nil
+				*ev = ByteEvent{Kind: EndElement, Sym: sym, Off: t.base + t.pos}
+				return nil
 			case '?':
 				t.pos++
 				if err := t.skipUntil("?>"); err != nil {
-					return ByteEvent{}, t.rewind(mark, err)
+					return t.rewind(mark, err)
 				}
 				continue
 			case '!':
 				t.pos++
 				text, skip, err := t.readBang()
 				if err != nil {
-					return ByteEvent{}, t.rewind(mark, err)
+					return t.rewind(mark, err)
 				}
 				if skip {
 					continue
 				}
-				return ByteEvent{Kind: Text, Data: text}, nil
+				*ev = ByteEvent{Kind: Text, Data: text}
+				return nil
 			default:
 				t.tagOff = t.base + mark
 				sym, err := t.readStartTag()
 				if err != nil {
-					return ByteEvent{}, t.rewind(mark, err)
+					return t.rewind(mark, err)
 				}
-				return ByteEvent{Kind: StartElement, Sym: sym, Off: t.tagOff}, nil
+				*ev = ByteEvent{Kind: StartElement, Sym: sym, Off: t.tagOff}
+				return nil
 			}
 		}
 		out, skip, err := t.readText()
@@ -415,12 +429,13 @@ func (t *TokenizerBytes) Next() (ByteEvent, error) {
 				t.rescanned += t.pos - mark
 				t.pos = mark
 			}
-			return ByteEvent{}, err
+			return err
 		}
 		if skip {
 			continue
 		}
-		return ByteEvent{Kind: Text, Data: out}, nil
+		*ev = ByteEvent{Kind: Text, Data: out}
+		return nil
 	}
 }
 

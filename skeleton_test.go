@@ -10,6 +10,7 @@ package streamxpath_test
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"streamxpath"
@@ -79,6 +80,26 @@ var skeletonCases = []struct {
 		`<feed><item><priority> 5 </priority><f1></f1></item><item><priority>n/a</priority><f1></f1></item></feed>`,
 		`<feed><item><priority>4</priority><item><f1></f1><priority>7</priority><g><f2></f2></g></item><f1 id="c"></f1></item></feed>`,
 		`<feed><item><item><priority>1</priority></item><priority>6</priority><f2></f2></item></feed>`,
+	}},
+	// The continuations of one group's members along one edge are one run,
+	// split by the group scope's boundary: thresholds with equal constants
+	// under > and >=, a continuation with a predicate of its own (one no
+	// group takes, one a group does) and ones with a further step, the same
+	// below equality, != and < groups and below a second edge. The documents
+	// put the continuation before the value (the held range resolves when the
+	// item closes), between two values, and after 1-then-9 and 9-then-1.
+	{"group-continuations", []string{
+		`//item[priority > 1]/f`, `//item[priority > 5]/f`, `//item[priority >= 5]/f`, `//item[priority > 7]/f`,
+		`//item[priority > 5]/g`, `//item[priority > 3]/f[k]`, `//item[priority > 3]/f[k > 1]`, `//item[priority > 3]/f/h`,
+		`//item[priority > 7]/f/@id`, `//item[priority = 5]/f`, `//item[priority != 5]/f`, `//item[priority = 9]/f/h`,
+		`//item[priority < 2]/f`, `//item[code = "x"]/f`,
+	}, []string{
+		`<feed><item><f id="a"></f><priority>5</priority></item></feed>`,
+		`<feed><item><priority>1</priority><f></f><priority>9</priority><f id="b"><k>2</k><h></h></f></item></feed>`,
+		`<feed><item><priority>9</priority><priority>1</priority><f id="c"><h></h><k></k></f><g></g></item></feed>`,
+		`<feed><item><f id="d"><k>3</k><h></h></f><g></g><priority>6</priority><code>x</code></item></feed>`,
+		`<feed><item><priority>2</priority><item><f></f><priority>8</priority></item><f></f></item><item><f></f></item></feed>`,
+		`<feed><item><code>x</code><f></f><code>y</code></item><item><f></f><priority>5</priority><priority>9</priority></item></feed>`,
 	}},
 }
 
@@ -341,5 +362,57 @@ func TestTrieStateIndependentOfThresholdFanout(t *testing.T) {
 	}
 	if peaks[0] != peaks[1] || peaks[1] != peaks[2] {
 		t.Errorf("peak live/scopes/pendings for 1, 10, 100 thresholds: %v, want them identical", peaks)
+	}
+}
+
+// TestGroupContinuationVisitsIndependentOfFanout pins the third axis: an
+// element that continues the members of a predicate group is one visit — one
+// probe of the group's scope, one search against its boundary — whether 1,
+// 10 or 100 thresholds hang on the step, and whether the boundary puts none
+// or half of them on the satisfied side. Every set keeps its one
+// unsatisfiable threshold, so no set runs out of subscriptions to match and
+// stops being offered elements.
+func TestGroupContinuationVisitsIndependentOfFanout(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for i := 0; i < 40; i++ {
+		// The continuation after the value, before it, and between two.
+		switch p := 900 + 3*i; i % 3 {
+		case 0:
+			fmt.Fprintf(&b, "<item><priority>%d</priority><f0></f0></item>", p)
+		case 1:
+			fmt.Fprintf(&b, "<item><f0></f0><priority>%d</priority></item>", p)
+		default:
+			fmt.Fprintf(&b, "<item><priority>%d</priority><f0></f0><priority>1</priority></item>", p)
+		}
+	}
+	b.WriteString("</catalog>")
+	doc := b.String()
+	root := tree.MustParse(doc)
+	var visits []int
+	for _, n := range []int{1, 10, 100} {
+		var subs []string
+		for k := 0; k < n; k++ {
+			subs = append(subs, fmt.Sprintf("//catalog/item[priority > %d]/f0", 1100-k))
+		}
+		set := skeletonSet(t, subs, extractNone)
+		got, err := set.MatchBytes([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for k, src := range subs {
+			if semantics.BoolEval(query.MustParse(src), root) {
+				want = append(want, fmt.Sprintf("s%d", k))
+			}
+		}
+		if n == 100 && len(want) < 10 {
+			t.Fatalf("%d thresholds: only %d satisfied, the split is not exercised", n, len(want))
+		}
+		assertSameIDs(t, fmt.Sprintf("%d thresholds", n), got, want)
+		visits = append(visits, set.Stats().TupleVisits)
+	}
+	if visits[0] == 0 || visits[0] != visits[1] || visits[1] != visits[2] {
+		t.Errorf("TupleVisits for 1, 10, 100 thresholds: %v, want them identical", visits)
 	}
 }

@@ -1050,12 +1050,15 @@ func BenchmarkMatchReaderNoMatch(b *testing.B) {
 //
 // BenchmarkTokenizer measures the byte tokenizer alone — no matching —
 // in MB/s (via b.SetBytes) on two document shapes: an ASCII-heavy news
-// corpus (text-dominated, the structural index's best case) and a
+// corpus (text-dominated, long bulk scans) and a
 // pathological many-attribute document (markup-dominated, the
 // per-construct resumability stress). Each shape runs whole-buffer
 // (TokenizerBytes over the full document) and chunked (StreamTokenizer
 // fed 4KiB windows, so the many-attribute tags span chunk boundaries
-// and exercise suspended-tag resumption).
+// and exercise suspended-tag resumption). The skim arms run the kernel the
+// buffered path spends a decided document in: four events in, then Skim
+// validates the rest of a feed in the benchmark's scan shape, with and
+// without references in every body.
 
 // tokenizerNewsDoc builds an ASCII-heavy news document of n items:
 // mostly prose text runs with occasional entities, light markup.
@@ -1088,6 +1091,25 @@ func tokenizerManyAttrDoc(elems, attrs int) []byte {
 		b.WriteString("/>")
 	}
 	b.WriteString("</doc>")
+	return []byte(b.String())
+}
+
+// skimNewsDoc builds a feed of n items in workload.RandomNewsFeed's shape —
+// bare tags, short text runs — with three references per body chunk when
+// entity is set.
+func skimNewsDoc(n int, entity bool) []byte {
+	chunk := "lorem ipsum "
+	if entity {
+		chunk = "lorem &amp; ips&lt;m &#38; "
+	}
+	rng := rand.New(rand.NewSource(26))
+	var b strings.Builder
+	b.WriteString("<news>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<item><title>story %d</title><keyword>go</keyword><priority>%d</priority><body><p>%s</p></body></item>",
+			i, rng.Intn(10), strings.Repeat(chunk, 1+rng.Intn(5)))
+	}
+	b.WriteString("</news>")
 	return []byte(b.String())
 }
 
@@ -1165,6 +1187,33 @@ func BenchmarkTokenizer(b *testing.B) {
 				drainStream(b, tok, tc.doc, chunk)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+		})
+	}
+	for _, tc := range []struct {
+		name   string
+		entity bool
+	}{{"skim/plain", false}, {"skim/entity", true}} {
+		doc := skimNewsDoc(2000, tc.entity)
+		b.Run(tc.name, func(b *testing.B) {
+			tok := sax.NewTokenizerBytes(doc, nil)
+			skim := func() {
+				tok.Reset(doc)
+				for k := 0; k < 4; k++ {
+					if _, err := tok.Next(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := tok.Skim(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			skim() // warm symbols + scratch
+			b.SetBytes(int64(len(doc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				skim()
+			}
 		})
 	}
 }

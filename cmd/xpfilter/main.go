@@ -269,8 +269,8 @@ func benchReport(doc []byte, iters int, run func() error) error {
 	fmt.Printf("  bench: %d iters x %d events: %.2fM events/sec, %.4f allocs/event, %.1f ns/event\n",
 		iters, len(events), total/elapsed.Seconds()/1e6,
 		float64(m1.Mallocs-m0.Mallocs)/total, float64(elapsed.Nanoseconds())/total)
-	// Tokenizer-only pass: how fast the structural-index scanner turns
-	// bytes into events before any matching work, so field measurements
+	// Tokenizer-only pass: how fast the byte tokenizer turns bytes into
+	// events before any matching work, so field measurements
 	// of raw tokenization throughput don't need the Go bench harness.
 	tok := sax.NewTokenizerBytes(doc, nil)
 	drain := func() error {

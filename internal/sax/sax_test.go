@@ -189,6 +189,13 @@ func TestSerializeRejectsMalformed(t *testing.T) {
 		{StartDoc(), StartDoc(), EndDoc()},                     // double start
 		{StartDoc(), Start("a"), End("a"), EndDoc(), EndDoc()}, // double end
 		{StartDoc(), Start("a"), End("a")},                     // missing endDocument
+		// Names that would not be read back as the names they are.
+		{StartDoc(), Start("!"), End("!"), EndDoc()},
+		{StartDoc(), Start("?pi"), End("?pi"), EndDoc()},
+		{StartDoc(), Start(""), End(""), EndDoc()},
+		{StartDoc(), Start("a b"), End("a b"), EndDoc()},
+		{StartDoc(), Start("a", Attr{Name: "!", Value: ""}), End("a"), EndDoc()},
+		{StartDoc(), Start("a", Attr{Name: "x=y", Value: "1"}), End("a"), EndDoc()},
 	}
 	for i, evs := range cases {
 		if _, err := SerializeString(evs); err == nil {

@@ -90,13 +90,68 @@ func checkSkimEveryK(t testing.TB, doc []byte, lim limits.Limits) {
 // a skim enforces, at element, self-closing and attribute levels.
 var skimLimits = limits.Limits{MaxDepth: 3, MaxTokenBytes: 24}
 
-// skimCorpus is the hardening lists, depth and attribute shapes the lists
-// lack, and small generated feeds in the benchmark's two document shapes.
+// KernelShapes is every shape the scanners special-case, well-formed and
+// not: tags closed on the byte after the name and tags that are not, names
+// no name may begin with, a name or a reference cut off by the end of the
+// window, references touching markup on either side, each kind of
+// reference, good and bad, where a skim checks it without decoding (text,
+// attribute values) and where it must decode (outside the root), and names
+// too long for anything sized by a word. The skim differential walks them
+// at every event and the split differential (stream_tokenizer_test.go) at
+// every byte. Exported for that file, which lives in the external test
+// package.
+var KernelShapes = func() []string {
+	long := strings.Repeat("n", 200)
+	docs := []string{
+		"<a>", "<a >", "<a\n>", "<a/>", "<a />", "<a/ >", "</a >",
+		"<r><a></a></r>", "<r><a ></a ></r>", "<r><a\n></a\n></r>",
+		"<r><a/><a /></r>", "<r><a/ ></r>", "<r><a/", "<r><a /",
+		`<a !=""></a>`, `<a ?x="1"/>`, `<a -x="1"/>`, `<a .x="1"/>`, `<a 0=""></a>`,
+		"<!></!>", "<r><-a/></r>", "<r><.a/></r>", "<r></!r>", "<r><a></-a></r>", "<r><a!?-.0/></r>",
+		"<r><a", "<r></r", "<r>&", "<r>&#", "<r>&amp", "<r>&#3", "<r>text",
+		`<r x="&`, `<r x="&#`, `<r x="&amp`, `<r x`, `<r x=`,
+		"<r>&amp;<a/>&amp;</r>", "<r><a>&amp;</a>&lt;<a/>&gt;</r>", "<r>x&apos;<a/>&quot;y</r>",
+		"<r><" + long + "></" + long + "></r>",
+		"<r><" + long + "/><a " + long + `="1" ` + long + `x="2"/></r>`,
+		"<r><a " + long + `="1" ` + long + `="2"/></r>`,
+		"<r><" + long + "></" + long + "x></r>",
+		manyAttrTag(40, -1), manyAttrTag(40, 2), manyAttrTag(300, 290),
+	}
+	for _, ref := range []string{"&#38;", "&#x26;", "&#X26;", "&#0000000038;", "&#00000000038;",
+		"&#x110000;", "&#1114111;", "&#;", "&#x;", "&#3a;", "&bad;", "&toolongname12;", "&lt", "&;", "&#32;"} {
+		docs = append(docs,
+			"<r><a>"+ref+"</a></r>", "<r><a>x"+ref+ref+"y</a></r>",
+			`<r><a x="`+ref+`"/></r>`, `<r><a x='v`+ref+ref+`' y="`+ref+`"></a></r>`,
+			"<r/>"+ref, ref+"<r/>", "<r></r> "+ref+" ")
+	}
+	return docs
+}()
+
+// manyAttrTag is a tag of n distinct attributes inside a root, enough of
+// them to take a skim's name table through its growth; with dup >= 0 one
+// more attribute repeats the name of attribute dup.
+func manyAttrTag(n, dup int) string {
+	var b strings.Builder
+	b.WriteString("<r><e")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, ` k%d="%d"`, i, i)
+	}
+	if dup >= 0 {
+		fmt.Fprintf(&b, ` k%d=""`, dup)
+	}
+	b.WriteString("/></r>")
+	return b.String()
+}
+
+// skimCorpus is the hardening lists, the kernel's shapes, depth and
+// attribute shapes they lack, and small generated feeds in the benchmark's
+// two document shapes.
 func skimCorpus() []string {
 	docs := append([]string(nil), malformedInputs...)
 	for _, c := range robustInputs {
 		docs = append(docs, c.input)
 	}
+	docs = append(docs, KernelShapes...)
 	docs = append(docs,
 		`<a><b x="1" y="&lt;2"><c/></b><b x="1"/></a>`,
 		`<a><b><c><d/></c></b></a>`,
@@ -153,13 +208,20 @@ func TestSkimMatchesNext(t *testing.T) {
 	}
 }
 
-// TestSkimMaterializesNothing: elements first met by a skim are matched by
-// their bytes — their names never reach the symbol table — and a warm skim
-// allocates nothing, whatever it decodes and however deep it goes.
+// TestSkimMaterializesNothing: elements and attributes first met by a skim
+// are matched by their bytes — their names never reach the symbol table,
+// however many a document brings — and a warm skim allocates nothing,
+// whatever it decodes and however deep it goes.
 func TestSkimMaterializesNothing(t *testing.T) {
-	doc := []byte(`<a><seen/><fresh x="&amp;"><deeper>t &lt; u</deeper><deeper >v</deeper ></fresh></a>`)
+	var hostile strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&hostile, `<e%d x%d="1" y%d='2'/>`, i, i, i)
+	}
+	doc := []byte(`<a><seen was="1"/><fresh x="&amp;" was="2"><deeper>t &lt; u</deeper><deeper >v</deeper ></fresh>` +
+		hostile.String() + `</a>`)
 	tab := symtab.New()
 	tok := NewTokenizerBytes(doc, tab)
+	var names, seen int // the table's and attrSeen's sizes when the skim began
 	skimAfter := func(events int) {
 		tok.Reset(doc)
 		for i := 0; i < events; i++ {
@@ -167,20 +229,27 @@ func TestSkimMaterializesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		names, seen = tab.Len(), len(tok.attrSeen)
 		if _, err := tok.Skim(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	skimAfter(4) // StartDocument, <a>, <seen>, </seen>
-	for _, name := range []string{"fresh", "deeper"} {
+	skimAfter(7) // StartDocument, <a>, <seen>, its attribute's three events, </seen>
+	for _, name := range []string{"fresh", "deeper", "x", "e0", "x0", "y999"} {
 		if tab.Lookup(name) != symtab.None {
-			t.Errorf("element name %q was interned by the skim", name)
+			t.Errorf("name %q was interned by the skim", name)
 		}
 	}
-	if tab.Lookup("seen") == symtab.None {
-		t.Error("an element tokenized before the skim is missing from the table")
+	for _, name := range []string{"seen", "was"} {
+		if tab.Lookup(name) == symtab.None {
+			t.Errorf("name %q, tokenized before the skim, is missing from the table", name)
+		}
 	}
-	if allocs := testing.AllocsPerRun(20, func() { skimAfter(4) }); allocs != 0 {
+	if tab.Len() != names || len(tok.attrSeen) != seen {
+		t.Errorf("the skim grew the symbol table from %d names to %d, attrSeen from %d slots to %d",
+			names, tab.Len(), seen, len(tok.attrSeen))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { skimAfter(7) }); allocs != 0 {
 		t.Errorf("warm skim: %v allocs/run, want 0", allocs)
 	}
 }

@@ -86,7 +86,6 @@ func (s *StreamTokenizer) compact() {
 	if t.pos == 0 {
 		return
 	}
-	t.idx.rebase(t.pos)
 	tail := copy(s.buf, s.buf[t.pos:])
 	s.buf = s.buf[:tail]
 	t.base += t.pos

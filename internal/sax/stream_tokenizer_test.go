@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -168,22 +169,37 @@ func streamEvents(tok *sax.StreamTokenizer, doc string, splits []int) ([]sax.Eve
 	return out, feed(doc[prev:], true)
 }
 
+// wholeEvents runs the whole-buffer tokenizer over doc, materializing the
+// events up to its end or its first error.
+func wholeEvents(doc string) ([]sax.Event, error) {
+	tok := sax.NewTokenizerBytes([]byte(doc), nil)
+	var out []sax.Event
+	for {
+		ev, err := tok.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, ev.Event(tok.Table()))
+	}
+}
+
 // TestStreamTokenizerSplitEveryOffset is the chunk-boundary differential
-// test: every corpus document, split into two chunks at every byte
-// offset, must yield an event stream (and error-ness) identical to the
-// whole-buffer TokenizerBytes.
+// test: every corpus document and every shape the scanners special-case,
+// split into two chunks at every byte offset, must end as the whole-buffer
+// TokenizerBytes ends it — the same events (hence the same deepest level)
+// and then the same error: type, message and offset.
 func TestStreamTokenizerSplitEveryOffset(t *testing.T) {
 	tok := sax.NewStreamTokenizer(nil)
-	for _, doc := range streamCorpus {
-		want, wantErr := sax.ParseBytes([]byte(doc))
+	for _, doc := range append(append([]string(nil), streamCorpus...), sax.KernelShapes...) {
+		want, wantErr := wholeEvents(doc)
 		for off := 0; off <= len(doc); off++ {
 			got, gotErr := streamEvents(tok, doc, []int{off})
-			if (wantErr != nil) != (gotErr != nil) {
+			if !reflect.DeepEqual(gotErr, wantErr) {
 				t.Fatalf("doc %q split at %d: whole-buffer err = %v, chunked err = %v",
 					doc, off, wantErr, gotErr)
-			}
-			if wantErr != nil {
-				continue
 			}
 			diffEvents(t, doc, got, want)
 		}
@@ -375,6 +391,9 @@ func FuzzStreamTokenizerSplits(f *testing.F) {
 	f.Add("<a><b>text &amp; more</b><!--c--><![CDATA[d]]></a>", uint16(3), uint16(17))
 	f.Add(`<a id="1" x='&lt;'>t</a>`, uint16(7), uint16(9))
 	f.Add("<a>&#x41;<b/></a>", uint16(0), uint16(5))
+	for i, doc := range sax.KernelShapes {
+		f.Add(doc, uint16(i), uint16(len(doc)/2))
+	}
 	f.Fuzz(func(t *testing.T, doc string, s1, s2 uint16) {
 		if len(doc) > 1<<12 {
 			return

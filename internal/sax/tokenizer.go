@@ -231,29 +231,37 @@ func appendReferenceName(buf, name []byte) ([]byte, string) {
 		return append(buf, '"'), ""
 	}
 	if len(name) > 0 && name[0] == '#' {
-		code := name[1:]
-		base := 10
-		if len(code) > 0 && (code[0] == 'x' || code[0] == 'X') {
-			base = 16
-			code = code[1:]
+		v, msg := charReference(name)
+		if msg != "" {
+			return buf, msg
 		}
-		var v int
-		for _, ch := range code {
-			d, ok := hexDigit(ch, base)
-			if !ok {
-				return buf, fmt.Sprintf("bad character reference &%s;", name)
-			}
-			v = v*base + d
-			if v > 0x10FFFF {
-				return buf, "character reference out of range"
-			}
-		}
-		if len(code) == 0 {
-			return buf, "empty character reference"
-		}
-		return utf8.AppendRune(buf, rune(v)), ""
+		return utf8.AppendRune(buf, v), ""
 	}
 	return buf, fmt.Sprintf("unknown entity &%s;", name)
+}
+
+// charReference returns the code point a character reference's name ("#38",
+// "#x26") stands for, or an error message.
+func charReference(name []byte) (rune, string) {
+	code, base := name[1:], 10
+	if len(code) > 0 && (code[0] == 'x' || code[0] == 'X') {
+		code, base = code[1:], 16
+	}
+	var v int
+	for _, ch := range code {
+		d, ok := hexDigit(ch, base)
+		if !ok {
+			return 0, fmt.Sprintf("bad character reference &%s;", name)
+		}
+		v = v*base + d
+		if v > 0x10FFFF {
+			return 0, "character reference out of range"
+		}
+	}
+	if len(code) == 0 {
+		return 0, "empty character reference"
+	}
+	return rune(v), ""
 }
 
 func hexDigit(c byte, base int) (int, bool) {
@@ -393,6 +401,33 @@ func isNameByte(c byte) bool {
 	return true
 }
 
+// isNameStart reports whether c may begin a name. '!' and '?' may not: a
+// tag that begins with one is a declaration or a processing instruction, so
+// a name that did could be written but not read back. '-' and '.' may not
+// either, as in XML's NameStartChar; digits may, which XML does not allow —
+// names here are the paper's opaque set N, and the committed fuzz corpus
+// has digit-named attributes.
+func isNameStart(c byte) bool {
+	switch c {
+	case '!', '?', '-', '.':
+		return false
+	}
+	return isNameByte(c)
+}
+
+// validName reports whether both tokenizers would read s back as one name.
+func validName(s string) bool {
+	if s == "" || !isNameStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isNameByte(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (t *Tokenizer) readName() (string, error) {
 	var b strings.Builder
 	for {
@@ -400,7 +435,7 @@ func (t *Tokenizer) readName() (string, error) {
 		if err != nil {
 			return "", t.errf("unterminated name")
 		}
-		if !isNameByte(c) {
+		if !isNameByte(c) || (b.Len() == 0 && !isNameStart(c)) {
 			t.unreadByte()
 			break
 		}

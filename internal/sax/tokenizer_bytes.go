@@ -2,10 +2,10 @@ package sax
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"streamxpath/internal/limits"
 	"streamxpath/internal/symtab"
@@ -32,13 +32,16 @@ var ErrNeedMoreData = errors.New("sax: need more data")
 // folded into attribute child events at scan time so no per-element
 // attribute list is built.
 //
-// Scanning is split in two, simdjson-style: a structural-index pass
-// (structidx.go) bulk-sweeps each newly arrived window once and records
-// entity and quote positions, and the event assembler below walks that
-// index plus anchored per-construct IndexByte/Index hops — so text runs,
-// attribute values, comments and CDATA sections are delimited by single
-// bulk scans, and the entity-presence bit from the index decides whether
-// the decode path runs at all.
+// Scanning is one pass with one cursor. The dispatch loops and the
+// per-construct scanners work on a local copy of the window and the
+// position — t.pos is committed once per construct, or where a scan fails
+// or suspends — so the cursor lives in a register rather than being loaded
+// and stored through the receiver per byte. Text runs, attribute values,
+// comments and CDATA sections are delimited by one anchored bulk
+// IndexByte/Index each; a delimited run is then searched for '&' by one
+// more IndexByte bounded by the run (which the first scan has just pulled
+// into L1), and only a hit enters the decode path. Names are classified by
+// a 256-entry table and hashed while they are scanned.
 //
 // It accepts exactly the syntax of the streaming Tokenizer and produces
 // the same event stream (modulo attribute expansion — apply
@@ -54,7 +57,6 @@ type TokenizerBytes struct {
 	data []byte
 	pos  int
 	tab  *symtab.Table
-	idx  structIndex
 
 	// streaming marks the tokenizer as fed incrementally (by a
 	// StreamTokenizer): running out of data mid-construct yields
@@ -117,9 +119,13 @@ type TokenizerBytes struct {
 	// slot for a symbol holds the epoch of the last tag that used it, so
 	// "seen in this tag" is one stamped compare instead of a linear scan
 	// of the attributes so far (quadratic on many-attribute tags). The
-	// epoch advances per start tag; on uint32 wraparound the table is
-	// cleared.
+	// epoch advances per start tag that has attributes; on uint32
+	// wraparound the table is cleared. A skim interns nothing, so it keys the same check by the
+	// name's bytes: attrSlots is an open-addressed table of the name spans
+	// of the tag being skimmed, stamped with the same epoch (so nothing is
+	// cleared between tags) and doubled when a tag fills half of it.
 	attrSeen  []uint32
+	attrSlots []attrSlot
 	attrEpoch uint32
 
 	// lim holds the per-document resource budgets (zero value: none).
@@ -150,11 +156,12 @@ type TokenizerBytes struct {
 	// Depth accounting, in the engine's units: a self-closing tag is a
 	// level like any element, and the attributes folded into child events
 	// sit one level below their element (see countLevels). deepest is the
-	// deepest level the skim has reached, tagAttrs whether the start tag it
-	// is scanning has an attribute (Next sees that in pending), and breach
-	// a depth breach found at an attribute level, held back for one call.
+	// deepest level the skim has reached, tagAttrs how many attributes the
+	// start tag it is scanning has so far (Next sees them in pending), and
+	// breach a depth breach found at an attribute level, held back for one
+	// call.
 	deepest  int
-	tagAttrs bool
+	tagAttrs int
 	breach   error
 }
 
@@ -172,6 +179,31 @@ type nameCacheEntry struct {
 
 // span is a half-open range of window offsets.
 type span struct{ start, end int }
+
+// attrSlot is one attribute name of the tag whose epoch it carries.
+type attrSlot struct {
+	epoch, hash uint32
+	name        span
+}
+
+// Name byte classes. The table is the reference tokenizer's two predicates
+// tabulated, so the tokenizers cannot disagree on what a name is.
+const (
+	className  uint8 = 1 << iota // may appear in a name
+	classStart                   // may begin one
+)
+
+var nameClass = func() (tab [256]uint8) {
+	for c := range tab {
+		if isNameByte(byte(c)) {
+			tab[c] |= className
+		}
+		if isNameStart(byte(c)) {
+			tab[c] |= classStart
+		}
+	}
+	return tab
+}()
 
 // NewTokenizerBytes returns a tokenizer over data, interning names into
 // tab. A nil tab allocates a fresh table (retrievable via Table).
@@ -196,7 +228,6 @@ func (t *TokenizerBytes) Table() *symtab.Table { return t.tab }
 func (t *TokenizerBytes) Reset(data []byte) {
 	t.data = data
 	t.pos = 0
-	t.idx.reset()
 	t.final = false
 	t.base = 0
 	t.suspendAt = -1
@@ -211,7 +242,7 @@ func (t *TokenizerBytes) Reset(data []byte) {
 	t.skim = false
 	t.spans = t.spans[:0]
 	t.deepest = 0
-	t.tagAttrs = false
+	t.tagAttrs = 0
 	t.breach = nil
 	t.pending = t.pending[:0]
 	t.head = 0
@@ -223,13 +254,27 @@ func (t *TokenizerBytes) Reset(data []byte) {
 // Rescanned reports the total input bytes re-examined after suspension
 // rewinds so far. Whole-buffer parses report 0; a chunked parse stays
 // O(document) regardless of how chunk boundaries fall, because text,
-// value and terminator scans resume from the structural index or the
-// suspendAt memo, and suspended start tags resume at the attribute
-// boundary instead of the '<'.
+// value and terminator scans resume from the suspendAt memo, and suspended
+// start tags resume at the attribute boundary instead of the '<'.
 func (t *TokenizerBytes) Rescanned() int { return t.rescanned }
 
 func (t *TokenizerBytes) errf(format string, args ...any) error {
 	return &SyntaxError{Offset: t.base + t.pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// errAt commits the cursor at p, where a scanner working on a local cursor
+// found the input malformed, and reports the error there.
+func (t *TokenizerBytes) errAt(p int, format string, args ...any) error {
+	t.pos = p
+	return t.errf(format, args...)
+}
+
+// needMore commits the cursor at p, where a scan ran out of window, and
+// suspends it: the caller rewinds from there to its resume point, and the
+// distance is what Rescanned counts.
+func (t *TokenizerBytes) needMore(p int) error {
+	t.pos = p
+	return ErrNeedMoreData
 }
 
 // SetLimits configures the per-document resource budgets (the zero value
@@ -243,6 +288,14 @@ func (t *TokenizerBytes) Limits() limits.Limits { return t.lim }
 // path — reached at most once per document).
 func (t *TokenizerBytes) limitErr(resource string, limit, observed int) error {
 	return &limits.Error{Resource: resource, Limit: int64(limit), Observed: int64(observed)}
+}
+
+// tokenTooLong commits the cursor at p, the first byte of a token (or the
+// stretch of one a scan searches) that has reached n bytes, and reports the
+// MaxTokenBytes breach.
+func (t *TokenizerBytes) tokenTooLong(p, n int) error {
+	t.pos = p
+	return t.limitErr("token-bytes", t.lim.MaxTokenBytes, n)
 }
 
 // suspendable reports that running out of input here should suspend the
@@ -274,37 +327,17 @@ func (t *TokenizerBytes) noteScan(searchStart, overlap int) {
 	t.scanned = n
 }
 
-// internName interns a scanned name through the direct-mapped cache. The
-// hash mixes the length with the first byte and the trailing word —
-// enough to spread realistic vocabularies (enumerated names differ in
-// their trailing digits) without walking the whole name on every probe.
-func (t *TokenizerBytes) internName(b []byte) symtab.Sym {
-	n := len(b)
-	h := uint32(n)*0x9E3779B1 ^ uint32(b[0])<<24
-	if n >= 4 {
-		h ^= binary.LittleEndian.Uint32(b[n-4:])
-	} else {
-		h ^= uint32(b[n-1]) | uint32(b[n>>1])<<8
-	}
-	h *= 0x85EBCA77
-	e := &t.nameCache[h>>(32-nameCacheBits)]
-	if len(e.name) == n && string(b) == e.name {
+// internName interns a scanned name through the direct-mapped cache. h is
+// the hash readName accumulated over the name's bytes, so a probe reads the
+// name once more only to confirm the hit.
+func (t *TokenizerBytes) internName(b []byte, h uint32) symtab.Sym {
+	e := &t.nameCache[h*0x9E3779B1>>(32-nameCacheBits)]
+	if len(e.name) == len(b) && string(b) == e.name {
 		return e.sym
 	}
 	sym := t.tab.InternBytes(b)
 	e.name, e.sym = t.tab.Name(sym), sym
 	return sym
-}
-
-// syncIndex brings the structural index up to date with a grown window.
-// Next guards the call with one integer compare per event; the sweep
-// itself runs once per newly fed byte.
-func (t *TokenizerBytes) syncIndex() error {
-	t.idx.extend(t.data)
-	if t.idx.huge {
-		return t.errf("document window exceeds the 2 GiB structural index limit")
-	}
-	return nil
 }
 
 // Next returns the next event. The first event is always StartDocument
@@ -340,15 +373,10 @@ func (t *TokenizerBytes) NextInto(ev *ByteEvent) error {
 	}
 	// From here on NextInto is the event assembler: it dispatches on the
 	// construct's lead bytes once and hands off to the per-construct
-	// scanner, which delimits the construct with index hops and single
-	// bulk scans. The flat shape is deliberate — scanners return the
-	// minimum (a symbol or a subslice) and the event is materialized
+	// scanner, which delimits the construct on a local cursor and commits
+	// t.pos when it is done. The flat shape is deliberate — scanners return
+	// the minimum (a symbol or a subslice) and the event is materialized
 	// directly into the caller's *ev; this is the per-event hot path.
-	if t.idx.synced != len(t.data) {
-		if err := t.syncIndex(); err != nil {
-			return err
-		}
-	}
 	if t.tagActive {
 		if t.breach != nil {
 			return t.breach
@@ -357,14 +385,19 @@ func (t *TokenizerBytes) NextInto(ev *ByteEvent) error {
 		// the attribute boundary scanAttrs rewound to.
 		t.tagActive = false
 		sym := t.tagSym
-		if err := t.scanAttrs(sym); err != nil {
+		if err := t.scanAttrs(sym, t.pos); err != nil {
 			return err
 		}
 		*ev = ByteEvent{Kind: StartElement, Sym: sym, Off: t.tagOff}
 		return nil
 	}
+	data := t.data
 	for {
-		if t.pos >= len(t.data) {
+		// mark is the construct's first byte: a suspended scan that has no
+		// finer-grained resume state rewinds here (dropping any half-queued
+		// attribute events) and rescans once more data arrives.
+		mark := t.pos
+		if mark >= len(data) {
 			if t.suspendable() {
 				return ErrNeedMoreData
 			}
@@ -374,68 +407,53 @@ func (t *TokenizerBytes) NextInto(ev *ByteEvent) error {
 			*ev = ByteEvent{Kind: EndDocument}
 			return nil
 		}
-		// mark is the construct's first byte: a suspended scan that has no
-		// finer-grained resume state rewinds here (dropping any half-queued
-		// attribute events) and rescans once more data arrives.
-		mark := t.pos
-		if t.data[t.pos] == '<' {
-			t.pos++
-			if t.pos >= len(t.data) {
-				if t.suspendable() {
-					t.pos = mark
-					return ErrNeedMoreData
-				}
-				return t.errf("unterminated markup")
+		if data[mark] != '<' {
+			out, skip, err := t.readText(mark)
+			if err != nil {
+				return t.rewind(mark, err)
 			}
-			switch t.data[t.pos] {
-			case '/':
-				t.pos++
-				sym, err := t.readEndTag()
-				if err != nil {
-					return t.rewind(mark, err)
-				}
-				*ev = ByteEvent{Kind: EndElement, Sym: sym, Off: t.base + t.pos}
-				return nil
-			case '?':
-				t.pos++
-				if err := t.skipUntil("?>"); err != nil {
-					return t.rewind(mark, err)
-				}
+			if skip {
 				continue
-			case '!':
-				t.pos++
-				text, skip, err := t.readBang()
-				if err != nil {
-					return t.rewind(mark, err)
-				}
-				if skip {
-					continue
-				}
+			}
+			*ev = ByteEvent{Kind: Text, Data: out}
+			return nil
+		}
+		if mark+1 >= len(data) {
+			if t.suspendable() {
+				return ErrNeedMoreData
+			}
+			return t.errAt(mark+1, "unterminated markup")
+		}
+		switch data[mark+1] {
+		case '/':
+			sym, err := t.readEndTag(mark + 2)
+			if err != nil {
+				return t.rewind(mark, err)
+			}
+			*ev = ByteEvent{Kind: EndElement, Sym: sym, Off: t.base + t.pos}
+			return nil
+		case '?':
+			if err := t.skipUntil("?>", mark+2); err != nil {
+				return t.rewind(mark, err)
+			}
+		case '!':
+			text, skip, err := t.readBang(mark + 2)
+			if err != nil {
+				return t.rewind(mark, err)
+			}
+			if !skip {
 				*ev = ByteEvent{Kind: Text, Data: text}
 				return nil
-			default:
-				t.tagOff = t.base + mark
-				sym, err := t.readStartTag()
-				if err != nil {
-					return t.rewind(mark, err)
-				}
-				*ev = ByteEvent{Kind: StartElement, Sym: sym, Off: t.tagOff}
-				return nil
 			}
-		}
-		out, skip, err := t.readText()
-		if err != nil {
-			if err == ErrNeedMoreData {
-				t.rescanned += t.pos - mark
-				t.pos = mark
+		default:
+			t.tagOff = t.base + mark
+			sym, err := t.readStartTag(mark + 1)
+			if err != nil {
+				return t.rewind(mark, err)
 			}
-			return err
+			*ev = ByteEvent{Kind: StartElement, Sym: sym, Off: t.tagOff}
+			return nil
 		}
-		if skip {
-			continue
-		}
-		*ev = ByteEvent{Kind: Text, Data: out}
-		return nil
 	}
 }
 
@@ -478,8 +496,8 @@ func (t *TokenizerBytes) Offset() int { return t.base + t.pos }
 // validity, content outside the root, a second root, comments, processing
 // instructions and DOCTYPE, MaxDepth and MaxTokenBytes. Nothing is
 // materialized: no event, no staged attribute events, no decoded text or
-// attribute value, and the names of elements met while skimming are
-// compared by bytes at their end tags, not interned. It is for a consumer
+// attribute value, and the names met while skimming — elements' and
+// attributes' — are compared by bytes, not interned. It is for a consumer
 // that has no more use for events — every verdict is final — but still
 // owes its caller a validated document.
 //
@@ -519,35 +537,22 @@ func (t *TokenizerBytes) skimRest() error {
 	if t.breach != nil {
 		return t.breach
 	}
-	if t.idx.synced != len(t.data) {
-		if err := t.syncIndex(); err != nil {
-			return err
-		}
-	}
-	for t.pos < len(t.data) {
-		if t.data[t.pos] != '<' {
-			if _, _, err := t.readText(); err != nil {
-				return err
-			}
-			continue
-		}
-		t.pos++
-		if t.pos >= len(t.data) {
-			return t.errf("unterminated markup")
-		}
+	data := t.data
+	for p := t.pos; p < len(data); p = t.pos {
 		var err error
-		switch t.data[t.pos] {
-		case '/':
-			t.pos++
-			_, err = t.readEndTag()
-		case '?':
-			t.pos++
-			err = t.skipUntil("?>")
-		case '!':
-			t.pos++
-			_, _, err = t.readBang()
+		switch {
+		case data[p] != '<':
+			_, _, err = t.readText(p)
+		case p+1 >= len(data):
+			return t.errAt(p+1, "unterminated markup")
+		case data[p+1] == '/':
+			_, err = t.readEndTag(p + 2)
+		case data[p+1] == '?':
+			err = t.skipUntil("?>", p+2)
+		case data[p+1] == '!':
+			_, _, err = t.readBang(p + 2)
 		default:
-			_, err = t.readStartTag()
+			_, err = t.readStartTag(p + 1)
 		}
 		if err != nil {
 			return err
@@ -556,10 +561,10 @@ func (t *TokenizerBytes) skimRest() error {
 	return t.endOfInput()
 }
 
-// rewind handles a markup scanner's error: a suspension without
-// construct-level resume state rewinds to the construct's '<' and drops
-// half-queued attribute events, so the next attempt rescans the whole
-// construct. Cold path.
+// rewind handles a scanner's error: a suspension without construct-level
+// resume state rewinds from where the scan stopped to the construct's
+// first byte and drops half-queued attribute events, so the next attempt
+// rescans the whole construct. Cold path.
 func (t *TokenizerBytes) rewind(mark int, err error) error {
 	if err == ErrNeedMoreData && !t.tagActive {
 		t.rescanned += t.pos - mark
@@ -571,67 +576,48 @@ func (t *TokenizerBytes) rewind(mark int, err error) error {
 	return err
 }
 
-// readText consumes character data up to the next '<' or end of input.
-// The run is delimited by a single bulk IndexByte scan (resumed via the
-// suspendAt memo across refills), and the structural index's
-// entity-presence bit decides whether the decode path runs: runs without
-// references are returned as input subslices untouched, runs with
-// references decode by hopping the '&' position list.
-func (t *TokenizerBytes) readText() ([]byte, bool, error) {
-	start := t.pos
-	skip := t.scanFrom(start)
-	end := bytes.IndexByte(t.data[start+skip:], '<')
+// readText consumes the character data starting at start, up to the next
+// '<' or end of input. The run is delimited by a single bulk IndexByte scan
+// (resumed via the suspendAt memo across refills) and, once delimited,
+// searched for '&' by one more bounded by it: a run without references is
+// returned as an input subslice untouched, a run with them decodes from the
+// first hit on (see decodeRun).
+func (t *TokenizerBytes) readText(start int) ([]byte, bool, error) {
+	data, skip := t.data, t.scanFrom(start)
+	end := bytes.IndexByte(data[start+skip:], '<')
 	if end < 0 {
 		if t.suspendable() {
 			// The run may continue into the next chunk — but an already
 			// over-budget prefix cannot shrink, so breach now instead of
 			// buffering the rest of an arbitrarily long run.
-			if t.lim.MaxTokenBytes > 0 && len(t.data)-start > t.lim.MaxTokenBytes {
-				return nil, false, t.limitErr("token-bytes", t.lim.MaxTokenBytes, len(t.data)-start)
+			if t.lim.MaxTokenBytes > 0 && len(data)-start > t.lim.MaxTokenBytes {
+				return nil, false, t.tokenTooLong(start, len(data)-start)
 			}
 			t.noteScan(start, 0)
 			return nil, false, ErrNeedMoreData
 		}
-		end = len(t.data) - start
+		end = len(data)
 	} else {
-		end += skip
+		end += start + skip
 	}
-	if t.lim.MaxTokenBytes > 0 && end > t.lim.MaxTokenBytes {
-		return nil, false, t.limitErr("token-bytes", t.lim.MaxTokenBytes, end)
+	if t.lim.MaxTokenBytes > 0 && end-start > t.lim.MaxTokenBytes {
+		return nil, false, t.tokenTooLong(start, end-start)
 	}
-	t.pos = start + end
-	out := t.data[start:t.pos]
-	if t.idx.amp.has(start, t.pos) {
-		// A skim only validates the references — each decoded over the one
-		// before it, the literal runs between them not copied — except
-		// outside the root, where what the run decodes to decides whether
-		// it is legal.
-		discard := t.skim && !t.outside()
-		t.textBuf = t.textBuf[:0]
-		p := start
-		for p < t.pos {
-			// Bulk-copy the literal run up to the next indexed reference.
-			a := t.idx.amp.next(p)
-			if a < 0 || a >= t.pos {
-				a = t.pos
-			}
-			if discard {
-				t.textBuf = t.textBuf[:0]
-			} else {
-				t.textBuf = append(t.textBuf, t.data[p:a]...)
-			}
-			if a == t.pos {
-				break
-			}
-			var err error
-			t.textBuf, p, err = t.appendReference(t.textBuf, a+1)
-			if err != nil {
-				return nil, false, err
-			}
+	t.pos = end
+	out, outside := data[start:end], t.outside()
+	if amp := bytes.IndexByte(out, '&'); amp >= 0 {
+		// A skim only checks the references — except outside the root,
+		// where what the run decodes to decides whether it is legal.
+		if t.skim && !outside {
+			return nil, true, t.checkRun(start+amp, end)
+		}
+		var err error
+		if t.textBuf, err = t.decodeRun(t.textBuf[:0], start, start+amp, end); err != nil {
+			return nil, false, err
 		}
 		out = t.textBuf
 	}
-	if t.outside() {
+	if outside {
 		if len(bytes.TrimSpace(out)) != 0 {
 			return nil, false, t.errf("character data outside root element")
 		}
@@ -643,77 +629,156 @@ func (t *TokenizerBytes) readText() ([]byte, bool, error) {
 	return out, false, nil
 }
 
+// decodeRun appends data[from:end] to buf with its references decoded; amp
+// is the offset of the first '&' in it. The literal stretches between
+// references are bulk-copied.
+func (t *TokenizerBytes) decodeRun(buf []byte, from, amp, end int) ([]byte, error) {
+	data := t.data
+	for {
+		buf = append(buf, data[from:amp]...)
+		var err error
+		if buf, from, err = t.appendReference(buf, amp+1); err != nil {
+			return buf, err
+		}
+		if amp = nextReference(data, from, end); amp < 0 {
+			return append(buf, data[from:end]...), nil
+		}
+	}
+}
+
+// checkRun is decodeRun for a skim: the references of data[amp:end], the
+// first of them at amp, are validated and nothing is decoded. Whatever
+// skipReference does not recognize goes to the decoder, which names the
+// error.
+func (t *TokenizerBytes) checkRun(amp, end int) error {
+	data := t.data
+	for {
+		p := skipReference(data, amp+1)
+		if p < 0 {
+			var err error
+			if t.textBuf, p, err = t.appendReference(t.textBuf[:0], amp+1); err != nil {
+				return err
+			}
+		}
+		if amp = nextReference(data, p, end); amp < 0 {
+			return nil
+		}
+	}
+}
+
+// nextReference returns the offset of the first '&' in data[p:end], or -1.
+// p is just past a reference, and where there is one reference the next is
+// usually a word away: the first bytes are looked at directly, the bulk
+// scan (whose fixed cost is several of them) takes the rest.
+func nextReference(data []byte, p, end int) int {
+	for near := min(p+12, end); p < near; p++ {
+		if data[p] == '&' {
+			return p
+		}
+	}
+	if i := bytes.IndexByte(data[p:end], '&'); i >= 0 {
+		return p + i
+	}
+	return -1
+}
+
+// skipReference returns the offset past the ';' of the reference whose name
+// starts at p, just after its '&' — or -1 if it is not one the decoder
+// would decode: a predefined entity, told by its bytes, or a character
+// reference charReference accepts, within the bound on a name's length.
+func skipReference(data []byte, p int) int {
+	rest := data[p:]
+	switch {
+	case len(rest) < 3:
+	case string(rest[:3]) == "lt;" || string(rest[:3]) == "gt;":
+		return p + 3
+	case len(rest) >= 4 && string(rest[:4]) == "amp;":
+		return p + 4
+	case len(rest) >= 5 && (string(rest[:5]) == "apos;" || string(rest[:5]) == "quot;"):
+		return p + 5
+	case rest[0] == '#':
+		for i := 1; i < len(rest) && i <= maxReferenceName; i++ {
+			if rest[i] == ';' {
+				if _, msg := charReference(rest[:i]); msg != "" {
+					return -1
+				}
+				return p + i + 1
+			}
+		}
+	}
+	return -1
+}
+
+// maxReferenceName is the longest reference name (the bytes between '&'
+// and ';') either tokenizer reads before calling the reference too long.
+const maxReferenceName = 11
+
 // appendReference decodes one entity or character reference starting just
 // after '&' at offset p, appending the decoded bytes to buf. It returns
 // the extended buffer and the offset past the ';'. A reference inside
 // text may extend past the recorded text end only in error cases, so the
-// bounds come from the full input.
+// bounds come from the full input. The caller has committed t.pos for a
+// suspension to rewind from.
 func (t *TokenizerBytes) appendReference(buf []byte, p int) ([]byte, int, error) {
-	start := p
+	data, start := t.data, p
 	for {
-		if p >= len(t.data) {
+		if p >= len(data) {
 			if t.suspendable() {
 				return nil, 0, ErrNeedMoreData
 			}
-			t.pos = len(t.data)
-			return nil, 0, t.errf("unterminated entity reference")
+			return nil, 0, t.errAt(p, "unterminated entity reference")
 		}
-		if t.data[p] == ';' {
+		if data[p] == ';' {
 			break
 		}
-		if p-start > 10 {
-			t.pos = p
-			return nil, 0, t.errf("entity reference too long")
+		if p-start >= maxReferenceName {
+			return nil, 0, t.errAt(p, "entity reference too long")
 		}
 		p++
 	}
-	name := t.data[start:p]
-	p++ // consume ';'
-	out, msg := appendReferenceName(buf, name)
+	out, msg := appendReferenceName(buf, data[start:p])
 	if msg != "" {
-		t.pos = p
-		return nil, 0, t.errf("%s", msg)
+		return nil, 0, t.errAt(p+1, "%s", msg)
 	}
-	return out, p, nil
+	return out, p + 1, nil
 }
 
 var cdataOpen = []byte("[CDATA[")
 
-// readBang handles comments, CDATA and DOCTYPE after "<!".
-func (t *TokenizerBytes) readBang() ([]byte, bool, error) {
-	rest := t.data[t.pos:]
+// readBang handles comments, CDATA and DOCTYPE after "<!", which ends at p.
+func (t *TokenizerBytes) readBang(p int) ([]byte, bool, error) {
+	data := t.data
+	rest := data[p:]
 	if t.suspendable() && (len(rest) == 0 ||
 		(rest[0] == '-' && len(rest) < 2) ||
 		(rest[0] == '[' && len(rest) < 7 && bytes.HasPrefix(cdataOpen, rest))) {
 		// "<!", "<!-", "<![", "<![CDA"... — the construct kind itself is
 		// still ambiguous until more bytes arrive.
-		return nil, false, ErrNeedMoreData
+		return nil, false, t.needMore(p)
 	}
 	switch {
 	case len(rest) >= 2 && rest[0] == '-' && rest[1] == '-':
-		t.pos += 2
-		return nil, true, t.skipUntil("-->")
+		return nil, true, t.skipUntil("-->", p+2)
 	case len(rest) >= 7 && bytes.Equal(rest[:7], cdataOpen):
-		t.pos += 7
-		skip := t.scanFrom(t.pos)
-		end := bytes.Index(t.data[t.pos+skip:], []byte("]]>"))
+		p += 7
+		skip := t.scanFrom(p)
+		end := bytes.Index(data[p+skip:], []byte("]]>"))
 		if end < 0 {
 			if t.suspendable() {
-				if t.lim.MaxTokenBytes > 0 && len(t.data)-t.pos > t.lim.MaxTokenBytes {
-					return nil, false, t.limitErr("token-bytes", t.lim.MaxTokenBytes, len(t.data)-t.pos)
+				if t.lim.MaxTokenBytes > 0 && len(data)-p > t.lim.MaxTokenBytes {
+					return nil, false, t.tokenTooLong(p, len(data)-p)
 				}
-				t.noteScan(t.pos, 2)
-				return nil, false, ErrNeedMoreData
+				t.noteScan(p, 2)
+				return nil, false, t.needMore(p)
 			}
-			t.pos = len(t.data)
-			return nil, false, t.errf("unterminated CDATA section")
+			return nil, false, t.errAt(len(data), "unterminated CDATA section")
 		}
 		end += skip
 		if t.lim.MaxTokenBytes > 0 && end > t.lim.MaxTokenBytes {
-			return nil, false, t.limitErr("token-bytes", t.lim.MaxTokenBytes, end)
+			return nil, false, t.tokenTooLong(p, end)
 		}
-		text := t.data[t.pos : t.pos+end]
-		t.pos += end + 3
+		text := data[p : p+end]
+		t.pos = p + end + 3
 		if t.outside() {
 			return nil, false, t.errf("CDATA outside root element")
 		}
@@ -722,104 +787,120 @@ func (t *TokenizerBytes) readBang() ([]byte, bool, error) {
 		}
 		return text, false, nil
 	default:
-		return nil, true, t.skipDecl()
+		return nil, true, t.skipDecl(p)
 	}
 }
 
-// skipUntil advances past the first occurrence of terminator.
-func (t *TokenizerBytes) skipUntil(terminator string) error {
-	skip := t.scanFrom(t.pos)
-	i := bytes.Index(t.data[t.pos+skip:], []byte(terminator))
+// skipUntil advances past the first occurrence of terminator at or after p.
+func (t *TokenizerBytes) skipUntil(terminator string, p int) error {
+	skip := t.scanFrom(p)
+	i := bytes.Index(t.data[p+skip:], []byte(terminator))
 	if i < 0 {
 		if t.suspendable() {
-			if t.lim.MaxTokenBytes > 0 && len(t.data)-t.pos > t.lim.MaxTokenBytes {
-				return t.limitErr("token-bytes", t.lim.MaxTokenBytes, len(t.data)-t.pos)
+			if t.lim.MaxTokenBytes > 0 && len(t.data)-p > t.lim.MaxTokenBytes {
+				return t.tokenTooLong(p, len(t.data)-p)
 			}
-			t.noteScan(t.pos, len(terminator)-1)
-			return ErrNeedMoreData
+			t.noteScan(p, len(terminator)-1)
+			return t.needMore(p)
 		}
-		t.pos = len(t.data)
-		return t.errf("unterminated construct (expected %q)", terminator)
+		return t.errAt(len(t.data), "unterminated construct (expected %q)", terminator)
 	}
 	if t.lim.MaxTokenBytes > 0 && skip+i > t.lim.MaxTokenBytes {
-		return t.limitErr("token-bytes", t.lim.MaxTokenBytes, skip+i)
+		return t.tokenTooLong(p, skip+i)
 	}
-	t.pos += skip + i + len(terminator)
+	t.pos = p + skip + i + len(terminator)
 	return nil
 }
 
-func (t *TokenizerBytes) skipDecl() error {
-	for t.pos < len(t.data) {
-		c := t.data[t.pos]
-		t.pos++
-		if c == '[' {
-			return t.errf("DOCTYPE internal subsets are not supported")
+// skipDecl advances past the '>' of the declaration whose body starts at p.
+func (t *TokenizerBytes) skipDecl(p int) error {
+	data := t.data
+	for ; p < len(data); p++ {
+		if data[p] == '[' {
+			return t.errAt(p+1, "DOCTYPE internal subsets are not supported")
 		}
-		if c == '>' {
+		if data[p] == '>' {
+			t.pos = p + 1
 			return nil
 		}
 	}
 	if t.suspendable() {
-		return ErrNeedMoreData
+		return t.needMore(p)
 	}
-	return t.errf("unterminated declaration")
+	return t.errAt(p, "unterminated declaration")
 }
 
-// readName scans a name and returns it as an input subslice.
-func (t *TokenizerBytes) readName() ([]byte, error) {
-	start := t.pos
-	for t.pos < len(t.data) && isNameByte(t.data[t.pos]) {
-		t.pos++
+// readName scans the name starting at p and returns where it ends and the
+// hash of its bytes (see internName), accumulated in the same pass. The
+// byte after a name is always in the window: a name that reaches the
+// window's end is incomplete or unterminated.
+func (t *TokenizerBytes) readName(p int) (end int, hash uint32, err error) {
+	data := t.data
+	if p < len(data) && nameClass[data[p]]&classStart == 0 {
+		return 0, 0, t.errAt(p, "expected a name")
 	}
-	if t.pos >= len(t.data) {
+	for ; p < len(data) && nameClass[data[p]]&className != 0; p++ {
+		hash = bits.RotateLeft32(hash, 5) ^ uint32(data[p])
+	}
+	if p == len(data) {
 		if t.suspendable() {
 			// Even a complete-looking name may continue in the next chunk.
-			return nil, ErrNeedMoreData
+			return 0, 0, t.needMore(p)
 		}
-		return nil, t.errf("unterminated name")
+		return 0, 0, t.errAt(p, "unterminated name")
 	}
-	if t.pos == start {
-		return nil, t.errf("expected a name")
-	}
-	return t.data[start:t.pos], nil
+	return p, hash, nil
 }
 
-// skipSpace advances past whitespace; false means end of input.
-func (t *TokenizerBytes) skipSpace() bool {
-	for t.pos < len(t.data) {
-		switch t.data[t.pos] {
+// skipSpace returns the offset of the first non-whitespace byte at or
+// after p; len(data) means end of input.
+func skipSpace(data []byte, p int) int {
+	for p < len(data) {
+		switch data[p] {
 		case ' ', '\t', '\n', '\r':
-			t.pos++
+			p++
 		default:
-			return true
+			return p
 		}
 	}
-	return false
+	return p
 }
 
-// readStartTag parses <name attr="v" ...> or <name/>, queueing attribute
-// child events and the self-closing endElement.
-func (t *TokenizerBytes) readStartTag() (symtab.Sym, error) {
-	name, err := t.readName()
+// readStartTag parses <name attr="v" ...> or <name/> from the name at p,
+// queueing attribute child events and the self-closing endElement.
+func (t *TokenizerBytes) readStartTag(p int) (symtab.Sym, error) {
+	end, hash, err := t.readName(p)
 	if err != nil {
 		return 0, err
 	}
+	data := t.data
 	if t.rootSeen && t.outside() {
-		return 0, t.errf("second root element <%s>", name)
+		return 0, t.errAt(end, "second root element <%s>", data[p:end])
 	}
 	var sym symtab.Sym
 	if t.skim {
-		t.tagName, t.tagAttrs = span{t.pos - len(name), t.pos}, false
+		t.tagName, t.tagAttrs = span{p, end}, 0
 	} else {
-		sym = t.internName(name)
+		sym = t.internName(data[p:end], hash)
+	}
+	// <name> and <name/> are nearly every tag of a document: they close
+	// here, on one compare, before the attribute scanner is set up.
+	if data[end] == '>' {
+		t.pos = end + 1
+		return sym, t.openElement(sym)
+	}
+	if data[end] == '/' && end+1 < len(data) && data[end+1] == '>' {
+		t.pos = end + 2
+		return sym, t.emptyElement(sym)
 	}
 	t.attrBuf = t.attrBuf[:0]
 	t.attrEpoch++
 	if t.attrEpoch == 0 {
 		clear(t.attrSeen)
+		clear(t.attrSlots)
 		t.attrEpoch = 1
 	}
-	return sym, t.scanAttrs(sym)
+	return sym, t.scanAttrs(sym, end)
 }
 
 // tagNameOf names the start tag being scanned, for error messages: a
@@ -831,6 +912,36 @@ func (t *TokenizerBytes) tagNameOf(sym symtab.Sym) string {
 	return t.tab.Name(sym)
 }
 
+// openElement closes a start tag at its '>', which t.pos is now past: the
+// element is open.
+func (t *TokenizerBytes) openElement(sym symtab.Sym) error {
+	if err := t.countLevels(); err != nil {
+		return err
+	}
+	if t.skim {
+		t.spans = append(t.spans, t.tagName)
+	} else {
+		t.stack = append(t.stack, sym)
+	}
+	return nil
+}
+
+// emptyElement closes a start tag at its "/>", which t.pos is now past.
+// <n/> is shorthand for <n></n>: the caller emits the start now, the end is
+// queued after any queued attribute events.
+func (t *TokenizerBytes) emptyElement(sym symtab.Sym) error {
+	if err := t.countLevels(); err != nil {
+		return err
+	}
+	if t.outside() {
+		t.rootSeen = true
+	}
+	if !t.skim && t.breach == nil {
+		t.pending = append(t.pending, ByteEvent{Kind: EndElement, Sym: sym, Off: t.base + t.pos})
+	}
+	return nil
+}
+
 // countLevels accounts for the levels the start tag now closing opens, in
 // the units an evaluator counts them — its element, self-closing or not,
 // and one more if it has attributes — and enforces MaxDepth on them: a
@@ -840,16 +951,20 @@ func (t *TokenizerBytes) tagNameOf(sym symtab.Sym) string {
 // second breach lies one event after the element's StartElement, which an
 // evaluator sees and may match on (under LimitAbstain those verdicts
 // stand), so Next delivers the event first and fails on the following call;
-// a skim has no event to deliver and fails at once. Called only while
-// skimming or under a depth budget: tokenizing without one, the evaluator
-// does the counting.
+// a skim has no event to deliver and fails at once. There is nothing to
+// count except while skimming or under a depth budget: tokenizing without
+// one, the evaluator does the counting.
 func (t *TokenizerBytes) countLevels() error {
-	elem, limit := t.depth()+1, t.lim.MaxDepth
+	limit := t.lim.MaxDepth
+	if !t.skim && limit <= 0 {
+		return nil
+	}
+	elem := t.depth() + 1
 	if limit > 0 && elem > limit {
 		return t.limitErr("depth", limit, elem)
 	}
 	t.deepest = max(t.deepest, elem)
-	if !t.tagAttrs && len(t.pending) == 0 {
+	if t.tagAttrs == 0 && len(t.pending) == 0 {
 		return nil
 	}
 	if limit <= 0 || elem < limit {
@@ -865,21 +980,21 @@ func (t *TokenizerBytes) countLevels() error {
 	return nil
 }
 
-// suspendTag suspends the start tag at an attribute boundary: pos rewinds
-// only to the current attribute's first byte (attrMark), the attributes
-// already staged in pending/attrBuf are kept, and the next call resumes
-// scanAttrs there. This is what keeps a many-attribute tag spanning k
-// chunks at O(tag) total scanning instead of O(k·tag). Staged attribute
-// values still aliasing the window are copied into attrBuf here — the
-// refill is about to slide the window — so stabilization costs nothing
-// on tags that never suspend.
-func (t *TokenizerBytes) suspendTag(sym symtab.Sym, attrMark int) error {
+// suspendTag suspends the start tag, scanned up to p, at an attribute
+// boundary: pos rewinds only to the current attribute's first byte
+// (attrMark), the attributes already staged in pending/attrBuf are kept,
+// and the next call resumes scanAttrs there. This is what keeps a
+// many-attribute tag spanning k chunks at O(tag) total scanning instead of
+// O(k·tag). Staged attribute values still aliasing the window are copied
+// into attrBuf here — the refill is about to slide the window — so
+// stabilization costs nothing on tags that never suspend.
+func (t *TokenizerBytes) suspendTag(sym symtab.Sym, attrMark, p int) error {
 	// The staged attribute state of one tag grows with the tag itself;
 	// bound it like any other single token so a pathological
 	// many-attribute tag cannot accumulate past the budget across
 	// suspensions.
 	if t.lim.MaxTokenBytes > 0 && len(t.attrBuf) > t.lim.MaxTokenBytes {
-		return t.limitErr("token-bytes", t.lim.MaxTokenBytes, len(t.attrBuf))
+		return t.tokenTooLong(p, len(t.attrBuf))
 	}
 	for i := t.stabilized; i < len(t.pending); i++ {
 		if t.pending[i].Kind == Text && len(t.pending[i].Data) > 0 {
@@ -889,194 +1004,188 @@ func (t *TokenizerBytes) suspendTag(sym symtab.Sym, attrMark int) error {
 		}
 	}
 	t.stabilized = len(t.pending)
-	t.rescanned += t.pos - attrMark
+	t.rescanned += p - attrMark
 	t.pos = attrMark
 	t.tagActive = true
 	t.tagSym = sym
 	return ErrNeedMoreData
 }
 
-// scanAttrs scans the attribute list of the start tag for sym, from an
-// attribute boundary to the closing '>' or '/>'. Each completed
+// scanAttrs scans the attribute list of the start tag for sym, from the
+// attribute boundary at p to the closing '>' or '/>'. Each completed
 // attribute stages its three child events in pending; on success the
 // caller emits the element's StartElement, and Next then drains the
 // staged events.
-func (t *TokenizerBytes) scanAttrs(sym symtab.Sym) error {
+func (t *TokenizerBytes) scanAttrs(sym symtab.Sym, p int) error {
+	data := t.data
 	for {
-		attrMark := t.pos
-		if !t.skipSpace() {
+		attrMark := p
+		if p = skipSpace(data, p); p >= len(data) {
 			if t.suspendable() {
-				return t.suspendTag(sym, attrMark)
+				return t.suspendTag(sym, attrMark, p)
 			}
-			return t.errf("unterminated start tag <%s", t.tagNameOf(sym))
+			return t.errAt(p, "unterminated start tag <%s", t.tagNameOf(sym))
 		}
-		c := t.data[t.pos]
-		if c == '>' {
-			t.pos++
-			if t.skim || t.lim.MaxDepth > 0 {
-				if err := t.countLevels(); err != nil {
-					return err
-				}
+		switch data[p] {
+		case '>':
+			t.pos = p + 1
+			return t.openElement(sym)
+		case '/':
+			if p++; p >= len(data) && t.suspendable() {
+				return t.suspendTag(sym, attrMark, p)
 			}
-			if t.skim {
-				t.spans = append(t.spans, t.tagName)
-			} else {
-				t.stack = append(t.stack, sym)
+			if p >= len(data) || data[p] != '>' {
+				return t.errAt(p, "malformed self-closing tag <%s", t.tagNameOf(sym))
 			}
-			return nil
+			t.pos = p + 1
+			return t.emptyElement(sym)
 		}
-		if c == '/' {
-			t.pos++
-			if t.pos >= len(t.data) && t.suspendable() {
-				return t.suspendTag(sym, attrMark)
-			}
-			if t.pos >= len(t.data) || t.data[t.pos] != '>' {
-				return t.errf("malformed self-closing tag <%s", t.tagNameOf(sym))
-			}
-			t.pos++
-			if t.skim || t.lim.MaxDepth > 0 {
-				if err := t.countLevels(); err != nil {
-					return err
-				}
-			}
-			// <n/> is shorthand for <n></n>: emit start now, queue end
-			// after any queued attribute events.
-			if t.outside() {
-				t.rootSeen = true
-			}
-			if !t.skim && t.breach == nil {
-				t.pending = append(t.pending, ByteEvent{Kind: EndElement, Sym: sym, Off: t.base + t.pos})
-			}
-			return nil
-		}
-		aname, err := t.readName()
+		nameEnd, hash, err := t.readName(p)
 		if err != nil {
 			if err == ErrNeedMoreData {
-				err = t.suspendTag(sym, attrMark)
+				err = t.suspendTag(sym, attrMark, t.pos)
 			}
 			return err
 		}
-		asym := t.internName(aname)
-		if !t.skipSpace() {
+		name, aname := span{p, nameEnd}, data[p:nameEnd]
+		if p = skipSpace(data, nameEnd); p >= len(data) {
 			if t.suspendable() {
-				return t.suspendTag(sym, attrMark)
+				return t.suspendTag(sym, attrMark, p)
 			}
-			return t.errf("unterminated attribute %s", aname)
+			return t.errAt(p, "unterminated attribute %s", aname)
 		}
-		if t.data[t.pos] != '=' {
-			return t.errf("expected '=' after attribute name %s", aname)
+		if data[p] != '=' {
+			return t.errAt(p, "expected '=' after attribute name %s", aname)
 		}
-		t.pos++
-		if !t.skipSpace() {
+		if p = skipSpace(data, p+1); p >= len(data) {
 			if t.suspendable() {
-				return t.suspendTag(sym, attrMark)
+				return t.suspendTag(sym, attrMark, p)
 			}
-			return t.errf("unterminated attribute %s", aname)
+			return t.errAt(p, "unterminated attribute %s", aname)
 		}
-		quote := t.data[t.pos]
+		quote := data[p]
 		if quote != '"' && quote != '\'' {
-			return t.errf("expected quoted value for attribute %s", aname)
+			return t.errAt(p, "expected quoted value for attribute %s", aname)
 		}
-		t.pos++
-		val, err := t.readAttrValue(aname, quote)
+		val, next, err := t.readAttrValue(aname, quote, p+1)
 		if err != nil {
 			if err == ErrNeedMoreData {
-				err = t.suspendTag(sym, attrMark)
+				err = t.suspendTag(sym, attrMark, next)
 			}
 			return err
 		}
+		p = next
+		if t.skim {
+			// No symbol, no events: the name is checked against the tag's
+			// other names by its bytes.
+			if t.seenAttr(name, hash) {
+				return t.errAt(p, "duplicate attribute %s", aname)
+			}
+			t.tagAttrs++
+			continue
+		}
+		asym := t.internName(aname, hash)
 		if int(asym) >= len(t.attrSeen) {
 			t.attrSeen = append(t.attrSeen, make([]uint32, int(asym)+1-len(t.attrSeen))...)
 		}
 		if t.attrSeen[asym] == t.attrEpoch {
-			return t.errf("duplicate attribute %s", aname)
+			return t.errAt(p, "duplicate attribute %s", aname)
 		}
 		t.attrSeen[asym] = t.attrEpoch
-		if t.skim {
-			t.tagAttrs = true
-		} else {
-			t.pending = append(t.pending,
-				ByteEvent{Kind: StartElement, Sym: asym, Attribute: true, Off: t.base + attrMark},
-				ByteEvent{Kind: Text, Data: val, Off: t.base + attrMark},
-				ByteEvent{Kind: EndElement, Sym: asym, Attribute: true, Off: t.base + t.pos},
-			)
+		t.pending = append(t.pending,
+			ByteEvent{Kind: StartElement, Sym: asym, Attribute: true, Off: t.base + attrMark},
+			ByteEvent{Kind: Text, Data: val, Off: t.base + attrMark},
+			ByteEvent{Kind: EndElement, Sym: asym, Attribute: true, Off: t.base + p},
+		)
+	}
+}
+
+// seenAttr records name (hash h, from readName) among the attribute names
+// of the tag being skimmed and reports whether the tag already had it.
+func (t *TokenizerBytes) seenAttr(name span, h uint32) bool {
+	if 2*t.tagAttrs >= len(t.attrSlots) {
+		// Half full of this tag's names: double, and re-enter them.
+		old := t.attrSlots
+		t.attrSlots = make([]attrSlot, max(16, 2*len(old)))
+		for _, s := range old {
+			if s.epoch == t.attrEpoch {
+				t.seenAttr(s.name, s.hash)
+			}
+		}
+	}
+	data, mask := t.data, uint32(len(t.attrSlots)-1)
+	for i := h * 0x9E3779B1 >> 7 & mask; ; i = (i + 1) & mask {
+		s := &t.attrSlots[i]
+		if s.epoch != t.attrEpoch {
+			*s = attrSlot{t.attrEpoch, h, name}
+			return false
+		}
+		if s.hash == h && bytes.Equal(data[s.name.start:s.name.end], data[name.start:name.end]) {
+			return true
 		}
 	}
 }
 
-// readAttrValue scans a quoted attribute value after the opening quote.
-// The closing quote is one bulk IndexByte scan (resumed via the
-// suspendAt memo across refills), and the structural index's
-// entity-presence bit gates the decode path. Reference-free values are
-// input subslices (suspendTag copies them into attrBuf if the tag later
-// suspends — queued Text events must survive window compaction); values
-// with references decode into attrBuf, which survives until the next
-// start tag, long enough for the queued events to be delivered.
-func (t *TokenizerBytes) readAttrValue(aname []byte, quote byte) ([]byte, error) {
-	start := t.pos
-	skip := t.scanFrom(start)
-	end := bytes.IndexByte(t.data[start+skip:], quote)
+// readAttrValue scans a quoted attribute value from p, just after the
+// opening quote, and returns it with the offset past the closing quote. The
+// closing quote is one bulk IndexByte scan (resumed via the suspendAt memo
+// across refills), and the delimited value is searched for '&' by one more.
+// Reference-free values are input subslices (suspendTag copies them into
+// attrBuf if the tag later suspends — queued Text events must survive
+// window compaction); values with references decode into attrBuf, which
+// survives until the next start tag with attributes, long enough for the
+// queued events to be delivered; a skim only checks the references. With
+// ErrNeedMoreData comes the offset the scan stopped at.
+func (t *TokenizerBytes) readAttrValue(aname []byte, quote byte, p int) ([]byte, int, error) {
+	data := t.data
+	skip := t.scanFrom(p)
+	end := bytes.IndexByte(data[p+skip:], quote)
 	if end < 0 {
 		if t.suspendable() {
-			if t.lim.MaxTokenBytes > 0 && len(t.data)-start > t.lim.MaxTokenBytes {
-				return nil, t.limitErr("token-bytes", t.lim.MaxTokenBytes, len(t.data)-start)
+			if t.lim.MaxTokenBytes > 0 && len(data)-p > t.lim.MaxTokenBytes {
+				return nil, 0, t.tokenTooLong(p, len(data)-p)
 			}
-			t.noteScan(start, 0)
-			return nil, ErrNeedMoreData
+			t.noteScan(p, 0)
+			return nil, p, ErrNeedMoreData
 		}
-		t.pos = len(t.data)
-		return nil, t.errf("unterminated attribute value for %s", aname)
+		return nil, 0, t.errAt(len(data), "unterminated attribute value for %s", aname)
 	}
-	end += start + skip
-	if t.lim.MaxTokenBytes > 0 && end-start > t.lim.MaxTokenBytes {
-		return nil, t.limitErr("token-bytes", t.lim.MaxTokenBytes, end-start)
+	end += p + skip
+	if t.lim.MaxTokenBytes > 0 && end-p > t.lim.MaxTokenBytes {
+		return nil, 0, t.tokenTooLong(p, end-p)
 	}
-	raw := t.data[start:end]
+	raw := data[p:end]
 	if lt := bytes.IndexByte(raw, '<'); lt >= 0 {
-		t.pos = start + lt
-		return nil, t.errf("'<' in attribute value for %s", aname)
+		return nil, 0, t.errAt(p+lt, "'<' in attribute value for %s", aname)
 	}
-	t.pos = end + 1 // consume closing quote
-	if !t.idx.amp.has(start, end) {
-		return raw, nil
+	amp := bytes.IndexByte(raw, '&')
+	if amp < 0 {
+		return raw, end + 1, nil
+	}
+	if t.skim {
+		return nil, end + 1, t.checkRun(p+amp, end)
 	}
 	vstart := len(t.attrBuf)
-	p := start
-	for p < end {
-		a := t.idx.amp.next(p)
-		if a < 0 || a >= end {
-			a = end
-		}
-		if t.skim {
-			// Only the references are checked, as in readText.
-			t.attrBuf = t.attrBuf[:vstart]
-		} else {
-			t.attrBuf = append(t.attrBuf, t.data[p:a]...)
-		}
-		if a == end {
-			break
-		}
-		var err error
-		t.attrBuf, p, err = t.appendReference(t.attrBuf, a+1)
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	if t.attrBuf, err = t.decodeRun(t.attrBuf, p, p+amp, end); err != nil {
+		return nil, end + 1, err
 	}
-	return t.attrBuf[vstart:], nil
+	return t.attrBuf[vstart:], end + 1, nil
 }
 
-// readEndTag parses an end tag after "</". The fast path handles the
-// overwhelmingly common shape — "</name>" exactly matching the open
-// element — with one memeq against the innermost open name (the interned
-// top of stack, or while skimming the start tag's own bytes) and no
-// symbol-table probe at all; anything else (whitespace before '>',
+// readEndTag parses an end tag from the name at p, after "</". The fast
+// path handles the overwhelmingly common shape — "</name>" exactly matching
+// the open element — with one memeq against the innermost open name (the
+// interned top of stack, or while skimming the start tag's own bytes) and
+// no symbol-table probe at all; anything else (whitespace before '>',
 // window boundary, mismatch) falls through to the general scanner.
 // Elements opened by a skim close before the ones that were open when it
 // began. A skimmed element has no symbol; its end tag returns 0.
-func (t *TokenizerBytes) readEndTag() (symtab.Sym, error) {
+func (t *TokenizerBytes) readEndTag(p int) (symtab.Sym, error) {
+	data := t.data
 	if n := len(t.spans); n > 0 {
-		name := t.data[t.spans[n-1].start:t.spans[n-1].end]
-		if end := t.pos + len(name); end < len(t.data) && t.data[end] == '>' && bytes.Equal(t.data[t.pos:end], name) {
+		name := data[t.spans[n-1].start:t.spans[n-1].end]
+		if end := p + len(name); end < len(data) && data[end] == '>' && bytes.Equal(data[p:end], name) {
 			t.pos = end + 1
 			t.spans = t.spans[:n-1]
 			if n == 1 && len(t.stack) == 0 {
@@ -1087,7 +1196,7 @@ func (t *TokenizerBytes) readEndTag() (symtab.Sym, error) {
 	} else if n := len(t.stack); n > 0 {
 		top := t.stack[n-1]
 		name := t.tab.Name(top)
-		if end := t.pos + len(name); end < len(t.data) && t.data[end] == '>' && string(t.data[t.pos:end]) == name {
+		if end := p + len(name); end < len(data) && data[end] == '>' && string(data[p:end]) == name {
 			t.pos = end + 1
 			t.stack = t.stack[:n-1]
 			if n == 1 {
@@ -1096,27 +1205,28 @@ func (t *TokenizerBytes) readEndTag() (symtab.Sym, error) {
 			return top, nil
 		}
 	}
-	name, err := t.readName()
+	end, _, err := t.readName(p)
 	if err != nil {
 		return 0, err
 	}
-	if !t.skipSpace() {
+	name := data[p:end]
+	if p = skipSpace(data, end); p >= len(data) {
 		if t.suspendable() {
-			return 0, ErrNeedMoreData
+			return 0, t.needMore(p)
 		}
-		return 0, t.errf("unterminated end tag </%s", name)
+		return 0, t.errAt(p, "unterminated end tag </%s", name)
 	}
-	if t.data[t.pos] != '>' {
-		return 0, t.errf("malformed end tag </%s", name)
+	if data[p] != '>' {
+		return 0, t.errAt(p, "malformed end tag </%s", name)
 	}
-	t.pos++
+	t.pos = p + 1
 	if t.outside() {
 		return 0, t.errf("end tag </%s> with no open element", name)
 	}
 	var sym symtab.Sym
 	var matches bool
 	if n := len(t.spans); n > 0 {
-		matches = bytes.Equal(name, t.data[t.spans[n-1].start:t.spans[n-1].end])
+		matches = bytes.Equal(name, data[t.spans[n-1].start:t.spans[n-1].end])
 	} else {
 		sym = t.stack[len(t.stack)-1]
 		matches = string(name) == t.tab.Name(sym)

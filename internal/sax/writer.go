@@ -10,8 +10,10 @@ import (
 // the Tokenizer (modulo entity-encoding choices) and is used to materialize
 // the synthetic documents built by the lower-bound generators.
 //
-// The stream must be well-formed; Serialize reports an error otherwise so
-// that generator bugs surface immediately rather than as confusing parses.
+// The stream must be well-formed, and every element and attribute name one
+// the tokenizers would read back as that name; Serialize reports an error
+// otherwise so that generator bugs surface immediately rather than as
+// confusing parses.
 func Serialize(w io.Writer, events []Event) error {
 	var stack []string
 	roots := 0
@@ -41,10 +43,16 @@ func Serialize(w io.Writer, events []Event) error {
 					return fmt.Errorf("sax: event %d: second root element <%s>", i, e.Name)
 				}
 			}
+			if !validName(e.Name) {
+				return fmt.Errorf("sax: event %d: %q is not a name", i, e.Name)
+			}
 			if _, err := io.WriteString(w, "<"+e.Name); err != nil {
 				return err
 			}
 			for _, a := range e.Attrs {
+				if !validName(a.Name) {
+					return fmt.Errorf("sax: event %d: %q is not an attribute name", i, a.Name)
+				}
 				if _, err := io.WriteString(w, " "+a.Name+"=\""+escapeAttr(a.Value)+"\""); err != nil {
 					return err
 				}

@@ -9,8 +9,7 @@
 //	xpfilter -q '/a/b' -analyze
 //	xpfilter -subs subscriptions.txt feed1.xml feed2.xml
 //	xpfilter -subs subscriptions.txt -bench 1000 feed.xml
-//	xpfilter -subs subscriptions.txt -workers 8 feed.xml
-//	xpfilter -subs subscriptions.txt -workers 4 -mode docs feed*.xml
+//	xpfilter -subs subscriptions.txt -workers 4 feed*.xml
 //
 // Inputs — stdin and files alike — stream through the chunked
 // interned-symbol byte path (MatchReader): the document is read in
@@ -29,17 +28,11 @@
 // re-matches it N times, reporting events/sec and allocs/event of the
 // warm fast path.
 //
-// -workers N matches on the parallel engine (internal/parallel) instead
-// of the sequential one. The default -mode shard hash-shards the
-// subscriptions across N engine shards and fans each document's event
-// batches out to them as each chunk is tokenized — parallelism within
-// one document (I/O, tokenization and matching overlap), identical
-// results. -mode docs runs a pool of N full engine replicas and matches
-// the input files concurrently — parallelism across documents, for feed
-// workloads. -mode auto picks per document: documents smaller than the
-// adaptive threshold match on a pooled replica (no fan-out overhead),
-// larger ones fan out event-sharded. -workers 0 (the default) keeps the
-// sequential engine.
+// -workers N matches on a pool of N full engine replicas (FilterPool)
+// instead of the sequential engine: the inputs stream as above, N at a
+// time — parallelism across documents, for feed workloads, identical
+// results. -workers 0 (the default) keeps the sequential engine, the one
+// -bench measures.
 //
 // Resource limits: -max-depth, -max-token, -max-buffer, -max-tuples and
 // -max-doc set hard per-document budgets on open-element depth, single
@@ -78,8 +71,7 @@ func main() {
 		evaluate = flag.Bool("eval", false, "print selected node values instead of a boolean (in-memory evaluation)")
 		bench    = flag.Int("bench", 0, "re-match each file N times; print events/sec and allocs/event")
 		extract  = flag.Bool("extract", false, "with -subs: capture and print each matched subscription's subtree")
-		workers  = flag.Int("workers", 0, "match with the parallel engine using N workers (0 = sequential)")
-		mode     = flag.String("mode", "shard", "parallel mode: shard (event-sharded, one doc at a time), docs (replica pool, concurrent docs), or auto (pick per document by size)")
+		workers  = flag.Int("workers", 0, "match the inputs concurrently on a pool of N engine replicas (0 = sequential)")
 		chunk    = flag.Int("chunk", 0, "streaming read size in bytes (0 = 64KiB default)")
 
 		maxDepth  = flag.Int("max-depth", 0, "max open-element depth per document (0 = unlimited)")
@@ -121,12 +113,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xpfilter: -workers applies to -subs matching")
 		os.Exit(2)
 	}
-	if *mode != "shard" && *mode != "docs" && *mode != "auto" {
-		fmt.Fprintln(os.Stderr, "xpfilter: -mode must be shard, docs or auto")
-		os.Exit(2)
-	}
-	if *bench > 0 && *mode == "docs" && *workers > 0 {
-		fmt.Fprintln(os.Stderr, "xpfilter: -bench applies to -mode shard or sequential matching, not -mode docs")
+	if *bench > 0 && *workers > 0 {
+		fmt.Fprintln(os.Stderr, "xpfilter: -bench applies to sequential matching (-workers 0)")
 		os.Exit(2)
 	}
 	files := flag.Args()
@@ -134,38 +122,16 @@ func main() {
 		files = []string{"-"}
 	}
 	if *subsFile != "" {
-		if *workers > 0 && *mode == "docs" {
-			os.Exit(runPoolFiles(*subsFile, files, *workers, *stats, *extract, lim))
+		if *workers > 0 {
+			os.Exit(runPoolFiles(*subsFile, files, *workers, *chunk, *stats, *extract, lim))
 		}
-		// pickAdd selects the plain or extraction-enabled registration.
-		pickAdd := func(add, addExtract func(id, query string) error) func(id, query string) error {
-			if *extract {
-				return addExtract
-			}
-			return add
+		set := streamxpath.NewFilterSet()
+		add := set.Add
+		if *extract {
+			add = set.AddExtract
 		}
-		var set matcherSet
-		switch {
-		case *workers > 0 && *mode == "auto":
-			as := streamxpath.NewAdaptiveFilterSet(*workers)
-			defer as.Close()
-			if err := loadSubscriptions(*subsFile, pickAdd(as.Add, as.AddExtract)); err != nil {
-				fatal(err)
-			}
-			set = as
-		case *workers > 0:
-			ps := streamxpath.NewParallelFilterSet(*workers)
-			defer ps.Close()
-			if err := loadSubscriptions(*subsFile, pickAdd(ps.Add, ps.AddExtract)); err != nil {
-				fatal(err)
-			}
-			set = ps
-		default:
-			fs := streamxpath.NewFilterSet()
-			if err := loadSubscriptions(*subsFile, pickAdd(fs.Add, fs.AddExtract)); err != nil {
-				fatal(err)
-			}
-			set = fs
+		if err := loadSubscriptions(*subsFile, add); err != nil {
+			fatal(err)
 		}
 		set.SetChunkSize(*chunk)
 		set.SetLimits(lim)
@@ -196,8 +162,8 @@ func main() {
 	os.Exit(exit)
 }
 
-// readInput loads a file argument into memory for the byte fast path;
-// "-" returns nil and the caller streams stdin instead.
+// readInput loads a file argument into memory for -bench's byte fast
+// path; "-" returns nil, which the callers refuse.
 func readInput(name string) ([]byte, error) {
 	if name == "-" {
 		return nil, nil
@@ -231,6 +197,15 @@ func reportEarlyExit(rs streamxpath.ReaderStats) {
 		fmt.Printf("  early exit (%s): verdicts decided after %d bytes consumed (%d read)\n",
 			outcome, rs.BytesConsumed, rs.BytesRead)
 	}
+}
+
+// reportSetResult prints one streamed document's verdicts against a set
+// of n subscriptions, on the sequential set and on the pool alike.
+func reportSetResult(name string, n int, res streamxpath.MatchResult) {
+	fmt.Printf("%s: %d/%d matched: %s\n", name, len(res.MatchedIDs), n, strings.Join(res.MatchedIDs, " "))
+	reportEarlyExit(res.ReaderStats)
+	reportAbstain(res.Abstained)
+	reportFragments(res.Fragments)
 }
 
 // reportSkim prints how much of a whole-buffer document was validated
@@ -302,21 +277,6 @@ func benchReport(doc []byte, iters int, run func() error) error {
 	return nil
 }
 
-// matcherSet is the engine surface runSet needs; satisfied by the
-// sequential FilterSet, the parallel sharded ParallelFilterSet, and the
-// AdaptiveFilterSet. The Result methods carry each call's verdicts,
-// fragments and accounting together; the boolean MatchBytes remains for
-// the warm bench loop, which measures the zero-alloc fast path.
-type matcherSet interface {
-	MatchBytes([]byte) ([]string, error)
-	MatchBytesResult([]byte) (streamxpath.MatchResult, error)
-	MatchReaderResult(io.Reader) (streamxpath.MatchResult, error)
-	SetChunkSize(int)
-	SetLimits(streamxpath.Limits)
-	Len() int
-	Stats() streamxpath.FilterSetStats
-}
-
 // reportFragments prints each extracted fragment under its match line.
 func reportFragments(frags []streamxpath.Fragment) {
 	for _, f := range frags {
@@ -333,7 +293,7 @@ func reportAbstain(abstained bool) {
 }
 
 // loadSubscriptions reads a subscription file, registering each line
-// through add (a FilterSet/ParallelFilterSet/FilterPool Add method).
+// through add (a FilterSet or FilterPool Add/AddExtract method).
 func loadSubscriptions(path string, add func(id, query string) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -373,9 +333,9 @@ func loadSubscriptions(path string, add func(id, query string) error) error {
 	return sc.Err()
 }
 
-// runPoolFiles is -mode docs: a FilterPool of engine replicas matching
-// the input files concurrently. Results print in argument order.
-func runPoolFiles(subsFile string, files []string, workers int, stats, extract bool, lim streamxpath.Limits) int {
+// runPoolFiles is -workers N: a FilterPool of engine replicas streaming
+// the inputs concurrently. Results print in argument order.
+func runPoolFiles(subsFile string, files []string, workers, chunk int, stats, extract bool, lim streamxpath.Limits) int {
 	pool := streamxpath.NewFilterPool(workers)
 	add := pool.Add
 	if extract {
@@ -384,6 +344,7 @@ func runPoolFiles(subsFile string, files []string, workers int, stats, extract b
 	if err := loadSubscriptions(subsFile, add); err != nil {
 		fatal(err)
 	}
+	pool.SetChunkSize(chunk)
 	pool.SetLimits(lim)
 	type result struct {
 		res streamxpath.MatchResult
@@ -391,24 +352,21 @@ func runPoolFiles(subsFile string, files []string, workers int, stats, extract b
 	}
 	results := make([]result, len(files))
 	var wg sync.WaitGroup
-	// Admit at most workers files at a time, so peak memory is bounded by
-	// the concurrency level rather than the argument count (each admitted
-	// goroutine holds one whole document).
+	// Admit at most workers inputs at a time, so open files and goroutines
+	// are bounded by the concurrency level rather than the argument count.
 	sem := make(chan struct{}, workers)
 	for i, name := range files {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int, name string) {
 			defer func() { <-sem; wg.Done() }()
-			doc, err := readInput(name)
-			if err == nil && doc == nil {
-				err = fmt.Errorf("-mode docs needs file arguments, not stdin")
-			}
+			r, closeIn, err := openInput(name)
 			if err != nil {
 				results[i] = result{err: err}
 				return
 			}
-			res, err := pool.MatchBytesResult(doc)
+			defer closeIn()
+			res, err := pool.MatchReaderResult(r)
 			results[i] = result{res: res, err: err}
 		}(i, name)
 	}
@@ -422,9 +380,7 @@ func runPoolFiles(subsFile string, files []string, workers int, stats, extract b
 			continue
 		}
 		res := results[i].res
-		fmt.Printf("%s: %d/%d matched: %s\n", name, len(res.MatchedIDs), pool.Len(), strings.Join(res.MatchedIDs, " "))
-		reportAbstain(res.Abstained)
-		reportFragments(res.Fragments)
+		reportSetResult(name, pool.Len(), res)
 		if res.MemStats.Events > mem.Events {
 			mem = res.MemStats
 		}
@@ -439,8 +395,9 @@ func runPoolFiles(subsFile string, files []string, workers int, stats, extract b
 // runSet matches one document against every subscription through the
 // chunked streaming path (bounded memory, mid-stream early exit); with
 // -bench the document is loaded once and re-matched on the in-memory
-// fast path.
-func runSet(set matcherSet, name string, stats bool, bench int) error {
+// fast path, where the boolean MatchBytes is the warm loop: it measures
+// the zero-alloc path.
+func runSet(set *streamxpath.FilterSet, name string, stats bool, bench int) error {
 	if bench > 0 {
 		doc, err := readInput(name)
 		if err != nil {
@@ -471,10 +428,7 @@ func runSet(set matcherSet, name string, stats bool, bench int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d/%d matched: %s\n", name, len(res.MatchedIDs), set.Len(), strings.Join(res.MatchedIDs, " "))
-	reportEarlyExit(res.ReaderStats)
-	reportAbstain(res.Abstained)
-	reportFragments(res.Fragments)
+	reportSetResult(name, set.Len(), res)
 	if stats {
 		s := set.Stats()
 		fmt.Printf("  %s\n", s)

@@ -1,8 +1,9 @@
 // Command xpfilterd is the long-running XPath dissemination server: a
-// multi-tenant HTTP daemon wrapping the adaptive dissemination engine.
-// Tenants register standing XPath subscriptions; documents POSTed to a
-// tenant are matched against all of them in one streaming pass and
-// answered with the matched subscription ids.
+// multi-tenant HTTP daemon wrapping the dissemination engine, one pool of
+// engine replicas per tenant. Tenants register standing XPath
+// subscriptions; documents POSTed to a tenant are matched against all of
+// them in one streaming pass and answered with the matched subscription
+// ids.
 //
 // Usage:
 //

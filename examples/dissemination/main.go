@@ -14,10 +14,8 @@
 // throughput report at the end measures on this very workload.
 //
 // The closing section scales the same workload out across cores with the
-// two parallel engines of internal/parallel: the event-sharded
-// ParallelFilterSet (subscriptions split across engine shards, each
-// document fanned out to them) and the document-parallel FilterPool
-// (full engine replicas matching whole documents concurrently).
+// document-parallel FilterPool (full engine replicas matching whole
+// documents concurrently).
 package main
 
 import (
@@ -143,38 +141,17 @@ func main() {
 	fmt.Printf("\nwarm fast path: %d docs x %d trie events: %.2fM events/sec, %.4f allocs/event\n",
 		iters, events, total/elapsed.Seconds()/1e6, float64(m1.Mallocs-m0.Mallocs)/total)
 
-	// Scaling out: the same subscriptions and feed on the two parallel
-	// engines. The sharded set splits the subscription work of each
-	// document across engine shards; the pool matches whole documents
-	// concurrently on engine replicas. Both return exactly the sequential
-	// ids. On a multi-core machine both beat the sequential number; with
-	// GOMAXPROCS=1 they only show their synchronization overhead.
+	// Scaling out: the same subscriptions and feed on the pool, which
+	// matches whole documents concurrently on engine replicas and returns
+	// exactly the sequential ids. On a multi-core machine it beats the
+	// sequential number; with GOMAXPROCS=1 it only shows its
+	// synchronization overhead.
 	workers := runtime.GOMAXPROCS(0)
 	fmt.Println(strings.Repeat("-", 60))
 	fmt.Printf("scaling out across %d worker(s):\n", workers)
 
 	seqRate := float64(iters) / elapsed.Seconds()
 	fmt.Printf("  sequential FilterSet:      %8.0f docs/sec\n", seqRate)
-
-	pset := streamxpath.NewParallelFilterSet(workers)
-	defer pset.Close()
-	for _, s := range subscriptions() {
-		if err := pset.Add(s.user, s.q); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := pset.MatchBytes(doc); err != nil { // compile + warm
-		log.Fatal(err)
-	}
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := pset.MatchBytes(doc); err != nil {
-			log.Fatal(err)
-		}
-	}
-	shardedRate := float64(iters) / time.Since(start).Seconds()
-	fmt.Printf("  event-sharded (%d shards): %8.0f docs/sec (%.2fx)\n",
-		pset.Shards(), shardedRate, shardedRate/seqRate)
 
 	pool := streamxpath.NewFilterPool(workers)
 	for _, s := range subscriptions() {

@@ -29,27 +29,18 @@ import "streamxpath/internal/engine"
 // overwrites it, so copy it if it must outlive the call — which keeps a
 // warm MatchBytes or MatchReader call at zero allocations. MatchString and
 // MatchStringResult return a fresh slice. A FilterSet is not safe for
-// concurrent use; create one per goroutine — or use the concurrent
-// matchers, which offer the same methods: FilterPool (documents matched
-// concurrently on replicas), ParallelFilterSet (one document fanned out to
-// subscription shards) and AdaptiveFilterSet (one of the two, per
-// document).
+// concurrent use; create one per goroutine — or use FilterPool, which
+// offers the same methods and matches documents concurrently on replicas.
 type FilterSet struct {
 	matcher
-	e *engine.Engine
 }
 
 // NewFilterSet returns an empty set.
 func NewFilterSet() *FilterSet {
-	s := &FilterSet{e: engine.New()}
-	s.b = s.e
+	s := &FilterSet{}
+	s.b = engine.New()
 	return s
 }
-
-// Reset prepares the set for the next document. The Match methods reset
-// implicitly; Reset exists for callers driving the engine event by event
-// across documents.
-func (s *FilterSet) Reset() { s.e.Reset() }
 
 // FilterSetStats reports the size of the shared structures and the work
 // of the last document — how much evaluation the subscriptions actually

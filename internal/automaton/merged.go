@@ -460,13 +460,6 @@ func (r *SharedRunner) StartDocument() {
 	r.stack = append(r.stack[:0], r.startID)
 }
 
-// StartElement processes a startElement(name) event through the string
-// path: the name is interned (one map probe when warm) and handed to
-// StartElementSym.
-func (r *SharedRunner) StartElement(name string) {
-	r.StartElementSym(r.m.tab.Intern(name))
-}
-
 // StartElementSym processes a startElement event whose name was interned
 // by the tokenizer, latching any outputs accepted by the transition.
 // Once every output has matched — or every still-live output has, so the

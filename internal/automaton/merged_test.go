@@ -10,6 +10,11 @@ import (
 	"streamxpath/internal/workload"
 )
 
+// startElement feeds a reference-tokenizer element name to the runner's
+// one event surface, interned into its automaton's table as the byte
+// tokenizer would have.
+func startElement(r *SharedRunner, name string) { r.StartElementSym(r.m.tab.Intern(name)) }
+
 // runMerged feeds a SAX stream to a SharedRunner and returns the match
 // vector.
 func runMerged(r *SharedRunner, events []sax.Event) []bool {
@@ -18,7 +23,7 @@ func runMerged(r *SharedRunner, events []sax.Event) []bool {
 		case sax.StartDocument:
 			r.StartDocument()
 		case sax.StartElement:
-			r.StartElement(e.Name)
+			startElement(r, e.Name)
 		case sax.EndElement:
 			r.EndElement()
 		}
@@ -134,7 +139,7 @@ func feedMerged(r *SharedRunner, events []sax.Event) []int {
 		case sax.StartDocument:
 			r.StartDocument()
 		case sax.StartElement:
-			r.StartElement(e.Name)
+			startElement(r, e.Name)
 			trace = append(trace, r.Undecided())
 		case sax.EndElement:
 			r.EndElement()
@@ -311,7 +316,7 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 				case sax.EndElement:
 					r.EndElement()
 				case sax.StartElement:
-					r.StartElement(e.Name)
+					startElement(r, e.Name)
 					if reach == nil {
 						reach = walkReach(m, r.sets[r.stack[len(r.stack)-1]])
 					}

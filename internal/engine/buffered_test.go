@@ -306,26 +306,19 @@ func TestMatchBufferedAfterSkim(t *testing.T) {
 
 // TestEngineRejectsSecondRoot: Decided counts on only the root element's
 // subtree producing elements, so the engine refuses a second root as the
-// tokenizers do, on both event paths.
+// tokenizers do.
 func TestEngineRejectsSecondRoot(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "b", "/b")
 	events := []sax.Event{sax.StartDoc(), sax.Start("a"), sax.End("a")}
-	if err := e.ProcessAll(events); err != nil {
+	if err := feed(e, events...); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Decided() {
 		t.Fatal("/b is still open after the root <a> has closed")
 	}
-	if err := e.Process(sax.Start("b")); err == nil || e.Matched("b") {
-		t.Fatalf("second root through Process: err = %v, matched = %v", err, e.Matched("b"))
-	}
-	e.Reset()
-	if err := e.ProcessAll(events); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ProcessBytes(sax.ByteEvent{Kind: sax.StartElement, Sym: e.Symbols().Intern("b")}); err == nil {
-		t.Fatal("second root through ProcessBytes accepted")
+	if err := feed(e, sax.Start("b")); err == nil || e.Matched("b") {
+		t.Fatalf("second root: err = %v, matched = %v", err, e.Matched("b"))
 	}
 	e.Reset()
 	if got := run(t, e, "<b/>"); !got["b"] {

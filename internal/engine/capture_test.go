@@ -60,6 +60,19 @@ func TestCaptureSerialBasic(t *testing.T) {
 	if string(frags[0].Data) != want {
 		t.Errorf("fragment = %q, want %q", frags[0].Data, want)
 	}
+	// The same document as reference-tokenizer events: the one event
+	// surface captures their text too.
+	events, err := sax.Parse(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Reset()
+	if err := feed(e, events...); err != nil {
+		t.Fatal(err)
+	}
+	if frags = e.AppendFragments(nil, nil); len(frags) != 1 || string(frags[0].Data) != want {
+		t.Errorf("fragments from reference events = %v, want %q", frags, want)
+	}
 }
 
 func TestCaptureDocOrderFirstNested(t *testing.T) {

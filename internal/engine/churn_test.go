@@ -388,7 +388,7 @@ func TestEngineMutationAbandonsDocument(t *testing.T) {
 	} {
 		// Mid-document: //a's scope and its frame are open, c has latched lin.
 		for _, ev := range []sax.Event{sax.StartDoc(), sax.Start("a"), sax.Start("c")} {
-			if err := e.Process(ev); err != nil {
+			if err := feed(e, ev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -397,7 +397,7 @@ func TestEngineMutationAbandonsDocument(t *testing.T) {
 			t.Fatal("an abandoned document still reports verdicts")
 		}
 		for _, ev := range []sax.Event{sax.End("c"), sax.TextEvent("x"), sax.Start("b"), sax.EndDoc()} {
-			if err := e.Process(ev); err == nil {
+			if err := feed(e, ev); err == nil {
 				t.Fatalf("%v accepted after a mid-document mutation", ev)
 			}
 		}
@@ -409,13 +409,13 @@ func TestEngineMutationAbandonsDocument(t *testing.T) {
 		}
 	}
 	e.Reset()
-	if err := e.Process(sax.StartDoc()); err != nil {
+	if err := feed(e, sax.StartDoc()); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Add("pred", query.MustParse("//z")); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	if err := e.Process(sax.Start("a")); err != nil {
+	if err := feed(e, sax.Start("a")); err != nil {
 		t.Fatalf("a rejected Add abandoned the document: %v", err)
 	}
 }

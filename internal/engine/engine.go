@@ -181,12 +181,11 @@ type Engine struct {
 func New() *Engine { return NewWithSymbols(nil) }
 
 // NewWithSymbols returns an empty engine interning into tab (nil for a
-// private table). Passing one table to several engines is how the
-// parallel sharded dissemination engine (internal/parallel) binds N
-// engine shards to one symbol space: a document tokenized once against
-// the shared table yields symbol events every shard can dispatch on
-// directly. symtab.Table is safe for the shards' concurrent read-mostly
-// access; each Engine itself remains single-threaded.
+// private table). Passing one table to several engines is how
+// internal/parallel binds the replicas of a pool to one symbol space: a
+// name any replica has seen is a warm probe for every other.
+// symtab.Table is safe for the engines' concurrent read-mostly access;
+// each Engine itself remains single-threaded.
 func NewWithSymbols(tab *symtab.Table) *Engine {
 	if tab == nil {
 		tab = symtab.New()
@@ -203,7 +202,7 @@ func (e *Engine) Symbols() *symtab.Table { return e.tab }
 
 // SetLimits configures the per-document resource budgets (the zero value
 // disables them). Limits persist across Reset, Add and Remove; a breach
-// surfaces as a *limits.Error from Process/ProcessBytes and leaves the
+// surfaces as a *limits.Error from ProcessBytes and leaves the
 // engine reusable after the next Reset.
 func (e *Engine) SetLimits(l limits.Limits) {
 	e.lim = l
@@ -418,41 +417,6 @@ func (e *Engine) Reset() {
 // extraction enabled.
 func (e *Engine) SetCapture(mode CaptureMode) { e.capMode = mode }
 
-// Process consumes one SAX event. Attribute lists on startElement events
-// are expanded inline into attribute child events, as in core (the
-// paper's folding of the attribute axis into the child axis). Names are
-// interned into the engine's symbol table and dispatched by symbol.
-func (e *Engine) Process(ev sax.Event) error {
-	switch ev.Kind {
-	case sax.StartDocument:
-		return e.startDocument()
-	case sax.EndDocument:
-		return e.endDocument()
-	case sax.StartElement:
-		if err := e.startElement(e.tab.Intern(ev.Name), ev.Attribute, 0); err != nil {
-			return err
-		}
-		for _, a := range ev.Attrs {
-			asym := e.tab.Intern(a.Name)
-			if err := e.startElement(asym, true, 0); err != nil {
-				return err
-			}
-			if err := e.text(a.Value); err != nil {
-				return err
-			}
-			if err := e.endElement(asym, true, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	case sax.EndElement:
-		return e.endElement(e.tab.Intern(ev.Name), ev.Attribute, 0)
-	case sax.Text:
-		return e.text(ev.Data)
-	}
-	return nil
-}
-
 // ProcessBytes consumes one byte-slice event from a sax.TokenizerBytes
 // interning into this engine's Symbols table. Attribute events arrive
 // already expanded from the tokenizer, so no per-element attribute
@@ -602,27 +566,6 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 		// the closing element's capture, which finalizes here.
 		e.cm.noteEnd(sym, isAttr, off, closing)
 		return e.checkCaptured()
-	}
-	return nil
-}
-
-func (e *Engine) text(data string) error {
-	if !e.started || e.finished {
-		return fmt.Errorf("engine: text outside document")
-	}
-	if err := e.checkBuffer(len(data)); err != nil {
-		return err
-	}
-	e.mt.text(data)
-	return nil
-}
-
-// ProcessAll streams a pre-materialized event sequence.
-func (e *Engine) ProcessAll(events []sax.Event) error {
-	for _, ev := range events {
-		if err := e.Process(ev); err != nil {
-			return err
-		}
 	}
 	return nil
 }

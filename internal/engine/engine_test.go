@@ -11,6 +11,25 @@ import (
 	"streamxpath/internal/sax"
 )
 
+// feed hands the engine events of the reference tokenizer (sax.Parse) or
+// hand-built ones through its one event surface, ProcessBytes: attribute
+// lists are expanded into attribute child events as the byte tokenizer
+// emits them (the paper's folding of the attribute axis into the child
+// axis) and names are interned into the engine's table. The events carry
+// no offsets, so of the capture modes only CaptureSerial applies.
+func feed(e *Engine, events ...sax.Event) error {
+	for _, ev := range sax.ExpandAttributes(events) {
+		be := sax.ByteEvent{Kind: ev.Kind, Data: []byte(ev.Data), Attribute: ev.Attribute}
+		if ev.Kind == sax.StartElement || ev.Kind == sax.EndElement {
+			be.Sym = e.Symbols().Intern(ev.Name)
+		}
+		if err := e.ProcessBytes(be); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // run streams one document (given as XML) through a fresh pass.
 func run(t *testing.T, e *Engine, xml string) map[string]bool {
 	t.Helper()
@@ -18,7 +37,7 @@ func run(t *testing.T, e *Engine, xml string) map[string]bool {
 	if err != nil {
 		t.Fatalf("parse %q: %v", xml, err)
 	}
-	if err := e.ProcessAll(events); err != nil {
+	if err := feed(e, events...); err != nil {
 		t.Fatalf("process %q: %v", xml, err)
 	}
 	if !e.Finished() {
@@ -181,14 +200,14 @@ func TestEngineRejectsUnstreamable(t *testing.T) {
 func TestEngineMalformedStream(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "s", "//a")
-	if err := e.Process(sax.Start("a")); err == nil {
+	if err := feed(e, sax.Start("a")); err == nil {
 		t.Error("startElement before startDocument accepted")
 	}
 	e.Reset()
-	if err := e.Process(sax.StartDoc()); err != nil {
+	if err := feed(e, sax.StartDoc()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Process(sax.End("a")); err == nil {
+	if err := feed(e, sax.End("a")); err == nil {
 		t.Error("unmatched endElement accepted")
 	}
 }
@@ -209,7 +228,7 @@ func TestEngineEarlyExit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ProcessAll(events); err != nil {
+		if err := feed(e, events...); err != nil {
 			t.Fatal(err)
 		}
 		return e.Stats().TupleVisits
@@ -222,11 +241,11 @@ func TestEngineEarlyExit(t *testing.T) {
 	// The match is definitive mid-stream.
 	e := New()
 	mustAdd(t, e, "s", "//item/x")
-	if err := e.Process(sax.StartDoc()); err != nil {
+	if err := feed(e, sax.StartDoc()); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range []sax.Event{sax.Start("item"), sax.Start("x")} {
-		if err := e.Process(ev); err != nil {
+		if err := feed(e, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -362,7 +381,7 @@ func TestEngineEquivalentToStandaloneFilters(t *testing.T) {
 		// Two passes over different documents back to back: the second
 		// checks Reset correctness too.
 		for pass := 0; pass < 2; pass++ {
-			if err := e.ProcessAll(doc); err != nil {
+			if err := feed(e, doc...); err != nil {
 				t.Fatalf("trial %d: engine: %v", trial, err)
 			}
 			got := map[string]bool{}
@@ -395,7 +414,7 @@ func TestEngineMatchedIDsDeterministic(t *testing.T) {
 	mustAdd(t, e, "mid", "//zzz")
 	for i := 0; i < 5; i++ {
 		events, _ := sax.Parse("<r><b/><a/></r>")
-		if err := e.ProcessAll(events); err != nil {
+		if err := feed(e, events...); err != nil {
 			t.Fatal(err)
 		}
 		got := e.MatchedIDs()
@@ -406,7 +425,7 @@ func TestEngineMatchedIDsDeterministic(t *testing.T) {
 	e2 := New()
 	mustAdd(t, e2, "never", "//zzz")
 	events, _ := sax.Parse("<r/>")
-	if err := e2.ProcessAll(events); err != nil {
+	if err := feed(e2, events...); err != nil {
 		t.Fatal(err)
 	}
 	if got := e2.MatchedIDs(); got == nil || len(got) != 0 {

@@ -9,13 +9,15 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"streamxpath/internal/limits"
 )
 
 // TestMatchReaderEqualsMatchBytes: read in chunks of every size from 1 to
 // 64 bytes, a document yields the ids and (canonical-form) fragments the
-// buffered twin yields, and — unless the reader was abandoned at a decision
+// buffered twin yields, the same read accounting wherever the reader
+// delivers its EOF, and — unless the reader was abandoned at a decision
 // point, which the buffered path skims past instead — the same depth for
 // the memory accounting's log d.
 func TestMatchReaderEqualsMatchBytes(t *testing.T) {
@@ -47,6 +49,12 @@ func TestMatchReaderEqualsMatchBytes(t *testing.T) {
 			}
 			if !sameFragments(got.Frags, want.Frags) {
 				t.Fatalf("%s: fragments %v, buffered %v", label, got.Frags, want.Frags)
+			}
+			// Where the reader delivers its EOF — with the last bytes or
+			// after them — is the transport's business, not the outcome's.
+			withEOF, err := e.MatchReader(iotest.DataErrReader(strings.NewReader(doc)), chunk, CaptureSerial)
+			if err != nil || withEOF.Read != got.Read {
+				t.Fatalf("%s: read %+v when EOF comes with the last bytes, %+v when after them (err %v)", label, withEOF.Read, got.Read, err)
 			}
 			if got.Read.EarlyExit {
 				if got.Read.DecidedNegative != (len(got.IDs) < len(subs)) {

@@ -1114,21 +1114,9 @@ func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 	return sc
 }
 
-// text appends character data to the shared buffer if any value-restricted
-// leaf candidate (of any subscription) is consuming it. The text is
-// buffered once no matter how many subscriptions wait on it.
-func (m *matcher) text(data string) {
-	m.stats.Events++
-	if m.refCount > 0 {
-		m.buf = append(m.buf, data...)
-		if len(m.buf) > m.stats.PeakBufferBytes {
-			m.stats.PeakBufferBytes = len(m.buf)
-		}
-	}
-}
-
-// textBytes is text for the byte-slice event path; the data is copied
-// into the shared buffer only when a candidate is consuming it.
+// textBytes appends character data to the shared buffer if any
+// value-restricted leaf candidate (of any subscription) is consuming it.
+// The text is buffered once no matter how many subscriptions wait on it.
 func (m *matcher) textBytes(data []byte) {
 	m.stats.Events++
 	if m.refCount > 0 {

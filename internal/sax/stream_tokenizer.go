@@ -162,7 +162,7 @@ type StreamStats struct {
 	BytesConsumed int64
 	// Chunks is the number of non-empty reads.
 	Chunks int
-	// EarlyExit reports that reading stopped before end of input because
+	// EarlyExit reports that reading stopped inside the document because
 	// decided returned true. The unread remainder (and any unread suffix
 	// of the last chunk) was not validated.
 	EarlyExit bool
@@ -175,10 +175,10 @@ type StreamStats struct {
 // Drive runs one document from r through the tokenizer: read a chunk
 // (chunkSize <= 0 selects DefaultChunkSize), drain its events into
 // process, call endChunk at each chunk boundary (nil to skip), probe
-// decided between chunks (nil to never exit early), and stop at end of
-// document, early decision, or error. Bytes returned alongside a
-// non-EOF read error are drained (and may decide the verdict) before
-// the error is surfaced. It returns whether EndDocument was processed;
+// decided between chunks until the root closes (nil to never exit early),
+// and stop at end of document, early decision, or error. Bytes returned
+// alongside a non-EOF read error are drained (and may decide the verdict)
+// before the error is surfaced. It returns whether EndDocument was processed;
 // a truncated or malformed document surfaces as the tokenizer's (or
 // process's) error. The caller resets the tokenizer and the consumer
 // first. Drive is the single implementation of the chunk loop every
@@ -225,7 +225,10 @@ func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, pro
 		if endChunk != nil {
 			endChunk()
 		}
-		if decided != nil && decided() {
+		// After the root has closed only comments and white space may
+		// follow: they are read out, so that an early exit always stops
+		// inside the document, wherever the reader delivers its EOF.
+		if decided != nil && !(s.t.rootSeen && s.t.outside()) && decided() {
 			st.EarlyExit = true
 			return false, nil
 		}

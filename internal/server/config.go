@@ -1,6 +1,6 @@
 // Package server is the serving layer of the dissemination engine: a
-// multi-tenant HTTP front end over AdaptiveFilterSet. Each tenant owns
-// an isolated subscription set and engine; documents POSTed to a tenant
+// multi-tenant HTTP front end over FilterPool. Each tenant owns an
+// isolated subscription set and engine pool; documents POSTed to a tenant
 // are matched against its standing subscriptions in one streaming pass
 // and answered with the matched subscription ids. The package is
 // stdlib-only — net/http for transport, log/slog for logging, and a
@@ -29,12 +29,9 @@ type Config struct {
 	// AddrFile, when non-empty, receives the actual bound address after
 	// Listen — how scripts and tests discover an ephemeral port.
 	AddrFile string
-	// Workers is the per-tenant engine parallelism (shards/replicas of
-	// the AdaptiveFilterSet); 0 selects GOMAXPROCS.
+	// Workers is the per-tenant engine parallelism (the replicas of the
+	// tenant's FilterPool); 0 selects GOMAXPROCS.
 	Workers int
-	// ChunkSize is the streaming-ingest read granularity in bytes
-	// (0 = the library's DefaultChunkSize).
-	ChunkSize int
 	// MaxBodyBytes caps a buffered (Content-Length) ingest body; bodies
 	// beyond it are refused with 413 before buffering. 0 = unlimited.
 	// Streaming bodies are governed by the tenant's MaxDocBytes budget
@@ -138,8 +135,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 		"write the bound address to this file after listen (env XPFILTERD_ADDR_FILE)")
 	fs.IntVar(&c.Workers, "workers", envInt("XPFILTERD_WORKERS", 0),
 		"per-tenant engine workers; 0 = GOMAXPROCS (env XPFILTERD_WORKERS)")
-	fs.IntVar(&c.ChunkSize, "chunk", envInt("XPFILTERD_CHUNK", 0),
-		"streaming ingest read size in bytes; 0 = 64KiB default (env XPFILTERD_CHUNK)")
 	fs.Int64Var(&c.MaxBodyBytes, "max-body", envInt64("XPFILTERD_MAX_BODY", 64<<20),
 		"max buffered ingest body bytes; 0 = unlimited (env XPFILTERD_MAX_BODY)")
 	fs.DurationVar(&c.DrainTimeout, "drain-timeout", envDuration("XPFILTERD_DRAIN_TIMEOUT", 30*time.Second),

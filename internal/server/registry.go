@@ -40,8 +40,9 @@ type TenantConfig struct {
 // MatchResult is one document's verdict set plus its accounting — what
 // the ingest endpoint serializes.
 type MatchResult struct {
-	// Matched holds the matched subscription ids in insertion order (a
-	// private copy; the engine reuses its own slice).
+	// Matched holds the matched subscription ids in insertion order: this
+	// call's own slice (the pool detaches it from the replica that ran the
+	// document).
 	Matched []string
 	// Subscriptions is the tenant's standing subscription count at match
 	// time.
@@ -67,7 +68,7 @@ type MatchResult struct {
 	Fragments map[string]string
 }
 
-// Tenant is one namespace: an AdaptiveFilterSet carrying the tenant's
+// Tenant is one namespace: a FilterPool carrying the tenant's
 // standing subscriptions, the id→query source map backing GET, and the
 // tenant's metrics. mu is a reader/writer lock: document matching takes
 // the read side — the Match*Result API returns each call's verdicts,
@@ -80,7 +81,7 @@ type Tenant struct {
 	Name string
 
 	mu       sync.RWMutex
-	set      *streamxpath.AdaptiveFilterSet
+	set      *streamxpath.FilterPool
 	queries  map[string]string
 	extract  map[string]bool
 	webhooks map[string]delivery.Webhook
@@ -365,19 +366,16 @@ func (t *Tenant) deliverRLocked(res MatchResult) {
 }
 
 // finishRLocked folds one Match*Result outcome into the server's
-// MatchResult: private copies of the id slice and fragment bytes (the
-// engine's fragments may alias the request body), this call's abstain
-// flag and accounting. Caller holds t.mu.RLock.
+// MatchResult: the id slice (the call's own, non-nil), private copies of
+// the fragment bytes (the engine's fragments may alias the request body),
+// this call's abstain flag and accounting. Caller holds t.mu.RLock.
 func (t *Tenant) finishRLocked(mr streamxpath.MatchResult, bodyLen int64, stream bool) MatchResult {
 	res := MatchResult{
-		Matched:       append([]string(nil), mr.MatchedIDs...),
+		Matched:       mr.MatchedIDs,
 		Subscriptions: t.set.Len(),
 		Abstained:     mr.Abstained,
 		Mem:           mr.MemStats,
 		SkimmedBytes:  mr.SkimmedBytes,
-	}
-	if res.Matched == nil {
-		res.Matched = []string{}
 	}
 	if len(mr.Fragments) > 0 {
 		res.Fragments = make(map[string]string, len(mr.Fragments))
@@ -398,17 +396,14 @@ func (t *Tenant) finishRLocked(mr streamxpath.MatchResult, bodyLen int64, stream
 	return res
 }
 
-// close shuts the tenant's engine down. Called with no new references
-// reachable from the registry; waits for the in-flight match (if any)
-// via mu.
+// close marks the tenant deleted, so that requests still holding it are
+// refused. Called with no new references reachable from the registry;
+// waits for the in-flight matches (if any) via mu. The pool owns no
+// goroutines, so there is nothing else to stop.
 func (t *Tenant) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
 	t.closed = true
-	t.set.Close()
 }
 
 // Registry maps tenant names to their engines. The registry lock only
@@ -466,7 +461,7 @@ func (r *Registry) newTenant(name string, cfg TenantConfig) *Tenant {
 	if maxSubs < 0 {
 		maxSubs = 0 // explicit "unlimited" override
 	}
-	set := streamxpath.NewAdaptiveFilterSet(workers)
+	set := streamxpath.NewFilterPool(workers)
 	set.SetLimits(lim)
 	return &Tenant{
 		Name:     name,

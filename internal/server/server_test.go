@@ -45,12 +45,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// newDirectSet returns an AdaptiveFilterSet loaded with testSubs — the
-// ground truth the HTTP verdicts must reproduce.
-func newDirectSet(t *testing.T, lim streamxpath.Limits) *streamxpath.AdaptiveFilterSet {
+// newDirectSet returns a FilterPool loaded with testSubs — the ground
+// truth the HTTP verdicts must reproduce.
+func newDirectSet(t *testing.T, lim streamxpath.Limits) *streamxpath.FilterPool {
 	t.Helper()
-	set := streamxpath.NewAdaptiveFilterSet(2)
-	t.Cleanup(set.Close)
+	set := streamxpath.NewFilterPool(2)
 	for _, s := range testSubs {
 		if err := set.Add(s.ID, s.Query); err != nil {
 			t.Fatalf("Add(%s): %v", s.ID, err)
@@ -187,7 +186,7 @@ func corpusDocs(t *testing.T) [][]byte {
 
 // TestMatchEquivalence is the acceptance criterion: verdicts from the
 // ingest endpoint — buffered and chunked alike — are identical (same
-// ids, same order) to direct AdaptiveFilterSet calls on the same
+// ids, same order) to direct FilterPool calls on the same
 // corpus, and the streaming path's early-exit accounting matches the
 // library's.
 func TestMatchEquivalence(t *testing.T) {
@@ -238,12 +237,17 @@ func TestMatchEquivalence(t *testing.T) {
 	}
 }
 
+// trickle yields at most 1 KiB per Read, as a slow uploader's body does.
+type trickle struct{ r io.Reader }
+
+func (t trickle) Read(p []byte) (int, error) { return t.r.Read(p[:min(len(p), 1<<10)]) }
+
 // TestMatchEarlyExitNegative pins that a chunked upload of a foreign
 // document stops consuming almost immediately: the dead-state analysis
 // decides every /news- and /feed-rooted subscription at the catalog
-// root.
+// root — and stops reading the wire there, however small the document.
 func TestMatchEarlyExitNegative(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	seedSubs(t, ts.URL, "neg", rootedSubs)
 	docs := corpusDocs(t)
 	catalog := docs[len(docs)-2]
@@ -259,6 +263,24 @@ func TestMatchEarlyExitNegative(t *testing.T) {
 	}
 	if got.Stats.BytesConsumed >= int64(len(catalog))/10 {
 		t.Fatalf("consumed %d of %d bytes, want <10%%", got.Stats.BytesConsumed, len(catalog))
+	}
+
+	// A 16 KiB document arriving 1 KiB at a time without a Content-Length:
+	// the body is never staged, so the rest of it is never read.
+	cut := bytes.LastIndex(catalog[:16<<10], []byte("<item "))
+	small := append(catalog[:cut:cut], "</catalog>"...)
+	req := httptest.NewRequest("POST", "/v1/tenants/neg/match", trickle{bytes.NewReader(small)})
+	req.ContentLength = -1
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("trickled: status %d: %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Stats.EarlyExit || !got.Stats.DecidedNegative || got.Stats.BytesRead >= int64(len(small)) {
+		t.Fatalf("trickled: stats %+v, want a negative early exit before all %d bytes were read", got.Stats, len(small))
 	}
 }
 

@@ -105,11 +105,11 @@ func (l Limits) internal() limits.Limits {
 // instead of surfacing.
 type LimitError = limits.Error
 
-// PanicError reports a panic recovered inside a parallel worker (a
-// ParallelFilterSet shard or a FilterPool replica). Only the in-flight
-// document fails — the error carries the recovered value and stack — and
-// the faulty worker's engine is quarantined and rebuilt from its intact
-// subscription list before the next document. Detect with errors.As.
+// PanicError reports a panic recovered inside a FilterPool replica. Only
+// the in-flight document fails — the error carries the recovered value and
+// stack — and the faulty replica's engine is quarantined and rebuilt from
+// its intact subscription list before the next document. Detect with
+// errors.As.
 type PanicError = parallel.PanicError
 
 // MemStats is the live-memory accounting of one document, with the

@@ -12,7 +12,7 @@ import (
 )
 
 // backend is what a multi-query matcher is built on: internal/engine's
-// sequential engine, or one of internal/parallel's concurrent ones. Its two
+// sequential engine, or internal/parallel's pool of replicas of it. Its two
 // match entry points return everything the call knows about its document
 // in one engine.Outcome, assembled before whatever lock ran the document
 // is released.
@@ -28,15 +28,16 @@ type backend interface {
 	MatchReader(r io.Reader, chunkSize int, mode engine.CaptureMode) (engine.Outcome, error)
 }
 
-// matcher is the public surface FilterSet, FilterPool, ParallelFilterSet
-// and AdaptiveFilterSet share, derived once from a backend: subscription
-// management, limits and their breach policy, and the six Match methods,
+// matcher is the public surface FilterSet and FilterPool share (and the
+// two matchers parallelset.go keeps for the benchmark ledger), derived once
+// from a backend: subscription management, limits and their breach policy,
+// and the six Match methods,
 // every one of which is a view of the one per-call MatchResult. Filter is
 // the same thing over an engine holding one subscription, its id the query
 // source, with the id lists narrowed to "it matched". It keeps
 // nothing about a call after the call returns, so it adds no locking to its
-// backend's: the concurrent matchers' Match methods may be called from any
-// number of goroutines, alongside SetLimits and SetChunkSize.
+// backend's: FilterPool's Match methods may be called from any number of
+// goroutines, alongside SetLimits and SetChunkSize.
 type matcher struct {
 	b     backend
 	chunk atomic.Int64
@@ -45,8 +46,8 @@ type matcher struct {
 
 // Add compiles a subscription under the given id and registers it. Ids
 // must be unique across the set. Queries outside the streamable fragment
-// (see Query.NewFilter) are rejected. On the concurrent matchers it waits
-// for in-flight Match calls to finish.
+// (see Query.NewFilter) are rejected. On a FilterPool it waits for
+// in-flight Match calls to finish.
 func (m *matcher) Add(id, querySrc string) error { return m.add(id, querySrc, false) }
 
 // AddExtract is Add with fragment extraction enabled: when the
@@ -73,8 +74,8 @@ func (m *matcher) add(id, querySrc string, extract bool) error {
 	return nil
 }
 
-// Remove deregisters a subscription, reporting whether it existed. On the
-// concurrent matchers it waits for in-flight Match calls to finish.
+// Remove deregisters a subscription, reporting whether it existed. On a
+// FilterPool it waits for in-flight Match calls to finish.
 func (m *matcher) Remove(id string) bool { return m.b.Remove(id) }
 
 // Len returns the number of subscriptions.
@@ -88,8 +89,8 @@ func (m *matcher) IDs() []string { return m.b.IDs() }
 // a breach under LimitFail surfaces as a *LimitError, under LimitAbstain
 // as a degraded result (MatchResult.Abstained). Either way the matcher
 // stays usable — nothing ever panics, and no budget check allocates until
-// a breach actually occurs. On the concurrent matchers it waits for
-// in-flight Match calls to finish, so budgets never change mid-document.
+// a breach actually occurs. On a FilterPool it waits for in-flight Match
+// calls to finish, so budgets never change mid-document.
 func (m *matcher) SetLimits(l Limits) {
 	m.lim.Store(&l)
 	m.b.SetLimits(l.internal())
@@ -109,9 +110,7 @@ func (m *matcher) SetChunkSize(n int) { m.chunk.Store(int64(n)) }
 
 // Stats returns the engine statistics: the size of the shared structures
 // and the work of the last document. FilterPool reports one replica's
-// (replicas are identical in structure); ParallelFilterSet and
-// AdaptiveFilterSet aggregate their shards' (sizes and work sum; MaxLevel
-// is the maximum).
+// (replicas are identical in structure).
 func (m *matcher) Stats() FilterSetStats { return m.b.Stats() }
 
 // MatchBytes matches one in-memory document against every subscription
@@ -122,9 +121,8 @@ func (m *matcher) Stats() FilterSetStats { return m.b.Stats() }
 // so steady-state matching of a predicate-free subscription set performs
 // zero allocations per event.
 //
-// The document is validated to its end, but — on every matcher except
-// ParallelFilterSet, which dispatches everything — dispatched only until
-// every verdict is final. Once each subscription has either matched
+// The document is validated to its end, but dispatched only until every
+// verdict is final. Once each subscription has either matched
 // (matches latch, by monotonicity) or can no longer match (the dead-state
 // analysis behind MatchReader's early exit), no later event can change the
 // result, so the remainder is skimmed: every check the tokenizer makes —
@@ -141,7 +139,7 @@ func (m *matcher) Stats() FilterSetStats { return m.b.Stats() }
 // point, leaving the remainder unvalidated.)
 //
 // Who owns the returned slice is the matcher's contract, stated on its
-// type: FilterSet reuses it, the concurrent matchers allocate it.
+// type: FilterSet reuses it, FilterPool allocates it.
 func (m *matcher) MatchBytes(doc []byte) ([]string, error) {
 	res, err := m.matchBytes(doc, engine.CaptureOff)
 	return res.MatchedIDs, err

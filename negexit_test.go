@@ -3,6 +3,7 @@ package streamxpath
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -399,26 +400,32 @@ func TestEngineDecidedLatchesFinalVerdicts(t *testing.T) {
 			}
 		}
 		doc := randomRootedDoc(rng, roots[rng.Intn(len(roots))])
-		events, err := sax.Parse(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
 		e.Reset()
 		var snapshot []string
-		decidedAt := -1
-		for i, ev := range events {
-			if err := e.Process(ev); err != nil {
+		decidedAt, events := -1, 0
+		// Event by event on the shipped path: the byte tokenizer into the
+		// engine's one event surface.
+		tok := sax.NewTokenizerBytes([]byte(doc), e.Symbols())
+		for ; ; events++ {
+			ev, err := tok.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.ProcessBytes(ev); err != nil {
 				t.Fatal(err)
 			}
 			if decidedAt < 0 && e.Decided() {
-				decidedAt = i
+				decidedAt = events
 				snapshot = append([]string(nil), e.MatchedIDs()...)
 			}
 		}
 		final := e.MatchedIDs()
 		if decidedAt >= 0 && strings.Join(snapshot, ",") != strings.Join(final, ",") {
 			t.Fatalf("trial %d: Decided at event %d/%d with verdicts %v, final %v\ndoc: %s",
-				trial, decidedAt, len(events), snapshot, final, doc)
+				trial, decidedAt, events, snapshot, final, doc)
 		}
 	}
 }

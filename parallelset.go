@@ -21,10 +21,10 @@ import (
 // own — everything in it is read off the replica before the replica goes
 // back. Results are identical to the sequential FilterSet's.
 //
-// Choose FilterPool when documents arrive faster than one core matches
-// them (feeds of small documents); choose ParallelFilterSet when a
-// single document must be matched against a very large subscription set
-// as fast as possible.
+// It is the one concurrent matcher the shipped programs use (xpfilterd
+// tenants, xpfilter -workers, examples/dissemination). The two types below
+// it stay only because the benchmark ledger still constructs them; they
+// measured 0.25–0.50× of the sequential FilterSet there (ROADMAP 2(a)).
 type FilterPool struct {
 	matcher
 	p *parallel.Pool

@@ -4,7 +4,7 @@ import "streamxpath/internal/sax"
 
 // DefaultChunkSize is the read granularity of the chunked reader entry
 // points (Filter.MatchReader, FilterSet.MatchReader,
-// ParallelFilterSet.MatchReader, StreamEvaluator.EvaluateReader) when no
+// FilterPool.MatchReader, StreamEvaluator.EvaluateReader) when no
 // chunk size has been set.
 const DefaultChunkSize = sax.DefaultChunkSize
 
@@ -20,7 +20,7 @@ type ReaderStats struct {
 	BytesConsumed int64
 	// Chunks is the number of non-empty reads.
 	Chunks int
-	// EarlyExit reports that reading stopped before end of input because
+	// EarlyExit reports that reading stopped inside the document because
 	// every verdict was decided. The unread remainder (and any unread
 	// suffix of the last chunk) was not validated.
 	EarlyExit bool

@@ -5,74 +5,93 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// referenceTokenizerUsers are the directories whose non-test code may
-// construct the string tokenizer (sax.NewTokenizer, or sax.Parse, which
-// wraps one): the tokenizer's own package, the document trees every oracle
-// is built on, the paper's reference filter and evaluators, and the
-// programs that demonstrate those.
-var referenceTokenizerUsers = []string{
-	"internal/sax", "internal/tree", "internal/core", "internal/streameval", "internal/commcc",
-	"cmd/xpexperiments", "examples",
+// restricted lists constructors that only some of the repository's non-test
+// code may name: the package that declares them, and the directories and
+// files allowed to.
+var restricted = []struct {
+	pkg     string
+	names   []string
+	allowed []string
+}{
+	// The string tokenizer (sax.NewTokenizer, or sax.Parse, which wraps
+	// one) is the independent side of every differential —
+	// FuzzTokenizerBytes checks the byte tokenizer against it, internal/tree
+	// and so internal/semantics parse with it, internal/core runs on its
+	// events — which is worth something only while nothing that ships
+	// tokenizes with it too: its own package, the document trees every
+	// oracle is built on, the paper's reference filter and evaluators, and
+	// the programs that demonstrate those.
+	{"streamxpath/internal/sax", []string{"NewTokenizer", "Parse"}, []string{
+		"internal/sax", "internal/tree", "internal/core", "internal/streameval", "internal/commcc",
+		"cmd/xpexperiments", "examples",
+	}},
+	// The event-sharded matcher and the chooser over it stay for the
+	// benchmark ledger that measured them (ROADMAP 2(a)); everything that
+	// ships matches concurrently on the replica pool.
+	{"streamxpath", []string{"NewParallelFilterSet", "NewAdaptiveFilterSet"}, []string{"parallelset.go", "bench"}},
+	{"streamxpath/internal/parallel", []string{"NewSharded", "NewAuto"}, []string{"parallelset.go", "internal/parallel", "bench"}},
 }
 
-// TestStringTokenizerIsReferenceOnly pins sax.Tokenizer's role. It is the
-// independent side of every differential — FuzzTokenizerBytes checks the
-// byte tokenizer against it, internal/tree and so internal/semantics parse
-// with it, internal/core runs on its events — which is worth something only
-// while nothing that ships tokenizes with it too.
+// TestStringTokenizerIsReferenceOnly pins sax.Tokenizer's role, and with
+// the same walk every other entry of restricted.
 func TestStringTokenizerIsReferenceOnly(t *testing.T) {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); path != "." && strings.HasPrefix(name, ".") {
+			if name := d.Name(); p != "." && strings.HasPrefix(name, ".") {
 				return filepath.SkipDir // .git, .bench_build
 			}
-			for _, dir := range referenceTokenizerUsers {
-				if filepath.ToSlash(path) == dir {
-					return filepath.SkipDir
-				}
-			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		p = filepath.ToSlash(p)
+		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		pkg := ""
-		for _, imp := range file.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "streamxpath/internal/sax" {
-				pkg = "sax"
-				if imp.Name != nil {
-					pkg = imp.Name.Name
+		for _, r := range restricted {
+			if slices.ContainsFunc(r.allowed, func(a string) bool { return p == a || strings.HasPrefix(p, a+"/") }) {
+				continue
+			}
+			// Inside the declaring package the names are bare identifiers;
+			// elsewhere they are selected from the file's name for it.
+			home := path.Dir(p) == path.Join(".", strings.TrimPrefix(r.pkg, "streamxpath"))
+			pkg := ""
+			for _, imp := range file.Imports {
+				if ip, _ := strconv.Unquote(imp.Path.Value); ip == r.pkg {
+					pkg = path.Base(r.pkg)
+					if imp.Name != nil {
+						pkg = imp.Name.Name
+					}
 				}
 			}
-		}
-		if pkg == "" {
-			return nil
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && pkg != "" && x.Name == pkg && slices.Contains(r.names, n.Sel.Name) {
+						t.Errorf("%s: %s.%s named outside %v", fset.Position(n.Pos()), pkg, n.Sel.Name, r.allowed)
+					}
+				case *ast.Ident:
+					if home && slices.Contains(r.names, n.Name) {
+						t.Errorf("%s: %s named outside %v", fset.Position(n.Pos()), n.Name, r.allowed)
+					}
+				}
 				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg && (sel.Sel.Name == "NewTokenizer" || sel.Sel.Name == "Parse") {
-				t.Errorf("%s: %s.%s constructs the reference tokenizer outside %v",
-					fset.Position(sel.Pos()), pkg, sel.Sel.Name, referenceTokenizerUsers)
-			}
-			return true
-		})
+			})
+		}
 		return nil
 	})
 	if err != nil {

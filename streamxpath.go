@@ -21,12 +21,9 @@
 //     for predicated ones — matched against each document in a single
 //     pass with per-event cost governed by structure sharing rather than
 //     subscription count;
-//   - parallel dissemination across cores, behind the same methods as
-//     FilterSet: FilterPool runs full engine replicas matching whole
-//     documents concurrently for feed workloads; ParallelFilterSet shards
-//     the subscriptions over N engine instances bound to one concurrent
-//     symbol table and fans each document's (once-tokenized) event stream
-//     out to them; AdaptiveFilterSet picks between the two per document.
+//   - dissemination across cores, behind the same methods as FilterSet:
+//     FilterPool runs full engine replicas bound to one concurrent symbol
+//     table, matching whole documents concurrently.
 //     Every Match*Result call, on every matcher, returns one MatchResult
 //     — verdicts, extracted fragments, abstain flag, reader and memory
 //     accounting — that is that call's own, however many run at once;

@@ -20,10 +20,11 @@ import (
 // child index and Remove unlinks the states no query passes through any
 // more, both in O(|query|); a SharedRunner bound to the automaton is told
 // which states' child sets changed and forgets only the memoized
-// transitions that depended on them. Unlinked state slots are tombstoned,
-// never reused, so a stale item set can never alias a new state; Slots
-// minus Size is the tombstone count an owner compacts on (by building a
-// fresh automaton with the same Add calls).
+// transitions that depended on them. An unlinked state's slot goes on a
+// free list and the next Add takes it, so Slots never exceeds the peak of
+// Size however long the automaton is patched. That cannot alias: Remove
+// drops every memoized item set holding the state before its slot is freed
+// (SharedRunner.dropSets), and a mutation abandons the document in flight.
 //
 // Like the single-query NFA, the merged automaton covers the /, //, *
 // fragment; predicates and attribute axes are routed by internal/engine to
@@ -31,7 +32,10 @@ import (
 type MergedNFA struct {
 	tab    *symtab.Table
 	states []mstate
-	live   int // states not tombstoned, the root included
+	// freeStates are the slots of unlinked states, handed out again before
+	// states grows; live counts the rest, the root included.
+	freeStates []int
+	live       int
 
 	// Output ids index the runner's match vector. outState maps an id to
 	// its accepting state (-1 while the id is free); freed ids are handed
@@ -98,8 +102,14 @@ func (m *MergedNFA) Add(q *query.Query) (int, error) {
 		}
 		next, ok := m.states[cur].kids[e]
 		if !ok {
-			next = len(m.states)
-			m.states = append(m.states, mstate{parent: cur, edge: e})
+			if k := len(m.freeStates); k > 0 {
+				next = m.freeStates[k-1]
+				m.freeStates = m.freeStates[:k-1]
+				m.states[next] = mstate{parent: cur, edge: e}
+			} else {
+				next = len(m.states)
+				m.states = append(m.states, mstate{parent: cur, edge: e})
+			}
 			m.live++
 			st := &m.states[cur]
 			if st.kids == nil {
@@ -155,6 +165,7 @@ func (m *MergedNFA) Remove(out int) {
 		}
 		if st.through == 0 {
 			*st = mstate{parent: -1}
+			m.freeStates = append(m.freeStates, cur)
 			m.live--
 			delete(m.states[parent].kids, e)
 			if m.runner != nil {
@@ -165,6 +176,9 @@ func (m *MergedNFA) Remove(out int) {
 		cur = parent
 	}
 	m.states[0].through--
+	if m.runner != nil {
+		m.runner.compact()
+	}
 }
 
 // childChanged records that state p gained (delta +1) or lost (-1) its
@@ -189,8 +203,8 @@ func (m *MergedNFA) childChanged(p int, e edge, delta int) {
 // shared-structure measure reported by engine statistics.
 func (m *MergedNFA) Size() int { return m.live }
 
-// Slots returns the number of state slots ever allocated: Size plus the
-// tombstones of unlinked states.
+// Slots returns the number of state slots allocated: Size plus the free
+// slots of unlinked states, which is the peak of Size.
 func (m *MergedNFA) Slots() int { return len(m.states) }
 
 // Outputs returns the number of output ids in use.
@@ -303,9 +317,11 @@ func (m *MergedNFA) under(items []int, s int) bool {
 type SharedRunner struct {
 	m *MergedNFA
 	// sets[id] is an interned item set, nil once dropped; index finds a set
-	// by its key.
-	sets  [][]int
-	index map[string]int
+	// by its key. dropped counts the nil entries, which compact squeezes out
+	// once they outnumber the rest.
+	sets    [][]int
+	index   map[string]int
+	dropped int
 	// rows[set][sym] holds the memoized successor set id + 1; 0 means not
 	// yet computed. Rows grow lazily to the symbol table's size.
 	rows [][]uint32
@@ -453,6 +469,53 @@ func (r *SharedRunner) drop(id int) {
 	delete(r.index, stateSet(r.sets[id]).key())
 	r.sets[id], r.rows[id] = nil, nil
 	r.stats.States--
+	r.dropped++
+}
+
+// compact renumbers the sets densely once the dropped ones outnumber the
+// live, so that what is indexed by set id stays proportional to the memo
+// however long the automaton is patched. It runs at the end of a Remove —
+// the only place sets are dropped — and costs one pass over the memo per
+// that many drops. The stack goes with the old numbering: the automaton
+// changed, so the document that built it has been abandoned.
+func (r *SharedRunner) compact() {
+	if r.dropped <= 64 || r.dropped <= r.stats.States {
+		return
+	}
+	renumbered := make([]uint32, len(r.sets)) // new id + 1; 0 for a dropped set
+	n := 0
+	for id, set := range r.sets {
+		if set != nil {
+			r.sets[n], r.rows[n] = set, r.rows[id]
+			n++
+			renumbered[id] = uint32(n)
+		}
+	}
+	clear(r.sets[n:])
+	clear(r.rows[n:])
+	r.sets, r.rows = r.sets[:n], r.rows[:n]
+	for _, row := range r.rows {
+		for sym, to := range row {
+			if to != 0 {
+				row[sym] = renumbered[to-1]
+			}
+		}
+	}
+	for k, id := range r.index {
+		r.index[k] = int(renumbered[id]) - 1
+	}
+	for s, ids := range r.setsOf {
+		live := ids[:0]
+		for _, id := range ids {
+			if to := renumbered[id]; to != 0 {
+				live = append(live, int(to)-1)
+			}
+		}
+		r.setsOf[s] = live
+	}
+	r.startID = int(renumbered[r.startID]) - 1
+	r.stack = r.stack[:0]
+	r.dropped = 0
 }
 
 // StartDocument begins a document.

@@ -207,9 +207,9 @@ func TestMergedUndecidedDeadStateAnalysis(t *testing.T) {
 	}
 }
 
-// TestMergedRemoveUnlinksAndReusesOutputs: Remove frees the output id for
-// the next Add and unlinks exactly the states no other query passes
-// through, leaving their slots as tombstones.
+// TestMergedRemoveUnlinksAndReusesOutputs: Remove frees the output id and
+// unlinks exactly the states no other query passes through, and the next Add
+// takes the freed id and the freed state slots before either vector grows.
 func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 	m := NewMergedNFA(nil)
 	var outs []int
@@ -231,15 +231,76 @@ func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 	if m.Size() != 3 || m.Slots() != 6 {
 		t.Fatalf("after removing //a/x//y: size %d slots %d, want 3 and 6", m.Size(), m.Slots())
 	}
-	out, err := m.Add(query.MustParse("/q"))
+	out, err := m.Add(query.MustParse("/q/r/s"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != outs[0] && out != outs[2] {
 		t.Fatalf("Add after two removals returned output %d, want a freed one of %v", out, outs)
 	}
-	if m.OutputCap() != 3 || m.Slots() != 7 {
-		t.Fatalf("output cap %d slots %d, want 3 (ids reused) and 7 (state slots are not)", m.OutputCap(), m.Slots())
+	if m.OutputCap() != 3 || m.Size() != 6 || m.Slots() != 6 {
+		t.Fatalf("output cap %d size %d slots %d, want 3, 6 and 6: ids and state slots are reused", m.OutputCap(), m.Size(), m.Slots())
+	}
+	if _, err := m.Add(query.MustParse("/q/r/t")); err != nil {
+		t.Fatal(err)
+	}
+	if m.Size() != 7 || m.Slots() != 7 {
+		t.Fatalf("size %d slots %d, want 7 and 7: the free list is empty, so the vector grows", m.Size(), m.Slots())
+	}
+}
+
+// TestMergedChurnStaysBounded: a runner that lives through thousands of
+// replacements, a document between each, matches as one built afresh does and
+// holds no more state slots than the automaton's peak and no more item-set
+// slots than a small multiple of the live sets — unlinked states are reused
+// and dropped sets squeezed out.
+func TestMergedChurnStaysBounded(t *testing.T) {
+	m := NewMergedNFA(nil)
+	r := NewSharedRunner(m)
+	const n = 100
+	outs := make([]int, n)
+	add := func(i int) {
+		out, err := m.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = out
+	}
+	for i := 0; i < n; i++ {
+		add(i)
+	}
+	peak := m.Slots()
+	for round := 0; round < 3000; round++ {
+		i := round % n
+		doc := sax.MustParse(fmt.Sprintf("<a><b%d><x><c/></x></b%d><b%d/></a>", i, i, (i+1)%n))
+		r.Reset()
+		feedMerged(r, doc)
+		if !r.Matched[outs[i]] || r.MatchedCount() != 1 {
+			t.Fatalf("round %d: matched %d outputs, b%d's: %v", round, r.MatchedCount(), i, r.Matched[outs[i]])
+		}
+		m.Remove(outs[i])
+		add(i)
+		if m.Slots() > peak+2 {
+			t.Fatalf("round %d: %d state slots, %d at the start", round, m.Slots(), peak)
+		}
+		if live := r.Stats().States; len(r.sets) > 2*live+65 {
+			t.Fatalf("round %d: %d item-set slots for %d live sets", round, len(r.sets), live)
+		}
+	}
+	fresh := NewMergedNFA(nil)
+	fr := NewSharedRunner(fresh)
+	for i := 0; i < n; i++ {
+		if _, err := fresh.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := sax.MustParse("<a><b1><c/></b1><b2><b3><c/></b3></b2><c/></a>")
+	r.Reset()
+	feedMerged(r, doc)
+	fr.Reset()
+	feedMerged(fr, doc)
+	if r.MatchedCount() != 2 || fr.MatchedCount() != 2 { // b1's and b2's
+		t.Fatalf("patched runner matched %d, fresh %d, want 2", r.MatchedCount(), fr.MatchedCount())
 	}
 }
 

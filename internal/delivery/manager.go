@@ -57,8 +57,12 @@ type Config struct {
 	DeadLetterDepth int
 	// Clock injects time (default the real clock).
 	Clock Clock
-	// Client injects the HTTP transport (default a fresh http.Client;
-	// per-attempt timeouts come from request contexts, not the client).
+	// Client injects the HTTP transport. The default is an http.Client on
+	// a transport of the manager's own that keeps as many idle connections
+	// per endpoint as a tenant has Workers: http.DefaultTransport keeps 2,
+	// so 4 workers posting to one endpoint would redial on every sixth
+	// delivery. Per-attempt timeouts come from request contexts, not the
+	// client.
 	Client Doer
 	// Jitter injects the backoff jitter source, a func returning [0,1)
 	// (default math/rand.Float64). Tests pin it to 1 for determinism.
@@ -95,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = RealClock()
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	if c.Jitter == nil {
 		c.Jitter = rand.Float64
@@ -183,6 +184,10 @@ type Stats struct {
 type Manager struct {
 	cfg Config
 
+	// transport is the default client's, nil when the caller injected one:
+	// the manager opened its connections, so Drain closes the idle ones.
+	transport *http.Transport
+
 	mu       sync.Mutex
 	pumps    map[string]*pump
 	draining bool
@@ -191,7 +196,13 @@ type Manager struct {
 
 // NewManager builds a manager from cfg (zero fields take defaults).
 func NewManager(cfg Config) *Manager {
-	return &Manager{cfg: cfg.withDefaults(), pumps: make(map[string]*pump)}
+	m := &Manager{cfg: cfg.withDefaults(), pumps: make(map[string]*pump)}
+	if m.cfg.Client == nil {
+		m.transport = http.DefaultTransport.(*http.Transport).Clone()
+		m.transport.MaxIdleConnsPerHost = m.cfg.Workers
+		m.cfg.Client = &http.Client{Transport: m.transport}
+	}
+	return m
 }
 
 // pumpFor returns (creating if needed) the named tenant's pump, or nil
@@ -346,6 +357,9 @@ func (m *Manager) Drain(ctx context.Context) int64 {
 	for _, p := range pumps {
 		p.teardown()
 		abandoned += p.abandoned.Load()
+	}
+	if m.transport != nil {
+		m.transport.CloseIdleConnections()
 	}
 	return abandoned
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -476,6 +479,60 @@ func TestDeliveryHammer(t *testing.T) {
 	}
 	if got, want := len(recv.delivered()), perTenant*len(tenants); got != want {
 		t.Fatalf("receiver acknowledged %d, want %d", got, want)
+	}
+}
+
+// TestDefaultClientKeepsAConnectionPerWorker: the default client holds as
+// many idle connections to an endpoint as the tenant has workers. 400
+// deliveries arrive in waves of 4 — the endpoint answers a wave only once all
+// four requests are in, so each wave needs four connections, and between
+// waves all four are idle. On http.DefaultTransport's 2 idle connections per
+// host every wave closes two and the next dials two (about 200 dials); the
+// manager's own transport dials 4 times in all.
+func TestDefaultClientKeepsAConnectionPerWorker(t *testing.T) {
+	const workers, waves = 4, 100
+	var (
+		dials   atomic.Int64
+		mu      sync.Mutex
+		arrived int
+		wave    = make(chan struct{})
+	)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		mu.Lock()
+		arrived++
+		full := wave
+		if arrived == workers {
+			arrived, wave = 0, make(chan struct{})
+			close(full)
+		}
+		mu.Unlock()
+		select {
+		case <-full:
+		case <-r.Context().Done():
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	m := NewManager(Config{Workers: workers})
+	defer m.Close()
+	for i := 1; i <= waves; i++ {
+		for j := 0; j < workers; j++ {
+			if !m.Enqueue("t", "s", Webhook{URL: srv.URL}, []byte(`{}`)) {
+				t.Fatalf("wave %d: delivery shed", i)
+			}
+		}
+		waitUntil(t, 10*time.Second, fmt.Sprintf("wave %d", i), func() bool { return m.Stats("t").Successes == int64(i*workers) })
+	}
+	if n := dials.Load(); n > workers {
+		t.Errorf("%d deliveries from %d workers opened %d connections, want at most %d", waves*workers, workers, n, workers)
 	}
 }
 

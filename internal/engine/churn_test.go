@@ -18,9 +18,10 @@ import (
 )
 
 // The churn differential: one engine lives through a random sequence of
-// Add, AddExtract and Remove calls, patching its indexes in place, and after
-// every few of them one document runs through it and through an engine
-// built from nothing with the subscriptions then standing. Everything a
+// Add, AddExtract, Remove and Rebuild calls, patching its indexes in place —
+// or, in Rebuild, recompiling them from the texts it kept — and after every
+// few of them one document runs through it and through an engine built from
+// nothing with the subscriptions then standing. Everything a
 // caller can observe must agree — per event, whether the verdicts are
 // decided and how many have latched; per document, the matched ids, the
 // fragments, the sizes of the shared structures, NeedsText and the
@@ -137,13 +138,20 @@ func churnDoc(d *dice) string {
 type churnSub struct {
 	id, src string
 	extract bool
+	// bare subscriptions are added as a tree with no Source, as one built by
+	// hand is: the engine keeps the tree's rendering instead.
+	bare bool
 }
 
 func (s churnSub) addTo(e *Engine) error {
-	if s.extract {
-		return e.AddExtract(s.id, query.MustParse(s.src))
+	q := query.MustParse(s.src)
+	if s.bare {
+		q.Source = ""
 	}
-	return e.Add(s.id, query.MustParse(s.src))
+	if s.extract {
+		return e.AddExtract(s.id, q)
+	}
+	return e.Add(s.id, q)
 }
 
 // runChurn plays data against one patched engine and returns its final
@@ -156,7 +164,7 @@ func runChurn(t testing.TB, data []byte) Stats {
 	var live []churnSub
 	serial := 0
 	add := func(src string, extract bool) {
-		s := churnSub{id: fmt.Sprintf("s%d", serial), src: src, extract: extract}
+		s := churnSub{id: fmt.Sprintf("s%d", serial), src: src, extract: extract, bare: serial%3 == 0}
 		serial++
 		if err := s.addTo(patched); err != nil {
 			t.Fatalf("Add(%s): %v", src, err)
@@ -178,14 +186,19 @@ func runChurn(t testing.TB, data []byte) Stats {
 					remove(len(live) - 1)
 				}
 			case k == 1:
-				// Enough one-off linear queries, removed again, to push the
-				// merged NFA's tombstones past its compaction threshold.
+				// A burst of one-off linear queries, removed again: the merged
+				// NFA's free list fills with 140 state slots for what follows
+				// to take, and the runner drops enough item sets to renumber.
 				for i := 0; i < 70; i++ {
 					add(fmt.Sprintf("/z/t%d/u", i), false)
 				}
 				for i := 0; i < 70; i++ {
 					remove(len(live) - 1)
 				}
+			case k == 2:
+				// The quarantine step: both indexes recompiled from the texts
+				// the engine kept, and patched on from there.
+				patched.Rebuild()
 			case k < 7 && len(live) > 0:
 				remove(d.n(len(live)))
 			default:
@@ -354,7 +367,7 @@ func TestEngineChurnMatchesFreshEngine(t *testing.T) {
 		rebuilds += runChurn(t, data).Rebuilds
 	}
 	if rebuilds == 0 {
-		t.Error("no run crossed the tombstone threshold; the compaction path went untested")
+		t.Error("no run called Rebuild; recompiling from the kept texts went untested")
 	}
 }
 
@@ -469,18 +482,20 @@ func TestEngineReplaceKeepsTheMemo(t *testing.T) {
 	}
 }
 
-// TestEngineTombstonesStayBounded: however long the churn, unlinked NFA
-// states never outnumber the live ones by more than the compaction slack.
-func TestEngineTombstonesStayBounded(t *testing.T) {
+// TestEngineStateSlotsAreReused: however long the churn, the merged NFA
+// holds no more state slots than its peak of live states — an unlinked
+// state's slot is the next Add's — and no index is ever recompiled for it.
+func TestEngineStateSlotsAreReused(t *testing.T) {
 	const n = 1000
 	e, doc := churnEngine(t, n)
+	peak := e.nfa.Size()
 	for i := 0; i < 5000; i++ {
 		if !e.Remove(fmt.Sprintf("s%d", i)) {
 			t.Fatalf("s%d is not subscribed", i)
 		}
 		mustAdd(t, e, fmt.Sprintf("s%d", n+i), fmt.Sprintf("//catalog/item/f%d", i%n))
-		if slots, live := e.nfa.Slots(), e.nfa.Size(); slots > 2*live+64 {
-			t.Fatalf("after %d replacements: %d state slots for %d live states", i+1, slots, live)
+		if slots := e.nfa.Slots(); slots > peak+1 {
+			t.Fatalf("after %d replacements: %d state slots, the peak of live states is %d", i+1, slots, peak)
 		}
 		if i%16 == 0 {
 			if got := run(t, e, doc); len(got) != 80 {
@@ -488,8 +503,58 @@ func TestEngineTombstonesStayBounded(t *testing.T) {
 			}
 		}
 	}
-	if st := e.Stats(); st.Rebuilds == 0 || st.SharedStates != n+2 {
-		t.Errorf("rebuilds=%d shared=%d, want some rebuilds and %d shared states", st.Rebuilds, st.SharedStates, n+2)
+	if st := e.Stats(); st.Rebuilds != 0 || st.SharedStates != n+2 {
+		t.Errorf("rebuilds=%d shared=%d, want no rebuilds and %d shared states", st.Rebuilds, st.SharedStates, n+2)
+	}
+}
+
+// TestEngineRebuildRecompilesFromText: the engine keeps a subscription's
+// text, not its tree, and Rebuild compiles both indexes from the texts — the
+// caller's own for a parsed query, the tree's rendering for one built by
+// hand, which Add refuses when it does not parse back.
+func TestEngineRebuildRecompilesFromText(t *testing.T) {
+	e := New()
+	e.SetCapture(CaptureSlice)
+	mustAdd(t, e, "lin", "//a/c")
+	bare := query.MustParse("//a[ b > 1 ]/c")
+	bare.Source = ""
+	if err := e.AddExtract("bare", bare); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.byID["bare"].text; got != bare.String() {
+		t.Fatalf("a tree without Source is kept as %q, want its rendering %q", got, bare.String())
+	}
+	mustAdd(t, e, "miss", "//a[b > 5]/c")
+	const doc = "<a><b>3</b><c>x</c></a>"
+	check := func(when string) {
+		t.Helper()
+		out, err := e.MatchBytes([]byte(doc), CaptureSlice)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if !slices.Equal(out.IDs, []string{"lin", "bare"}) {
+			t.Fatalf("%s: matched %v, want [lin bare]", when, out.IDs)
+		}
+		if len(out.Frags) != 1 || string(out.Frags[0].Data) != "<c>x</c>" {
+			t.Fatalf("%s: fragments %v, want bare's <c>x</c>", when, out.Frags)
+		}
+	}
+	check("before Rebuild")
+	before := e.Stats()
+	e.Rebuild()
+	check("after Rebuild")
+	after := e.Stats()
+	if after.Rebuilds != 1 || after.SpineSteps != before.SpineSteps || after.SharedStates != before.SharedStates || after.PredGroups != before.PredGroups {
+		t.Errorf("rebuilt %s\n  before %s", after, before)
+	}
+	odd := query.MustParse("//a/c")
+	odd.Source = ""
+	odd.Root.Successor.NTest = "a c" // renders as //a c/c, which is no query
+	if err := e.Add("odd", odd); err == nil {
+		t.Error("a hand-built tree whose rendering does not parse was accepted")
+	}
+	if e.Len() != 3 {
+		t.Errorf("%d subscriptions after the refused Add, want 3", e.Len())
 	}
 }
 

@@ -52,6 +52,13 @@
 // (Rebuild) is an empty index and the same per-subscription step in a
 // loop — and the merged NFA's lazily materialized DFA survives a mutation
 // but for the transitions out of the states it relinked.
+//
+// What a subscription costs to hold is its entries in those indexes and a
+// small record (subscription): once Add returns, neither the parse tree nor
+// the core.Program the trie was built from is reachable. The paper prices an
+// evaluator by what it must hold, and a standing set of 100,000 is held for
+// months; the compile scaffolding is read for microseconds. The one reader
+// that comes back for a query — Rebuild — parses its text again.
 package engine
 
 import (
@@ -77,13 +84,17 @@ const (
 	RouteTrie
 )
 
-// subscription is one standing query.
+// subscription is one standing query: what the engine retains of it beside
+// its entries in the route's index. The parse tree and the compiled
+// core.Program are temporaries of Add (see the package comment); all that is
+// kept of the query is its text.
 type subscription struct {
 	id string
-	q  *query.Query
-	// prog is the query's compiled form, which the trie is built from; a
-	// query routed to the merged NFA has none.
-	prog    *core.Program
+	// text is the query in surface syntax — the caller's own string when the
+	// query was parsed from one, which every replica of a pool then shares —
+	// and parses to the tree that was added (Add checks a hand-built tree's
+	// rendering once). Rebuild compiles from it.
+	text    string
 	route   Route
 	out     int // slot in the route's result vector
 	extract bool
@@ -91,9 +102,11 @@ type subscription struct {
 	// finds a subscription's position without an id → position map to
 	// renumber.
 	seq uint64
-	// fs is the query's frontier size FS(Q), computed once: FrontierSize
-	// walks the query tree allocating node slices. A linear query's is 1.
-	fs int
+	// fs is the query's frontier size FS(Q) and steps its node count less
+	// the root, both computed once, at Add. A linear query's FS is 1 and its
+	// nodes are its location steps, which is what Stats reads steps for.
+	fs    int
+	steps int
 }
 
 // result is what reading a document's results needs of one subscription:
@@ -141,7 +154,7 @@ type Engine struct {
 	process func(sax.ByteEvent) error
 	decided func() bool
 	ids     []string
-	// rebuilds counts the times an index was replaced by a fresh one.
+	// rebuilds counts the Rebuild calls.
 	rebuilds int
 
 	// Fragment-capture state. capMode is the caller-requested mode for the
@@ -158,8 +171,11 @@ type Engine struct {
 
 	// maxFS is the largest per-subscription frontier size: MemStats —
 	// called once per Match*Result document — must not walk the
-	// subscriptions for it.
-	maxFS int
+	// subscriptions for it, nor must Remove. fsCount[fs] counts the
+	// subscriptions of frontier size fs, so maxFS falls to the next value in
+	// use when the last subscription of the largest goes.
+	maxFS   int
+	fsCount []int
 
 	started  bool
 	finished bool
@@ -222,13 +238,25 @@ func (e *Engine) Limits() limits.Limits { return e.lim }
 // is the quarantine step after a recovered panic: matching state of unknown
 // integrity is thrown away wholesale instead of trusting Reset's in-place
 // sweeps, while subscriptions — never touched during matching — survive.
+// Each is compiled again from its text, at one parse apiece: the price of
+// not holding a tree per subscription for a path that runs after a bug.
 func (e *Engine) Rebuild() {
 	e.mutating()
 	e.rebuilds++
 	e.newNFARoute()
 	e.newTrieRoute()
-	for i := range e.subs {
-		e.link(i)
+	for i, s := range e.subs {
+		q, err := query.Parse(s.text)
+		var prog *core.Program
+		if err == nil && s.route == RouteTrie {
+			prog, err = core.NewProgram(q)
+		}
+		if err != nil {
+			// Add compiled this very text, or checked that it renders the
+			// tree it compiled.
+			panic(fmt.Sprintf("engine: subscription %q no longer compiles: %v", s.id, err))
+		}
+		e.link(i, q, prog)
 	}
 }
 
@@ -257,19 +285,21 @@ func (e *Engine) mutating() {
 	e.started = false
 }
 
-// link enters subscription i into the index of the route add chose for it
-// and records the result slot it was given.
-func (e *Engine) link(i int) {
+// link enters subscription i, whose query is q, into the index of the route
+// add chose for it and records the result slot it was given. prog is q
+// compiled, which the trie is built from; a query routed to the merged NFA
+// has none.
+func (e *Engine) link(i int, q *query.Query, prog *core.Program) {
 	s := e.subs[i]
 	if s.route == RouteNFA {
-		s.out, _ = e.nfa.Add(s.q) // add found the query linear
+		s.out, _ = e.nfa.Add(q) // add found the query linear
 		for len(e.nfaExtract) <= s.out {
 			e.nfaExtract = append(e.nfaExtract, false)
 			e.nfaFrags = append(e.nfaFrags, nil)
 		}
 		e.nfaExtract[s.out] = s.extract
 	} else {
-		s.out = e.tr.add(s.q, s.prog, s.extract)
+		s.out = e.tr.add(q, prog, s.extract)
 	}
 	e.results[i].out = int32(s.out)
 }
@@ -301,13 +331,26 @@ func (e *Engine) add(id string, q *query.Query, extract bool) error {
 	if _, dup := e.byID[id]; dup {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
 	}
-	s := &subscription{id: id, q: q, route: RouteNFA, extract: extract, seq: e.nextSeq, fs: 1}
+	s := &subscription{id: id, text: q.Source, route: RouteNFA, extract: extract, seq: e.nextSeq, fs: 1, steps: q.Size() - 1}
+	var prog *core.Program
 	if automaton.Linear(q) != nil {
-		prog, err := core.NewProgram(q)
-		if err != nil {
+		var err error
+		if prog, err = core.NewProgram(q); err != nil {
 			return err
 		}
-		s.route, s.prog, s.fs = RouteTrie, prog, fragment.FrontierSize(q)
+		s.route, s.fs = RouteTrie, fragment.FrontierSize(q)
+	}
+	if s.text == "" {
+		// A tree built by hand: keep its rendering, once it is seen to parse
+		// back to the same steps.
+		s.text = q.String()
+		back, err := query.Parse(s.text)
+		if err != nil {
+			return fmt.Errorf("engine: query renders as %q, which does not parse: %w", s.text, err)
+		}
+		if back.Key() != q.Key() {
+			return fmt.Errorf("engine: query renders as %q, which parses to other steps", s.text)
+		}
 	}
 	e.mutating()
 	e.nextSeq++
@@ -317,10 +360,12 @@ func (e *Engine) add(id string, q *query.Query, extract bool) error {
 	if extract {
 		e.extracting++
 	}
-	if s.fs > e.maxFS {
-		e.maxFS = s.fs
+	for len(e.fsCount) <= s.fs {
+		e.fsCount = append(e.fsCount, 0)
 	}
-	e.link(len(e.subs) - 1)
+	e.fsCount[s.fs]++
+	e.maxFS = max(e.maxFS, s.fs)
+	e.link(len(e.subs)-1, q, prog)
 	return nil
 }
 
@@ -339,28 +384,14 @@ func (e *Engine) Remove(id string) bool {
 	if s.extract {
 		e.extracting--
 	}
-	if s.fs == e.maxFS {
-		e.maxFS = 0
-		for _, o := range e.subs {
-			e.maxFS = max(e.maxFS, o.fs)
-		}
+	e.fsCount[s.fs]--
+	for e.maxFS > 0 && e.fsCount[e.maxFS] == 0 {
+		e.maxFS--
 	}
 	if s.route == RouteTrie {
 		e.tr.remove(s.out)
-		return true
-	}
-	e.nfa.Remove(s.out)
-	// Unlinked NFA states leave tombstones (see automaton.MergedNFA). Once
-	// they outnumber the live states the route is rebuilt, which costs one
-	// Add per subscription and comes round once per that many removals.
-	if dead := e.nfa.Slots() - e.nfa.Size(); dead > 64 && dead > e.nfa.Size() {
-		e.rebuilds++
-		e.newNFARoute()
-		for i, o := range e.subs {
-			if o.route == RouteNFA {
-				e.link(i)
-			}
-		}
+	} else {
+		e.nfa.Remove(s.out)
 	}
 	return true
 }
@@ -762,9 +793,8 @@ type Stats struct {
 	// materialized deterministic states and memoized transitions as they
 	// stand; DFAMaterialized counts the transitions ever computed, so its
 	// growth over a mutation is what the mutation made the runner forget.
-	// Rebuilds counts the times an index was replaced by a fresh one — by
-	// Rebuild, or when the merged NFA's tombstones outnumbered its states —
-	// losing its whole memo.
+	// Rebuilds counts the Rebuild calls, each of which replaced both indexes
+	// by fresh ones and lost the whole memo; Add and Remove never do.
 	DFAStates       int
 	DFATransitions  int
 	DFAMaterialized int
@@ -799,7 +829,7 @@ func (e *Engine) Stats() Stats {
 	for _, s := range e.subs {
 		if s.route == RouteNFA {
 			st.NFARouted++
-			nfaSteps += s.q.Size() - 1 // all nodes except the root are steps
+			nfaSteps += s.steps
 		} else {
 			st.TrieRouted++
 		}

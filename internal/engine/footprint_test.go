@@ -1,0 +1,85 @@
+//go:build !race
+
+package engine
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// heapAfterGC is the live heap: HeapAlloc after two collections, the second
+// of which frees what the first one's finalizers and sweep left behind.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSubscriptionFootprint pins what a standing subscription costs to hold:
+// its entries in the shared index and the subscription record, not the parse
+// tree and not the core.Program the index was built from (2.2 KB on the
+// trie route and 0.85 KB on the NFA route while both were kept). The shapes
+// are the benchmark's: fanout-pred's 1,000 thresholds × leaf names and churn's
+// one leaf name per subscription. Then a long replacement churn, documents
+// flowing, must leave the heap where it was: freed state slots, count ids,
+// result slots and item sets are all handed out again.
+func TestSubscriptionFootprint(t *testing.T) {
+	const n = 2000
+	for _, tc := range []struct {
+		name  string
+		query func(i int) string
+		limit float64 // bytes per subscription
+	}{
+		{"fanout-pred", func(i int) string { return fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10) }, 1100},
+		{"churn", func(i int) string { return fmt.Sprintf("//catalog/item/f%d", i) }, 700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The texts and ids are the caller's; they are built first so that
+			// the measurement is of what the engine adds to them.
+			ids, texts := make([]string, n+5000), make([]string, n)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("s%d", i)
+			}
+			for i := range texts {
+				texts[i] = tc.query(i)
+			}
+			_, doc := churnEngine(t, 0)
+			before := heapAfterGC()
+			e := New()
+			for i := 0; i < n; i++ {
+				mustAdd(t, e, ids[i], texts[i])
+			}
+			held := heapAfterGC()
+			per := float64(held-before) / n
+			t.Logf("%s: %.0f bytes per subscription", tc.name, per)
+			if per > tc.limit {
+				t.Errorf("%s: a subscription holds %.0f bytes, want at most %.0f", tc.name, per, tc.limit)
+			}
+			want := run(t, e, doc)
+			warm := heapAfterGC()
+			for i := 0; i < 5000; i++ {
+				if !e.Remove(ids[i]) {
+					t.Fatalf("%s is not subscribed", ids[i])
+				}
+				mustAdd(t, e, ids[n+i], texts[i%n])
+				if i%16 == 0 {
+					if got := run(t, e, doc); len(got) != len(want) {
+						t.Fatalf("after %d replacements: %d matches, want %d", i+1, len(got), len(want))
+					}
+				}
+			}
+			run(t, e, doc)
+			// A slice that doubled once during the churn is slack, not growth:
+			// allow a twentieth of what the set holds.
+			if after := heapAfterGC(); after > warm+(held-before)/20 {
+				t.Errorf("%s: 5,000 replacements grew the heap from %d to %d bytes", tc.name, warm, after)
+			}
+			if st := e.Stats(); st.Rebuilds != 0 || st.Subscriptions != n {
+				t.Errorf("%s: rebuilds=%d subscriptions=%d, want 0 and %d", tc.name, st.Rebuilds, st.Subscriptions, n)
+			}
+		})
+	}
+}

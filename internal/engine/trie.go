@@ -72,6 +72,8 @@ type tnode struct {
 	// subscriptions passing through this node. Unlike conj they are NOT
 	// conjunctive with one another: each belongs to different
 	// subscriptions, and its subtree succeeds or fails independently.
+	// succIndex finds one by its step key; nil until the first, as most
+	// nodes of a wide standing set are leaves.
 	succ      []*tnode
 	succIndex map[string]*tnode
 	// groups are the predicate groups among the continuations, by group key
@@ -290,7 +292,7 @@ type trie struct {
 
 func newTrie(tab *symtab.Table) *trie {
 	t := &trie{tab: tab}
-	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, succIndex: map[string]*tnode{}, sk: &skel{}, id: t.newID()}
+	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, sk: &skel{}, id: t.newID()}
 	t.addMember(t.root)
 	return t
 }
@@ -325,6 +327,9 @@ func (t *trie) internNTest(n *tnode) {
 func (t *trie) link(p, n *tnode) {
 	was := p.opens()
 	n.succPos = len(p.succ)
+	if p.succIndex == nil {
+		p.succIndex = map[string]*tnode{}
+	}
 	p.succIndex[n.key] = n
 	p.succ = append(p.succ, n)
 	t.counts[p.id]++
@@ -379,14 +384,13 @@ func (t *trie) add(q *query.Query, prog *core.Program, extract bool) int {
 		child := cur.succIndex[key]
 		if child == nil {
 			child = &tnode{
-				kind:      kindSpine,
-				axis:      u.Axis,
-				ntest:     u.NTest,
-				succIndex: map[string]*tnode{},
-				parent:    cur,
-				key:       key,
-				spinePos:  len(t.spineNodes),
-				id:        t.newID(),
+				kind:     kindSpine,
+				axis:     u.Axis,
+				ntest:    u.NTest,
+				parent:   cur,
+				key:      key,
+				spinePos: len(t.spineNodes),
+				id:       t.newID(),
 			}
 			t.internNTest(child)
 			cur.sk.enter(child)

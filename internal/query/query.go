@@ -15,6 +15,8 @@ package query
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"streamxpath/internal/value"
@@ -199,7 +201,7 @@ func writeSuccession(b *strings.Builder, n *Node, rel bool) {
 				b.WriteString("//")
 			}
 		case AxisAttribute:
-			if !rel || !first {
+			if !first {
 				b.WriteByte('/')
 			}
 			b.WriteByte('@')
@@ -285,6 +287,21 @@ func (e *Expr) BoolOutput() bool {
 	return false
 }
 
+// writeLiteral renders a string constant as the lexer reads one: verbatim
+// between the quotes it does not contain — the syntax has no escapes. A
+// string holding both kinds, which no parsed query has, is written Go-quoted:
+// not surface syntax, but still one rendering per constant, as StepKey needs.
+func writeLiteral(b *strings.Builder, s string) {
+	switch {
+	case !strings.Contains(s, `"`):
+		b.WriteString(`"` + s + `"`)
+	case !strings.Contains(s, `'`):
+		b.WriteString(`'` + s + `'`)
+	default:
+		fmt.Fprintf(b, "%q", s)
+	}
+}
+
 // String renders the expression in surface syntax.
 func (e *Expr) String() string {
 	var b strings.Builder
@@ -292,12 +309,67 @@ func (e *Expr) String() string {
 	return b.String()
 }
 
+// The binding strength of an expression, as the parser's descent orders it:
+// what a production may hold without parentheses is anything that binds at
+// least as tightly as its operands are parsed.
+const (
+	precOr = iota + 1
+	precAnd
+	precCompare // comparisons and not(...)
+	precAdditive
+	precMultiplicative
+	precUnary
+	precPrimary
+)
+
+func (e *Expr) prec() int {
+	switch e.Kind {
+	case ExprLogic:
+		switch e.Op {
+		case "or":
+			return precOr
+		case "and":
+			return precAnd
+		}
+		return precCompare
+	case ExprCompare:
+		return precCompare
+	case ExprArith:
+		if e.Op == "+" || e.Op == "-" {
+			return precAdditive
+		}
+		return precMultiplicative
+	case ExprNeg:
+		return precUnary
+	}
+	return precPrimary
+}
+
+// writeAt renders e where the grammar expects an operand binding at least
+// as tightly as min, parenthesized if it binds more loosely.
+func (e *Expr) writeAt(b *strings.Builder, min int) {
+	if e.prec() >= min {
+		e.write(b)
+		return
+	}
+	b.WriteByte('(')
+	e.write(b)
+	b.WriteByte(')')
+}
+
+// write renders e so that parsing the text gives e back: two expressions
+// render alike only if they are the same tree, which is what lets StepKey
+// stand for a step's predicate and the engine keep a query as its text.
 func (e *Expr) write(b *strings.Builder) {
 	switch e.Kind {
 	case ExprConst:
-		if e.Const.IsString() {
-			fmt.Fprintf(b, "%q", e.Const.Str())
-		} else {
+		switch f := e.Const.Num(); {
+		case e.Const.IsString():
+			writeLiteral(b, e.Const.Str())
+		case e.Const.IsNumber() && !math.IsNaN(f) && !math.IsInf(f, 0):
+			// Digits only: the lexer reads no exponent.
+			b.WriteString(strconv.FormatFloat(f, 'f', -1, 64))
+		default:
 			b.WriteString(e.Const.String())
 		}
 	case ExprPath:
@@ -309,30 +381,32 @@ func (e *Expr) write(b *strings.Builder) {
 			b.WriteByte(')')
 			return
 		}
+		// The parser flattens a chain of one operator into one node, so an
+		// operand with the same operator was parenthesized in the source.
 		for i, a := range e.Args {
 			if i > 0 {
 				b.WriteByte(' ')
 				b.WriteString(e.Op)
 				b.WriteByte(' ')
 			}
-			needParens := a.Kind == ExprLogic && a.Op != "not" && a.Op != e.Op
-			if needParens {
-				b.WriteByte('(')
-			}
-			a.write(b)
-			if needParens {
-				b.WriteByte(')')
-			}
+			a.writeAt(b, e.prec()+1)
 		}
 	case ExprCompare, ExprArith:
-		e.Args[0].write(b)
+		// A comparison takes an additive operand on either side and does not
+		// chain; arithmetic is left-associative, so its right operand must
+		// bind tighter than the operator itself.
+		left, right := precAdditive, precAdditive
+		if e.Kind == ExprArith {
+			left, right = e.prec(), e.prec()+1
+		}
+		e.Args[0].writeAt(b, left)
 		b.WriteByte(' ')
 		b.WriteString(e.Op)
 		b.WriteByte(' ')
-		e.Args[1].write(b)
+		e.Args[1].writeAt(b, right)
 	case ExprNeg:
 		b.WriteByte('-')
-		e.Args[0].write(b)
+		e.Args[0].writeAt(b, precUnary)
 	case ExprFunc:
 		b.WriteString(e.Op)
 		b.WriteByte('(')
@@ -340,7 +414,7 @@ func (e *Expr) write(b *strings.Builder) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			a.write(b)
+			a.writeAt(b, precAdditive)
 		}
 		b.WriteByte(')')
 	}

@@ -24,6 +24,12 @@ func TestStepKeyDistinguishes(t *testing.T) {
 		{`/a[b > 5]`, `/a[b > 6]`},
 		{`/a[b and c]`, `/a[c and b]`}, // order-sensitive: unification is an optimization, not semantics
 		{`/a/*`, `/a/b`},
+		// A key is a rendering, so the rendering keeps the source's grouping:
+		// these compute different values and must not share a trie step.
+		{`/a[(b + 2) * 3 = 9]`, `/a[b + 2 * 3 = 9]`},
+		{`/a[b - (c - 1) = 0]`, `/a[b - c - 1 = 0]`},
+		{`/a[-(b + 1) = 0]`, `/a[-b + 1 = 0]`},
+		{`/a[b = 'x" and c = "y']`, `/a[b = "x" and c = "y"]`},
 	}
 	for _, c := range cases {
 		q1, q2 := MustParse(c[0]), MustParse(c[1])

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sync"
 
 	"streamxpath"
 	"streamxpath/internal/delivery"
@@ -439,6 +440,31 @@ type matchResponse struct {
 	} `json:"stats"`
 }
 
+// bodyPool holds the buffers Content-Length bodies are read into, and
+// maxPooledBody is the largest body that gets one.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// readBody reads a request body of declared length. A body of ordinary size
+// goes into a pooled buffer sized by that length — io.ReadAll would grow a
+// fresh one from 512 bytes for every request; release hands the buffer back,
+// after which the document must not be read. A larger body is grown as it
+// arrives, so that a length merely declared allocates nothing.
+func readBody(r *http.Request) (doc []byte, release func(), err error) {
+	if r.ContentLength > maxPooledBody {
+		doc, err = io.ReadAll(r.Body)
+		return doc, func() {}, err
+	}
+	buf := bodyPool.Get().(*[]byte)
+	if int64(cap(*buf)) < r.ContentLength {
+		*buf = make([]byte, r.ContentLength)
+	}
+	doc = (*buf)[:r.ContentLength]
+	_, err = io.ReadFull(r.Body, doc)
+	return doc, func() { bodyPool.Put(buf) }, err
+}
+
 // handleMatch ingests one document and answers with the verdict set.
 // Bodies that arrived with a Content-Length are buffered and matched on
 // the MatchBytes fast path (subject to the server's -max-body cap);
@@ -463,12 +489,16 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 				r.ContentLength, max)
 			return
 		}
-		doc, err := io.ReadAll(r.Body)
+		doc, release, err := readBody(r)
 		if err != nil {
+			release()
 			writeError(w, http.StatusBadRequest, "bad_body", "reading document: %v", err)
 			return
 		}
+		// MatchBuffered copies the fragments it reports (finishRLocked) and
+		// keeps nothing else of the document, so the buffer goes straight back.
 		res, err = t.MatchBuffered(doc)
+		release()
 		if err != nil {
 			writeMatchError(w, tenant, err)
 			return

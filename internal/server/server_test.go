@@ -1,16 +1,19 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"streamxpath"
@@ -613,4 +616,79 @@ func TestVersionFlagSmoke(t *testing.T) {
 	if err := bad.Finish(); err == nil {
 		t.Fatal("Finish accepted -on-limit nope")
 	}
+}
+
+// TestMatchShortBody: a buffered body that ends before its declared
+// Content-Length is a 400 bad_body, read into a pooled buffer or not.
+func TestMatchShortBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	seedTenant(t, ts.URL, "short")
+	for _, declared := range []int{64, maxPooledBody + 1} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST /v1/tenants/short/match HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n<news><item/>", declared)
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("Content-Length %d: %v", declared, err)
+		}
+		raw, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		conn.Close()
+		if got := (resp{status: r.StatusCode, body: raw}); got.status != http.StatusBadRequest || errCode(t, got) != "bad_body" {
+			t.Fatalf("Content-Length %d: status %d: %s", declared, got.status, raw)
+		}
+	}
+}
+
+// TestMatchBodiesDoNotMix: the buffered path reads bodies into pooled
+// buffers and hands each back when its match returns. Two tenants posting
+// at once must each get fragments of their own documents only — under -race
+// a buffer handed back while anything still read it would also be a reported
+// race.
+func TestMatchBodiesDoNotMix(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	tenants := []string{"left", "right"}
+	for _, tn := range tenants {
+		r := do(t, "PUT", ts.URL+"/v1/tenants/"+tn+"/subscriptions/who",
+			strings.NewReader(`{"query": "/doc/owner", "extract": true}`))
+		if r.status != http.StatusCreated {
+			t.Fatalf("PUT subscription for %s: status %d: %s", tn, r.status, r.body)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		tn := tenants[g%2]
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				// Documents of varying length, so the buffers change hands
+				// between sizes as well as between tenants.
+				want := fmt.Sprintf("<owner>%s-%d-%d</owner>", tn, g, i)
+				doc := "<doc>" + strings.Repeat("<pad/>", 20*(i%50)) + want + "</doc>"
+				r, err := http.Post(ts.URL+"/v1/tenants/"+tn+"/match", "application/xml", strings.NewReader(doc))
+				if err != nil {
+					t.Errorf("%s: %v", tn, err)
+					return
+				}
+				var mr matchResponse
+				err = json.NewDecoder(r.Body).Decode(&mr)
+				r.Body.Close()
+				if err != nil || r.StatusCode != http.StatusOK {
+					t.Errorf("%s: document %d: status %d, %v", tn, i, r.StatusCode, err)
+					return
+				}
+				if got := mr.Fragments["who"]; got != want {
+					t.Errorf("%s: document %d: fragment %q, want %q", tn, i, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -616,8 +616,9 @@ func BenchmarkFilterSet(b *testing.B) {
 // query back under a new id, and matches one document — the mutation ack a
 // caller waits for. The nfa arms hold "shared" subscriptions (all on the
 // merged NFA), the trie arms "predshared" ones (all on the frontier trie).
-// The change is O(|query|), so the arms should read alike across set sizes
-// but for the per-document O(subscriptions) reset and result sweep.
+// The change is O(|query|) in the indexes, and the document costs what it
+// matches, so the arms should read alike across set sizes but for Remove's
+// shift of the flat subscription and result vectors.
 func BenchmarkFilterSetChurn(b *testing.B) {
 	doc := []byte(disseminationDoc(40))
 	for _, route := range []struct{ name, topology string }{{"nfa", "shared"}, {"trie", "predshared"}} {

@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"slices"
 	"sort"
 
 	"streamxpath/internal/query"
@@ -134,6 +135,9 @@ func (m *MergedNFA) Add(q *query.Query) (int, error) {
 	}
 	m.states[cur].outputs = append(m.states[cur].outputs, out)
 	m.outputs++
+	if m.runner != nil {
+		m.runner.accept(cur, out, true)
+	}
 	return out, nil
 }
 
@@ -154,6 +158,9 @@ func (m *MergedNFA) Remove(out int) {
 		}
 	}
 	m.outputs--
+	if m.runner != nil {
+		m.runner.accept(cur, out, false)
+	}
 	// through never grows downwards, so the emptied states are a suffix of
 	// the path and each is a leaf by the time the walk reaches it.
 	for cur != 0 {
@@ -309,8 +316,10 @@ func (m *MergedNFA) under(items []int, s int) bool {
 // dissemination engine's would, and across the automaton's Add and Remove:
 // a row depends only on the child sets of the states in its item set, so a
 // mutation zeroes the entries under the states it relinked and nothing
-// else. What a set accepts is read from its states when it is entered, so
-// a change of outputs alone touches no row at all.
+// else. What a set accepts is a list kept beside it — the outputs of its
+// fresh states, gathered when the set is interned — so entering a set reads
+// one list and no state; a change of outputs edits the lists of the sets
+// holding the state it happened at, and touches no row.
 //
 // The automaton must not change between StartDocument and the document's
 // last event.
@@ -325,6 +334,9 @@ type SharedRunner struct {
 	// rows[set][sym] holds the memoized successor set id + 1; 0 means not
 	// yet computed. Rows grow lazily to the symbol table's size.
 	rows [][]uint32
+	// accepts[set] lists the outputs of the set's fresh states, the ones
+	// entering it latches.
+	accepts [][]int
 	// setsOf[state] lists the ids of the sets holding the state in either
 	// mode — where a change of its children has to be forgotten. Ids of
 	// dropped sets are swept out on the next visit.
@@ -334,8 +346,10 @@ type SharedRunner struct {
 	stack   []int
 	depth   int // levels processed while short-circuited
 	// Matched[out] latches output out; it covers the automaton's OutputCap
-	// as of the last Reset.
+	// as of the last Reset. latched lists the outputs it holds true, so that
+	// Reset clears what the document matched, not the whole vector.
 	Matched []bool
+	latched []int
 	left    int // outputs not yet matched
 	// liveLeft counts the outputs whose verdict is still open. XML has
 	// exactly one root element (the tokenizers reject a second), so the
@@ -369,14 +383,18 @@ func NewSharedRunner(m *MergedNFA) *SharedRunner {
 }
 
 // Reset clears the per-document state (stack and matches) but keeps the
-// memoized transition rows. It does not allocate once warm.
+// memoized transition rows. It does not allocate once warm, and costs what
+// the last document matched, not what is subscribed.
 func (r *SharedRunner) Reset() {
 	r.stack = r.stack[:0]
 	r.depth = 0
 	if n := r.m.OutputCap(); n > len(r.Matched) {
 		r.Matched = append(r.Matched, make([]bool, n-len(r.Matched))...)
 	}
-	clear(r.Matched)
+	for _, out := range r.latched {
+		r.Matched[out] = false
+	}
+	r.latched = r.latched[:0]
 	r.left = r.m.outputs
 	r.liveLeft = r.left
 	r.stats.PeakStack = 0
@@ -391,6 +409,13 @@ func (r *SharedRunner) intern(items []int) int {
 	r.sets = append(r.sets, items)
 	r.index[k] = id
 	r.rows = append(r.rows, nil)
+	var acc []int
+	for _, it := range items {
+		if it&loopingBit == 0 {
+			acc = append(acc, r.m.states[it>>1].outputs...)
+		}
+	}
+	r.accepts = append(r.accepts, acc)
 	if n := r.m.Slots(); n > len(r.setsOf) {
 		r.setsOf = append(r.setsOf, make([][]int, n-len(r.setsOf))...)
 	}
@@ -427,6 +452,24 @@ func (r *SharedRunner) holders(s int) []int {
 	}
 	r.setsOf[s] = live
 	return live
+}
+
+// accept enters out into (add) or withdraws it from the accept lists of the
+// sets holding state s fresh: s has just gained or lost out as an output.
+func (r *SharedRunner) accept(s, out int, add bool) {
+	for _, id := range r.holders(s) {
+		if !stateSet(r.sets[id]).contains(s << 1) {
+			continue
+		}
+		acc := r.accepts[id]
+		if add {
+			r.accepts[id] = append(acc, out)
+			continue
+		}
+		i := slices.Index(acc, out)
+		acc[i] = acc[len(acc)-1]
+		r.accepts[id] = acc[:len(acc)-1]
+	}
 }
 
 // invalidate forgets the transitions a change of state p's child along sym
@@ -467,7 +510,7 @@ func (r *SharedRunner) dropSets(s int) {
 func (r *SharedRunner) drop(id int) {
 	r.clearRow(id)
 	delete(r.index, stateSet(r.sets[id]).key())
-	r.sets[id], r.rows[id] = nil, nil
+	r.sets[id], r.rows[id], r.accepts[id] = nil, nil, nil
 	r.stats.States--
 	r.dropped++
 }
@@ -486,14 +529,15 @@ func (r *SharedRunner) compact() {
 	n := 0
 	for id, set := range r.sets {
 		if set != nil {
-			r.sets[n], r.rows[n] = set, r.rows[id]
+			r.sets[n], r.rows[n], r.accepts[n] = set, r.rows[id], r.accepts[id]
 			n++
 			renumbered[id] = uint32(n)
 		}
 	}
 	clear(r.sets[n:])
 	clear(r.rows[n:])
-	r.sets, r.rows = r.sets[:n], r.rows[:n]
+	clear(r.accepts[n:])
+	r.sets, r.rows, r.accepts = r.sets[:n], r.rows[:n], r.accepts[:n]
 	for _, row := range r.rows {
 		for sym, to := range row {
 			if to != 0 {
@@ -531,7 +575,9 @@ func (r *SharedRunner) StartDocument() {
 // index). The liveLeft shortcut applies only inside an element (stack
 // depth > 1): a start at depth 1 would be a new root, whose subtree the
 // live count does not describe, so it is processed in full and recounts.
-// Warm transitions touch no map and allocate nothing.
+// Warm transitions touch no map and allocate nothing, and what they latch
+// is the entered set's accept list: the trie's states are read once per
+// document, for the root element's reach, and not per element.
 func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 	if len(r.stack) == 0 || r.left == 0 || (r.liveLeft == 0 && len(r.stack) > 1) {
 		r.depth++
@@ -568,18 +614,14 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 		r.stats.Materialized++
 		r.stats.Symbols = r.m.tab.Len() - 1
 	}
-	for _, it := range r.sets[nextID] {
-		if it&loopingBit != 0 {
-			continue
-		}
-		for _, out := range r.m.states[it>>1].outputs {
-			if !r.Matched[out] {
-				r.Matched[out] = true
-				r.left--
-				r.liveLeft--
-				if r.OnMatch != nil {
-					r.OnMatch(out)
-				}
+	for _, out := range r.accepts[nextID] {
+		if !r.Matched[out] {
+			r.Matched[out] = true
+			r.latched = append(r.latched, out)
+			r.left--
+			r.liveLeft--
+			if r.OnMatch != nil {
+				r.OnMatch(out)
 			}
 		}
 	}
@@ -623,6 +665,10 @@ func (r *SharedRunner) Undecided() int { return r.liveLeft }
 
 // MatchedCount returns the number of outputs latched so far.
 func (r *SharedRunner) MatchedCount() int { return r.m.outputs - r.left }
+
+// Latched returns the outputs latched since the last Reset, in latch order.
+// The slice is the runner's own, valid until the next Reset.
+func (r *SharedRunner) Latched() []int { return r.latched }
 
 // Stats returns the lazy-determinization memory accounting.
 func (r *SharedRunner) Stats() DFAStats { return r.stats }

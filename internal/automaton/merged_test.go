@@ -3,6 +3,7 @@ package automaton
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamxpath/internal/query"
@@ -408,4 +409,206 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// draws is where a patch run (runPatch) reads its decisions: a byte string,
+// each byte answering one draw, or — while the seed corpus is recorded —
+// TestMergedUndecidedMatchesWalk's random source, each draw appended to data
+// as the byte that answers it the same way.
+type draws struct {
+	data []byte
+	pos  int
+	rng  *rand.Rand
+}
+
+func (d *draws) n(k int) int {
+	if d.rng != nil {
+		v := d.rng.Intn(k)
+		d.data = append(d.data, byte(v))
+		return v
+	}
+	if d.pos >= len(d.data) {
+		return 0
+	}
+	v := int(d.data[d.pos]) % k
+	d.pos++
+	return v
+}
+
+func (d *draws) done() bool { return d.rng == nil && d.pos >= len(d.data) }
+
+// patchQuery and patchDoc draw what TestMergedUndecidedMatchesWalk draws:
+// one to three steps over a, b, c and *, and a tree over a, b and c at most
+// four levels deep.
+func patchQuery(d *draws) string {
+	src := ""
+	for j := 1 + d.n(3); j > 0; j-- {
+		src += []string{"/", "//"}[d.n(2)] + []string{"a", "b", "c", "*"}[d.n(4)]
+	}
+	return src
+}
+
+func patchDoc(d *draws) []sax.Event {
+	doc := []sax.Event{sax.StartDoc()}
+	var elem func(depth int)
+	elem = func(depth int) {
+		name := []string{"a", "b", "c"}[d.n(3)]
+		doc = append(doc, sax.Start(name))
+		for k := d.n(4); depth < 3 && k > 0; k-- {
+			elem(depth + 1)
+		}
+		doc = append(doc, sax.End(name))
+	}
+	elem(0)
+	return append(doc, sax.EndDoc())
+}
+
+type patchSub struct {
+	out int
+	src string
+}
+
+// runPatch plays an Add/Remove sequence against one automaton and its
+// runner, a document each round, and after every op holds the runner to
+// checkPatched. One op in eight is a burst — forty one-off queries, a
+// document through them all, and their removal — so that the runner drops
+// enough item sets to renumber them. It returns how many Removes did.
+func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
+	m := NewMergedNFA(nil)
+	r := NewSharedRunner(m)
+	var live []patchSub
+	add := func(src string) {
+		out, err := m.Add(query.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, patchSub{out, src})
+	}
+	remove := func(i int) {
+		sets := len(r.sets)
+		m.Remove(live[i].out)
+		live = slices.Delete(live, i, i+1)
+		if len(r.sets) < sets {
+			compactions++
+		}
+	}
+	for round := 0; round < rounds && !d.done(); round++ {
+		doc := patchDoc(d)
+		for ops, op := 1+d.n(3), 0; op < ops; op++ {
+			switch k := d.n(8); {
+			case k == 7: // not 0, which an exhausted input draws forever
+				n := len(live)
+				burst := []sax.Event{sax.StartDoc(), sax.Start("z")}
+				for i := 0; i < 40; i++ {
+					add(fmt.Sprintf("/z/t%d/u", i))
+					name := fmt.Sprintf("t%d", i)
+					burst = append(burst, sax.Start(name), sax.Start("u"), sax.End("u"), sax.End(name))
+				}
+				burst = append(burst, sax.End("z"), sax.EndDoc())
+				checkPatched(t, fmt.Sprintf("round %d: burst", round), m, r, live, burst)
+				for len(live) > n {
+					remove(len(live) - 1)
+					checkAccepts(t, fmt.Sprintf("round %d: burst, %d left", round, len(live)-n), r)
+				}
+			case k < 3 && len(live) > 0:
+				remove(d.n(len(live)))
+			default:
+				add(patchQuery(d))
+			}
+			checkPatched(t, fmt.Sprintf("round %d op %d", round, op), m, r, live, doc)
+		}
+	}
+	return compactions
+}
+
+// checkAccepts holds every item set's accept list to the outputs of its
+// fresh states, and a dropped set to none.
+func checkAccepts(t testing.TB, label string, r *SharedRunner) {
+	t.Helper()
+	if len(r.accepts) != len(r.sets) {
+		t.Fatalf("%s: %d accept lists for %d item sets", label, len(r.accepts), len(r.sets))
+	}
+	for id, set := range r.sets {
+		var want []int
+		for _, it := range set {
+			if it&loopingBit == 0 {
+				want = append(want, r.m.states[it>>1].outputs...)
+			}
+		}
+		got := slices.Clone(r.accepts[id])
+		slices.Sort(want)
+		slices.Sort(got)
+		if (set == nil && r.accepts[id] != nil) || !slices.Equal(got, want) {
+			t.Fatalf("%s: item set %d %v accepts %v, its fresh states %v", label, id, set, got, want)
+		}
+	}
+}
+
+// checkPatched runs doc through the patched runner and holds it to what
+// TestMergedUndecidedMatchesWalk does — Undecided to a walk of the trie
+// after every element start, the verdicts to a runner built afresh — and
+// its accept lists, before and after, to checkAccepts.
+func checkPatched(t testing.TB, label string, m *MergedNFA, r *SharedRunner, live []patchSub, doc []sax.Event) {
+	t.Helper()
+	label = fmt.Sprintf("%s, queries %v", label, live)
+	checkAccepts(t, label, r)
+	r.Reset()
+	var reach map[int]bool
+	for _, e := range doc {
+		switch e.Kind {
+		case sax.StartDocument:
+			r.StartDocument()
+		case sax.EndElement:
+			r.EndElement()
+		case sax.StartElement:
+			startElement(r, e.Name)
+			if reach == nil {
+				reach = walkReach(m, r.sets[r.stack[len(r.stack)-1]])
+			}
+			open := 0
+			for o := range reach {
+				if !r.Matched[o] {
+					open++
+				}
+			}
+			if r.Undecided() != open {
+				t.Fatalf("%s: after <%s>: Undecided = %d, the walk finds %d open", label, e.Name, r.Undecided(), open)
+			}
+		}
+	}
+	fm := NewMergedNFA(nil)
+	fresh := make([]int, len(live))
+	for i, s := range live {
+		fresh[i], _ = fm.Add(query.MustParse(s.src))
+	}
+	want := runMerged(NewSharedRunner(fm), doc)
+	for i, s := range live {
+		if r.Matched[s.out] != want[fresh[i]] {
+			t.Fatalf("%s: %s: patched %v, fresh %v", label, s.src, r.Matched[s.out], want[fresh[i]])
+		}
+	}
+	latched := r.Latched()
+	if len(latched) != r.MatchedCount() || slices.ContainsFunc(latched, func(o int) bool { return !r.Matched[o] }) {
+		t.Fatalf("%s: latched %v, %d matched", label, latched, r.MatchedCount())
+	}
+	checkAccepts(t, label+", after the document", r)
+}
+
+// FuzzMergedPatch: whatever Add/Remove sequence patches the automaton, every
+// item set accepts what its fresh states do — across compaction too — the
+// dead-state count is the walk's, and the verdicts are a fresh runner's.
+func FuzzMergedPatch(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	compactions := 0
+	for seed := 0; seed < 4; seed++ {
+		d := &draws{rng: rng}
+		compactions += runPatch(f, d, 12)
+		f.Add(d.data)
+	}
+	if compactions == 0 {
+		f.Fatal("no seed renumbered the runner's item sets; the accept lists went unchecked across compaction")
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runPatch(t, &draws{data: data[:min(len(data), 512)]}, 32)
+	})
 }

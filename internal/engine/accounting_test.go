@@ -1,0 +1,130 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"streamxpath/internal/sax"
+)
+
+// accountingDoc is a catalog of n items, with attributes and text, whose
+// deepest nesting comes last: a match that stops dispatching early has not
+// seen it.
+func accountingDoc(n int) []byte {
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `<item id="%d"><priority>%d</priority><f1/>text</item>`, i, i%12)
+	}
+	b.WriteString(strings.Repeat("<x>", 9) + strings.Repeat("</x>", 9) + "</catalog>")
+	return []byte(b.String())
+}
+
+// docShape counts a document's events and its deepest level as the engine
+// counts them: attribute pseudo-elements included.
+func docShape(t *testing.T, doc []byte) (events, depth int) {
+	t.Helper()
+	tok := sax.NewTokenizerBytes(doc, nil)
+	level := 0
+	for {
+		ev, err := tok.Next()
+		if err == io.EOF {
+			return events, depth
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		events++
+		switch ev.Kind {
+		case sax.StartElement:
+			level++
+			depth = max(depth, level)
+		case sax.EndElement:
+			level--
+		}
+	}
+}
+
+// TestEmptyRouteAccounting pins where the document-level counters live: a
+// route holding no subscription is dispatched no elements, so MemStats'
+// Events and MaxDepth are the engine's. An all-linear set (nothing on the
+// trie) and an all-predicated one (nothing on the merged NFA) must report
+// what a set holding both reports, on one document: dispatched in full
+// (verdicts open to the end), skimmed by MatchBytes once decided, or
+// abandoned by MatchReader's early exit — on documents under and over
+// firstProbe.
+func TestEmptyRouteAccounting(t *testing.T) {
+	families := []struct {
+		name         string
+		linear, pred []string
+		decided      bool // negatively, at the root element
+	}{
+		{"open", []string{"//zzz", "/catalog/item/zzz"}, []string{"//zzz[x]", "/catalog/item[zzz]/f1"}, false},
+		{"dead", []string{"/news/item", "/feed//entry"}, []string{"/news[item]/x", "/feed[x > 1]//entry"}, true},
+	}
+	for _, items := range []int{20, 400} {
+		doc := accountingDoc(items)
+		large := len(doc) > firstProbe
+		if large != (items == 400) {
+			t.Fatalf("%d items make %d bytes: the documents must straddle firstProbe (%d)", items, len(doc), firstProbe)
+		}
+		events, depth := docShape(t, doc)
+		for _, fam := range families {
+			sets := map[string][]string{"linear": fam.linear, "pred": fam.pred, "mixed": append(fam.linear[:len(fam.linear):len(fam.linear)], fam.pred...)}
+			engines := map[string]*Engine{}
+			for name, srcs := range sets {
+				e := New()
+				for i, src := range srcs {
+					mustAdd(t, e, fmt.Sprintf("s%d", i), src)
+				}
+				engines[name] = e
+			}
+			if st := engines["linear"].Stats(); st.TrieRouted != 0 {
+				t.Fatalf("%s: the linear set routes %d subscriptions to the trie", fam.name, st.TrieRouted)
+			}
+			if st := engines["pred"].Stats(); st.NFARouted != 0 {
+				t.Fatalf("%s: the predicated set routes %d subscriptions to the merged NFA", fam.name, st.NFARouted)
+			}
+			for _, path := range []string{"MatchBytes", "MatchReader"} {
+				label := fmt.Sprintf("%s, %d bytes, %s", fam.name, len(doc), path)
+				got := map[string]MemStats{}
+				for name, e := range engines {
+					var out Outcome
+					var err error
+					if path == "MatchBytes" {
+						out, err = e.MatchBytes(doc, CaptureOff)
+						if skims := fam.decided && large; (out.Skimmed > 0) != skims {
+							t.Fatalf("%s: %s set skimmed %d bytes", label, name, out.Skimmed)
+						}
+					} else {
+						out, err = e.MatchReader(bytes.NewReader(doc), 512, CaptureOff)
+						if out.Read.EarlyExit != fam.decided {
+							t.Fatalf("%s: %s set: early exit %v", label, name, out.Read.EarlyExit)
+						}
+					}
+					if err != nil {
+						t.Fatalf("%s: %s set: %v", label, name, err)
+					}
+					got[name] = e.MemStats()
+				}
+				want := got["mixed"]
+				for _, name := range []string{"linear", "pred"} {
+					if g := got[name]; g.Events != want.Events || g.MaxDepth != want.MaxDepth {
+						t.Errorf("%s: %s set reads events=%d maxDepth=%d, the mixed set %d and %d",
+							label, name, g.Events, g.MaxDepth, want.Events, want.MaxDepth)
+					}
+				}
+				if !fam.decided && (want.Events != events || want.MaxDepth != depth) {
+					t.Errorf("%s: dispatched in full, yet events=%d maxDepth=%d; the document has %d and %d",
+						label, want.Events, want.MaxDepth, events, depth)
+				}
+				if skimmed := fam.decided && large && path == "MatchBytes"; skimmed && (want.Events >= events || want.MaxDepth != depth) {
+					t.Errorf("%s: skimmed, yet events=%d of %d and maxDepth=%d of %d", label, want.Events, events, want.MaxDepth, depth)
+				}
+			}
+		}
+	}
+}

@@ -25,7 +25,8 @@ import (
 // caller can observe must agree — per event, whether the verdicts are
 // decided and how many have latched; per document, the matched ids, the
 // fragments, the sizes of the shared structures, NeedsText and the
-// lower-bound term of MemStats — the verdicts must be the tree evaluator's
+// lower-bound term of MemStats; and, per event, the result bitmap must agree
+// with the per-route match vectors (checkResults) — the verdicts must be the tree evaluator's
 // (internal/semantics), and what the patched trie derives from its nodes
 // (the count vector every document starts from, the runs and their order)
 // must be what a recomputation from the nodes gives (checkIndex). TestEngineChurnMatchesFreshEngine runs
@@ -154,14 +155,26 @@ func (s churnSub) addTo(e *Engine) error {
 	return e.Add(s.id, q)
 }
 
-// runChurn plays data against one patched engine and returns its final
-// statistics.
-func runChurn(t testing.TB, data []byte) Stats {
+// churnCover counts the mutations a run made that move what the result
+// bitmap's bits stand for — removals from inside the insertion order, which
+// shift every later position; Adds given a result slot a removed
+// subscription held, per route; Rebuild, which numbers every slot afresh —
+// each followed by a document whose results are read (checkResults).
+type churnCover struct {
+	rebuilds, shifted int
+	reused            [2]int // by Route
+}
+
+// runChurn plays data against one patched engine and returns what it
+// covered.
+func runChurn(t testing.TB, data []byte) churnCover {
 	d := &dice{data: data}
 	patched := New()
 	patched.SetCapture(CaptureSlice)
 	tokP := sax.NewTokenizerBytes(nil, patched.Symbols())
 	var live []churnSub
+	var cover churnCover
+	freed := [2]map[int]bool{{}, {}} // result slots given up since the last Rebuild, by route
 	serial := 0
 	add := func(src string, extract bool) {
 		s := churnSub{id: fmt.Sprintf("s%d", serial), src: src, extract: extract, bare: serial%3 == 0}
@@ -170,10 +183,19 @@ func runChurn(t testing.TB, data []byte) Stats {
 			t.Fatalf("Add(%s): %v", src, err)
 		}
 		live = append(live, s)
+		if sub := patched.byID[s.id]; freed[sub.route][sub.out] {
+			delete(freed[sub.route], sub.out)
+			cover.reused[sub.route]++
+		}
 	}
 	remove := func(i int) {
+		sub := patched.byID[live[i].id]
 		if !patched.Remove(live[i].id) {
 			t.Fatalf("Remove(%s) = false", live[i].id)
+		}
+		freed[sub.route][sub.out] = true
+		if i < len(live)-1 {
+			cover.shifted++
 		}
 		live = slices.Delete(live, i, i+1)
 	}
@@ -199,6 +221,7 @@ func runChurn(t testing.TB, data []byte) Stats {
 				// The quarantine step: both indexes recompiled from the texts
 				// the engine kept, and patched on from there.
 				patched.Rebuild()
+				freed = [2]map[int]bool{{}, {}}
 			case k < 7 && len(live) > 0:
 				remove(d.n(len(live)))
 			default:
@@ -239,11 +262,13 @@ func runChurn(t testing.TB, data []byte) Stats {
 			if p, f := patched.MatchedCount(), fresh.MatchedCount(); p != f {
 				t.Fatalf("%s: event %d: MatchedCount patched=%d fresh=%d", label, n, p, f)
 			}
+			checkResults(t, fmt.Sprintf("%s: event %d", label, n), patched, nil)
 		}
 		got, want := patched.MatchedIDs(), fresh.MatchedIDs()
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: matched patched=%v fresh=%v", label, got, want)
 		}
+		checkResults(t, label, patched, []byte(doc))
 		root := tree.MustParse(doc)
 		for _, s := range live {
 			if truth := semantics.BoolEval(query.MustParse(s.src), root); truth != slices.Contains(got, s.id) {
@@ -267,7 +292,39 @@ func runChurn(t testing.TB, data []byte) Stats {
 		}
 		checkIndex(t, label, patched.tr)
 	}
-	return patched.Stats()
+	cover.rebuilds = patched.Stats().Rebuilds
+	return cover
+}
+
+// checkResults holds what the result bitmap says against the per-route
+// match vectors Matched reads: the matched ids are the subscriptions Matched
+// answers true for, in insertion order, and — once the document has ended
+// (doc non-nil) — the fragments' ids are the extracting ones among them, in
+// the same order.
+func checkResults(t testing.TB, label string, e *Engine, doc []byte) {
+	t.Helper()
+	var matched, extracting []string
+	for _, id := range e.IDs() {
+		if e.Matched(id) {
+			matched = append(matched, id)
+			if e.Extracting(id) {
+				extracting = append(extracting, id)
+			}
+		}
+	}
+	if got := e.MatchedIDs(); !slices.Equal(got, matched) {
+		t.Fatalf("%s: MatchedIDs %v, Matched answers true for %v", label, got, matched)
+	}
+	if doc == nil {
+		return
+	}
+	var frags []string
+	for _, f := range e.AppendFragments(nil, doc) {
+		frags = append(frags, f.ID)
+	}
+	if !slices.Equal(frags, extracting) {
+		t.Fatalf("%s: fragments for %v, the matched extracting subscriptions are %v", label, frags, extracting)
+	}
 }
 
 // checkIndex recomputes from the trie's spine nodes everything add and
@@ -360,14 +417,22 @@ func TestEngineChurnMatchesFreshEngine(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	rebuilds := 0
+	var cover churnCover
 	for seed := 0; seed < seeds; seed++ {
 		data := make([]byte, 6000) // about 120 rounds
 		rand.New(rand.NewSource(int64(seed))).Read(data)
-		rebuilds += runChurn(t, data).Rebuilds
+		c := runChurn(t, data)
+		cover.rebuilds += c.rebuilds
+		cover.shifted += c.shifted
+		cover.reused[RouteNFA] += c.reused[RouteNFA]
+		cover.reused[RouteTrie] += c.reused[RouteTrie]
 	}
-	if rebuilds == 0 {
+	if cover.rebuilds == 0 {
 		t.Error("no run called Rebuild; recompiling from the kept texts went untested")
+	}
+	if cover.shifted == 0 || cover.reused[RouteNFA] == 0 || cover.reused[RouteTrie] == 0 {
+		t.Errorf("results were never read after a shifted position (%d) or a reused slot (nfa %d, trie %d)",
+			cover.shifted, cover.reused[RouteNFA], cover.reused[RouteTrie])
 	}
 }
 

@@ -13,8 +13,9 @@
 //     combined NFA (automaton.MergedNFA): a prefix-sharing trie over
 //     location steps with subscription-id output sets on accepting
 //     states, evaluated with a lazily determinized shared runner — one
-//     memoized hash probe per element once warm, independent of
-//     subscription count.
+//     load from the current item set's dense transition row per element
+//     once warm, and one read of the entered set's accept list, independent
+//     of subscription count.
 //
 //   - Everything else the Section 8 algorithm can stream (conjunctive
 //     univariate leaf-only-value-restricted queries, validated per
@@ -63,6 +64,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"streamxpath/internal/automaton"
@@ -110,15 +112,30 @@ type subscription struct {
 }
 
 // result is what reading a document's results needs of one subscription:
-// the id to report and where its verdict and its fragment are latched. The
-// engine keeps one per subscription, in insertion order, in one flat vector
-// (Engine.results), so that collecting the matched ids of a document is a
-// sequential sweep and not a pointer chase through the subscriptions.
+// the id to report and where its fragment is latched. The engine keeps one
+// per subscription, in insertion order, in one flat vector (Engine.results),
+// and a document's matches as set bits over that vector (hits), so that
+// collecting them visits the matched entries alone, in order.
 type result struct {
 	id      string
 	out     int32 // subscription.out
 	route   Route
 	extract bool
+}
+
+// hits is a document's matched results: words holds one bit per position
+// of Engine.results, set the first time that subscription latches, so the
+// result accessors sweep the set bits by word and a reset clears ⌈N/64⌉
+// words. A latch knows only its route's result slot; pos[route][slot] is the
+// position of the subscription holding it.
+type hits struct {
+	words []uint64
+	pos   [2][]int32
+}
+
+func (h *hits) set(route Route, slot int) {
+	p := h.pos[route][slot]
+	h.words[p>>6] |= 1 << (p & 63)
 }
 
 // Engine matches one document stream at a time against all subscriptions.
@@ -129,6 +146,7 @@ type result struct {
 type Engine struct {
 	subs    []*subscription // in insertion order
 	results []result        // results[i] is subs[i]'s
+	hits    hits
 	byID    map[string]*subscription
 	nextSeq uint64
 	// stale is set by every mutation and cleared by Reset: the result
@@ -180,6 +198,11 @@ type Engine struct {
 	started  bool
 	finished bool
 	level    int
+	// events and maxLevel are the document's event count and deepest level
+	// (MemStats.Events and MaxDepth). They are the engine's, not a route's:
+	// a route that holds no subscription is not dispatched elements at all.
+	events   int
+	maxLevel int
 	// rootClosed: the document's root element has ended. A second one is
 	// refused, as the tokenizers refuse it: Decided rests on only the root's
 	// subtree producing elements.
@@ -245,6 +268,7 @@ func (e *Engine) Rebuild() {
 	e.rebuilds++
 	e.newNFARoute()
 	e.newTrieRoute()
+	e.events, e.maxLevel = 0, 0 // a rebuilt engine, like a new one, has run no document
 	for i, s := range e.subs {
 		q, err := query.Parse(s.text)
 		var prog *core.Program
@@ -262,18 +286,21 @@ func (e *Engine) Rebuild() {
 
 // newNFARoute and newTrieRoute install an empty index for their route; the
 // subscriptions routed there are entered by link, one by one, whether the
-// index is new or has been matching documents for a year.
+// index is new or has been matching documents for a year. The route's slots
+// are numbered afresh, so its positions are too.
 func (e *Engine) newNFARoute() {
 	e.nfa = automaton.NewMergedNFA(e.tab)
 	e.runner = automaton.NewSharedRunner(e.nfa)
 	e.runner.OnMatch = e.nfaMatch
 	e.nfaExtract, e.nfaFrags = nil, nil
+	e.hits.pos[RouteNFA] = nil
 }
 
 func (e *Engine) newTrieRoute() {
 	e.tr = newTrie(e.tab)
-	e.mt = newMatcher(e.tr)
+	e.mt = newMatcher(e.tr, &e.hits)
 	e.mt.cm = e.cm
+	e.hits.pos[RouteTrie] = nil
 }
 
 // mutating is the preamble of every change to the subscription set: the
@@ -286,9 +313,9 @@ func (e *Engine) mutating() {
 }
 
 // link enters subscription i, whose query is q, into the index of the route
-// add chose for it and records the result slot it was given. prog is q
-// compiled, which the trie is built from; a query routed to the merged NFA
-// has none.
+// add chose for it and records the result slot it was given, and that slot's
+// position. prog is q compiled, which the trie is built from; a query routed
+// to the merged NFA has none.
 func (e *Engine) link(i int, q *query.Query, prog *core.Program) {
 	s := e.subs[i]
 	if s.route == RouteNFA {
@@ -302,6 +329,11 @@ func (e *Engine) link(i int, q *query.Query, prog *core.Program) {
 		s.out = e.tr.add(q, prog, s.extract)
 	}
 	e.results[i].out = int32(s.out)
+	pos := &e.hits.pos[s.route]
+	for len(*pos) <= s.out {
+		*pos = append(*pos, 0)
+	}
+	(*pos)[s.out] = int32(i)
 }
 
 // Add registers a subscription under the given id. It returns an error
@@ -357,6 +389,9 @@ func (e *Engine) add(id string, q *query.Query, extract bool) error {
 	e.byID[id] = s
 	e.subs = append(e.subs, s)
 	e.results = append(e.results, result{id: id, route: s.route, extract: extract})
+	if len(e.results) > 64*len(e.hits.words) {
+		e.hits.words = append(e.hits.words, 0)
+	}
 	if extract {
 		e.extracting++
 	}
@@ -380,7 +415,16 @@ func (e *Engine) Remove(id string) bool {
 	delete(e.byID, id)
 	i := sort.Search(len(e.subs), func(i int) bool { return e.subs[i].seq >= s.seq })
 	e.subs = append(e.subs[:i], e.subs[i+1:]...)
-	e.results = append(e.results[:i], e.results[i+1:]...)
+	// The results behind i move down one place each, and the positions their
+	// slots map to with them. The bits set for the last document go stale
+	// with the shift; nothing reads them before the next Reset clears them.
+	for j := i; j < len(e.subs); j++ {
+		r := e.results[j+1]
+		e.results[j] = r
+		e.hits.pos[r.route][r.out] = int32(j)
+	}
+	e.results = e.results[:len(e.subs)]
+	e.hits.words = e.hits.words[:(len(e.results)+63)/64]
 	if s.extract {
 		e.extracting--
 	}
@@ -409,11 +453,12 @@ func (e *Engine) IDs() []string {
 }
 
 // nfaMatch is the merged runner's latch hook: an NFA-routed subscription
-// just matched on the current element, so begin (or join) that element's
-// capture. NFA latches fire at the matching element's startElement, so
-// the first latch is the document-order-first match; it is never
-// replaced.
+// just matched on the current element, so set its result bit and begin (or
+// join) that element's capture. NFA latches fire at the matching element's
+// startElement, so the first latch is the document-order-first match; it is
+// never replaced.
 func (e *Engine) nfaMatch(out int) {
+	e.hits.set(RouteNFA, out)
 	if e.cm.mode == CaptureOff || !e.nfaExtract[out] || e.nfaFrags[out] != nil {
 		return
 	}
@@ -422,21 +467,27 @@ func (e *Engine) nfaMatch(out int) {
 
 // Reset prepares the engine for the next document. The shared indexes
 // (and the NFA runner's memoized transition table) survive across
-// documents and across Add/Remove.
+// documents and across Add/Remove. What it clears is what the last
+// document latched, and the result bitmap by word: it costs the document's
+// matches, not the standing set.
 func (e *Engine) Reset() {
+	for _, out := range e.runner.Latched() {
+		e.nfaFrags[out] = nil
+	}
 	e.runner.Reset()
 	e.mt.reset()
+	clear(e.hits.words)
 	mode := e.capMode
 	if e.extracting == 0 {
 		mode = CaptureOff
 	}
 	e.cm.reset(mode)
 	e.mt.capturing = mode != CaptureOff
-	clear(e.nfaFrags)
 	e.stale = false
 	e.started = false
 	e.finished = false
 	e.level = 0
+	e.events, e.maxLevel = 0, 0
 	e.rootClosed = false
 }
 
@@ -474,7 +525,10 @@ func (e *Engine) processBytes(ev *sax.ByteEvent) error {
 		if err := e.checkBuffer(len(ev.Data)); err != nil {
 			return err
 		}
-		e.mt.textBytes(ev.Data)
+		e.events++
+		if e.tr.live > 0 {
+			e.mt.textBytes(ev.Data)
+		}
 		if e.cm.mode != CaptureOff {
 			e.cm.noteText(ev.Data)
 			return e.checkCaptured()
@@ -515,11 +569,15 @@ func (e *Engine) startDocument() error {
 	}
 	if e.stale || e.started {
 		// Neither means Reset already ran (the public Match* entry points
-		// reset up front); skip the second O(subscriptions) sweep on the
-		// per-document hot path.
+		// reset up front) and nothing has latched since: there is nothing
+		// to clear.
 		e.Reset()
 	}
 	e.started = true
+	e.events++
+	// Both routes open the document whatever they hold: the trie's root
+	// scope is the one unit of live state an engine with no trie-routed
+	// subscription still counts against MaxLiveTuples.
 	e.runner.StartDocument()
 	e.mt.startDocument()
 	return nil
@@ -529,6 +587,7 @@ func (e *Engine) endDocument() error {
 	if !e.started || e.finished {
 		return fmt.Errorf("engine: unexpected endDocument")
 	}
+	e.events++
 	e.mt.endDocument()
 	e.finished = true
 	return nil
@@ -545,18 +604,23 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 	if e.lim.MaxDepth > 0 && e.level > e.lim.MaxDepth {
 		return &limits.Error{Resource: "depth", Limit: int64(e.lim.MaxDepth), Observed: int64(e.level)}
 	}
+	e.events++
+	e.maxLevel = max(e.maxLevel, e.level)
 	if e.cm.mode != CaptureOff {
 		// Before the match hooks: a capture created for this element must
 		// start from its own '<'.
 		e.cm.noteStart(sym, isAttr, off, e.level)
 	}
-	if !isAttr {
-		// Attribute pseudo-elements are invisible to the NFA route: its
-		// queries have no attribute steps, and an attribute must never
-		// satisfy a child-axis node test.
+	// A route is dispatched elements only while it holds a subscription.
+	// Attribute pseudo-elements are invisible to the NFA route: its queries
+	// have no attribute steps, and an attribute must never satisfy a
+	// child-axis node test.
+	if !isAttr && e.nfa.Outputs() > 0 {
 		e.runner.StartElementSym(sym)
 	}
-	e.mt.startElementSym(sym, isAttr)
+	if e.tr.live > 0 {
+		e.mt.startElementSym(sym, isAttr)
+	}
 	if e.lim.MaxLiveTuples > 0 {
 		// Live state is the trie matcher's tuples/scopes/pendings plus one
 		// NFA runner stack entry per open element. Before declaring a
@@ -588,10 +652,13 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 	if e.level == 0 {
 		e.rootClosed = true
 	}
-	if !isAttr {
+	e.events++
+	if !isAttr && e.nfa.Outputs() > 0 {
 		e.runner.EndElement()
 	}
-	e.mt.endElement()
+	if e.tr.live > 0 {
+		e.mt.endElement()
+	}
 	if e.cm.mode != CaptureOff {
 		// After the matcher: a scope resolving at this endElement may latch
 		// the closing element's capture, which finalizes here.
@@ -638,14 +705,15 @@ func (e *Engine) MatchedIDs() []string {
 
 // AppendMatchedIDs appends the matched ids to dst (in subscription
 // insertion order) and returns it — the allocation-free form of
-// MatchedIDs for callers that reuse a result buffer across documents.
+// MatchedIDs for callers that reuse a result buffer across documents. It
+// visits the set bits of the result bitmap, not the subscriptions.
 func (e *Engine) AppendMatchedIDs(dst []string) []string {
 	if e.stale {
 		return dst
 	}
-	for i := range e.results {
-		if r := &e.results[i]; e.matchedOut(r.route, int(r.out)) {
-			dst = append(dst, r.id)
+	for w, word := range e.hits.words {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, e.results[w<<6|bits.TrailingZeros64(word)].id)
 		}
 	}
 	return dst
@@ -684,37 +752,40 @@ func CopyVolatileFragments(frags []Fragment) {
 // index (the same slice handed to the tokenizer); the returned Data
 // subslices it zero-copy. CaptureSerial and attribute-value captures
 // return the engine's internal buffers, valid only until the next Reset
-// — callers that retain them must copy.
+// — callers that retain them must copy. A fragment is latched only with a
+// match, so the sweep is the one AppendMatchedIDs makes.
 func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
 	if e.stale || e.extracting == 0 {
 		return dst
 	}
-	for i := range e.results {
-		s := &e.results[i]
-		if !s.extract {
-			continue
+	for w, word := range e.hits.words {
+		for ; word != 0; word &= word - 1 {
+			s := &e.results[w<<6|bits.TrailingZeros64(word)]
+			if !s.extract {
+				continue
+			}
+			var c *capture
+			if s.route == RouteNFA {
+				c = e.nfaFrags[s.out]
+			} else {
+				c = e.mt.frags[s.out]
+			}
+			if c == nil || !c.done {
+				continue
+			}
+			var data []byte
+			volatile := false
+			switch {
+			case c.valueOnly || e.cm.mode == CaptureSerial:
+				data = c.buf
+				volatile = true
+			case doc != nil:
+				data = doc[c.start:c.end]
+			default:
+				continue
+			}
+			dst = append(dst, Fragment{ID: s.id, Data: data, Volatile: volatile})
 		}
-		var c *capture
-		if s.route == RouteNFA {
-			c = e.nfaFrags[s.out]
-		} else {
-			c = e.mt.frags[s.out]
-		}
-		if c == nil || !c.done {
-			continue
-		}
-		var data []byte
-		volatile := false
-		switch {
-		case c.valueOnly || e.cm.mode == CaptureSerial:
-			data = c.buf
-			volatile = true
-		case doc != nil:
-			data = doc[c.start:c.end]
-		default:
-			continue
-		}
-		dst = append(dst, Fragment{ID: s.id, Data: data, Volatile: volatile})
 	}
 	return dst
 }
@@ -761,7 +832,7 @@ func (e *Engine) Decided() bool {
 	if e.runner.AllMatched() && e.mt.matchedCount == e.tr.live {
 		return true
 	}
-	return e.runner.Undecided() == 0 && !e.mt.undecided()
+	return e.runner.Undecided() == 0 && !e.mt.undecided(e.maxLevel > 0)
 }
 
 // Stats reports the size of the shared structures and the work done on
@@ -800,7 +871,9 @@ type Stats struct {
 	DFAMaterialized int
 	Rebuilds        int
 
-	// Per-document work and peaks of the trie matcher. TupleVisits counts
+	// Per-document work and peaks. Events counts the document's events the
+	// engine dispatched (MemStats.Events) and MaxLevel is its deepest level
+	// (MemStats.MaxDepth); the rest are the trie matcher's. TupleVisits counts
 	// the candidates examined at startElement events (predicate tuples in
 	// the event's frontier buckets plus the live spine steps, predicate
 	// groups and runs of group continuations the skeleton lookup found an
@@ -846,14 +919,14 @@ func (e *Engine) Stats() Stats {
 	st.DFATransitions = ds.Transitions
 	st.DFAMaterialized = ds.Materialized
 	ms := e.mt.stats
-	st.Events = ms.Events
+	st.Events = e.events
 	st.TupleVisits = ms.TupleVisits
 	st.FrontierInserts = ms.FrontierInserts
 	st.GroupProbes = ms.GroupProbes
 	st.PeakTuples = ms.PeakTuples
 	st.PeakScopes = ms.PeakScopes
 	st.PeakBufferBytes = ms.PeakBufferBytes
-	st.MaxLevel = ms.MaxLevel
+	st.MaxLevel = e.maxLevel
 	return st
 }
 
@@ -870,10 +943,11 @@ func (s Stats) String() string {
 // under the Theorem 8.8 cost model, and how far above the
 // information-theoretic floor (Sections 4-7) the evaluator actually sat.
 type MemStats struct {
-	// Events is the number of SAX events dispatched to the trie matcher —
-	// the document's whole event count, unless the caller stopped
-	// dispatching once every verdict was final: a reader that exited early,
-	// or a buffered match that skimmed the remainder (MatchBytes).
+	// Events is the number of SAX events the engine was dispatched — the
+	// document's whole event count, unless the caller stopped dispatching
+	// once every verdict was final: a reader that exited early, or a
+	// buffered match that skimmed the remainder (MatchBytes). It does not
+	// depend on which routes hold subscriptions.
 	Events int
 	// GroupProbes is the number of candidate values resolved against a
 	// predicate group's constants (Stats.GroupProbes), per document like
@@ -931,14 +1005,14 @@ type MemStats struct {
 func (e *Engine) MemStats() MemStats {
 	ms := e.mt.stats
 	st := MemStats{
-		Events:            ms.Events,
+		Events:            e.events,
 		GroupProbes:       ms.GroupProbes,
 		PeakLiveTuples:    ms.PeakTuples + ms.PeakScopes + ms.PeakPendings,
 		PeakGroupBits:     ms.PeakGroupBits,
 		PeakScopes:        ms.PeakScopes,
 		PeakPendings:      ms.PeakPendings,
 		PeakBufferedBytes: ms.PeakBufferBytes,
-		MaxDepth:          ms.MaxLevel,
+		MaxDepth:          e.maxLevel,
 		CapturedBytes:     e.cm.peakBytes,
 	}
 	nodes := (e.nfa.Size() - 1) + len(e.tr.spineNodes) + e.tr.predNodes
@@ -948,10 +1022,10 @@ func (e *Engine) MemStats() MemStats {
 	cs := core.Stats{
 		PeakTuples:      st.PeakLiveTuples,
 		PeakBufferBytes: ms.PeakBufferBytes,
-		MaxLevel:        ms.MaxLevel,
+		MaxLevel:        e.maxLevel,
 	}
 	st.EstimatedBits = cs.EstimatedBits(nodes) + ms.PeakGroupBits
-	st.LowerBoundBits = core.LowerBoundBits(e.maxFS, ms.MaxLevel)
+	st.LowerBoundBits = core.LowerBoundBits(e.maxFS, e.maxLevel)
 	if st.LowerBoundBits > 0 {
 		st.OptimalityRatio = float64(st.EstimatedBits) / float64(st.LowerBoundBits)
 	}

@@ -144,9 +144,9 @@ func (e *Engine) matchBuffered(doc []byte, mode CaptureMode, probe int) (skimmed
 			continue
 		}
 		deepest, err := tok.Skim()
-		// The matcher's level stopped rising with dispatch; the memory
+		// The engine's level stopped rising with dispatch; the memory
 		// accounting (log d) is owed the whole document's depth.
-		e.mt.stats.MaxLevel = max(e.mt.stats.MaxLevel, deepest)
+		e.maxLevel = max(e.maxLevel, deepest)
 		if err == nil {
 			if err = e.endDocument(); err != nil {
 				err = fmt.Errorf("streamxpath: %w", err)

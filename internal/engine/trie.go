@@ -585,10 +585,10 @@ type spineCand struct {
 	src  *frame
 }
 
-// matchStats instruments the shared matcher.
+// matchStats instruments the shared matcher. The document-level counters —
+// events, depth — are the engine's: the matcher is not dispatched elements
+// while the trie holds no subscription.
 type matchStats struct {
-	// Events counts SAX events dispatched to the trie matcher.
-	Events int
 	// TupleVisits counts the candidates examined across all startElement
 	// events: predicate tuples in the event's frontier buckets plus what the
 	// skeleton lookup found an open parent scope for — live spine members,
@@ -613,7 +613,6 @@ type matchStats struct {
 	PeakPendings    int
 	PeakBufferBytes int
 	PeakGroupBits   int
-	MaxLevel        int
 }
 
 // matcher is the streaming run state over a trie: a symbol-indexed
@@ -649,8 +648,13 @@ type matcher struct {
 	// predGroup.indexBits).
 	groupBits int
 
+	// matched latches per result slot; latched lists the slots it holds
+	// true, which is what reset clears, and each first latch sets the
+	// subscription's bit in hits, the engine's result bitmap.
 	matched      []bool
+	latched      []int
 	matchedCount int
+	hits         *hits
 	// remaining is the document's copy of the trie's count vector: what is
 	// left to match below each spine node, group and run (trie.counts).
 	// When an entry hits zero its owner stops accepting candidates — the
@@ -680,8 +684,8 @@ type matcher struct {
 	stats          matchStats
 }
 
-func newMatcher(t *trie) *matcher {
-	m := &matcher{tr: t}
+func newMatcher(t *trie, h *hits) *matcher {
+	m := &matcher{tr: t, hits: h}
 	m.reset()
 	return m
 }
@@ -708,12 +712,16 @@ func (m *matcher) reset() {
 	m.refCount = 0
 	m.level = 0
 	m.groupBits = 0
-	if len(m.matched) != len(m.tr.outs) {
-		m.matched = make([]bool, len(m.tr.outs))
-		m.frags = make([]*capture, len(m.tr.outs))
-	} else {
-		clear(m.matched)
-		clear(m.frags)
+	// A fragment is latched only with a match, so clearing the latched
+	// slots clears both vectors; they grow with the trie's slots, which
+	// never shrink.
+	for _, sub := range m.latched {
+		m.matched[sub], m.frags[sub] = false, nil
+	}
+	m.latched = m.latched[:0]
+	if n := len(m.tr.outs) - len(m.matched); n > 0 {
+		m.matched = append(m.matched, make([]bool, n)...)
+		m.frags = append(m.frags, make([]*capture, n)...)
 	}
 	m.matchedCount = 0
 	m.capCommits = 0
@@ -829,7 +837,6 @@ func (m *matcher) closeFrames(closing int) {
 // startDocument opens the root scope: the document root is the sole
 // candidate for the query root, shared by every subscription.
 func (m *matcher) startDocument() {
-	m.stats.Events++
 	root := m.tr.root
 	var fr *frame
 	if len(root.succ) > 0 {
@@ -916,12 +923,8 @@ func (m *matcher) collectSpine(e *edges, sym symtab.Sym, src *frame) {
 // parked for the scope's duration, as in core) — and then, if any frame is
 // open, to the spine.
 func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
-	m.stats.Events++
 	elemLevel := m.level + 1
 	m.level = elemLevel
-	if elemLevel > m.stats.MaxLevel {
-		m.stats.MaxLevel = elemLevel
-	}
 	// Collect first: opening scopes mutates the buckets, and freshly
 	// inserted child tuples must not be considered for this same element.
 	m.cands = m.cands[:0]
@@ -1122,7 +1125,6 @@ func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 // value-restricted leaf candidate (of any subscription) is consuming it.
 // The text is buffered once no matter how many subscriptions wait on it.
 func (m *matcher) textBytes(data []byte) {
-	m.stats.Events++
 	if m.refCount > 0 {
 		m.buf = append(m.buf, data...)
 		if len(m.buf) > m.stats.PeakBufferBytes {
@@ -1138,7 +1140,6 @@ func (m *matcher) textBytes(data []byte) {
 // duration of the Contains call — and parsed as a number at most once,
 // however many predicate groups are pending on it.
 func (m *matcher) endElement() {
-	m.stats.Events++
 	closing := m.level
 	m.level--
 	var parsed parsedText
@@ -1327,6 +1328,8 @@ func (m *matcher) latch(sub int, cap *capture) {
 	out := m.tr.outs[sub]
 	if !m.matched[sub] {
 		m.matched[sub] = true
+		m.latched = append(m.latched, sub)
+		m.hits.set(RouteTrie, sub)
 		m.matchedCount++
 		for n := out; n != nil; n = n.parent {
 			if m.remaining[n.id]--; m.remaining[n.id] > 0 {
@@ -1418,12 +1421,12 @@ func (m *matcher) unmatched(outs []int) bool {
 // so its negative verdict is final mid-stream. The remaining counts say
 // whether anything unmatched lies below a step, so the sweep is
 // O(scopes + their continuations + their commits) and stops at the first
-// open verdict; callers probe it per chunk, not per event.
-func (m *matcher) undecided() bool {
+// open verdict; callers probe it per chunk, not per event. rootSeen says the
+// document's root element has started.
+func (m *matcher) undecided(rootSeen bool) bool {
 	if m.tr.live == m.matchedCount {
 		return false
 	}
-	rootSeen := m.stats.MaxLevel > 0
 	for _, sc := range m.scopes {
 		switch {
 		case sc.grp != nil:
@@ -1508,7 +1511,6 @@ func (m *matcher) evictDead() {
 // endDocument closes every remaining scope bottom-up; afterwards matched
 // holds the final per-subscription verdicts.
 func (m *matcher) endDocument() {
-	m.stats.Events++
 	for len(m.scopes) > 0 {
 		sc := m.scopes[len(m.scopes)-1]
 		m.scopes = m.scopes[:len(m.scopes)-1]

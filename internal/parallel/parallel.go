@@ -594,9 +594,9 @@ func (s *Sharded) allDecided() bool {
 }
 
 // merge folds the per-shard verdict sets back into the global insertion
-// order, in a slice of the call's own. The sweep is O(subscriptions), the
-// same per-document term the sequential engine's AppendMatchedIDs already
-// pays, plus a binary search per matched id.
+// order, in a slice of the call's own. The sweep is O(subscriptions) — a
+// per-document term the sequential engine's AppendMatchedIDs, which visits
+// set bits only, does not pay — plus a binary search per matched id.
 func (s *Sharded) merge() []string {
 	if len(s.matched) != len(s.subs.ids) {
 		s.matched = make([]bool, len(s.subs.ids))

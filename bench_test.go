@@ -913,34 +913,6 @@ func BenchmarkMatchReader(b *testing.B) {
 		}
 		b.ReportMetric(float64(rs.BytesRead)/float64(len(big)), "readFrac")
 	})
-	b.Run("chunked-parallel", func(b *testing.B) {
-		p := streamxpath.NewParallelFilterSet(0) // shards = GOMAXPROCS
-		defer p.Close()
-		p.SetChunkSize(chunk)
-		for i, src := range subs {
-			if err := p.Add(fmt.Sprintf("s%d", i), src); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := p.MatchBytes(doc); err != nil { // compile + warm symbols
-			b.Fatal(err)
-		}
-		r := bytes.NewReader(doc)
-		for i := 0; i < 3; i++ {
-			r.Reset(doc)
-			if _, err := p.MatchReader(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Reset(doc)
-			if _, err := p.MatchReader(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-	})
 }
 
 // BenchmarkMatchReaderNoMatch quantifies the negative early exit (PR 5)
@@ -1219,14 +1191,13 @@ func BenchmarkTokenizer(b *testing.B) {
 	}
 }
 
-// --- the parallel dissemination family (PR 3) ---
+// --- the concurrent dissemination family ---
 //
 // Run with -cpu 1,2,4,8 to trace the scaling curve: the sequential arm
-// is flat (one engine, one core), the sharded arm splits one document's
-// subscription work across engine shards, and the pool arm matches whole
-// documents concurrently on engine replicas. Both parallel modes must
-// return byte-identical results to the sequential engine (enforced by
-// the equivalence tests); here they must buy throughput.
+// is flat (one engine, one core), and the pool arm matches whole
+// documents concurrently on engine replicas. The pool must return
+// byte-identical results to the sequential engine (enforced by the
+// equivalence tests); here it must buy throughput.
 
 // mixedSubs builds the ≥1k mixed subscription workload of the scaling
 // benchmark: linear shared-prefix, linear disjoint, and predicated
@@ -1246,39 +1217,17 @@ func mixedSubs(n int) []string {
 	return subs
 }
 
-// BenchmarkParallelFilterSet compares the three dissemination engines on
-// one document against a large mixed subscription set. The /sharded arm
-// sizes its shard count to GOMAXPROCS, so the -cpu list sweeps it.
-func BenchmarkParallelFilterSet(b *testing.B) {
+// BenchmarkSequentialVsPool compares the sequential FilterSet with the
+// FilterPool on one document against a large mixed subscription set. The
+// /pool arm sizes its replica count to GOMAXPROCS, so the -cpu list sweeps
+// it.
+func BenchmarkSequentialVsPool(b *testing.B) {
 	doc := []byte(disseminationDoc(120))
 	events := len(sax.MustParse(string(doc)))
 	for _, n := range []int{1000, 4000} {
 		subs := mixedSubs(n)
 		b.Run(fmt.Sprintf("subs=%d/sequential", n), func(b *testing.B) {
 			s := streamxpath.NewFilterSet()
-			for i, src := range subs {
-				if err := s.Add(fmt.Sprintf("s%d", i), src); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := s.MatchBytes(doc); err != nil { // compile + warm
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var matched int
-			for i := 0; i < b.N; i++ {
-				ids, err := s.MatchBytes(doc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				matched = len(ids)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-			b.ReportMetric(float64(matched), "matched")
-		})
-		b.Run(fmt.Sprintf("subs=%d/sharded", n), func(b *testing.B) {
-			s := streamxpath.NewParallelFilterSet(0) // shards = GOMAXPROCS
-			defer s.Close()
 			for i, src := range subs {
 				if err := s.Add(fmt.Sprintf("s%d", i), src); err != nil {
 					b.Fatal(err)

@@ -392,13 +392,9 @@ func TestBooleanWrappersMatchResultEquivalence(t *testing.T) {
 		{"para", `//body/p`},
 		{"none", `//absent`},
 	}
-	pset := streamxpath.NewParallelFilterSet(2)
-	defer pset.Close()
 	engines := map[string]matcherAPI{
-		"FilterSet":         streamxpath.NewFilterSet(),
-		"ParallelFilterSet": pset,
-		"FilterPool":        streamxpath.NewFilterPool(2),
-		"AdaptiveFilterSet": streamxpath.NewAdaptiveFilterSet(2),
+		"FilterSet":  streamxpath.NewFilterSet(),
+		"FilterPool": streamxpath.NewFilterPool(2),
 	}
 	type adder interface{ AddExtract(id, q string) error }
 	for name, m := range engines {

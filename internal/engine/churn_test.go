@@ -24,8 +24,8 @@ import (
 // nothing with the subscriptions then standing. Everything a
 // caller can observe must agree — per event, whether the verdicts are
 // decided and how many have latched; per document, the matched ids, the
-// fragments, the sizes of the shared structures, NeedsText and the
-// lower-bound term of MemStats; and, per event, the result bitmap must agree
+// fragments, the sizes of the shared structures and the lower-bound term
+// of MemStats; and, per event, the result bitmap must agree
 // with the per-route match vectors (checkResults) — the verdicts must be the tree evaluator's
 // (internal/semantics), and what the patched trie derives from its nodes
 // (the count vector every document starts from, the runs and their order)
@@ -262,13 +262,13 @@ func runChurn(t testing.TB, data []byte) churnCover {
 			if p, f := patched.MatchedCount(), fresh.MatchedCount(); p != f {
 				t.Fatalf("%s: event %d: MatchedCount patched=%d fresh=%d", label, n, p, f)
 			}
-			checkResults(t, fmt.Sprintf("%s: event %d", label, n), patched, nil)
+			checkResults(t, fmt.Sprintf("%s: event %d", label, n), patched, live, nil)
 		}
 		got, want := patched.MatchedIDs(), fresh.MatchedIDs()
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: matched patched=%v fresh=%v", label, got, want)
 		}
-		checkResults(t, label, patched, []byte(doc))
+		checkResults(t, label, patched, live, []byte(doc))
 		root := tree.MustParse(doc)
 		for _, s := range live {
 			if truth := semantics.BoolEval(query.MustParse(s.src), root); truth != slices.Contains(got, s.id) {
@@ -284,9 +284,6 @@ func runChurn(t testing.TB, data []byte) churnCover {
 			sp.SharedStates != sf.SharedStates || sp.PredNodes != sf.PredNodes {
 			t.Fatalf("%s: stats\n patched %s\n fresh   %s", label, sp, sf)
 		}
-		if p, f := patched.NeedsText(), fresh.NeedsText(); p != f {
-			t.Fatalf("%s: NeedsText patched=%v fresh=%v", label, p, f)
-		}
 		if p, f := patched.MemStats(), fresh.MemStats(); p != f {
 			t.Fatalf("%s: MemStats\n patched %s\n fresh   %s", label, p, f)
 		}
@@ -299,15 +296,19 @@ func runChurn(t testing.TB, data []byte) churnCover {
 // checkResults holds what the result bitmap says against the per-route
 // match vectors Matched reads: the matched ids are the subscriptions Matched
 // answers true for, in insertion order, and — once the document has ended
-// (doc non-nil) — the fragments' ids are the extracting ones among them, in
-// the same order.
-func checkResults(t testing.TB, label string, e *Engine, doc []byte) {
+// (doc non-nil) — the fragments' ids are the ones among them that live, the
+// subscriptions standing, added with extraction, in the same order.
+func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []byte) {
 	t.Helper()
+	extract := map[string]bool{}
+	for _, s := range live {
+		extract[s.id] = s.extract
+	}
 	var matched, extracting []string
 	for _, id := range e.IDs() {
 		if e.Matched(id) {
 			matched = append(matched, id)
-			if e.Extracting(id) {
+			if extract[id] {
 				extracting = append(extracting, id)
 			}
 		}

@@ -353,12 +353,6 @@ func (e *Engine) AddExtract(id string, q *query.Query) error {
 	return e.add(id, q, true)
 }
 
-// Extracting reports whether id is registered with extraction enabled.
-func (e *Engine) Extracting(id string) bool {
-	s, ok := e.byID[id]
-	return ok && s.extract
-}
-
 func (e *Engine) add(id string, q *query.Query, extract bool) error {
 	if _, dup := e.byID[id]; dup {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
@@ -671,16 +665,6 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 // Finished reports whether endDocument has been processed.
 func (e *Engine) Finished() bool { return e.finished }
 
-// NeedsText reports whether any subscription can read character data:
-// only value-restricted predicate leaves buffer text, so a false answer
-// means Text event payloads may be dropped (the events themselves must
-// still arrive).
-func (e *Engine) NeedsText() bool {
-	// Extraction re-serializes matched subtrees (and captures attribute
-	// values), so text payloads must flow whenever it is enabled.
-	return e.tr.restrictedLeaves > 0 || e.extracting > 0
-}
-
 // Matched reports subscription id's verdict for the current (or last)
 // document. Because matching is monotone, a true answer mid-stream is
 // already definitive.
@@ -730,20 +714,8 @@ type Fragment struct {
 	// and decoded attribute values. False means Data subslices the
 	// caller-provided document buffer (zero-copy). Holders that outlive
 	// the engine's current document must copy volatile fragments
-	// (CopyVolatileFragments).
+	// (Outcome.Detach).
 	Volatile bool
-}
-
-// CopyVolatileFragments replaces each volatile fragment's Data with a
-// private copy, clearing the flag. Zero-copy document subslices are left
-// untouched.
-func CopyVolatileFragments(frags []Fragment) {
-	for i := range frags {
-		if frags[i].Volatile {
-			frags[i].Data = append([]byte(nil), frags[i].Data...)
-			frags[i].Volatile = false
-		}
-	}
 }
 
 // AppendFragments appends the fragments captured for the current (or

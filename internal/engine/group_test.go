@@ -59,7 +59,7 @@ func TestPredicateGroupPatching(t *testing.T) {
 		for _, id := range e.IDs() {
 			mustAdd(t, fresh, id, subs[id])
 		}
-		if fs := fresh.Stats(); fs.PredNodes != st.PredNodes || fs.SharedStates != st.SharedStates || fresh.NeedsText() != e.NeedsText() {
+		if fs := fresh.Stats(); fs.PredNodes != st.PredNodes || fs.SharedStates != st.SharedStates {
 			t.Fatalf("%s: patched predNodes=%d shared=%d, built afresh predNodes=%d shared=%d",
 				step, st.PredNodes, st.SharedStates, fs.PredNodes, fs.SharedStates)
 		}

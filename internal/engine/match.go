@@ -37,23 +37,32 @@ type Outcome struct {
 	// Skimmed is how many bytes MatchBytes validated without dispatching
 	// them, zero for MatchReader.
 	Skimmed int64
-	// Sharded is set by parallel.Auto alone: the document ran on its
-	// event-sharded half rather than on a pool replica.
-	Sharded bool
+	// Abstained reports that the document breached a budget under
+	// limits.Abstain: the call returned no error, and IDs and Frags are what
+	// was decided and finalized before the breach.
+	Abstained bool
 }
 
 // Detach copies what the outcome shares with the engine — the id slice and
-// the data of volatile fragments — so it stays valid after the engine's next
-// document. Fragments that subslice the caller's document are left alone.
+// the data of volatile fragments, whose flag it clears — so it stays valid
+// after the engine's next document. Fragments that subslice the caller's
+// document are left alone.
 func (o *Outcome) Detach() {
 	o.IDs = slices.Clone(o.IDs)
-	CopyVolatileFragments(o.Frags)
+	for i := range o.Frags {
+		if f := &o.Frags[i]; f.Volatile {
+			f.Data, f.Volatile = slices.Clone(f.Data), false
+		}
+	}
 }
 
 // outcome reads the verdicts, fragments and accounting off the engine as
-// the current document left them. doc is the buffer slice-mode captures
-// index, nil on the reader path.
-func (e *Engine) outcome(doc []byte, mode CaptureMode) Outcome {
+// the current document left them, and applies the breach policy to the
+// document's error: under limits.Abstain a *limits.Error becomes
+// Outcome.Abstained and a nil error. The policy is the one this document
+// ran under, whatever the engine's owner sets next. doc is the buffer
+// slice-mode captures index, nil on the reader path.
+func (e *Engine) outcome(doc []byte, mode CaptureMode, err error) (Outcome, error) {
 	if e.ids == nil {
 		e.ids = make([]string, 0, 8)
 	}
@@ -63,7 +72,15 @@ func (e *Engine) outcome(doc []byte, mode CaptureMode) Outcome {
 		out.Frags = e.AppendFragments(nil, doc)
 		out.Mem = e.MemStats()
 	}
-	return out
+	if err != nil && e.lim.Policy == limits.Abstain {
+		// Declared here, not above: errors.As moves le to the heap, and a
+		// document without an error allocates nothing.
+		var le *limits.Error
+		if errors.As(err, &le) {
+			out.Abstained, err = true, nil
+		}
+	}
+	return out, err
 }
 
 var errTruncated = errors.New("streamxpath: document ended prematurely")
@@ -93,10 +110,11 @@ const firstProbe = 4 << 10
 // Outcome.Skimmed is the number of bytes validated without dispatch, 0 for
 // a document that was never decided. The error is ready for the public
 // surface: the engine's own errors are prefixed "streamxpath: ", the
-// tokenizer's pass through bare.
+// tokenizer's pass through bare. A budget breach under limits.Abstain is no
+// error but Outcome.Abstained.
 func (e *Engine) MatchBytes(doc []byte, mode CaptureMode) (Outcome, error) {
 	skimmed, err := e.matchBuffered(doc, mode, firstProbe)
-	out := e.outcome(doc, mode)
+	out, err := e.outcome(doc, mode, err)
 	out.Skimmed = skimmed
 	return out, err
 }
@@ -165,8 +183,8 @@ func (e *Engine) matchBuffered(doc []byte, mode CaptureMode, probe int) (skimmed
 // Outcome.Read reports the early exit, how much input it took, and whether
 // any verdict was decided negatively — and the remainder is neither read
 // nor validated. Where MatchBytes skims, MatchReader stops. A warm call
-// allocates nothing. Errors follow MatchBytes's convention; the reader's
-// own pass through bare.
+// allocates nothing. Errors and the breach policy follow MatchBytes's
+// convention; the reader's own errors pass through bare.
 func (e *Engine) MatchReader(r io.Reader, chunkSize int, mode CaptureMode) (Outcome, error) {
 	e.SetCapture(mode)
 	e.Reset() // also recovers from a document abandoned mid-stream
@@ -188,7 +206,7 @@ func (e *Engine) MatchReader(r io.Reader, chunkSize int, mode CaptureMode) (Outc
 	if err == nil && !sawEnd && !read.EarlyExit {
 		err = errTruncated
 	}
-	out := e.outcome(nil, mode)
+	out, err := e.outcome(nil, mode, err)
 	read.DecidedNegative = read.EarlyExit && len(out.IDs) < len(e.subs)
 	out.Read = read
 	return out, err

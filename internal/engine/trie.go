@@ -284,10 +284,6 @@ type trie struct {
 	// by Stats.
 	steps     int
 	predNodes int
-	// restrictedLeaves counts value-restricted predicate leaves — the
-	// only consumers of character data. Zero means text event payloads
-	// are never read, which lets transports skip shipping them.
-	restrictedLeaves int
 }
 
 func newTrie(tab *symtab.Table) *trie {
@@ -460,9 +456,6 @@ func (t *trie) remove(idx int) {
 func (t *trie) dropPreds(nodes []*tnode) {
 	for _, n := range nodes {
 		t.predNodes--
-		if n.restricted {
-			t.restrictedLeaves--
-		}
 		t.dropPreds(n.conj)
 	}
 }
@@ -481,9 +474,6 @@ func (t *trie) buildPred(v *query.Node, prog *core.Program) *tnode {
 	}
 	t.internNTest(n)
 	t.predNodes++
-	if n.restricted {
-		t.restrictedLeaves++
-	}
 	for _, c := range v.Children {
 		n.conj = append(n.conj, t.buildPred(c, prog))
 	}

@@ -1,6 +1,6 @@
 // Package limits defines the per-document resource budgets shared by the
-// tokenizer, the core filter, the dissemination engine, and the parallel
-// subsystems — the operational form of the paper's memory lower bounds.
+// tokenizer, the core filter, the dissemination engine, and the replica
+// pool — the operational form of the paper's memory lower bounds.
 //
 // The paper (Sections 4-7) proves that any streaming XPath evaluator must
 // hold Ω(frontier size) concurrent candidate state, Ω(r) state on
@@ -12,8 +12,9 @@
 // either — so the principled response is to stop with a typed, recoverable
 // error rather than grow without bound. Each enforcement site compares a
 // live-state measure against one budget field; a breach surfaces as a
-// *Error that callers detect with errors.As and may convert into an
-// Abstain verdict (the degraded mode of the public API).
+// *Error that callers detect with errors.As, or that the engine turns into
+// an abstain verdict under the Abstain policy (the degraded mode of the
+// public API).
 //
 // The zero value of Limits disables every budget: all checks are a single
 // compare against zero, so unlimited operation stays on the existing
@@ -22,8 +23,21 @@ package limits
 
 import "fmt"
 
+// Policy selects what a match call does when a budget is breached.
+type Policy uint8
+
+const (
+	// Fail (the default) returns the *Error.
+	Fail Policy = iota
+	// Abstain returns no error and the verdicts decided before the breach,
+	// flagged as abstained. The engine's match calls apply it, so the
+	// policy a document breached under is the one it ran with.
+	Abstain
+)
+
 // Limits is a per-document resource budget. A field <= 0 leaves that
-// budget unenforced. Breaches surface as *Error.
+// budget unenforced. Breaches surface as *Error, or under Abstain as a
+// degraded result.
 type Limits struct {
 	// MaxDepth bounds the open-element nesting depth (the paper's d and,
 	// on recursive documents, its recursion term r). Enforced by the
@@ -51,6 +65,8 @@ type Limits struct {
 	// MaxDocBytes bounds the total document size consumed from a reader
 	// or accepted in memory.
 	MaxDocBytes int64
+	// Policy is the breach policy; the enforcement sites ignore it.
+	Policy Policy
 }
 
 // Enabled reports whether any budget is set.

@@ -1,7 +1,21 @@
+// Package parallel is the concurrent dissemination matcher over
+// internal/engine: a pool of complete engine replicas, each carrying every
+// subscription, matching whole documents independently. The sequential
+// engine is single-threaded by design — one symbol table, one frontier — so
+// a feed whose documents arrive faster than one core can match them spends
+// more cores on more documents at once, not on one document.
+//
+// The replicas share one symtab.Table. It is copy-on-write (see its package
+// comment), so their hot loops read symbols lock-free while interning — the
+// only write, and only on the first sight of a name — stays off the
+// steady-state path, and a feed's name vocabulary is interned once no matter
+// which replica sees a name first.
 package parallel
 
 import (
+	"fmt"
 	"io"
+	"runtime/debug"
 	"sync"
 
 	"streamxpath/internal/engine"
@@ -9,6 +23,27 @@ import (
 	"streamxpath/internal/query"
 	"streamxpath/internal/symtab"
 )
+
+// PanicError reports a panic recovered inside a pool replica. The in-flight
+// document fails with this error; the replica's engine is quarantined and
+// rebuilt from its intact subscription list before the next document, so
+// the pool stays usable.
+type PanicError struct {
+	// Recovered is the value the panic carried.
+	Recovered any
+	// Stack is the panicking goroutine's stack trace, captured at the
+	// recovery site.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("parallel: recovered panic in worker: %v", e.Recovered)
+}
+
+// newPanicError wraps a recovered value for the public error chain.
+func newPanicError(rec any) error {
+	return fmt.Errorf("streamxpath: %w", &PanicError{Recovered: rec, Stack: debug.Stack()})
+}
 
 // replica is one complete engine copy of a Pool: every subscription, its
 // own tokenizers and scratch. A replica is owned by exactly one match
@@ -22,8 +57,8 @@ type replica struct {
 	fault func()
 }
 
-// Pool is the document-parallel mode: n engine replicas, each carrying
-// the full subscription set, matching whole documents independently.
+// Pool is the replica pool: n engine replicas, each carrying the full
+// subscription set, matching whole documents independently.
 // MatchBytes and MatchReader are safe to call from any number of
 // goroutines — each call checks a replica out of the idle ring, matches,
 // and returns it — so a feed's documents spread across cores with no
@@ -46,19 +81,13 @@ type Pool struct {
 	subs roster
 }
 
-// NewPool returns a pool of n replicas (n < 1 is treated as 1).
-func NewPool(n int) *Pool { return NewPoolTab(n, nil) }
-
-// NewPoolTab is NewPool interning into tab (nil for a private table) —
-// the hook the adaptive engine uses to bind its sharded and pooled
-// halves to one symbol space.
-func NewPoolTab(n int, tab *symtab.Table) *Pool {
+// NewPool returns a pool of n replicas (n < 1 is treated as 1) interning
+// into one symbol table of their own.
+func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	if tab == nil {
-		tab = symtab.New()
-	}
+	tab := symtab.New()
 	p := &Pool{idle: make(chan *replica, n)}
 	for i := 0; i < n; i++ {
 		r := &replica{eng: engine.NewWithSymbols(tab)}

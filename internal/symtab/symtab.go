@@ -31,10 +31,10 @@
 // window, since the fold threshold doubles with the table.
 //
 // This makes a Table safe for any number of concurrent readers alongside
-// concurrent interners, which is what lets the parallel dissemination
-// engine (internal/parallel) bind N engine shards and their tokenizer(s)
-// to one shared table: the shards' hot loops read symbols lock-free while
-// the tokenizer occasionally interns a first-seen document name. The
+// concurrent interners, which is what lets the replica pool
+// (internal/parallel) bind its N engine replicas and their tokenizers to
+// one shared table: the replicas' hot loops read symbols lock-free while
+// whichever of them first sees a document name interns it. The
 // single-threaded cost over the previous unsynchronized table is one
 // atomic load per operation.
 package symtab

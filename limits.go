@@ -1,22 +1,21 @@
 package streamxpath
 
 import (
-	"errors"
-
 	"streamxpath/internal/engine"
 	"streamxpath/internal/limits"
 	"streamxpath/internal/parallel"
 )
 
 // LimitPolicy selects what a Match call does when a resource budget is
-// breached mid-document.
-type LimitPolicy uint8
+// breached mid-document. A document is held to the policy it started
+// under: a SetLimits that lands while it runs applies from the next one.
+type LimitPolicy = limits.Policy
 
 const (
 	// LimitFail (the default) fails the document: the Match call returns
 	// a *LimitError (detect with errors.As) and no verdicts. The set or
 	// filter stays fully usable for the next document.
-	LimitFail LimitPolicy = iota
+	LimitFail = limits.Fail
 	// LimitAbstain degrades gracefully: the Match call returns the
 	// verdicts that were already decided when the budget was hit — they
 	// are definitive, because matching is monotone — with a nil error,
@@ -24,7 +23,7 @@ const (
 	// ReaderStats.Abstained for reader calls) report the degradation, so
 	// "matched" and "ran out of budget while unmatched" remain
 	// distinguishable.
-	LimitAbstain
+	LimitAbstain = limits.Abstain
 )
 
 // Limits is a per-document resource budget — the operational form of the
@@ -85,8 +84,8 @@ type Limits struct {
 // Enabled reports whether any budget is set.
 func (l Limits) Enabled() bool { return l.internal().Enabled() }
 
-// internal strips the policy, leaving the enforcement thresholds the
-// internal layers understand.
+// internal is l in the form the internal layers take: the enforcement
+// thresholds, and the policy the engine applies to a breach.
 func (l Limits) internal() limits.Limits {
 	return limits.Limits{
 		MaxDepth:         l.MaxDepth,
@@ -94,6 +93,7 @@ func (l Limits) internal() limits.Limits {
 		MaxBufferedBytes: l.MaxBufferedBytes,
 		MaxLiveTuples:    l.MaxLiveTuples,
 		MaxDocBytes:      l.MaxDocBytes,
+		Policy:           l.Policy,
 	}
 }
 
@@ -119,9 +119,3 @@ type PanicError = parallel.PanicError
 // (LowerBoundBits), and their ratio — how far above the
 // information-theoretic minimum the evaluator actually sat.
 type MemStats = engine.MemStats
-
-// limitBreach reports whether err carries a *LimitError.
-func limitBreach(err error) bool {
-	var le *LimitError
-	return errors.As(err, &le)
-}

@@ -55,12 +55,12 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 	lim := Limits{MaxDepth: 1000, MaxLiveTuples: 4096}
 
 	// checkStats: the peaks must scale with the budget, not the document.
-	checkStats := func(t *testing.T, ms MemStats, shards int) {
+	checkStats := func(t *testing.T, ms MemStats) {
 		t.Helper()
 		if ms.MaxDepth > lim.MaxDepth+2 {
 			t.Errorf("MemStats.MaxDepth = %d, want <= %d", ms.MaxDepth, lim.MaxDepth+2)
 		}
-		if ms.PeakLiveTuples > shards*2*lim.MaxLiveTuples {
+		if ms.PeakLiveTuples > 2*lim.MaxLiveTuples {
 			t.Errorf("MemStats.PeakLiveTuples = %d, want O(%d)", ms.PeakLiveTuples, lim.MaxLiveTuples)
 		}
 	}
@@ -99,7 +99,7 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 			s.SetLimits(lim)
 			res, err := s.MatchBytesResult(doc)
 			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
-			checkStats(t, res.MemStats, 1)
+			checkStats(t, res.MemStats)
 			res, err = s.MatchReaderResult(bytes.NewReader(doc))
 			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
 			if pol == LimitAbstain && !res.ReaderStats.Abstained {
@@ -133,23 +133,6 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
 		})
-		t.Run("ParallelFilterSet/"+name, func(t *testing.T) {
-			s := NewParallelFilterSet(2)
-			defer s.Close()
-			if err := s.Add("q", "//a/b"); err != nil {
-				t.Fatal(err)
-			}
-			s.SetLimits(lim)
-			res, err := s.MatchBytesResult(doc)
-			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
-			checkStats(t, res.MemStats, s.Shards())
-			res, err = s.MatchReaderResult(bytes.NewReader(doc))
-			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
-			res, err = s.MatchStringResult(okDoc)
-			if err != nil || len(res.MatchedIDs) != 1 || res.Abstained {
-				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
-			}
-		})
 		t.Run("FilterPool/"+name, func(t *testing.T) {
 			p := NewFilterPool(2)
 			if err := p.Add("q", "//a/b"); err != nil {
@@ -158,7 +141,7 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 			p.SetLimits(lim)
 			res, err := p.MatchBytesResult(doc)
 			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
-			checkStats(t, res.MemStats, 1)
+			checkStats(t, res.MemStats)
 			res, err = p.MatchReaderResult(bytes.NewReader(doc))
 			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
 			res, err = p.MatchStringResult(okDoc)
@@ -166,23 +149,29 @@ func TestLimitsDeepDocEveryEntryPoint(t *testing.T) {
 				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
 			}
 		})
-		t.Run("AdaptiveFilterSet/"+name, func(t *testing.T) {
-			s := NewAdaptiveFilterSet(2)
-			defer s.Close()
-			if err := s.Add("q", "//a/b"); err != nil {
-				t.Fatal(err)
-			}
-			s.SetLimits(lim)
-			res, err := s.MatchBytesResult(doc)
-			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
-			checkStats(t, res.MemStats, s.Shards())
-			res, err = s.MatchReaderResult(bytes.NewReader(doc))
-			checkSetErr(t, res.MatchedIDs, err, res.Abstained)
-			res, err = s.MatchStringResult(okDoc)
-			if err != nil || len(res.MatchedIDs) != 1 || res.Abstained {
-				t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
-			}
-		})
+		// The deprecated names are FilterPools under the same budgets.
+		for setName, newSet := range map[string]func(int) *ParallelFilterSet{
+			"ParallelFilterSet": NewParallelFilterSet,
+			"AdaptiveFilterSet": NewAdaptiveFilterSet,
+		} {
+			t.Run(setName+"/"+name, func(t *testing.T) {
+				s := newSet(2)
+				defer s.Close()
+				if err := s.Add("q", "//a/b"); err != nil {
+					t.Fatal(err)
+				}
+				s.SetLimits(lim)
+				res, err := s.MatchBytesResult(doc)
+				checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+				checkStats(t, res.MemStats)
+				res, err = s.MatchReaderResult(bytes.NewReader(doc))
+				checkSetErr(t, res.MatchedIDs, err, res.Abstained)
+				res, err = s.MatchStringResult(okDoc)
+				if err != nil || len(res.MatchedIDs) != 1 || res.Abstained {
+					t.Fatalf("reuse: ids=%v err=%v abstained=%v", res.MatchedIDs, err, res.Abstained)
+				}
+			})
+		}
 	}
 }
 
@@ -357,8 +346,8 @@ func TestLimitsPredicateNesting(t *testing.T) {
 }
 
 // TestLimitsVerdictsIdenticalUnderGenerousBudgets: across the
-// adversarial corpus and every parallel mode, enabling budgets that are
-// never hit must not change a single verdict.
+// adversarial corpus, on the sequential set and the pool, enabling budgets
+// that are never hit must not change a single verdict.
 func TestLimitsVerdictsIdenticalUnderGenerousBudgets(t *testing.T) {
 	corpus := map[string][]byte{
 		"deep":  deepDoc(500),
@@ -391,60 +380,21 @@ func TestLimitsVerdictsIdenticalUnderGenerousBudgets(t *testing.T) {
 		}
 	}
 
-	type arm struct {
+	set, pool := NewFilterSet(), NewFilterPool(2)
+	for _, q := range queries {
+		if err := set.Add(q.id, q.src); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Add(q.id, q.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set.SetLimits(generous)
+	pool.SetLimits(generous)
+	ms := []struct {
 		name  string
 		match func([]byte) (MatchResult, error)
-		close func()
-	}
-	var ms []arm
-	{
-		s := NewFilterSet()
-		for _, q := range queries {
-			if err := s.Add(q.id, q.src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.SetLimits(generous)
-		ms = append(ms, arm{"FilterSet", s.MatchBytesResult, nil})
-	}
-	{
-		s := NewParallelFilterSet(2)
-		for _, q := range queries {
-			if err := s.Add(q.id, q.src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.SetLimits(generous)
-		ms = append(ms, arm{"ParallelFilterSet", s.MatchBytesResult, s.Close})
-	}
-	{
-		p := NewFilterPool(2)
-		for _, q := range queries {
-			if err := p.Add(q.id, q.src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p.SetLimits(generous)
-		ms = append(ms, arm{"FilterPool", p.MatchBytesResult, nil})
-	}
-	{
-		s := NewAdaptiveFilterSet(2)
-		for _, q := range queries {
-			if err := s.Add(q.id, q.src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.SetLimits(generous)
-		ms = append(ms, arm{"AdaptiveFilterSet", s.MatchBytesResult, s.Close})
-	}
-	defer func() {
-		for _, m := range ms {
-			if m.close != nil {
-				m.close()
-			}
-		}
-	}()
-
+	}{{"FilterSet", set.MatchBytesResult}, {"FilterPool", pool.MatchBytesResult}}
 	for docName, doc := range corpus {
 		want, err := free.MatchBytes(doc)
 		if err != nil {
@@ -627,7 +577,8 @@ func FuzzMatchLimitsNoPanic(f *testing.F) {
 			// document must still give its verdict (or a budget breach —
 			// the limits may be tiny — but never a panic or a stale error).
 			ids, err := s.MatchString("<a><b>x</b></a>")
-			if err != nil && !limitBreach(err) {
+			var le *LimitError
+			if err != nil && !errors.As(err, &le) {
 				t.Fatalf("reuse after fuzzed doc: %v", err)
 			}
 			_ = ids

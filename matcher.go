@@ -15,7 +15,7 @@ import (
 // sequential engine, or internal/parallel's pool of replicas of it. Its two
 // match entry points return everything the call knows about its document
 // in one engine.Outcome, assembled before whatever lock ran the document
-// is released.
+// is released — the breach policy's verdict included.
 type backend interface {
 	Add(id string, q *query.Query) error
 	AddExtract(id string, q *query.Query) error
@@ -28,8 +28,7 @@ type backend interface {
 	MatchReader(r io.Reader, chunkSize int, mode engine.CaptureMode) (engine.Outcome, error)
 }
 
-// matcher is the public surface FilterSet and FilterPool share (and the
-// two matchers parallelset.go keeps for the benchmark ledger), derived once
+// matcher is the public surface FilterSet and FilterPool share, derived once
 // from a backend: subscription management, limits and their breach policy,
 // and the six Match methods,
 // every one of which is a view of the one per-call MatchResult. Filter is
@@ -90,7 +89,7 @@ func (m *matcher) IDs() []string { return m.b.IDs() }
 // as a degraded result (MatchResult.Abstained). Either way the matcher
 // stays usable — nothing ever panics, and no budget check allocates until
 // a breach actually occurs. On a FilterPool it waits for in-flight Match
-// calls to finish, so budgets never change mid-document.
+// calls to finish, so neither budgets nor policy change mid-document.
 func (m *matcher) SetLimits(l Limits) {
 	m.lim.Store(&l)
 	m.b.SetLimits(l.internal())
@@ -207,7 +206,7 @@ func (m *matcher) MatchReaderResult(r io.Reader) (MatchResult, error) {
 
 func (m *matcher) matchBytes(doc []byte, mode engine.CaptureMode) (MatchResult, error) {
 	out, err := m.b.MatchBytes(doc, mode)
-	return m.result(out, err)
+	return result(out, err)
 }
 
 func (m *matcher) matchString(xml string, mode engine.CaptureMode) (MatchResult, error) {
@@ -220,25 +219,22 @@ func (m *matcher) matchString(xml string, mode engine.CaptureMode) (MatchResult,
 
 func (m *matcher) matchReader(r io.Reader, mode engine.CaptureMode) (MatchResult, error) {
 	out, err := m.b.MatchReader(r, int(m.chunk.Load()), mode)
-	res, err := m.result(out, err)
+	res, err := result(out, err)
 	res.ReaderStats = readerStats(out.Read)
 	res.ReaderStats.Abstained = res.Abstained
 	return res, err
 }
 
-// result turns one call's outcome into its MatchResult, and is where the
-// breach policy is applied: under LimitAbstain an error carrying a
-// *LimitError degrades to the verdicts already decided (definitive, by
-// monotonicity) and the fragments finalized before the breach, with a nil
-// error. Any other error passes through, beside a result that holds the
-// failed document's accounting and no verdicts.
-func (m *matcher) result(out engine.Outcome, err error) (MatchResult, error) {
-	res := MatchResult{MemStats: out.Mem, SkimmedBytes: out.Skimmed}
+// result turns one call's outcome into its MatchResult. The breach policy
+// was applied where the document ran: an abstained outcome carries the
+// verdicts already decided (definitive, by monotonicity) and the fragments
+// finalized before the breach, with a nil error. An error passes through,
+// beside a result that holds the failed document's accounting and no
+// verdicts.
+func result(out engine.Outcome, err error) (MatchResult, error) {
+	res := MatchResult{MemStats: out.Mem, SkimmedBytes: out.Skimmed, Abstained: out.Abstained}
 	if err != nil {
-		if m.Limits().Policy != LimitAbstain || !limitBreach(err) {
-			return res, err
-		}
-		res.Abstained = true
+		return res, err
 	}
 	res.MatchedIDs = out.IDs
 	if res.MatchedIDs == nil {

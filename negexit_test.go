@@ -103,43 +103,6 @@ func TestNegativeEarlyExitReaderEntryPoints(t *testing.T) {
 		assertNegativeExit(t, "FilterSet/4KiB", res.ReaderStats, len(doc), res.MatchedIDs)
 	})
 
-	// The fanned-out entry points poll shard decisions asynchronously, so
-	// give them a larger document and small chunks: the <10% budget then
-	// spans far more decision points than the ring can run ahead of.
-	big := catalogDoc(4 << 20)
-
-	t.Run("ParallelFilterSet", func(t *testing.T) {
-		ps := NewParallelFilterSet(3)
-		defer ps.Close()
-		for id, q := range newsSubs {
-			if err := ps.Add(id, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ps.SetChunkSize(4096)
-		res, err := ps.MatchReaderResult(bytes.NewReader(big))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertNegativeExit(t, "ParallelFilterSet", res.ReaderStats, len(big), res.MatchedIDs)
-	})
-
-	t.Run("AdaptiveFilterSet", func(t *testing.T) {
-		as := NewAdaptiveFilterSet(2)
-		defer as.Close()
-		for id, q := range newsSubs {
-			if err := as.Add(id, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		as.SetChunkSize(4096)
-		res, err := as.MatchReaderResult(bytes.NewReader(big))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertNegativeExit(t, "AdaptiveFilterSet", res.ReaderStats, len(big), res.MatchedIDs)
-	})
-
 	t.Run("FilterPool", func(t *testing.T) {
 		fp := NewFilterPool(2)
 		for id, q := range newsSubs {
@@ -154,6 +117,28 @@ func TestNegativeEarlyExitReaderEntryPoints(t *testing.T) {
 		}
 		assertNegativeExit(t, "FilterPool", res.ReaderStats, len(doc), res.MatchedIDs)
 	})
+
+	// The deprecated names are FilterPools and must exit just as early.
+	for name, newSet := range map[string]func(int) *ParallelFilterSet{
+		"ParallelFilterSet": NewParallelFilterSet,
+		"AdaptiveFilterSet": NewAdaptiveFilterSet,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ps := newSet(3)
+			defer ps.Close()
+			for id, q := range newsSubs {
+				if err := ps.Add(id, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ps.SetChunkSize(4096)
+			res, err := ps.MatchReaderResult(bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertNegativeExit(t, name, res.ReaderStats, len(doc), res.MatchedIDs)
+		})
+	}
 
 	t.Run("Filter", func(t *testing.T) {
 		f, err := MustCompile("/news/item").NewFilter()
@@ -305,12 +290,9 @@ func TestNegativeEarlyExitEquivalenceRandomized(t *testing.T) {
 		"d1": "//sports/headline",
 	}
 	s := NewFilterSet()
-	par := NewParallelFilterSet(3)
-	defer par.Close()
-	ad := NewAdaptiveFilterSet(2)
-	defer ad.Close()
+	pool := NewFilterPool(2)
 	for id, q := range subs {
-		for _, add := range []func(string, string) error{s.Add, par.Add, ad.Add} {
+		for _, add := range []func(string, string) error{s.Add, pool.Add} {
 			if err := add(id, q); err != nil {
 				t.Fatal(err)
 			}
@@ -335,22 +317,13 @@ func TestNegativeEarlyExitEquivalenceRandomized(t *testing.T) {
 				trial, got, want, res.ReaderStats, doc)
 		}
 
-		par.SetChunkSize(1 + rng.Intn(64))
-		gotPar, err := par.MatchReader(strings.NewReader(doc))
+		pool.SetChunkSize(1 + rng.Intn(64))
+		gotPool, err := pool.MatchReader(strings.NewReader(doc))
 		if err != nil {
-			t.Fatalf("trial %d parallel: %v", trial, err)
+			t.Fatalf("trial %d pool: %v", trial, err)
 		}
-		if strings.Join(gotPar, ",") != wantIDs {
-			t.Fatalf("trial %d: ParallelFilterSet.MatchReader=%v want %v\ndoc: %s", trial, gotPar, want, doc)
-		}
-
-		ad.SetChunkSize(1 + rng.Intn(64))
-		gotAd, err := ad.MatchReader(strings.NewReader(doc))
-		if err != nil {
-			t.Fatalf("trial %d adaptive: %v", trial, err)
-		}
-		if strings.Join(gotAd, ",") != wantIDs {
-			t.Fatalf("trial %d: AdaptiveFilterSet.MatchReader=%v want %v\ndoc: %s", trial, gotAd, want, doc)
+		if strings.Join(gotPool, ",") != wantIDs {
+			t.Fatalf("trial %d: FilterPool.MatchReader=%v want %v\ndoc: %s", trial, gotPool, want, doc)
 		}
 
 		// The standalone filter must agree with the set verdict per query.

@@ -6,14 +6,14 @@ import (
 	"streamxpath/internal/parallel"
 )
 
-// FilterPool is the document-parallel dissemination engine: a pool of
-// complete engine replicas, each carrying every subscription, matching
-// whole documents independently. Each Match call checks out an idle
-// replica, so a document feed spreads across cores with no coordination
-// beyond the checkout. All replicas share one concurrent symbol table,
-// so the feed's name vocabulary is interned once, whichever replica sees
-// a name first. Add, Remove, SetLimits and Stats wait for in-flight Match
-// calls to drain; a Match call never waits for another.
+// FilterPool is the concurrent dissemination engine: a pool of complete
+// engine replicas, each carrying every subscription, matching whole
+// documents independently. Each Match call checks out an idle replica, so
+// a document feed spreads across cores with no coordination beyond the
+// checkout. All replicas share one concurrent symbol table, so the feed's
+// name vocabulary is interned once, whichever replica sees a name first.
+// Add, Remove, SetLimits and Stats wait for in-flight Match calls to drain;
+// a Match call never waits for another.
 //
 // Match contract: every Match method is safe to call from any number of
 // goroutines, returns freshly allocated slices (calls run concurrently, so
@@ -21,10 +21,11 @@ import (
 // own — everything in it is read off the replica before the replica goes
 // back. Results are identical to the sequential FilterSet's.
 //
-// It is the one concurrent matcher the shipped programs use (xpfilterd
-// tenants, xpfilter -workers, examples/dissemination). The two types below
-// it stay only because the benchmark ledger still constructs them; they
-// measured 0.25–0.50× of the sequential FilterSet there (ROADMAP 2(a)).
+// It is the one concurrent matcher: xpfilterd tenants, xpfilter -workers
+// and examples/dissemination run on it. An event-sharded engine that split
+// one document's subscriptions across cores, and a per-document chooser
+// between it and the pool, were measured at 0.21–0.50× of the sequential
+// FilterSet and deleted; the two types below are what is left of them.
 type FilterPool struct {
 	matcher
 	p *parallel.Pool
@@ -41,90 +42,36 @@ func NewFilterPool(workers int) *FilterPool {
 // Workers returns the replica count.
 func (p *FilterPool) Workers() int { return p.p.Workers() }
 
-// ParallelFilterSet is the multi-core FilterSet: subscriptions are
-// hash-sharded across N independent copies of the shared dissemination
-// engine, all bound to one concurrent symbol table. Each document is
-// tokenized exactly once (on the calling goroutine, through the
-// interned-symbol byte fast path) and its symbol events are fanned out
-// to per-shard worker goroutines through reusable batched event rings;
-// the per-shard match sets are merged back into subscription insertion
-// order, so results are identical to the sequential FilterSet's on every
-// document.
+// ParallelFilterSet is a FilterPool under the name of the event-sharded
+// engine it replaced.
 //
-// This mode parallelizes one document at a time across cores — the right
-// shape when the subscription set is large.
+// Deprecated: use FilterPool. The type stays only while the benchmark
+// ledger still constructs it.
+type ParallelFilterSet struct{ *FilterPool }
+
+// NewParallelFilterSet returns NewFilterPool(workers) as a ParallelFilterSet.
 //
-// Match contract: Match calls from multiple goroutines are safe but
-// serialize (to match many documents concurrently instead, use
-// FilterPool); each returns freshly allocated slices and a MatchResult
-// assembled before the next document may start, whose MemStats aggregates
-// the shards' accounting (peaks sum, depth is the maximum). MatchBytes
-// dispatches every event (there is no skim, so SkimmedBytes is 0);
-// MatchReader broadcasts each chunk's events as it arrives, overlapping
-// I/O, tokenization and matching, and abandons the reader once every
-// shard's verdicts are decided.
-//
-// A ParallelFilterSet owns worker goroutines: call Close when done.
-type ParallelFilterSet struct {
-	matcher
-	s *parallel.Sharded
+// Deprecated: use NewFilterPool.
+func NewParallelFilterSet(workers int) *ParallelFilterSet {
+	return &ParallelFilterSet{NewFilterPool(workers)}
 }
 
-// NewParallelFilterSet returns an empty set with the given number of
-// shards; shards < 1 selects GOMAXPROCS.
-func NewParallelFilterSet(shards int) *ParallelFilterSet {
-	s := &ParallelFilterSet{s: parallel.NewSharded(workersOr(shards))}
-	s.b = s.s
-	return s
-}
-
-// Shards returns the shard count.
-func (s *ParallelFilterSet) Shards() int { return s.s.Shards() }
-
-// Close stops the shard worker goroutines. The set is unusable
-// afterwards; Close is idempotent.
-func (s *ParallelFilterSet) Close() { s.s.Close() }
-
-// AdaptiveFilterSet picks the parallel mode per document: documents
-// below a size threshold (32 KiB) — or subscription sets below a count
-// threshold (256), where per-shard work is too thin to amortize the event
-// broadcast — match on a FilterPool replica (document-parallel, no fan-out
-// overhead), and everything else fans out on the event-sharded engine.
-// Both halves share one symbol table and carry every subscription, so
-// the routing decision is free and results are identical either way.
-// MatchReader peeks the first threshold bytes to learn the size class
-// before committing: a document that ends within them matches on a
-// replica; a larger one streams chunked — sequentially on a replica when
-// the subscription set is below the count threshold (bounded memory
-// without fan-out overhead), event-sharded otherwise.
+// Close does nothing: a pool owns no goroutines.
 //
-// Match contract: as FilterPool's on the replica route and
-// ParallelFilterSet's on the sharded one — concurrent calls are safe,
-// slices are freshly allocated, the MatchResult is the call's own —
-// and reader-path fragments are canonical re-serializations on every
-// route (even a fully staged small document: the staging buffer is
-// recycled).
+// Deprecated: FilterPool needs no Close.
+func (*ParallelFilterSet) Close() {}
+
+// AdaptiveFilterSet is a FilterPool under the name of the per-document
+// chooser it replaced.
 //
-// An AdaptiveFilterSet owns worker goroutines: call Close when done.
-type AdaptiveFilterSet struct {
-	matcher
-	a *parallel.Auto
-}
+// Deprecated: use FilterPool.
+type AdaptiveFilterSet = ParallelFilterSet
 
-// NewAdaptiveFilterSet returns an empty adaptive set with the given
-// number of shards/replicas; workers < 1 selects GOMAXPROCS.
-func NewAdaptiveFilterSet(workers int) *AdaptiveFilterSet {
-	s := &AdaptiveFilterSet{a: parallel.NewAuto(workersOr(workers))}
-	s.b = s.a
-	return s
-}
-
-// Shards returns the worker count of each half.
-func (s *AdaptiveFilterSet) Shards() int { return s.a.Shards() }
-
-// Close stops the worker goroutines. The set is unusable afterwards;
-// Close is idempotent.
-func (s *AdaptiveFilterSet) Close() { s.a.Close() }
+// NewAdaptiveFilterSet returns NewFilterPool(workers) as an
+// AdaptiveFilterSet.
+//
+// Deprecated: use NewFilterPool.
+func NewAdaptiveFilterSet(workers int) *AdaptiveFilterSet { return NewParallelFilterSet(workers) }
 
 // workersOr resolves a worker count: n < 1 selects GOMAXPROCS.
 func workersOr(n int) int {

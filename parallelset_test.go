@@ -12,7 +12,7 @@ import (
 )
 
 // randomSubscription draws one subscription source from the mixed
-// template pool used across the parallel equivalence tests: linear
+// template pool of the pool equivalence test: linear
 // NFA-routed queries, predicated trie-routed queries, wildcards and
 // attribute tests.
 func randomSubscription(rng *rand.Rand) string {
@@ -47,11 +47,78 @@ func randomCatalog(rng *rand.Rand) string {
 	return b.String()
 }
 
-// TestParallelFilterSetEquivalenceRandomized is the tentpole correctness
-// gate: across shard counts 1/2/8, randomized subscription sets matched
-// against randomized document streams must return exactly the sequential
-// FilterSet's answer — same ids, same insertion order — document after
-// document, through Add/Remove churn.
+// TestFilterPoolEquivalenceRandomized checks the replica pool against the
+// sequential FilterSet at 1, 2 and 8 replicas: randomized subscription sets
+// matched against randomized documents, each round's documents concurrently,
+// must return exactly the sequential answer — same ids, same insertion
+// order — through Add/Remove churn between rounds.
+func TestFilterPoolEquivalenceRandomized(t *testing.T) {
+	for _, replicas := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(600 + replicas)))
+			for trial := 0; trial < 20; trial++ {
+				seq := streamxpath.NewFilterSet()
+				pool := streamxpath.NewFilterPool(replicas)
+				add := func(id, src string) {
+					if err := seq.Add(id, src); err != nil {
+						t.Fatal(err)
+					}
+					if err := pool.Add(id, src); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n := 2 + rng.Intn(12)
+				for i := 0; i < n; i++ {
+					add(fmt.Sprintf("s%d", i), randomSubscription(rng))
+				}
+				for round := 0; round < 3; round++ {
+					docs := make([][]byte, 6)
+					want := make([][]string, len(docs))
+					for i := range docs {
+						docs[i] = []byte(randomCatalog(rng))
+						ids, err := seq.MatchBytes(docs[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[i] = append([]string{}, ids...)
+					}
+					var wg sync.WaitGroup
+					for i, doc := range docs {
+						wg.Add(1)
+						go func(i int, doc []byte) {
+							defer wg.Done()
+							got, err := pool.MatchBytes(doc)
+							if err != nil {
+								t.Errorf("doc %d: %v", i, err)
+								return
+							}
+							if !reflect.DeepEqual(got, want[i]) {
+								t.Errorf("trial %d round %d doc %d: pool %v != sequential %v\ndoc: %s",
+									trial, round, i, got, want[i], doc)
+							}
+						}(i, doc)
+					}
+					wg.Wait()
+					if t.Failed() {
+						return
+					}
+					// Churn between rounds, identically on both sets.
+					victim := fmt.Sprintf("s%d", rng.Intn(n))
+					if seq.Remove(victim) != pool.Remove(victim) {
+						t.Fatalf("Remove(%s) verdicts differ", victim)
+					}
+					add(fmt.Sprintf("extra%d", round), randomSubscription(rng))
+				}
+			}
+		})
+	}
+}
+
+// TestParallelFilterSetEquivalenceRandomized keeps the deprecated
+// ParallelFilterSet name honest: at 1, 2 and 8 workers, randomized
+// subscription sets matched document after document must return exactly
+// the sequential FilterSet's answer — same ids, same insertion order —
+// through Add/Remove churn between documents.
 func TestParallelFilterSetEquivalenceRandomized(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -106,57 +173,10 @@ func TestParallelFilterSetEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestFilterPoolEquivalenceRandomized checks the document-parallel mode
-// against the sequential FilterSet on the same randomized workloads.
-func TestFilterPoolEquivalenceRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(606))
-	for trial := 0; trial < 20; trial++ {
-		seq := streamxpath.NewFilterSet()
-		pool := streamxpath.NewFilterPool(3)
-		for i := 0; i < 2+rng.Intn(10); i++ {
-			id := fmt.Sprintf("s%d", i)
-			src := randomSubscription(rng)
-			if err := seq.Add(id, src); err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.Add(id, src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		docs := make([][]byte, 8)
-		for i := range docs {
-			docs[i] = []byte(randomCatalog(rng))
-		}
-		want := make([][]string, len(docs))
-		for i, doc := range docs {
-			ids, err := seq.MatchBytes(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = append([]string{}, ids...)
-		}
-		var wg sync.WaitGroup
-		for i, doc := range docs {
-			wg.Add(1)
-			go func(i int, doc []byte) {
-				defer wg.Done()
-				got, err := pool.MatchBytes(doc)
-				if err != nil {
-					t.Errorf("doc %d: %v", i, err)
-					return
-				}
-				if !reflect.DeepEqual(append([]string{}, got...), want[i]) {
-					t.Errorf("trial %d doc %d: pool %v != sequential %v", trial, i, got, want[i])
-				}
-			}(i, doc)
-		}
-		wg.Wait()
-	}
-}
-
 // TestParallelFilterSetConcurrentMatch exercises the documented
-// concurrency contract under the race detector: Match calls from many
-// goroutines serialize safely, and Add/Remove between matches is safe.
+// concurrency contract through the deprecated name under the race
+// detector: Match calls from many goroutines run safely, and Add/Remove
+// between matches is safe.
 func TestParallelFilterSetConcurrentMatch(t *testing.T) {
 	par := streamxpath.NewParallelFilterSet(4)
 	defer par.Close()
@@ -196,31 +216,30 @@ func TestParallelFilterSetConcurrentMatch(t *testing.T) {
 	}
 }
 
-// TestParallelFilterSetMatchVariants covers MatchString/MatchReader and
-// the malformed-document error paths of the parallel entry points.
-func TestParallelFilterSetMatchVariants(t *testing.T) {
-	par := streamxpath.NewParallelFilterSet(2)
-	defer par.Close()
-	if err := par.Add("a", "//item"); err != nil {
+// TestFilterPoolMatchVariants covers MatchString/MatchReader and recovery
+// from a malformed document on the pool's public entry points.
+func TestFilterPoolMatchVariants(t *testing.T) {
+	pool := streamxpath.NewFilterPool(2)
+	if err := pool.Add("a", "//item"); err != nil {
 		t.Fatal(err)
 	}
 	doc := "<feed><item/></feed>"
-	ids, err := par.MatchString(doc)
+	ids, err := pool.MatchString(doc)
 	if err != nil || !reflect.DeepEqual(ids, []string{"a"}) {
 		t.Fatalf("MatchString: %v %v", ids, err)
 	}
-	ids, err = par.MatchReader(strings.NewReader(doc))
+	ids, err = pool.MatchReader(strings.NewReader(doc))
 	if err != nil || !reflect.DeepEqual(ids, []string{"a"}) {
 		t.Fatalf("MatchReader: %v %v", ids, err)
 	}
-	ids, err = par.MatchString("<feed><other/></feed>")
+	ids, err = pool.MatchString("<feed><other/></feed>")
 	if err != nil || ids == nil || len(ids) != 0 {
 		t.Fatalf("empty result must be non-nil and empty: %v %v", ids, err)
 	}
-	if _, err := par.MatchString("<feed><item></feed>"); err == nil {
+	if _, err := pool.MatchString("<feed><item></feed>"); err == nil {
 		t.Fatal("malformed document should error")
 	}
-	if _, err := par.MatchString(doc); err != nil {
+	if _, err := pool.MatchString(doc); err != nil {
 		t.Fatalf("recovery after malformed document: %v", err)
 	}
 }

@@ -33,11 +33,9 @@ var restricted = []struct {
 		"internal/sax", "internal/tree", "internal/core", "internal/streameval", "internal/commcc",
 		"cmd/xpexperiments", "examples",
 	}},
-	// The event-sharded matcher and the chooser over it stay for the
-	// benchmark ledger that measured them (ROADMAP 2(a)); everything that
-	// ships matches concurrently on the replica pool.
+	// The deprecated names of the replica pool stay for the benchmark
+	// ledger alone; everything else constructs a FilterPool.
 	{"streamxpath", []string{"NewParallelFilterSet", "NewAdaptiveFilterSet"}, []string{"parallelset.go", "bench"}},
-	{"streamxpath/internal/parallel", []string{"NewSharded", "NewAuto"}, []string{"parallelset.go", "internal/parallel", "bench"}},
 }
 
 // TestStringTokenizerIsReferenceOnly pins sax.Tokenizer's role, and with

@@ -5,7 +5,7 @@
 # Usage:
 #   scripts/bench.sh [output.json]          # default: BENCH_pr14.json
 #   BENCHTIME=1s scripts/bench.sh           # longer, steadier numbers
-#   CPUS=1,2,4,8 scripts/bench.sh           # parallel-arm scaling sweep
+#   CPUS=1,2,4,8 scripts/bench.sh           # pool-arm scaling sweep
 #   BENCH_FILTER='^BenchmarkMatchReader' scripts/bench.sh  # pinned subset
 #   BENCH_PARALLEL=0 scripts/bench.sh       # skip the -cpu sweep pass
 #   GOMAXPROCS=1 scripts/bench.sh           # unsuffixed main-pass arm names,
@@ -22,9 +22,8 @@
 # BenchmarkFanoutRouting content-based-routing family (delivered
 # bytes/s of fragment extraction, with the boolean baseline pinned at
 # 0 allocs/event), with alloc tracking — and the second pass runs the
-# parallel dissemination arms
-# (BenchmarkParallelFilterSet) across the CPUS list so the snapshot
-# records the cores-vs-throughput curve. BENCH_FILTER narrows the main
+# sequential-vs-pool arms (BenchmarkSequentialVsPool) across the CPUS
+# list so the snapshot records the cores-vs-throughput curve. BENCH_FILTER narrows the main
 # pass to a pinned arm subset (the CI regression gate uses this to
 # compare stable arms only; see scripts/benchcmp).
 set -euo pipefail
@@ -39,7 +38,7 @@ trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench "$filter" -benchmem -benchtime "$benchtime" . | tee "$raw"
 if [ "${BENCH_PARALLEL:-1}" != "0" ]; then
-  go test -run '^$' -bench 'Parallel' -benchtime "$benchtime" -cpu "$cpus" . | tee -a "$raw"
+  go test -run '^$' -bench '^BenchmarkSequentialVsPool$' -benchtime "$benchtime" -cpu "$cpus" . | tee -a "$raw"
 fi
 
 {

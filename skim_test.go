@@ -60,11 +60,8 @@ func answerOf(res streamxpath.MatchResult) skimAnswer {
 }
 
 // bufferedSurfaces builds the three engine-backed matchers that take whole
-// documents — FilterSet, AdaptiveFilterSet and the daemon's tenant (both of
-// which match on their replica pool unless the set has hundreds of
-// subscriptions and the document tens of kilobytes; their sharded route
-// dispatches every event and reports no skimmed bytes) — holding subs under
-// lim.
+// documents — FilterSet, FilterPool and the daemon's tenant (a FilterPool
+// behind the registry) — holding subs under lim.
 func bufferedSurfaces(t *testing.T, subs []skimSub, lim streamxpath.Limits) []bufferedSurface {
 	t.Helper()
 	add := func(plain, extract func(id, q string) error) {
@@ -82,10 +79,9 @@ func bufferedSurfaces(t *testing.T, subs []skimSub, lim streamxpath.Limits) []bu
 	add(fs.Add, fs.AddExtract)
 	fs.SetLimits(lim)
 
-	afs := streamxpath.NewAdaptiveFilterSet(2)
-	t.Cleanup(afs.Close)
-	add(afs.Add, afs.AddExtract)
-	afs.SetLimits(lim)
+	pool := streamxpath.NewFilterPool(2)
+	add(pool.Add, pool.AddExtract)
+	pool.SetLimits(lim)
 
 	reg := server.NewRegistry(server.TenantConfig{}, nil, nil)
 	t.Cleanup(reg.Close)
@@ -108,8 +104,8 @@ func bufferedSurfaces(t *testing.T, subs []skimSub, lim streamxpath.Limits) []bu
 			res, err := fs.MatchStringResult(string(doc))
 			return answerOf(res), err
 		}},
-		{"AdaptiveFilterSet.MatchBytesResult", func(doc []byte) (skimAnswer, error) {
-			res, err := afs.MatchBytesResult(doc)
+		{"FilterPool.MatchBytesResult", func(doc []byte) (skimAnswer, error) {
+			res, err := pool.MatchBytesResult(doc)
 			return answerOf(res), err
 		}},
 		{"Tenant.MatchBuffered", func(doc []byte) (skimAnswer, error) {

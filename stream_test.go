@@ -93,13 +93,12 @@ func TestFilterSetMatchReaderSplitEveryOffset(t *testing.T) {
 
 // TestMatchReaderRandomChunksEquivalence cross-checks MatchReader (at
 // random chunk sizes and random multi-way splits) against MatchBytes for
-// FilterSet, ParallelFilterSet and the standalone Filter on randomized
+// FilterSet, FilterPool and the standalone Filter on randomized
 // dissemination documents.
 func TestMatchReaderRandomChunksEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	s := NewFilterSet()
-	par := NewParallelFilterSet(3)
-	defer par.Close()
+	pool := NewFilterPool(3)
 	subs := map[string]string{
 		"f2":   "//catalog/item/f2",
 		"pri":  "/catalog//item[priority > 4]",
@@ -110,7 +109,7 @@ func TestMatchReaderRandomChunksEquivalence(t *testing.T) {
 		if err := s.Add(id, q); err != nil {
 			t.Fatal(err)
 		}
-		if err := par.Add(id, q); err != nil {
+		if err := pool.Add(id, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,13 +139,13 @@ func TestMatchReaderRandomChunksEquivalence(t *testing.T) {
 			segs = append(segs, []byte(doc[prev:prev+n]))
 			prev += n
 		}
-		par.SetChunkSize(1 + rng.Intn(64))
-		gotPar, err := par.MatchReader(&segmentReader{segs: segs})
+		pool.SetChunkSize(1 + rng.Intn(64))
+		gotPool, err := pool.MatchReader(&segmentReader{segs: segs})
 		if err != nil {
-			t.Fatalf("trial %d parallel: %v", trial, err)
+			t.Fatalf("trial %d pool: %v", trial, err)
 		}
-		if strings.Join(gotPar, ",") != wantIDs {
-			t.Fatalf("trial %d: ParallelFilterSet.MatchReader=%v want %v\ndoc: %s", trial, gotPar, want, doc)
+		if strings.Join(gotPool, ",") != wantIDs {
+			t.Fatalf("trial %d: FilterPool.MatchReader=%v want %v\ndoc: %s", trial, gotPool, want, doc)
 		}
 
 		for id, q := range subs {
@@ -303,8 +302,8 @@ func TestFilterMatchReaderEarlyExit(t *testing.T) {
 	}
 }
 
-// TestParallelFilterSetMatchReaderEarlyExit: the sharded streaming path
-// abandons the reader once every shard's verdicts are decided.
+// TestParallelFilterSetMatchReaderEarlyExit: the deprecated name's
+// streaming path abandons the reader once every verdict is decided.
 func TestParallelFilterSetMatchReaderEarlyExit(t *testing.T) {
 	par := NewParallelFilterSet(4)
 	defer par.Close()
@@ -337,98 +336,6 @@ func TestParallelFilterSetMatchReaderEarlyExit(t *testing.T) {
 	ids, err := par.MatchReader(strings.NewReader("<catalog><x/></catalog>"))
 	if err != nil || len(ids) != 8 {
 		t.Fatalf("after early exit: %v, %v", ids, err)
-	}
-}
-
-// TestAdaptiveFilterSet: the adaptive engine routes small documents to
-// the pool, large ones to the sharded engine, with results identical to
-// the sequential FilterSet on both routes and both entry points. Which
-// route a call took is pinned by internal/parallel's TestAutoRouting,
-// against the route the call itself reports.
-func TestAdaptiveFilterSet(t *testing.T) {
-	seq := NewFilterSet()
-	ad := NewAdaptiveFilterSet(3)
-	defer ad.Close()
-	subs := map[string]string{
-		"f1":  "//catalog/item/f1",
-		"pri": "/catalog//item[priority > 3]",
-		"x":   "//x",
-	}
-	for id, q := range subs {
-		if err := seq.Add(id, q); err != nil {
-			t.Fatal(err)
-		}
-		if err := ad.Add(id, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	small := `<catalog><item><priority>5</priority><f1/></item></catalog>`
-	var b strings.Builder
-	b.WriteString("<catalog>")
-	for j := 0; j < 4000; j++ {
-		fmt.Fprintf(&b, "<item><priority>%d</priority><f1/></item>", j%8)
-	}
-	b.WriteString("</catalog>")
-	large := b.String()
-
-	for _, tc := range []struct {
-		name, doc string
-	}{
-		{"small", small},
-		{"large", large},
-	} {
-		want, err := seq.MatchBytes([]byte(tc.doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantIDs := strings.Join(want, ",")
-		got, err := ad.MatchBytes([]byte(tc.doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Join(got, ",") != wantIDs {
-			t.Fatalf("%s: MatchBytes=%v want %v", tc.name, got, want)
-		}
-		// The subscription set (3) is below AutoMinSubs, so both entry
-		// points route every document — small or large — to the pool:
-		// small ones via the staged byte path, large ones via sequential
-		// replica streaming (no fan-out for thin shards).
-		gotR, err := ad.MatchReader(strings.NewReader(tc.doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Join(gotR, ",") != wantIDs {
-			t.Fatalf("%s: MatchReader=%v want %v", tc.name, gotR, want)
-		}
-	}
-
-	// Above both thresholds — a dense subscription set and a large
-	// document — the adaptive engine fans out event-sharded.
-	seqDense := NewFilterSet()
-	dense := NewAdaptiveFilterSet(3)
-	defer dense.Close()
-	for i := 0; i < 300; i++ {
-		q := fmt.Sprintf("//catalog/item/f%d", i%5)
-		if err := seqDense.Add(fmt.Sprintf("d%d", i), q); err != nil {
-			t.Fatal(err)
-		}
-		if err := dense.Add(fmt.Sprintf("d%d", i), q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := seqDense.MatchBytes([]byte(large))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dense.MatchReader(strings.NewReader(large))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("dense large: MatchReader=%v want %v", got, want)
-	}
-	if ids, err := dense.MatchBytes([]byte(small)); err != nil || len(ids) != 60 {
-		t.Fatalf("dense small doc: %v, %v", ids, err)
 	}
 }
 

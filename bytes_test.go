@@ -241,9 +241,10 @@ func TestFilterSetPredicatedZeroAlloc(t *testing.T) {
 // TestFilterSetSkimZeroAlloc: a document that is decided early is only
 // validated from there on, and that costs no allocation either — on a
 // plain feed and on one whose every body is dense with references, which
-// a skim checks without decoding. The feeds are the scan workload's:
-// about 256 KB, 8 predicate-free subscriptions, every verdict final
-// within the first items.
+// a skim checks without decoding, with no budgets and with the depth and
+// token budgets of a server tenant, which the skim enforces on the same
+// path. The feeds are the scan workload's: about 256 KB, 8 predicate-free
+// subscriptions, every verdict final within the first items.
 func TestFilterSetSkimZeroAlloc(t *testing.T) {
 	s := NewFilterSet()
 	for i, q := range []string{"/news/item", "/news/item/title", "/news//p", "/news/*/keyword",
@@ -263,23 +264,27 @@ func TestFilterSetSkimZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		doc := []byte(feed)
-		for i := 0; i < 3; i++ {
-			res, err := s.MatchBytesResult(doc)
-			if err != nil {
-				t.Fatal(err)
+		for _, lim := range []Limits{{}, {MaxDepth: 64, MaxTokenBytes: 1 << 16}} {
+			s.SetLimits(lim)
+			for i := 0; i < 3; i++ {
+				res, err := s.MatchBytesResult(doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.MatchedIDs) != 7 || res.SkimmedBytes < int64(len(doc)-8<<10) {
+					t.Fatalf("%d-byte feed, limits %+v: matched %d, skimmed %d bytes; want 7 and all but the head",
+						len(doc), lim, len(res.MatchedIDs), res.SkimmedBytes)
+				}
 			}
-			if len(res.MatchedIDs) != 7 || res.SkimmedBytes < int64(len(doc)-8<<10) {
-				t.Fatalf("%d-byte feed: matched %d, skimmed %d bytes; want 7 and all but the head",
-					len(doc), len(res.MatchedIDs), res.SkimmedBytes)
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := s.MatchBytes(doc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm MatchBytes on a decided-early %d-byte feed (%q bodies), limits %+v: %v allocs/run, want 0",
+					len(doc), body, lim, allocs)
 			}
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := s.MatchBytes(doc); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("warm MatchBytes on a decided-early %d-byte feed (%q bodies): %v allocs/run, want 0", len(doc), body, allocs)
 		}
 	}
 }

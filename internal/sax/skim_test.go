@@ -96,10 +96,15 @@ var skimLimits = limits.Limits{MaxDepth: 3, MaxTokenBytes: 24}
 // window, references touching markup on either side, each kind of
 // reference, good and bad, where a skim checks it without decoding (text,
 // attribute values) and where it must decode (outside the root), and names
-// too long for anything sized by a word. The skim differential walks them
-// at every event and the split differential (stream_tokenizer_test.go) at
-// every byte. Exported for that file, which lives in the external test
-// package.
+// too long for anything sized by a word. Then the word boundaries of the
+// skim kernel's eight-byte text sweep and of its end-tag compare: runs
+// around a word's length with a tag, a good and a bad reference at every
+// offset, runs that end the document, delimiter bytes with the high bit set
+// and UTF-8 next to markup, names of one and two words, end tags one byte
+// short or long of the open name, and what may follow the root once a skim
+// has closed it. The skim differential walks them at every event and the
+// split differential (stream_tokenizer_test.go) at every byte. Exported for
+// that file, which lives in the external test package.
 var KernelShapes = func() []string {
 	long := strings.Repeat("n", 200)
 	docs := []string{
@@ -124,6 +129,25 @@ var KernelShapes = func() []string {
 			`<r><a x="`+ref+`"/></r>`, `<r><a x='v`+ref+ref+`' y="`+ref+`"></a></r>`,
 			"<r/>"+ref, ref+"<r/>", "<r></r> "+ref+" ")
 	}
+	for _, n := range []int{7, 8, 9, 15, 16, 17} {
+		for i := 0; i < n; i++ {
+			for _, d := range []string{"<a/>", "&amp;", "&bad;"} {
+				docs = append(docs, "<r>"+strings.Repeat("x", i)+d+strings.Repeat("y", n-1-i)+"</r>")
+			}
+		}
+		docs = append(docs, "<r>"+strings.Repeat("x", n), "<r><a>"+strings.Repeat("x", n-1)+"&amp;")
+	}
+	const w8, w16 = "abcdefgh", "abcdefghijklmnop"
+	docs = append(docs,
+		"<r>\xbc\xa6<a/>\xa6&amp;\xbc</r>", "<r>"+strings.Repeat("\xbc", 9)+"<a>"+strings.Repeat("\xa6", 16)+"</a></r>",
+		"<r>é<a>ü</a>&lt;日本&#x65E5;語</r>", "<r>\xbc&\xa6;</r>", "<r>日本",
+		"<r><"+w8+"></"+w8+"><"+w16+"/><"+w16+"></"+w16+"></r>",
+		"<r><"+w8+"></"+w8+"i></r>", "<r><"+w8+"i></"+w8+"></r>",
+		"<r><"+w16+"></"+w16+"q></r>", "<r><"+w16+"q></"+w16+"></r>",
+		"<r><"+w8+"></"+w8, "<r><"+w16+"></"+w16+" >",
+		"<r><a/></r>x", "<r><a/></r> \n", "<r><a/></r><!-- c -->", "<r><a/></r><?pi?>",
+		"<r><a/></r><s/>", "<r><a></a></r><s>", "<r>t</r>&amp;", "<r>t</r></r>",
+	)
 	return docs
 }()
 
@@ -203,6 +227,44 @@ func TestSkimMatchesNext(t *testing.T) {
 			mut[rng.Intn(len(mut))] = alphabet[rng.Intn(len(alphabet))]
 			for _, lim := range []limits.Limits{{}, skimLimits} {
 				checkSkimEveryK(t, mut, lim)
+			}
+		}
+	}
+}
+
+// TestTextDelim holds the kernel's word-at-a-time sweep to a byte loop:
+// every byte value at every position of a window of 1 to 24 bytes, swept
+// from every start offset, over fillers that are neither delimiter with and
+// without the high bit set. The bytes past the window are delimiters, so a
+// sweep that read beyond it would stop there.
+func TestTextDelim(t *testing.T) {
+	naive := func(data []byte, p int) int {
+		for ; p < len(data); p++ {
+			if data[p] == '<' || data[p] == '&' {
+				return p
+			}
+		}
+		return p
+	}
+	var buf [32]byte
+	for _, fill := range []byte{'x', 0x00, 0xBC, 0xA6, 0xFF, '<' + 1, '&' - 1} {
+		for n := 1; n <= 24; n++ {
+			for at := 0; at < n; at++ {
+				for v := 0; v < 256; v++ {
+					for i := range buf {
+						buf[i] = '<'
+					}
+					window := buf[:n]
+					for i := range window {
+						window[i] = fill
+					}
+					window[at] = byte(v)
+					for p := 0; p <= n; p++ {
+						if got, want := textDelim(window, p), naive(window, p); got != want {
+							t.Fatalf("textDelim(%q, %d) = %d, want %d", window, p, got, want)
+						}
+					}
+				}
 			}
 		}
 	}

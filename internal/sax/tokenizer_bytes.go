@@ -2,6 +2,7 @@ package sax
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -42,6 +43,17 @@ var ErrNeedMoreData = errors.New("sax: need more data")
 // more IndexByte bounded by the run (which the first scan has just pulled
 // into L1), and only a hit enters the decode path. Names are classified by
 // a 256-entry table and hashed while they are scanned.
+//
+// Skim has a kernel of its own (skimKernel): one loop on a local cursor
+// that sweeps a text run eight bytes at a time for the first '<' or '&'
+// (textDelim), steps over the references skipReference knows, closes
+// <name> and <name/> on the name-class table without hashing, and matches
+// </name> against the innermost skimmed element by its bytes, with the
+// depth and token budgets enforced as it goes. Whatever else it meets —
+// attributes, comments, PIs, CDATA, DOCTYPE, text outside the root, a
+// reference it does not know, any other end tag — it hands to the scanners
+// Next uses, from the construct's first byte, so they remain the one
+// authority on errors.
 //
 // It accepts exactly the syntax of the streaming Tokenizer and produces
 // the same event stream (modulo attribute expansion — apply
@@ -490,7 +502,8 @@ func (t *TokenizerBytes) innermost() string {
 func (t *TokenizerBytes) Offset() int { return t.base + t.pos }
 
 // Skim consumes the rest of a whole-buffer document without producing
-// events. Everything Next checks is checked, by the same scanners, and a
+// events. Everything Next checks is checked — by the skim kernel where a
+// construct is plain, by the same scanners otherwise — and a
 // malformed or over-budget remainder fails with the error Next would have
 // reached: tag balance by name, attribute syntax and duplicates, reference
 // validity, content outside the root, a second root, comments, processing
@@ -532,14 +545,22 @@ func (t *TokenizerBytes) Skim() (deepest int, err error) {
 	return t.deepest, err
 }
 
-// skimRest is Next's dispatch loop with nothing returned.
+// skimRest alternates the skim kernel with Next's dispatch: skimKernel takes
+// what it can, and the construct it stops at goes to the scanner Next would
+// call, with nothing returned.
 func (t *TokenizerBytes) skimRest() error {
 	if t.breach != nil {
 		return t.breach
 	}
 	data := t.data
-	for p := t.pos; p < len(data); p = t.pos {
-		var err error
+	for {
+		p, err := t.skimKernel(t.pos)
+		if err != nil {
+			return err
+		}
+		if p >= len(data) {
+			break
+		}
 		switch {
 		case data[p] != '<':
 			_, _, err = t.readText(p)
@@ -559,6 +580,131 @@ func (t *TokenizerBytes) skimRest() error {
 		}
 	}
 	return t.endOfInput()
+}
+
+// skimKernel is the skim's fast path: one loop on a local cursor over the
+// constructs that make up nearly all of a document's body — text runs inside
+// the root with the predefined and character references skipReference
+// knows, <name> and <name/>, and </name> closing the innermost skimmed
+// element — with MaxDepth and MaxTokenBytes enforced and t.deepest kept as
+// the scanners keep it. It returns the offset of the first construct it
+// leaves to the scanners (t.pos committed there; len(data) at the end of the
+// input): attributes, comments, PIs, CDATA, DOCTYPE, text outside the root,
+// a reference skipReference does not know, an end tag that is not
+// </top-span> and the end tags of the elements on t.stack. They alone name
+// errors, so the kernel stops at the start of anything it does not accept,
+// and a scanner rescans it from there.
+func (t *TokenizerBytes) skimKernel(p int) (int, error) {
+	data, spans, deepest := t.data, t.spans, t.deepest
+	below, maxDepth, maxToken := len(t.stack), t.lim.MaxDepth, t.lim.MaxTokenBytes
+	var err error
+loop:
+	for p < len(data) {
+		depth := below + len(spans)
+		if data[p] != '<' {
+			if depth == 0 {
+				break // outside the root, what the run decodes to matters
+			}
+			start := p
+			for {
+				if p = textDelim(data, p); p == len(data) || data[p] == '<' {
+					break
+				}
+				q := skipReference(data, p+1)
+				if q < 0 {
+					p = start
+					break loop
+				}
+				p = q
+			}
+			if maxToken > 0 && p-start > maxToken {
+				p, err = start, t.limitErr("token-bytes", maxToken, p-start)
+				break
+			}
+			continue
+		}
+		if p+1 >= len(data) {
+			break
+		}
+		c := data[p+1]
+		if c == '/' {
+			n := len(spans)
+			if n == 0 {
+				break
+			}
+			name := data[spans[n-1].start:spans[n-1].end]
+			end := p + 2 + len(name)
+			if end >= len(data) || data[end] != '>' || string(data[p+2:end]) != string(name) {
+				break
+			}
+			spans = spans[:n-1]
+			p = end + 1
+			if n == 1 && below == 0 {
+				t.rootSeen = true
+			}
+			continue
+		}
+		if nameClass[c]&classStart == 0 || depth == 0 {
+			break
+		}
+		q := p + 2
+		for q < len(data) && nameClass[data[q]]&className != 0 {
+			q++
+		}
+		var close int
+		switch {
+		case q == len(data):
+			break loop
+		case data[q] == '>':
+			close = q + 1
+		case data[q] == '/' && q+1 < len(data) && data[q+1] == '>':
+			close = q + 2
+		default:
+			break loop
+		}
+		elem := depth + 1
+		if maxDepth > 0 && elem > maxDepth {
+			p, err = close, t.limitErr("depth", maxDepth, elem)
+			break
+		}
+		deepest = max(deepest, elem)
+		if close == q+1 {
+			spans = append(spans, span{p + 1, q})
+		}
+		p = close
+	}
+	t.pos, t.spans, t.deepest = p, spans, deepest
+	return p, err
+}
+
+// Bit patterns for textDelim's word-at-a-time compare.
+const (
+	swarLo  = 0x0101010101010101
+	swarHi  = 0x8080808080808080
+	swarLt  = '<' * swarLo
+	swarAmp = '&' * swarLo
+)
+
+// textDelim returns the offset of the first '<' or '&' at or after p, or
+// len(data). Eight bytes are compared at a time: x has a zero byte where
+// the word holds the delimiter, and (x-lo)&^x&hi flags it. A borrow can
+// flag a false byte only above a true one, so the lowest flag of either
+// delimiter is exact; a byte with its high bit set (0xBC, 0xA6) is never
+// flagged.
+func textDelim(data []byte, p int) int {
+	for ; p+8 <= len(data); p += 8 {
+		w := binary.LittleEndian.Uint64(data[p:])
+		lt, amp := w^swarLt, w^swarAmp
+		if m := ((lt-swarLo)&^lt | (amp-swarLo)&^amp) & swarHi; m != 0 {
+			return p + bits.TrailingZeros64(m)>>3
+		}
+	}
+	for ; p < len(data); p++ {
+		if c := data[p]; c == '<' || c == '&' {
+			return p
+		}
+	}
+	return p
 }
 
 // rewind handles a scanner's error: a suspension without construct-level
@@ -581,7 +727,9 @@ func (t *TokenizerBytes) rewind(mark int, err error) error {
 // (resumed via the suspendAt memo across refills) and, once delimited,
 // searched for '&' by one more bounded by it: a run without references is
 // returned as an input subslice untouched, a run with them decodes from the
-// first hit on (see decodeRun).
+// first hit on (see decodeRun). A skim reaches it only outside the root,
+// or for a run holding a reference the kernel does not know, whose error
+// the decoder names.
 func (t *TokenizerBytes) readText(start int) ([]byte, bool, error) {
 	data, skip := t.data, t.scanFrom(start)
 	end := bytes.IndexByte(data[start+skip:], '<')
@@ -606,11 +754,6 @@ func (t *TokenizerBytes) readText(start int) ([]byte, bool, error) {
 	t.pos = end
 	out, outside := data[start:end], t.outside()
 	if amp := bytes.IndexByte(out, '&'); amp >= 0 {
-		// A skim only checks the references — except outside the root,
-		// where what the run decodes to decides whether it is legal.
-		if t.skim && !outside {
-			return nil, true, t.checkRun(start+amp, end)
-		}
 		var err error
 		if t.textBuf, err = t.decodeRun(t.textBuf[:0], start, start+amp, end); err != nil {
 			return nil, false, err
@@ -646,10 +789,10 @@ func (t *TokenizerBytes) decodeRun(buf []byte, from, amp, end int) ([]byte, erro
 	}
 }
 
-// checkRun is decodeRun for a skim: the references of data[amp:end], the
-// first of them at amp, are validated and nothing is decoded. Whatever
-// skipReference does not recognize goes to the decoder, which names the
-// error.
+// checkRun is decodeRun for a skimmed attribute value: the references of
+// data[amp:end], the first of them at amp, are validated and nothing is
+// decoded. Whatever skipReference does not recognize goes to the decoder,
+// which names the error.
 func (t *TokenizerBytes) checkRun(amp, end int) error {
 	data := t.data
 	for {
@@ -1175,25 +1318,16 @@ func (t *TokenizerBytes) readAttrValue(aname []byte, quote byte, p int) ([]byte,
 
 // readEndTag parses an end tag from the name at p, after "</". The fast
 // path handles the overwhelmingly common shape — "</name>" exactly matching
-// the open element — with one memeq against the innermost open name (the
-// interned top of stack, or while skimming the start tag's own bytes) and
+// the open element — with one memeq against the interned top of stack and
 // no symbol-table probe at all; anything else (whitespace before '>',
 // window boundary, mismatch) falls through to the general scanner.
 // Elements opened by a skim close before the ones that were open when it
-// began. A skimmed element has no symbol; its end tag returns 0.
+// began; the skim kernel closes them itself, so only an end tag it did not
+// accept reaches the general scanner for them. A skimmed element has no
+// symbol; its end tag returns 0.
 func (t *TokenizerBytes) readEndTag(p int) (symtab.Sym, error) {
 	data := t.data
-	if n := len(t.spans); n > 0 {
-		name := data[t.spans[n-1].start:t.spans[n-1].end]
-		if end := p + len(name); end < len(data) && data[end] == '>' && bytes.Equal(data[p:end], name) {
-			t.pos = end + 1
-			t.spans = t.spans[:n-1]
-			if n == 1 && len(t.stack) == 0 {
-				t.rootSeen = true
-			}
-			return 0, nil
-		}
-	} else if n := len(t.stack); n > 0 {
+	if n := len(t.stack); n > 0 && len(t.spans) == 0 {
 		top := t.stack[n-1]
 		name := t.tab.Name(top)
 		if end := p + len(name); end < len(data) && data[end] == '>' && string(data[p:end]) == name {

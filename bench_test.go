@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -1102,6 +1103,43 @@ func drainBytes(b *testing.B, tok *sax.TokenizerBytes, doc []byte) int {
 	}
 }
 
+// tokenizerCatalogDocs builds 64 seeded catalogs in the shape of the
+// benchmark's fanout-pred and churn corpus: 40 items of a priority and two
+// self-closing leaves, the 80 leaf names f0–f79 once per catalog in seeded
+// order. Nothing in them needs a scanner but the root's start tag.
+func tokenizerCatalogDocs() [][]byte {
+	rng := rand.New(rand.NewSource(33))
+	docs := make([][]byte, 64)
+	for d := range docs {
+		names := rng.Perm(80)
+		var b strings.Builder
+		b.WriteString("<catalog>")
+		for i := 0; i < 40; i++ {
+			fmt.Fprintf(&b, "<item><priority>%d</priority><f%d/><f%d/></item>", rng.Intn(12), names[2*i], names[2*i+1])
+		}
+		b.WriteString("</catalog>")
+		docs[d] = []byte(b.String())
+	}
+	return docs
+}
+
+// drainBatch runs a whole-buffer tokenize pass through NextBatch, as the
+// engine's buffered loop does, returning the event count.
+func drainBatch(b *testing.B, tok *sax.TokenizerBytes, evs []sax.ByteEvent, doc []byte) int {
+	tok.Reset(doc)
+	n := 0
+	for {
+		k, err := tok.NextBatch(evs, math.MaxInt)
+		n += k
+		if err == io.EOF {
+			return n
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // drainStream runs one chunked tokenize pass, returning the event count.
 func drainStream(b *testing.B, tok *sax.StreamTokenizer, doc []byte, chunk int) int {
 	tok.Reset()
@@ -1158,6 +1196,38 @@ func BenchmarkTokenizer(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				drainStream(b, tok, tc.doc, chunk)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+		})
+	}
+	// Whole-buffer passes one event at a time (next) and a batch at a time
+	// (batch), an op being the 64 catalogs or the news feed.
+	evs := make([]sax.ByteEvent, sax.BatchSize)
+	batch := func(b *testing.B, tok *sax.TokenizerBytes, doc []byte) int { return drainBatch(b, tok, evs, doc) }
+	catalogs := tokenizerCatalogDocs()
+	for _, tc := range []struct {
+		name  string
+		docs  [][]byte
+		drain func(b *testing.B, tok *sax.TokenizerBytes, doc []byte) int
+	}{
+		{"catalog/next", catalogs, drainBytes},
+		{"catalog/batch", catalogs, batch},
+		{"news/batch", [][]byte{docs[0].doc}, batch},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			tok := sax.NewTokenizerBytes(nil, nil)
+			size, events := 0, 0
+			for _, doc := range tc.docs { // warm symbols + scratch
+				size += len(doc)
+				events += tc.drain(b, tok, doc)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, doc := range tc.docs {
+					tc.drain(b, tok, doc)
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 		})

@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -245,18 +246,19 @@ func benchReport(doc []byte, iters int, run func() error) error {
 		iters, len(events), total/elapsed.Seconds()/1e6,
 		float64(m1.Mallocs-m0.Mallocs)/total, float64(elapsed.Nanoseconds())/total)
 	// Tokenizer-only pass: how fast the byte tokenizer turns bytes into
-	// events before any matching work, so field measurements
-	// of raw tokenization throughput don't need the Go bench harness.
+	// events before any matching work — a batch at a time, as the matchers
+	// take them — so field measurements of raw tokenization throughput
+	// don't need the Go bench harness.
 	tok := sax.NewTokenizerBytes(doc, nil)
+	batch := make([]sax.ByteEvent, sax.BatchSize)
 	drain := func() error {
 		tok.Reset(doc)
 		for {
-			ev, err := tok.Next()
-			if err != nil {
+			if _, err := tok.NextBatch(batch, math.MaxInt); err != nil {
+				if err == io.EOF {
+					return nil
+				}
 				return err
-			}
-			if ev.Kind == sax.EndDocument {
-				return nil
 			}
 		}
 	}

@@ -164,11 +164,13 @@ type Engine struct {
 	tr     *trie
 	mt     *matcher
 	// tok and stok are the tokenizers of MatchBytes and MatchReader, each
-	// created by its first call and reused from then on; process and decided
-	// are the callbacks MatchReader drives stok with, built once so a repeat
-	// call allocates nothing. ids is the result buffer both refill.
+	// created by its first call and reused from then on, and batch is the
+	// slice MatchBytes has tok fill; process and decided are the callbacks
+	// MatchReader drives stok with, built once so a repeat call allocates
+	// nothing. ids is the result buffer both refill.
 	tok     *sax.TokenizerBytes
 	stok    *sax.StreamTokenizer
+	batch   []sax.ByteEvent
 	process func(sax.ByteEvent) error
 	decided func() bool
 	ids     []string

@@ -135,21 +135,28 @@ func (e *Engine) matchBuffered(doc []byte, mode CaptureMode, probe int) (skimmed
 	} else {
 		e.tok.Reset(doc)
 	}
-	tok := e.tok
-	var ev sax.ByteEvent // filled in by the tokenizer, read in place by the engine
+	if e.batch == nil {
+		e.batch = make([]sax.ByteEvent, sax.BatchSize)
+	}
+	tok, batch := e.tok, e.batch
 	for {
-		err := tok.NextInto(&ev)
+		// A batch ends after the first event that reaches the probe offset,
+		// so Decided is probed after the same events as one at a time.
+		n, err := tok.NextBatch(batch, probe)
+		for i := range batch[:n] {
+			ev := &batch[i] // written by the tokenizer, read in place by the engine
+			if err := e.processBytes(ev); err != nil {
+				return 0, fmt.Errorf("streamxpath: %w", err)
+			}
+			if ev.Kind == sax.EndDocument {
+				return 0, nil
+			}
+		}
 		if err == io.EOF {
 			return 0, errTruncated
 		}
 		if err != nil {
 			return 0, err
-		}
-		if err := e.processBytes(&ev); err != nil {
-			return 0, fmt.Errorf("streamxpath: %w", err)
-		}
-		if ev.Kind == sax.EndDocument {
-			return 0, nil
 		}
 		from := tok.Offset()
 		if from < probe {

@@ -127,26 +127,27 @@ func (e Event) String() string {
 // ByteEvent is the allocation-free counterpart of Event, produced by
 // TokenizerBytes. Element names arrive pre-interned as symbols of the
 // tokenizer's table; text arrives as a byte slice that is only valid
-// until the next Next call (it aliases either the input document or a
-// reusable scratch buffer). ByteEvent carries no attribute list:
+// until the next Next or NextBatch call (it aliases either the input
+// document or a reusable scratch buffer). ByteEvent carries no attribute list:
 // TokenizerBytes folds attributes into attribute child events (the
 // paper's attribute-axis folding) at scan time, so consumers see a
 // uniform five-kind stream with the Attribute flag marking synthesized
-// events.
+// events. The two one-byte fields come first and share a word with Sym, so
+// an event is 40 bytes, not 48: NextBatch writes them by the dozen.
 type ByteEvent struct {
 	Kind      Kind
-	Sym       symtab.Sym
-	Data      []byte
 	Attribute bool
+	Sym       symtab.Sym
 	// Off is the event's absolute document offset (independent of window
 	// compaction in the chunked tokenizer): for StartElement the position
 	// of the construct's '<', for EndElement the position one past the
 	// closing '>'. It is what fragment extraction uses to delimit a
 	// matched element's source region — a capture of element e spans
-	// [start.Off, end.Off). Attribute pseudo-events and Text carry the
-	// offset of the construct they were scanned from; only element
-	// boundaries are meaningful for captures.
-	Off int
+	// [start.Off, end.Off). The three events of an attribute carry offsets
+	// of the attribute they were scanned from, and character data carries
+	// none (0); only element boundaries are meaningful for captures.
+	Off  int
+	Data []byte
 }
 
 // Event materializes the byte event as a heap-backed Event, resolving the

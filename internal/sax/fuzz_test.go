@@ -7,7 +7,7 @@ import (
 	"streamxpath/internal/sax"
 )
 
-// FuzzTokenizerBytes holds the byte tokenizer to three invariants on
+// FuzzTokenizerBytes holds the byte tokenizer to four invariants on
 // arbitrary input:
 //
 //  0. Skim ≡ Next: some number of events in (taken from the input), Skim
@@ -20,6 +20,10 @@ import (
 //  2. Round-trip: serializing the parsed events with sax.Serialize and
 //     re-tokenizing yields the same stream again (modulo text
 //     coalescing, which serialization merges).
+//  3. NextBatch ≡ Next: at every batch size and stop the differential
+//     tries, the batches carry the Next loop's events, field for field, and
+//     end where it ends, with and without budgets
+//     (sax.CheckBatchEquivalence, the body of TestBatchMatchesNext).
 //
 // Run with: go test -fuzz FuzzTokenizerBytes ./internal/sax
 func FuzzTokenizerBytes(f *testing.F) {
@@ -42,6 +46,8 @@ func FuzzTokenizerBytes(f *testing.F) {
 		}
 		sax.CheckSkimEquivalence(t, data, k, limits.Limits{})
 		sax.CheckSkimEquivalence(t, data, k, limits.Limits{MaxDepth: 3, MaxTokenBytes: 24})
+		sax.CheckBatchEquivalence(t, data, limits.Limits{})
+		sax.CheckBatchEquivalence(t, data, limits.Limits{MaxDepth: 3, MaxTokenBytes: 24})
 
 		got, gotErr := sax.ParseBytes(data)
 		want, wantErr := sax.Parse(string(data))

@@ -3,6 +3,7 @@ package sax
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -75,6 +76,92 @@ func CheckSkimEquivalence(t testing.TB, doc []byte, k int, lim limits.Limits) in
 		}
 	}
 	return len(events)
+}
+
+// batchEvent is one event as a consumer saw it — every field, Data copied
+// out — and the offset at which the tokenizer stood after it.
+type batchEvent struct {
+	kind      Kind
+	attribute bool
+	sym       symtab.Sym
+	off       int
+	data      string
+	offset    int
+}
+
+func seen(ev ByteEvent, offset int) batchEvent {
+	return batchEvent{ev.Kind, ev.Attribute, ev.Sym, ev.Off, string(ev.Data), offset}
+}
+
+// CheckBatchEquivalence drains doc with NextBatch at batch sizes 1, 2, 3
+// and 64, with stop at ∞ and at every offset the Next loop passes, and fails
+// t where a drain differs from the Next loop: in any field of any event —
+// its Data read once its batch is complete, as a consumer reads it — in
+// Offset after a batch, or in the error the document ends with (type and
+// every field). It also holds each batch to NextBatch's stop rule: only the
+// last event of a batch may reach stop, and a batch ends short only at
+// stop, at an error, or after character data. Exported for
+// FuzzTokenizerBytes, which lives in the external test package.
+func CheckBatchEquivalence(t testing.TB, doc []byte, lim limits.Limits) {
+	t.Helper()
+	tok := NewTokenizerBytes(doc, nil)
+	tok.SetLimits(lim)
+	var want []batchEvent
+	var wantErr error
+	for wantErr == nil {
+		var ev ByteEvent
+		if wantErr = tok.NextInto(&ev); wantErr == nil {
+			want = append(want, seen(ev, tok.Offset()))
+		}
+	}
+	wantEnd := tok.Offset()
+	stops := []int{math.MaxInt}
+	for i, w := range want {
+		if i == 0 || w.offset != want[i-1].offset {
+			stops = append(stops, w.offset)
+		}
+	}
+	evs := make([]ByteEvent, 64)
+	for _, size := range []int{1, 2, 3, 64} {
+		for _, stop := range stops {
+			tok.Reset(doc)
+			label := func() string { return fmt.Sprintf("%q, limits %+v, batch %d, stop %d", doc, lim, size, stop) }
+			var got []batchEvent
+			for {
+				n, err := tok.NextBatch(evs[:size], stop)
+				if len(got)+n > len(want) {
+					t.Fatalf("%s: %d events, the Next loop has %d", label(), len(got)+n, len(want))
+				}
+				for i, ev := range evs[:n] {
+					w := want[len(got)]
+					if i < n-1 && w.offset >= stop {
+						t.Fatalf("%s: event %d reached the stop at %d, and its batch went on", label(), len(got), w.offset)
+					}
+					got = append(got, seen(ev, w.offset))
+					if got[len(got)-1] != w {
+						t.Fatalf("%s: event %d = %+v, the Next loop's %+v", label(), len(got)-1, got[len(got)-1], w)
+					}
+				}
+				if err != nil {
+					if !reflect.DeepEqual(err, wantErr) || tok.Offset() != wantEnd || len(got) != len(want) {
+						t.Fatalf("%s: ended after %d events at %d with %v, the Next loop after %d at %d with %v",
+							label(), len(got), tok.Offset(), err, len(want), wantEnd, wantErr)
+					}
+					break
+				}
+				if n == 0 {
+					t.Fatalf("%s: an empty batch and no error", label())
+				}
+				last := got[len(got)-1]
+				if tok.Offset() != last.offset {
+					t.Fatalf("%s: offset %d after event %d, the Next loop's %d", label(), tok.Offset(), len(got)-1, last.offset)
+				}
+				if n < size && last.offset < stop && (last.kind != Text || last.data == "") {
+					t.Fatalf("%s: batch of %d ended short after event %d %+v", label(), n, len(got)-1, last)
+				}
+			}
+		}
+	}
 }
 
 // checkSkimEveryK is CheckSkimEquivalence at every event index of doc.
@@ -230,6 +317,36 @@ func TestSkimMatchesNext(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchMatchesNext is the batch differential over the skim's corpus,
+// with and without budgets, and over the same one-byte mutations.
+func TestBatchMatchesNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const alphabet = "<>/&;=\"' !?[]-#xa"
+	for _, doc := range skimCorpus() {
+		for _, lim := range []limits.Limits{{}, skimLimits} {
+			CheckBatchEquivalence(t, []byte(doc), lim)
+		}
+		for m := min(len(doc), 16); m > 0; m-- {
+			mut := []byte(doc)
+			mut[rng.Intn(len(mut))] = alphabet[rng.Intn(len(alphabet))]
+			for _, lim := range []limits.Limits{{}, skimLimits} {
+				CheckBatchEquivalence(t, mut, lim)
+			}
+		}
+	}
+}
+
+// TestBatchDataOutlivesTheBatch: two decoded text runs share the text
+// scratch buffer, and the decoded values of two tags' attributes the
+// attribute one, and the whole document fits one batch of 64. Each is read
+// only when its batch is complete, so a batch that went on past one of them
+// would hand its consumer the bytes the next decode wrote over it.
+func TestBatchDataOutlivesTheBatch(t *testing.T) {
+	doc := []byte(`<r><a x="&lt;1" y="&gt;2">p&amp;1</a><b z="&amp;3"/>q&lt;2<c>plain</c>r&#62;3</r>`)
+	CheckBatchEquivalence(t, doc, limits.Limits{})
+	CheckBatchEquivalence(t, doc, skimLimits)
 }
 
 // TestTextDelim holds the kernel's word-at-a-time sweep to a byte loop:

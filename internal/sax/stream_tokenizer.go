@@ -3,6 +3,7 @@ package sax
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"streamxpath/internal/limits"
 	"streamxpath/internal/symtab"
@@ -45,8 +46,9 @@ const DefaultChunkSize = 64 << 10
 // after Next returned ErrNeedMoreData — pending events may alias the
 // current window, and refilling slides it.
 type StreamTokenizer struct {
-	t   *TokenizerBytes
-	buf []byte
+	t     *TokenizerBytes
+	buf   []byte
+	batch []ByteEvent // Drive's NextBatch buffer
 }
 
 // NewStreamTokenizer returns a chunked tokenizer interning names into
@@ -158,7 +160,8 @@ type StreamStats struct {
 	// BytesRead is the number of bytes read from the io.Reader.
 	BytesRead int64
 	// BytesConsumed is the number of document bytes fully tokenized —
-	// on early exit, how much of the document the verdict needed.
+	// on early exit, how much of the document the verdict needed. When
+	// process fails, it also counts the rest of the failing event's batch.
 	BytesConsumed int64
 	// Chunks is the number of non-empty reads.
 	Chunks int
@@ -174,8 +177,9 @@ type StreamStats struct {
 
 // Drive runs one document from r through the tokenizer: read a chunk
 // (chunkSize <= 0 selects DefaultChunkSize), drain its events into
-// process, call endChunk at each chunk boundary (nil to skip), probe
-// decided between chunks until the root closes (nil to never exit early),
+// process a batch at a time (NextBatch), call endChunk at each chunk
+// boundary (nil to skip), probe decided between chunks until the root
+// closes (nil to never exit early),
 // and stop at end of document, early decision, or error. Bytes returned
 // alongside a non-EOF read error are drained (and may decide the verdict)
 // before the error is surfaced. It returns whether EndDocument was processed;
@@ -186,7 +190,9 @@ type StreamStats struct {
 func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, process func(ByteEvent) error, endChunk func(), decided func() bool) (bool, error) {
 	*st = StreamStats{}
 	sawEnd := false
-	var ev ByteEvent
+	if s.batch == nil {
+		s.batch = make([]ByteEvent, BatchSize)
+	}
 	for {
 		n, rerr := s.FeedReader(r, chunkSize)
 		if n > 0 {
@@ -202,18 +208,20 @@ func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, pro
 			s.Finish()
 		}
 		for {
-			err := s.t.NextInto(&ev)
+			n, err := s.t.NextBatch(s.batch, math.MaxInt)
+			for _, ev := range s.batch[:n] {
+				if ev.Kind == EndDocument {
+					sawEnd = true
+				}
+				if err := process(ev); err != nil {
+					st.BytesConsumed = int64(s.Consumed())
+					return false, err
+				}
+			}
 			if err == ErrNeedMoreData || err == io.EOF {
 				break
 			}
 			if err != nil {
-				st.BytesConsumed = int64(s.Consumed())
-				return false, err
-			}
-			if ev.Kind == EndDocument {
-				sawEnd = true
-			}
-			if err := process(ev); err != nil {
 				st.BytesConsumed = int64(s.Consumed())
 				return false, err
 			}

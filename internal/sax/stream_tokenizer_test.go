@@ -172,8 +172,25 @@ func streamEvents(tok *sax.StreamTokenizer, doc string, splits []int) ([]sax.Eve
 // wholeEvents runs the whole-buffer tokenizer over doc, materializing the
 // events up to its end or its first error.
 func wholeEvents(doc string) ([]sax.Event, error) {
+	evs, err := wholeOffEvents(doc)
+	out := make([]sax.Event, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.Event
+	}
+	return out, err
+}
+
+// offEvent is a materialized event with the document offset its ByteEvent
+// carried.
+type offEvent struct {
+	sax.Event
+	Off int
+}
+
+// wholeOffEvents is wholeEvents keeping each event's Off.
+func wholeOffEvents(doc string) ([]offEvent, error) {
 	tok := sax.NewTokenizerBytes([]byte(doc), nil)
-	var out []sax.Event
+	var out []offEvent
 	for {
 		ev, err := tok.Next()
 		if err == io.EOF {
@@ -182,7 +199,54 @@ func wholeEvents(doc string) ([]sax.Event, error) {
 		if err != nil {
 			return out, err
 		}
-		out = append(out, ev.Event(tok.Table()))
+		out = append(out, offEvent{ev.Event(tok.Table()), ev.Off})
+	}
+}
+
+// splitReader hands doc over in the chunks the splits cut it into, one per
+// Read, empty ones included.
+type splitReader struct {
+	doc  string
+	cuts []int
+	prev int
+}
+
+func (r *splitReader) Read(p []byte) (int, error) {
+	if len(r.cuts) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.doc[r.prev:r.cuts[0]])
+	r.prev += n
+	if r.prev == r.cuts[0] {
+		r.cuts = r.cuts[1:]
+	}
+	return n, nil
+}
+
+// checkDrive is the chunked path's leg of the split differential: doc cut at
+// the given offsets (sorted, in range) and drained chunk by chunk through
+// Drive, the loop every reader entry point runs, must give the whole-buffer
+// events, Off included, and then the same error.
+func checkDrive(t testing.TB, tok *sax.StreamTokenizer, doc string, splits []int, want []offEvent, wantErr error) {
+	t.Helper()
+	tok.Reset()
+	r := &splitReader{doc: doc, cuts: append(append([]int(nil), splits...), len(doc))}
+	var got []offEvent
+	var st sax.StreamStats
+	_, gotErr := tok.Drive(r, len(doc)+1, &st, func(ev sax.ByteEvent) error {
+		got = append(got, offEvent{ev.Event(tok.Table()), ev.Off})
+		return nil
+	}, nil, nil)
+	if !reflect.DeepEqual(gotErr, wantErr) {
+		t.Fatalf("doc %q splits %v: whole-buffer err = %v, Drive err = %v", doc, splits, wantErr, gotErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("doc %q splits %v: Drive gave %d events, want %d", doc, splits, len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("doc %q splits %v: Drive event %d = %+v, want %+v", doc, splits, i, got[i], want[i])
+		}
 	}
 }
 
@@ -190,18 +254,21 @@ func wholeEvents(doc string) ([]sax.Event, error) {
 // test: every corpus document and every shape the scanners special-case,
 // split into two chunks at every byte offset, must end as the whole-buffer
 // TokenizerBytes ends it — the same events (hence the same deepest level)
-// and then the same error: type, message and offset.
+// and then the same error: type, message and offset — whether the chunks
+// are drained by Next or through Drive's batches.
 func TestStreamTokenizerSplitEveryOffset(t *testing.T) {
 	tok := sax.NewStreamTokenizer(nil)
 	for _, doc := range append(append([]string(nil), streamCorpus...), sax.KernelShapes...) {
-		want, wantErr := wholeEvents(doc)
+		want, wantErr := wholeOffEvents(doc)
+		wantEvents, _ := wholeEvents(doc)
 		for off := 0; off <= len(doc); off++ {
 			got, gotErr := streamEvents(tok, doc, []int{off})
 			if !reflect.DeepEqual(gotErr, wantErr) {
 				t.Fatalf("doc %q split at %d: whole-buffer err = %v, chunked err = %v",
 					doc, off, wantErr, gotErr)
 			}
-			diffEvents(t, doc, got, want)
+			diffEvents(t, doc, got, wantEvents)
+			checkDrive(t, tok, doc, []int{off}, want, wantErr)
 		}
 	}
 }
@@ -225,6 +292,7 @@ func TestStreamTokenizerMultiSplitRandom(t *testing.T) {
 	}
 	for trial, doc := range docs {
 		want, wantErr := sax.ParseBytes([]byte(doc))
+		wantOff, wantOffErr := wholeOffEvents(doc)
 		for rep := 0; rep < 8; rep++ {
 			n := rng.Intn(6)
 			splits := make([]int, 0, n)
@@ -232,6 +300,7 @@ func TestStreamTokenizerMultiSplitRandom(t *testing.T) {
 				splits = append(splits, rng.Intn(len(doc)+1))
 			}
 			sort.Ints(splits)
+			checkDrive(t, tok, doc, splits, wantOff, wantOffErr)
 			got, gotErr := streamEvents(tok, doc, splits)
 			if (wantErr != nil) != (gotErr != nil) {
 				t.Fatalf("trial %d doc %q splits %v: whole-buffer err = %v, chunked err = %v",
@@ -386,7 +455,8 @@ func TestStreamTokenizerBoundedTail(t *testing.T) {
 
 // FuzzStreamTokenizerSplits fuzzes documents together with split
 // positions: however the document is cut, the chunked stream must agree
-// with the whole-buffer one.
+// with the whole-buffer one, drained by Next and through Drive (checkDrive:
+// Off and the error exactly too).
 func FuzzStreamTokenizerSplits(f *testing.F) {
 	f.Add("<a><b>text &amp; more</b><!--c--><![CDATA[d]]></a>", uint16(3), uint16(17))
 	f.Add(`<a id="1" x='&lt;'>t</a>`, uint16(7), uint16(9))
@@ -402,6 +472,8 @@ func FuzzStreamTokenizerSplits(f *testing.F) {
 		splits := []int{int(s1) % (len(doc) + 1), int(s2) % (len(doc) + 1)}
 		sort.Ints(splits)
 		tok := sax.NewStreamTokenizer(nil)
+		wantOff, wantOffErr := wholeOffEvents(doc)
+		checkDrive(t, tok, doc, splits, wantOff, wantOffErr)
 		got, gotErr := streamEvents(tok, doc, splits)
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Fatalf("doc %q splits %v: whole-buffer err = %v, chunked err = %v", doc, splits, wantErr, gotErr)

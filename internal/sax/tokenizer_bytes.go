@@ -44,6 +44,17 @@ var ErrNeedMoreData = errors.New("sax: need more data")
 // into L1), and only a hit enters the decode path. Names are classified by
 // a 256-entry table and hashed while they are scanned.
 //
+// The drive loops take events a batch at a time (NextBatch), and a batch
+// has a kernel in front of the scanners (eventKernel): inside the root, one
+// loop on a local cursor and a local copy of the open-element stack writes
+// the events of plain markup straight into the caller's slice — a text run
+// the word-at-a-time sweep (textDelim) ends at '<' as an input subslice,
+// <name> and <name/> hashed in the name-class loop and interned, both events
+// of <name/> at once, and </name> matched against the innermost element by
+// its bytes. It stops in front of anything else, and NextInto's scanners
+// take that construct from its first byte, so they remain the one authority
+// on errors, offsets and messages, and on suspension in streaming mode.
+//
 // Skim has a kernel of its own (skimKernel): one loop on a local cursor
 // that sweeps a text run eight bytes at a time for the first '<' or '&'
 // (textDelim), steps over the references skipReference knows, closes
@@ -354,7 +365,8 @@ func (t *TokenizerBytes) internName(b []byte, h uint32) symtab.Sym {
 
 // Next returns the next event. The first event is always StartDocument
 // and the last EndDocument; io.EOF follows. The Data slice of a Text
-// event is only valid until the next call.
+// event is only valid until the next call. It reads one event at a time;
+// a loop over a whole document calls NextBatch.
 func (t *TokenizerBytes) Next() (ByteEvent, error) {
 	var ev ByteEvent
 	err := t.NextInto(&ev)
@@ -386,9 +398,12 @@ func (t *TokenizerBytes) NextInto(ev *ByteEvent) error {
 	// From here on NextInto is the event assembler: it dispatches on the
 	// construct's lead bytes once and hands off to the per-construct
 	// scanner, which delimits the construct on a local cursor and commits
-	// t.pos when it is done. The flat shape is deliberate — scanners return
-	// the minimum (a symbol or a subslice) and the event is materialized
-	// directly into the caller's *ev; this is the per-event hot path.
+	// t.pos when it is done. Scanners return the minimum (a symbol or a
+	// subslice) and the event is materialized directly into the caller's
+	// *ev. The plain constructs of a document's body rarely get here: the
+	// drive loops call NextBatch, whose kernel takes them inline, and
+	// NextInto is called for what it leaves — the constructs that need a
+	// scanner's checks, decoding or resume state.
 	if t.tagActive {
 		if t.breach != nil {
 			return t.breach
@@ -467,6 +482,151 @@ func (t *TokenizerBytes) NextInto(ev *ByteEvent) error {
 			return nil
 		}
 	}
+}
+
+// BatchSize is the batch the drive loops hand NextBatch: large enough that
+// the call is paid once per several dozen events, small enough that a
+// batch stays in L1.
+const BatchSize = 64
+
+// NextBatch is NextInto in bulk: it writes the next events into evs and
+// returns how many it wrote. evs[:n] are the events n calls of NextInto
+// would have delivered, and err is what the call after them would have
+// returned (nil, io.EOF, ErrNeedMoreData or a scanner's error), so the
+// caller consumes evs[:n] before looking at err. The batch ends when evs is
+// full, after the first event that leaves Offset at or past the absolute
+// offset stop — a caller that looks at Offset after an event, and acts once
+// it reaches a mark, passes the mark as stop and acts after the same events
+// as with NextInto — and after an event whose Data is decoded or
+// stabilized rather than a subslice of the input, since the scratch buffer
+// it lives in is overwritten by a later scan. Every Data in evs[:n] is
+// valid until the next call.
+//
+// Inside the root, between constructs that need no scanner, NextBatch runs
+// eventKernel; whatever the kernel leaves — from the first byte of the
+// construct it stopped at — goes to NextInto, which stays the one source of
+// errors.
+func (t *TokenizerBytes) NextBatch(evs []ByteEvent, stop int) (int, error) {
+	n := 0
+	for n < len(evs) {
+		// The kernel does not resume a text run suspended across a refill:
+		// readText rescans it from its suspendAt memo.
+		if len(t.stack) > 0 && len(t.pending) == 0 && !t.tagActive && !t.skim && t.base+t.pos != t.suspendAt {
+			var done bool
+			if n, done = t.eventKernel(evs, n, stop); done {
+				return n, nil
+			}
+		}
+		ev := &evs[n]
+		if err := t.NextInto(ev); err != nil {
+			return n, err
+		}
+		n++
+		if t.base+t.pos >= stop || len(ev.Data) > 0 && !t.inWindow(ev.Data) {
+			break
+		}
+	}
+	return n, nil
+}
+
+// eventKernel is NextBatch's fast path: one loop on a local cursor and a
+// local copy of the stack over the constructs that make up nearly all of a
+// document's body — a text run inside the root that ends at '<' with no
+// reference in it, <name>, <name/>, and </name> closing the innermost
+// element — writing their events into evs from n on. It returns the new
+// count, and done when the batch is over: evs is full, or an event left the
+// offset at or past stop. Otherwise it has stopped, t.pos committed, at the
+// first byte of a construct it leaves to the scanners: a reference,
+// attributes, comments, PIs, CDATA, DOCTYPE, text outside the root, any
+// other end tag, a construct the window cuts off (the scanners suspend it),
+// one that would breach MaxDepth or MaxTokenBytes (the scanners report it),
+// and a <name/> whose EndElement belongs in the next batch (NextInto stages
+// it). Names are hashed as readName hashes them and interned through the
+// same cache, so the symbols are the scanners' symbols.
+func (t *TokenizerBytes) eventKernel(evs []ByteEvent, n, stop int) (int, bool) {
+	data, stack, base, p := t.data, t.stack, t.base, t.pos
+	maxDepth, maxToken, deepest := t.lim.MaxDepth, t.lim.MaxTokenBytes, t.deepest
+	done := false
+loop:
+	for n < len(evs) && len(stack) > 0 && p < len(data) {
+		if data[p] != '<' {
+			q := textDelim(data, p)
+			if q == len(data) || data[q] != '<' || maxToken > 0 && q-p > maxToken {
+				break
+			}
+			evs[n] = ByteEvent{Kind: Text, Data: data[p:q]}
+			n, p = n+1, q
+		} else if p+1 == len(data) {
+			break
+		} else if c := data[p+1]; c == '/' {
+			top := stack[len(stack)-1]
+			name := t.tab.Name(top)
+			end := p + 2 + len(name)
+			if end >= len(data) || data[end] != '>' || string(data[p+2:end]) != name {
+				break
+			}
+			stack, p = stack[:len(stack)-1], end+1
+			evs[n] = ByteEvent{Kind: EndElement, Sym: top, Off: base + p}
+			n++
+		} else {
+			if nameClass[c]&classStart == 0 {
+				break
+			}
+			h, q := uint32(c), p+2
+			for ; q < len(data) && nameClass[data[q]]&className != 0; q++ {
+				h = bits.RotateLeft32(h, 5) ^ uint32(data[q])
+			}
+			var close int
+			switch {
+			case q == len(data):
+				break loop
+			case data[q] == '>':
+				close = q + 1
+			case data[q] == '/' && q+1 < len(data) && data[q+1] == '>':
+				close = q + 2
+				if n+1 == len(evs) || base+close >= stop {
+					break loop
+				}
+			default:
+				break loop
+			}
+			if maxDepth > 0 {
+				// countLevels's accounting for a tag without attributes.
+				elem := len(stack) + 1
+				if elem > maxDepth {
+					break
+				}
+				deepest = max(deepest, elem)
+			}
+			sym := t.internName(data[p+1:q], h)
+			evs[n] = ByteEvent{Kind: StartElement, Sym: sym, Off: base + p}
+			n++
+			if close == q+1 {
+				stack = append(stack, sym)
+			} else {
+				evs[n] = ByteEvent{Kind: EndElement, Sym: sym, Off: base + close}
+				n++
+			}
+			p = close
+		}
+		if base+p >= stop {
+			done = true
+			break
+		}
+	}
+	t.pos, t.stack, t.deepest = p, stack, deepest
+	if len(stack) == 0 { // entered inside the root, so the root has closed
+		t.rootSeen = true
+	}
+	return n, done || n == len(evs)
+}
+
+// inWindow reports that b, which is not empty, is a subslice of the window:
+// a subslice of data from offset i has the capacity cap(data)-i.
+func (t *TokenizerBytes) inWindow(b []byte) bool {
+	w := t.data[:cap(t.data)]
+	i := cap(w) - cap(b)
+	return i >= 0 && i < len(w) && &w[i] == &b[0]
 }
 
 // endOfInput closes the document at the end of the final window: every

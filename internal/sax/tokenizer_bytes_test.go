@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"streamxpath/internal/sax"
 	"streamxpath/internal/workload"
@@ -206,6 +207,17 @@ func TestTokenizerBytesSubsliceText(t *testing.T) {
 				t.Fatal("reference-free text should alias the input buffer")
 			}
 		}
+	}
+}
+
+// TestByteEventSize pins the field order that packs Kind, Attribute and
+// Sym into one word: a batch of events is written and read per document.
+func TestByteEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(sax.ByteEvent{}); got != 40 {
+		t.Errorf("ByteEvent is %d bytes, want 40", got)
 	}
 }
 

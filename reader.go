@@ -16,7 +16,9 @@ type ReaderStats struct {
 	// BytesRead is the number of bytes read from the io.Reader.
 	BytesRead int64
 	// BytesConsumed is the number of document bytes fully tokenized —
-	// on early exit, how much of the document the verdict needed.
+	// on early exit, how much of the document the verdict needed. Events
+	// are tokenized in batches, so when matching fails or abstains on an
+	// event it also counts the rest of that event's batch.
 	BytesConsumed int64
 	// Chunks is the number of non-empty reads.
 	Chunks int

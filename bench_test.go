@@ -26,7 +26,6 @@ import (
 	"streamxpath/internal/naive"
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
-	"streamxpath/internal/streameval"
 	"streamxpath/internal/workload"
 )
 
@@ -419,7 +418,7 @@ func BenchmarkAblationBufferAll(b *testing.B) {
 // BenchmarkStreamEvalBuffering (E21): full-evaluation buffering versus
 // evidence delay — the follow-up work's inherent-buffering phenomenon.
 func BenchmarkStreamEvalBuffering(b *testing.B) {
-	q := query.MustParse("/a[c]/b")
+	q := streamxpath.MustCompile("/a[c]/b")
 	for _, n := range []int{10, 100, 1000} {
 		var sb strings.Builder
 		sb.WriteString("<a>")
@@ -427,18 +426,18 @@ func BenchmarkStreamEvalBuffering(b *testing.B) {
 			fmt.Fprintf(&sb, "<b>v%d</b>", i)
 		}
 		sb.WriteString("<c/></a>")
-		events := sax.MustParse(sb.String())
+		doc := sb.String()
 		b.Run(fmt.Sprintf("delay=%d", n), func(b *testing.B) {
-			e := streameval.MustCompile(q)
-			var pending int
+			se, err := q.NewStreamEvaluator()
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
-				e.Reset()
-				if _, err := e.ProcessAll(events); err != nil {
+				if _, err := se.EvaluateString(doc); err != nil {
 					b.Fatal(err)
 				}
-				pending = e.Stats().PeakPendingCandidates
 			}
-			b.ReportMetric(float64(pending), "pendingValues")
+			b.ReportMetric(float64(se.Stats().PeakPendingValues), "pendingValues")
 		})
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"streamxpath/internal/naive"
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
-	"streamxpath/internal/streameval"
 	"streamxpath/internal/workload"
 )
 
@@ -327,8 +326,7 @@ func e20() {
 }
 
 func e21() {
-	q := query.MustParse("/a[c]/b")
-	e, err := streameval.Compile(q)
+	se, err := streamxpath.MustCompile("/a[c]/b").NewStreamEvaluator()
 	check(err)
 	w := tw()
 	fmt.Fprintln(w, "  values before evidence\tpeak pending\tpeak buffered bytes")
@@ -339,13 +337,10 @@ func e21() {
 			fmt.Fprintf(&b, "<b>v%d</b>", i)
 		}
 		b.WriteString("<c/></a>")
-		e.Reset()
-		events, err := sax.Parse(b.String())
+		_, err := se.EvaluateString(b.String())
 		check(err)
-		_, err = e.ProcessAll(events)
-		check(err)
-		s := e.Stats()
-		fmt.Fprintf(w, "  %d\t%d\t%d\n", n, s.PeakPendingCandidates, s.PeakBufferedBytes)
+		s := se.Stats()
+		fmt.Fprintf(w, "  %d\t%d\t%d\n", n, s.PeakPendingValues, s.PeakBufferedBytes)
 	}
 	w.Flush()
 	fmt.Println("  expected shape: full evaluation buffers linearly in the evidence delay —")

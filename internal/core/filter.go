@@ -447,9 +447,9 @@ func (f *Filter) endDocument() {
 // content: open candidate scopes resolve bottom-up by the all-children-
 // matched rule. Because conjunctive matching is monotone — matched flags
 // are never unset and future events can only add matches — a true result
-// is final. The streaming evaluator (internal/streameval) uses this for
-// early predicate resolution, which is what lets it emit output candidates
-// before their enclosing elements close.
+// is final. The per-filter fan-out baseline of the dissemination
+// benchmarks stops feeding a filter on it; the engine's form of the same
+// rule decides a predicate the moment its last conjunct matches.
 func (f *Filter) WouldMatchIfClosedNow() bool {
 	if f.root == nil {
 		return false

@@ -472,8 +472,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 
 // TestWouldMatchIfClosedNowMonotone: once WouldMatchIfClosedNow reports
 // true, the final answer is true regardless of the remaining stream (the
-// monotonicity FilterSet's early exit and streameval's early resolution
-// depend on).
+// monotonicity every early exit and early predicate decision depends on).
 func TestWouldMatchIfClosedNowMonotone(t *testing.T) {
 	cases := []struct {
 		q, d string

@@ -26,6 +26,11 @@ const (
 	// span compacted windows; memory is O(captured fragment), accounted
 	// against Limits.MaxBufferedBytes.
 	CaptureSerial
+	// CaptureValue holds the matched element's string value as
+	// tree.(*Node).StrVal defines it: the decoded text of the subtree,
+	// attribute values included — what an attribute capture holds in every
+	// mode. It needs no offsets, so it works under the chunked tokenizer.
+	CaptureValue
 )
 
 // capture is one captured fragment: the subtree of a single matched
@@ -43,10 +48,14 @@ type capture struct {
 	end   int // absolute offset one past '</name>', set when finalized
 	buf   []byte
 	done  bool
-	// valueOnly marks an attribute capture: buf holds the decoded
-	// attribute value (in every mode — attribute values cannot be
-	// subsliced from the source, which holds the raw encoded form).
+	// valueOnly marks a capture whose buf holds the decoded string value:
+	// every capture under CaptureValue, and an attribute's in every mode
+	// (attribute values cannot be subsliced from the source, which holds
+	// the raw encoded form).
 	valueOnly bool
+	// queued marks a capture on the emission queue; selected, that some
+	// every-match subscription latched it.
+	queued, selected bool
 }
 
 // capman is the engine's capture manager: a stack of open captures kept
@@ -77,6 +86,28 @@ type capman struct {
 	curLevel int
 	curAttr  bool
 	elemCap  *capture
+
+	// queue holds the captures of every-match candidates from qhead on, in
+	// start order, one hold each; emit receives each selected value as it
+	// leaves (flush), and qstats accounts for the queue per document.
+	queue  []*capture
+	qhead  int
+	qbytes int
+	qstats EmitStats
+	emit   func(value []byte)
+}
+
+// EmitStats is the emission queue's accounting for one document: what full
+// evaluation must buffer because a value can stream past before the
+// evidence that selects it.
+type EmitStats struct {
+	// Emitted and Dropped count the candidates that left the queue selected
+	// and unselected.
+	Emitted, Dropped int
+	// PeakPending is the most candidates queued at once, and
+	// PeakBufferedBytes the most value bytes they held.
+	PeakPending       int
+	PeakBufferedBytes int
 }
 
 func newCapman(tab *symtab.Table) *capman {
@@ -96,6 +127,8 @@ func (cm *capman) reset(mode CaptureMode) {
 	}
 	cm.all = cm.all[:0]
 	cm.open = cm.open[:0]
+	clear(cm.queue)
+	cm.queue, cm.qhead, cm.qbytes, cm.qstats = cm.queue[:0], 0, 0, EmitStats{}
 	cm.bytes = 0
 	cm.peakBytes = 0
 	cm.inAttr = false
@@ -143,27 +176,61 @@ func (cm *capman) release(c *capture) {
 
 // elemCapture returns the capture for the current element, creating it
 // on first call. Each call transfers one reference to the caller — the
-// sharing point for overlapping matches.
-func (cm *capman) elemCapture() *capture {
-	if c := cm.elemCap; c != nil {
+// sharing point for overlapping matches. queue says the element is a
+// candidate of an every-match subscription: the capture joins the emission
+// queue, which takes a reference of its own.
+func (cm *capman) elemCapture(queue bool) *capture {
+	c := cm.elemCap
+	if c != nil {
 		c.refs++
-		return c
+	} else {
+		c = cm.alloc()
+		c.level = cm.curLevel
+		c.start = cm.curOff
+		c.valueOnly = cm.curAttr || cm.mode == CaptureValue
+		c.refs = 1
+		if cm.mode == CaptureSerial && !c.valueOnly {
+			name := cm.tab.Name(cm.curSym)
+			c.buf = append(c.buf, '<')
+			c.buf = append(c.buf, name...)
+			cm.grow(len(c.buf))
+		}
+		cm.open = append(cm.open, c)
+		cm.all = append(cm.all, c)
+		cm.elemCap = c
 	}
-	c := cm.alloc()
-	c.level = cm.curLevel
-	c.start = cm.curOff
-	c.valueOnly = cm.curAttr
-	c.refs = 1
-	if cm.mode == CaptureSerial && !c.valueOnly {
-		name := cm.tab.Name(cm.curSym)
-		c.buf = append(c.buf, '<')
-		c.buf = append(c.buf, name...)
-		cm.grow(len(c.buf))
+	if queue && !c.queued {
+		c.queued = true
+		c.refs++
+		cm.queue = append(cm.queue, c)
+		cm.qstats.PeakPending = max(cm.qstats.PeakPending, len(cm.queue)-cm.qhead)
 	}
-	cm.open = append(cm.open, c)
-	cm.all = append(cm.all, c)
-	cm.elemCap = c
 	return c
+}
+
+// flush lets the queue's head leave while its fate is known: emitted once it
+// is selected and finalized, dropped once it is unselected and the queue's
+// hold is the last — no holder is left that could select it. Candidates
+// behind an undecided head wait, so values leave in document order.
+func (cm *capman) flush() {
+	for cm.qhead < len(cm.queue) {
+		c := cm.queue[cm.qhead]
+		switch {
+		case c.selected && c.done:
+			cm.qstats.Emitted++
+			if cm.emit != nil {
+				cm.emit(c.buf)
+			}
+		case !c.selected && c.refs == 1:
+			cm.qstats.Dropped++
+		default:
+			return
+		}
+		cm.queue[cm.qhead] = nil
+		cm.qhead++
+		cm.qbytes -= len(c.buf)
+		cm.release(c)
+	}
 }
 
 // closeTag emits the deferred '>' of the innermost start tag to every
@@ -224,40 +291,38 @@ func (cm *capman) noteStart(sym symtab.Sym, isAttr bool, off, level int) {
 	cm.tagOpen = true
 }
 
-// noteText records character data: the raw decoded value for an open
-// attribute capture, serializer-escaped bytes for enclosing serial
-// captures (attribute-value escaping inside an attribute, text escaping
-// in element content, with the pending '>' emitted first).
+// noteText records character data: the raw decoded text for an open value
+// capture, serializer-escaped bytes for enclosing serial captures
+// (attribute-value escaping inside an attribute, text escaping in element
+// content, with the pending '>' emitted first). A slice capture of an
+// element holds offsets only.
 func (cm *capman) noteText(data []byte) {
-	if len(cm.open) == 0 || len(data) == 0 {
+	if len(cm.open) == 0 || len(data) == 0 || (cm.mode == CaptureSlice && !cm.inAttr) {
 		return
 	}
-	if cm.inAttr {
-		for _, c := range cm.open {
-			if c.refs == 0 {
-				continue
-			}
-			n := len(c.buf)
-			if c.valueOnly {
-				c.buf = append(c.buf, data...)
-			} else if cm.mode == CaptureSerial {
-				c.buf = sax.AppendAttrEscaped(c.buf, data)
-			}
-			cm.grow(len(c.buf) - n)
-		}
-		return
+	if cm.mode == CaptureSerial && !cm.inAttr {
+		cm.closeTag()
 	}
-	if cm.mode != CaptureSerial {
-		return
-	}
-	cm.closeTag()
 	for _, c := range cm.open {
-		if c.valueOnly || c.refs == 0 {
+		if c.refs == 0 {
 			continue
 		}
 		n := len(c.buf)
-		c.buf = sax.AppendTextEscaped(c.buf, data)
+		switch {
+		case c.valueOnly:
+			c.buf = append(c.buf, data...)
+		case cm.mode != CaptureSerial:
+			continue
+		case cm.inAttr:
+			c.buf = sax.AppendAttrEscaped(c.buf, data)
+		default:
+			c.buf = sax.AppendTextEscaped(c.buf, data)
+		}
 		cm.grow(len(c.buf) - n)
+		if c.queued {
+			cm.qbytes += len(c.buf) - n
+			cm.qstats.PeakBufferedBytes = max(cm.qstats.PeakBufferedBytes, cm.qbytes)
+		}
 	}
 }
 
@@ -280,11 +345,7 @@ func (cm *capman) noteEnd(sym symtab.Sym, isAttr bool, off, level int) {
 				cm.grow(1)
 			}
 		}
-		if n := len(cm.open); n > 0 {
-			if c := cm.open[n-1]; c.valueOnly && c.level == level {
-				cm.finalize(c, off)
-			}
-		}
+		cm.finalize(level, off)
 		return
 	}
 	if cm.mode == CaptureSerial && len(cm.open) > 0 {
@@ -303,15 +364,19 @@ func (cm *capman) noteEnd(sym symtab.Sym, isAttr bool, off, level int) {
 	} else {
 		cm.tagOpen = false
 	}
-	if n := len(cm.open); n > 0 {
-		if c := cm.open[n-1]; !c.valueOnly && c.level == level {
-			cm.finalize(c, off)
-		}
-	}
+	cm.finalize(level, off)
 }
 
-func (cm *capman) finalize(c *capture, off int) {
-	cm.open = cm.open[:len(cm.open)-1]
+// finalize completes the capture of the construct closing at level, if it
+// has one: the open stack nests with the elements, so it can only be the
+// innermost.
+func (cm *capman) finalize(level, off int) {
+	n := len(cm.open)
+	if n == 0 || cm.open[n-1].level != level {
+		return
+	}
+	c := cm.open[n-1]
+	cm.open = cm.open[:n-1]
 	c.end = off
 	c.done = true
 	if c.refs == 0 {

@@ -24,10 +24,11 @@
 //     frontier algorithm — tuples, candidate scopes, and text buffering
 //     exactly as in internal/core, but with structurally identical steps
 //     evaluated once for all subscriptions that contain them. Matches
-//     reached below a predicated step commit conditionally and resolve
-//     when the predicate's candidate scope closes, preserving
-//     per-subscription answers byte-identical to a standalone
-//     core.Filter. Only predicate nodes are held as frontier tuples: the
+//     reached below a predicated step commit conditionally and are
+//     decided the moment the predicate is satisfied — or dropped when its
+//     candidate scope closes first — preserving per-subscription answers
+//     byte-identical to a standalone core.Filter. Only predicate nodes are
+//     held as frontier tuples: the
 //     continuations of an open spine scope are found by one lookup per
 //     edge of the trie's structural skeleton (spine steps grouped by axis
 //     and node test, predicates ignored), so a predicated prefix costs the
@@ -100,6 +101,7 @@ type subscription struct {
 	route   Route
 	out     int // slot in the route's result vector
 	extract bool
+	every   bool // AddEvery
 	// seq numbers the Add calls; subs is ordered by it, which is how Remove
 	// finds a subscription's position without an id → position map to
 	// renumber.
@@ -182,10 +184,12 @@ type Engine struct {
 	// enabled); cm manages the captures; nfaExtract/nfaFrags are the
 	// NFA route's per-output extraction flags and captured fragments (the
 	// trie route's live on the matcher). extracting counts the
-	// subscriptions with extraction enabled.
+	// subscriptions with extraction enabled, every-match ones included, and
+	// every those.
 	capMode    CaptureMode
 	cm         *capman
 	extracting int
+	every      int
 	nfaExtract []bool
 	nfaFrags   []*capture
 
@@ -328,7 +332,7 @@ func (e *Engine) link(i int, q *query.Query, prog *core.Program) {
 		}
 		e.nfaExtract[s.out] = s.extract
 	} else {
-		s.out = e.tr.add(q, prog, s.extract)
+		s.out = e.tr.add(q, prog, s.extract, s.every)
 	}
 	e.results[i].out = int32(s.out)
 	pos := &e.hits.pos[s.route]
@@ -343,7 +347,7 @@ func (e *Engine) link(i int, q *query.Query, prog *core.Program) {
 // same validation a standalone core.Filter performs). The subscription
 // takes effect at the next document (the next StartDocument or Reset).
 func (e *Engine) Add(id string, q *query.Query) error {
-	return e.add(id, q, false)
+	return e.add(id, q, false, false)
 }
 
 // AddExtract registers a subscription with fragment extraction enabled:
@@ -352,16 +356,26 @@ func (e *Engine) Add(id string, q *query.Query) error {
 // Extraction is effective only on documents processed with a capture
 // mode set (SetCapture); boolean-only runs pay nothing for it.
 func (e *Engine) AddExtract(id string, q *query.Query) error {
-	return e.add(id, q, true)
+	return e.add(id, q, true, false)
 }
 
-func (e *Engine) add(id string, q *query.Query, extract bool) error {
+// AddEvery registers an every-match subscription: it reports every element
+// the query selects, not only whether one exists. Each is captured under the
+// document's capture mode and queued in document order; the queue's head
+// leaves once its fate is known, to the SetEmit callback if the query
+// selected it. Its matches never retire shared state, so while one is
+// registered Decided is false and every document is read to its end.
+func (e *Engine) AddEvery(id string, q *query.Query) error {
+	return e.add(id, q, true, true)
+}
+
+func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 	if _, dup := e.byID[id]; dup {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
 	}
-	s := &subscription{id: id, text: q.Source, route: RouteNFA, extract: extract, seq: e.nextSeq, fs: 1, steps: q.Size() - 1}
+	s := &subscription{id: id, text: q.Source, route: RouteNFA, extract: extract, every: every, seq: e.nextSeq, fs: 1, steps: q.Size() - 1}
 	var prog *core.Program
-	if automaton.Linear(q) != nil {
+	if every || automaton.Linear(q) != nil {
 		var err error
 		if prog, err = core.NewProgram(q); err != nil {
 			return err
@@ -390,6 +404,9 @@ func (e *Engine) add(id string, q *query.Query, extract bool) error {
 	}
 	if extract {
 		e.extracting++
+	}
+	if every {
+		e.every++
 	}
 	for len(e.fsCount) <= s.fs {
 		e.fsCount = append(e.fsCount, 0)
@@ -423,6 +440,9 @@ func (e *Engine) Remove(id string) bool {
 	e.hits.words = e.hits.words[:(len(e.results)+63)/64]
 	if s.extract {
 		e.extracting--
+	}
+	if s.every {
+		e.every--
 	}
 	e.fsCount[s.fs]--
 	for e.maxFS > 0 && e.fsCount[e.maxFS] == 0 {
@@ -458,7 +478,7 @@ func (e *Engine) nfaMatch(out int) {
 	if e.cm.mode == CaptureOff || !e.nfaExtract[out] || e.nfaFrags[out] != nil {
 		return
 	}
-	e.nfaFrags[out] = e.cm.elemCapture()
+	e.nfaFrags[out] = e.cm.elemCapture(false)
 }
 
 // Reset prepares the engine for the next document. The shared indexes
@@ -491,9 +511,18 @@ func (e *Engine) Reset() {
 // (taking effect at the next Reset/StartDocument). CaptureSlice requires
 // the document to be processed as one contiguous buffer whose ByteEvent
 // offsets index it from zero; CaptureSerial works with any event source
-// carrying offsets. The mode is ignored while no subscription has
-// extraction enabled.
+// carrying offsets, CaptureValue with any at all. The mode is ignored while
+// no subscription has extraction enabled.
 func (e *Engine) SetCapture(mode CaptureMode) { e.capMode = mode }
+
+// SetEmit registers the callback that receives, in document order, each
+// element an every-match subscription selected (AddEvery), as its capture
+// mode holds it; value is valid only during the call. nil unregisters.
+func (e *Engine) SetEmit(fn func(value []byte)) { e.cm.emit = fn }
+
+// EmitStats returns the emission queue's accounting for the current (or
+// last) document.
+func (e *Engine) EmitStats() EmitStats { return e.cm.qstats }
 
 // ProcessBytes consumes one byte-slice event from a sax.TokenizerBytes
 // interning into this engine's Symbols table. Attribute events arrive
@@ -585,6 +614,7 @@ func (e *Engine) endDocument() error {
 	}
 	e.events++
 	e.mt.endDocument()
+	e.cm.flush()
 	e.finished = true
 	return nil
 }
@@ -631,6 +661,7 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 		}
 	}
 	if e.cm.mode != CaptureOff {
+		e.cm.flush()
 		return e.checkCaptured()
 	}
 	return nil
@@ -659,6 +690,7 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 		// After the matcher: a scope resolving at this endElement may latch
 		// the closing element's capture, which finalizes here.
 		e.cm.noteEnd(sym, isAttr, off, closing)
+		e.cm.flush()
 		return e.checkCaptured()
 	}
 	return nil
@@ -789,7 +821,7 @@ func (e *Engine) MatchedCount() int {
 // (MatchReader), a buffered caller skims it (MatchBytes) — validates it to
 // the end without dispatching another event.
 func (e *Engine) Decided() bool {
-	if e.stale || !e.started || len(e.subs) == 0 {
+	if e.stale || !e.started || len(e.subs) == 0 || e.every > 0 {
 		return false
 	}
 	if e.finished {

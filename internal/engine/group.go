@@ -32,7 +32,7 @@ import (
 // below an open group scope costs one probe of the scope and one search
 // against its boundary: the nodes before it continue satisfied members and
 // their subscriptions pass the group at once, the rest wait in the scope as
-// one range commit, which the boundary at the scope's close resolves.
+// one range commit, released stretch by stretch as the boundary moves.
 //
 // A group of one runs the same code as a group of ten thousand; predicates
 // of any other shape (conjunctions, branching paths, string functions,
@@ -85,8 +85,9 @@ type predGroup struct {
 	ne     []*tnode
 	size   int
 
-	// terminals counts the subscriptions ending at a member.
-	terminals int
+	// terminals counts the subscriptions ending at a member, every the
+	// every-match ones among them.
+	terminals, every int
 }
 
 // contRun is a run of continuations: the ungrouped spine nodes of one
@@ -100,11 +101,13 @@ type contRun struct {
 	// order is that of arrival. scoped counts the nodes a candidate opens a
 	// scope for (tnode.opens); pos is the run's position in its skeleton
 	// node's runs; id and frags are its entries in the trie's count vector:
-	// its nodes, and the extracting subscriptions ending at one.
+	// its nodes, and the extracting subscriptions ending at one; every counts
+	// the every-match subscriptions ending at one.
 	nodes     []*tnode
 	scoped    int
 	pos       int
 	id, frags int32
+	every     int
 }
 
 // member is a grouped spine node's own part of its predicate: the constant
@@ -416,9 +419,9 @@ func (m *matcher) openGroup(g *predGroup, origin *scope, level int, fr *frame) {
 		fr.scopes[g.fslot] = sc
 	}
 	if m.capturing && m.remaining[g.frags] > 0 {
-		// Members' own terminals resolve when the scope closes; capture the
-		// candidate element now, while its start event is current.
-		sc.cap = m.cm.elemCapture()
+		// Members' own terminals are decided with the scope's values; capture
+		// the candidate element now, while its start event is current.
+		sc.cap = m.cm.elemCapture(g.every > 0)
 		m.capCommits++
 	}
 	m.noteGroupBits(g.indexBits())
@@ -433,11 +436,22 @@ func (m *matcher) noteGroupBits(d int) {
 	}
 }
 
+// seen is what the values a group scope has seen decide about its members
+// so far, and it only ever grows: bound, in a threshold group, is how many
+// of grp.sorted they satisfy; hits, in an equality group, are the constants
+// they equalled, and other says that some numeric value equalled none.
+type seen struct {
+	bound int
+	hits  []*eqBucket
+	other bool
+}
+
 // probe resolves the text of a closed candidate for a group's predicate
 // path — held by t, the path's leaf tuple — against the group's constants:
 // one search moves a threshold group's boundary (the running maximum of the
 // values seen is what XPath's existential comparison needs), one lookup
-// records an equality group's hit. Nothing is decided per member.
+// records an equality group's hit. The members that turn satisfied are
+// decided there and then (release).
 func (m *matcher) probe(t *tuple, text string, pt *parsedText) {
 	sc := t.origin
 	for sc.grp == nil {
@@ -445,37 +459,42 @@ func (m *matcher) probe(t *tuple, text string, pt *parsedText) {
 	}
 	g := sc.grp
 	m.stats.GroupProbes++
-	if g.class == classStrEq {
+	was := sc.seen
+	switch {
+	case g.class == classStrEq:
 		if bk := g.str[text]; bk != nil {
 			m.hit(sc, bk)
 		}
-		return
-	}
-	if !pt.done {
-		pt.num, pt.ok = value.ParseNumber(text)
-		pt.done = true
-	}
-	if !pt.ok {
-		return
-	}
-	v := pt.num
-	if g.class == classNumEq {
-		if bk := g.num[v]; bk != nil {
+	case !pt.number(text):
+	case g.class == classNumEq:
+		if bk := g.num[pt.num]; bk != nil {
 			m.hit(sc, bk)
 		} else {
 			sc.other = true
 		}
-		return
+	default:
+		v := pt.num
+		if g.neg {
+			v = -v
+		}
+		if sc.bound = max(sc.bound, rank(g.sorted, v, false)); sc.bound == len(g.sorted) {
+			// With every member satisfied no further value can tell
+			// anything: the leaf latches like any matched tuple and stops
+			// buffering.
+			m.satisfy(t)
+		}
 	}
-	if g.neg {
-		v = -v
+	m.release(sc, &was)
+}
+
+// number reports whether text is a number, parsing it for the first group
+// that asks.
+func (pt *parsedText) number(text string) bool {
+	if !pt.done {
+		pt.num, pt.ok = value.ParseNumber(text)
+		pt.done = true
 	}
-	if b := rank(g.sorted, v, false); b > sc.bound {
-		sc.bound = b
-		// With every member satisfied no further value can tell anything:
-		// the leaf latches like any matched tuple and stops buffering.
-		t.matched = b == len(g.sorted)
-	}
+	return pt.ok
 }
 
 // hit records that a value equalled an equality group's constant.
@@ -491,24 +510,27 @@ func (m *matcher) hit(sc *scope, bk *eqBucket) {
 
 // satisfied reports whether the values seen so far in group scope sc satisfy
 // member n's comparison. The answer only ever turns from false to true.
-func (sc *scope) satisfied(n *tnode) bool {
-	mb := n.mem
+func (sc *scope) satisfied(n *tnode) bool { return sc.grp.sat(n.mem, &sc.seen) }
+
+// turned reports whether member n is satisfied by the values group scope sc
+// has seen, but was not by those that had decided was.
+func (sc *scope) turned(n *tnode, was *seen) bool {
+	return sc.satisfied(n) && !sc.grp.sat(n.mem, was)
+}
+
+// sat reports whether values that decided s satisfy member mb of g.
+func (g *predGroup) sat(mb *member, s *seen) bool {
 	switch {
-	case sc.grp.class == classThreshold:
-		if sc.bound == 0 {
+	case g.class == classThreshold:
+		if s.bound == 0 {
 			return false
 		}
-		at := sc.grp.sorted[sc.bound-1].mem
+		at := g.sorted[s.bound-1].mem
 		return mb.c < at.c || (mb.c == at.c && (at.strict || !mb.strict))
 	case mb.ne:
-		return sc.other || len(sc.hits) > 1 || (len(sc.hits) == 1 && sc.hits[0] != mb.bucket)
+		return s.other || len(s.hits) > 1 || (len(s.hits) == 1 && s.hits[0] != mb.bucket)
 	}
-	for _, h := range sc.hits {
-		if h == mb.bucket {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.hits, mb.bucket)
 }
 
 // split places run r against what the values seen so far in group scope sc
@@ -528,50 +550,64 @@ func (sc *scope) split(r *contRun) (p, q int) {
 	return p, p
 }
 
-// closeGroup resolves a group scope: the commits held against members the
-// values did not satisfy in time are re-examined, once, and pass up or die;
-// each range commit delivers the part of its run the final values put on the
-// satisfied side; the satisfied members' own terminals are delivered — the
-// boundary's prefix of a threshold group, the hit buckets of an equality
-// group, never a walk over the whole group.
-func (m *matcher) closeGroup(sc *scope) {
+// release routes, through gate, what group scope sc holds for the members
+// its values have just turned satisfied — was is what they had decided
+// before — the moment they do: the members' own terminals, the commits held
+// against them, and the part of each range commit that continues them. That
+// is the boundary's new stretch of a threshold group and the new hit bucket
+// of an equality group, never a walk over the whole group; only != members,
+// which one hit can turn by the dozen, are asked one by one. What no value
+// satisfies is dropped when the scope closes.
+func (m *matcher) release(sc *scope, was *seen) {
+	if sc.bound == was.bound && len(sc.hits) == len(was.hits) && sc.other == was.other {
+		return
+	}
 	g := sc.grp
-	m.freeChildren(sc)
 	up, mem := m.gate(sc.origin, g.parent)
-	for _, c := range sc.commits {
-		if sc.satisfied(c.mem) {
-			m.routeEntry(c.sub, c.cap, up, mem)
-		}
-		m.dropCommitCap(c.cap)
-	}
-	for _, rc := range sc.ranges {
-		// An equality range starts at 0 and so covers the nodes delivered when
-		// the element started too; delivering a match twice is harmless.
-		p, q := sc.split(rc.run)
-		for i := rc.from; i < q; i++ {
-			if n := rc.run.nodes[i]; len(n.conj) == 0 && (i < p || sc.satisfied(n.parent)) {
-				m.route(n.terminals, rc.cap, up, mem)
-			}
-		}
-		m.dropCommitCap(rc.cap)
-	}
 	if g.terminals > 0 {
-		for _, n := range g.sorted[:sc.bound] {
+		members := g.sorted[was.bound:sc.bound]
+		if len(sc.hits) > len(was.hits) {
+			members = sc.hits[len(sc.hits)-1].eq
+		}
+		for _, n := range members {
 			m.route(n.terminals, sc.cap, up, mem)
 		}
-		for _, bk := range sc.hits {
-			for _, n := range bk.eq {
-				m.route(n.terminals, sc.cap, up, mem)
-			}
-		}
-		if sc.other || len(sc.hits) > 0 {
+		if !was.other && len(was.hits) < 2 {
 			for _, n := range g.ne {
-				if sc.satisfied(n) {
+				if sc.turned(n, was) {
 					m.route(n.terminals, sc.cap, up, mem)
 				}
 			}
 		}
 	}
-	m.noteGroupBits(-(1 + len(sc.hits)) * g.indexBits())
-	m.recycleScope(sc, g.fslot)
+	kept := sc.commits[:0]
+	for _, c := range sc.commits {
+		if sc.satisfied(c.mem) {
+			m.routeEntry(c.sub, c.cap, up, mem)
+			m.dropCommitCap(c.cap)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	sc.commits = kept
+	for i := range sc.ranges {
+		// A threshold range holds the nodes from its split on, and the
+		// boundary moves the split. An equality range has no order to go by.
+		rc := &sc.ranges[i]
+		if g.class == classThreshold {
+			p, _ := sc.split(rc.run)
+			for _, n := range rc.run.nodes[rc.from:p] {
+				if len(n.conj) == 0 {
+					m.route(n.terminals, rc.cap, up, mem)
+				}
+			}
+			rc.from = p
+			continue
+		}
+		for _, n := range rc.run.nodes {
+			if len(n.conj) == 0 && sc.turned(n.parent, was) {
+				m.route(n.terminals, rc.cap, up, mem)
+			}
+		}
+	}
 }

@@ -264,8 +264,9 @@ type trie struct {
 	freeSlots []int
 	live      int
 	// extract flags, by result slot, the subscriptions that want the matched
-	// element's fragment.
-	extract []bool
+	// element captured, and every those of them that want every element they
+	// select (Engine.AddEvery), not only the first.
+	extract, every []bool
 	// counts is what every document starts from (matcher.remaining is a copy
 	// of it), by the ids handed out by newID and recycled by freeID. A spine
 	// node's entry counts the subscriptions ending at it plus its
@@ -273,8 +274,9 @@ type trie struct {
 	// each the number of parts below that a document has yet to match out,
 	// so an entry is positive while anything below is unmatched. A group's
 	// and a run's second entry (frags) counts the extracting subscriptions
-	// ending there. add and remove keep the vector current along the one
-	// path they touch.
+	// ending there. An every-match subscription's latches never count down,
+	// so nothing on its path ever reads zero. add and remove keep the vector
+	// current along the one path they touch.
 	counts  []int32
 	freeIDs []int32
 	// groups are the predicate groups of every spine node, for Stats.
@@ -345,17 +347,26 @@ func (t *trie) unlink(p, n *tnode) {
 	}
 }
 
-// ends records d (±1) subscriptions ending at spine node n.
-func (t *trie) ends(n *tnode, d int32, extract bool) {
+// ends records d (±1) subscriptions ending at spine node n, held by result
+// slot idx.
+func (t *trie) ends(n *tnode, d int32, idx int) {
 	t.counts[n.id] += d
+	var frags int32
+	var every *int
 	switch {
 	case n.mem != nil:
 		n.mem.grp.terminals += int(d)
-		if extract {
-			t.counts[n.mem.grp.frags] += d
-		}
-	case n.run != nil && extract:
-		t.counts[n.run.frags] += d
+		frags, every = n.mem.grp.frags, &n.mem.grp.every
+	case n.run != nil:
+		frags, every = n.run.frags, &n.run.every
+	default:
+		return
+	}
+	if t.extract[idx] {
+		t.counts[frags] += d
+	}
+	if t.every[idx] {
+		*every += int(d)
 	}
 }
 
@@ -363,8 +374,9 @@ func (t *trie) ends(n *tnode, d int32, extract bool) {
 // in the matcher's result vector. prog supplies the fragment-checked truth
 // sets and value-restriction marks of the query's nodes (the reusable
 // compile product of internal/core); extract says whether the subscription
-// wants the matched element's fragment.
-func (t *trie) add(q *query.Query, prog *core.Program, extract bool) int {
+// wants the matched element captured, and every whether it wants every
+// element it selects (which implies extract).
+func (t *trie) add(q *query.Query, prog *core.Program, extract, every bool) int {
 	idx := len(t.outs)
 	if k := len(t.freeSlots); k > 0 {
 		idx = t.freeSlots[k-1]
@@ -372,8 +384,9 @@ func (t *trie) add(q *query.Query, prog *core.Program, extract bool) int {
 	} else {
 		t.outs = append(t.outs, nil)
 		t.extract = append(t.extract, false)
+		t.every = append(t.every, false)
 	}
-	t.extract[idx] = extract
+	t.extract[idx], t.every[idx] = extract, every
 	cur := t.root
 	for u := q.Root.Successor; u != nil; u = u.Successor {
 		key := query.StepKey(u)
@@ -404,7 +417,7 @@ func (t *trie) add(q *query.Query, prog *core.Program, extract bool) int {
 		cur = child
 	}
 	cur.terminals = append(cur.terminals, idx)
-	t.ends(cur, 1, extract)
+	t.ends(cur, 1, idx)
 	t.outs[idx] = cur
 	t.live++
 	return idx
@@ -429,7 +442,7 @@ func (t *trie) remove(idx int) {
 			break
 		}
 	}
-	t.ends(out, -1, t.extract[idx])
+	t.ends(out, -1, idx)
 	for n := out; n != t.root; {
 		p := n.parent
 		t.steps--
@@ -510,8 +523,9 @@ type commit struct {
 // rangeCommit is what one candidate element of a run left undecided in the
 // run's group scope, whatever the run's size: the subscriptions ending at
 // the predicate-free nodes from from on match if the scope's values come to
-// satisfy the member their node continues. The nodes before from continued
-// members satisfied already and were delivered when the element started. cap
+// satisfy the member their node continues. In a threshold run the nodes
+// before from continue satisfied members and have been delivered, when the
+// element started or as the boundary passed them (release). cap
 // is the element's capture when some subscription of the run still wanted a
 // fragment, and the entry holds one reference on it.
 type rangeCommit struct {
@@ -525,13 +539,14 @@ type rangeCommit struct {
 // is the scope whose node this one's continues — for a spine scope the next
 // scope up the trie-ancestor chain, which is how a commit finds the
 // predicate scopes that gate it (an unrelated subscription's open predicate
-// scope must not). children are the conjunctive obligations resolved at
-// endElement. commits holds the subscriptions whose match is conditional on
-// this scope's predicates resolving true (only spine scopes with children
-// ever hold commits). cap, when non-nil, is the capture of the scope's own
+// scope must not). children are the conjunctive obligations, unmet of them
+// not matched yet: matching is monotone, so the scope's predicate is decided
+// true the moment unmet reaches zero (decide), and refuted if the scope
+// closes first. commits holds the subscriptions whose match is conditional
+// on this scope's predicates (only undecided spine scopes with children
+// hold commits). cap, when non-nil, is the capture of the scope's own
 // candidate element, taken at open time for the node's terminals — they
-// resolve only when the scope closes, long after the element's start has
-// streamed past.
+// are decided only later, after the element's start has streamed past.
 type scope struct {
 	node   *tnode
 	origin *scope
@@ -542,19 +557,15 @@ type scope struct {
 	tup      *tuple
 	fr       *frame
 	children []*tuple
+	unmet    int
 	commits  []commit
 	cap      *capture
 	// grp marks a group scope (node is nil); ranges are the conditional
-	// matches its runs hold in it, and the rest is what the values
-	// seen so far have decided about its members: bound, in a threshold
-	// group, is how many of grp.sorted they satisfy; hits, in an equality
-	// group, are the constants they equalled, and other says that some
-	// numeric value equalled none.
+	// matches its runs hold in it, and seen what its values have decided
+	// about its members so far.
 	grp    *predGroup
 	ranges []rangeCommit
-	bound  int
-	hits   []*eqBucket
-	other  bool
+	seen
 }
 
 // pendingVal is an open candidate of a value-restricted predicate leaf,
@@ -937,7 +948,7 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 				m.stats.PeakPendings = len(m.pendings)
 			}
 		default:
-			t.matched = true
+			m.satisfy(t)
 		}
 	}
 	if len(m.frames) > 0 {
@@ -982,8 +993,8 @@ func (m *matcher) startSpine(sym symtab.Sym, isAttr bool, elemLevel int) {
 			origin := c.src.scopes[n.parent.fslot]
 			// A terminal whose own step carries no predicates commits now, gated
 			// only by ancestor scopes (its continuations serve other
-			// subscriptions); with predicates the commit waits for the scope to
-			// resolve at endElement.
+			// subscriptions); with predicates the commit waits for the scope's
+			// predicates to be decided.
 			if len(n.conj) == 0 && len(n.terminals) > 0 {
 				s, mem := m.gate(origin, n.parent)
 				m.routeCaptured(n.terminals, s, mem)
@@ -1059,7 +1070,7 @@ func (m *matcher) startRun(r *contRun, src *frame, level int) {
 	}
 	rc := rangeCommit{run: r, from: p}
 	if m.capturing && m.remaining[r.frags] > 0 {
-		rc.cap = m.cm.elemCapture()
+		rc.cap = m.cm.elemCapture(r.every > 0)
 		m.capCommits++
 	}
 	sc.ranges = append(sc.ranges, rc)
@@ -1076,8 +1087,8 @@ func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int, fr *
 		fr.scopes[n.fslot] = sc
 	}
 	if m.capturing && n.kind == kindSpine && len(n.conj) > 0 && len(n.terminals) > 0 {
-		// The node's own terminals resolve only when this scope closes; if
-		// any of them wants a fragment, capture the candidate element now,
+		// The node's own terminals are decided only with this scope's
+		// predicates; if any of them wants the element, capture it now,
 		// while its start event is current.
 		if c := m.capFor(n.terminals); c != nil {
 			sc.cap = c
@@ -1097,7 +1108,7 @@ func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 	} else {
 		sc = &scope{}
 	}
-	sc.origin, sc.level = origin, level
+	sc.origin, sc.level, sc.unmet = origin, level, len(conj)
 	for _, c := range conj {
 		ct := m.newTuple(c, level+1, sc)
 		sc.children = append(sc.children, ct)
@@ -1123,8 +1134,8 @@ func (m *matcher) textBytes(data []byte) {
 	}
 }
 
-// endElement resolves the pending leaf candidates and candidate scopes of
-// the closing level, innermost first (they form suffixes of their stacks,
+// endElement resolves the pending leaf candidates and closes the candidate
+// scopes of the closing level, innermost first (they form suffixes of their stacks,
 // as in core), then retires the level's frames. Buffered candidate text is
 // evaluated through a zero-copy view — predicates only see a string for the
 // duration of the Contains call — and parsed as a number at most once,
@@ -1145,7 +1156,7 @@ func (m *matcher) endElement() {
 			if set := t.node.set; set == nil {
 				m.probe(t, text, &parsed)
 			} else if set.Contains(text) {
-				t.matched = true
+				m.satisfy(t)
 			}
 		}
 		m.refCount--
@@ -1166,92 +1177,94 @@ func (m *matcher) endElement() {
 	}
 }
 
-// closeScope resolves a candidate scope. For predicate nodes this is
-// core's conjunction rule (real match iff every child matched, OR-ed
-// across sibling candidates). For spine nodes the conjunctive children
-// gate the scope's conditional commits: if they all matched, the commits
-// (plus the node's own terminals, when predicated) propagate to the next
-// predicate scope up the trie-ancestor chain — or to the global match
-// vector if none is open. A group scope resolves member by member
-// (closeGroup). The scope and its child tuples return to the free lists
-// (their own inner scopes closed at deeper levels already).
-func (m *matcher) closeScope(sc *scope) {
-	if sc.grp != nil {
-		m.closeGroup(sc)
+// satisfy latches predicate tuple t: an element matched it. Conjunctive
+// matching is monotone (Section 8.1), so when t is the last of its scope's
+// children to match, the scope's predicate is decided there and then
+// (decide) rather than when the scope closes. A group scope's members are
+// decided by its values instead (release).
+func (m *matcher) satisfy(t *tuple) {
+	if t.matched {
 		return
 	}
-	conjOK := m.freeChildren(sc)
-	n := sc.node
-	switch {
-	case n.kind == kindPred:
-		if conjOK {
-			sc.tup.matched = true
-		}
-		// A parked child-axis owner returns to the frontier for sibling
-		// candidates (Fig. 21 lines 23-27) unless it has matched: the flag
-		// latches, so it can never accept another.
-		if n.axis == query.AxisChild && !sc.tup.matched {
-			m.frAdd(sc.tup)
-		}
-	case conjOK && len(sc.children) > 0:
-		up, mem := m.gate(sc.origin, n.parent)
-		for _, c := range sc.commits {
-			m.routeEntry(c.sub, c.cap, up, mem)
-			m.dropCommitCap(c.cap)
-		}
-		m.route(n.terminals, sc.cap, up, mem)
-	default:
-		// Predicates refuted: the conditional commits die with their
-		// capture holds.
-		for _, c := range sc.commits {
-			m.dropCommitCap(c.cap)
-		}
+	t.matched = true
+	sc := t.origin
+	if sc.unmet--; sc.unmet == 0 && sc.grp == nil {
+		m.decide(sc)
 	}
-	m.recycleScope(sc, n.fslot)
 }
 
-// freeChildren returns a closing scope's child tuples to the free list,
-// reporting whether all of them matched.
-func (m *matcher) freeChildren(sc *scope) (all bool) {
-	all = true
+// decide acts on a scope whose predicate has just been decided true. A
+// predicate scope's candidate element matches its tuple. A spine scope
+// routes what it holds through gate at once — its commits, and its node's
+// own terminals with the element's capture — and from then on gates
+// nothing: later matches below it pass straight up.
+func (m *matcher) decide(sc *scope) {
+	n := sc.node
+	if n.kind == kindPred {
+		m.satisfy(sc.tup)
+		return
+	}
+	up, mem := m.gate(sc.origin, n.parent)
+	for _, c := range sc.commits {
+		m.routeEntry(c.sub, c.cap, up, mem)
+		m.dropCommitCap(c.cap)
+	}
+	sc.commits = sc.commits[:0]
+	m.route(n.terminals, sc.cap, up, mem)
+	m.dropCommitCap(sc.cap)
+	sc.cap = nil
+}
+
+// closeScope retires a candidate scope, its child tuples and whatever it
+// still holds. A decided scope has routed everything already; an undecided
+// one is refuted, and its conditional matches die with their capture holds —
+// as do those of a group scope's members its values never satisfied. A
+// parked child-axis owner returns to the frontier for sibling candidates
+// (Fig. 21 lines 23-27) unless it has matched: the flag latches, so it can
+// never accept another. The scope and its child tuples return to the free
+// lists (their own inner scopes closed at deeper levels already).
+func (m *matcher) closeScope(sc *scope) {
 	for _, c := range sc.children {
-		if !c.matched {
-			all = false
-		}
 		if c.slot >= 0 {
 			m.frRemove(c)
 		}
 		m.freeTuple(c)
 	}
-	return all
-}
-
-// recycleScope drops a resolved scope's own capture hold, takes it out of
-// the frame that indexed it under fslot, and returns it to the free list.
-func (m *matcher) recycleScope(sc *scope, fslot int) {
-	if sc.cap != nil {
-		m.dropCommitCap(sc.cap)
+	for _, c := range sc.commits {
+		m.dropCommitCap(c.cap)
 	}
-	if sc.fr != nil {
-		sc.fr.scopes[fslot] = nil
+	for _, rc := range sc.ranges {
+		m.dropCommitCap(rc.cap)
 	}
-	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], ranges: sc.ranges[:0], hits: sc.hits[:0]}
+	m.dropCommitCap(sc.cap)
+	if g := sc.grp; g != nil {
+		m.noteGroupBits(-(1 + len(sc.hits)) * g.indexBits())
+		if sc.fr != nil {
+			sc.fr.scopes[g.fslot] = nil
+		}
+	} else if n := sc.node; n.kind == kindPred {
+		if n.axis == query.AxisChild && !sc.tup.matched {
+			m.frAdd(sc.tup)
+		}
+	} else if sc.fr != nil {
+		sc.fr.scopes[n.fslot] = nil
+	}
+	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], ranges: sc.ranges[:0], seen: seen{hits: sc.hits[:0]}}
 	m.freeScopes = append(m.freeScopes, sc)
 }
 
 // gate returns the nearest scope up the trie-ancestor chain from from whose
-// predicates are still unresolved for a match arriving through at — the
+// predicates are still undecided for a match arriving through at — the
 // spine node from is a scope of, which in a group scope names the member —
-// or nil when the match is final. A group scope gates only the members its
-// values have not satisfied yet: satisfaction is monotone, so a satisfied
-// member's scope is as good as closed and the match passes straight up.
+// or nil when the match is final. A decided scope, like a group scope's
+// satisfied member, is as good as closed: the match passes straight up.
 func (m *matcher) gate(from *scope, at *tnode) (*scope, *tnode) {
 	for s := from; s != nil; s, at = s.origin, at.parent {
 		if s.grp != nil {
 			if !s.satisfied(at) {
 				return s, at
 			}
-		} else if len(s.children) > 0 {
+		} else if s.unmet > 0 {
 			return s, nil
 		}
 	}
@@ -1312,16 +1325,20 @@ func (m *matcher) routeEntry(sub int, cap *capture, s *scope, mem *tnode) {
 // to match below its OUT node — and, while a count hits zero, below what
 // that node is a part of: its group or run, and the step it continues. The
 // fragment slot keeps the document-order-first capture: predicated matches
-// resolve bottom-up at scope close, so a later-resolving commit can carry an
-// earlier element — it replaces the slot when its start offset is smaller.
+// are decided bottom-up, so a later-deciding commit can carry an earlier
+// element — it replaces the slot when its start offset is smaller. An
+// every-match subscription counts nothing out, so no count on its path ever
+// prunes its later matches, and each latch selects the capture it carries
+// for emission instead.
 func (m *matcher) latch(sub int, cap *capture) {
 	out := m.tr.outs[sub]
+	every := m.tr.every[sub]
 	if !m.matched[sub] {
 		m.matched[sub] = true
 		m.latched = append(m.latched, sub)
 		m.hits.set(RouteTrie, sub)
 		m.matchedCount++
-		for n := out; n != nil; n = n.parent {
+		for n := out; n != nil && !every; n = n.parent {
 			if m.remaining[n.id]--; m.remaining[n.id] > 0 {
 				break
 			}
@@ -1333,6 +1350,10 @@ func (m *matcher) latch(sub int, cap *capture) {
 		}
 	}
 	if cap == nil || !m.tr.extract[sub] {
+		return
+	}
+	if every {
+		cap.selected = true
 		return
 	}
 	old := m.frags[sub]
@@ -1351,18 +1372,24 @@ func (m *matcher) latch(sub int, cap *capture) {
 }
 
 // capFor returns a capture of the current element (one hold for the
-// caller) if any subscription in outs still wants a fragment, nil
-// otherwise. A subscription whose fragment slot is already latched needs
+// caller) if any subscription in outs still wants one, nil otherwise: an
+// every-match subscription always does, and queues the element for
+// emission. A subscription whose fragment slot is already latched needs
 // nothing: offsets grow monotonically with the event stream, so the
 // current element can never precede an already-captured one.
 func (m *matcher) capFor(outs []int) *capture {
 	if !m.capturing {
 		return nil
 	}
+	want := false
 	for _, sub := range outs {
-		if m.tr.extract[sub] && m.frags[sub] == nil {
-			return m.cm.elemCapture()
+		if m.tr.every[sub] {
+			return m.cm.elemCapture(true)
 		}
+		want = want || (m.tr.extract[sub] && m.frags[sub] == nil)
+	}
+	if want {
+		return m.cm.elemCapture(false)
 	}
 	return nil
 }
@@ -1397,9 +1424,10 @@ func (m *matcher) unmatched(outs []int) bool {
 //     one root element opened: no second level-1 element will ever start.
 //     (Attribute steps at level 1 could never match at all; the same test
 //     retires them.)
-//   - unresolved predicates: the scope's conditional commits — and the
-//     node's own terminals — resolve when it closes, so they are
-//     pessimistically alive until then.
+//   - undecided predicates: the scope's conditional commits — and the
+//     node's own terminals — are decided the moment its last child tuple
+//     matches, or refuted when it closes, so they are pessimistically
+//     alive until one or the other.
 //
 // A group scope is an open element with unresolved predicates for every
 // member, so both avenues are open to every unmatched subscription that
@@ -1429,7 +1457,7 @@ func (m *matcher) undecided(rootSeen bool) bool {
 					return true
 				}
 			}
-			if len(sc.children) > 0 && m.unmatched(sc.node.terminals) {
+			if sc.unmet > 0 && m.unmatched(sc.node.terminals) {
 				return true
 			}
 		default:

@@ -215,5 +215,45 @@ func RandomRedundancyFreeQuery(rng *rand.Rand, size int) *query.Query {
 	return query.MustParse(src)
 }
 
+// RandomStreamableQuery returns a random query over names: one to three
+// steps along / or //, each a name or (one time in five) a wildcard, and
+// each with probability 1/2 a predicate of one or two conjuncts — a child or
+// descendant existence test, or a comparison of a child's value against a
+// small number or one of texts: the shapes the streaming evaluators take,
+// over the vocabulary a RandomTree document is drawn from.
+func RandomStreamableQuery(rng *rand.Rand, names, texts []string) *query.Query {
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+	var b strings.Builder
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		b.WriteString(pick([]string{"/", "//"}))
+		if rng.Intn(5) == 0 {
+			b.WriteString("*")
+		} else {
+			b.WriteString(pick(names))
+		}
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		b.WriteByte('[')
+		for j := 1 + rng.Intn(2); j > 0; j-- {
+			switch rng.Intn(4) {
+			case 0:
+				b.WriteString(pick(names))
+			case 1:
+				b.WriteString(".//" + pick(names))
+			case 2:
+				fmt.Fprintf(&b, "%s > %d", pick(names), rng.Intn(10))
+			default:
+				fmt.Fprintf(&b, "%s = %q", pick(names), pick(texts))
+			}
+			if j > 1 {
+				b.WriteString(" and ")
+			}
+		}
+		b.WriteByte(']')
+	}
+	return query.MustParse(b.String())
+}
+
 // Events is shorthand for d.Events().
 func Events(d *tree.Node) []sax.Event { return d.Events() }

@@ -10,13 +10,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"streamxpath"
 	"streamxpath/internal/core"
 	"streamxpath/internal/fragment"
 	"streamxpath/internal/match"
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
 	"streamxpath/internal/semantics"
-	"streamxpath/internal/streameval"
 	"streamxpath/internal/tree"
 	"streamxpath/internal/workload"
 )
@@ -340,15 +340,18 @@ func TestPropertyStreamEvalAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("constructed query: %v", err)
 		}
-		e, err := streameval.Compile(q)
+		se, err := streamxpath.MustCompile(q.String()).NewStreamEvaluator()
 		if err != nil {
 			continue
 		}
 		checked++
 		d := docForEval(rng, q)
 		want := semantics.EvalStrings(q, d)
-		e.Reset()
-		got, err := e.ProcessAll(d.Events())
+		xml, err := d.XML()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := se.EvaluateString(xml)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,10 +27,10 @@ var restricted = []struct {
 	// and so internal/semantics parse with it, internal/core runs on its
 	// events — which is worth something only while nothing that ships
 	// tokenizes with it too: its own package, the document trees every
-	// oracle is built on, the paper's reference filter and evaluators, and
-	// the programs that demonstrate those.
+	// oracle is built on, the paper's reference filter and its
+	// communication protocols, and the programs that demonstrate those.
 	{"streamxpath/internal/sax", []string{"NewTokenizer", "Parse"}, []string{
-		"internal/sax", "internal/tree", "internal/core", "internal/streameval", "internal/commcc",
+		"internal/sax", "internal/tree", "internal/core", "internal/commcc",
 		"cmd/xpexperiments", "examples",
 	}},
 	// The deprecated names of the replica pool stay for the benchmark

@@ -304,6 +304,48 @@ func TestSkimmedBytes(t *testing.T) {
 	}
 }
 
+// TestEarlyDecision pins the early decision of a predicate: it is true the
+// moment its last conjunct matches, not when its element closes. With the
+// evidence first in a 260 KB <a>, a reader stops right after it and a buffer
+// is skimmed from the first probe on, with the verdict unchanged. An
+// extracting twin still gets the whole <a>: its open capture defers the exit
+// to the end.
+func TestEarlyDecision(t *testing.T) {
+	for _, c := range []struct{ q, evidence string }{
+		{"/a[c]", "<c></c>"},
+		{"//a[c]", "<c></c>"},
+		{"/a[p > 4]", "<p>9</p>"},
+		{`/a[p = "x"]`, "<p>x</p>"},
+	} {
+		doc := "<a>" + c.evidence + strings.Repeat("<b>filler</b>", 20000) + "</a>"
+		f, err := streamxpath.MustCompile(c.q).NewFilter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := f.MatchReaderResult(strings.NewReader(doc))
+		if err != nil || len(rr.MatchedIDs) != 1 || !rr.ReaderStats.EarlyExit || rr.ReaderStats.BytesRead >= int64(len(doc)) {
+			t.Errorf("%s: MatchReaderResult = %v, %+v, %v; want a match and an early exit", c.q, rr.MatchedIDs, rr.ReaderStats, err)
+		}
+		br, err := f.MatchBytesResult([]byte(doc))
+		if err != nil || len(br.MatchedIDs) != 1 || br.SkimmedBytes == 0 {
+			t.Errorf("%s: MatchBytesResult = %v, skimmed %d, %v; want a match, skimmed", c.q, br.MatchedIDs, br.SkimmedBytes, err)
+		}
+		s := streamxpath.NewFilterSet()
+		if err := s.AddExtract("x", c.q); err != nil {
+			t.Fatal(err)
+		}
+		br, err = s.MatchBytesResult([]byte(doc))
+		if err != nil || len(br.Fragments) != 1 || string(br.Fragments[0].Data) != doc {
+			t.Errorf("%s: extracting twin's MatchBytesResult = %d fragments, %v; want the whole <a>", c.q, len(br.Fragments), err)
+		}
+		rr, err = s.MatchReaderResult(strings.NewReader(doc))
+		if err != nil || len(rr.Fragments) != 1 || string(rr.Fragments[0].Data) != doc || rr.ReaderStats.EarlyExit {
+			t.Errorf("%s: extracting twin's MatchReaderResult = %d fragments, %+v, %v; want the whole <a>, read to the end",
+				c.q, len(rr.Fragments), rr.ReaderStats, err)
+		}
+	}
+}
+
 // TestOneDepthRule: the tokenizer counts depth as the engine does — a
 // self-closing tag is a level, an element's attributes sit one below it —
 // so a budget breaches on the same documents with the same Observed level

@@ -1,81 +1,69 @@
 package streamxpath
 
 import (
-	"fmt"
 	"io"
 	"strings"
 
-	"streamxpath/internal/sax"
-	"streamxpath/internal/streameval"
+	"streamxpath/internal/engine"
 )
 
 // StreamEvaluator performs full query evaluation in a single streaming
 // pass: it emits the string values of the nodes the query selects, in
-// document order, buffering each candidate only until its governing
-// predicates resolve. (Filtering needs no buffering; full evaluation
-// inherently does — the value of /a[c]/b's first b cannot be released
-// until the c arrives. The evaluator's Stats expose that buffering.)
+// document order. It is the dissemination engine holding the query as one
+// every-match subscription, and each candidate element's value is buffered
+// only until its fate is known. A predicate is decided the moment its last
+// conjunct matches (matching is monotone), so a value is emitted as soon as
+// its element has closed, its predicates hold, and every earlier candidate
+// has been emitted or dropped — for /a[c]/b, each b that streams past
+// before the c is held until the c starts, and each one after it leaves at
+// its own close. Filtering needs no such buffering; full evaluation
+// inherently does, and Stats exposes it.
 type StreamEvaluator struct {
-	e *streameval.Evaluator
-	// Chunked-reader state of EvaluateReader: resumable tokenizer, chunk
-	// size (0 = DefaultChunkSize), last-call stats, cached event callback.
-	stok   *sax.StreamTokenizer
-	chunk  int
-	rs     ReaderStats
-	procFn func(ev sax.ByteEvent) error
+	e       *engine.Engine
+	chunk   int
+	rs      ReaderStats
+	vals    []string
+	onValue func(value string)
 }
 
 // NewStreamEvaluator compiles the streaming evaluator. The query must be
-// within the streamable fragment and must select element or attribute
-// values (not the document root).
+// within the streamable fragment.
 func (q *Query) NewStreamEvaluator() (*StreamEvaluator, error) {
-	e, err := streameval.Compile(q.q)
-	if err != nil {
+	s := &StreamEvaluator{e: engine.New()}
+	if err := s.e.AddEvery(q.String(), q.q); err != nil {
 		return nil, err
 	}
-	return &StreamEvaluator{e: e}, nil
+	s.e.SetEmit(func(v []byte) {
+		val := string(v)
+		s.vals = append(s.vals, val)
+		if s.onValue != nil {
+			s.onValue(val)
+		}
+	})
+	return s, nil
 }
 
-// OnValue registers a callback invoked with each selected value as soon as
-// its fate is decided — before the document ends, whenever the predicates
-// allow. Pass nil to unregister.
-func (s *StreamEvaluator) OnValue(fn func(value string)) { s.e.Emit = fn }
+// OnValue registers a callback invoked with each selected value the moment
+// it is emitted — before the document ends, whenever the predicates allow.
+// Pass nil to unregister.
+func (s *StreamEvaluator) OnValue(fn func(value string)) { s.onValue = fn }
 
 // EvaluateReader streams a document and returns the selected values in
 // document order. The document is read in fixed-size chunks
 // (SetChunkSize; DefaultChunkSize otherwise) through the resumable byte
-// tokenizer, so the input is never buffered whole — only the evaluator's
-// own candidate buffering (see Stats) and the tokenizer's
+// tokenizer, so the input is never buffered whole — only the candidate
+// values awaiting their predicates (see Stats) and the tokenizer's
 // unconsumed-tail window are held. Full evaluation can never exit early:
 // every selected value must be read, so the stream is always consumed to
 // the end.
 func (s *StreamEvaluator) EvaluateReader(r io.Reader) ([]string, error) {
-	s.e.Reset()
-	if s.stok == nil {
-		s.stok = sax.NewStreamTokenizer(nil)
-		tab := s.stok.Table()
-		s.procFn = func(ev sax.ByteEvent) error {
-			// The evaluator buffers and emits string values, so its event
-			// surface stays the string Event; symbol names resolve without
-			// copying, text payloads are materialized per event.
-			return s.e.Process(ev.Event(tab))
-		}
-	} else {
-		s.stok.Reset()
-	}
-	var ss sax.StreamStats
-	_, err := s.stok.Drive(r, s.chunk, &ss, s.procFn, nil, nil)
-	s.rs = readerStats(ss)
+	s.vals = nil
+	out, err := s.e.MatchReader(r, s.chunk, engine.CaptureValue)
+	s.rs = readerStats(out.Read)
 	if err != nil {
 		return nil, err
 	}
-	if res := s.e.Results(); res != nil {
-		return res, nil
-	}
-	if s.e.Stats().Events == 0 {
-		return nil, fmt.Errorf("streamxpath: empty document stream")
-	}
-	return nil, nil
+	return s.vals, nil
 }
 
 // SetChunkSize sets the read granularity of EvaluateReader (n <= 0
@@ -98,8 +86,9 @@ type EvalStats struct {
 	Events int
 	// Emitted and Dropped count the decided output candidates.
 	Emitted, Dropped int
-	// PeakPendingValues is the maximum number of values simultaneously
-	// buffered awaiting predicate resolution.
+	// PeakPendingValues is the maximum number of candidate values
+	// simultaneously buffered: awaiting their predicates, or behind an
+	// earlier candidate that is.
 	PeakPendingValues int
 	// PeakBufferedBytes is the maximum total buffered text.
 	PeakBufferedBytes int
@@ -107,12 +96,12 @@ type EvalStats struct {
 
 // Stats returns the buffering statistics of the last document.
 func (s *StreamEvaluator) Stats() EvalStats {
-	st := s.e.Stats()
+	st := s.e.EmitStats()
 	return EvalStats{
-		Events:            st.Events,
+		Events:            s.e.MemStats().Events,
 		Emitted:           st.Emitted,
 		Dropped:           st.Dropped,
-		PeakPendingValues: st.PeakPendingCandidates,
+		PeakPendingValues: st.PeakPending,
 		PeakBufferedBytes: st.PeakBufferedBytes,
 	}
 }

@@ -1,16 +1,20 @@
 // Command xpexperiments regenerates every experiment of the reproduction
-// and is itself the experiment index — the experiments table in main, one id
+// and is itself the experiment index — the experiments table, one id
 // (E3–E21) and one theorem or section of the paper per entry: the three
 // lower-bound families of Sections 4 and 7 (machine-verified), the Theorem
 // 8.8 space scalings of the streaming filter, the automata-paradigm blowup
 // comparison, and the filter-vs-naive memory comparison. Output is a
 // sequence of labeled tables (`go run ./cmd/xpexperiments`, about 2 s,
-// offline; -only E9 runs one); CI runs it on every push.
+// offline; -only E9 runs one). Each experiment holds its table to the
+// paper's claim, and the command exits 1 at the first table that breaks it;
+// `go test ./cmd/xpexperiments` runs the same experiments.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -19,6 +23,7 @@ import (
 
 	"streamxpath"
 	"streamxpath/internal/automaton"
+	"streamxpath/internal/commcc"
 	"streamxpath/internal/core"
 	"streamxpath/internal/naive"
 	"streamxpath/internal/query"
@@ -26,90 +31,121 @@ import (
 	"streamxpath/internal/workload"
 )
 
+var experiments = []struct {
+	id, name string
+	run      func(io.Writer) error
+}{
+	{"E3", "Theorem 4.2: frontier fooling set, Q = /a[c[.//e and f] and b > 5]", e3},
+	{"E4", "Theorem 4.5: recursion/DISJ reduction, Q = //a[b and c]", e4},
+	{"E5", "Theorem 4.6: depth fooling family, Q = /a/b", e5},
+	{"E9", "Theorem 7.1: general frontier bound across queries", e9},
+	{"E10", "Theorem 7.4: general recursion bound, Q = //d[f and a[b and c]]", e10},
+	{"E11", "Theorem 7.14: general depth bound across queries", e11},
+	{"E14", "Theorem 8.8: filter space vs recursion depth r", e14},
+	{"E15", "Theorem 8.8: filter space vs frontier size FS(Q)", e15},
+	{"E16", "Theorem 8.8: filter space vs document depth d", e16},
+	{"E17", "Filter throughput vs |D|", e17},
+	{"E18", "Section 1.2: DFA state blowup vs filter frontier", e18},
+	{"E19", "Lemma 3.7: k-cut protocol accounting", e19},
+	{"E20", "Filter vs naive buffering on the news corpus", e20},
+	{"E21", "Full evaluation buffering vs evidence delay (follow-up work [5])", e21},
+}
+
 func main() {
 	only := flag.String("only", "", "run a single experiment id (e.g. E9); default all")
 	flag.Parse()
-	experiments := []struct {
-		id   string
-		name string
-		run  func()
-	}{
-		{"E3", "Theorem 4.2: frontier fooling set, Q = /a[c[.//e and f] and b > 5]", e3},
-		{"E4", "Theorem 4.5: recursion/DISJ reduction, Q = //a[b and c]", e4},
-		{"E5", "Theorem 4.6: depth fooling family, Q = /a/b", e5},
-		{"E9", "Theorem 7.1: general frontier bound across queries", e9},
-		{"E10", "Theorem 7.4: general recursion bound, Q = //d[f and a[b and c]]", e10},
-		{"E11", "Theorem 7.14: general depth bound across queries", e11},
-		{"E14", "Theorem 8.8: filter space vs recursion depth r", e14},
-		{"E15", "Theorem 8.8: filter space vs frontier size FS(Q)", e15},
-		{"E16", "Theorem 8.8: filter space vs document depth d", e16},
-		{"E17", "Filter throughput vs |D|", e17},
-		{"E18", "Section 1.2: DFA state blowup vs filter frontier", e18},
-		{"E19", "Lemma 3.7: k-cut protocol accounting", e19},
-		{"E20", "Filter vs naive buffering on the news corpus", e20},
-		{"E21", "Full evaluation buffering vs evidence delay (follow-up work [5])", e21},
-	}
 	for _, e := range experiments {
 		if *only != "" && e.id != *only {
 			continue
 		}
 		fmt.Printf("== %s: %s\n", e.id, e.name)
-		e.run()
+		if err := e.run(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "xpexperiments: %s: %v\n", e.id, err)
+			os.Exit(1)
+		}
 		fmt.Println()
 	}
 }
 
-func tw() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func tw(out io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 }
 
-func check(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xpexperiments: %v\n", err)
-		os.Exit(1)
+// holds names the first row of an experiment's table that breaks its claim;
+// ok sees each row beside the one before it (the zero row for the first).
+func holds[T any](rows []T, claim string, ok func(prev, r T) bool) error {
+	var prev T
+	for _, r := range rows {
+		if !ok(prev, r) {
+			return fmt.Errorf("%+v breaks the claim: %s", r, claim)
+		}
+		prev = r
 	}
+	return nil
 }
 
-func e3() {
-	rep, err := streamxpath.MustCompile("/a[c[.//e and f] and b > 5]").VerifyFrontierLowerBound(0)
-	check(err)
-	fmt.Println(" ", rep)
-	fmt.Println("  fooling conditions machine-verified for all 2^3 subsets and all crossover pairs")
+// certificate is Lemma 3.7's, claimed by E3–E5 and E9–E11: the filter tells
+// every family member apart, so it carries at least the proven bound.
+const certificate = "states = family (= 2^parameter unless depth), state size >= proven"
+
+func certified(_, r *commcc.Report) bool {
+	return r.DistinctStates == r.FamilySize && r.MaxMessageBits >= r.LowerBoundBits &&
+		(r.Kind == "depth" || r.FamilySize == 1<<r.Parameter)
 }
 
-func e4() {
-	q := streamxpath.MustCompile("//a[b and c]")
-	w := tw()
+func e3(out io.Writer) error {
+	rep, err := commcc.VerifyFrontier(query.MustParse("/a[c[.//e and f] and b > 5]"), 0)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, " ", rep)
+	fmt.Fprintln(out, "  fooling conditions machine-verified for all 2^3 subsets and all crossover pairs")
+	return holds([]*commcc.Report{rep}, certificate, certified)
+}
+
+func e4(out io.Writer) error {
+	q := query.MustParse("//a[b and c]")
+	w := tw(out)
 	fmt.Fprintln(w, "  r\tfamily 2^r\tproven bits\tfilter states\tfilter state bits")
+	var reps []*commcc.Report
 	for _, r := range []int{2, 3, 4, 6, 8} {
 		max := 0
 		if r > 4 {
 			max = 256 // sample the 4^r input pairs
 		}
-		rep, err := q.VerifyRecursionLowerBound(r, max)
-		check(err)
+		rep, err := commcc.VerifyRecursion(q, r, max)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%d\n", r, rep.FamilySize, rep.LowerBoundBits, rep.DistinctStates, rep.MaxMessageBits)
+		reps = append(reps, rep)
 	}
 	w.Flush()
+	return holds(reps, certificate, certified)
 }
 
-func e5() {
-	q := streamxpath.MustCompile("/a/b")
-	w := tw()
+func e5(out io.Writer) error {
+	q := query.MustParse("/a/b")
+	w := tw(out)
 	fmt.Fprintln(w, "  d\tfamily t\tproven bits\tfilter states\tfilter state bits")
+	var reps []*commcc.Report
 	for _, d := range []int{8, 16, 32, 64, 128} {
 		max := 0
 		if d > 32 {
 			max = 12
 		}
-		rep, err := q.VerifyDepthLowerBound(d, max)
-		check(err)
+		rep, err := commcc.VerifyDepth(q, d, max)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%d\n", d, rep.FamilySize, rep.LowerBoundBits, rep.DistinctStates, rep.MaxMessageBits)
+		reps = append(reps, rep)
 	}
 	w.Flush()
+	return holds(reps, certificate, certified)
 }
 
-func e9() {
+func e9(out io.Writer) error {
 	queries := []string{
 		"/a[b and c]",
 		"/a[b and c and e]",
@@ -118,218 +154,270 @@ func e9() {
 		"/a[*/b > 5 and c/b//d > 12 and .//d < 30]",
 		"/a[b > 5 and c < 3 and e and f]",
 	}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "  query\tFS(Q)\tfamily\tproven bits\tfilter states\tfilter state bits")
+	var reps []*commcc.Report
 	for _, src := range queries {
-		rep, err := streamxpath.MustCompile(src).VerifyFrontierLowerBound(0)
-		check(err)
+		rep, err := commcc.VerifyFrontier(query.MustParse(src), 0)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "  %s\t%d\t%d\t%d\t%d\t%d\n", src, rep.Parameter, rep.FamilySize, rep.LowerBoundBits, rep.DistinctStates, rep.MaxMessageBits)
+		reps = append(reps, rep)
 	}
 	w.Flush()
+	return holds(reps, certificate, certified)
 }
 
-func e10() {
-	rep, err := streamxpath.MustCompile("//d[f and a[b and c]]").VerifyRecursionLowerBound(3, 0)
-	check(err)
-	fmt.Println(" ", rep)
-	fmt.Println("  all 4^3 DISJ inputs verified against the reference evaluator (Lemmas 7.5/7.6)")
+func e10(out io.Writer) error {
+	rep, err := commcc.VerifyRecursion(query.MustParse("//d[f and a[b and c]]"), 3, 0)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, " ", rep)
+	fmt.Fprintln(out, "  all 4^3 DISJ inputs verified against the reference evaluator (Lemmas 7.5/7.6)")
+	return holds([]*commcc.Report{rep}, certificate, certified)
 }
 
-func e11() {
+func e11(out io.Writer) error {
 	queries := []string{"/a/b", "/x/a[b and c]", "//x[a/b]", "/a[c[.//e and f] and b > 5]"}
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "  query\td budget\tfamily t\tfilter states\tfilter state bits")
+	var reps []*commcc.Report
 	for _, src := range queries {
-		rep, err := streamxpath.MustCompile(src).VerifyDepthLowerBound(24, 8)
-		check(err)
+		rep, err := commcc.VerifyDepth(query.MustParse(src), 24, 8)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "  %s\t24\t%d\t%d\t%d\n", src, rep.FamilySize, rep.DistinctStates, rep.MaxMessageBits)
+		reps = append(reps, rep)
 	}
 	w.Flush()
+	return holds(reps, certificate, certified)
 }
 
-func e14() {
+// The rows the checks read: an experiment's swept parameter (n or k)
+// beside its readings; a spaceRow is the Section 8 filter's peaks.
+type (
+	spaceRow struct{ n, tuples, frontier, bits int }
+	dfaRow   struct {
+		k, states, tuples int
+		complete          bool
+	}
+	protoRow struct {
+		k, total, max int
+		msgBits       []int
+	}
+	naiveRow struct{ n, naive, filter int }
+	evalRow  struct{ n, pending, buffered int }
+)
+
+func (r spaceRow) perN() float64 { return float64(r.bits) / float64(r.n) }
+
+// runCore streams events through a fresh Section 8 filter for q.
+func runCore(n int, q *query.Query, events []sax.Event) (spaceRow, error) {
+	f := core.MustCompile(q)
+	_, err := f.ProcessAll(events)
+	s := f.Stats()
+	return spaceRow{n, s.PeakTuples, s.PeakFrontier, s.EstimatedBits(q.Size())}, err
+}
+
+// The claims of E14–E21, row by row; each experiment states its claim where
+// it checks it.
+func e14Holds(_, r spaceRow) bool { return r.tuples == 2*r.n+1 && r.perN() >= 16 && r.perN() <= 23 }
+func e15Holds(_, r spaceRow) bool { return r.frontier == r.n && r.perN() >= 7 && r.perN() <= 12 }
+func e16Holds(_, r spaceRow) bool {
+	return r.tuples == 2 && r.bits-3*int(math.Log2(float64(r.n))) == 11
+}
+func e18Holds(_, r dfaRow) bool { return r.complete && r.states == 12<<(r.k-2) && r.tuples <= r.k*r.k }
+func e19Holds(prev, r protoRow) bool {
+	sum := 1
+	for _, b := range r.msgBits {
+		sum += b
+	}
+	return len(r.msgBits) == r.k-1 && r.total == sum && (prev.k == 0 || r.max == prev.max)
+}
+func e20Holds(prev, r naiveRow) bool {
+	return r.filter <= 16 && (prev.n == 0 || 10*r.naive*prev.n >= 9*prev.naive*r.n)
+}
+func e21Holds(_, r evalRow) bool {
+	want := 0
+	for i := 0; i < r.n; i++ {
+		want += len(fmt.Sprintf("v%d", i))
+	}
+	return r.pending == r.n && r.buffered == want
+}
+
+func e14(out io.Writer) error {
 	q := query.MustParse("//a[b and c]")
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "  r\tpeak tuples\tpeak frontier\test bits\tbits/r")
+	var rows []spaceRow
 	for _, r := range []int{1, 2, 4, 8, 16, 32, 64} {
-		f := core.MustCompile(q)
-		doc := workload.FullyRecursive(r)
-		_, err := f.ProcessAll(doc.Events())
-		check(err)
-		s := f.Stats()
-		bits := s.EstimatedBits(q.Size())
-		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%.1f\n", r, s.PeakTuples, s.PeakFrontier, bits, float64(bits)/float64(r))
+		row, err := runCore(r, q, workload.FullyRecursive(r).Events())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%.1f\n", r, row.tuples, row.frontier, row.bits, row.perN())
+		rows = append(rows, row)
 	}
 	w.Flush()
-	fmt.Println("  expected shape: tuples and bits grow linearly in r (Theorem 8.8 upper bound, Theorem 7.4 lower bound)")
+	fmt.Fprintln(out, "  expected shape: tuples and bits grow linearly in r (Theorem 8.8 upper bound, Theorem 7.4 lower bound)")
+	return holds(rows, "peak tuples = 2r+1, bits/r in [16, 23]", e14Holds)
 }
 
-func e15() {
-	w := tw()
+func e15(out io.Writer) error {
+	w := tw(out)
 	fmt.Fprintln(w, "  FS(Q)\tpeak tuples\tpeak frontier\test bits\tbits/FS")
+	var rows []spaceRow
 	for _, fs := range []int{1, 2, 4, 8, 16, 32} {
 		q := workload.FrontierQuery(fs)
-		f := core.MustCompile(q)
-		_, err := f.ProcessAll(workload.FrontierDoc(fs).Events())
-		check(err)
-		s := f.Stats()
-		bits := s.EstimatedBits(q.Size())
-		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%.1f\n", fs, s.PeakTuples, s.PeakFrontier, bits, float64(bits)/float64(fs))
+		row, err := runCore(fs, q, workload.FrontierDoc(fs).Events())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%.1f\n", fs, row.tuples, row.frontier, row.bits, row.perN())
+		rows = append(rows, row)
 	}
 	w.Flush()
-	fmt.Println("  expected shape: frontier tracks FS(Q) (Theorem 8.8 pc-free/closure-free regime, Theorem 7.1 lower bound)")
+	fmt.Fprintln(out, "  expected shape: frontier tracks FS(Q) (Theorem 8.8 pc-free/closure-free regime, Theorem 7.1 lower bound)")
+	return holds(rows, "peak frontier = FS, bits/FS in [7, 12]", e15Holds)
 }
 
-func e16() {
+func e16(out io.Writer) error {
 	q := query.MustParse("/a//b")
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "  d\tpeak tuples\test bits\tsnapshot bits mid-depth")
+	var rows []spaceRow
 	for _, d := range []int{4, 16, 64, 256, 1024} {
 		f := core.MustCompile(q)
-		doc := workload.Deep(d)
-		events := doc.Events()
+		events := workload.Deep(d).Events()
 		// Snapshot at the deepest point: right after the last open.
-		half := len(events) / 2
-		for _, e := range events[:half] {
-			check(f.Process(e))
-		}
-		snapBits := len(f.Snapshot()) * 8
-		for _, e := range events[half:] {
-			check(f.Process(e))
+		half, snapBits := len(events)/2, 0
+		for i, e := range events {
+			if i == half {
+				snapBits = len(f.Snapshot()) * 8
+			}
+			if err := f.Process(e); err != nil {
+				return err
+			}
 		}
 		s := f.Stats()
-		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\n", d, s.PeakTuples, s.EstimatedBits(q.Size()), snapBits)
+		row := spaceRow{n: d, tuples: s.PeakTuples, bits: s.EstimatedBits(q.Size())}
+		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\n", d, row.tuples, row.bits, snapBits)
+		rows = append(rows, row)
 	}
 	w.Flush()
-	fmt.Println("  expected shape: bits grow logarithmically in d (the level counter), not linearly")
+	fmt.Fprintln(out, "  expected shape: bits grow logarithmically in d (the level counter), not linearly")
+	return holds(rows, "peak tuples = 2, est bits − 3·log₂ d = 11", e16Holds)
 }
 
-func e17() {
+// e17 checks nothing: ns/event is a timing, and moves with the host and
+// whatever else runs on it.
+func e17(out io.Writer) error {
 	q := query.MustParse(`//item[keyword = "go" and priority > 5]`)
 	rng := rand.New(rand.NewSource(17))
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "  items\tevents\tns/event")
 	for _, n := range []int{10, 100, 1000, 10000} {
-		doc := workload.RandomNewsFeed(rng, n)
-		events := doc.Events()
+		events := workload.RandomNewsFeed(rng, n).Events()
 		f := core.MustCompile(q)
 		start := time.Now()
-		_, err := f.ProcessAll(events)
-		check(err)
-		el := time.Since(start)
-		fmt.Fprintf(w, "  %d\t%d\t%.1f\n", n, len(events), float64(el.Nanoseconds())/float64(len(events)))
+		if _, err := f.ProcessAll(events); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %d\t%d\t%.1f\n", n, len(events), float64(time.Since(start).Nanoseconds())/float64(len(events)))
 	}
 	w.Flush()
-	fmt.Println("  expected shape: constant ns/event (linear time in |D|)")
+	fmt.Fprintln(out, "  expected shape: constant ns/event (linear time in |D|)")
+	return nil
 }
 
-func e18() {
-	w := tw()
+func e18(out io.Writer) error {
+	w := tw(out)
 	fmt.Fprintln(w, "  k (wildcards)\teager DFA states\tfilter peak tuples\tfilter est bits")
 	rng := rand.New(rand.NewSource(18))
+	var rows []dfaRow
 	for _, k := range []int{2, 4, 6, 8, 10, 12} {
 		q := workload.StarChainQuery(k)
 		nfa, err := automaton.FromQuery(q)
-		check(err)
+		if err != nil {
+			return err
+		}
 		states, complete := automaton.EagerStateCount(nfa, 1_000_000)
 		suffix := ""
 		if !complete {
 			suffix = "+"
 		}
-		f := core.MustCompile(q)
-		doc := workload.RandomTree(rng, []string{"a", "b", "x", "y"}, nil, k+4, 3)
-		_, err = f.ProcessAll(doc.Events())
-		check(err)
-		s := f.Stats()
-		fmt.Fprintf(w, "  %d\t%d%s\t%d\t%d\n", k, states, suffix, s.PeakTuples, s.EstimatedBits(q.Size()))
+		c, err := runCore(k, q, workload.RandomTree(rng, []string{"a", "b", "x", "y"}, nil, k+4, 3).Events())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %d\t%d%s\t%d\t%d\n", k, states, suffix, c.tuples, c.bits)
+		rows = append(rows, dfaRow{k, states, c.tuples, complete})
 	}
 	w.Flush()
-	fmt.Println("  expected shape: eager DFA states grow exponentially in k; the filter stays polynomial")
+	fmt.Fprintln(out, "  expected shape: eager DFA states grow exponentially in k; the filter stays polynomial")
+	return holds(rows, "eager states = 12·4^((k−2)/2) (k even) and complete, filter tuples ≤ k²", e18Holds)
 }
 
-func e19() {
+func e19(out io.Writer) error {
 	q := query.MustParse("/a[b and c]")
 	events := sax.MustParse("<a><x/><b>hello</b><y/><c>world</c></a>")
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "  k segments\tmessages\ttotal bits\tmax message bits")
+	var rows []protoRow
 	for k := 2; k <= 5; k++ {
 		var segs [][]sax.Event
 		per := (len(events) + k - 1) / k
 		for i := 0; i < len(events); i += per {
-			end := i + per
-			if end > len(events) {
-				end = len(events)
-			}
-			segs = append(segs, events[i:end])
+			segs = append(segs, events[i:min(i+per, len(events))])
 		}
-		run, err := runProtocol(q, segs)
-		check(err)
-		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\n", len(segs), len(run.msgBits), run.total, run.max)
+		run, err := commcc.RunProtocol(q, segs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\n", len(segs), len(run.MessageBits), run.TotalBits(), run.MaxMessageBits())
+		rows = append(rows, protoRow{len(segs), run.TotalBits(), run.MaxMessageBits(), run.MessageBits})
 	}
 	w.Flush()
-	fmt.Println("  accounting matches Lemma 3.7: (k-1) messages of <= S bits each")
+	fmt.Fprintln(out, "  accounting matches Lemma 3.7: (k-1) messages of <= S bits each")
+	return holds(rows, "k−1 messages, total = 1 + their sum, the same max for every k", e19Holds)
 }
 
-type protoResult struct {
-	msgBits []int
-	total   int
-	max     int
-}
-
-func runProtocol(q *query.Query, segs [][]sax.Event) (*protoResult, error) {
-	f := core.MustCompile(q)
-	res := &protoResult{total: 1}
-	for i, seg := range segs {
-		for _, e := range seg {
-			if err := f.Process(e); err != nil {
-				return nil, err
-			}
-		}
-		if i == len(segs)-1 {
-			break
-		}
-		snap := f.Snapshot()
-		bits := len(snap) * 8
-		res.msgBits = append(res.msgBits, bits)
-		res.total += bits
-		if bits > res.max {
-			res.max = bits
-		}
-		g := core.MustCompile(q)
-		if err := g.Restore(snap); err != nil {
-			return nil, err
-		}
-		f = g
-	}
-	return res, nil
-}
-
-func e20() {
+func e20(out io.Writer) error {
 	rng := rand.New(rand.NewSource(20))
 	q := query.MustParse(`//item[keyword = "go" and priority > 5]`)
-	w := tw()
+	w := tw(out)
 	fmt.Fprintln(w, "  items\tnaive buffered bytes\tfilter est bytes\tratio")
+	var rows []naiveRow
 	for _, n := range []int{10, 100, 1000} {
-		doc := workload.RandomNewsFeed(rng, n)
-		events := doc.Events()
+		events := workload.RandomNewsFeed(rng, n).Events()
 		nv := naive.New(q)
-		_, err := nv.ProcessAll(events)
-		check(err)
-		f := core.MustCompile(q)
-		_, err = f.ProcessAll(events)
-		check(err)
-		filterBytes := (f.Stats().EstimatedBits(q.Size()) + 7) / 8
-		fmt.Fprintf(w, "  %d\t%d\t%d\t%.0fx\n", n, nv.BufferedBytes(), filterBytes, float64(nv.BufferedBytes())/float64(filterBytes))
+		if _, err := nv.ProcessAll(events); err != nil {
+			return err
+		}
+		c, err := runCore(n, q, events)
+		if err != nil {
+			return err
+		}
+		row := naiveRow{n, nv.BufferedBytes(), (c.bits + 7) / 8}
+		fmt.Fprintf(w, "  %d\t%d\t%d\t%.0fx\n", n, row.naive, row.filter, float64(row.naive)/float64(row.filter))
+		rows = append(rows, row)
 	}
 	w.Flush()
-	fmt.Println("  expected shape: naive memory grows linearly with |D|; the filter stays flat")
+	fmt.Fprintln(out, "  expected shape: naive memory grows linearly with |D|; the filter stays flat")
+	return holds(rows, "naive bytes ≥ 9× per 10× items, filter est bytes ≤ 16", e20Holds)
 }
 
-func e21() {
+func e21(out io.Writer) error {
 	se, err := streamxpath.MustCompile("/a[c]/b").NewStreamEvaluator()
-	check(err)
-	w := tw()
+	if err != nil {
+		return err
+	}
+	w := tw(out)
 	fmt.Fprintln(w, "  values before evidence\tpeak pending\tpeak buffered bytes")
+	var rows []evalRow
 	for _, n := range []int{1, 10, 100, 1000} {
 		var b strings.Builder
 		b.WriteString("<a>")
@@ -337,12 +425,15 @@ func e21() {
 			fmt.Fprintf(&b, "<b>v%d</b>", i)
 		}
 		b.WriteString("<c/></a>")
-		_, err := se.EvaluateString(b.String())
-		check(err)
+		if _, err := se.EvaluateString(b.String()); err != nil {
+			return err
+		}
 		s := se.Stats()
 		fmt.Fprintf(w, "  %d\t%d\t%d\n", n, s.PeakPendingValues, s.PeakBufferedBytes)
+		rows = append(rows, evalRow{n, s.PeakPendingValues, s.PeakBufferedBytes})
 	}
 	w.Flush()
-	fmt.Println("  expected shape: full evaluation buffers linearly in the evidence delay —")
-	fmt.Println("  the inherent buffering the follow-up work proves; filtering needs none of it")
+	fmt.Fprintln(out, "  expected shape: full evaluation buffers linearly in the evidence delay —")
+	fmt.Fprintln(out, "  the inherent buffering the follow-up work proves; filtering needs none of it")
+	return holds(rows, "peak pending = n, peak buffered = the bytes of v0 … v<n−1>", e21Holds)
 }

@@ -70,14 +70,3 @@ func ExampleQuery_Analyze() {
 		a.Size, a.FrontierSize, a.RedundancyFree, a.Streamable)
 	// Output: size=6 frontier=3 redundancy-free=true streamable=true
 }
-
-func ExampleQuery_VerifyFrontierLowerBound() {
-	q := streamxpath.MustCompile("/a[b and c]")
-	rep, err := q.VerifyFrontierLowerBound(0)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("FS=%d family=%d distinct filter states=%d\n",
-		rep.Parameter, rep.FamilySize, rep.DistinctStates)
-	// Output: FS=2 family=4 distinct filter states=4
-}

@@ -8,7 +8,8 @@ import (
 	"fmt"
 	"log"
 
-	"streamxpath"
+	"streamxpath/internal/commcc"
+	"streamxpath/internal/query"
 )
 
 func main() {
@@ -16,8 +17,7 @@ func main() {
 	fmt.Println("   Q = /a[c[.//e and f] and b > 5], FS(Q) = 3")
 	fmt.Println("   The fooling set has one split document per subset of the frontier")
 	fmt.Println("   {e, f, b}; all 8 match Q, and every crossover pair has a failing member.")
-	q1 := streamxpath.MustCompile("/a[c[.//e and f] and b > 5]")
-	rep1, err := q1.VerifyFrontierLowerBound(0)
+	rep1, err := commcc.VerifyFrontier(query.MustParse("/a[c[.//e and f] and b > 5]"), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,9 +27,9 @@ func main() {
 	fmt.Println("   Q = //a[b and c]. Each DISJ input (s, t) becomes r nested a-elements;")
 	fmt.Println("   level i gets a b iff s_i = 1 (Alice's half) and a c iff t_i = 1 (Bob's).")
 	fmt.Println("   The document matches iff the sets intersect, so memory = Ω(r).")
-	q2 := streamxpath.MustCompile("//a[b and c]")
+	q2 := query.MustParse("//a[b and c]")
 	for _, r := range []int{2, 4, 6} {
-		rep, err := q2.VerifyRecursionLowerBound(r, 0)
+		rep, err := commcc.VerifyRecursion(q2, r, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,9 +41,9 @@ func main() {
 	fmt.Println("   Q = /a/b. D_i pads the match with two depth-i chains of Z elements;")
 	fmt.Println("   splicing D_j's middle into D_i re-parents b under a Z and kills the")
 	fmt.Println("   match, so the algorithm must remember the depth: Ω(log d) bits.")
-	q3 := streamxpath.MustCompile("/a/b")
+	q3 := query.MustParse("/a/b")
 	for _, d := range []int{8, 32, 128} {
-		rep, err := q3.VerifyDepthLowerBound(d, 10)
+		rep, err := commcc.VerifyDepth(q3, d, 10)
 		if err != nil {
 			log.Fatal(err)
 		}

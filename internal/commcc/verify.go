@@ -1,17 +1,18 @@
-package streamxpath
+package commcc
 
 import (
 	"fmt"
+	"math/bits"
 
-	"streamxpath/internal/commcc"
+	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
 )
 
-// LowerBoundReport summarizes one executable lower-bound experiment: the
-// document family was generated, its fooling/reduction properties were
+// Report summarizes one executable lower-bound experiment: the document
+// family was generated, its fooling/reduction properties were
 // machine-verified against the reference evaluator, and the streaming
 // filter's states at the cut points were counted.
-type LowerBoundReport struct {
+type Report struct {
 	// Kind names the bound: "frontier", "recursion", or "depth".
 	Kind string
 	// Parameter is the bound's quantity: FS(Q), r, or the family size t
@@ -31,18 +32,17 @@ type LowerBoundReport struct {
 	MaxMessageBits int
 }
 
-func (r LowerBoundReport) String() string {
+func (r Report) String() string {
 	return fmt.Sprintf("%s bound: parameter=%d family=%d proven>=%d bits, filter: states=%d, state size=%d bits",
 		r.Kind, r.Parameter, r.FamilySize, r.LowerBoundBits, r.DistinctStates, r.MaxMessageBits)
 }
 
-// VerifyFrontierLowerBound runs the Theorem 7.1 experiment on a
-// redundancy-free query: it builds the 2^FS(Q) fooling documents from the
-// query's canonical document, machine-checks the fooling conditions
-// (verifying up to maxPairs crossover pairs; 0 = all), and measures the
-// filter's states at the cut.
-func (q *Query) VerifyFrontierLowerBound(maxPairs int) (*LowerBoundReport, error) {
-	fam, err := commcc.NewFrontierFamily(q.q)
+// VerifyFrontier runs the Theorem 7.1 experiment on a redundancy-free
+// query: it builds the 2^FS(Q) fooling documents from the query's canonical
+// document, machine-checks the fooling conditions (verifying up to maxPairs
+// crossover pairs; 0 = all), and measures the filter's states at the cut.
+func VerifyFrontier(q *query.Query, maxPairs int) (*Report, error) {
+	fam, err := NewFrontierFamily(q)
 	if err != nil {
 		return nil, err
 	}
@@ -56,31 +56,29 @@ func (q *Query) VerifyFrontierLowerBound(maxPairs int) (*LowerBoundReport, error
 	maxBits := 0
 	for _, t := range fam.Subsets {
 		a, b := fam.Split(t)
-		run, err := commcc.RunProtocol(q.q, [][]sax.Event{a, b})
+		run, err := RunProtocol(q, [][]sax.Event{a, b})
 		if err != nil {
 			return nil, err
 		}
-		if m := run.MaxMessageBits(); m > maxBits {
-			maxBits = m
-		}
+		maxBits = max(maxBits, run.MaxMessageBits())
 	}
-	return &LowerBoundReport{
+	return &Report{
 		Kind:           "frontier",
 		Parameter:      fam.FS(),
 		FamilySize:     fam.Size(),
-		LowerBoundBits: commcc.SpaceLowerBound(fam.FS(), 2),
+		LowerBoundBits: SpaceLowerBound(fam.FS(), 2),
 		DistinctStates: states,
 		MaxMessageBits: maxBits,
 	}, nil
 }
 
-// VerifyRecursionLowerBound runs the Theorem 7.4 experiment on a query in
-// Recursive XPath with recursion budget r: every DISJ input pair maps to a
-// document matching iff the sets intersect (up to maxInputs pairs checked;
-// 0 = all 4^r), and the filter's states over the 2^r characteristic
-// vectors are counted.
-func (q *Query) VerifyRecursionLowerBound(r, maxInputs int) (*LowerBoundReport, error) {
-	fam, err := commcc.NewDisjFamily(q.q, r)
+// VerifyRecursion runs the Theorem 7.4 experiment on a query in Recursive
+// XPath with recursion budget r: every DISJ input pair maps to a document
+// matching iff the sets intersect (up to maxInputs pairs checked; 0 = all
+// 4^r), and the filter's states over the 2^r characteristic vectors are
+// counted.
+func VerifyRecursion(q *query.Query, r, maxInputs int) (*Report, error) {
+	fam, err := NewDisjFamily(q, r)
 	if err != nil {
 		return nil, err
 	}
@@ -91,30 +89,27 @@ func (q *Query) VerifyRecursionLowerBound(r, maxInputs int) (*LowerBoundReport, 
 	if err != nil {
 		return nil, err
 	}
-	ones := make([]bool, r)
-	for i := range ones {
-		ones[i] = true
-	}
+	ones := bitsOf(1<<r-1, r)
 	run, err := fam.RunDisjProtocol(ones, ones)
 	if err != nil {
 		return nil, err
 	}
-	return &LowerBoundReport{
+	return &Report{
 		Kind:           "recursion",
 		Parameter:      r,
 		FamilySize:     1 << r,
-		LowerBoundBits: commcc.SpaceLowerBound(r, 2),
+		LowerBoundBits: SpaceLowerBound(r, 2),
 		DistinctStates: states,
 		MaxMessageBits: run.MaxMessageBits(),
 	}, nil
 }
 
-// VerifyDepthLowerBound runs the Theorem 7.14 experiment with depth budget
-// d: the padded documents D_i all match, crossovers D_{i,j} fail (up to
-// maxI family members verified; 0 = all), and the filter's states over the
+// VerifyDepth runs the Theorem 7.14 experiment with depth budget d: the
+// padded documents D_i all match, crossovers D_{i,j} fail (up to maxI
+// family members verified; 0 = all), and the filter's states over the
 // depths are counted.
-func (q *Query) VerifyDepthLowerBound(d, maxI int) (*LowerBoundReport, error) {
-	fam, err := commcc.NewDepthFamily(q.q, d)
+func VerifyDepth(q *query.Query, d, maxI int) (*Report, error) {
+	fam, err := NewDepthFamily(q, d)
 	if err != nil {
 		return nil, err
 	}
@@ -129,15 +124,11 @@ func (q *Query) VerifyDepthLowerBound(d, maxI int) (*LowerBoundReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	logT := 0
-	for 1<<logT < fam.T {
-		logT++
-	}
-	return &LowerBoundReport{
+	return &Report{
 		Kind:           "depth",
 		Parameter:      fam.T,
 		FamilySize:     fam.T,
-		LowerBoundBits: commcc.SpaceLowerBound(logT, 3),
+		LowerBoundBits: SpaceLowerBound(bits.Len(uint(fam.T-1)), 3), // ⌈log₂ t⌉
 		DistinctStates: states,
 		MaxMessageBits: run.MaxMessageBits(),
 	}, nil

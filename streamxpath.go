@@ -32,11 +32,7 @@
 //     (MemStats) against the paper's FS(Q)·⌈log₂ d⌉ lower bound;
 //   - query analysis: frontier size (the paper's lower-bound quantity),
 //     membership in Redundancy-free XPath and the other fragments the
-//     paper's theorems quantify over;
-//   - executable lower-bound experiments: the fooling-set and
-//     set-disjointness document families of Sections 4 and 7, machine-
-//     verified, with Alice/Bob protocols run over the real filter's
-//     serialized state (Lemma 3.7).
+//     paper's theorems quantify over.
 //
 // Quick start:
 //
@@ -110,10 +106,9 @@ func (q *Query) Size() int { return q.q.Size() }
 // policy, the memory accounting — holds for a Filter, with "the query
 // matched" in place of the id list. (The paper's Section 8 algorithm itself,
 // with its Theorem 8.8 accounting, is internal/core: the reference the
-// engine is tested against, reached through cmd/xpexperiments,
-// examples/tracer and the Verify*LowerBound experiments.) A Filter is
-// reusable across documents but not safe for concurrent use; create one
-// per goroutine.
+// engine is tested against, reached through cmd/xpexperiments and
+// examples/tracer.) A Filter is reusable across documents but not safe for
+// concurrent use; create one per goroutine.
 type Filter struct {
 	m matcher
 	e *engine.Engine

@@ -129,54 +129,6 @@ func TestNewFilterRejects(t *testing.T) {
 	}
 }
 
-func TestVerifyFrontierLowerBound(t *testing.T) {
-	rep, err := MustCompile("/a[c[.//e and f] and b > 5]").VerifyFrontierLowerBound(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Parameter != 3 || rep.FamilySize != 8 {
-		t.Errorf("report = %+v", rep)
-	}
-	if rep.DistinctStates != 8 {
-		t.Errorf("distinct states = %d, want 8", rep.DistinctStates)
-	}
-	if rep.MaxMessageBits < rep.LowerBoundBits {
-		t.Errorf("filter state %d bits below the proven bound %d", rep.MaxMessageBits, rep.LowerBoundBits)
-	}
-	if rep.String() == "" {
-		t.Error("String broken")
-	}
-	if _, err := MustCompile("/a[b or c]").VerifyFrontierLowerBound(0); err == nil {
-		t.Error("non-RF query: want error")
-	}
-}
-
-func TestVerifyRecursionLowerBound(t *testing.T) {
-	rep, err := MustCompile("//a[b and c]").VerifyRecursionLowerBound(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Parameter != 3 || rep.FamilySize != 8 || rep.DistinctStates != 8 {
-		t.Errorf("report = %+v", rep)
-	}
-	if _, err := MustCompile("/a/b").VerifyRecursionLowerBound(3, 0); err == nil {
-		t.Error("non-recursive query: want error")
-	}
-}
-
-func TestVerifyDepthLowerBound(t *testing.T) {
-	rep, err := MustCompile("/a/b").VerifyDepthLowerBound(12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FamilySize < 8 || rep.DistinctStates != rep.FamilySize {
-		t.Errorf("report = %+v", rep)
-	}
-	if _, err := MustCompile("//a").VerifyDepthLowerBound(12, 0); err == nil {
-		t.Error("ineligible query: want error")
-	}
-}
-
 func TestStreamEvaluator(t *testing.T) {
 	q := MustCompile("/a[c]/b")
 	se, err := q.NewStreamEvaluator()

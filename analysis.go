@@ -1,9 +1,6 @@
 package streamxpath
 
-import (
-	"streamxpath/internal/core"
-	"streamxpath/internal/fragment"
-)
+import "streamxpath/internal/fragment"
 
 // Analysis classifies a query against the paper's fragments and reports
 // the quantities its theorems are stated in.
@@ -20,9 +17,11 @@ type Analysis struct {
 	// RedundancyFree).
 	Issues []string
 	// Streamable reports whether the Section 8 filter supports the
-	// query (leaf-only-value-restricted univariate conjunctive).
+	// query (leaf-only-value-restricted univariate conjunctive): whether
+	// NewFilter and FilterSet.Add accept it.
 	Streamable bool
-	// StreamableReason explains why not, when Streamable is false.
+	// StreamableReason explains why not, when Streamable is false: the
+	// text of the error NewFilter returns.
 	StreamableReason string
 	// Recursive reports membership in Recursive XPath (Section 7.2.1):
 	// the recursion-depth lower bound Ω(r) applies.
@@ -46,18 +45,17 @@ type Analysis struct {
 
 // Analyze classifies the query.
 func (q *Query) Analyze() Analysis {
-	rep := fragment.Classify(q.q)
+	rep, streamable := fragment.Classify(q.q), fragment.Streamable(q.q)
 	a := Analysis{
 		Size:                q.q.Size(),
 		FrontierSize:        fragment.FrontierSize(q.q),
 		RedundancyFree:      rep.RedundancyFree(),
 		Issues:              rep.Issues(),
+		Streamable:          streamable.OK,
 		ClosureFree:         fragment.ClosureFree(q.q),
 		PathConsistencyFree: fragment.PathConsistencyFree(q.q),
 	}
-	if _, err := core.Compile(q.q); err == nil {
-		a.Streamable = true
-	} else {
+	if err := streamable.Err(); err != nil {
 		a.StreamableReason = err.Error()
 	}
 	_, a.Recursive = fragment.RecursiveNode(q.q)

@@ -24,6 +24,7 @@ package canonical
 import (
 	"fmt"
 
+	"streamxpath/internal/fragment"
 	"streamxpath/internal/match"
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
@@ -180,7 +181,7 @@ func (c *Canonical) assignValues() error {
 		if u.IsRoot() {
 			continue
 		}
-		domLeaves := match.SDomLeaves(q, u)
+		domLeaves := fragment.SDomLeaves(q, u)
 		var domSets []query.Set
 		for _, v := range domLeaves {
 			s, err := query.TruthSetOf(v)

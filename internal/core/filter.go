@@ -41,9 +41,11 @@
 // This package is the repository's reference, not its production path: it
 // consumes string events and has no byte path, resource budgets or early
 // exit. Every public matcher, the single-query Filter included, runs on
-// internal/engine, which shares this package's Program and is tested
-// against this filter; the lower-bound experiments (internal/commcc,
-// cmd/xpexperiments) run over its Snapshot, examples/tracer over its Trace.
+// internal/engine, which is tested against this filter and links nothing of
+// it: the two share only internal/fragment's streamability decision and
+// cost model (fragment.Streamable, fragment.EstimatedBits). The lower-bound
+// experiments (internal/commcc, cmd/xpexperiments) run over its Snapshot,
+// examples/tracer over its Trace.
 package core
 
 import (

@@ -320,8 +320,10 @@ func TestStatsBasic(t *testing.T) {
 	if s.PeakBufferBytes != 1 {
 		t.Errorf("PeakBufferBytes = %d, want 1", s.PeakBufferBytes)
 	}
-	if s.EstimatedBits(q.Size()) <= 0 {
-		t.Error("EstimatedBits must be positive")
+	// The reference's reading of the quickstart query (the engine's is 7
+	// live entries at 59 bits: TestQuickstartMemStats in internal/engine).
+	if s.PeakTuples != 5 || s.EstimatedBits(q.Size()) != 45 {
+		t.Errorf("PeakTuples = %d at %d bits, want 5 at 45", s.PeakTuples, s.EstimatedBits(q.Size()))
 	}
 	if !strings.Contains(s.String(), "peakTuples") {
 		t.Error("Stats.String broken")

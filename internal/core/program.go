@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"streamxpath/internal/fragment"
 	"streamxpath/internal/query"
 )
@@ -11,10 +9,7 @@ import (
 // validation, node numbering, per-leaf truth sets, and the
 // value-restriction marks that decide which leaves buffer text. A Program
 // carries no streaming state, so it is safe to share: many Filters (one
-// per goroutine or per document stream) can run off one Program, and the
-// multi-query engine (internal/engine) reuses the same machinery
-// per-subscription inside its shared index instead of going through a
-// standalone Filter.
+// per goroutine or per document stream) can run off one Program.
 type Program struct {
 	q     *query.Query
 	nodes []*query.Node       // depth-first order; index = node id
@@ -25,25 +20,16 @@ type Program struct {
 	restricted map[*query.Node]bool
 }
 
-// NewProgram validates that q is a leaf-only-value-restricted univariate
-// conjunctive query (the fragment the Section 8 algorithm supports) and
-// precomputes the truth sets of its leaves.
+// NewProgram validates that q is in the fragment the Section 8 algorithm
+// supports (fragment.Streamable) and precomputes the truth sets of its
+// leaves.
 func NewProgram(q *query.Query) (*Program, error) {
 	return NewProgramOpts(q, Options{})
 }
 
 // NewProgramOpts is NewProgram with explicit Options.
 func NewProgramOpts(q *query.Query, opts Options) (*Program, error) {
-	if c := fragment.Conjunctive(q); !c.OK {
-		return nil, fmt.Errorf("core: query not conjunctive: %s", c.Reason)
-	}
-	if c := fragment.Univariate(q); !c.OK {
-		return nil, fmt.Errorf("core: query not univariate: %s", c.Reason)
-	}
-	if c := fragment.LeafOnlyValueRestricted(q); !c.OK {
-		return nil, fmt.Errorf("core: query not leaf-only-value-restricted: %s", c.Reason)
-	}
-	if err := checkNoConstantAtoms(q); err != nil {
+	if err := fragment.Streamable(q).Err(); err != nil {
 		return nil, err
 	}
 	p := &Program{
@@ -55,10 +41,7 @@ func NewProgramOpts(q *query.Query, opts Options) (*Program, error) {
 	for i, u := range q.Nodes() {
 		p.nodes = append(p.nodes, u)
 		p.ids[u] = i
-		s, err := query.TruthSetOf(u)
-		if err != nil {
-			return nil, err
-		}
+		s, _ := query.TruthSetOf(u) // Streamable found every node's set
 		p.sets[u] = s
 		if u.IsLeaf() && (opts.BufferAllLeaves || !s.IsAll()) {
 			p.restricted[u] = true
@@ -66,35 +49,6 @@ func NewProgramOpts(q *query.Query, opts Options) (*Program, error) {
 	}
 	return p, nil
 }
-
-// checkNoConstantAtoms rejects atomic predicates with no variables (e.g.
-// [5 > 3]); the filter's per-child conjunction rule has nowhere to hang
-// them. (They are degenerate: constant-true atoms are no-ops and
-// constant-false atoms make the query unsatisfiable.)
-func checkNoConstantAtoms(q *query.Query) error {
-	for _, u := range q.Nodes() {
-		if u.Pred == nil {
-			continue
-		}
-		for _, p := range u.Pred.AtomicPredicates() {
-			if len(p.PathLeaves()) == 0 {
-				return fmt.Errorf("core: constant atomic predicate %s is not supported", p)
-			}
-		}
-	}
-	return nil
-}
-
-// Query returns the compiled query.
-func (p *Program) Query() *query.Query { return p.q }
-
-// TruthSet returns TRUTH(u) for a query node of the program.
-func (p *Program) TruthSet(u *query.Node) query.Set { return p.sets[u] }
-
-// Restricted reports whether u is a value-restricted leaf: a candidate
-// match for it must buffer the candidate's text and evaluate it against
-// TRUTH(u) at endElement. Unrestricted leaves match on existence alone.
-func (p *Program) Restricted(u *query.Node) bool { return p.restricted[u] }
 
 // NewFilter instantiates streaming run state over the program. Filters off
 // the same program share all compile-time tables.

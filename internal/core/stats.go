@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
+	"streamxpath/internal/fragment"
 	"streamxpath/internal/query"
 )
 
@@ -64,46 +64,10 @@ func (f *Filter) noteStats() {
 // Stats returns the statistics collected since the last Reset.
 func (f *Filter) Stats() Stats { return f.stats }
 
-// log2ceil returns ceil(log2(n)) with a floor of 1 bit.
-func log2ceil(n int) int {
-	if n <= 2 {
-		return 1
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// EstimatedBits applies the paper's cost model to the collected peaks: each
-// tuple costs log|Q| + log d + log w bits (node reference, level, buffer
-// offset) plus one matched bit, and the buffer costs 8 bits per byte.
+// EstimatedBits prices the collected peaks, for a query of querySize nodes,
+// by the paper's cost model (fragment.EstimatedBits).
 func (s Stats) EstimatedBits(querySize int) int {
-	d := s.MaxLevel
-	if d < 2 {
-		d = 2
-	}
-	w := s.PeakBufferBytes
-	if w < 2 {
-		w = 2
-	}
-	perTuple := log2ceil(querySize) + log2ceil(d) + log2ceil(w) + 1
-	return s.PeakTuples*perTuple + s.PeakBufferBytes*8 + log2ceil(d)
-}
-
-// LowerBoundBits applies the paper's lower-bound theorems to an observed
-// document shape: any streaming evaluator must distinguish about
-// frontierSize concurrent candidate states (the Section 6 frontier bound),
-// and needs Ω(log d) bits of level information on a document of depth d
-// (Section 4) — so the floor is frontierSize·ceil(log2 d) bits. The ratio
-// EstimatedBits / LowerBoundBits is the evaluator's optimality ratio: how
-// far its actual peak state sits above the information-theoretic floor.
-func LowerBoundBits(frontierSize, maxLevel int) int {
-	d := maxLevel
-	if d < 2 {
-		d = 2
-	}
-	if frontierSize < 1 {
-		frontierSize = 1
-	}
-	return frontierSize * log2ceil(d)
+	return fragment.EstimatedBits(querySize, s.PeakTuples, s.PeakBufferBytes, s.MaxLevel)
 }
 
 // String renders the stats compactly.

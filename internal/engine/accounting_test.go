@@ -48,6 +48,21 @@ func docShape(t *testing.T, doc []byte) (events, depth int) {
 	}
 }
 
+// TestQuickstartMemStats pins the engine's reading of the quickstart query
+// under the Theorem 8.8 cost model (fragment.EstimatedBits): 7 live entries
+// at 59 bits over a 6-bit floor, where the reference filter holds 5 tuples
+// at 45 bits (TestStatsBasic in internal/core).
+func TestQuickstartMemStats(t *testing.T) {
+	e := New()
+	mustAdd(t, e, "q", "/a[c[.//e and f] and b > 5]")
+	if _, err := e.MatchBytes([]byte("<a><c><e/><f/></c><b>6</b></a>"), CaptureOff); err != nil {
+		t.Fatal(err)
+	}
+	if ms := e.MemStats(); ms.PeakLiveTuples != 7 || ms.EstimatedBits != 59 || ms.LowerBoundBits != 6 {
+		t.Errorf("live %d at %d bits over a %d-bit floor, want 7 at 59 over 6", ms.PeakLiveTuples, ms.EstimatedBits, ms.LowerBoundBits)
+	}
+}
+
 // TestEmptyRouteAccounting pins where the document-level counters live: a
 // route holding no subscription is dispatched no elements, so MemStats'
 // Events and MaxDepth are the engine's. An all-linear set (nothing on the

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"streamxpath/internal/automaton"
-	"streamxpath/internal/core"
 	"streamxpath/internal/fragment"
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
@@ -625,8 +624,8 @@ func TestEngineRebuildRecompilesFromText(t *testing.T) {
 }
 
 // TestEngineLinearQueriesNeedNoProgram backs the shortcut Add takes for the
-// merged NFA's fragment: such a query always compiles, and its frontier
-// size is 1.
+// merged NFA's fragment: such a query is always streamable, and its
+// frontier size is 1 without computing it.
 func TestEngineLinearQueriesNeedNoProgram(t *testing.T) {
 	d := &dice{data: make([]byte, 4096)}
 	rand.New(rand.NewSource(1)).Read(d.data)
@@ -635,8 +634,8 @@ func TestEngineLinearQueriesNeedNoProgram(t *testing.T) {
 		if automaton.Linear(q) != nil {
 			continue
 		}
-		if _, err := core.NewProgram(q); err != nil {
-			t.Errorf("%s: linear, but core rejects it: %v", q, err)
+		if c := fragment.Streamable(q); !c.OK {
+			t.Errorf("%s: linear, but not streamable: %s", q, c.Reason)
 		}
 		if fs := fragment.FrontierSize(q); fs != 1 {
 			t.Errorf("%s: linear, but FS = %d", q, fs)

@@ -18,21 +18,22 @@
 //     of subscription count.
 //
 //   - Everything else the Section 8 algorithm can stream (conjunctive
-//     univariate leaf-only-value-restricted queries, validated per
-//     subscription by core.NewProgram) goes to a prefix-sharing trie of
-//     spine steps whose per-step predicate subtrees run the paper's
+//     univariate leaf-only-value-restricted queries: fragment.Streamable,
+//     the decision every query passes at Add) goes to a prefix-sharing
+//     trie of spine steps whose per-step predicate subtrees run the paper's
 //     frontier algorithm — tuples, candidate scopes, and text buffering
-//     exactly as in internal/core, but with structurally identical steps
+//     as in the reference filter (internal/core, which the engine is tested
+//     against and does not link), but with structurally identical steps
 //     evaluated once for all subscriptions that contain them. Matches
 //     reached below a predicated step commit conditionally and are
 //     decided the moment the predicate is satisfied — or dropped when its
 //     candidate scope closes first — preserving per-subscription answers
-//     byte-identical to a standalone core.Filter. Only predicate nodes are
-//     held as frontier tuples: the
-//     continuations of an open spine scope are found by one lookup per
-//     edge of the trie's structural skeleton (spine steps grouped by axis
-//     and node test, predicates ignored), so a predicated prefix costs the
-//     same whether one subscription hangs off it or a thousand. And steps
+//     byte-identical to a standalone reference filter's. Only predicate
+//     nodes are held as frontier tuples: the continuations of an open
+//     spine scope are found by one lookup per edge of the trie's
+//     structural skeleton (spine steps grouped by axis and node test,
+//     predicates ignored), so a predicated prefix costs the same whether
+//     one subscription hangs off it or a thousand. And steps
 //     that differ only in the constant of one comparison — [priority > 3],
 //     [priority > 4], … — are one predicate group (group.go): one scope,
 //     one tuple and one buffered value per candidate element, the value
@@ -56,11 +57,12 @@
 // but for the transitions out of the states it relinked.
 //
 // What a subscription costs to hold is its entries in those indexes and a
-// small record (subscription): once Add returns, neither the parse tree nor
-// the core.Program the trie was built from is reachable. The paper prices an
-// evaluator by what it must hold, and a standing set of 100,000 is held for
-// months; the compile scaffolding is read for microseconds. The one reader
-// that comes back for a query — Rebuild — parses its text again.
+// small record (subscription): once Add returns, the parse tree the indexes
+// were built from — truth sets read straight off its nodes — is not
+// reachable. The paper prices an evaluator by what it must hold, and a
+// standing set of 100,000 is held for months; the compile scaffolding is
+// read for microseconds. The one reader that comes back for a query —
+// Rebuild — parses its text again.
 package engine
 
 import (
@@ -69,7 +71,6 @@ import (
 	"sort"
 
 	"streamxpath/internal/automaton"
-	"streamxpath/internal/core"
 	"streamxpath/internal/fragment"
 	"streamxpath/internal/limits"
 	"streamxpath/internal/query"
@@ -88,15 +89,14 @@ const (
 )
 
 // subscription is one standing query: what the engine retains of it beside
-// its entries in the route's index. The parse tree and the compiled
-// core.Program are temporaries of Add (see the package comment); all that is
-// kept of the query is its text.
+// its entries in the route's index. The parse tree is a temporary of Add
+// (see the package comment); all that is kept of the query is its text.
 type subscription struct {
 	id string
 	// text is the query in surface syntax — the caller's own string when the
 	// query was parsed from one, which every replica of a pool then shares —
 	// and parses to the tree that was added (Add checks a hand-built tree's
-	// rendering once). Rebuild compiles from it.
+	// rendering once). Rebuild links it again from a fresh parse.
 	text    string
 	route   Route
 	out     int // slot in the route's result vector
@@ -267,7 +267,7 @@ func (e *Engine) Limits() limits.Limits { return e.lim }
 // is the quarantine step after a recovered panic: matching state of unknown
 // integrity is thrown away wholesale instead of trusting Reset's in-place
 // sweeps, while subscriptions — never touched during matching — survive.
-// Each is compiled again from its text, at one parse apiece: the price of
+// Each is linked again from its text, at one parse apiece: the price of
 // not holding a tree per subscription for a path that runs after a bug.
 func (e *Engine) Rebuild() {
 	e.mutating()
@@ -277,16 +277,12 @@ func (e *Engine) Rebuild() {
 	e.events, e.maxLevel = 0, 0 // a rebuilt engine, like a new one, has run no document
 	for i, s := range e.subs {
 		q, err := query.Parse(s.text)
-		var prog *core.Program
-		if err == nil && s.route == RouteTrie {
-			prog, err = core.NewProgram(q)
-		}
 		if err != nil {
-			// Add compiled this very text, or checked that it renders the
-			// tree it compiled.
-			panic(fmt.Sprintf("engine: subscription %q no longer compiles: %v", s.id, err))
+			// Add parsed this very text, or checked that it renders the tree
+			// it linked.
+			panic(fmt.Sprintf("engine: subscription %q no longer parses: %v", s.id, err))
 		}
-		e.link(i, q, prog)
+		e.link(i, q)
 	}
 }
 
@@ -320,9 +316,8 @@ func (e *Engine) mutating() {
 
 // link enters subscription i, whose query is q, into the index of the route
 // add chose for it and records the result slot it was given, and that slot's
-// position. prog is q compiled, which the trie is built from; a query routed
-// to the merged NFA has none.
-func (e *Engine) link(i int, q *query.Query, prog *core.Program) {
+// position.
+func (e *Engine) link(i int, q *query.Query) {
 	s := e.subs[i]
 	if s.route == RouteNFA {
 		s.out, _ = e.nfa.Add(q) // add found the query linear
@@ -332,7 +327,7 @@ func (e *Engine) link(i int, q *query.Query, prog *core.Program) {
 		}
 		e.nfaExtract[s.out] = s.extract
 	} else {
-		s.out = e.tr.add(q, prog, s.extract, s.every)
+		s.out = e.tr.add(q, s.extract, s.every)
 	}
 	e.results[i].out = int32(s.out)
 	pos := &e.hits.pos[s.route]
@@ -343,9 +338,10 @@ func (e *Engine) link(i int, q *query.Query, prog *core.Program) {
 }
 
 // Add registers a subscription under the given id. It returns an error
-// for duplicate ids and for queries outside the streamable fragment (the
-// same validation a standalone core.Filter performs). The subscription
-// takes effect at the next document (the next StartDocument or Reset).
+// for duplicate ids and for queries outside the streamable fragment
+// (fragment.Streamable, the decision the reference filter makes too). The
+// subscription takes effect at the next document (the next StartDocument or
+// Reset).
 func (e *Engine) Add(id string, q *query.Query) error {
 	return e.add(id, q, false, false)
 }
@@ -374,10 +370,9 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
 	}
 	s := &subscription{id: id, text: q.Source, route: RouteNFA, extract: extract, every: every, seq: e.nextSeq, fs: 1, steps: q.Size() - 1}
-	var prog *core.Program
 	if every || automaton.Linear(q) != nil {
-		var err error
-		if prog, err = core.NewProgram(q); err != nil {
+		// A linear query is streamable by construction: it has no predicate.
+		if err := fragment.Streamable(q).Err(); err != nil {
 			return err
 		}
 		s.route, s.fs = RouteTrie, fragment.FrontierSize(q)
@@ -413,7 +408,7 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 	}
 	e.fsCount[s.fs]++
 	e.maxFS = max(e.maxFS, s.fs)
-	e.link(len(e.subs)-1, q, prog)
+	e.link(len(e.subs)-1, q)
 	return nil
 }
 
@@ -994,12 +989,12 @@ type MemStats struct {
 	CapturedBytes int
 	// EstimatedBits applies the paper's cost model to the peaks: each
 	// tuple costs log|Q| + log d + log w bits plus a matched bit, the
-	// buffer 8 bits per byte (core.Stats.EstimatedBits, with |Q| the size
+	// buffer 8 bits per byte (fragment.EstimatedBits, with |Q| the size
 	// of the shared index), plus PeakGroupBits.
 	EstimatedBits int
 	// LowerBoundBits is the paper's floor for the same document shape:
 	// FS(Q)·log d bits, with FS(Q) the largest frontier size among the
-	// standing subscriptions (core.LowerBoundBits).
+	// standing subscriptions (fragment.LowerBoundBits).
 	LowerBoundBits int
 	// OptimalityRatio is EstimatedBits / LowerBoundBits — how many times
 	// the lower bound the evaluator's accounted peak state occupied.
@@ -1022,16 +1017,8 @@ func (e *Engine) MemStats() MemStats {
 		CapturedBytes:     e.cm.peakBytes,
 	}
 	nodes := (e.nfa.Size() - 1) + len(e.tr.spineNodes) + e.tr.predNodes
-	if nodes < 2 {
-		nodes = 2
-	}
-	cs := core.Stats{
-		PeakTuples:      st.PeakLiveTuples,
-		PeakBufferBytes: ms.PeakBufferBytes,
-		MaxLevel:        e.maxLevel,
-	}
-	st.EstimatedBits = cs.EstimatedBits(nodes) + ms.PeakGroupBits
-	st.LowerBoundBits = core.LowerBoundBits(e.maxFS, e.maxLevel)
+	st.EstimatedBits = fragment.EstimatedBits(nodes, st.PeakLiveTuples, ms.PeakBufferBytes, e.maxLevel) + ms.PeakGroupBits
+	st.LowerBoundBits = fragment.LowerBoundBits(e.maxFS, e.maxLevel)
 	if st.LowerBoundBits > 0 {
 		st.OptimalityRatio = float64(st.EstimatedBits) / float64(st.LowerBoundBits)
 	}

@@ -20,8 +20,9 @@ func heapAfterGC() uint64 {
 
 // TestSubscriptionFootprint pins what a standing subscription costs to hold:
 // its entries in the shared index and the subscription record, not the parse
-// tree and not the core.Program the index was built from (2.2 KB on the
-// trie route and 0.85 KB on the NFA route while both were kept). The shapes
+// tree the index was built from nor the compiled program it once went
+// through (2.2 KB on the trie route and 0.85 KB on the NFA route while both
+// were kept). The shapes
 // are the benchmark's: fanout-pred's 1,000 thresholds × leaf names and churn's
 // one leaf name per subscription. Then a long replacement churn, documents
 // flowing, must leave the heap where it was: freed state slots, count ids,

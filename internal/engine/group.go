@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"streamxpath/internal/core"
 	"streamxpath/internal/query"
 	"streamxpath/internal/value"
 )
@@ -158,7 +157,7 @@ func groupOf(cmp query.Comparison) (class groupClass, neg bool, tag string, ok b
 // no group evaluates. preds are the predicate children of n's query node.
 // The cost is the query's own size plus one search and one copy in the
 // group: no sort, no rebuild.
-func (t *trie) joinGroup(n *tnode, preds []*query.Node, prog *core.Program) bool {
+func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 	if len(preds) != 1 {
 		return false
 	}
@@ -166,10 +165,13 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node, prog *core.Program) bool
 	for len(leaf.Children) == 1 {
 		leaf = leaf.Children[0]
 	}
-	if len(leaf.Children) > 0 || !prog.Restricted(leaf) {
+	if len(leaf.Children) > 0 {
 		return false
 	}
-	cmp, ok := query.ComparisonOf(prog.TruthSet(leaf))
+	// Streamable found the leaf's set. S, an unrestricted leaf's, is no
+	// comparison.
+	set, _ := query.TruthSetOf(leaf)
+	cmp, ok := query.ComparisonOf(set)
 	if !ok {
 		return false
 	}
@@ -199,7 +201,7 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node, prog *core.Program) bool
 			skPos: len(n.sk.groups), triePos: len(t.groups),
 			id: t.newID(), frags: t.newID(),
 			class: class, neg: neg,
-			conj: []*tnode{t.buildPred(preds[0], prog)},
+			conj: []*tnode{t.buildPred(preds[0])},
 		}
 		last := g.conj[0]
 		for len(last.conj) > 0 {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"streamxpath/internal/bytestr"
-	"streamxpath/internal/core"
 	"streamxpath/internal/query"
 	"streamxpath/internal/symtab"
 )
@@ -80,11 +79,12 @@ type tnode struct {
 	// (nil until the first).
 	groups map[string]*predGroup
 
-	// Truth-set machinery for predicate leaves, taken from the owning
-	// subscription's core.Program (identical canonical steps have
-	// identical truth sets, so the first subscription's program serves
-	// all sharers). The leaf of a predicate group's path is restricted
-	// with no set: its value is resolved against the group's constants.
+	// Truth-set machinery for predicate leaves, read off the first
+	// subscription's query node (identical canonical steps have identical
+	// truth sets, so it serves all sharers): a leaf is restricted when its
+	// set is not all strings. The leaf of a predicate group's path is
+	// restricted with no set: its value is resolved against the group's
+	// constants.
 	set        query.Set
 	restricted bool
 
@@ -370,13 +370,12 @@ func (t *trie) ends(n *tnode, d int32, idx int) {
 	}
 }
 
-// add merges one subscription's query into the trie and returns its slot
-// in the matcher's result vector. prog supplies the fragment-checked truth
-// sets and value-restriction marks of the query's nodes (the reusable
-// compile product of internal/core); extract says whether the subscription
-// wants the matched element captured, and every whether it wants every
-// element it selects (which implies extract).
-func (t *trie) add(q *query.Query, prog *core.Program, extract, every bool) int {
+// add merges one subscription's query, which fragment.Streamable accepted,
+// into the trie and returns its slot in the matcher's result vector.
+// extract says whether the subscription wants the matched element captured,
+// and every whether it wants every element it selects (which implies
+// extract).
+func (t *trie) add(q *query.Query, extract, every bool) int {
 	idx := len(t.outs)
 	if k := len(t.freeSlots); k > 0 {
 		idx = t.freeSlots[k-1]
@@ -403,9 +402,9 @@ func (t *trie) add(q *query.Query, prog *core.Program, extract, every bool) int 
 			}
 			t.internNTest(child)
 			cur.sk.enter(child)
-			if preds := u.PredicateChildren(); !t.joinGroup(child, preds, prog) {
+			if preds := u.PredicateChildren(); !t.joinGroup(child, preds) {
 				for _, pc := range preds {
-					child.conj = append(child.conj, t.buildPred(pc, prog))
+					child.conj = append(child.conj, t.buildPred(pc))
 				}
 				t.addMember(child)
 			}
@@ -477,18 +476,19 @@ func (t *trie) dropPreds(nodes []*tnode) {
 // built once per distinct spine step: a second subscription sharing the
 // step (equal StepKey, which covers the whole predicate) reuses the first
 // one's subtree, truth sets included.
-func (t *trie) buildPred(v *query.Node, prog *core.Program) *tnode {
+func (t *trie) buildPred(v *query.Node) *tnode {
+	set, _ := query.TruthSetOf(v) // Streamable found every node's set
 	n := &tnode{
 		kind:       kindPred,
 		axis:       v.Axis,
 		ntest:      v.NTest,
-		set:        prog.TruthSet(v),
-		restricted: prog.Restricted(v),
+		set:        set,
+		restricted: v.IsLeaf() && !set.IsAll(),
 	}
 	t.internNTest(n)
 	t.predNodes++
 	for _, c := range v.Children {
-		n.conj = append(n.conj, t.buildPred(c, prog))
+		n.conj = append(n.conj, t.buildPred(c))
 	}
 	return n
 }

@@ -1,4 +1,4 @@
-package match
+package fragment
 
 import "streamxpath/internal/query"
 

@@ -3,16 +3,21 @@
 // star-restricted + conjunctive + univariate + leaf-only-value-restricted +
 // strongly subsumption-free), Recursive XPath (Section 7.2.1), the
 // document-depth-eligible queries of Theorem 7.14, and the
-// closure-free / path-consistency-free queries of Section 8.6.
+// closure-free / path-consistency-free queries of Section 8.6, with the
+// query-only analyses they rest on (structural query automorphisms,
+// Definition 6.8; path consistency, Definition 8.5). Streamable decides
+// which queries the Section 8 algorithm, and so the engine, evaluates.
 //
 // It also computes the query frontier size FS(Q) of Definition 4.1 — the
-// quantity the paper's headline lower bound is stated in.
+// quantity the paper's headline lower bound is stated in — and prices
+// memory by Theorem 8.8's cost model (EstimatedBits, LowerBoundBits).
 package fragment
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
-	"streamxpath/internal/match"
 	"streamxpath/internal/query"
 )
 
@@ -21,6 +26,15 @@ import (
 type Check struct {
 	OK     bool
 	Reason string // empty when OK and decided exactly
+}
+
+// Err is what a caller that requires the check reports: nil when it holds,
+// else its reason, attributed to this package.
+func (c Check) Err() error {
+	if c.OK {
+		return nil
+	}
+	return errors.New("fragment: " + c.Reason)
 }
 
 // Report aggregates every fragment property of a query.
@@ -191,11 +205,51 @@ func LeafOnlyValueRestricted(q *query.Query) Check {
 	return Check{OK: true}
 }
 
+// Streamable decides whether the Section 8 algorithm can evaluate q — and
+// with it the dissemination engine, which runs that algorithm over a shared
+// index. In order: q is conjunctive, univariate and
+// leaf-only-value-restricted; no atomic predicate is constant (the per-child
+// conjunction rule has nowhere to hang [5 > 3], and such atoms are
+// degenerate: a constant-true one is a no-op, a constant-false one makes the
+// query unsatisfiable); and every leaf has a truth set, which a tree built
+// by hand may lack. The first failure is the reason.
+func Streamable(q *query.Query) Check {
+	if c := Conjunctive(q); !c.OK {
+		return Check{Reason: "query not conjunctive: " + c.Reason}
+	}
+	if c := Univariate(q); !c.OK {
+		return Check{Reason: "query not univariate: " + c.Reason}
+	}
+	if c := LeafOnlyValueRestricted(q); !c.OK {
+		return Check{Reason: "query not leaf-only-value-restricted: " + c.Reason}
+	}
+	nodes := q.Nodes()
+	for _, u := range nodes {
+		if u.Pred == nil {
+			continue
+		}
+		for _, p := range u.Pred.AtomicPredicates() {
+			if len(p.PathLeaves()) == 0 {
+				return Check{Reason: fmt.Sprintf("constant atomic predicate %s is not supported", p)}
+			}
+		}
+	}
+	for _, u := range nodes {
+		if !u.IsLeaf() {
+			continue // LeafOnlyValueRestricted computed the internal nodes' sets
+		}
+		if _, err := query.TruthSetOf(u); err != nil {
+			return Check{Reason: err.Error()}
+		}
+	}
+	return Check{OK: true}
+}
+
 // leafSets returns the truth sets of the leaves in u's structural
 // domination set (L_u of Section 5.5).
 func leafSets(q *query.Query, u *query.Node) ([]query.Set, error) {
 	var out []query.Set
-	for _, v := range match.SDomLeaves(q, u) {
+	for _, v := range SDomLeaves(q, u) {
 		s, err := query.TruthSetOf(v)
 		if err != nil {
 			return nil, err
@@ -305,6 +359,37 @@ func MaxFrontierNode(q *query.Query) *query.Node {
 	return best
 }
 
+// log2ceil returns ⌈log₂ n⌉ with a floor of 1 bit (n ≤ 2 included).
+func log2ceil(n int) int {
+	if n <= 2 {
+		return 1
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// EstimatedBits applies the cost model of Theorem 8.8 to an evaluator's
+// peak state on one document: each of tuples costs log|Q| + log d + log w
+// bits (node reference, level, buffer offset) plus one matched bit, the
+// text buffer 8 bits per byte, and the level counter log d. querySize is
+// |Q|, bufferBytes the peak buffered text w and depth the document depth d;
+// each logarithm is at least 1 bit.
+func EstimatedBits(querySize, tuples, bufferBytes, depth int) int {
+	perTuple := log2ceil(querySize) + log2ceil(depth) + log2ceil(bufferBytes) + 1
+	return tuples*perTuple + bufferBytes*8 + log2ceil(depth)
+}
+
+// LowerBoundBits applies the paper's lower-bound theorems to an observed
+// document shape: any streaming evaluator must distinguish about
+// frontierSize concurrent candidate states (the Section 6 frontier bound),
+// and needs Ω(log d) bits of level information on a document of depth d
+// (Section 4) — so the floor is frontierSize·⌈log₂ d⌉ bits, with
+// frontierSize at least 1. EstimatedBits / LowerBoundBits is an
+// evaluator's optimality ratio: how far its peak state sits above the
+// information-theoretic floor.
+func LowerBoundBits(frontierSize, depth int) int {
+	return max(frontierSize, 1) * log2ceil(depth)
+}
+
 // RecursiveSpec identifies the structure Theorem 7.4 needs: a node v with
 // at least two child-axis children, such that v or one of its ancestors has
 // a descendant axis; v1 is v itself if it has the descendant axis, else its
@@ -372,7 +457,3 @@ func ClosureFree(q *query.Query) bool {
 	}
 	return true
 }
-
-// PathConsistencyFree re-exports the Definition 8.6 test from
-// internal/match for callers that only import fragment.
-func PathConsistencyFree(q *query.Query) bool { return match.PathConsistencyFree(q) }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"streamxpath/internal/fragment"
 	"streamxpath/internal/query"
 	"streamxpath/internal/semantics"
 	"streamxpath/internal/tree"
@@ -200,132 +201,6 @@ func TestTextWidth(t *testing.T) {
 	}
 }
 
-func TestAutomorphismPaperExample(t *testing.T) {
-	// The example after Definition 6.8: /a[b and .//b] has a non-trivial
-	// automorphism mapping both b nodes to the left (child-axis) b.
-	q := query.MustParse("/a[b and .//b]")
-	a := q.Root.Children[0]
-	bLeft, bRight := a.Children[0], a.Children[1]
-	autos := AllAutomorphisms(q, 0)
-	var nontrivial []Automorphism
-	for _, psi := range autos {
-		if !VerifyAutomorphism(q, psi) {
-			t.Errorf("enumerated automorphism fails verification")
-		}
-		if !psi.IsTrivial() {
-			nontrivial = append(nontrivial, psi)
-		}
-	}
-	if len(nontrivial) != 1 {
-		t.Fatalf("non-trivial automorphisms = %d, want 1", len(nontrivial))
-	}
-	psi := nontrivial[0]
-	if psi[bRight] != bLeft || psi[bLeft] != bLeft {
-		t.Error("the automorphism must map both b nodes to the left b")
-	}
-	// Lemma 6.9: the left b structurally subsumes the right b, not vice
-	// versa (the right b has a descendant axis; a child is also a
-	// descendant but not the other way).
-	if !StructurallySubsumes(q, bLeft, bRight) {
-		t.Error("left b subsumes right b")
-	}
-	if StructurallySubsumes(q, bRight, bLeft) {
-		t.Error("right b must not subsume left b (child axis is strict)")
-	}
-}
-
-func TestSDom(t *testing.T) {
-	// Fig. 9's query: the second b structurally subsumes the first b
-	// (leaf) and the first d subsumes the second d (leaf).
-	q := query.MustParse("/a[*/b > 5 and c/b//d > 12 and .//d < 30]")
-	a := q.Root.Children[0]
-	star := a.Children[0]
-	b1 := star.Successor
-	c := a.Children[1]
-	b2 := c.Successor
-	d1 := b2.Successor
-	d2 := a.Children[2]
-
-	sd := SDomLeaves(q, b2)
-	if len(sd) != 1 || sd[0] != b1 {
-		t.Errorf("SDomLeaves(second b) = %v, want {first b}", names(sd))
-	}
-	sd2 := SDomLeaves(q, d1)
-	if len(sd2) != 1 || sd2[0] != d2 {
-		t.Errorf("SDomLeaves(first d) = %v, want {second d}", names(sd2))
-	}
-	// Leaves dominate nothing here.
-	if len(SDomLeaves(q, b1)) != 0 {
-		t.Error("first b dominates nothing")
-	}
-}
-
-func names(ns []*query.Node) []string {
-	out := make([]string, len(ns))
-	for i, n := range ns {
-		out[i] = n.NTest
-	}
-	return out
-}
-
-func TestProposition610(t *testing.T) {
-	// Proposition 6.10: DEPTH(u) <= DEPTH(psi(u)) for every structural
-	// query automorphism — automorphisms map nodes weakly deeper (a
-	// descendant-axis node can map to a deeper descendant, never to a
-	// shallower one).
-	for _, src := range []string{
-		"/a[b and .//b]",
-		"/a[*/b > 5 and c/b//d > 12 and .//d < 30]",
-		"//a[b and c and .//b]",
-	} {
-		q := query.MustParse(src)
-		for _, psi := range AllAutomorphisms(q, 0) {
-			for u, img := range psi {
-				if u.Depth() > img.Depth() {
-					t.Errorf("%s: DEPTH(%s)=%d > DEPTH(ψ(u)=%s)=%d",
-						src, u.NTest, u.Depth(), img.NTest, img.Depth())
-				}
-			}
-		}
-	}
-}
-
-func TestPathConsistent(t *testing.T) {
-	// Definition 8.5's example: in /a[.//b/c and b//c], the two c nodes
-	// are path consistent (witness <a><b><c/></b></a>).
-	q := query.MustParse("/a[.//b/c and b//c]")
-	a := q.Root.Children[0]
-	c1 := a.Children[0].Successor
-	c2 := a.Children[1].Successor
-	if c1.NTest != "c" || c2.NTest != "c" {
-		t.Fatal("test setup: expected two c succession leaves")
-	}
-	if !PathConsistent(c1, c2) {
-		t.Error("the two c nodes are path consistent")
-	}
-	if PathConsistencyFree(q) {
-		t.Error("query is not path consistency-free")
-	}
-	// Disjoint names are not path consistent.
-	q2 := query.MustParse("/a[b and c]")
-	a2 := q2.Root.Children[0]
-	if PathConsistent(a2.Children[0], a2.Children[1]) {
-		t.Error("b and c are not path consistent")
-	}
-	if !PathConsistencyFree(q2) {
-		t.Error("/a[b and c] is path consistency-free")
-	}
-	// A node is never tested against itself; different depths with same
-	// names under child axes are inconsistent.
-	q3 := query.MustParse("/a[b/b]")
-	a3 := q3.Root.Children[0]
-	bTop := a3.Children[0]
-	bBot := bTop.Successor
-	if PathConsistent(bTop, bBot) {
-		t.Error("/a/b vs /a/b/b end at different depths")
-	}
-}
-
 func TestPathConsistentSanity(t *testing.T) {
 	// Cross-check PathConsistent against brute force on small documents:
 	// if some node of a document path matches both, PathConsistent must
@@ -359,7 +234,7 @@ func TestPathConsistentSanity(t *testing.T) {
 						}
 						return true
 					})
-					if witnessed && !PathConsistent(u, v) {
+					if witnessed && !fragment.PathConsistent(u, v) {
 						t.Errorf("%s: nodes %s,%s witnessed consistent by %s but PathConsistent=false",
 							qs, u.NTest, v.NTest, ds)
 					}

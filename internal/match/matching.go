@@ -1,11 +1,11 @@
-// Package match implements the matching machinery of Sections 5.5, 6.2, 6.3
-// and 8.6: matchings and structural matchings of documents with queries
-// (Definition 5.8), leaf-preserving matchings (Definition 6.3), hybrid
-// matchings (Definition 6.6), structural query automorphisms
-// (Definition 6.8) and the structural subsumption they characterize
-// (Lemma 6.9), path matchings (Definition 8.2), path recursion depth
-// (Definition 8.3), text width (Definition 8.4) and path consistency
-// (Definition 8.5).
+// Package match implements the document-side matching machinery of
+// Sections 5.5, 6.2, 6.3 and 8.6: matchings and structural matchings of
+// documents with queries (Definition 5.8), leaf-preserving matchings
+// (Definition 6.3), hybrid matchings (Definition 6.6), path matchings
+// (Definition 8.2), path recursion depth (Definition 8.3) and text width
+// (Definition 8.4). The analyses that read only the query — structural
+// query automorphisms, structural subsumption and path consistency — are
+// in internal/fragment.
 //
 // Lemma 5.10 states that a document matches a query iff a matching exists;
 // MatchOracle therefore provides a second, independently implemented

@@ -112,27 +112,6 @@ func TestVerifyDiagnostics(t *testing.T) {
 	}
 }
 
-// TestAutomorphismPinned: FindAutomorphism honors multiple pins.
-func TestAutomorphismPinned(t *testing.T) {
-	q := query.MustParse("/a[b and .//b and c]")
-	a := q.Root.Children[0]
-	bChild, bDesc, c := a.Children[0], a.Children[1], a.Children[2]
-	// Pin both b nodes onto the child-axis b: satisfiable.
-	psi, ok := FindAutomorphism(q, map[*query.Node]*query.Node{bDesc: bChild, bChild: bChild})
-	if !ok || psi[c] != c {
-		t.Error("pinned automorphism should exist and fix c")
-	}
-	// Pin the child-axis b onto the descendant one: unsatisfiable (a
-	// child-axis node must map to a child-axis node).
-	if _, ok := FindAutomorphism(q, map[*query.Node]*query.Node{bChild: bDesc}); ok {
-		t.Error("child-axis node cannot map to a descendant-axis node")
-	}
-	// Pin c onto b: node test preservation fails.
-	if _, ok := FindAutomorphism(q, map[*query.Node]*query.Node{c: bChild}); ok {
-		t.Error("c cannot map to b")
-	}
-}
-
 // TestPathRecursionVsRecursionGap: path recursion depth upper-bounds
 // recursion depth (Section 8.6's discussion).
 func TestPathRecursionVsRecursionGap(t *testing.T) {

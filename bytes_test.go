@@ -3,6 +3,7 @@ package streamxpath
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -244,7 +245,10 @@ func TestFilterSetPredicatedZeroAlloc(t *testing.T) {
 // a skim checks without decoding, with no budgets and with the depth and
 // token budgets of a server tenant, which the skim enforces on the same
 // path. The feeds are the scan workload's: about 256 KB, 8 predicate-free
-// subscriptions, every verdict final within the first items.
+// subscriptions, every verdict final within the first items. A feed spans
+// many pieces of the skim's split, so run at -cpu 1,2,4 the pin holds with
+// helpers on zero, one and three other cores; on one core no helper runs
+// (Stats().SkimPieces is 0), on more a helper's pieces are adopted.
 func TestFilterSetSkimZeroAlloc(t *testing.T) {
 	s := NewFilterSet()
 	for i, q := range []string{"/news/item", "/news/item/title", "/news//p", "/news/*/keyword",
@@ -274,6 +278,19 @@ func TestFilterSetSkimZeroAlloc(t *testing.T) {
 				if len(res.MatchedIDs) != 7 || res.SkimmedBytes < int64(len(doc)-8<<10) {
 					t.Fatalf("%d-byte feed, limits %+v: matched %d, skimmed %d bytes; want 7 and all but the head",
 						len(doc), lim, len(res.MatchedIDs), res.SkimmedBytes)
+				}
+				if pieces := s.Stats().SkimPieces; runtime.GOMAXPROCS(0) == 1 && pieces != 0 {
+					t.Fatalf("%d-byte feed on one core: %d pieces validated by helpers, want 0", len(doc), pieces)
+				}
+			}
+			// With another core, a helper gets to a piece before the caller
+			// does — if not on the first try, on one of the next.
+			for i := 0; runtime.GOMAXPROCS(0) > 1 && s.Stats().SkimPieces == 0; i++ {
+				if i == 100 {
+					t.Fatalf("%d-byte feed on %d cores: no piece validated by a helper in 100 matches", len(doc), runtime.GOMAXPROCS(0))
+				}
+				if _, err := s.MatchBytes(doc); err != nil {
+					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(20, func() {

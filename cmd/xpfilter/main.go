@@ -26,7 +26,9 @@
 // prints it under the verdict line. -stats then reports the engine's
 // shared-structure sizes. -bench N reads the document into memory and
 // re-matches it N times, reporting events/sec and allocs/event of the
-// warm fast path.
+// warm fast path; with -subs, -stats then prints the engine's statistics
+// for the last of those matches, whose pieces= counts the pieces of the
+// skimmed remainder helper goroutines validated on the other cores.
 //
 // -workers N matches on a pool of N full engine replicas (FilterPool)
 // instead of the sequential engine: the inputs stream as above, N at a
@@ -416,10 +418,14 @@ func runSet(set *streamxpath.FilterSet, name string, stats bool, bench int) erro
 		reportSkim(res.SkimmedBytes, len(doc))
 		reportAbstain(res.Abstained)
 		reportFragments(res.Fragments)
-		return benchReport(doc, bench, func() error {
+		if err := benchReport(doc, bench, func() error {
 			_, err := set.MatchBytes(doc)
 			return err
-		})
+		}); err != nil || !stats {
+			return err
+		}
+		fmt.Printf("  %s\n", set.Stats())
+		return nil
 	}
 	r, closeIn, err := openInput(name)
 	if err != nil {

@@ -209,6 +209,9 @@ type Engine struct {
 	// a route that holds no subscription is not dispatched elements at all.
 	events   int
 	maxLevel int
+	// skimPieces is the number of pieces of the document's skimmed remainder
+	// that helpers validated (Stats.SkimPieces).
+	skimPieces int
 	// rootClosed: the document's root element has ended. A second one is
 	// refused, as the tokenizers refuse it: Decided rests on only the root's
 	// subtree producing elements.
@@ -498,7 +501,7 @@ func (e *Engine) Reset() {
 	e.started = false
 	e.finished = false
 	e.level = 0
-	e.events, e.maxLevel = 0, 0
+	e.events, e.maxLevel, e.skimPieces = 0, 0, 0
 	e.rootClosed = false
 }
 
@@ -884,12 +887,17 @@ type Stats struct {
 	// grow with the distinct steps a document exercises, not with the
 	// subscription count. GroupProbes counts the candidate values
 	// resolved against a predicate group — one search or lookup each,
-	// whatever the group's size. PeakTuples is the peak predicate frontier;
-	// spine continuations are looked up, not held.
+	// whatever the group's size. SkimPieces counts the pieces of a skimmed
+	// remainder (MatchBytes) that helper goroutines validated on the other
+	// cores and the skim adopted: 0 on one core, for a remainder shorter than
+	// two pieces, and on the reader path, which does not skim. PeakTuples is
+	// the peak predicate frontier; spine continuations are looked up, not
+	// held.
 	Events          int
 	TupleVisits     int
 	FrontierInserts int
 	GroupProbes     int
+	SkimPieces      int
 	PeakTuples      int
 	PeakScopes      int
 	PeakBufferBytes int
@@ -924,6 +932,7 @@ func (e *Engine) Stats() Stats {
 	st.TupleVisits = ms.TupleVisits
 	st.FrontierInserts = ms.FrontierInserts
 	st.GroupProbes = ms.GroupProbes
+	st.SkimPieces = e.skimPieces
 	st.PeakTuples = ms.PeakTuples
 	st.PeakScopes = ms.PeakScopes
 	st.PeakBufferBytes = ms.PeakBufferBytes
@@ -933,9 +942,9 @@ func (e *Engine) Stats() Stats {
 
 // String renders the stats compactly.
 func (s Stats) String() string {
-	return fmt.Sprintf("subs=%d (nfa=%d trie=%d) steps=%d shared=%d predNodes=%d groups=%d/%d dfa=%d/%d materialized=%d rebuilds=%d events=%d visits=%d inserts=%d probes=%d peakTuples=%d",
+	return fmt.Sprintf("subs=%d (nfa=%d trie=%d) steps=%d shared=%d predNodes=%d groups=%d/%d dfa=%d/%d materialized=%d rebuilds=%d events=%d visits=%d inserts=%d probes=%d pieces=%d peakTuples=%d",
 		s.Subscriptions, s.NFARouted, s.TrieRouted, s.SpineSteps, s.SharedStates, s.PredNodes, s.PredGroups, s.LargestGroup,
-		s.DFAStates, s.DFATransitions, s.DFAMaterialized, s.Rebuilds, s.Events, s.TupleVisits, s.FrontierInserts, s.GroupProbes, s.PeakTuples)
+		s.DFAStates, s.DFATransitions, s.DFAMaterialized, s.Rebuilds, s.Events, s.TupleVisits, s.FrontierInserts, s.GroupProbes, s.SkimPieces, s.PeakTuples)
 }
 
 // MemStats is the engine's live-memory accounting for the last (or

@@ -114,6 +114,9 @@ const firstProbe = 4 << 10
 // error but Outcome.Abstained.
 func (e *Engine) MatchBytes(doc []byte, mode CaptureMode) (Outcome, error) {
 	skimmed, err := e.matchBuffered(doc, mode, firstProbe)
+	if skimmed > 0 {
+		e.skimPieces = e.tok.SkimPieces()
+	}
 	out, err := e.outcome(doc, mode, err)
 	out.Skimmed = skimmed
 	return out, err

@@ -12,8 +12,9 @@ import (
 //
 //  0. Skim ≡ Next: some number of events in (taken from the input), Skim
 //     ends the document exactly where the Next loop ends it — same error,
-//     same deepest level — with and without budgets
-//     (sax.CheckSkimEquivalence, the body of TestSkimMatchesNext).
+//     same deepest level, same offset — with and without budgets, unsplit,
+//     split into pieces at every '<' and at a piece size taken from the
+//     input (sax.CheckSkimEquivalence, the body of TestSkimMatchesNext).
 //  1. Differential: it accepts exactly the documents the streaming string
 //     tokenizer accepts, producing the identical (attribute-expanded)
 //     event stream.
@@ -40,12 +41,12 @@ func FuzzTokenizerBytes(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		k := 0
+		k, size := 0, 2
 		if len(data) > 0 {
-			k = int(data[len(data)-1]) % 24
+			k, size = int(data[len(data)-1])%24, 2+int(data[0])%48
 		}
-		sax.CheckSkimEquivalence(t, data, k, limits.Limits{})
-		sax.CheckSkimEquivalence(t, data, k, limits.Limits{MaxDepth: 3, MaxTokenBytes: 24})
+		sax.CheckSkimEquivalence(t, data, k, limits.Limits{}, size)
+		sax.CheckSkimEquivalence(t, data, k, limits.Limits{MaxDepth: 3, MaxTokenBytes: 24}, size)
 		sax.CheckBatchEquivalence(t, data, limits.Limits{})
 		sax.CheckBatchEquivalence(t, data, limits.Limits{MaxDepth: 3, MaxTokenBytes: 24})
 

@@ -32,15 +32,44 @@ type skimOutcome struct {
 
 // CheckSkimEquivalence runs doc to its end with Next, and again with k
 // calls of Next followed by Skim, under the same budgets, and fails t where
-// the two ends differ. It returns the number of events doc yields (those
-// before its first error), so a caller can walk k over all of them; a k
-// past that number checks nothing new. Exported for FuzzTokenizerBytes,
-// which lives in the external test package.
-func CheckSkimEquivalence(t testing.TB, doc []byte, k int, lim limits.Limits) int {
+// the two ends differ. The skim runs unsplit, with a piece starting at every
+// '<' of the remainder, and at each of pieceSizes: split, the tokenizer
+// validates every piece in piece mode first and then adopts what it can, so
+// each piece's adoption — and each fallback to the sequential path — is
+// exercised however many cores there are. It returns the number of events
+// doc yields (those before its first error), so a caller can walk k over
+// all of them; a k past that number checks nothing new. Exported for
+// FuzzTokenizerBytes, which lives in the external test package.
+func CheckSkimEquivalence(t testing.TB, doc []byte, k int, lim limits.Limits, pieceSizes ...int) int {
 	t.Helper()
+	want, events := nextEnd(doc, lim)
+	if k > len(events) {
+		return len(events) // doc ends or fails within k events: no skim to compare
+	}
 	tok := NewTokenizerBytes(doc, nil)
 	tok.SetLimits(lim)
-	var want skimOutcome
+	for _, size := range append([]int{0, 1}, pieceSizes...) {
+		tok.pieceSize = size
+		got := skimAfter(t, tok, doc, events[:k])
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q, limits %+v, pieces of %d: %d × Next then Skim ended at %+v (%v), Next alone at %+v (%v)",
+				doc, lim, size, k, got, got.err, want, want.err)
+		}
+		if got.err == nil {
+			if _, err := tok.Next(); err != io.EOF {
+				t.Fatalf("%q, pieces of %d: Next after a completed Skim = %v, want io.EOF", doc, size, err)
+			}
+		}
+	}
+	return len(events)
+}
+
+// nextEnd runs doc to its end with Next under lim: where it ends, and the
+// events it yields before its error.
+func nextEnd(doc []byte, lim limits.Limits) (skimOutcome, []Event) {
+	tok := NewTokenizerBytes(doc, nil)
+	tok.SetLimits(lim)
+	var end skimOutcome
 	var events []Event
 	for {
 		ev, err := tok.Next()
@@ -49,33 +78,26 @@ func CheckSkimEquivalence(t testing.TB, doc []byte, k int, lim limits.Limits) in
 			continue
 		}
 		if err != io.EOF {
-			want.err = err
+			end.err = err
 		}
-		want.deepest, want.offset = Depth(events), tok.Offset()
-		break
+		end.deepest, end.offset = Depth(events), tok.Offset()
+		return end, events
 	}
-	if k > len(events) {
-		return len(events) // doc ends or fails within k events: no skim to compare
-	}
+}
 
+// skimAfter points tok at doc, takes len(prefix) events — which must be
+// prefix — and skims the rest: where that ends, its deepest level counting
+// the prefix's.
+func skimAfter(t testing.TB, tok *TokenizerBytes, doc []byte, prefix []Event) skimOutcome {
+	t.Helper()
 	tok.Reset(doc)
-	for i := 0; i < k; i++ {
+	for i := range prefix {
 		if _, err := tok.Next(); err != nil {
-			t.Fatalf("%q: event %d of %d on a second pass: %v", doc, i, len(events), err)
+			t.Fatalf("%.40q…: event %d of the prefix on a second pass: %v", doc, i, err)
 		}
 	}
 	deepest, err := tok.Skim()
-	got := skimOutcome{err, max(Depth(events[:k]), deepest), tok.Offset()}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%q, limits %+v: %d × Next then Skim ended at %+v (%v), Next alone at %+v (%v)",
-			doc, lim, k, got, got.err, want, want.err)
-	}
-	if got.err == nil {
-		if _, err := tok.Next(); err != io.EOF {
-			t.Fatalf("%q: Next after a completed Skim = %v, want io.EOF", doc, err)
-		}
-	}
-	return len(events)
+	return skimOutcome{err, max(Depth(prefix), deepest), tok.Offset()}
 }
 
 // batchEvent is one event as a consumer saw it — every field, Data copied

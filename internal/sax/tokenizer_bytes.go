@@ -64,7 +64,9 @@ var ErrNeedMoreData = errors.New("sax: need more data")
 // attributes, comments, PIs, CDATA, DOCTYPE, text outside the root, a
 // reference it does not know, any other end tag — it hands to the scanners
 // Next uses, from the construct's first byte, so they remain the one
-// authority on errors.
+// authority on errors. A long remainder is split at tag boundaries into
+// pieces that helper goroutines run the same kernel over, and the skim
+// adopts the pieces they finished (skim_pieces.go).
 //
 // It accepts exactly the syntax of the streaming Tokenizer and produces
 // the same event stream (modulo attribute expansion — apply
@@ -186,6 +188,15 @@ type TokenizerBytes struct {
 	deepest  int
 	tagAttrs int
 	breach   error
+
+	// A skim of a long enough remainder is split into pieces that helper
+	// goroutines validate ahead of the cursor (see skimRest); job holds them.
+	// pieceSize, when set, forces the split at that size with the cursor as
+	// the only helper, before its own pass (the differential tests' seam).
+	// skimPieces counts the pieces the last skim adopted.
+	job        *skimJob
+	pieceSize  int
+	skimPieces int
 }
 
 // nameCacheBits sizes the direct-mapped name cache (the hash's top bits
@@ -267,6 +278,7 @@ func (t *TokenizerBytes) Reset(data []byte) {
 	t.deepest = 0
 	t.tagAttrs = 0
 	t.breach = nil
+	t.skimPieces = 0
 	t.pending = t.pending[:0]
 	t.head = 0
 	t.stabilized = 0
@@ -309,7 +321,7 @@ func (t *TokenizerBytes) Limits() limits.Limits { return t.lim }
 
 // limitErr reports a budget breach as a typed, recoverable error (cold
 // path — reached at most once per document).
-func (t *TokenizerBytes) limitErr(resource string, limit, observed int) error {
+func limitErr(resource string, limit, observed int) error {
 	return &limits.Error{Resource: resource, Limit: int64(limit), Observed: int64(observed)}
 }
 
@@ -318,7 +330,7 @@ func (t *TokenizerBytes) limitErr(resource string, limit, observed int) error {
 // MaxTokenBytes breach.
 func (t *TokenizerBytes) tokenTooLong(p, n int) error {
 	t.pos = p
-	return t.limitErr("token-bytes", t.lim.MaxTokenBytes, n)
+	return limitErr("token-bytes", t.lim.MaxTokenBytes, n)
 }
 
 // suspendable reports that running out of input here should suspend the
@@ -685,6 +697,12 @@ func (t *TokenizerBytes) Offset() int { return t.base + t.pos }
 // the error if there is one — in the units an evaluator fed from Next
 // counts: one per StartElement event open at once, so a self-closing tag is
 // a level like any element and an attribute sits one below its element.
+//
+// On a host with more than one core, a remainder of at least two pieces
+// (skimPieceBytes each) is validated in parallel: helper goroutines check
+// pieces ahead of the calling goroutine, which adopts what they finished and
+// validates everything else itself (skimRest). The outcome is the sequential
+// skim's, and no helper reads the document after Skim returns.
 func (t *TokenizerBytes) Skim() (deepest int, err error) {
 	t.skim = true
 	t.started = true
@@ -708,15 +726,37 @@ func (t *TokenizerBytes) Skim() (deepest int, err error) {
 // skimRest alternates the skim kernel with Next's dispatch: skimKernel takes
 // what it can, and the construct it stops at goes to the scanner Next would
 // call, with nothing returned.
+//
+// A long remainder is split first (split): helper goroutines validate its
+// pieces ahead of the cursor, each from a '<' on, and the kernel runs here
+// only up to the next piece's start. Landing on it exactly, the cursor takes
+// over what the piece's helper validated (reach) and goes on from where that
+// stopped; passing over it — a comment, CDATA section or PI held the '<' —
+// it leaves the piece behind. Every byte the cursor did not take from a
+// helper it validates itself, in this loop, so an error is found here, by
+// the code that finds it without pieces, at the same offset and with the
+// same message and deepest level.
 func (t *TokenizerBytes) skimRest() error {
 	if t.breach != nil {
 		return t.breach
 	}
 	data := t.data
+	j := t.split()
+	if j != nil {
+		defer j.finish()
+	}
 	for {
-		p, err := t.skimKernel(t.pos)
+		end := len(data)
+		if j != nil {
+			end = j.next(t.pos)
+		}
+		p, err := t.skimKernel(t.pos, end)
 		if err != nil {
 			return err
+		}
+		if p == end && end < len(data) {
+			j.reach(t)
+			continue
 		}
 		if p >= len(data) {
 			break
@@ -742,21 +782,49 @@ func (t *TokenizerBytes) skimRest() error {
 	return t.endOfInput()
 }
 
-// skimKernel is the skim's fast path: one loop on a local cursor over the
+// skimKernel runs the skim kernel from p up to end (a piece's start, or the
+// end of the input) on the tokenizer's open elements, and commits t.pos at
+// the offset it returns.
+func (t *TokenizerBytes) skimKernel(p, end int) (int, error) {
+	k := skimState{spans: t.spans, below: len(t.stack), deepest: t.deepest}
+	p, err := k.kernel(t.data[:end], p, t.lim.MaxDepth, t.lim.MaxTokenBytes)
+	if len(t.spans) > 0 && len(k.spans) == 0 && k.below == 0 {
+		t.rootSeen = true // entered inside the root, which has closed
+	}
+	t.pos, t.spans, t.deepest = p, k.spans, k.deepest
+	return p, err
+}
+
+// skimState is what the skim kernel carries from one construct to the next:
+// the elements it opened (spans, innermost last), how many are open beneath
+// them, and the deepest level reached. In a piece (see skimJob) nothing is
+// known of the elements beneath: below starts at pieceBelow, so no depth the
+// kernel sees is 0, and an end tag with no span open is recorded in closes
+// and taken, not left to the scanners.
+type skimState struct {
+	spans   []span
+	below   int
+	deepest int
+	piece   bool
+	closes  []pieceClose
+}
+
+// kernel is the skim's fast path: one loop on a local cursor over the
 // constructs that make up nearly all of a document's body — text runs inside
 // the root with the predefined and character references skipReference
 // knows, <name> and <name/>, and </name> closing the innermost skimmed
-// element — with MaxDepth and MaxTokenBytes enforced and t.deepest kept as
+// element — with MaxDepth and MaxTokenBytes enforced and deepest kept as
 // the scanners keep it. It returns the offset of the first construct it
-// leaves to the scanners (t.pos committed there; len(data) at the end of the
-// input): attributes, comments, PIs, CDATA, DOCTYPE, text outside the root,
-// a reference skipReference does not know, an end tag that is not
-// </top-span> and the end tags of the elements on t.stack. They alone name
-// errors, so the kernel stops at the start of anything it does not accept,
-// and a scanner rescans it from there.
-func (t *TokenizerBytes) skimKernel(p int) (int, error) {
-	data, spans, deepest := t.data, t.spans, t.deepest
-	below, maxDepth, maxToken := len(t.stack), t.lim.MaxDepth, t.lim.MaxTokenBytes
+// leaves to the scanners (len(data) at the end of its window): attributes,
+// comments, PIs, CDATA, DOCTYPE, text outside the root, a reference
+// skipReference does not know, an end tag that is not </top-span> and the
+// end tags of the elements beneath the spans. They alone name errors, so
+// the kernel stops at the start of anything it does not accept, and a
+// scanner rescans it from there. A window that ends early ends at a '<', so
+// the kernel stops at the same offsets as on the whole input, or at that
+// '<'.
+func (k *skimState) kernel(data []byte, p, maxDepth, maxToken int) (int, error) {
+	spans, below, deepest, closes := k.spans, k.below, k.deepest, k.closes
 	var err error
 loop:
 	for p < len(data) {
@@ -778,7 +846,7 @@ loop:
 				p = q
 			}
 			if maxToken > 0 && p-start > maxToken {
-				p, err = start, t.limitErr("token-bytes", maxToken, p-start)
+				p, err = start, limitErr("token-bytes", maxToken, p-start)
 				break
 			}
 			continue
@@ -790,7 +858,24 @@ loop:
 		if c == '/' {
 			n := len(spans)
 			if n == 0 {
-				break
+				if !k.piece {
+					break
+				}
+				// It closes an element opened before the piece: which one,
+				// and whether the name matches, only the cursor knows.
+				q := p + 2
+				if q == len(data) || nameClass[data[q]]&classStart == 0 {
+					break
+				}
+				for q++; q < len(data) && nameClass[data[q]]&className != 0; q++ {
+				}
+				if q == len(data) || data[q] != '>' {
+					break
+				}
+				closes = append(closes, pieceClose{span{p + 2, q}, deepest})
+				below--
+				p = q + 1
+				continue
 			}
 			name := data[spans[n-1].start:spans[n-1].end]
 			end := p + 2 + len(name)
@@ -799,9 +884,6 @@ loop:
 			}
 			spans = spans[:n-1]
 			p = end + 1
-			if n == 1 && below == 0 {
-				t.rootSeen = true
-			}
 			continue
 		}
 		if nameClass[c]&classStart == 0 || depth == 0 {
@@ -824,7 +906,7 @@ loop:
 		}
 		elem := depth + 1
 		if maxDepth > 0 && elem > maxDepth {
-			p, err = close, t.limitErr("depth", maxDepth, elem)
+			p, err = close, limitErr("depth", maxDepth, elem)
 			break
 		}
 		deepest = max(deepest, elem)
@@ -833,7 +915,7 @@ loop:
 		}
 		p = close
 	}
-	t.pos, t.spans, t.deepest = p, spans, deepest
+	k.spans, k.below, k.deepest, k.closes = spans, below, deepest, closes
 	return p, err
 }
 
@@ -1264,7 +1346,7 @@ func (t *TokenizerBytes) countLevels() error {
 	}
 	elem := t.depth() + 1
 	if limit > 0 && elem > limit {
-		return t.limitErr("depth", limit, elem)
+		return limitErr("depth", limit, elem)
 	}
 	t.deepest = max(t.deepest, elem)
 	if t.tagAttrs == 0 && len(t.pending) == 0 {
@@ -1274,7 +1356,7 @@ func (t *TokenizerBytes) countLevels() error {
 		t.deepest = max(t.deepest, elem+1)
 		return nil
 	}
-	t.breach = t.limitErr("depth", limit, elem+1)
+	t.breach = limitErr("depth", limit, elem+1)
 	if t.skim {
 		return t.breach
 	}

@@ -135,7 +135,11 @@ func (m *matcher) Stats() FilterSetStats { return m.b.Stats() }
 // were only validated. Verdicts are probed at document offsets 4 KiB,
 // 8 KiB, 16 KiB, …, so a document shorter than 4 KiB is always dispatched
 // whole. (MatchReader goes further and stops reading at the decision
-// point, leaving the remainder unvalidated.)
+// point, leaving the remainder unvalidated.) With more than one core, a
+// remainder of at least two pieces (16 KiB each) is validated on every free
+// core: helper goroutines check pieces ahead of the calling one, which
+// adopts what they finished and validates the rest itself, so the outcome
+// is the sequential skim's; Stats().SkimPieces counts the adopted pieces.
 //
 // Who owns the returned slice is the matcher's contract, stated on its
 // type: FilterSet reuses it, FilterPool allocates it.

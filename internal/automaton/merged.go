@@ -19,8 +19,8 @@ import (
 //
 // The trie is edited where it stands. Add extends it through a per-state
 // child index and Remove unlinks the states no query passes through any
-// more, both in O(|query|); a SharedRunner bound to the automaton is told
-// which states' child sets changed and forgets only the memoized
+// more, both in O(|query|); every SharedRunner bound to the automaton is
+// told which states' child sets changed and forgets only the memoized
 // transitions that depended on them. An unlinked state's slot goes on a
 // free list and the next Add takes it, so Slots never exceeds the peak of
 // Size however long the automaton is patched. That cannot alias: Remove
@@ -45,7 +45,9 @@ type MergedNFA struct {
 	freeOuts []int
 	outputs  int // ids in use
 
-	runner *SharedRunner
+	// runners are the runners bound to the automaton, each with a memo of its
+	// own that every patch has to reach.
+	runners []*SharedRunner
 }
 
 // edge keys a state's child: the step's interned node test (symtab.None
@@ -135,8 +137,8 @@ func (m *MergedNFA) Add(q *query.Query) (int, error) {
 	}
 	m.states[cur].outputs = append(m.states[cur].outputs, out)
 	m.outputs++
-	if m.runner != nil {
-		m.runner.accept(cur, out, true)
+	for _, r := range m.runners {
+		r.accept(cur, out, true)
 	}
 	return out, nil
 }
@@ -158,8 +160,8 @@ func (m *MergedNFA) Remove(out int) {
 		}
 	}
 	m.outputs--
-	if m.runner != nil {
-		m.runner.accept(cur, out, false)
+	for _, r := range m.runners {
+		r.accept(cur, out, false)
 	}
 	// through never grows downwards, so the emptied states are a suffix of
 	// the path and each is a leaf by the time the walk reaches it.
@@ -175,21 +177,21 @@ func (m *MergedNFA) Remove(out int) {
 			m.freeStates = append(m.freeStates, cur)
 			m.live--
 			delete(m.states[parent].kids, e)
-			if m.runner != nil {
-				m.runner.dropSets(cur)
+			for _, r := range m.runners {
+				r.dropSets(cur)
 			}
 			m.childChanged(parent, e, -1)
 		}
 		cur = parent
 	}
 	m.states[0].through--
-	if m.runner != nil {
-		m.runner.compact()
+	for _, r := range m.runners {
+		r.compact()
 	}
 }
 
 // childChanged records that state p gained (delta +1) or lost (-1) its
-// child along e and tells the runner which memoized transitions that
+// child along e and tells the runners which memoized transitions that
 // touches: those of the item sets containing p, on e's symbol — on every
 // symbol when e is a wildcard, or when p's first descendant child arrived
 // or its last one left, because that is what decides whether p survives a
@@ -201,8 +203,8 @@ func (m *MergedNFA) childChanged(p int, e edge, delta int) {
 		st.descKids += delta
 		flipped = st.descKids == 0 || (delta > 0 && st.descKids == 1)
 	}
-	if m.runner != nil {
-		m.runner.invalidate(p, e.sym, flipped)
+	for _, r := range m.runners {
+		r.invalidate(p, e.sym, flipped)
 	}
 }
 
@@ -339,8 +341,10 @@ type SharedRunner struct {
 	accepts [][]int
 	// setsOf[state] lists the ids of the sets holding the state in either
 	// mode — where a change of its children has to be forgotten. Ids of
-	// dropped sets are swept out on the next visit.
-	setsOf [][]int
+	// dropped sets are swept out on the next visit. It is keyed by the
+	// states the memo holds, so that a runner's share of a large automaton
+	// is what it has materialized.
+	setsOf map[int][]int
 
 	startID int // interned id of the initial item set
 	stack   []int
@@ -373,13 +377,23 @@ type SharedRunner struct {
 // NewSharedRunner returns a runner over the merged automaton, dispatching
 // on the automaton's symbol table: callers that tokenize with that table
 // feed the runner symbols directly via StartElementSym. The runner follows
-// the automaton's later Add and Remove calls; an automaton has one runner.
+// the automaton's later Add and Remove calls until Unbind. An automaton may
+// have any number of runners, each matching its own documents: they read it
+// and write only themselves, so they may run concurrently while it is not
+// patched.
 func NewSharedRunner(m *MergedNFA) *SharedRunner {
-	r := &SharedRunner{m: m, index: make(map[string]int)}
-	m.runner = r
+	r := &SharedRunner{m: m, index: map[string]int{}, setsOf: map[int][]int{}}
+	m.runners = append(m.runners, r)
 	r.startID = r.intern([]int{0}) // the root, fresh
 	r.Reset()
 	return r
+}
+
+// Unbind stops the runner following the automaton's mutations. It is not to
+// be used again.
+func (r *SharedRunner) Unbind() {
+	i := slices.Index(r.m.runners, r)
+	r.m.runners = slices.Delete(r.m.runners, i, i+1)
 }
 
 // Reset clears the per-document state (stack and matches) but keeps the
@@ -416,9 +430,6 @@ func (r *SharedRunner) intern(items []int) int {
 		}
 	}
 	r.accepts = append(r.accepts, acc)
-	if n := r.m.Slots(); n > len(r.setsOf) {
-		r.setsOf = append(r.setsOf, make([][]int, n-len(r.setsOf))...)
-	}
 	for i, it := range items {
 		if i == 0 || it>>1 != items[i-1]>>1 {
 			r.setsOf[it>>1] = append(r.setsOf[it>>1], id)
@@ -439,19 +450,26 @@ func (r *SharedRunner) clearRow(id int) {
 }
 
 // holders returns the ids of the live sets holding state s, sweeping the
-// dropped ones out of the inverse index.
+// dropped ones out of the inverse index, which keeps no empty list.
 func (r *SharedRunner) holders(s int) []int {
-	if s >= len(r.setsOf) {
-		return nil
-	}
-	live := r.setsOf[s][:0]
-	for _, id := range r.setsOf[s] {
+	ids := r.setsOf[s]
+	live := ids[:0]
+	for _, id := range ids {
 		if r.sets[id] != nil {
 			live = append(live, id)
 		}
 	}
-	r.setsOf[s] = live
+	r.keep(s, live)
 	return live
+}
+
+// keep stores ids as the sets holding state s.
+func (r *SharedRunner) keep(s int, ids []int) {
+	if len(ids) == 0 {
+		delete(r.setsOf, s)
+	} else {
+		r.setsOf[s] = ids
+	}
 }
 
 // accept enters out into (add) or withdraws it from the accept lists of the
@@ -502,9 +520,7 @@ func (r *SharedRunner) dropSets(s int) {
 	for _, id := range r.holders(s) {
 		r.drop(id)
 	}
-	if s < len(r.setsOf) {
-		r.setsOf[s] = nil
-	}
+	delete(r.setsOf, s)
 }
 
 func (r *SharedRunner) drop(id int) {
@@ -555,7 +571,7 @@ func (r *SharedRunner) compact() {
 				live = append(live, int(to)-1)
 			}
 		}
-		r.setsOf[s] = live
+		r.keep(s, live)
 	}
 	r.startID = int(renumbered[r.startID]) - 1
 	r.stack = r.stack[:0]

@@ -468,15 +468,26 @@ type patchSub struct {
 	src string
 }
 
-// runPatch plays an Add/Remove sequence against one automaton and its
-// runner, a document each round, and after every op holds the runner to
-// checkPatched. One op in eight is a burst — forty one-off queries, a
-// document through them all, and their removal — so that the runner drops
-// enough item sets to renumber them. It returns how many Removes did.
+// runPatch plays an Add/Remove sequence against one automaton and two
+// runners bound to it, a document each round, and after every op holds both
+// runners to checkPatched. One op in eight is a burst — forty one-off
+// queries, a document through them all, and their removal — so that the
+// runner drops enough item sets to renumber them. Another binds the second
+// runner, later replaces it, as a rebuilt engine replaces its own: every
+// patch has to reach both memos, whenever their runners were bound, and none
+// an unbound runner's. It returns how many Removes renumbered the first
+// runner's sets.
 func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 	m := NewMergedNFA(nil)
 	r := NewSharedRunner(m)
+	var other *SharedRunner
 	var live []patchSub
+	check := func(label string, doc []sax.Event) {
+		checkPatched(t, label, m, r, live, doc)
+		if other != nil {
+			checkPatched(t, label+", second runner", m, other, live, doc)
+		}
+	}
 	add := func(src string) {
 		out, err := m.Add(query.MustParse(src))
 		if err != nil {
@@ -505,17 +516,25 @@ func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 					burst = append(burst, sax.Start(name), sax.Start("u"), sax.End("u"), sax.End(name))
 				}
 				burst = append(burst, sax.End("z"), sax.EndDoc())
-				checkPatched(t, fmt.Sprintf("round %d: burst", round), m, r, live, burst)
+				check(fmt.Sprintf("round %d: burst", round), burst)
 				for len(live) > n {
 					remove(len(live) - 1)
 					checkAccepts(t, fmt.Sprintf("round %d: burst, %d left", round, len(live)-n), r)
 				}
 			case k < 3 && len(live) > 0:
 				remove(d.n(len(live)))
+			case k == 3:
+				if other != nil {
+					other.Unbind()
+				}
+				other = NewSharedRunner(m)
+				if !slices.Equal(m.runners, []*SharedRunner{r, other}) {
+					t.Fatalf("round %d: %d runners bound, want 2", round, len(m.runners))
+				}
 			default:
 				add(patchQuery(d))
 			}
-			checkPatched(t, fmt.Sprintf("round %d op %d", round, op), m, r, live, doc)
+			check(fmt.Sprintf("round %d op %d", round, op), doc)
 		}
 	}
 	return compactions
@@ -595,8 +614,9 @@ func checkPatched(t testing.TB, label string, m *MergedNFA, r *SharedRunner, liv
 }
 
 // FuzzMergedPatch: whatever Add/Remove sequence patches the automaton, every
-// item set accepts what its fresh states do — across compaction too — the
-// dead-state count is the walk's, and the verdicts are a fresh runner's.
+// item set of either bound runner accepts what its fresh states do — across
+// compaction too — the dead-state count is the walk's, and the verdicts are
+// a fresh runner's.
 func FuzzMergedPatch(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	compactions := 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ import (
 
 // The churn differential: one engine lives through a random sequence of
 // Add, AddExtract, Remove and Rebuild calls, patching its indexes in place —
-// or, in Rebuild, recompiling them from the texts it kept — and after every
+// or, in Rebuild, replacing its per-document state — and after every
 // few of them one document runs through it and through an engine built from
 // nothing with the subscriptions then standing. Everything a
 // caller can observe must agree — per event, whether the verdicts are
@@ -139,7 +140,7 @@ type churnSub struct {
 	id, src string
 	extract bool
 	// bare subscriptions are added as a tree with no Source, as one built by
-	// hand is: the engine keeps the tree's rendering instead.
+	// hand is.
 	bare bool
 }
 
@@ -157,8 +158,8 @@ func (s churnSub) addTo(e *Engine) error {
 // churnCover counts the mutations a run made that move what the result
 // bitmap's bits stand for — removals from inside the insertion order, which
 // shift every later position; Adds given a result slot a removed
-// subscription held, per route; Rebuild, which numbers every slot afresh —
-// each followed by a document whose results are read (checkResults).
+// subscription held, per route; Rebuild, which replaces the per-document
+// state — each followed by a document whose results are read (checkResults).
 type churnCover struct {
 	rebuilds, shifted int
 	reused            [2]int // by Route
@@ -217,8 +218,8 @@ func runChurn(t testing.TB, data []byte) churnCover {
 					remove(len(live) - 1)
 				}
 			case k == 2:
-				// The quarantine step: both indexes recompiled from the texts
-				// the engine kept, and patched on from there.
+				// The quarantine step: the per-document state replaced, and
+				// the indexes patched on as they stand.
 				patched.Rebuild()
 				freed = [2]map[int]bool{{}, {}}
 			case k < 7 && len(live) > 0:
@@ -428,7 +429,7 @@ func TestEngineChurnMatchesFreshEngine(t *testing.T) {
 		cover.reused[RouteTrie] += c.reused[RouteTrie]
 	}
 	if cover.rebuilds == 0 {
-		t.Error("no run called Rebuild; recompiling from the kept texts went untested")
+		t.Error("no run called Rebuild; matching on replaced per-document state went untested")
 	}
 	if cover.shifted == 0 || cover.reused[RouteNFA] == 0 || cover.reused[RouteTrie] == 0 {
 		t.Errorf("results were never read after a shifted position (%d) or a reused slot (nfa %d, trie %d)",
@@ -573,25 +574,23 @@ func TestEngineStateSlotsAreReused(t *testing.T) {
 	}
 }
 
-// TestEngineRebuildRecompilesFromText: the engine keeps a subscription's
-// text, not its tree, and Rebuild compiles both indexes from the texts — the
-// caller's own for a parsed query, the tree's rendering for one built by
-// hand, which Add refuses when it does not parse back.
-func TestEngineRebuildRecompilesFromText(t *testing.T) {
+// TestEngineRebuildKeepsTheIndex: Rebuild replaces one engine's
+// per-document state and nothing else. The index it shares with a replica —
+// the routes, the subscriptions, a hand-built tree's entries among them —
+// is the one it had, the rebuilt runner is unbound from the automaton
+// rather than left beside its successor, and the replica keeps its memo.
+func TestEngineRebuildKeepsTheIndex(t *testing.T) {
 	e := New()
-	e.SetCapture(CaptureSlice)
 	mustAdd(t, e, "lin", "//a/c")
 	bare := query.MustParse("//a[ b > 1 ]/c")
 	bare.Source = ""
 	if err := e.AddExtract("bare", bare); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.byID["bare"].text; got != bare.String() {
-		t.Fatalf("a tree without Source is kept as %q, want its rendering %q", got, bare.String())
-	}
 	mustAdd(t, e, "miss", "//a[b > 5]/c")
+	other := e.Replica()
 	const doc = "<a><b>3</b><c>x</c></a>"
-	check := func(when string) {
+	check := func(when string, e *Engine) {
 		t.Helper()
 		out, err := e.MatchBytes([]byte(doc), CaptureSlice)
 		if err != nil {
@@ -604,23 +603,32 @@ func TestEngineRebuildRecompilesFromText(t *testing.T) {
 			t.Fatalf("%s: fragments %v, want bare's <c>x</c>", when, out.Frags)
 		}
 	}
-	check("before Rebuild")
-	before := e.Stats()
+	check("before Rebuild", e)
+	check("replica", other)
+	before, warm := e.Stats(), other.Stats()
+	ix, nfa, tr, counts := e.index, e.nfa, e.tr, slices.Clone(e.tr.counts)
 	e.Rebuild()
-	check("after Rebuild")
+	if e.index != ix || e.nfa != nfa || e.tr != tr || !slices.Equal(tr.counts, counts) {
+		t.Fatal("Rebuild replaced or patched the index")
+	}
+	if n := boundRunners(e); n != 2 {
+		t.Fatalf("%d runners bound after Rebuild, want 2", n)
+	}
+	check("after Rebuild", e)
+	check("replica after Rebuild", other)
 	after := e.Stats()
 	if after.Rebuilds != 1 || after.SpineSteps != before.SpineSteps || after.SharedStates != before.SharedStates || after.PredGroups != before.PredGroups {
 		t.Errorf("rebuilt %s\n  before %s", after, before)
 	}
-	odd := query.MustParse("//a/c")
-	odd.Source = ""
-	odd.Root.Successor.NTest = "a c" // renders as //a c/c, which is no query
-	if err := e.Add("odd", odd); err == nil {
-		t.Error("a hand-built tree whose rendering does not parse was accepted")
+	if st := other.Stats(); st.Rebuilds != 0 || st.DFAMaterialized != warm.DFAMaterialized {
+		t.Errorf("the replica's memo restarted with the other engine's Rebuild: %s\n  before %s", st, warm)
 	}
-	if e.Len() != 3 {
-		t.Errorf("%d subscriptions after the refused Add, want 3", e.Len())
-	}
+}
+
+// boundRunners counts the runners bound to the merged NFA of e's index, a
+// field of the automaton no API reports.
+func boundRunners(e *Engine) int {
+	return reflect.ValueOf(e.nfa).Elem().FieldByName("runners").Len()
 }
 
 // TestEngineLinearQueriesNeedNoProgram backs the shortcut Add takes for the

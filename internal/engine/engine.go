@@ -51,23 +51,30 @@
 // where they stand: Add walks or extends its route's trie, Remove drops
 // the subscription's result slot and unlinks the states only it passed
 // through, each in time proportional to the query. There is no batch
-// build beside the incremental one — an engine restored after a panic
-// (Rebuild) is an empty index and the same per-subscription step in a
-// loop — and the merged NFA's lazily materialized DFA survives a mutation
-// but for the transitions out of the states it relinked.
+// build beside the incremental one, and the merged NFA's lazily
+// materialized DFA survives a mutation but for the transitions out of the
+// states it relinked.
+//
+// The index is what Add and Remove write; everything a document writes —
+// the NFA runner with its DFA memo, the trie matcher, the capture manager,
+// the tokenizers, the result bits — is per engine. Replica makes another
+// engine over the same index, which is how internal/parallel matches N
+// documents at once on one copy of the subscriptions, and Rebuild, the
+// quarantine after a recovered panic, replaces an engine's per-document
+// state wholesale and leaves the index alone.
 //
 // What a subscription costs to hold is its entries in those indexes and a
 // small record (subscription): once Add returns, the parse tree the indexes
 // were built from — truth sets read straight off its nodes — is not
 // reachable. The paper prices an evaluator by what it must hold, and a
 // standing set of 100,000 is held for months; the compile scaffolding is
-// read for microseconds. The one reader that comes back for a query —
-// Rebuild — parses its text again.
+// read for microseconds.
 package engine
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"streamxpath/internal/automaton"
@@ -90,14 +97,9 @@ const (
 
 // subscription is one standing query: what the engine retains of it beside
 // its entries in the route's index. The parse tree is a temporary of Add
-// (see the package comment); all that is kept of the query is its text.
+// (see the package comment).
 type subscription struct {
-	id string
-	// text is the query in surface syntax — the caller's own string when the
-	// query was parsed from one, which every replica of a pool then shares —
-	// and parses to the tree that was added (Add checks a hand-built tree's
-	// rendering once). Rebuild links it again from a fresh parse.
-	text    string
+	id      string
 	route   Route
 	out     int // slot in the route's result vector
 	extract bool
@@ -128,11 +130,11 @@ type result struct {
 // hits is a document's matched results: words holds one bit per position
 // of Engine.results, set the first time that subscription latches, so the
 // result accessors sweep the set bits by word and a reset clears ⌈N/64⌉
-// words. A latch knows only its route's result slot; pos[route][slot] is the
-// position of the subscription holding it.
+// words. A latch knows only its route's result slot; pos is the index's
+// slot → position vectors.
 type hits struct {
 	words []uint64
-	pos   [2][]int32
+	pos   *[2][]int32
 }
 
 func (h *hits) set(route Route, slot int) {
@@ -140,30 +142,62 @@ func (h *hits) set(route Route, slot int) {
 	h.words[p>>6] |= 1 << (p & 63)
 }
 
+// index is the part of an engine that Add and Remove write and that every
+// replica of the engine shares: the standing subscriptions, their results in
+// insertion order, and what Decided, AppendFragments and MemStats read of
+// them. Its two routes, the merged NFA and the trie, are held by each engine
+// directly: they are fixed at construction, and the per-event path reads
+// them. version counts the mutations, so that an engine sees one at its next
+// Reset.
+type index struct {
+	subs    []*subscription // in insertion order
+	results []result        // results[i] is subs[i]'s
+	// pos[route][slot] is the position in results of the subscription
+	// holding route's result slot.
+	pos     [2][]int32
+	byID    map[string]*subscription
+	nextSeq uint64
+	version uint64
+
+	// tab is the index's symbol table: query node tests and document names
+	// meet in it, so the byte-event path dispatches entirely on
+	// tokenizer-supplied symbols.
+	tab *symtab.Table
+
+	// extracting counts the subscriptions with extraction enabled,
+	// every-match ones included, and every those. nfaExtract flags the NFA
+	// route's extracting outputs (the trie's flags are its own).
+	extracting int
+	every      int
+	nfaExtract []bool
+
+	// maxFS is the largest per-subscription frontier size: MemStats —
+	// called once per Match*Result document — must not walk the
+	// subscriptions for it, nor must Remove. fsCount[fs] counts the
+	// subscriptions of frontier size fs, so maxFS falls to the next value in
+	// use when the last subscription of the largest goes.
+	maxFS   int
+	fsCount []int
+}
+
 // Engine matches one document stream at a time against all subscriptions.
 // Add and Remove patch the shared indexes where they stand, in time
 // proportional to the query, and take effect at the next document; called
 // while a document is in flight they abandon it. An Engine is not safe for
-// concurrent use.
+// concurrent use; the engines of one index (Replica) may match documents
+// concurrently, but only while no Add or Remove runs on any of them.
 type Engine struct {
-	subs    []*subscription // in insertion order
-	results []result        // results[i] is subs[i]'s
-	hits    hits
-	byID    map[string]*subscription
-	nextSeq uint64
-	// stale is set by every mutation and cleared by Reset: the result
-	// vectors describe a document matched against another subscription
-	// set, so the result accessors answer as before any document.
-	stale bool
+	*index
+	nfa *automaton.MergedNFA
+	tr  *trie
+	// seen is the index version the per-document state was last reset for.
+	// While it is behind, the result vectors describe a document matched
+	// against another subscription set, so the result accessors answer as
+	// before any document.
+	seen uint64
 
-	// tab is the engine's symbol table: query node tests and document
-	// names meet in it, so the byte-event path dispatches entirely on
-	// tokenizer-supplied symbols.
-	tab *symtab.Table
-
-	nfa    *automaton.MergedNFA
+	hits   hits
 	runner *automaton.SharedRunner
-	tr     *trie
 	mt     *matcher
 	// tok and stok are the tokenizers of MatchBytes and MatchReader, each
 	// created by its first call and reused from then on, and batch is the
@@ -181,25 +215,11 @@ type Engine struct {
 
 	// Fragment-capture state. capMode is the caller-requested mode for the
 	// next document (effective only when some subscription has extraction
-	// enabled); cm manages the captures; nfaExtract/nfaFrags are the
-	// NFA route's per-output extraction flags and captured fragments (the
-	// trie route's live on the matcher). extracting counts the
-	// subscriptions with extraction enabled, every-match ones included, and
-	// every those.
-	capMode    CaptureMode
-	cm         *capman
-	extracting int
-	every      int
-	nfaExtract []bool
-	nfaFrags   []*capture
-
-	// maxFS is the largest per-subscription frontier size: MemStats —
-	// called once per Match*Result document — must not walk the
-	// subscriptions for it, nor must Remove. fsCount[fs] counts the
-	// subscriptions of frontier size fs, so maxFS falls to the next value in
-	// use when the last subscription of the largest goes.
-	maxFS   int
-	fsCount []int
+	// enabled); cm manages the captures; nfaFrags are the NFA route's
+	// captured fragments by output (the trie route's live on the matcher).
+	capMode  CaptureMode
+	cm       *capman
+	nfaFrags []*capture
 
 	started  bool
 	finished bool
@@ -226,22 +246,46 @@ type Engine struct {
 }
 
 // New returns an empty engine with a private symbol table.
-func New() *Engine { return NewWithSymbols(nil) }
-
-// NewWithSymbols returns an empty engine interning into tab (nil for a
-// private table). Passing one table to several engines is how
-// internal/parallel binds the replicas of a pool to one symbol space: a
-// name any replica has seen is a warm probe for every other.
-// symtab.Table is safe for the engines' concurrent read-mostly access;
-// each Engine itself remains single-threaded.
-func NewWithSymbols(tab *symtab.Table) *Engine {
-	if tab == nil {
-		tab = symtab.New()
-	}
-	e := &Engine{byID: map[string]*subscription{}, tab: tab, cm: newCapman(tab)}
-	e.newNFARoute()
-	e.newTrieRoute()
+func New() *Engine {
+	tab := symtab.New()
+	ix := &index{byID: map[string]*subscription{}, tab: tab}
+	e := &Engine{index: ix, nfa: automaton.NewMergedNFA(tab), tr: newTrie(tab)}
+	e.fresh()
 	return e
+}
+
+// Replica returns an engine over e's index — the same subscriptions, which
+// an Add or Remove on either patches for both — with per-document state and
+// limits of its own. Engines of one index may match documents concurrently
+// (symtab.Table is safe for their read-mostly access), as long as no Add or
+// Remove runs meanwhile: that is how internal/parallel holds a pool's
+// subscriptions once for all its replicas.
+func (e *Engine) Replica() *Engine {
+	r := &Engine{index: e.index, nfa: e.nfa, tr: e.tr}
+	r.fresh()
+	return r
+}
+
+// fresh gives the engine new per-document state — an NFA runner with an
+// empty memo, a trie matcher, a capture manager, and tokenizers to come —
+// bound to its index, and resets it.
+func (e *Engine) fresh() {
+	if e.runner != nil {
+		e.runner.Unbind()
+	}
+	e.runner = automaton.NewSharedRunner(e.nfa)
+	e.runner.OnMatch = e.nfaMatch
+	cm := newCapman(e.tab)
+	if e.cm != nil {
+		cm.emit = e.cm.emit
+	}
+	e.cm = cm
+	e.hits = hits{pos: &e.pos}
+	e.mt = newMatcher(e.tr, &e.hits)
+	e.mt.cm = cm
+	e.nfaFrags = nil
+	e.tok, e.stok = nil, nil
+	e.Reset()
 }
 
 // Symbols returns the engine's symbol table. Tokenizers that feed the
@@ -265,47 +309,16 @@ func (e *Engine) SetLimits(l limits.Limits) {
 // Limits returns the configured budgets.
 func (e *Engine) Limits() limits.Limits { return e.lim }
 
-// Rebuild replaces both shared indexes, and with them every piece of
-// per-document run state, by fresh ones holding the same subscriptions. It
-// is the quarantine step after a recovered panic: matching state of unknown
-// integrity is thrown away wholesale instead of trusting Reset's in-place
-// sweeps, while subscriptions — never touched during matching — survive.
-// Each is linked again from its text, at one parse apiece: the price of
-// not holding a tree per subscription for a path that runs after a bug.
+// Rebuild replaces the engine's per-document state — the NFA runner and its
+// memo, the trie matcher, the capture manager, the tokenizers — by fresh
+// state over the same index. It is the quarantine step after a recovered
+// panic: matching state of unknown integrity is thrown away wholesale
+// instead of trusting Reset's in-place sweeps, while the index, which
+// matching never writes, stays as it is for every engine sharing it.
 func (e *Engine) Rebuild() {
-	e.mutating()
 	e.rebuilds++
-	e.newNFARoute()
-	e.newTrieRoute()
+	e.fresh()
 	e.events, e.maxLevel = 0, 0 // a rebuilt engine, like a new one, has run no document
-	for i, s := range e.subs {
-		q, err := query.Parse(s.text)
-		if err != nil {
-			// Add parsed this very text, or checked that it renders the tree
-			// it linked.
-			panic(fmt.Sprintf("engine: subscription %q no longer parses: %v", s.id, err))
-		}
-		e.link(i, q)
-	}
-}
-
-// newNFARoute and newTrieRoute install an empty index for their route; the
-// subscriptions routed there are entered by link, one by one, whether the
-// index is new or has been matching documents for a year. The route's slots
-// are numbered afresh, so its positions are too.
-func (e *Engine) newNFARoute() {
-	e.nfa = automaton.NewMergedNFA(e.tab)
-	e.runner = automaton.NewSharedRunner(e.nfa)
-	e.runner.OnMatch = e.nfaMatch
-	e.nfaExtract, e.nfaFrags = nil, nil
-	e.hits.pos[RouteNFA] = nil
-}
-
-func (e *Engine) newTrieRoute() {
-	e.tr = newTrie(e.tab)
-	e.mt = newMatcher(e.tr, &e.hits)
-	e.mt.cm = e.cm
-	e.hits.pos[RouteTrie] = nil
 }
 
 // mutating is the preamble of every change to the subscription set: the
@@ -313,7 +326,7 @@ func (e *Engine) newTrieRoute() {
 // abandoned — its remaining events are refused as outside any document
 // until Reset or the next startDocument.
 func (e *Engine) mutating() {
-	e.stale = true
+	e.version++
 	e.started = false
 }
 
@@ -326,14 +339,13 @@ func (e *Engine) link(i int, q *query.Query) {
 		s.out, _ = e.nfa.Add(q) // add found the query linear
 		for len(e.nfaExtract) <= s.out {
 			e.nfaExtract = append(e.nfaExtract, false)
-			e.nfaFrags = append(e.nfaFrags, nil)
 		}
 		e.nfaExtract[s.out] = s.extract
 	} else {
 		s.out = e.tr.add(q, s.extract, s.every)
 	}
 	e.results[i].out = int32(s.out)
-	pos := &e.hits.pos[s.route]
+	pos := &e.pos[s.route]
 	for len(*pos) <= s.out {
 		*pos = append(*pos, 0)
 	}
@@ -372,7 +384,7 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 	if _, dup := e.byID[id]; dup {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
 	}
-	s := &subscription{id: id, text: q.Source, route: RouteNFA, extract: extract, every: every, seq: e.nextSeq, fs: 1, steps: q.Size() - 1}
+	s := &subscription{id: id, route: RouteNFA, extract: extract, every: every, seq: e.nextSeq, fs: 1, steps: q.Size() - 1}
 	if every || automaton.Linear(q) != nil {
 		// A linear query is streamable by construction: it has no predicate.
 		if err := fragment.Streamable(q).Err(); err != nil {
@@ -380,26 +392,11 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 		}
 		s.route, s.fs = RouteTrie, fragment.FrontierSize(q)
 	}
-	if s.text == "" {
-		// A tree built by hand: keep its rendering, once it is seen to parse
-		// back to the same steps.
-		s.text = q.String()
-		back, err := query.Parse(s.text)
-		if err != nil {
-			return fmt.Errorf("engine: query renders as %q, which does not parse: %w", s.text, err)
-		}
-		if back.Key() != q.Key() {
-			return fmt.Errorf("engine: query renders as %q, which parses to other steps", s.text)
-		}
-	}
 	e.mutating()
 	e.nextSeq++
 	e.byID[id] = s
 	e.subs = append(e.subs, s)
 	e.results = append(e.results, result{id: id, route: s.route, extract: extract})
-	if len(e.results) > 64*len(e.hits.words) {
-		e.hits.words = append(e.hits.words, 0)
-	}
 	if extract {
 		e.extracting++
 	}
@@ -432,10 +429,9 @@ func (e *Engine) Remove(id string) bool {
 	for j := i; j < len(e.subs); j++ {
 		r := e.results[j+1]
 		e.results[j] = r
-		e.hits.pos[r.route][r.out] = int32(j)
+		e.pos[r.route][r.out] = int32(j)
 	}
 	e.results = e.results[:len(e.subs)]
-	e.hits.words = e.hits.words[:(len(e.results)+63)/64]
 	if s.extract {
 		e.extracting--
 	}
@@ -483,13 +479,19 @@ func (e *Engine) nfaMatch(out int) {
 // (and the NFA runner's memoized transition table) survive across
 // documents and across Add/Remove. What it clears is what the last
 // document latched, and the result bitmap by word: it costs the document's
-// matches, not the standing set.
+// matches, not the standing set. The per-document vectors grow here to what
+// the index has grown to since.
 func (e *Engine) Reset() {
 	for _, out := range e.runner.Latched() {
 		e.nfaFrags[out] = nil
 	}
+	if n := e.nfa.OutputCap() - len(e.nfaFrags); n > 0 {
+		e.nfaFrags = append(e.nfaFrags, make([]*capture, n)...)
+	}
 	e.runner.Reset()
 	e.mt.reset()
+	words := (len(e.results) + 63) / 64
+	e.hits.words = slices.Grow(e.hits.words[:0], words)[:words]
 	clear(e.hits.words)
 	mode := e.capMode
 	if e.extracting == 0 {
@@ -497,7 +499,7 @@ func (e *Engine) Reset() {
 	}
 	e.cm.reset(mode)
 	e.mt.capturing = mode != CaptureOff
-	e.stale = false
+	e.seen = e.version
 	e.started = false
 	e.finished = false
 	e.level = 0
@@ -590,7 +592,7 @@ func (e *Engine) startDocument() error {
 	if e.started && !e.finished {
 		return fmt.Errorf("engine: duplicate startDocument")
 	}
-	if e.stale || e.started {
+	if e.stale() || e.started {
 		// Neither means Reset already ran (the public Match* entry points
 		// reset up front) and nothing has latched since: there is nothing
 		// to clear.
@@ -694,6 +696,9 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 	return nil
 }
 
+// stale reports that the index has changed since the engine's last Reset.
+func (e *Engine) stale() bool { return e.seen != e.version }
+
 // Finished reports whether endDocument has been processed.
 func (e *Engine) Finished() bool { return e.finished }
 
@@ -702,7 +707,7 @@ func (e *Engine) Finished() bool { return e.finished }
 // already definitive.
 func (e *Engine) Matched(id string) bool {
 	s, ok := e.byID[id]
-	return ok && !e.stale && e.matchedOut(s.route, s.out)
+	return ok && !e.stale() && e.matchedOut(s.route, s.out)
 }
 
 // matchedOut reads the verdict latched in result slot out of route's vector.
@@ -724,7 +729,7 @@ func (e *Engine) MatchedIDs() []string {
 // MatchedIDs for callers that reuse a result buffer across documents. It
 // visits the set bits of the result bitmap, not the subscriptions.
 func (e *Engine) AppendMatchedIDs(dst []string) []string {
-	if e.stale {
+	if e.stale() {
 		return dst
 	}
 	for w, word := range e.hits.words {
@@ -759,7 +764,7 @@ type Fragment struct {
 // — callers that retain them must copy. A fragment is latched only with a
 // match, so the sweep is the one AppendMatchedIDs makes.
 func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
-	if e.stale || e.extracting == 0 {
+	if e.stale() || e.extracting == 0 {
 		return dst
 	}
 	for w, word := range e.hits.words {
@@ -797,7 +802,7 @@ func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
 // MatchedCount returns the number of subscriptions already definitively
 // matched — usable mid-stream thanks to monotonicity.
 func (e *Engine) MatchedCount() int {
-	if e.stale {
+	if e.stale() {
 		return 0
 	}
 	return e.runner.MatchedCount() + e.mt.matchedCount
@@ -819,7 +824,7 @@ func (e *Engine) MatchedCount() int {
 // (MatchReader), a buffered caller skims it (MatchBytes) — validates it to
 // the end without dispatching another event.
 func (e *Engine) Decided() bool {
-	if e.stale || !e.started || len(e.subs) == 0 || e.every > 0 {
+	if e.stale() || !e.started || len(e.subs) == 0 || e.every > 0 {
 		return false
 	}
 	if e.finished {
@@ -868,8 +873,8 @@ type Stats struct {
 	// materialized deterministic states and memoized transitions as they
 	// stand; DFAMaterialized counts the transitions ever computed, so its
 	// growth over a mutation is what the mutation made the runner forget.
-	// Rebuilds counts the Rebuild calls, each of which replaced both indexes
-	// by fresh ones and lost the whole memo; Add and Remove never do.
+	// Rebuilds counts the engine's Rebuild calls, each of which replaced its
+	// per-document state and lost the whole memo; Add and Remove never do.
 	DFAStates       int
 	DFATransitions  int
 	DFAMaterialized int

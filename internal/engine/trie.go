@@ -133,7 +133,6 @@ type skel struct {
 	// One edge set per axis class, nil when the node has no such edge, so a
 	// frame with nothing to offer an event costs it one nil test.
 	child, attr, desc *edges
-	free              []*frame
 }
 
 // edges are a skeleton node's out-edges of one axis class, by node test.
@@ -644,7 +643,9 @@ type matcher struct {
 	pendings []pendingVal
 	buf      []byte
 	refCount int
-	level    int
+	// freeFrames are the closed frames, all-nil up to their capacity.
+	freeFrames []*frame
+	level      int
 	// groupBits is the index state the open group scopes hold (see
 	// predGroup.indexBits).
 	groupBits int
@@ -704,7 +705,7 @@ func (m *matcher) reset() {
 	// their skeleton nodes which of them were on descFrames.
 	for _, fr := range m.frames {
 		clear(fr.scopes)
-		fr.sk.free = append(fr.sk.free, fr)
+		m.freeFrames = append(m.freeFrames, fr)
 	}
 	m.frames, m.descFrames = m.frames[:0], m.descFrames[:0]
 	m.scopes = m.scopes[:0]
@@ -800,20 +801,21 @@ func (m *matcher) frRemove(t *tuple) {
 	m.size--
 }
 
-// openFrame pushes a frame for the current element at skeleton node sk.
+// openFrame pushes a frame for the current element at skeleton node sk: a
+// closed one while there is one, its scopes cut to sk's slots, or made anew
+// when they are too few.
 func (m *matcher) openFrame(sk *skel, level int) *frame {
 	var fr *frame
-	if k := len(sk.free); k > 0 {
-		fr = sk.free[k-1]
-		sk.free = sk.free[:k-1]
-		if short := sk.slots - len(fr.scopes); short > 0 {
-			// Members and groups joined since the frame was made.
-			fr.scopes = append(fr.scopes, make([]*scope, short)...)
-		}
+	if k := len(m.freeFrames); k > 0 {
+		fr = m.freeFrames[k-1]
+		m.freeFrames = m.freeFrames[:k-1]
 	} else {
-		fr = &frame{sk: sk, scopes: make([]*scope, sk.slots)}
+		fr = &frame{}
 	}
-	fr.level = level
+	if cap(fr.scopes) < sk.slots {
+		fr.scopes = make([]*scope, sk.slots)
+	}
+	fr.sk, fr.level, fr.scopes = sk, level, fr.scopes[:sk.slots]
 	m.frames = append(m.frames, fr)
 	if sk.desc != nil {
 		m.descFrames = append(m.descFrames, fr)
@@ -821,9 +823,9 @@ func (m *matcher) openFrame(sk *skel, level int) *frame {
 	return fr
 }
 
-// closeFrames pops the frames at the closing level (or deeper) back onto
-// their skeleton nodes' free lists. Their scopes have closed already, each
-// clearing its own slot, so a recycled frame is all-nil without a wipe.
+// closeFrames pops the frames at the closing level (or deeper) onto the free
+// list. Their scopes have closed already, each clearing its own slot, so a
+// recycled frame is all-nil without a wipe.
 func (m *matcher) closeFrames(closing int) {
 	for k := len(m.frames); k > 0 && m.frames[k-1].level >= closing; k-- {
 		fr := m.frames[k-1]
@@ -831,7 +833,7 @@ func (m *matcher) closeFrames(closing int) {
 		if fr.sk.desc != nil {
 			m.descFrames = m.descFrames[:len(m.descFrames)-1]
 		}
-		fr.sk.free = append(fr.sk.free, fr)
+		m.freeFrames = append(m.freeFrames, fr)
 	}
 }
 

@@ -1,15 +1,20 @@
 // Package parallel is the concurrent dissemination matcher over
-// internal/engine: a pool of complete engine replicas, each carrying every
-// subscription, matching whole documents independently. The sequential
-// engine is single-threaded by design — one symbol table, one frontier — so
-// a feed whose documents arrive faster than one core can match them spends
-// more cores on more documents at once, not on one document.
+// internal/engine: a pool of engine replicas over one shared index, each with
+// per-document state of its own, matching whole documents independently. A
+// subscription is linked once, into the index, whatever the replica count;
+// what a replica adds is its matching state — the NFA runner and its DFA
+// memo, the trie matcher, the tokenizers — as in YFilter, whose one shared
+// automaton is run with per-evaluation stacks, and as in regexp.Regexp, one
+// compiled program with a private machine per goroutine. The sequential
+// engine is single-threaded by design, so a feed whose documents arrive
+// faster than one core can match them spends more cores on more documents at
+// once, not on one document.
 //
-// The replicas share one symtab.Table. It is copy-on-write (see its package
-// comment), so their hot loops read symbols lock-free while interning — the
-// only write, and only on the first sight of a name — stays off the
-// steady-state path, and a feed's name vocabulary is interned once no matter
-// which replica sees a name first.
+// The index's symtab.Table is copy-on-write (see its package comment), so
+// the replicas' hot loops read symbols lock-free while interning — the only
+// write, and only on the first sight of a name — stays off the steady-state
+// path, and a feed's name vocabulary is interned once no matter which
+// replica sees a name first.
 package parallel
 
 import (
@@ -21,13 +26,13 @@ import (
 	"streamxpath/internal/engine"
 	"streamxpath/internal/limits"
 	"streamxpath/internal/query"
-	"streamxpath/internal/symtab"
 )
 
 // PanicError reports a panic recovered inside a pool replica. The in-flight
-// document fails with this error; the replica's engine is quarantined and
-// rebuilt from its intact subscription list before the next document, so
-// the pool stays usable.
+// document fails with this error; the replica's per-document state is
+// quarantined and replaced before the next document, and the index the
+// replicas share — which matching never writes — is left as it was, so the
+// pool stays usable.
 type PanicError struct {
 	// Recovered is the value the panic carried.
 	Recovered any
@@ -45,10 +50,10 @@ func newPanicError(rec any) error {
 	return fmt.Errorf("streamxpath: %w", &PanicError{Recovered: rec, Stack: debug.Stack()})
 }
 
-// replica is one complete engine copy of a Pool: every subscription, its
-// own tokenizers and scratch. A replica is owned by exactly one match
-// call at a time (checked out of the idle ring), so its internals need no
-// further synchronization.
+// replica is one matcher of a Pool: an engine over the pool's index, with
+// its own runner, tokenizers and scratch. A replica is owned by exactly one
+// match call at a time (checked out of the idle ring), so its internals need
+// no further synchronization.
 type replica struct {
 	eng *engine.Engine
 	// fault, when non-nil, is invoked at the start of each match call
@@ -57,40 +62,40 @@ type replica struct {
 	fault func()
 }
 
-// Pool is the replica pool: n engine replicas, each carrying the full
+// Pool is the replica pool: n engine replicas over one index holding the
 // subscription set, matching whole documents independently.
 // MatchBytes and MatchReader are safe to call from any number of
 // goroutines — each call checks a replica out of the idle ring, matches,
 // and returns it — so a feed's documents spread across cores with no
-// coordination beyond the checkout. All replicas intern into one shared
-// symtab.Table; a name seen by any replica is a warm lock-free probe for
-// every other.
+// coordination beyond the checkout.
 //
 // Add, Remove, SetLimits and Stats acquire the whole pool (waiting for
 // in-flight matches to finish), so subscription churn serializes against
-// matching exactly as documents do in the sequential engine. A match call
-// never does: everything it reports is read off its own replica before
-// the replica goes back.
+// matching exactly as documents do in the sequential engine; a mutation
+// patches the index once, and each replica sees it at its next document. A
+// match call never waits for another: everything it reports is read off its
+// own replica before the replica goes back.
 type Pool struct {
 	idle chan *replica
 	reps []*replica
+	// ix is the engine Add and Remove go through: the first replica, whose
+	// index every replica shares.
+	ix *engine.Engine
 
 	// mu serializes Add/Remove/Len/IDs against each other; matching only
-	// contends on the idle ring.
-	mu   sync.Mutex
-	subs roster
+	// contends on the idle ring, and only reads the index.
+	mu sync.Mutex
 }
 
-// NewPool returns a pool of n replicas (n < 1 is treated as 1) interning
-// into one symbol table of their own.
+// NewPool returns a pool of n replicas (n < 1 is treated as 1) over one
+// empty index with a symbol table of its own.
 func NewPool(n int) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	tab := symtab.New()
-	p := &Pool{idle: make(chan *replica, n)}
-	for i := 0; i < n; i++ {
-		r := &replica{eng: engine.NewWithSymbols(tab)}
+	p := &Pool{idle: make(chan *replica, max(n, 1)), ix: engine.New()}
+	for i := range cap(p.idle) {
+		r := &replica{eng: p.ix}
+		if i > 0 {
+			r.eng = p.ix.Replica()
+		}
 		p.reps = append(p.reps, r)
 		p.idle <- r
 	}
@@ -127,17 +132,13 @@ func (p *Pool) releaseAll() {
 	}
 }
 
-// Add registers a subscription on every replica. The same compiled query
-// drives each replica's engine (compile products are per-engine, the
-// query tree itself is immutable), so a validation failure is identical
-// across replicas and the pool stays consistent.
+// Add registers a subscription in the replicas' index, once for all of them.
 func (p *Pool) Add(id string, q *query.Query) error {
 	return p.add(id, q, false)
 }
 
-// AddExtract registers a subscription with fragment extraction enabled
-// on every replica; match calls with a capture mode return its matched
-// subtree.
+// AddExtract registers a subscription with fragment extraction enabled;
+// match calls with a capture mode return its matched subtree.
 func (p *Pool) AddExtract(id string, q *query.Query) error {
 	return p.add(id, q, true)
 }
@@ -147,46 +148,34 @@ func (p *Pool) add(id string, q *query.Query, extract bool) error {
 	defer p.mu.Unlock()
 	p.acquireAll()
 	defer p.releaseAll()
-	for _, r := range p.reps {
-		var err error
-		if extract {
-			err = r.eng.AddExtract(id, q)
-		} else {
-			err = r.eng.Add(id, q)
-		}
-		if err != nil {
-			return err
-		}
+	if extract {
+		return p.ix.AddExtract(id, q)
 	}
-	p.subs.add(id)
-	return nil
+	return p.ix.Add(id, q)
 }
 
-// Remove deregisters a subscription from every replica, reporting whether
-// it existed.
+// Remove deregisters a subscription, reporting whether it existed.
 func (p *Pool) Remove(id string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.acquireAll()
 	defer p.releaseAll()
-	for _, r := range p.reps {
-		r.eng.Remove(id)
-	}
-	return p.subs.remove(id)
+	return p.ix.Remove(id)
 }
 
-// Len returns the number of subscriptions.
+// Len returns the number of subscriptions. It reads the index under mu
+// alone: matches read it too, and only a mutation, which holds mu, writes it.
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.subs.ids)
+	return p.ix.Len()
 }
 
 // IDs returns the subscription ids in insertion order.
 func (p *Pool) IDs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.subs.list()
+	return p.ix.IDs()
 }
 
 // MatchBytes matches one in-memory document on a checked-out replica
@@ -196,9 +185,9 @@ func (p *Pool) IDs() []string {
 // concurrently, so no shared result buffer exists to reuse — and fragments
 // are zero-copy subslices of doc or private copies, never replica scratch.
 // A panic inside the replica fails only this document with a typed
-// *PanicError and quarantines the replica's engine (rebuilt from its
-// subscription list before it returns to the ring); errors mid-document
-// still carry the verdicts decided before the failure.
+// *PanicError and quarantines the replica (its per-document state replaced
+// before it returns to the ring); errors mid-document still carry the
+// verdicts decided before the failure.
 func (p *Pool) MatchBytes(doc []byte, mode engine.CaptureMode) (engine.Outcome, error) {
 	return p.match(func(e *engine.Engine) (engine.Outcome, error) { return e.MatchBytes(doc, mode) })
 }
@@ -232,12 +221,13 @@ func (p *Pool) match(run func(*engine.Engine) (engine.Outcome, error)) (out engi
 	return out, err
 }
 
-// Stats returns one replica's engine statistics (replicas are identical
-// in structure; per-document work reflects that replica's last match).
+// Stats returns one replica's engine statistics (the index's sizes, which
+// every replica shares; per-document work and the DFA memo are that
+// replica's).
 func (p *Pool) Stats() engine.Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.acquireAll()
 	defer p.releaseAll()
-	return p.reps[0].eng.Stats()
+	return p.ix.Stats()
 }

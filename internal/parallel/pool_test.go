@@ -95,37 +95,73 @@ func wantPanicError(t *testing.T, err error) {
 	}
 }
 
+// boundRunners counts the runners bound to the merged NFA of e's index, a
+// field of the automaton no API reports.
+func boundRunners(e *engine.Engine) int {
+	return reflect.ValueOf(e).Elem().FieldByName("nfa").Elem().FieldByName("runners").Len()
+}
+
 // TestPoolPanicIsolation: an injected panic in a replica fails only its
-// own call with a typed *PanicError; the replica re-enters the idle
-// ring quarantined and rebuilds on its next checkout.
+// own call with a typed *PanicError; the replica re-enters the idle ring
+// with its per-document state replaced. The index the replicas share is
+// left as it was, the replaced runners are unbound from its automaton
+// rather than left beside their successors, and a replica that did not
+// panic keeps its DFA memo.
 func TestPoolPanicIsolation(t *testing.T) {
 	doc := faultDoc()
 	p := NewPool(2)
 	mustAdd(t, p.Add, "names", "//item/name")
 	mustAdd(t, p.Add, "missing", "//zzz")
+	mustAdd(t, p.Add, "cheap", "//item[price < 10]/name")
+	mustAdd(t, p.Add, "dear", "//item[price > 10]/name")
 
-	want, err := idsOf(p.MatchBytes(doc, engine.CaptureOff))
-	if err != nil {
-		t.Fatalf("baseline MatchBytes: %v", err)
+	// One document on each replica: both memos are warm.
+	var want []string
+	for range p.reps {
+		var err error
+		if want, err = idsOf(p.MatchBytes(doc, engine.CaptureOff)); err != nil {
+			t.Fatalf("baseline MatchBytes: %v", err)
+		}
+	}
+	index := p.Stats()
+	sick, healthy := p.reps[0], p.reps[1]
+	memo := healthy.eng.Stats().DFAMaterialized
+
+	// Checkouts alternate between the two replicas, and the calls between
+	// MatchBytes and MatchReader in pairs, so each method meets the sick one.
+	sick.fault = func() { panic("injected replica fault") }
+	for i, panics := 0, 0; panics < 10; i++ {
+		var out engine.Outcome
+		var err error
+		if i/2%2 == 0 {
+			out, err = p.MatchBytes(doc, engine.CaptureOff)
+		} else {
+			out, err = p.MatchReader(bytes.NewReader(doc), 512, engine.CaptureOff)
+		}
+		if i%2 == 0 {
+			wantPanicError(t, err)
+			panics++
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(out.IDs, want) {
+			t.Fatalf("call %d, on the healthy replica: ids = %v, %v; want %v", i, out.IDs, err, want)
+		}
+	}
+	st := p.Stats()
+	if st.SharedStates != index.SharedStates || st.SpineSteps != index.SpineSteps || st.PredGroups != index.PredGroups || st.Subscriptions != index.Subscriptions {
+		t.Errorf("the index changed with the panics:\n  now    %s\n  before %s", st, index)
+	}
+	if n := boundRunners(sick.eng); n != p.Workers() {
+		t.Errorf("%d runners bound to the automaton after 10 panics, want %d", n, p.Workers())
+	}
+	if st := sick.eng.Stats(); st.Rebuilds != 10 {
+		t.Errorf("the sick replica was rebuilt %d times, want 10", st.Rebuilds)
+	}
+	if got := healthy.eng.Stats().DFAMaterialized; got != memo {
+		t.Errorf("the healthy replica materialized %d transitions, %d before the panics: its memo restarted", got, memo)
 	}
 
-	for _, r := range p.reps {
-		r.fault = func() { panic("injected replica fault") }
-	}
-	if _, err := p.MatchBytes(doc, engine.CaptureOff); err == nil {
-		t.Fatal("MatchBytes with faulty replica: want error, got nil")
-	} else {
-		wantPanicError(t, err)
-	}
-	if _, err := p.MatchReader(bytes.NewReader(doc), 512, engine.CaptureOff); err == nil {
-		t.Fatal("MatchReader with faulty replica: want error, got nil")
-	} else {
-		wantPanicError(t, err)
-	}
-
-	for _, r := range p.reps {
-		r.fault = nil
-	}
+	sick.fault = nil
 	// Hit every replica at least once so each quarantined engine proves
 	// it rebuilt.
 	for round := 0; round < 2*len(p.reps); round++ {

@@ -107,9 +107,9 @@ type LimitError = limits.Error
 
 // PanicError reports a panic recovered inside a FilterPool replica. Only
 // the in-flight document fails — the error carries the recovered value and
-// stack — and the faulty replica's engine is quarantined and rebuilt from
-// its intact subscription list before the next document. Detect with
-// errors.As.
+// stack — and the faulty replica's per-document state is replaced before
+// the next document, leaving the index the replicas share as it was.
+// Detect with errors.As.
 type PanicError = parallel.PanicError
 
 // MemStats is the live-memory accounting of one document, with the

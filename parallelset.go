@@ -6,14 +6,16 @@ import (
 	"streamxpath/internal/parallel"
 )
 
-// FilterPool is the concurrent dissemination engine: a pool of complete
-// engine replicas, each carrying every subscription, matching whole
-// documents independently. Each Match call checks out an idle replica, so
-// a document feed spreads across cores with no coordination beyond the
-// checkout. All replicas share one concurrent symbol table, so the feed's
-// name vocabulary is interned once, whichever replica sees a name first.
-// Add, Remove, SetLimits and Stats wait for in-flight Match calls to drain;
-// a Match call never waits for another.
+// FilterPool is the concurrent dissemination engine: a pool of engine
+// replicas over one shared subscription index, matching whole documents
+// independently. A subscription is linked once, whatever the replica
+// count; a replica adds only per-document state (its NFA runner and DFA
+// memo, trie matcher and tokenizers), so the pool's heap stays close to a
+// FilterSet's. Each Match call checks out an idle replica, so a document
+// feed spreads across cores with no coordination beyond the checkout, and
+// the feed's name vocabulary is interned once, in the index's concurrent
+// symbol table. Add, Remove, SetLimits and Stats wait for in-flight Match
+// calls to drain; a Match call never waits for another.
 //
 // Match contract: every Match method is safe to call from any number of
 // goroutines, returns freshly allocated slices (calls run concurrently, so

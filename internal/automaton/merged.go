@@ -3,6 +3,7 @@ package automaton
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"streamxpath/internal/query"
 	"streamxpath/internal/symtab"
@@ -46,8 +47,11 @@ type MergedNFA struct {
 	outputs  int // ids in use
 
 	// runners are the runners bound to the automaton, each with a memo of its
-	// own that every patch has to reach.
+	// own that every patch has to reach. bind guards the list against runners
+	// bound and unbound at once — engines quarantined concurrently — while
+	// Add and Remove, which no runner may overlap, read it without the lock.
 	runners []*SharedRunner
+	bind    sync.Mutex
 }
 
 // edge keys a state's child: the step's interned node test (symtab.None
@@ -380,10 +384,13 @@ type SharedRunner struct {
 // the automaton's later Add and Remove calls until Unbind. An automaton may
 // have any number of runners, each matching its own documents: they read it
 // and write only themselves, so they may run concurrently while it is not
-// patched.
+// patched. Binding and Unbind may run concurrently with each other and with
+// the other runners' matching, but not with Add or Remove.
 func NewSharedRunner(m *MergedNFA) *SharedRunner {
 	r := &SharedRunner{m: m, index: map[string]int{}, setsOf: map[int][]int{}}
+	m.bind.Lock()
 	m.runners = append(m.runners, r)
+	m.bind.Unlock()
 	r.startID = r.intern([]int{0}) // the root, fresh
 	r.Reset()
 	return r
@@ -392,8 +399,11 @@ func NewSharedRunner(m *MergedNFA) *SharedRunner {
 // Unbind stops the runner following the automaton's mutations. It is not to
 // be used again.
 func (r *SharedRunner) Unbind() {
-	i := slices.Index(r.m.runners, r)
-	r.m.runners = slices.Delete(r.m.runners, i, i+1)
+	m := r.m
+	m.bind.Lock()
+	defer m.bind.Unlock()
+	i := slices.Index(m.runners, r)
+	m.runners = slices.Delete(m.runners, i, i+1)
 }
 
 // Reset clears the per-document state (stack and matches) but keeps the

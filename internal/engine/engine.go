@@ -259,7 +259,10 @@ func New() *Engine {
 // limits of its own. Engines of one index may match documents concurrently
 // (symtab.Table is safe for their read-mostly access), as long as no Add or
 // Remove runs meanwhile: that is how internal/parallel holds a pool's
-// subscriptions once for all its replicas.
+// subscriptions once for all its replicas. Replica and Rebuild bind and
+// unbind NFA runners on the shared automaton under its lock, so they too may
+// run on one engine while others match or rebuild, but not during an Add or
+// Remove.
 func (e *Engine) Replica() *Engine {
 	r := &Engine{index: e.index, nfa: e.nfa, tr: e.tr}
 	r.fresh()
@@ -314,7 +317,9 @@ func (e *Engine) Limits() limits.Limits { return e.lim }
 // state over the same index. It is the quarantine step after a recovered
 // panic: matching state of unknown integrity is thrown away wholesale
 // instead of trusting Reset's in-place sweeps, while the index, which
-// matching never writes, stays as it is for every engine sharing it.
+// matching never writes, stays as it is for every engine sharing it. The
+// one shared write is the automaton's runner list, which is locked (see
+// Replica).
 func (e *Engine) Rebuild() {
 	e.rebuilds++
 	e.fresh()

@@ -206,7 +206,9 @@ func (p *Pool) match(run func(*engine.Engine) (engine.Outcome, error)) (out engi
 	r := <-p.idle
 	defer func() { p.idle <- r }()
 	// Declared after the checkout-return defer, so on a panic this runs
-	// FIRST: the replica is quarantined before it re-enters the ring.
+	// FIRST: the replica is quarantined before it re-enters the ring. Other
+	// replicas may be matching or quarantined meanwhile, but no mutation
+	// runs, which holds every replica: that is what Rebuild requires.
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.eng.Rebuild()

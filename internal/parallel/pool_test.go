@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"streamxpath/internal/engine"
@@ -171,6 +172,85 @@ func TestPoolPanicIsolation(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d after recovery: ids = %v, want %v", round, got, want)
+		}
+	}
+}
+
+// TestPoolConcurrentPanics: every replica faults on every other document
+// while concurrent MatchBytes and MatchReader callers keep all of them busy,
+// so quarantines run at the same time as each other and as matches on the
+// other replicas. Each rebuilt replica binds a new runner to the shared
+// automaton and unbinds its old one; none may be lost or doubled, and a
+// later mutation must still reach every replica's memo.
+func TestPoolConcurrentPanics(t *testing.T) {
+	doc := faultDoc()
+	p := NewPool(4)
+	mustAdd(t, p.Add, "names", "//item/name")
+	mustAdd(t, p.Add, "cheap", "//item[price < 10]/name")
+	want, err := idsOf(p.MatchBytes(doc, engine.CaptureOff))
+	if err != nil {
+		t.Fatalf("baseline MatchBytes: %v", err)
+	}
+	for _, r := range p.reps {
+		// Only the call holding the replica runs its hook, so the count
+		// needs no lock.
+		calls := 0
+		r.fault = func() {
+			if calls++; calls%2 == 1 {
+				panic("injected replica fault")
+			}
+		}
+	}
+	const callers, perCaller = 8, 8
+	var panics atomic.Int64
+	var wg sync.WaitGroup
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perCaller {
+				var out engine.Outcome
+				var err error
+				if (c+i)%2 == 0 {
+					out, err = p.MatchBytes(doc, engine.CaptureOff)
+				} else {
+					out, err = p.MatchReader(bytes.NewReader(doc), 512, engine.CaptureOff)
+				}
+				var pe *PanicError
+				if errors.As(err, &pe) {
+					panics.Add(1)
+					continue
+				}
+				if err != nil || !reflect.DeepEqual(out.IDs, want) {
+					t.Errorf("caller %d call %d: ids = %v, %v; want %v", c, i, out.IDs, err, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, r := range p.reps {
+		r.fault = nil
+	}
+	if n := boundRunners(p.ix); n != p.Workers() {
+		t.Fatalf("%d runners bound to the automaton after concurrent panics, want %d", n, p.Workers())
+	}
+	rebuilds := 0
+	for _, r := range p.reps {
+		rebuilds += r.eng.Stats().Rebuilds
+	}
+	if n := panics.Load(); n == 0 || int64(rebuilds) != n {
+		t.Errorf("%d rebuilds for %d panics", rebuilds, n)
+	}
+
+	// A mutation after the quarantines patches every replica's runner: all
+	// of them answer for the new subscription. The idle ring is FIFO, so
+	// sequential calls visit every replica.
+	mustAdd(t, p.Add, "prices", "//item/price")
+	want = append(want, "prices")
+	for round := 0; round < 2*len(p.reps); round++ {
+		got, err := idsOf(p.MatchBytes(doc, engine.CaptureOff))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d after the mutation: ids = %v, %v; want %v", round, got, err, want)
 		}
 	}
 }

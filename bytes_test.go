@@ -1,6 +1,7 @@
 package streamxpath
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -148,12 +149,18 @@ func TestMatchBytesRandomTrees(t *testing.T) {
 // TestFilterSetMatchBytesZeroAlloc is the acceptance criterion of the
 // interned-symbol pipeline: steady-state matching of a predicate-free
 // (linear) subscription set through FilterSet.MatchBytes performs zero
-// allocations — per event and per document.
+// allocations — per event and per document. Every matcher is a ring of
+// engines over one index, so the other rows pin what the ring costs: nothing
+// on a FilterSet, which appends the ids to a buffer it reuses, and one slice
+// grown once on a FilterPool, whose ids are the call's own — plus, for
+// MatchString, the call's copy of the document.
 func TestFilterSetMatchBytesZeroAlloc(t *testing.T) {
-	s := NewFilterSet()
+	set, pool := NewFilterSet(), NewFilterPool(2)
 	for i := 0; i < 200; i++ {
-		if err := s.Add(fmt.Sprintf("s%d", i), fmt.Sprintf("//catalog/item/f%d", i)); err != nil {
-			t.Fatal(err)
+		for _, m := range []*matcher{&set.matcher, &pool.matcher} {
+			if err := m.Add(fmt.Sprintf("s%d", i), fmt.Sprintf("//catalog/item/f%d", i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	var b strings.Builder
@@ -163,25 +170,45 @@ func TestFilterSetMatchBytesZeroAlloc(t *testing.T) {
 	}
 	b.WriteString("</catalog>")
 	doc := []byte(b.String())
-
-	// Warm up: compile the shared index, materialize the lazy DFA rows,
-	// grow every scratch buffer.
-	for i := 0; i < 3; i++ {
-		ids, err := s.MatchBytes(doc)
-		if err != nil {
+	r := bytes.NewReader(doc)
+	small := NewFilterPool(2)
+	for i, q := range []string{"//catalog/item", "//catalog/item/f1", "//catalog/item[priority > 5]"} {
+		if err := small.Add(fmt.Sprintf("c%d", i), q); err != nil {
 			t.Fatal(err)
-		}
-		if len(ids) != 80 {
-			t.Fatalf("matched %d subscriptions, want 80", len(ids))
 		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := s.MatchBytes(doc); err != nil {
-			t.Fatal(err)
+	const smallDoc = "<catalog><item><priority>7</priority><f1/></item></catalog>"
+
+	for _, row := range []struct {
+		name    string
+		match   func() ([]string, error)
+		matched int
+		want    float64
+	}{
+		{"FilterSet.MatchBytes", func() ([]string, error) { return set.MatchBytes(doc) }, 80, 0},
+		{"FilterSet.MatchReader", func() ([]string, error) { r.Reset(doc); return set.MatchReader(r) }, 80, 0},
+		{"FilterPool.MatchBytes", func() ([]string, error) { return pool.MatchBytes(doc) }, 80, 1},
+		{"FilterPool.MatchString", func() ([]string, error) { return small.MatchString(smallDoc) }, 3, 2},
+	} {
+		// Warm up every engine: compile the shared index, materialize the
+		// lazy DFA rows, grow every scratch buffer.
+		for i := 0; i < 3; i++ {
+			ids, err := row.match()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) != row.matched {
+				t.Fatalf("%s: matched %d subscriptions, want %d", row.name, len(ids), row.matched)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state linear MatchBytes: %v allocs/run, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := row.match(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != row.want {
+			t.Errorf("steady-state linear %s: %v allocs/run, want %v", row.name, allocs, row.want)
+		}
 	}
 }
 
@@ -307,26 +334,36 @@ func TestFilterSetSkimZeroAlloc(t *testing.T) {
 }
 
 // TestFilterMatchBytesSteadyStateAllocs: the standalone Filter's byte
-// path must also be allocation-free once warm on a predicate-free query.
+// and reader paths must also be allocation-free once warm on a
+// predicate-free query.
 func TestFilterMatchBytesSteadyStateAllocs(t *testing.T) {
 	f, err := MustCompile("//catalog/item/f3").NewFilter()
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := []byte("<catalog><item><f1/><f2/></item><item><f3>v</f3></item><item><f4/></item></catalog>")
-	for i := 0; i < 3; i++ {
-		ok, err := f.MatchBytes(doc)
-		if err != nil || !ok {
-			t.Fatalf("MatchBytes = %v, %v; want true", ok, err)
+	r := bytes.NewReader(doc)
+	for _, row := range []struct {
+		name  string
+		match func() (bool, error)
+	}{
+		{"MatchBytes", func() (bool, error) { return f.MatchBytes(doc) }},
+		{"MatchReader", func() (bool, error) { r.Reset(doc); return f.MatchReader(r) }},
+	} {
+		for i := 0; i < 3; i++ {
+			ok, err := row.match()
+			if err != nil || !ok {
+				t.Fatalf("%s = %v, %v; want true", row.name, ok, err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := f.MatchBytes(doc); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := row.match(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state Filter.%s: %v allocs/run, want 0", row.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Filter.MatchBytes: %v allocs/run, want 0", allocs)
 	}
 }
 

@@ -30,11 +30,11 @@
 // for the last of those matches, whose pieces= counts the pieces of the
 // skimmed remainder helper goroutines validated on the other cores.
 //
-// -workers N matches on a pool of N full engine replicas (FilterPool)
-// instead of the sequential engine: the inputs stream as above, N at a
-// time — parallelism across documents, for feed workloads, identical
-// results. -workers 0 (the default) keeps the sequential engine, the one
-// -bench measures.
+// -workers N matches on a FilterPool, N engines sharing one subscription
+// index, instead of the sequential FilterSet: the inputs stream as above,
+// N at a time — parallelism across documents, for feed workloads,
+// identical results. -workers 0 (the default) keeps the sequential
+// FilterSet, the one -bench measures.
 //
 // Resource limits: -max-depth, -max-token, -max-buffer, -max-tuples and
 // -max-doc set hard per-document budgets on open-element depth, single
@@ -337,8 +337,8 @@ func loadSubscriptions(path string, add func(id, query string) error) error {
 	return sc.Err()
 }
 
-// runPoolFiles is -workers N: a FilterPool of engine replicas streaming
-// the inputs concurrently. Results print in argument order.
+// runPoolFiles is -workers N: a FilterPool of N engines over one index
+// streaming the inputs concurrently. Results print in argument order.
 func runPoolFiles(subsFile string, files []string, workers, chunk int, stats, extract bool, lim streamxpath.Limits) int {
 	pool := streamxpath.NewFilterPool(workers)
 	add := pool.Add

@@ -14,8 +14,8 @@
 // throughput report at the end measures on this very workload.
 //
 // The closing section scales the same workload out across cores with the
-// document-parallel FilterPool (full engine replicas matching whole
-// documents concurrently).
+// document-parallel FilterPool (N engines sharing one subscription index,
+// matching whole documents concurrently).
 package main
 
 import (

@@ -28,9 +28,11 @@ import "streamxpath/internal/engine"
 // their Result forms is a buffer the set reuses — the next Match call
 // overwrites it, so copy it if it must outlive the call — which keeps a
 // warm MatchBytes or MatchReader call at zero allocations. MatchString and
-// MatchStringResult return a fresh slice. A FilterSet is not safe for
-// concurrent use; create one per goroutine — or use FilterPool, which
-// offers the same methods and matches documents concurrently on replicas.
+// MatchStringResult return a fresh slice. A FilterSet is a matcher whose
+// ring holds one engine: a panic inside it fails only the document with a
+// *PanicError, and the set matches the next one afresh. It is not safe for
+// concurrent use; create one per goroutine — or use FilterPool, which offers
+// the same methods over a ring of N engines sharing the one index.
 type FilterSet struct {
 	matcher
 }
@@ -38,7 +40,7 @@ type FilterSet struct {
 // NewFilterSet returns an empty set.
 func NewFilterSet() *FilterSet {
 	s := &FilterSet{}
-	s.b = engine.New()
+	s.init(1, true)
 	return s
 }
 

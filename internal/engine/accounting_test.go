@@ -55,7 +55,7 @@ func docShape(t *testing.T, doc []byte) (events, depth int) {
 func TestQuickstartMemStats(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "q", "/a[c[.//e and f] and b > 5]")
-	if _, err := e.MatchBytes([]byte("<a><c><e/><f/></c><b>6</b></a>"), CaptureOff); err != nil {
+	if _, err := e.MatchBytes(nil, []byte("<a><c><e/><f/></c><b>6</b></a>"), CaptureOff); err != nil {
 		t.Fatal(err)
 	}
 	if ms := e.MemStats(); ms.PeakLiveTuples != 7 || ms.EstimatedBits != 59 || ms.LowerBoundBits != 6 {
@@ -110,12 +110,12 @@ func TestEmptyRouteAccounting(t *testing.T) {
 					var out Outcome
 					var err error
 					if path == "MatchBytes" {
-						out, err = e.MatchBytes(doc, CaptureOff)
+						out, err = e.MatchBytes(nil, doc, CaptureOff)
 						if skims := fam.decided && large; (out.Skimmed > 0) != skims {
 							t.Fatalf("%s: %s set skimmed %d bytes", label, name, out.Skimmed)
 						}
 					} else {
-						out, err = e.MatchReader(bytes.NewReader(doc), 512, CaptureOff)
+						out, err = e.MatchReader(nil, bytes.NewReader(doc), 512, CaptureOff)
 						if out.Read.EarlyExit != fam.decided {
 							t.Fatalf("%s: %s set: early exit %v", label, name, out.Read.EarlyExit)
 						}

@@ -265,7 +265,7 @@ func TestMatchBufferedSkimTriggers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		out, err := e.MatchBytes(c.doc, c.mode)
+		out, err := e.MatchBytes(nil, c.doc, c.mode)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -288,13 +288,13 @@ func TestMatchBufferedAfterSkim(t *testing.T) {
 	mustAdd(t, e, "pred", "//item[flag]/pad")
 	decidedEarly := []byte("<r><item><flag/><pad/></item>" + strings.Repeat("<item><pad>x</pad></item>", 400) + "</r>")
 	for round := 0; round < 2; round++ {
-		if out, err := e.MatchBytes(decidedEarly, CaptureOff); err != nil || out.Skimmed == 0 || len(out.IDs) != 2 {
+		if out, err := e.MatchBytes(nil, decidedEarly, CaptureOff); err != nil || out.Skimmed == 0 || len(out.IDs) != 2 {
 			t.Fatalf("round %d: skimmed %d, matched %v, err %v", round, out.Skimmed, out.IDs, err)
 		}
 		if got := run(t, e, "<r><item><pad/></item></r>"); !got["pad"] || got["pred"] {
 			t.Fatalf("round %d: event-driven document after a skim: %v", round, got)
 		}
-		if _, err := e.MatchBytes(decidedEarly, CaptureOff); err != nil {
+		if _, err := e.MatchBytes(nil, decidedEarly, CaptureOff); err != nil {
 			t.Fatal(err)
 		}
 		mustAdd(t, e, fmt.Sprintf("late%d", round), "/other/late") // dead at <r>

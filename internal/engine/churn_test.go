@@ -592,7 +592,7 @@ func TestEngineRebuildKeepsTheIndex(t *testing.T) {
 	const doc = "<a><b>3</b><c>x</c></a>"
 	check := func(when string, e *Engine) {
 		t.Helper()
-		out, err := e.MatchBytes([]byte(doc), CaptureSlice)
+		out, err := e.MatchBytes(nil, []byte(doc), CaptureSlice)
 		if err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}

@@ -58,7 +58,7 @@
 // The index is what Add and Remove write; everything a document writes —
 // the NFA runner with its DFA memo, the trie matcher, the capture manager,
 // the tokenizers, the result bits — is per engine. Replica makes another
-// engine over the same index, which is how internal/parallel matches N
+// engine over the same index, which is how a FilterPool matches N
 // documents at once on one copy of the subscriptions, and Rebuild, the
 // quarantine after a recovered panic, replaces an engine's per-document
 // state wholesale and leaves the index alone.
@@ -203,13 +203,12 @@ type Engine struct {
 	// created by its first call and reused from then on, and batch is the
 	// slice MatchBytes has tok fill; process and decided are the callbacks
 	// MatchReader drives stok with, built once so a repeat call allocates
-	// nothing. ids is the result buffer both refill.
+	// nothing.
 	tok     *sax.TokenizerBytes
 	stok    *sax.StreamTokenizer
 	batch   []sax.ByteEvent
 	process func(sax.ByteEvent) error
 	decided func() bool
-	ids     []string
 	// rebuilds counts the Rebuild calls.
 	rebuilds int
 
@@ -258,8 +257,8 @@ func New() *Engine {
 // an Add or Remove on either patches for both — with per-document state and
 // limits of its own. Engines of one index may match documents concurrently
 // (symtab.Table is safe for their read-mostly access), as long as no Add or
-// Remove runs meanwhile: that is how internal/parallel holds a pool's
-// subscriptions once for all its replicas. Replica and Rebuild bind and
+// Remove runs meanwhile: that is how a FilterPool holds its subscriptions
+// once for all its engines. Replica and Rebuild bind and
 // unbind NFA runners on the shared automaton under its lock, so they too may
 // run on one engine while others match or rebuild, but not during an Add or
 // Remove.
@@ -755,8 +754,7 @@ type Fragment struct {
 	// valid only until the engine's next Reset — re-serialized subtrees
 	// and decoded attribute values. False means Data subslices the
 	// caller-provided document buffer (zero-copy). Holders that outlive
-	// the engine's current document must copy volatile fragments
-	// (Outcome.Detach).
+	// the engine's current document must copy volatile fragments.
 	Volatile bool
 }
 

@@ -4,24 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"streamxpath/internal/limits"
 	"streamxpath/internal/sax"
 )
 
 // Outcome is everything one match call knows about its document, returned
-// once: the matchers built on the engine (internal/parallel, the public
-// package) hand it upwards whole, filled in while whatever serializes
-// access to the engine that ran the document is still held, so no part of
-// it can be another document's.
-//
-// From the Engine itself, IDs is the engine's result buffer, refilled by
-// its next match call, and volatile fragments alias its capture memory
-// until then; Detach makes the outcome independent of the engine.
+// once. Its IDs are appended to the caller's buffer, but volatile fragments
+// alias the engine's capture memory until its next document: a caller that
+// hands the outcome past the engine's next match copies them first.
 type Outcome struct {
-	// IDs holds the matched subscription ids in insertion order, non-nil
-	// even when empty. Alongside an error they are the verdicts decided
+	// IDs is the caller's dst with the matched subscription ids appended in
+	// insertion order. Alongside an error they are the verdicts decided
 	// before it, which are final because matching is monotone.
 	IDs []string
 	// Frags holds the fragments captured for matched extraction
@@ -43,31 +37,18 @@ type Outcome struct {
 	Abstained bool
 }
 
-// Detach copies what the outcome shares with the engine — the id slice and
-// the data of volatile fragments, whose flag it clears — so it stays valid
-// after the engine's next document. Fragments that subslice the caller's
-// document are left alone.
-func (o *Outcome) Detach() {
-	o.IDs = slices.Clone(o.IDs)
-	for i := range o.Frags {
-		if f := &o.Frags[i]; f.Volatile {
-			f.Data, f.Volatile = slices.Clone(f.Data), false
-		}
-	}
-}
-
-// outcome reads the verdicts, fragments and accounting off the engine as
-// the current document left them, and applies the breach policy to the
-// document's error: under limits.Abstain a *limits.Error becomes
+// outcome reads the verdicts, fragments and accounting off the engine into
+// out as the current document left them, and applies the breach policy to
+// the document's error: under limits.Abstain a *limits.Error becomes
 // Outcome.Abstained and a nil error. The policy is the one this document
-// ran under, whatever the engine's owner sets next. doc is the buffer
-// slice-mode captures index, nil on the reader path.
-func (e *Engine) outcome(doc []byte, mode CaptureMode, err error) (Outcome, error) {
-	if e.ids == nil {
-		e.ids = make([]string, 0, 8)
+// ran under, whatever the engine's owner sets next. The ids are appended to
+// dst, grown once to hold them all; doc is the buffer slice-mode captures
+// index, nil on the reader path.
+func (e *Engine) outcome(out *Outcome, dst []string, doc []byte, mode CaptureMode, err error) error {
+	if n := len(dst) + e.MatchedCount(); n > cap(dst) {
+		dst = append(make([]string, 0, n), dst...)
 	}
-	e.ids = e.AppendMatchedIDs(e.ids[:0])
-	out := Outcome{IDs: e.ids}
+	out.IDs = e.AppendMatchedIDs(dst)
 	if mode != CaptureOff {
 		out.Frags = e.AppendFragments(nil, doc)
 		out.Mem = e.MemStats()
@@ -80,7 +61,7 @@ func (e *Engine) outcome(doc []byte, mode CaptureMode, err error) (Outcome, erro
 			out.Abstained, err = true, nil
 		}
 	}
-	return out, err
+	return err
 }
 
 var errTruncated = errors.New("streamxpath: document ended prematurely")
@@ -107,18 +88,18 @@ const firstProbe = 4 << 10
 // the budgets on matching state (MaxLiveTuples, MaxBufferedBytes) cannot
 // be breached by a remainder that creates none.
 //
-// Outcome.Skimmed is the number of bytes validated without dispatch, 0 for
-// a document that was never decided. The error is ready for the public
-// surface: the engine's own errors are prefixed "streamxpath: ", the
-// tokenizer's pass through bare. A budget breach under limits.Abstain is no
-// error but Outcome.Abstained.
-func (e *Engine) MatchBytes(doc []byte, mode CaptureMode) (Outcome, error) {
+// The matched ids are appended to dst. Outcome.Skimmed is the number of
+// bytes validated without dispatch, 0 for a document that was never
+// decided. The error is ready for the public surface: the engine's own
+// errors are prefixed "streamxpath: ", the tokenizer's pass through bare. A
+// budget breach under limits.Abstain is no error but Outcome.Abstained.
+func (e *Engine) MatchBytes(dst []string, doc []byte, mode CaptureMode) (out Outcome, err error) {
 	skimmed, err := e.matchBuffered(doc, mode, firstProbe)
 	if skimmed > 0 {
 		e.skimPieces = e.tok.SkimPieces()
 	}
-	out, err := e.outcome(doc, mode, err)
 	out.Skimmed = skimmed
+	err = e.outcome(&out, dst, doc, mode, err)
 	return out, err
 }
 
@@ -193,9 +174,9 @@ func (e *Engine) matchBuffered(doc []byte, mode CaptureMode, probe int) (skimmed
 // Outcome.Read reports the early exit, how much input it took, and whether
 // any verdict was decided negatively — and the remainder is neither read
 // nor validated. Where MatchBytes skims, MatchReader stops. A warm call
-// allocates nothing. Errors and the breach policy follow MatchBytes's
-// convention; the reader's own errors pass through bare.
-func (e *Engine) MatchReader(r io.Reader, chunkSize int, mode CaptureMode) (Outcome, error) {
+// with room in dst allocates nothing. Errors and the breach policy follow
+// MatchBytes's convention; the reader's own errors pass through bare.
+func (e *Engine) MatchReader(dst []string, r io.Reader, chunkSize int, mode CaptureMode) (out Outcome, err error) {
 	e.SetCapture(mode)
 	e.Reset() // also recovers from a document abandoned mid-stream
 	if e.stok == nil {
@@ -211,13 +192,12 @@ func (e *Engine) MatchReader(r io.Reader, chunkSize int, mode CaptureMode) (Outc
 	} else {
 		e.stok.Reset()
 	}
-	var read sax.StreamStats
-	sawEnd, err := e.stok.Drive(r, chunkSize, &read, e.process, nil, e.decided)
+	read := &out.Read
+	sawEnd, err := e.stok.Drive(r, chunkSize, read, e.process, nil, e.decided)
 	if err == nil && !sawEnd && !read.EarlyExit {
 		err = errTruncated
 	}
-	out, err := e.outcome(nil, mode, err)
-	read.DecidedNegative = read.EarlyExit && len(out.IDs) < len(e.subs)
-	out.Read = read
+	err = e.outcome(&out, dst, nil, mode, err)
+	read.DecidedNegative = read.EarlyExit && len(out.IDs)-len(dst) < len(e.subs)
 	return out, err
 }

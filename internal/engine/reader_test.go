@@ -34,13 +34,13 @@ func TestMatchReaderEqualsMatchBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := ref.MatchBytes([]byte(doc), CaptureSerial)
+		want, err := ref.MatchBytes(nil, []byte(doc), CaptureSerial)
 		if err != nil {
 			t.Fatalf("iter %d: the generator's own document %s: %v", iter, doc, err)
 		}
 		for chunk := 1; chunk <= 64; chunk++ {
 			label := fmt.Sprintf("iter %d, doc %s, subscriptions %v, chunk size %d", iter, doc, subs, chunk)
-			got, err := e.MatchReader(strings.NewReader(doc), chunk, CaptureSerial)
+			got, err := e.MatchReader(nil, strings.NewReader(doc), chunk, CaptureSerial)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -52,7 +52,7 @@ func TestMatchReaderEqualsMatchBytes(t *testing.T) {
 			}
 			// Where the reader delivers its EOF — with the last bytes or
 			// after them — is the transport's business, not the outcome's.
-			withEOF, err := e.MatchReader(iotest.DataErrReader(strings.NewReader(doc)), chunk, CaptureSerial)
+			withEOF, err := e.MatchReader(nil, iotest.DataErrReader(strings.NewReader(doc)), chunk, CaptureSerial)
 			if err != nil || withEOF.Read != got.Read {
 				t.Fatalf("%s: read %+v when EOF comes with the last bytes, %+v when after them (err %v)", label, withEOF.Read, got.Read, err)
 			}
@@ -85,21 +85,21 @@ func TestMatchReaderEarlyExitLeavesEngineReusable(t *testing.T) {
 	mustAdd(t, e, "pad", "//item/pad")
 	decidedEarly := "<r><item><pad/></item>" + strings.Repeat("<item><pad>x</pad></item>", 400) + "</r>"
 	for round := 0; round < 2; round++ {
-		out, err := e.MatchReader(strings.NewReader(decidedEarly), 256, CaptureOff)
+		out, err := e.MatchReader(nil, strings.NewReader(decidedEarly), 256, CaptureOff)
 		if err != nil || !out.Read.EarlyExit || out.Read.DecidedNegative || len(out.IDs) != 1+round {
 			t.Fatalf("round %d: ids %v, read %+v, err %v", round, out.IDs, out.Read, err)
 		}
 		if out.Read.BytesRead >= int64(len(decidedEarly))/2 {
 			t.Fatalf("round %d: read %d of %d bytes", round, out.Read.BytesRead, len(decidedEarly))
 		}
-		out, err = e.MatchReader(strings.NewReader("<r><other/></r>"), 4, CaptureOff)
+		out, err = e.MatchReader(nil, strings.NewReader("<r><other/></r>"), 4, CaptureOff)
 		if err != nil || out.Read.EarlyExit || len(out.IDs) != 0 {
 			t.Fatalf("round %d: document after an early exit: ids %v, read %+v, err %v", round, out.IDs, out.Read, err)
 		}
-		if got, err := e.MatchBytes([]byte(decidedEarly), CaptureOff); err != nil || len(got.IDs) != 1+round {
+		if got, err := e.MatchBytes(nil, []byte(decidedEarly), CaptureOff); err != nil || len(got.IDs) != 1+round {
 			t.Fatalf("round %d: buffered document after an early exit: %v, %v", round, got.IDs, err)
 		}
-		if _, err := e.MatchReader(strings.NewReader(decidedEarly), 256, CaptureOff); err != nil {
+		if _, err := e.MatchReader(nil, strings.NewReader(decidedEarly), 256, CaptureOff); err != nil {
 			t.Fatal(err)
 		}
 		mustAdd(t, e, fmt.Sprintf("late%d", round), "/r/item") // matches at the first item
@@ -132,7 +132,7 @@ func TestMatchReaderErrorsKeepDecidedVerdicts(t *testing.T) {
 	errWire := errors.New("connection reset")
 	head := "<r><hit/>" + strings.Repeat("<a>", 50)
 
-	out, err := e.MatchReader(&failingReader{data: strings.NewReader(head), err: errWire}, 16, CaptureOff)
+	out, err := e.MatchReader(nil, &failingReader{data: strings.NewReader(head), err: errWire}, 16, CaptureOff)
 	if !errors.Is(err, errWire) || !slices.Equal(out.IDs, []string{"early"}) {
 		t.Fatalf("read error: ids %v, err %v", out.IDs, err)
 	}
@@ -142,7 +142,7 @@ func TestMatchReaderErrorsKeepDecidedVerdicts(t *testing.T) {
 
 	e.SetLimits(limits.Limits{MaxDepth: 20})
 	whole := head + strings.Repeat("</a>", 50) + "</r>"
-	out, err = e.MatchReader(strings.NewReader(whole), 16, CaptureSerial) // a capture mode, for Mem
+	out, err = e.MatchReader(nil, strings.NewReader(whole), 16, CaptureSerial) // a capture mode, for Mem
 	var le *limits.Error
 	if !errors.As(err, &le) || le.Resource != "depth" || !slices.Equal(out.IDs, []string{"early"}) {
 		t.Fatalf("depth breach: ids %v, err %v", out.IDs, err)
@@ -151,11 +151,31 @@ func TestMatchReaderErrorsKeepDecidedVerdicts(t *testing.T) {
 		t.Fatalf("depth breach: MemStats.MaxDepth = %d, want the budget's", out.Mem.MaxDepth)
 	}
 
-	out, err = e.MatchReader(bytes.NewReader([]byte("<r><hit/></r>")), 16, CaptureOff)
+	out, err = e.MatchReader(nil, bytes.NewReader([]byte("<r><hit/></r>")), 16, CaptureOff)
 	if err != nil || !slices.Equal(out.IDs, []string{"early"}) {
 		t.Fatalf("after the failures: ids %v, err %v", out.IDs, err)
 	}
-	if _, err := e.MatchReader(strings.NewReader("<r><hit/>"), 16, CaptureOff); err == nil {
+	if _, err := e.MatchReader(nil, strings.NewReader("<r><hit/>"), 16, CaptureOff); err == nil {
 		t.Fatal("a truncated document was accepted")
+	}
+}
+
+// TestMatchAppendsToDst: both drive loops append the matched ids to the
+// caller's dst, keeping what it held, and a reader's DecidedNegative counts
+// the document's verdicts, not dst's length.
+func TestMatchAppendsToDst(t *testing.T) {
+	e := New()
+	mustAdd(t, e, "a", "/r/a")
+	mustAdd(t, e, "dead", "/x/b") // decided negatively at <r>
+	doc := "<r><a/>" + strings.Repeat("<p/>", 400) + "</r>"
+	prefix := []string{"p0", "p1", "p2"}
+	want := []string{"p0", "p1", "p2", "a"}
+	out, err := e.MatchBytes(slices.Clone(prefix), []byte(doc), CaptureOff)
+	if err != nil || !slices.Equal(out.IDs, want) {
+		t.Fatalf("MatchBytes: ids %v, %v; want %v", out.IDs, err, want)
+	}
+	out, err = e.MatchReader(slices.Clone(prefix), strings.NewReader(doc), 16, CaptureOff)
+	if err != nil || !slices.Equal(out.IDs, want) || !out.Read.EarlyExit || !out.Read.DecidedNegative {
+		t.Fatalf("MatchReader: ids %v, read %+v, %v; want %v, a negative early exit", out.IDs, out.Read, err, want)
 	}
 }

@@ -118,9 +118,9 @@ func TestMatchersShareIndexRace(t *testing.T) {
 				want := make([]string, len(c.docs))
 				wantIDs := make([]string, len(c.docs))
 				for i, doc := range c.docs {
-					out, err := lone.MatchBytes(doc, CaptureSlice)
+					out, err := lone.MatchBytes(nil, doc, CaptureSlice)
 					want[i] = verdict(out, err)
-					out, err = lone.MatchReader(bytes.NewReader(doc), 256, CaptureOff)
+					out, err = lone.MatchReader(nil, bytes.NewReader(doc), 256, CaptureOff)
 					wantIDs[i] = verdict(out, err)
 				}
 				var wg sync.WaitGroup
@@ -131,10 +131,10 @@ func TestMatchersShareIndexRace(t *testing.T) {
 						for pass := 0; pass < 2; pass++ {
 							for j := range c.docs {
 								i := (j*(k+1) + pass) % len(c.docs) // each engine its own order
-								if got := verdict(m.MatchBytes(c.docs[i], CaptureSlice)); got != want[i] {
+								if got := verdict(m.MatchBytes(nil, c.docs[i], CaptureSlice)); got != want[i] {
 									t.Errorf("wave %d, engine %d, doc %d: MatchBytes %s, a lone engine %s", wave, k, i, got, want[i])
 								}
-								if got := verdict(m.MatchReader(bytes.NewReader(c.docs[i]), 256, CaptureOff)); got != wantIDs[i] {
+								if got := verdict(m.MatchReader(nil, bytes.NewReader(c.docs[i]), 256, CaptureOff)); got != wantIDs[i] {
 									t.Errorf("wave %d, engine %d, doc %d: MatchReader %s, a lone engine %s", wave, k, i, got, wantIDs[i])
 								}
 							}

@@ -1,6 +1,6 @@
 // Package limits defines the per-document resource budgets shared by the
-// tokenizer, the core filter, the dissemination engine, and the replica
-// pool — the operational form of the paper's memory lower bounds.
+// tokenizer, the core filter and the dissemination engine — the
+// operational form of the paper's memory lower bounds.
 //
 // The paper (Sections 4-7) proves that any streaming XPath evaluator must
 // hold Ω(frontier size) concurrent candidate state, Ω(r) state on

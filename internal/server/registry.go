@@ -41,8 +41,8 @@ type TenantConfig struct {
 // the ingest endpoint serializes.
 type MatchResult struct {
 	// Matched holds the matched subscription ids in insertion order: this
-	// call's own slice (the pool detaches it from the replica that ran the
-	// document).
+	// call's own slice (the pool appends the ids to a fresh one while it
+	// holds the engine that ran the document).
 	Matched []string
 	// Subscriptions is the tenant's standing subscription count at match
 	// time.

@@ -31,10 +31,10 @@
 // window, since the fold threshold doubles with the table.
 //
 // This makes a Table safe for any number of concurrent readers alongside
-// concurrent interners, which is what lets the replica pool
-// (internal/parallel) bind its N engine replicas and their tokenizers to
-// one shared table: the replicas' hot loops read symbols lock-free while
-// whichever of them first sees a document name interns it. The
+// concurrent interners, which is what lets a FilterPool bind its N
+// engines over one index, and their tokenizers, to one shared table: the
+// engines' hot loops read symbols lock-free while whichever of them first
+// sees a document name interns it. The
 // single-threaded cost over the previous unsynchronized table is one
 // atomic load per operation.
 package symtab

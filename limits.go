@@ -3,7 +3,6 @@ package streamxpath
 import (
 	"streamxpath/internal/engine"
 	"streamxpath/internal/limits"
-	"streamxpath/internal/parallel"
 )
 
 // LimitPolicy selects what a Match call does when a resource budget is
@@ -104,13 +103,6 @@ func (l Limits) internal() limits.Limits {
 // errors.As; under LimitAbstain it is converted into a degraded verdict
 // instead of surfacing.
 type LimitError = limits.Error
-
-// PanicError reports a panic recovered inside a FilterPool replica. Only
-// the in-flight document fails — the error carries the recovered value and
-// stack — and the faulty replica's per-document state is replaced before
-// the next document, leaving the index the replicas share as it was.
-// Detect with errors.As.
-type PanicError = parallel.PanicError
 
 // MemStats is the live-memory accounting of one document, with the
 // paper's cost model and lower bound applied: component peaks of the

@@ -3,44 +3,72 @@ package streamxpath
 import (
 	"fmt"
 	"io"
-	"slices"
+	"runtime/debug"
+	"sync"
 	"sync/atomic"
 
 	"streamxpath/internal/engine"
-	"streamxpath/internal/limits"
 	"streamxpath/internal/query"
 )
 
-// backend is what a multi-query matcher is built on: internal/engine's
-// sequential engine, or internal/parallel's pool of replicas of it. Its two
-// match entry points return everything the call knows about its document
-// in one engine.Outcome, assembled before whatever lock ran the document
-// is released — the breach policy's verdict included.
-type backend interface {
-	Add(id string, q *query.Query) error
-	AddExtract(id string, q *query.Query) error
-	Remove(id string) bool
-	Len() int
-	IDs() []string
-	SetLimits(limits.Limits)
-	Stats() engine.Stats
-	MatchBytes(doc []byte, mode engine.CaptureMode) (engine.Outcome, error)
-	MatchReader(r io.Reader, chunkSize int, mode engine.CaptureMode) (engine.Outcome, error)
-}
-
-// matcher is the public surface FilterSet and FilterPool share, derived once
-// from a backend: subscription management, limits and their breach policy,
-// and the six Match methods,
-// every one of which is a view of the one per-call MatchResult. Filter is
-// the same thing over an engine holding one subscription, its id the query
-// source, with the id lists narrowed to "it matched". It keeps
-// nothing about a call after the call returns, so it adds no locking to its
-// backend's: FilterPool's Match methods may be called from any number of
-// goroutines, alongside SetLimits and SetChunkSize.
+// matcher is the one public matcher, the surface FilterSet, FilterPool and
+// Filter share: subscription management, limits and their breach policy, and
+// the six Match methods, every one of which is a view of the one per-call
+// MatchResult. It holds one subscription index and a ring of engines over it
+// (engine.New, then Replica), each with per-document state of its own. A
+// Match call checks an engine out of the ring, builds the call's whole
+// MatchResult while it still holds it, and puts it back; a panic on the way
+// fails that document alone with a *PanicError and quarantines the engine
+// (Rebuild). FilterSet is a ring of one, and so is Filter, holding one
+// subscription whose id is the query source, with the id lists narrowed to
+// "it matched". A FilterPool's ring holds N engines, so its Match methods may
+// be called from any number of goroutines, alongside SetLimits and
+// SetChunkSize.
 type matcher struct {
-	b     backend
+	engs []*engine.Engine // over one index; Add and Remove go through engs[0]
+	idle chan *engine.Engine
+	// mu serializes the calls that take the whole ring (Add, Remove,
+	// SetLimits, Stats) and the index reads outside it (Len, IDs).
+	mu sync.Mutex
+
+	// reuse makes ids the buffer the Bytes and Reader matches append to
+	// (FilterSet, Filter); otherwise each call's ids are its own.
+	reuse bool
+	ids   []string
+
 	chunk atomic.Int64
 	lim   atomic.Pointer[Limits]
+
+	// fault, when non-nil, is called with the checked-out engine inside the
+	// recovery region: the fault-injection hook of the isolation tests.
+	fault func(*engine.Engine)
+}
+
+// init gives the matcher an empty index and a ring of n engines over it.
+func (m *matcher) init(n int, reuse bool) {
+	m.engs = []*engine.Engine{engine.New()}
+	for len(m.engs) < n {
+		m.engs = append(m.engs, m.engs[0].Replica())
+	}
+	m.idle = make(chan *engine.Engine, n)
+	for _, e := range m.engs {
+		m.idle <- e
+	}
+	m.reuse = reuse
+}
+
+// acquireAll checks every engine out of the ring, waiting for in-flight
+// matches to complete. The caller holds mu and must releaseAll.
+func (m *matcher) acquireAll() {
+	for range m.engs {
+		<-m.idle
+	}
+}
+
+func (m *matcher) releaseAll() {
+	for _, e := range m.engs {
+		m.idle <- e
+	}
 }
 
 // Add compiles a subscription under the given id and registers it. Ids
@@ -62,26 +90,48 @@ func (m *matcher) add(id, querySrc string, extract bool) error {
 	if err != nil {
 		return err
 	}
-	if extract {
-		err = m.b.AddExtract(id, q.q)
-	} else {
-		err = m.b.Add(id, q.q)
-	}
-	if err != nil {
+	if err := m.link(id, q.q, extract); err != nil {
 		return fmt.Errorf("streamxpath: subscription %q: %w", id, err)
 	}
 	return nil
 }
 
+// link adds a compiled subscription to the index, once for every engine.
+func (m *matcher) link(id string, q *query.Query, extract bool) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.acquireAll()
+	defer m.releaseAll()
+	if extract {
+		return m.engs[0].AddExtract(id, q)
+	}
+	return m.engs[0].Add(id, q)
+}
+
 // Remove deregisters a subscription, reporting whether it existed. On a
 // FilterPool it waits for in-flight Match calls to finish.
-func (m *matcher) Remove(id string) bool { return m.b.Remove(id) }
+func (m *matcher) Remove(id string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.acquireAll()
+	defer m.releaseAll()
+	return m.engs[0].Remove(id)
+}
 
-// Len returns the number of subscriptions.
-func (m *matcher) Len() int { return m.b.Len() }
+// Len returns the number of subscriptions. It reads the index under mu
+// alone: matches read it too, and only a mutation, which holds mu, writes it.
+func (m *matcher) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.engs[0].Len()
+}
 
 // IDs returns the subscription ids in insertion order.
-func (m *matcher) IDs() []string { return m.b.IDs() }
+func (m *matcher) IDs() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.engs[0].IDs()
+}
 
 // SetLimits configures the per-document resource budgets and breach
 // policy (the zero value disables them). Limits persist across documents;
@@ -92,7 +142,13 @@ func (m *matcher) IDs() []string { return m.b.IDs() }
 // calls to finish, so neither budgets nor policy change mid-document.
 func (m *matcher) SetLimits(l Limits) {
 	m.lim.Store(&l)
-	m.b.SetLimits(l.internal())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.acquireAll()
+	defer m.releaseAll()
+	for _, e := range m.engs {
+		e.SetLimits(l.internal())
+	}
 }
 
 // Limits returns the configured budgets.
@@ -108,9 +164,17 @@ func (m *matcher) Limits() Limits {
 func (m *matcher) SetChunkSize(n int) { m.chunk.Store(int64(n)) }
 
 // Stats returns the engine statistics: the size of the shared structures
-// and the work of the last document. FilterPool reports one replica's
-// (replicas are identical in structure).
-func (m *matcher) Stats() FilterSetStats { return m.b.Stats() }
+// and the work of the last document. FilterPool reports its first engine's
+// (the index's sizes are every engine's; per-document work and the DFA memo
+// are that engine's). On a FilterPool it waits for in-flight Match calls to
+// finish.
+func (m *matcher) Stats() FilterSetStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.acquireAll()
+	defer m.releaseAll()
+	return m.engs[0].Stats()
+}
 
 // MatchBytes matches one in-memory document against every subscription
 // and returns the ids that match, in insertion order, non-nil even when
@@ -144,7 +208,8 @@ func (m *matcher) Stats() FilterSetStats { return m.b.Stats() }
 // Who owns the returned slice is the matcher's contract, stated on its
 // type: FilterSet reuses it, FilterPool allocates it.
 func (m *matcher) MatchBytes(doc []byte) ([]string, error) {
-	res, err := m.matchBytes(doc, engine.CaptureOff)
+	var res MatchResult
+	err := m.matchBytes(&res, doc, engine.CaptureOff, false)
 	return res.MatchedIDs, err
 }
 
@@ -154,23 +219,26 @@ func (m *matcher) MatchBytes(doc []byte) ([]string, error) {
 // memory accounting. Subtree fragments are zero-copy subslices of doc —
 // the raw bytes of the matched element, valid as long as doc is — while
 // attribute-value fragments are decoded copies.
-func (m *matcher) MatchBytesResult(doc []byte) (MatchResult, error) {
-	return m.matchBytes(doc, engine.CaptureSlice)
+func (m *matcher) MatchBytesResult(doc []byte) (res MatchResult, err error) {
+	err = m.matchBytes(&res, doc, engine.CaptureSlice, false)
+	return res, err
 }
 
 // MatchString is MatchBytes over a string. The document is copied into a
 // buffer of the call's own, and the returned slice is always freshly
 // allocated.
 func (m *matcher) MatchString(xml string) ([]string, error) {
-	res, err := m.matchString(xml, engine.CaptureOff)
+	var res MatchResult
+	err := m.matchBytes(&res, []byte(xml), engine.CaptureOff, true)
 	return res.MatchedIDs, err
 }
 
 // MatchStringResult is MatchBytesResult over a string. The id slice is
 // freshly allocated, and fragments subslice the call's private copy of the
 // document, so the caller owns every byte of the result outright.
-func (m *matcher) MatchStringResult(xml string) (MatchResult, error) {
-	return m.matchString(xml, engine.CaptureSlice)
+func (m *matcher) MatchStringResult(xml string) (res MatchResult, err error) {
+	err = m.matchBytes(&res, []byte(xml), engine.CaptureSlice, true)
+	return res, err
 }
 
 // MatchReader streams one document past every subscription through the
@@ -191,7 +259,8 @@ func (m *matcher) MatchStringResult(xml string) (MatchResult, error) {
 // document at its first start tag. Ownership of the returned slice is as
 // for MatchBytes.
 func (m *matcher) MatchReader(r io.Reader) ([]string, error) {
-	res, err := m.matchReader(r, engine.CaptureOff)
+	var res MatchResult
+	err := m.matchReader(&res, r, engine.CaptureOff)
 	return res.MatchedIDs, err
 }
 
@@ -204,46 +273,96 @@ func (m *matcher) MatchReader(r io.Reader) ([]string, error) {
 // memory accounting. When extraction subscriptions have open candidate
 // captures, early exit is deferred until they finalize, so a decided
 // verdict never truncates a fragment.
-func (m *matcher) MatchReaderResult(r io.Reader) (MatchResult, error) {
-	return m.matchReader(r, engine.CaptureSerial)
-}
-
-func (m *matcher) matchBytes(doc []byte, mode engine.CaptureMode) (MatchResult, error) {
-	out, err := m.b.MatchBytes(doc, mode)
-	return result(out, err)
-}
-
-func (m *matcher) matchString(xml string, mode engine.CaptureMode) (MatchResult, error) {
-	res, err := m.matchBytes([]byte(xml), mode)
-	if err == nil {
-		res.MatchedIDs = slices.Clone(res.MatchedIDs)
-	}
+func (m *matcher) MatchReaderResult(r io.Reader) (res MatchResult, err error) {
+	err = m.matchReader(&res, r, engine.CaptureSerial)
 	return res, err
 }
 
-func (m *matcher) matchReader(r io.Reader, mode engine.CaptureMode) (MatchResult, error) {
-	out, err := m.b.MatchReader(r, int(m.chunk.Load()), mode)
-	res, err := result(out, err)
-	res.ReaderStats = readerStats(out.Read)
+func (m *matcher) matchBytes(res *MatchResult, doc []byte, mode engine.CaptureMode, own bool) error {
+	return m.match(res, own, func(e *engine.Engine, dst []string) (engine.Outcome, error) {
+		return e.MatchBytes(dst, doc, mode)
+	})
+}
+
+func (m *matcher) matchReader(res *MatchResult, r io.Reader, mode engine.CaptureMode) error {
+	chunk := int(m.chunk.Load())
+	err := m.match(res, false, func(e *engine.Engine, dst []string) (engine.Outcome, error) {
+		return e.MatchReader(dst, r, chunk, mode)
+	})
 	res.ReaderStats.Abstained = res.Abstained
-	return res, err
+	return err
 }
 
-// result turns one call's outcome into its MatchResult. The breach policy
-// was applied where the document ran: an abstained outcome carries the
-// verdicts already decided (definitive, by monotonicity) and the fragments
-// finalized before the breach, with a nil error. An error passes through,
-// beside a result that holds the failed document's accounting and no
-// verdicts.
-func result(out engine.Outcome, err error) (MatchResult, error) {
-	res := MatchResult{MemStats: out.Mem, SkimmedBytes: out.Skimmed, Abstained: out.Abstained}
+// match runs one document on a checked-out engine and fills res, the call's
+// MatchResult, before the engine goes back to the ring. The ids are appended
+// to the matcher's reused buffer, or, when it keeps none or own is set, to a
+// slice of the call's own. (res is written in place: the result is passed
+// down, not returned up, because copying it through every layer costs more
+// than the checkout.)
+func (m *matcher) match(res *MatchResult, own bool, run func(*engine.Engine, []string) (engine.Outcome, error)) (err error) {
+	e := <-m.idle
+	defer func() { m.idle <- e }()
+	// Declared after the checkout-return defer, so on a panic this runs
+	// FIRST: the engine is quarantined before it re-enters the ring. Other
+	// engines may be matching or quarantined meanwhile, but no mutation
+	// runs, which holds every engine: that is what Rebuild requires.
+	defer func() {
+		if rec := recover(); rec != nil {
+			e.Rebuild()
+			*res = MatchResult{}
+			err = fmt.Errorf("streamxpath: %w", &PanicError{Recovered: rec, Stack: debug.Stack()})
+		}
+	}()
+	if m.fault != nil {
+		m.fault(e)
+	}
+	var dst []string
+	reuse := m.reuse && !own
+	if reuse {
+		dst = m.ids[:0]
+	}
+	out, err := run(e, dst)
+	if reuse {
+		m.ids = out.IDs
+	}
+	return fill(res, &out, err)
+}
+
+// fill turns one call's outcome into its MatchResult, copying the data of
+// volatile fragments out of the engine that ran it. The breach policy was
+// applied there: an abstained outcome carries the verdicts already decided
+// (definitive, by monotonicity) and the fragments finalized before the
+// breach, with a nil error. An error passes through, beside a result that
+// holds the failed document's accounting and no verdicts.
+func fill(res *MatchResult, out *engine.Outcome, err error) error {
+	res.MemStats = out.Mem
+	res.SkimmedBytes = out.Skimmed
+	res.Abstained = out.Abstained
+	res.ReaderStats = readerStats(out.Read)
 	if err != nil {
-		return res, err
+		return err
 	}
 	res.MatchedIDs = out.IDs
 	if res.MatchedIDs == nil {
 		res.MatchedIDs = []string{}
 	}
 	res.Fragments = toFragments(out.Frags)
-	return res, nil
+	return nil
+}
+
+// PanicError reports a panic recovered inside a matcher's engine. Only the
+// in-flight document fails — the error carries the recovered value and
+// stack — and the engine's per-document state is replaced before its next
+// document, leaving the index the engines share as it was. Detect with
+// errors.As.
+type PanicError struct {
+	// Recovered is the value the panic carried.
+	Recovered any
+	// Stack is the panicking goroutine's stack trace, captured at the
+	// recovery site.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("parallel: recovered panic in worker: %v", e.Recovered)
 }

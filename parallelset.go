@@ -1,26 +1,22 @@
 package streamxpath
 
-import (
-	"runtime"
+import "runtime"
 
-	"streamxpath/internal/parallel"
-)
-
-// FilterPool is the concurrent dissemination engine: a pool of engine
-// replicas over one shared subscription index, matching whole documents
-// independently. A subscription is linked once, whatever the replica
-// count; a replica adds only per-document state (its NFA runner and DFA
-// memo, trie matcher and tokenizers), so the pool's heap stays close to a
-// FilterSet's. Each Match call checks out an idle replica, so a document
+// FilterPool is the concurrent dissemination engine: one subscription index
+// and a ring of N engines over it, matching whole documents independently. A
+// subscription is linked once, whatever N; an engine adds only per-document
+// state (its NFA runner and DFA memo, trie matcher and tokenizers), so the
+// pool's heap stays close to a FilterSet's — which is the same matcher with
+// a ring of one. Each Match call checks out an idle engine, so a document
 // feed spreads across cores with no coordination beyond the checkout, and
 // the feed's name vocabulary is interned once, in the index's concurrent
 // symbol table. Add, Remove, SetLimits and Stats wait for in-flight Match
-// calls to drain; a Match call never waits for another.
+// calls to drain; a Match call waits only for an idle engine.
 //
 // Match contract: every Match method is safe to call from any number of
 // goroutines, returns freshly allocated slices (calls run concurrently, so
 // there is no shared buffer to reuse), and its MatchResult is the call's
-// own — everything in it is read off the replica before the replica goes
+// own — everything in it is read off the engine before the engine goes
 // back. Results are identical to the sequential FilterSet's.
 //
 // It is the one concurrent matcher: xpfilterd tenants, xpfilter -workers
@@ -30,19 +26,18 @@ import (
 // FilterSet and deleted; the two types below are what is left of them.
 type FilterPool struct {
 	matcher
-	p *parallel.Pool
 }
 
-// NewFilterPool returns an empty pool with the given number of replica
-// workers; workers < 1 selects GOMAXPROCS.
+// NewFilterPool returns an empty pool with the given number of engines;
+// workers < 1 selects GOMAXPROCS.
 func NewFilterPool(workers int) *FilterPool {
-	p := &FilterPool{p: parallel.NewPool(workersOr(workers))}
-	p.b = p.p
+	p := &FilterPool{}
+	p.init(workersOr(workers), false)
 	return p
 }
 
-// Workers returns the replica count.
-func (p *FilterPool) Workers() int { return p.p.Workers() }
+// Workers returns the number of engines.
+func (p *FilterPool) Workers() int { return len(p.engs) }
 
 // ParallelFilterSet is a FilterPool under the name of the event-sharded
 // engine it replaced.

@@ -58,7 +58,7 @@ func (s *StreamEvaluator) OnValue(fn func(value string)) { s.onValue = fn }
 // the end.
 func (s *StreamEvaluator) EvaluateReader(r io.Reader) ([]string, error) {
 	s.vals = nil
-	out, err := s.e.MatchReader(r, s.chunk, engine.CaptureValue)
+	out, err := s.e.MatchReader(nil, r, s.chunk, engine.CaptureValue)
 	s.rs = readerStats(out.Read)
 	if err != nil {
 		return nil, err

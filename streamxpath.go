@@ -22,8 +22,8 @@
 //     pass with per-event cost governed by structure sharing rather than
 //     subscription count;
 //   - dissemination across cores, behind the same methods as FilterSet:
-//     FilterPool runs full engine replicas bound to one concurrent symbol
-//     table, matching whole documents concurrently.
+//     FilterPool runs N engines over one subscription index and its
+//     concurrent symbol table, matching whole documents concurrently.
 //     Every Match*Result call, on every matcher, returns one MatchResult
 //     — verdicts, extracted fragments, abstain flag, reader and memory
 //     accounting — that is that call's own, however many run at once;
@@ -58,7 +58,6 @@ package streamxpath
 import (
 	"io"
 
-	"streamxpath/internal/engine"
 	"streamxpath/internal/query"
 	"streamxpath/internal/semantics"
 	"streamxpath/internal/tree"
@@ -98,20 +97,20 @@ func (q *Query) String() string { return q.q.String() }
 // Size returns |Q|, the number of query tree nodes.
 func (q *Query) Size() int { return q.q.Size() }
 
-// Filter is a single-pass streaming matcher for one query: the shared
-// dissemination engine (internal/engine, the one FilterSet runs) holding a
-// single subscription, behind the same match path. Everything FilterSet's
-// Match methods document — the interned-symbol byte path, the skim of a
-// decided remainder, early exit on a reader, budgets and their breach
-// policy, the memory accounting — holds for a Filter, with "the query
-// matched" in place of the id list. (The paper's Section 8 algorithm itself,
+// Filter is a single-pass streaming matcher for one query: a FilterSet
+// holding a single subscription — one engine (internal/engine) in a ring of
+// one, behind the same match path. Everything FilterSet's Match methods
+// document — the interned-symbol byte path, the skim of a decided
+// remainder, early exit on a reader, budgets and their breach policy, the
+// memory accounting — holds for a Filter, with "the query matched" in place
+// of the id list. (The paper's Section 8 algorithm itself,
 // with its Theorem 8.8 accounting, is internal/core: the reference the
 // engine is tested against, reached through cmd/xpexperiments and
-// examples/tracer.) A Filter is reusable across documents but not safe for
+// examples/tracer.) A panic inside the engine fails only the document with a
+// *PanicError. A Filter is reusable across documents but not safe for
 // concurrent use; create one per goroutine.
 type Filter struct {
 	m matcher
-	e *engine.Engine
 }
 
 // NewFilter compiles the streaming filter. It returns an error if the
@@ -120,9 +119,9 @@ type Filter struct {
 // disjunction, negation and multi-variable predicates require the
 // in-memory Evaluate path).
 func (q *Query) NewFilter() (*Filter, error) {
-	f := &Filter{e: engine.New()}
-	f.m.b = f.e
-	if err := f.e.Add(q.String(), q.q); err != nil {
+	f := &Filter{}
+	f.m.init(1, true)
+	if err := f.m.link(q.String(), q.q, false); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -196,7 +195,7 @@ func (f *Filter) MatchReaderResult(r io.Reader) (MatchResult, error) {
 // document, against the paper's FS(Q)·⌈log₂ d⌉ floor. It counts what the
 // engine holds: a predicate-free query runs on the lazy-DFA route and holds
 // no frontier tuples at all.
-func (f *Filter) Stats() MemStats { return f.e.MemStats() }
+func (f *Filter) Stats() MemStats { return f.m.engs[0].MemStats() }
 
 // Match is the one-shot convenience: compile the query, stream the
 // document, report the match. Queries outside the streamable fragment fall

@@ -39,12 +39,9 @@ type MergedNFA struct {
 	freeStates []int
 	live       int
 
-	// Output ids index the runner's match vector. outState maps an id to
-	// its accepting state (-1 while the id is free); freed ids are handed
-	// out again before the vector grows.
-	outState []int
-	freeOuts []int
-	outputs  int // ids in use
+	// outputs counts the output ids accepted at some state. The ids are the
+	// caller's: it hands one to Add, and the runners' owners latch by it.
+	outputs int
 
 	// runners are the runners bound to the automaton, each with a memo of its
 	// own that every patch has to reach. bind guards the list against runners
@@ -94,9 +91,10 @@ func NewMergedNFA(tab *symtab.Table) *MergedNFA {
 }
 
 // Add merges a linear (predicate-free, attribute-free) path query into the
-// trie and returns the output id accepted at its final state. It returns
-// an error for queries outside the /, //, * fragment.
-func (m *MergedNFA) Add(q *query.Query) (int, error) {
+// trie, accepting output id out at its final state, and returns that state,
+// which Remove takes back. It returns an error for queries outside the /,
+// //, * fragment.
+func (m *MergedNFA) Add(q *query.Query, out int) (int, error) {
 	if err := Linear(q); err != nil {
 		return 0, err
 	}
@@ -131,30 +129,19 @@ func (m *MergedNFA) Add(q *query.Query) (int, error) {
 		m.states[next].through++
 		cur = next
 	}
-	out := len(m.outState)
-	if k := len(m.freeOuts); k > 0 {
-		out = m.freeOuts[k-1]
-		m.freeOuts = m.freeOuts[:k-1]
-		m.outState[out] = cur
-	} else {
-		m.outState = append(m.outState, cur)
-	}
 	m.states[cur].outputs = append(m.states[cur].outputs, out)
 	m.outputs++
 	for _, r := range m.runners {
 		r.accept(cur, out, true)
 	}
-	return out, nil
+	return cur, nil
 }
 
-// Remove withdraws the query Add returned out for: the id is freed and the
-// states only that query passed through are unlinked. The scan for the id
-// is linear in the ids accepted at the same state (duplicates of one
-// query).
-func (m *MergedNFA) Remove(out int) {
-	cur := m.outState[out]
-	m.outState[out] = -1
-	m.freeOuts = append(m.freeOuts, out)
+// Remove withdraws the query Add accepted out for at state cur: the id is
+// dropped and the states only that query passed through are unlinked. The
+// scan for the id is linear in the ids accepted at the same state
+// (duplicates of one query).
+func (m *MergedNFA) Remove(cur, out int) {
 	outs := m.states[cur].outputs
 	for i, o := range outs {
 		if o == out {
@@ -222,10 +209,6 @@ func (m *MergedNFA) Slots() int { return len(m.states) }
 
 // Outputs returns the number of output ids in use.
 func (m *MergedNFA) Outputs() int { return m.outputs }
-
-// OutputCap returns one more than the largest output id ever returned —
-// the length a vector indexed by output id needs.
-func (m *MergedNFA) OutputCap() int { return len(m.outState) }
 
 // An active item is a trie state in one of two modes. A "fresh" state was
 // entered by matching its own step at the current element; all its
@@ -317,9 +300,10 @@ func (m *MergedNFA) under(items []int, s int) bool {
 // interned item sets and lazily memoized (set, symbol) transitions held
 // in dense per-set rows indexed by the tokenizer-supplied symbol — one
 // bounds-checked array load per element once warm, no hashing, no
-// allocation, independent of subscription count. Matches latch into
-// Matched; the transition rows persist across Reset as a long-running
-// dissemination engine's would, and across the automaton's Add and Remove:
+// allocation, independent of subscription count. Matches latch in the
+// runner's owner (latch), which keeps the verdicts; the transition rows
+// persist across Reset as a long-running dissemination engine's would, and
+// across the automaton's Add and Remove:
 // a row depends only on the child sets of the states in its item set, so a
 // mutation zeroes the entries under the states it relinked and nothing
 // else. What a set accepts is a list kept beside it — the outputs of its
@@ -353,11 +337,6 @@ type SharedRunner struct {
 	startID int // interned id of the initial item set
 	stack   []int
 	depth   int // levels processed while short-circuited
-	// Matched[out] latches output out; it covers the automaton's OutputCap
-	// as of the last Reset. latched lists the outputs it holds true, so that
-	// Reset clears what the document matched, not the whole vector.
-	Matched []bool
-	latched []int
 	left    int // outputs not yet matched
 	// liveLeft counts the outputs whose verdict is still open. XML has
 	// exactly one root element (the tokenizers reject a second), so the
@@ -370,24 +349,26 @@ type SharedRunner struct {
 	liveLeft int
 	stats    DFAStats
 
-	// OnMatch, when non-nil, is invoked once per output the moment it
-	// latches (inside StartElementSym, while the matching element's start
-	// event is current). The dissemination engine uses it to begin
-	// fragment capture for extraction-enabled subscriptions; the callback
-	// must not reenter the runner.
-	OnMatch func(out int)
+	// latch is the owner's record of the document's verdicts: it is handed
+	// the outputs an entered item set accepts (inside StartElementSym, while
+	// the matching element's start event is current), latches them, and
+	// returns how many of them latched for the first time this document —
+	// the runner keeps no verdicts, only how many are left. It must not
+	// reenter the runner.
+	latch func(outs []int) (first int)
 }
 
 // NewSharedRunner returns a runner over the merged automaton, dispatching
 // on the automaton's symbol table: callers that tokenize with that table
-// feed the runner symbols directly via StartElementSym. The runner follows
-// the automaton's later Add and Remove calls until Unbind. An automaton may
-// have any number of runners, each matching its own documents: they read it
-// and write only themselves, so they may run concurrently while it is not
-// patched. Binding and Unbind may run concurrently with each other and with
-// the other runners' matching, but not with Add or Remove.
-func NewSharedRunner(m *MergedNFA) *SharedRunner {
-	r := &SharedRunner{m: m, index: map[string]int{}, setsOf: map[int][]int{}}
+// feed the runner symbols directly via StartElementSym. Matches go to latch
+// (see SharedRunner.latch). The runner follows the automaton's later Add and
+// Remove calls until Unbind. An automaton may have any number of runners,
+// each matching its own documents: they read it and write only themselves,
+// so they may run concurrently while it is not patched. Binding and Unbind
+// may run concurrently with each other and with the other runners'
+// matching, but not with Add or Remove.
+func NewSharedRunner(m *MergedNFA, latch func(outs []int) (first int)) *SharedRunner {
+	r := &SharedRunner{m: m, index: map[string]int{}, setsOf: map[int][]int{}, latch: latch}
 	m.bind.Lock()
 	m.runners = append(m.runners, r)
 	m.bind.Unlock()
@@ -406,19 +387,12 @@ func (r *SharedRunner) Unbind() {
 	m.runners = slices.Delete(m.runners, i, i+1)
 }
 
-// Reset clears the per-document state (stack and matches) but keeps the
-// memoized transition rows. It does not allocate once warm, and costs what
-// the last document matched, not what is subscribed.
+// Reset clears the per-document state (the stack and the counts of what is
+// left) but keeps the memoized transition rows. It does not allocate once
+// warm; the owner clears its own verdicts.
 func (r *SharedRunner) Reset() {
 	r.stack = r.stack[:0]
 	r.depth = 0
-	if n := r.m.OutputCap(); n > len(r.Matched) {
-		r.Matched = append(r.Matched, make([]bool, n-len(r.Matched))...)
-	}
-	for _, out := range r.latched {
-		r.Matched[out] = false
-	}
-	r.latched = r.latched[:0]
 	r.left = r.m.outputs
 	r.liveLeft = r.left
 	r.stats.PeakStack = 0
@@ -640,16 +614,10 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 		r.stats.Materialized++
 		r.stats.Symbols = r.m.tab.Len() - 1
 	}
-	for _, out := range r.accepts[nextID] {
-		if !r.Matched[out] {
-			r.Matched[out] = true
-			r.latched = append(r.latched, out)
-			r.left--
-			r.liveLeft--
-			if r.OnMatch != nil {
-				r.OnMatch(out)
-			}
-		}
+	if acc := r.accepts[nextID]; len(acc) > 0 {
+		first := r.latch(acc)
+		r.left -= first
+		r.liveLeft -= first
 	}
 	r.stack = append(r.stack, nextID)
 	if len(r.stack) == 2 {
@@ -676,10 +644,6 @@ func (r *SharedRunner) EndElement() {
 	}
 }
 
-// AllMatched reports whether every output has latched (so callers may stop
-// feeding elements entirely).
-func (r *SharedRunner) AllMatched() bool { return r.left == 0 }
-
 // Undecided returns the number of outputs whose verdict is still open:
 // not yet matched and still reachable by some continuation of the
 // document. Before the root element everything unmatched is undecided;
@@ -688,13 +652,6 @@ func (r *SharedRunner) AllMatched() bool { return r.left == 0 }
 // counting. Zero means a streaming caller may abandon the document —
 // the remaining verdicts are final either way.
 func (r *SharedRunner) Undecided() int { return r.liveLeft }
-
-// MatchedCount returns the number of outputs latched so far.
-func (r *SharedRunner) MatchedCount() int { return r.m.outputs - r.left }
-
-// Latched returns the outputs latched since the last Reset, in latch order.
-// The slice is the runner's own, valid until the next Reset.
-func (r *SharedRunner) Latched() []int { return r.latched }
 
 // Stats returns the lazy-determinization memory accounting.
 func (r *SharedRunner) Stats() DFAStats { return r.stats }

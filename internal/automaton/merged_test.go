@@ -11,14 +11,53 @@ import (
 	"streamxpath/internal/workload"
 )
 
+// owned is a runner with the owner it latches in: a match vector by output
+// id and a count of its set entries, which is what the engine keeps, by
+// result slot, for the runner's outputs.
+type owned struct {
+	*SharedRunner
+	matched []bool
+	count   int
+}
+
+func newOwned(m *MergedNFA) *owned {
+	o := &owned{}
+	o.SharedRunner = NewSharedRunner(m, o.latch)
+	return o
+}
+
+func (o *owned) latch(outs []int) (first int) {
+	for _, out := range outs {
+		if out >= len(o.matched) {
+			o.matched = append(o.matched, make([]bool, out+1-len(o.matched))...)
+		}
+		if !o.matched[out] {
+			o.matched[out] = true
+			first++
+		}
+	}
+	o.count += first
+	return first
+}
+
+// hit reports output out's verdict.
+func (o *owned) hit(out int) bool { return out < len(o.matched) && o.matched[out] }
+
+// Reset clears the owner's verdicts with the runner's state.
+func (o *owned) Reset() {
+	o.SharedRunner.Reset()
+	clear(o.matched)
+	o.count = 0
+}
+
 // startElement feeds a reference-tokenizer element name to the runner's
 // one event surface, interned into its automaton's table as the byte
 // tokenizer would have.
-func startElement(r *SharedRunner, name string) { r.StartElementSym(r.m.tab.Intern(name)) }
+func startElement(r *owned, name string) { r.StartElementSym(r.m.tab.Intern(name)) }
 
-// runMerged feeds a SAX stream to a SharedRunner and returns the match
-// vector.
-func runMerged(r *SharedRunner, events []sax.Event) []bool {
+// runMerged feeds a SAX stream to a runner and returns its owner's
+// verdicts.
+func runMerged(r *owned, events []sax.Event) *owned {
 	for _, e := range events {
 		switch e.Kind {
 		case sax.StartDocument:
@@ -29,7 +68,7 @@ func runMerged(r *SharedRunner, events []sax.Event) []bool {
 			r.EndElement()
 		}
 	}
-	return r.Matched
+	return r
 }
 
 // TestMergedChildAxisPrecision is the classic merged-trie soundness trap:
@@ -39,22 +78,22 @@ func runMerged(r *SharedRunner, events []sax.Event) []bool {
 func TestMergedChildAxisPrecision(t *testing.T) {
 	m := NewMergedNFA(nil)
 	for i, src := range []string{"//a/b", "//a//c"} {
-		if out, err := m.Add(query.MustParse(src)); err != nil || out != i {
-			t.Fatalf("Add(%s) = %d, %v; want output %d", src, out, err, i)
+		if _, err := m.Add(query.MustParse(src), i); err != nil {
+			t.Fatalf("Add(%s): %v", src, err)
 		}
 	}
-	r := NewSharedRunner(m)
+	r := newOwned(m)
 	got := runMerged(r, sax.MustParse("<a><x><b/></x></a>"))
-	if got[0] {
+	if got.hit(0) {
 		t.Errorf("//a/b matched <a><x><b/></x></a>: b is not a child of a")
 	}
-	if got[1] {
+	if got.hit(1) {
 		t.Errorf("//a//c matched a document with no c")
 	}
 	r.Reset()
 	got = runMerged(r, sax.MustParse("<a><b/><x><c/></x></a>"))
-	if !got[0] || !got[1] {
-		t.Errorf("direct matches lost: got %v, want [true true]", got)
+	if !got.hit(0) || !got.hit(1) {
+		t.Errorf("direct matches lost: got %v, want [true true]", got.matched)
 	}
 }
 
@@ -62,7 +101,7 @@ func TestMergedPrefixSharing(t *testing.T) {
 	m := NewMergedNFA(nil)
 	for i := 0; i < 100; i++ {
 		q := query.MustParse(fmt.Sprintf("//catalog/item/f%d", i))
-		if _, err := m.Add(q); err != nil {
+		if _, err := m.Add(q, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +114,7 @@ func TestMergedPrefixSharing(t *testing.T) {
 func TestMergedRejectsOutsideFragment(t *testing.T) {
 	m := NewMergedNFA(nil)
 	for _, src := range []string{"/a[b]", "/a/@id", "/a[b > 5]/c"} {
-		if _, err := m.Add(query.MustParse(src)); err == nil {
+		if _, err := m.Add(query.MustParse(src), 0); err == nil {
 			t.Errorf("Add(%q) accepted; want error", src)
 		}
 	}
@@ -106,13 +145,12 @@ func TestMergedEquivalentToIndividual(t *testing.T) {
 				src += steps[rng.Intn(len(steps))]
 			}
 			sources = append(sources, src)
-			if out, err := m.Add(query.MustParse(src)); err != nil || out != i {
-				t.Fatalf("Add(%s) = %d, %v; want output %d", src, out, err, i)
+			if _, err := m.Add(query.MustParse(src), i); err != nil {
+				t.Fatalf("Add(%s): %v", src, err)
 			}
 		}
 		doc := workload.RandomTree(rng, names, nil, 1+rng.Intn(5), 3).Events()
-		r := NewSharedRunner(m)
-		got := runMerged(r, doc)
+		got := runMerged(newOwned(m), doc)
 		for i, src := range sources {
 			nfa, err := FromQuery(query.MustParse(src))
 			if err != nil {
@@ -123,9 +161,9 @@ func TestMergedEquivalentToIndividual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got[i] != want {
+			if got.hit(i) != want {
 				t.Fatalf("trial %d: query %q: merged=%v individual=%v\nqueries: %v",
-					trial, src, got[i], want, sources)
+					trial, src, got.hit(i), want, sources)
 			}
 		}
 	}
@@ -133,7 +171,7 @@ func TestMergedEquivalentToIndividual(t *testing.T) {
 
 // feedMerged drives a SAX stream and returns Undecided after each
 // element-start, for asserting when the dead-state analysis fires.
-func feedMerged(r *SharedRunner, events []sax.Event) []int {
+func feedMerged(r *owned, events []sax.Event) []int {
 	var trace []int
 	for _, e := range events {
 		switch e.Kind {
@@ -154,14 +192,14 @@ func feedMerged(r *SharedRunner, events []sax.Event) []int {
 // its item set are decided negative, while descendant-axis queries (and
 // anything reachable through a // gap) stay undecided.
 func TestMergedUndecidedDeadStateAnalysis(t *testing.T) {
-	build := func(srcs ...string) *SharedRunner {
+	build := func(srcs ...string) *owned {
 		m := NewMergedNFA(nil)
 		for i, src := range srcs {
-			if out, err := m.Add(query.MustParse(src)); err != nil || out != i {
-				t.Fatalf("Add(%s) = %d, %v; want output %d", src, out, err, i)
+			if _, err := m.Add(query.MustParse(src), i); err != nil {
+				t.Fatalf("Add(%s): %v", src, err)
 			}
 		}
-		return NewSharedRunner(m)
+		return newOwned(m)
 	}
 
 	// Disjoint root: /a/b and /a/*/c die at <z>; //d survives any root
@@ -171,8 +209,8 @@ func TestMergedUndecidedDeadStateAnalysis(t *testing.T) {
 	if trace[0] != 1 {
 		t.Fatalf("after <z>: undecided=%d, want 1 (only //d alive)", trace[0])
 	}
-	if r.MatchedCount() != 0 {
-		t.Fatalf("nothing should have matched, got %d", r.MatchedCount())
+	if r.count != 0 {
+		t.Fatalf("nothing should have matched, got %d", r.count)
 	}
 
 	// Matching root: everything below /a stays undecided until it
@@ -190,8 +228,8 @@ func TestMergedUndecidedDeadStateAnalysis(t *testing.T) {
 	if trace[3] != 1 {
 		t.Fatalf("after <c>: undecided=%d, want 1 (//d)", trace[3])
 	}
-	if !r.Matched[0] || !r.Matched[1] || r.Matched[2] {
-		t.Fatalf("matched = %v, want [true true false]", r.Matched)
+	if !r.hit(0) || !r.hit(1) || r.hit(2) {
+		t.Fatalf("matched = %v, want [true true false]", r.matched)
 	}
 
 	// All-dead: the runner must keep verdicts latched and stop doing
@@ -203,46 +241,48 @@ func TestMergedUndecidedDeadStateAnalysis(t *testing.T) {
 			t.Fatalf("element %d: undecided=%d, want 0", i, u)
 		}
 	}
-	if r2.MatchedCount() != 0 {
-		t.Fatalf("dead queries matched: %v", r2.Matched)
+	if r2.count != 0 {
+		t.Fatalf("dead queries matched: %v", r2.matched)
 	}
 }
 
-// TestMergedRemoveUnlinksAndReusesOutputs: Remove frees the output id and
+// TestMergedRemoveUnlinksAndReusesOutputs: Remove drops the output id and
 // unlinks exactly the states no other query passes through, and the next Add
-// takes the freed id and the freed state slots before either vector grows.
+// takes the freed state slots before the vector grows. The ids are the
+// caller's, so one Remove gave up is the next Add's to take again.
 func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 	m := NewMergedNFA(nil)
-	var outs []int
-	for _, src := range []string{"//a/b/c", "//a/b", "//a/x//y"} {
-		out, err := m.Add(query.MustParse(src))
+	var at []int
+	for i, src := range []string{"//a/b/c", "//a/b", "//a/x//y"} {
+		cur, err := m.Add(query.MustParse(src), i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs = append(outs, out)
+		at = append(at, cur)
 	}
 	if m.Size() != 6 || m.Slots() != 6 { // root a b c x y
 		t.Fatalf("size %d slots %d, want 6 and 6", m.Size(), m.Slots())
 	}
-	m.Remove(outs[0]) // c goes; a and b serve //a/b
+	m.Remove(at[0], 0) // c goes; a and b serve //a/b
 	if m.Size() != 5 || m.Slots() != 6 || m.Outputs() != 2 {
 		t.Fatalf("after removing //a/b/c: size %d slots %d outputs %d, want 5, 6, 2", m.Size(), m.Slots(), m.Outputs())
 	}
-	m.Remove(outs[2]) // x and y go
+	m.Remove(at[2], 2) // x and y go
 	if m.Size() != 3 || m.Slots() != 6 {
 		t.Fatalf("after removing //a/x//y: size %d slots %d, want 3 and 6", m.Size(), m.Slots())
 	}
-	out, err := m.Add(query.MustParse("/q/r/s"))
+	cur, err := m.Add(query.MustParse("/q/r/s"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != outs[0] && out != outs[2] {
-		t.Fatalf("Add after two removals returned output %d, want a freed one of %v", out, outs)
+	if m.Outputs() != 2 || m.Size() != 6 || m.Slots() != 6 {
+		t.Fatalf("outputs %d size %d slots %d, want 2, 6 and 6: state slots are reused", m.Outputs(), m.Size(), m.Slots())
 	}
-	if m.OutputCap() != 3 || m.Size() != 6 || m.Slots() != 6 {
-		t.Fatalf("output cap %d size %d slots %d, want 3, 6 and 6: ids and state slots are reused", m.OutputCap(), m.Size(), m.Slots())
+	r := runMerged(newOwned(m), sax.MustParse("<q><r><s/></r></q>"))
+	if !r.hit(2) || r.count != 1 || !slices.Equal(m.states[cur].outputs, []int{2}) {
+		t.Fatalf("the reused id 2 latched %v (%d matched), accepted at %v", r.hit(2), r.count, m.states[cur].outputs)
 	}
-	if _, err := m.Add(query.MustParse("/q/r/t")); err != nil {
+	if _, err := m.Add(query.MustParse("/q/r/t"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Size() != 7 || m.Slots() != 7 {
@@ -257,15 +297,15 @@ func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 // and dropped sets squeezed out.
 func TestMergedChurnStaysBounded(t *testing.T) {
 	m := NewMergedNFA(nil)
-	r := NewSharedRunner(m)
+	r := newOwned(m)
 	const n = 100
-	outs := make([]int, n)
+	at := make([]int, n)
 	add := func(i int) {
-		out, err := m.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i)))
+		cur, err := m.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i)), i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs[i] = out
+		at[i] = cur
 	}
 	for i := 0; i < n; i++ {
 		add(i)
@@ -276,10 +316,10 @@ func TestMergedChurnStaysBounded(t *testing.T) {
 		doc := sax.MustParse(fmt.Sprintf("<a><b%d><x><c/></x></b%d><b%d/></a>", i, i, (i+1)%n))
 		r.Reset()
 		feedMerged(r, doc)
-		if !r.Matched[outs[i]] || r.MatchedCount() != 1 {
-			t.Fatalf("round %d: matched %d outputs, b%d's: %v", round, r.MatchedCount(), i, r.Matched[outs[i]])
+		if !r.hit(i) || r.count != 1 {
+			t.Fatalf("round %d: matched %d outputs, b%d's: %v", round, r.count, i, r.hit(i))
 		}
-		m.Remove(outs[i])
+		m.Remove(at[i], i)
 		add(i)
 		if m.Slots() > peak+2 {
 			t.Fatalf("round %d: %d state slots, %d at the start", round, m.Slots(), peak)
@@ -289,9 +329,9 @@ func TestMergedChurnStaysBounded(t *testing.T) {
 		}
 	}
 	fresh := NewMergedNFA(nil)
-	fr := NewSharedRunner(fresh)
+	fr := newOwned(fresh)
 	for i := 0; i < n; i++ {
-		if _, err := fresh.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i))); err != nil {
+		if _, err := fresh.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i)), i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,8 +340,8 @@ func TestMergedChurnStaysBounded(t *testing.T) {
 	feedMerged(r, doc)
 	fr.Reset()
 	feedMerged(fr, doc)
-	if r.MatchedCount() != 2 || fr.MatchedCount() != 2 { // b1's and b2's
-		t.Fatalf("patched runner matched %d, fresh %d, want 2", r.MatchedCount(), fr.MatchedCount())
+	if r.count != 2 || fr.count != 2 { // b1's and b2's
+		t.Fatalf("patched runner matched %d, fresh %d, want 2", r.count, fr.count)
 	}
 }
 
@@ -346,27 +386,28 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 	}
 	for trial := 0; trial < 60; trial++ {
 		m := NewMergedNFA(nil)
-		r := NewSharedRunner(m)
-		live := map[int]string{} // output → query
+		r := newOwned(m)
+		live := map[int]patchSub{} // by output
 		for round := 0; round < 40; round++ {
 			for ops := 1 + rng.Intn(3); ops > 0; ops-- {
 				if len(live) > 0 && rng.Intn(5) < 2 {
-					for out := range live { // whichever the map yields first
-						m.Remove(out)
+					for out, s := range live { // whichever the map yields first
+						m.Remove(s.at, out)
 						delete(live, out)
 						break
 					}
 					continue
 				}
 				src := randQuery()
-				out, err := m.Add(query.MustParse(src))
+				out := 0 // the lowest free id, as a free list would hand out
+				for _, used := live[out]; used; _, used = live[out] {
+					out++
+				}
+				cur, err := m.Add(query.MustParse(src), out)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, dup := live[out]; dup {
-					t.Fatalf("Add returned output %d, which is in use", out)
-				}
-				live[out] = src
+				live[out] = patchSub{out, cur, src}
 			}
 			doc := workload.RandomTree(rng, names, nil, 1+rng.Intn(4), 3).Events()
 			r.Reset()
@@ -384,7 +425,7 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 					}
 					open := 0
 					for o := range reach {
-						if !r.Matched[o] {
+						if !r.hit(o) {
 							open++
 						}
 					}
@@ -394,14 +435,13 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 				}
 			}
 			fm := NewMergedNFA(nil)
-			fresh := map[int]int{} // patched output → fresh output
-			for out, src := range live {
-				fresh[out], _ = fm.Add(query.MustParse(src))
+			for out, s := range live {
+				fm.Add(query.MustParse(s.src), out)
 			}
-			want := runMerged(NewSharedRunner(fm), doc)
-			for out, src := range live {
-				if r.Matched[out] != want[fresh[out]] {
-					t.Fatalf("trial %d round %d: %s: patched %v, fresh %v\nqueries %v", trial, round, src, r.Matched[out], want[fresh[out]], live)
+			want := runMerged(newOwned(fm), doc)
+			for out, s := range live {
+				if r.hit(out) != want.hit(out) {
+					t.Fatalf("trial %d round %d: %s: patched %v, fresh %v\nqueries %v", trial, round, s.src, r.hit(out), want.hit(out), live)
 				}
 			}
 			if m.Size() != fm.Size() || m.Outputs() != fm.Outputs() {
@@ -463,9 +503,11 @@ func patchDoc(d *draws) []sax.Event {
 	return append(doc, sax.EndDoc())
 }
 
+// patchSub is a query standing in a patched automaton: its output id and
+// the state Add accepted it at.
 type patchSub struct {
-	out int
-	src string
+	out, at int
+	src     string
 }
 
 // runPatch plays an Add/Remove sequence against one automaton and two
@@ -479,8 +521,8 @@ type patchSub struct {
 // runner's sets.
 func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 	m := NewMergedNFA(nil)
-	r := NewSharedRunner(m)
-	var other *SharedRunner
+	r := newOwned(m)
+	var other *owned
 	var live []patchSub
 	check := func(label string, doc []sax.Event) {
 		checkPatched(t, label, m, r, live, doc)
@@ -489,15 +531,19 @@ func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 		}
 	}
 	add := func(src string) {
-		out, err := m.Add(query.MustParse(src))
+		out := 0 // the lowest free id, as a free list would hand out
+		for slices.ContainsFunc(live, func(s patchSub) bool { return s.out == out }) {
+			out++
+		}
+		cur, err := m.Add(query.MustParse(src), out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, patchSub{out, src})
+		live = append(live, patchSub{out, cur, src})
 	}
 	remove := func(i int) {
 		sets := len(r.sets)
-		m.Remove(live[i].out)
+		m.Remove(live[i].at, live[i].out)
 		live = slices.Delete(live, i, i+1)
 		if len(r.sets) < sets {
 			compactions++
@@ -519,7 +565,7 @@ func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 				check(fmt.Sprintf("round %d: burst", round), burst)
 				for len(live) > n {
 					remove(len(live) - 1)
-					checkAccepts(t, fmt.Sprintf("round %d: burst, %d left", round, len(live)-n), r)
+					checkAccepts(t, fmt.Sprintf("round %d: burst, %d left", round, len(live)-n), r.SharedRunner)
 				}
 			case k < 3 && len(live) > 0:
 				remove(d.n(len(live)))
@@ -527,8 +573,8 @@ func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 				if other != nil {
 					other.Unbind()
 				}
-				other = NewSharedRunner(m)
-				if !slices.Equal(m.runners, []*SharedRunner{r, other}) {
+				other = newOwned(m)
+				if !slices.Equal(m.runners, []*SharedRunner{r.SharedRunner, other.SharedRunner}) {
 					t.Fatalf("round %d: %d runners bound, want 2", round, len(m.runners))
 				}
 			default:
@@ -565,12 +611,13 @@ func checkAccepts(t testing.TB, label string, r *SharedRunner) {
 
 // checkPatched runs doc through the patched runner and holds it to what
 // TestMergedUndecidedMatchesWalk does — Undecided to a walk of the trie
-// after every element start, the verdicts to a runner built afresh — and
-// its accept lists, before and after, to checkAccepts.
-func checkPatched(t testing.TB, label string, m *MergedNFA, r *SharedRunner, live []patchSub, doc []sax.Event) {
+// after every element start, the verdicts to a runner built afresh — its
+// count of what is left to its owner's first latches, and its accept lists,
+// before and after, to checkAccepts.
+func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []patchSub, doc []sax.Event) {
 	t.Helper()
 	label = fmt.Sprintf("%s, queries %v", label, live)
-	checkAccepts(t, label, r)
+	checkAccepts(t, label, r.SharedRunner)
 	r.Reset()
 	var reach map[int]bool
 	for _, e := range doc {
@@ -586,7 +633,7 @@ func checkPatched(t testing.TB, label string, m *MergedNFA, r *SharedRunner, liv
 			}
 			open := 0
 			for o := range reach {
-				if !r.Matched[o] {
+				if !r.hit(o) {
 					open++
 				}
 			}
@@ -596,21 +643,23 @@ func checkPatched(t testing.TB, label string, m *MergedNFA, r *SharedRunner, liv
 		}
 	}
 	fm := NewMergedNFA(nil)
-	fresh := make([]int, len(live))
-	for i, s := range live {
-		fresh[i], _ = fm.Add(query.MustParse(s.src))
+	for _, s := range live {
+		fm.Add(query.MustParse(s.src), s.out)
 	}
-	want := runMerged(NewSharedRunner(fm), doc)
-	for i, s := range live {
-		if r.Matched[s.out] != want[fresh[i]] {
-			t.Fatalf("%s: %s: patched %v, fresh %v", label, s.src, r.Matched[s.out], want[fresh[i]])
+	want := runMerged(newOwned(fm), doc)
+	matched := 0
+	for _, s := range live {
+		if r.hit(s.out) != want.hit(s.out) {
+			t.Fatalf("%s: %s: patched %v, fresh %v", label, s.src, r.hit(s.out), want.hit(s.out))
+		}
+		if r.hit(s.out) {
+			matched++
 		}
 	}
-	latched := r.Latched()
-	if len(latched) != r.MatchedCount() || slices.ContainsFunc(latched, func(o int) bool { return !r.Matched[o] }) {
-		t.Fatalf("%s: latched %v, %d matched", label, latched, r.MatchedCount())
+	if matched != r.count || m.Outputs()-r.left != r.count {
+		t.Fatalf("%s: %d outputs latched first, %d of them live, the runner has %d of %d left", label, r.count, matched, r.left, m.Outputs())
 	}
-	checkAccepts(t, label+", after the document", r)
+	checkAccepts(t, label+", after the document", r.SharedRunner)
 }
 
 // FuzzMergedPatch: whatever Add/Remove sequence patches the automaton, every

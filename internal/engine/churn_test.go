@@ -25,11 +25,12 @@ import (
 // caller can observe must agree — per event, whether the verdicts are
 // decided and how many have latched; per document, the matched ids, the
 // fragments, the sizes of the shared structures and the lower-bound term
-// of MemStats; and, per event, the result bitmap must agree
-// with the per-route match vectors (checkResults) — the verdicts must be the tree evaluator's
-// (internal/semantics), and what the patched trie derives from its nodes
-// (the count vector every document starts from, the runs and their order)
-// must be what a recomputation from the nodes gives (checkIndex). TestEngineChurnMatchesFreshEngine runs
+// of MemStats; and, per event, the sweep of the result bitmap must agree
+// with the verdicts read by result slot (checkResults) — the verdicts must
+// be the tree evaluator's (internal/semantics), and the result slots, and
+// what the patched trie derives from its nodes (the count vector every
+// document starts from, the runs and their order), must be what a
+// recomputation gives (checkIndex). TestEngineChurnMatchesFreshEngine runs
 // it on seeded random bytes, FuzzEngineChurn on whatever the fuzzer finds.
 
 // dice reads the decisions of a run off a byte string; an exhausted string
@@ -158,11 +159,13 @@ func (s churnSub) addTo(e *Engine) error {
 // churnCover counts the mutations a run made that move what the result
 // bitmap's bits stand for — removals from inside the insertion order, which
 // shift every later position; Adds given a result slot a removed
-// subscription held, per route; Rebuild, which replaces the per-document
-// state — each followed by a document whose results are read (checkResults).
+// subscription held, by the route of the Add (reused) and, when the slot
+// changes route, by the route that gave it up (crossed); Rebuild, which
+// replaces the per-document state — each followed by a document whose
+// results are read (checkResults).
 type churnCover struct {
 	rebuilds, shifted int
-	reused            [2]int // by Route
+	reused, crossed   [2]int // by Route
 }
 
 // runChurn plays data against one patched engine and returns what it
@@ -174,7 +177,7 @@ func runChurn(t testing.TB, data []byte) churnCover {
 	tokP := sax.NewTokenizerBytes(nil, patched.Symbols())
 	var live []churnSub
 	var cover churnCover
-	freed := [2]map[int]bool{{}, {}} // result slots given up since the last Rebuild, by route
+	freed := map[int]Route{} // result slots given up since the last Rebuild, and by which route
 	serial := 0
 	add := func(src string, extract bool) {
 		s := churnSub{id: fmt.Sprintf("s%d", serial), src: src, extract: extract, bare: serial%3 == 0}
@@ -183,9 +186,13 @@ func runChurn(t testing.TB, data []byte) churnCover {
 			t.Fatalf("Add(%s): %v", src, err)
 		}
 		live = append(live, s)
-		if sub := patched.byID[s.id]; freed[sub.route][sub.out] {
-			delete(freed[sub.route], sub.out)
+		sub := patched.byID[s.id]
+		if from, ok := freed[sub.slot]; ok {
+			delete(freed, sub.slot)
 			cover.reused[sub.route]++
+			if from != sub.route {
+				cover.crossed[from]++
+			}
 		}
 	}
 	remove := func(i int) {
@@ -193,7 +200,7 @@ func runChurn(t testing.TB, data []byte) churnCover {
 		if !patched.Remove(live[i].id) {
 			t.Fatalf("Remove(%s) = false", live[i].id)
 		}
-		freed[sub.route][sub.out] = true
+		freed[sub.slot] = sub.route
 		if i < len(live)-1 {
 			cover.shifted++
 		}
@@ -221,7 +228,7 @@ func runChurn(t testing.TB, data []byte) churnCover {
 				// The quarantine step: the per-document state replaced, and
 				// the indexes patched on as they stand.
 				patched.Rebuild()
-				freed = [2]map[int]bool{{}, {}}
+				clear(freed)
 			case k < 7 && len(live) > 0:
 				remove(d.n(len(live)))
 			default:
@@ -287,17 +294,18 @@ func runChurn(t testing.TB, data []byte) churnCover {
 		if p, f := patched.MemStats(), fresh.MemStats(); p != f {
 			t.Fatalf("%s: MemStats\n patched %s\n fresh   %s", label, p, f)
 		}
-		checkIndex(t, label, patched.tr)
+		checkIndex(t, label, patched)
 	}
 	cover.rebuilds = patched.Stats().Rebuilds
 	return cover
 }
 
-// checkResults holds what the result bitmap says against the per-route
-// match vectors Matched reads: the matched ids are the subscriptions Matched
-// answers true for, in insertion order, and — once the document has ended
-// (doc non-nil) — the fragments' ids are the ones among them that live, the
-// subscriptions standing, added with extraction, in the same order.
+// checkResults holds the sweep of the result bitmap against the verdicts
+// Matched reads through each subscription's result slot: the matched ids are
+// the subscriptions Matched answers true for, in insertion order, and — once
+// the document has ended (doc non-nil) — the fragments' ids are the ones
+// among them that live, the subscriptions standing, added with extraction,
+// in the same order.
 func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []byte) {
 	t.Helper()
 	extract := map[string]bool{}
@@ -328,11 +336,35 @@ func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []
 	}
 }
 
-// checkIndex recomputes from the trie's spine nodes everything add and
-// remove maintain beside them — the count vector with its recycled ids, the
-// membership, order and scope tally of every run — and holds the trie to it.
-func checkIndex(t testing.TB, label string, tr *trie) {
+// checkIndex holds the engine's index to what add and remove maintain: one
+// result slot space — every slot held by one standing subscription, whose
+// position pos gives, or free — and, recomputed from the trie's spine nodes,
+// the count vector with its recycled ids and the membership, order and scope
+// tally of every run.
+func checkIndex(t testing.TB, label string, e *Engine) {
 	t.Helper()
+	holder := make([]string, len(e.pos))
+	for i, r := range e.results {
+		if holder[r.slot] != "" || e.pos[r.slot] != int32(i) || e.subs[i].slot != int(r.slot) {
+			t.Fatalf("%s: result slot %d: held by %q and %s, at position %d of %d", label, r.slot, holder[r.slot], r.id, e.pos[r.slot], i)
+		}
+		holder[r.slot] = r.id
+	}
+	for _, slot := range e.freeSlots {
+		if holder[slot] != "" {
+			t.Fatalf("%s: result slot %d is free and held by %s", label, slot, holder[slot])
+		}
+		holder[slot] = "free"
+	}
+	if i := slices.Index(holder, ""); i >= 0 {
+		t.Fatalf("%s: result slot %d is neither held nor free", label, i)
+	}
+	tr := e.tr
+	for slot, out := range tr.outs {
+		if s := e.byID[holder[slot]]; (out != nil) != (s != nil && s.route == RouteTrie) {
+			t.Fatalf("%s: result slot %d, held by %s, ends at trie node %v", label, slot, holder[slot], out)
+		}
+	}
 	want := make([]int32, len(tr.counts))
 	owned := make([]bool, len(tr.counts))
 	own := func(what string, ids ...int32) {
@@ -354,7 +386,7 @@ func checkIndex(t testing.TB, label string, tr *trie) {
 			if tr.outs[sub] != n {
 				t.Fatalf("%s: %s: result slot %d ends elsewhere", label, n.key, sub)
 			}
-			if tr.extract[sub] {
+			if e.extract[sub] {
 				extracting++
 			}
 		}
@@ -425,8 +457,10 @@ func TestEngineChurnMatchesFreshEngine(t *testing.T) {
 		c := runChurn(t, data)
 		cover.rebuilds += c.rebuilds
 		cover.shifted += c.shifted
-		cover.reused[RouteNFA] += c.reused[RouteNFA]
-		cover.reused[RouteTrie] += c.reused[RouteTrie]
+		for r := range cover.reused {
+			cover.reused[r] += c.reused[r]
+			cover.crossed[r] += c.crossed[r]
+		}
 	}
 	if cover.rebuilds == 0 {
 		t.Error("no run called Rebuild; matching on replaced per-document state went untested")
@@ -435,6 +469,12 @@ func TestEngineChurnMatchesFreshEngine(t *testing.T) {
 		t.Errorf("results were never read after a shifted position (%d) or a reused slot (nfa %d, trie %d)",
 			cover.shifted, cover.reused[RouteNFA], cover.reused[RouteTrie])
 	}
+	if cover.crossed[RouteNFA] == 0 || cover.crossed[RouteTrie] == 0 {
+		t.Errorf("results were never read after a slot changed route (nfa to trie %d, trie to nfa %d)",
+			cover.crossed[RouteNFA], cover.crossed[RouteTrie])
+	}
+	t.Logf("shifted %d, reused nfa %d trie %d, crossed nfa→trie %d trie→nfa %d, rebuilds %d",
+		cover.shifted, cover.reused[RouteNFA], cover.reused[RouteTrie], cover.crossed[RouteNFA], cover.crossed[RouteTrie], cover.rebuilds)
 }
 
 func FuzzEngineChurn(f *testing.F) {
@@ -571,6 +611,59 @@ func TestEngineStateSlotsAreReused(t *testing.T) {
 	}
 	if st := e.Stats(); st.Rebuilds != 0 || st.SharedStates != n+2 {
 		t.Errorf("rebuilds=%d shared=%d, want no rebuilds and %d shared states", st.Rebuilds, st.SharedStates, n+2)
+	}
+}
+
+// TestEngineSlotChangesRoute: a result slot is the next Add's whichever
+// route gave it up, and nothing latched in it for the last holder — verdict
+// or fragment — carries over to the new one. An extracting //a/b matches a
+// document, gives its slot up to an extracting //a[c]/b (and the other way
+// round), and the next documents' ids and fragments are a fresh engine's in
+// either capture mode that copies fragments out of the engine.
+func TestEngineSlotChangesRoute(t *testing.T) {
+	docs := []string{"<a><b>2</b></a>", "<a><b>3</b><c/></a>", "<a><c/><b>4</b></a>"}
+	for _, mode := range []CaptureMode{CaptureSlice, CaptureSerial} {
+		for _, pair := range [][2]string{{"//a/b", "//a[c]/b"}, {"//a[c]/b", "//a/b"}} {
+			label := fmt.Sprintf("mode %d, %s then %s", mode, pair[0], pair[1])
+			match := func(e *Engine, doc string) string {
+				t.Helper()
+				out, err := e.MatchBytes(nil, []byte(doc), mode)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", label, doc, err)
+				}
+				got := fmt.Sprint(out.IDs)
+				for _, f := range out.Frags {
+					got += fmt.Sprintf(" %s=%s", f.ID, f.Data)
+				}
+				return got
+			}
+			e := New()
+			mustAdd(t, e, "other", "//a[c]")
+			if err := e.AddExtract("first", query.MustParse(pair[0])); err != nil {
+				t.Fatal(err)
+			}
+			if got := match(e, "<a><b>1</b><c/></a>"); got != "[other first] first=<b>1</b>" {
+				t.Fatalf("%s: the first holder's document gave %s", label, got)
+			}
+			first := *e.byID["first"]
+			e.Remove("first")
+			if err := e.AddExtract("second", query.MustParse(pair[1])); err != nil {
+				t.Fatal(err)
+			}
+			if s := e.byID["second"]; s.slot != first.slot || s.route == first.route {
+				t.Fatalf("%s: the second holder got slot %d on route %d, the first held it on route %d", label, s.slot, s.route, first.route)
+			}
+			fresh := New()
+			mustAdd(t, fresh, "other", "//a[c]")
+			if err := fresh.AddExtract("second", query.MustParse(pair[1])); err != nil {
+				t.Fatal(err)
+			}
+			for _, doc := range docs {
+				if got, want := match(e, doc), match(fresh, doc); got != want {
+					t.Fatalf("%s: %s: %s, a fresh engine %s", label, doc, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -47,6 +47,17 @@
 // accepting candidates — the per-filter early exit of the old fan-out
 // FilterSet, applied to shared state.
 //
+// The two indexes differ in how they find matches, and in nothing after:
+// there is one result space. Add gives every subscription a result slot
+// from one free list, whichever route evaluates it, and both routes latch
+// by that slot through one latch (hits.latch), which sets the
+// subscription's result bit, counts the match and keeps the
+// document-order-first fragment, captured by one capFor whichever route
+// matched the element. The engine keeps the one record of a document's
+// verdicts and fragments; the routes keep only structure — the runner's
+// accept lists and counts of what is left, the trie's remaining counts —
+// which is what each half of Decided reads.
+//
 // A standing set changes while documents flow, so both indexes are edited
 // where they stand: Add walks or extends its route's trie, Remove drops
 // the subscription's result slot and unlinks the states only it passed
@@ -57,7 +68,7 @@
 //
 // The index is what Add and Remove write; everything a document writes —
 // the NFA runner with its DFA memo, the trie matcher, the capture manager,
-// the tokenizers, the result bits — is per engine. Replica makes another
+// the tokenizers, the verdict record — is per engine. Replica makes another
 // engine over the same index, which is how a FilterPool matches N
 // documents at once on one copy of the subscriptions, and Rebuild, the
 // quarantine after a recovered panic, replaces an engine's per-document
@@ -99,65 +110,164 @@ const (
 // its entries in the route's index. The parse tree is a temporary of Add
 // (see the package comment).
 type subscription struct {
-	id      string
-	route   Route
-	out     int // slot in the route's result vector
-	extract bool
-	every   bool // AddEvery
+	id string
 	// seq numbers the Add calls; subs is ordered by it, which is how Remove
 	// finds a subscription's position without an id → position map to
 	// renumber.
 	seq uint64
+	// slot is the subscription's result slot (index.pos), whichever route
+	// holds it.
+	slot int
 	// fs is the query's frontier size FS(Q) and steps its node count less
 	// the root, both computed once, at Add. A linear query's FS is 1 and its
 	// nodes are its location steps, which is what Stats reads steps for.
 	fs    int
 	steps int
+	// at is the merged NFA's state accepting the slot, on the NFA route.
+	at      int32
+	route   Route
+	extract bool
+	every   bool // AddEvery
 }
 
 // result is what reading a document's results needs of one subscription:
-// the id to report and where its fragment is latched. The engine keeps one
-// per subscription, in insertion order, in one flat vector (Engine.results),
-// and a document's matches as set bits over that vector (hits), so that
+// the id to report and its result slot. The engine keeps one per
+// subscription, in insertion order, in one flat vector (Engine.results), and
+// a document's matches as set bits over that vector (hits), so that
 // collecting them visits the matched entries alone, in order.
 type result struct {
-	id      string
-	out     int32 // subscription.out
-	route   Route
-	extract bool
+	id   string
+	slot int32
 }
 
-// hits is a document's matched results: words holds one bit per position
-// of Engine.results, set the first time that subscription latches, so the
-// result accessors sweep the set bits by word and a reset clears ⌈N/64⌉
-// words. A latch knows only its route's result slot; pos is the index's
-// slot → position vectors.
+// hits is the one record of a document's verdicts and fragments, whichever
+// route reached them. words holds one bit per position of Engine.results,
+// set the first time that subscription latches, so the result accessors
+// sweep the set bits by word and a reset clears ⌈N/64⌉ words; count is the
+// bits set; frags holds, by the same positions, the fragment kept for a
+// matched extracting subscription. Both routes latch by result slot, and the
+// index's pos vector gives the position: a mutation moves positions, but it
+// abandons the document in flight, so no latch sees one move.
 type hits struct {
+	ix    *index
+	cm    *capman
 	words []uint64
-	pos   *[2][]int32
+	frags []*capture
+	count int
 }
 
-func (h *hits) set(route Route, slot int) {
-	p := h.pos[route][slot]
-	h.words[p>>6] |= 1 << (p & 63)
+// matched reads the verdict of the subscription holding slot.
+func (h *hits) matched(slot int) bool {
+	p := h.ix.pos[slot]
+	return h.words[p>>6]&(1<<(p&63)) != 0
+}
+
+// latch is the one latch of both routes: the subscription holding slot has
+// matched, and cap is the capture of its matching element (nil without
+// one). The first latch of the document sets the subscription's bit and
+// counts it. An extracting subscription keeps the document-order-first
+// capture: the merged NFA latches at the matching element's start, in
+// document order, but the trie decides predicated matches bottom-up, so a
+// later-deciding commit can carry an earlier element — it replaces the kept
+// one when its start offset is smaller. An every-match subscription keeps
+// nothing, and selects the capture for emission instead. latch reports
+// whether the match was the document's first for the subscription, and
+// whether cap became its first fragment.
+func (h *hits) latch(slot int, cap *capture) (first, captured bool) {
+	p := h.ix.pos[slot]
+	w, bit := p>>6, uint64(1)<<(p&63)
+	if first = h.words[w]&bit == 0; first {
+		h.words[w] |= bit
+		h.count++
+	}
+	if cap == nil || !h.ix.extract[slot] {
+		return first, false
+	}
+	if h.ix.every[slot] {
+		cap.selected = true
+		return first, false
+	}
+	old := h.frags[p]
+	if old != nil && old.start <= cap.start {
+		return first, false
+	}
+	cap.refs++
+	if old != nil {
+		h.cm.release(old)
+	}
+	h.frags[p] = cap
+	return first, old == nil
+}
+
+// capFor returns a capture of the current element (one hold for the
+// caller) if any subscription holding a slot of outs still wants one, nil
+// otherwise — always nil while the document captures nothing, a test that
+// inlines into the per-element paths.
+func (h *hits) capFor(outs []int) *capture {
+	if h.cm.mode == CaptureOff {
+		return nil
+	}
+	return h.wanted(outs)
+}
+
+// wanted is capFor's search: an every-match subscription always wants the
+// element, and queues it for emission. A subscription with a fragment kept
+// needs nothing: offsets grow monotonically with the event stream, so the
+// current element can never precede a captured one.
+func (h *hits) wanted(outs []int) *capture {
+	want := false
+	for _, slot := range outs {
+		if h.ix.every[slot] {
+			return h.cm.elemCapture(true)
+		}
+		want = want || (h.ix.extract[slot] && h.frags[h.ix.pos[slot]] == nil)
+	}
+	if want {
+		return h.cm.elemCapture(false)
+	}
+	return nil
+}
+
+// reset clears the record for a document over n results. A fragment is kept
+// only with a match, so the set bits find every one: it costs the last
+// document's matches and ⌈N/64⌉ words, not the standing set.
+func (h *hits) reset(n int) {
+	for w, word := range h.words {
+		for ; word != 0; word &= word - 1 {
+			h.frags[w<<6|bits.TrailingZeros64(word)] = nil
+		}
+	}
+	words := (n + 63) / 64
+	h.words = slices.Grow(h.words[:0], words)[:words]
+	clear(h.words)
+	if k := n - len(h.frags); k > 0 {
+		h.frags = append(h.frags, make([]*capture, k)...)
+	}
+	h.count = 0
 }
 
 // index is the part of an engine that Add and Remove write and that every
 // replica of the engine shares: the standing subscriptions, their results in
-// insertion order, and what Decided, AppendFragments and MemStats read of
-// them. Its two routes, the merged NFA and the trie, are held by each engine
-// directly: they are fixed at construction, and the per-event path reads
-// them. version counts the mutations, so that an engine sees one at its next
-// Reset.
+// insertion order, their result slots, and what Decided, AppendFragments and
+// MemStats read of them. Its two routes, the merged NFA and the trie, are
+// held by each engine directly: they are fixed at construction, and the
+// per-event path reads them. version counts the mutations, so that an engine
+// sees one at its next Reset.
 type index struct {
 	subs    []*subscription // in insertion order
 	results []result        // results[i] is subs[i]'s
-	// pos[route][slot] is the position in results of the subscription
-	// holding route's result slot.
-	pos     [2][]int32
-	byID    map[string]*subscription
-	nextSeq uint64
-	version uint64
+	// Result slots are one space for both routes. pos[slot] is the position
+	// in results of the subscription holding slot, and extract and every
+	// flag, by slot, the subscriptions that want the matched element
+	// captured and the every-match ones among them (AddEvery). freeSlots are
+	// the slots of removed subscriptions, which Add hands out again, to
+	// either route, before the vectors grow.
+	pos            []int32
+	extract, every []bool
+	freeSlots      []int
+	byID           map[string]*subscription
+	nextSeq        uint64
+	version        uint64
 
 	// tab is the index's symbol table: query node tests and document names
 	// meet in it, so the byte-event path dispatches entirely on
@@ -165,11 +275,9 @@ type index struct {
 	tab *symtab.Table
 
 	// extracting counts the subscriptions with extraction enabled,
-	// every-match ones included, and every those. nfaExtract flags the NFA
-	// route's extracting outputs (the trie's flags are its own).
+	// every-match ones included, and everyMatch those.
 	extracting int
-	every      int
-	nfaExtract []bool
+	everyMatch int
 
 	// maxFS is the largest per-subscription frontier size: MemStats —
 	// called once per Match*Result document — must not walk the
@@ -191,11 +299,13 @@ type Engine struct {
 	nfa *automaton.MergedNFA
 	tr  *trie
 	// seen is the index version the per-document state was last reset for.
-	// While it is behind, the result vectors describe a document matched
+	// While it is behind, the verdict record describes a document matched
 	// against another subscription set, so the result accessors answer as
 	// before any document.
 	seen uint64
 
+	// hits is the document's verdicts and fragments, which runner and mt
+	// latch into.
 	hits   hits
 	runner *automaton.SharedRunner
 	mt     *matcher
@@ -214,11 +324,9 @@ type Engine struct {
 
 	// Fragment-capture state. capMode is the caller-requested mode for the
 	// next document (effective only when some subscription has extraction
-	// enabled); cm manages the captures; nfaFrags are the NFA route's
-	// captured fragments by output (the trie route's live on the matcher).
-	capMode  CaptureMode
-	cm       *capman
-	nfaFrags []*capture
+	// enabled); cm manages the captures, which hits keeps.
+	capMode CaptureMode
+	cm      *capman
 
 	started  bool
 	finished bool
@@ -268,24 +376,22 @@ func (e *Engine) Replica() *Engine {
 	return r
 }
 
-// fresh gives the engine new per-document state — an NFA runner with an
-// empty memo, a trie matcher, a capture manager, and tokenizers to come —
-// bound to its index, and resets it.
+// fresh gives the engine new per-document state — a verdict record, an NFA
+// runner with an empty memo, a trie matcher, a capture manager, and
+// tokenizers to come — bound to its index, and resets it.
 func (e *Engine) fresh() {
 	if e.runner != nil {
 		e.runner.Unbind()
 	}
-	e.runner = automaton.NewSharedRunner(e.nfa)
-	e.runner.OnMatch = e.nfaMatch
 	cm := newCapman(e.tab)
 	if e.cm != nil {
 		cm.emit = e.cm.emit
 	}
 	e.cm = cm
-	e.hits = hits{pos: &e.pos}
+	e.hits = hits{ix: e.index, cm: cm}
+	e.runner = automaton.NewSharedRunner(e.nfa, e.latchAccepted)
 	e.mt = newMatcher(e.tr, &e.hits)
 	e.mt.cm = cm
-	e.nfaFrags = nil
 	e.tok, e.stok = nil, nil
 	e.Reset()
 }
@@ -334,26 +440,20 @@ func (e *Engine) mutating() {
 	e.started = false
 }
 
-// link enters subscription i, whose query is q, into the index of the route
-// add chose for it and records the result slot it was given, and that slot's
-// position.
-func (e *Engine) link(i int, q *query.Query) {
-	s := e.subs[i]
-	if s.route == RouteNFA {
-		s.out, _ = e.nfa.Add(q) // add found the query linear
-		for len(e.nfaExtract) <= s.out {
-			e.nfaExtract = append(e.nfaExtract, false)
-		}
-		e.nfaExtract[s.out] = s.extract
+// takeSlot hands out a result slot, flagged as s asks, to s, which holds
+// position i of results: a removed subscription's while there is one,
+// whichever route it was on.
+func (ix *index) takeSlot(s *subscription, i int) {
+	s.slot = len(ix.pos)
+	if k := len(ix.freeSlots); k > 0 {
+		s.slot = ix.freeSlots[k-1]
+		ix.freeSlots = ix.freeSlots[:k-1]
 	} else {
-		s.out = e.tr.add(q, s.extract, s.every)
+		ix.pos = append(ix.pos, 0)
+		ix.extract = append(ix.extract, false)
+		ix.every = append(ix.every, false)
 	}
-	e.results[i].out = int32(s.out)
-	pos := &e.pos[s.route]
-	for len(*pos) <= s.out {
-		*pos = append(*pos, 0)
-	}
-	(*pos)[s.out] = int32(i)
+	ix.pos[s.slot], ix.extract[s.slot], ix.every[s.slot] = int32(i), s.extract, s.every
 }
 
 // Add registers a subscription under the given id. It returns an error
@@ -399,20 +499,26 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 	e.mutating()
 	e.nextSeq++
 	e.byID[id] = s
+	e.takeSlot(s, len(e.subs))
 	e.subs = append(e.subs, s)
-	e.results = append(e.results, result{id: id, route: s.route, extract: extract})
+	e.results = append(e.results, result{id: id, slot: int32(s.slot)})
 	if extract {
 		e.extracting++
 	}
 	if every {
-		e.every++
+		e.everyMatch++
 	}
 	for len(e.fsCount) <= s.fs {
 		e.fsCount = append(e.fsCount, 0)
 	}
 	e.fsCount[s.fs]++
 	e.maxFS = max(e.maxFS, s.fs)
-	e.link(len(e.subs)-1, q)
+	if s.route == RouteNFA {
+		at, _ := e.nfa.Add(q, s.slot) // the query is linear
+		s.at = int32(at)
+	} else {
+		e.tr.add(q, s.slot, extract, every)
+	}
 	return nil
 }
 
@@ -433,23 +539,24 @@ func (e *Engine) Remove(id string) bool {
 	for j := i; j < len(e.subs); j++ {
 		r := e.results[j+1]
 		e.results[j] = r
-		e.pos[r.route][r.out] = int32(j)
+		e.pos[r.slot] = int32(j)
 	}
 	e.results = e.results[:len(e.subs)]
+	e.freeSlots = append(e.freeSlots, s.slot)
 	if s.extract {
 		e.extracting--
 	}
 	if s.every {
-		e.every--
+		e.everyMatch--
 	}
 	e.fsCount[s.fs]--
 	for e.maxFS > 0 && e.fsCount[e.maxFS] == 0 {
 		e.maxFS--
 	}
 	if s.route == RouteTrie {
-		e.tr.remove(s.out)
+		e.tr.remove(s.slot, s.extract, s.every)
 	} else {
-		e.nfa.Remove(s.out)
+		e.nfa.Remove(int(s.at), s.slot)
 	}
 	return true
 }
@@ -466,17 +573,21 @@ func (e *Engine) IDs() []string {
 	return out
 }
 
-// nfaMatch is the merged runner's latch hook: an NFA-routed subscription
-// just matched on the current element, so set its result bit and begin (or
-// join) that element's capture. NFA latches fire at the matching element's
-// startElement, so the first latch is the document-order-first match; it is
-// never replaced.
-func (e *Engine) nfaMatch(out int) {
-	e.hits.set(RouteNFA, out)
-	if e.cm.mode == CaptureOff || !e.nfaExtract[out] || e.nfaFrags[out] != nil {
-		return
+// latchAccepted is the merged runner's latch: the NFA-routed subscriptions
+// holding the slots outs match at the current element, and latch as the
+// trie's terminals do, with the element's capture when one of them still
+// wants a fragment. It returns how many latched for the first time.
+func (e *Engine) latchAccepted(outs []int) (first int) {
+	cap := e.hits.capFor(outs)
+	for _, slot := range outs {
+		if f, _ := e.hits.latch(slot, cap); f {
+			first++
+		}
 	}
-	e.nfaFrags[out] = e.cm.elemCapture(false)
+	if cap != nil {
+		e.cm.release(cap) // the latches took their own holds
+	}
+	return first
 }
 
 // Reset prepares the engine for the next document. The shared indexes
@@ -486,23 +597,14 @@ func (e *Engine) nfaMatch(out int) {
 // matches, not the standing set. The per-document vectors grow here to what
 // the index has grown to since.
 func (e *Engine) Reset() {
-	for _, out := range e.runner.Latched() {
-		e.nfaFrags[out] = nil
-	}
-	if n := e.nfa.OutputCap() - len(e.nfaFrags); n > 0 {
-		e.nfaFrags = append(e.nfaFrags, make([]*capture, n)...)
-	}
 	e.runner.Reset()
 	e.mt.reset()
-	words := (len(e.results) + 63) / 64
-	e.hits.words = slices.Grow(e.hits.words[:0], words)[:words]
-	clear(e.hits.words)
+	e.hits.reset(len(e.results))
 	mode := e.capMode
 	if e.extracting == 0 {
 		mode = CaptureOff
 	}
 	e.cm.reset(mode)
-	e.mt.capturing = mode != CaptureOff
 	e.seen = e.version
 	e.started = false
 	e.finished = false
@@ -711,28 +813,20 @@ func (e *Engine) Finished() bool { return e.finished }
 // already definitive.
 func (e *Engine) Matched(id string) bool {
 	s, ok := e.byID[id]
-	return ok && !e.stale() && e.matchedOut(s.route, s.out)
-}
-
-// matchedOut reads the verdict latched in result slot out of route's vector.
-func (e *Engine) matchedOut(route Route, out int) bool {
-	if route == RouteNFA {
-		return e.runner.Matched[out]
-	}
-	return e.mt.matched[out]
+	return ok && !e.stale() && e.hits.matched(s.slot)
 }
 
 // MatchedIDs returns the ids matched by the current (or last) document,
 // in subscription insertion order. The slice is non-nil even when empty.
 func (e *Engine) MatchedIDs() []string {
-	return e.AppendMatchedIDs(make([]string, 0))
+	return e.appendMatchedIDs(make([]string, 0))
 }
 
-// AppendMatchedIDs appends the matched ids to dst (in subscription
+// appendMatchedIDs appends the matched ids to dst (in subscription
 // insertion order) and returns it — the allocation-free form of
 // MatchedIDs for callers that reuse a result buffer across documents. It
 // visits the set bits of the result bitmap, not the subscriptions.
-func (e *Engine) AppendMatchedIDs(dst []string) []string {
+func (e *Engine) appendMatchedIDs(dst []string) []string {
 	if e.stale() {
 		return dst
 	}
@@ -764,24 +858,16 @@ type Fragment struct {
 // index (the same slice handed to the tokenizer); the returned Data
 // subslices it zero-copy. CaptureSerial and attribute-value captures
 // return the engine's internal buffers, valid only until the next Reset
-// — callers that retain them must copy. A fragment is latched only with a
-// match, so the sweep is the one AppendMatchedIDs makes.
+// — callers that retain them must copy. A fragment is kept only with a
+// match, so the sweep is the one appendMatchedIDs makes.
 func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
 	if e.stale() || e.extracting == 0 {
 		return dst
 	}
 	for w, word := range e.hits.words {
 		for ; word != 0; word &= word - 1 {
-			s := &e.results[w<<6|bits.TrailingZeros64(word)]
-			if !s.extract {
-				continue
-			}
-			var c *capture
-			if s.route == RouteNFA {
-				c = e.nfaFrags[s.out]
-			} else {
-				c = e.mt.frags[s.out]
-			}
+			p := w<<6 | bits.TrailingZeros64(word)
+			c := e.hits.frags[p]
 			if c == nil || !c.done {
 				continue
 			}
@@ -796,7 +882,7 @@ func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
 			default:
 				continue
 			}
-			dst = append(dst, Fragment{ID: s.id, Data: data, Volatile: volatile})
+			dst = append(dst, Fragment{ID: e.results[p].id, Data: data, Volatile: volatile})
 		}
 	}
 	return dst
@@ -808,7 +894,7 @@ func (e *Engine) MatchedCount() int {
 	if e.stale() {
 		return 0
 	}
-	return e.runner.MatchedCount() + e.mt.matchedCount
+	return e.hits.count
 }
 
 // Decided reports whether every subscription's verdict for the current
@@ -827,7 +913,7 @@ func (e *Engine) MatchedCount() int {
 // (MatchReader), a buffered caller skims it (MatchBytes) — validates it to
 // the end without dispatching another event.
 func (e *Engine) Decided() bool {
-	if e.stale() || !e.started || len(e.subs) == 0 || e.every > 0 {
+	if e.stale() || !e.started || len(e.subs) == 0 || e.everyMatch > 0 {
 		return false
 	}
 	if e.finished {
@@ -841,7 +927,7 @@ func (e *Engine) Decided() bool {
 		// though every boolean verdict is final.
 		return false
 	}
-	if e.runner.AllMatched() && e.mt.matchedCount == e.tr.live {
+	if e.hits.count == len(e.subs) {
 		return true
 	}
 	return e.runner.Undecided() == 0 && !e.mt.undecided(e.maxLevel > 0)

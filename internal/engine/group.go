@@ -420,7 +420,7 @@ func (m *matcher) openGroup(g *predGroup, origin *scope, level int, fr *frame) {
 	if fr != nil {
 		fr.scopes[g.fslot] = sc
 	}
-	if m.capturing && m.remaining[g.frags] > 0 {
+	if m.cm.mode != CaptureOff && m.remaining[g.frags] > 0 {
 		// Members' own terminals are decided with the scope's values; capture
 		// the candidate element now, while its start event is current.
 		sc.cap = m.cm.elemCapture(g.every > 0)

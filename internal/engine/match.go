@@ -48,7 +48,7 @@ func (e *Engine) outcome(out *Outcome, dst []string, doc []byte, mode CaptureMod
 	if n := len(dst) + e.MatchedCount(); n > cap(dst) {
 		dst = append(make([]string, 0, n), dst...)
 	}
-	out.IDs = e.AppendMatchedIDs(dst)
+	out.IDs = e.appendMatchedIDs(dst)
 	if mode != CaptureOff {
 		out.Frags = e.AppendFragments(nil, doc)
 		out.Mem = e.MemStats()

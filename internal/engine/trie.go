@@ -255,17 +255,12 @@ type trie struct {
 	tab        *symtab.Table
 	root       *tnode
 	spineNodes []*tnode
-	// outs[i] is the OUT node of the subscription holding result slot i —
-	// the rest of its spine path is the parent chain — nil while the slot is
-	// free. live counts the slots in use; a removed subscription's slot goes
-	// to the next one added.
-	outs      []*tnode
-	freeSlots []int
-	live      int
-	// extract flags, by result slot, the subscriptions that want the matched
-	// element captured, and every those of them that want every element they
-	// select (Engine.AddEvery), not only the first.
-	extract, every []bool
+	// outs[slot] is the OUT node of the trie-routed subscription holding
+	// result slot slot (index.pos) — the rest of its spine path is the parent
+	// chain — nil on the other slots. live counts the trie-routed
+	// subscriptions.
+	outs []*tnode
+	live int
 	// counts is what every document starts from (matcher.remaining is a copy
 	// of it), by the ids handed out by newID and recycled by freeID. A spine
 	// node's entry counts the subscriptions ending at it plus its
@@ -346,45 +341,37 @@ func (t *trie) unlink(p, n *tnode) {
 	}
 }
 
-// ends records d (±1) subscriptions ending at spine node n, held by result
-// slot idx.
-func (t *trie) ends(n *tnode, d int32, idx int) {
+// ends records d (±1) subscriptions ending at spine node n, one that wants
+// fragments when extract is set, and every match when every is.
+func (t *trie) ends(n *tnode, d int32, extract, every bool) {
 	t.counts[n.id] += d
 	var frags int32
-	var every *int
+	var everyN *int
 	switch {
 	case n.mem != nil:
 		n.mem.grp.terminals += int(d)
-		frags, every = n.mem.grp.frags, &n.mem.grp.every
+		frags, everyN = n.mem.grp.frags, &n.mem.grp.every
 	case n.run != nil:
-		frags, every = n.run.frags, &n.run.every
+		frags, everyN = n.run.frags, &n.run.every
 	default:
 		return
 	}
-	if t.extract[idx] {
+	if extract {
 		t.counts[frags] += d
 	}
-	if t.every[idx] {
-		*every += int(d)
+	if every {
+		*everyN += int(d)
 	}
 }
 
 // add merges one subscription's query, which fragment.Streamable accepted,
-// into the trie and returns its slot in the matcher's result vector.
-// extract says whether the subscription wants the matched element captured,
-// and every whether it wants every element it selects (which implies
-// extract).
-func (t *trie) add(q *query.Query, extract, every bool) int {
-	idx := len(t.outs)
-	if k := len(t.freeSlots); k > 0 {
-		idx = t.freeSlots[k-1]
-		t.freeSlots = t.freeSlots[:k-1]
-	} else {
-		t.outs = append(t.outs, nil)
-		t.extract = append(t.extract, false)
-		t.every = append(t.every, false)
+// into the trie, ending it at result slot slot. extract says whether the
+// subscription wants the matched element captured, and every whether it
+// wants every element it selects (which implies extract).
+func (t *trie) add(q *query.Query, slot int, extract, every bool) {
+	if n := slot + 1 - len(t.outs); n > 0 {
+		t.outs = append(t.outs, make([]*tnode, n)...)
 	}
-	t.extract[idx], t.every[idx] = extract, every
 	cur := t.root
 	for u := q.Root.Successor; u != nil; u = u.Successor {
 		key := query.StepKey(u)
@@ -414,33 +401,32 @@ func (t *trie) add(q *query.Query, extract, every bool) int {
 		t.steps++
 		cur = child
 	}
-	cur.terminals = append(cur.terminals, idx)
-	t.ends(cur, 1, idx)
-	t.outs[idx] = cur
+	cur.terminals = append(cur.terminals, slot)
+	t.ends(cur, 1, extract, every)
+	t.outs[slot] = cur
 	t.live++
-	return idx
 }
 
-// remove withdraws the subscription holding result slot idx, unlinking the
-// spine nodes only it passed through — from their parent, from spineNodes
-// and from the skeleton, their group or their run — deepest first, so each
-// is a leaf when its turn comes. The scan of the OUT node's terminals is
-// linear in the subscriptions ending there (duplicates of one query).
-// Scopes and frames a document in flight has open go stale; the engine
-// abandons it, and matcher.reset drops them without consulting the trie.
-func (t *trie) remove(idx int) {
-	out := t.outs[idx]
-	t.outs[idx] = nil
-	t.freeSlots = append(t.freeSlots, idx)
+// remove withdraws the subscription holding result slot slot, added with
+// the same extract and every, unlinking the spine nodes only it passed
+// through — from their parent, from spineNodes and from the skeleton, their
+// group or their run — deepest first, so each is a leaf when its turn comes.
+// The scan of the OUT node's terminals is linear in the subscriptions ending
+// there (duplicates of one query). Scopes and frames a document in flight
+// has open go stale; the engine abandons it, and matcher.reset drops them
+// without consulting the trie.
+func (t *trie) remove(slot int, extract, every bool) {
+	out := t.outs[slot]
+	t.outs[slot] = nil
 	t.live--
 	for i, sub := range out.terminals {
-		if sub == idx {
+		if sub == slot {
 			out.terminals[i] = out.terminals[len(out.terminals)-1]
 			out.terminals = out.terminals[:len(out.terminals)-1]
 			break
 		}
 	}
-	t.ends(out, -1, idx)
+	t.ends(out, -1, extract, every)
 	for n := out; n != t.root; {
 		p := n.parent
 		t.steps--
@@ -617,11 +603,11 @@ type matchStats struct {
 
 // matcher is the streaming run state over a trie: a symbol-indexed
 // frontier of predicate tuples, a stack of candidate scopes with the frames
-// that index the spine ones, pending text buffers, and the per-subscription
-// match vector. One matcher evaluates every trie-routed subscription in a
-// single document pass. Tuples, scopes and frames are recycled through free
-// lists, so steady-state matching allocates nothing once the document
-// shapes have been seen.
+// that index the spine ones, and pending text buffers; what it decides
+// latches in the engine's record (hits). One matcher evaluates every
+// trie-routed subscription in a single document pass. Tuples, scopes and
+// frames are recycled through free lists, so steady-state matching
+// allocates nothing once the document shapes have been seen.
 type matcher struct {
 	tr *trie
 
@@ -650,30 +636,21 @@ type matcher struct {
 	// predGroup.indexBits).
 	groupBits int
 
-	// matched latches per result slot; latched lists the slots it holds
-	// true, which is what reset clears, and each first latch sets the
-	// subscription's bit in hits, the engine's result bitmap.
-	matched      []bool
-	latched      []int
-	matchedCount int
-	hits         *hits
+	// hits is the engine's record of the document's verdicts and
+	// fragments, where the matcher latches its subscriptions by result slot.
+	hits *hits
 	// remaining is the document's copy of the trie's count vector: what is
 	// left to match below each spine node, group and run (trie.counts).
 	// When an entry hits zero its owner stops accepting candidates — the
 	// per-subscription monotone early exit, applied to shared state.
 	remaining []int32
 
-	// Fragment-extraction state. capturing is set per document by the
-	// engine when a capture mode is active; frags holds the captured
-	// fragment latched per extraction-enabled subscription (trie.extract) —
-	// always the document-order-first match, so a later-resolving commit
-	// with an earlier start offset replaces the current one. capCommits counts
+	// Fragment-extraction state: cm is the engine's capture manager, whose
+	// mode says whether the document captures at all. capCommits counts
 	// outstanding capture holds in commit entries and scope caps: while
 	// nonzero, an early exit could miss a better (earlier) fragment, so
 	// Decided stays false.
 	cm         *capman
-	capturing  bool
-	frags      []*capture
 	capCommits int
 
 	cands []*tuple    // scratch, reused across startElement calls
@@ -714,18 +691,6 @@ func (m *matcher) reset() {
 	m.refCount = 0
 	m.level = 0
 	m.groupBits = 0
-	// A fragment is latched only with a match, so clearing the latched
-	// slots clears both vectors; they grow with the trie's slots, which
-	// never shrink.
-	for _, sub := range m.latched {
-		m.matched[sub], m.frags[sub] = false, nil
-	}
-	m.latched = m.latched[:0]
-	if n := len(m.tr.outs) - len(m.matched); n > 0 {
-		m.matched = append(m.matched, make([]bool, n)...)
-		m.frags = append(m.frags, make([]*capture, n)...)
-	}
-	m.matchedCount = 0
 	m.capCommits = 0
 	if len(m.remaining) != len(m.tr.counts) {
 		m.remaining = make([]int32, len(m.tr.counts))
@@ -1071,7 +1036,7 @@ func (m *matcher) startRun(r *contRun, src *frame, level int) {
 		return
 	}
 	rc := rangeCommit{run: r, from: p}
-	if m.capturing && m.remaining[r.frags] > 0 {
+	if m.cm.mode != CaptureOff && m.remaining[r.frags] > 0 {
 		rc.cap = m.cm.elemCapture(r.every > 0)
 		m.capCommits++
 	}
@@ -1088,11 +1053,11 @@ func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int, fr *
 	if fr != nil {
 		fr.scopes[n.fslot] = sc
 	}
-	if m.capturing && n.kind == kindSpine && len(n.conj) > 0 && len(n.terminals) > 0 {
+	if n.kind == kindSpine && len(n.conj) > 0 && len(n.terminals) > 0 {
 		// The node's own terminals are decided only with this scope's
 		// predicates; if any of them wants the element, capture it now,
 		// while its start event is current.
-		if c := m.capFor(n.terminals); c != nil {
+		if c := m.hits.capFor(n.terminals); c != nil {
 			sc.cap = c
 			m.capCommits++
 		}
@@ -1290,7 +1255,7 @@ func (m *matcher) route(outs []int, cap *capture, s *scope, mem *tnode) {
 	}
 	for _, sub := range outs {
 		c := cap
-		if c != nil && !m.tr.extract[sub] {
+		if c != nil && !m.hits.ix.extract[sub] {
 			c = nil
 		}
 		m.routeEntry(sub, c, s, mem)
@@ -1301,7 +1266,7 @@ func (m *matcher) route(outs []int, cap *capture, s *scope, mem *tnode) {
 // startElement: it starts (or joins) the element's capture when some
 // terminal wants a fragment.
 func (m *matcher) routeCaptured(outs []int, s *scope, mem *tnode) {
-	cap := m.capFor(outs)
+	cap := m.hits.capFor(outs)
 	m.route(outs, cap, s, mem)
 	if cap != nil {
 		m.cm.release(cap) // route took its own holds
@@ -1323,77 +1288,34 @@ func (m *matcher) routeEntry(sub int, cap *capture, s *scope, mem *tnode) {
 	s.commits = append(s.commits, commit{sub: sub, cap: cap, mem: mem})
 }
 
-// latch finalizes a subscription's match, and counts it out of what is left
-// to match below its OUT node — and, while a count hits zero, below what
-// that node is a part of: its group or run, and the step it continues. The
-// fragment slot keeps the document-order-first capture: predicated matches
-// are decided bottom-up, so a later-deciding commit can carry an earlier
-// element — it replaces the slot when its start offset is smaller. An
-// every-match subscription counts nothing out, so no count on its path ever
-// prunes its later matches, and each latch selects the capture it carries
-// for emission instead.
+// latch finalizes a subscription's match in the engine's record (hits.latch,
+// which keeps the document-order-first fragment) and, the first time,
+// counts it out of what is left to match below its OUT node — and, while a
+// count hits zero, below what that node is a part of: its group or run, and
+// the step it continues. The first fragment kept counts out of what its
+// group or run still wants captured. An every-match subscription counts
+// nothing out, so no count on its path ever prunes its later matches.
 func (m *matcher) latch(sub int, cap *capture) {
+	first, captured := m.hits.latch(sub, cap)
 	out := m.tr.outs[sub]
-	every := m.tr.every[sub]
-	if !m.matched[sub] {
-		m.matched[sub] = true
-		m.latched = append(m.latched, sub)
-		m.hits.set(RouteTrie, sub)
-		m.matchedCount++
-		for n := out; n != nil && !every; n = n.parent {
-			if m.remaining[n.id]--; m.remaining[n.id] > 0 {
-				break
-			}
-			if n.mem != nil {
-				m.remaining[n.mem.grp.id]--
-			} else if n.run != nil {
-				m.remaining[n.run.id]--
-			}
-		}
-	}
-	if cap == nil || !m.tr.extract[sub] {
-		return
-	}
-	if every {
-		cap.selected = true
-		return
-	}
-	old := m.frags[sub]
-	if old != nil && old.start <= cap.start {
-		return
-	}
-	cap.refs++
-	if old != nil {
-		m.cm.release(old)
-	} else if out.mem != nil {
+	if captured && out.mem != nil {
 		m.remaining[out.mem.grp.frags]--
-	} else if out.run != nil {
+	} else if captured && out.run != nil {
 		m.remaining[out.run.frags]--
 	}
-	m.frags[sub] = cap
-}
-
-// capFor returns a capture of the current element (one hold for the
-// caller) if any subscription in outs still wants one, nil otherwise: an
-// every-match subscription always does, and queues the element for
-// emission. A subscription whose fragment slot is already latched needs
-// nothing: offsets grow monotonically with the event stream, so the
-// current element can never precede an already-captured one.
-func (m *matcher) capFor(outs []int) *capture {
-	if !m.capturing {
-		return nil
+	if !first || m.hits.ix.every[sub] {
+		return
 	}
-	want := false
-	for _, sub := range outs {
-		if m.tr.every[sub] {
-			return m.cm.elemCapture(true)
+	for n := out; n != nil; n = n.parent {
+		if m.remaining[n.id]--; m.remaining[n.id] > 0 {
+			break
 		}
-		want = want || (m.tr.extract[sub] && m.frags[sub] == nil)
+		if n.mem != nil {
+			m.remaining[n.mem.grp.id]--
+		} else if n.run != nil {
+			m.remaining[n.run.id]--
+		}
 	}
-	if want {
-		return m.cm.elemCapture(false)
-	}
-	return nil
 }
 
 // dropCommitCap drops a commit entry's (or scope's) capture hold.
@@ -1407,7 +1329,7 @@ func (m *matcher) dropCommitCap(cap *capture) {
 // unmatched reports whether any subscription in outs has yet to match.
 func (m *matcher) unmatched(outs []int) bool {
 	for _, sub := range outs {
-		if !m.matched[sub] {
+		if !m.hits.matched(sub) {
 			return true
 		}
 	}
@@ -1444,8 +1366,8 @@ func (m *matcher) unmatched(outs []int) bool {
 // open verdict; callers probe it per chunk, not per event. rootSeen says the
 // document's root element has started.
 func (m *matcher) undecided(rootSeen bool) bool {
-	if m.tr.live == m.matchedCount {
-		return false
+	if m.remaining[m.tr.root.id] == 0 {
+		return false // every trie-routed subscription has matched
 	}
 	for _, sc := range m.scopes {
 		switch {
@@ -1468,7 +1390,7 @@ func (m *matcher) undecided(rootSeen bool) bool {
 			continue
 		}
 		for _, c := range sc.commits {
-			if !m.matched[c.sub] {
+			if !m.hits.matched(c.sub) {
 				return true
 			}
 		}
@@ -1528,8 +1450,8 @@ func (m *matcher) evictDead() {
 	}
 }
 
-// endDocument closes every remaining scope bottom-up; afterwards matched
-// holds the final per-subscription verdicts.
+// endDocument closes every remaining scope bottom-up; afterwards the
+// engine's record holds the final per-subscription verdicts.
 func (m *matcher) endDocument() {
 	for len(m.scopes) > 0 {
 		sc := m.scopes[len(m.scopes)-1]

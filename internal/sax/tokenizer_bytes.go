@@ -68,12 +68,13 @@ var ErrNeedMoreData = errors.New("sax: need more data")
 // pieces that helper goroutines run the same kernel over, and the skim
 // adopts the pieces they finished (skim_pieces.go).
 //
-// It accepts exactly the syntax of the streaming Tokenizer and produces
-// the same event stream (modulo attribute expansion — apply
-// ExpandAttributes to the string tokenizer's output to compare), which
-// the differential tests and the fuzz target enforce. Unlike the
-// streaming Tokenizer it requires the document in memory; callers that
-// need bounded-memory parsing keep using NewTokenizer.
+// It accepts exactly the syntax of the string Tokenizer and produces the
+// same event stream (modulo attribute expansion — apply ExpandAttributes to
+// the string tokenizer's output to compare), which the differential tests
+// and the fuzz target enforce; the string Tokenizer is only that reference
+// side. A TokenizerBytes requires the document in memory; callers that need
+// bounded-memory parsing use StreamTokenizer, which runs this tokenizer
+// over a window of the input.
 //
 // A TokenizerBytes is reusable: Reset points it at the next document
 // while keeping its scratch buffers and symbol table, which is what

@@ -364,5 +364,5 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("parallel: recovered panic in worker: %v", e.Recovered)
+	return fmt.Sprintf("recovered panic in engine: %v", e.Recovered)
 }

@@ -90,6 +90,9 @@ func wantPanicError(t *testing.T, err error) {
 	if pe.Recovered == nil || len(pe.Stack) == 0 {
 		t.Fatalf("PanicError missing payload: %+v", pe)
 	}
+	if want := "streamxpath: recovered panic in engine: " + fmt.Sprint(pe.Recovered); err.Error() != want {
+		t.Fatalf("error reads %q, want %q", err, want)
+	}
 }
 
 // boundRunners counts the runners bound to the merged NFA of e's index, a

@@ -1,12 +1,17 @@
 // Package delivery is the outbound side of the dissemination daemon:
 // it turns match verdicts into webhook POSTs with production-grade
-// failure handling. Each tenant owns a bounded queue drained by worker
-// goroutines; failed attempts retry with exponential backoff and full
-// jitter, a per-endpoint circuit breaker keeps one dead subscriber
-// from starving retries for healthy ones, and deliveries that exhaust
-// their attempt budget land in a per-tenant dead-letter ring. All
-// timing goes through an injectable Clock so backoff and breaker
-// transitions are deterministically unit-testable.
+// failure handling. Each tenant owns a pump (Manager.Open): a queue of
+// records drained by worker goroutines. The queue's depth bounds the
+// admission of fresh records — an Enqueue past it sheds, never blocks —
+// but is not preallocated: the queue's memory follows its backlog and is
+// released as the backlog drains. Failed attempts retry with exponential
+// backoff and full jitter, and a retry re-enters the queue past the
+// bound, without waiting and without being shed. A per-endpoint circuit
+// breaker keeps one dead subscriber from starving retries for healthy
+// ones, and deliveries that exhaust their attempt budget land in a
+// per-tenant dead-letter ring. All timing goes through an injectable
+// Clock so backoff and breaker transitions are deterministically
+// unit-testable.
 package delivery
 
 import "time"

@@ -30,11 +30,17 @@ func (f DoerFunc) Do(r *http.Request) (*http.Response, error) { return f(r) }
 // Config carries the manager's knobs; zero fields select the defaults
 // noted on each.
 type Config struct {
-	// QueueDepth bounds each tenant's outbound queue (default 1024).
-	// Enqueue never blocks: overflow sheds the record and counts it.
+	// QueueDepth bounds admission to each tenant's outbound queue
+	// (default 1024): an Enqueue that finds QueueDepth records already
+	// waiting sheds the record and counts it; it never blocks. The bound
+	// is not preallocated: the queue's memory follows its backlog, growing
+	// with the records waiting and released as they drain. A retry whose
+	// backoff expires re-enters past the bound, without waiting and
+	// without being shed.
 	QueueDepth int
 	// Workers is the number of delivery goroutines per tenant
-	// (default 4).
+	// (default 4), started by the tenant's first enqueue; an idle worker
+	// waits on the queue.
 	Workers int
 	// Timeout is the default per-attempt HTTP timeout (default 5s),
 	// overridable per subscription.
@@ -167,10 +173,14 @@ type Stats struct {
 	DeadLetters int64
 	DeadDropped int64
 	Abandoned   int64
-	// Outstanding is the live queue-depth gauge: records enqueued but
-	// not yet delivered, dead-lettered, or abandoned (queued + parked
-	// on a retry timer + in flight).
+	// Outstanding counts the records enqueued but not yet delivered,
+	// dead-lettered, or abandoned: queued + parked on a retry timer + in
+	// flight.
 	Outstanding int64
+	// Queued counts the records waiting for a worker, retries due again
+	// included: what the queue holds, and what QueueDepth bounds for
+	// fresh records.
+	Queued int64
 	// LatencySeconds/LatencyCount accumulate successful-attempt wall
 	// time, the sum/count pair scrapers turn into a mean.
 	LatencySeconds float64
@@ -189,14 +199,14 @@ type Manager struct {
 	transport *http.Transport
 
 	mu       sync.Mutex
-	pumps    map[string]*pump
+	pumps    map[*Pump]struct{} // every pump not yet dropped
+	named    map[string]*Pump   // the newest pump opened under each name
 	draining bool
-	stopped  bool
 }
 
 // NewManager builds a manager from cfg (zero fields take defaults).
 func NewManager(cfg Config) *Manager {
-	m := &Manager{cfg: cfg.withDefaults(), pumps: make(map[string]*pump)}
+	m := &Manager{cfg: cfg.withDefaults(), pumps: make(map[*Pump]struct{}), named: make(map[string]*Pump)}
 	if m.cfg.Client == nil {
 		m.transport = http.DefaultTransport.(*http.Transport).Clone()
 		m.transport.MaxIdleConnsPerHost = m.cfg.Workers
@@ -205,117 +215,84 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// pumpFor returns (creating if needed) the named tenant's pump, or nil
-// once the manager is draining.
-func (m *Manager) pumpFor(tenant string) *pump {
+// Open gives a tenant a pump of its own: the handle its deliveries are
+// enqueued and dropped through. A pump already open under the same name
+// stays with its holder, so a tenant deleted and re-created under one name
+// has two pumps until the old one is dropped, and dropping the old one
+// leaves the new one alone; Stats, DeadLetters and Snapshot report the
+// newest. Open returns nil once the manager is draining (a nil pump
+// refuses every record).
+func (m *Manager) Open(tenant string) *Pump {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.openLocked(tenant)
+}
+
+func (m *Manager) openLocked(tenant string) *Pump {
 	if m.draining {
 		return nil
 	}
-	p, ok := m.pumps[tenant]
-	if !ok {
-		p = newPump(tenant, m)
-		m.pumps[tenant] = p
-	}
+	p := newPump(tenant, m)
+	m.pumps[p] = struct{}{}
+	m.named[tenant] = p
 	return p
 }
 
-// lookup returns an existing pump without creating one.
-func (m *Manager) lookup(tenant string) *pump {
+// pumpFor returns the named tenant's newest pump, opening one if there is
+// none.
+func (m *Manager) pumpFor(tenant string) *Pump {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.pumps[tenant]
+	if p, ok := m.named[tenant]; ok {
+		return p
+	}
+	return m.openLocked(tenant)
 }
 
-// Enqueue queues one JSON delivery for a tenant, applying the manager
-// defaults to zero Webhook overrides. It never blocks: a full queue
-// (or a draining manager) sheds the record and returns false — the
-// match path degrades gracefully rather than backing up.
+// lookup returns the named tenant's newest pump without opening one.
+func (m *Manager) lookup(tenant string) *Pump {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.named[tenant]
+}
+
+// Enqueue queues one JSON delivery on the named tenant's newest pump
+// (opening one if needed); see Pump.Enqueue.
 func (m *Manager) Enqueue(tenant, subID string, hook Webhook, payload []byte) bool {
-	return m.EnqueueRaw(tenant, subID, hook, "", payload)
+	return m.pumpFor(tenant).Enqueue(subID, hook, payload)
 }
 
-// EnqueueRaw is Enqueue with an explicit payload Content-Type (empty
-// selects "application/json") — the entry point for extraction
-// subscriptions, whose webhook body is the matched subtree's XML rather
-// than the JSON match envelope.
-func (m *Manager) EnqueueRaw(tenant, subID string, hook Webhook, contentType string, payload []byte) bool {
-	p := m.pumpFor(tenant)
-	if p == nil {
-		return false
-	}
-	rec := &Record{
-		Tenant:      tenant,
-		SubID:       subID,
-		URL:         hook.URL,
-		Timeout:     hook.Timeout,
-		MaxAttempts: hook.MaxAttempts,
-		Payload:     payload,
-		ContentType: contentType,
-		EnqueuedAt:  m.cfg.Clock.Now(),
-	}
-	if rec.Timeout <= 0 {
-		rec.Timeout = m.cfg.Timeout
-	}
-	if rec.MaxAttempts <= 0 {
-		rec.MaxAttempts = m.cfg.MaxAttempts
-	}
-	return p.enqueue(rec)
-}
-
-// DeadLetters snapshots a tenant's dead-letter ring, oldest first,
-// plus how many older entries the bounded ring has evicted.
+// DeadLetters snapshots the named tenant's dead-letter ring; see
+// Pump.DeadLetters.
 func (m *Manager) DeadLetters(tenant string) (letters []DeadLetter, dropped int64) {
-	p := m.lookup(tenant)
-	if p == nil {
-		return nil, 0
-	}
-	return p.deadLetterSnapshot()
+	return m.lookup(tenant).DeadLetters()
 }
 
-// Stats snapshots one tenant's counters (zero value for an unknown
+// Stats snapshots the named tenant's counters (zero value for an unknown
 // tenant).
 func (m *Manager) Stats(tenant string) Stats {
-	p := m.lookup(tenant)
-	if p == nil {
-		return Stats{}
-	}
-	return p.snapshot()
+	return m.lookup(tenant).Stats()
 }
 
 // Snapshot returns every live tenant's stats keyed by tenant name.
 func (m *Manager) Snapshot() map[string]Stats {
 	m.mu.Lock()
-	pumps := make([]*pump, 0, len(m.pumps))
-	for _, p := range m.pumps {
+	pumps := make([]*Pump, 0, len(m.named))
+	for _, p := range m.named {
 		pumps = append(pumps, p)
 	}
 	m.mu.Unlock()
 	out := make(map[string]Stats, len(pumps))
 	for _, p := range pumps {
-		out[p.tenant] = p.snapshot()
+		out[p.tenant] = p.Stats()
 	}
 	return out
 }
 
-// DropTenant abandons and tears down a deleted tenant's pump: parked
-// retries and queued records are discarded (counted as abandoned) and
-// its in-flight attempts are canceled. Safe when the tenant has no
-// pump.
+// DropTenant drops the named tenant's newest pump; see Pump.Drop. Safe
+// when the tenant has no pump.
 func (m *Manager) DropTenant(tenant string) {
-	m.mu.Lock()
-	p, ok := m.pumps[tenant]
-	if ok {
-		delete(m.pumps, tenant)
-	}
-	m.mu.Unlock()
-	if !ok {
-		return
-	}
-	p.forceAbandon()
-	p.records.Wait()
-	p.teardown()
+	m.lookup(tenant).Drop()
 }
 
 // Drain integrates with graceful shutdown: it refuses new enqueues,
@@ -326,17 +303,21 @@ func (m *Manager) DropTenant(tenant string) {
 // Safe to call once; later calls (and Close after Drain) are no-ops.
 func (m *Manager) Drain(ctx context.Context) int64 {
 	m.mu.Lock()
-	if m.stopped {
+	if m.draining {
 		m.mu.Unlock()
 		return 0
 	}
 	m.draining = true
-	m.stopped = true
-	pumps := make([]*pump, 0, len(m.pumps))
-	for _, p := range m.pumps {
+	pumps := make([]*Pump, 0, len(m.pumps))
+	for p := range m.pumps {
 		pumps = append(pumps, p)
 	}
 	m.mu.Unlock()
+	for _, p := range pumps {
+		p.mu.Lock()
+		p.draining = true
+		p.mu.Unlock()
+	}
 
 	done := make(chan struct{})
 	go func() {
@@ -372,15 +353,16 @@ func (m *Manager) Close() {
 	m.Drain(ctx)
 }
 
-// pump is one tenant's delivery engine: the bounded queue, its worker
-// goroutines, the per-endpoint breakers, the retry timers, and the
-// dead-letter ring.
-type pump struct {
+// Pump is one tenant's delivery engine: the queue of records waiting for
+// a worker, the worker goroutines (started by the first enqueue), the
+// per-endpoint breakers, the retry timers, and the dead-letter ring. A
+// tenant holds its pump from Manager.Open to Drop and enqueues through
+// it, so its deliveries never meet another tenant's of the same name.
+// Every method is safe for concurrent use and on a nil pump.
+type Pump struct {
 	tenant string
 	m      *Manager
 
-	queue  chan *Record
-	stop   chan struct{} // closed at teardown: workers exit
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -388,12 +370,16 @@ type pump struct {
 	records sync.WaitGroup // outstanding records (enqueue → final outcome)
 
 	mu        sync.Mutex
+	ready     sync.Cond // on mu: a record was queued, or the workers stop
+	queue     fifo      // records waiting for a worker
+	started   bool      // the workers are running
+	draining  bool      // fresh records are refused
+	aborting  bool      // every record is abandoned
+	stopped   bool      // the workers exit
 	breakers  map[string]*breaker
 	parked    map[*Record]Timer // records waiting on a retry timer
 	dead      []DeadLetter      // ring, oldest at deadStart
 	deadStart int
-	aborting  bool
-	tornDown  bool
 
 	outstanding atomic.Int64
 	enqueued    atomic.Int64
@@ -409,56 +395,127 @@ type pump struct {
 	latCount    atomic.Int64
 }
 
-func newPump(tenant string, m *Manager) *pump {
+func newPump(tenant string, m *Manager) *Pump {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := &pump{
+	p := &Pump{
 		tenant:   tenant,
 		m:        m,
-		queue:    make(chan *Record, m.cfg.QueueDepth),
-		stop:     make(chan struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
 		breakers: make(map[string]*breaker),
 		parked:   make(map[*Record]Timer),
 	}
-	for i := 0; i < m.cfg.Workers; i++ {
-		p.workers.Add(1)
-		go p.run()
-	}
+	p.ready.L = &p.mu
 	return p
 }
 
-// enqueue admits one record, shedding (never blocking) on overflow.
-func (p *pump) enqueue(rec *Record) bool {
-	p.records.Add(1)
-	select {
-	case p.queue <- rec:
-		p.enqueued.Add(1)
-		p.outstanding.Add(1)
-		return true
-	default:
-		p.records.Done()
+// Enqueue queues one JSON delivery, applying the manager defaults to zero
+// Webhook overrides. It never blocks: when QueueDepth records are already
+// waiting the record is shed and counted, and a draining manager or a
+// dropped pump refuses it — the match path degrades gracefully rather than
+// backing up. It reports whether the record was admitted.
+func (p *Pump) Enqueue(subID string, hook Webhook, payload []byte) bool {
+	return p.EnqueueRaw(subID, hook, "", payload)
+}
+
+// EnqueueRaw is Enqueue with an explicit payload Content-Type (empty
+// selects "application/json") — the entry point for extraction
+// subscriptions, whose webhook body is the matched subtree's XML rather
+// than the JSON match envelope.
+func (p *Pump) EnqueueRaw(subID string, hook Webhook, contentType string, payload []byte) bool {
+	if p == nil {
+		return false
+	}
+	rec := &Record{
+		Tenant:      p.tenant,
+		SubID:       subID,
+		URL:         hook.URL,
+		Timeout:     hook.Timeout,
+		MaxAttempts: hook.MaxAttempts,
+		Payload:     payload,
+		ContentType: contentType,
+		EnqueuedAt:  p.m.cfg.Clock.Now(),
+	}
+	if rec.Timeout <= 0 {
+		rec.Timeout = p.m.cfg.Timeout
+	}
+	if rec.MaxAttempts <= 0 {
+		rec.MaxAttempts = p.m.cfg.MaxAttempts
+	}
+	return p.enqueue(rec)
+}
+
+// Drop abandons and tears down a deleted tenant's pump: parked retries
+// and queued records are discarded (counted as abandoned), its in-flight
+// attempts are canceled, and later enqueues are refused. Another pump
+// opened under the same name is untouched.
+func (p *Pump) Drop() {
+	if p == nil {
+		return
+	}
+	m := p.m
+	m.mu.Lock()
+	delete(m.pumps, p)
+	if m.named[p.tenant] == p {
+		delete(m.named, p.tenant)
+	}
+	m.mu.Unlock()
+	p.forceAbandon()
+	p.records.Wait()
+	p.teardown()
+}
+
+// enqueue admits one fresh record, shedding (never blocking) when
+// QueueDepth records are already waiting.
+func (p *Pump) enqueue(rec *Record) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.draining {
+		return false
+	}
+	if p.queue.n >= p.m.cfg.QueueDepth {
 		p.sheds.Add(1)
 		return false
 	}
+	if !p.started {
+		p.started = true
+		p.workers.Add(p.m.cfg.Workers)
+		for range p.m.cfg.Workers {
+			go p.run()
+		}
+	}
+	p.records.Add(1)
+	p.enqueued.Add(1)
+	p.outstanding.Add(1)
+	p.queue.push(rec)
+	p.ready.Signal()
+	return true
 }
 
-func (p *pump) run() {
+// run is one worker: it takes the oldest queued record and attempts it,
+// until teardown stops the pump.
+func (p *Pump) run() {
 	defer p.workers.Done()
+	p.mu.Lock()
 	for {
-		select {
-		case rec := <-p.queue:
-			p.attempt(rec)
-		case <-p.stop:
+		for p.queue.n == 0 && !p.stopped {
+			p.ready.Wait()
+		}
+		if p.stopped {
+			p.mu.Unlock()
 			return
 		}
+		rec := p.queue.pop()
+		p.mu.Unlock()
+		p.attempt(rec)
+		p.mu.Lock()
 	}
 }
 
 // finalize retires a record from the outstanding set; every admitted
 // record passes through here exactly once (delivered, dead-lettered,
 // or abandoned).
-func (p *pump) finalize() {
+func (p *Pump) finalize() {
 	p.outstanding.Add(-1)
 	p.records.Done()
 }
@@ -466,7 +523,7 @@ func (p *pump) finalize() {
 // attempt runs one delivery try: the breaker gate first (an open
 // circuit parks the record until the cooldown without consuming an
 // attempt), then the POST, then success/retry/dead-letter routing.
-func (p *pump) attempt(rec *Record) {
+func (p *Pump) attempt(rec *Record) {
 	p.mu.Lock()
 	if p.aborting {
 		p.mu.Unlock()
@@ -519,7 +576,7 @@ func (p *pump) attempt(rec *Record) {
 
 // post performs the HTTP attempt under the record's timeout and the
 // pump's cancellation context. Any non-2xx status is a failure.
-func (p *pump) post(rec *Record) error {
+func (p *Pump) post(rec *Record) error {
 	ctx, cancel := context.WithTimeout(p.ctx, rec.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rec.URL, bytes.NewReader(rec.Payload))
@@ -548,9 +605,8 @@ func (p *pump) post(rec *Record) error {
 }
 
 // park schedules a record's next attempt d from now via the injected
-// clock. A parked record re-enters the queue when the timer fires
-// (blocking until a slot frees — retries are never shed).
-func (p *pump) park(rec *Record, d time.Duration) {
+// clock. A parked record re-enters the queue when the timer fires.
+func (p *Pump) park(rec *Record, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -565,34 +621,33 @@ func (p *pump) park(rec *Record, d time.Duration) {
 	p.mu.Unlock()
 }
 
-// requeue is the timer callback: move a parked record back onto the
-// queue, or abandon it when the pump is going away.
-func (p *pump) requeue(rec *Record) {
+// requeue is the timer callback: a parked record goes back to the tail of
+// the queue — past QueueDepth, which bounds fresh records only, so a retry
+// is never shed and the timer's goroutine never waits — or is abandoned
+// when the pump is going away.
+func (p *Pump) requeue(rec *Record) {
 	p.mu.Lock()
 	delete(p.parked, rec)
-	aborting := p.aborting
-	p.mu.Unlock()
-	if aborting {
+	if p.aborting {
+		p.mu.Unlock()
 		p.abandon(rec)
 		return
 	}
-	select {
-	case p.queue <- rec:
-	case <-p.stop:
-		p.abandon(rec)
-	}
+	p.queue.push(rec)
+	p.ready.Signal()
+	p.mu.Unlock()
 }
 
 // abandon retires a record without delivery — drain-window expiry or
 // tenant teardown. The count is what the drain log persists.
-func (p *pump) abandon(rec *Record) {
+func (p *Pump) abandon(rec *Record) {
 	_ = rec
 	p.abandoned.Add(1)
 	p.finalize()
 }
 
 // deadletter retires an attempt-exhausted record into the bounded ring.
-func (p *pump) deadletter(rec *Record) {
+func (p *Pump) deadletter(rec *Record) {
 	// The dead-letter API serializes Payload as raw JSON; a non-JSON
 	// payload (an extraction subscription's XML body) is wrapped in a
 	// JSON string so the envelope stays well-formed.
@@ -627,7 +682,7 @@ func (p *pump) deadletter(rec *Record) {
 }
 
 // breakerFor returns the endpoint's breaker; caller holds p.mu.
-func (p *pump) breakerFor(url string) *breaker {
+func (p *Pump) breakerFor(url string) *breaker {
 	b, ok := p.breakers[url]
 	if !ok {
 		b = &breaker{threshold: p.m.cfg.BreakerThreshold, cooldown: p.m.cfg.BreakerCooldown}
@@ -636,19 +691,20 @@ func (p *pump) breakerFor(url string) *breaker {
 	return b
 }
 
-// forceAbandon flips the pump into abort mode: parked timers are
-// stopped and their records abandoned, queued records are drained and
-// abandoned, and in-flight attempts are canceled (their failure path
-// sees aborting and abandons too).
-func (p *pump) forceAbandon() {
+// forceAbandon flips the pump into abort mode: later enqueues are
+// refused, parked timers are stopped and their records abandoned, queued
+// records are taken and abandoned, and in-flight attempts are canceled
+// (their failure path sees aborting and abandons too).
+func (p *Pump) forceAbandon() {
 	p.mu.Lock()
 	if p.aborting {
 		p.mu.Unlock()
 		return
 	}
-	p.aborting = true
+	p.aborting, p.draining = true, true
 	parked := p.parked
 	p.parked = make(map[*Record]Timer)
+	queued := p.queue.takeAll()
 	p.mu.Unlock()
 
 	p.cancel()
@@ -659,33 +715,32 @@ func (p *pump) forceAbandon() {
 		// A timer that already fired finalizes via requeue's aborting
 		// check (or a worker's attempt path).
 	}
-	for {
-		select {
-		case rec := <-p.queue:
-			p.abandon(rec)
-		default:
-			return
-		}
+	for _, rec := range queued {
+		p.abandon(rec)
 	}
 }
 
 // teardown stops the workers after the record population has fully
-// drained (records.Wait has returned). Idempotent.
-func (p *pump) teardown() {
+// drained (records.Wait has returned), so the queue is empty. Idempotent.
+func (p *Pump) teardown() {
 	p.mu.Lock()
-	if p.tornDown {
+	if p.stopped {
 		p.mu.Unlock()
 		return
 	}
-	p.tornDown = true
+	p.stopped = true
+	p.ready.Broadcast()
 	p.mu.Unlock()
-	close(p.stop)
 	p.workers.Wait()
 	p.cancel()
 }
 
-// snapshot captures the tenant's counters and breaker states.
-func (p *pump) snapshot() Stats {
+// Stats snapshots the tenant's counters and breaker states (zero value
+// for a nil pump).
+func (p *Pump) Stats() Stats {
+	if p == nil {
+		return Stats{}
+	}
 	s := Stats{
 		Enqueued:       p.enqueued.Load(),
 		Attempts:       p.attempts.Load(),
@@ -701,6 +756,7 @@ func (p *pump) snapshot() Stats {
 		LatencyCount:   p.latCount.Load(),
 	}
 	p.mu.Lock()
+	s.Queued = int64(p.queue.n)
 	s.Breakers = make([]BreakerInfo, 0, len(p.breakers))
 	for url, b := range p.breakers {
 		s.Breakers = append(s.Breakers, BreakerInfo{URL: url, State: b.state})
@@ -710,8 +766,13 @@ func (p *pump) snapshot() Stats {
 	return s
 }
 
-// deadLetterSnapshot copies the ring oldest-first.
-func (p *pump) deadLetterSnapshot() ([]DeadLetter, int64) {
+// DeadLetters copies the tenant's dead-letter ring oldest first, plus how
+// many older entries the bounded ring has evicted (nothing for a nil
+// pump).
+func (p *Pump) DeadLetters() ([]DeadLetter, int64) {
+	if p == nil {
+		return nil, 0
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]DeadLetter, 0, len(p.dead))

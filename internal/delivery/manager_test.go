@@ -563,3 +563,86 @@ func TestDeadLetterRingEviction(t *testing.T) {
 		t.Fatalf("ring kept %s,%s want s1,s2", letters[0].Subscription, letters[1].Subscription)
 	}
 }
+
+// TestRetryNeverBlocksOnFullQueue: QueueDepth bounds fresh records only. With
+// the one worker wedged and a fresh record filling the queue, a parked retry
+// whose timer fires goes onto the queue past the bound at once — its timer
+// goroutine does not wait for a worker — and is not shed.
+func TestRetryNeverBlocksOnFullQueue(t *testing.T) {
+	clock := newFakeClock()
+	release := make(chan struct{})
+	var once sync.Once
+	unwedge := func() { once.Do(func() { close(release) }) }
+	defer unwedge()
+	var mu sync.Mutex
+	tries := make(map[string]int)
+	doer := DoerFunc(func(r *http.Request) (*http.Response, error) {
+		sub := r.Header.Get("X-Xpfilterd-Subscription")
+		mu.Lock()
+		tries[sub]++
+		n := tries[sub]
+		mu.Unlock()
+		switch {
+		case sub == "retry" && n == 1:
+			return httpResp(500), nil
+		case sub == "wedge":
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return nil, r.Context().Err()
+			}
+		}
+		return httpResp(200), nil
+	})
+	seen := func(sub string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return tries[sub]
+	}
+	m := NewManager(Config{
+		Clock:            clock,
+		Client:           doer,
+		QueueDepth:       1,
+		Workers:          1,
+		BackoffBase:      100 * time.Millisecond,
+		BackoffMax:       100 * time.Millisecond,
+		BreakerThreshold: 100,
+		Jitter:           func() float64 { return 1 },
+	})
+	defer m.Close()
+	hook := Webhook{URL: "http://sink.invalid/hook"}
+
+	if !m.Enqueue("t", "retry", hook, []byte(`{}`)) {
+		t.Fatal("retry record shed")
+	}
+	waitUntil(t, 5*time.Second, "retry parked", func() bool { return clock.pendingTimers() == 1 })
+	if !m.Enqueue("t", "wedge", hook, []byte(`{}`)) {
+		t.Fatal("wedge record shed")
+	}
+	waitUntil(t, 5*time.Second, "worker wedged", func() bool { return seen("wedge") == 1 })
+	if !m.Enqueue("t", "fresh", hook, []byte(`{}`)) {
+		t.Fatal("fresh record shed with the queue empty")
+	}
+	if m.Enqueue("t", "over", hook, []byte(`{}`)) {
+		t.Fatal("fresh record admitted past QueueDepth")
+	}
+
+	clock.Advance(100 * time.Millisecond)
+	waitUntil(t, 5*time.Second, "retry queued past the bound", func() bool { return m.Stats("t").Queued == 2 })
+	if s := m.Stats("t"); s.Sheds != 1 || s.Retries != 1 || s.Enqueued != 3 {
+		t.Fatalf("sheds %d retries %d enqueued %d, want 1/1/3", s.Sheds, s.Retries, s.Enqueued)
+	}
+
+	unwedge()
+	waitUntil(t, 5*time.Second, "every record delivered", func() bool { return m.Stats("t").Successes == 3 })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if abandoned := m.Drain(ctx); abandoned != 0 {
+		t.Fatalf("abandoned %d", abandoned)
+	}
+	s := m.Stats("t")
+	if s.Queued != 0 || s.Sheds != 1 {
+		t.Fatalf("queued %d sheds %d after drain, want 0/1", s.Queued, s.Sheds)
+	}
+	checkInvariant(t, s)
+}

@@ -162,7 +162,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.WriteTimeout, "write-timeout", envDuration("XPFILTERD_WRITE_TIMEOUT", 0),
 		"response write timeout; 0 = 5m default, negative disables (env XPFILTERD_WRITE_TIMEOUT)")
 	fs.IntVar(&c.DeliveryQueue, "delivery-queue", envInt("XPFILTERD_DELIVERY_QUEUE", 0),
-		"per-tenant outbound delivery queue depth; 0 = 1024 default (env XPFILTERD_DELIVERY_QUEUE)")
+		"per-tenant bound on fresh deliveries waiting in the queue (past it they are shed, never blocking); queue memory follows the backlog, and retries re-enter past the bound without blocking; 0 = 1024 default (env XPFILTERD_DELIVERY_QUEUE)")
 	fs.IntVar(&c.DeliveryWorkers, "delivery-workers", envInt("XPFILTERD_DELIVERY_WORKERS", 0),
 		"per-tenant delivery worker goroutines; 0 = 4 default (env XPFILTERD_DELIVERY_WORKERS)")
 	fs.DurationVar(&c.DeliveryTimeout, "delivery-timeout", envDuration("XPFILTERD_DELIVERY_TIMEOUT", 0),

@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,6 +222,7 @@ func TestWebhookDeliveryRetrySuccess(t *testing.T) {
 		`xpfilterd_delivery_successes_total{tenant="acme"} 1`,
 		`xpfilterd_delivery_retries_total{tenant="acme"} 1`,
 		`xpfilterd_delivery_queue_depth{tenant="acme"} 0`,
+		`xpfilterd_delivery_queued{tenant="acme"} 0`,
 	} {
 		if !strings.Contains(string(metrics.body), want) {
 			t.Errorf("metrics missing %q", want)
@@ -331,4 +336,100 @@ func TestDrainWithPendingDeliveries(t *testing.T) {
 	pollFor(t, 5*time.Second, "goroutines to settle", func() bool {
 		return runtime.NumGoroutine() <= before+4
 	})
+}
+
+// TestRecreatedTenantKeepsItsDeliveries: a tenant re-created under the name
+// of one whose Delete is still waiting for a slow upload has a delivery pump
+// and metric series of its own. The old tenant's teardown, when the upload
+// ends, must neither abandon the new tenant's in-flight POST nor erase its
+// series.
+func TestRecreatedTenantKeepsItsDeliveries(t *testing.T) {
+	gate := make(chan struct{})
+	var closeGate sync.Once
+	defer closeGate.Do(func() { close(gate) })
+	var arrived, acked atomic.Int64
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived.Add(1)
+		select {
+		case <-gate:
+		case <-r.Context().Done():
+			return
+		}
+		acked.Add(1)
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer sink.Close()
+	mgr := delivery.NewManager(delivery.Config{Timeout: 30 * time.Second})
+	reg := NewRegistry(TenantConfig{}, nil, mgr)
+	defer reg.Close()
+
+	old, err := reg.Create("a", TenantConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.PutSubscription("s", "/news/item", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A chunked upload holds the old tenant: the first write returns once
+	// the match is reading it.
+	pr, pw := io.Pipe()
+	uploaded := make(chan error, 1)
+	go func() {
+		_, err := old.MatchStream(pr)
+		uploaded <- err
+	}()
+	if _, err := pw.Write([]byte("<news>")); err != nil {
+		t.Fatal(err)
+	}
+	deleted := make(chan bool, 1)
+	go func() { deleted <- reg.Delete("a") }()
+	pollFor(t, 5*time.Second, "a to leave the registry", func() bool {
+		_, err := reg.Get("a")
+		return errors.Is(err, ErrTenantNotFound)
+	})
+
+	fresh, err := reg.Create("a", TenantConfig{})
+	if err != nil {
+		t.Fatalf("re-create a: %v", err)
+	}
+	if _, err := fresh.PutSubscription("s", "/news/item", false, &delivery.Webhook{URL: sink.URL}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := fresh.MatchBuffered(matchingDoc); err != nil || len(res.Matched) != 1 {
+		t.Fatalf("match on the new tenant: %v, matched %v", err, res.Matched)
+	}
+	pollFor(t, 5*time.Second, "the new tenant's POST in flight", func() bool { return arrived.Load() == 1 })
+
+	// End the upload: the old tenant closes and its pump is dropped.
+	if _, err := pw.Write([]byte("<item/></news>")); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if err := <-uploaded; err != nil {
+		t.Fatalf("old tenant's upload: %v", err)
+	}
+	if !<-deleted {
+		t.Fatal("Delete reported no tenant")
+	}
+
+	closeGate.Do(func() { close(gate) })
+	pollFor(t, 5*time.Second, "the new tenant's delivery", func() bool { return mgr.Stats("a").Successes == 1 })
+	if st := fresh.deliveries.Stats(); st.Successes != 1 || st.Abandoned != 0 || acked.Load() != 1 {
+		t.Fatalf("new tenant's deliveries: %+v, receiver acknowledged %d", st, acked.Load())
+	}
+	var exp bytes.Buffer
+	reg.Metrics().WritePrometheus(&exp, reg)
+	for _, want := range []string{
+		`xpfilterd_documents_total{tenant="a"} 1`,
+		`xpfilterd_subscriptions{tenant="a"} 1`,
+		`xpfilterd_delivery_successes_total{tenant="a"} 1`,
+		`xpfilterd_delivery_abandoned_total{tenant="a"} 0`,
+	} {
+		if !strings.Contains(exp.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("exposition:\n%s", exp.String())
+	}
 }

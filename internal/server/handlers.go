@@ -347,11 +347,12 @@ func (s *Server) handleDeadLetters(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if _, err := s.reg.Get(tenant); err != nil {
+	t, err := s.reg.Get(tenant)
+	if err != nil {
 		writeError(w, http.StatusNotFound, "tenant_not_found", "tenant %q not found", tenant)
 		return
 	}
-	letters, dropped := s.reg.Delivery().DeadLetters(tenant)
+	letters, dropped := t.deliveries.DeadLetters()
 	if letters == nil {
 		letters = []delivery.DeadLetter{}
 	}

@@ -69,23 +69,25 @@ type tenantMetrics struct {
 	lastMem streamxpath.MemStats
 }
 
-// tenant returns (creating if needed) the named tenant's counters.
-func (m *Metrics) tenant(name string) *tenantMetrics {
+// newTenant starts a new tenant's counters, which replace any series
+// still held under its name by a deleted tenant that has not finished
+// closing.
+func (m *Metrics) newTenant(name string) *tenantMetrics {
+	tm := &tenantMetrics{}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	tm, ok := m.tenants[name]
-	if !ok {
-		tm = &tenantMetrics{}
-		m.tenants[name] = tm
-	}
+	m.tenants[name] = tm
+	m.mu.Unlock()
 	return tm
 }
 
-// dropTenant forgets a deleted tenant's series.
-func (m *Metrics) dropTenant(name string) {
+// dropTenant forgets a deleted tenant's series, unless a new tenant's
+// counters have taken its name.
+func (m *Metrics) dropTenant(name string, tm *tenantMetrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.tenants, name)
+	if m.tenants[name] == tm {
+		delete(m.tenants, name)
+	}
 }
 
 // recordDoc folds one match call's outcome into the counters.
@@ -280,9 +282,14 @@ func writeDelivery(w io.Writer, snap map[string]delivery.Stats) {
 	counter("xpfilterd_delivery_abandoned_total", "Deliveries abandoned by drain or tenant deletion.",
 		func(s delivery.Stats) int64 { return s.Abandoned })
 
-	writeHeader("xpfilterd_delivery_queue_depth", "Delivery records not yet at a terminal outcome (queued, in flight, or awaiting retry).", "gauge")
+	writeHeader("xpfilterd_delivery_queue_depth", "Delivery records not yet at a terminal outcome: queued, parked on a retry timer, or in flight (not the queue alone; see xpfilterd_delivery_queued).", "gauge")
 	for _, tn := range names {
 		fmt.Fprintf(w, "xpfilterd_delivery_queue_depth{tenant=%q} %d\n", tn, snap[tn].Outstanding)
+	}
+
+	writeHeader("xpfilterd_delivery_queued", "Delivery records waiting in the queue for a worker, due retries included: what the queue depth bound limits for fresh records.", "gauge")
+	for _, tn := range names {
+		fmt.Fprintf(w, "xpfilterd_delivery_queued{tenant=%q} %d\n", tn, snap[tn].Queued)
 	}
 
 	writeHeader("xpfilterd_delivery_breaker_state", "Circuit state per webhook endpoint: 0 closed, 1 open, 2 half-open.", "gauge")

@@ -93,8 +93,11 @@ type Tenant struct {
 	// concurrent matches deliver under the read lock.
 	docSeq atomic.Int64
 
-	delivery *delivery.Manager
-	metrics  *tenantMetrics
+	// deliveries is the tenant's own delivery pump (nil when delivery is
+	// disabled): a tenant re-created under this one's name gets another,
+	// so deleting this one abandons only this one's records.
+	deliveries *delivery.Pump
+	metrics    *tenantMetrics
 }
 
 // SubInfo is one subscription as listed by the API.
@@ -338,7 +341,7 @@ func (t *Tenant) MatchStream(r io.Reader) (MatchResult, error) {
 // match path. Caller holds t.mu.RLock; the webhook/query maps are
 // mutated only under the write lock.
 func (t *Tenant) deliverRLocked(res MatchResult) {
-	if t.delivery == nil || len(res.Matched) == 0 {
+	if t.deliveries == nil || len(res.Matched) == 0 {
 		return
 	}
 	seq := t.docSeq.Add(1)
@@ -348,7 +351,7 @@ func (t *Tenant) deliverRLocked(res MatchResult) {
 			continue
 		}
 		if frag, ok := res.Fragments[id]; ok {
-			t.delivery.EnqueueRaw(t.Name, id, hook, "application/xml", []byte(frag))
+			t.deliveries.EnqueueRaw(id, hook, "application/xml", []byte(frag))
 			continue
 		}
 		payload, err := json.Marshal(matchEvent{
@@ -361,7 +364,7 @@ func (t *Tenant) deliverRLocked(res MatchResult) {
 		if err != nil {
 			continue
 		}
-		t.delivery.Enqueue(t.Name, id, hook, payload)
+		t.deliveries.Enqueue(id, hook, payload)
 	}
 }
 
@@ -463,7 +466,7 @@ func (r *Registry) newTenant(name string, cfg TenantConfig) *Tenant {
 	}
 	set := streamxpath.NewFilterPool(workers)
 	set.SetLimits(lim)
-	return &Tenant{
+	t := &Tenant{
 		Name:     name,
 		set:      set,
 		queries:  make(map[string]string),
@@ -471,9 +474,12 @@ func (r *Registry) newTenant(name string, cfg TenantConfig) *Tenant {
 		webhooks: make(map[string]delivery.Webhook),
 		limits:   lim,
 		maxSubs:  maxSubs,
-		delivery: r.delivery,
-		metrics:  r.metrics.tenant(name),
+		metrics:  r.metrics.newTenant(name),
 	}
+	if r.delivery != nil {
+		t.deliveries = r.delivery.Open(name)
+	}
+	return t
 }
 
 // Create registers a new tenant. ErrTenantExists if the name is taken.
@@ -525,7 +531,9 @@ func (r *Registry) GetOrCreate(name string) (*Tenant, error) {
 }
 
 // Delete removes a tenant and closes its engine (waiting for an
-// in-flight match), reporting whether it existed.
+// in-flight match), reporting whether it existed. Its delivery pump and
+// metric series go with it, by identity: a tenant created under the same
+// name while the close waits keeps its own.
 func (r *Registry) Delete(name string) bool {
 	r.mu.Lock()
 	t, ok := r.tenants[name]
@@ -537,10 +545,8 @@ func (r *Registry) Delete(name string) bool {
 		return false
 	}
 	t.close()
-	if r.delivery != nil {
-		r.delivery.DropTenant(name)
-	}
-	r.metrics.dropTenant(name)
+	t.deliveries.Drop()
+	r.metrics.dropTenant(name, t.metrics)
 	return true
 }
 

@@ -178,6 +178,22 @@ func TestFilterSetMatchBytesZeroAlloc(t *testing.T) {
 		}
 	}
 	const smallDoc = "<catalog><item><priority>7</priority><f1/></item></catalog>"
+	// serve's keyword subscriptions: one textual equality group, whose
+	// candidates stream through cursors into its sorted constants.
+	eqSet := NewFilterSet()
+	for _, kw := range []string{"go", "xml", "streams", "theory"} {
+		if err := eqSet.Add(kw, fmt.Sprintf("/news/item[keyword = %q]", kw)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Reset()
+	b.WriteString("<news>")
+	keywords := []string{"databases", "go", "systems", "xml", "gopher", "x", "stream"}
+	for j := 0; j < 21; j++ {
+		fmt.Fprintf(&b, "<item><title>story %d</title><keyword>%s</keyword><body><p>lorem ipsum</p></body></item>", j, keywords[j%len(keywords)])
+	}
+	b.WriteString("</news>")
+	news := []byte(b.String())
 
 	for _, row := range []struct {
 		name    string
@@ -187,6 +203,7 @@ func TestFilterSetMatchBytesZeroAlloc(t *testing.T) {
 	}{
 		{"FilterSet.MatchBytes", func() ([]string, error) { return set.MatchBytes(doc) }, 80, 0},
 		{"FilterSet.MatchReader", func() ([]string, error) { r.Reset(doc); return set.MatchReader(r) }, 80, 0},
+		{"FilterSet.MatchBytes, equality group", func() ([]string, error) { return eqSet.MatchBytes(news) }, 2, 0},
 		{"FilterPool.MatchBytes", func() ([]string, error) { return pool.MatchBytes(doc) }, 80, 1},
 		{"FilterPool.MatchString", func() ([]string, error) { return small.MatchString(smallDoc) }, 3, 2},
 	} {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
 )
 
@@ -140,6 +141,96 @@ func TestEmptyRouteAccounting(t *testing.T) {
 					t.Errorf("%s: skimmed, yet events=%d of %d and maxDepth=%d of %d", label, want.Events, events, want.MaxDepth, depth)
 				}
 			}
+		}
+	}
+}
+
+// serveFeed is one feed in the shape of the serve workload's corpus: news
+// items whose keyword is a filler ("databases", "systems") or one of the
+// four flags serve's keyword subscriptions compare against.
+func serveFeed() []byte {
+	keywords := []string{"databases", "systems", "go", "databases", "xml", "systems", "streams", "theory"}
+	var b strings.Builder
+	b.WriteString("<news>")
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&b, "<item><title>story %d</title><keyword>%s</keyword><priority>%d</priority><body><p>%s</p></body></item>",
+			i, keywords[i%len(keywords)], i*7%10, strings.Repeat("lorem ipsum ", 1+i%5))
+	}
+	b.WriteString("</news>")
+	return []byte(b.String())
+}
+
+// serveQueries are the serve workload's 32 subscriptions: four cycles of
+// xpload's eight templates, the first two cycles extracting.
+func serveQueries() (srcs []string, extract func(i int) bool) {
+	for cycle, flag := range []string{"go", "xml", "streams", "theory"} {
+		srcs = append(srcs,
+			"/news/item",
+			"/news/item/title",
+			"/news//p",
+			fmt.Sprintf("/news/item[priority > %d]", 2+2*cycle),
+			fmt.Sprintf("/news/item[keyword = %q]", flag),
+			"/news/*/keyword",
+			"/feed/entry",
+			"//item[keyword]/body",
+		)
+	}
+	return srcs, func(i int) bool { return i < 16 }
+}
+
+// fanoutCatalog is one catalog in the shape of the fanout-pred workload's
+// corpus: 40 items, each a priority 0-11 and two of the names f0-f79.
+func fanoutCatalog() []byte {
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "<item><priority>%d</priority><f%d/><f%d/></item>", i*5%12, 2*i, (2*i+41)%80)
+	}
+	b.WriteString("</catalog>")
+	return []byte(b.String())
+}
+
+// TestWorkloadShapedMemStats pins the memory accounting of two benchmark
+// workloads' standing sets on one document of their corpus each, exactly:
+// serve's 32 subscriptions (the keyword equality group streams its values
+// through a cursor, so the only text held is a one-digit priority) and
+// fanout-pred's 1,000 (a threshold group per prefix, whose values are
+// parsed as numbers and so are buffered).
+func TestWorkloadShapedMemStats(t *testing.T) {
+	serve, extract := serveQueries()
+	var fanout []string
+	for i := 0; i < 1000; i++ {
+		fanout = append(fanout, fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10))
+	}
+	for _, c := range []struct {
+		name                           string
+		srcs                           []string
+		extract                        func(i int) bool
+		doc                            []byte
+		live, buffered, groupBits, est int
+	}{
+		{"serve", serve, extract, serveFeed(), 9, 1, 11, 102},
+		{"fanout-pred", fanout, func(int) bool { return false }, fanoutCatalog(), 5, 2, 4, 92},
+	} {
+		e := New()
+		for i, src := range c.srcs {
+			add := e.Add
+			if c.extract(i) {
+				add = e.AddExtract
+			}
+			if err := add(fmt.Sprintf("s%d", i), query.MustParse(src)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.MatchBytes(nil, c.doc, CaptureSlice); err != nil {
+			t.Fatal(err)
+		}
+		ms := e.MemStats()
+		t.Logf("%s: %v groupBits=%d", c.name, ms, ms.PeakGroupBits)
+		if ms.PeakLiveTuples != c.live || ms.PeakBufferedBytes != c.buffered || ms.PeakGroupBits != c.groupBits || ms.EstimatedBits != c.est {
+			t.Errorf("%s: live %d, buffered %d B, group bits %d, %d bits; want %d, %d B, %d, %d",
+				c.name, ms.PeakLiveTuples, ms.PeakBufferedBytes, ms.PeakGroupBits, ms.EstimatedBits,
+				c.live, c.buffered, c.groupBits, c.est)
 		}
 	}
 }

@@ -36,8 +36,9 @@
 //     one subscription hangs off it or a thousand. And steps
 //     that differ only in the constant of one comparison — [priority > 3],
 //     [priority > 4], … — are one predicate group (group.go): one scope,
-//     one tuple and one buffered value per candidate element, the value
-//     parsed once and resolved against all the constants by one search;
+//     one tuple and one pending value per candidate element, the value
+//     resolved against all the constants by one search (a textual
+//     equality's streamed through a cursor into them, streq.go);
 //     the steps that continue a group's members along one edge are one
 //     run, offered an element by one probe of the group's scope and split
 //     by one search against its boundary.
@@ -669,8 +670,9 @@ func (e *Engine) processBytes(ev *sax.ByteEvent) error {
 }
 
 // checkBuffer enforces MaxBufferedBytes before a text append: the check
-// runs only when some value-restricted leaf candidate is consuming text
-// (otherwise nothing is buffered at all).
+// runs only when some buffering leaf candidate or capture is consuming
+// text (otherwise nothing is buffered at all; a streamed candidate's
+// cursor holds none).
 func (e *Engine) checkBuffer(n int) error {
 	if e.lim.MaxBufferedBytes <= 0 {
 		return nil
@@ -1058,10 +1060,11 @@ type MemStats struct {
 	// Events.
 	GroupProbes int
 	// PeakLiveTuples is the peak concurrent matching state: predicate
-	// frontier tuples + open candidate scopes + buffering leaf candidates
-	// (the component peaks summed — an upper bound on the true joint
-	// peak). A predicate group holds one scope, one tuple per step of its
-	// path and one buffering candidate per open element, whatever its
+	// frontier tuples + open candidate scopes + pending leaf candidates,
+	// buffering or streamed (the component peaks summed — an upper bound
+	// on the true joint peak). A predicate group holds one scope, one
+	// tuple per step of its path and one pending candidate per open
+	// element, whatever its
 	// size, and what that scope holds beyond a scope's cost is
 	// PeakGroupBits. Spine continuations are looked up from the open
 	// scopes, not held, and the frames that index those scopes are not
@@ -1069,12 +1072,20 @@ type MemStats struct {
 	// scope in it.
 	PeakLiveTuples int
 	// PeakGroupBits is the peak of the index state held by open group
-	// scopes: ⌈log₂(|group|+1)⌉ bits for a threshold group's boundary, and
-	// for each constant an equality group's values have hit.
+	// scopes and streamed candidates: ⌈log₂(|group|+1)⌉ bits for a
+	// threshold group's boundary, and for each constant an equality
+	// group's values have hit; and, for each open candidate of a leaf
+	// compared by textual = or != (grouped or not), ⌈log₂(positions+1)⌉
+	// bits for its cursor, positions being the distinct prefixes of the
+	// constants it is compared against, the empty one included (the +1 is
+	// the dead cursor).
 	PeakGroupBits int
 	// PeakScopes / PeakPendings / PeakBufferedBytes are the component
-	// peaks: open candidate scopes, buffering leaf candidates, and
-	// buffered candidate-text bytes (the paper's w term).
+	// peaks: open candidate scopes, pending leaf candidates (buffering or
+	// streamed), and buffered candidate-text bytes (the paper's w term).
+	// Only numeric comparisons, string functions and other truth sets
+	// buffer their candidates' text; a textual = or != streams it through
+	// a cursor and adds nothing here.
 	PeakScopes        int
 	PeakPendings      int
 	PeakBufferedBytes int

@@ -36,6 +36,11 @@ import (
 // A group of one runs the same code as a group of ten thousand; predicates
 // of any other shape (conjunctions, branching paths, string functions,
 // textual !=) keep a scope and a predicate subtree per node.
+//
+// A textual equality group's values are not held at all: its constants are
+// a sorted strIndex, and a candidate value streams through a cursor into
+// them (streq.go), which names the one constant it equals when the
+// candidate closes.
 
 // groupClass is the operator class of a group: what its members' constants
 // are indexed by.
@@ -48,7 +53,7 @@ const (
 	classThreshold groupClass = iota
 	// classNumEq: numeric = and !=, hashed by constant.
 	classNumEq
-	// classStrEq: textual =, hashed by constant.
+	// classStrEq: textual =, sorted by constant and streamed.
 	classStrEq
 )
 
@@ -76,11 +81,11 @@ type predGroup struct {
 	conj []*tnode
 
 	// sorted are a threshold group's members by ascending (constant,
-	// strictness). num or str hold an equality group's constants, and ne its
+	// strictness). num or strs hold an equality group's constants, and ne its
 	// != members. size counts the members.
 	sorted []*tnode
 	num    map[float64]*eqBucket
-	str    map[string]*eqBucket
+	strs   strIndex
 	ne     []*tnode
 	size   int
 
@@ -127,7 +132,8 @@ type member struct {
 }
 
 // eqBucket is one constant of an equality group: the = members comparing
-// against it, and how many != members do.
+// against it, and how many != members do. An ungrouped textual comparison's
+// one constant is a bucket with no members (newStrIndex).
 type eqBucket struct {
 	num float64
 	str string
@@ -207,12 +213,12 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 		for len(last.conj) > 0 {
 			last = last.conj[0]
 		}
-		last.set = nil
+		last.set, last.strs = nil, nil
 		switch class {
 		case classNumEq:
 			g.num = map[float64]*eqBucket{}
 		case classStrEq:
-			g.str = map[string]*eqBucket{}
+			last.strs = &g.strs
 		}
 		if p.groups == nil {
 			p.groups = map[string]*predGroup{}
@@ -246,9 +252,11 @@ func (g *predGroup) insert(n *tnode, cmp query.Comparison) {
 			bk = &eqBucket{num: cmp.Num}
 			g.num[cmp.Num] = bk
 		}
-	} else if bk = g.str[cmp.Str]; bk == nil {
+	} else if i, ok := g.strs.find(cmp.Str); ok {
+		bk = g.strs.bks[i]
+	} else {
 		bk = &eqBucket{str: cmp.Str}
-		g.str[cmp.Str] = bk
+		g.strs.insert(bk)
 	}
 	mb.bucket = bk
 	if cmp.Op == value.OpNe {
@@ -286,7 +294,8 @@ func (g *predGroup) remove(n *tnode) {
 	if g.class == classNumEq {
 		delete(g.num, bk.num)
 	} else {
-		delete(g.str, bk.str)
+		i, _ := g.strs.find(bk.str)
+		g.strs.remove(i)
 	}
 }
 
@@ -448,13 +457,15 @@ type seen struct {
 	other bool
 }
 
-// probe resolves the text of a closed candidate for a group's predicate
-// path — held by t, the path's leaf tuple — against the group's constants:
-// one search moves a threshold group's boundary (the running maximum of the
+// probe resolves closed candidate p of a group's predicate path — the
+// pending of the path's leaf tuple — against the group's constants: one
+// search moves a threshold group's boundary (the running maximum of the
 // values seen is what XPath's existential comparison needs), one lookup
-// records an equality group's hit. The members that turn satisfied are
-// decided there and then (release).
-func (m *matcher) probe(t *tuple, text string, pt *parsedText) {
+// records a numeric equality group's hit, and a textual one's is the
+// constant its cursor ended on. The members that turn satisfied are decided
+// there and then (release).
+func (m *matcher) probe(p *pendingVal, pt *parsedText) {
+	t := p.tup
 	sc := t.origin
 	for sc.grp == nil {
 		sc = sc.tup.origin
@@ -464,10 +475,10 @@ func (m *matcher) probe(t *tuple, text string, pt *parsedText) {
 	was := sc.seen
 	switch {
 	case g.class == classStrEq:
-		if bk := g.str[text]; bk != nil {
+		if bk := p.cur.exact(); bk != nil {
 			m.hit(sc, bk)
 		}
-	case !pt.number(text):
+	case !pt.number(m.text(p)):
 	case g.class == classNumEq:
 		if bk := g.num[pt.num]; bk != nil {
 			m.hit(sc, bk)

@@ -4,6 +4,7 @@ import (
 	"streamxpath/internal/bytestr"
 	"streamxpath/internal/query"
 	"streamxpath/internal/symtab"
+	"streamxpath/internal/value"
 )
 
 // nodeKind distinguishes the two roles a trie node can play.
@@ -20,7 +21,8 @@ const (
 	// follow the paper's Section 8 conjunction rule exactly as in
 	// internal/core: a candidate scope resolves to a real match iff every
 	// child tuple matched, and value-restricted leaves buffer candidate
-	// text for truth-set evaluation at endElement.
+	// text for truth-set evaluation at endElement — or, compared by
+	// textual = or !=, stream it through a cursor (streq.go).
 	kindPred
 )
 
@@ -28,9 +30,12 @@ const (
 // a predicate-subtree node, unified across all subscriptions that contain
 // a structurally identical step at the same prefix (see query.StepKey).
 type tnode struct {
-	kind  nodeKind
-	axis  query.Axis
-	ntest string
+	kind nodeKind
+	axis query.Axis
+	// restricted and ne belong with set and strs below; they sit here,
+	// where the small fields pack into one word.
+	restricted, ne bool
+	ntest          string
 	// sym/wild are the interned form of ntest: the matcher's frontier and
 	// the skeleton's edges are keyed by symbol, so a startElement event
 	// dispatches on the tokenizer-supplied id without hashing the name.
@@ -84,9 +89,12 @@ type tnode struct {
 	// truth sets, so it serves all sharers): a leaf is restricted when its
 	// set is not all strings. The leaf of a predicate group's path is
 	// restricted with no set: its value is resolved against the group's
-	// constants.
-	set        query.Set
-	restricted bool
+	// constants. strs is set on a restricted leaf compared by textual = or
+	// != (ne) — one constant, or a textual equality group's — and its
+	// candidates stream their text through a cursor into it instead of
+	// buffering it.
+	set  query.Set
+	strs *strIndex
 
 	// terminals are the indexes of the subscriptions whose OUT node this
 	// spine node is: reaching it (with all predicates on the way
@@ -470,6 +478,9 @@ func (t *trie) buildPred(v *query.Node) *tnode {
 		set:        set,
 		restricted: v.IsLeaf() && !set.IsAll(),
 	}
+	if cmp, ok := query.ComparisonOf(set); ok && n.restricted && !cmp.Numeric {
+		n.strs, n.ne = newStrIndex(cmp.Str), cmp.Op == value.OpNe
+	}
 	t.internNTest(n)
 	t.predNodes++
 	for _, c := range v.Children {
@@ -553,12 +564,15 @@ type scope struct {
 	seen
 }
 
-// pendingVal is an open candidate of a value-restricted predicate leaf,
-// buffering the candidate element's text exactly as core's pending does.
+// pendingVal is an open candidate of a value-restricted predicate leaf. A
+// leaf with a string index streams the candidate element's text through
+// cur; any other buffers it from start on in the shared buffer, exactly as
+// core's pending does.
 type pendingVal struct {
 	tup   *tuple
 	level int
 	start int
+	cur   cursor
 }
 
 // spineCand is what the skeleton lookup offers the current element through
@@ -592,8 +606,8 @@ type matchStats struct {
 	// size.
 	GroupProbes int
 	// Peaks, as in core.Stats. PeakGroupBits is the peak of what the open
-	// group scopes hold beyond a scope's cost: their indexes into the
-	// groups' constants.
+	// group scopes and streamed candidates hold beyond a scope's or a
+	// pending's cost: their indexes into the constants.
 	PeakTuples      int
 	PeakScopes      int
 	PeakPendings    int
@@ -627,13 +641,16 @@ type matcher struct {
 
 	scopes   []*scope
 	pendings []pendingVal
+	// buf is the text of the buffering pendings, refCount of them; cursors
+	// counts the streamed pendings whose cursors are live.
 	buf      []byte
 	refCount int
+	cursors  int
 	// freeFrames are the closed frames, all-nil up to their capacity.
 	freeFrames []*frame
 	level      int
-	// groupBits is the index state the open group scopes hold (see
-	// predGroup.indexBits).
+	// groupBits is the index state the open group scopes and cursors hold
+	// (see predGroup.indexBits and strIndex.bits).
 	groupBits int
 
 	// hits is the engine's record of the document's verdicts and
@@ -688,7 +705,7 @@ func (m *matcher) reset() {
 	m.scopes = m.scopes[:0]
 	m.pendings = m.pendings[:0]
 	m.buf = m.buf[:0]
-	m.refCount = 0
+	m.refCount, m.cursors = 0, 0
 	m.level = 0
 	m.groupBits = 0
 	m.capCommits = 0
@@ -909,8 +926,15 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 			}
 			m.openScope(n, t, t.origin, elemLevel, nil)
 		case n.restricted:
-			m.pendings = append(m.pendings, pendingVal{tup: t, level: elemLevel, start: len(m.buf)})
-			m.refCount++
+			p := pendingVal{tup: t, level: elemLevel, start: len(m.buf)}
+			if ix := n.strs; ix != nil {
+				p.cur = cursor{ix: ix, hi: len(ix.bks)}
+				m.cursors++
+				m.noteGroupBits(ix.bits())
+			} else {
+				m.refCount++
+			}
+			m.pendings = append(m.pendings, p)
 			if len(m.pendings) > m.stats.PeakPendings {
 				m.stats.PeakPendings = len(m.pendings)
 			}
@@ -1089,9 +1113,10 @@ func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 	return sc
 }
 
-// textBytes appends character data to the shared buffer if any
-// value-restricted leaf candidate (of any subscription) is consuming it.
-// The text is buffered once no matter how many subscriptions wait on it.
+// textBytes appends character data to the shared buffer if any buffering
+// leaf candidate (of any subscription) is consuming it — the text is
+// buffered once no matter how many subscriptions wait on it — and moves
+// every live cursor past it.
 func (m *matcher) textBytes(data []byte) {
 	if m.refCount > 0 {
 		m.buf = append(m.buf, data...)
@@ -1099,36 +1124,88 @@ func (m *matcher) textBytes(data []byte) {
 			m.stats.PeakBufferBytes = len(m.buf)
 		}
 	}
+	if m.cursors > 0 {
+		m.advanceCursors(data)
+	}
+}
+
+// advanceCursors moves every live cursor past data. A cursor no constant
+// continues dies: its candidate is refuted for =, and for != satisfied
+// there and then.
+func (m *matcher) advanceCursors(data []byte) {
+	for i := range m.pendings {
+		p := &m.pendings[i]
+		if !p.cur.live() {
+			continue
+		}
+		if p.tup.matched {
+			p.cur.hi = p.cur.lo // decided already: stop reading
+		} else if p.cur.advance(data) {
+			continue
+		} else if p.tup.node.ne {
+			m.satisfy(p.tup)
+		}
+		m.cursors--
+	}
+}
+
+// text is buffering candidate p's text: a view valid until the buffer is
+// next written.
+func (m *matcher) text(p *pendingVal) string { return bytestr.String(m.buf[p.start:]) }
+
+// dropPending gives back what closed or evicted candidate p held: its
+// cursor, or its claim on the buffer.
+func (m *matcher) dropPending(p *pendingVal) {
+	ix := p.cur.ix
+	if ix == nil {
+		if m.refCount--; m.refCount == 0 {
+			m.buf = m.buf[:0]
+		}
+		return
+	}
+	if p.cur.live() {
+		m.cursors--
+	}
+	m.noteGroupBits(-ix.bits())
 }
 
 // endElement resolves the pending leaf candidates and closes the candidate
 // scopes of the closing level, innermost first (they form suffixes of their stacks,
-// as in core), then retires the level's frames. Buffered candidate text is
-// evaluated through a zero-copy view — predicates only see a string for the
-// duration of the Contains call — and parsed as a number at most once,
+// as in core), then retires the level's frames. A streamed candidate's
+// value is the constant its cursor ends on, if any. Buffered candidate text
+// is evaluated through a zero-copy view — predicates only see a string for
+// the duration of the Contains call — and parsed as a number at most once,
 // however many predicate groups are pending on it.
 func (m *matcher) endElement() {
 	closing := m.level
 	m.level--
 	var parsed parsedText
-	for len(m.pendings) > 0 {
-		p := m.pendings[len(m.pendings)-1]
-		if p.level != closing {
-			break
+	// The closing candidates' cursors are given back before any group hit
+	// takes its bits, so that the peak does not depend on their order.
+	for k := len(m.pendings); k > 0 && m.pendings[k-1].level == closing; k-- {
+		if p := &m.pendings[k-1]; p.cur.ix != nil {
+			m.dropPending(p)
 		}
-		m.pendings = m.pendings[:len(m.pendings)-1]
+	}
+	for k := len(m.pendings); k > 0 && m.pendings[k-1].level == closing; k-- {
+		// Resolving a candidate opens none: p stays put.
+		p := &m.pendings[k-1]
+		m.pendings = m.pendings[:k-1]
 		if t := p.tup; !t.matched {
-			// Every pending of this level buffered the closing element's text.
-			text := bytestr.String(m.buf[p.start:])
-			if set := t.node.set; set == nil {
-				m.probe(t, text, &parsed)
-			} else if set.Contains(text) {
+			// Every pending of this level read the closing element's text.
+			switch n := t.node; {
+			case n.set == nil:
+				m.probe(p, &parsed)
+			case p.cur.ix != nil:
+				if (p.cur.exact() != nil) != n.ne {
+					m.satisfy(t)
+				}
+			case n.set.Contains(m.text(p)):
 				m.satisfy(t)
 			}
 		}
-		m.refCount--
-		if m.refCount == 0 {
-			m.buf = m.buf[:0]
+		if p.cur.ix == nil {
+			m.dropPending(p)
 		}
 	}
 	for len(m.scopes) > 0 {
@@ -1399,17 +1476,17 @@ func (m *matcher) undecided(rootSeen bool) bool {
 }
 
 // live returns the matcher's live-state count: frontier tuples, open
-// candidate scopes, and buffering leaf candidates. This is what the
-// MaxLiveTuples budget measures (plus the NFA runner's depth term, added
-// by the engine). Frames are not counted: each is an index over open
-// scopes, which are.
+// candidate scopes, and pending leaf candidates, buffering or streamed.
+// This is what the MaxLiveTuples budget measures (plus the NFA runner's
+// depth term, added by the engine). Frames are not counted: each is an
+// index over open scopes, which are.
 func (m *matcher) live() int {
 	return m.size + len(m.scopes) + len(m.pendings)
 }
 
 // evictDead sweeps out state that can no longer influence a verdict:
-// matched predicate tuples leave the frontier, and buffering leaf
-// candidates whose tuple already matched stop buffering. Frontier tuples
+// matched predicate tuples leave the frontier, and pending leaf candidates
+// whose tuple already matched stop buffering or streaming. Frontier tuples
 // are only unlinked, never recycled — every tuple is owned by the scope
 // that created it, which frees it when the scope closes. The per-touch
 // lazy eviction in collectCands retires most dead state already; this
@@ -1437,17 +1514,14 @@ func (m *matcher) evictDead() {
 	// are only reclaimed when the last consumer goes, since earlier
 	// pendings' start offsets index into the shared buffer.
 	out := m.pendings[:0]
-	for _, p := range m.pendings {
-		if p.tup.matched {
-			m.refCount--
+	for i := range m.pendings {
+		if p := &m.pendings[i]; p.tup.matched {
+			m.dropPending(p)
 			continue
 		}
-		out = append(out, p)
+		out = append(out, m.pendings[i])
 	}
 	m.pendings = out
-	if m.refCount == 0 {
-		m.buf = m.buf[:0]
-	}
 }
 
 // endDocument closes every remaining scope bottom-up; afterwards the

@@ -51,10 +51,14 @@ type Limits struct {
 	MaxTokenBytes int
 	// MaxBufferedBytes bounds the evaluators' candidate-text buffer (the
 	// paper's text-width term w): bytes held for value-restricted
-	// predicate leaves awaiting truth-set evaluation.
+	// predicate leaves awaiting truth-set evaluation. In the production
+	// engine only numeric comparisons, string functions and other truth
+	// sets buffer — a textual = or != against a string constant streams
+	// its text through a cursor and holds none of it; the Section 8
+	// reference filter buffers every restricted leaf.
 	MaxBufferedBytes int
 	// MaxLiveTuples bounds the evaluators' live matching state: frontier
-	// tuples plus open candidate scopes plus buffering leaf candidates
+	// tuples plus open candidate scopes plus pending leaf candidates
 	// (the paper's frontier-size term FS(Q), times recursion on recursive
 	// documents). In the shared engine only predicate steps hold frontier
 	// tuples — a subscription's location-step continuations are looked up

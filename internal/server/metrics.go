@@ -237,7 +237,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, reg *Registry) {
 	}
 	gauge("xpfilterd_mem_peak_live_tuples", "Peak live matching state of the tenant's last document (frontier tuples + scopes + pendings).",
 		func(ms streamxpath.MemStats) float64 { return float64(ms.PeakLiveTuples) })
-	gauge("xpfilterd_mem_peak_buffered_bytes", "Peak buffered candidate-text bytes of the tenant's last document (the paper's w term).",
+	gauge("xpfilterd_mem_peak_buffered_bytes", "Peak buffered candidate-text bytes of the tenant's last document (the paper's w term): numeric comparisons, string functions and other truth sets buffer, textual = and != stream through a cursor and hold none.",
 		func(ms streamxpath.MemStats) float64 { return float64(ms.PeakBufferedBytes) })
 	gauge("xpfilterd_mem_estimated_bits", "Estimated state bits of the tenant's last document under the paper's cost model.",
 		func(ms streamxpath.MemStats) float64 { return float64(ms.EstimatedBits) })

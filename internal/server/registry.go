@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +85,7 @@ type Tenant struct {
 	set      *streamxpath.FilterPool
 	queries  map[string]string
 	extract  map[string]bool
-	webhooks map[string]delivery.Webhook
+	webhooks map[string]subHook
 	limits   streamxpath.Limits
 	maxSubs  int
 	closed   bool
@@ -141,6 +142,33 @@ type matchEvent struct {
 	Subscription string `json:"subscription"`
 	Query        string `json:"query"`
 	Seq          int64  `json:"seq"`
+}
+
+// subHook is a subscription's webhook target with the head of its match
+// events: everything before the seq value, encoded once, when the hook is
+// set, by json.Marshal itself, so that a delivery appends only its seq.
+type subHook struct {
+	delivery.Webhook
+	head []byte
+}
+
+// matchEventHead encodes the match event of subscription id on query up to
+// its seq value. Seq is the struct's last field: json.Marshal's encoding of
+// seq 0 ends in `0}`, and what precedes it is the same for every seq.
+func matchEventHead(tenant, id, query string) []byte {
+	b, err := json.Marshal(matchEvent{Event: "match", Tenant: tenant, Subscription: id, Query: query})
+	if err != nil {
+		return nil
+	}
+	return b[:len(b)-len("0}")]
+}
+
+// matchEventPayload completes a match event's head with seq.
+func matchEventPayload(head []byte, seq int64) []byte {
+	b := make([]byte, 0, len(head)+len("-9223372036854775808}"))
+	b = append(b, head...)
+	b = strconv.AppendInt(b, seq, 10)
+	return append(b, '}')
 }
 
 // Limits returns the tenant's budgets (fixed at creation).
@@ -225,7 +253,7 @@ func (t *Tenant) setHookLocked(id string, hook *delivery.Webhook) {
 		delete(t.webhooks, id)
 		return
 	}
-	t.webhooks[id] = *hook
+	t.webhooks[id] = subHook{Webhook: *hook, head: matchEventHead(t.Name, id, t.queries[id])}
 }
 
 // DeleteSubscription removes a subscription, reporting whether it
@@ -250,7 +278,7 @@ func (t *Tenant) DeleteSubscription(id string) bool {
 func (t *Tenant) subInfoLocked(id string) SubInfo {
 	info := SubInfo{ID: id, Query: t.queries[id], Extract: t.extract[id]}
 	if h, ok := t.webhooks[id]; ok {
-		info.Webhook = webhookInfo(h)
+		info.Webhook = webhookInfo(h.Webhook)
 	}
 	return info
 }
@@ -336,7 +364,8 @@ func (t *Tenant) MatchStream(r io.Reader) (MatchResult, error) {
 // subscription with an extracted fragment receives the matched subtree
 // itself as the POST body (Content-Type application/xml; tenant,
 // subscription and attempt ride in the X-Xpfilterd-* headers); the rest
-// receive the JSON matchEvent envelope. Enqueue never blocks — overflow
+// receive the JSON matchEvent envelope, its head encoded when the hook was
+// set and only the seq appended here. Enqueue never blocks — overflow
 // sheds (counted by the manager), so a slow receiver cannot back up the
 // match path. Caller holds t.mu.RLock; the webhook/query maps are
 // mutated only under the write lock.
@@ -351,20 +380,13 @@ func (t *Tenant) deliverRLocked(res MatchResult) {
 			continue
 		}
 		if frag, ok := res.Fragments[id]; ok {
-			t.deliveries.EnqueueRaw(id, hook, "application/xml", []byte(frag))
+			t.deliveries.EnqueueRaw(id, hook.Webhook, "application/xml", []byte(frag))
 			continue
 		}
-		payload, err := json.Marshal(matchEvent{
-			Event:        "match",
-			Tenant:       t.Name,
-			Subscription: id,
-			Query:        t.queries[id],
-			Seq:          seq,
-		})
-		if err != nil {
+		if hook.head == nil {
 			continue
 		}
-		t.deliveries.Enqueue(id, hook, payload)
+		t.deliveries.Enqueue(id, hook.Webhook, matchEventPayload(hook.head, seq))
 	}
 }
 
@@ -471,7 +493,7 @@ func (r *Registry) newTenant(name string, cfg TenantConfig) *Tenant {
 		set:      set,
 		queries:  make(map[string]string),
 		extract:  make(map[string]bool),
-		webhooks: make(map[string]delivery.Webhook),
+		webhooks: make(map[string]subHook),
 		limits:   lim,
 		maxSubs:  maxSubs,
 		metrics:  r.metrics.newTenant(name),

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -691,4 +692,30 @@ func TestMatchBodiesDoNotMix(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestMatchEventPayloadIsMarshal pins the webhook body a delivery builds —
+// the head encoded when the hook was set, then the seq — byte for byte to
+// json.Marshal of the whole event, for names and queries json.Marshal
+// escapes (HTML characters, quotes, backslashes, control and non-ASCII
+// characters, invalid UTF-8) and seqs at both ends of the range.
+func TestMatchEventPayloadIsMarshal(t *testing.T) {
+	names := []string{"t", "<a&b>", `q"uo\te`, "naïve/日本", "line\nbreak\u2028", "bad\xffutf8"}
+	queries := []string{"/news/item", `/a[b = "x<y>&z"]`, "//item[keyword = 'é']"}
+	for _, tenant := range names {
+		for _, id := range names {
+			for _, q := range queries {
+				head := matchEventHead(tenant, id, q)
+				for _, seq := range []int64{0, 1, 42, math.MaxInt64} {
+					want, err := json.Marshal(matchEvent{Event: "match", Tenant: tenant, Subscription: id, Query: q, Seq: seq})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := matchEventPayload(head, seq); !bytes.Equal(got, want) {
+						t.Errorf("tenant %q, subscription %q, query %q, seq %d:\n got  %s\n want %s", tenant, id, q, seq, got, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -62,10 +62,14 @@ type Limits struct {
 	MaxTokenBytes int
 	// MaxBufferedBytes bounds the candidate-text buffer (the paper's
 	// text-width term w): bytes held for value-restricted predicate
-	// leaves awaiting truth-set evaluation.
+	// leaves awaiting truth-set evaluation, plus fragment captures. Only
+	// numeric comparisons, string functions (contains, starts-with, …)
+	// and other truth sets buffer; a textual = or != against a string
+	// constant streams its text through a cursor into its constants
+	// (charged in MemStats.PeakGroupBits) and holds none of it.
 	MaxBufferedBytes int
 	// MaxLiveTuples bounds the live matching state: frontier tuples plus
-	// open candidate scopes plus buffering leaf candidates (the paper's
+	// open candidate scopes plus pending leaf candidates (the paper's
 	// FS(Q), times recursion on recursive documents). In a FilterSet only
 	// predicate steps hold frontier tuples — location-step continuations
 	// are looked up from the open scopes, not held — and dead-but-unremoved

@@ -229,31 +229,65 @@ func TestLimitsGiantTextNode(t *testing.T) {
 	wantLimitError(t, err, "token-bytes")
 }
 
-// TestLimitsBufferedText: a value predicate buffers its leaf's text, so
-// a giant text node inside the compared element trips MaxBufferedBytes
-// even when MaxTokenBytes allows the token itself.
-func TestLimitsBufferedText(t *testing.T) {
+// giantNameDoc is one item whose name is a 1 MiB text node.
+func giantNameDoc() []byte {
 	var b bytes.Buffer
 	b.WriteString("<catalog><item><name>")
 	b.WriteString(strings.Repeat("x", 1<<20))
 	b.WriteString("</name></item></catalog>")
-	doc := b.Bytes()
+	return b.Bytes()
+}
 
+// TestLimitsBufferedText: a numeric comparison buffers its leaf's text,
+// so a giant text node inside the compared element trips MaxBufferedBytes
+// even when MaxTokenBytes allows the token itself.
+func TestLimitsBufferedText(t *testing.T) {
+	doc := giantNameDoc()
 	s := NewFilterSet()
-	if err := s.Add("q", "//item[name = 'xyz']"); err != nil {
+	if err := s.Add("q", "//item[name > 5]"); err != nil {
 		t.Fatal(err)
 	}
 	s.SetLimits(Limits{MaxBufferedBytes: 4 << 10})
 	_, err := s.MatchBytes(doc)
 	wantLimitError(t, err, "buffered-bytes")
 
-	f, err := MustCompile("//item[name = 'xyz']").NewFilter()
+	f, err := MustCompile("//item[name > 5]").NewFilter()
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.SetLimits(Limits{MaxBufferedBytes: 4 << 10})
 	_, err = f.MatchBytes(doc)
 	wantLimitError(t, err, "buffered-bytes")
+}
+
+// TestLimitsStreamedEqualityHoldsNoText: a textual = or != streams its
+// leaf's text through a cursor into its constants, so the same giant text
+// node buffers nothing — the verdict is right under a 4 KiB
+// MaxBufferedBytes, and the peak buffer is empty.
+func TestLimitsStreamedEqualityHoldsNoText(t *testing.T) {
+	doc := giantNameDoc()
+	for _, c := range []struct {
+		q     string
+		match bool
+	}{
+		{"//item[name = 'xyz']", false},
+		{"//item[name = '" + strings.Repeat("x", 1<<20) + "']", true},
+		{"//item[name != 'xyz']", true},
+		{"//item[name = 'xyz' and name]", false},
+	} {
+		s := NewFilterSet()
+		if err := s.Add("q", c.q); err != nil {
+			t.Fatal(err)
+		}
+		s.SetLimits(Limits{MaxBufferedBytes: 4 << 10})
+		res, err := s.MatchBytesResult(doc)
+		if err != nil || (len(res.MatchedIDs) == 1) != c.match {
+			t.Errorf("%.40s: ids %v, err %v; want match %v", c.q, res.MatchedIDs, err, c.match)
+		}
+		if res.MemStats.PeakBufferedBytes != 0 {
+			t.Errorf("%.40s: peak buffer %d B, want 0", c.q, res.MemStats.PeakBufferedBytes)
+		}
+	}
 }
 
 // manyAttrDoc builds a tag carrying n attributes.

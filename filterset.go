@@ -21,7 +21,7 @@ import "streamxpath/internal/engine"
 //
 // Add and Remove may be called between documents. They patch the shared
 // indexes in place, in time proportional to the query rather than to the
-// set, and the engine's warm state (the NFA's memoized transitions)
+// set, and the index's warm state (the NFA's memoized transitions)
 // survives them.
 //
 // Match contract: the id slice returned by MatchBytes, MatchReader and

@@ -139,23 +139,25 @@ type LazyDFA struct {
 	stats DFAStats
 }
 
-// DFAStats accounts the automaton's memory.
+// DFAStats accounts the automaton's memory. For a MergedNFA the memo's
+// fields are the automaton's, one count over every runner; PeakStack is a
+// runner's.
 type DFAStats struct {
 	// States is the number of distinct state sets materialized; a
-	// SharedRunner stops counting a set it dropped because one of its
-	// states was unlinked.
+	// MergedNFA stops counting a set it dropped because one of its states
+	// was unlinked.
 	States int
 	// Transitions is the number of memoized transition-table entries.
 	Transitions int
 	// Materialized counts the transitions ever computed. It never falls:
-	// when a SharedRunner forgets an entry because its automaton changed,
-	// Transitions drops and computing the entry again counts here.
+	// when a MergedNFA forgets an entry because it changed, Transitions
+	// drops and computing the entry again counts here.
 	Materialized int
-	// Symbols is the number of distinct names known to the runner's
-	// alphabet: for LazyDFA, element names actually seen; for
-	// SharedRunner, the size of the symbol table it dispatches on (an
-	// engine-shared table also counts query node tests and names from
-	// prior documents). Refreshed when a transition is memoized.
+	// Symbols is the number of distinct names known to the alphabet: for
+	// LazyDFA, element names actually seen; for a MergedNFA, the size of
+	// the symbol table its runners dispatch on (an engine-shared table also
+	// counts query node tests and names from prior documents). Refreshed
+	// when a transition is memoized.
 	Symbols int
 	// PeakStack is the maximum state-stack depth (the document depth).
 	PeakStack int

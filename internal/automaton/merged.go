@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"streamxpath/internal/query"
 	"streamxpath/internal/symtab"
@@ -20,13 +21,14 @@ import (
 //
 // The trie is edited where it stands. Add extends it through a per-state
 // child index and Remove unlinks the states no query passes through any
-// more, both in O(|query|); every SharedRunner bound to the automaton is
-// told which states' child sets changed and forgets only the memoized
-// transitions that depended on them. An unlinked state's slot goes on a
-// free list and the next Add takes it, so Slots never exceeds the peak of
-// Size however long the automaton is patched. That cannot alias: Remove
-// drops every memoized item set holding the state before its slot is freed
-// (SharedRunner.dropSets), and a mutation abandons the document in flight.
+// more, both in O(|query|), and the automaton's lazy DFA — one memo, read
+// by every SharedRunner over the automaton — forgets only the memoized
+// transitions that depended on the states whose child sets changed. An
+// unlinked state's slot goes on a free list and the next Add takes it, so
+// Slots never exceeds the peak of Size however long the automaton is
+// patched. That cannot alias: Remove drops every memoized item set holding
+// the state before its slot is freed (dropSets), and a mutation abandons
+// the document in flight.
 //
 // Like the single-query NFA, the merged automaton covers the /, //, *
 // fragment; predicates and attribute axes are routed by internal/engine to
@@ -43,13 +45,38 @@ type MergedNFA struct {
 	// caller's: it hands one to Add, and the runners' owners latch by it.
 	outputs int
 
-	// runners are the runners bound to the automaton, each with a memo of its
-	// own that every patch has to reach. bind guards the list against runners
-	// bound and unbound at once — engines quarantined concurrently — while
-	// Add and Remove, which no runner may overlap, read it without the lock.
-	runners []*SharedRunner
-	bind    sync.Mutex
+	// The memo: the item sets reached so far, each a dstate, from start on.
+	// index finds a set by its key, and setsOf[state] lists the sets
+	// holding the state in either mode — where a change of its children has
+	// to be forgotten. setsOf is keyed by the states the memo holds, so the
+	// memo of a large automaton is what documents have materialized. A
+	// dropped set is in neither: nothing references it. The memo is the
+	// automaton's, not a runner's, because it depends on the queries and on
+	// the paths documents have taken, not on any one document.
+	//
+	// Runners read it without a lock (dstate.next). mu serializes what
+	// writes it: a runner's miss (transition), Add and Remove — which no
+	// runner may overlap — and Stats, which reads its counters.
+	mu     sync.Mutex
+	start  *dstate
+	index  map[string]*dstate
+	setsOf map[int][]*dstate
+	stats  DFAStats
 }
+
+// dstate is one memoized item set, a state of the lazily determinized
+// automaton. items is fixed at interning. accepts lists the outputs of its
+// fresh states, the ones entering it latches; Add and Remove edit it, never
+// while a runner matches. row[sym] is the successor on the symbol, nil
+// until computed; a row is replaced by a longer one, never grown in place,
+// so a runner that loaded it reads a whole row.
+type dstate struct {
+	items   []int
+	accepts []int
+	row     atomic.Pointer[row]
+}
+
+type row []atomic.Pointer[dstate]
 
 // edge keys a state's child: the step's interned node test (symtab.None
 // for the wildcard) and axis. All per-event matching compares symbols,
@@ -87,7 +114,10 @@ func NewMergedNFA(tab *symtab.Table) *MergedNFA {
 	if tab == nil {
 		tab = symtab.New()
 	}
-	return &MergedNFA{tab: tab, states: []mstate{{parent: -1}}, live: 1} // state 0: the query root $
+	m := &MergedNFA{tab: tab, states: []mstate{{parent: -1}}, live: 1, // state 0: the query root $
+		index: map[string]*dstate{}, setsOf: map[int][]*dstate{}}
+	m.start = m.intern([]int{0}) // the root, fresh; it holds no unlinked state, so it is never dropped
+	return m
 }
 
 // Add merges a linear (predicate-free, attribute-free) path query into the
@@ -98,6 +128,8 @@ func (m *MergedNFA) Add(q *query.Query, out int) (int, error) {
 	if err := Linear(q); err != nil {
 		return 0, err
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	cur := 0
 	m.states[0].through++
 	for u := q.Root.Successor; u != nil; u = u.Successor {
@@ -131,9 +163,7 @@ func (m *MergedNFA) Add(q *query.Query, out int) (int, error) {
 	}
 	m.states[cur].outputs = append(m.states[cur].outputs, out)
 	m.outputs++
-	for _, r := range m.runners {
-		r.accept(cur, out, true)
-	}
+	m.accept(cur, out, true)
 	return cur, nil
 }
 
@@ -142,6 +172,8 @@ func (m *MergedNFA) Add(q *query.Query, out int) (int, error) {
 // scan for the id is linear in the ids accepted at the same state
 // (duplicates of one query).
 func (m *MergedNFA) Remove(cur, out int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	outs := m.states[cur].outputs
 	for i, o := range outs {
 		if o == out {
@@ -151,9 +183,7 @@ func (m *MergedNFA) Remove(cur, out int) {
 		}
 	}
 	m.outputs--
-	for _, r := range m.runners {
-		r.accept(cur, out, false)
-	}
+	m.accept(cur, out, false)
 	// through never grows downwards, so the emptied states are a suffix of
 	// the path and each is a leaf by the time the walk reaches it.
 	for cur != 0 {
@@ -168,25 +198,20 @@ func (m *MergedNFA) Remove(cur, out int) {
 			m.freeStates = append(m.freeStates, cur)
 			m.live--
 			delete(m.states[parent].kids, e)
-			for _, r := range m.runners {
-				r.dropSets(cur)
-			}
+			m.dropSets(cur)
 			m.childChanged(parent, e, -1)
 		}
 		cur = parent
 	}
 	m.states[0].through--
-	for _, r := range m.runners {
-		r.compact()
-	}
 }
 
 // childChanged records that state p gained (delta +1) or lost (-1) its
-// child along e and tells the runners which memoized transitions that
-// touches: those of the item sets containing p, on e's symbol — on every
-// symbol when e is a wildcard, or when p's first descendant child arrived
-// or its last one left, because that is what decides whether p survives a
-// non-matching element.
+// child along e and forgets the memoized transitions that touches: those of
+// the item sets containing p, on e's symbol — on every symbol when e is a
+// wildcard, or when p's first descendant child arrived or its last one
+// left, because that is what decides whether p survives a non-matching
+// element.
 func (m *MergedNFA) childChanged(p int, e edge, delta int) {
 	flipped := false
 	if e.descendant {
@@ -194,9 +219,7 @@ func (m *MergedNFA) childChanged(p int, e edge, delta int) {
 		st.descKids += delta
 		flipped = st.descKids == 0 || (delta > 0 && st.descKids == 1)
 	}
-	for _, r := range m.runners {
-		r.invalidate(p, e.sym, flipped)
-	}
+	m.invalidate(p, e.sym, flipped)
 }
 
 // Size returns the number of live trie states (including the root) — the
@@ -222,7 +245,7 @@ const loopingBit = 1
 
 // step computes the successor item set on reading an element with the
 // given interned name: four child-index probes per fresh item, two per
-// looping one. It runs only when the runner memoizes a new (set, symbol)
+// looping one. It runs only when the memo gains a (set, symbol)
 // transition; the steady state never reaches it.
 func (m *MergedNFA) step(items []int, sym symtab.Sym) []int {
 	out := make([]int, 0, 2*len(items)) // never nil: a nil set is a dropped one
@@ -296,48 +319,191 @@ func (m *MergedNFA) under(items []int, s int) bool {
 	return false
 }
 
-// SharedRunner evaluates a MergedNFA over a document with a stack of
-// interned item sets and lazily memoized (set, symbol) transitions held
-// in dense per-set rows indexed by the tokenizer-supplied symbol — one
-// bounds-checked array load per element once warm, no hashing, no
-// allocation, independent of subscription count. Matches latch in the
-// runner's owner (latch), which keeps the verdicts; the transition rows
-// persist across Reset as a long-running dissemination engine's would, and
-// across the automaton's Add and Remove:
-// a row depends only on the child sets of the states in its item set, so a
-// mutation zeroes the entries under the states it relinked and nothing
-// else. What a set accepts is a list kept beside it — the outputs of its
-// fresh states, gathered when the set is interned — so entering a set reads
-// one list and no state; a change of outputs edits the lists of the sets
-// holding the state it happened at, and touches no row.
+// intern returns the memo's state for an item set, materializing it if new.
+// A new state is built whole — accepts and its setsOf entries — before the
+// index publishes it, so that whatever interrupts a miss leaves no state
+// invalidation cannot reach.
+func (m *MergedNFA) intern(items []int) *dstate {
+	k := stateSet(items).key()
+	if d, ok := m.index[k]; ok {
+		return d
+	}
+	d := &dstate{items: items}
+	for _, it := range items {
+		if it&loopingBit == 0 {
+			d.accepts = append(d.accepts, m.states[it>>1].outputs...)
+		}
+	}
+	for i, it := range items {
+		if i == 0 || it>>1 != items[i-1]>>1 {
+			m.setsOf[it>>1] = append(m.setsOf[it>>1], d)
+		}
+	}
+	m.index[k] = d
+	return d
+}
+
+// next returns the memoized successor of d on sym, nil if there is none
+// yet: an atomic load of the row and one of its entry, no lock.
+func (d *dstate) next(sym symtab.Sym) *dstate {
+	if r := d.row.Load(); r != nil && int(sym) < len(*r) {
+		return (*r)[sym].Load()
+	}
+	return nil
+}
+
+// transition computes and memoizes the successor of from on sym: a miss. It
+// holds the memo's lock, interns the successor, and publishes the row entry
+// last, so a runner that reads the entry finds a whole state.
+func (m *MergedNFA) transition(from *dstate, sym symtab.Sym) *dstate {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if to := from.next(sym); to != nil {
+		return to // another runner's miss memoized it meanwhile
+	}
+	to := m.intern(m.step(from.items, sym))
+	r := from.row.Load()
+	if r == nil || int(sym) >= len(*r) {
+		// Grow only to the symbol actually observed (doubling to amortize),
+		// not to the full table: a long-running engine's shared table
+		// accumulates every name of every document, and sizing all rows to it
+		// would turn the memo into O(states x lifetime names) memory. The
+		// longer row replaces the old one whole.
+		var old row
+		if r != nil {
+			old = *r
+		}
+		n := max(int(sym)+1, min(2*len(old), m.tab.Len()))
+		grown := make(row, n)
+		for i := range old {
+			grown[i].Store(old[i].Load())
+		}
+		r = &grown
+		from.row.Store(r)
+	}
+	(*r)[sym].Store(to)
+	m.stats.Transitions++
+	m.stats.Materialized++
+	m.stats.Symbols = m.tab.Len() - 1
+	return to
+}
+
+// clearRow forgets every memoized transition out of d.
+func (m *MergedNFA) clearRow(d *dstate) {
+	if r := d.row.Load(); r != nil {
+		for sym := range *r {
+			if (*r)[sym].Load() != nil {
+				(*r)[sym].Store(nil)
+				m.stats.Transitions--
+			}
+		}
+	}
+}
+
+// accept enters out into (add) or withdraws it from the accept lists of the
+// memo's states holding state s fresh: s has just gained or lost out as an
+// output.
+func (m *MergedNFA) accept(s, out int, add bool) {
+	for _, d := range m.setsOf[s] {
+		if !stateSet(d.items).contains(s << 1) {
+			continue
+		}
+		if add {
+			d.accepts = append(d.accepts, out)
+			continue
+		}
+		i := slices.Index(d.accepts, out)
+		d.accepts[i] = d.accepts[len(d.accepts)-1]
+		d.accepts = d.accepts[:len(d.accepts)-1]
+	}
+}
+
+// invalidate forgets the transitions a change of state p's child along sym
+// made wrong: in every memoized set holding p, the entry for sym, or the
+// whole row when sym is None (a wildcard child answers every symbol) or
+// flipped is set (p gained its first or lost its last descendant child, so
+// its looping item joins or leaves every successor). A set holding the
+// looping item of a p that can no longer loop has become unreachable —
+// every predecessor holds p and is being cleared — and is dropped.
+func (m *MergedNFA) invalidate(p int, sym symtab.Sym, flipped bool) {
+	stranded := flipped && m.states[p].descKids == 0
+	// Backwards: drop moves the last holder into the dropped one's place,
+	// and the last has been visited.
+	holders := m.setsOf[p]
+	for i := len(holders) - 1; i >= 0; i-- {
+		d := holders[i]
+		switch r := d.row.Load(); {
+		case stranded && stateSet(d.items).contains(p<<1|loopingBit):
+			m.drop(d)
+		case flipped || sym == symtab.None:
+			m.clearRow(d)
+		case r != nil && int(sym) < len(*r) && (*r)[sym].Load() != nil:
+			(*r)[sym].Store(nil)
+			m.stats.Transitions--
+		}
+	}
+}
+
+// dropSets drops every memoized set holding state s, which has just been
+// unlinked. Nothing still points at them: a set holding s is entered only
+// from a set holding s or s's parent, and the parent's sets are invalidated
+// on s's symbol by the same Remove.
+func (m *MergedNFA) dropSets(s int) {
+	for hs := m.setsOf[s]; len(hs) > 0; hs = m.setsOf[s] {
+		m.drop(hs[len(hs)-1])
+	}
+}
+
+// drop takes d out of the memo — its row, its index entry and its place in
+// setsOf — after which nothing references it.
+func (m *MergedNFA) drop(d *dstate) {
+	m.clearRow(d)
+	delete(m.index, stateSet(d.items).key())
+	for i, it := range d.items {
+		if s := it >> 1; i == 0 || s != d.items[i-1]>>1 {
+			hs := m.setsOf[s]
+			j := slices.Index(hs, d)
+			hs[j] = hs[len(hs)-1]
+			hs[len(hs)-1] = nil
+			if len(hs) == 1 {
+				delete(m.setsOf, s)
+			} else {
+				m.setsOf[s] = hs[:len(hs)-1]
+			}
+		}
+	}
+}
+
+// Stats returns the memo's accounting: the item sets and transitions it
+// holds and has computed, over every runner of the automaton. PeakStack is
+// a runner's (SharedRunner.Stats).
+func (m *MergedNFA) Stats() DFAStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.stats
+	s.States = len(m.index)
+	return s
+}
+
+// SharedRunner evaluates a MergedNFA over a document with a stack of the
+// automaton's memoized item sets, stepping along their dense transition
+// rows indexed by the tokenizer-supplied symbol — two atomic loads per
+// element once warm, no hashing, no lock, no allocation, independent of
+// subscription count. Matches latch in the runner's owner (latch), which
+// keeps the verdicts. The runner holds only what one document makes it
+// hold; the memo is the automaton's, so it persists across Reset, across
+// the automaton's Add and Remove — a row depends only on the child sets of
+// the states in its item set, so a mutation forgets the entries under the
+// states it relinked and nothing else — and across the runners themselves.
+// Entering a set reads its accept list and no trie state.
 //
 // The automaton must not change between StartDocument and the document's
 // last event.
 type SharedRunner struct {
-	m *MergedNFA
-	// sets[id] is an interned item set, nil once dropped; index finds a set
-	// by its key. dropped counts the nil entries, which compact squeezes out
-	// once they outnumber the rest.
-	sets    [][]int
-	index   map[string]int
-	dropped int
-	// rows[set][sym] holds the memoized successor set id + 1; 0 means not
-	// yet computed. Rows grow lazily to the symbol table's size.
-	rows [][]uint32
-	// accepts[set] lists the outputs of the set's fresh states, the ones
-	// entering it latches.
-	accepts [][]int
-	// setsOf[state] lists the ids of the sets holding the state in either
-	// mode — where a change of its children has to be forgotten. Ids of
-	// dropped sets are swept out on the next visit. It is keyed by the
-	// states the memo holds, so that a runner's share of a large automaton
-	// is what it has materialized.
-	setsOf map[int][]int
-
-	startID int // interned id of the initial item set
-	stack   []int
-	depth   int // levels processed while short-circuited
-	left    int // outputs not yet matched
+	m     *MergedNFA
+	stack []*dstate
+	depth int // levels processed while short-circuited
+	left  int // outputs not yet matched
 	// liveLeft counts the outputs whose verdict is still open. XML has
 	// exactly one root element (the tokenizers reject a second), so the
 	// moment the root's item set is pushed, the outputs any document
@@ -346,225 +512,44 @@ type SharedRunner struct {
 	// hits zero every remaining output is decided negative and the runner
 	// stops doing per-element work. Before the root element every output
 	// is live.
-	liveLeft int
-	stats    DFAStats
+	liveLeft  int
+	peakStack int
 
 	// latch is the owner's record of the document's verdicts: it is handed
 	// the outputs an entered item set accepts (inside StartElementSym, while
-	// the matching element's start event is current), latches them, and
-	// returns how many of them latched for the first time this document —
-	// the runner keeps no verdicts, only how many are left. It must not
-	// reenter the runner.
+	// the matching element's start event is current, and outside the memo's
+	// lock), latches them, and returns how many of them latched for the first
+	// time this document — the runner keeps no verdicts, only how many are
+	// left. It must not reenter the runner.
 	latch func(outs []int) (first int)
 }
 
 // NewSharedRunner returns a runner over the merged automaton, dispatching
 // on the automaton's symbol table: callers that tokenize with that table
 // feed the runner symbols directly via StartElementSym. Matches go to latch
-// (see SharedRunner.latch). The runner follows the automaton's later Add and
-// Remove calls until Unbind. An automaton may have any number of runners,
-// each matching its own documents: they read it and write only themselves,
-// so they may run concurrently while it is not patched. Binding and Unbind
-// may run concurrently with each other and with the other runners'
-// matching, but not with Add or Remove.
+// (see SharedRunner.latch). An automaton may have any number of runners,
+// each matching its own documents over the one memo, concurrently while the
+// automaton is not patched; a runner is made and dropped without telling
+// the automaton.
 func NewSharedRunner(m *MergedNFA, latch func(outs []int) (first int)) *SharedRunner {
-	r := &SharedRunner{m: m, index: map[string]int{}, setsOf: map[int][]int{}, latch: latch}
-	m.bind.Lock()
-	m.runners = append(m.runners, r)
-	m.bind.Unlock()
-	r.startID = r.intern([]int{0}) // the root, fresh
+	r := &SharedRunner{m: m, latch: latch}
 	r.Reset()
 	return r
 }
 
-// Unbind stops the runner following the automaton's mutations. It is not to
-// be used again.
-func (r *SharedRunner) Unbind() {
-	m := r.m
-	m.bind.Lock()
-	defer m.bind.Unlock()
-	i := slices.Index(m.runners, r)
-	m.runners = slices.Delete(m.runners, i, i+1)
-}
-
 // Reset clears the per-document state (the stack and the counts of what is
-// left) but keeps the memoized transition rows. It does not allocate once
-// warm; the owner clears its own verdicts.
+// left). It does not allocate once warm; the owner clears its own verdicts.
 func (r *SharedRunner) Reset() {
 	r.stack = r.stack[:0]
 	r.depth = 0
 	r.left = r.m.outputs
 	r.liveLeft = r.left
-	r.stats.PeakStack = 0
-}
-
-func (r *SharedRunner) intern(items []int) int {
-	k := stateSet(items).key()
-	if id, ok := r.index[k]; ok {
-		return id
-	}
-	id := len(r.sets)
-	r.sets = append(r.sets, items)
-	r.index[k] = id
-	r.rows = append(r.rows, nil)
-	var acc []int
-	for _, it := range items {
-		if it&loopingBit == 0 {
-			acc = append(acc, r.m.states[it>>1].outputs...)
-		}
-	}
-	r.accepts = append(r.accepts, acc)
-	for i, it := range items {
-		if i == 0 || it>>1 != items[i-1]>>1 {
-			r.setsOf[it>>1] = append(r.setsOf[it>>1], id)
-		}
-	}
-	r.stats.States++
-	return id
-}
-
-// clearRow forgets every memoized transition out of set id.
-func (r *SharedRunner) clearRow(id int) {
-	for sym, to := range r.rows[id] {
-		if to != 0 {
-			r.rows[id][sym] = 0
-			r.stats.Transitions--
-		}
-	}
-}
-
-// holders returns the ids of the live sets holding state s, sweeping the
-// dropped ones out of the inverse index, which keeps no empty list.
-func (r *SharedRunner) holders(s int) []int {
-	ids := r.setsOf[s]
-	live := ids[:0]
-	for _, id := range ids {
-		if r.sets[id] != nil {
-			live = append(live, id)
-		}
-	}
-	r.keep(s, live)
-	return live
-}
-
-// keep stores ids as the sets holding state s.
-func (r *SharedRunner) keep(s int, ids []int) {
-	if len(ids) == 0 {
-		delete(r.setsOf, s)
-	} else {
-		r.setsOf[s] = ids
-	}
-}
-
-// accept enters out into (add) or withdraws it from the accept lists of the
-// sets holding state s fresh: s has just gained or lost out as an output.
-func (r *SharedRunner) accept(s, out int, add bool) {
-	for _, id := range r.holders(s) {
-		if !stateSet(r.sets[id]).contains(s << 1) {
-			continue
-		}
-		acc := r.accepts[id]
-		if add {
-			r.accepts[id] = append(acc, out)
-			continue
-		}
-		i := slices.Index(acc, out)
-		acc[i] = acc[len(acc)-1]
-		r.accepts[id] = acc[:len(acc)-1]
-	}
-}
-
-// invalidate forgets the transitions a change of state p's child along sym
-// made wrong: in every set holding p, the entry for sym, or the whole row
-// when sym is None (a wildcard child answers every symbol) or flipped is
-// set (p gained its first or lost its last descendant child, so its
-// looping item joins or leaves every successor). A set holding the looping
-// item of a p that can no longer loop has become unreachable — every
-// predecessor holds p and is being cleared — and is dropped.
-func (r *SharedRunner) invalidate(p int, sym symtab.Sym, flipped bool) {
-	stranded := flipped && r.m.states[p].descKids == 0
-	for _, id := range r.holders(p) {
-		switch row := r.rows[id]; {
-		case stranded && stateSet(r.sets[id]).contains(p<<1|loopingBit):
-			r.drop(id)
-		case flipped || sym == symtab.None:
-			r.clearRow(id)
-		case int(sym) < len(row) && row[sym] != 0:
-			row[sym] = 0
-			r.stats.Transitions--
-		}
-	}
-}
-
-// dropSets drops every set holding state s, which has just been unlinked.
-// Nothing still points at them: a set holding s is entered only from a set
-// holding s or s's parent, and the parent's sets are invalidated on s's
-// symbol by the same Remove.
-func (r *SharedRunner) dropSets(s int) {
-	for _, id := range r.holders(s) {
-		r.drop(id)
-	}
-	delete(r.setsOf, s)
-}
-
-func (r *SharedRunner) drop(id int) {
-	r.clearRow(id)
-	delete(r.index, stateSet(r.sets[id]).key())
-	r.sets[id], r.rows[id], r.accepts[id] = nil, nil, nil
-	r.stats.States--
-	r.dropped++
-}
-
-// compact renumbers the sets densely once the dropped ones outnumber the
-// live, so that what is indexed by set id stays proportional to the memo
-// however long the automaton is patched. It runs at the end of a Remove —
-// the only place sets are dropped — and costs one pass over the memo per
-// that many drops. The stack goes with the old numbering: the automaton
-// changed, so the document that built it has been abandoned.
-func (r *SharedRunner) compact() {
-	if r.dropped <= 64 || r.dropped <= r.stats.States {
-		return
-	}
-	renumbered := make([]uint32, len(r.sets)) // new id + 1; 0 for a dropped set
-	n := 0
-	for id, set := range r.sets {
-		if set != nil {
-			r.sets[n], r.rows[n], r.accepts[n] = set, r.rows[id], r.accepts[id]
-			n++
-			renumbered[id] = uint32(n)
-		}
-	}
-	clear(r.sets[n:])
-	clear(r.rows[n:])
-	clear(r.accepts[n:])
-	r.sets, r.rows, r.accepts = r.sets[:n], r.rows[:n], r.accepts[:n]
-	for _, row := range r.rows {
-		for sym, to := range row {
-			if to != 0 {
-				row[sym] = renumbered[to-1]
-			}
-		}
-	}
-	for k, id := range r.index {
-		r.index[k] = int(renumbered[id]) - 1
-	}
-	for s, ids := range r.setsOf {
-		live := ids[:0]
-		for _, id := range ids {
-			if to := renumbered[id]; to != 0 {
-				live = append(live, int(to)-1)
-			}
-		}
-		r.keep(s, live)
-	}
-	r.startID = int(renumbered[r.startID]) - 1
-	r.stack = r.stack[:0]
-	r.dropped = 0
+	r.peakStack = 0
 }
 
 // StartDocument begins a document.
 func (r *SharedRunner) StartDocument() {
-	r.stack = append(r.stack[:0], r.startID)
+	r.stack = append(r.stack[:0], r.m.start)
 }
 
 // StartElementSym processes a startElement event whose name was interned
@@ -584,53 +569,25 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 		return
 	}
 	top := r.stack[len(r.stack)-1]
-	row := r.rows[top]
-	var nextID int
-	if int(sym) < len(row) && row[sym] != 0 {
-		nextID = int(row[sym]) - 1
-	} else {
-		nextID = r.intern(r.m.step(r.sets[top], sym))
-		row = r.rows[top]
-		if int(sym) >= len(row) {
-			// Grow only to the symbol actually observed (doubling to
-			// amortize), not to the full table: a long-running engine's
-			// shared table accumulates every name of every document, and
-			// sizing all rows to it would turn the memo into
-			// O(states x lifetime names) memory.
-			n := int(sym) + 1
-			if d := 2 * len(row); d > n {
-				n = d
-			}
-			if n > r.m.tab.Len() {
-				n = r.m.tab.Len()
-			}
-			grown := make([]uint32, n)
-			copy(grown, row)
-			row = grown
-			r.rows[top] = grown
-		}
-		row[sym] = uint32(nextID) + 1
-		r.stats.Transitions++
-		r.stats.Materialized++
-		r.stats.Symbols = r.m.tab.Len() - 1
+	next := top.next(sym)
+	if next == nil {
+		next = r.m.transition(top, sym)
 	}
-	if acc := r.accepts[nextID]; len(acc) > 0 {
+	if acc := next.accepts; len(acc) > 0 {
 		first := r.latch(acc)
 		r.left -= first
 		r.liveLeft -= first
 	}
-	r.stack = append(r.stack, nextID)
+	r.stack = append(r.stack, next)
 	if len(r.stack) == 2 {
 		// The root element just opened: from here on only its subtree can
 		// produce elements, so the outputs reachable from its item set are
 		// the only ones still undecided — and every later latch is one of
 		// them. (A second root element would break that; the engine refuses
 		// one, as the tokenizers do.)
-		r.liveLeft = r.m.reach(r.sets[nextID])
+		r.liveLeft = r.m.reach(next.items)
 	}
-	if len(r.stack) > r.stats.PeakStack {
-		r.stats.PeakStack = len(r.stack)
-	}
+	r.peakStack = max(r.peakStack, len(r.stack))
 }
 
 // EndElement processes an endElement event.
@@ -653,5 +610,10 @@ func (r *SharedRunner) EndElement() {
 // the remaining verdicts are final either way.
 func (r *SharedRunner) Undecided() int { return r.liveLeft }
 
-// Stats returns the lazy-determinization memory accounting.
-func (r *SharedRunner) Stats() DFAStats { return r.stats }
+// Stats returns the automaton's memo accounting (MergedNFA.Stats) with the
+// runner's PeakStack.
+func (r *SharedRunner) Stats() DFAStats {
+	s := r.m.Stats()
+	s.PeakStack = r.peakStack
+	return s
+}

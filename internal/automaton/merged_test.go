@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
@@ -89,6 +92,9 @@ func TestMergedChildAxisPrecision(t *testing.T) {
 	}
 	if got.hit(1) {
 		t.Errorf("//a//c matched a document with no c")
+	}
+	if st := r.Stats(); st != (DFAStats{PeakStack: 4, States: m.Stats().States, Transitions: 3, Materialized: 3, Symbols: 4}) {
+		t.Errorf("runner stats %+v, want the memo's %+v with a peak stack of 4 ($ a x b)", st, m.Stats())
 	}
 	r.Reset()
 	got = runMerged(r, sax.MustParse("<a><b/><x><c/></x></a>"))
@@ -291,10 +297,10 @@ func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 }
 
 // TestMergedChurnStaysBounded: a runner that lives through thousands of
-// replacements, a document between each, matches as one built afresh does and
-// holds no more state slots than the automaton's peak and no more item-set
-// slots than a small multiple of the live sets — unlinked states are reused
-// and dropped sets squeezed out.
+// replacements, a document between each, matches as one built afresh does,
+// the automaton holds no more state slots than its peak, and its memo
+// references its live item sets and nothing else — unlinked states are
+// reused and dropped sets let go (checkMemo).
 func TestMergedChurnStaysBounded(t *testing.T) {
 	m := NewMergedNFA(nil)
 	r := newOwned(m)
@@ -324,9 +330,7 @@ func TestMergedChurnStaysBounded(t *testing.T) {
 		if m.Slots() > peak+2 {
 			t.Fatalf("round %d: %d state slots, %d at the start", round, m.Slots(), peak)
 		}
-		if live := r.Stats().States; len(r.sets) > 2*live+65 {
-			t.Fatalf("round %d: %d item-set slots for %d live sets", round, len(r.sets), live)
-		}
+		checkMemo(t, fmt.Sprintf("round %d", round), m)
 	}
 	fresh := NewMergedNFA(nil)
 	fr := newOwned(fresh)
@@ -421,7 +425,7 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 				case sax.StartElement:
 					startElement(r, e.Name)
 					if reach == nil {
-						reach = walkReach(m, r.sets[r.stack[len(r.stack)-1]])
+						reach = walkReach(m, r.stack[len(r.stack)-1].items)
 					}
 					open := 0
 					for o := range reach {
@@ -510,25 +514,24 @@ type patchSub struct {
 	src     string
 }
 
-// runPatch plays an Add/Remove sequence against one automaton and two
-// runners bound to it, a document each round, and after every op holds both
-// runners to checkPatched. One op in eight is a burst — forty one-off
-// queries, a document through them all, and their removal — so that the
-// runner drops enough item sets to renumber them. Another binds the second
-// runner, later replaces it, as a rebuilt engine replaces its own: every
-// patch has to reach both memos, whenever their runners were bound, and none
-// an unbound runner's. It returns how many Removes renumbered the first
-// runner's sets.
-func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
+// runPatch plays an Add/Remove sequence against one automaton and the
+// runners over its memo, a document each round, and after every op holds
+// each runner to checkPatched and the memo to checkMemo. One op in eight is
+// a burst — forty one-off queries, a document through them all, and their
+// removal — so that the memo drops item sets; after each removal no set it
+// can reach may hold an unlinked state. Another makes one more runner over
+// the automaton, as a replica or a rebuilt engine does, on the memo as warm
+// as the rounds before left it (past four, the oldest is let go). It
+// returns how many bursts it ran and runners it made.
+func runPatch(t testing.TB, d *draws, rounds int) (bursts, runners int) {
 	m := NewMergedNFA(nil)
-	r := newOwned(m)
-	var other *owned
+	rs := []*owned{newOwned(m)}
 	var live []patchSub
 	check := func(label string, doc []sax.Event) {
-		checkPatched(t, label, m, r, live, doc)
-		if other != nil {
-			checkPatched(t, label+", second runner", m, other, live, doc)
+		for i, r := range rs {
+			checkPatched(t, fmt.Sprintf("%s, runner %d", label, i), m, r, live, doc)
 		}
+		checkMemo(t, label, m)
 	}
 	add := func(src string) {
 		out := 0 // the lowest free id, as a free list would hand out
@@ -542,18 +545,15 @@ func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 		live = append(live, patchSub{out, cur, src})
 	}
 	remove := func(i int) {
-		sets := len(r.sets)
 		m.Remove(live[i].at, live[i].out)
 		live = slices.Delete(live, i, i+1)
-		if len(r.sets) < sets {
-			compactions++
-		}
 	}
 	for round := 0; round < rounds && !d.done(); round++ {
 		doc := patchDoc(d)
 		for ops, op := 1+d.n(3), 0; op < ops; op++ {
 			switch k := d.n(8); {
 			case k == 7: // not 0, which an exhausted input draws forever
+				bursts++
 				n := len(live)
 				burst := []sax.Event{sax.StartDoc(), sax.Start("z")}
 				for i := 0; i < 40; i++ {
@@ -565,17 +565,16 @@ func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 				check(fmt.Sprintf("round %d: burst", round), burst)
 				for len(live) > n {
 					remove(len(live) - 1)
-					checkAccepts(t, fmt.Sprintf("round %d: burst, %d left", round, len(live)-n), r.SharedRunner)
+					label := fmt.Sprintf("round %d: burst, %d left", round, len(live)-n)
+					checkAccepts(t, label, m)
+					checkMemo(t, label, m)
 				}
 			case k < 3 && len(live) > 0:
 				remove(d.n(len(live)))
 			case k == 3:
-				if other != nil {
-					other.Unbind()
-				}
-				other = newOwned(m)
-				if !slices.Equal(m.runners, []*SharedRunner{r.SharedRunner, other.SharedRunner}) {
-					t.Fatalf("round %d: %d runners bound, want 2", round, len(m.runners))
+				runners++
+				if rs = append(rs, newOwned(m)); len(rs) > 4 {
+					rs = rs[1:]
 				}
 			default:
 				add(patchQuery(d))
@@ -583,41 +582,94 @@ func runPatch(t testing.TB, d *draws, rounds int) (compactions int) {
 			check(fmt.Sprintf("round %d op %d", round, op), doc)
 		}
 	}
-	return compactions
+	return bursts, runners
 }
 
-// checkAccepts holds every item set's accept list to the outputs of its
-// fresh states, and a dropped set to none.
-func checkAccepts(t testing.TB, label string, r *SharedRunner) {
+// checkAccepts holds every memoized item set's accept list to the outputs
+// of its fresh states.
+func checkAccepts(t testing.TB, label string, m *MergedNFA) {
 	t.Helper()
-	if len(r.accepts) != len(r.sets) {
-		t.Fatalf("%s: %d accept lists for %d item sets", label, len(r.accepts), len(r.sets))
-	}
-	for id, set := range r.sets {
+	for _, d := range m.index {
 		var want []int
-		for _, it := range set {
+		for _, it := range d.items {
 			if it&loopingBit == 0 {
-				want = append(want, r.m.states[it>>1].outputs...)
+				want = append(want, m.states[it>>1].outputs...)
 			}
 		}
-		got := slices.Clone(r.accepts[id])
+		got := slices.Clone(d.accepts)
 		slices.Sort(want)
 		slices.Sort(got)
-		if (set == nil && r.accepts[id] != nil) || !slices.Equal(got, want) {
-			t.Fatalf("%s: item set %d %v accepts %v, its fresh states %v", label, id, set, got, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: item set %v accepts %v, its fresh states %v", label, d.items, got, want)
 		}
+	}
+}
+
+// checkMemo holds the memo to what it references: every set a runner can
+// reach from the start set is interned; no interned set holds an unlinked
+// state, or the looping item of a state that can no longer loop; setsOf
+// lists, for each state, exactly the interned sets holding it, so a dropped
+// set is referenced nowhere; and the counters are what the rows hold.
+func checkMemo(t testing.TB, label string, m *MergedNFA) {
+	t.Helper()
+	seen := map[*dstate]bool{m.start: true}
+	for queue := []*dstate{m.start}; len(queue) > 0; queue = queue[1:] {
+		d := queue[0]
+		if m.index[stateSet(d.items).key()] != d {
+			t.Fatalf("%s: item set %v is reachable but not interned", label, d.items)
+		}
+		if r := d.row.Load(); r != nil {
+			for sym := range *r {
+				if to := (*r)[sym].Load(); to != nil && !seen[to] {
+					seen[to] = true
+					queue = append(queue, to)
+				}
+			}
+		}
+	}
+	entries, transitions := 0, 0
+	for _, d := range m.index {
+		for i, it := range d.items {
+			switch s := it >> 1; {
+			case s != 0 && m.states[s].parent < 0:
+				t.Fatalf("%s: item set %v holds the unlinked state %d", label, d.items, s)
+			case it&loopingBit != 0 && m.states[s].descKids == 0:
+				t.Fatalf("%s: item set %v loops at %d, which has no descendant child", label, d.items, s)
+			}
+			if i == 0 || it>>1 != d.items[i-1]>>1 {
+				entries++
+				if !slices.Contains(m.setsOf[it>>1], d) {
+					t.Fatalf("%s: item set %v is missing from the sets holding %d", label, d.items, it>>1)
+				}
+			}
+		}
+		if r := d.row.Load(); r != nil {
+			for sym := range *r {
+				if (*r)[sym].Load() != nil {
+					transitions++
+				}
+			}
+		}
+	}
+	held := 0
+	for _, hs := range m.setsOf {
+		held += len(hs)
+	}
+	if st := m.Stats(); held != entries || st.States != len(m.index) || st.Transitions != transitions {
+		t.Fatalf("%s: setsOf holds %d entries for %d; %d states and %d transitions counted for %d and %d",
+			label, held, entries, st.States, st.Transitions, len(m.index), transitions)
 	}
 }
 
 // checkPatched runs doc through the patched runner and holds it to what
 // TestMergedUndecidedMatchesWalk does — Undecided to a walk of the trie
 // after every element start, the verdicts to a runner built afresh — its
-// count of what is left to its owner's first latches, and its accept lists,
+// count of what is left to its owner's first latches, and the accept lists,
 // before and after, to checkAccepts.
 func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []patchSub, doc []sax.Event) {
 	t.Helper()
 	label = fmt.Sprintf("%s, queries %v", label, live)
-	checkAccepts(t, label, r.SharedRunner)
+	checkAccepts(t, label, m)
 	r.Reset()
 	var reach map[int]bool
 	for _, e := range doc {
@@ -629,7 +681,7 @@ func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []pat
 		case sax.StartElement:
 			startElement(r, e.Name)
 			if reach == nil {
-				reach = walkReach(m, r.sets[r.stack[len(r.stack)-1]])
+				reach = walkReach(m, r.stack[len(r.stack)-1].items)
 			}
 			open := 0
 			for o := range reach {
@@ -659,23 +711,105 @@ func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []pat
 	if matched != r.count || m.Outputs()-r.left != r.count {
 		t.Fatalf("%s: %d outputs latched first, %d of them live, the runner has %d of %d left", label, r.count, matched, r.left, m.Outputs())
 	}
-	checkAccepts(t, label+", after the document", r.SharedRunner)
+	checkAccepts(t, label+", after the document", m)
 }
 
-// FuzzMergedPatch: whatever Add/Remove sequence patches the automaton, every
-// item set of either bound runner accepts what its fresh states do — across
-// compaction too — the dead-state count is the walk's, and the verdicts are
-// a fresh runner's.
+// sharedCase builds an automaton over E18's shape — //a/*^k/b and
+// //a/*^k/c for k = 1…4 — whose lazy DFA grows with the paths documents
+// take, and returns it with its output count.
+func sharedCase(t *testing.T) (*MergedNFA, int) {
+	m := NewMergedNFA(nil)
+	for i := 0; i < 8; i++ {
+		src := "//a" + strings.Repeat("/*", 1+i/2) + "/" + "bc"[i%2:i%2+1]
+		if _, err := m.Add(query.MustParse(src), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, 8
+}
+
+// sameVerdicts holds a runner over a shared memo to a private runner's on
+// doc.
+func sameVerdicts(t *testing.T, label string, got *owned, n int, doc []sax.Event) {
+	t.Helper()
+	m, _ := sharedCase(t)
+	want := runMerged(newOwned(m), doc)
+	for out := 0; out < n; out++ {
+		if got.hit(out) != want.hit(out) {
+			t.Errorf("%s: output %d: %v over the shared memo, %v over a private one", label, out, got.hit(out), want.hit(out))
+		}
+	}
+}
+
+// TestMergedLatchPanicLeavesMemoUsable: a latch that panics on a cold
+// transition — the miss has just memoized it — leaves the memo unlocked and
+// whole. Another runner over the automaton then matches a document within a
+// second, as a runner over a fresh automaton does.
+func TestMergedLatchPanicLeavesMemoUsable(t *testing.T) {
+	m, n := sharedCase(t)
+	doc := sax.MustParse("<a><x><b/><c/></x><y><z><b/></z></y></a>")
+	sick := &owned{SharedRunner: NewSharedRunner(m, func([]int) int { panic("latch fault") })}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the latch never ran")
+			}
+		}()
+		runMerged(sick, doc)
+	}()
+	done := make(chan *owned, 1)
+	go func() { done <- runMerged(newOwned(m), doc) }()
+	select {
+	case got := <-done:
+		sameVerdicts(t, "after the panic", got, n, doc)
+	case <-time.After(time.Second):
+		t.Fatal("no runner finished within a second of the panic: the memo stayed locked")
+	}
+	checkMemo(t, "after the panic", m)
+}
+
+// TestMergedRunnersRaceOnColdMemo: four runners over one automaton match
+// path-distinct documents at once from a cold memo, so their misses race
+// on the same rows; each verdict is a private runner's. Run it with -race.
+func TestMergedRunnersRaceOnColdMemo(t *testing.T) {
+	m, n := sharedCase(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		docs := make([][]sax.Event, 25)
+		rng := rand.New(rand.NewSource(int64(g)))
+		for i := range docs {
+			docs[i] = workload.RandomTree(rng, []string{"a", "b", "c", "d", "x", "y"}, nil, 8, 3).Events()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := newOwned(m)
+			for i, doc := range docs {
+				r.Reset()
+				sameVerdicts(t, fmt.Sprintf("runner %d document %d", g, i), runMerged(r, doc), n, doc)
+			}
+		}()
+	}
+	wg.Wait()
+	checkMemo(t, "after the race", m)
+}
+
+// FuzzMergedPatch: whatever Add/Remove sequence patches the automaton, and
+// whenever its runners were made, every item set of the one memo accepts
+// what its fresh states do, the memo references what it holds and no
+// unlinked state, and every runner's dead-state count is the walk's and its
+// verdicts a fresh runner's.
 func FuzzMergedPatch(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
-	compactions := 0
+	bursts, runners := 0, 0
 	for seed := 0; seed < 4; seed++ {
 		d := &draws{rng: rng}
-		compactions += runPatch(f, d, 12)
+		b, r := runPatch(f, d, 12)
+		bursts, runners = bursts+b, runners+r
 		f.Add(d.data)
 	}
-	if compactions == 0 {
-		f.Fatal("no seed renumbered the runner's item sets; the accept lists went unchecked across compaction")
+	if bursts == 0 || runners == 0 {
+		f.Fatalf("the seeds ran %d bursts and made %d runners: the memo went unchecked across drops or across runners", bursts, runners)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runPatch(t, &draws{data: data[:min(len(data), 512)]}, 32)

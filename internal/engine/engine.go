@@ -67,13 +67,16 @@
 // materialized DFA survives a mutation but for the transitions out of the
 // states it relinked.
 //
-// The index is what Add and Remove write; everything a document writes —
-// the NFA runner with its DFA memo, the trie matcher, the capture manager,
-// the tokenizers, the verdict record — is per engine. Replica makes another
-// engine over the same index, which is how a FilterPool matches N
-// documents at once on one copy of the subscriptions, and Rebuild, the
-// quarantine after a recovered panic, replaces an engine's per-document
-// state wholesale and leaves the index alone.
+// The index is what Add and Remove write, and with it the merged NFA's DFA
+// memo, which depends on the subscriptions and on the paths documents took,
+// not on any one document: every engine's runner reads it, and a miss adds
+// to it under its own lock. Everything a document writes — the NFA runner's
+// stack, the trie matcher, the capture manager, the tokenizers, the verdict
+// record — is per engine. Replica makes another engine over the same index,
+// which is how a FilterPool matches N documents at once on one copy of the
+// subscriptions and one memo, and Rebuild, the quarantine after a recovered
+// panic, replaces an engine's per-document state wholesale and leaves the
+// index and the memo alone.
 //
 // What a subscription costs to hold is its entries in those indexes and a
 // small record (subscription): once Add returns, the parse tree the indexes
@@ -367,10 +370,9 @@ func New() *Engine {
 // limits of its own. Engines of one index may match documents concurrently
 // (symtab.Table is safe for their read-mostly access), as long as no Add or
 // Remove runs meanwhile: that is how a FilterPool holds its subscriptions
-// once for all its engines. Replica and Rebuild bind and
-// unbind NFA runners on the shared automaton under its lock, so they too may
-// run on one engine while others match or rebuild, but not during an Add or
-// Remove.
+// once for all its engines, and its automaton's DFA memo. Replica and
+// Rebuild write nothing shared, so they too may run on one engine while
+// others match or rebuild, but not during an Add or Remove.
 func (e *Engine) Replica() *Engine {
 	r := &Engine{index: e.index, nfa: e.nfa, tr: e.tr}
 	r.fresh()
@@ -378,12 +380,9 @@ func (e *Engine) Replica() *Engine {
 }
 
 // fresh gives the engine new per-document state — a verdict record, an NFA
-// runner with an empty memo, a trie matcher, a capture manager, and
-// tokenizers to come — bound to its index, and resets it.
+// runner, a trie matcher, a capture manager, and tokenizers to come — over
+// its index, and resets it.
 func (e *Engine) fresh() {
-	if e.runner != nil {
-		e.runner.Unbind()
-	}
 	cm := newCapman(e.tab)
 	if e.cm != nil {
 		cm.emit = e.cm.emit
@@ -418,14 +417,13 @@ func (e *Engine) SetLimits(l limits.Limits) {
 // Limits returns the configured budgets.
 func (e *Engine) Limits() limits.Limits { return e.lim }
 
-// Rebuild replaces the engine's per-document state — the NFA runner and its
-// memo, the trie matcher, the capture manager, the tokenizers — by fresh
-// state over the same index. It is the quarantine step after a recovered
-// panic: matching state of unknown integrity is thrown away wholesale
-// instead of trusting Reset's in-place sweeps, while the index, which
-// matching never writes, stays as it is for every engine sharing it. The
-// one shared write is the automaton's runner list, which is locked (see
-// Replica).
+// Rebuild replaces the engine's per-document state — the NFA runner, the
+// trie matcher, the capture manager, the tokenizers — by fresh state over
+// the same index. It is the quarantine step after a recovered panic:
+// matching state of unknown integrity is thrown away wholesale instead of
+// trusting Reset's in-place sweeps, while the index, which matching never
+// writes, stays as it is for every engine sharing it, and so does the DFA
+// memo, which a miss publishes only once it is whole.
 func (e *Engine) Rebuild() {
 	e.rebuilds++
 	e.fresh()
@@ -592,7 +590,7 @@ func (e *Engine) latchAccepted(outs []int) (first int) {
 }
 
 // Reset prepares the engine for the next document. The shared indexes
-// (and the NFA runner's memoized transition table) survive across
+// (and the merged NFA's memoized transition table) survive across
 // documents and across Add/Remove. What it clears is what the last
 // document latched, and the result bitmap by word: it costs the document's
 // matches, not the standing set. The per-document vectors grow here to what
@@ -960,12 +958,13 @@ type Stats struct {
 	PredGroups   int
 	LargestGroup int
 
-	// DFAStates/DFATransitions are the merged runner's lazily
-	// materialized deterministic states and memoized transitions as they
-	// stand; DFAMaterialized counts the transitions ever computed, so its
-	// growth over a mutation is what the mutation made the runner forget.
-	// Rebuilds counts the engine's Rebuild calls, each of which replaced its
-	// per-document state and lost the whole memo; Add and Remove never do.
+	// DFAStates/DFATransitions are the merged NFA's lazily materialized
+	// deterministic states and memoized transitions as they stand — the
+	// index's, one memo for every engine sharing it; DFAMaterialized counts
+	// the transitions ever computed, so its growth over a mutation is what
+	// the mutation made the memo forget. Rebuilds counts the engine's
+	// Rebuild calls, each of which replaced its per-document state and kept
+	// the memo; Add and Remove never rebuild.
 	DFAStates       int
 	DFATransitions  int
 	DFAMaterialized int
@@ -1019,7 +1018,7 @@ func (e *Engine) Stats() Stats {
 	for _, g := range e.tr.groups {
 		st.LargestGroup = max(st.LargestGroup, g.size)
 	}
-	ds := e.runner.Stats()
+	ds := e.nfa.Stats()
 	st.DFAStates = ds.States
 	st.DFATransitions = ds.Transitions
 	st.DFAMaterialized = ds.Materialized

@@ -44,7 +44,7 @@ func fanoutShape(rng *rand.Rand) shareCase {
 // serveShape is the benchmark's serve: 32 subscriptions cycled from linear,
 // predicated and never-matching templates, the first half extracting, over
 // news feeds each flagged with one keyword. Its mutations are on the merged
-// NFA, whose memo is per engine.
+// NFA, whose memo every engine reads.
 func serveShape(rng *rand.Rand) shareCase {
 	flags := []string{"go", "xml", "streams", "theory"}
 	c := shareCase{name: "serve", added: churnSub{id: "late", src: "/news/item/body/p", extract: true}, removed: "s5"}
@@ -93,13 +93,14 @@ func verdict(out Outcome, err error) string {
 }
 
 // TestMatchersShareIndexRace: engines over one index match documents
-// concurrently, each writing only its own state — the trie, the automaton
-// and the symbol table are read — and every verdict is the one a lone
-// engine, which is what a FilterSet holds, gives for the document. Between
-// waves an Add and a Remove patch the index once, and every engine sees them
-// at its next document. Under -race a write by matching to anything shared,
-// such as a free list kept on a skeleton node or one runner's memo patched
-// through another's, is a data race here.
+// concurrently, each writing only its own state — the trie and the automaton
+// are read, and the symbol table and the automaton's DFA memo are added to
+// under their own locks — and every verdict is the one a lone engine, which
+// is what a FilterSet holds, gives for the document. Between waves an Add
+// and a Remove patch the index once, and every engine sees them at its next
+// document. Under -race any other write by matching to anything shared, such
+// as a free list kept on a skeleton node or a memo row grown in place, is a
+// data race here.
 func TestMatchersShareIndexRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []shareCase{fanoutShape(rng), serveShape(rng)} {

@@ -165,8 +165,8 @@ func (m *matcher) SetChunkSize(n int) { m.chunk.Store(int64(n)) }
 
 // Stats returns the engine statistics: the size of the shared structures
 // and the work of the last document. FilterPool reports its first engine's
-// (the index's sizes are every engine's; per-document work and the DFA memo
-// are that engine's). On a FilterPool it waits for in-flight Match calls to
+// (the index's sizes and DFA memo are every engine's; per-document work is
+// that engine's). On a FilterPool it waits for in-flight Match calls to
 // finish.
 func (m *matcher) Stats() FilterSetStats {
 	m.mu.Lock()

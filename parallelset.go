@@ -4,10 +4,11 @@ import "runtime"
 
 // FilterPool is the concurrent dissemination engine: one subscription index
 // and a ring of N engines over it, matching whole documents independently. A
-// subscription is linked once, whatever N; an engine adds only per-document
-// state (its NFA runner and DFA memo, trie matcher and tokenizers), so the
-// pool's heap stays close to a FilterSet's — which is the same matcher with
-// a ring of one. Each Match call checks out an idle engine, so a document
+// subscription is linked once, whatever N, and the merged NFA's lazy DFA is
+// one memo that every engine reads and extends; an engine adds only
+// per-document state (its NFA runner's stack, trie matcher and tokenizers),
+// so the pool's heap stays close to a FilterSet's — which is the same
+// matcher with a ring of one. Each Match call checks out an idle engine, so a document
 // feed spreads across cores with no coordination beyond the checkout, and
 // the feed's name vocabulary is interned once, in the index's concurrent
 // symbol table. Add, Remove, SetLimits and Stats wait for in-flight Match

@@ -95,12 +95,6 @@ func wantPanicError(t *testing.T, err error) {
 	}
 }
 
-// boundRunners counts the runners bound to the merged NFA of e's index, a
-// field of the automaton no API reports.
-func boundRunners(e *engine.Engine) int {
-	return reflect.ValueOf(e).Elem().FieldByName("nfa").Elem().FieldByName("runners").Len()
-}
-
 // matchEither matches doc by MatchBytes or, when reader is set, MatchReader.
 func matchEither(m *matcher, doc []byte, reader bool) ([]string, error) {
 	if reader {
@@ -112,9 +106,8 @@ func matchEither(m *matcher, doc []byte, reader bool) ([]string, error) {
 // TestPoolPanicIsolation: an injected panic in one of a FilterPool's
 // engines fails only its own call with a typed *PanicError; the engine
 // re-enters the idle ring with its per-document state replaced. The index
-// the engines share is left as it was, the replaced runners are unbound from
-// its automaton rather than left beside their successors, and an engine that
-// did not panic keeps its DFA memo.
+// the engines share is left as it was, and so is its DFA memo: neither the
+// quarantined engine nor the healthy one computes a transition again.
 func TestPoolPanicIsolation(t *testing.T) {
 	doc := faultDoc()
 	p := NewFilterPool(2)
@@ -126,7 +119,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 		mustAddSub(t, &p.matcher, sub[0], sub[1])
 	}
 
-	// One document on each engine: both memos are warm.
+	// One document on each engine: the memo is warm.
 	var want []string
 	for range p.engs {
 		var err error
@@ -160,8 +153,8 @@ func TestPoolPanicIsolation(t *testing.T) {
 	if st.SharedStates != index.SharedStates || st.SpineSteps != index.SpineSteps || st.PredGroups != index.PredGroups || st.Subscriptions != index.Subscriptions {
 		t.Errorf("the index changed with the panics:\n  now    %s\n  before %s", st, index)
 	}
-	if n := boundRunners(sick); n != p.Workers() {
-		t.Errorf("%d runners bound to the automaton after 10 panics, want %d", n, p.Workers())
+	if got := sick.Stats().DFAMaterialized; got != memo {
+		t.Errorf("the sick engine materialized %d transitions, %d before its 10 quarantines: they restarted the memo", got, memo)
 	}
 	if st := sick.Stats(); st.Rebuilds != 10 {
 		t.Errorf("the sick engine was rebuilt %d times, want 10", st.Rebuilds)
@@ -187,8 +180,8 @@ func TestPoolPanicIsolation(t *testing.T) {
 // TestRingOfOnePanicIsolation: FilterSet and Filter are the same matcher
 // over a ring of one engine, so a panic inside it fails the document with a
 // *PanicError instead of crashing the caller, the engine is rebuilt with
-// its runner swapped rather than doubled, and the next document — by either
-// method — matches as before the fault.
+// its DFA memo kept, and the next document — by either method — matches as
+// before the fault.
 func TestRingOfOnePanicIsolation(t *testing.T) {
 	doc := faultDoc()
 	f, err := MustCompile("//item[price < 10]/name").NewFilter()
@@ -209,15 +202,16 @@ func TestRingOfOnePanicIsolation(t *testing.T) {
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			m := arm.m
+			if ids, err := m.MatchBytes(doc); err != nil || !reflect.DeepEqual(ids, arm.want) {
+				t.Fatalf("before the panics: ids = %v, %v; want %v", ids, err, arm.want)
+			}
+			memo := m.engs[0].Stats().DFAMaterialized
 			m.fault = func(*engine.Engine) { panic("injected engine fault") }
 			for _, reader := range []bool{false, true} {
 				_, err := matchEither(m, doc, reader)
 				wantPanicError(t, err)
 			}
 			m.fault = nil
-			if n := boundRunners(m.engs[0]); n != 1 {
-				t.Errorf("%d runners bound to the automaton after 2 panics, want 1", n)
-			}
 			if st := m.engs[0].Stats(); st.Rebuilds != 2 {
 				t.Errorf("the engine was rebuilt %d times, want 2", st.Rebuilds)
 			}
@@ -226,6 +220,9 @@ func TestRingOfOnePanicIsolation(t *testing.T) {
 					t.Fatalf("after the panics (reader %v): ids = %v, %v; want %v", reader, ids, err, arm.want)
 				}
 			}
+			if got := m.engs[0].Stats().DFAMaterialized; got != memo {
+				t.Errorf("the engine materialized %d transitions, %d before its quarantines: they restarted the memo", got, memo)
+			}
 		})
 	}
 }
@@ -233,9 +230,9 @@ func TestRingOfOnePanicIsolation(t *testing.T) {
 // TestPoolConcurrentPanics: every engine faults on every other document
 // while concurrent MatchBytes and MatchReader callers keep all of them busy,
 // so quarantines run at the same time as each other and as matches on the
-// other engines. Each rebuilt engine binds a new runner to the shared
-// automaton and unbinds its old one; none may be lost or doubled, and a
-// later mutation must still reach every engine's memo.
+// other engines. Every engine matches on the one DFA memo, which the
+// quarantines leave warm — the document computes no transition the first
+// match did not — and a later mutation reaches every engine.
 func TestPoolConcurrentPanics(t *testing.T) {
 	doc := faultDoc()
 	p := NewFilterPool(4)
@@ -246,6 +243,7 @@ func TestPoolConcurrentPanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline MatchBytes: %v", err)
 	}
+	memo := p.engs[0].Stats().DFAMaterialized
 	// Only the call holding an engine runs the hook for it, so the counts
 	// need no lock; the map itself is only read.
 	calls := make(map[*engine.Engine]*int, len(p.engs))
@@ -280,8 +278,8 @@ func TestPoolConcurrentPanics(t *testing.T) {
 	}
 	wg.Wait()
 	p.fault = nil
-	if n := boundRunners(p.engs[0]); n != p.Workers() {
-		t.Fatalf("%d runners bound to the automaton after concurrent panics, want %d", n, p.Workers())
+	if got := p.engs[0].Stats().DFAMaterialized; got != memo {
+		t.Fatalf("%d transitions materialized after concurrent panics, %d after the first match: the memo restarted or is not shared", got, memo)
 	}
 	rebuilds := 0
 	for _, e := range p.engs {
@@ -291,8 +289,8 @@ func TestPoolConcurrentPanics(t *testing.T) {
 		t.Errorf("%d rebuilds for %d panics", rebuilds, n)
 	}
 
-	// A mutation after the quarantines patches every engine's runner: all
-	// of them answer for the new subscription. The idle ring is FIFO, so
+	// A mutation after the quarantines patches the one memo: every engine
+	// answers for the new subscription. The idle ring is FIFO, so
 	// sequential calls visit every engine.
 	mustAddSub(t, &p.matcher, "prices", "//item/price")
 	want = append(want, "prices")

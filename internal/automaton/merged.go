@@ -1,8 +1,8 @@
 package automaton
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -10,36 +10,36 @@ import (
 	"streamxpath/internal/symtab"
 )
 
-// MergedNFA is a combined position automaton for MANY linear path queries
-// at once: a prefix-sharing trie over location steps, in the style of the
-// YFilter family of dissemination engines. Queries that agree on their
-// first k steps (same node test, same axis) share k trie states, so the
-// per-event work of the shared evaluation depends on the number of
-// distinct active states, not on the number of subscriptions. Accepting
-// states carry output sets: the ids of the subscriptions whose final step
-// they are.
+// MergedNFA is a combined position automaton for MANY path queries at once:
+// a prefix-sharing trie over location steps, in the style of the YFilter
+// family of dissemination engines. Queries that agree on their first k steps
+// (same node test, same axis) share k trie states, so the per-event work of
+// the shared evaluation depends on the number of distinct active states, not
+// on the number of subscriptions. A linear query (the /, //, * fragment) is
+// Added and accepts its output id at its final state. A step of any other
+// query is Held — its owner, internal/engine, hangs predicates off the state
+// — and outputs nothing, so Size, the accept lists and a runner's counts are
+// the Added queries' alone. A held step may take the attribute axis: its
+// state is looked up below an element (SharedRunner.Attribute) and never
+// enters an item set.
 //
-// The trie is edited where it stands. Add extends it through a per-state
-// child index and Remove unlinks the states no query passes through any
-// more, both in O(|query|), and the automaton's lazy DFA — one memo, read
-// by every SharedRunner over the automaton — forgets only the memoized
-// transitions that depended on the states whose child sets changed. An
-// unlinked state's slot goes on a free list and the next Add takes it, so
-// Slots never exceeds the peak of Size however long the automaton is
-// patched. That cannot alias: Remove drops every memoized item set holding
-// the state before its slot is freed (dropSets), and a mutation abandons
-// the document in flight.
-//
-// Like the single-query NFA, the merged automaton covers the /, //, *
-// fragment; predicates and attribute axes are routed by internal/engine to
-// the frontier-based shared matcher instead.
+// The trie is edited where it stands, in O(1) per step, and the lazy DFA —
+// one memo, read by every SharedRunner over the automaton — forgets only
+// the memoized transitions that depended on the states whose child sets
+// changed. An unlinked state's slot goes on a free list for the next new
+// state, so Slots never exceeds the peak of linked states. That cannot
+// alias: unlinking drops every memoized item set holding the state before
+// its slot is freed (dropSets), and a mutation abandons the document in
+// flight.
 type MergedNFA struct {
 	tab    *symtab.Table
 	states []mstate
 	// freeStates are the slots of unlinked states, handed out again before
-	// states grows; live counts the rest, the root included.
+	// states grows; live counts the states some Added query passes through,
+	// the root included, and held the Hold calls not yet Released.
 	freeStates []int
 	live       int
+	held       int
 
 	// outputs counts the output ids accepted at some state. The ids are the
 	// caller's: it hands one to Add, and the runners' owners latch by it.
@@ -55,8 +55,8 @@ type MergedNFA struct {
 	// the paths documents have taken, not on any one document.
 	//
 	// Runners read it without a lock (dstate.next). mu serializes what
-	// writes it: a runner's miss (transition), Add and Remove — which no
-	// runner may overlap — and Stats, which reads its counters.
+	// writes it: a runner's miss (transition), the patches — which no runner
+	// may overlap — and Stats, which reads its counters.
 	mu     sync.Mutex
 	start  *dstate
 	index  map[string]*dstate
@@ -82,28 +82,29 @@ type row []atomic.Pointer[dstate]
 // for the wildcard) and axis. All per-event matching compares symbols,
 // never strings.
 type edge struct {
-	sym        symtab.Sym
-	descendant bool
+	sym  symtab.Sym
+	axis query.Axis
 }
 
-// mstate is one trie state: the step that enters it plus its children.
+// mstate is one trie state: the step that enters it, from how many steps
+// below the root, plus its children.
 type mstate struct {
 	parent int
 	edge   edge
 	kids   map[edge]int
-	// descKids counts the children reached by a descendant step; only
-	// with one may the state survive a non-matching element (the "gap" of
-	// //).
-	descKids int
 	// outputs are the ids accepted when this state is entered by a direct
 	// match (not retained across a gap).
 	outputs []int
-	// through counts the queries whose path passes through or ends at this
-	// state — the outputs accepted at it or below — and descThrough those
-	// that leave it by a descendant step. A state other than the root is
-	// unlinked when through drops to zero.
-	through     int
-	descThrough int
+	depth   int32
+	// descKids counts the children reached by a descendant step; only
+	// with one may the state survive a non-matching element (the "gap" of
+	// //).
+	descKids int32
+	// through counts the Added queries whose path passes through or ends at
+	// this state — the outputs accepted at it or below — and descThrough
+	// those that leave it by a descendant step; held counts the Hold calls
+	// on it. A state other than the root is unlinked when both drop to zero.
+	through, descThrough, held int32
 }
 
 // NewMergedNFA returns an automaton containing only the root state,
@@ -133,32 +134,13 @@ func (m *MergedNFA) Add(q *query.Query, out int) (int, error) {
 	cur := 0
 	m.states[0].through++
 	for u := q.Root.Successor; u != nil; u = u.Successor {
-		e := edge{descendant: u.Axis == query.AxisDescendant}
-		if u.NTest != query.Wildcard {
-			e.sym = m.tab.Intern(u.NTest)
-		}
-		next, ok := m.states[cur].kids[e]
-		if !ok {
-			if k := len(m.freeStates); k > 0 {
-				next = m.freeStates[k-1]
-				m.freeStates = m.freeStates[:k-1]
-				m.states[next] = mstate{parent: cur, edge: e}
-			} else {
-				next = len(m.states)
-				m.states = append(m.states, mstate{parent: cur, edge: e})
-			}
-			m.live++
-			st := &m.states[cur]
-			if st.kids == nil {
-				st.kids = map[edge]int{}
-			}
-			st.kids[e] = next
-			m.childChanged(cur, e, +1)
-		}
-		if e.descendant {
+		next := m.child(cur, u.Axis, u.NTest)
+		if u.Axis == query.AxisDescendant {
 			m.states[cur].descThrough++
 		}
-		m.states[next].through++
+		if m.states[next].through++; m.states[next].through == 1 {
+			m.live++
+		}
 		cur = next
 	}
 	m.states[cur].outputs = append(m.states[cur].outputs, out)
@@ -167,43 +149,97 @@ func (m *MergedNFA) Add(q *query.Query, out int) (int, error) {
 	return cur, nil
 }
 
+// Hold returns the state a step along axis with node test ntest enters from
+// state from (0 is the root), and keeps it linked until Release. A query's
+// steps are held root first and released deepest first.
+func (m *MergedNFA) Hold(from int, axis query.Axis, ntest string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.child(from, axis, ntest)
+	m.states[s].held++
+	m.held++
+	return s
+}
+
+// Release takes back one Hold of state s.
+func (m *MergedNFA) Release(s int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.states[s].held--
+	m.held--
+	m.unlinkIdle(s)
+}
+
+// child returns cur's child along the step (axis, ntest), linking a new
+// state for the first step of that shape.
+func (m *MergedNFA) child(cur int, axis query.Axis, ntest string) int {
+	e := edge{axis: axis}
+	if ntest != query.Wildcard {
+		e.sym = m.tab.Intern(ntest)
+	}
+	if next, ok := m.states[cur].kids[e]; ok {
+		return next
+	}
+	next, fresh := len(m.states), mstate{parent: cur, edge: e, depth: m.states[cur].depth + 1}
+	if k := len(m.freeStates); k > 0 {
+		next = m.freeStates[k-1]
+		m.freeStates = m.freeStates[:k-1]
+		m.states[next] = fresh
+	} else {
+		m.states = append(m.states, fresh)
+	}
+	st := &m.states[cur]
+	if st.kids == nil {
+		st.kids = map[edge]int{}
+	}
+	st.kids[e] = next
+	m.childChanged(cur, e, +1)
+	return next
+}
+
 // Remove withdraws the query Add accepted out for at state cur: the id is
-// dropped and the states only that query passed through are unlinked. The
+// dropped and the states nothing passes through any more are unlinked. The
 // scan for the id is linear in the ids accepted at the same state
 // (duplicates of one query).
 func (m *MergedNFA) Remove(cur, out int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	outs := m.states[cur].outputs
-	for i, o := range outs {
-		if o == out {
-			outs[i] = outs[len(outs)-1]
-			m.states[cur].outputs = outs[:len(outs)-1]
-			break
-		}
-	}
+	i := slices.Index(outs, out)
+	outs[i] = outs[len(outs)-1]
+	m.states[cur].outputs = outs[:len(outs)-1]
 	m.outputs--
 	m.accept(cur, out, false)
-	// through never grows downwards, so the emptied states are a suffix of
-	// the path and each is a leaf by the time the walk reaches it.
+	// Counts never grow downwards, so the emptied states are a suffix of the
+	// path and each is a leaf by the time the walk reaches it.
 	for cur != 0 {
 		st := &m.states[cur]
-		st.through--
-		parent, e := st.parent, st.edge
-		if e.descendant {
+		parent := st.parent
+		if st.edge.axis == query.AxisDescendant {
 			m.states[parent].descThrough--
 		}
-		if st.through == 0 {
-			*st = mstate{parent: -1}
-			m.freeStates = append(m.freeStates, cur)
+		if st.through--; st.through == 0 {
 			m.live--
-			delete(m.states[parent].kids, e)
-			m.dropSets(cur)
-			m.childChanged(parent, e, -1)
 		}
+		m.unlinkIdle(cur)
 		cur = parent
 	}
 	m.states[0].through--
+}
+
+// unlinkIdle unlinks state s, a leaf by now, if no query passes through it
+// and no step holds it.
+func (m *MergedNFA) unlinkIdle(s int) {
+	st := &m.states[s]
+	if st.through > 0 || st.held > 0 {
+		return
+	}
+	parent, e := st.parent, st.edge
+	*st = mstate{parent: -1}
+	m.freeStates = append(m.freeStates, s)
+	delete(m.states[parent].kids, e)
+	m.dropSets(s)
+	m.childChanged(parent, e, -1)
 }
 
 // childChanged records that state p gained (delta +1) or lost (-1) its
@@ -211,27 +247,28 @@ func (m *MergedNFA) Remove(cur, out int) {
 // the item sets containing p, on e's symbol — on every symbol when e is a
 // wildcard, or when p's first descendant child arrived or its last one
 // left, because that is what decides whether p survives a non-matching
-// element.
+// element. An attribute child touches none: it is never stepped into.
 func (m *MergedNFA) childChanged(p int, e edge, delta int) {
+	if e.axis == query.AxisAttribute {
+		return
+	}
 	flipped := false
-	if e.descendant {
+	if e.axis == query.AxisDescendant {
 		st := &m.states[p]
-		st.descKids += delta
+		st.descKids += int32(delta)
 		flipped = st.descKids == 0 || (delta > 0 && st.descKids == 1)
 	}
 	m.invalidate(p, e.sym, flipped)
 }
 
-// Size returns the number of live trie states (including the root) — the
-// shared-structure measure reported by engine statistics.
+// Size returns the number of states some Added query passes through
+// (including the root) — the shared-structure measure reported by engine
+// statistics, which counts held steps on their own.
 func (m *MergedNFA) Size() int { return m.live }
 
-// Slots returns the number of state slots allocated: Size plus the free
-// slots of unlinked states, which is the peak of Size.
+// Slots returns the number of state slots allocated: the linked states of
+// either kind plus the free slots of unlinked ones, which is their peak.
 func (m *MergedNFA) Slots() int { return len(m.states) }
-
-// Outputs returns the number of output ids in use.
-func (m *MergedNFA) Outputs() int { return m.outputs }
 
 // An active item is a trie state in one of two modes. A "fresh" state was
 // entered by matching its own step at the current element; all its
@@ -252,8 +289,8 @@ func (m *MergedNFA) step(items []int, sym symtab.Sym) []int {
 	for _, it := range items {
 		id, looping := it>>1, it&loopingBit != 0
 		st := &m.states[id]
-		for _, e := range [4]edge{{sym, true}, {symtab.None, true}, {sym, false}, {symtab.None, false}} {
-			if looping && !e.descendant {
+		for _, e := range [4]edge{{sym, query.AxisDescendant}, {symtab.None, query.AxisDescendant}, {sym, query.AxisChild}, {symtab.None, query.AxisChild}} {
+			if looping && e.axis != query.AxisDescendant {
 				break
 			}
 			if c, ok := st.kids[e]; ok {
@@ -265,8 +302,11 @@ func (m *MergedNFA) step(items []int, sym symtab.Sym) []int {
 		}
 	}
 	// A state held both fresh and looping offers its descendant-axis
-	// children, and its own looping item, twice.
-	sort.Ints(out)
+	// children, and its own looping item, twice. The set is ordered by
+	// depth, so that a state comes before every state below it.
+	slices.SortFunc(out, func(a, b int) int {
+		return cmp.Or(int(m.states[a>>1].depth-m.states[b>>1].depth), a-b)
+	})
 	n := 0
 	for i, it := range out {
 		if i == 0 || it != out[i-1] {
@@ -294,12 +334,12 @@ func (m *MergedNFA) reach(items []int) int {
 		case it&loopingBit == 0 && covered:
 			n -= len(st.outputs) // counted by the covering item, and latched
 		case it&loopingBit == 0:
-			n += st.through - len(st.outputs)
+			n += int(st.through) - len(st.outputs)
 		case !covered:
 			// (A state held fresh and looping at once was entered at two
 			// depths, so a descendant step leads to it and the looping item
 			// of that step's origin covers both.)
-			n += st.descThrough
+			n += int(st.descThrough)
 		}
 	}
 	return n
@@ -311,7 +351,7 @@ func (m *MergedNFA) under(items []int, s int) bool {
 	for s != 0 {
 		st := &m.states[s]
 		if stateSet(items).contains(st.parent<<1) ||
-			(st.edge.descendant && stateSet(items).contains(st.parent<<1|loopingBit)) {
+			(st.edge.axis == query.AxisDescendant && stateSet(items).contains(st.parent<<1|loopingBit)) {
 			return true
 		}
 		s = st.parent
@@ -489,13 +529,11 @@ func (m *MergedNFA) Stats() DFAStats {
 // automaton's memoized item sets, stepping along their dense transition
 // rows indexed by the tokenizer-supplied symbol — two atomic loads per
 // element once warm, no hashing, no lock, no allocation, independent of
-// subscription count. Matches latch in the runner's owner (latch), which
-// keeps the verdicts. The runner holds only what one document makes it
-// hold; the memo is the automaton's, so it persists across Reset, across
-// the automaton's Add and Remove — a row depends only on the child sets of
-// the states in its item set, so a mutation forgets the entries under the
-// states it relinked and nothing else — and across the runners themselves.
-// Entering a set reads its accept list and no trie state.
+// subscription count — and latching the entered set's accept list in the
+// runner's owner (latch), which keeps the verdicts. The runner holds only
+// what one document makes it hold; the memo is the automaton's, so it
+// persists across Reset, patches — a row depends only on the child sets of
+// the states in its item set — and runners.
 //
 // The automaton must not change between StartDocument and the document's
 // last event.
@@ -525,12 +563,10 @@ type SharedRunner struct {
 }
 
 // NewSharedRunner returns a runner over the merged automaton, dispatching
-// on the automaton's symbol table: callers that tokenize with that table
-// feed the runner symbols directly via StartElementSym. Matches go to latch
-// (see SharedRunner.latch). An automaton may have any number of runners,
-// each matching its own documents over the one memo, concurrently while the
-// automaton is not patched; a runner is made and dropped without telling
-// the automaton.
+// on the automaton's symbol table, with matches going to latch. An
+// automaton may have any number of runners, each matching its own documents
+// over the one memo, concurrently while the automaton is not patched; a
+// runner is made and dropped without telling the automaton.
 func NewSharedRunner(m *MergedNFA, latch func(outs []int) (first int)) *SharedRunner {
 	r := &SharedRunner{m: m, latch: latch}
 	r.Reset()
@@ -555,16 +591,19 @@ func (r *SharedRunner) StartDocument() {
 // StartElementSym processes a startElement event whose name was interned
 // by the tokenizer, latching any outputs accepted by the transition.
 // Once every output has matched — or every still-live output has, so the
-// rest are decided negative — the runner only counts depth (the
-// per-subscription monotone early exit, applied to the whole shared
-// index). The liveLeft shortcut applies only inside an element (stack
-// depth > 1): a start at depth 1 would be a new root, whose subtree the
-// live count does not describe, so it is processed in full and recounts.
-// Warm transitions touch no map and allocate nothing, and what they latch
-// is the entered set's accept list: the trie's states are read once per
-// document, for the root element's reach, and not per element.
+// rest are decided negative — nothing is left to latch, and with no step
+// held the runner only counts depth (the per-subscription monotone early
+// exit, applied to the whole shared index); a held step's owner reads
+// every element's item set, so the runner steps on. The liveLeft shortcut
+// applies only inside an element (stack depth > 1): a start at depth 1
+// would be a new root, whose subtree the live count does not describe, so
+// it is processed in full and recounts. Warm transitions touch no map and
+// allocate nothing, and what they latch is the entered set's accept list:
+// the trie's states are read once per document, for the root element's
+// reach, and not per element.
 func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
-	if len(r.stack) == 0 || r.left == 0 || (r.liveLeft == 0 && len(r.stack) > 1) {
+	done := r.left == 0 || (r.liveLeft == 0 && len(r.stack) > 1)
+	if len(r.stack) == 0 || done && r.m.held == 0 {
 		r.depth++
 		return
 	}
@@ -573,7 +612,7 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 	if next == nil {
 		next = r.m.transition(top, sym)
 	}
-	if acc := next.accepts; len(acc) > 0 {
+	if acc := next.accepts; len(acc) > 0 && !done {
 		first := r.latch(acc)
 		r.left -= first
 		r.liveLeft -= first
@@ -588,6 +627,32 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 		r.liveLeft = r.m.reach(next.items)
 	}
 	r.peakStack = max(r.peakStack, len(r.stack))
+}
+
+// Entered returns the current element's item set — items Fresh decodes, a
+// state before the states below it — valid until the next event.
+func (r *SharedRunner) Entered() []int { return r.stack[len(r.stack)-1].items }
+
+// Fresh decodes an item of Entered or Attribute: its state, and whether the
+// state was entered by matching its own step rather than kept across a gap.
+func Fresh(item int) (state int, fresh bool) { return item >> 1, item&loopingBit == 0 }
+
+// Attribute appends to dst, as fresh items, the states an attribute named
+// sym of the current element enters — the attribute children of the item
+// set's fresh states — and enters none: an attribute has no item set.
+func (r *SharedRunner) Attribute(sym symtab.Sym, dst []int) []int {
+	for _, it := range r.Entered() {
+		if it&loopingBit != 0 {
+			continue
+		}
+		kids := r.m.states[it>>1].kids
+		for _, e := range [2]edge{{sym, query.AxisAttribute}, {symtab.None, query.AxisAttribute}} {
+			if c, ok := kids[e]; ok {
+				dst = append(dst, c<<1)
+			}
+		}
+	}
+	return dst
 }
 
 // EndElement processes an endElement event.

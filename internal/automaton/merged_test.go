@@ -103,6 +103,37 @@ func TestMergedChildAxisPrecision(t *testing.T) {
 	}
 }
 
+// TestMergedAttributeStateNeverEntered: an attribute step's state is looked
+// up below its element, never entered by an element of its name. With /a/@b
+// and /a/@* held, <a><b/></a> enters neither, and the memo holds neither;
+// an attribute b of the a finds both, an attribute c the wildcard's alone.
+func TestMergedAttributeStateNeverEntered(t *testing.T) {
+	m := NewMergedNFA(nil)
+	a := m.Hold(0, query.AxisChild, "a")
+	named, wild := m.Hold(a, query.AxisAttribute, "b"), m.Hold(a, query.AxisAttribute, "*")
+	r := newOwned(m)
+	r.StartDocument()
+	startElement(r, "a")
+	if got := r.Attribute(m.tab.Intern("b"), nil); !slices.Equal(got, []int{named << 1, wild << 1}) {
+		t.Errorf("attribute b of <a> enters %v, want the fresh items of %d and %d", got, named, wild)
+	}
+	if got := r.Attribute(m.tab.Intern("c"), nil); !slices.Equal(got, []int{wild << 1}) {
+		t.Errorf("attribute c of <a> enters %v, want the fresh item of %d", got, wild)
+	}
+	startElement(r, "b")
+	for _, it := range r.Entered() {
+		if s, _ := Fresh(it); s == named || s == wild {
+			t.Errorf("<b> below <a> entered the attribute state %d: item set %v", s, r.Entered())
+		}
+	}
+	r.EndElement()
+	r.EndElement()
+	checkMemo(t, "after <a><b/></a>", m)
+	if m.Size() != 1 || m.Slots() != 4 {
+		t.Errorf("size %d slots %d, want 1 (no query is Added) and 4", m.Size(), m.Slots())
+	}
+}
+
 func TestMergedPrefixSharing(t *testing.T) {
 	m := NewMergedNFA(nil)
 	for i := 0; i < 100; i++ {
@@ -124,8 +155,8 @@ func TestMergedRejectsOutsideFragment(t *testing.T) {
 			t.Errorf("Add(%q) accepted; want error", src)
 		}
 	}
-	if m.Outputs() != 0 {
-		t.Errorf("rejected queries counted as outputs: %d", m.Outputs())
+	if m.outputs != 0 {
+		t.Errorf("rejected queries counted as outputs: %d", m.outputs)
 	}
 }
 
@@ -270,8 +301,8 @@ func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 		t.Fatalf("size %d slots %d, want 6 and 6", m.Size(), m.Slots())
 	}
 	m.Remove(at[0], 0) // c goes; a and b serve //a/b
-	if m.Size() != 5 || m.Slots() != 6 || m.Outputs() != 2 {
-		t.Fatalf("after removing //a/b/c: size %d slots %d outputs %d, want 5, 6, 2", m.Size(), m.Slots(), m.Outputs())
+	if m.Size() != 5 || m.Slots() != 6 || m.outputs != 2 {
+		t.Fatalf("after removing //a/b/c: size %d slots %d outputs %d, want 5, 6, 2", m.Size(), m.Slots(), m.outputs)
 	}
 	m.Remove(at[2], 2) // x and y go
 	if m.Size() != 3 || m.Slots() != 6 {
@@ -281,8 +312,8 @@ func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Outputs() != 2 || m.Size() != 6 || m.Slots() != 6 {
-		t.Fatalf("outputs %d size %d slots %d, want 2, 6 and 6: state slots are reused", m.Outputs(), m.Size(), m.Slots())
+	if m.outputs != 2 || m.Size() != 6 || m.Slots() != 6 {
+		t.Fatalf("outputs %d size %d slots %d, want 2, 6 and 6: state slots are reused", m.outputs, m.Size(), m.Slots())
 	}
 	r := runMerged(newOwned(m), sax.MustParse("<q><r><s/></r></q>"))
 	if !r.hit(2) || r.count != 1 || !slices.Equal(m.states[cur].outputs, []int{2}) {
@@ -364,7 +395,7 @@ func walkReach(m *MergedNFA, items []int) map[int]bool {
 	}
 	for _, it := range items {
 		for e, c := range m.states[it>>1].kids {
-			if e.descendant || it&loopingBit == 0 {
+			if e.axis == query.AxisDescendant || it&loopingBit == 0 {
 				subtree(c)
 			}
 		}
@@ -448,8 +479,8 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 					t.Fatalf("trial %d round %d: %s: patched %v, fresh %v\nqueries %v", trial, round, s.src, r.hit(out), want.hit(out), live)
 				}
 			}
-			if m.Size() != fm.Size() || m.Outputs() != fm.Outputs() {
-				t.Fatalf("trial %d round %d: patched automaton has %d states and %d outputs, a fresh one %d and %d", trial, round, m.Size(), m.Outputs(), fm.Size(), fm.Outputs())
+			if m.Size() != fm.Size() || m.outputs != fm.outputs {
+				t.Fatalf("trial %d round %d: patched automaton has %d states and %d outputs, a fresh one %d and %d", trial, round, m.Size(), m.outputs, fm.Size(), fm.outputs)
 			}
 		}
 	}
@@ -516,17 +547,21 @@ type patchSub struct {
 
 // runPatch plays an Add/Remove sequence against one automaton and the
 // runners over its memo, a document each round, and after every op holds
-// each runner to checkPatched and the memo to checkMemo. One op in eight is
+// each runner to checkPatched and the memo to checkMemo. One op in ten is
 // a burst — forty one-off queries, a document through them all, and their
 // removal — so that the memo drops item sets; after each removal no set it
 // can reach may hold an unlinked state. Another makes one more runner over
 // the automaton, as a replica or a rebuilt engine does, on the memo as warm
-// as the rounds before left it (past four, the oldest is let go). It
-// returns how many bursts it ran and runners it made.
+// as the rounds before left it (past four, the oldest is let go). Two more
+// hold the steps of a path, as the engine's trie does, half of them ending
+// in an attribute step, and release a held path: they link and unlink
+// states but output nothing. It returns how many bursts it ran and runners
+// it made.
 func runPatch(t testing.TB, d *draws, rounds int) (bursts, runners int) {
 	m := NewMergedNFA(nil)
 	rs := []*owned{newOwned(m)}
 	var live []patchSub
+	var held [][]int // each path's held states, root first
 	check := func(label string, doc []sax.Event) {
 		for i, r := range rs {
 			checkPatched(t, fmt.Sprintf("%s, runner %d", label, i), m, r, live, doc)
@@ -551,7 +586,23 @@ func runPatch(t testing.TB, d *draws, rounds int) (bursts, runners int) {
 	for round := 0; round < rounds && !d.done(); round++ {
 		doc := patchDoc(d)
 		for ops, op := 1+d.n(3), 0; op < ops; op++ {
-			switch k := d.n(8); {
+			switch k := d.n(10); {
+			case k == 8:
+				var path []int
+				for u, cur := query.MustParse(patchQuery(d)).Root.Successor, 0; u != nil; u = u.Successor {
+					cur = m.Hold(cur, u.Axis, u.NTest)
+					path = append(path, cur)
+				}
+				if d.n(2) == 0 {
+					path = append(path, m.Hold(path[len(path)-1], query.AxisAttribute, []string{"a", "*"}[d.n(2)]))
+				}
+				held = append(held, path)
+			case k == 9 && len(held) > 0:
+				i := d.n(len(held))
+				for j := len(held[i]) - 1; j >= 0; j-- {
+					m.Release(held[i][j])
+				}
+				held = slices.Delete(held, i, i+1)
 			case k == 7: // not 0, which an exhausted input draws forever
 				bursts++
 				n := len(live)
@@ -635,6 +686,8 @@ func checkMemo(t testing.TB, label string, m *MergedNFA) {
 				t.Fatalf("%s: item set %v holds the unlinked state %d", label, d.items, s)
 			case it&loopingBit != 0 && m.states[s].descKids == 0:
 				t.Fatalf("%s: item set %v loops at %d, which has no descendant child", label, d.items, s)
+			case m.states[s].edge.axis == query.AxisAttribute:
+				t.Fatalf("%s: item set %v holds the attribute state %d", label, d.items, s)
 			}
 			if i == 0 || it>>1 != d.items[i-1]>>1 {
 				entries++
@@ -663,23 +716,36 @@ func checkMemo(t testing.TB, label string, m *MergedNFA) {
 
 // checkPatched runs doc through the patched runner and holds it to what
 // TestMergedUndecidedMatchesWalk does — Undecided to a walk of the trie
-// after every element start, the verdicts to a runner built afresh — its
-// count of what is left to its owner's first latches, and the accept lists,
+// after every element start — and, in lockstep, to a runner over an
+// automaton built afresh from the Added queries alone, which holds no step:
+// Undecided after every element start, the verdicts, and Size. Its count of
+// what is left is held to its owner's first latches, and the accept lists,
 // before and after, to checkAccepts.
 func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []patchSub, doc []sax.Event) {
 	t.Helper()
 	label = fmt.Sprintf("%s, queries %v", label, live)
 	checkAccepts(t, label, m)
+	fm := NewMergedNFA(nil)
+	for _, s := range live {
+		fm.Add(query.MustParse(s.src), s.out)
+	}
+	want := newOwned(fm)
 	r.Reset()
 	var reach map[int]bool
 	for _, e := range doc {
 		switch e.Kind {
 		case sax.StartDocument:
 			r.StartDocument()
+			want.StartDocument()
 		case sax.EndElement:
 			r.EndElement()
+			want.EndElement()
 		case sax.StartElement:
 			startElement(r, e.Name)
+			startElement(want, e.Name)
+			if r.Undecided() != want.Undecided() {
+				t.Fatalf("%s: after <%s>: Undecided = %d, a fresh runner's %d", label, e.Name, r.Undecided(), want.Undecided())
+			}
 			if reach == nil {
 				reach = walkReach(m, r.stack[len(r.stack)-1].items)
 			}
@@ -694,11 +760,9 @@ func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []pat
 			}
 		}
 	}
-	fm := NewMergedNFA(nil)
-	for _, s := range live {
-		fm.Add(query.MustParse(s.src), s.out)
+	if m.Size() != fm.Size() || m.outputs != fm.outputs {
+		t.Fatalf("%s: %d states and %d outputs counted, a fresh automaton's %d and %d", label, m.Size(), m.outputs, fm.Size(), fm.outputs)
 	}
-	want := runMerged(newOwned(fm), doc)
 	matched := 0
 	for _, s := range live {
 		if r.hit(s.out) != want.hit(s.out) {
@@ -708,8 +772,8 @@ func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []pat
 			matched++
 		}
 	}
-	if matched != r.count || m.Outputs()-r.left != r.count {
-		t.Fatalf("%s: %d outputs latched first, %d of them live, the runner has %d of %d left", label, r.count, matched, r.left, m.Outputs())
+	if matched != r.count || m.outputs-r.left != r.count {
+		t.Fatalf("%s: %d outputs latched first, %d of them live, the runner has %d of %d left", label, r.count, matched, r.left, m.outputs)
 	}
 	checkAccepts(t, label+", after the document", m)
 }

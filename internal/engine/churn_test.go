@@ -68,8 +68,8 @@ var churnTails = []string{"", "", "[b]", "[b > 1]", "/d", "/@id"}
 // and *, with [b], a numeric comparison of b or [b = "x"] on some steps and
 // sometimes a final attribute step. The pool is small on purpose:
 // independent draws share prefixes, whole paths, and often the entire query.
-// One draw in four is a continuation of a grouped step along one skeleton
-// edge — //a[b ⋄ k]/c… — so that the runs below //a's groups gain nodes in
+// One draw in four is a continuation of a grouped step into one state —
+// //a[b ⋄ k]/c… — so that the runs below //a's groups gain nodes in
 // and out of order, lose them from the middle, empty and come back.
 func churnQuery(d *dice) string {
 	if d.n(4) == 0 {
@@ -338,8 +338,8 @@ func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []
 // checkIndex holds the engine's index to what add and remove maintain: one
 // result slot space — every slot held by one standing subscription, whose
 // position pos gives, or free — and, recomputed from the trie's spine nodes,
-// the count vector with its recycled ids and the membership, order and scope
-// tally of every run.
+// the count vector with its recycled ids, one merged NFA state per distinct
+// step, and the membership, order and scope tally of every state's hold.
 func checkIndex(t testing.TB, label string, e *Engine) {
 	t.Helper()
 	holder := make([]string, len(e.pos))
@@ -375,10 +375,36 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 		}
 	}
 	runs := map[*contRun][]*tnode{}
-	skels := map[*skel]bool{}
-	for _, n := range append([]*tnode{tr.root}, tr.spineNodes...) {
+	// A spine node's state is a function of its parent's and its own (axis,
+	// node test), and no two steps share one.
+	type step struct {
+		from  int32
+		axis  query.Axis
+		ntest string
+	}
+	stateOf, stepOf := map[step]int32{}, map[int32]step{tr.root.at: {}}
+	nodes := []*tnode{tr.root}
+	for i := 0; i < len(nodes); i++ {
+		nodes = append(nodes, nodes[i].succ...)
+	}
+	if len(nodes)-1 != tr.spine {
+		t.Fatalf("%s: %d spine nodes counted, %d linked", label, tr.spine, len(nodes)-1)
+	}
+	for _, n := range nodes {
 		own(n.key, n.id)
-		skels[n.sk] = true
+		if n.parent != nil {
+			st := step{n.parent.at, n.axis, n.ntest}
+			if at, ok := stateOf[st]; ok && at != n.at {
+				t.Fatalf("%s: %s is at state %d, a node of the same step at %d", label, n.key, n.at, at)
+			}
+			if other, ok := stepOf[n.at]; ok && other != st {
+				t.Fatalf("%s: %s shares state %d with another step", label, n.key, n.at)
+			}
+			stateOf[st], stepOf[n.at] = n.at, st
+			if h := tr.holds[n.at]; h.desc != (n.axis == query.AxisDescendant) {
+				t.Fatalf("%s: %s is held by a state of the other axis class", label, n.key)
+			}
+		}
 		want[n.id] = int32(len(n.terminals) + len(n.succ))
 		extracting := int32(0)
 		for _, sub := range n.terminals {
@@ -393,6 +419,9 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 		case n.mem != nil:
 			want[n.mem.grp.id]++
 			want[n.mem.grp.frags] += extracting
+			if !slices.Contains(tr.holds[n.at].groups, n.mem.grp) {
+				t.Fatalf("%s: %s's group is not held by its state", label, n.key)
+			}
 		case grouped:
 			if n.run == nil || n.run.grp != n.parent.mem.grp {
 				t.Fatalf("%s: %s continues a group member outside its group's run", label, n.key)
@@ -400,21 +429,29 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 			runs[n.run] = append(runs[n.run], n)
 			want[n.run.id]++
 			want[n.run.frags] += extracting
-		case n.run != nil || n.sk.members[n.slot] != n:
-			t.Fatalf("%s: %s is not among its skeleton node's members", label, n.key)
+		case n == tr.root:
+		case n.run != nil || tr.holds[n.at].members[n.slot] != n:
+			t.Fatalf("%s: %s is not among its state's members", label, n.key)
 		}
 	}
-	for _, g := range tr.groups {
-		own("group "+g.key, g.id, g.frags)
-	}
 	held := 0
-	for sk := range skels {
-		held += len(sk.runs)
-		for pos, r := range sk.runs {
+	for s, h := range tr.holds {
+		if h == nil {
+			continue
+		}
+		for _, g := range h.groups {
+			own("group "+g.key, g.id, g.frags)
+		}
+		if _, ok := stepOf[int32(s)]; !ok || len(h.members)+len(h.groups)+len(h.runs) == 0 {
+			t.Fatalf("%s: state %d holds %d members, %d groups and %d runs, and no spine node is there",
+				label, s, len(h.members), len(h.groups), len(h.runs))
+		}
+		held += len(h.runs)
+		for _, r := range h.runs {
 			own("run below "+r.grp.key, r.id, r.frags)
 			nodes, scoped := runs[r], 0
 			for i, n := range r.nodes {
-				if !slices.Contains(nodes, n) {
+				if !slices.Contains(nodes, n) || n.at != int32(s) {
 					t.Fatalf("%s: run below %s holds %s, which does not belong there", label, r.grp.key, n.key)
 				}
 				if n.opens() {
@@ -424,14 +461,14 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 					t.Fatalf("%s: run below %s is out of order at %d", label, r.grp.key, i)
 				}
 			}
-			if len(r.nodes) != len(nodes) || scoped != r.scoped || r.pos != pos || sk.runOf[r.grp] != r {
-				t.Fatalf("%s: run below %s: holds %d nodes of %d, tallies %d scoped of %d, pos %d at %d",
-					label, r.grp.key, len(r.nodes), len(nodes), r.scoped, scoped, r.pos, pos)
+			if len(r.nodes) != len(nodes) || scoped != r.scoped {
+				t.Fatalf("%s: run below %s: holds %d nodes of %d, tallies %d scoped of %d",
+					label, r.grp.key, len(r.nodes), len(nodes), r.scoped, scoped)
 			}
 		}
 	}
 	if held != len(runs) {
-		t.Fatalf("%s: %d runs held by skeleton nodes, %d by spine nodes", label, held, len(runs))
+		t.Fatalf("%s: %d runs held by states, %d by spine nodes", label, held, len(runs))
 	}
 	if !slices.Equal(tr.counts, want) {
 		t.Fatalf("%s: count vector\n have %v\n want %v", label, tr.counts, want)
@@ -493,7 +530,7 @@ func FuzzEngineChurn(f *testing.F) {
 // TestEngineMutationAbandonsDocument: Add and Remove between startDocument
 // and endDocument abandon the document — its remaining events are refused
 // and it reports no verdicts — and the next document runs on the patched
-// indexes as if the abandoned one had never opened its scopes and frames.
+// indexes as if the abandoned one had never opened its scopes.
 func TestEngineMutationAbandonsDocument(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "lin", "//a/c")
@@ -504,7 +541,7 @@ func TestEngineMutationAbandonsDocument(t *testing.T) {
 		func() { e.Remove("deep") },
 		func() { e.Remove("lin") },
 	} {
-		// Mid-document: //a's scope and its frame are open, c has latched lin.
+		// Mid-document: //a's scope is open, c has latched lin.
 		for _, ev := range []sax.Event{sax.StartDoc(), sax.Start("a"), sax.Start("c")} {
 			if err := feed(e, ev); err != nil {
 				t.Fatal(err)

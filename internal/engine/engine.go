@@ -6,84 +6,67 @@
 // dissemination workload of the paper's introduction (ref [1]) at the
 // scale its Section 1 motivates.
 //
-// Subscriptions are canonicalized into step keys (query.StepKey) and
-// routed to one of two shared indexes:
+// One structural index decides structure for every subscription, in the
+// design of YFilter (Diao et al.): a merged NFA (automaton.MergedNFA), a
+// prefix-sharing trie over (axis, node test) steps run through a lazily
+// determinized shared runner — one load from the current item set's dense
+// transition row per element once warm, independent of subscription count.
+// Subscriptions are canonicalized into step keys (query.StepKey) and routed
+// by what must hang off its states:
 //
-//   - Linear predicate-free queries (the /, //, * fragment) go to a
-//     combined NFA (automaton.MergedNFA): a prefix-sharing trie over
-//     location steps with subscription-id output sets on accepting
-//     states, evaluated with a lazily determinized shared runner — one
-//     load from the current item set's dense transition row per element
-//     once warm, and one read of the entered set's accept list, independent
-//     of subscription count.
+//   - Linear predicate-free queries (the /, //, * fragment) end at a state
+//     of the NFA, whose item sets carry their ids as accept lists.
 //
 //   - Everything else the Section 8 algorithm can stream (conjunctive
 //     univariate leaf-only-value-restricted queries: fragment.Streamable,
-//     the decision every query passes at Add) goes to a prefix-sharing
-//     trie of spine steps whose per-step predicate subtrees run the paper's
-//     frontier algorithm — tuples, candidate scopes, and text buffering
-//     as in the reference filter (internal/core, which the engine is tested
-//     against and does not link), but with structurally identical steps
-//     evaluated once for all subscriptions that contain them. Matches
-//     reached below a predicated step commit conditionally and are
-//     decided the moment the predicate is satisfied — or dropped when its
-//     candidate scope closes first — preserving per-subscription answers
-//     byte-identical to a standalone reference filter's. Only predicate
-//     nodes are held as frontier tuples: the continuations of an open
-//     spine scope are found by one lookup per edge of the trie's
-//     structural skeleton (spine steps grouped by axis and node test,
-//     predicates ignored), so a predicated prefix costs the same whether
-//     one subscription hangs off it or a thousand. And steps
+//     the decision every query passes at Add) goes to a trie of spine steps
+//     whose every step is a held state of the NFA and whose predicate
+//     subtrees run the paper's frontier algorithm — tuples, candidate
+//     scopes and text buffering as in the reference filter (internal/core,
+//     which the engine is tested against and does not link), with
+//     structurally identical steps evaluated once for all subscriptions that
+//     contain them. Only predicate nodes are frontier tuples: each state an
+//     element enters offers the spine steps held there once per open scope
+//     of their parent step, so a predicated prefix costs the same whether
+//     one subscription hangs off it or a thousand. Matches below a
+//     predicated step commit conditionally and are decided the moment the
+//     predicate is satisfied, or dropped when its scope closes first. Steps
 //     that differ only in the constant of one comparison — [priority > 3],
-//     [priority > 4], … — are one predicate group (group.go): one scope,
-//     one tuple and one pending value per candidate element, the value
-//     resolved against all the constants by one search (a textual
-//     equality's streamed through a cursor into them, streq.go);
-//     the steps that continue a group's members along one edge are one
-//     run, offered an element by one probe of the group's scope and split
-//     by one search against its boundary.
+//     [priority > 4], … — are one predicate group (group.go): one scope, one
+//     tuple and one pending value per candidate element, resolved against
+//     all the constants by one search (a textual equality's streamed through
+//     a cursor, streq.go); the steps continuing a group's members into one
+//     state are one run, split by one search against the group's boundary.
 //
 // Each subscription's match latches monotonically (conjunctive matching
 // is monotone, Section 8.1), and fully matched shared states stop
-// accepting candidates — the per-filter early exit of the old fan-out
-// FilterSet, applied to shared state.
+// accepting candidates — the per-filter early exit, applied to shared state.
 //
-// The two indexes differ in how they find matches, and in nothing after:
-// there is one result space. Add gives every subscription a result slot
-// from one free list, whichever route evaluates it, and both routes latch
-// by that slot through one latch (hits.latch), which sets the
-// subscription's result bit, counts the match and keeps the
-// document-order-first fragment, captured by one capFor whichever route
-// matched the element. The engine keeps the one record of a document's
-// verdicts and fragments; the routes keep only structure — the runner's
-// accept lists and counts of what is left, the trie's remaining counts —
-// which is what each half of Decided reads.
+// The routes differ in how they find matches, and in nothing after: Add
+// gives every subscription a result slot from one free list, and both
+// latch by slot through one latch (hits.latch), which sets its result bit,
+// counts the match and keeps the document-order-first fragment. The routes
+// keep only structure and counts of what is left, which Decided reads.
 //
-// A standing set changes while documents flow, so both indexes are edited
-// where they stand: Add walks or extends its route's trie, Remove drops
-// the subscription's result slot and unlinks the states only it passed
-// through, each in time proportional to the query. There is no batch
-// build beside the incremental one, and the merged NFA's lazily
-// materialized DFA survives a mutation but for the transitions out of the
-// states it relinked.
+// A standing set changes while documents flow, so the index is edited where
+// it stands: Add and Remove walk or extend, and unlink, the states of one
+// query, in time proportional to it, and the NFA's lazy DFA survives a
+// mutation but for the transitions out of the states it relinked.
 //
-// The index is what Add and Remove write, and with it the merged NFA's DFA
-// memo, which depends on the subscriptions and on the paths documents took,
-// not on any one document: every engine's runner reads it, and a miss adds
-// to it under its own lock. Everything a document writes — the NFA runner's
-// stack, the trie matcher, the capture manager, the tokenizers, the verdict
-// record — is per engine. Replica makes another engine over the same index,
-// which is how a FilterPool matches N documents at once on one copy of the
-// subscriptions and one memo, and Rebuild, the quarantine after a recovered
-// panic, replaces an engine's per-document state wholesale and leaves the
-// index and the memo alone.
+// The index — the subscriptions, the trie, the NFA and its DFA memo, which
+// depends on the subscriptions and on the paths documents took — is what Add
+// and Remove write; a memo miss adds to it under its own lock. Everything a
+// document writes — the NFA runner's stack, the trie matcher, the capture
+// manager, the tokenizers, the verdict record — is per engine. Replica makes
+// another engine over the same index, which is how a FilterPool matches N
+// documents at once on one copy of the subscriptions and one memo, and
+// Rebuild, the quarantine after a recovered panic, replaces an engine's
+// per-document state wholesale and leaves the index alone.
 //
-// What a subscription costs to hold is its entries in those indexes and a
-// small record (subscription): once Add returns, the parse tree the indexes
-// were built from — truth sets read straight off its nodes — is not
-// reachable. The paper prices an evaluator by what it must hold, and a
-// standing set of 100,000 is held for months; the compile scaffolding is
-// read for microseconds.
+// What a subscription costs to hold is its entries in the index and a small
+// record (subscription): once Add returns, the parse tree it was built from
+// is not reachable. The paper prices an evaluator by what it must hold, and
+// a standing set of 100,000 is held for months.
 package engine
 
 import (
@@ -253,10 +236,10 @@ func (h *hits) reset(n int) {
 // index is the part of an engine that Add and Remove write and that every
 // replica of the engine shares: the standing subscriptions, their results in
 // insertion order, their result slots, and what Decided, AppendFragments and
-// MemStats read of them. Its two routes, the merged NFA and the trie, are
-// held by each engine directly: they are fixed at construction, and the
-// per-event path reads them. version counts the mutations, so that an engine
-// sees one at its next Reset.
+// MemStats read of them. The merged NFA and the trie hung off it are held by
+// each engine directly: they are fixed at construction, and the per-event
+// path reads them. version counts the mutations, so that an engine sees one
+// at its next Reset.
 type index struct {
 	subs    []*subscription // in insertion order
 	results []result        // results[i] is subs[i]'s
@@ -360,7 +343,8 @@ type Engine struct {
 func New() *Engine {
 	tab := symtab.New()
 	ix := &index{byID: map[string]*subscription{}, tab: tab}
-	e := &Engine{index: ix, nfa: automaton.NewMergedNFA(tab), tr: newTrie(tab)}
+	nfa := automaton.NewMergedNFA(tab)
+	e := &Engine{index: ix, nfa: nfa, tr: newTrie(tab, nfa)}
 	e.fresh()
 	return e
 }
@@ -390,7 +374,7 @@ func (e *Engine) fresh() {
 	e.cm = cm
 	e.hits = hits{ix: e.index, cm: cm}
 	e.runner = automaton.NewSharedRunner(e.nfa, e.latchAccepted)
-	e.mt = newMatcher(e.tr, &e.hits)
+	e.mt = newMatcher(e.tr, e.runner, &e.hits)
 	e.mt.cm = cm
 	e.tok, e.stok = nil, nil
 	e.Reset()
@@ -743,11 +727,10 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 		// start from its own '<'.
 		e.cm.noteStart(sym, isAttr, off, e.level)
 	}
-	// A route is dispatched elements only while it holds a subscription.
-	// Attribute pseudo-elements are invisible to the NFA route: its queries
-	// have no attribute steps, and an attribute must never satisfy a
-	// child-axis node test.
-	if !isAttr && e.nfa.Outputs() > 0 {
+	// The runner steps while either route holds a subscription: the trie
+	// finds its spine candidates in its item sets. An attribute enters none —
+	// it must never satisfy a child-axis node test.
+	if !isAttr && len(e.subs) > 0 {
 		e.runner.StartElementSym(sym)
 	}
 	if e.tr.live > 0 {
@@ -786,7 +769,7 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 		e.rootClosed = true
 	}
 	e.events++
-	if !isAttr && e.nfa.Outputs() > 0 {
+	if !isAttr && len(e.subs) > 0 {
 		e.runner.EndElement()
 	}
 	if e.tr.live > 0 {
@@ -943,9 +926,11 @@ type Stats struct {
 	TrieRouted    int
 
 	// SpineSteps is the total number of location steps across all
-	// subscriptions (before sharing); SharedStates is the number of
-	// states actually materialized (merged-NFA states plus trie spine
-	// nodes). Their ratio is the prefix-sharing factor.
+	// subscriptions (before sharing); SharedStates is the number of states
+	// actually materialized: the merged NFA's states linear subscriptions
+	// pass through plus the trie's spine nodes, each counted once per route
+	// even where both routes share a state. Their ratio is the prefix-sharing
+	// factor.
 	SpineSteps   int
 	SharedStates int
 	// PredNodes counts the predicate-subtree nodes of the trie (each
@@ -960,11 +945,12 @@ type Stats struct {
 
 	// DFAStates/DFATransitions are the merged NFA's lazily materialized
 	// deterministic states and memoized transitions as they stand — the
-	// index's, one memo for every engine sharing it; DFAMaterialized counts
-	// the transitions ever computed, so its growth over a mutation is what
-	// the mutation made the memo forget. Rebuilds counts the engine's
-	// Rebuild calls, each of which replaced its per-document state and kept
-	// the memo; Add and Remove never rebuild.
+	// index's, one memo for every engine sharing it, which both routes step
+	// through, so a set of trie-routed subscriptions alone fills it too;
+	// DFAMaterialized counts the transitions ever computed, so its growth
+	// over a mutation is what the mutation made the memo forget. Rebuilds
+	// counts the engine's Rebuild calls, each of which replaced its
+	// per-document state and kept the memo; Add and Remove never rebuild.
 	DFAStates       int
 	DFATransitions  int
 	DFAMaterialized int
@@ -973,21 +959,21 @@ type Stats struct {
 	// Per-document work and peaks. Events counts the document's events the
 	// engine dispatched (MemStats.Events) and MaxLevel is its deepest level
 	// (MemStats.MaxDepth); the rest are the trie matcher's. TupleVisits counts
-	// the candidates examined at startElement events (predicate tuples in
-	// the event's frontier buckets plus the live spine steps, predicate
-	// groups and runs of group continuations the skeleton lookup found an
-	// open parent scope for — a group or a run is one visit, whatever its
-	// size); FrontierInserts counts predicate tuples inserted plus candidate
-	// scopes opened — the state-maintenance work visits do not see. Both
-	// grow with the distinct steps a document exercises, not with the
-	// subscription count. GroupProbes counts the candidate values
-	// resolved against a predicate group — one search or lookup each,
-	// whatever the group's size. SkimPieces counts the pieces of a skimmed
-	// remainder (MatchBytes) that helper goroutines validated on the other
-	// cores and the skim adopted: 0 on one core, for a remainder shorter than
-	// two pieces, and on the reader path, which does not skim. PeakTuples is
-	// the peak predicate frontier; spine continuations are looked up, not
-	// held.
+	// the candidates examined at startElement events: predicate tuples in
+	// the event's frontier buckets plus, once per open scope of its parent
+	// step, each live spine step, predicate group and run of group
+	// continuations held by a state the element entered — a group or a run
+	// is one visit, whatever its size. FrontierInserts counts predicate
+	// tuples inserted plus candidate scopes opened — the state-maintenance
+	// work visits do not see. Both grow with the distinct steps a document
+	// exercises, not with the subscription count. GroupProbes counts the
+	// candidate values resolved against a predicate group — one search or
+	// lookup each, whatever the group's size. SkimPieces counts the pieces of
+	// a skimmed remainder (MatchBytes) that helper goroutines validated on
+	// the other cores and the skim adopted: 0 on one core, for a remainder
+	// shorter than two pieces, and on the reader path, which does not skim.
+	// PeakTuples is the peak predicate frontier; spine continuations are
+	// offered by the NFA's states, not held.
 	Events          int
 	TupleVisits     int
 	FrontierInserts int
@@ -1012,11 +998,13 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	st.SpineSteps = nfaSteps + e.tr.steps
-	st.SharedStates = (e.nfa.Size() - 1) + len(e.tr.spineNodes)
+	st.SharedStates = (e.nfa.Size() - 1) + e.tr.spine
 	st.PredNodes = e.tr.predNodes
-	st.PredGroups = len(e.tr.groups)
-	for _, g := range e.tr.groups {
-		st.LargestGroup = max(st.LargestGroup, g.size)
+	for _, h := range e.tr.holds {
+		for i := 0; h != nil && i < len(h.groups); i++ {
+			st.PredGroups++
+			st.LargestGroup = max(st.LargestGroup, h.groups[i].size)
+		}
 	}
 	ds := e.nfa.Stats()
 	st.DFAStates = ds.States
@@ -1060,15 +1048,12 @@ type MemStats struct {
 	GroupProbes int
 	// PeakLiveTuples is the peak concurrent matching state: predicate
 	// frontier tuples + open candidate scopes + pending leaf candidates,
-	// buffering or streamed (the component peaks summed — an upper bound
-	// on the true joint peak). A predicate group holds one scope, one
-	// tuple per step of its path and one pending candidate per open
-	// element, whatever its
-	// size, and what that scope holds beyond a scope's cost is
-	// PeakGroupBits. Spine continuations are looked up from the open
-	// scopes, not held, and the frames that index those scopes are not
-	// counted: a frame's skeleton node and level are derivable from any
-	// scope in it.
+	// buffering or streamed (the component peaks summed — an upper bound on
+	// the true joint peak). A predicate group holds one scope, one tuple per
+	// step of its path and one pending candidate per open element, whatever
+	// its size; what that scope holds beyond a scope's cost is
+	// PeakGroupBits. Spine continuations are offered by the merged NFA's
+	// states below the open scopes, not held.
 	PeakLiveTuples int
 	// PeakGroupBits is the peak of the index state held by open group
 	// scopes and streamed candidates: ⌈log₂(|group|+1)⌉ bits for a
@@ -1129,7 +1114,7 @@ func (e *Engine) MemStats() MemStats {
 		MaxDepth:          e.maxLevel,
 		CapturedBytes:     e.cm.peakBytes,
 	}
-	nodes := (e.nfa.Size() - 1) + len(e.tr.spineNodes) + e.tr.predNodes
+	nodes := (e.nfa.Size() - 1) + e.tr.spine + e.tr.predNodes
 	st.EstimatedBits = fragment.EstimatedBits(nodes, st.PeakLiveTuples, ms.PeakBufferBytes, e.maxLevel) + ms.PeakGroupBits
 	st.LowerBoundBits = fragment.LowerBoundBits(e.maxFS, e.maxLevel)
 	if st.LowerBoundBits > 0 {

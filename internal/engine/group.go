@@ -25,9 +25,9 @@ import (
 // Theorem 8.8's per-tuple charge falls with it.
 //
 // The continuations of a group's members are indexed the same way. The
-// ungrouped steps that continue members of one group along one skeleton edge
-// — the f7 of …/item[priority > 3]/f7, of …/item[priority > 4]/f7, … — are
-// one run, kept in the order of the members they continue. An f7 element
+// ungrouped steps that continue members of one group into one state of the
+// merged NFA — the f7 of …/item[priority > 3]/f7, of …[priority > 4]/f7, …
+// — are one run, kept in the order of the members they continue. An f7 element
 // below an open group scope costs one probe of the scope and one search
 // against its boundary: the nodes before it continue satisfied members and
 // their subscriptions pass the group at once, the rest wait in the scope as
@@ -61,17 +61,11 @@ const (
 // the predicate path they share.
 type predGroup struct {
 	// parent is the step the members continue — a group scope's origin is
-	// parent's scope — and sk their skeleton node, where the group holds
-	// frame slot fslot. key is the group's entry in parent.groups; skPos
-	// and triePos are its positions in sk.groups and the trie's groups. id
-	// and frags are the group's entries in the trie's count vector: its
-	// members, and the extracting subscriptions ending at one.
+	// parent's scope — and key the group's entry in parent.groups. id and
+	// frags are the group's entries in the trie's count vector: its members,
+	// and the extracting subscriptions ending at one.
 	parent    *tnode
-	sk        *skel
 	key       string
-	fslot     int
-	skPos     int
-	triePos   int
 	id, frags int32
 
 	class groupClass
@@ -94,22 +88,20 @@ type predGroup struct {
 	terminals, every int
 }
 
-// contRun is a run of continuations: the ungrouped spine nodes of one
-// skeleton node that continue members of one predicate group, which are the
-// steps a candidate element of which is parented by that group's scope.
+// contRun is a run of continuations: the ungrouped spine nodes of one state
+// that continue members of one predicate group, which are the steps a
+// candidate element of which is parented by that group's scope.
 type contRun struct {
 	grp *predGroup
 	// nodes are ordered by the member they continue, as grp.sorted orders the
 	// members (byKey), so that a threshold scope's boundary splits them by one
 	// search; in an equality group every member has the same key and the
 	// order is that of arrival. scoped counts the nodes a candidate opens a
-	// scope for (tnode.opens); pos is the run's position in its skeleton
-	// node's runs; id and frags are its entries in the trie's count vector:
-	// its nodes, and the extracting subscriptions ending at one; every counts
-	// the every-match subscriptions ending at one.
+	// scope for (tnode.opens); id and frags are its entries in the trie's
+	// count vector: its nodes, and the extracting subscriptions ending at
+	// one; every counts the every-match subscriptions ending at one.
 	nodes     []*tnode
 	scoped    int
-	pos       int
 	id, frags int32
 	every     int
 }
@@ -157,8 +149,8 @@ func groupOf(cmp query.Comparison) (class groupClass, neg bool, tag string, ok b
 	return classNumEq, false, "=", true
 }
 
-// joinGroup makes spine node n, newly placed in its skeleton node, a member
-// of the predicate group its predicate belongs to, creating the group for
+// joinGroup makes spine node n, newly placed at its state, a member of the
+// predicate group its predicate belongs to, creating the group for
 // its first member; it reports false, having done nothing, for a predicate
 // no group evaluates. preds are the predicate children of n's query node.
 // The cost is the query's own size plus one search and one copy in the
@@ -203,9 +195,7 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 	g := p.groups[key]
 	if g == nil {
 		g = &predGroup{
-			parent: p, sk: n.sk, key: key, fslot: n.sk.takeSlot(),
-			skPos: len(n.sk.groups), triePos: len(t.groups),
-			id: t.newID(), frags: t.newID(),
+			parent: p, key: key, id: t.newID(), frags: t.newID(),
 			class: class, neg: neg,
 			conj: []*tnode{t.buildPred(preds[0])},
 		}
@@ -224,10 +214,9 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 			p.groups = map[string]*predGroup{}
 		}
 		p.groups[key] = g
-		n.sk.groups = append(n.sk.groups, g)
-		t.groups = append(t.groups, g)
+		h := t.holdOf(n)
+		h.groups = append(h.groups, g)
 	}
-	n.fslot = g.fslot
 	g.insert(n, cmp)
 	t.counts[g.id]++
 	return true
@@ -301,7 +290,7 @@ func (g *predGroup) remove(n *tnode) {
 
 // leaveGroup takes spine node n, which no subscription passes through any
 // more, out of its group; a group left without members goes, with its
-// predicate path and its frame slot.
+// predicate path.
 func (t *trie) leaveGroup(n *tnode) {
 	g := n.mem.grp
 	g.remove(n)
@@ -310,32 +299,24 @@ func (t *trie) leaveGroup(n *tnode) {
 		return
 	}
 	delete(g.parent.groups, g.key)
-	last := g.sk.groups[len(g.sk.groups)-1]
-	g.sk.groups[g.skPos], last.skPos = last, g.skPos
-	g.sk.groups = g.sk.groups[:len(g.sk.groups)-1]
-	g.sk.freeSlots = append(g.sk.freeSlots, g.fslot)
-	last = t.groups[len(t.groups)-1]
-	t.groups[g.triePos], last.triePos = last, g.triePos
-	t.groups = t.groups[:len(t.groups)-1]
+	h := t.holds[n.at]
+	h.groups = slices.DeleteFunc(h.groups, func(o *predGroup) bool { return o == g })
 	t.dropPreds(g.conj)
 	t.freeID(g.id)
 	t.freeID(g.frags)
 }
 
 // joinRun puts n, an ungrouped continuation of a member of g, in the run of
-// g at n's skeleton node, creating the run for its first node. Like joining
-// a group it costs one search and one copy.
+// g at n's state, creating the run for its first node. Like joining a group
+// it costs one search and one copy, after a scan of the state's runs.
 func (t *trie) joinRun(n *tnode, g *predGroup) {
-	sk := n.sk
-	r := sk.runOf[g]
-	if r == nil {
-		r = &contRun{grp: g, pos: len(sk.runs), id: t.newID(), frags: t.newID()}
-		if sk.runOf == nil {
-			sk.runOf = map[*predGroup]*contRun{}
-		}
-		sk.runOf[g] = r
-		sk.runs = append(sk.runs, r)
+	h := t.holdOf(n)
+	i := slices.IndexFunc(h.runs, func(r *contRun) bool { return r.grp == g })
+	if i < 0 {
+		i = len(h.runs)
+		h.runs = append(h.runs, &contRun{grp: g, id: t.newID(), frags: t.newID()})
 	}
+	r := h.runs[i]
 	n.run = r
 	r.nodes = insertByKey(r.nodes, n)
 	t.counts[r.id]++
@@ -356,11 +337,8 @@ func (t *trie) leaveRun(n *tnode) {
 	if len(r.nodes) > 0 {
 		return
 	}
-	sk := n.sk
-	delete(sk.runOf, r.grp)
-	last := sk.runs[len(sk.runs)-1]
-	sk.runs[r.pos], last.pos = last, r.pos
-	sk.runs = sk.runs[:len(sk.runs)-1]
+	h := t.holds[n.at]
+	h.runs = slices.DeleteFunc(h.runs, func(o *contRun) bool { return o == r })
 	t.freeID(r.id)
 	t.freeID(r.frags)
 }
@@ -421,14 +399,12 @@ type parsedText struct {
 }
 
 // openGroup opens the one scope a candidate element gets for all of g's
-// members: the shared predicate path enters the frontier once, and fr, when
-// some member has continuations, finds the scope by the group's slot.
-func (m *matcher) openGroup(g *predGroup, origin *scope, level int, fr *frame) {
+// members: the shared predicate path enters the frontier once, and the
+// scope goes on g's stack of open ones, where the runs of the members'
+// continuations find it.
+func (m *matcher) openGroup(g *predGroup, origin *scope, level int) {
 	sc := m.pushScope(origin, level, g.conj)
-	sc.grp, sc.fr = g, fr
-	if fr != nil {
-		fr.scopes[g.fslot] = sc
-	}
+	sc.grp, sc.prev, m.open[g.id] = g, m.open[g.id], sc
 	if m.cm.mode != CaptureOff && m.remaining[g.frags] > 0 {
 		// Members' own terminals are decided with the scope's values; capture
 		// the candidate element now, while its start event is current.

@@ -95,7 +95,7 @@ func TestPredicateGroupPatching(t *testing.T) {
 	add("sy", `//a[b = "y"]`)
 	add("deep", `//a[d/b > 1]/c`)
 	add("deeper", `//a[d/b > 0]/c`)
-	add("other", `//r/a[b > 2]/c`) // same skeleton node, another parent: its own group
+	add("other", `//r/a[b > 2]/c`) // same state, another parent: its own group
 	shape("every class", 6, 6)
 
 	// Not groups: a conjunction, a branching path, a string function, a

@@ -11,13 +11,17 @@ import (
 )
 
 // shareCase is a standing set and a corpus for TestMatchersShareIndexRace,
-// with one subscription to add and one to remove between waves.
+// with one subscription to add and one to remove between waves. refill
+// adds a cold-memo wave: before it every subscription is removed and added
+// back, so every state is unlinked and linked anew and the engines race to
+// fill a memo that holds nothing but the start set.
 type shareCase struct {
 	name    string
 	subs    []churnSub
 	docs    [][]byte
 	added   churnSub
 	removed string
+	refill  bool
 }
 
 // fanoutShape is the benchmark's fanout-pred: 1,000 predicated
@@ -44,10 +48,11 @@ func fanoutShape(rng *rand.Rand) shareCase {
 // serveShape is the benchmark's serve: 32 subscriptions cycled from linear,
 // predicated and never-matching templates, the first half extracting, over
 // news feeds each flagged with one keyword. Its mutations are on the merged
-// NFA, whose memo every engine reads.
+// NFA, whose memo every engine reads, and its cold-memo wave has both routes
+// race to fill the /news/item state they share.
 func serveShape(rng *rand.Rand) shareCase {
 	flags := []string{"go", "xml", "streams", "theory"}
-	c := shareCase{name: "serve", added: churnSub{id: "late", src: "/news/item/body/p", extract: true}, removed: "s5"}
+	c := shareCase{name: "serve", added: churnSub{id: "late", src: "/news/item/body/p", extract: true}, removed: "s5", refill: true}
 	for cycle := 0; cycle < 4; cycle++ {
 		for _, src := range []string{
 			"/news/item",
@@ -98,8 +103,9 @@ func verdict(out Outcome, err error) string {
 // under their own locks — and every verdict is the one a lone engine, which
 // is what a FilterSet holds, gives for the document. Between waves an Add
 // and a Remove patch the index once, and every engine sees them at its next
-// document. Under -race any other write by matching to anything shared, such
-// as a free list kept on a skeleton node or a memo row grown in place, is a
+// document; a refilled case then empties and refills the index for a wave
+// on a cold memo. Under -race any other write by matching to anything shared, such
+// as a free list kept on a state's hold or a memo row grown in place, is a
 // data race here.
 func TestMatchersShareIndexRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -115,7 +121,11 @@ func TestMatchersShareIndexRace(t *testing.T) {
 				}
 			}
 			matchers := []*Engine{shared, shared.Replica(), shared.Replica()}
-			for wave := 0; wave < 3; wave++ {
+			waves := 3
+			if c.refill {
+				waves = 4
+			}
+			for wave := 0; wave < waves; wave++ {
 				want := make([]string, len(c.docs))
 				wantIDs := make([]string, len(c.docs))
 				for i, doc := range c.docs {
@@ -155,6 +165,22 @@ func TestMatchersShareIndexRace(t *testing.T) {
 				} else if wave == 1 {
 					if !lone.Remove(c.removed) || !via.Remove(c.removed) {
 						t.Fatalf("%s is not subscribed", c.removed)
+					}
+				} else if wave == 2 && c.refill {
+					for _, e := range []*Engine{lone, via} {
+						for _, id := range e.IDs() {
+							e.Remove(id)
+						}
+						for _, s := range append(slices.Clone(c.subs), c.added) {
+							if s.id != c.removed {
+								if err := s.addTo(e); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+					}
+					if st := via.Stats(); st.DFAStates != 1 || st.Subscriptions != len(c.subs) {
+						t.Fatalf("refilled: %d subscriptions, and the memo holds %d item sets, not just the start set", st.Subscriptions, st.DFAStates)
 					}
 				}
 				for k, m := range matchers {

@@ -175,7 +175,13 @@ func fragmentStrings(frags []Fragment) []string {
 // constants' distinct non-empty prefixes.
 func checkStrIndexes(t testing.TB, e *Engine) {
 	t.Helper()
-	for _, g := range e.tr.groups {
+	var groups []*predGroup
+	for _, h := range e.tr.holds {
+		if h != nil {
+			groups = append(groups, h.groups...)
+		}
+	}
+	for _, g := range groups {
 		if g.class != classStrEq {
 			continue
 		}

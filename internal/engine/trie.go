@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"slices"
+
+	"streamxpath/internal/automaton"
 	"streamxpath/internal/bytestr"
 	"streamxpath/internal/query"
 	"streamxpath/internal/symtab"
@@ -11,11 +14,10 @@ import (
 type nodeKind uint8
 
 const (
-	// kindSpine marks a step of some subscription's root succession. Spine
-	// nodes are shared by every subscription whose query begins with the
-	// same canonical step keys; they carry terminal subscription sets and
-	// are evaluated top-down (reaching one commits its terminals, gated on
-	// the predicates of the steps along the way).
+	// kindSpine marks a step of some subscription's root succession, shared
+	// by every subscription whose query begins with the same canonical step
+	// keys: reaching one commits its terminals, gated on the predicates of
+	// the steps along the way.
 	kindSpine nodeKind = iota
 	// kindPred marks a node inside a predicate subtree. Predicate nodes
 	// follow the paper's Section 8 conjunction rule exactly as in
@@ -36,48 +38,41 @@ type tnode struct {
 	// where the small fields pack into one word.
 	restricted, ne bool
 	ntest          string
-	// sym/wild are the interned form of ntest: the matcher's frontier and
-	// the skeleton's edges are keyed by symbol, so a startElement event
-	// dispatches on the tokenizer-supplied id without hashing the name.
+	// sym/wild are a predicate node's interned ntest: the matcher's frontier
+	// is keyed by symbol, so a startElement event dispatches on the
+	// tokenizer-supplied id without hashing the name.
 	sym  symtab.Sym
 	wild bool
 
 	// parent is the spine step this one continues (nil on the root and on
-	// predicate nodes); sk places a spine node in the structural skeleton,
-	// and fslot is where a frame of sk holds the node's open scope — a slot
-	// of its own, or its group's (mem != nil). An ungrouped node is held by
-	// sk.members, at slot, or — when the step it continues is a group member
-	// — by run, one of sk.runs. key is the node's entry in parent.succIndex;
-	// succPos and spinePos are its positions in parent.succ and in the
-	// trie's spineNodes, kept so that unlinking it is a swap-delete. id is
-	// the spine node's entry in the trie's count vector.
-	parent   *tnode
-	sk       *skel
-	run      *contRun
-	slot     int
-	fslot    int
-	key      string
-	succPos  int
-	spinePos int
-	id       int32
+	// predicate nodes), and at the merged NFA's state a spine node's step
+	// enters (MergedNFA.Hold), whose hold lists the node: among its members,
+	// at slot, or — when the step it continues is a group member — in run,
+	// that group's run there. key is the node's entry in parent.succIndex
+	// and succPos its position in parent.succ, kept so that unlinking it is
+	// a swap-delete. id is the spine node's entry in the trie's count vector.
+	parent  *tnode
+	run     *contRun
+	at      int32
+	slot    int
+	key     string
+	succPos int
+	id      int32
 
 	// mem is set on a spine node whose one predicate is a comparison of a
 	// path's value against a constant: the node is a member of a predicate
 	// group (group.go), which evaluates the path once for all its members.
 	mem *member
 
-	// conj are the conjunctive children: for a spine node, the roots of
-	// its predicate subtrees (none on a group member: the group holds the
-	// path, mem the constant); for a predicate node, all of its children
-	// (predicate children and successor alike). A candidate resolves its
-	// conjunctive obligations at endElement.
+	// conj are the conjunctive children a candidate resolves: for a spine
+	// node, the roots of its predicate subtrees (none on a group member: the
+	// group holds the path, mem the constant); for a predicate node, all of
+	// its children (predicate children and successor alike).
 	conj []*tnode
 	// succ are the spine continuations — the distinct next steps of the
-	// subscriptions passing through this node. Unlike conj they are NOT
-	// conjunctive with one another: each belongs to different
-	// subscriptions, and its subtree succeeds or fails independently.
-	// succIndex finds one by its step key; nil until the first, as most
-	// nodes of a wide standing set are leaves.
+	// subscriptions passing through this node, NOT conjunctive with one
+	// another. succIndex finds one by its step key; nil until the first, as
+	// most nodes of a wide standing set are leaves.
 	succ      []*tnode
 	succIndex map[string]*tnode
 	// groups are the predicate groups among the continuations, by group key
@@ -86,13 +81,12 @@ type tnode struct {
 
 	// Truth-set machinery for predicate leaves, read off the first
 	// subscription's query node (identical canonical steps have identical
-	// truth sets, so it serves all sharers): a leaf is restricted when its
-	// set is not all strings. The leaf of a predicate group's path is
-	// restricted with no set: its value is resolved against the group's
-	// constants. strs is set on a restricted leaf compared by textual = or
-	// != (ne) — one constant, or a textual equality group's — and its
-	// candidates stream their text through a cursor into it instead of
-	// buffering it.
+	// truth sets): a leaf is restricted when its set is not all strings.
+	// The leaf of a predicate group's path is restricted with no set: its
+	// value is resolved against the group's constants. strs is set on a
+	// restricted leaf compared by textual = or != (ne) — one constant, or a
+	// textual equality group's — and its candidates stream their text
+	// through a cursor into it instead of buffering it.
 	set  query.Set
 	strs *strIndex
 
@@ -102,9 +96,8 @@ type tnode struct {
 	terminals []int
 
 	// through counts the subscriptions whose spine passes through this
-	// node: a node is unlinked when the last one is removed. What a document
-	// has left to match below the node is the matcher's to count
-	// (matcher.remaining), so that matching never writes to the trie.
+	// node, which is unlinked when the last one is removed. What a document
+	// has left below it is the matcher's to count (matcher.remaining).
 	through int
 }
 
@@ -113,145 +106,58 @@ type tnode struct {
 // elements holds state.
 func (n *tnode) opens() bool { return len(n.conj) > 0 || len(n.succ) > 0 }
 
-// skel is one node of the trie's structural skeleton: the spine nodes
-// reached from the root by one sequence of (axis, node test) steps,
-// predicates ignored. //catalog/item[priority > 1] and
-// //catalog/item[priority > 2] are two nodes of one skeleton node — here
-// the two members of one predicate group — and the f7 leaves below them
-// two nodes of its f7 child: one run, because one group scope parents them
-// both. Spine continuations are never held as frontier state: an element is
-// looked up once per skeleton edge, and costs one probe per scope that could
-// parent a candidate, however many subscriptions hang off the step.
-type skel struct {
-	// The node's spine nodes, by the scope that parents them. members are
-	// the ungrouped continuations of ungrouped steps, each parented by its
-	// parent step's own scope; groups hold the grouped nodes, each group
-	// parented by one step's scope and opening one scope for all its members;
-	// runs hold the ungrouped continuations of group members, one run per
-	// group, parented by that group's scope (runOf finds a group's run; nil
-	// until the first). slots is the size of a frame: one scope slot per
-	// ungrouped node and per group, handed out by takeSlot and reused once
-	// released.
-	members   []*tnode
-	groups    []*predGroup
-	runs      []*contRun
-	runOf     map[*predGroup]*contRun
-	slots     int
-	freeSlots []int
-	// One edge set per axis class, nil when the node has no such edge, so a
-	// frame with nothing to offer an event costs it one nil test.
-	child, attr, desc *edges
+// hold is what the trie hangs off one state of the merged NFA: the spine
+// nodes whose steps, predicates ignored, lead to it, by the scope that
+// parents them. //catalog/item[priority > 1] and [priority > 2] are two
+// nodes of one state — the two members of one predicate group — and the f7
+// leaves below them two nodes of its f7 child: one run, because one group
+// scope parents them both. members are the ungrouped continuations of
+// ungrouped steps, each parented by its parent step's own scope; groups
+// hold the grouped nodes, each group parented by one step's scope; runs hold
+// the ungrouped continuations of group members, one per group, parented by
+// its scope. desc says a descendant step enters the state.
+type hold struct {
+	members []*tnode
+	groups  []*predGroup
+	runs    []*contRun
+	desc    bool
 }
 
-// edges are a skeleton node's out-edges of one axis class, by node test.
-type edges struct {
-	named map[symtab.Sym]*skel
-	wild  *skel
+// holdOf returns the hold of n's state, making it for the state's first
+// spine node.
+func (t *trie) holdOf(n *tnode) *hold {
+	if k := int(n.at) + 1 - len(t.holds); k > 0 {
+		t.holds = append(t.holds, make([]*hold, k)...)
+	}
+	if t.holds[n.at] == nil {
+		t.holds[n.at] = &hold{desc: n.axis == query.AxisDescendant}
+	}
+	return t.holds[n.at]
 }
 
-// edgesFor returns sk's edge set of the class a step along axis belongs to.
-func (sk *skel) edgesFor(axis query.Axis) **edges {
-	switch axis {
-	case query.AxisAttribute:
-		return &sk.attr
-	case query.AxisDescendant:
-		return &sk.desc
-	}
-	return &sk.child
-}
-
-// hasEdges reports whether any step continues from sk: only then is a scope
-// opened at it ever looked up through a frame.
-func (sk *skel) hasEdges() bool {
-	return sk.child != nil || sk.attr != nil || sk.desc != nil
-}
-
-// enter places spine node n in sk's skeleton child along n's (axis, node
-// test) edge, creating the child for the first step of that shape. The
-// caller makes n a member of it or of one of its groups.
-func (sk *skel) enter(n *tnode) {
-	ep := sk.edgesFor(n.axis)
-	if *ep == nil {
-		*ep = &edges{named: map[symtab.Sym]*skel{}}
-	}
-	e := *ep
-	if n.wild {
-		if e.wild == nil {
-			e.wild = &skel{}
-		}
-		n.sk = e.wild
-	} else if n.sk = e.named[n.sym]; n.sk == nil {
-		n.sk = &skel{}
-		e.named[n.sym] = n.sk
-	}
-}
-
-// leave takes spine node n, no longer held by n.sk, out of the skeleton
-// below sk. A skeleton node left without spine nodes goes, and so does an
-// edge set left without edges: a frame with nothing to offer an event still
-// costs it one nil test.
-func (sk *skel) leave(n *tnode) {
-	if to := n.sk; len(to.members) > 0 || len(to.groups) > 0 || len(to.runs) > 0 {
-		return
-	}
-	ep := sk.edgesFor(n.axis)
-	if e := *ep; n.wild {
-		e.wild = nil
-	} else {
-		delete(e.named, n.sym)
-	}
-	if e := *ep; e.wild == nil && len(e.named) == 0 {
-		*ep = nil
-	}
-}
-
-// takeSlot hands out a frame slot of sk.
-func (sk *skel) takeSlot() int {
-	if k := len(sk.freeSlots); k > 0 {
-		slot := sk.freeSlots[k-1]
-		sk.freeSlots = sk.freeSlots[:k-1]
-		return slot
-	}
-	sk.slots++
-	return sk.slots - 1
-}
-
-// addMember has n's skeleton node hold the ungrouped spine node n, with a
-// scope slot of its own: among the members, or in the run of the group the
-// step it continues belongs to.
+// addMember has the hold of n's state hold the ungrouped spine node n:
+// among the members, or in the run of the group the step it continues
+// belongs to.
 func (t *trie) addMember(n *tnode) {
-	sk := n.sk
-	n.fslot = sk.takeSlot()
-	if p := n.parent; p != nil && p.mem != nil {
+	if p := n.parent; p.mem != nil {
 		t.joinRun(n, p.mem.grp)
 		return
 	}
-	n.slot = len(sk.members)
-	sk.members = append(sk.members, n)
+	h := t.holdOf(n)
+	n.slot = len(h.members)
+	h.members = append(h.members, n)
 }
 
 // dropMember undoes addMember.
 func (t *trie) dropMember(n *tnode) {
-	sk := n.sk
-	sk.freeSlots = append(sk.freeSlots, n.fslot)
 	if n.run != nil {
 		t.leaveRun(n)
 		return
 	}
-	last := sk.members[len(sk.members)-1]
-	sk.members[n.slot], last.slot = last, n.slot
-	sk.members = sk.members[:len(sk.members)-1]
-}
-
-// frame is the run-time side of a skeleton node: the spine scopes with
-// continuations that one element opened at it, by frame slot (nil where
-// that member or group was not a candidate). It is an index over scopes, not
-// state of its own — its skeleton node and level are those of any scope in
-// it.
-type frame struct {
-	sk     *skel
-	level  int
-	scopes []*scope
+	h := t.holds[n.at]
+	last := h.members[len(h.members)-1]
+	h.members[n.slot], last.slot = last, n.slot
+	h.members = h.members[:len(h.members)-1]
 }
 
 // trie is the compiled shared index for the predicate-capable route: a
@@ -260,9 +166,12 @@ type frame struct {
 // symbol table at build time. Matching a document reads the trie and never
 // writes to it: everything per-document lives on the matcher.
 type trie struct {
-	tab        *symtab.Table
-	root       *tnode
-	spineNodes []*tnode
+	tab  *symtab.Table
+	nfa  *automaton.MergedNFA
+	root *tnode
+	// holds[s] is what hangs off the merged NFA's state s, nil where no
+	// spine node's step enters it.
+	holds []*hold
 	// outs[slot] is the OUT node of the trie-routed subscription holding
 	// result slot slot (index.pos) — the rest of its spine path is the parent
 	// chain — nil on the other slots. live counts the trie-routed
@@ -281,19 +190,18 @@ type trie struct {
 	// current along the one path they touch.
 	counts  []int32
 	freeIDs []int32
-	// groups are the predicate groups of every spine node, for Stats.
-	groups []*predGroup
-	// steps counts spine steps added before sharing; len(spineNodes) is
-	// the count after. Their ratio is the prefix-sharing factor reported
-	// by Stats.
-	steps     int
-	predNodes int
+	// steps counts spine steps added before sharing and spine the spine
+	// nodes after. Their ratio is the prefix-sharing factor reported by
+	// Stats.
+	steps, spine int
+	predNodes    int
 }
 
-func newTrie(tab *symtab.Table) *trie {
-	t := &trie{tab: tab}
-	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, sk: &skel{}, id: t.newID()}
-	t.addMember(t.root)
+// newTrie returns a trie whose spine steps are states of nfa, interning
+// predicate node tests into tab. Its root is nfa's.
+func newTrie(tab *symtab.Table, nfa *automaton.MergedNFA) *trie {
+	t := &trie{tab: tab, nfa: nfa}
+	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, id: t.newID()}
 	return t
 }
 
@@ -311,15 +219,6 @@ func (t *trie) newID() int32 {
 // freeID takes back an entry whose owner has left the trie; with nothing
 // left below the owner, the entry has counted down to zero.
 func (t *trie) freeID(id int32) { t.freeIDs = append(t.freeIDs, id) }
-
-// internNTest resolves a node test to its symbol form.
-func (t *trie) internNTest(n *tnode) {
-	if n.ntest == query.Wildcard {
-		n.wild = true
-		return
-	}
-	n.sym = t.tab.Intern(n.ntest)
-}
 
 // link and unlink make spine node n a continuation of p, or undo it, with
 // p's count and — a step that gains its first continuation or loses its last
@@ -385,17 +284,8 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 		key := query.StepKey(u)
 		child := cur.succIndex[key]
 		if child == nil {
-			child = &tnode{
-				kind:     kindSpine,
-				axis:     u.Axis,
-				ntest:    u.NTest,
-				parent:   cur,
-				key:      key,
-				spinePos: len(t.spineNodes),
-				id:       t.newID(),
-			}
-			t.internNTest(child)
-			cur.sk.enter(child)
+			child = &tnode{kind: kindSpine, axis: u.Axis, ntest: u.NTest, parent: cur, key: key, id: t.newID(),
+				at: int32(t.nfa.Hold(int(cur.at), u.Axis, u.NTest))}
 			if preds := u.PredicateChildren(); !t.joinGroup(child, preds) {
 				for _, pc := range preds {
 					child.conj = append(child.conj, t.buildPred(pc))
@@ -403,7 +293,7 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 				t.addMember(child)
 			}
 			t.link(cur, child)
-			t.spineNodes = append(t.spineNodes, child)
+			t.spine++
 		}
 		child.through++
 		t.steps++
@@ -417,39 +307,36 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 
 // remove withdraws the subscription holding result slot slot, added with
 // the same extract and every, unlinking the spine nodes only it passed
-// through — from their parent, from spineNodes and from the skeleton, their
-// group or their run — deepest first, so each is a leaf when its turn comes.
-// The scan of the OUT node's terminals is linear in the subscriptions ending
-// there (duplicates of one query). Scopes and frames a document in flight
-// has open go stale; the engine abandons it, and matcher.reset drops them
-// without consulting the trie.
+// through — from their parent, from their state's hold, group or run, and
+// from the merged NFA — deepest first, so each is a leaf when its turn
+// comes. The scan of the OUT node's terminals is linear in the
+// subscriptions ending there (duplicates of one query). Scopes a document in
+// flight has open go stale; the engine abandons it, and matcher.reset drops
+// them without consulting the trie.
 func (t *trie) remove(slot int, extract, every bool) {
 	out := t.outs[slot]
 	t.outs[slot] = nil
 	t.live--
-	for i, sub := range out.terminals {
-		if sub == slot {
-			out.terminals[i] = out.terminals[len(out.terminals)-1]
-			out.terminals = out.terminals[:len(out.terminals)-1]
-			break
-		}
-	}
+	i := slices.Index(out.terminals, slot)
+	out.terminals[i] = out.terminals[len(out.terminals)-1]
+	out.terminals = out.terminals[:len(out.terminals)-1]
 	t.ends(out, -1, extract, every)
 	for n := out; n != t.root; {
 		p := n.parent
 		t.steps--
 		if n.through--; n.through == 0 {
 			t.unlink(p, n)
-			last := t.spineNodes[len(t.spineNodes)-1]
-			t.spineNodes[n.spinePos], last.spinePos = last, n.spinePos
-			t.spineNodes = t.spineNodes[:len(t.spineNodes)-1]
+			t.spine--
 			if n.mem != nil {
 				t.leaveGroup(n)
 			} else {
 				t.dropMember(n)
 				t.dropPreds(n.conj)
 			}
-			p.sk.leave(n)
+			if h := t.holds[n.at]; len(h.members)+len(h.groups)+len(h.runs) == 0 {
+				t.holds[n.at] = nil
+			}
+			t.nfa.Release(int(n.at))
 			t.freeID(n.id)
 		}
 		n = p
@@ -481,7 +368,9 @@ func (t *trie) buildPred(v *query.Node) *tnode {
 	if cmp, ok := query.ComparisonOf(set); ok && n.restricted && !cmp.Numeric {
 		n.strs, n.ne = newStrIndex(cmp.Str), cmp.Op == value.OpNe
 	}
-	t.internNTest(n)
+	if n.wild = n.ntest == query.Wildcard; !n.wild {
+		n.sym = t.tab.Intern(n.ntest)
+	}
 	t.predNodes++
 	for _, c := range v.Children {
 		n.conj = append(n.conj, t.buildPred(c))
@@ -491,10 +380,9 @@ func (t *trie) buildPred(v *query.Node) *tnode {
 
 // tuple is one frontier entry of the shared matcher: a predicate node
 // awaiting a candidate match within the candidate scope that created it —
-// the multi-query generalization of core.Tuple. Only predicate nodes are
-// held as tuples: they own state (the matched latch), whereas a spine
-// continuation is fully determined by its open origin scope and the
-// compiled trie, so it is looked up through the skeleton instead.
+// the multi-query generalization of core.Tuple. A spine continuation is
+// fully determined by its open origin scope and the index, so it is offered
+// through the merged NFA's states instead.
 type tuple struct {
 	node    *tnode
 	level   int
@@ -505,11 +393,9 @@ type tuple struct {
 
 // commit is one conditional match held by a gating scope: subscription
 // sub matches if the scope's predicates resolve true — in a group scope, if
-// member mem's comparison does — with cap the fragment captured for the
-// matching element (nil without extraction). A commit entry with a capture
-// holds one reference on it. Commits reach a scope from the scopes below
-// it, one subscription at a time; what an element offers a group scope
-// directly is held as one rangeCommit.
+// member mem's comparison does — with cap, holding one reference, the
+// fragment captured for the matching element (nil without extraction).
+// What an element offers a group scope directly is one rangeCommit.
 type commit struct {
 	sub int
 	cap *capture
@@ -521,9 +407,9 @@ type commit struct {
 // the predicate-free nodes from from on match if the scope's values come to
 // satisfy the member their node continues. In a threshold run the nodes
 // before from continue satisfied members and have been delivered, when the
-// element started or as the boundary passed them (release). cap
-// is the element's capture when some subscription of the run still wanted a
-// fragment, and the entry holds one reference on it.
+// element started or as the boundary passed them (release). cap is the
+// element's capture, holding one reference, when some subscription of the
+// run still wanted a fragment.
 type rangeCommit struct {
 	run  *contRun
 	from int
@@ -535,10 +421,11 @@ type rangeCommit struct {
 // is the scope whose node this one's continues — for a spine scope the next
 // scope up the trie-ancestor chain, which is how a commit finds the
 // predicate scopes that gate it (an unrelated subscription's open predicate
-// scope must not). children are the conjunctive obligations, unmet of them
-// not matched yet: matching is monotone, so the scope's predicate is decided
-// true the moment unmet reaches zero (decide), and refuted if the scope
-// closes first. commits holds the subscriptions whose match is conditional
+// scope must not). A spine or group scope is on its node's or group's stack
+// of open scopes (matcher.open), prev the one below it. children are the
+// conjunctive obligations, unmet of them not matched yet: matching is
+// monotone, so the scope's predicate is decided true the moment unmet
+// reaches zero (decide), and refuted if the scope closes first. commits holds the subscriptions whose match is conditional
 // on this scope's predicates (only undecided spine scopes with children
 // hold commits). cap, when non-nil, is the capture of the scope's own
 // candidate element, taken at open time for the node's terminals — they
@@ -548,10 +435,9 @@ type scope struct {
 	origin *scope
 	level  int
 	// tup is the predicate tuple this scope is a candidate for (nil on
-	// spine scopes); fr is the frame indexing a spine scope whose node has
-	// continuations (nil on every other scope).
+	// spine scopes).
 	tup      *tuple
-	fr       *frame
+	prev     *scope
 	children []*tuple
 	unmet    int
 	commits  []commit
@@ -564,10 +450,9 @@ type scope struct {
 	seen
 }
 
-// pendingVal is an open candidate of a value-restricted predicate leaf. A
-// leaf with a string index streams the candidate element's text through
-// cur; any other buffers it from start on in the shared buffer, exactly as
-// core's pending does.
+// pendingVal is an open candidate of a value-restricted predicate leaf: it
+// streams the element's text through cur into the leaf's string index, or
+// buffers it from start on in the shared buffer, as core's pending does.
 type pendingVal struct {
 	tup   *tuple
 	level int
@@ -575,39 +460,24 @@ type pendingVal struct {
 	cur   cursor
 }
 
-// spineCand is what the skeleton lookup offers the current element through
-// src, the open frame holding the parent scope: a spine node, a predicate
-// group for all its members, or a run for all its nodes.
+// spineCand is what a state the current element entered offers it below
+// origin, an open scope of the parent step: a spine node, a predicate group
+// for all its members, or a run for all its nodes.
 type spineCand struct {
-	node *tnode
-	grp  *predGroup
-	run  *contRun
-	src  *frame
+	node   *tnode
+	grp    *predGroup
+	run    *contRun
+	origin *scope
 }
 
-// matchStats instruments the shared matcher. The document-level counters —
-// events, depth — are the engine's: the matcher is not dispatched elements
-// while the trie holds no subscription.
+// matchStats instruments the shared matcher; its fields are Stats's and
+// MemStats's, which document them. The document-level counters — events,
+// depth — are the engine's: the matcher is not dispatched elements while the
+// trie holds no subscription.
 type matchStats struct {
-	// TupleVisits counts the candidates examined across all startElement
-	// events: predicate tuples in the event's frontier buckets plus what the
-	// skeleton lookup found an open parent scope for — live spine members,
-	// predicate groups and runs, a group or a run being one visit whatever
-	// its size. It grows with the scopes that could parent a candidate for
-	// the element, not with the subscription count or the number of
-	// constants subscribers compare against.
-	TupleVisits int
-	// FrontierInserts counts predicate tuples inserted into the frontier
-	// plus candidate scopes opened — the state-maintenance work visits do
-	// not see.
+	TupleVisits     int
 	FrontierInserts int
-	// GroupProbes counts the candidate values resolved against a predicate
-	// group's constants: one search or lookup each, whatever the group's
-	// size.
-	GroupProbes int
-	// Peaks, as in core.Stats. PeakGroupBits is the peak of what the open
-	// group scopes and streamed candidates hold beyond a scope's or a
-	// pending's cost: their indexes into the constants.
+	GroupProbes     int
 	PeakTuples      int
 	PeakScopes      int
 	PeakPendings    int
@@ -616,14 +486,16 @@ type matchStats struct {
 }
 
 // matcher is the streaming run state over a trie: a symbol-indexed
-// frontier of predicate tuples, a stack of candidate scopes with the frames
-// that index the spine ones, and pending text buffers; what it decides
-// latches in the engine's record (hits). One matcher evaluates every
-// trie-routed subscription in a single document pass. Tuples, scopes and
-// frames are recycled through free lists, so steady-state matching
-// allocates nothing once the document shapes have been seen.
+// frontier of predicate tuples, a stack of candidate scopes with a stack per
+// spine node and group of its open ones, and pending text buffers; what it
+// decides latches in the engine's record (hits). One matcher evaluates
+// every trie-routed subscription in a single document pass, reading the
+// item sets its engine's NFA runner enters. Tuples and scopes are recycled
+// through free lists, so steady-state matching allocates nothing once the
+// document shapes have been seen.
 type matcher struct {
-	tr *trie
+	tr  *trie
+	run *automaton.SharedRunner
 
 	// buckets index the predicate frontier by node-test symbol so a
 	// startElement event only touches tuples that can pass the name test:
@@ -633,22 +505,18 @@ type matcher struct {
 	wild    []*tuple
 	size    int
 
-	// frames are the open frames, a stack ordered by level like scopes;
-	// descFrames is the subsequence whose skeleton node has descendant
-	// edges — the only frames an event deeper than their children consults.
-	frames     []*frame
-	descFrames []*frame
-
+	// scopes are the open candidate scopes, ordered by level; open[id] tops
+	// the stack (scope.prev) of the open scopes of the spine node or group
+	// with count id id, where a candidate finds its parent scopes.
 	scopes   []*scope
+	open     []*scope
 	pendings []pendingVal
 	// buf is the text of the buffering pendings, refCount of them; cursors
 	// counts the streamed pendings whose cursors are live.
 	buf      []byte
 	refCount int
 	cursors  int
-	// freeFrames are the closed frames, all-nil up to their capacity.
-	freeFrames []*frame
-	level      int
+	level    int
 	// groupBits is the index state the open group scopes and cursors hold
 	// (see predGroup.indexBits and strIndex.bits).
 	groupBits int
@@ -670,18 +538,16 @@ type matcher struct {
 	cm         *capman
 	capCommits int
 
-	cands []*tuple    // scratch, reused across startElement calls
-	spine []spineCand // scratch, likewise
-	// spFrame is the frame the current element last opened, for the
-	// candidates offered it through spSrc (frameFor).
-	spFrame, spSrc *frame
-	freeTuples     []*tuple
-	freeScopes     []*scope
-	stats          matchStats
+	cands      []*tuple    // scratch, reused across startElement calls
+	spine      []spineCand // scratch, likewise
+	attrs      []int       // scratch, likewise
+	freeTuples []*tuple
+	freeScopes []*scope
+	stats      matchStats
 }
 
-func newMatcher(t *trie, h *hits) *matcher {
-	m := &matcher{tr: t, hits: h}
+func newMatcher(t *trie, run *automaton.SharedRunner, h *hits) *matcher {
+	m := &matcher{tr: t, run: run, hits: h}
 	m.reset()
 	return m
 }
@@ -693,15 +559,11 @@ func (m *matcher) reset() {
 	}
 	m.wild = m.wild[:0]
 	m.size = 0
-	// Frames are still open only after a document abandoned mid-stream,
-	// with the slots of the dropped scopes still set. The trie may have
-	// been patched since they opened, so they are returned without asking
-	// their skeleton nodes which of them were on descFrames.
-	for _, fr := range m.frames {
-		clear(fr.scopes)
-		m.freeFrames = append(m.freeFrames, fr)
+	if n := len(m.tr.counts); len(m.remaining) != n {
+		m.remaining, m.open = make([]int32, n), make([]*scope, n)
+	} else if len(m.scopes) > 0 {
+		clear(m.open) // a document abandoned mid-stream left scopes open
 	}
-	m.frames, m.descFrames = m.frames[:0], m.descFrames[:0]
 	m.scopes = m.scopes[:0]
 	m.pendings = m.pendings[:0]
 	m.buf = m.buf[:0]
@@ -709,9 +571,6 @@ func (m *matcher) reset() {
 	m.level = 0
 	m.groupBits = 0
 	m.capCommits = 0
-	if len(m.remaining) != len(m.tr.counts) {
-		m.remaining = make([]int32, len(m.tr.counts))
-	}
 	copy(m.remaining, m.tr.counts)
 	m.stats = matchStats{}
 }
@@ -762,72 +621,23 @@ func (m *matcher) frAdd(t *tuple) {
 const wildSlotBit = 1 << 30
 
 func (m *matcher) frRemove(t *tuple) {
-	if t.slot&wildSlotBit != 0 {
-		i := t.slot &^ wildSlotBit
-		last := len(m.wild) - 1
-		if i != last {
-			m.wild[i] = m.wild[last]
-			m.wild[i].slot = i | wildSlotBit
-		}
-		m.wild = m.wild[:last]
-	} else {
-		b := m.buckets[t.node.sym]
-		last := len(b) - 1
-		if t.slot != last {
-			b[t.slot] = b[last]
-			b[t.slot].slot = t.slot
-		}
-		m.buckets[t.node.sym] = b[:last]
+	b := &m.wild
+	if t.slot&wildSlotBit == 0 {
+		b = &m.buckets[t.node.sym]
 	}
+	i, last := t.slot&^wildSlotBit, len(*b)-1
+	(*b)[i] = (*b)[last]
+	(*b)[i].slot = t.slot // the last tuple moves into t's slot, bucket bit and all
+	*b = (*b)[:last]
 	t.slot = -1
 	m.size--
-}
-
-// openFrame pushes a frame for the current element at skeleton node sk: a
-// closed one while there is one, its scopes cut to sk's slots, or made anew
-// when they are too few.
-func (m *matcher) openFrame(sk *skel, level int) *frame {
-	var fr *frame
-	if k := len(m.freeFrames); k > 0 {
-		fr = m.freeFrames[k-1]
-		m.freeFrames = m.freeFrames[:k-1]
-	} else {
-		fr = &frame{}
-	}
-	if cap(fr.scopes) < sk.slots {
-		fr.scopes = make([]*scope, sk.slots)
-	}
-	fr.sk, fr.level, fr.scopes = sk, level, fr.scopes[:sk.slots]
-	m.frames = append(m.frames, fr)
-	if sk.desc != nil {
-		m.descFrames = append(m.descFrames, fr)
-	}
-	return fr
-}
-
-// closeFrames pops the frames at the closing level (or deeper) onto the free
-// list. Their scopes have closed already, each clearing its own slot, so a
-// recycled frame is all-nil without a wipe.
-func (m *matcher) closeFrames(closing int) {
-	for k := len(m.frames); k > 0 && m.frames[k-1].level >= closing; k-- {
-		fr := m.frames[k-1]
-		m.frames = m.frames[:k-1]
-		if fr.sk.desc != nil {
-			m.descFrames = m.descFrames[:len(m.descFrames)-1]
-		}
-		m.freeFrames = append(m.freeFrames, fr)
-	}
 }
 
 // startDocument opens the root scope: the document root is the sole
 // candidate for the query root, shared by every subscription.
 func (m *matcher) startDocument() {
 	root := m.tr.root
-	var fr *frame
-	if len(root.succ) > 0 {
-		fr = m.openFrame(root.sk, 0)
-	}
-	m.openScope(root, nil, nil, 0, fr)
+	m.openScope(root, nil, nil, 0)
 	// Degenerate empty-spine subscriptions match any document. Their
 	// "matched element" is the document itself, which has no source
 	// region, so they never carry a fragment.
@@ -867,46 +677,58 @@ func (m *matcher) collectCands(b *[]*tuple, isAttr bool, elemLevel int) {
 	}
 }
 
-// collectSpine looks the event's symbol up in one edge set of src's
-// skeleton node and gathers, from the skeleton nodes it lands on, the
-// members, the groups and the runs whose parent scope is open in src — one
-// probe of src each, whatever a group's or a run's size. One whose
-// subscriptions have all matched is skipped uncounted — the shared form of
-// the monotone early exit.
-func (m *matcher) collectSpine(e *edges, sym symtab.Sym, src *frame) {
-	if e == nil {
-		return
-	}
-	for _, to := range [2]*skel{e.named[sym], e.wild} {
-		if to == nil {
+// collectSpine gathers what the states of items hold — the members, the
+// groups and the runs — once per open scope that parents a candidate: every
+// open scope of the parent step (or group) below a descendant step, the
+// parent element's below any other. One whose subscriptions have all matched
+// is skipped uncounted — the shared form of the monotone early exit. items
+// lists a state before the states below it, so a candidate is processed
+// before any it is a step of, whose match could retire it first.
+func (m *matcher) collectSpine(items []int, elemLevel int) {
+	for _, it := range items {
+		s, fresh := automaton.Fresh(it)
+		if !fresh || s >= len(m.tr.holds) || m.tr.holds[s] == nil {
 			continue
 		}
-		for _, n := range to.members {
-			if m.remaining[n.id] > 0 && src.scopes[n.parent.fslot] != nil {
-				m.stats.TupleVisits++
-				m.spine = append(m.spine, spineCand{node: n, src: src})
+		h := m.tr.holds[s]
+		for _, n := range h.members {
+			if m.remaining[n.id] > 0 {
+				m.offer(spineCand{node: n}, n.parent.id, h.desc, elemLevel)
 			}
 		}
-		for _, g := range to.groups {
-			if m.remaining[g.id] > 0 && src.scopes[g.parent.fslot] != nil {
-				m.stats.TupleVisits++
-				m.spine = append(m.spine, spineCand{grp: g, src: src})
+		for _, g := range h.groups {
+			p := g.parent.id
+			if g.parent.mem != nil {
+				p = g.parent.mem.grp.id // a member's scopes are its group's
+			}
+			if m.remaining[g.id] > 0 {
+				m.offer(spineCand{grp: g}, p, h.desc, elemLevel)
 			}
 		}
-		for _, r := range to.runs {
-			if m.remaining[r.id] > 0 && src.scopes[r.grp.fslot] != nil {
-				m.stats.TupleVisits++
-				m.spine = append(m.spine, spineCand{run: r, src: src})
+		for _, r := range h.runs {
+			if m.remaining[r.id] > 0 {
+				m.offer(spineCand{run: r}, r.grp.id, h.desc, elemLevel)
 			}
 		}
 	}
 }
 
+// offer gathers candidate c below each open scope of the spine node or
+// group with count id parent that parents it, the outermost first.
+func (m *matcher) offer(c spineCand, parent int32, desc bool, elemLevel int) {
+	from := len(m.spine)
+	for sc := m.open[parent]; sc != nil && (desc || sc.level == elemLevel-1); sc = sc.prev {
+		m.stats.TupleVisits++
+		c.origin = sc
+		m.spine = append(m.spine, c)
+	}
+	slices.Reverse(m.spine[from:])
+}
+
 // startElementSym offers the element to the predicate tuples in the
 // symbol's bucket and the wildcard bucket — leaves start buffering or match
 // on existence, internal nodes open candidate scopes (child-axis owners are
-// parked for the scope's duration, as in core) — and then, if any frame is
-// open, to the spine.
+// parked for the scope's duration, as in core) — and then to the spine.
 func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 	elemLevel := m.level + 1
 	m.level = elemLevel
@@ -924,7 +746,7 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 			if n.axis == query.AxisChild {
 				m.frRemove(t) // parked until the scope closes (Fig. 20 lines 10-11)
 			}
-			m.openScope(n, t, t.origin, elemLevel, nil)
+			m.openScope(n, t, t.origin, elemLevel)
 		case n.restricted:
 			p := pendingVal{tup: t, level: elemLevel, start: len(m.buf)}
 			if ix := n.strs; ix != nil {
@@ -942,98 +764,58 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 			m.satisfy(t)
 		}
 	}
-	if len(m.frames) > 0 {
-		m.startSpine(sym, isAttr, elemLevel)
-	}
+	m.startSpine(sym, isAttr, elemLevel)
 }
 
-// startSpine selects the element's spine candidates by skeleton lookup —
-// from the parent element's frames along child or attribute edges, from
-// every open frame with descendant edges along those — then processes them:
-// reached terminals commit their subscriptions and internal nodes open
-// candidate scopes.
+// startSpine selects the element's spine candidates from the states it
+// entered — an attribute's are looked up below its element's, as it enters
+// none — then processes them: reached terminals commit their subscriptions
+// and internal nodes open candidate scopes.
 func (m *matcher) startSpine(sym symtab.Sym, isAttr bool, elemLevel int) {
-	// Collect first: this element's own frames must not be offered it.
+	// Collect first: this element's own scopes must not be offered it.
 	m.spine = m.spine[:0]
-	for k := len(m.frames); k > 0 && m.frames[k-1].level == elemLevel-1; k-- {
-		fr := m.frames[k-1]
-		if isAttr {
-			m.collectSpine(fr.sk.attr, sym, fr)
-		} else {
-			m.collectSpine(fr.sk.child, sym, fr)
-		}
+	if isAttr {
+		m.attrs = m.run.Attribute(sym, m.attrs[:0])
+		m.collectSpine(m.attrs, elemLevel)
+	} else {
+		m.collectSpine(m.run.Entered(), elemLevel)
 	}
-	if !isAttr {
-		for _, fr := range m.descFrames {
-			m.collectSpine(fr.sk.desc, sym, fr)
-		}
-	}
-	m.spSrc = nil
 	for _, c := range m.spine {
 		switch {
 		case c.run != nil:
-			m.startRun(c.run, c.src, elemLevel)
+			m.startRun(c.run, c.origin, elemLevel)
 		case c.grp != nil:
-			if g := c.grp; m.remaining[g.id] > 0 {
-				m.openGroup(g, c.src.scopes[g.parent.fslot], elemLevel, m.frameFor(g.sk, c.src, elemLevel))
+			if m.remaining[c.grp.id] > 0 {
+				m.openGroup(c.grp, c.origin, elemLevel)
 			}
 		case m.remaining[c.node.id] > 0:
 			// (Zero: an earlier candidate of this same element already
 			// satisfied every subscription this step serves.)
 			n := c.node
-			origin := c.src.scopes[n.parent.fslot]
 			// A terminal whose own step carries no predicates commits now, gated
 			// only by ancestor scopes (its continuations serve other
 			// subscriptions); with predicates the commit waits for the scope's
 			// predicates to be decided.
 			if len(n.conj) == 0 && len(n.terminals) > 0 {
-				s, mem := m.gate(origin, n.parent)
+				s, mem := m.gate(c.origin, n.parent)
 				m.routeCaptured(n.terminals, s, mem)
 			}
 			if n.opens() {
-				m.openSpine(n, origin, c.src, elemLevel)
+				m.openScope(n, nil, c.origin, elemLevel)
 			}
 		}
 	}
 }
 
-// frameFor returns the frame that indexes the scopes the current element
-// opens at sk for the candidates offered it through src, nil when sk has no
-// edges: a scope without continuations is never looked up. Candidates
-// gathered by one lookup are adjacent, and each may open at most one scope
-// per slot (a member or group has one parent scope per source frame), so
-// one frame per (source frame, skeleton node) serves them all.
-func (m *matcher) frameFor(sk *skel, src *frame, level int) *frame {
-	if !sk.hasEdges() {
-		return nil
-	}
-	if src != m.spSrc || sk != m.spFrame.sk {
-		m.spFrame, m.spSrc = m.openFrame(sk, level), src
-	}
-	return m.spFrame
-}
-
-// openSpine opens the scope of spine node n for the current element, a
-// candidate offered through src, below origin.
-func (m *matcher) openSpine(n *tnode, origin *scope, src *frame, level int) {
-	var in *frame
-	if len(n.succ) > 0 {
-		in = m.frameFor(n.sk, src, level)
-	}
-	m.openScope(n, nil, origin, level, in)
-}
-
-// startRun offers the current element to run r, whose group scope is open
-// in src. What the scope's values have decided so far splits the run: the
-// nodes that continue a satisfied member are past the group's predicate, so
-// the subscriptions ending at them are delivered to what gates the group
-// itself; the rest wait in the scope as one range commit. A node with
-// predicates or continuations of its own opens its scope below the group's,
-// as any spine node does. A threshold run is split by one search, and with
-// no scope to open nothing past the split is looked at.
-func (m *matcher) startRun(r *contRun, src *frame, level int) {
+// startRun offers the current element to run r below sc, an open scope of
+// its group. What the scope's values have decided so far splits the run: the
+// subscriptions ending at nodes that continue a satisfied member are
+// delivered to what gates the group itself; the rest wait in the scope as
+// one range commit. A node with predicates or continuations of its own opens
+// its scope below the group's. A threshold run is split by one search, and
+// with no scope to open nothing past the split is looked at.
+func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 	g := r.grp
-	sc := src.scopes[g.fslot]
 	p, q := sc.split(r)
 	up, mem := m.gate(sc.origin, g.parent)
 	held := q < len(r.nodes)
@@ -1053,7 +835,7 @@ func (m *matcher) startRun(r *contRun, src *frame, level int) {
 			}
 		}
 		if n.opens() {
-			m.openSpine(n, sc, src, level)
+			m.openScope(n, nil, sc, level)
 		}
 	}
 	if !held || m.remaining[r.id] == 0 {
@@ -1068,16 +850,17 @@ func (m *matcher) startRun(r *contRun, src *frame, level int) {
 }
 
 // openScope opens a candidate scope for node n — of predicate tuple tup, or
-// of a spine step indexed by fr — inserting n's conjunctive children into
-// the frontier. Spine continuations need no insertion: the scope's slot in
-// fr is what the skeleton lookup finds them by.
-func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int, fr *frame) {
+// of a spine step — inserting n's conjunctive children into the frontier.
+// Spine continuations need no insertion: a spine scope goes on its node's
+// stack of open ones, where they find it.
+func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
 	sc := m.pushScope(origin, level, n.conj)
-	sc.node, sc.tup, sc.fr = n, tup, fr
-	if fr != nil {
-		fr.scopes[n.fslot] = sc
+	sc.node, sc.tup = n, tup
+	if n.kind == kindPred {
+		return
 	}
-	if n.kind == kindSpine && len(n.conj) > 0 && len(n.terminals) > 0 {
+	sc.prev, m.open[n.id] = m.open[n.id], sc
+	if len(n.conj) > 0 && len(n.terminals) > 0 {
 		// The node's own terminals are decided only with this scope's
 		// predicates; if any of them wants the element, capture it now,
 		// while its start event is current.
@@ -1170,8 +953,8 @@ func (m *matcher) dropPending(p *pendingVal) {
 }
 
 // endElement resolves the pending leaf candidates and closes the candidate
-// scopes of the closing level, innermost first (they form suffixes of their stacks,
-// as in core), then retires the level's frames. A streamed candidate's
+// scopes of the closing level, innermost first (they form suffixes of their
+// stacks, as in core). A streamed candidate's
 // value is the constant its cursor ends on, if any. Buffered candidate text
 // is evaluated through a zero-copy view — predicates only see a string for
 // the duration of the Contains call — and parsed as a number at most once,
@@ -1215,9 +998,6 @@ func (m *matcher) endElement() {
 		}
 		m.scopes = m.scopes[:len(m.scopes)-1]
 		m.closeScope(sc)
-	}
-	if k := len(m.frames); k > 0 && m.frames[k-1].level == closing {
-		m.closeFrames(closing)
 	}
 }
 
@@ -1265,8 +1045,9 @@ func (m *matcher) decide(sc *scope) {
 // as do those of a group scope's members its values never satisfied. A
 // parked child-axis owner returns to the frontier for sibling candidates
 // (Fig. 21 lines 23-27) unless it has matched: the flag latches, so it can
-// never accept another. The scope and its child tuples return to the free
-// lists (their own inner scopes closed at deeper levels already).
+// never accept another; a spine or group scope leaves the top of its stack.
+// The scope and its child tuples return to the free lists (their own inner
+// scopes closed at deeper levels already).
 func (m *matcher) closeScope(sc *scope) {
 	for _, c := range sc.children {
 		if c.slot >= 0 {
@@ -1283,15 +1064,13 @@ func (m *matcher) closeScope(sc *scope) {
 	m.dropCommitCap(sc.cap)
 	if g := sc.grp; g != nil {
 		m.noteGroupBits(-(1 + len(sc.hits)) * g.indexBits())
-		if sc.fr != nil {
-			sc.fr.scopes[g.fslot] = nil
-		}
+		m.open[g.id] = sc.prev
 	} else if n := sc.node; n.kind == kindPred {
 		if n.axis == query.AxisChild && !sc.tup.matched {
 			m.frAdd(sc.tup)
 		}
-	} else if sc.fr != nil {
-		sc.fr.scopes[n.fslot] = nil
+	} else {
+		m.open[n.id] = sc.prev
 	}
 	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], ranges: sc.ranges[:0], seen: seen{hits: sc.hits[:0]}}
 	m.freeScopes = append(m.freeScopes, sc)
@@ -1478,8 +1257,7 @@ func (m *matcher) undecided(rootSeen bool) bool {
 // live returns the matcher's live-state count: frontier tuples, open
 // candidate scopes, and pending leaf candidates, buffering or streamed.
 // This is what the MaxLiveTuples budget measures (plus the NFA runner's
-// depth term, added by the engine). Frames are not counted: each is an
-// index over open scopes, which are.
+// depth term, added by the engine).
 func (m *matcher) live() int {
 	return m.size + len(m.scopes) + len(m.pendings)
 }
@@ -1493,21 +1271,18 @@ func (m *matcher) live() int {
 // sweep backs the live-tuple budget check, which must not declare a breach
 // on account of state that is already dead.
 func (m *matcher) evictDead() {
-	for s := range m.buckets {
-		for i := 0; i < len(m.buckets[s]); {
-			if m.buckets[s][i].matched {
-				m.frRemove(m.buckets[s][i]) // swap-remove: rescan slot i
+	for s := -1; s < len(m.buckets); s++ {
+		b := &m.wild
+		if s >= 0 {
+			b = &m.buckets[s]
+		}
+		for i := 0; i < len(*b); {
+			if (*b)[i].matched {
+				m.frRemove((*b)[i]) // swap-remove: rescan slot i
 				continue
 			}
 			i++
 		}
-	}
-	for i := 0; i < len(m.wild); {
-		if m.wild[i].matched {
-			m.frRemove(m.wild[i])
-			continue
-		}
-		i++
 	}
 	// Compact matched pendings in place. Order is preserved, so the
 	// level-suffix invariant endElement pops by survives; buffered bytes
@@ -1532,5 +1307,4 @@ func (m *matcher) endDocument() {
 		m.scopes = m.scopes[:len(m.scopes)-1]
 		m.closeScope(sc)
 	}
-	m.closeFrames(0)
 }

@@ -137,7 +137,8 @@ type tenantInfo struct {
 
 // handlePutTenant creates a tenant explicitly, with an optional JSON
 // config body ({"limits": {...}, "workers": N}); an empty body selects
-// the server defaults. 201 on creation, 409 if the name is taken.
+// the server defaults. 201 on creation, 409 if the name is taken, 400 if
+// N exceeds the server's own per-tenant engine count.
 func (s *Server) handlePutTenant(w http.ResponseWriter, r *http.Request) {
 	name, _, ok := pathNames(w, r, false)
 	if !ok {
@@ -167,6 +168,12 @@ func (s *Server) handlePutTenant(w http.ResponseWriter, r *http.Request) {
 		lim, err := wire.Limits.limits()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "invalid_config", "%v", err)
+			return
+		}
+		// A tenant's ring holds one engine per worker: a request may ask for
+		// fewer than the server would give it, never more.
+		if most := s.reg.maxWorkers(); wire.Workers > most {
+			writeError(w, http.StatusBadRequest, "invalid_config", "workers %d exceeds this server's %d", wire.Workers, most)
 			return
 		}
 		cfg = TenantConfig{Limits: lim, Workers: wire.Workers, MaxSubs: wire.MaxSubscriptions}

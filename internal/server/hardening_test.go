@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -132,5 +133,29 @@ func TestMaxSubscriptionsCap(t *testing.T) {
 	r = do(t, "GET", ts.URL+"/v1/tenants/uno", nil)
 	if !strings.Contains(string(r.body), `"maxSubscriptions":1`) {
 		t.Fatalf("tenant info missing cap: %s", r.body)
+	}
+}
+
+// TestTenantWorkersBounded: a tenant config may not ask for more engines than
+// the server resolves per tenant (-workers, GOMAXPROCS when unset). An
+// oversized request answers 400 invalid_config and creates nothing; one
+// within the bound is created as before.
+func TestTenantWorkersBounded(t *testing.T) {
+	for _, c := range []struct {
+		workers, most int
+	}{{2, 2}, {0, runtime.GOMAXPROCS(0)}} {
+		_, ts := newTestServer(t, Config{Workers: c.workers})
+		for _, n := range []int{c.most + 1, 100000000} {
+			r := do(t, "PUT", ts.URL+"/v1/tenants/big", strings.NewReader(fmt.Sprintf(`{"workers": %d}`, n)))
+			if r.status != http.StatusBadRequest || !strings.Contains(string(r.body), "invalid_config") {
+				t.Fatalf("-workers %d: PUT with workers %d: %d %s, want 400 invalid_config", c.workers, n, r.status, r.body)
+			}
+			if r := do(t, "GET", ts.URL+"/v1/tenants/big", nil); r.status != http.StatusNotFound {
+				t.Fatalf("-workers %d: a refused PUT with workers %d created the tenant: GET %d %s", c.workers, n, r.status, r.body)
+			}
+		}
+		if r := do(t, "PUT", ts.URL+"/v1/tenants/fits", strings.NewReader(fmt.Sprintf(`{"workers": %d}`, c.most))); r.status != http.StatusCreated {
+			t.Fatalf("-workers %d: PUT with workers %d: %d %s, want 201", c.workers, c.most, r.status, r.body)
+		}
 	}
 }

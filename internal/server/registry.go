@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -467,6 +468,15 @@ func (r *Registry) Metrics() *Metrics { return r.metrics }
 // Delivery returns the webhook delivery manager (nil when delivery is
 // disabled).
 func (r *Registry) Delivery() *delivery.Manager { return r.delivery }
+
+// maxWorkers is the per-tenant engine count the server resolves by default
+// (-workers, GOMAXPROCS when unset): the most a tenant may ask for.
+func (r *Registry) maxWorkers() int {
+	if r.defaults.Workers > 0 {
+		return r.defaults.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // newTenant builds a tenant from cfg, filling unset fields from the
 // registry defaults.

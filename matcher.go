@@ -141,9 +141,12 @@ func (m *matcher) IDs() []string {
 // a breach actually occurs. On a FilterPool it waits for in-flight Match
 // calls to finish, so neither budgets nor policy change mid-document.
 func (m *matcher) SetLimits(l Limits) {
-	m.lim.Store(&l)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// Stored under mu, so that of two concurrent calls the one whose budgets
+	// every engine enforces is the one Limits reports; and before the
+	// in-flight documents finish, so that Limits reports it at once.
+	m.lim.Store(&l)
 	m.acquireAll()
 	defer m.releaseAll()
 	for _, e := range m.engs {

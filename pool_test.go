@@ -301,3 +301,39 @@ func TestPoolConcurrentPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestSetLimitsConcurrent: SetLimits calls racing on a FilterPool leave it
+// reporting the budgets its engines enforce. Each round runs four pairs of
+// calls at once, every call with budgets of its own — one of a pair fails
+// on a breach, the other abstains; afterwards Limits() is one of them and
+// every engine holds exactly it.
+func TestSetLimitsConcurrent(t *testing.T) {
+	p := NewFilterPool(4)
+	mustAddSub(t, &p.matcher, "hi", `//item[priority > 5]`)
+	for round := 0; round < 1000; round++ {
+		set := map[Limits]bool{}
+		var wg sync.WaitGroup
+		for k := 0; k < 8; k++ {
+			l := Limits{MaxDepth: 8*round + k + 1}
+			if k%2 == 1 {
+				l.Policy = LimitAbstain
+			}
+			set[l] = true
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.SetLimits(l)
+			}()
+		}
+		wg.Wait()
+		got := p.Limits()
+		if !set[got] {
+			t.Fatalf("round %d: Limits() = %+v, which no call set", round, got)
+		}
+		for i, e := range p.engs {
+			if e.Limits() != got.internal() {
+				t.Fatalf("round %d: Limits() = %+v, engine %d enforces %+v", round, got, i, e.Limits())
+			}
+		}
+	}
+}

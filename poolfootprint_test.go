@@ -38,6 +38,15 @@ func liveHeap() uint64 {
 // after every engine has matched a one-element document — its tokenizer and
 // per-document vectors made — to after the corpus, which is the memo the
 // engines share. (With a memo per engine it read 3.4–3.6×.)
+//
+// The dfa-pred row is the same shape behind a predicate, //a[x]/*^k/b and
+// //a[x]/*^k/c: the trie's steps are states of the merged NFA, so its
+// engines find their candidates through the one memo too. Its bound is
+// 1.5×, not 1.15×: what the corpus adds to each engine is also its trie
+// matcher's working state — the free lists of up to 52 open scopes and
+// their commits, about 18 KB an engine — which a pool of four holds four
+// times. It read 1.28× when the memo became the trie's (3.54× before, with
+// no memo to share); a memo per engine would read about 4×.
 func TestPoolSharesIndex(t *testing.T) {
 	const workers = 4
 	var doc strings.Builder
@@ -60,11 +69,13 @@ func TestPoolSharesIndex(t *testing.T) {
 		n     int
 		query func(i int) string
 		docs  []string
-		memo  bool // measure what the corpus adds, not the subscriptions
+		memo  bool    // measure what the corpus adds, not the subscriptions
+		bound float64 // the most FilterPool(4) may hold, in FilterSets
 	}{
-		{"predicated", 10000, func(i int) string { return fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10) }, []string{doc.String()}, false},
-		{"nfa", 10000, func(i int) string { return fmt.Sprintf("//catalog/item/f%d", i) }, []string{doc.String()}, false},
-		{"dfa", 14, func(i int) string { return "//a" + strings.Repeat("/*", 2+i/2) + "/" + "bc"[i%2:i%2+1] }, trees, true},
+		{"predicated", 10000, func(i int) string { return fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10) }, []string{doc.String()}, false, 1.15},
+		{"nfa", 10000, func(i int) string { return fmt.Sprintf("//catalog/item/f%d", i) }, []string{doc.String()}, false, 1.15},
+		{"dfa", 14, func(i int) string { return "//a" + strings.Repeat("/*", 2+i/2) + "/" + "bc"[i%2:i%2+1] }, trees, true, 1.15},
+		{"dfa-pred", 14, func(i int) string { return "//a[x]" + strings.Repeat("/*", 2+i/2) + "/" + "bc"[i%2:i%2+1] }, trees, true, 1.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The ids and texts are the caller's, built first so that what is
@@ -118,9 +129,9 @@ func TestPoolSharesIndex(t *testing.T) {
 			pool := held(NewFilterPool(workers), workers)
 			t.Logf("%s: FilterSet %.0f B, FilterPool(%d) %.0f B (%.0f and %.0f B per subscription, %.2f×)",
 				tc.name, set, workers, pool, set/float64(tc.n), pool/float64(tc.n), pool/set)
-			if pool > 1.15*set {
-				t.Errorf("%s: FilterPool(%d) holds %.0f B, %.2f× FilterSet's %.0f B; want at most 1.15×",
-					tc.name, workers, pool, pool/set, set)
+			if pool > tc.bound*set {
+				t.Errorf("%s: FilterPool(%d) holds %.0f B, %.2f× FilterSet's %.0f B; want at most %.2f×",
+					tc.name, workers, pool, pool/set, set, tc.bound)
 			}
 		})
 	}

@@ -1,8 +1,9 @@
-// Differential tests for the trie route's skeleton dispatch: spine
-// continuations are looked up through per-element frames instead of being
-// held as frontier tuples, so the shapes where one element lands on
-// several frames, several skeleton edges, or a step whose subscriptions
-// have all matched are pinned here against the tree oracle
+// Differential tests for the trie route's structural dispatch: spine
+// continuations are offered by the merged NFA's states an element enters,
+// once per open scope of their parent step, instead of being held as
+// frontier tuples, so the shapes where one element finds several parent
+// scopes, several states, or a step whose subscriptions have all matched
+// are pinned here against the tree oracle
 // (internal/semantics) — verdicts and fragments, buffered and chunked at
 // every split offset, and again with budgets breached mid-document.
 package streamxpath_test
@@ -28,8 +29,8 @@ var skeletonCases = []struct {
 	subs []string
 	docs []string
 }{
-	// Nested same-name elements under a descendant step: two open frames
-	// of one skeleton node, each candidate gated by its own origin scope.
+	// Nested same-name elements under a descendant step: two open scopes
+	// of one step, each candidate gated by its own origin scope.
 	{"nested-same-name", []string{`//a[b]//a/c`, `//a[b]//a[d]/c`, `//a//a[b]`}, []string{
 		`<a><b></b><a><c></c></a></a>`,
 		`<a><a><c></c></a></a>`,
@@ -37,7 +38,7 @@ var skeletonCases = []struct {
 		`<r><a><a><b></b></a><a><c></c></a></a></r>`,
 		`<a><a><a><c></c></a><b></b></a></a>`,
 	}},
-	// One element feeding a named and a wildcard skeleton edge at once.
+	// One element entering a named and a wildcard state at once.
 	{"named-and-wildcard", []string{`//r/x[p]/y`, `//r/*[q]/y`, `//r[k]/x`, `//r[k]/*`, `/r/*[p]//*[q]`}, []string{
 		`<r><k></k><x><p></p><q></q><y></y></x></r>`,
 		`<r><x><q></q><y></y></x><z><p></p><y></y></z></r>`,

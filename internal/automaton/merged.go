@@ -16,12 +16,14 @@ import (
 // (same node test, same axis) share k trie states, so the per-event work of
 // the shared evaluation depends on the number of distinct active states, not
 // on the number of subscriptions. A linear query (the /, //, * fragment) is
-// Added and accepts its output id at its final state. A step of any other
-// query is Held — its owner, internal/engine, hangs predicates off the state
-// — and outputs nothing, so Size, the accept lists and a runner's counts are
-// the Added queries' alone. A held step may take the attribute axis: its
-// state is looked up below an element (SharedRunner.Attribute) and never
-// enters an item set.
+// Added and accepts its output id at its final state. Every step of any
+// other query, location step or predicate step, is Held — its owner,
+// internal/engine, hangs the query's nodes off the state and reads which of
+// them an element is a candidate for off the item set it enters — and
+// outputs nothing, so Size, the accept lists and a runner's counts are the
+// Added queries' alone. A held step may take the attribute axis: its state
+// is looked up below an element (SharedRunner.Attribute) and never enters an
+// item set.
 //
 // The trie is edited where it stands, in O(1) per step, and the lazy DFA —
 // one memo, read by every SharedRunner over the automaton — forgets only
@@ -151,7 +153,8 @@ func (m *MergedNFA) Add(q *query.Query, out int) (int, error) {
 
 // Hold returns the state a step along axis with node test ntest enters from
 // state from (0 is the root), and keeps it linked until Release. A query's
-// steps are held root first and released deepest first.
+// steps — a predicate's below the step it qualifies — are held root first
+// and released deepest first.
 func (m *MergedNFA) Hold(from int, axis query.Axis, ntest string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

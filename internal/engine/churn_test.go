@@ -104,6 +104,37 @@ func churnQuery(d *dice) string {
 	return b.String()
 }
 
+// churnShapes are the predicates churnShapeQuery hangs on steps: the
+// predicate-subtree shapes churnQuery never draws — a descendant step, whose
+// held state gives its parent state a descendant child, a wildcard, an
+// attribute, a group of attribute comparisons, a nested predicate (a
+// child-axis owner, parked while its scope is open) and a conjunction.
+var churnShapes = []string{"[.//b]", "[*]", "[@id]", "[@id = %d]", "[c[b]]", "[b][c]"}
+
+// churnShapeQuery draws a query of one to three steps over /, //, the four
+// names and *, with one of churnShapes on some steps. Adding and removing
+// such a query holds and releases the states of its predicate nodes.
+func churnShapeQuery(d *dice) string {
+	var b strings.Builder
+	steps := 1 + d.n(3)
+	for i := 0; i < steps; i++ {
+		b.WriteString([]string{"/", "//"}[d.n(2)])
+		if d.n(6) == 0 {
+			b.WriteString("*")
+		} else {
+			b.WriteString(churnNames[d.n(len(churnNames))])
+		}
+		if d.n(2) == 0 {
+			shape := churnShapes[d.n(len(churnShapes))]
+			if strings.Contains(shape, "%d") {
+				shape = fmt.Sprintf(shape, d.n(4))
+			}
+			b.WriteString(shape)
+		}
+	}
+	return b.String()
+}
+
 // churnTexts are the text values churnDoc draws besides single digits:
 // whitespace-padded, negative, decimal, non-numeric and empty.
 var churnTexts = []string{" 2 ", "-1", "2.0", "x", "", "3\n"}
@@ -167,9 +198,12 @@ type churnCover struct {
 	reused, crossed   [2]int // by Route
 }
 
-// runChurn plays data against one patched engine and returns what it
-// covered.
-func runChurn(t testing.TB, data []byte) churnCover {
+// runChurn plays data against one patched engine, adding the queries
+// churnQuery draws, and returns what it covered.
+func runChurn(t testing.TB, data []byte) churnCover { return runChurnWith(t, data, churnQuery) }
+
+// runChurnWith is runChurn adding the queries draw draws.
+func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover {
 	d := &dice{data: data}
 	patched := New()
 	patched.SetCapture(CaptureSlice)
@@ -231,7 +265,7 @@ func runChurn(t testing.TB, data []byte) churnCover {
 			case k < 7 && len(live) > 0:
 				remove(d.n(len(live)))
 			default:
-				add(churnQuery(d), d.n(3) == 0)
+				add(draw(d), d.n(3) == 0)
 			}
 		}
 		doc := churnDoc(d)
@@ -275,6 +309,9 @@ func runChurn(t testing.TB, data []byte) churnCover {
 			t.Fatalf("%s: matched patched=%v fresh=%v", label, got, want)
 		}
 		checkResults(t, label, patched, live, []byte(doc))
+		if mt := patched.mt; mt.tuples != 0 || len(mt.scopes) != 0 {
+			t.Fatalf("%s: %d live tuples and %d open scopes after the document", label, mt.tuples, len(mt.scopes))
+		}
 		root := tree.MustParse(doc)
 		for _, s := range live {
 			if truth := semantics.BoolEval(query.MustParse(s.src), root); truth != slices.Contains(got, s.id) {
@@ -337,9 +374,10 @@ func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []
 
 // checkIndex holds the engine's index to what add and remove maintain: one
 // result slot space — every slot held by one standing subscription, whose
-// position pos gives, or free — and, recomputed from the trie's spine nodes,
-// the count vector with its recycled ids, one merged NFA state per distinct
-// step, and the membership, order and scope tally of every state's hold.
+// position pos gives, or free — and, recomputed from the trie's spine nodes
+// and predicate subtrees, the count vector with its recycled ids, one merged
+// NFA state per distinct step, and the membership, order and scope tally of
+// every state's hold.
 func checkIndex(t testing.TB, label string, e *Engine) {
 	t.Helper()
 	holder := make([]string, len(e.pos))
@@ -375,14 +413,46 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 		}
 	}
 	runs := map[*contRun][]*tnode{}
-	// A spine node's state is a function of its parent's and its own (axis,
-	// node test), and no two steps share one.
+	// A node's state is a function of its parent's and its own (axis, node
+	// test), and no two steps share one.
 	type step struct {
 		from  int32
 		axis  query.Axis
 		ntest string
 	}
 	stateOf, stepOf := map[step]int32{}, map[int32]step{tr.root.at: {}}
+	place := func(what string, from int32, n *tnode) {
+		st := step{from, n.axis, n.ntest}
+		if at, ok := stateOf[st]; ok && at != n.at {
+			t.Fatalf("%s: %s is at state %d, a node of the same step at %d", label, what, n.at, at)
+		}
+		if other, ok := stepOf[n.at]; ok && other != st {
+			t.Fatalf("%s: %s shares state %d with another step", label, what, n.at)
+		}
+		stateOf[st], stepOf[n.at] = n.at, st
+		if h := tr.holds[n.at]; h == nil || h.desc != (n.axis == query.AxisDescendant) {
+			t.Fatalf("%s: %s is held by no state, or by one of the other axis class", label, what)
+		}
+	}
+	// A predicate node is held from the state of its parent, whose scopes
+	// are on its up stack, at its position among the parent's children; an
+	// internal one owns the id of its open scopes, whose count is zero.
+	preds := 0
+	var walkPreds func(what string, from, up int32, conj []*tnode)
+	walkPreds = func(what string, from, up int32, conj []*tnode) {
+		for i, n := range conj {
+			what := fmt.Sprintf("%s[%d %s%s]", what, i, n.axis, n.ntest)
+			preds++
+			place(what, from, n)
+			if n.kind != kindPred || n.up != up || n.pos != i || tr.holds[n.at].preds[n.slot] != n {
+				t.Fatalf("%s: predicate node misplaced (up %d, want %d; pos %d)", label, n.up, up, n.pos)
+			}
+			if len(n.conj) > 0 {
+				own(what, n.id)
+				walkPreds(what, n.at, n.id, n.conj)
+			}
+		}
+	}
 	nodes := []*tnode{tr.root}
 	for i := 0; i < len(nodes); i++ {
 		nodes = append(nodes, nodes[i].succ...)
@@ -393,17 +463,10 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 	for _, n := range nodes {
 		own(n.key, n.id)
 		if n.parent != nil {
-			st := step{n.parent.at, n.axis, n.ntest}
-			if at, ok := stateOf[st]; ok && at != n.at {
-				t.Fatalf("%s: %s is at state %d, a node of the same step at %d", label, n.key, n.at, at)
-			}
-			if other, ok := stepOf[n.at]; ok && other != st {
-				t.Fatalf("%s: %s shares state %d with another step", label, n.key, n.at)
-			}
-			stateOf[st], stepOf[n.at] = n.at, st
-			if h := tr.holds[n.at]; h.desc != (n.axis == query.AxisDescendant) {
-				t.Fatalf("%s: %s is held by a state of the other axis class", label, n.key)
-			}
+			place(n.key, n.parent.at, n)
+		}
+		if n.mem == nil {
+			walkPreds(n.key, n.at, n.id, n.conj)
 		}
 		want[n.id] = int32(len(n.terminals) + len(n.succ))
 		extracting := int32(0)
@@ -434,18 +497,23 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 			t.Fatalf("%s: %s is not among its state's members", label, n.key)
 		}
 	}
-	held := 0
+	for s, h := range tr.holds {
+		for i := 0; h != nil && i < len(h.groups); i++ {
+			g := h.groups[i]
+			own("group "+g.key, g.id, g.frags)
+			walkPreds("group "+g.key, int32(s), g.id, g.conj)
+		}
+	}
+	held, heldPreds := 0, 0
 	for s, h := range tr.holds {
 		if h == nil {
 			continue
 		}
-		for _, g := range h.groups {
-			own("group "+g.key, g.id, g.frags)
+		if _, ok := stepOf[int32(s)]; !ok || h.empty() {
+			t.Fatalf("%s: state %d holds %d members, %d groups, %d runs and %d predicate nodes, and no node is there",
+				label, s, len(h.members), len(h.groups), len(h.runs), len(h.preds))
 		}
-		if _, ok := stepOf[int32(s)]; !ok || len(h.members)+len(h.groups)+len(h.runs) == 0 {
-			t.Fatalf("%s: state %d holds %d members, %d groups and %d runs, and no spine node is there",
-				label, s, len(h.members), len(h.groups), len(h.runs))
-		}
+		heldPreds += len(h.preds)
 		held += len(h.runs)
 		for _, r := range h.runs {
 			own("run below "+r.grp.key, r.id, r.frags)
@@ -470,6 +538,9 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 	if held != len(runs) {
 		t.Fatalf("%s: %d runs held by states, %d by spine nodes", label, held, len(runs))
 	}
+	if heldPreds != preds || preds != tr.predNodes {
+		t.Fatalf("%s: %d predicate nodes held by states, %d in the trie, %d counted", label, heldPreds, preds, tr.predNodes)
+	}
 	if !slices.Equal(tr.counts, want) {
 		t.Fatalf("%s: count vector\n have %v\n want %v", label, tr.counts, want)
 	}
@@ -490,12 +561,14 @@ func TestEngineChurnMatchesFreshEngine(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		data := make([]byte, 6000) // about 120 rounds
 		rand.New(rand.NewSource(int64(seed))).Read(data)
-		c := runChurn(t, data)
-		cover.rebuilds += c.rebuilds
-		cover.shifted += c.shifted
-		for r := range cover.reused {
-			cover.reused[r] += c.reused[r]
-			cover.crossed[r] += c.crossed[r]
+		for _, draw := range []func(*dice) string{churnQuery, churnShapeQuery} {
+			c := runChurnWith(t, data, draw)
+			cover.rebuilds += c.rebuilds
+			cover.shifted += c.shifted
+			for r := range cover.reused {
+				cover.reused[r] += c.reused[r]
+				cover.crossed[r] += c.crossed[r]
+			}
 		}
 	}
 	if cover.rebuilds == 0 {

@@ -20,23 +20,25 @@
 //   - Everything else the Section 8 algorithm can stream (conjunctive
 //     univariate leaf-only-value-restricted queries: fragment.Streamable,
 //     the decision every query passes at Add) goes to a trie of spine steps
-//     whose every step is a held state of the NFA and whose predicate
-//     subtrees run the paper's frontier algorithm — tuples, candidate
-//     scopes and text buffering as in the reference filter (internal/core,
-//     which the engine is tested against and does not link), with
-//     structurally identical steps evaluated once for all subscriptions that
-//     contain them. Only predicate nodes are frontier tuples: each state an
-//     element enters offers the spine steps held there once per open scope
-//     of their parent step, so a predicated prefix costs the same whether
-//     one subscription hangs off it or a thousand. Matches below a
-//     predicated step commit conditionally and are decided the moment the
-//     predicate is satisfied, or dropped when its scope closes first. Steps
-//     that differ only in the constant of one comparison — [priority > 3],
-//     [priority > 4], … — are one predicate group (group.go): one scope, one
-//     tuple and one pending value per candidate element, resolved against
-//     all the constants by one search (a textual equality's streamed through
-//     a cursor, streq.go); the steps continuing a group's members into one
-//     state are one run, split by one search against the group's boundary.
+//     whose predicate subtrees run the paper's frontier algorithm — tuples,
+//     candidate scopes and text buffering as in the reference filter
+//     (internal/core, which the engine is tested against and does not
+//     link), with structurally identical steps evaluated once for all
+//     subscriptions that contain them. Every step of the trie, spine or
+//     predicate, is a held state of the NFA, and each state an element
+//     enters offers the nodes held there once per open scope of their
+//     parent: a predicate node's candidate is its tuple in that scope, a
+//     spine step's a scope of its own, so a predicated prefix costs the
+//     same whether one subscription hangs off it or a thousand. Matches
+//     below a predicated step commit conditionally and are decided the
+//     moment the predicate is satisfied, or dropped when its scope closes
+//     first. Steps that differ only in the constant of one comparison —
+//     [priority > 3], [priority > 4], … — are one predicate group
+//     (group.go): one scope, one tuple and one pending value per candidate
+//     element, resolved against all the constants by one search (a textual
+//     equality's streamed through a cursor, streq.go); the steps continuing
+//     a group's members into one state are one run, split by one search
+//     against the group's boundary.
 //
 // Each subscription's match latches monotonically (conjunctive matching
 // is monotone, Section 8.1), and fully matched shared states stop
@@ -344,7 +346,7 @@ func New() *Engine {
 	tab := symtab.New()
 	ix := &index{byID: map[string]*subscription{}, tab: tab}
 	nfa := automaton.NewMergedNFA(tab)
-	e := &Engine{index: ix, nfa: nfa, tr: newTrie(tab, nfa)}
+	e := &Engine{index: ix, nfa: nfa, tr: newTrie(nfa)}
 	e.fresh()
 	return e
 }
@@ -738,10 +740,10 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 	}
 	if e.lim.MaxLiveTuples > 0 {
 		// Live state is the trie matcher's tuples/scopes/pendings plus one
-		// NFA runner stack entry per open element. Before declaring a
-		// breach, sweep out dead-but-unremoved tuples — fully satisfied
-		// shared state the lazy eviction has not touched yet — so only
-		// state that can still influence a verdict counts.
+		// NFA runner stack entry per open element. A matched tuple stops
+		// counting at once; before declaring a breach, sweep out the
+		// pending leaf candidates whose tuple has matched since they
+		// opened, so only state that can still influence a verdict counts.
 		if live := e.mt.live() + e.level; live > e.lim.MaxLiveTuples {
 			e.mt.evictDead()
 			if live = e.mt.live() + e.level; live > e.lim.MaxLiveTuples {
@@ -958,22 +960,25 @@ type Stats struct {
 
 	// Per-document work and peaks. Events counts the document's events the
 	// engine dispatched (MemStats.Events) and MaxLevel is its deepest level
-	// (MemStats.MaxDepth); the rest are the trie matcher's. TupleVisits counts
-	// the candidates examined at startElement events: predicate tuples in
-	// the event's frontier buckets plus, once per open scope of its parent
-	// step, each live spine step, predicate group and run of group
-	// continuations held by a state the element entered — a group or a run
-	// is one visit, whatever its size. FrontierInserts counts predicate
-	// tuples inserted plus candidate scopes opened — the state-maintenance
-	// work visits do not see. Both grow with the distinct steps a document
-	// exercises, not with the subscription count. GroupProbes counts the
-	// candidate values resolved against a predicate group — one search or
-	// lookup each, whatever the group's size. SkimPieces counts the pieces of
-	// a skimmed remainder (MatchBytes) that helper goroutines validated on
-	// the other cores and the skim adopted: 0 on one core, for a remainder
-	// shorter than two pieces, and on the reader path, which does not skim.
-	// PeakTuples is the peak predicate frontier; spine continuations are
-	// offered by the NFA's states, not held.
+	// (MemStats.MaxDepth); the rest are the trie matcher's. TupleVisits
+	// counts the candidates offered at startElement events: once per open
+	// scope of its parent, each predicate node whose tuple there is
+	// unmatched and each spine step, predicate group and run of group
+	// continuations with subscriptions left to match, held by a state the
+	// element entered — a group or a run is one visit, whatever its size.
+	// FrontierInserts counts the predicate tuples candidate scopes open with
+	// plus the scopes — the state-maintenance work visits do not see. Both
+	// grow with the distinct steps a document exercises, not with the
+	// subscription count. GroupProbes counts the candidate values resolved
+	// against a predicate group — one search or lookup each, whatever the
+	// group's size. SkimPieces counts the pieces of a skimmed remainder
+	// (MatchBytes) that helper goroutines validated on the other cores and
+	// the skim adopted: 0 on one core, for a remainder shorter than two
+	// pieces, and on the reader path, which does not skim. PeakTuples is the
+	// peak of live predicate tuples: a tuple is live from its scope's
+	// opening until it matches, its own child-axis candidate scope opens
+	// (for that scope's duration) or its scope closes. Spine continuations
+	// are offered by the NFA's states, not held.
 	Events          int
 	TupleVisits     int
 	FrontierInserts int
@@ -1046,14 +1051,14 @@ type MemStats struct {
 	// predicate group's constants (Stats.GroupProbes), per document like
 	// Events.
 	GroupProbes int
-	// PeakLiveTuples is the peak concurrent matching state: predicate
-	// frontier tuples + open candidate scopes + pending leaf candidates,
-	// buffering or streamed (the component peaks summed — an upper bound on
-	// the true joint peak). A predicate group holds one scope, one tuple per
-	// step of its path and one pending candidate per open element, whatever
-	// its size; what that scope holds beyond a scope's cost is
-	// PeakGroupBits. Spine continuations are offered by the merged NFA's
-	// states below the open scopes, not held.
+	// PeakLiveTuples is the peak concurrent matching state: live predicate
+	// tuples (Stats.PeakTuples) + open candidate scopes + pending leaf
+	// candidates, buffering or streamed (the component peaks summed — an
+	// upper bound on the true joint peak). A predicate group holds one
+	// scope, one tuple per step of its path and one pending candidate per
+	// open element, whatever its size; what that scope holds beyond a
+	// scope's cost is PeakGroupBits. Spine continuations are offered by the
+	// merged NFA's states below the open scopes, not held.
 	PeakLiveTuples int
 	// PeakGroupBits is the peak of the index state held by open group
 	// scopes and streamed candidates: ⌈log₂(|group|+1)⌉ bits for a

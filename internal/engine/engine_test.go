@@ -285,10 +285,15 @@ func randQuery(rng *rand.Rand) string {
 	return b.String()
 }
 
+// randPred generates a conjunction of one or two predicate paths, whose
+// node tests include the wildcard: [*], [.//*], [@*], [* > 3] and the like.
 func randPred(rng *rand.Rand, depth int) string {
 	var conjuncts []string
 	for i := 0; i < 1+rng.Intn(2); i++ {
-		name := eqNames[rng.Intn(len(eqNames))]
+		name := query.Wildcard
+		if k := rng.Intn(len(eqNames) + 1); k < len(eqNames) {
+			name = eqNames[k]
+		}
 		axis := ""
 		switch rng.Intn(4) {
 		case 0:

@@ -5,6 +5,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -82,5 +83,54 @@ func TestSubscriptionFootprint(t *testing.T) {
 				t.Errorf("%s: rebuilds=%d subscriptions=%d, want 0 and %d", tc.name, st.Rebuilds, st.Subscriptions, n)
 			}
 		})
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMatcherHoldsNoVocabulary: what a matcher allocates for a document is
+// sized by the document's matching state, not by the names the engine's
+// symbol table has accumulated. After one document of 100,000 distinct names
+// and a late //a[zzz], the first match of <a><zzz/><b/></a> on the engine and
+// on two replicas allocates a few kilobytes each (2.4 MB each while the
+// predicate frontier was a dense index by symbol, sized to the whole table at
+// its first predicate tuple past it). The shared memo's transitions on the
+// probe's names are made first, through a third replica: a memo row is
+// indexed by symbol, and what it costs is the index's, paid once.
+func TestMatcherHoldsNoVocabulary(t *testing.T) {
+	e := New()
+	mustAdd(t, e, "b", "//a[b]")
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for i := 0; i < 100_000; i++ {
+		fmt.Fprintf(&doc, "<n%d/>", i)
+	}
+	doc.WriteString("</r>")
+	if _, err := e.MatchBytes(nil, []byte(doc.String()), CaptureOff); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, e, "zzz", "//a[zzz]")
+	r1, r2, warm := e.Replica(), e.Replica(), e.Replica()
+	probe := []byte("<a><zzz/><b/></a>")
+	match := func(e *Engine) {
+		out, err := e.MatchBytes(nil, probe, CaptureOff)
+		if err != nil || len(out.IDs) != 2 {
+			t.Fatalf("matched %v, %v; want both", out.IDs, err)
+		}
+	}
+	match(warm)
+	for i, e := range []*Engine{e, r1, r2} {
+		b := allocated(func() { match(e) })
+		t.Logf("engine %d: the first match allocated %d bytes", i, b)
+		if b >= 64<<10 {
+			t.Errorf("engine %d: the first match allocated %d bytes, want under 64 KiB", i, b)
+		}
 	}
 }

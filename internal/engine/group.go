@@ -20,9 +20,10 @@ import (
 // parsed once and resolved against every member by one search over the
 // group's constants. What the scope holds is the outcome of those searches —
 // for thresholds a single index, the boundary between the members the values
-// seen so far satisfy and the rest — so the frontier carries one entry per
-// group where the Section 8 algorithm carries one per subscriber, and
-// Theorem 8.8's per-tuple charge falls with it.
+// seen so far satisfy and the rest — so the matcher holds one tuple per
+// group where the Section 8 algorithm holds one per subscriber, and
+// Theorem 8.8's per-tuple charge falls with it. The path's steps are held
+// states of the merged NFA below the members' state, one for the group.
 //
 // The continuations of a group's members are indexed the same way. The
 // ungrouped steps that continue members of one group into one state of the
@@ -194,11 +195,8 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 	p := n.parent
 	g := p.groups[key]
 	if g == nil {
-		g = &predGroup{
-			parent: p, key: key, id: t.newID(), frags: t.newID(),
-			class: class, neg: neg,
-			conj: []*tnode{t.buildPred(preds[0])},
-		}
+		g = &predGroup{parent: p, key: key, id: t.newID(), frags: t.newID(), class: class, neg: neg}
+		g.conj = []*tnode{t.buildPred(preds[0], n.at, g.id, 0)}
 		last := g.conj[0]
 		for len(last.conj) > 0 {
 			last = last.conj[0]
@@ -399,9 +397,9 @@ type parsedText struct {
 }
 
 // openGroup opens the one scope a candidate element gets for all of g's
-// members: the shared predicate path enters the frontier once, and the
-// scope goes on g's stack of open ones, where the runs of the members'
-// continuations find it.
+// members, holding one tuple for the shared predicate path, and puts it on
+// g's stack of open ones, where the path's candidates and the runs of the
+// members' continuations find it.
 func (m *matcher) openGroup(g *predGroup, origin *scope, level int) {
 	sc := m.pushScope(origin, level, g.conj)
 	sc.grp, sc.prev, m.open[g.id] = g, m.open[g.id], sc

@@ -8,7 +8,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestTupleBlockFillsCacheLines holds tupleBlock to the tuple's size: a
+// scope's children array, written by one matcher of a pool while the others
+// run on other cores, must fill whole 64-byte cache lines.
+func TestTupleBlockFillsCacheLines(t *testing.T) {
+	if b := unsafe.Sizeof(tuple{}) * tupleBlock; b%64 != 0 {
+		t.Fatalf("%d tuples are %d bytes, not whole 64-byte cache lines", tupleBlock, b)
+	}
+}
 
 // shareCase is a standing set and a corpus for TestMatchersShareIndexRace,
 // with one subscription to add and one to remove between waves. refill

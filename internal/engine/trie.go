@@ -38,26 +38,28 @@ type tnode struct {
 	// where the small fields pack into one word.
 	restricted, ne bool
 	ntest          string
-	// sym/wild are a predicate node's interned ntest: the matcher's frontier
-	// is keyed by symbol, so a startElement event dispatches on the
-	// tokenizer-supplied id without hashing the name.
-	sym  symtab.Sym
-	wild bool
 
-	// parent is the spine step this one continues (nil on the root and on
-	// predicate nodes), and at the merged NFA's state a spine node's step
-	// enters (MergedNFA.Hold), whose hold lists the node: among its members,
-	// at slot, or — when the step it continues is a group member — in run,
-	// that group's run there. key is the node's entry in parent.succIndex
-	// and succPos its position in parent.succ, kept so that unlinking it is
-	// a swap-delete. id is the spine node's entry in the trie's count vector.
-	parent  *tnode
-	run     *contRun
-	at      int32
-	slot    int
-	key     string
-	succPos int
-	id      int32
+	// at is the merged NFA's state the node's step enters (MergedNFA.Hold),
+	// whose hold lists the node: among its members or preds, at slot, or —
+	// when the spine step it continues is a group member — in run, that
+	// group's run there. parent is the spine step a spine node continues (nil
+	// on the root and on predicate nodes); key is a spine node's entry in
+	// parent.succIndex. pos is a spine node's position in parent.succ, kept so
+	// that unlinking it is a swap-delete, and a predicate node's among its
+	// parent's conj: the index of its tuple in a parent scope's children. up
+	// is the count id whose stack of open scopes (matcher.open) holds a
+	// predicate node's parent scopes: its spine node's, its group's or its
+	// parent predicate node's. id is a spine node's entry in the trie's count
+	// vector, and an internal predicate node's, whose count stays 0: the stack
+	// of its own open scopes.
+	parent *tnode
+	run    *contRun
+	at     int32
+	up     int32
+	slot   int
+	key    string
+	pos    int
+	id     int32
 
 	// mem is set on a spine node whose one predicate is a comparison of a
 	// path's value against a constant: the node is a member of a predicate
@@ -106,25 +108,32 @@ type tnode struct {
 // elements holds state.
 func (n *tnode) opens() bool { return len(n.conj) > 0 || len(n.succ) > 0 }
 
-// hold is what the trie hangs off one state of the merged NFA: the spine
-// nodes whose steps, predicates ignored, lead to it, by the scope that
-// parents them. //catalog/item[priority > 1] and [priority > 2] are two
+// hold is what the trie hangs off one state of the merged NFA: the nodes
+// whose steps, predicates ignored, lead to it, by the scope that parents
+// them. //catalog/item[priority > 1] and [priority > 2] are two
 // nodes of one state — the two members of one predicate group — and the f7
 // leaves below them two nodes of its f7 child: one run, because one group
 // scope parents them both. members are the ungrouped continuations of
 // ungrouped steps, each parented by its parent step's own scope; groups
 // hold the grouped nodes, each group parented by one step's scope; runs hold
 // the ungrouped continuations of group members, one per group, parented by
-// its scope. desc says a descendant step enters the state.
+// its scope. preds are the predicate nodes, each parented by the scopes on
+// its up stack. desc says a descendant step enters the state.
 type hold struct {
 	members []*tnode
 	groups  []*predGroup
 	runs    []*contRun
+	preds   []*tnode
 	desc    bool
 }
 
+// empty reports whether nothing hangs off the hold's state any more.
+func (h *hold) empty() bool {
+	return len(h.members)+len(h.groups)+len(h.runs)+len(h.preds) == 0
+}
+
 // holdOf returns the hold of n's state, making it for the state's first
-// spine node.
+// node.
 func (t *trie) holdOf(n *tnode) *hold {
 	if k := int(n.at) + 1 - len(t.holds); k > 0 {
 		t.holds = append(t.holds, make([]*hold, k)...)
@@ -162,15 +171,14 @@ func (t *trie) dropMember(n *tnode) {
 
 // trie is the compiled shared index for the predicate-capable route: a
 // prefix-sharing trie over canonical step keys with predicate subtrees
-// hanging off spine nodes. Node tests are interned into the engine's
-// symbol table at build time. Matching a document reads the trie and never
-// writes to it: everything per-document lives on the matcher.
+// hanging off spine nodes, every step of either kind a held state of the
+// merged NFA. Matching a document reads the trie and never writes to it:
+// everything per-document lives on the matcher.
 type trie struct {
-	tab  *symtab.Table
 	nfa  *automaton.MergedNFA
 	root *tnode
 	// holds[s] is what hangs off the merged NFA's state s, nil where no
-	// spine node's step enters it.
+	// node's step enters it.
 	holds []*hold
 	// outs[slot] is the OUT node of the trie-routed subscription holding
 	// result slot slot (index.pos) — the rest of its spine path is the parent
@@ -181,7 +189,8 @@ type trie struct {
 	// counts is what every document starts from (matcher.remaining is a copy
 	// of it), by the ids handed out by newID and recycled by freeID. A spine
 	// node's entry counts the subscriptions ending at it plus its
-	// continuations; a predicate group's its members; a run's its nodes —
+	// continuations; a predicate group's its members; a run's its nodes; an
+	// internal predicate node's nothing (the id names its open scopes) —
 	// each the number of parts below that a document has yet to match out,
 	// so an entry is positive while anything below is unmatched. A group's
 	// and a run's second entry (frags) counts the extracting subscriptions
@@ -197,10 +206,9 @@ type trie struct {
 	predNodes    int
 }
 
-// newTrie returns a trie whose spine steps are states of nfa, interning
-// predicate node tests into tab. Its root is nfa's.
-func newTrie(tab *symtab.Table, nfa *automaton.MergedNFA) *trie {
-	t := &trie{tab: tab, nfa: nfa}
+// newTrie returns a trie whose steps are states of nfa. Its root is nfa's.
+func newTrie(nfa *automaton.MergedNFA) *trie {
+	t := &trie{nfa: nfa}
 	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, id: t.newID()}
 	return t
 }
@@ -225,7 +233,7 @@ func (t *trie) freeID(id int32) { t.freeIDs = append(t.freeIDs, id) }
 // starts or stops opening scopes — the tally of p's run.
 func (t *trie) link(p, n *tnode) {
 	was := p.opens()
-	n.succPos = len(p.succ)
+	n.pos = len(p.succ)
 	if p.succIndex == nil {
 		p.succIndex = map[string]*tnode{}
 	}
@@ -240,7 +248,7 @@ func (t *trie) link(p, n *tnode) {
 func (t *trie) unlink(p, n *tnode) {
 	delete(p.succIndex, n.key)
 	last := p.succ[len(p.succ)-1]
-	p.succ[n.succPos], last.succPos = last, n.succPos
+	p.succ[n.pos], last.pos = last, n.pos
 	p.succ = p.succ[:len(p.succ)-1]
 	t.counts[p.id]--
 	if p.run != nil && !p.opens() {
@@ -287,8 +295,8 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 			child = &tnode{kind: kindSpine, axis: u.Axis, ntest: u.NTest, parent: cur, key: key, id: t.newID(),
 				at: int32(t.nfa.Hold(int(cur.at), u.Axis, u.NTest))}
 			if preds := u.PredicateChildren(); !t.joinGroup(child, preds) {
-				for _, pc := range preds {
-					child.conj = append(child.conj, t.buildPred(pc))
+				for i, pc := range preds {
+					child.conj = append(child.conj, t.buildPred(pc, child.at, child.id, i))
 				}
 				t.addMember(child)
 			}
@@ -307,12 +315,12 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 
 // remove withdraws the subscription holding result slot slot, added with
 // the same extract and every, unlinking the spine nodes only it passed
-// through — from their parent, from their state's hold, group or run, and
-// from the merged NFA — deepest first, so each is a leaf when its turn
-// comes. The scan of the OUT node's terminals is linear in the
-// subscriptions ending there (duplicates of one query). Scopes a document in
-// flight has open go stale; the engine abandons it, and matcher.reset drops
-// them without consulting the trie.
+// through, with their predicate subtrees — from their parent, from their
+// state's hold, group or run, and from the merged NFA — deepest first, so
+// each is a leaf when its turn comes. The scan of the OUT node's terminals
+// is linear in the subscriptions ending there (duplicates of one query).
+// Scopes a document in flight has open go stale; the engine abandons it,
+// and matcher.reset drops them without consulting the trie.
 func (t *trie) remove(slot int, extract, every bool) {
 	out := t.outs[slot]
 	t.outs[slot] = nil
@@ -333,30 +341,47 @@ func (t *trie) remove(slot int, extract, every bool) {
 				t.dropMember(n)
 				t.dropPreds(n.conj)
 			}
-			if h := t.holds[n.at]; len(h.members)+len(h.groups)+len(h.runs) == 0 {
-				t.holds[n.at] = nil
-			}
-			t.nfa.Release(int(n.at))
+			t.unhold(n)
 			t.freeID(n.id)
 		}
 		n = p
 	}
 }
 
-// dropPreds takes the predicate subtrees of an unlinked spine node out of
-// the trie's counts.
+// unhold gives back node n's hold of its state, dropping what the trie
+// hangs off the state once nothing is left there.
+func (t *trie) unhold(n *tnode) {
+	if t.holds[n.at].empty() {
+		t.holds[n.at] = nil
+	}
+	t.nfa.Release(int(n.at))
+}
+
+// dropPreds takes predicate subtrees, whose spine node or group is leaving
+// the trie, out of their states' holds, deepest first, and out of the
+// trie's counts.
 func (t *trie) dropPreds(nodes []*tnode) {
 	for _, n := range nodes {
-		t.predNodes--
 		t.dropPreds(n.conj)
+		t.predNodes--
+		h := t.holds[n.at]
+		last := h.preds[len(h.preds)-1]
+		h.preds[n.slot], last.slot = last, n.slot
+		h.preds = h.preds[:len(h.preds)-1]
+		t.unhold(n)
+		if len(n.conj) > 0 {
+			t.freeID(n.id)
+		}
 	}
 }
 
-// buildPred compiles one predicate-subtree node. Predicate subtrees are
+// buildPred compiles one predicate-subtree node, the pos-th conjunctive
+// child of the node or group whose step enters state from and whose scopes
+// are on stack up, and holds its step from there. Predicate subtrees are
 // built once per distinct spine step: a second subscription sharing the
 // step (equal StepKey, which covers the whole predicate) reuses the first
 // one's subtree, truth sets included.
-func (t *trie) buildPred(v *query.Node) *tnode {
+func (t *trie) buildPred(v *query.Node, from, up int32, pos int) *tnode {
 	set, _ := query.TruthSetOf(v) // Streamable found every node's set
 	n := &tnode{
 		kind:       kindPred,
@@ -364,32 +389,48 @@ func (t *trie) buildPred(v *query.Node) *tnode {
 		ntest:      v.NTest,
 		set:        set,
 		restricted: v.IsLeaf() && !set.IsAll(),
+		at:         int32(t.nfa.Hold(int(from), v.Axis, v.NTest)),
+		up:         up,
+		pos:        pos,
 	}
 	if cmp, ok := query.ComparisonOf(set); ok && n.restricted && !cmp.Numeric {
 		n.strs, n.ne = newStrIndex(cmp.Str), cmp.Op == value.OpNe
 	}
-	if n.wild = n.ntest == query.Wildcard; !n.wild {
-		n.sym = t.tab.Intern(n.ntest)
-	}
 	t.predNodes++
-	for _, c := range v.Children {
-		n.conj = append(n.conj, t.buildPred(c))
+	h := t.holdOf(n)
+	n.slot = len(h.preds)
+	h.preds = append(h.preds, n)
+	if len(v.Children) > 0 {
+		n.id = t.newID()
+	}
+	for i, c := range v.Children {
+		n.conj = append(n.conj, t.buildPred(c, n.at, n.id, i))
 	}
 	return n
 }
 
-// tuple is one frontier entry of the shared matcher: a predicate node
-// awaiting a candidate match within the candidate scope that created it —
-// the multi-query generalization of core.Tuple. A spine continuation is
-// fully determined by its open origin scope and the index, so it is offered
-// through the merged NFA's states instead.
+// tuple is one obligation of a candidate scope: a predicate node awaiting a
+// candidate match within the scope (origin) that holds it among its
+// children, one level below the scope's for a child or attribute step — the
+// multi-query generalization of core.Tuple. It is in no index: the merged
+// NFA's states offer its node to the element, once per open scope of its
+// parent, and the scope's children give the tuple.
 type tuple struct {
 	node    *tnode
-	level   int
 	origin  *scope
 	matched bool // latches like core.Tuple.Matched
-	slot    int  // index in its frontier bucket, -1 when parked/removed
+	// parked: the tuple's child-axis candidate scope is open, and no other
+	// element can be its candidate until that closes (Fig. 20 lines 10-11).
+	parked bool
 }
+
+// tupleBlock is the unit a scope's children grow by. 8 tuples are 192
+// bytes: whole 64-byte cache lines, and the allocator places an object of
+// that size on line boundaries. The matchers of a pool write their tuples
+// (matched, parked) from different cores; a smaller array could share a
+// line with another matcher's, and each write would wait for the other
+// core.
+const tupleBlock = 8
 
 // commit is one conditional match held by a gating scope: subscription
 // sub matches if the scope's predicates resolve true — in a group scope, if
@@ -421,15 +462,16 @@ type rangeCommit struct {
 // is the scope whose node this one's continues — for a spine scope the next
 // scope up the trie-ancestor chain, which is how a commit finds the
 // predicate scopes that gate it (an unrelated subscription's open predicate
-// scope must not). A spine or group scope is on its node's or group's stack
-// of open scopes (matcher.open), prev the one below it. children are the
-// conjunctive obligations, unmet of them not matched yet: matching is
-// monotone, so the scope's predicate is decided true the moment unmet
-// reaches zero (decide), and refuted if the scope closes first. commits holds the subscriptions whose match is conditional
-// on this scope's predicates (only undecided spine scopes with children
-// hold commits). cap, when non-nil, is the capture of the scope's own
-// candidate element, taken at open time for the node's terminals — they
-// are decided only later, after the element's start has streamed past.
+// scope must not). A scope is on its node's or group's stack of open scopes
+// (matcher.open), prev the one below it. children are the conjunctive
+// obligations, in the order of the node's conj, unmet of them not matched
+// yet: matching is monotone, so the scope's predicate is decided true the
+// moment unmet reaches zero (decide), and refuted if the scope closes first.
+// commits holds the subscriptions whose match is conditional on this
+// scope's predicates (only undecided spine scopes with children hold
+// commits). cap, when non-nil, is the capture of the scope's own candidate
+// element, taken at open time for the node's terminals — they are decided
+// only later, after the element's start has streamed past.
 type scope struct {
 	node   *tnode
 	origin *scope
@@ -438,7 +480,7 @@ type scope struct {
 	// spine scopes).
 	tup      *tuple
 	prev     *scope
-	children []*tuple
+	children []tuple
 	unmet    int
 	commits  []commit
 	cap      *capture
@@ -460,10 +502,11 @@ type pendingVal struct {
 	cur   cursor
 }
 
-// spineCand is what a state the current element entered offers it below
-// origin, an open scope of the parent step: a spine node, a predicate group
-// for all its members, or a run for all its nodes.
-type spineCand struct {
+// cand is what a state the current element entered offers it below origin,
+// an open scope of the parent step: a predicate node (origin's tuple of it),
+// a spine node, a predicate group for all its members, or a run for all its
+// nodes.
+type cand struct {
 	node   *tnode
 	grp    *predGroup
 	run    *contRun
@@ -485,29 +528,24 @@ type matchStats struct {
 	PeakGroupBits   int
 }
 
-// matcher is the streaming run state over a trie: a symbol-indexed
-// frontier of predicate tuples, a stack of candidate scopes with a stack per
-// spine node and group of its open ones, and pending text buffers; what it
-// decides latches in the engine's record (hits). One matcher evaluates
-// every trie-routed subscription in a single document pass, reading the
-// item sets its engine's NFA runner enters. Tuples and scopes are recycled
-// through free lists, so steady-state matching allocates nothing once the
-// document shapes have been seen.
+// matcher is the streaming run state over a trie: a stack of candidate
+// scopes, holding their tuples, with a stack per node and group of its open
+// ones, and pending text buffers; what it decides latches in the engine's
+// record (hits). One matcher evaluates every trie-routed subscription in a
+// single document pass, reading the item sets its engine's NFA runner
+// enters. Scopes are recycled through a free list, so steady-state matching
+// allocates nothing once the document shapes have been seen.
 type matcher struct {
 	tr  *trie
 	run *automaton.SharedRunner
 
-	// buckets index the predicate frontier by node-test symbol so a
-	// startElement event only touches tuples that can pass the name test:
-	// the event symbol's bucket plus the wildcard bucket. Dispatch is one
-	// dense slice index, with no per-event hashing.
-	buckets [][]*tuple
-	wild    []*tuple
-	size    int
+	// tuples counts the live tuples of the open scopes: unmatched, and not
+	// parked.
+	tuples int
 
 	// scopes are the open candidate scopes, ordered by level; open[id] tops
-	// the stack (scope.prev) of the open scopes of the spine node or group
-	// with count id id, where a candidate finds its parent scopes.
+	// the stack (scope.prev) of the open scopes of the node or group with
+	// count id id, where a candidate finds its parent scopes.
 	scopes   []*scope
 	open     []*scope
 	pendings []pendingVal
@@ -538,10 +576,9 @@ type matcher struct {
 	cm         *capman
 	capCommits int
 
-	cands      []*tuple    // scratch, reused across startElement calls
-	spine      []spineCand // scratch, likewise
-	attrs      []int       // scratch, likewise
-	freeTuples []*tuple
+	held       []*hold // scratch, reused across startElement calls
+	cands      []cand  // scratch, likewise
+	attrs      []int   // scratch, likewise
 	freeScopes []*scope
 	stats      matchStats
 }
@@ -554,11 +591,7 @@ func newMatcher(t *trie, run *automaton.SharedRunner, h *hits) *matcher {
 
 // reset prepares the matcher for the next document.
 func (m *matcher) reset() {
-	for i := range m.buckets {
-		m.buckets[i] = m.buckets[i][:0]
-	}
-	m.wild = m.wild[:0]
-	m.size = 0
+	m.tuples = 0
 	if n := len(m.tr.counts); len(m.remaining) != n {
 		m.remaining, m.open = make([]int32, n), make([]*scope, n)
 	} else if len(m.scopes) > 0 {
@@ -575,64 +608,6 @@ func (m *matcher) reset() {
 	m.stats = matchStats{}
 }
 
-// newTuple takes a tuple off the free list (or allocates one) and
-// initializes it.
-func (m *matcher) newTuple(n *tnode, level int, origin *scope) *tuple {
-	var t *tuple
-	if k := len(m.freeTuples); k > 0 {
-		t = m.freeTuples[k-1]
-		m.freeTuples = m.freeTuples[:k-1]
-	} else {
-		t = &tuple{}
-	}
-	*t = tuple{node: n, level: level, origin: origin, slot: -1}
-	return t
-}
-
-func (m *matcher) freeTuple(t *tuple) {
-	t.node, t.origin = nil, nil
-	m.freeTuples = append(m.freeTuples, t)
-}
-
-// frAdd inserts a predicate tuple into the frontier bucket of its node
-// test, growing the dense index to cover its symbol.
-func (m *matcher) frAdd(t *tuple) {
-	if t.node.wild {
-		t.slot = len(m.wild) | wildSlotBit
-		m.wild = append(m.wild, t)
-	} else {
-		s := int(t.node.sym)
-		if s >= len(m.buckets) {
-			grown := make([][]*tuple, m.tr.tab.Len())
-			copy(grown, m.buckets)
-			m.buckets = grown
-		}
-		t.slot = len(m.buckets[s])
-		m.buckets[s] = append(m.buckets[s], t)
-	}
-	m.stats.FrontierInserts++
-	m.size++
-	if m.size > m.stats.PeakTuples {
-		m.stats.PeakTuples = m.size
-	}
-}
-
-// wildSlotBit marks a slot index as referring to the wildcard bucket.
-const wildSlotBit = 1 << 30
-
-func (m *matcher) frRemove(t *tuple) {
-	b := &m.wild
-	if t.slot&wildSlotBit == 0 {
-		b = &m.buckets[t.node.sym]
-	}
-	i, last := t.slot&^wildSlotBit, len(*b)-1
-	(*b)[i] = (*b)[last]
-	(*b)[i].slot = t.slot // the last tuple moves into t's slot, bucket bit and all
-	*b = (*b)[:last]
-	t.slot = -1
-	m.size--
-}
-
 // startDocument opens the root scope: the document root is the sole
 // candidate for the query root, shared by every subscription.
 func (m *matcher) startDocument() {
@@ -644,56 +619,42 @@ func (m *matcher) startDocument() {
 	m.route(root.terminals, nil, nil, nil)
 }
 
-// candidate reports whether the element starting at elemLevel is a
-// candidate match for a live tuple t (the multi-query analog of core's
-// check; the name test is implied by the bucket the tuple came from).
-func (m *matcher) candidate(t *tuple, isAttr bool, elemLevel int) bool {
-	n := t.node
-	if (n.axis == query.AxisAttribute) != isAttr {
-		return false
-	}
-	if n.axis == query.AxisDescendant {
-		return elemLevel >= t.level
-	}
-	return elemLevel == t.level
-}
-
-// collectCands gathers the live candidates from one frontier bucket.
-// Matched tuples latch and can never accept another candidate; they are
-// evicted here, on first touch, so satisfied predicates stop costing
-// per-event work.
-func (m *matcher) collectCands(b *[]*tuple, isAttr bool, elemLevel int) {
-	for i := 0; i < len(*b); {
-		t := (*b)[i]
-		m.stats.TupleVisits++
-		if t.matched {
-			m.frRemove(t) // swaps the last tuple into slot i; rescan it
-			continue
-		}
-		if m.candidate(t, isAttr, elemLevel) {
-			m.cands = append(m.cands, t)
-		}
-		i++
-	}
-}
-
-// collectSpine gathers what the states of items hold — the members, the
-// groups and the runs — once per open scope that parents a candidate: every
-// open scope of the parent step (or group) below a descendant step, the
-// parent element's below any other. One whose subscriptions have all matched
-// is skipped uncounted — the shared form of the monotone early exit. items
-// lists a state before the states below it, so a candidate is processed
-// before any it is a step of, whose match could retire it first.
-func (m *matcher) collectSpine(items []int, elemLevel int) {
+// entered gathers the holds of the states of items that the element entered
+// by their own step. items lists a state before the states below it, and so
+// do the holds, so that a candidate is processed before any it is a step
+// of, whose match could retire it first.
+func (m *matcher) entered(items []int) {
+	m.held = m.held[:0]
 	for _, it := range items {
-		s, fresh := automaton.Fresh(it)
-		if !fresh || s >= len(m.tr.holds) || m.tr.holds[s] == nil {
-			continue
+		if s, fresh := automaton.Fresh(it); fresh && s < len(m.tr.holds) && m.tr.holds[s] != nil {
+			m.held = append(m.held, m.tr.holds[s])
 		}
-		h := m.tr.holds[s]
+	}
+}
+
+// collectPreds gathers the predicate nodes the entered states hold, once per
+// open scope that parents a candidate: every open scope of the parent node
+// (or group) below a descendant step, the parent element's below any other.
+// A scope whose tuple of the node has matched is skipped uncounted.
+func (m *matcher) collectPreds(elemLevel int) {
+	m.cands = m.cands[:0]
+	for _, h := range m.held {
+		for _, n := range h.preds {
+			m.offer(cand{node: n}, n.up, h.desc, elemLevel)
+		}
+	}
+}
+
+// collectSpine gathers what the entered states hold of the spine — the
+// members, the groups and the runs — likewise. One whose subscriptions have
+// all matched is skipped uncounted — the shared form of the monotone early
+// exit.
+func (m *matcher) collectSpine(elemLevel int) {
+	m.cands = m.cands[:0]
+	for _, h := range m.held {
 		for _, n := range h.members {
 			if m.remaining[n.id] > 0 {
-				m.offer(spineCand{node: n}, n.parent.id, h.desc, elemLevel)
+				m.offer(cand{node: n}, n.parent.id, h.desc, elemLevel)
 			}
 		}
 		for _, g := range h.groups {
@@ -702,85 +663,60 @@ func (m *matcher) collectSpine(items []int, elemLevel int) {
 				p = g.parent.mem.grp.id // a member's scopes are its group's
 			}
 			if m.remaining[g.id] > 0 {
-				m.offer(spineCand{grp: g}, p, h.desc, elemLevel)
+				m.offer(cand{grp: g}, p, h.desc, elemLevel)
 			}
 		}
 		for _, r := range h.runs {
 			if m.remaining[r.id] > 0 {
-				m.offer(spineCand{run: r}, r.grp.id, h.desc, elemLevel)
+				m.offer(cand{run: r}, r.grp.id, h.desc, elemLevel)
 			}
 		}
 	}
 }
 
-// offer gathers candidate c below each open scope of the spine node or
-// group with count id parent that parents it, the outermost first.
-func (m *matcher) offer(c spineCand, parent int32, desc bool, elemLevel int) {
-	from := len(m.spine)
+// offer gathers candidate c below each open scope of the node or group with
+// count id parent that parents it, the outermost first.
+func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
+	from := len(m.cands)
 	for sc := m.open[parent]; sc != nil && (desc || sc.level == elemLevel-1); sc = sc.prev {
+		if n := c.node; n != nil && n.kind == kindPred && sc.children[n.pos].matched {
+			continue
+		}
 		m.stats.TupleVisits++
 		c.origin = sc
-		m.spine = append(m.spine, c)
+		m.cands = append(m.cands, c)
 	}
-	slices.Reverse(m.spine[from:])
+	slices.Reverse(m.cands[from:])
 }
 
-// startElementSym offers the element to the predicate tuples in the
-// symbol's bucket and the wildcard bucket — leaves start buffering or match
-// on existence, internal nodes open candidate scopes (child-axis owners are
-// parked for the scope's duration, as in core) — and then to the spine.
+// startElementSym offers the element to what the states it entered hold —
+// an attribute's are looked up below its element's, as it enters none. The
+// predicate nodes come first: leaves start buffering or match on existence,
+// internal nodes open candidate scopes (a child-axis owner is parked for the
+// scope's duration, as in core). Then the spine: reached terminals commit
+// their subscriptions and internal nodes open candidate scopes. Each is
+// collected before it is processed: opening scopes pushes them on the
+// stacks candidates are found on, and this element's own must not be
+// offered it.
 func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 	elemLevel := m.level + 1
 	m.level = elemLevel
-	// Collect first: opening scopes mutates the buckets, and freshly
-	// inserted child tuples must not be considered for this same element.
-	m.cands = m.cands[:0]
-	if int(sym) < len(m.buckets) {
-		m.collectCands(&m.buckets[sym], isAttr, elemLevel)
-	}
-	m.collectCands(&m.wild, isAttr, elemLevel)
-	for _, t := range m.cands {
-		n := t.node
-		switch {
-		case len(n.conj) > 0:
-			if n.axis == query.AxisChild {
-				m.frRemove(t) // parked until the scope closes (Fig. 20 lines 10-11)
-			}
-			m.openScope(n, t, t.origin, elemLevel)
-		case n.restricted:
-			p := pendingVal{tup: t, level: elemLevel, start: len(m.buf)}
-			if ix := n.strs; ix != nil {
-				p.cur = cursor{ix: ix, hi: len(ix.bks)}
-				m.cursors++
-				m.noteGroupBits(ix.bits())
-			} else {
-				m.refCount++
-			}
-			m.pendings = append(m.pendings, p)
-			if len(m.pendings) > m.stats.PeakPendings {
-				m.stats.PeakPendings = len(m.pendings)
-			}
-		default:
-			m.satisfy(t)
-		}
-	}
-	m.startSpine(sym, isAttr, elemLevel)
-}
-
-// startSpine selects the element's spine candidates from the states it
-// entered — an attribute's are looked up below its element's, as it enters
-// none — then processes them: reached terminals commit their subscriptions
-// and internal nodes open candidate scopes.
-func (m *matcher) startSpine(sym symtab.Sym, isAttr bool, elemLevel int) {
-	// Collect first: this element's own scopes must not be offered it.
-	m.spine = m.spine[:0]
+	items := m.run.Entered()
 	if isAttr {
 		m.attrs = m.run.Attribute(sym, m.attrs[:0])
-		m.collectSpine(m.attrs, elemLevel)
-	} else {
-		m.collectSpine(m.run.Entered(), elemLevel)
+		items = m.attrs
 	}
-	for _, c := range m.spine {
+	m.entered(items)
+	if m.tuples > 0 {
+		// (Zero: every tuple has matched or is parked below its own open
+		// scope, so no predicate node has a candidate.)
+		m.collectPreds(elemLevel)
+		for _, c := range m.cands {
+			m.startPred(c.node, &c.origin.children[c.node.pos], c.origin, elemLevel)
+		}
+	}
+	m.collectSpine(elemLevel)
+	for _, c := range m.cands {
 		switch {
 		case c.run != nil:
 			m.startRun(c.run, c.origin, elemLevel)
@@ -804,6 +740,36 @@ func (m *matcher) startSpine(sym symtab.Sym, isAttr bool, elemLevel int) {
 				m.openScope(n, nil, c.origin, elemLevel)
 			}
 		}
+	}
+}
+
+// startPred offers the current element to predicate node n's tuple t in
+// open scope origin. An earlier candidate of the element may have matched
+// the tuple already, which leaves nothing to do.
+func (m *matcher) startPred(n *tnode, t *tuple, origin *scope, level int) {
+	switch {
+	case t.matched:
+	case len(n.conj) > 0:
+		if n.axis == query.AxisChild {
+			t.parked = true
+			m.tuples--
+		}
+		m.openScope(n, t, origin, level)
+	case n.restricted:
+		p := pendingVal{tup: t, level: level, start: len(m.buf)}
+		if ix := n.strs; ix != nil {
+			p.cur = cursor{ix: ix, hi: len(ix.bks)}
+			m.cursors++
+			m.noteGroupBits(ix.bits())
+		} else {
+			m.refCount++
+		}
+		m.pendings = append(m.pendings, p)
+		if len(m.pendings) > m.stats.PeakPendings {
+			m.stats.PeakPendings = len(m.pendings)
+		}
+	default:
+		m.satisfy(t)
 	}
 }
 
@@ -850,16 +816,16 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 }
 
 // openScope opens a candidate scope for node n — of predicate tuple tup, or
-// of a spine step — inserting n's conjunctive children into the frontier.
-// Spine continuations need no insertion: a spine scope goes on its node's
-// stack of open ones, where they find it.
+// of a spine step — holding a tuple for each of n's conjunctive children. The
+// scope goes on n's stack of open ones, where the candidates of its children
+// and continuations find it.
 func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
 	sc := m.pushScope(origin, level, n.conj)
 	sc.node, sc.tup = n, tup
+	sc.prev, m.open[n.id] = m.open[n.id], sc
 	if n.kind == kindPred {
 		return
 	}
-	sc.prev, m.open[n.id] = m.open[n.id], sc
 	if len(n.conj) > 0 && len(n.terminals) > 0 {
 		// The node's own terminals are decided only with this scope's
 		// predicates; if any of them wants the element, capture it now,
@@ -871,9 +837,9 @@ func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
 	}
 }
 
-// pushScope takes a scope off the free list (or allocates one), opens it
-// below origin at level and inserts the conjunctive children conj into the
-// frontier.
+// pushScope takes a scope off the free list (or allocates one) and opens it
+// below origin at level, with a live tuple for each of the conjunctive
+// children conj.
 func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 	var sc *scope
 	if k := len(m.freeScopes); k > 0 {
@@ -883,12 +849,14 @@ func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 		sc = &scope{}
 	}
 	sc.origin, sc.level, sc.unmet = origin, level, len(conj)
-	for _, c := range conj {
-		ct := m.newTuple(c, level+1, sc)
-		sc.children = append(sc.children, ct)
-		m.frAdd(ct)
+	if n := len(conj); cap(sc.children) < n {
+		sc.children = make([]tuple, 0, (n+tupleBlock-1)/tupleBlock*tupleBlock)
 	}
-	m.stats.FrontierInserts++
+	for _, c := range conj {
+		sc.children = append(sc.children, tuple{node: c, origin: sc})
+	}
+	m.addTuples(len(conj))
+	m.stats.FrontierInserts += len(conj) + 1
 	m.scopes = append(m.scopes, sc)
 	if len(m.scopes) > m.stats.PeakScopes {
 		m.stats.PeakScopes = len(m.scopes)
@@ -1011,6 +979,9 @@ func (m *matcher) satisfy(t *tuple) {
 		return
 	}
 	t.matched = true
+	if !t.parked {
+		m.tuples--
+	}
 	sc := t.origin
 	if sc.unmet--; sc.unmet == 0 && sc.grp == nil {
 		m.decide(sc)
@@ -1042,18 +1013,17 @@ func (m *matcher) decide(sc *scope) {
 // closeScope retires a candidate scope, its child tuples and whatever it
 // still holds. A decided scope has routed everything already; an undecided
 // one is refuted, and its conditional matches die with their capture holds —
-// as do those of a group scope's members its values never satisfied. A
-// parked child-axis owner returns to the frontier for sibling candidates
-// (Fig. 21 lines 23-27) unless it has matched: the flag latches, so it can
-// never accept another; a spine or group scope leaves the top of its stack.
-// The scope and its child tuples return to the free lists (their own inner
-// scopes closed at deeper levels already).
+// as do those of a group scope's members its values never satisfied. The
+// scope leaves the top of its stack, and a parked child-axis owner is live
+// again for sibling candidates (Fig. 21 lines 23-27) unless it has matched:
+// the flag latches, so it can never accept another. The scope returns to the
+// free list (its own inner scopes closed at deeper levels already, so none
+// of its tuples is parked).
 func (m *matcher) closeScope(sc *scope) {
-	for _, c := range sc.children {
-		if c.slot >= 0 {
-			m.frRemove(c)
+	for i := range sc.children {
+		if !sc.children[i].matched {
+			m.tuples--
 		}
-		m.freeTuple(c)
 	}
 	for _, c := range sc.commits {
 		m.dropCommitCap(c.cap)
@@ -1065,12 +1035,14 @@ func (m *matcher) closeScope(sc *scope) {
 	if g := sc.grp; g != nil {
 		m.noteGroupBits(-(1 + len(sc.hits)) * g.indexBits())
 		m.open[g.id] = sc.prev
-	} else if n := sc.node; n.kind == kindPred {
-		if n.axis == query.AxisChild && !sc.tup.matched {
-			m.frAdd(sc.tup)
-		}
 	} else {
-		m.open[n.id] = sc.prev
+		m.open[sc.node.id] = sc.prev
+		if t := sc.tup; t != nil && t.parked {
+			t.parked = false
+			if !t.matched {
+				m.addTuples(1)
+			}
+		}
 	}
 	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], ranges: sc.ranges[:0], seen: seen{hits: sc.hits[:0]}}
 	m.freeScopes = append(m.freeScopes, sc)
@@ -1254,36 +1226,28 @@ func (m *matcher) undecided(rootSeen bool) bool {
 	return false
 }
 
-// live returns the matcher's live-state count: frontier tuples, open
-// candidate scopes, and pending leaf candidates, buffering or streamed.
-// This is what the MaxLiveTuples budget measures (plus the NFA runner's
-// depth term, added by the engine).
-func (m *matcher) live() int {
-	return m.size + len(m.scopes) + len(m.pendings)
+// addTuples counts n more live tuples.
+func (m *matcher) addTuples(n int) {
+	m.tuples += n
+	if m.tuples > m.stats.PeakTuples {
+		m.stats.PeakTuples = m.tuples
+	}
 }
 
-// evictDead sweeps out state that can no longer influence a verdict:
-// matched predicate tuples leave the frontier, and pending leaf candidates
-// whose tuple already matched stop buffering or streaming. Frontier tuples
-// are only unlinked, never recycled — every tuple is owned by the scope
-// that created it, which frees it when the scope closes. The per-touch
-// lazy eviction in collectCands retires most dead state already; this
-// sweep backs the live-tuple budget check, which must not declare a breach
-// on account of state that is already dead.
+// live returns the matcher's live-state count: live tuples, open candidate
+// scopes, and pending leaf candidates, buffering or streamed. This is what
+// the MaxLiveTuples budget measures (plus the NFA runner's depth term, added
+// by the engine).
+func (m *matcher) live() int {
+	return m.tuples + len(m.scopes) + len(m.pendings)
+}
+
+// evictDead sweeps out the pending leaf candidates whose tuple already
+// matched: they stop buffering or streaming. A matched tuple stops counting
+// the moment it matches; a dead pending is only noticed at its element's
+// end, so this sweep backs the live-tuple budget check, which must not
+// declare a breach on account of state that is already dead.
 func (m *matcher) evictDead() {
-	for s := -1; s < len(m.buckets); s++ {
-		b := &m.wild
-		if s >= 0 {
-			b = &m.buckets[s]
-		}
-		for i := 0; i < len(*b); {
-			if (*b)[i].matched {
-				m.frRemove((*b)[i]) // swap-remove: rescan slot i
-				continue
-			}
-			i++
-		}
-	}
 	// Compact matched pendings in place. Order is preserved, so the
 	// level-suffix invariant endElement pops by survives; buffered bytes
 	// are only reclaimed when the last consumer goes, since earlier

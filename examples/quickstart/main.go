@@ -34,10 +34,10 @@ func main() {
 		}
 		// A Filter is a one-subscription engine, and Stats is the engine's
 		// accounting: "live" counts frontier tuples + open candidate scopes
-		// + buffering leaf candidates, so the first document reads 7 live /
-		// 59 bits where the Section 8 filter alone (internal/core) holds 5
-		// tuples / 45 bits. For the paper's Fig. 22 frontier, event by
-		// event, see examples/tracer.
+		// + buffering leaf candidates at their joint peak, so the first
+		// document reads 6 live / 52 bits where the Section 8 filter alone
+		// (internal/core) holds 5 tuples / 45 bits. For the paper's Fig. 22
+		// frontier, event by event, see examples/tracer.
 		s := f.Stats()
 		fmt.Printf("%-45s -> %-5v (live %d, %d bits, %.1fx the %d-bit lower bound)\n",
 			d, matched, s.PeakLiveTuples, s.EstimatedBits, s.OptimalityRatio, s.LowerBoundBits)

@@ -636,8 +636,21 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 // state before the states below it — valid until the next event.
 func (r *SharedRunner) Entered() []int { return r.stack[len(r.stack)-1].items }
 
-// Fresh decodes an item of Entered or Attribute: its state, and whether the
-// state was entered by matching its own step rather than kept across a gap.
+// Open returns the item set the element open at level entered — level 1
+// is the root element's, and the current element's is Entered — or nil when
+// no element is open there: a read-only view of the stack, valid until the
+// next event. The runner pushes one set per element while a step is held or
+// an output is left to latch.
+func (r *SharedRunner) Open(level int) []int {
+	if level < 1 || level >= len(r.stack) {
+		return nil
+	}
+	return r.stack[level].items
+}
+
+// Fresh decodes an item of Entered, Open or Attribute: its state, and
+// whether the state was entered by matching its own step rather than kept
+// across a gap.
 func Fresh(item int) (state int, fresh bool) { return item >> 1, item&loopingBit == 0 }
 
 // Attribute appends to dst, as fresh items, the states an attribute named

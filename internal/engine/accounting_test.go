@@ -50,17 +50,19 @@ func docShape(t *testing.T, doc []byte) (events, depth int) {
 }
 
 // TestQuickstartMemStats pins the engine's reading of the quickstart query
-// under the Theorem 8.8 cost model (fragment.EstimatedBits): 7 live entries
-// at 59 bits over a 6-bit floor, where the reference filter holds 5 tuples
-// at 45 bits (TestStatsBasic in internal/core).
+// under the Theorem 8.8 cost model (fragment.EstimatedBits): 6 live entries
+// at 52 bits over a 6-bit floor, where the reference filter holds 5 tuples
+// at 45 bits (TestStatsBasic in internal/core). The joint peak is at <c>:
+// the root and a scopes, b's tuple, c's scope and its e and f tuples (c's
+// own tuple parks behind its scope).
 func TestQuickstartMemStats(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "q", "/a[c[.//e and f] and b > 5]")
 	if _, err := e.MatchBytes(nil, []byte("<a><c><e/><f/></c><b>6</b></a>"), CaptureOff); err != nil {
 		t.Fatal(err)
 	}
-	if ms := e.MemStats(); ms.PeakLiveTuples != 7 || ms.EstimatedBits != 59 || ms.LowerBoundBits != 6 {
-		t.Errorf("live %d at %d bits over a %d-bit floor, want 7 at 59 over 6", ms.PeakLiveTuples, ms.EstimatedBits, ms.LowerBoundBits)
+	if ms := e.MemStats(); ms.PeakLiveTuples != 6 || ms.EstimatedBits != 52 || ms.LowerBoundBits != 6 {
+		t.Errorf("live %d at %d bits over a %d-bit floor, want 6 at 52 over 6", ms.PeakLiveTuples, ms.EstimatedBits, ms.LowerBoundBits)
 	}
 }
 
@@ -190,18 +192,30 @@ func fanoutCatalog() []byte {
 	return []byte(b.String())
 }
 
-// TestWorkloadShapedMemStats pins the memory accounting of two benchmark
-// workloads' standing sets on one document of their corpus each, exactly:
-// serve's 32 subscriptions (the keyword equality group streams its values
-// through a cursor, so the only text held is a one-digit priority) and
+// scanQueries are the scan workload's 8 predicate-free subscriptions.
+var scanQueries = []string{
+	"/news/item", "/news/item/title", "/news//p", "/news/*/keyword",
+	"/feed/entry", "//item/body/p", "/news/item/priority", "//keyword",
+}
+
+// TestWorkloadShapedMemStats pins the memory accounting of the four
+// benchmark workloads' standing sets on one document of their corpus each,
+// exactly: serve's 32 subscriptions (the keyword equality group streams its
+// values through a cursor, so the only text held is a one-digit priority),
 // fanout-pred's 1,000 (a threshold group per prefix, whose values are
-// parsed as numbers and so are buffered).
+// parsed as numbers and so are buffered), and scan's 8 and churn's 1,000,
+// all predicate-free, which hold the root scope alone. The predicated rows'
+// peak is the joint one: fanout-pred's is the root scope, an item's group
+// scope and its priority's pending, the group's tuple parked behind it —
+// //catalog opens no scope.
 func TestWorkloadShapedMemStats(t *testing.T) {
 	serve, extract := serveQueries()
-	var fanout []string
+	var fanout, churn []string
 	for i := 0; i < 1000; i++ {
 		fanout = append(fanout, fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10))
+		churn = append(churn, fmt.Sprintf("//catalog/item/f%d", i))
 	}
+	none := func(int) bool { return false }
 	for _, c := range []struct {
 		name                           string
 		srcs                           []string
@@ -209,8 +223,10 @@ func TestWorkloadShapedMemStats(t *testing.T) {
 		doc                            []byte
 		live, buffered, groupBits, est int
 	}{
-		{"serve", serve, extract, serveFeed(), 9, 1, 11, 102},
-		{"fanout-pred", fanout, func(int) bool { return false }, fanoutCatalog(), 5, 2, 4, 92},
+		{"serve", serve, extract, serveFeed(), 7, 1, 11, 84},
+		{"fanout-pred", fanout, none, fanoutCatalog(), 3, 2, 4, 64},
+		{"scan", scanQueries, none, serveFeed(), 1, 0, 0, 10},
+		{"churn", churn, none, fanoutCatalog(), 1, 0, 0, 16},
 	} {
 		e := New()
 		for i, src := range c.srcs {

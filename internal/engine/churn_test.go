@@ -303,6 +303,7 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 				t.Fatalf("%s: event %d: MatchedCount patched=%d fresh=%d", label, n, p, f)
 			}
 			checkResults(t, fmt.Sprintf("%s: event %d", label, n), patched, live, nil)
+			checkLive(t, fmt.Sprintf("%s: event %d", label, n), patched)
 		}
 		got, want := patched.MatchedIDs(), fresh.MatchedIDs()
 		if !slices.Equal(got, want) {
@@ -369,6 +370,34 @@ func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []
 	}
 	if !slices.Equal(frags, extracting) {
 		t.Fatalf("%s: fragments for %v, the matched extracting subscriptions are %v", label, frags, extracting)
+	}
+}
+
+// checkLive is one walk of the matcher's live structures, held against what
+// the matcher counts as it goes: the open scopes' tuples that are neither
+// matched nor parked behind an open candidate, plus the scopes, plus the
+// pending leaf candidates, are live(); no step whose path carries no
+// predicate holds a scope but the root; and MemStats' peak is at least what
+// is live now.
+func checkLive(t testing.TB, label string, e *Engine) {
+	t.Helper()
+	m := e.mt
+	n := len(m.scopes) + len(m.pendings)
+	for _, sc := range m.scopes {
+		if sc.node != nil && sc.node.free && sc.node != e.tr.root {
+			t.Fatalf("%s: free step %s holds a scope", label, sc.node.key)
+		}
+		for i := range sc.children {
+			if c := &sc.children[i]; !c.matched && !c.parked {
+				n++
+			}
+		}
+	}
+	if live := m.live(); n != live {
+		t.Fatalf("%s: %d live tuples, scopes and pendings recounted, live() = %d", label, n, live)
+	}
+	if peak := e.MemStats().PeakLiveTuples; peak < n {
+		t.Fatalf("%s: %d live, above the peak %d", label, n, peak)
 	}
 }
 

@@ -29,7 +29,11 @@
 //     enters offers the nodes held there once per open scope of their
 //     parent: a predicate node's candidate is its tuple in that scope, a
 //     spine step's a scope of its own, so a predicated prefix costs the
-//     same whether one subscription hangs off it or a thousand. Matches
+//     same whether one subscription hangs off it or a thousand. A scope is
+//     held only where a predicate needs one: a spine step with no
+//     predicate on its path from the root is free — the item set the
+//     element entered says all there is to know about it — so it opens no
+//     scope, and what continues it is offered once per element. Matches
 //     below a predicated step commit conditionally and are decided the
 //     moment the predicate is satisfied, or dropped when its scope closes
 //     first. Steps that differ only in the constant of one comparison —
@@ -692,9 +696,10 @@ func (e *Engine) startDocument() error {
 	}
 	e.started = true
 	e.events++
-	// Both routes open the document whatever they hold: the trie's root
-	// scope is the one unit of live state an engine with no trie-routed
-	// subscription still counts against MaxLiveTuples.
+	// Both routes open the document whatever they hold. The trie's root
+	// scope, the one scope of a free step, is what MaxLiveTuples and
+	// MemStats count of an engine with no trie-routed subscription — the
+	// document is open, and the root element not yet seen.
 	e.runner.StartDocument()
 	e.mt.startDocument()
 	return nil
@@ -961,24 +966,28 @@ type Stats struct {
 	// Per-document work and peaks. Events counts the document's events the
 	// engine dispatched (MemStats.Events) and MaxLevel is its deepest level
 	// (MemStats.MaxDepth); the rest are the trie matcher's. TupleVisits
-	// counts the candidates offered at startElement events: once per open
-	// scope of its parent, each predicate node whose tuple there is
-	// unmatched and each spine step, predicate group and run of group
-	// continuations with subscriptions left to match, held by a state the
-	// element entered — a group or a run is one visit, whatever its size.
-	// FrontierInserts counts the predicate tuples candidate scopes open with
-	// plus the scopes — the state-maintenance work visits do not see. Both
-	// grow with the distinct steps a document exercises, not with the
-	// subscription count. GroupProbes counts the candidate values resolved
-	// against a predicate group — one search or lookup each, whatever the
-	// group's size. SkimPieces counts the pieces of a skimmed remainder
+	// counts the candidates offered at startElement events, held by a state
+	// the element entered: each predicate node whose tuple is unmatched,
+	// once per open scope of its parent, and each spine step, predicate
+	// group and run of group continuations with subscriptions left to
+	// match, once per open scope of the step it continues — once per
+	// element when that step is free (no predicate on its path from the
+	// root), as it opens no scope. A group or a run is one visit, whatever
+	// its size. FrontierInserts counts the predicate tuples candidate scopes
+	// open with plus the scopes — the state-maintenance work visits do not
+	// see; a free step's candidate inserts nothing. Both grow with the
+	// distinct steps a document exercises, not with the subscription count
+	// or the depth of unpredicated nesting. GroupProbes counts the candidate
+	// values resolved against a predicate group — one search or lookup
+	// each, whatever the group's size. SkimPieces counts the pieces of a skimmed remainder
 	// (MatchBytes) that helper goroutines validated on the other cores and
 	// the skim adopted: 0 on one core, for a remainder shorter than two
 	// pieces, and on the reader path, which does not skim. PeakTuples is the
 	// peak of live predicate tuples: a tuple is live from its scope's
-	// opening until it matches, its own child-axis candidate scope opens
-	// (for that scope's duration) or its scope closes. Spine continuations
-	// are offered by the NFA's states, not held.
+	// opening until it matches, a child-axis candidate of it opens — an
+	// internal node's scope or a restricted leaf's pending, for as long as
+	// that is open — or its scope closes. Spine continuations are offered by
+	// the NFA's states, not held.
 	Events          int
 	TupleVisits     int
 	FrontierInserts int
@@ -1052,13 +1061,16 @@ type MemStats struct {
 	// Events.
 	GroupProbes int
 	// PeakLiveTuples is the peak concurrent matching state: live predicate
-	// tuples (Stats.PeakTuples) + open candidate scopes + pending leaf
-	// candidates, buffering or streamed (the component peaks summed — an
-	// upper bound on the true joint peak). A predicate group holds one
-	// scope, one tuple per step of its path and one pending candidate per
-	// open element, whatever its size; what that scope holds beyond a
-	// scope's cost is PeakGroupBits. Spine continuations are offered by the
-	// merged NFA's states below the open scopes, not held.
+	// tuples + open candidate scopes + pending leaf candidates, buffering or
+	// streamed, counted together after each start event (the only events at
+	// which the sum grows) — the count Limits.MaxLiveTuples budgets, less
+	// the budget's depth term. A predicate group holds one scope, one tuple
+	// per step of its path and one pending candidate per open element,
+	// whatever its size; what that scope holds beyond a scope's cost is
+	// PeakGroupBits. Spine continuations are offered by the merged NFA's
+	// states, not held, and a step with no predicate on its path from the
+	// root opens no scope; the document root's is the one scope such a step
+	// holds.
 	PeakLiveTuples int
 	// PeakGroupBits is the peak of the index state held by open group
 	// scopes and streamed candidates: ⌈log₂(|group|+1)⌉ bits for a
@@ -1070,8 +1082,11 @@ type MemStats struct {
 	// the dead cursor).
 	PeakGroupBits int
 	// PeakScopes / PeakPendings / PeakBufferedBytes are the component
-	// peaks: open candidate scopes, pending leaf candidates (buffering or
-	// streamed), and buffered candidate-text bytes (the paper's w term).
+	// peaks, each taken on its own: open candidate scopes (the root's, and
+	// those of predicated steps and of the steps below one), pending leaf
+	// candidates (buffering or streamed), and buffered candidate-text bytes
+	// (the paper's w term). PeakScopes + PeakPendings + Stats.PeakTuples
+	// bounds PeakLiveTuples from above.
 	// Only numeric comparisons, string functions and other truth sets
 	// buffer their candidates' text; a textual = or != streams it through
 	// a cursor and adds nothing here.
@@ -1111,7 +1126,7 @@ func (e *Engine) MemStats() MemStats {
 	st := MemStats{
 		Events:            e.events,
 		GroupProbes:       ms.GroupProbes,
-		PeakLiveTuples:    ms.PeakTuples + ms.PeakScopes + ms.PeakPendings,
+		PeakLiveTuples:    ms.PeakLive,
 		PeakGroupBits:     ms.PeakGroupBits,
 		PeakScopes:        ms.PeakScopes,
 		PeakPendings:      ms.PeakPendings,

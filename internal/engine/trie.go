@@ -35,9 +35,13 @@ type tnode struct {
 	kind nodeKind
 	axis query.Axis
 	// restricted and ne belong with set and strs below; they sit here,
-	// where the small fields pack into one word.
-	restricted, ne bool
-	ntest          string
+	// where the small fields pack into one word. free marks a spine step
+	// whose path from the root, itself included, carries no predicate (the
+	// root is free): the merged NFA's item sets say all there is to know
+	// about its candidates, so it opens no scope (opens), and what continues
+	// it is offered once per element, below no scope (matcher.offer).
+	restricted, ne, free bool
+	ntest                string
 
 	// at is the merged NFA's state the node's step enters (MergedNFA.Hold),
 	// whose hold lists the node: among its members or preds, at slot, or —
@@ -104,9 +108,22 @@ type tnode struct {
 }
 
 // opens reports whether a candidate element for spine node n opens a scope:
-// only a step with predicates to resolve or continuations to offer later
-// elements holds state.
-func (n *tnode) opens() bool { return len(n.conj) > 0 || len(n.succ) > 0 }
+// only a step with predicates to resolve, or with continuations whose
+// matches a predicated ancestor gates, holds state.
+func (n *tnode) opens() bool { return len(n.conj) > 0 || len(n.succ) > 0 && !n.free }
+
+// scopes returns the count id of the stack that holds spine node n's open
+// scopes — its group's for a group member — or -1 for a free step, which
+// opens none.
+func (n *tnode) scopes() int32 {
+	switch {
+	case n.free:
+		return -1
+	case n.mem != nil:
+		return n.mem.grp.id
+	}
+	return n.id
+}
 
 // hold is what the trie hangs off one state of the merged NFA: the nodes
 // whose steps, predicates ignored, lead to it, by the scope that parents
@@ -118,12 +135,15 @@ func (n *tnode) opens() bool { return len(n.conj) > 0 || len(n.succ) > 0 }
 // hold the grouped nodes, each group parented by one step's scope; runs hold
 // the ungrouped continuations of group members, one per group, parented by
 // its scope. preds are the predicate nodes, each parented by the scopes on
-// its up stack. desc says a descendant step enters the state.
+// its up stack. desc says a descendant step enters the state. free is the
+// free member, if any: one at most, as a free step's key is its axis and
+// node test.
 type hold struct {
 	members []*tnode
 	groups  []*predGroup
 	runs    []*contRun
 	preds   []*tnode
+	free    *tnode
 	desc    bool
 }
 
@@ -155,6 +175,9 @@ func (t *trie) addMember(n *tnode) {
 	h := t.holdOf(n)
 	n.slot = len(h.members)
 	h.members = append(h.members, n)
+	if n.free {
+		h.free = n
+	}
 }
 
 // dropMember undoes addMember.
@@ -167,6 +190,9 @@ func (t *trie) dropMember(n *tnode) {
 	last := h.members[len(h.members)-1]
 	h.members[n.slot], last.slot = last, n.slot
 	h.members = h.members[:len(h.members)-1]
+	if h.free == n {
+		h.free = nil
+	}
 }
 
 // trie is the compiled shared index for the predicate-capable route: a
@@ -209,7 +235,7 @@ type trie struct {
 // newTrie returns a trie whose steps are states of nfa. Its root is nfa's.
 func newTrie(nfa *automaton.MergedNFA) *trie {
 	t := &trie{nfa: nfa}
-	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, id: t.newID()}
+	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, id: t.newID(), free: true}
 	return t
 }
 
@@ -292,9 +318,10 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 		key := query.StepKey(u)
 		child := cur.succIndex[key]
 		if child == nil {
+			preds := u.PredicateChildren()
 			child = &tnode{kind: kindSpine, axis: u.Axis, ntest: u.NTest, parent: cur, key: key, id: t.newID(),
-				at: int32(t.nfa.Hold(int(cur.at), u.Axis, u.NTest))}
-			if preds := u.PredicateChildren(); !t.joinGroup(child, preds) {
+				at: int32(t.nfa.Hold(int(cur.at), u.Axis, u.NTest)), free: cur.free && len(preds) == 0}
+			if !t.joinGroup(child, preds) {
 				for i, pc := range preds {
 					child.conj = append(child.conj, t.buildPred(pc, child.at, child.id, i))
 				}
@@ -521,6 +548,7 @@ type matchStats struct {
 	TupleVisits     int
 	FrontierInserts int
 	GroupProbes     int
+	PeakLive        int
 	PeakTuples      int
 	PeakScopes      int
 	PeakPendings    int
@@ -609,7 +637,8 @@ func (m *matcher) reset() {
 }
 
 // startDocument opens the root scope: the document root is the sole
-// candidate for the query root, shared by every subscription.
+// candidate for the query root, shared by every subscription. It is the one
+// scope of a free step, kept for the level-0 avenues of undecided.
 func (m *matcher) startDocument() {
 	root := m.tr.root
 	m.openScope(root, nil, nil, 0)
@@ -617,6 +646,7 @@ func (m *matcher) startDocument() {
 	// "matched element" is the document itself, which has no source
 	// region, so they never carry a fragment.
 	m.route(root.terminals, nil, nil, nil)
+	m.notePeak()
 }
 
 // entered gathers the holds of the states of items that the element entered
@@ -646,24 +676,20 @@ func (m *matcher) collectPreds(elemLevel int) {
 }
 
 // collectSpine gathers what the entered states hold of the spine — the
-// members, the groups and the runs — likewise. One whose subscriptions have
-// all matched is skipped uncounted — the shared form of the monotone early
-// exit.
+// members, the groups and the runs — likewise, or once when they continue a
+// free step. One whose subscriptions have all matched is skipped uncounted —
+// the shared form of the monotone early exit.
 func (m *matcher) collectSpine(elemLevel int) {
 	m.cands = m.cands[:0]
 	for _, h := range m.held {
 		for _, n := range h.members {
 			if m.remaining[n.id] > 0 {
-				m.offer(cand{node: n}, n.parent.id, h.desc, elemLevel)
+				m.offer(cand{node: n}, n.parent.scopes(), h.desc, elemLevel)
 			}
 		}
 		for _, g := range h.groups {
-			p := g.parent.id
-			if g.parent.mem != nil {
-				p = g.parent.mem.grp.id // a member's scopes are its group's
-			}
 			if m.remaining[g.id] > 0 {
-				m.offer(cand{grp: g}, p, h.desc, elemLevel)
+				m.offer(cand{grp: g}, g.parent.scopes(), h.desc, elemLevel)
 			}
 		}
 		for _, r := range h.runs {
@@ -675,8 +701,15 @@ func (m *matcher) collectSpine(elemLevel int) {
 }
 
 // offer gathers candidate c below each open scope of the node or group with
-// count id parent that parents it, the outermost first.
+// count id parent that parents it, the outermost first — or, when parent is
+// -1 (c continues a free step), once, below none: the element entered c's
+// state by its own step, so it matched the predicate-free path above.
 func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
+	if parent < 0 {
+		m.stats.TupleVisits++
+		m.cands = append(m.cands, c)
+		return
+	}
 	from := len(m.cands)
 	for sc := m.open[parent]; sc != nil && (desc || sc.level == elemLevel-1); sc = sc.prev {
 		if n := c.node; n != nil && n.kind == kindPred && sc.children[n.pos].matched {
@@ -741,19 +774,25 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 			}
 		}
 	}
+	m.notePeak()
 }
 
 // startPred offers the current element to predicate node n's tuple t in
 // open scope origin. An earlier candidate of the element may have matched
-// the tuple already, which leaves nothing to do.
+// the tuple already, which leaves nothing to do. A child-axis tuple parks
+// behind its candidate — an internal node's scope or a restricted leaf's
+// pending — while that is open: no sibling can be a candidate meanwhile
+// (Fig. 20 lines 10-11). (An existence leaf's parks and matches at once.)
 func (m *matcher) startPred(n *tnode, t *tuple, origin *scope, level int) {
+	if t.matched {
+		return
+	}
+	if n.axis == query.AxisChild {
+		t.parked = true
+		m.tuples--
+	}
 	switch {
-	case t.matched:
 	case len(n.conj) > 0:
-		if n.axis == query.AxisChild {
-			t.parked = true
-			m.tuples--
-		}
 		m.openScope(n, t, origin, level)
 	case n.restricted:
 		p := pendingVal{tup: t, level: level, start: len(m.buf)}
@@ -958,6 +997,7 @@ func (m *matcher) endElement() {
 		if p.cur.ix == nil {
 			m.dropPending(p)
 		}
+		m.unpark(p.tup)
 	}
 	for len(m.scopes) > 0 {
 		sc := m.scopes[len(m.scopes)-1]
@@ -1015,10 +1055,9 @@ func (m *matcher) decide(sc *scope) {
 // one is refuted, and its conditional matches die with their capture holds —
 // as do those of a group scope's members its values never satisfied. The
 // scope leaves the top of its stack, and a parked child-axis owner is live
-// again for sibling candidates (Fig. 21 lines 23-27) unless it has matched:
-// the flag latches, so it can never accept another. The scope returns to the
-// free list (its own inner scopes closed at deeper levels already, so none
-// of its tuples is parked).
+// again for sibling candidates (unpark). The scope returns to the free list
+// (its tuples' candidates closed at deeper levels already, so none of its
+// unmatched tuples is parked).
 func (m *matcher) closeScope(sc *scope) {
 	for i := range sc.children {
 		if !sc.children[i].matched {
@@ -1037,15 +1076,24 @@ func (m *matcher) closeScope(sc *scope) {
 		m.open[g.id] = sc.prev
 	} else {
 		m.open[sc.node.id] = sc.prev
-		if t := sc.tup; t != nil && t.parked {
-			t.parked = false
-			if !t.matched {
-				m.addTuples(1)
-			}
+		if sc.tup != nil {
+			m.unpark(sc.tup)
 		}
 	}
 	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], ranges: sc.ranges[:0], seen: seen{hits: sc.hits[:0]}}
 	m.freeScopes = append(m.freeScopes, sc)
+}
+
+// unpark makes tuple t, whose candidate has just closed, live again for
+// its siblings (Fig. 21 lines 23-27) unless it has matched: the flag
+// latches, so it can never accept another.
+func (m *matcher) unpark(t *tuple) {
+	if t.parked {
+		t.parked = false
+		if !t.matched {
+			m.addTuples(1)
+		}
+	}
 }
 
 // gate returns the nearest scope up the trie-ancestor chain from from whose
@@ -1166,20 +1214,16 @@ func (m *matcher) unmatched(outs []int) bool {
 
 // undecided reports whether some subscription's verdict is still open: not
 // yet matched, and supported by at least one avenue a continuation of the
-// document could still complete. Avenues are, per open spine scope,
+// document could still complete. Avenues are, per open spine step — a spine
+// scope, or the free step an open element entered (read off the NFA
+// runner's open levels, as a free step opens no scope) —
 //
-//   - a continuation of its node that some element yet to start could be
-//     a candidate for. Below an open element that is every continuation
-//     with unmatched subscriptions — more children (or, for descendant
-//     axes, arbitrary descendants) may start — but a non-descendant step
-//     expecting its candidate at level 1 died the moment the document's
-//     one root element opened: no second level-1 element will ever start.
-//     (Attribute steps at level 1 could never match at all; the same test
-//     retires them.)
-//   - undecided predicates: the scope's conditional commits — and the
+//   - a continuation some element yet to start could be a candidate for
+//     (owes).
+//   - undecided predicates of a scope: its conditional commits — and the
 //     node's own terminals — are decided the moment its last child tuple
 //     matches, or refuted when it closes, so they are pessimistically
-//     alive until one or the other.
+//     alive until one or the other. A free step has none.
 //
 // A group scope is an open element with unresolved predicates for every
 // member, so both avenues are open to every unmatched subscription that
@@ -1187,12 +1231,12 @@ func (m *matcher) unmatched(outs []int) bool {
 // remaining count is the whole answer.
 //
 // A subscription with no avenue left can never match (conjunctive
-// matching is monotone and candidates only arrive through open scopes),
-// so its negative verdict is final mid-stream. The remaining counts say
+// matching is monotone and candidates only arrive below open steps), so
+// its negative verdict is final mid-stream. The remaining counts say
 // whether anything unmatched lies below a step, so the sweep is
-// O(scopes + their continuations + their commits) and stops at the first
-// open verdict; callers probe it per chunk, not per event. rootSeen says the
-// document's root element has started.
+// O(scopes + open levels' items + their continuations + their commits) and
+// stops at the first open verdict; callers probe it per chunk, not per
+// event. rootSeen says the document's root element has started.
 func (m *matcher) undecided(rootSeen bool) bool {
 	if m.remaining[m.tr.root.id] == 0 {
 		return false // every trie-routed subscription has matched
@@ -1204,12 +1248,7 @@ func (m *matcher) undecided(rootSeen bool) bool {
 				return true
 			}
 		case sc.node.kind == kindSpine:
-			for _, c := range sc.node.succ {
-				if m.remaining[c.id] > 0 && (c.axis == query.AxisDescendant || sc.level > 0 || !rootSeen) {
-					return true
-				}
-			}
-			if sc.unmet > 0 && m.unmatched(sc.node.terminals) {
+			if m.owes(sc.node, sc.level, rootSeen) || sc.unmet > 0 && m.unmatched(sc.node.terminals) {
 				return true
 			}
 		default:
@@ -1221,6 +1260,36 @@ func (m *matcher) undecided(rootSeen bool) bool {
 			if !m.hits.matched(c.sub) {
 				return true
 			}
+		}
+	}
+	holds := m.tr.holds
+	for level := 1; ; level++ {
+		items := m.run.Open(level)
+		if items == nil {
+			return false
+		}
+		for _, it := range items {
+			if s, fresh := automaton.Fresh(it); fresh && s < len(holds) && holds[s] != nil {
+				if n := holds[s].free; n != nil && m.owes(n, level, rootSeen) {
+					return true
+				}
+			}
+		}
+	}
+}
+
+// owes reports whether spine node n, a candidate of which is open at level,
+// has a continuation that some element yet to start could be a candidate
+// for. Below an open element that is every continuation with unmatched
+// subscriptions — more children (or, for descendant axes, arbitrary
+// descendants) may start — but a non-descendant step expecting its
+// candidate at level 1 died the moment the document's one root element
+// opened: no second level-1 element will ever start. (Attribute steps at
+// level 1 could never match at all; the same test retires them.)
+func (m *matcher) owes(n *tnode, level int, rootSeen bool) bool {
+	for _, c := range n.succ {
+		if m.remaining[c.id] > 0 && (c.axis == query.AxisDescendant || level > 0 || !rootSeen) {
+			return true
 		}
 	}
 	return false
@@ -1240,6 +1309,13 @@ func (m *matcher) addTuples(n int) {
 // by the engine).
 func (m *matcher) live() int {
 	return m.tuples + len(m.scopes) + len(m.pendings)
+}
+
+// notePeak records the live-state count after a start event, the only
+// events at which it grows: an end event closes candidates, and a tuple it
+// unparks takes the place of the candidate it parked behind.
+func (m *matcher) notePeak() {
+	m.stats.PeakLive = max(m.stats.PeakLive, m.live())
 }
 
 // evictDead sweeps out the pending leaf candidates whose tuple already

@@ -61,10 +61,11 @@ type Limits struct {
 	// tuples plus open candidate scopes plus pending leaf candidates
 	// (the paper's frontier-size term FS(Q), times recursion on recursive
 	// documents). In the shared engine only predicate steps hold frontier
-	// tuples — a subscription's location-step continuations are looked up
-	// from its open scopes, not held — and dead-but-unremoved tuples are
-	// evicted before a breach is declared, so the budget measures state
-	// that could still influence a verdict.
+	// tuples — a subscription's location-step continuations are offered by
+	// the shared automaton's states, not held, and a step with no predicate
+	// on its path from the root opens no scope — and dead-but-unremoved
+	// tuples are evicted before a breach is declared, so the budget
+	// measures state that could still influence a verdict.
 	MaxLiveTuples int
 	// MaxDocBytes bounds the total document size consumed from a reader
 	// or accepted in memory.

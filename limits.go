@@ -72,9 +72,10 @@ type Limits struct {
 	// open candidate scopes plus pending leaf candidates (the paper's
 	// FS(Q), times recursion on recursive documents). In a FilterSet only
 	// predicate steps hold frontier tuples — location-step continuations
-	// are looked up from the open scopes, not held — and dead-but-unremoved
-	// tuples are evicted before a breach is declared, so the budget
-	// measures state that could still influence a verdict.
+	// are offered by the shared automaton's states, not held, and a step
+	// with no predicate on its path from the root opens no scope — and
+	// dead-but-unremoved tuples are evicted before a breach is declared,
+	// so the budget measures state that could still influence a verdict.
 	MaxLiveTuples int
 	// MaxDocBytes bounds the total document size: bytes consumed from a
 	// reader, or the slice length on the in-memory paths.
@@ -109,9 +110,9 @@ func (l Limits) internal() limits.Limits {
 type LimitError = limits.Error
 
 // MemStats is the live-memory accounting of one document, with the
-// paper's cost model and lower bound applied: component peaks of the
-// matching state, the bits they correspond to under the Theorem 8.8 cost
-// model (EstimatedBits), the paper's floor for the same document shape
+// paper's cost model and lower bound applied: the joint peak of the
+// matching state and its component peaks, the bits they correspond to
+// under the Theorem 8.8 cost model (EstimatedBits), the paper's floor for the same document shape
 // (LowerBoundBits), and their ratio — how far above the
 // information-theoretic minimum the evaluator actually sat.
 type MemStats = engine.MemStats

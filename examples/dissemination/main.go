@@ -2,10 +2,10 @@
 // paper's introduction (Altinel & Franklin's XFilter scenario, ref [1]):
 // a stream of documents matched against many standing subscriptions. The
 // subscriptions are compiled into ONE shared engine (a prefix-sharing
-// combined NFA for linear queries plus a shared frontier trie for
-// predicated ones), so each feed document is tokenized and evaluated in a
-// single pass whose per-event cost depends on how much structure the
-// subscriptions share — not on how many there are.
+// combined NFA, each subscription an output of it, plus a shared frontier
+// trie deciding the predicated ones), so each feed document is tokenized
+// and evaluated in a single pass whose per-event cost depends on how much
+// structure the subscriptions share — not on how many there are.
 //
 // Feed documents arrive as byte slices and go through MatchBytes, the
 // interned-symbol fast path: names are interned once into the engine's
@@ -98,7 +98,7 @@ func main() {
 
 	fmt.Println(strings.Repeat("-", 60))
 	fmt.Println("shared engine state:")
-	fmt.Printf("  subscriptions:     %d (%d on the combined NFA, %d on the frontier trie)\n",
+	fmt.Printf("  subscriptions:     %d outputs of the combined NFA (%d ungated, %d gated by the frontier trie)\n",
 		st.Subscriptions, st.NFARouted, st.TrieRouted)
 	fmt.Printf("  location steps:    %d across all subscriptions\n", st.SpineSteps)
 	fmt.Printf("  shared states:     %d (prefix sharing: %.1fx)\n",

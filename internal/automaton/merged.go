@@ -15,14 +15,15 @@ import (
 // family of dissemination engines. Queries that agree on their first k steps
 // (same node test, same axis) share k trie states, so the per-event work of
 // the shared evaluation depends on the number of distinct active states, not
-// on the number of subscriptions. A linear query (the /, //, * fragment) is
-// Added and accepts its output id at its final state. Every step of any
-// other query, location step or predicate step, is Held — its owner,
-// internal/engine, hangs the query's nodes off the state and reads which of
-// them an element is a candidate for off the item set it enters — and
-// outputs nothing, so Size, the accept lists and a runner's counts are the
-// Added queries' alone. A held step may take the attribute axis: its state
-// is looked up below an element (SharedRunner.Attribute) and never enters an
+// on the number of subscriptions. Every query's location path, predicates
+// ignored, is Added, with its output id at the last state. An ungated
+// output (a linear query's) is in the accept lists of the item sets holding
+// its state fresh; a gated one is its owner's, internal/engine, to decide
+// where its state is entered, and to report (SharedRunner.Latched). The
+// steps of a predicate are Held — the owner hangs its nodes off their
+// states, and reads an element's candidates off the item set it enters —
+// and output nothing. A step may take the attribute axis: its state is
+// looked up below an element (SharedRunner.Attribute) and never enters an
 // item set.
 //
 // The trie is edited where it stands, in O(1) per step, and the lazy DFA —
@@ -37,15 +38,17 @@ type MergedNFA struct {
 	tab    *symtab.Table
 	states []mstate
 	// freeStates are the slots of unlinked states, handed out again before
-	// states grows; live counts the states some Added query passes through,
-	// the root included, and held the Hold calls not yet Released.
+	// states grows; live counts the states other than the root that some
+	// ungated output passes through, and held the Hold calls not yet
+	// Released.
 	freeStates []int
 	live       int
 	held       int
 
-	// outputs counts the output ids accepted at some state. The ids are the
-	// caller's: it hands one to Add, and the runners' owners latch by it.
-	outputs int
+	// outputs counts the Added outputs, and gated the gated ones among them.
+	// The ids are the caller's: it hands one to Add, and the runners' owners
+	// latch by it.
+	outputs, gated int
 
 	// The memo: the item sets reached so far, each a dstate, from start on.
 	// index finds a set by its key, and setsOf[state] lists the sets
@@ -94,8 +97,8 @@ type mstate struct {
 	parent int
 	edge   edge
 	kids   map[edge]int
-	// outputs are the ids accepted when this state is entered by a direct
-	// match (not retained across a gap).
+	// outputs are the ungated outputs accepted when this state is entered by
+	// a direct match (not retained across a gap).
 	outputs []int
 	depth   int32
 	// descKids counts the children reached by a descendant step; only
@@ -103,10 +106,15 @@ type mstate struct {
 	// //).
 	descKids int32
 	// through counts the Added queries whose path passes through or ends at
-	// this state — the outputs accepted at it or below — and descThrough
-	// those that leave it by a descendant step; held counts the Hold calls
-	// on it. A state other than the root is unlinked when both drop to zero.
-	through, descThrough, held int32
+	// this state — the outputs at it or below — by kind (ungated, gated), and
+	// descThrough those that leave it by a descendant step; held counts the
+	// Hold calls on it. A state other than the root is unlinked when all
+	// drop to zero.
+	through, descThrough [2]int32
+	held                 int32
+	// bound says a child step from the root leads to the state: the root
+	// element's end decides its gated outputs (SharedRunner.EndElement).
+	bound bool
 }
 
 // NewMergedNFA returns an automaton containing only the root state,
@@ -117,44 +125,61 @@ func NewMergedNFA(tab *symtab.Table) *MergedNFA {
 	if tab == nil {
 		tab = symtab.New()
 	}
-	m := &MergedNFA{tab: tab, states: []mstate{{parent: -1}}, live: 1, // state 0: the query root $
+	m := &MergedNFA{tab: tab, states: []mstate{{parent: -1}}, // state 0: the query root $
 		index: map[string]*dstate{}, setsOf: map[int][]*dstate{}}
 	m.start = m.intern([]int{0}) // the root, fresh; it holds no unlinked state, so it is never dropped
 	return m
 }
 
-// Add merges a linear (predicate-free, attribute-free) path query into the
-// trie, accepting output id out at its final state, and returns that state,
-// which Remove takes back. It returns an error for queries outside the /,
-// //, * fragment.
-func (m *MergedNFA) Add(q *query.Query, out int) (int, error) {
-	if err := Linear(q); err != nil {
+// Add merges query q's location path, its predicates ignored, into the
+// trie with output id out at its final state, and returns that state, which
+// Remove takes back. An ungated output is accepted there, and must be a
+// linear query's (the /, //, * fragment): Add refuses any other.
+func (m *MergedNFA) Add(q *query.Query, out int, gated bool) (int, error) {
+	if err := Linear(q); err != nil && !gated {
 		return 0, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur := 0
-	m.states[0].through++
+	cur, k := 0, kind(gated)
 	for u := q.Root.Successor; u != nil; u = u.Successor {
 		next := m.child(cur, u.Axis, u.NTest)
 		if u.Axis == query.AxisDescendant {
-			m.states[cur].descThrough++
+			m.states[cur].descThrough[k]++
 		}
-		if m.states[next].through++; m.states[next].through == 1 {
+		if m.states[next].through[k]++; k == 0 && m.states[next].through[0] == 1 {
 			m.live++
 		}
 		cur = next
 	}
-	m.states[cur].outputs = append(m.states[cur].outputs, out)
 	m.outputs++
+	if gated {
+		m.gated++
+		return cur, nil
+	}
+	m.states[cur].outputs = append(m.states[cur].outputs, out)
 	m.accept(cur, out, true)
 	return cur, nil
 }
 
+// kind indexes the counts by output kind: 0 ungated, 1 gated.
+func kind(gated bool) int {
+	if gated {
+		return 1
+	}
+	return 0
+}
+
+// Child returns the state an Added path's step (axis, ntest) enters from.
+func (m *MergedNFA) Child(from int, axis query.Axis, ntest string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.child(from, axis, ntest)
+}
+
 // Hold returns the state a step along axis with node test ntest enters from
-// state from (0 is the root), and keeps it linked until Release. A query's
-// steps — a predicate's below the step it qualifies — are held root first
-// and released deepest first.
+// state from, and keeps it linked until Release. A predicate's steps are
+// held from the step they qualify down, and released deepest first.
 func (m *MergedNFA) Hold(from int, axis query.Axis, ntest string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -183,7 +208,8 @@ func (m *MergedNFA) child(cur int, axis query.Axis, ntest string) int {
 	if next, ok := m.states[cur].kids[e]; ok {
 		return next
 	}
-	next, fresh := len(m.states), mstate{parent: cur, edge: e, depth: m.states[cur].depth + 1}
+	next, fresh := len(m.states), mstate{parent: cur, edge: e, depth: m.states[cur].depth + 1,
+		bound: m.states[cur].bound || cur == 0 && axis == query.AxisChild}
 	if k := len(m.freeStates); k > 0 {
 		next = m.freeStates[k-1]
 		m.freeStates = m.freeStates[:k-1]
@@ -200,41 +226,44 @@ func (m *MergedNFA) child(cur int, axis query.Axis, ntest string) int {
 	return next
 }
 
-// Remove withdraws the query Add accepted out for at state cur: the id is
-// dropped and the states nothing passes through any more are unlinked. The
-// scan for the id is linear in the ids accepted at the same state
-// (duplicates of one query).
-func (m *MergedNFA) Remove(cur, out int) {
+// Remove withdraws the query Add put output out for, of the same kind, at
+// state cur: the id is dropped and the states nothing passes through any
+// more are unlinked. The scan for an ungated id is linear in the ids
+// accepted at the same state (duplicates of one query).
+func (m *MergedNFA) Remove(cur, out int, gated bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	outs := m.states[cur].outputs
-	i := slices.Index(outs, out)
-	outs[i] = outs[len(outs)-1]
-	m.states[cur].outputs = outs[:len(outs)-1]
 	m.outputs--
-	m.accept(cur, out, false)
+	if gated {
+		m.gated--
+	} else {
+		outs := m.states[cur].outputs
+		i := slices.Index(outs, out)
+		outs[i] = outs[len(outs)-1]
+		m.states[cur].outputs = outs[:len(outs)-1]
+		m.accept(cur, out, false)
+	}
 	// Counts never grow downwards, so the emptied states are a suffix of the
 	// path and each is a leaf by the time the walk reaches it.
-	for cur != 0 {
+	for k := kind(gated); cur != 0; {
 		st := &m.states[cur]
 		parent := st.parent
 		if st.edge.axis == query.AxisDescendant {
-			m.states[parent].descThrough--
+			m.states[parent].descThrough[k]--
 		}
-		if st.through--; st.through == 0 {
+		if st.through[k]--; k == 0 && st.through[0] == 0 {
 			m.live--
 		}
 		m.unlinkIdle(cur)
 		cur = parent
 	}
-	m.states[0].through--
 }
 
 // unlinkIdle unlinks state s, a leaf by now, if no query passes through it
 // and no step holds it.
 func (m *MergedNFA) unlinkIdle(s int) {
 	st := &m.states[s]
-	if st.through > 0 || st.held > 0 {
+	if st.through != [2]int32{} || st.held > 0 {
 		return
 	}
 	parent, e := st.parent, st.edge
@@ -264,10 +293,10 @@ func (m *MergedNFA) childChanged(p int, e edge, delta int) {
 	m.invalidate(p, e.sym, flipped)
 }
 
-// Size returns the number of states some Added query passes through
-// (including the root) — the shared-structure measure reported by engine
-// statistics, which counts held steps on their own.
-func (m *MergedNFA) Size() int { return m.live }
+// Size returns the number of states some ungated output passes through,
+// the root included — the shared-structure measure reported by engine
+// statistics, which counts the states of gated outputs' steps on their own.
+func (m *MergedNFA) Size() int { return m.live + 1 }
 
 // Slots returns the number of state slots allocated: the linked states of
 // either kind plus the free slots of unlinked ones, which is their peak.
@@ -321,31 +350,37 @@ func (m *MergedNFA) step(items []int, sym symtab.Sym) []int {
 }
 
 // reach counts the outputs a continuation of one or more elements can still
-// emit from an item set that has just been entered: everything accepted in
-// the subtrees under the items' enabled children — all children of a fresh
-// item, the descendant-axis ones of a looping item — except what the set's
-// own fresh states accept, which latched on entry. The subtrees of a trie
-// are nested or disjoint and the through counts give their sizes, so the
-// count needs no walk: it sums the items no other item covers.
-func (m *MergedNFA) reach(items []int) int {
-	n := 0
+// emit from an item set that has just been entered: everything, gated or
+// not, in the subtrees under the items' enabled children — all children of
+// a fresh item, the descendant-axis ones of a looping item — and the gated
+// outputs of the set's own fresh states, whose ungated ones latched on
+// entry. The subtrees of a trie are nested or disjoint and the through
+// counts give their sizes, so the count needs no walk: it sums, by kind, the
+// items no other item covers. Of the root element's set, bound counts the
+// gated outputs below a fresh state a child step from the root enters.
+func (m *MergedNFA) reach(items []int) (live [2]int, bound int) {
 	for _, it := range items {
 		s := it >> 1
 		st := &m.states[s]
 		covered := m.under(items, s)
 		switch {
 		case it&loopingBit == 0 && covered:
-			n -= len(st.outputs) // counted by the covering item, and latched
+			live[0] -= len(st.outputs) // counted by the covering item, and latched
 		case it&loopingBit == 0:
-			n += int(st.through) - len(st.outputs)
+			live[0] += int(st.through[0]) - len(st.outputs)
+			live[1] += int(st.through[1])
+			if st.bound {
+				bound += int(st.through[1])
+			}
 		case !covered:
 			// (A state held fresh and looping at once was entered at two
 			// depths, so a descendant step leads to it and the looping item
 			// of that step's origin covers both.)
-			n += int(st.descThrough)
+			live[0] += int(st.descThrough[0])
+			live[1] += int(st.descThrough[1])
 		}
 	}
-	return n
+	return live, bound
 }
 
 // under reports whether state s lies in the subtree under an enabled child
@@ -416,7 +451,7 @@ func (m *MergedNFA) transition(from *dstate, sym symtab.Sym) *dstate {
 		if r != nil {
 			old = *r
 		}
-		n := max(int(sym)+1, min(2*len(old), m.tab.Len()))
+		n := max(int(sym)+1, 2*len(old))
 		grown := make(row, n)
 		for i := range old {
 			grown[i].Store(old[i].Load())
@@ -545,15 +580,16 @@ type SharedRunner struct {
 	stack []*dstate
 	depth int // levels processed while short-circuited
 	left  int // outputs not yet matched
-	// liveLeft counts the outputs whose verdict is still open. XML has
+	// live counts the outputs whose verdict is still open, by kind. XML has
 	// exactly one root element (the tokenizers reject a second), so the
 	// moment the root's item set is pushed, the outputs any document
 	// suffix can still emit are fixed: the automaton's reach from that
-	// set. From then on liveLeft counts those not yet matched — when it
-	// hits zero every remaining output is decided negative and the runner
-	// stops doing per-element work. Before the root element every output
-	// is live.
-	liveLeft  int
+	// set. From then on live counts those not yet matched (StartElementSym
+	// says what the runner stops doing when none is left); before the root
+	// element every output is live. bound counts the live gated outputs
+	// below a child step from the root.
+	live      [2]int
+	bound     int
 	peakStack int
 
 	// latch is the owner's record of the document's verdicts: it is handed
@@ -582,7 +618,7 @@ func (r *SharedRunner) Reset() {
 	r.stack = r.stack[:0]
 	r.depth = 0
 	r.left = r.m.outputs
-	r.liveLeft = r.left
+	r.live, r.bound = [2]int{r.left - r.m.gated, r.m.gated}, 0
 	r.peakStack = 0
 }
 
@@ -593,11 +629,11 @@ func (r *SharedRunner) StartDocument() {
 
 // StartElementSym processes a startElement event whose name was interned
 // by the tokenizer, latching any outputs accepted by the transition.
-// Once every output has matched — or every still-live output has, so the
-// rest are decided negative — nothing is left to latch, and with no step
-// held the runner only counts depth (the per-subscription monotone early
-// exit, applied to the whole shared index); a held step's owner reads
-// every element's item set, so the runner steps on. The liveLeft shortcut
+// Once every output has matched — or every still-live ungated output has,
+// so the rest are decided negative — no accept list is left to latch, and
+// with no step held and no gated output, whose owners read every element's
+// item set, the runner only counts depth (the per-subscription monotone
+// early exit, applied to the whole shared index). The live shortcut
 // applies only inside an element (stack depth > 1): a start at depth 1
 // would be a new root, whose subtree the live count does not describe, so
 // it is processed in full and recounts. Warm transitions touch no map and
@@ -605,8 +641,8 @@ func (r *SharedRunner) StartDocument() {
 // the trie's states are read once per document, for the root element's
 // reach, and not per element.
 func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
-	done := r.left == 0 || (r.liveLeft == 0 && len(r.stack) > 1)
-	if len(r.stack) == 0 || done && r.m.held == 0 {
+	done := r.left == 0 || (r.live[0] == 0 && len(r.stack) > 1)
+	if len(r.stack) == 0 || done && r.m.held == 0 && r.m.gated == 0 {
 		r.depth++
 		return
 	}
@@ -618,7 +654,7 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 	if acc := next.accepts; len(acc) > 0 && !done {
 		first := r.latch(acc)
 		r.left -= first
-		r.liveLeft -= first
+		r.live[0] -= first
 	}
 	r.stack = append(r.stack, next)
 	if len(r.stack) == 2 {
@@ -627,7 +663,7 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 		// the only ones still undecided — and every later latch is one of
 		// them. (A second root element would break that; the engine refuses
 		// one, as the tokenizers do.)
-		r.liveLeft = r.m.reach(next.items)
+		r.live, r.bound = r.m.reach(next.items)
 	}
 	r.peakStack = max(r.peakStack, len(r.stack))
 }
@@ -636,19 +672,7 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 // state before the states below it — valid until the next event.
 func (r *SharedRunner) Entered() []int { return r.stack[len(r.stack)-1].items }
 
-// Open returns the item set the element open at level entered — level 1
-// is the root element's, and the current element's is Entered — or nil when
-// no element is open there: a read-only view of the stack, valid until the
-// next event. The runner pushes one set per element while a step is held or
-// an output is left to latch.
-func (r *SharedRunner) Open(level int) []int {
-	if level < 1 || level >= len(r.stack) {
-		return nil
-	}
-	return r.stack[level].items
-}
-
-// Fresh decodes an item of Entered, Open or Attribute: its state, and
+// Fresh decodes an item of Entered or Attribute: its state, and
 // whether the state was entered by matching its own step rather than kept
 // across a gap.
 func Fresh(item int) (state int, fresh bool) { return item >> 1, item&loopingBit == 0 }
@@ -671,7 +695,9 @@ func (r *SharedRunner) Attribute(sym symtab.Sym, dst []int) []int {
 	return dst
 }
 
-// EndElement processes an endElement event.
+// EndElement processes an endElement event. The root element's end decides
+// the gated outputs below a child step from the root; an ungated one, and a
+// gated one below a descendant step from it, stay open to the document end.
 func (r *SharedRunner) EndElement() {
 	if r.depth > 0 {
 		r.depth--
@@ -679,17 +705,31 @@ func (r *SharedRunner) EndElement() {
 	}
 	if len(r.stack) > 1 {
 		r.stack = r.stack[:len(r.stack)-1]
+		if len(r.stack) == 1 {
+			r.live[1] -= r.bound
+			r.bound = 0
+		}
+	}
+}
+
+// Latched counts out a gated output at state s, latched for the first time
+// this document before the root element's end.
+func (r *SharedRunner) Latched(s int) {
+	r.left--
+	r.live[1]--
+	if r.m.states[s].bound {
+		r.bound--
 	}
 }
 
 // Undecided returns the number of outputs whose verdict is still open:
 // not yet matched and still reachable by some continuation of the
 // document. Before the root element everything unmatched is undecided;
-// afterwards, unmatched outputs outside the root item set's reachable
-// set are decided negative (no continuation can emit them) and stop
-// counting. Zero means a streaming caller may abandon the document —
-// the remaining verdicts are final either way.
-func (r *SharedRunner) Undecided() int { return r.liveLeft }
+// afterwards, unmatched outputs outside the root item set's reach are
+// decided negative, and the root element's end decides more (EndElement).
+// Zero means a streaming caller may abandon the document — the remaining
+// verdicts are final either way.
+func (r *SharedRunner) Undecided() int { return r.live[0] + r.live[1] }
 
 // Stats returns the automaton's memo accounting (MergedNFA.Stats) with the
 // runner's PeakStack.

@@ -81,7 +81,7 @@ func runMerged(r *owned, events []sax.Event) *owned {
 func TestMergedChildAxisPrecision(t *testing.T) {
 	m := NewMergedNFA(nil)
 	for i, src := range []string{"//a/b", "//a//c"} {
-		if _, err := m.Add(query.MustParse(src), i); err != nil {
+		if _, err := m.Add(query.MustParse(src), i, false); err != nil {
 			t.Fatalf("Add(%s): %v", src, err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestMergedPrefixSharing(t *testing.T) {
 	m := NewMergedNFA(nil)
 	for i := 0; i < 100; i++ {
 		q := query.MustParse(fmt.Sprintf("//catalog/item/f%d", i))
-		if _, err := m.Add(q, i); err != nil {
+		if _, err := m.Add(q, i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestMergedPrefixSharing(t *testing.T) {
 func TestMergedRejectsOutsideFragment(t *testing.T) {
 	m := NewMergedNFA(nil)
 	for _, src := range []string{"/a[b]", "/a/@id", "/a[b > 5]/c"} {
-		if _, err := m.Add(query.MustParse(src), 0); err == nil {
+		if _, err := m.Add(query.MustParse(src), 0, false); err == nil {
 			t.Errorf("Add(%q) accepted; want error", src)
 		}
 	}
@@ -182,7 +182,7 @@ func TestMergedEquivalentToIndividual(t *testing.T) {
 				src += steps[rng.Intn(len(steps))]
 			}
 			sources = append(sources, src)
-			if _, err := m.Add(query.MustParse(src), i); err != nil {
+			if _, err := m.Add(query.MustParse(src), i, false); err != nil {
 				t.Fatalf("Add(%s): %v", src, err)
 			}
 		}
@@ -232,7 +232,7 @@ func TestMergedUndecidedDeadStateAnalysis(t *testing.T) {
 	build := func(srcs ...string) *owned {
 		m := NewMergedNFA(nil)
 		for i, src := range srcs {
-			if _, err := m.Add(query.MustParse(src), i); err != nil {
+			if _, err := m.Add(query.MustParse(src), i, false); err != nil {
 				t.Fatalf("Add(%s): %v", src, err)
 			}
 		}
@@ -291,7 +291,7 @@ func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 	m := NewMergedNFA(nil)
 	var at []int
 	for i, src := range []string{"//a/b/c", "//a/b", "//a/x//y"} {
-		cur, err := m.Add(query.MustParse(src), i)
+		cur, err := m.Add(query.MustParse(src), i, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,15 +300,15 @@ func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 	if m.Size() != 6 || m.Slots() != 6 { // root a b c x y
 		t.Fatalf("size %d slots %d, want 6 and 6", m.Size(), m.Slots())
 	}
-	m.Remove(at[0], 0) // c goes; a and b serve //a/b
+	m.Remove(at[0], 0, false) // c goes; a and b serve //a/b
 	if m.Size() != 5 || m.Slots() != 6 || m.outputs != 2 {
 		t.Fatalf("after removing //a/b/c: size %d slots %d outputs %d, want 5, 6, 2", m.Size(), m.Slots(), m.outputs)
 	}
-	m.Remove(at[2], 2) // x and y go
+	m.Remove(at[2], 2, false) // x and y go
 	if m.Size() != 3 || m.Slots() != 6 {
 		t.Fatalf("after removing //a/x//y: size %d slots %d, want 3 and 6", m.Size(), m.Slots())
 	}
-	cur, err := m.Add(query.MustParse("/q/r/s"), 2)
+	cur, err := m.Add(query.MustParse("/q/r/s"), 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestMergedRemoveUnlinksAndReusesOutputs(t *testing.T) {
 	if !r.hit(2) || r.count != 1 || !slices.Equal(m.states[cur].outputs, []int{2}) {
 		t.Fatalf("the reused id 2 latched %v (%d matched), accepted at %v", r.hit(2), r.count, m.states[cur].outputs)
 	}
-	if _, err := m.Add(query.MustParse("/q/r/t"), 0); err != nil {
+	if _, err := m.Add(query.MustParse("/q/r/t"), 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if m.Size() != 7 || m.Slots() != 7 {
@@ -338,7 +338,7 @@ func TestMergedChurnStaysBounded(t *testing.T) {
 	const n = 100
 	at := make([]int, n)
 	add := func(i int) {
-		cur, err := m.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i)), i)
+		cur, err := m.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i)), i, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestMergedChurnStaysBounded(t *testing.T) {
 		if !r.hit(i) || r.count != 1 {
 			t.Fatalf("round %d: matched %d outputs, b%d's: %v", round, r.count, i, r.hit(i))
 		}
-		m.Remove(at[i], i)
+		m.Remove(at[i], i, false)
 		add(i)
 		if m.Slots() > peak+2 {
 			t.Fatalf("round %d: %d state slots, %d at the start", round, m.Slots(), peak)
@@ -366,7 +366,7 @@ func TestMergedChurnStaysBounded(t *testing.T) {
 	fresh := NewMergedNFA(nil)
 	fr := newOwned(fresh)
 	for i := 0; i < n; i++ {
-		if _, err := fresh.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i)), i); err != nil {
+		if _, err := fresh.Add(query.MustParse(fmt.Sprintf("//a/b%d//c", i)), i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,13 +380,17 @@ func TestMergedChurnStaysBounded(t *testing.T) {
 	}
 }
 
-// walkReach is the dead-state analysis done the long way: the outputs
-// accepted in the subtrees under the enabled children of an item set.
-func walkReach(m *MergedNFA, items []int) map[int]bool {
+// walkReach is the dead-state analysis done the long way: the outputs in
+// the subtrees under the enabled children of an item set — accepted there,
+// or gated there, as gated lists them by state.
+func walkReach(m *MergedNFA, items []int, gated map[int][]int) map[int]bool {
 	out := map[int]bool{}
 	var subtree func(s int)
 	subtree = func(s int) {
 		for _, o := range m.states[s].outputs {
+			out[o] = true
+		}
+		for _, o := range gated[s] {
 			out[o] = true
 		}
 		for _, c := range m.states[s].kids {
@@ -427,7 +431,7 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 			for ops := 1 + rng.Intn(3); ops > 0; ops-- {
 				if len(live) > 0 && rng.Intn(5) < 2 {
 					for out, s := range live { // whichever the map yields first
-						m.Remove(s.at, out)
+						m.Remove(s.at, out, false)
 						delete(live, out)
 						break
 					}
@@ -438,11 +442,11 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 				for _, used := live[out]; used; _, used = live[out] {
 					out++
 				}
-				cur, err := m.Add(query.MustParse(src), out)
+				cur, err := m.Add(query.MustParse(src), out, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				live[out] = patchSub{out, cur, src}
+				live[out] = patchSub{out: out, at: cur, src: src}
 			}
 			doc := workload.RandomTree(rng, names, nil, 1+rng.Intn(4), 3).Events()
 			r.Reset()
@@ -456,7 +460,7 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 				case sax.StartElement:
 					startElement(r, e.Name)
 					if reach == nil {
-						reach = walkReach(m, r.stack[len(r.stack)-1].items)
+						reach = walkReach(m, r.stack[len(r.stack)-1].items, nil)
 					}
 					open := 0
 					for o := range reach {
@@ -471,7 +475,7 @@ func TestMergedUndecidedMatchesWalk(t *testing.T) {
 			}
 			fm := NewMergedNFA(nil)
 			for out, s := range live {
-				fm.Add(query.MustParse(s.src), out)
+				fm.Add(query.MustParse(s.src), out, false)
 			}
 			want := runMerged(newOwned(fm), doc)
 			for out, s := range live {
@@ -514,11 +518,24 @@ func (d *draws) done() bool { return d.rng == nil && d.pos >= len(d.data) }
 
 // patchQuery and patchDoc draw what TestMergedUndecidedMatchesWalk draws:
 // one to three steps over a, b, c and *, and a tree over a, b and c at most
-// four levels deep.
+// four levels deep. gatedQuery draws a gated output's query: one of those,
+// with a predicate on one of its steps, or an attribute step below its
+// last, which no element enters.
 func patchQuery(d *draws) string {
 	src := ""
 	for j := 1 + d.n(3); j > 0; j-- {
 		src += []string{"/", "//"}[d.n(2)] + []string{"a", "b", "c", "*"}[d.n(4)]
+	}
+	return src
+}
+
+func gatedQuery(d *draws) string {
+	src := ""
+	for j := 1 + d.n(3); j > 0; j-- {
+		src += []string{"/", "//"}[d.n(2)] + []string{"a", "b", "c", "*"}[d.n(4)] + []string{"", "", "[b]"}[d.n(3)]
+	}
+	if d.n(3) == 0 {
+		src += "/@a"
 	}
 	return src
 }
@@ -538,11 +555,40 @@ func patchDoc(d *draws) []sax.Event {
 	return append(doc, sax.EndDoc())
 }
 
-// patchSub is a query standing in a patched automaton: its output id and
-// the state Add accepted it at.
+// patchSub is a query standing in a patched automaton: its output id, the
+// state Add put it at, and whether it is gated.
 type patchSub struct {
 	out, at int
 	src     string
+	gated   bool
+}
+
+// gatedAt lists live's gated outputs by the state each sits at.
+func gatedAt(live []patchSub) map[int][]int {
+	at := map[int][]int{}
+	for _, s := range live {
+		if s.gated {
+			at[s.at] = append(at[s.at], s.out)
+		}
+	}
+	return at
+}
+
+// gate latches, as the owner of a gated output does once its predicates
+// hold, the gated outputs at the fresh states of the set the current
+// element entered — as if every predicate held at once — and counts the
+// first latches out of the runner.
+func (o *owned) gate(gated map[int][]int) {
+	for _, it := range o.Entered() {
+		s, fresh := Fresh(it)
+		for _, out := range gated[s] {
+			if !fresh || o.hit(out) {
+				continue
+			}
+			o.latch([]int{out})
+			o.Latched(s)
+		}
+	}
 }
 
 // runPatch plays an Add/Remove sequence against one automaton and the
@@ -553,10 +599,11 @@ type patchSub struct {
 // can reach may hold an unlinked state. Another makes one more runner over
 // the automaton, as a replica or a rebuilt engine does, on the memo as warm
 // as the rounds before left it (past four, the oldest is let go). Two more
-// hold the steps of a path, as the engine's trie does, half of them ending
-// in an attribute step, and release a held path: they link and unlink
-// states but output nothing. It returns how many bursts it ran and runners
-// it made.
+// hold the steps of a path, as the engine's trie does with a predicate's,
+// half of them ending in an attribute step, and release a held path: they
+// link and unlink states but output nothing. One Add in three is of a gated
+// output, which no accept list holds. It returns how many bursts it ran and
+// runners it made.
 func runPatch(t testing.TB, d *draws, rounds int) (bursts, runners int) {
 	m := NewMergedNFA(nil)
 	rs := []*owned{newOwned(m)}
@@ -568,19 +615,19 @@ func runPatch(t testing.TB, d *draws, rounds int) (bursts, runners int) {
 		}
 		checkMemo(t, label, m)
 	}
-	add := func(src string) {
+	add := func(src string, gated bool) {
 		out := 0 // the lowest free id, as a free list would hand out
 		for slices.ContainsFunc(live, func(s patchSub) bool { return s.out == out }) {
 			out++
 		}
-		cur, err := m.Add(query.MustParse(src), out)
+		cur, err := m.Add(query.MustParse(src), out, gated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, patchSub{out, cur, src})
+		live = append(live, patchSub{out, cur, src, gated})
 	}
 	remove := func(i int) {
-		m.Remove(live[i].at, live[i].out)
+		m.Remove(live[i].at, live[i].out, live[i].gated)
 		live = slices.Delete(live, i, i+1)
 	}
 	for round := 0; round < rounds && !d.done(); round++ {
@@ -608,7 +655,7 @@ func runPatch(t testing.TB, d *draws, rounds int) (bursts, runners int) {
 				n := len(live)
 				burst := []sax.Event{sax.StartDoc(), sax.Start("z")}
 				for i := 0; i < 40; i++ {
-					add(fmt.Sprintf("/z/t%d/u", i))
+					add(fmt.Sprintf("/z/t%d/u", i), false)
 					name := fmt.Sprintf("t%d", i)
 					burst = append(burst, sax.Start(name), sax.Start("u"), sax.End("u"), sax.End(name))
 				}
@@ -627,8 +674,10 @@ func runPatch(t testing.TB, d *draws, rounds int) (bursts, runners int) {
 				if rs = append(rs, newOwned(m)); len(rs) > 4 {
 					rs = rs[1:]
 				}
+			case d.n(3) == 0:
+				add(gatedQuery(d), true)
 			default:
-				add(patchQuery(d))
+				add(patchQuery(d), false)
 			}
 			check(fmt.Sprintf("round %d op %d", round, op), doc)
 		}
@@ -718,17 +767,20 @@ func checkMemo(t testing.TB, label string, m *MergedNFA) {
 // TestMergedUndecidedMatchesWalk does — Undecided to a walk of the trie
 // after every element start — and, in lockstep, to a runner over an
 // automaton built afresh from the Added queries alone, which holds no step:
-// Undecided after every element start, the verdicts, and Size. Its count of
-// what is left is held to its owner's first latches, and the accept lists,
-// before and after, to checkAccepts.
+// Undecided after every element start, the verdicts, and Size. The owners
+// latch the gated outputs (gate). Its count of what is left is held to its
+// owner's first latches, and the accept lists, before and after, to
+// checkAccepts.
 func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []patchSub, doc []sax.Event) {
 	t.Helper()
 	label = fmt.Sprintf("%s, queries %v", label, live)
 	checkAccepts(t, label, m)
 	fm := NewMergedNFA(nil)
-	for _, s := range live {
-		fm.Add(query.MustParse(s.src), s.out)
+	fresh := slices.Clone(live)
+	for i, s := range fresh {
+		fresh[i].at, _ = fm.Add(query.MustParse(s.src), s.out, s.gated)
 	}
+	gated, freshGated := gatedAt(live), gatedAt(fresh)
 	want := newOwned(fm)
 	r.Reset()
 	var reach map[int]bool
@@ -743,11 +795,13 @@ func checkPatched(t testing.TB, label string, m *MergedNFA, r *owned, live []pat
 		case sax.StartElement:
 			startElement(r, e.Name)
 			startElement(want, e.Name)
+			r.gate(gated)
+			want.gate(freshGated)
 			if r.Undecided() != want.Undecided() {
 				t.Fatalf("%s: after <%s>: Undecided = %d, a fresh runner's %d", label, e.Name, r.Undecided(), want.Undecided())
 			}
 			if reach == nil {
-				reach = walkReach(m, r.stack[len(r.stack)-1].items)
+				reach = walkReach(m, r.stack[len(r.stack)-1].items, gated)
 			}
 			open := 0
 			for o := range reach {
@@ -785,7 +839,7 @@ func sharedCase(t *testing.T) (*MergedNFA, int) {
 	m := NewMergedNFA(nil)
 	for i := 0; i < 8; i++ {
 		src := "//a" + strings.Repeat("/*", 1+i/2) + "/" + "bc"[i%2:i%2+1]
-		if _, err := m.Add(query.MustParse(src), i); err != nil {
+		if _, err := m.Add(query.MustParse(src), i, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,9 +27,10 @@ import (
 // of MemStats; and, per event, the sweep of the result bitmap must agree
 // with the verdicts read by result slot (checkResults) — the verdicts must
 // be the tree evaluator's (internal/semantics), and the result slots, and
-// what the patched trie derives from its nodes (the count vector every
-// document starts from, the runs and their order), must be what a
-// recomputation gives (checkIndex). TestEngineChurnMatchesFreshEngine runs
+// what the patched index derives from the standing queries (each one's
+// output state, and a gated one's trie nodes) and the trie from its nodes
+// (the count vector every document starts from, the runs and their order),
+// must be what a recomputation gives (checkIndex). TestEngineChurnMatchesFreshEngine runs
 // it on seeded random bytes, FuzzEngineChurn on whatever the fuzzer finds.
 
 // dice reads the decisions of a run off a byte string; an exhausted string
@@ -189,13 +190,22 @@ func (s churnSub) addTo(e *Engine) error {
 // churnCover counts the mutations a run made that move what the result
 // bitmap's bits stand for — removals from inside the insertion order, which
 // shift every later position; Adds given a result slot a removed
-// subscription held, by the route of the Add (reused) and, when the slot
-// changes route, by the route that gave it up (crossed); Rebuild, which
+// subscription held, by the output kind of the Add (reused) and, when the
+// slot changes kind, by the kind that gave it up (crossed); Rebuild, which
 // replaces the per-document state — each followed by a document whose
 // results are read (checkResults).
 type churnCover struct {
 	rebuilds, shifted int
-	reused, crossed   [2]int // by Route
+	reused, crossed   [2]int // by outputKind
+}
+
+// outputKind indexes churnCover's counts: 0 for an ungated output, 1 for a
+// gated one.
+func outputKind(s *subscription) int {
+	if s.gated {
+		return 1
+	}
+	return 0
 }
 
 // runChurn plays data against one patched engine, adding the queries
@@ -210,7 +220,7 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 	tokP := sax.NewTokenizerBytes(nil, patched.Symbols())
 	var live []churnSub
 	var cover churnCover
-	freed := map[int]Route{} // result slots given up since the last Rebuild, and by which route
+	freed := map[int]int{} // result slots given up since the last Rebuild, and by which output kind
 	serial := 0
 	add := func(src string, extract bool) {
 		s := churnSub{id: fmt.Sprintf("s%d", serial), src: src, extract: extract, bare: serial%3 == 0}
@@ -222,8 +232,8 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 		sub := patched.byID[s.id]
 		if from, ok := freed[sub.slot]; ok {
 			delete(freed, sub.slot)
-			cover.reused[sub.route]++
-			if from != sub.route {
+			cover.reused[outputKind(sub)]++
+			if from != outputKind(sub) {
 				cover.crossed[from]++
 			}
 		}
@@ -233,7 +243,7 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 		if !patched.Remove(live[i].id) {
 			t.Fatalf("Remove(%s) = false", live[i].id)
 		}
-		freed[sub.slot] = sub.route
+		freed[sub.slot] = outputKind(sub)
 		if i < len(live)-1 {
 			cover.shifted++
 		}
@@ -331,7 +341,7 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 		if p, f := patched.MemStats(), fresh.MemStats(); p != f {
 			t.Fatalf("%s: MemStats\n patched %s\n fresh   %s", label, p, f)
 		}
-		checkIndex(t, label, patched)
+		checkIndex(t, label, patched, live)
 	}
 	cover.rebuilds = patched.Stats().Rebuilds
 	return cover
@@ -377,15 +387,22 @@ func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []
 // the matcher counts as it goes: the open scopes' tuples that are neither
 // matched nor parked behind an open candidate, plus the scopes, plus the
 // pending leaf candidates, are live(); no step whose path carries no
-// predicate holds a scope but the root; and MemStats' peak is at least what
-// is live now.
+// predicate holds a scope but the root — a spine scope's node opens one,
+// and its chain of nodes up from there, its own step included, meets a
+// predicated one — and MemStats' peak is at least what is live now.
 func checkLive(t testing.TB, label string, e *Engine) {
 	t.Helper()
 	m := e.mt
 	n := len(m.scopes) + len(m.pendings)
 	for _, sc := range m.scopes {
-		if sc.node != nil && sc.node.free && sc.node != e.tr.root {
-			t.Fatalf("%s: free step %s holds a scope", label, sc.node.key)
+		if sc.node != nil && sc.node.kind == kindSpine && sc.node != e.tr.root {
+			p := sc.node
+			for p != nil && len(p.conj) == 0 && p.mem == nil {
+				p = p.parent
+			}
+			if p == nil || !sc.node.opens() {
+				t.Fatalf("%s: step %s holds a scope with no predicate on its path", label, sc.node.key)
+			}
 		}
 		for i := range sc.children {
 			if c := &sc.children[i]; !c.matched && !c.parked {
@@ -403,11 +420,15 @@ func checkLive(t testing.TB, label string, e *Engine) {
 
 // checkIndex holds the engine's index to what add and remove maintain: one
 // result slot space — every slot held by one standing subscription, whose
-// position pos gives, or free — and, recomputed from the trie's spine nodes
-// and predicate subtrees, the count vector with its recycled ids, one merged
-// NFA state per distinct step, and the membership, order and scope tally of
-// every state's hold.
-func checkIndex(t testing.TB, label string, e *Engine) {
+// position pos gives, or free; recomputed from the standing queries live,
+// every subscription's output at the merged NFA state its location path
+// enters, of the kind its query asks, and every gated one's chain of trie
+// nodes up from its OUT node: one per step from its first predicated or
+// attribute step on, at the state the path enters there, and none above;
+// and, recomputed from the trie's spine nodes and predicate subtrees, the
+// count vector with its recycled ids, one merged NFA state per distinct
+// step, and the membership, order and scope tally of every state's hold.
+func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 	t.Helper()
 	holder := make([]string, len(e.pos))
 	for i, r := range e.results {
@@ -427,8 +448,51 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 	}
 	tr := e.tr
 	for slot, out := range tr.outs {
-		if s := e.byID[holder[slot]]; (out != nil) != (s != nil && s.route == RouteTrie) {
+		if s := e.byID[holder[slot]]; (out != nil) != (s != nil && s.gated) {
 			t.Fatalf("%s: result slot %d, held by %s, ends at trie node %v", label, slot, holder[slot], out)
+		}
+	}
+	// A node's state is a function of its parent's and its own (axis, node
+	// test), and no two steps share one. topFrom is the state a top node's
+	// step leaves, which the node does not record.
+	type step struct {
+		from  int32
+		axis  query.Axis
+		ntest string
+	}
+	topFrom := map[*tnode]int32{}
+	for _, ls := range live {
+		sub, q := e.byID[ls.id], query.MustParse(ls.src)
+		var steps []*query.Node
+		ats := []int32{0}
+		for u := q.Root.Successor; u != nil; u = u.Successor {
+			steps = append(steps, u)
+			ats = append(ats, int32(e.nfa.Child(int(ats[len(ats)-1]), u.Axis, u.NTest)))
+		}
+		if gated := automaton.Linear(q) != nil; sub.at != ats[len(steps)] || sub.gated != gated {
+			t.Fatalf("%s: %s ends at state %d, gated %v; its path enters %d, and gated is %v", label, ls.src, sub.at, sub.gated, ats[len(steps)], gated)
+		}
+		if !sub.gated {
+			continue
+		}
+		top := slices.IndexFunc(steps, func(u *query.Node) bool {
+			return len(u.PredicateChildren()) > 0 || u.Axis == query.AxisAttribute
+		})
+		if top < 0 {
+			top = len(steps) - 1
+		}
+		n := tr.outs[sub.slot]
+		for i := len(steps) - 1; i >= top; i-- {
+			if n == nil || n.kind != kindSpine || n.key != query.StepKey(steps[i]) || n.at != ats[i+1] {
+				t.Fatalf("%s: %s: step %d is not its trie node %v", label, ls.src, i, n)
+			}
+			if i == top {
+				topFrom[n] = ats[i]
+			}
+			n = n.parent
+		}
+		if n != nil {
+			t.Fatalf("%s: %s: trie node %s continues a predicate-free step", label, ls.src, n.key)
 		}
 	}
 	want := make([]int32, len(tr.counts))
@@ -442,14 +506,7 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 		}
 	}
 	runs := map[*contRun][]*tnode{}
-	// A node's state is a function of its parent's and its own (axis, node
-	// test), and no two steps share one.
-	type step struct {
-		from  int32
-		axis  query.Axis
-		ntest string
-	}
-	stateOf, stepOf := map[step]int32{}, map[int32]step{tr.root.at: {}}
+	stateOf, stepOf := map[step]int32{}, map[int32]step{0: {}}
 	place := func(what string, from int32, n *tnode) {
 		st := step{from, n.axis, n.ntest}
 		if at, ok := stateOf[st]; ok && at != n.at {
@@ -482,22 +539,35 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 			}
 		}
 	}
-	nodes := []*tnode{tr.root}
-	for i := 0; i < len(nodes); i++ {
-		nodes = append(nodes, nodes[i].succ...)
+	// Every spine node is on some gated subscription's chain, and entered in
+	// the trie's nodes under its parent, state and key.
+	kids := map[*tnode]int32{}
+	for k, n := range tr.nodes {
+		if k != (nodeKey{n.parent, n.at, n.key}) || len(n.terminals) == 0 && n.kids == 0 {
+			t.Fatalf("%s: %s is entered under %v, with %d terminals and %d continuations", label, n.key, k, len(n.terminals), n.kids)
+		}
+		if n.parent != nil {
+			kids[n.parent]++
+		} else if _, ok := topFrom[n]; !ok {
+			t.Fatalf("%s: top node %s is no standing subscription's", label, n.key)
+		}
 	}
-	if len(nodes)-1 != tr.spine {
-		t.Fatalf("%s: %d spine nodes counted, %d linked", label, tr.spine, len(nodes)-1)
-	}
-	for _, n := range nodes {
+	own("root", tr.root.id)
+	want[tr.root.id] = int32(len(tr.root.terminals))
+	for _, n := range tr.nodes {
 		own(n.key, n.id)
 		if n.parent != nil {
 			place(n.key, n.parent.at, n)
+		} else {
+			place(n.key, topFrom[n], n)
 		}
 		if n.mem == nil {
 			walkPreds(n.key, n.at, n.id, n.conj)
 		}
-		want[n.id] = int32(len(n.terminals) + len(n.succ))
+		if n.kids != kids[n] {
+			t.Fatalf("%s: %s counts %d continuations, %d are entered", label, n.key, n.kids, kids[n])
+		}
+		want[n.id] = int32(len(n.terminals)) + n.kids
 		extracting := int32(0)
 		for _, sub := range n.terminals {
 			if tr.outs[sub] != n {
@@ -511,8 +581,8 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 		case n.mem != nil:
 			want[n.mem.grp.id]++
 			want[n.mem.grp.frags] += extracting
-			if !slices.Contains(tr.holds[n.at].groups, n.mem.grp) {
-				t.Fatalf("%s: %s's group is not held by its state", label, n.key)
+			if g := n.mem.grp; g.parent != n.parent || !slices.Contains(tr.holds[n.at].groups, g) {
+				t.Fatalf("%s: %s's group continues another step, or is not held by its state", label, n.key)
 			}
 		case grouped:
 			if n.run == nil || n.run.grp != n.parent.mem.grp {
@@ -521,7 +591,6 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 			runs[n.run] = append(runs[n.run], n)
 			want[n.run.id]++
 			want[n.run.frags] += extracting
-		case n == tr.root:
 		case n.run != nil || tr.holds[n.at].members[n.slot] != n:
 			t.Fatalf("%s: %s is not among its state's members", label, n.key)
 		}
@@ -531,6 +600,9 @@ func checkIndex(t testing.TB, label string, e *Engine) {
 			g := h.groups[i]
 			own("group "+g.key, g.id, g.frags)
 			walkPreds("group "+g.key, int32(s), g.id, g.conj)
+			if slices.IndexFunc(h.groups, func(o *predGroup) bool { return o.parent == g.parent && o.key == g.key }) != i {
+				t.Fatalf("%s: state %d holds two groups %s below one step", label, s, g.key)
+			}
 		}
 	}
 	held, heldPreds := 0, 0
@@ -603,16 +675,16 @@ func TestEngineChurnMatchesFreshEngine(t *testing.T) {
 	if cover.rebuilds == 0 {
 		t.Error("no run called Rebuild; matching on replaced per-document state went untested")
 	}
-	if cover.shifted == 0 || cover.reused[RouteNFA] == 0 || cover.reused[RouteTrie] == 0 {
-		t.Errorf("results were never read after a shifted position (%d) or a reused slot (nfa %d, trie %d)",
-			cover.shifted, cover.reused[RouteNFA], cover.reused[RouteTrie])
+	if cover.shifted == 0 || cover.reused[0] == 0 || cover.reused[1] == 0 {
+		t.Errorf("results were never read after a shifted position (%d) or a reused slot (ungated %d, gated %d)",
+			cover.shifted, cover.reused[0], cover.reused[1])
 	}
-	if cover.crossed[RouteNFA] == 0 || cover.crossed[RouteTrie] == 0 {
-		t.Errorf("results were never read after a slot changed route (nfa to trie %d, trie to nfa %d)",
-			cover.crossed[RouteNFA], cover.crossed[RouteTrie])
+	if cover.crossed[0] == 0 || cover.crossed[1] == 0 {
+		t.Errorf("results were never read after a slot changed output kind (ungated to gated %d, gated to ungated %d)",
+			cover.crossed[0], cover.crossed[1])
 	}
-	t.Logf("shifted %d, reused nfa %d trie %d, crossed nfa→trie %d trie→nfa %d, rebuilds %d",
-		cover.shifted, cover.reused[RouteNFA], cover.reused[RouteTrie], cover.crossed[RouteNFA], cover.crossed[RouteTrie], cover.rebuilds)
+	t.Logf("shifted %d, reused ungated %d gated %d, crossed ungated→gated %d gated→ungated %d, rebuilds %d",
+		cover.shifted, cover.reused[0], cover.reused[1], cover.crossed[0], cover.crossed[1], cover.rebuilds)
 }
 
 func FuzzEngineChurn(f *testing.F) {
@@ -753,11 +825,13 @@ func TestEngineStateSlotsAreReused(t *testing.T) {
 }
 
 // TestEngineSlotChangesRoute: a result slot is the next Add's whichever
-// route gave it up, and nothing latched in it for the last holder — verdict
-// or fragment — carries over to the new one. An extracting //a/b matches a
-// document, gives its slot up to an extracting //a[c]/b (and the other way
-// round), and the next documents' ids and fragments are a fresh engine's in
-// either capture mode that copies fragments out of the engine.
+// output kind gave it up — an ungated output latched off the accept lists,
+// or a gated one latched through the trie — and nothing latched in it for
+// the last holder — verdict or fragment — carries over to the new one. An
+// extracting //a/b matches a document, gives its slot up to an extracting
+// //a[c]/b (and the other way round), and the next documents' ids and
+// fragments are a fresh engine's in either capture mode that copies
+// fragments out of the engine.
 func TestEngineSlotChangesRoute(t *testing.T) {
 	docs := []string{"<a><b>2</b></a>", "<a><b>3</b><c/></a>", "<a><c/><b>4</b></a>"}
 	for _, mode := range []CaptureMode{CaptureSlice, CaptureSerial} {
@@ -788,8 +862,9 @@ func TestEngineSlotChangesRoute(t *testing.T) {
 			if err := e.AddExtract("second", query.MustParse(pair[1])); err != nil {
 				t.Fatal(err)
 			}
-			if s := e.byID["second"]; s.slot != first.slot || s.route == first.route {
-				t.Fatalf("%s: the second holder got slot %d on route %d, the first held it on route %d", label, s.slot, s.route, first.route)
+			if s := e.byID["second"]; s.slot != first.slot || s.gated == first.gated || s.at != first.at {
+				t.Fatalf("%s: the second holder got slot %d at state %d, gated %v; the first held it at state %d, gated %v",
+					label, s.slot, s.at, s.gated, first.at, first.gated)
 			}
 			fresh := New()
 			mustAdd(t, fresh, "other", "//a[c]")

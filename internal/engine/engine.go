@@ -11,48 +11,44 @@
 // prefix-sharing trie over (axis, node test) steps run through a lazily
 // determinized shared runner — one load from the current item set's dense
 // transition row per element once warm, independent of subscription count.
-// Subscriptions are canonicalized into step keys (query.StepKey) and routed
-// by what must hang off its states:
+// Every subscription's location path, predicates ignored, is a path of the
+// automaton, and the subscription an output of its last state, of one of
+// two kinds:
 //
-//   - Linear predicate-free queries (the /, //, * fragment) end at a state
-//     of the NFA, whose item sets carry their ids as accept lists.
+//   - An ungated output — a linear query's (the /, //, * fragment), unless
+//     every-match — latches off the accept list of an item set holding its
+//     state fresh, the moment an element enters one.
 //
-//   - Everything else the Section 8 algorithm can stream (conjunctive
-//     univariate leaf-only-value-restricted queries: fragment.Streamable,
-//     the decision every query passes at Add) goes to a trie of spine steps
-//     whose predicate subtrees run the paper's frontier algorithm — tuples,
+//   - A gated output — of anything else fragment.Streamable accepts, as
+//     Add requires — is decided by a trie of what its predicates need:
+//     from its first predicated or attribute step on, its steps are spine
+//     nodes, canonicalized into step keys (query.StepKey), whose predicate
+//     subtrees run the paper's Section 8 frontier algorithm — tuples,
 //     candidate scopes and text buffering as in the reference filter
 //     (internal/core, which the engine is tested against and does not
-//     link), with structurally identical steps evaluated once for all
-//     subscriptions that contain them. Every step of the trie, spine or
-//     predicate, is a held state of the NFA, and each state an element
-//     enters offers the nodes held there once per open scope of their
-//     parent: a predicate node's candidate is its tuple in that scope, a
-//     spine step's a scope of its own, so a predicated prefix costs the
-//     same whether one subscription hangs off it or a thousand. A scope is
-//     held only where a predicate needs one: a spine step with no
-//     predicate on its path from the root is free — the item set the
-//     element entered says all there is to know about it — so it opens no
-//     scope, and what continues it is offered once per element. Matches
-//     below a predicated step commit conditionally and are decided the
-//     moment the predicate is satisfied, or dropped when its scope closes
-//     first. Steps that differ only in the constant of one comparison —
-//     [priority > 3], [priority > 4], … — are one predicate group
-//     (group.go): one scope, one tuple and one pending value per candidate
-//     element, resolved against all the constants by one search (a textual
-//     equality's streamed through a cursor, streq.go); the steps continuing
-//     a group's members into one state are one run, split by one search
-//     against the group's boundary.
+//     link) — once for all subscriptions sharing a step. Every node sits at
+//     a state of the NFA, and each state an element enters offers the nodes
+//     there once per open scope of their parent — a top node, which
+//     continues the NFA's predicate-free steps, once per element — so a
+//     predicated prefix costs the same whether one subscription hangs off
+//     it or a thousand. Matches below a predicated step commit
+//     conditionally and are decided the moment the predicate is satisfied,
+//     or dropped when its scope closes first. Steps that differ only in the
+//     constant of one comparison — [priority > 3], [priority > 4], … — are
+//     one predicate group (group.go), resolved against all the constants
+//     by one search (a textual equality's streamed through a cursor,
+//     streq.go); the steps continuing a group's members into one state are
+//     one run, split by one search against the group's boundary.
 //
 // Each subscription's match latches monotonically (conjunctive matching
 // is monotone, Section 8.1), and fully matched shared states stop
 // accepting candidates — the per-filter early exit, applied to shared state.
 //
-// The routes differ in how they find matches, and in nothing after: Add
+// The kinds differ in how they find matches, and in nothing after: Add
 // gives every subscription a result slot from one free list, and both
 // latch by slot through one latch (hits.latch), which sets its result bit,
-// counts the match and keeps the document-order-first fragment. The routes
-// keep only structure and counts of what is left, which Decided reads.
+// counts the match and keeps the document-order-first fragment, and count
+// the runner down: Decided reads what is left of the root's reach.
 //
 // A standing set changes while documents flow, so the index is edited where
 // it stands: Add and Remove walk or extend, and unlink, the states of one
@@ -89,36 +85,26 @@ import (
 	"streamxpath/internal/symtab"
 )
 
-// Route identifies which shared index evaluates a subscription.
-type Route uint8
-
-const (
-	// RouteNFA: linear predicate-free queries on the merged automaton.
-	RouteNFA Route = iota
-	// RouteTrie: predicated queries on the shared frontier trie.
-	RouteTrie
-)
-
 // subscription is one standing query: what the engine retains of it beside
-// its entries in the route's index. The parse tree is a temporary of Add
-// (see the package comment).
+// its entries in the index. The parse tree is a temporary of Add (see the
+// package comment).
 type subscription struct {
 	id string
 	// seq numbers the Add calls; subs is ordered by it, which is how Remove
 	// finds a subscription's position without an id → position map to
 	// renumber.
 	seq uint64
-	// slot is the subscription's result slot (index.pos), whichever route
-	// holds it.
+	// slot is the subscription's result slot (index.pos), its output id in
+	// the merged NFA.
 	slot int
-	// fs is the query's frontier size FS(Q) and steps its node count less
-	// the root, both computed once, at Add. A linear query's FS is 1 and its
-	// nodes are its location steps, which is what Stats reads steps for.
+	// fs is the query's frontier size FS(Q) and steps its location steps,
+	// both computed once, at Add. A linear query's FS is 1.
 	fs    int
 	steps int
-	// at is the merged NFA's state accepting the slot, on the NFA route.
+	// at is the merged NFA state of its output, which the trie decides when
+	// gated.
 	at      int32
-	route   Route
+	gated   bool
 	extract bool
 	every   bool // AddEvery
 }
@@ -133,12 +119,12 @@ type result struct {
 	slot int32
 }
 
-// hits is the one record of a document's verdicts and fragments, whichever
-// route reached them. words holds one bit per position of Engine.results,
+// hits is the one record of a document's verdicts and fragments, of either
+// output kind. words holds one bit per position of Engine.results,
 // set the first time that subscription latches, so the result accessors
 // sweep the set bits by word and a reset clears ⌈N/64⌉ words; count is the
 // bits set; frags holds, by the same positions, the fragment kept for a
-// matched extracting subscription. Both routes latch by result slot, and the
+// matched extracting subscription. Both kinds latch by result slot, and the
 // index's pos vector gives the position: a mutation moves positions, but it
 // abandons the document in flight, so no latch sees one move.
 type hits struct {
@@ -155,7 +141,7 @@ func (h *hits) matched(slot int) bool {
 	return h.words[p>>6]&(1<<(p&63)) != 0
 }
 
-// latch is the one latch of both routes: the subscription holding slot has
+// latch is the one latch of both kinds: the subscription holding slot has
 // matched, and cap is the capture of its matching element (nil without
 // one). The first latch of the document sets the subscription's bit and
 // counts it. An extracting subscription keeps the document-order-first
@@ -249,12 +235,12 @@ func (h *hits) reset(n int) {
 type index struct {
 	subs    []*subscription // in insertion order
 	results []result        // results[i] is subs[i]'s
-	// Result slots are one space for both routes. pos[slot] is the position
+	// Result slots are one space for every subscription. pos[slot] is the position
 	// in results of the subscription holding slot, and extract and every
 	// flag, by slot, the subscriptions that want the matched element
 	// captured and the every-match ones among them (AddEvery). freeSlots are
 	// the slots of removed subscriptions, which Add hands out again, to
-	// either route, before the vectors grow.
+	// either kind, before the vectors grow.
 	pos            []int32
 	extract, every []bool
 	freeSlots      []int
@@ -325,8 +311,8 @@ type Engine struct {
 	finished bool
 	level    int
 	// events and maxLevel are the document's event count and deepest level
-	// (MemStats.Events and MaxDepth). They are the engine's, not a route's:
-	// a route that holds no subscription is not dispatched elements at all.
+	// (MemStats.Events and MaxDepth). They are the engine's, not the
+	// trie's: a trie with no gated subscription is not dispatched elements.
 	events   int
 	maxLevel int
 	// skimPieces is the number of pieces of the document's skimmed remainder
@@ -431,7 +417,7 @@ func (e *Engine) mutating() {
 
 // takeSlot hands out a result slot, flagged as s asks, to s, which holds
 // position i of results: a removed subscription's while there is one,
-// whichever route it was on.
+// whichever kind it was.
 func (ix *index) takeSlot(s *subscription, i int) {
 	s.slot = len(ix.pos)
 	if k := len(ix.freeSlots); k > 0 {
@@ -477,13 +463,16 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 	if _, dup := e.byID[id]; dup {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
 	}
-	s := &subscription{id: id, route: RouteNFA, extract: extract, every: every, seq: e.nextSeq, fs: 1, steps: q.Size() - 1}
-	if every || automaton.Linear(q) != nil {
+	s := &subscription{id: id, extract: extract, every: every, seq: e.nextSeq, fs: 1}
+	for u := q.Root.Successor; u != nil; u = u.Successor {
+		s.steps++
+	}
+	if s.gated = every || automaton.Linear(q) != nil; s.gated {
 		// A linear query is streamable by construction: it has no predicate.
 		if err := fragment.Streamable(q).Err(); err != nil {
 			return err
 		}
-		s.route, s.fs = RouteTrie, fragment.FrontierSize(q)
+		s.fs = fragment.FrontierSize(q)
 	}
 	e.mutating()
 	e.nextSeq++
@@ -502,10 +491,9 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 	}
 	e.fsCount[s.fs]++
 	e.maxFS = max(e.maxFS, s.fs)
-	if s.route == RouteNFA {
-		at, _ := e.nfa.Add(q, s.slot) // the query is linear
-		s.at = int32(at)
-	} else {
+	at, _ := e.nfa.Add(q, s.slot, s.gated) // an ungated query is linear
+	s.at = int32(at)
+	if s.gated {
 		e.tr.add(q, s.slot, extract, every)
 	}
 	return nil
@@ -542,11 +530,10 @@ func (e *Engine) Remove(id string) bool {
 	for e.maxFS > 0 && e.fsCount[e.maxFS] == 0 {
 		e.maxFS--
 	}
-	if s.route == RouteTrie {
-		e.tr.remove(s.slot, s.extract, s.every)
-	} else {
-		e.nfa.Remove(int(s.at), s.slot)
+	if s.gated {
+		e.tr.remove(s.slot, s.extract, s.every) // first: it releases the states its predicates hold below the path
 	}
+	e.nfa.Remove(int(s.at), s.slot, s.gated)
 	return true
 }
 
@@ -562,10 +549,11 @@ func (e *Engine) IDs() []string {
 	return out
 }
 
-// latchAccepted is the merged runner's latch: the NFA-routed subscriptions
-// holding the slots outs match at the current element, and latch as the
-// trie's terminals do, with the element's capture when one of them still
-// wants a fragment. It returns how many latched for the first time.
+// latchAccepted is the merged runner's latch: the ungated outputs, the
+// subscriptions holding the slots outs, match at the current element, and
+// latch as the trie's terminals do, with the element's capture when one of
+// them still wants a fragment. It returns how many latched for the first
+// time.
 func (e *Engine) latchAccepted(outs []int) (first int) {
 	cap := e.hits.capFor(outs)
 	for _, slot := range outs {
@@ -684,6 +672,9 @@ func (e *Engine) checkCaptured() error {
 	return nil
 }
 
+// startDocument opens a document on the runner and on the trie matcher,
+// whose root scope is what MaxLiveTuples and MemStats count before the root
+// element, whatever the subscriptions.
 func (e *Engine) startDocument() error {
 	if e.started && !e.finished {
 		return fmt.Errorf("engine: duplicate startDocument")
@@ -696,10 +687,6 @@ func (e *Engine) startDocument() error {
 	}
 	e.started = true
 	e.events++
-	// Both routes open the document whatever they hold. The trie's root
-	// scope, the one scope of a free step, is what MaxLiveTuples and
-	// MemStats count of an engine with no trie-routed subscription — the
-	// document is open, and the root element not yet seen.
 	e.runner.StartDocument()
 	e.mt.startDocument()
 	return nil
@@ -734,9 +721,9 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 		// start from its own '<'.
 		e.cm.noteStart(sym, isAttr, off, e.level)
 	}
-	// The runner steps while either route holds a subscription: the trie
-	// finds its spine candidates in its item sets. An attribute enters none —
-	// it must never satisfy a child-axis node test.
+	// The runner steps while any subscription stands: the trie finds its
+	// candidates in its item sets. An attribute enters none — it must never
+	// satisfy a child-axis node test.
 	if !isAttr && len(e.subs) > 0 {
 		e.runner.StartElementSym(sym)
 	}
@@ -776,11 +763,12 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 		e.rootClosed = true
 	}
 	e.events++
-	if !isAttr && len(e.subs) > 0 {
-		e.runner.EndElement()
-	}
 	if e.tr.live > 0 {
 		e.mt.endElement()
+	}
+	// After the matcher, whose latches the root element's end must follow.
+	if !isAttr && len(e.subs) > 0 {
+		e.runner.EndElement()
 	}
 	if e.cm.mode != CaptureOff {
 		// After the matcher: a scope resolving at this endElement may latch
@@ -891,14 +879,9 @@ func (e *Engine) MatchedCount() int {
 // document is already final, so a streaming caller may stop feeding
 // events. Matching is monotone — matched flags latch and future events
 // only add matches — so a verdict is final mid-stream in two ways:
-// positively, the subscription has matched; negatively, the dead-state
-// analysis shows no continuation of the document can still match it (its
-// outputs are unreachable from the merged NFA's root item set, or no
-// live frontier avenue in the shared trie supports it). The all-matched
-// fast path is O(1); otherwise the NFA side is an O(1) counter probe and
-// the trie side an O(live structures) sweep — callers probe Decided per
-// chunk, not per event. An empty engine reports false (there is no
-// verdict to decide). What a caller does with true is its own contract: a
+// positively, the subscription has matched; negatively, no continuation of
+// the document can still match it (SharedRunner.Undecided, an O(1) counter
+// probe). An empty engine reports false (there is no verdict to decide). What a caller does with true is its own contract: a
 // reader that exits on it skips validating the document's remainder
 // (MatchReader), a buffered caller skims it (MatchBytes) — validates it to
 // the end without dispatching another event.
@@ -917,27 +900,28 @@ func (e *Engine) Decided() bool {
 		// though every boolean verdict is final.
 		return false
 	}
-	if e.hits.count == len(e.subs) {
-		return true
-	}
-	return e.runner.Undecided() == 0 && !e.mt.undecided(e.maxLevel > 0)
+	return e.runner.Undecided() == 0
 }
 
 // Stats reports the size of the shared structures and the work done on
 // the last document — the engine-level analog of core.Stats.
 type Stats struct {
-	// Subscriptions is the number of standing subscriptions; NFARouted +
-	// TrieRouted = Subscriptions.
+	// Subscriptions is the number of standing subscriptions, each an output
+	// of the merged NFA. NFARouted counts the ungated ones, which latch off
+	// the accept lists of the item sets their elements enter, and TrieRouted
+	// the gated ones — a predicated or attribute step on the path, or
+	// AddEvery — which the trie decides; NFARouted + TrieRouted =
+	// Subscriptions.
 	Subscriptions int
 	NFARouted     int
 	TrieRouted    int
 
 	// SpineSteps is the total number of location steps across all
 	// subscriptions (before sharing); SharedStates is the number of states
-	// actually materialized: the merged NFA's states linear subscriptions
-	// pass through plus the trie's spine nodes, each counted once per route
-	// even where both routes share a state. Their ratio is the prefix-sharing
-	// factor.
+	// actually materialized: the merged NFA's states some ungated output
+	// passes through plus the trie's spine nodes, each of which a gated
+	// output's path from its first predicated or attribute step on passes
+	// through. Their ratio is the prefix-sharing factor.
 	SpineSteps   int
 	SharedStates int
 	// PredNodes counts the predicate-subtree nodes of the trie (each
@@ -952,8 +936,8 @@ type Stats struct {
 
 	// DFAStates/DFATransitions are the merged NFA's lazily materialized
 	// deterministic states and memoized transitions as they stand — the
-	// index's, one memo for every engine sharing it, which both routes step
-	// through, so a set of trie-routed subscriptions alone fills it too;
+	// index's, one memo for every engine sharing it, which both kinds step
+	// through, so a set of gated subscriptions alone fills it too;
 	// DFAMaterialized counts the transitions ever computed, so its growth
 	// over a mutation is what the mutation made the memo forget. Rebuilds
 	// counts the engine's Rebuild calls, each of which replaced its
@@ -971,23 +955,21 @@ type Stats struct {
 	// once per open scope of its parent, and each spine step, predicate
 	// group and run of group continuations with subscriptions left to
 	// match, once per open scope of the step it continues — once per
-	// element when that step is free (no predicate on its path from the
-	// root), as it opens no scope. A group or a run is one visit, whatever
-	// its size. FrontierInserts counts the predicate tuples candidate scopes
-	// open with plus the scopes — the state-maintenance work visits do not
-	// see; a free step's candidate inserts nothing. Both grow with the
-	// distinct steps a document exercises, not with the subscription count
-	// or the depth of unpredicated nesting. GroupProbes counts the candidate
-	// values resolved against a predicate group — one search or lookup
-	// each, whatever the group's size. SkimPieces counts the pieces of a skimmed remainder
+	// element for a top node, which continues none. A group or a run is one
+	// visit, whatever its size. FrontierInserts counts the predicate tuples
+	// candidate scopes open with plus the scopes — the state-maintenance
+	// work visits do not see. Both grow with the distinct steps a document
+	// exercises, not with the subscription count or the depth of
+	// unpredicated nesting. GroupProbes counts the candidate values resolved
+	// against a predicate group — one search or lookup each, whatever the
+	// group's size. SkimPieces counts the pieces of a skimmed remainder
 	// (MatchBytes) that helper goroutines validated on the other cores and
 	// the skim adopted: 0 on one core, for a remainder shorter than two
 	// pieces, and on the reader path, which does not skim. PeakTuples is the
 	// peak of live predicate tuples: a tuple is live from its scope's
 	// opening until it matches, a child-axis candidate of it opens — an
 	// internal node's scope or a restricted leaf's pending, for as long as
-	// that is open — or its scope closes. Spine continuations are offered by
-	// the NFA's states, not held.
+	// that is open — or its scope closes.
 	Events          int
 	TupleVisits     int
 	FrontierInserts int
@@ -1001,18 +983,12 @@ type Stats struct {
 
 // Stats returns the current statistics.
 func (e *Engine) Stats() Stats {
-	st := Stats{Subscriptions: len(e.subs), Rebuilds: e.rebuilds}
-	nfaSteps := 0
+	st := Stats{Subscriptions: len(e.subs), Rebuilds: e.rebuilds, TrieRouted: e.tr.live}
+	st.NFARouted = st.Subscriptions - st.TrieRouted
 	for _, s := range e.subs {
-		if s.route == RouteNFA {
-			st.NFARouted++
-			nfaSteps += s.steps
-		} else {
-			st.TrieRouted++
-		}
+		st.SpineSteps += s.steps
 	}
-	st.SpineSteps = nfaSteps + e.tr.steps
-	st.SharedStates = (e.nfa.Size() - 1) + e.tr.spine
+	st.SharedStates = (e.nfa.Size() - 1) + len(e.tr.nodes)
 	st.PredNodes = e.tr.predNodes
 	for _, h := range e.tr.holds {
 		for i := 0; h != nil && i < len(h.groups); i++ {
@@ -1053,8 +1029,7 @@ type MemStats struct {
 	// Events is the number of SAX events the engine was dispatched — the
 	// document's whole event count, unless the caller stopped dispatching
 	// once every verdict was final: a reader that exited early, or a
-	// buffered match that skimmed the remainder (MatchBytes). It does not
-	// depend on which routes hold subscriptions.
+	// buffered match that skimmed the remainder (MatchBytes).
 	Events int
 	// GroupProbes is the number of candidate values resolved against a
 	// predicate group's constants (Stats.GroupProbes), per document like
@@ -1067,10 +1042,9 @@ type MemStats struct {
 	// the budget's depth term. A predicate group holds one scope, one tuple
 	// per step of its path and one pending candidate per open element,
 	// whatever its size; what that scope holds beyond a scope's cost is
-	// PeakGroupBits. Spine continuations are offered by the merged NFA's
-	// states, not held, and a step with no predicate on its path from the
-	// root opens no scope; the document root's is the one scope such a step
-	// holds.
+	// PeakGroupBits. A step with no predicate on its path from the root
+	// holds nothing; the document root's scope is held whatever the
+	// subscriptions.
 	PeakLiveTuples int
 	// PeakGroupBits is the peak of the index state held by open group
 	// scopes and streamed candidates: ⌈log₂(|group|+1)⌉ bits for a
@@ -1134,7 +1108,7 @@ func (e *Engine) MemStats() MemStats {
 		MaxDepth:          e.maxLevel,
 		CapturedBytes:     e.cm.peakBytes,
 	}
-	nodes := (e.nfa.Size() - 1) + e.tr.spine + e.tr.predNodes
+	nodes := (e.nfa.Size() - 1) + len(e.tr.nodes) + e.tr.predNodes
 	st.EstimatedBits = fragment.EstimatedBits(nodes, st.PeakLiveTuples, ms.PeakBufferBytes, e.maxLevel) + ms.PeakGroupBits
 	st.LowerBoundBits = fragment.LowerBoundBits(e.maxFS, e.maxLevel)
 	if st.LowerBoundBits > 0 {

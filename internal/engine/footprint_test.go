@@ -25,7 +25,8 @@ func heapAfterGC() uint64 {
 // through (2.2 KB on the trie route and 0.85 KB on the NFA route while both
 // were kept). The shapes
 // are the benchmark's: fanout-pred's 1,000 thresholds × leaf names and churn's
-// one leaf name per subscription. Then a long replacement churn, documents
+// one leaf name per subscription, and the two alternating below one prefix.
+// Then a long replacement churn, documents
 // flowing, must leave the heap where it was: freed state slots, count ids,
 // result slots and item sets are all handed out again.
 func TestSubscriptionFootprint(t *testing.T) {
@@ -36,7 +37,15 @@ func TestSubscriptionFootprint(t *testing.T) {
 		limit float64 // bytes per subscription
 	}{
 		{"fanout-pred", func(i int) string { return fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10) }, 1100},
-		{"churn", func(i int) string { return fmt.Sprintf("//catalog/item/f%d", i) }, 700},
+		{"churn", func(i int) string { return fmt.Sprintf("//catalog/item/f%d", i) }, 450},
+		// Both kinds of output below one prefix: an ungated leaf beside a
+		// gated one, below a predicated item.
+		{"mixed", func(i int) string {
+			if i%2 == 0 {
+				return fmt.Sprintf("//catalog/item/f%d", i/2)
+			}
+			return fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/20)
+		}, 450},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The texts and ids are the caller's; they are built first so that
@@ -132,5 +141,33 @@ func TestMatcherHoldsNoVocabulary(t *testing.T) {
 		if b >= 64<<10 {
 			t.Errorf("engine %d: the first match allocated %d bytes, want under 64 KiB", i, b)
 		}
+	}
+}
+
+// TestMemoRowsGrowByDoubling: a memo row, indexed by symbol, doubles as a
+// document interns names past its end, so what matching one document of N
+// distinct names allocates is linear in N. Sized to the symbol table
+// instead, each batch of new names copied the whole row: 337 MB at 50,000
+// names and 1,300 MB at 100,000, where doubling allocates 19 and 39.
+func TestMemoRowsGrowByDoubling(t *testing.T) {
+	match := func(n int) uint64 {
+		e := New()
+		mustAdd(t, e, "b", "//a[b]")
+		var doc strings.Builder
+		doc.WriteString("<r>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&doc, "<n%d/>", i)
+		}
+		doc.WriteString("</r>")
+		return allocated(func() {
+			if _, err := e.MatchBytes(nil, []byte(doc.String()), CaptureOff); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	half, full := match(50_000), match(100_000)
+	t.Logf("50,000 names: %d bytes; 100,000: %d", half, full)
+	if full >= 3*half {
+		t.Errorf("twice the names allocated %.1f times the bytes (%d, %d), want under 3", float64(full)/float64(half), half, full)
 	}
 }

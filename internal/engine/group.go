@@ -62,9 +62,10 @@ const (
 // the predicate path they share.
 type predGroup struct {
 	// parent is the step the members continue — a group scope's origin is
-	// parent's scope — and key the group's entry in parent.groups. id and
-	// frags are the group's entries in the trie's count vector: its members,
-	// and the extracting subscriptions ending at one.
+	// parent's scope; nil for a group of top nodes, whose scope has no
+	// origin — and key, with parent, finds the group in its state's hold.
+	// id and frags are the group's entries in the trie's count vector: its
+	// members, and the extracting subscriptions ending at one.
 	parent    *tnode
 	key       string
 	id, frags int32
@@ -192,10 +193,11 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 	b.WriteString(tag)
 	key := b.String()
 
-	p := n.parent
-	g := p.groups[key]
-	if g == nil {
-		g = &predGroup{parent: p, key: key, id: t.newID(), frags: t.newID(), class: class, neg: neg}
+	p, h := n.parent, t.holdOf(n)
+	i := slices.IndexFunc(h.groups, func(g *predGroup) bool { return g.parent == p && g.key == key })
+	if i < 0 {
+		i = len(h.groups)
+		g := &predGroup{parent: p, key: key, id: t.newID(), frags: t.newID(), class: class, neg: neg}
 		g.conj = []*tnode{t.buildPred(preds[0], n.at, g.id, 0)}
 		last := g.conj[0]
 		for len(last.conj) > 0 {
@@ -208,13 +210,9 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 		case classStrEq:
 			last.strs = &g.strs
 		}
-		if p.groups == nil {
-			p.groups = map[string]*predGroup{}
-		}
-		p.groups[key] = g
-		h := t.holdOf(n)
 		h.groups = append(h.groups, g)
 	}
+	g := h.groups[i]
 	g.insert(n, cmp)
 	t.counts[g.id]++
 	return true
@@ -296,7 +294,6 @@ func (t *trie) leaveGroup(n *tnode) {
 	if g.size > 0 {
 		return
 	}
-	delete(g.parent.groups, g.key)
 	h := t.holds[n.at]
 	h.groups = slices.DeleteFunc(h.groups, func(o *predGroup) bool { return o == g })
 	t.dropPreds(g.conj)

@@ -67,13 +67,10 @@ func (e *Engine) outcome(out *Outcome, dst []string, doc []byte, mode CaptureMod
 var errTruncated = errors.New("streamxpath: document ended prematurely")
 
 // firstProbe is the document offset of MatchBytes's first Decided probe;
-// each later probe sits at twice the offset of the one before. The trie
-// side of Decided sweeps the open scopes with their continuations and held
-// commits — to the end, whenever the answer is yes — so it cannot run per
-// event or per kilobyte. On this schedule a document of n bytes pays
-// at most ⌈log₂(n/firstProbe)⌉+1 probes, dispatches at most twice its
-// decided prefix (plus firstProbe) in full, and pays nothing at all when
-// it is shorter than firstProbe.
+// each later probe sits at twice the offset of the one before. On this
+// schedule a document of n bytes pays at most ⌈log₂(n/firstProbe)⌉+1
+// probes, dispatches at most twice its decided prefix (plus firstProbe) in
+// full, and pays nothing at all when it is shorter than firstProbe.
 const firstProbe = 4 << 10
 
 // MatchBytes matches one document held whole in memory: the buffered

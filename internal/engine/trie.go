@@ -14,10 +14,10 @@ import (
 type nodeKind uint8
 
 const (
-	// kindSpine marks a step of some subscription's root succession, shared
-	// by every subscription whose query begins with the same canonical step
-	// keys: reaching one commits its terminals, gated on the predicates of
-	// the steps along the way.
+	// kindSpine marks a step of some subscription's root succession, from
+	// its first predicated or attribute step on, shared by every
+	// subscription continuing the same step by the same canonical step key:
+	// reaching one commits its terminals, gated on the predicates on the way.
 	kindSpine nodeKind = iota
 	// kindPred marks a node inside a predicate subtree. Predicate nodes
 	// follow the paper's Section 8 conjunction rule exactly as in
@@ -35,31 +35,28 @@ type tnode struct {
 	kind nodeKind
 	axis query.Axis
 	// restricted and ne belong with set and strs below; they sit here,
-	// where the small fields pack into one word. free marks a spine step
-	// whose path from the root, itself included, carries no predicate (the
-	// root is free): the merged NFA's item sets say all there is to know
-	// about its candidates, so it opens no scope (opens), and what continues
-	// it is offered once per element, below no scope (matcher.offer).
-	restricted, ne, free bool
-	ntest                string
+	// where the small fields pack into one word.
+	restricted, ne bool
+	ntest          string
 
-	// at is the merged NFA's state the node's step enters (MergedNFA.Hold),
-	// whose hold lists the node: among its members or preds, at slot, or —
-	// when the spine step it continues is a group member — in run, that
-	// group's run there. parent is the spine step a spine node continues (nil
-	// on the root and on predicate nodes); key is a spine node's entry in
-	// parent.succIndex. pos is a spine node's position in parent.succ, kept so
-	// that unlinking it is a swap-delete, and a predicate node's among its
-	// parent's conj: the index of its tuple in a parent scope's children. up
-	// is the count id whose stack of open scopes (matcher.open) holds a
-	// predicate node's parent scopes: its spine node's, its group's or its
-	// parent predicate node's. id is a spine node's entry in the trie's count
-	// vector, and an internal predicate node's, whose count stays 0: the stack
-	// of its own open scopes.
+	// at is the merged NFA's state the node's step enters — on its
+	// subscriptions' paths, or Held for a predicate node — whose hold lists
+	// the node: among its members or preds, at slot, or, continuing a group
+	// member, in that group's run. parent is the spine step a spine node
+	// continues: nil on a top node (a subscription's first predicated or
+	// attribute step), the root and predicate nodes. key is a spine node's
+	// step key. pos is a predicate node's index among its parent's conj and
+	// its tuple's in a parent scope's children. up is the count id whose
+	// stack of open scopes (matcher.open) holds a predicate node's parent
+	// scopes: its spine node's, its group's or its parent predicate node's.
+	// id is a spine node's entry in the trie's count vector, and an internal
+	// predicate node's, whose count stays 0: the stack of its own open
+	// scopes. kids counts a spine node's continuations.
 	parent *tnode
 	run    *contRun
 	at     int32
 	up     int32
+	kids   int32
 	slot   int
 	key    string
 	pos    int
@@ -75,15 +72,6 @@ type tnode struct {
 	// group holds the path, mem the constant); for a predicate node, all of
 	// its children (predicate children and successor alike).
 	conj []*tnode
-	// succ are the spine continuations — the distinct next steps of the
-	// subscriptions passing through this node, NOT conjunctive with one
-	// another. succIndex finds one by its step key; nil until the first, as
-	// most nodes of a wide standing set are leaves.
-	succ      []*tnode
-	succIndex map[string]*tnode
-	// groups are the predicate groups among the continuations, by group key
-	// (nil until the first).
-	groups map[string]*predGroup
 
 	// Truth-set machinery for predicate leaves, read off the first
 	// subscription's query node (identical canonical steps have identical
@@ -98,52 +86,44 @@ type tnode struct {
 
 	// terminals are the indexes of the subscriptions whose OUT node this
 	// spine node is: reaching it (with all predicates on the way
-	// satisfied) matches them.
+	// satisfied) matches them. A node with neither terminals nor kids is
+	// unlinked.
 	terminals []int
-
-	// through counts the subscriptions whose spine passes through this
-	// node, which is unlinked when the last one is removed. What a document
-	// has left below it is the matcher's to count (matcher.remaining).
-	through int
 }
 
 // opens reports whether a candidate element for spine node n opens a scope:
 // only a step with predicates to resolve, or with continuations whose
-// matches a predicated ancestor gates, holds state.
-func (n *tnode) opens() bool { return len(n.conj) > 0 || len(n.succ) > 0 && !n.free }
+// matches it or a predicated ancestor gates, holds state.
+func (n *tnode) opens() bool { return len(n.conj) > 0 || n.kids > 0 }
 
-// scopes returns the count id of the stack that holds spine node n's open
-// scopes — its group's for a group member — or -1 for a free step, which
-// opens none.
-func (n *tnode) scopes() int32 {
+// scopesOf returns the count id of the stack that holds spine node p's open
+// scopes — its group's for a group member — or -1 for no node: what a top
+// node continues, which is offered once per element entering its state.
+func scopesOf(p *tnode) int32 {
 	switch {
-	case n.free:
+	case p == nil:
 		return -1
-	case n.mem != nil:
-		return n.mem.grp.id
+	case p.mem != nil:
+		return p.mem.grp.id
 	}
-	return n.id
+	return p.id
 }
 
 // hold is what the trie hangs off one state of the merged NFA: the nodes
 // whose steps, predicates ignored, lead to it, by the scope that parents
-// them. //catalog/item[priority > 1] and [priority > 2] are two
-// nodes of one state — the two members of one predicate group — and the f7
-// leaves below them two nodes of its f7 child: one run, because one group
-// scope parents them both. members are the ungrouped continuations of
-// ungrouped steps, each parented by its parent step's own scope; groups
-// hold the grouped nodes, each group parented by one step's scope; runs hold
-// the ungrouped continuations of group members, one per group, parented by
-// its scope. preds are the predicate nodes, each parented by the scopes on
-// its up stack. desc says a descendant step enters the state. free is the
-// free member, if any: one at most, as a free step's key is its axis and
-// node test.
+// them. //catalog/item[priority > 1] and [priority > 2] are two nodes of one
+// state — the two members of one predicate group — and the f7 leaves below
+// them two nodes of its f7 child: one run, parented by one group scope.
+// members are the ungrouped nodes continuing an ungrouped step (parented by
+// its scope) or none (top nodes); groups hold the grouped nodes; runs the
+// ungrouped continuations of group members, one per group; preds the
+// predicate nodes, parented by the scopes on their up stacks. desc says a
+// descendant step enters the state.
 type hold struct {
 	members []*tnode
 	groups  []*predGroup
 	runs    []*contRun
 	preds   []*tnode
-	free    *tnode
 	desc    bool
 }
 
@@ -168,16 +148,13 @@ func (t *trie) holdOf(n *tnode) *hold {
 // among the members, or in the run of the group the step it continues
 // belongs to.
 func (t *trie) addMember(n *tnode) {
-	if p := n.parent; p.mem != nil {
+	if p := n.parent; p != nil && p.mem != nil {
 		t.joinRun(n, p.mem.grp)
 		return
 	}
 	h := t.holdOf(n)
 	n.slot = len(h.members)
 	h.members = append(h.members, n)
-	if n.free {
-		h.free = n
-	}
 }
 
 // dropMember undoes addMember.
@@ -190,52 +167,51 @@ func (t *trie) dropMember(n *tnode) {
 	last := h.members[len(h.members)-1]
 	h.members[n.slot], last.slot = last, n.slot
 	h.members = h.members[:len(h.members)-1]
-	if h.free == n {
-		h.free = nil
-	}
 }
 
-// trie is the compiled shared index for the predicate-capable route: a
-// prefix-sharing trie over canonical step keys with predicate subtrees
-// hanging off spine nodes, every step of either kind a held state of the
-// merged NFA. Matching a document reads the trie and never writes to it:
-// everything per-document lives on the matcher.
+// trie is the compiled index the gated outputs' predicates need: from each
+// gated subscription's first predicated or attribute step on, a trie over
+// canonical step keys with predicate subtrees hanging off spine nodes, each
+// node at a state of the merged NFA. Matching a document reads the trie and
+// never writes to it: everything per-document lives on the matcher.
 type trie struct {
-	nfa  *automaton.MergedNFA
+	nfa *automaton.MergedNFA
+	// root's scope is the document root's; it ends queries with no step.
 	root *tnode
 	// holds[s] is what hangs off the merged NFA's state s, nil where no
-	// node's step enters it.
+	// node's step enters it. nodes finds every spine node by the node it
+	// continues (nil for a top node), its state and its step key.
 	holds []*hold
-	// outs[slot] is the OUT node of the trie-routed subscription holding
-	// result slot slot (index.pos) — the rest of its spine path is the parent
-	// chain — nil on the other slots. live counts the trie-routed
-	// subscriptions.
+	nodes map[nodeKey]*tnode
+	// outs[slot] is the OUT node of the gated subscription holding result
+	// slot slot (index.pos) — the rest of its trie path is the parent chain —
+	// nil on the other slots. live counts the gated subscriptions.
 	outs []*tnode
 	live int
 	// counts is what every document starts from (matcher.remaining is a copy
 	// of it), by the ids handed out by newID and recycled by freeID. A spine
 	// node's entry counts the subscriptions ending at it plus its
 	// continuations; a predicate group's its members; a run's its nodes; an
-	// internal predicate node's nothing (the id names its open scopes) —
-	// each the number of parts below that a document has yet to match out,
-	// so an entry is positive while anything below is unmatched. A group's
-	// and a run's second entry (frags) counts the extracting subscriptions
-	// ending there. An every-match subscription's latches never count down,
-	// so nothing on its path ever reads zero. add and remove keep the vector
-	// current along the one path they touch.
-	counts  []int32
-	freeIDs []int32
-	// steps counts spine steps added before sharing and spine the spine
-	// nodes after. Their ratio is the prefix-sharing factor reported by
-	// Stats.
-	steps, spine int
-	predNodes    int
+	// internal predicate node's nothing (the id names its open scopes) — the
+	// parts below that a document has yet to match out. A group's and a
+	// run's second entry (frags) counts the extracting subscriptions ending
+	// there. An every-match subscription's latches never count down. add
+	// and remove keep the vector current along the one path they touch.
+	counts    []int32
+	freeIDs   []int32
+	predNodes int
+}
+
+type nodeKey struct {
+	parent *tnode
+	at     int32
+	key    string
 }
 
 // newTrie returns a trie whose steps are states of nfa. Its root is nfa's.
 func newTrie(nfa *automaton.MergedNFA) *trie {
-	t := &trie{nfa: nfa}
-	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, id: t.newID(), free: true}
+	t := &trie{nfa: nfa, nodes: map[nodeKey]*tnode{}}
+	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, id: t.newID()}
 	return t
 }
 
@@ -254,17 +230,17 @@ func (t *trie) newID() int32 {
 // left below the owner, the entry has counted down to zero.
 func (t *trie) freeID(id int32) { t.freeIDs = append(t.freeIDs, id) }
 
-// link and unlink make spine node n a continuation of p, or undo it, with
-// p's count and — a step that gains its first continuation or loses its last
-// starts or stops opening scopes — the tally of p's run.
+// link and unlink enter spine node n in the trie's nodes as a continuation
+// of p, if any, or undo it, with p's count and — a step that gains its first
+// continuation or loses its last starts or stops opening scopes — the tally
+// of p's run.
 func (t *trie) link(p, n *tnode) {
-	was := p.opens()
-	n.pos = len(p.succ)
-	if p.succIndex == nil {
-		p.succIndex = map[string]*tnode{}
+	t.nodes[nodeKey{p, n.at, n.key}] = n
+	if p == nil {
+		return
 	}
-	p.succIndex[n.key] = n
-	p.succ = append(p.succ, n)
+	was := p.opens()
+	p.kids++
 	t.counts[p.id]++
 	if p.run != nil && !was {
 		p.run.scoped++
@@ -272,10 +248,11 @@ func (t *trie) link(p, n *tnode) {
 }
 
 func (t *trie) unlink(p, n *tnode) {
-	delete(p.succIndex, n.key)
-	last := p.succ[len(p.succ)-1]
-	p.succ[n.pos], last.pos = last, n.pos
-	p.succ = p.succ[:len(p.succ)-1]
+	delete(t.nodes, nodeKey{p, n.at, n.key})
+	if p == nil {
+		return
+	}
+	p.kids--
 	t.counts[p.id]--
 	if p.run != nil && !p.opens() {
 		p.run.scoped--
@@ -305,22 +282,29 @@ func (t *trie) ends(n *tnode, d int32, extract, every bool) {
 	}
 }
 
-// add merges one subscription's query, which fragment.Streamable accepted,
-// into the trie, ending it at result slot slot. extract says whether the
-// subscription wants the matched element captured, and every whether it
-// wants every element it selects (which implies extract).
+// add merges one gated subscription's query, which fragment.Streamable
+// accepted and the merged NFA has Added, into the trie, ending it at result
+// slot slot: a spine node for each location step from the first predicated
+// or attribute step on — the last step when there is none (AddEvery) — or
+// the root for no step. extract says whether the subscription wants the
+// matched element captured, and every whether it wants every element it
+// selects (which implies extract).
 func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 	if n := slot + 1 - len(t.outs); n > 0 {
 		t.outs = append(t.outs, make([]*tnode, n)...)
 	}
-	cur := t.root
+	var cur *tnode
+	at := 0
 	for u := q.Root.Successor; u != nil; u = u.Successor {
+		at = t.nfa.Child(at, u.Axis, u.NTest)
+		preds := u.PredicateChildren()
+		if cur == nil && len(preds) == 0 && u.Axis != query.AxisAttribute && u.Successor != nil {
+			continue
+		}
 		key := query.StepKey(u)
-		child := cur.succIndex[key]
+		child := t.nodes[nodeKey{cur, int32(at), key}]
 		if child == nil {
-			preds := u.PredicateChildren()
-			child = &tnode{kind: kindSpine, axis: u.Axis, ntest: u.NTest, parent: cur, key: key, id: t.newID(),
-				at: int32(t.nfa.Hold(int(cur.at), u.Axis, u.NTest)), free: cur.free && len(preds) == 0}
+			child = &tnode{kind: kindSpine, axis: u.Axis, ntest: u.NTest, parent: cur, key: key, id: t.newID(), at: int32(at)}
 			if !t.joinGroup(child, preds) {
 				for i, pc := range preds {
 					child.conj = append(child.conj, t.buildPred(pc, child.at, child.id, i))
@@ -328,11 +312,11 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 				t.addMember(child)
 			}
 			t.link(cur, child)
-			t.spine++
 		}
-		child.through++
-		t.steps++
 		cur = child
+	}
+	if cur == nil {
+		cur = t.root
 	}
 	cur.terminals = append(cur.terminals, slot)
 	t.ends(cur, 1, extract, every)
@@ -341,13 +325,13 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 }
 
 // remove withdraws the subscription holding result slot slot, added with
-// the same extract and every, unlinking the spine nodes only it passed
-// through, with their predicate subtrees — from their parent, from their
-// state's hold, group or run, and from the merged NFA — deepest first, so
-// each is a leaf when its turn comes. The scan of the OUT node's terminals
-// is linear in the subscriptions ending there (duplicates of one query).
-// Scopes a document in flight has open go stale; the engine abandons it,
-// and matcher.reset drops them without consulting the trie.
+// the same extract and every, unlinking the spine nodes left with neither
+// terminals nor continuations, with their predicate subtrees — from the
+// trie's nodes, their state's hold, group or run, and a predicate node's
+// Hold — deepest first, so each is a leaf when its turn comes. The scan of
+// the OUT node's terminals is linear in the subscriptions ending there
+// (duplicates of one query). Scopes a document in flight has open go stale;
+// the engine abandons it, and matcher.reset drops them unread.
 func (t *trie) remove(slot int, extract, every bool) {
 	out := t.outs[slot]
 	t.outs[slot] = nil
@@ -356,32 +340,28 @@ func (t *trie) remove(slot int, extract, every bool) {
 	out.terminals[i] = out.terminals[len(out.terminals)-1]
 	out.terminals = out.terminals[:len(out.terminals)-1]
 	t.ends(out, -1, extract, every)
-	for n := out; n != t.root; {
-		p := n.parent
-		t.steps--
-		if n.through--; n.through == 0 {
-			t.unlink(p, n)
-			t.spine--
-			if n.mem != nil {
-				t.leaveGroup(n)
-			} else {
-				t.dropMember(n)
-				t.dropPreds(n.conj)
-			}
-			t.unhold(n)
-			t.freeID(n.id)
+	for n := out; n != nil && n != t.root && len(n.terminals) == 0 && n.kids == 0; n = n.parent {
+		t.unlink(n.parent, n)
+		if n.mem != nil {
+			t.leaveGroup(n)
+		} else {
+			t.dropMember(n)
+			t.dropPreds(n.conj)
 		}
-		n = p
+		t.unhold(n)
+		t.freeID(n.id)
 	}
 }
 
-// unhold gives back node n's hold of its state, dropping what the trie
-// hangs off the state once nothing is left there.
+// unhold drops what the trie hangs off node n's state once nothing is left
+// there, and gives back a predicate node's hold of its state.
 func (t *trie) unhold(n *tnode) {
 	if t.holds[n.at].empty() {
 		t.holds[n.at] = nil
 	}
-	t.nfa.Release(int(n.at))
+	if n.kind == kindPred {
+		t.nfa.Release(int(n.at))
+	}
 }
 
 // dropPreds takes predicate subtrees, whose spine node or group is leaving
@@ -559,7 +539,7 @@ type matchStats struct {
 // matcher is the streaming run state over a trie: a stack of candidate
 // scopes, holding their tuples, with a stack per node and group of its open
 // ones, and pending text buffers; what it decides latches in the engine's
-// record (hits). One matcher evaluates every trie-routed subscription in a
+// record (hits). One matcher evaluates every gated subscription in a
 // single document pass, reading the item sets its engine's NFA runner
 // enters. Scopes are recycled through a free list, so steady-state matching
 // allocates nothing once the document shapes have been seen.
@@ -637,8 +617,7 @@ func (m *matcher) reset() {
 }
 
 // startDocument opens the root scope: the document root is the sole
-// candidate for the query root, shared by every subscription. It is the one
-// scope of a free step, kept for the level-0 avenues of undecided.
+// candidate for the query root, shared by every subscription.
 func (m *matcher) startDocument() {
 	root := m.tr.root
 	m.openScope(root, nil, nil, 0)
@@ -676,20 +655,20 @@ func (m *matcher) collectPreds(elemLevel int) {
 }
 
 // collectSpine gathers what the entered states hold of the spine — the
-// members, the groups and the runs — likewise, or once when they continue a
-// free step. One whose subscriptions have all matched is skipped uncounted —
+// members, the groups and the runs — likewise, or once when they are top
+// nodes. One whose subscriptions have all matched is skipped uncounted —
 // the shared form of the monotone early exit.
 func (m *matcher) collectSpine(elemLevel int) {
 	m.cands = m.cands[:0]
 	for _, h := range m.held {
 		for _, n := range h.members {
 			if m.remaining[n.id] > 0 {
-				m.offer(cand{node: n}, n.parent.scopes(), h.desc, elemLevel)
+				m.offer(cand{node: n}, scopesOf(n.parent), h.desc, elemLevel)
 			}
 		}
 		for _, g := range h.groups {
 			if m.remaining[g.id] > 0 {
-				m.offer(cand{grp: g}, g.parent.scopes(), h.desc, elemLevel)
+				m.offer(cand{grp: g}, scopesOf(g.parent), h.desc, elemLevel)
 			}
 		}
 		for _, r := range h.runs {
@@ -702,8 +681,8 @@ func (m *matcher) collectSpine(elemLevel int) {
 
 // offer gathers candidate c below each open scope of the node or group with
 // count id parent that parents it, the outermost first — or, when parent is
-// -1 (c continues a free step), once, below none: the element entered c's
-// state by its own step, so it matched the predicate-free path above.
+// -1 (c is a top node), once, below none: the element entered c's state by
+// its own step, so it matched the predicate-free path above.
 func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
 	if parent < 0 {
 		m.stats.TupleVisits++
@@ -1166,11 +1145,11 @@ func (m *matcher) routeEntry(sub int, cap *capture, s *scope, mem *tnode) {
 
 // latch finalizes a subscription's match in the engine's record (hits.latch,
 // which keeps the document-order-first fragment) and, the first time,
-// counts it out of what is left to match below its OUT node — and, while a
-// count hits zero, below what that node is a part of: its group or run, and
-// the step it continues. The first fragment kept counts out of what its
-// group or run still wants captured. An every-match subscription counts
-// nothing out, so no count on its path ever prunes its later matches.
+// counts it out of the runner and of what is left to match below its OUT
+// node — and, while a count hits zero, below what that node is a part of:
+// its group or run, and the step it continues. The first fragment kept
+// counts out of what its group or run still wants captured. An every-match
+// subscription counts nothing out, so nothing prunes its later matches.
 func (m *matcher) latch(sub int, cap *capture) {
 	first, captured := m.hits.latch(sub, cap)
 	out := m.tr.outs[sub]
@@ -1182,6 +1161,7 @@ func (m *matcher) latch(sub int, cap *capture) {
 	if !first || m.hits.ix.every[sub] {
 		return
 	}
+	m.run.Latched(int(out.at))
 	for n := out; n != nil; n = n.parent {
 		if m.remaining[n.id]--; m.remaining[n.id] > 0 {
 			break
@@ -1200,99 +1180,6 @@ func (m *matcher) dropCommitCap(cap *capture) {
 		m.capCommits--
 		m.cm.release(cap)
 	}
-}
-
-// unmatched reports whether any subscription in outs has yet to match.
-func (m *matcher) unmatched(outs []int) bool {
-	for _, sub := range outs {
-		if !m.hits.matched(sub) {
-			return true
-		}
-	}
-	return false
-}
-
-// undecided reports whether some subscription's verdict is still open: not
-// yet matched, and supported by at least one avenue a continuation of the
-// document could still complete. Avenues are, per open spine step — a spine
-// scope, or the free step an open element entered (read off the NFA
-// runner's open levels, as a free step opens no scope) —
-//
-//   - a continuation some element yet to start could be a candidate for
-//     (owes).
-//   - undecided predicates of a scope: its conditional commits — and the
-//     node's own terminals — are decided the moment its last child tuple
-//     matches, or refuted when it closes, so they are pessimistically
-//     alive until one or the other. A free step has none.
-//
-// A group scope is an open element with unresolved predicates for every
-// member, so both avenues are open to every unmatched subscription that
-// passes through one — those its range commits hold among them: the group's
-// remaining count is the whole answer.
-//
-// A subscription with no avenue left can never match (conjunctive
-// matching is monotone and candidates only arrive below open steps), so
-// its negative verdict is final mid-stream. The remaining counts say
-// whether anything unmatched lies below a step, so the sweep is
-// O(scopes + open levels' items + their continuations + their commits) and
-// stops at the first open verdict; callers probe it per chunk, not per
-// event. rootSeen says the document's root element has started.
-func (m *matcher) undecided(rootSeen bool) bool {
-	if m.remaining[m.tr.root.id] == 0 {
-		return false // every trie-routed subscription has matched
-	}
-	for _, sc := range m.scopes {
-		switch {
-		case sc.grp != nil:
-			if m.remaining[sc.grp.id] > 0 {
-				return true
-			}
-		case sc.node.kind == kindSpine:
-			if m.owes(sc.node, sc.level, rootSeen) || sc.unmet > 0 && m.unmatched(sc.node.terminals) {
-				return true
-			}
-		default:
-			// A predicate scope's resolution only feeds the spine scope
-			// that gated it.
-			continue
-		}
-		for _, c := range sc.commits {
-			if !m.hits.matched(c.sub) {
-				return true
-			}
-		}
-	}
-	holds := m.tr.holds
-	for level := 1; ; level++ {
-		items := m.run.Open(level)
-		if items == nil {
-			return false
-		}
-		for _, it := range items {
-			if s, fresh := automaton.Fresh(it); fresh && s < len(holds) && holds[s] != nil {
-				if n := holds[s].free; n != nil && m.owes(n, level, rootSeen) {
-					return true
-				}
-			}
-		}
-	}
-}
-
-// owes reports whether spine node n, a candidate of which is open at level,
-// has a continuation that some element yet to start could be a candidate
-// for. Below an open element that is every continuation with unmatched
-// subscriptions — more children (or, for descendant axes, arbitrary
-// descendants) may start — but a non-descendant step expecting its
-// candidate at level 1 died the moment the document's one root element
-// opened: no second level-1 element will ever start. (Attribute steps at
-// level 1 could never match at all; the same test retires them.)
-func (m *matcher) owes(n *tnode, level int, rootSeen bool) bool {
-	for _, c := range n.succ {
-		if m.remaining[c.id] > 0 && (c.axis == query.AxisDescendant || level > 0 || !rootSeen) {
-			return true
-		}
-	}
-	return false
 }
 
 // addTuples counts n more live tuples.

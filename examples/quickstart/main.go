@@ -35,9 +35,9 @@ func main() {
 		// A Filter is a one-subscription engine, and Stats is the engine's
 		// accounting: "live" counts frontier tuples + open candidate scopes
 		// + buffering leaf candidates at their joint peak, so the first
-		// document reads 6 live / 52 bits where the Section 8 filter alone
-		// (internal/core) holds 5 tuples / 45 bits. For the paper's Fig. 22
-		// frontier, event by event, see examples/tracer.
+		// document reads 5 live / 45 bits, what the Section 8 filter alone
+		// (internal/core) holds too. For the paper's Fig. 22 frontier, event
+		// by event, see examples/tracer.
 		s := f.Stats()
 		fmt.Printf("%-45s -> %-5v (live %d, %d bits, %.1fx the %d-bit lower bound)\n",
 			d, matched, s.PeakLiveTuples, s.EstimatedBits, s.OptimalityRatio, s.LowerBoundBits)

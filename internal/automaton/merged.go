@@ -579,15 +579,14 @@ type SharedRunner struct {
 	m     *MergedNFA
 	stack []*dstate
 	depth int // levels processed while short-circuited
-	left  int // outputs not yet matched
 	// live counts the outputs whose verdict is still open, by kind. XML has
 	// exactly one root element (the tokenizers reject a second), so the
 	// moment the root's item set is pushed, the outputs any document
 	// suffix can still emit are fixed: the automaton's reach from that
 	// set. From then on live counts those not yet matched (StartElementSym
-	// says what the runner stops doing when none is left); before the root
-	// element every output is live. bound counts the live gated outputs
-	// below a child step from the root.
+	// says what the runner stops doing when no ungated one is left); before
+	// the root element every output is live. bound counts the live gated
+	// outputs below a child step from the root.
 	live      [2]int
 	bound     int
 	peakStack int
@@ -613,12 +612,11 @@ func NewSharedRunner(m *MergedNFA, latch func(outs []int) (first int)) *SharedRu
 }
 
 // Reset clears the per-document state (the stack and the counts of what is
-// left). It does not allocate once warm; the owner clears its own verdicts.
+// live). It does not allocate once warm; the owner clears its own verdicts.
 func (r *SharedRunner) Reset() {
 	r.stack = r.stack[:0]
 	r.depth = 0
-	r.left = r.m.outputs
-	r.live, r.bound = [2]int{r.left - r.m.gated, r.m.gated}, 0
+	r.live, r.bound = [2]int{r.m.outputs - r.m.gated, r.m.gated}, 0
 	r.peakStack = 0
 }
 
@@ -629,19 +627,19 @@ func (r *SharedRunner) StartDocument() {
 
 // StartElementSym processes a startElement event whose name was interned
 // by the tokenizer, latching any outputs accepted by the transition.
-// Once every output has matched — or every still-live ungated output has,
-// so the rest are decided negative — no accept list is left to latch, and
-// with no step held and no gated output, whose owners read every element's
-// item set, the runner only counts depth (the per-subscription monotone
-// early exit, applied to the whole shared index). The live shortcut
-// applies only inside an element (stack depth > 1): a start at depth 1
-// would be a new root, whose subtree the live count does not describe, so
-// it is processed in full and recounts. Warm transitions touch no map and
-// allocate nothing, and what they latch is the entered set's accept list:
-// the trie's states are read once per document, for the root element's
-// reach, and not per element.
+// Once every still-live ungated output has matched, so the rest are
+// decided negative, no accept list is left to latch, and with no step held
+// and no gated output, whose owners read every element's item set, the
+// runner only counts depth (the per-subscription monotone early exit,
+// applied to the whole shared index). The shortcut applies only inside an
+// element (stack depth > 1): a start at depth 1 is the root, whose reach
+// is not counted yet, so it is processed in full and counts it. The
+// owner steps no runner over an automaton with no output. Warm
+// transitions touch no map and allocate nothing, and what they latch is
+// the entered set's accept list: the trie's states are read once per
+// document, for the root element's reach, and not per element.
 func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
-	done := r.left == 0 || (r.live[0] == 0 && len(r.stack) > 1)
+	done := r.live[0] == 0 && len(r.stack) > 1
 	if len(r.stack) == 0 || done && r.m.held == 0 && r.m.gated == 0 {
 		r.depth++
 		return
@@ -652,9 +650,7 @@ func (r *SharedRunner) StartElementSym(sym symtab.Sym) {
 		next = r.m.transition(top, sym)
 	}
 	if acc := next.accepts; len(acc) > 0 && !done {
-		first := r.latch(acc)
-		r.left -= first
-		r.live[0] -= first
+		r.live[0] -= r.latch(acc)
 	}
 	r.stack = append(r.stack, next)
 	if len(r.stack) == 2 {
@@ -715,7 +711,6 @@ func (r *SharedRunner) EndElement() {
 // Latched counts out a gated output at state s, latched for the first time
 // this document before the root element's end.
 func (r *SharedRunner) Latched(s int) {
-	r.left--
 	r.live[1]--
 	if r.m.states[s].bound {
 		r.bound--

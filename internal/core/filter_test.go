@@ -320,8 +320,9 @@ func TestStatsBasic(t *testing.T) {
 	if s.PeakBufferBytes != 1 {
 		t.Errorf("PeakBufferBytes = %d, want 1", s.PeakBufferBytes)
 	}
-	// The reference's reading of the quickstart query (the engine's is 6
-	// live entries at 52 bits: TestQuickstartMemStats in internal/engine).
+	// The reference's reading of the quickstart query (the engine's is 5
+	// live entries at 45 bits too: TestQuickstartMemStats in
+	// internal/engine).
 	if s.PeakTuples != 5 || s.EstimatedBits(q.Size()) != 45 {
 		t.Errorf("PeakTuples = %d at %d bits, want 5 at 45", s.PeakTuples, s.EstimatedBits(q.Size()))
 	}

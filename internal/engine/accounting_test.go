@@ -2,11 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"testing"
 
+	"streamxpath/internal/limits"
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
 )
@@ -50,19 +52,19 @@ func docShape(t *testing.T, doc []byte) (events, depth int) {
 }
 
 // TestQuickstartMemStats pins the engine's reading of the quickstart query
-// under the Theorem 8.8 cost model (fragment.EstimatedBits): 6 live entries
-// at 52 bits over a 6-bit floor, where the reference filter holds 5 tuples
-// at 45 bits (TestStatsBasic in internal/core). The joint peak is at <c>:
-// the root and a scopes, b's tuple, c's scope and its e and f tuples (c's
-// own tuple parks behind its scope).
+// under the Theorem 8.8 cost model (fragment.EstimatedBits): 5 live entries
+// at 45 bits over a 6-bit floor, what the reference filter holds too
+// (TestStatsBasic in internal/core). The joint peak is at <c>: a's scope,
+// b's tuple, c's scope and its e and f tuples (c's own tuple parks behind
+// its scope). No scope stands for the document root.
 func TestQuickstartMemStats(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "q", "/a[c[.//e and f] and b > 5]")
 	if _, err := e.MatchBytes(nil, []byte("<a><c><e/><f/></c><b>6</b></a>"), CaptureOff); err != nil {
 		t.Fatal(err)
 	}
-	if ms := e.MemStats(); ms.PeakLiveTuples != 6 || ms.EstimatedBits != 52 || ms.LowerBoundBits != 6 {
-		t.Errorf("live %d at %d bits over a %d-bit floor, want 6 at 52 over 6", ms.PeakLiveTuples, ms.EstimatedBits, ms.LowerBoundBits)
+	if ms := e.MemStats(); ms.PeakLiveTuples != 5 || ms.EstimatedBits != 45 || ms.LowerBoundBits != 6 {
+		t.Errorf("live %d at %d bits over a %d-bit floor, want 5 at 45 over 6", ms.PeakLiveTuples, ms.EstimatedBits, ms.LowerBoundBits)
 	}
 }
 
@@ -204,10 +206,10 @@ var scanQueries = []string{
 // values through a cursor, so the only text held is a one-digit priority),
 // fanout-pred's 1,000 (a threshold group per prefix, whose values are
 // parsed as numbers and so are buffered), and scan's 8 and churn's 1,000,
-// all predicate-free, which hold the root scope alone. The predicated rows'
-// peak is the joint one: fanout-pred's is the root scope, an item's group
-// scope and its priority's pending, the group's tuple parked behind it —
-// //catalog opens no scope.
+// all predicate-free, which hold nothing: their bits are the depth term
+// alone. The predicated rows' peak is the joint one: fanout-pred's is an
+// item's group scope and its priority's pending, the group's tuple parked
+// behind it — //catalog opens no scope.
 func TestWorkloadShapedMemStats(t *testing.T) {
 	serve, extract := serveQueries()
 	var fanout, churn []string
@@ -223,10 +225,10 @@ func TestWorkloadShapedMemStats(t *testing.T) {
 		doc                            []byte
 		live, buffered, groupBits, est int
 	}{
-		{"serve", serve, extract, serveFeed(), 7, 1, 11, 84},
-		{"fanout-pred", fanout, none, fanoutCatalog(), 3, 2, 4, 64},
-		{"scan", scanQueries, none, serveFeed(), 1, 0, 0, 10},
-		{"churn", churn, none, fanoutCatalog(), 1, 0, 0, 16},
+		{"serve", serve, extract, serveFeed(), 6, 1, 11, 75},
+		{"fanout-pred", fanout, none, fanoutCatalog(), 2, 2, 4, 50},
+		{"scan", scanQueries, none, serveFeed(), 0, 0, 0, 2},
+		{"churn", churn, none, fanoutCatalog(), 0, 0, 0, 2},
 	} {
 		e := New()
 		for i, src := range c.srcs {
@@ -248,5 +250,31 @@ func TestWorkloadShapedMemStats(t *testing.T) {
 				c.name, ms.PeakLiveTuples, ms.PeakBufferedBytes, ms.PeakGroupBits, ms.EstimatedBits,
 				c.live, c.buffered, c.groupBits, c.est)
 		}
+	}
+}
+
+// TestLiveBudgetLinearSet pins what MaxLiveTuples charges a set with no
+// predicate: one runner entry per open element and nothing else — no scope
+// stands for the document root — so a document of depth d passes at budget
+// d and breaches at d−1, at its first element that deep.
+func TestLiveBudgetLinearSet(t *testing.T) {
+	doc := accountingDoc(20)
+	_, depth := docShape(t, doc)
+	e := New()
+	for i, src := range []string{"//zzz", "/catalog/item/priority", "/catalog//x"} {
+		mustAdd(t, e, fmt.Sprintf("s%d", i), src)
+	}
+	e.SetLimits(limits.Limits{MaxLiveTuples: depth})
+	if _, err := e.MatchBytes(nil, doc, CaptureOff); err != nil {
+		t.Fatalf("budget %d, depth %d: %v", depth, depth, err)
+	}
+	if ms := e.MemStats(); ms.PeakLiveTuples != 0 || ms.MaxDepth != depth {
+		t.Fatalf("peak live %d at depth %d, want 0 at %d", ms.PeakLiveTuples, ms.MaxDepth, depth)
+	}
+	e.SetLimits(limits.Limits{MaxLiveTuples: depth - 1})
+	_, err := e.MatchBytes(nil, doc, CaptureOff)
+	var le *limits.Error
+	if !errors.As(err, &le) || le.Resource != "live-tuples" || le.Observed != int64(depth) {
+		t.Fatalf("budget %d, depth %d: %v, want a live-tuples breach observing %d", depth-1, depth, err, depth)
 	}
 }

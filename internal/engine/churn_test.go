@@ -387,15 +387,15 @@ func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []
 // the matcher counts as it goes: the open scopes' tuples that are neither
 // matched nor parked behind an open candidate, plus the scopes, plus the
 // pending leaf candidates, are live(); no step whose path carries no
-// predicate holds a scope but the root — a spine scope's node opens one,
-// and its chain of nodes up from there, its own step included, meets a
-// predicated one — and MemStats' peak is at least what is live now.
+// predicate holds a scope — a spine scope's node opens one, and its chain of
+// nodes up from there, its own step included, meets a predicated one — and
+// MemStats' peak is at least what is live now.
 func checkLive(t testing.TB, label string, e *Engine) {
 	t.Helper()
 	m := e.mt
 	n := len(m.scopes) + len(m.pendings)
 	for _, sc := range m.scopes {
-		if sc.node != nil && sc.node.kind == kindSpine && sc.node != e.tr.root {
+		if sc.node != nil && sc.node.kind == kindSpine {
 			p := sc.node
 			for p != nil && len(p.conj) == 0 && p.mem == nil {
 				p = p.parent
@@ -426,8 +426,10 @@ func checkLive(t testing.TB, label string, e *Engine) {
 // nodes up from its OUT node: one per step from its first predicated or
 // attribute step on, at the state the path enters there, and none above;
 // and, recomputed from the trie's spine nodes and predicate subtrees, the
-// count vector with its recycled ids, one merged NFA state per distinct
-// step, and the membership, order and scope tally of every state's hold.
+// ids — each owned once or free — every group's and run's tally of the
+// extracting and every-match subscriptions ending there, one merged NFA
+// state per distinct step, and the membership, order and scope tally of
+// every state's hold.
 func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 	t.Helper()
 	holder := make([]string, len(e.pos))
@@ -495,8 +497,7 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 			t.Fatalf("%s: %s: trie node %s continues a predicate-free step", label, ls.src, n.key)
 		}
 	}
-	want := make([]int32, len(tr.counts))
-	owned := make([]bool, len(tr.counts))
+	owned := make([]bool, tr.ids)
 	own := func(what string, ids ...int32) {
 		for _, id := range ids {
 			if owned[id] {
@@ -522,7 +523,7 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 	}
 	// A predicate node is held from the state of its parent, whose scopes
 	// are on its up stack, at its position among the parent's children; an
-	// internal one owns the id of its open scopes, whose count is zero.
+	// internal one owns the id of its open scopes.
 	preds := 0
 	var walkPreds func(what string, from, up int32, conj []*tnode)
 	walkPreds = func(what string, from, up int32, conj []*tnode) {
@@ -552,8 +553,7 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 			t.Fatalf("%s: top node %s is no standing subscription's", label, n.key)
 		}
 	}
-	own("root", tr.root.id)
-	want[tr.root.id] = int32(len(tr.root.terminals))
+	tallies := map[*tally]tally{}
 	for _, n := range tr.nodes {
 		own(n.key, n.id)
 		if n.parent != nil {
@@ -567,20 +567,22 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 		if n.kids != kids[n] {
 			t.Fatalf("%s: %s counts %d continuations, %d are entered", label, n.key, n.kids, kids[n])
 		}
-		want[n.id] = int32(len(n.terminals)) + n.kids
-		extracting := int32(0)
+		var ends tally
 		for _, sub := range n.terminals {
 			if tr.outs[sub] != n {
 				t.Fatalf("%s: %s: result slot %d ends elsewhere", label, n.key, sub)
 			}
 			if e.extract[sub] {
-				extracting++
+				ends.extracting++
+			}
+			if e.every[sub] {
+				ends.every++
 			}
 		}
+		var ts *tally
 		switch grouped := n.parent != nil && n.parent.mem != nil; {
 		case n.mem != nil:
-			want[n.mem.grp.id]++
-			want[n.mem.grp.frags] += extracting
+			ts = &n.mem.grp.tally
 			if g := n.mem.grp; g.parent != n.parent || !slices.Contains(tr.holds[n.at].groups, g) {
 				t.Fatalf("%s: %s's group continues another step, or is not held by its state", label, n.key)
 			}
@@ -589,16 +591,24 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 				t.Fatalf("%s: %s continues a group member outside its group's run", label, n.key)
 			}
 			runs[n.run] = append(runs[n.run], n)
-			want[n.run.id]++
-			want[n.run.frags] += extracting
+			ts = &n.run.tally
 		case n.run != nil || tr.holds[n.at].members[n.slot] != n:
 			t.Fatalf("%s: %s is not among its state's members", label, n.key)
+		}
+		if ts != nil {
+			sum := tallies[ts]
+			sum.extracting += ends.extracting
+			sum.every += ends.every
+			tallies[ts] = sum
 		}
 	}
 	for s, h := range tr.holds {
 		for i := 0; h != nil && i < len(h.groups); i++ {
 			g := h.groups[i]
 			own("group "+g.key, g.id, g.frags)
+			if g.tally != tallies[&g.tally] {
+				t.Fatalf("%s: group %s tallies %+v, its members' terminals %+v", label, g.key, g.tally, tallies[&g.tally])
+			}
 			walkPreds("group "+g.key, int32(s), g.id, g.conj)
 			if slices.IndexFunc(h.groups, func(o *predGroup) bool { return o.parent == g.parent && o.key == g.key }) != i {
 				t.Fatalf("%s: state %d holds two groups %s below one step", label, s, g.key)
@@ -618,6 +628,9 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 		held += len(h.runs)
 		for _, r := range h.runs {
 			own("run below "+r.grp.key, r.id, r.frags)
+			if r.tally != tallies[&r.tally] {
+				t.Fatalf("%s: run below %s tallies %+v, its nodes' terminals %+v", label, r.grp.key, r.tally, tallies[&r.tally])
+			}
 			nodes, scoped := runs[r], 0
 			for i, n := range r.nodes {
 				if !slices.Contains(nodes, n) || n.at != int32(s) {
@@ -641,9 +654,6 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 	}
 	if heldPreds != preds || preds != tr.predNodes {
 		t.Fatalf("%s: %d predicate nodes held by states, %d in the trie, %d counted", label, heldPreds, preds, tr.predNodes)
-	}
-	if !slices.Equal(tr.counts, want) {
-		t.Fatalf("%s: count vector\n have %v\n want %v", label, tr.counts, want)
 	}
 	for _, id := range tr.freeIDs {
 		own("free list", id)
@@ -912,9 +922,9 @@ func TestEngineRebuildKeepsTheIndex(t *testing.T) {
 	check("before Rebuild", e)
 	check("replica", other)
 	before, warm := e.Stats(), other.Stats()
-	ix, nfa, tr, counts := e.index, e.nfa, e.tr, slices.Clone(e.tr.counts)
+	ix, nfa, tr, ids, nodes := e.index, e.nfa, e.tr, e.tr.ids, len(e.tr.nodes)
 	e.Rebuild()
-	if e.index != ix || e.nfa != nfa || e.tr != tr || !slices.Equal(tr.counts, counts) {
+	if e.index != ix || e.nfa != nfa || e.tr != tr || tr.ids != ids || len(tr.nodes) != nodes {
 		t.Fatal("Rebuild replaced or patched the index")
 	}
 	check("after Rebuild", e)

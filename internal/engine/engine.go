@@ -29,11 +29,12 @@
 //     link) — once for all subscriptions sharing a step. Every node sits at
 //     a state of the NFA, and each state an element enters offers the nodes
 //     there once per open scope of their parent — a top node, which
-//     continues the NFA's predicate-free steps, once per element — so a
-//     predicated prefix costs the same whether one subscription hangs off
-//     it or a thousand. Matches below a predicated step commit
-//     conditionally and are decided the moment the predicate is satisfied,
-//     or dropped when its scope closes first. Steps that differ only in the
+//     continues the NFA's predicate-free steps, once per element, below no
+//     scope: none stands for the document root — so a predicated prefix
+//     costs the same whether one subscription hangs off it or a thousand.
+//     Matches below a predicated step commit conditionally and are decided
+//     the moment the predicate is satisfied, or dropped when its scope
+//     closes first. Steps that differ only in the
 //     constant of one comparison — [priority > 3], [priority > 4], … — are
 //     one predicate group (group.go), resolved against all the constants
 //     by one search (a textual equality's streamed through a cursor,
@@ -42,7 +43,9 @@
 //
 // Each subscription's match latches monotonically (conjunctive matching
 // is monotone, Section 8.1), and fully matched shared states stop
-// accepting candidates — the per-filter early exit, applied to shared state.
+// accepting candidates — the per-filter early exit, applied to shared state:
+// a document counts what has latched below each, against what the index
+// says each has.
 //
 // The kinds differ in how they find matches, and in nothing after: Add
 // gives every subscription a result slot from one free list, and both
@@ -467,6 +470,9 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 	for u := q.Root.Successor; u != nil; u = u.Successor {
 		s.steps++
 	}
+	if s.steps == 0 {
+		return fmt.Errorf("engine: query has no location step")
+	}
 	if s.gated = every || automaton.Linear(q) != nil; s.gated {
 		// A linear query is streamable by construction: it has no predicate.
 		if err := fragment.Streamable(q).Err(); err != nil {
@@ -672,9 +678,9 @@ func (e *Engine) checkCaptured() error {
 	return nil
 }
 
-// startDocument opens a document on the runner and on the trie matcher,
-// whose root scope is what MaxLiveTuples and MemStats count before the root
-// element, whatever the subscriptions.
+// startDocument opens a document on the runner. The trie matcher holds
+// nothing until an element is a candidate for one of its nodes: no scope
+// stands for the document root, which no trie node continues.
 func (e *Engine) startDocument() error {
 	if e.started && !e.finished {
 		return fmt.Errorf("engine: duplicate startDocument")
@@ -688,7 +694,6 @@ func (e *Engine) startDocument() error {
 	e.started = true
 	e.events++
 	e.runner.StartDocument()
-	e.mt.startDocument()
 	return nil
 }
 
@@ -728,7 +733,7 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 		e.runner.StartElementSym(sym)
 	}
 	if e.tr.live > 0 {
-		e.mt.startElementSym(sym, isAttr)
+		e.mt.startElementSym(sym, isAttr, e.level)
 	}
 	if e.lim.MaxLiveTuples > 0 {
 		// Live state is the trie matcher's tuples/scopes/pendings plus one
@@ -764,7 +769,7 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 	}
 	e.events++
 	if e.tr.live > 0 {
-		e.mt.endElement()
+		e.mt.endElement(closing)
 	}
 	// After the matcher, whose latches the root element's end must follow.
 	if !isAttr && len(e.subs) > 0 {
@@ -1043,8 +1048,8 @@ type MemStats struct {
 	// per step of its path and one pending candidate per open element,
 	// whatever its size; what that scope holds beyond a scope's cost is
 	// PeakGroupBits. A step with no predicate on its path from the root
-	// holds nothing; the document root's scope is held whatever the
-	// subscriptions.
+	// holds nothing, and neither does the document root: a set with no
+	// predicate reads 0.
 	PeakLiveTuples int
 	// PeakGroupBits is the peak of the index state held by open group
 	// scopes and streamed candidates: ⌈log₂(|group|+1)⌉ bits for a
@@ -1056,8 +1061,8 @@ type MemStats struct {
 	// the dead cursor).
 	PeakGroupBits int
 	// PeakScopes / PeakPendings / PeakBufferedBytes are the component
-	// peaks, each taken on its own: open candidate scopes (the root's, and
-	// those of predicated steps and of the steps below one), pending leaf
+	// peaks, each taken on its own: open candidate scopes (those of
+	// predicated steps and of the steps below one), pending leaf
 	// candidates (buffering or streamed), and buffered candidate-text bytes
 	// (the paper's w term). PeakScopes + PeakPendings + Stats.PeakTuples
 	// bounds PeakLiveTuples from above.

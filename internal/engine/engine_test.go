@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,6 +195,37 @@ func TestEngineRejectsUnstreamable(t *testing.T) {
 	}
 	if err := e.Add("dup", query.MustParse("/b")); err == nil {
 		t.Error("duplicate id accepted")
+	}
+}
+
+// TestEngineRefusesQueryWithNoStep: a query with no location step, which
+// the parser never returns but a hand-built query.Query can be, is refused
+// by every Add before it changes anything — the document in flight goes on,
+// and the engine matches as it did.
+func TestEngineRefusesQueryWithNoStep(t *testing.T) {
+	e := New()
+	mustAdd(t, e, "q", "//a[b]")
+	bare := &query.Query{Root: &query.Node{Axis: query.AxisRoot}}
+	if err := feed(e, sax.StartDoc(), sax.Start("a")); err != nil {
+		t.Fatal(err)
+	}
+	for name, add := range map[string]func(string, *query.Query) error{"Add": e.Add, "AddExtract": e.AddExtract, "AddEvery": e.AddEvery} {
+		if err := add("bare", bare); err == nil {
+			t.Errorf("%s accepted a query with no location step", name)
+		}
+	}
+	if err := feed(e, sax.Start("b"), sax.End("b"), sax.End("a"), sax.EndDoc()); err != nil {
+		t.Fatalf("the document in flight was abandoned: %v", err)
+	}
+	if got := e.MatchedIDs(); !slices.Equal(got, []string{"q"}) || e.Len() != 1 {
+		t.Fatalf("matched %v of %v, want [q] of [q]", got, e.IDs())
+	}
+	out, err := e.MatchBytes(nil, []byte("<a><c/></a>"), CaptureOff)
+	if err != nil || len(out.IDs) != 0 {
+		t.Fatalf("next document: matched %v, %v; want none", out.IDs, err)
+	}
+	if st := e.Stats(); st.Subscriptions != 1 || st.TrieRouted != 1 || st.SharedStates != 1 {
+		t.Fatalf("the index changed: %s", st)
 	}
 }
 

@@ -64,8 +64,9 @@ type predGroup struct {
 	// parent is the step the members continue — a group scope's origin is
 	// parent's scope; nil for a group of top nodes, whose scope has no
 	// origin — and key, with parent, finds the group in its state's hold.
-	// id and frags are the group's entries in the trie's count vector: its
-	// members, and the extracting subscriptions ending at one.
+	// id names the group's stack of open scopes and its latch count
+	// (matcher.latched), against its size; frags its latch count of
+	// fragments kept, against tally.extracting.
 	parent    *tnode
 	key       string
 	id, frags int32
@@ -85,9 +86,17 @@ type predGroup struct {
 	ne     []*tnode
 	size   int
 
-	// terminals counts the subscriptions ending at a member, every the
-	// every-match ones among them.
-	terminals, every int
+	// terminals counts the subscriptions ending at a member, and tally the
+	// extracting and every-match ones among them.
+	terminals int
+	tally
+}
+
+// tally counts the subscriptions ending at a group's member, or at a run's
+// node, that want more than a verdict: extracting those that want fragments
+// (every-match ones included), every the every-match ones.
+type tally struct {
+	extracting, every int
 }
 
 // contRun is a run of continuations: the ungrouped spine nodes of one state
@@ -99,13 +108,12 @@ type contRun struct {
 	// members (byKey), so that a threshold scope's boundary splits them by one
 	// search; in an equality group every member has the same key and the
 	// order is that of arrival. scoped counts the nodes a candidate opens a
-	// scope for (tnode.opens); id and frags are its entries in the trie's
-	// count vector: its nodes, and the extracting subscriptions ending at
-	// one; every counts the every-match subscriptions ending at one.
+	// scope for (tnode.opens); id and frags are its latch counts, as a
+	// group's are, against its nodes and tally.extracting.
 	nodes     []*tnode
 	scoped    int
 	id, frags int32
-	every     int
+	tally
 }
 
 // member is a grouped spine node's own part of its predicate: the constant
@@ -212,9 +220,7 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 		}
 		h.groups = append(h.groups, g)
 	}
-	g := h.groups[i]
-	g.insert(n, cmp)
-	t.counts[g.id]++
+	h.groups[i].insert(n, cmp)
 	return true
 }
 
@@ -290,7 +296,6 @@ func (g *predGroup) remove(n *tnode) {
 func (t *trie) leaveGroup(n *tnode) {
 	g := n.mem.grp
 	g.remove(n)
-	t.counts[g.id]--
 	if g.size > 0 {
 		return
 	}
@@ -314,7 +319,6 @@ func (t *trie) joinRun(n *tnode, g *predGroup) {
 	r := h.runs[i]
 	n.run = r
 	r.nodes = insertByKey(r.nodes, n)
-	t.counts[r.id]++
 	if n.opens() {
 		r.scoped++
 	}
@@ -325,7 +329,6 @@ func (t *trie) joinRun(n *tnode, g *predGroup) {
 func (t *trie) leaveRun(n *tnode) {
 	r := n.run
 	r.nodes = removeByKey(r.nodes, n)
-	t.counts[r.id]--
 	if n.opens() {
 		r.scoped--
 	}
@@ -400,7 +403,7 @@ type parsedText struct {
 func (m *matcher) openGroup(g *predGroup, origin *scope, level int) {
 	sc := m.pushScope(origin, level, g.conj)
 	sc.grp, sc.prev, m.open[g.id] = g, m.open[g.id], sc
-	if m.cm.mode != CaptureOff && m.remaining[g.frags] > 0 {
+	if m.cm.mode != CaptureOff && m.left(g.frags, g.extracting) {
 		// Members' own terminals are decided with the scope's values; capture
 		// the candidate element now, while its start event is current.
 		sc.cap = m.cm.elemCapture(g.every > 0)

@@ -47,17 +47,17 @@ func TestScopesOnlyWherePredicated(t *testing.T) {
 		doc          string
 		scopes, live int
 	}{
-		// The root scope and one b scope holding c's tuple: the two open a
-		// elements are two candidates of a free step, which open nothing,
-		// so b is offered once.
-		{"nested free ancestors", []string{"//a//b[c]"}, "<a><a><b><c/></b></a></a>", 2, 3},
+		// One b scope holding c's tuple: the two open a elements are two
+		// candidates of a free step, which open nothing, so b is offered
+		// once.
+		{"nested free ancestors", []string{"//a//b[c]"}, "<a><a><b><c/></b></a></a>", 1, 2},
 		// One state, two b steps: the free one opens nothing, and the c[x]
 		// below it is offered once, below no scope; the c[x] below b[y] once
-		// per b[y] scope. At <c>: the root, b[y] and the two c scopes, with
-		// an x tuple each.
-		{"free and predicated siblings", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><y/><c><x/></c></b></a>", 4, 6},
-		{"free sibling alone", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><c><x/></c></b></a>", 4, 7},
-		{"neither", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><c/><y/></b></a>", 4, 7},
+		// per b[y] scope. At <c>: b[y] and the two c scopes, with an x tuple
+		// each.
+		{"free and predicated siblings", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><y/><c><x/></c></b></a>", 3, 5},
+		{"free sibling alone", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><c><x/></c></b></a>", 3, 6},
+		{"neither", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><c/><y/></b></a>", 3, 6},
 	} {
 		e := New()
 		for i, src := range c.subs {
@@ -107,8 +107,8 @@ func TestScopesOnlyWherePredicated(t *testing.T) {
 		if n := len(semantics.FullEval(query.MustParse("//a//b"), tree.MustParse(doc))); n != len(emitted) {
 			t.Errorf("emitted %d values, the tree evaluator selects %d elements", len(emitted), n)
 		}
-		if ms := e.MemStats(); ms.PeakScopes != 2 {
-			t.Errorf("%d scopes at the peak, want the root's and one b's", ms.PeakScopes)
+		if ms := e.MemStats(); ms.PeakScopes != 1 {
+			t.Errorf("%d scopes at the peak, want one b's", ms.PeakScopes)
 		}
 	})
 

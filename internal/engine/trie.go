@@ -44,14 +44,15 @@ type tnode struct {
 	// the node: among its members or preds, at slot, or, continuing a group
 	// member, in that group's run. parent is the spine step a spine node
 	// continues: nil on a top node (a subscription's first predicated or
-	// attribute step), the root and predicate nodes. key is a spine node's
-	// step key. pos is a predicate node's index among its parent's conj and
-	// its tuple's in a parent scope's children. up is the count id whose
-	// stack of open scopes (matcher.open) holds a predicate node's parent
-	// scopes: its spine node's, its group's or its parent predicate node's.
-	// id is a spine node's entry in the trie's count vector, and an internal
-	// predicate node's, whose count stays 0: the stack of its own open
-	// scopes. kids counts a spine node's continuations.
+	// attribute step) and on predicate nodes. key is a spine node's step key.
+	// pos is a predicate node's index among its parent's conj and its
+	// tuple's in a parent scope's children. up is the id whose stack of open
+	// scopes (matcher.open) holds a predicate node's parent scopes: its spine
+	// node's, its group's or its parent predicate node's. id names a spine
+	// node's and an internal predicate node's own stack, and a spine node's
+	// entry in the document's latch counts (matcher.latched). kids counts a
+	// spine node's continuations: with its terminals, what a document has to
+	// match below it (tnode.need).
 	parent *tnode
 	run    *contRun
 	at     int32
@@ -96,7 +97,11 @@ type tnode struct {
 // matches it or a predicated ancestor gates, holds state.
 func (n *tnode) opens() bool { return len(n.conj) > 0 || n.kids > 0 }
 
-// scopesOf returns the count id of the stack that holds spine node p's open
+// need is what a document has to latch below spine node n before n stops
+// accepting candidates: its terminals, and its continuations.
+func (n *tnode) need() int { return len(n.terminals) + int(n.kids) }
+
+// scopesOf returns the id of the stack that holds spine node p's open
 // scopes — its group's for a group member — or -1 for no node: what a top
 // node continues, which is offered once per element entering its state.
 func scopesOf(p *tnode) int32 {
@@ -176,8 +181,6 @@ func (t *trie) dropMember(n *tnode) {
 // never writes to it: everything per-document lives on the matcher.
 type trie struct {
 	nfa *automaton.MergedNFA
-	// root's scope is the document root's; it ends queries with no step.
-	root *tnode
 	// holds[s] is what hangs off the merged NFA's state s, nil where no
 	// node's step enters it. nodes finds every spine node by the node it
 	// continues (nil for a top node), its state and its step key.
@@ -188,16 +191,13 @@ type trie struct {
 	// nil on the other slots. live counts the gated subscriptions.
 	outs []*tnode
 	live int
-	// counts is what every document starts from (matcher.remaining is a copy
-	// of it), by the ids handed out by newID and recycled by freeID. A spine
-	// node's entry counts the subscriptions ending at it plus its
-	// continuations; a predicate group's its members; a run's its nodes; an
-	// internal predicate node's nothing (the id names its open scopes) — the
-	// parts below that a document has yet to match out. A group's and a
-	// run's second entry (frags) counts the extracting subscriptions ending
-	// there. An every-match subscription's latches never count down. add
-	// and remove keep the vector current along the one path they touch.
-	counts    []int32
+	// ids counts the ids newID has handed out, freeIDs those freeID took
+	// back. An id names one owner's stack of open scopes and its entry in
+	// the document's latch counts (matcher.open, matcher.latched): a spine
+	// node's, a predicate group's or a run's, and their second one (frags)
+	// for their extracting terminals; an internal predicate node's names its
+	// stack alone.
+	ids       int32
 	freeIDs   []int32
 	predNodes int
 }
@@ -208,32 +208,29 @@ type nodeKey struct {
 	key    string
 }
 
-// newTrie returns a trie whose steps are states of nfa. Its root is nfa's.
+// newTrie returns a trie whose steps are states of nfa.
 func newTrie(nfa *automaton.MergedNFA) *trie {
-	t := &trie{nfa: nfa, nodes: map[nodeKey]*tnode{}}
-	t.root = &tnode{kind: kindSpine, axis: query.AxisRoot, id: t.newID()}
-	return t
+	return &trie{nfa: nfa, nodes: map[nodeKey]*tnode{}}
 }
 
-// newID hands out an entry of the count vector, zero.
+// newID hands out an id, a recycled one first.
 func (t *trie) newID() int32 {
 	if k := len(t.freeIDs); k > 0 {
 		id := t.freeIDs[k-1]
 		t.freeIDs = t.freeIDs[:k-1]
 		return id
 	}
-	t.counts = append(t.counts, 0)
-	return int32(len(t.counts) - 1)
+	t.ids++
+	return t.ids - 1
 }
 
-// freeID takes back an entry whose owner has left the trie; with nothing
-// left below the owner, the entry has counted down to zero.
+// freeID takes back the id of an owner that has left the trie.
 func (t *trie) freeID(id int32) { t.freeIDs = append(t.freeIDs, id) }
 
 // link and unlink enter spine node n in the trie's nodes as a continuation
-// of p, if any, or undo it, with p's count and — a step that gains its first
-// continuation or loses its last starts or stops opening scopes — the tally
-// of p's run.
+// of p, if any, or undo it, with p's continuations and — a step that gains
+// its first continuation or loses its last starts or stops opening scopes —
+// the tally of p's run.
 func (t *trie) link(p, n *tnode) {
 	t.nodes[nodeKey{p, n.at, n.key}] = n
 	if p == nil {
@@ -241,7 +238,6 @@ func (t *trie) link(p, n *tnode) {
 	}
 	was := p.opens()
 	p.kids++
-	t.counts[p.id]++
 	if p.run != nil && !was {
 		p.run.scoped++
 	}
@@ -253,42 +249,40 @@ func (t *trie) unlink(p, n *tnode) {
 		return
 	}
 	p.kids--
-	t.counts[p.id]--
 	if p.run != nil && !p.opens() {
 		p.run.scoped--
 	}
 }
 
-// ends records d (±1) subscriptions ending at spine node n, one that wants
-// fragments when extract is set, and every match when every is.
-func (t *trie) ends(n *tnode, d int32, extract, every bool) {
-	t.counts[n.id] += d
-	var frags int32
-	var everyN *int
+// ends records d (±1) subscriptions ending at spine node n in what its group
+// or run tallies of them: one that wants fragments when extract is set, and
+// every match when every is.
+func (n *tnode) ends(d int, extract, every bool) {
+	var ts *tally
 	switch {
 	case n.mem != nil:
-		n.mem.grp.terminals += int(d)
-		frags, everyN = n.mem.grp.frags, &n.mem.grp.every
+		n.mem.grp.terminals += d
+		ts = &n.mem.grp.tally
 	case n.run != nil:
-		frags, everyN = n.run.frags, &n.run.every
+		ts = &n.run.tally
 	default:
 		return
 	}
 	if extract {
-		t.counts[frags] += d
+		ts.extracting += d
 	}
 	if every {
-		*everyN += int(d)
+		ts.every += d
 	}
 }
 
 // add merges one gated subscription's query, which fragment.Streamable
 // accepted and the merged NFA has Added, into the trie, ending it at result
 // slot slot: a spine node for each location step from the first predicated
-// or attribute step on — the last step when there is none (AddEvery) — or
-// the root for no step. extract says whether the subscription wants the
-// matched element captured, and every whether it wants every element it
-// selects (which implies extract).
+// or attribute step on — the last step when there is none (AddEvery); the
+// query has one (Engine.add refuses a query without). extract says whether
+// the subscription wants the matched element captured, and every whether it
+// wants every element it selects (which implies extract).
 func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 	if n := slot + 1 - len(t.outs); n > 0 {
 		t.outs = append(t.outs, make([]*tnode, n)...)
@@ -315,11 +309,8 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 		}
 		cur = child
 	}
-	if cur == nil {
-		cur = t.root
-	}
 	cur.terminals = append(cur.terminals, slot)
-	t.ends(cur, 1, extract, every)
+	cur.ends(1, extract, every)
 	t.outs[slot] = cur
 	t.live++
 }
@@ -339,8 +330,8 @@ func (t *trie) remove(slot int, extract, every bool) {
 	i := slices.Index(out.terminals, slot)
 	out.terminals[i] = out.terminals[len(out.terminals)-1]
 	out.terminals = out.terminals[:len(out.terminals)-1]
-	t.ends(out, -1, extract, every)
-	for n := out; n != nil && n != t.root && len(n.terminals) == 0 && n.kids == 0; n = n.parent {
+	out.ends(-1, extract, every)
+	for n := out; n != nil && n.need() == 0; n = n.parent {
 		t.unlink(n.parent, n)
 		if n.mem != nil {
 			t.leaveGroup(n)
@@ -365,8 +356,8 @@ func (t *trie) unhold(n *tnode) {
 }
 
 // dropPreds takes predicate subtrees, whose spine node or group is leaving
-// the trie, out of their states' holds, deepest first, and out of the
-// trie's counts.
+// the trie, out of their states' holds, deepest first, and gives back their
+// ids.
 func (t *trie) dropPreds(nodes []*tnode) {
 	for _, n := range nodes {
 		t.dropPreds(n.conj)
@@ -553,7 +544,7 @@ type matcher struct {
 
 	// scopes are the open candidate scopes, ordered by level; open[id] tops
 	// the stack (scope.prev) of the open scopes of the node or group with
-	// count id id, where a candidate finds its parent scopes.
+	// id id, where a candidate finds its parent scopes.
 	scopes   []*scope
 	open     []*scope
 	pendings []pendingVal
@@ -562,7 +553,6 @@ type matcher struct {
 	buf      []byte
 	refCount int
 	cursors  int
-	level    int
 	// groupBits is the index state the open group scopes and cursors hold
 	// (see predGroup.indexBits and strIndex.bits).
 	groupBits int
@@ -570,11 +560,16 @@ type matcher struct {
 	// hits is the engine's record of the document's verdicts and
 	// fragments, where the matcher latches its subscriptions by result slot.
 	hits *hits
-	// remaining is the document's copy of the trie's count vector: what is
-	// left to match below each spine node, group and run (trie.counts).
-	// When an entry hits zero its owner stops accepting candidates — the
-	// per-subscription monotone early exit, applied to shared state.
-	remaining []int32
+	// latched counts, by id, what the document has latched below each spine
+	// node, group and run, from zero: of a node, the subscriptions ending at
+	// it and the continuations that latched all they need; of a group, such
+	// members; of a run, such nodes; and, by a group's or a run's frags id,
+	// its extracting terminals that have a fragment kept. When a count
+	// reaches what the owner has (tnode.need, predGroup.size,
+	// len(contRun.nodes), tally.extracting) the owner stops accepting
+	// candidates, or capturing for them — the per-subscription monotone early
+	// exit, applied to shared state.
+	latched []int32
 
 	// Fragment-extraction state: cm is the engine's capture manager, whose
 	// mode says whether the document captures at all. capCommits counts
@@ -600,33 +595,25 @@ func newMatcher(t *trie, run *automaton.SharedRunner, h *hits) *matcher {
 // reset prepares the matcher for the next document.
 func (m *matcher) reset() {
 	m.tuples = 0
-	if n := len(m.tr.counts); len(m.remaining) != n {
-		m.remaining, m.open = make([]int32, n), make([]*scope, n)
-	} else if len(m.scopes) > 0 {
-		clear(m.open) // a document abandoned mid-stream left scopes open
+	if n := int(m.tr.ids); len(m.latched) != n {
+		m.latched, m.open = make([]int32, n), make([]*scope, n)
+	} else {
+		clear(m.latched)
+		if len(m.scopes) > 0 {
+			clear(m.open) // a document abandoned mid-stream left scopes open
+		}
 	}
 	m.scopes = m.scopes[:0]
 	m.pendings = m.pendings[:0]
 	m.buf = m.buf[:0]
 	m.refCount, m.cursors = 0, 0
-	m.level = 0
 	m.groupBits = 0
 	m.capCommits = 0
-	copy(m.remaining, m.tr.counts)
 	m.stats = matchStats{}
 }
 
-// startDocument opens the root scope: the document root is the sole
-// candidate for the query root, shared by every subscription.
-func (m *matcher) startDocument() {
-	root := m.tr.root
-	m.openScope(root, nil, nil, 0)
-	// Degenerate empty-spine subscriptions match any document. Their
-	// "matched element" is the document itself, which has no source
-	// region, so they never carry a fragment.
-	m.route(root.terminals, nil, nil, nil)
-	m.notePeak()
-}
+// left reports whether the owner of id has latched less than need.
+func (m *matcher) left(id int32, need int) bool { return m.latched[id] < int32(need) }
 
 // entered gathers the holds of the states of items that the element entered
 // by their own step. items lists a state before the states below it, and so
@@ -662,17 +649,17 @@ func (m *matcher) collectSpine(elemLevel int) {
 	m.cands = m.cands[:0]
 	for _, h := range m.held {
 		for _, n := range h.members {
-			if m.remaining[n.id] > 0 {
+			if m.left(n.id, n.need()) {
 				m.offer(cand{node: n}, scopesOf(n.parent), h.desc, elemLevel)
 			}
 		}
 		for _, g := range h.groups {
-			if m.remaining[g.id] > 0 {
+			if m.left(g.id, g.size) {
 				m.offer(cand{grp: g}, scopesOf(g.parent), h.desc, elemLevel)
 			}
 		}
 		for _, r := range h.runs {
-			if m.remaining[r.id] > 0 {
+			if m.left(r.id, len(r.nodes)) {
 				m.offer(cand{run: r}, r.grp.id, h.desc, elemLevel)
 			}
 		}
@@ -680,7 +667,7 @@ func (m *matcher) collectSpine(elemLevel int) {
 }
 
 // offer gathers candidate c below each open scope of the node or group with
-// count id parent that parents it, the outermost first — or, when parent is
+// id parent that parents it, the outermost first — or, when parent is
 // -1 (c is a top node), once, below none: the element entered c's state by
 // its own step, so it matched the predicate-free path above.
 func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
@@ -701,18 +688,16 @@ func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
 	slices.Reverse(m.cands[from:])
 }
 
-// startElementSym offers the element to what the states it entered hold —
-// an attribute's are looked up below its element's, as it enters none. The
-// predicate nodes come first: leaves start buffering or match on existence,
-// internal nodes open candidate scopes (a child-axis owner is parked for the
-// scope's duration, as in core). Then the spine: reached terminals commit
-// their subscriptions and internal nodes open candidate scopes. Each is
-// collected before it is processed: opening scopes pushes them on the
-// stacks candidates are found on, and this element's own must not be
-// offered it.
-func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
-	elemLevel := m.level + 1
-	m.level = elemLevel
+// startElementSym offers the element, at level elemLevel, to what the states
+// it entered hold — an attribute's are looked up below its element's, as it
+// enters none. The predicate nodes come first: leaves start buffering or
+// match on existence, internal nodes open candidate scopes (a child-axis
+// owner is parked for the scope's duration, as in core). Then the spine:
+// reached terminals commit their subscriptions and internal nodes open
+// candidate scopes. Each is collected before it is processed: opening
+// scopes pushes them on the stacks candidates are found on, and this
+// element's own must not be offered it.
+func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool, elemLevel int) {
 	items := m.run.Entered()
 	if isAttr {
 		m.attrs = m.run.Attribute(sym, m.attrs[:0])
@@ -733,11 +718,11 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool) {
 		case c.run != nil:
 			m.startRun(c.run, c.origin, elemLevel)
 		case c.grp != nil:
-			if m.remaining[c.grp.id] > 0 {
+			if m.left(c.grp.id, c.grp.size) {
 				m.openGroup(c.grp, c.origin, elemLevel)
 			}
-		case m.remaining[c.node.id] > 0:
-			// (Zero: an earlier candidate of this same element already
+		case m.left(c.node.id, c.node.need()):
+			// (None left: an earlier candidate of this same element already
 			// satisfied every subscription this step serves.)
 			n := c.node
 			// A terminal whose own step carries no predicates commits now, gated
@@ -808,7 +793,7 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 		end = len(r.nodes)
 	}
 	for i, n := range r.nodes[:end] {
-		if m.remaining[n.id] == 0 {
+		if !m.left(n.id, n.need()) {
 			continue
 		}
 		if len(n.conj) == 0 {
@@ -822,11 +807,11 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 			m.openScope(n, nil, sc, level)
 		}
 	}
-	if !held || m.remaining[r.id] == 0 {
+	if !held || !m.left(r.id, len(r.nodes)) {
 		return
 	}
 	rc := rangeCommit{run: r, from: p}
-	if m.cm.mode != CaptureOff && m.remaining[r.frags] > 0 {
+	if m.cm.mode != CaptureOff && m.left(r.frags, r.extracting) {
 		rc.cap = m.cm.elemCapture(r.every > 0)
 		m.capCommits++
 	}
@@ -939,15 +924,13 @@ func (m *matcher) dropPending(p *pendingVal) {
 }
 
 // endElement resolves the pending leaf candidates and closes the candidate
-// scopes of the closing level, innermost first (they form suffixes of their
-// stacks, as in core). A streamed candidate's
+// scopes of the closing element's level, innermost first (they form
+// suffixes of their stacks, as in core). A streamed candidate's
 // value is the constant its cursor ends on, if any. Buffered candidate text
 // is evaluated through a zero-copy view — predicates only see a string for
 // the duration of the Contains call — and parsed as a number at most once,
 // however many predicate groups are pending on it.
-func (m *matcher) endElement() {
-	closing := m.level
-	m.level--
+func (m *matcher) endElement(closing int) {
 	var parsed parsedText
 	// The closing candidates' cursors are given back before any group hit
 	// takes its bits, so that the peak does not depend on their order.
@@ -1096,8 +1079,8 @@ func (m *matcher) gate(from *scope, at *tnode) (*scope, *tnode) {
 // route delivers matched subscriptions to gate (s, mem) — what gate returned
 // for the scope they come from: the nearest trie-ancestor scope whose
 // predicates are still unresolved holds them as commits; with none open
-// (s nil) the matches are final and latch globally (counting down the
-// remaining vector that drives the shared early exit). A closing scope, or
+// (s nil) the matches are final and latch globally (counting up the latch
+// counts that drive the shared early exit). A closing scope, or
 // a run offered an element, gates everything it delivers alike and asks
 // once. cap, when non-nil, is the fragment captured for the matching element;
 // commit entries for extraction-enabled subscriptions take a reference each.
@@ -1145,31 +1128,31 @@ func (m *matcher) routeEntry(sub int, cap *capture, s *scope, mem *tnode) {
 
 // latch finalizes a subscription's match in the engine's record (hits.latch,
 // which keeps the document-order-first fragment) and, the first time,
-// counts it out of the runner and of what is left to match below its OUT
-// node — and, while a count hits zero, below what that node is a part of:
-// its group or run, and the step it continues. The first fragment kept
-// counts out of what its group or run still wants captured. An every-match
-// subscription counts nothing out, so nothing prunes its later matches.
+// counts it out of the runner and into what has latched below its OUT node —
+// and, while a node has latched all it needs, below what that node is a part
+// of: its group or run, and the step it continues. The first fragment kept
+// counts into its group's or run's frags. An every-match subscription counts
+// nothing, so nothing prunes its later matches.
 func (m *matcher) latch(sub int, cap *capture) {
 	first, captured := m.hits.latch(sub, cap)
 	out := m.tr.outs[sub]
 	if captured && out.mem != nil {
-		m.remaining[out.mem.grp.frags]--
+		m.latched[out.mem.grp.frags]++
 	} else if captured && out.run != nil {
-		m.remaining[out.run.frags]--
+		m.latched[out.run.frags]++
 	}
 	if !first || m.hits.ix.every[sub] {
 		return
 	}
 	m.run.Latched(int(out.at))
 	for n := out; n != nil; n = n.parent {
-		if m.remaining[n.id]--; m.remaining[n.id] > 0 {
+		if m.latched[n.id]++; m.left(n.id, n.need()) {
 			break
 		}
 		if n.mem != nil {
-			m.remaining[n.mem.grp.id]--
+			m.latched[n.mem.grp.id]++
 		} else if n.run != nil {
-			m.remaining[n.run.id]--
+			m.latched[n.run.id]++
 		}
 	}
 }

@@ -41,36 +41,47 @@ const (
 type Limits struct {
 	// MaxDepth bounds the open-element nesting depth (the paper's d and,
 	// on recursive documents, its recursion term r). Enforced by the
-	// tokenizer's element stack and the evaluators' level counters.
+	// tokenizer's element stack and the evaluators' level counters: a
+	// 10^6-deep element chain is refused at depth MaxDepth+1, not parsed to
+	// completion. Every layer counts it the same way: a self-closing tag is
+	// a level like any element, and an element's attributes — child events,
+	// in the paper's folding of the attribute axis — sit one level below it.
 	MaxDepth int
 	// MaxTokenBytes bounds the size of a single token: a text run, CDATA
 	// section, comment, processing instruction, or attribute value. In
 	// streaming mode this also bounds the retained unconsumed tail, since
 	// an incomplete construct is held until it completes — the budget that
-	// stops a gigabyte text node from buffering whole.
+	// stops a gigabyte text node (or a tag with 10^4 attributes) from
+	// buffering whole.
 	MaxTokenBytes int
 	// MaxBufferedBytes bounds the evaluators' candidate-text buffer (the
 	// paper's text-width term w): bytes held for value-restricted
-	// predicate leaves awaiting truth-set evaluation. In the production
-	// engine only numeric comparisons, string functions and other truth
-	// sets buffer — a textual = or != against a string constant streams
-	// its text through a cursor and holds none of it; the Section 8
-	// reference filter buffers every restricted leaf.
+	// predicate leaves awaiting truth-set evaluation, plus, in the shared
+	// engine, fragment captures. In the shared engine only numeric
+	// comparisons, string functions and other truth sets buffer — a
+	// textual = or != against a string constant streams its text through a
+	// cursor into its constants (charged in MemStats.PeakGroupBits) and
+	// holds none of it; the Section 8 reference filter buffers every
+	// restricted leaf.
 	MaxBufferedBytes int
 	// MaxLiveTuples bounds the evaluators' live matching state: frontier
-	// tuples plus open candidate scopes plus pending leaf candidates
-	// (the paper's frontier-size term FS(Q), times recursion on recursive
-	// documents). In the shared engine only predicate steps hold frontier
+	// tuples plus open candidate scopes plus pending leaf candidates (the
+	// paper's frontier-size term FS(Q), times recursion on recursive
+	// documents), plus, in the shared engine, one automaton-stack entry per
+	// open element. In the shared engine only predicate steps hold frontier
 	// tuples — a subscription's location-step continuations are offered by
-	// the shared automaton's states, not held, and a step with no predicate
-	// on its path from the root opens no scope — and dead-but-unremoved
-	// tuples are evicted before a breach is declared, so the budget
-	// measures state that could still influence a verdict.
+	// the shared automaton's states, not held, a step with no predicate on
+	// its path from the root opens no scope, and no scope stands for the
+	// document root, so a set with no predicate is charged the depth alone
+	// — and dead-but-unremoved tuples are evicted before a breach is
+	// declared, so the budget measures state that could still influence a
+	// verdict.
 	MaxLiveTuples int
-	// MaxDocBytes bounds the total document size consumed from a reader
-	// or accepted in memory.
+	// MaxDocBytes bounds the total document size: bytes consumed from a
+	// reader, or the slice length on the in-memory paths.
 	MaxDocBytes int64
-	// Policy is the breach policy; the enforcement sites ignore it.
+	// Policy selects failure (Fail, the default) or graceful degradation
+	// (Abstain) on a breach; the enforcement sites ignore it.
 	Policy Policy
 }
 

@@ -70,9 +70,9 @@ type MatchResult struct {
 	Fragments map[string]string
 }
 
-// Tenant is one namespace: a FilterPool carrying the tenant's
-// standing subscriptions, the id→query source map backing GET, and the
-// tenant's metrics. mu is a reader/writer lock: document matching takes
+// Tenant is one namespace: a FilterPool carrying the tenant's standing
+// subscriptions, one record per subscription backing GET and delivery, and
+// the tenant's metrics. mu is a reader/writer lock: document matching takes
 // the read side — the Match*Result API returns each call's verdicts,
 // fragments and accounting together, so concurrent ingest within one
 // tenant is safe and correctly attributed — while subscription CRUD and
@@ -82,14 +82,12 @@ type MatchResult struct {
 type Tenant struct {
 	Name string
 
-	mu       sync.RWMutex
-	set      *streamxpath.FilterPool
-	queries  map[string]string
-	extract  map[string]bool
-	webhooks map[string]subHook
-	limits   streamxpath.Limits
-	maxSubs  int
-	closed   bool
+	mu      sync.RWMutex
+	set     *streamxpath.FilterPool
+	subs    map[string]subRecord
+	limits  streamxpath.Limits
+	maxSubs int
+	closed  bool
 
 	// docSeq sequences delivered documents per tenant; atomic because
 	// concurrent matches deliver under the read lock.
@@ -100,6 +98,15 @@ type Tenant struct {
 	// so deleting this one abandons only this one's records.
 	deliveries *delivery.Pump
 	metrics    *tenantMetrics
+}
+
+// subRecord is what a tenant keeps of one standing subscription beside its
+// entry in the pool: the query source, whether it extracts, and its webhook
+// target, nil for none.
+type subRecord struct {
+	query   string
+	extract bool
+	hook    *subHook
 }
 
 // SubInfo is one subscription as listed by the API.
@@ -206,12 +213,13 @@ func (t *Tenant) PutSubscription(id, query string, extract bool, hook *delivery.
 	if t.closed {
 		return false, errTenantDeleted
 	}
-	old, exists := t.queries[id]
-	if !exists && t.maxSubs > 0 && len(t.queries) >= t.maxSubs {
+	old, exists := t.subs[id]
+	if !exists && t.maxSubs > 0 && len(t.subs) >= t.maxSubs {
 		return false, ErrSubLimit
 	}
-	if exists && old == query && t.extract[id] == extract {
-		t.setHookLocked(id, hook)
+	rec := subRecord{query: query, extract: extract, hook: t.hookFor(id, query, hook)}
+	if exists && old.query == query && old.extract == extract {
+		t.subs[id] = rec
 		return false, nil
 	}
 	if exists {
@@ -219,22 +227,14 @@ func (t *Tenant) PutSubscription(id, query string, extract bool, hook *delivery.
 	}
 	if err := t.addLocked(id, query, extract); err != nil {
 		if exists {
-			if rerr := t.addLocked(id, old, t.extract[id]); rerr != nil {
-				delete(t.queries, id)
-				delete(t.extract, id)
-				delete(t.webhooks, id)
+			if rerr := t.addLocked(id, old.query, old.extract); rerr != nil {
+				delete(t.subs, id)
 				return false, fmt.Errorf("%w: %v", errRestoreFailed, err)
 			}
 		}
 		return false, err
 	}
-	t.queries[id] = query
-	if extract {
-		t.extract[id] = true
-	} else {
-		delete(t.extract, id)
-	}
-	t.setHookLocked(id, hook)
+	t.subs[id] = rec
 	return !exists, nil
 }
 
@@ -247,14 +247,13 @@ func (t *Tenant) addLocked(id, query string, extract bool) error {
 	return t.set.Add(id, query)
 }
 
-// setHookLocked stores or clears a subscription's webhook target.
-// Caller holds t.mu.
-func (t *Tenant) setHookLocked(id string, hook *delivery.Webhook) {
+// hookFor returns subscription id's webhook target on query, nil for no
+// hook.
+func (t *Tenant) hookFor(id, query string, hook *delivery.Webhook) *subHook {
 	if hook == nil {
-		delete(t.webhooks, id)
-		return
+		return nil
 	}
-	t.webhooks[id] = subHook{Webhook: *hook, head: matchEventHead(t.Name, id, t.queries[id])}
+	return &subHook{Webhook: *hook, head: matchEventHead(t.Name, id, query)}
 }
 
 // DeleteSubscription removes a subscription, reporting whether it
@@ -265,21 +264,20 @@ func (t *Tenant) DeleteSubscription(id string) bool {
 	if t.closed {
 		return false
 	}
-	if _, ok := t.queries[id]; !ok {
+	if _, ok := t.subs[id]; !ok {
 		return false
 	}
 	t.set.Remove(id)
-	delete(t.queries, id)
-	delete(t.extract, id)
-	delete(t.webhooks, id)
+	delete(t.subs, id)
 	return true
 }
 
 // subInfoLocked assembles the API view of one subscription.
 func (t *Tenant) subInfoLocked(id string) SubInfo {
-	info := SubInfo{ID: id, Query: t.queries[id], Extract: t.extract[id]}
-	if h, ok := t.webhooks[id]; ok {
-		info.Webhook = webhookInfo(h.Webhook)
+	rec := t.subs[id]
+	info := SubInfo{ID: id, Query: rec.query, Extract: rec.extract}
+	if rec.hook != nil {
+		info.Webhook = webhookInfo(rec.hook.Webhook)
 	}
 	return info
 }
@@ -288,7 +286,7 @@ func (t *Tenant) subInfoLocked(id string) SubInfo {
 func (t *Tenant) Subscription(id string) (SubInfo, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if _, ok := t.queries[id]; !ok {
+	if _, ok := t.subs[id]; !ok {
 		return SubInfo{}, false
 	}
 	return t.subInfoLocked(id), true
@@ -368,7 +366,7 @@ func (t *Tenant) MatchStream(r io.Reader) (MatchResult, error) {
 // receive the JSON matchEvent envelope, its head encoded when the hook was
 // set and only the seq appended here. Enqueue never blocks — overflow
 // sheds (counted by the manager), so a slow receiver cannot back up the
-// match path. Caller holds t.mu.RLock; the webhook/query maps are
+// match path. Caller holds t.mu.RLock; the subscription records are
 // mutated only under the write lock.
 func (t *Tenant) deliverRLocked(res MatchResult) {
 	if t.deliveries == nil || len(res.Matched) == 0 {
@@ -376,8 +374,8 @@ func (t *Tenant) deliverRLocked(res MatchResult) {
 	}
 	seq := t.docSeq.Add(1)
 	for _, id := range res.Matched {
-		hook, ok := t.webhooks[id]
-		if !ok {
+		hook := t.subs[id].hook
+		if hook == nil {
 			continue
 		}
 		if frag, ok := res.Fragments[id]; ok {
@@ -499,14 +497,12 @@ func (r *Registry) newTenant(name string, cfg TenantConfig) *Tenant {
 	set := streamxpath.NewFilterPool(workers)
 	set.SetLimits(lim)
 	t := &Tenant{
-		Name:     name,
-		set:      set,
-		queries:  make(map[string]string),
-		extract:  make(map[string]bool),
-		webhooks: make(map[string]subHook),
-		limits:   lim,
-		maxSubs:  maxSubs,
-		metrics:  r.metrics.newTenant(name),
+		Name:    name,
+		set:     set,
+		subs:    make(map[string]subRecord),
+		limits:  lim,
+		maxSubs: maxSubs,
+		metrics: r.metrics.newTenant(name),
 	}
 	if r.delivery != nil {
 		t.deliveries = r.delivery.Open(name)

@@ -19,15 +19,6 @@ const (
 	OpGe CompOp = ">="
 )
 
-// ValidCompOp reports whether s names a comparison operator.
-func ValidCompOp(s string) bool {
-	switch CompOp(s) {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		return true
-	}
-	return false
-}
-
 // Negate returns the complementary comparison operator (e.g. < becomes >=).
 func (op CompOp) Negate() CompOp {
 	switch op {
@@ -124,15 +115,6 @@ const (
 	OpIDiv ArithOp = "idiv"
 	OpMod  ArithOp = "mod"
 )
-
-// ValidArithOp reports whether s names an arithmetic operator.
-func ValidArithOp(s string) bool {
-	switch ArithOp(s) {
-	case OpAdd, OpSub, OpMul, OpDiv, OpIDiv, OpMod:
-		return true
-	}
-	return false
-}
 
 // Arith applies an arithmetic operator to two atomic values after casting
 // both to numbers. Division by zero follows IEEE semantics for div and

@@ -26,9 +26,10 @@ const (
 )
 
 // Limits is a per-document resource budget — the operational form of the
-// paper's memory lower bounds. A field <= 0 leaves that budget
-// unenforced; the zero value disables everything, keeping unlimited
-// matching on the allocation-free fast path (every check is one compare).
+// paper's memory lower bounds; its fields are documented in
+// internal/limits. A field <= 0 leaves that budget unenforced; the zero
+// value disables everything, keeping unlimited matching on the
+// allocation-free fast path (every check is one compare).
 //
 // The paper proves any streaming evaluator needs Ω(frontier size)
 // concurrent candidate state, Ω(r) state under recursion, and Ω(log d)
@@ -45,61 +46,7 @@ const (
 // remainder that is not dispatched creates none, so they cannot be
 // breached inside it: the verdicts are the same, and a document whose only
 // breach of those two lay past its decision point now completes.
-type Limits struct {
-	// MaxDepth bounds the open-element nesting depth (the paper's d, and
-	// its recursion term r on recursive documents). A 10^6-deep
-	// element chain is refused at depth MaxDepth+1, not parsed to
-	// completion. Every layer counts it the same way: a self-closing tag
-	// is a level like any element, and an element's attributes — child
-	// events, in the paper's folding of the attribute axis — sit one
-	// level below it.
-	MaxDepth int
-	// MaxTokenBytes bounds a single token: text run, CDATA section,
-	// comment, processing instruction, or attribute value — and, on the
-	// streaming paths, the retained unconsumed tail. This is the budget
-	// that stops a gigabyte text node (or a tag with 10^4 attributes)
-	// from buffering whole.
-	MaxTokenBytes int
-	// MaxBufferedBytes bounds the candidate-text buffer (the paper's
-	// text-width term w): bytes held for value-restricted predicate
-	// leaves awaiting truth-set evaluation, plus fragment captures. Only
-	// numeric comparisons, string functions (contains, starts-with, …)
-	// and other truth sets buffer; a textual = or != against a string
-	// constant streams its text through a cursor into its constants
-	// (charged in MemStats.PeakGroupBits) and holds none of it.
-	MaxBufferedBytes int
-	// MaxLiveTuples bounds the live matching state: frontier tuples plus
-	// open candidate scopes plus pending leaf candidates (the paper's
-	// FS(Q), times recursion on recursive documents). In a FilterSet only
-	// predicate steps hold frontier tuples — location-step continuations
-	// are offered by the shared automaton's states, not held, and a step
-	// with no predicate on its path from the root opens no scope — and
-	// dead-but-unremoved tuples are evicted before a breach is declared,
-	// so the budget measures state that could still influence a verdict.
-	MaxLiveTuples int
-	// MaxDocBytes bounds the total document size: bytes consumed from a
-	// reader, or the slice length on the in-memory paths.
-	MaxDocBytes int64
-	// Policy selects failure (LimitFail, the default) or graceful
-	// degradation (LimitAbstain) on a breach.
-	Policy LimitPolicy
-}
-
-// Enabled reports whether any budget is set.
-func (l Limits) Enabled() bool { return l.internal().Enabled() }
-
-// internal is l in the form the internal layers take: the enforcement
-// thresholds, and the policy the engine applies to a breach.
-func (l Limits) internal() limits.Limits {
-	return limits.Limits{
-		MaxDepth:         l.MaxDepth,
-		MaxTokenBytes:    l.MaxTokenBytes,
-		MaxBufferedBytes: l.MaxBufferedBytes,
-		MaxLiveTuples:    l.MaxLiveTuples,
-		MaxDocBytes:      l.MaxDocBytes,
-		Policy:           l.Policy,
-	}
-}
+type Limits = limits.Limits
 
 // LimitError reports a resource-budget breach: which budget (Resource),
 // its configured value (Limit), and the observed value that crossed it

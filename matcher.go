@@ -150,7 +150,7 @@ func (m *matcher) SetLimits(l Limits) {
 	m.acquireAll()
 	defer m.releaseAll()
 	for _, e := range m.engs {
-		e.SetLimits(l.internal())
+		e.SetLimits(l)
 	}
 }
 

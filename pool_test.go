@@ -331,7 +331,7 @@ func TestSetLimitsConcurrent(t *testing.T) {
 			t.Fatalf("round %d: Limits() = %+v, which no call set", round, got)
 		}
 		for i, e := range p.engs {
-			if e.Limits() != got.internal() {
+			if e.Limits() != got {
 				t.Fatalf("round %d: Limits() = %+v, engine %d enforces %+v", round, got, i, e.Limits())
 			}
 		}

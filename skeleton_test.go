@@ -228,9 +228,10 @@ func TestSkeletonDispatchAgainstOracle(t *testing.T) {
 				for _, doc := range c.docs {
 					matchEverywhere(t, doc, set, extract, ids, c.subs, doc)
 				}
-				// The same set under every live-state budget from "breached at
-				// the root" to "never breached": each breach abandons open
-				// frames mid-document, and the next document must not see them.
+				// The same set under every live-state budget from "breached by
+				// the root element's first child, if not by the root" to "never
+				// breached": each breach abandons open frames mid-document, and
+				// the next document must not see them.
 				for budget := 1; budget <= 16; budget++ {
 					set.SetLimits(streamxpath.Limits{MaxLiveTuples: budget, Policy: streamxpath.LimitAbstain})
 					for _, doc := range c.docs {

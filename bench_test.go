@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -774,7 +773,7 @@ func drainBatch(b *testing.B, tok *sax.TokenizerBytes, evs []sax.ByteEvent, doc 
 	tok.Reset(doc)
 	n := 0
 	for {
-		k, err := tok.NextBatch(evs, math.MaxInt)
+		k, err := tok.NextBatch(evs)
 		n += k
 		if err == io.EOF {
 			return n

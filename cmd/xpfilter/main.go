@@ -52,7 +52,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -256,7 +255,7 @@ func benchReport(doc []byte, iters int, run func() error) error {
 	drain := func() error {
 		tok.Reset(doc)
 		for {
-			if _, err := tok.NextBatch(batch, math.MaxInt); err != nil {
+			if _, err := tok.NextBatch(batch); err != nil {
 				if err == io.EOF {
 					return nil
 				}

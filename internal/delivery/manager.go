@@ -188,9 +188,9 @@ type Stats struct {
 	Breakers       []BreakerInfo
 }
 
-// Manager owns every tenant's outbound delivery pump. Enqueue is
-// non-blocking and safe for concurrent use; Drain integrates with the
-// server's graceful shutdown.
+// Manager owns every tenant's outbound delivery pump: a tenant enqueues
+// through the pump Open gives it (non-blocking, safe for concurrent use),
+// and Drain integrates with the server's graceful shutdown.
 type Manager struct {
 	cfg Config
 
@@ -219,9 +219,9 @@ func NewManager(cfg Config) *Manager {
 // enqueued and dropped through. A pump already open under the same name
 // stays with its holder, so a tenant deleted and re-created under one name
 // has two pumps until the old one is dropped, and dropping the old one
-// leaves the new one alone; Stats, DeadLetters and Snapshot report the
-// newest. Open returns nil once the manager is draining (a nil pump
-// refuses every record).
+// leaves the new one alone; Stats and Snapshot report the newest. Open
+// returns nil once the manager is draining (a nil pump refuses every
+// record).
 func (m *Manager) Open(tenant string) *Pump {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -238,40 +238,13 @@ func (m *Manager) openLocked(tenant string) *Pump {
 	return p
 }
 
-// pumpFor returns the named tenant's newest pump, opening one if there is
-// none.
-func (m *Manager) pumpFor(tenant string) *Pump {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.named[tenant]; ok {
-		return p
-	}
-	return m.openLocked(tenant)
-}
-
-// lookup returns the named tenant's newest pump without opening one.
-func (m *Manager) lookup(tenant string) *Pump {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.named[tenant]
-}
-
-// Enqueue queues one JSON delivery on the named tenant's newest pump
-// (opening one if needed); see Pump.Enqueue.
-func (m *Manager) Enqueue(tenant, subID string, hook Webhook, payload []byte) bool {
-	return m.pumpFor(tenant).Enqueue(subID, hook, payload)
-}
-
-// DeadLetters snapshots the named tenant's dead-letter ring; see
-// Pump.DeadLetters.
-func (m *Manager) DeadLetters(tenant string) (letters []DeadLetter, dropped int64) {
-	return m.lookup(tenant).DeadLetters()
-}
-
-// Stats snapshots the named tenant's counters (zero value for an unknown
-// tenant).
+// Stats snapshots the named tenant's newest pump's counters (zero value
+// for an unknown tenant).
 func (m *Manager) Stats(tenant string) Stats {
-	return m.lookup(tenant).Stats()
+	m.mu.Lock()
+	p := m.named[tenant]
+	m.mu.Unlock()
+	return p.Stats()
 }
 
 // Snapshot returns every live tenant's stats keyed by tenant name.
@@ -287,12 +260,6 @@ func (m *Manager) Snapshot() map[string]Stats {
 		out[p.tenant] = p.Stats()
 	}
 	return out
-}
-
-// DropTenant drops the named tenant's newest pump; see Pump.Drop. Safe
-// when the tenant has no pump.
-func (m *Manager) DropTenant(tenant string) {
-	m.lookup(tenant).Drop()
 }
 
 // Drain integrates with graceful shutdown: it refuses new enqueues,

@@ -63,8 +63,9 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 		Jitter:           func() float64 { return 1 },
 	})
 	defer m.Close()
+	p := m.Open("t")
 
-	if !m.Enqueue("t", "sub", Webhook{URL: "http://sink.invalid/hook"}, []byte(`{"n":1}`)) {
+	if !p.Enqueue("sub", Webhook{URL: "http://sink.invalid/hook"}, []byte(`{"n":1}`)) {
 		t.Fatal("enqueue shed")
 	}
 	// Each failure parks the record on exactly one timer; fire it and
@@ -77,14 +78,14 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 		}
 		// Time short of the backoff must not release the retry.
 		clock.Advance(want - time.Millisecond)
-		if s := m.Stats("t"); s.Attempts != int64(i+1) {
+		if s := p.Stats(); s.Attempts != int64(i+1) {
 			t.Fatalf("retry %d fired early: %d attempts", i+1, s.Attempts)
 		}
 		clock.Advance(time.Millisecond)
 	}
-	waitUntil(t, 5*time.Second, "delivery", func() bool { return m.Stats("t").Successes == 1 })
+	waitUntil(t, 5*time.Second, "delivery", func() bool { return p.Stats().Successes == 1 })
 
-	s := m.Stats("t")
+	s := p.Stats()
 	if s.Attempts != 4 || s.Failures != 3 || s.Retries != 3 || s.DeadLetters != 0 {
 		t.Fatalf("stats %+v, want 4 attempts / 3 failures / 3 retries", s)
 	}
@@ -112,8 +113,9 @@ func TestBreakerDefersWithoutBurningAttempts(t *testing.T) {
 		Jitter:           func() float64 { return 1 },
 	})
 	defer m.Close()
+	p := m.Open("t")
 
-	if !m.Enqueue("t", "doomed", Webhook{URL: "http://dead.invalid/hook"}, []byte(`{}`)) {
+	if !p.Enqueue("doomed", Webhook{URL: "http://dead.invalid/hook"}, []byte(`{}`)) {
 		t.Fatal("enqueue shed")
 	}
 	// Attempt 1 fails, retry parked 10ms out.
@@ -122,14 +124,14 @@ func TestBreakerDefersWithoutBurningAttempts(t *testing.T) {
 	// Attempt 2 fails and trips the breaker (threshold 2); the retry
 	// parks again.
 	waitUntil(t, 5*time.Second, "second retry parked", func() bool {
-		s := m.Stats("t")
+		s := p.Stats()
 		return s.Attempts == 2 && clock.pendingTimers() == 1
 	})
 	clock.Advance(10 * time.Millisecond)
 	// The due retry meets an open circuit: it parks until the cooldown
 	// and attempts stays at 2 — the deferral burned no budget.
 	waitUntil(t, 5*time.Second, "breaker deferral parked", func() bool { return clock.pendingTimers() == 1 })
-	s := m.Stats("t")
+	s := p.Stats()
 	if s.Attempts != 2 {
 		t.Fatalf("breaker deferral consumed an attempt: %d", s.Attempts)
 	}
@@ -142,15 +144,15 @@ func TestBreakerDefersWithoutBurningAttempts(t *testing.T) {
 	// Cooldown expiry: the half-open probe runs, fails, exhausts the
 	// budget, and the record dead-letters with all 3 attempts accounted.
 	clock.Advance(time.Second)
-	waitUntil(t, 5*time.Second, "dead letter", func() bool { return m.Stats("t").DeadLetters == 1 })
-	s = m.Stats("t")
+	waitUntil(t, 5*time.Second, "dead letter", func() bool { return p.Stats().DeadLetters == 1 })
+	s = p.Stats()
 	if s.Attempts != 3 {
 		t.Fatalf("attempts %d, want 3", s.Attempts)
 	}
 	if s.Breakers[0].State != BreakerOpen {
 		t.Fatalf("breaker %v after failed probe, want open", s.Breakers[0].State)
 	}
-	letters, dropped := m.DeadLetters("t")
+	letters, dropped := p.DeadLetters()
 	if len(letters) != 1 || dropped != 0 {
 		t.Fatalf("dead letters %d dropped %d", len(letters), dropped)
 	}
@@ -185,8 +187,9 @@ func TestFlakySucceedAfterNLosesNothing(t *testing.T) {
 		MaxAttempts:      5,
 		BreakerThreshold: 1000, // isolation covered elsewhere
 	})
+	p := m.Open("t")
 	for i := 0; i < records; i++ {
-		if !m.Enqueue("t", "sub", Webhook{URL: recv.URL()}, []byte(fmt.Sprintf(`{"seq":%d}`, i))) {
+		if !p.Enqueue("sub", Webhook{URL: recv.URL()}, []byte(fmt.Sprintf(`{"seq":%d}`, i))) {
 			t.Fatalf("enqueue %d shed", i)
 		}
 	}
@@ -195,7 +198,7 @@ func TestFlakySucceedAfterNLosesNothing(t *testing.T) {
 	if abandoned := m.Drain(ctx); abandoned != 0 {
 		t.Fatalf("abandoned %d deliveries", abandoned)
 	}
-	s := m.Stats("t")
+	s := p.Stats()
 	if s.Successes != records || s.DeadLetters != 0 {
 		t.Fatalf("successes %d deadletters %d, want %d/0", s.Successes, s.DeadLetters, records)
 	}
@@ -235,11 +238,12 @@ func TestDeadEndpointIsolation(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  10 * time.Millisecond,
 	})
+	p := m.Open("t")
 	for i := 0; i < deadRecs; i++ {
-		m.Enqueue("t", "dead", Webhook{URL: dead.URL()}, []byte(fmt.Sprintf(`{"dead":%d}`, i)))
+		p.Enqueue("dead", Webhook{URL: dead.URL()}, []byte(fmt.Sprintf(`{"dead":%d}`, i)))
 	}
 	for i := 0; i < okRecs; i++ {
-		m.Enqueue("t", "ok", Webhook{URL: healthy.URL()}, []byte(fmt.Sprintf(`{"ok":%d}`, i)))
+		p.Enqueue("ok", Webhook{URL: healthy.URL()}, []byte(fmt.Sprintf(`{"ok":%d}`, i)))
 	}
 	// The healthy endpoint must not wait for the dead one's breaker
 	// dance: its deliveries complete while dead records are still being
@@ -252,11 +256,11 @@ func TestDeadEndpointIsolation(t *testing.T) {
 	if abandoned := m.Drain(ctx); abandoned != 0 {
 		t.Fatalf("abandoned %d", abandoned)
 	}
-	s := m.Stats("t")
+	s := p.Stats()
 	if s.Successes != okRecs || s.DeadLetters != deadRecs {
 		t.Fatalf("successes %d deadletters %d, want %d/%d", s.Successes, s.DeadLetters, okRecs, deadRecs)
 	}
-	letters, _ := m.DeadLetters("t")
+	letters, _ := p.DeadLetters()
 	if len(letters) != deadRecs {
 		t.Fatalf("%d dead letters, want %d", len(letters), deadRecs)
 	}
@@ -306,26 +310,27 @@ func TestOverflowSheds(t *testing.T) {
 	defer once.Do(func() { close(release) })
 
 	m := NewManager(Config{QueueDepth: 2, Workers: 1, Timeout: 30 * time.Second})
+	p := m.Open("t")
 	hook := Webhook{URL: recv.URL()}
-	if !m.Enqueue("t", "s", hook, []byte(`{"n":0}`)) {
+	if !p.Enqueue("s", hook, []byte(`{"n":0}`)) {
 		t.Fatal("first enqueue shed")
 	}
 	// Wait for the worker to pull it and wedge in the receiver, so the
 	// queue is provably empty again.
 	waitUntil(t, 5*time.Second, "worker wedged", func() bool { return recv.seen() == 1 })
 	for i := 1; i <= 2; i++ {
-		if !m.Enqueue("t", "s", hook, []byte(fmt.Sprintf(`{"n":%d}`, i))) {
+		if !p.Enqueue("s", hook, []byte(fmt.Sprintf(`{"n":%d}`, i))) {
 			t.Fatalf("enqueue %d shed with queue space free", i)
 		}
 	}
 	start := time.Now()
-	if m.Enqueue("t", "s", hook, []byte(`{"n":3}`)) {
+	if p.Enqueue("s", hook, []byte(`{"n":3}`)) {
 		t.Fatal("overflow enqueue admitted")
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("shed took %v, want immediate", elapsed)
 	}
-	if s := m.Stats("t"); s.Sheds != 1 || s.Enqueued != 3 {
+	if s := p.Stats(); s.Sheds != 1 || s.Enqueued != 3 {
 		t.Fatalf("sheds %d enqueued %d, want 1/3", s.Sheds, s.Enqueued)
 	}
 	once.Do(func() { close(release) })
@@ -334,7 +339,7 @@ func TestOverflowSheds(t *testing.T) {
 	if abandoned := m.Drain(ctx); abandoned != 0 {
 		t.Fatalf("abandoned %d", abandoned)
 	}
-	s := m.Stats("t")
+	s := p.Stats()
 	if s.Successes != 3 {
 		t.Fatalf("successes %d, want 3", s.Successes)
 	}
@@ -351,16 +356,17 @@ func TestDrainFlushesPending(t *testing.T) {
 	})
 	defer recv.Close()
 	m := NewManager(Config{Workers: 2})
+	p := m.Open("t")
 	const records = 20
 	for i := 0; i < records; i++ {
-		m.Enqueue("t", "s", Webhook{URL: recv.URL()}, []byte(fmt.Sprintf(`{"n":%d}`, i)))
+		p.Enqueue("s", Webhook{URL: recv.URL()}, []byte(fmt.Sprintf(`{"n":%d}`, i)))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if abandoned := m.Drain(ctx); abandoned != 0 {
 		t.Fatalf("abandoned %d", abandoned)
 	}
-	s := m.Stats("t")
+	s := p.Stats()
 	if s.Successes != records {
 		t.Fatalf("successes %d, want %d", s.Successes, records)
 	}
@@ -377,9 +383,10 @@ func TestDrainAbandonsOnExpiry(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	m := NewManager(Config{Workers: 2, Timeout: 30 * time.Second, QueueDepth: 16})
+	p := m.Open("t")
 	const records = 5
 	for i := 0; i < records; i++ {
-		if !m.Enqueue("t", "s", Webhook{URL: recv.URL()}, []byte(`{}`)) {
+		if !p.Enqueue("s", Webhook{URL: recv.URL()}, []byte(`{}`)) {
 			t.Fatalf("enqueue %d shed", i)
 		}
 	}
@@ -390,7 +397,7 @@ func TestDrainAbandonsOnExpiry(t *testing.T) {
 	if abandoned != records {
 		t.Fatalf("abandoned %d, want %d", abandoned, records)
 	}
-	s := m.Stats("t")
+	s := p.Stats()
 	if s.Abandoned != records || s.Successes != 0 {
 		t.Fatalf("stats %+v", s)
 	}
@@ -412,11 +419,12 @@ func TestDropTenant(t *testing.T) {
 
 	m := NewManager(Config{Workers: 1, Timeout: 30 * time.Second})
 	defer m.Close()
-	m.Enqueue("gone", "s", Webhook{URL: recv.URL()}, []byte(`{}`))
-	m.Enqueue("stays", "s", Webhook{URL: healthy.URL()}, []byte(`{}`))
+	gone, stays := m.Open("gone"), m.Open("stays")
+	gone.Enqueue("s", Webhook{URL: recv.URL()}, []byte(`{}`))
+	stays.Enqueue("s", Webhook{URL: healthy.URL()}, []byte(`{}`))
 	waitUntil(t, 5*time.Second, "hang engaged", func() bool { return recv.seen() == 1 })
 
-	m.DropTenant("gone")
+	gone.Drop()
 	if s := m.Stats("gone"); s.Enqueued != 0 {
 		t.Fatalf("dropped tenant still visible: %+v", s)
 	}
@@ -449,6 +457,10 @@ func TestDeliveryHammer(t *testing.T) {
 		MaxAttempts:      6,
 		BreakerThreshold: 10000,
 	})
+	pumps := make(map[string]*Pump, len(tenants))
+	for _, tn := range tenants {
+		pumps[tn] = m.Open(tn)
+	}
 	var wg sync.WaitGroup
 	for _, tn := range tenants {
 		for g := 0; g < 4; g++ {
@@ -456,7 +468,7 @@ func TestDeliveryHammer(t *testing.T) {
 			go func(tn string, g int) {
 				defer wg.Done()
 				for i := 0; i < perTenant/4; i++ {
-					if !m.Enqueue(tn, "s", Webhook{URL: recv.URL()}, []byte(fmt.Sprintf(`{"t":%q,"g":%d,"i":%d}`, tn, g, i))) {
+					if !pumps[tn].Enqueue("s", Webhook{URL: recv.URL()}, []byte(fmt.Sprintf(`{"t":%q,"g":%d,"i":%d}`, tn, g, i))) {
 						t.Errorf("tenant %s shed", tn)
 						return
 					}
@@ -471,7 +483,7 @@ func TestDeliveryHammer(t *testing.T) {
 		t.Fatalf("abandoned %d", abandoned)
 	}
 	for _, tn := range tenants {
-		s := m.Stats(tn)
+		s := pumps[tn].Stats()
 		if s.Successes != int64(perTenant) || s.DeadLetters != 0 {
 			t.Errorf("tenant %s: successes %d deadletters %d, want %d/0", tn, s.Successes, s.DeadLetters, perTenant)
 		}
@@ -523,13 +535,14 @@ func TestDefaultClientKeepsAConnectionPerWorker(t *testing.T) {
 
 	m := NewManager(Config{Workers: workers})
 	defer m.Close()
+	p := m.Open("t")
 	for i := 1; i <= waves; i++ {
 		for j := 0; j < workers; j++ {
-			if !m.Enqueue("t", "s", Webhook{URL: srv.URL}, []byte(`{}`)) {
+			if !p.Enqueue("s", Webhook{URL: srv.URL}, []byte(`{}`)) {
 				t.Fatalf("wave %d: delivery shed", i)
 			}
 		}
-		waitUntil(t, 10*time.Second, fmt.Sprintf("wave %d", i), func() bool { return m.Stats("t").Successes == int64(i*workers) })
+		waitUntil(t, 10*time.Second, fmt.Sprintf("wave %d", i), func() bool { return p.Stats().Successes == int64(i*workers) })
 	}
 	if n := dials.Load(); n > workers {
 		t.Errorf("%d deliveries from %d workers opened %d connections, want at most %d", waves*workers, workers, n, workers)
@@ -549,13 +562,14 @@ func TestDeadLetterRingEviction(t *testing.T) {
 		BreakerThreshold: 100,
 		DeadLetterDepth:  2,
 	})
+	p := m.Open("t")
 	for i := 0; i < 3; i++ {
-		m.Enqueue("t", fmt.Sprintf("s%d", i), Webhook{URL: recv.URL()}, []byte(`{}`))
+		p.Enqueue(fmt.Sprintf("s%d", i), Webhook{URL: recv.URL()}, []byte(`{}`))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	m.Drain(ctx)
-	letters, dropped := m.DeadLetters("t")
+	letters, dropped := p.DeadLetters()
 	if len(letters) != 2 || dropped != 1 {
 		t.Fatalf("ring %d letters %d dropped, want 2/1", len(letters), dropped)
 	}
@@ -610,37 +624,38 @@ func TestRetryNeverBlocksOnFullQueue(t *testing.T) {
 		Jitter:           func() float64 { return 1 },
 	})
 	defer m.Close()
+	p := m.Open("t")
 	hook := Webhook{URL: "http://sink.invalid/hook"}
 
-	if !m.Enqueue("t", "retry", hook, []byte(`{}`)) {
+	if !p.Enqueue("retry", hook, []byte(`{}`)) {
 		t.Fatal("retry record shed")
 	}
 	waitUntil(t, 5*time.Second, "retry parked", func() bool { return clock.pendingTimers() == 1 })
-	if !m.Enqueue("t", "wedge", hook, []byte(`{}`)) {
+	if !p.Enqueue("wedge", hook, []byte(`{}`)) {
 		t.Fatal("wedge record shed")
 	}
 	waitUntil(t, 5*time.Second, "worker wedged", func() bool { return seen("wedge") == 1 })
-	if !m.Enqueue("t", "fresh", hook, []byte(`{}`)) {
+	if !p.Enqueue("fresh", hook, []byte(`{}`)) {
 		t.Fatal("fresh record shed with the queue empty")
 	}
-	if m.Enqueue("t", "over", hook, []byte(`{}`)) {
+	if p.Enqueue("over", hook, []byte(`{}`)) {
 		t.Fatal("fresh record admitted past QueueDepth")
 	}
 
 	clock.Advance(100 * time.Millisecond)
-	waitUntil(t, 5*time.Second, "retry queued past the bound", func() bool { return m.Stats("t").Queued == 2 })
-	if s := m.Stats("t"); s.Sheds != 1 || s.Retries != 1 || s.Enqueued != 3 {
+	waitUntil(t, 5*time.Second, "retry queued past the bound", func() bool { return p.Stats().Queued == 2 })
+	if s := p.Stats(); s.Sheds != 1 || s.Retries != 1 || s.Enqueued != 3 {
 		t.Fatalf("sheds %d retries %d enqueued %d, want 1/1/3", s.Sheds, s.Retries, s.Enqueued)
 	}
 
 	unwedge()
-	waitUntil(t, 5*time.Second, "every record delivered", func() bool { return m.Stats("t").Successes == 3 })
+	waitUntil(t, 5*time.Second, "every record delivered", func() bool { return p.Stats().Successes == 3 })
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if abandoned := m.Drain(ctx); abandoned != 0 {
 		t.Fatalf("abandoned %d", abandoned)
 	}
-	s := m.Stats("t")
+	s := p.Stats()
 	if s.Queued != 0 || s.Sheds != 1 {
 		t.Fatalf("queued %d sheds %d after drain, want 0/1", s.Queued, s.Sheds)
 	}

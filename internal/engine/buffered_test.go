@@ -159,15 +159,16 @@ func sameFailure(a, b error) bool {
 	return a == nil && b == nil
 }
 
-// TestMatchBufferedEqualsFullDispatch: with the first probe anywhere in the
-// document — so the skim begins at every point a verdict set can close at,
-// mid-tag included — MatchBytes reports what dispatching every event
+// TestMatchBufferedEqualsFullDispatch: at every batch length from 1 to
+// sax.BatchSize — so the skim begins at every point a verdict set can close
+// at, mid-tag included — MatchBytes reports what dispatching every event
 // reports: ids, fragments, error, and the depth the memory accounting takes
 // its log d from. The documents are random, whole and with one byte
 // damaged, with and without a depth budget.
 func TestMatchBufferedEqualsFullDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const alphabet = "<>/&;=\"' x"
+	batch := make([]sax.ByteEvent, sax.BatchSize)
 	skims := 0
 	for iter := 0; iter < 300; iter++ {
 		subs, doc := randomSet(rng, iter)
@@ -191,9 +192,10 @@ func TestMatchBufferedEqualsFullDispatch(t *testing.T) {
 		}
 		wantErr := fullDispatch(ref, []byte(doc), CaptureSlice)
 		wantIDs, wantFrags, wantMem := ref.MatchedIDs(), ref.AppendFragments(nil, []byte(doc)), ref.MemStats()
-		for probe := 1; probe <= len(doc); probe += 1 + probe/8 {
-			skimmed, err := e.matchBuffered([]byte(doc), CaptureSlice, probe)
-			label := fmt.Sprintf("iter %d, doc %s, subscriptions %v, first probe at %d", iter, doc, subs, probe)
+		for size := 1; size <= len(batch); size++ {
+			e.batch = batch[:size]
+			out, err := e.MatchBytes(nil, []byte(doc), CaptureSlice)
+			label := fmt.Sprintf("iter %d, doc %s, subscriptions %v, batches of %d", iter, doc, subs, size)
 			if !sameFailure(err, wantErr) {
 				t.Fatalf("%s: error %v, full dispatch %v", label, err, wantErr)
 			}
@@ -206,10 +208,10 @@ func TestMatchBufferedEqualsFullDispatch(t *testing.T) {
 			if got := e.MemStats(); got.MaxDepth != wantMem.MaxDepth || got.LowerBoundBits != wantMem.LowerBoundBits {
 				t.Fatalf("%s: MemStats %s, full dispatch %s", label, got, wantMem)
 			}
-			if skimmed > 0 {
+			if out.Skimmed > 0 {
 				skims++
 				if err == nil && !e.Finished() {
-					t.Fatalf("%s: skimmed %d bytes to the end, engine not finished", label, skimmed)
+					t.Fatalf("%s: skimmed %d bytes to the end, engine not finished", label, out.Skimmed)
 				}
 			}
 		}
@@ -219,44 +221,53 @@ func TestMatchBufferedEqualsFullDispatch(t *testing.T) {
 	}
 }
 
-// TestMatchBufferedSkimTriggers: a document is skimmed from the first probe
-// at which Decided holds, and Decided's own refusals — no subscription, an
-// open capture, a pending conditional commit — mean no skim, not a wrong
-// one.
+// batchEnd is the offset at which the batch of sax.BatchSize events that
+// reaches offset mark of doc ends: where MatchBytes starts skimming a
+// document the event ending at mark decides.
+func batchEnd(t *testing.T, doc []byte, mark int) int {
+	t.Helper()
+	tok := sax.NewTokenizerBytes(doc, nil)
+	evs := make([]sax.ByteEvent, sax.BatchSize)
+	for tok.Offset() < mark {
+		if _, err := tok.NextBatch(evs); err != nil {
+			t.Fatalf("offset %d of %d: %v", tok.Offset(), len(doc), err)
+		}
+	}
+	return tok.Offset()
+}
+
+// TestMatchBufferedSkimTriggers: a document is skimmed from the end of the
+// batch in which Decided first holds, however short the document, and
+// Decided's own refusals — no subscription, an open capture, a pending
+// conditional commit — mean no skim, not a wrong one.
 func TestMatchBufferedSkimTriggers(t *testing.T) {
-	pad := strings.Repeat("<pad>lorem ipsum</pad>", 400) // 8,800 bytes: probes at 4 and 8 KiB
+	pad := strings.Repeat("<pad>lorem ipsum</pad>", 400) // 8,800 bytes, 1,200 events
 	doc := func(body string) []byte { return []byte("<r>" + body + "</r>") }
 	type sub struct {
 		src     string
 		extract bool
 	}
 	for _, c := range []struct {
-		name    string
-		subs    []sub
-		doc     []byte
-		mode    CaptureMode
-		skimmed func(n, docLen int) bool
-		matched int
+		name string
+		subs []sub
+		doc  []byte
+		mode CaptureMode
+		// decidedAt is the text whose last byte ends the deciding event,
+		// "" for a document MatchBytes dispatches to its end.
+		decidedAt string
+		matched   int
 	}{
-		{"no subscriptions: never decided", nil, doc(pad), CaptureOff,
-			func(n, _ int) bool { return n == 0 }, 0},
-		{"matched at once: skimmed from the 4 KiB probe", []sub{{"/r/pad", false}}, doc(pad), CaptureOff,
-			func(n, l int) bool { return n >= l-firstProbe-64 && n < l-firstProbe+64 }, 1},
-		{"dead at the root: skimmed from the 4 KiB probe", []sub{{"/other/pad", false}}, doc(pad), CaptureOff,
-			func(n, l int) bool { return n >= l-firstProbe-64 }, 0},
-		{"under 4 KiB: never probed", []sub{{"/r/pad", false}}, doc("<pad/>"), CaptureOff,
-			func(n, _ int) bool { return n == 0 }, 1},
-		{"matched only at the end: nothing left to skim", []sub{{"/r/last", false}}, doc(pad + "<last/>"), CaptureOff,
-			func(n, _ int) bool { return n == 0 }, 1},
-		{"capture open over both probes: skimmed from the 16 KiB one", []sub{{"/r/wrap", true}},
-			doc("<wrap>" + pad + "</wrap>" + pad), CaptureSlice,
-			func(n, l int) bool { return n > 0 && n < l-4*firstProbe+64 }, 1},
-		{"capture open to the end: not skimmed", []sub{{"/r", true}}, doc(pad), CaptureSlice,
-			func(n, _ int) bool { return n == 0 }, 1},
-		{"the same subscription, boolean call: skimmed", []sub{{"/r", true}}, doc(pad), CaptureOff,
-			func(n, l int) bool { return n >= l-firstProbe-64 }, 1},
-		{"conditional commit pending to the end: not skimmed", []sub{{"/r[flag]/pad", false}}, doc(pad + "<flag/>"), CaptureOff,
-			func(n, _ int) bool { return n == 0 }, 1},
+		{"no subscriptions: never decided", nil, doc(pad), CaptureOff, "", 0},
+		{"matched at once: skimmed from the first batch", []sub{{"/r/pad", false}}, doc(pad), CaptureOff, "<r><pad>", 1},
+		{"dead at the root: skimmed from the first batch", []sub{{"/other/pad", false}}, doc(pad), CaptureOff, "<r>", 0},
+		{"under 1 KiB: skimmed from the first batch", []sub{{"/r/pad", false}}, doc(pad[:40*22]), CaptureOff, "<r><pad>", 1},
+		{"one batch: nothing left to skim", []sub{{"/r/pad", false}}, doc("<pad/>"), CaptureOff, "", 1},
+		{"matched only at the end: nothing left to skim", []sub{{"/r/last", false}}, doc(pad + "<last/>"), CaptureOff, "", 1},
+		{"capture open over a batch: skimmed from the batch that closes it", []sub{{"/r/wrap", true}},
+			doc("<wrap>" + pad + "</wrap>" + pad), CaptureSlice, "</wrap>", 1},
+		{"capture open to the end: not skimmed", []sub{{"/r", true}}, doc(pad), CaptureSlice, "", 1},
+		{"the same subscription, boolean call: skimmed", []sub{{"/r", true}}, doc(pad), CaptureOff, "<r>", 1},
+		{"conditional commit pending to the end: not skimmed", []sub{{"/r[flag]/pad", false}}, doc(pad + "<flag/>"), CaptureOff, "", 1},
 	} {
 		e := New()
 		for i, s := range c.subs {
@@ -269,9 +280,12 @@ func TestMatchBufferedSkimTriggers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		n := out.Skimmed
-		if !c.skimmed(int(n), len(c.doc)) || e.MatchedCount() != c.matched {
-			t.Errorf("%s: skimmed %d of %d bytes, matched %d (want %d)", c.name, n, len(c.doc), e.MatchedCount(), c.matched)
+		want := 0
+		if c.decidedAt != "" {
+			want = len(c.doc) - batchEnd(t, c.doc, strings.Index(string(c.doc), c.decidedAt)+len(c.decidedAt))
+		}
+		if int(out.Skimmed) != want || e.MatchedCount() != c.matched {
+			t.Errorf("%s: skimmed %d of %d bytes (want %d), matched %d (want %d)", c.name, out.Skimmed, len(c.doc), want, e.MatchedCount(), c.matched)
 		}
 		if !e.Finished() {
 			t.Errorf("%s: engine not finished", c.name)

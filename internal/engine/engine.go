@@ -886,10 +886,11 @@ func (e *Engine) MatchedCount() int {
 // only add matches — so a verdict is final mid-stream in two ways:
 // positively, the subscription has matched; negatively, no continuation of
 // the document can still match it (SharedRunner.Undecided, an O(1) counter
-// probe). An empty engine reports false (there is no verdict to decide). What a caller does with true is its own contract: a
-// reader that exits on it skips validating the document's remainder
-// (MatchReader), a buffered caller skims it (MatchBytes) — validates it to
-// the end without dispatching another event.
+// probe). An empty engine reports false (there is no verdict to decide).
+// What a caller does with true is its own contract: a reader that exits on
+// it skips validating the document's remainder (MatchReader), a buffered
+// caller skims it (MatchBytes) — validates it to the end without
+// dispatching another event.
 func (e *Engine) Decided() bool {
 	if e.stale() || !e.started || len(e.subs) == 0 || e.everyMatch > 0 {
 		return false

@@ -66,49 +66,34 @@ func (e *Engine) outcome(out *Outcome, dst []string, doc []byte, mode CaptureMod
 
 var errTruncated = errors.New("streamxpath: document ended prematurely")
 
-// firstProbe is the document offset of MatchBytes's first Decided probe;
-// each later probe sits at twice the offset of the one before. On this
-// schedule a document of n bytes pays at most ⌈log₂(n/firstProbe)⌉+1
-// probes, dispatches at most twice its decided prefix (plus firstProbe) in
-// full, and pays nothing at all when it is shorter than firstProbe.
-const firstProbe = 4 << 10
-
 // MatchBytes matches one document held whole in memory: the buffered
 // drive loop every engine-backed matcher shares. It selects the capture
-// mode, resets the engine, and dispatches the document's events until
-// every verdict is final; from there no event can change a result, so the
-// remainder is only validated — the tokenizer skims it (sax.TokenizerBytes.
-// Skim: every well-formedness and budget check, nothing materialized) and
-// the engine sees no more of it than the deepest level it reached and the
-// closing EndDocument. The verdicts, fragments and errors are those of
-// dispatching every event; Stats.Events counts the dispatched ones, and
-// the budgets on matching state (MaxLiveTuples, MaxBufferedBytes) cannot
-// be breached by a remainder that creates none.
+// mode, resets the engine, and dispatches the document's events a batch at
+// a time (sax.TokenizerBytes.NextBatch), probing Decided after each batch
+// as MatchReader probes it after each chunk. Once every verdict is final
+// no event can change a result, so the remainder is only validated — the
+// tokenizer skims it (sax.TokenizerBytes.Skim: every well-formedness and
+// budget check, nothing materialized) and the engine sees no more of it
+// than the deepest level it reached and the closing EndDocument. The
+// verdicts, fragments and errors are those of dispatching every event;
+// Stats.Events counts the dispatched ones, and the budgets on matching
+// state (MaxLiveTuples, MaxBufferedBytes) cannot be breached by a
+// remainder that creates none.
 //
 // The matched ids are appended to dst. Outcome.Skimmed is the number of
-// bytes validated without dispatch, 0 for a document that was never
-// decided. The error is ready for the public surface: the engine's own
-// errors are prefixed "streamxpath: ", the tokenizer's pass through bare. A
-// budget breach under limits.Abstain is no error but Outcome.Abstained.
+// bytes validated without dispatch: everything after the batch in which
+// the document was decided, 0 for a document that never was. The error is
+// ready for the public surface: the engine's own errors are prefixed
+// "streamxpath: ", the tokenizer's pass through bare. A budget breach
+// under limits.Abstain is no error but Outcome.Abstained.
 func (e *Engine) MatchBytes(dst []string, doc []byte, mode CaptureMode) (out Outcome, err error) {
-	skimmed, err := e.matchBuffered(doc, mode, firstProbe)
-	if skimmed > 0 {
-		e.skimPieces = e.tok.SkimPieces()
-	}
-	out.Skimmed = skimmed
-	err = e.outcome(&out, dst, doc, mode, err)
-	return out, err
-}
-
-// matchBuffered is MatchBytes's loop with the first probe at the given
-// offset, so that tests can reach every skim entry point with small
-// documents.
-func (e *Engine) matchBuffered(doc []byte, mode CaptureMode, probe int) (skimmed int64, err error) {
 	e.SetCapture(mode)
 	e.Reset() // also recovers from a document abandoned mid-stream
 	if l := e.lim.MaxDocBytes; l > 0 && int64(len(doc)) > l {
-		return 0, fmt.Errorf("streamxpath: %w",
+		err = fmt.Errorf("streamxpath: %w",
 			&limits.Error{Resource: "doc-bytes", Limit: l, Observed: int64(len(doc))})
+		err = e.outcome(&out, dst, doc, mode, err)
+		return out, err
 	}
 	if e.tok == nil {
 		e.tok = sax.NewTokenizerBytes(doc, e.tab)
@@ -120,46 +105,42 @@ func (e *Engine) matchBuffered(doc []byte, mode CaptureMode, probe int) (skimmed
 		e.batch = make([]sax.ByteEvent, sax.BatchSize)
 	}
 	tok, batch := e.tok, e.batch
+drive:
 	for {
-		// A batch ends after the first event that reaches the probe offset,
-		// so Decided is probed after the same events as one at a time.
-		n, err := tok.NextBatch(batch, probe)
+		n, terr := tok.NextBatch(batch)
 		for i := range batch[:n] {
 			ev := &batch[i] // written by the tokenizer, read in place by the engine
-			if err := e.processBytes(ev); err != nil {
-				return 0, fmt.Errorf("streamxpath: %w", err)
+			if err = e.processBytes(ev); err != nil {
+				err = fmt.Errorf("streamxpath: %w", err)
+				break drive
 			}
 			if ev.Kind == sax.EndDocument {
-				return 0, nil
+				break drive
 			}
 		}
-		if err == io.EOF {
-			return 0, errTruncated
-		}
-		if err != nil {
-			return 0, err
-		}
-		from := tok.Offset()
-		if from < probe {
-			continue
-		}
-		for probe <= from {
-			probe *= 2
-		}
-		if !e.Decided() {
-			continue
-		}
-		deepest, err := tok.Skim()
-		// The engine's level stopped rising with dispatch; the memory
-		// accounting (log d) is owed the whole document's depth.
-		e.maxLevel = max(e.maxLevel, deepest)
-		if err == nil {
-			if err = e.endDocument(); err != nil {
-				err = fmt.Errorf("streamxpath: %w", err)
+		if terr != nil {
+			if err = terr; err == io.EOF {
+				err = errTruncated
 			}
+			break
 		}
-		return int64(tok.Offset() - from), err
+		if e.Decided() {
+			from := tok.Offset()
+			deepest, serr := tok.Skim()
+			// The engine's level stopped rising with dispatch; the memory
+			// accounting (log d) is owed the whole document's depth.
+			e.maxLevel = max(e.maxLevel, deepest)
+			if err = serr; err == nil {
+				if err = e.endDocument(); err != nil {
+					err = fmt.Errorf("streamxpath: %w", err)
+				}
+			}
+			out.Skimmed, e.skimPieces = int64(tok.Offset()-from), tok.SkimPieces()
+			break
+		}
 	}
+	err = e.outcome(&out, dst, doc, mode, err)
+	return out, err
 }
 
 // MatchReader is MatchBytes's twin for a document that arrives through a

@@ -21,9 +21,9 @@ import (
 //  2. Round-trip: serializing the parsed events with sax.Serialize and
 //     re-tokenizing yields the same stream again (modulo text
 //     coalescing, which serialization merges).
-//  3. NextBatch ≡ Next: at every batch size and stop the differential
-//     tries, the batches carry the Next loop's events, field for field, and
-//     end where it ends, with and without budgets
+//  3. NextBatch ≡ Next: at every batch size the differential tries, the
+//     batches carry the Next loop's events, field for field, and end where
+//     it ends, with and without budgets
 //     (sax.CheckBatchEquivalence, the body of TestBatchMatchesNext).
 //
 // Run with: go test -fuzz FuzzTokenizerBytes ./internal/sax

@@ -3,7 +3,6 @@ package sax
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -116,14 +115,13 @@ func seen(ev ByteEvent, offset int) batchEvent {
 }
 
 // CheckBatchEquivalence drains doc with NextBatch at batch sizes 1, 2, 3
-// and 64, with stop at ∞ and at every offset the Next loop passes, and fails
-// t where a drain differs from the Next loop: in any field of any event —
-// its Data read once its batch is complete, as a consumer reads it — in
-// Offset after a batch, or in the error the document ends with (type and
-// every field). It also holds each batch to NextBatch's stop rule: only the
-// last event of a batch may reach stop, and a batch ends short only at
-// stop, at an error, or after character data. Exported for
-// FuzzTokenizerBytes, which lives in the external test package.
+// and 64, and fails t where a drain differs from the Next loop: in any
+// field of any event — its Data read once its batch is complete, as a
+// consumer reads it — in Offset after a batch, or in the error the
+// document ends with (type and every field). It also holds each batch to
+// NextBatch's length rule: a batch ends short only at an error or after
+// character data. Exported for FuzzTokenizerBytes, which lives in the
+// external test package.
 func CheckBatchEquivalence(t testing.TB, doc []byte, lim limits.Limits) {
 	t.Helper()
 	tok := NewTokenizerBytes(doc, nil)
@@ -137,50 +135,39 @@ func CheckBatchEquivalence(t testing.TB, doc []byte, lim limits.Limits) {
 		}
 	}
 	wantEnd := tok.Offset()
-	stops := []int{math.MaxInt}
-	for i, w := range want {
-		if i == 0 || w.offset != want[i-1].offset {
-			stops = append(stops, w.offset)
-		}
-	}
 	evs := make([]ByteEvent, 64)
 	for _, size := range []int{1, 2, 3, 64} {
-		for _, stop := range stops {
-			tok.Reset(doc)
-			label := func() string { return fmt.Sprintf("%q, limits %+v, batch %d, stop %d", doc, lim, size, stop) }
-			var got []batchEvent
-			for {
-				n, err := tok.NextBatch(evs[:size], stop)
-				if len(got)+n > len(want) {
-					t.Fatalf("%s: %d events, the Next loop has %d", label(), len(got)+n, len(want))
+		tok.Reset(doc)
+		label := func() string { return fmt.Sprintf("%q, limits %+v, batch %d", doc, lim, size) }
+		var got []batchEvent
+		for {
+			n, err := tok.NextBatch(evs[:size])
+			if len(got)+n > len(want) {
+				t.Fatalf("%s: %d events, the Next loop has %d", label(), len(got)+n, len(want))
+			}
+			for _, ev := range evs[:n] {
+				w := want[len(got)]
+				got = append(got, seen(ev, w.offset))
+				if got[len(got)-1] != w {
+					t.Fatalf("%s: event %d = %+v, the Next loop's %+v", label(), len(got)-1, got[len(got)-1], w)
 				}
-				for i, ev := range evs[:n] {
-					w := want[len(got)]
-					if i < n-1 && w.offset >= stop {
-						t.Fatalf("%s: event %d reached the stop at %d, and its batch went on", label(), len(got), w.offset)
-					}
-					got = append(got, seen(ev, w.offset))
-					if got[len(got)-1] != w {
-						t.Fatalf("%s: event %d = %+v, the Next loop's %+v", label(), len(got)-1, got[len(got)-1], w)
-					}
+			}
+			if err != nil {
+				if !reflect.DeepEqual(err, wantErr) || tok.Offset() != wantEnd || len(got) != len(want) {
+					t.Fatalf("%s: ended after %d events at %d with %v, the Next loop after %d at %d with %v",
+						label(), len(got), tok.Offset(), err, len(want), wantEnd, wantErr)
 				}
-				if err != nil {
-					if !reflect.DeepEqual(err, wantErr) || tok.Offset() != wantEnd || len(got) != len(want) {
-						t.Fatalf("%s: ended after %d events at %d with %v, the Next loop after %d at %d with %v",
-							label(), len(got), tok.Offset(), err, len(want), wantEnd, wantErr)
-					}
-					break
-				}
-				if n == 0 {
-					t.Fatalf("%s: an empty batch and no error", label())
-				}
-				last := got[len(got)-1]
-				if tok.Offset() != last.offset {
-					t.Fatalf("%s: offset %d after event %d, the Next loop's %d", label(), tok.Offset(), len(got)-1, last.offset)
-				}
-				if n < size && last.offset < stop && (last.kind != Text || last.data == "") {
-					t.Fatalf("%s: batch of %d ended short after event %d %+v", label(), n, len(got)-1, last)
-				}
+				break
+			}
+			if n == 0 {
+				t.Fatalf("%s: an empty batch and no error", label())
+			}
+			last := got[len(got)-1]
+			if tok.Offset() != last.offset {
+				t.Fatalf("%s: offset %d after event %d, the Next loop's %d", label(), tok.Offset(), len(got)-1, last.offset)
+			}
+			if n < size && (last.kind != Text || last.data == "") {
+				t.Fatalf("%s: batch of %d ended short after event %d %+v", label(), n, len(got)-1, last)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package sax
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"streamxpath/internal/limits"
 	"streamxpath/internal/symtab"
@@ -208,7 +207,7 @@ func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, pro
 			s.Finish()
 		}
 		for {
-			n, err := s.t.NextBatch(s.batch, math.MaxInt)
+			n, err := s.t.NextBatch(s.batch)
 			for _, ev := range s.batch[:n] {
 				if ev.Kind == EndDocument {
 					sawEnd = true

@@ -507,27 +507,23 @@ const BatchSize = 64
 // would have delivered, and err is what the call after them would have
 // returned (nil, io.EOF, ErrNeedMoreData or a scanner's error), so the
 // caller consumes evs[:n] before looking at err. The batch ends when evs is
-// full, after the first event that leaves Offset at or past the absolute
-// offset stop — a caller that looks at Offset after an event, and acts once
-// it reaches a mark, passes the mark as stop and acts after the same events
-// as with NextInto — and after an event whose Data is decoded or
-// stabilized rather than a subslice of the input, since the scratch buffer
-// it lives in is overwritten by a later scan. Every Data in evs[:n] is
-// valid until the next call.
+// full, and after an event whose Data is decoded or stabilized rather than
+// a subslice of the input, since the scratch buffer it lives in is
+// overwritten by a later scan. Every Data in evs[:n] is valid until the
+// next call.
 //
 // Inside the root, between constructs that need no scanner, NextBatch runs
 // eventKernel; whatever the kernel leaves — from the first byte of the
 // construct it stopped at — goes to NextInto, which stays the one source of
 // errors.
-func (t *TokenizerBytes) NextBatch(evs []ByteEvent, stop int) (int, error) {
+func (t *TokenizerBytes) NextBatch(evs []ByteEvent) (int, error) {
 	n := 0
 	for n < len(evs) {
 		// The kernel does not resume a text run suspended across a refill:
 		// readText rescans it from its suspendAt memo.
 		if len(t.stack) > 0 && len(t.pending) == 0 && !t.tagActive && !t.skim && t.base+t.pos != t.suspendAt {
-			var done bool
-			if n, done = t.eventKernel(evs, n, stop); done {
-				return n, nil
+			if n = t.eventKernel(evs, n); n == len(evs) {
+				break
 			}
 		}
 		ev := &evs[n]
@@ -535,7 +531,7 @@ func (t *TokenizerBytes) NextBatch(evs []ByteEvent, stop int) (int, error) {
 			return n, err
 		}
 		n++
-		if t.base+t.pos >= stop || len(ev.Data) > 0 && !t.inWindow(ev.Data) {
+		if len(ev.Data) > 0 && !t.inWindow(ev.Data) {
 			break
 		}
 	}
@@ -547,8 +543,7 @@ func (t *TokenizerBytes) NextBatch(evs []ByteEvent, stop int) (int, error) {
 // document's body — a text run inside the root that ends at '<' with no
 // reference in it, <name>, <name/>, and </name> closing the innermost
 // element — writing their events into evs from n on. It returns the new
-// count, and done when the batch is over: evs is full, or an event left the
-// offset at or past stop. Otherwise it has stopped, t.pos committed, at the
+// count; short of a full evs it has stopped, t.pos committed, at the
 // first byte of a construct it leaves to the scanners: a reference,
 // attributes, comments, PIs, CDATA, DOCTYPE, text outside the root, any
 // other end tag, a construct the window cuts off (the scanners suspend it),
@@ -556,10 +551,9 @@ func (t *TokenizerBytes) NextBatch(evs []ByteEvent, stop int) (int, error) {
 // and a <name/> whose EndElement belongs in the next batch (NextInto stages
 // it). Names are hashed as readName hashes them and interned through the
 // same cache, so the symbols are the scanners' symbols.
-func (t *TokenizerBytes) eventKernel(evs []ByteEvent, n, stop int) (int, bool) {
+func (t *TokenizerBytes) eventKernel(evs []ByteEvent, n int) int {
 	data, stack, base, p := t.data, t.stack, t.base, t.pos
 	maxDepth, maxToken, deepest := t.lim.MaxDepth, t.lim.MaxTokenBytes, t.deepest
-	done := false
 loop:
 	for n < len(evs) && len(stack) > 0 && p < len(data) {
 		if data[p] != '<' {
@@ -597,7 +591,7 @@ loop:
 				close = q + 1
 			case data[q] == '/' && q+1 < len(data) && data[q+1] == '>':
 				close = q + 2
-				if n+1 == len(evs) || base+close >= stop {
+				if n+1 == len(evs) {
 					break loop
 				}
 			default:
@@ -622,16 +616,12 @@ loop:
 			}
 			p = close
 		}
-		if base+p >= stop {
-			done = true
-			break
-		}
 	}
 	t.pos, t.stack, t.deepest = p, stack, deepest
 	if len(stack) == 0 { // entered inside the root, so the root has closed
 		t.rootSeen = true
 	}
-	return n, done || n == len(evs)
+	return n
 }
 
 // inWindow reports that b, which is not empty, is a subslice of the window:

@@ -323,19 +323,7 @@ func (t *Tenant) MaxSubs() int {
 // call's verdicts, fragments and accounting together, so each request's
 // response (and its webhook fan-out) is attributed to its own document.
 func (t *Tenant) MatchBuffered(doc []byte) (MatchResult, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return MatchResult{}, errTenantDeleted
-	}
-	mr, err := t.set.MatchBytesResult(doc)
-	res := t.finishRLocked(mr, int64(len(doc)), false)
-	t.metrics.recordDoc(res, err)
-	if err != nil {
-		return MatchResult{}, err
-	}
-	t.deliverRLocked(res)
-	return res, nil
+	return t.match(doc, nil)
 }
 
 // MatchStream matches a document streamed from r through the chunked
@@ -343,13 +331,29 @@ func (t *Tenant) MatchBuffered(doc []byte) (MatchResult, error) {
 // MaxDocBytes budget bounds how much of an unbounded body is ever read.
 // Like MatchBuffered it holds only the read side of the tenant lock.
 func (t *Tenant) MatchStream(r io.Reader) (MatchResult, error) {
+	return t.match(nil, r)
+}
+
+// match is the one ingest body: under the read lock it matches the
+// document — read from r, or doc when r is nil, which counts as read whole
+// in one chunk — records it in the metrics and, when it did not fail,
+// fans its matches out to the delivery queue.
+func (t *Tenant) match(doc []byte, r io.Reader) (MatchResult, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.closed {
 		return MatchResult{}, errTenantDeleted
 	}
-	mr, err := t.set.MatchReaderResult(r)
-	res := t.finishRLocked(mr, 0, true)
+	var mr streamxpath.MatchResult
+	var err error
+	if r != nil {
+		mr, err = t.set.MatchReaderResult(r)
+	} else {
+		mr, err = t.set.MatchBytesResult(doc)
+		n := int64(len(doc))
+		mr.ReaderStats = streamxpath.ReaderStats{BytesRead: n, BytesConsumed: n, Chunks: 1, Abstained: mr.Abstained}
+	}
+	res := t.finishRLocked(mr)
 	t.metrics.recordDoc(res, err)
 	if err != nil {
 		return MatchResult{}, err
@@ -393,11 +397,12 @@ func (t *Tenant) deliverRLocked(res MatchResult) {
 // MatchResult: the id slice (the call's own, non-nil), private copies of
 // the fragment bytes (the engine's fragments may alias the request body),
 // this call's abstain flag and accounting. Caller holds t.mu.RLock.
-func (t *Tenant) finishRLocked(mr streamxpath.MatchResult, bodyLen int64, stream bool) MatchResult {
+func (t *Tenant) finishRLocked(mr streamxpath.MatchResult) MatchResult {
 	res := MatchResult{
 		Matched:       mr.MatchedIDs,
 		Subscriptions: t.set.Len(),
 		Abstained:     mr.Abstained,
+		Stats:         mr.ReaderStats,
 		Mem:           mr.MemStats,
 		SkimmedBytes:  mr.SkimmedBytes,
 	}
@@ -405,16 +410,6 @@ func (t *Tenant) finishRLocked(mr streamxpath.MatchResult, bodyLen int64, stream
 		res.Fragments = make(map[string]string, len(mr.Fragments))
 		for _, f := range mr.Fragments {
 			res.Fragments[f.ID] = string(f.Data)
-		}
-	}
-	if stream {
-		res.Stats = mr.ReaderStats
-	} else {
-		res.Stats = streamxpath.ReaderStats{
-			BytesRead:     bodyLen,
-			BytesConsumed: bodyLen,
-			Chunks:        1,
-			Abstained:     res.Abstained,
 		}
 	}
 	return res

@@ -199,10 +199,11 @@ func (m *matcher) Stats() FilterSetStats {
 // and the matcher is not called. The ids, fragments, errors and
 // MemStats.MaxDepth are those of dispatching everything; MemStats.Events
 // counts the events dispatched, MatchResult.SkimmedBytes the bytes that
-// were only validated. Verdicts are probed at document offsets 4 KiB,
-// 8 KiB, 16 KiB, …, so a document shorter than 4 KiB is always dispatched
-// whole. (MatchReader goes further and stops reading at the decision
-// point, leaving the remainder unvalidated.) With more than one core, a
+// were only validated. Verdicts are probed after every batch of events
+// (64 at most), so whatever its length a document is dispatched at most
+// to the end of the batch in which it was decided. (MatchReader goes
+// further and stops reading at the decision point, leaving the remainder
+// unvalidated.) With more than one core, a
 // remainder of at least two pieces (16 KiB each) is validated on every free
 // core: helper goroutines check pieces ahead of the calling one, which
 // adopts what they finished and validates the rest itself, so the outcome

@@ -51,8 +51,8 @@ type MatchResult struct {
 	// SkimmedBytes is how much of a whole-buffer document was validated
 	// without being dispatched to the matcher: the bytes after the point
 	// where every verdict was final (see FilterSet.MatchBytes). Zero when
-	// the document was never decided, was too short to be probed, or came
-	// from a reader — a reader stops there instead, which ReaderStats
+	// the document was never decided before its last batch of events, or
+	// came from a reader — a reader stops there instead, which ReaderStats
 	// reports.
 	SkimmedBytes int64
 }

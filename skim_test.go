@@ -257,12 +257,27 @@ func TestSkimmedTailIsStillValidated(t *testing.T) {
 	}
 }
 
+// scanShape is a feed of the scan workload's shape and its 8
+// predicate-free subscriptions, every verdict final within the first items.
+func scanShape(t *testing.T) ([]skimSub, []byte) {
+	t.Helper()
+	var subs []skimSub
+	for i, q := range []string{"/news/item", "/news/item/title", "/news//p", "/news/*/keyword",
+		"/feed/entry", "//item/body/p", "/news/item/priority", "//keyword"} {
+		subs = append(subs, skimSub{id: fmt.Sprintf("s%d", i), src: q})
+	}
+	feed, err := sax.SerializeString(workload.RandomNewsFeed(rand.New(rand.NewSource(5)), 1500).Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs, []byte(feed)
+}
+
 // TestSkimmedBytes pins the counter on the benchmark's two poles: a feed
-// of the scan workload's shape (8 predicate-free subscriptions, every
-// verdict final within its first items) is skimmed but for its head, and
+// of the scan workload's shape is skimmed but for its first kilobyte, and
 // the fanout-pred topology (1,000 predicated subscriptions below
-// //catalog, which no document ever decides) is never skimmed — not its
-// 2 KB documents, which are never probed, and not a large one.
+// //catalog, which no document ever decides) is never skimmed — neither
+// its 2 KB documents nor a large one.
 func TestSkimmedBytes(t *testing.T) {
 	match := func(subs []skimSub, doc []byte) (skimmed []int64) {
 		for _, sf := range bufferedSurfaces(t, subs, streamxpath.Limits{}) {
@@ -275,18 +290,10 @@ func TestSkimmedBytes(t *testing.T) {
 		return skimmed
 	}
 
-	var scan []skimSub
-	for i, q := range []string{"/news/item", "/news/item/title", "/news//p", "/news/*/keyword",
-		"/feed/entry", "//item/body/p", "/news/item/priority", "//keyword"} {
-		scan = append(scan, skimSub{id: fmt.Sprintf("s%d", i), src: q})
-	}
-	feed, err := sax.SerializeString(workload.RandomNewsFeed(rand.New(rand.NewSource(5)), 1500).Events())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range match(scan, []byte(feed)) {
-		if n < int64(len(feed)-8<<10) {
-			t.Errorf("scan-shaped feed of %d bytes: SkimmedBytes = %d, want all but the first 8 KiB", len(feed), n)
+	scan, feed := scanShape(t)
+	for _, n := range match(scan, feed) {
+		if n < int64(len(feed)-1<<10) {
+			t.Errorf("scan-shaped feed of %d bytes: SkimmedBytes = %d, want all but the first 1 KiB", len(feed), n)
 		}
 	}
 
@@ -304,10 +311,59 @@ func TestSkimmedBytes(t *testing.T) {
 	}
 }
 
+// TestSkimmedFromDecidingBatch: MatchBytes probes Decided after every
+// batch, so a buffered document is dispatched no further than the end of
+// the batch holding the event after which Decided first holds — found here
+// by feeding the scan-shaped feed one event at a time — and every byte
+// after that batch is skimmed, on every buffered surface.
+func TestSkimmedFromDecidingBatch(t *testing.T) {
+	subs, feed := scanShape(t)
+	e := engine.New()
+	for _, s := range subs {
+		if err := e.Add(s.id, query.MustParse(s.src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Reset()
+	tok := sax.NewTokenizerBytes(feed, e.Symbols())
+	var offsets []int // the offset after each event
+	for !e.Decided() {
+		ev, err := tok.Next()
+		if err != nil {
+			t.Fatalf("never decided: %v after %d events", err, len(offsets))
+		}
+		if err := e.ProcessBytes(ev); err != nil {
+			t.Fatal(err)
+		}
+		offsets = append(offsets, tok.Offset())
+	}
+	// The batch holding the deciding event ends at most BatchSize-1 events
+	// after it.
+	decided := len(offsets) - 1
+	for len(offsets) < decided+sax.BatchSize {
+		if _, err := tok.Next(); err != nil {
+			t.Fatal(err)
+		}
+		offsets = append(offsets, tok.Offset())
+	}
+	want := int64(len(feed) - offsets[len(offsets)-1])
+	for _, sf := range bufferedSurfaces(t, subs, streamxpath.Limits{}) {
+		got, err := sf.match(feed)
+		if err != nil {
+			t.Fatalf("%s: %v", sf.name, err)
+		}
+		if got.skimmed < want {
+			t.Errorf("%s: decided after byte %d of %d, yet SkimmedBytes = %d, want at least %d",
+				sf.name, offsets[decided], len(feed), got.skimmed, want)
+		}
+	}
+}
+
 // TestEarlyDecision pins the early decision of a predicate: it is true the
 // moment its last conjunct matches, not when its element closes. With the
 // evidence first in a 260 KB <a>, a reader stops right after it and a buffer
-// is skimmed from the first probe on, with the verdict unchanged. An
+// is skimmed from the end of the batch holding it, with the verdict
+// unchanged. An
 // extracting twin still gets the whole <a>: its open capture defers the exit
 // to the end.
 func TestEarlyDecision(t *testing.T) {

@@ -56,9 +56,7 @@ func Linear(q *query.Query) error {
 		return fmt.Errorf("automaton: empty query")
 	}
 	for u := q.Root.Successor; u != nil; u = u.Successor {
-		// A node's children are its successor, if any, and its predicate
-		// children.
-		if u.Pred != nil || len(u.Children) > 1 || (len(u.Children) == 1 && u.Successor == nil) {
+		if predicated(u) {
 			return fmt.Errorf("automaton: predicates not supported (query node %s)", u.NTest)
 		}
 		if u.Axis == query.AxisAttribute {
@@ -66,6 +64,27 @@ func Linear(q *query.Query) error {
 		}
 	}
 	return nil
+}
+
+// IsLinear reports whether Linear(q) is nil, building no error: what a
+// caller that only branches on the answer asks.
+func IsLinear(q *query.Query) bool {
+	if q.Root.Successor == nil {
+		return false
+	}
+	for u := q.Root.Successor; u != nil; u = u.Successor {
+		if predicated(u) || u.Axis == query.AxisAttribute {
+			return false
+		}
+	}
+	return true
+}
+
+// predicated reports whether query node u has a predicate or a predicate
+// child: a node's children are its successor, if any, and its predicate
+// children.
+func predicated(u *query.Node) bool {
+	return u.Pred != nil || len(u.Children) > 1 || (len(u.Children) == 1 && u.Successor == nil)
 }
 
 // Accepting returns the accepting position.

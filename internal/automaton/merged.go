@@ -136,8 +136,10 @@ func NewMergedNFA(tab *symtab.Table) *MergedNFA {
 // Remove takes back. An ungated output is accepted there, and must be a
 // linear query's (the /, //, * fragment): Add refuses any other.
 func (m *MergedNFA) Add(q *query.Query, out int, gated bool) (int, error) {
-	if err := Linear(q); err != nil && !gated {
-		return 0, err
+	if !gated {
+		if err := Linear(q); err != nil {
+			return 0, err
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -297,6 +299,10 @@ func (m *MergedNFA) childChanged(p int, e edge, delta int) {
 // the root included — the shared-structure measure reported by engine
 // statistics, which counts the states of gated outputs' steps on their own.
 func (m *MergedNFA) Size() int { return m.live + 1 }
+
+// Depth returns the number of steps from the root to linked state s: of
+// every path Added that ends there.
+func (m *MergedNFA) Depth(s int) int { return int(m.states[s].depth) }
 
 // Slots returns the number of state slots allocated: the linked states of
 // either kind plus the free slots of unlinked ones, which is their peak.

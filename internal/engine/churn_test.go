@@ -220,7 +220,7 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 	tokP := sax.NewTokenizerBytes(nil, patched.Symbols())
 	var live []churnSub
 	var cover churnCover
-	freed := map[int]int{} // result slots given up since the last Rebuild, and by which output kind
+	freed := map[int32]int{} // result slots given up since the last Rebuild, and by which output kind
 	serial := 0
 	add := func(src string, extract bool) {
 		s := churnSub{id: fmt.Sprintf("s%d", serial), src: src, extract: extract, bare: serial%3 == 0}
@@ -229,9 +229,10 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 			t.Fatalf("Add(%s): %v", src, err)
 		}
 		live = append(live, s)
-		sub := patched.byID[s.id]
-		if from, ok := freed[sub.slot]; ok {
-			delete(freed, sub.slot)
+		slot := patched.byID[s.id]
+		sub := &patched.subs[slot]
+		if from, ok := freed[slot]; ok {
+			delete(freed, slot)
 			cover.reused[outputKind(sub)]++
 			if from != outputKind(sub) {
 				cover.crossed[from]++
@@ -239,11 +240,12 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 		}
 	}
 	remove := func(i int) {
-		sub := patched.byID[live[i].id]
+		slot := patched.byID[live[i].id]
+		kind := outputKind(&patched.subs[slot])
 		if !patched.Remove(live[i].id) {
 			t.Fatalf("Remove(%s) = false", live[i].id)
 		}
-		freed[sub.slot] = outputKind(sub)
+		freed[slot] = kind
 		if i < len(live)-1 {
 			cover.shifted++
 		}
@@ -397,11 +399,11 @@ func checkLive(t testing.TB, label string, e *Engine) {
 	for _, sc := range m.scopes {
 		if sc.node != nil && sc.node.kind == kindSpine {
 			p := sc.node
-			for p != nil && len(p.conj) == 0 && p.mem == nil {
+			for p != nil && len(p.conj()) == 0 && p.mem() == nil {
 				p = p.parent
 			}
 			if p == nil || !sc.node.opens() {
-				t.Fatalf("%s: step %s holds a scope with no predicate on its path", label, sc.node.key)
+				t.Fatalf("%s: step %s holds a scope with no predicate on its path", label, e.tr.keys.strs[sc.node.key])
 			}
 		}
 		for i := range sc.children {
@@ -420,51 +422,70 @@ func checkLive(t testing.TB, label string, e *Engine) {
 
 // checkIndex holds the engine's index to what add and remove maintain: one
 // result slot space — every slot held by one standing subscription, whose
-// position pos gives, or free; recomputed from the standing queries live,
-// every subscription's output at the merged NFA state its location path
-// enters, of the kind its query asks, and every gated one's chain of trie
-// nodes up from its OUT node: one per step from its first predicated or
-// attribute step on, at the state the path enters there, and none above;
-// and, recomputed from the trie's spine nodes and predicate subtrees, the
-// ids — each owned once or free — every group's and run's tally of the
-// extracting and every-match subscriptions ending there, one merged NFA
-// state per distinct step, and the membership, order and scope tally of
-// every state's hold.
+// record holds its position and whose id byID maps to it, or free with a
+// zero record; recomputed from the standing queries live, every
+// subscription's output at the merged NFA state its location path enters,
+// of the kind its query asks, and every gated one's chain of trie nodes up
+// from its OUT node: one per step from its first predicated or attribute
+// step on, at the state the path enters there, under its step key, and
+// none above; and, recomputed from the trie's spine nodes and predicate
+// subtrees, the latch ids and the scope ids — each owned once or free, a
+// scope id by exactly the ungrouped spine nodes that open scopes, the
+// groups and the internal predicate nodes — the key table — each key held
+// once, counted by the spine nodes that have it, or free — every group's
+// and run's tally of the extracting and every-match subscriptions ending
+// there, one merged NFA state per distinct step, and the membership, order
+// and scope tally of every state's hold.
 func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 	t.Helper()
-	holder := make([]string, len(e.pos))
+	holder := make([]string, len(e.subs))
 	for i, r := range e.results {
-		if holder[r.slot] != "" || e.pos[r.slot] != int32(i) || e.subs[i].slot != int(r.slot) {
-			t.Fatalf("%s: result slot %d: held by %q and %s, at position %d of %d", label, r.slot, holder[r.slot], r.id, e.pos[r.slot], i)
+		if holder[r.slot] != "" || e.subs[r.slot].pos != int32(i) || e.byID[r.id] != r.slot {
+			t.Fatalf("%s: result slot %d: held by %q and %s, at position %d of %d", label, r.slot, holder[r.slot], r.id, e.subs[r.slot].pos, i)
 		}
 		holder[r.slot] = r.id
 	}
 	for _, slot := range e.freeSlots {
-		if holder[slot] != "" {
-			t.Fatalf("%s: result slot %d is free and held by %s", label, slot, holder[slot])
+		if holder[slot] != "" || e.subs[slot] != (subscription{}) {
+			t.Fatalf("%s: result slot %d is free and held by %q, or its record is not zero", label, slot, holder[slot])
 		}
 		holder[slot] = "free"
 	}
 	if i := slices.Index(holder, ""); i >= 0 {
 		t.Fatalf("%s: result slot %d is neither held nor free", label, i)
 	}
+	if len(e.byID) != len(e.results) {
+		t.Fatalf("%s: %d ids mapped, %d subscriptions", label, len(e.byID), len(e.results))
+	}
 	tr := e.tr
-	for slot, out := range tr.outs {
-		if s := e.byID[holder[slot]]; (out != nil) != (s != nil && s.gated) {
-			t.Fatalf("%s: result slot %d, held by %s, ends at trie node %v", label, slot, holder[slot], out)
+	for slot, s := range e.subs {
+		if (s.out != nil) != s.gated {
+			t.Fatalf("%s: result slot %d, held by %s, gated %v, ends at trie node %v", label, slot, holder[slot], s.gated, s.out)
 		}
 	}
+	keyOf := func(n *tnode) string { return tr.keys.strs[n.key] }
 	// A node's state is a function of its parent's and its own (axis, node
 	// test), and no two steps share one. topFrom is the state a top node's
-	// step leaves, which the node does not record.
+	// step leaves, which the node does not record, and ntest the node test
+	// of each node, read off the queries.
 	type step struct {
 		from  int32
 		axis  query.Axis
 		ntest string
 	}
 	topFrom := map[*tnode]int32{}
+	ntest := map[*tnode]string{}
+	spineSteps := 0
+	var pair func(conj []*tnode, qs []*query.Node)
+	pair = func(conj []*tnode, qs []*query.Node) {
+		for i := 0; i < len(conj) && i < len(qs); i++ {
+			ntest[conj[i]] = qs[i].NTest
+			pair(conj[i].conj(), qs[i].Children)
+		}
+	}
 	for _, ls := range live {
-		sub, q := e.byID[ls.id], query.MustParse(ls.src)
+		slot, q := e.byID[ls.id], query.MustParse(ls.src)
+		sub := e.subs[slot]
 		var steps []*query.Node
 		ats := []int32{0}
 		for u := q.Root.Successor; u != nil; u = u.Successor {
@@ -474,6 +495,14 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 		if gated := automaton.Linear(q) != nil; sub.at != ats[len(steps)] || sub.gated != gated {
 			t.Fatalf("%s: %s ends at state %d, gated %v; its path enters %d, and gated is %v", label, ls.src, sub.at, sub.gated, ats[len(steps)], gated)
 		}
+		fs := int32(1)
+		if sub.gated {
+			fs = int32(fragment.FrontierSize(q))
+		}
+		if sub.fs != fs {
+			t.Fatalf("%s: %s holds FS %d, want %d", label, ls.src, sub.fs, fs)
+		}
+		spineSteps += len(steps)
 		if !sub.gated {
 			continue
 		}
@@ -483,33 +512,49 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 		if top < 0 {
 			top = len(steps) - 1
 		}
-		n := tr.outs[sub.slot]
+		n := sub.out
 		for i := len(steps) - 1; i >= top; i-- {
-			if n == nil || n.kind != kindSpine || n.key != query.StepKey(steps[i]) || n.at != ats[i+1] {
+			if n == nil || n.kind != kindSpine || keyOf(n) != query.StepKey(steps[i]) || n.at != ats[i+1] {
 				t.Fatalf("%s: %s: step %d is not its trie node %v", label, ls.src, i, n)
 			}
 			if i == top {
 				topFrom[n] = ats[i]
 			}
+			ntest[n] = steps[i].NTest
+			if mb := n.mem(); mb != nil {
+				pair(mb.grp.conj, steps[i].PredicateChildren())
+			} else {
+				pair(n.conj(), steps[i].PredicateChildren())
+			}
 			n = n.parent
 		}
 		if n != nil {
-			t.Fatalf("%s: %s: trie node %s continues a predicate-free step", label, ls.src, n.key)
+			t.Fatalf("%s: %s: trie node %s continues a predicate-free step", label, ls.src, keyOf(n))
 		}
 	}
-	owned := make([]bool, tr.ids)
+	if spineSteps != e.steps {
+		t.Fatalf("%s: %d location steps counted, the queries have %d", label, e.steps, spineSteps)
+	}
+	// Every latch id and every scope id is owned once or free.
+	owned, ownedS := make([]bool, tr.ids.n), make([]bool, tr.sids.n)
 	own := func(what string, ids ...int32) {
 		for _, id := range ids {
-			if owned[id] {
-				t.Fatalf("%s: %s: count id %d has two owners", label, what, id)
+			if id < 0 || owned[id] {
+				t.Fatalf("%s: %s: latch id %d has two owners, or none", label, what, id)
 			}
 			owned[id] = true
 		}
 	}
+	ownS := func(what string, sid int32) {
+		if sid < 0 || ownedS[sid] {
+			t.Fatalf("%s: %s: scope id %d has two owners, or none", label, what, sid)
+		}
+		ownedS[sid] = true
+	}
 	runs := map[*contRun][]*tnode{}
 	stateOf, stepOf := map[step]int32{}, map[int32]step{0: {}}
 	place := func(what string, from int32, n *tnode) {
-		st := step{from, n.axis, n.ntest}
+		st := step{from, n.axis, ntest[n]}
 		if at, ok := stateOf[st]; ok && at != n.at {
 			t.Fatalf("%s: %s is at state %d, a node of the same step at %d", label, what, n.at, at)
 		}
@@ -523,77 +568,92 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 	}
 	// A predicate node is held from the state of its parent, whose scopes
 	// are on its up stack, at its position among the parent's children; an
-	// internal one owns the id of its open scopes.
+	// internal one owns the id of its open scopes, a leaf none, and neither
+	// a latch id.
 	preds := 0
 	var walkPreds func(what string, from, up int32, conj []*tnode)
 	walkPreds = func(what string, from, up int32, conj []*tnode) {
 		for i, n := range conj {
-			what := fmt.Sprintf("%s[%d %s%s]", what, i, n.axis, n.ntest)
+			what := fmt.Sprintf("%s[%d %s%s]", what, i, n.axis, ntest[n])
 			preds++
 			place(what, from, n)
-			if n.kind != kindPred || n.up != up || n.pos != i || tr.holds[n.at].preds[n.slot] != n {
-				t.Fatalf("%s: predicate node misplaced (up %d, want %d; pos %d)", label, n.up, up, n.pos)
+			if n.kind != kindPred || n.x.up != up || n.x.pos != int32(i) || tr.holds[n.at].preds[n.slot] != n || n.id != -1 {
+				t.Fatalf("%s: predicate node misplaced (up %d, want %d; pos %d; latch id %d)", label, n.x.up, up, n.x.pos, n.id)
 			}
-			if len(n.conj) > 0 {
-				own(what, n.id)
-				walkPreds(what, n.at, n.id, n.conj)
+			if len(n.x.conj) == 0 {
+				if n.sid != -1 {
+					t.Fatalf("%s: %s: a predicate leaf owns scope id %d", label, what, n.sid)
+				}
+				continue
 			}
+			ownS(what, n.sid)
+			walkPreds(what, n.at, n.sid, n.x.conj)
 		}
 	}
 	// Every spine node is on some gated subscription's chain, and entered in
 	// the trie's nodes under its parent, state and key.
 	kids := map[*tnode]int32{}
+	keyRefs := map[int32]int32{}
 	for k, n := range tr.nodes {
-		if k != (nodeKey{n.parent, n.at, n.key}) || len(n.terminals) == 0 && n.kids == 0 {
-			t.Fatalf("%s: %s is entered under %v, with %d terminals and %d continuations", label, n.key, k, len(n.terminals), n.kids)
+		if k != n.nodeKey() || len(n.terminals) == 0 && n.kids == 0 {
+			t.Fatalf("%s: %s is entered under %v, with %d terminals and %d continuations", label, keyOf(n), k, len(n.terminals), n.kids)
 		}
 		if n.parent != nil {
 			kids[n.parent]++
 		} else if _, ok := topFrom[n]; !ok {
-			t.Fatalf("%s: top node %s is no standing subscription's", label, n.key)
+			t.Fatalf("%s: top node %s is no standing subscription's", label, keyOf(n))
 		}
+		keyRefs[n.key]++
 	}
 	tallies := map[*tally]tally{}
 	for _, n := range tr.nodes {
-		own(n.key, n.id)
+		own(keyOf(n), n.id)
 		if n.parent != nil {
-			place(n.key, n.parent.at, n)
+			place(keyOf(n), n.parent.at, n)
 		} else {
-			place(n.key, topFrom[n], n)
+			place(keyOf(n), topFrom[n], n)
 		}
-		if n.mem == nil {
-			walkPreds(n.key, n.at, n.id, n.conj)
+		// An ungrouped step owns a scope id exactly while it opens scopes; a
+		// group member's scopes are its group's.
+		switch scoped := n.opens() && n.mem() == nil; {
+		case scoped:
+			ownS(keyOf(n), n.sid)
+		case n.sid != -1:
+			t.Fatalf("%s: %s opens no scopes of its own and owns scope id %d", label, keyOf(n), n.sid)
+		}
+		if n.mem() == nil {
+			walkPreds(keyOf(n), n.at, n.sid, n.conj())
 		}
 		if n.kids != kids[n] {
-			t.Fatalf("%s: %s counts %d continuations, %d are entered", label, n.key, n.kids, kids[n])
+			t.Fatalf("%s: %s counts %d continuations, %d are entered", label, keyOf(n), n.kids, kids[n])
 		}
 		var ends tally
-		for _, sub := range n.terminals {
-			if tr.outs[sub] != n {
-				t.Fatalf("%s: %s: result slot %d ends elsewhere", label, n.key, sub)
+		for _, slot := range n.terminals {
+			if e.subs[slot].out != n {
+				t.Fatalf("%s: %s: result slot %d ends elsewhere", label, keyOf(n), slot)
 			}
-			if e.extract[sub] {
+			if e.subs[slot].extract {
 				ends.extracting++
 			}
-			if e.every[sub] {
+			if e.subs[slot].every {
 				ends.every++
 			}
 		}
 		var ts *tally
-		switch grouped := n.parent != nil && n.parent.mem != nil; {
-		case n.mem != nil:
-			ts = &n.mem.grp.tally
-			if g := n.mem.grp; g.parent != n.parent || !slices.Contains(tr.holds[n.at].groups, g) {
-				t.Fatalf("%s: %s's group continues another step, or is not held by its state", label, n.key)
+		switch grouped := n.parent != nil && n.parent.mem() != nil; {
+		case n.mem() != nil:
+			ts = &n.mem().grp.tally
+			if g := n.mem().grp; g.parent != n.parent || !slices.Contains(tr.holds[n.at].groups, g) {
+				t.Fatalf("%s: %s's group continues another step, or is not held by its state", label, keyOf(n))
 			}
 		case grouped:
-			if n.run == nil || n.run.grp != n.parent.mem.grp {
-				t.Fatalf("%s: %s continues a group member outside its group's run", label, n.key)
+			if n.run == nil || n.run.grp != n.parent.mem().grp {
+				t.Fatalf("%s: %s continues a group member outside its group's run", label, keyOf(n))
 			}
 			runs[n.run] = append(runs[n.run], n)
 			ts = &n.run.tally
 		case n.run != nil || tr.holds[n.at].members[n.slot] != n:
-			t.Fatalf("%s: %s is not among its state's members", label, n.key)
+			t.Fatalf("%s: %s is not among its state's members", label, keyOf(n))
 		}
 		if ts != nil {
 			sum := tallies[ts]
@@ -602,14 +662,35 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 			tallies[ts] = sum
 		}
 	}
+	// Each key in use is one string, counted by the spine nodes that have
+	// it; a free one is held by none.
+	kt := &tr.keys
+	if len(kt.ids) != len(keyRefs) || len(kt.strs) != int(kt.n) || len(kt.refs) != int(kt.n) {
+		t.Fatalf("%s: %d keys mapped, %d in use; %d strings and %d counts for %d ids", label, len(kt.ids), len(keyRefs), len(kt.strs), len(kt.refs), kt.n)
+	}
+	for id, refs := range keyRefs {
+		if kt.refs[id] != refs || kt.ids[kt.strs[id]] != id {
+			t.Fatalf("%s: key %d (%q) counts %d nodes, %d have it", label, id, kt.strs[id], kt.refs[id], refs)
+		}
+	}
+	for _, id := range kt.free {
+		if _, used := keyRefs[id]; used || kt.strs[id] != "" || kt.refs[id] != 0 {
+			t.Fatalf("%s: key %d is free and held (%q, %d nodes)", label, id, kt.strs[id], kt.refs[id])
+		}
+		keyRefs[id] = 0
+	}
+	if len(keyRefs) != int(kt.n) {
+		t.Fatalf("%s: %d of %d key ids are in use or free", label, len(keyRefs), kt.n)
+	}
 	for s, h := range tr.holds {
 		for i := 0; h != nil && i < len(h.groups); i++ {
 			g := h.groups[i]
 			own("group "+g.key, g.id, g.frags)
+			ownS("group "+g.key, g.sid)
 			if g.tally != tallies[&g.tally] {
 				t.Fatalf("%s: group %s tallies %+v, its members' terminals %+v", label, g.key, g.tally, tallies[&g.tally])
 			}
-			walkPreds("group "+g.key, int32(s), g.id, g.conj)
+			walkPreds("group "+g.key, int32(s), g.sid, g.conj)
 			if slices.IndexFunc(h.groups, func(o *predGroup) bool { return o.parent == g.parent && o.key == g.key }) != i {
 				t.Fatalf("%s: state %d holds two groups %s below one step", label, s, g.key)
 			}
@@ -634,7 +715,7 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 			nodes, scoped := runs[r], 0
 			for i, n := range r.nodes {
 				if !slices.Contains(nodes, n) || n.at != int32(s) {
-					t.Fatalf("%s: run below %s holds %s, which does not belong there", label, r.grp.key, n.key)
+					t.Fatalf("%s: run below %s holds %s, which does not belong there", label, r.grp.key, keyOf(n))
 				}
 				if n.opens() {
 					scoped++
@@ -655,11 +736,17 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 	if heldPreds != preds || preds != tr.predNodes {
 		t.Fatalf("%s: %d predicate nodes held by states, %d in the trie, %d counted", label, heldPreds, preds, tr.predNodes)
 	}
-	for _, id := range tr.freeIDs {
+	for _, id := range tr.ids.free {
 		own("free list", id)
 	}
 	if i := slices.Index(owned, false); i >= 0 {
-		t.Fatalf("%s: count id %d is neither owned nor free", label, i)
+		t.Fatalf("%s: latch id %d is neither owned nor free", label, i)
+	}
+	for _, sid := range tr.sids.free {
+		ownS("free list", sid)
+	}
+	if i := slices.Index(ownedS, false); i >= 0 {
+		t.Fatalf("%s: scope id %d is neither owned nor free", label, i)
 	}
 }
 
@@ -867,14 +954,15 @@ func TestEngineSlotChangesRoute(t *testing.T) {
 			if got := match(e, "<a><b>1</b><c/></a>"); got != "[other first] first=<b>1</b>" {
 				t.Fatalf("%s: the first holder's document gave %s", label, got)
 			}
-			first := *e.byID["first"]
+			slot := e.byID["first"]
+			first := e.subs[slot]
 			e.Remove("first")
 			if err := e.AddExtract("second", query.MustParse(pair[1])); err != nil {
 				t.Fatal(err)
 			}
-			if s := e.byID["second"]; s.slot != first.slot || s.gated == first.gated || s.at != first.at {
-				t.Fatalf("%s: the second holder got slot %d at state %d, gated %v; the first held it at state %d, gated %v",
-					label, s.slot, s.at, s.gated, first.at, first.gated)
+			if got := e.byID["second"]; got != slot || e.subs[got].gated == first.gated || e.subs[got].at != first.at {
+				t.Fatalf("%s: the second holder got slot %d at state %d, gated %v; the first held slot %d at state %d, gated %v",
+					label, got, e.subs[got].at, e.subs[got].gated, slot, first.at, first.gated)
 			}
 			fresh := New()
 			mustAdd(t, fresh, "other", "//a[c]")
@@ -922,9 +1010,9 @@ func TestEngineRebuildKeepsTheIndex(t *testing.T) {
 	check("before Rebuild", e)
 	check("replica", other)
 	before, warm := e.Stats(), other.Stats()
-	ix, nfa, tr, ids, nodes := e.index, e.nfa, e.tr, e.tr.ids, len(e.tr.nodes)
+	ix, nfa, tr, ids, sids, nodes := e.index, e.nfa, e.tr, e.tr.ids.n, e.tr.sids.n, len(e.tr.nodes)
 	e.Rebuild()
-	if e.index != ix || e.nfa != nfa || e.tr != tr || tr.ids != ids || len(tr.nodes) != nodes {
+	if e.index != ix || e.nfa != nfa || e.tr != tr || tr.ids.n != ids || tr.sids.n != sids || len(tr.nodes) != nodes {
 		t.Fatal("Rebuild replaced or patched the index")
 	}
 	check("after Rebuild", e)

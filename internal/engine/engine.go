@@ -68,17 +68,21 @@
 // Rebuild, the quarantine after a recovered panic, replaces an engine's
 // per-document state wholesale and leaves the index alone.
 //
-// What a subscription costs to hold is its entries in the index and a small
-// record (subscription): once Add returns, the parse tree it was built from
-// is not reachable. The paper prices an evaluator by what it must hold, and
-// a standing set of 100,000 is held for months.
+// What a subscription costs to hold is its entries in the index and one
+// 24-byte record (subscription) in a vector by result slot: once Add
+// returns, the parse tree it was built from is not reachable. The index
+// holds a step once however many subscriptions share it — a predicate-free
+// spine step in an 80-byte trie node, its step key as an id into one table
+// of distinct keys — and each engine a latch count per trie step, a stack
+// of open scopes only per owner that opens scopes, and a fragment slot per
+// subscription only once a document captures. The paper prices an evaluator
+// by what it must hold, and a standing set of 100,000 is held for months.
 package engine
 
 import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"streamxpath/internal/automaton"
 	"streamxpath/internal/fragment"
@@ -89,24 +93,22 @@ import (
 )
 
 // subscription is one standing query: what the engine retains of it beside
-// its entries in the index. The parse tree is a temporary of Add (see the
-// package comment).
+// its result (id and slot) and its entries in the merged NFA and the trie,
+// one 24-byte record in a vector indexed by its result slot (index.subs).
+// The parse tree is a temporary of Add (see the package comment).
 type subscription struct {
-	id string
-	// seq numbers the Add calls; subs is ordered by it, which is how Remove
-	// finds a subscription's position without an id → position map to
-	// renumber.
-	seq uint64
-	// slot is the subscription's result slot (index.pos), its output id in
-	// the merged NFA.
-	slot int
-	// fs is the query's frontier size FS(Q) and steps its location steps,
-	// both computed once, at Add. A linear query's FS is 1.
-	fs    int
-	steps int
+	// out is a gated subscription's OUT node in the trie — the rest of its
+	// trie path is the parent chain — nil on an ungated one.
+	out *tnode
+	// pos is the position of its result in Engine.results, which is how
+	// the latches find its bit and Remove its result.
+	pos int32
 	// at is the merged NFA state of its output, which the trie decides when
 	// gated.
-	at      int32
+	at int32
+	// fs is the query's frontier size FS(Q), computed once, at Add. A
+	// linear query's FS is 1.
+	fs      int32
 	gated   bool
 	extract bool
 	every   bool // AddEvery
@@ -114,7 +116,8 @@ type subscription struct {
 
 // result is what reading a document's results needs of one subscription:
 // the id to report and its result slot. The engine keeps one per
-// subscription, in insertion order, in one flat vector (Engine.results), and
+// subscription, in insertion order, in one flat vector (Engine.results) —
+// the one place its id is kept, beside the index's by-id map — and
 // a document's matches as set bits over that vector (hits), so that
 // collecting them visits the matched entries alone, in order.
 type result struct {
@@ -127,20 +130,23 @@ type result struct {
 // set the first time that subscription latches, so the result accessors
 // sweep the set bits by word and a reset clears ⌈N/64⌉ words; count is the
 // bits set; frags holds, by the same positions, the fragment kept for a
-// matched extracting subscription. Both kinds latch by result slot, and the
-// index's pos vector gives the position: a mutation moves positions, but it
-// abandons the document in flight, so no latch sees one move.
+// matched extracting subscription while the document captures (capturing):
+// an engine that only ever answers verdicts holds no vector of them. Both
+// kinds latch by result slot, and the slot's record gives the position: a
+// mutation moves positions, but it abandons the document in flight, so no
+// latch sees one move.
 type hits struct {
-	ix    *index
-	cm    *capman
-	words []uint64
-	frags []*capture
-	count int
+	ix        *index
+	cm        *capman
+	words     []uint64
+	frags     []*capture
+	count     int
+	capturing bool
 }
 
 // matched reads the verdict of the subscription holding slot.
 func (h *hits) matched(slot int) bool {
-	p := h.ix.pos[slot]
+	p := h.ix.subs[slot].pos
 	return h.words[p>>6]&(1<<(p&63)) != 0
 }
 
@@ -156,16 +162,17 @@ func (h *hits) matched(slot int) bool {
 // whether the match was the document's first for the subscription, and
 // whether cap became its first fragment.
 func (h *hits) latch(slot int, cap *capture) (first, captured bool) {
-	p := h.ix.pos[slot]
+	s := &h.ix.subs[slot]
+	p := s.pos
 	w, bit := p>>6, uint64(1)<<(p&63)
 	if first = h.words[w]&bit == 0; first {
 		h.words[w] |= bit
 		h.count++
 	}
-	if cap == nil || !h.ix.extract[slot] {
+	if cap == nil || !s.extract {
 		return first, false
 	}
-	if h.ix.every[slot] {
+	if s.every {
 		cap.selected = true
 		return first, false
 	}
@@ -199,10 +206,11 @@ func (h *hits) capFor(outs []int) *capture {
 func (h *hits) wanted(outs []int) *capture {
 	want := false
 	for _, slot := range outs {
-		if h.ix.every[slot] {
+		s := &h.ix.subs[slot]
+		if s.every {
 			return h.cm.elemCapture(true)
 		}
-		want = want || (h.ix.extract[slot] && h.frags[h.ix.pos[slot]] == nil)
+		want = want || (s.extract && h.frags[s.pos] == nil)
 	}
 	if want {
 		return h.cm.elemCapture(false)
@@ -210,22 +218,25 @@ func (h *hits) wanted(outs []int) *capture {
 	return nil
 }
 
-// reset clears the record for a document over n results. A fragment is kept
-// only with a match, so the set bits find every one: it costs the last
-// document's matches and ⌈N/64⌉ words, not the standing set.
-func (h *hits) reset(n int) {
-	for w, word := range h.words {
-		for ; word != 0; word &= word - 1 {
-			h.frags[w<<6|bits.TrailingZeros64(word)] = nil
+// reset clears the record for a document over n results, one that captures
+// fragments if capturing. A fragment is kept only with a match, so the set
+// bits find every one: it costs the last document's matches and ⌈N/64⌉
+// words, not the standing set.
+func (h *hits) reset(n int, capturing bool) {
+	if h.capturing {
+		for w, word := range h.words {
+			for ; word != 0; word &= word - 1 {
+				h.frags[w<<6|bits.TrailingZeros64(word)] = nil
+			}
 		}
 	}
 	words := (n + 63) / 64
 	h.words = slices.Grow(h.words[:0], words)[:words]
 	clear(h.words)
-	if k := n - len(h.frags); k > 0 {
+	if k := n - len(h.frags); capturing && k > 0 {
 		h.frags = append(h.frags, make([]*capture, k)...)
 	}
-	h.count = 0
+	h.count, h.capturing = 0, capturing
 }
 
 // index is the part of an engine that Add and Remove write and that every
@@ -236,20 +247,17 @@ func (h *hits) reset(n int) {
 // path reads them. version counts the mutations, so that an engine sees one
 // at its next Reset.
 type index struct {
-	subs    []*subscription // in insertion order
-	results []result        // results[i] is subs[i]'s
-	// Result slots are one space for every subscription. pos[slot] is the position
-	// in results of the subscription holding slot, and extract and every
-	// flag, by slot, the subscriptions that want the matched element
-	// captured and the every-match ones among them (AddEvery). freeSlots are
-	// the slots of removed subscriptions, which Add hands out again, to
-	// either kind, before the vectors grow.
-	pos            []int32
-	extract, every []bool
-	freeSlots      []int
-	byID           map[string]*subscription
-	nextSeq        uint64
-	version        uint64
+	// Result slots are one space for every subscription: subs[slot] is the
+	// record of the subscription holding slot, results the standing
+	// subscriptions' ids and slots in insertion order, and byID the slot
+	// by id. freeSlots are the slots of removed subscriptions, whose records
+	// are zero, which Add hands out again, to either kind, before subs
+	// grows.
+	subs      []subscription
+	results   []result
+	freeSlots []int32
+	byID      map[string]int32
+	version   uint64
 
 	// tab is the index's symbol table: query node tests and document names
 	// meet in it, so the byte-event path dispatches entirely on
@@ -257,9 +265,12 @@ type index struct {
 	tab *symtab.Table
 
 	// extracting counts the subscriptions with extraction enabled,
-	// every-match ones included, and everyMatch those.
+	// every-match ones included, and everyMatch those. steps counts their
+	// location steps (Stats.SpineSteps): a subscription's are the depth of
+	// its output's state.
 	extracting int
 	everyMatch int
+	steps      int
 
 	// maxFS is the largest per-subscription frontier size: MemStats —
 	// called once per Match*Result document — must not walk the
@@ -337,7 +348,7 @@ type Engine struct {
 // New returns an empty engine with a private symbol table.
 func New() *Engine {
 	tab := symtab.New()
-	ix := &index{byID: map[string]*subscription{}, tab: tab}
+	ix := &index{byID: map[string]int32{}, tab: tab}
 	nfa := automaton.NewMergedNFA(tab)
 	e := &Engine{index: ix, nfa: nfa, tr: newTrie(nfa)}
 	e.fresh()
@@ -418,20 +429,16 @@ func (e *Engine) mutating() {
 	e.started = false
 }
 
-// takeSlot hands out a result slot, flagged as s asks, to s, which holds
-// position i of results: a removed subscription's while there is one,
-// whichever kind it was.
-func (ix *index) takeSlot(s *subscription, i int) {
-	s.slot = len(ix.pos)
+// takeSlot hands out a result slot: a removed subscription's while there is
+// one, whichever kind it was.
+func (ix *index) takeSlot() int {
 	if k := len(ix.freeSlots); k > 0 {
-		s.slot = ix.freeSlots[k-1]
+		slot := ix.freeSlots[k-1]
 		ix.freeSlots = ix.freeSlots[:k-1]
-	} else {
-		ix.pos = append(ix.pos, 0)
-		ix.extract = append(ix.extract, false)
-		ix.every = append(ix.every, false)
+		return int(slot)
 	}
-	ix.pos[s.slot], ix.extract[s.slot], ix.every[s.slot] = int32(i), s.extract, s.every
+	ix.subs = append(ix.subs, subscription{})
+	return len(ix.subs) - 1
 }
 
 // Add registers a subscription under the given id. It returns an error
@@ -466,66 +473,65 @@ func (e *Engine) add(id string, q *query.Query, extract, every bool) error {
 	if _, dup := e.byID[id]; dup {
 		return fmt.Errorf("engine: duplicate subscription id %q", id)
 	}
-	s := &subscription{id: id, extract: extract, every: every, seq: e.nextSeq, fs: 1}
-	for u := q.Root.Successor; u != nil; u = u.Successor {
-		s.steps++
-	}
-	if s.steps == 0 {
+	if q.Root.Successor == nil {
 		return fmt.Errorf("engine: query has no location step")
 	}
-	if s.gated = every || automaton.Linear(q) != nil; s.gated {
+	s := subscription{extract: extract, every: every, fs: 1, pos: int32(len(e.results))}
+	if s.gated = every || !automaton.IsLinear(q); s.gated {
 		// A linear query is streamable by construction: it has no predicate.
 		if err := fragment.Streamable(q).Err(); err != nil {
 			return err
 		}
-		s.fs = fragment.FrontierSize(q)
+		s.fs = int32(fragment.FrontierSize(q))
 	}
 	e.mutating()
-	e.nextSeq++
-	e.byID[id] = s
-	e.takeSlot(s, len(e.subs))
-	e.subs = append(e.subs, s)
-	e.results = append(e.results, result{id: id, slot: int32(s.slot)})
+	slot := e.takeSlot()
+	e.byID[id] = int32(slot)
+	e.results = append(e.results, result{id: id, slot: int32(slot)})
 	if extract {
 		e.extracting++
 	}
 	if every {
 		e.everyMatch++
 	}
-	for len(e.fsCount) <= s.fs {
+	for len(e.fsCount) <= int(s.fs) {
 		e.fsCount = append(e.fsCount, 0)
 	}
 	e.fsCount[s.fs]++
-	e.maxFS = max(e.maxFS, s.fs)
-	at, _ := e.nfa.Add(q, s.slot, s.gated) // an ungated query is linear
+	e.maxFS = max(e.maxFS, int(s.fs))
+	at, _ := e.nfa.Add(q, slot, s.gated) // an ungated query is linear
 	s.at = int32(at)
+	e.steps += e.nfa.Depth(at)
 	if s.gated {
-		e.tr.add(q, s.slot, extract, every)
+		s.out = e.tr.add(q, slot, extract, every)
 	}
+	e.subs[slot] = s
 	return nil
 }
 
 // Remove deregisters a subscription, reporting whether it existed. The
 // removal takes effect at the next document.
 func (e *Engine) Remove(id string) bool {
-	s, ok := e.byID[id]
+	slot, ok := e.byID[id]
 	if !ok {
 		return false
 	}
 	e.mutating()
 	delete(e.byID, id)
-	i := sort.Search(len(e.subs), func(i int) bool { return e.subs[i].seq >= s.seq })
-	e.subs = append(e.subs[:i], e.subs[i+1:]...)
-	// The results behind i move down one place each, and the positions their
-	// slots map to with them. The bits set for the last document go stale
-	// with the shift; nothing reads them before the next Reset clears them.
-	for j := i; j < len(e.subs); j++ {
+	s := e.subs[slot]
+	e.subs[slot] = subscription{}
+	// The results behind s's move down one place each, and the positions
+	// their records hold with them. The bits set for the last document go
+	// stale with the shift; nothing reads them before the next Reset clears
+	// them.
+	n := len(e.results) - 1
+	for j := int(s.pos); j < n; j++ {
 		r := e.results[j+1]
 		e.results[j] = r
-		e.pos[r.slot] = int32(j)
+		e.subs[r.slot].pos = int32(j)
 	}
-	e.results = e.results[:len(e.subs)]
-	e.freeSlots = append(e.freeSlots, s.slot)
+	e.results = e.results[:n]
+	e.freeSlots = append(e.freeSlots, slot)
 	if s.extract {
 		e.extracting--
 	}
@@ -537,20 +543,21 @@ func (e *Engine) Remove(id string) bool {
 		e.maxFS--
 	}
 	if s.gated {
-		e.tr.remove(s.slot, s.extract, s.every) // first: it releases the states its predicates hold below the path
+		e.tr.remove(s.out, int(slot), s.extract, s.every) // first: it releases the states its predicates hold below the path
 	}
-	e.nfa.Remove(int(s.at), s.slot, s.gated)
+	e.steps -= e.nfa.Depth(int(s.at))
+	e.nfa.Remove(int(s.at), int(slot), s.gated)
 	return true
 }
 
 // Len returns the number of subscriptions.
-func (e *Engine) Len() int { return len(e.subs) }
+func (e *Engine) Len() int { return len(e.results) }
 
 // IDs returns the subscription ids in insertion order.
 func (e *Engine) IDs() []string {
-	out := make([]string, len(e.subs))
-	for i, s := range e.subs {
-		out[i] = s.id
+	out := make([]string, len(e.results))
+	for i, r := range e.results {
+		out[i] = r.id
 	}
 	return out
 }
@@ -582,11 +589,11 @@ func (e *Engine) latchAccepted(outs []int) (first int) {
 func (e *Engine) Reset() {
 	e.runner.Reset()
 	e.mt.reset()
-	e.hits.reset(len(e.results))
 	mode := e.capMode
 	if e.extracting == 0 {
 		mode = CaptureOff
 	}
+	e.hits.reset(len(e.results), mode != CaptureOff)
 	e.cm.reset(mode)
 	e.seen = e.version
 	e.started = false
@@ -729,7 +736,7 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 	// The runner steps while any subscription stands: the trie finds its
 	// candidates in its item sets. An attribute enters none — it must never
 	// satisfy a child-axis node test.
-	if !isAttr && len(e.subs) > 0 {
+	if !isAttr && len(e.results) > 0 {
 		e.runner.StartElementSym(sym)
 	}
 	if e.tr.live > 0 {
@@ -772,7 +779,7 @@ func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
 		e.mt.endElement(closing)
 	}
 	// After the matcher, whose latches the root element's end must follow.
-	if !isAttr && len(e.subs) > 0 {
+	if !isAttr && len(e.results) > 0 {
 		e.runner.EndElement()
 	}
 	if e.cm.mode != CaptureOff {
@@ -795,8 +802,8 @@ func (e *Engine) Finished() bool { return e.finished }
 // document. Because matching is monotone, a true answer mid-stream is
 // already definitive.
 func (e *Engine) Matched(id string) bool {
-	s, ok := e.byID[id]
-	return ok && !e.stale() && e.hits.matched(s.slot)
+	slot, ok := e.byID[id]
+	return ok && !e.stale() && e.hits.matched(int(slot))
 }
 
 // MatchedIDs returns the ids matched by the current (or last) document,
@@ -844,7 +851,7 @@ type Fragment struct {
 // — callers that retain them must copy. A fragment is kept only with a
 // match, so the sweep is the one appendMatchedIDs makes.
 func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
-	if e.stale() || e.extracting == 0 {
+	if e.stale() || !e.hits.capturing {
 		return dst
 	}
 	for w, word := range e.hits.words {
@@ -892,7 +899,7 @@ func (e *Engine) MatchedCount() int {
 // caller skims it (MatchBytes) — validates it to the end without
 // dispatching another event.
 func (e *Engine) Decided() bool {
-	if e.stale() || !e.started || len(e.subs) == 0 || e.everyMatch > 0 {
+	if e.stale() || !e.started || len(e.results) == 0 || e.everyMatch > 0 {
 		return false
 	}
 	if e.finished {
@@ -989,11 +996,8 @@ type Stats struct {
 
 // Stats returns the current statistics.
 func (e *Engine) Stats() Stats {
-	st := Stats{Subscriptions: len(e.subs), Rebuilds: e.rebuilds, TrieRouted: e.tr.live}
+	st := Stats{Subscriptions: len(e.results), SpineSteps: e.steps, Rebuilds: e.rebuilds, TrieRouted: e.tr.live}
 	st.NFARouted = st.Subscriptions - st.TrieRouted
-	for _, s := range e.subs {
-		st.SpineSteps += s.steps
-	}
 	st.SharedStates = (e.nfa.Size() - 1) + len(e.tr.nodes)
 	st.PredNodes = e.tr.predNodes
 	for _, h := range e.tr.holds {

@@ -27,17 +27,21 @@ func heapAfterGC() uint64 {
 // are the benchmark's: fanout-pred's 1,000 thresholds × leaf names and churn's
 // one leaf name per subscription, and the two alternating below one prefix.
 // Then a long replacement churn, documents
-// flowing, must leave the heap where it was: freed state slots, count ids,
-// result slots and item sets are all handed out again.
+// flowing, must leave the heap where it was: freed state slots, latch and
+// scope ids, step keys, result slots and item sets are all handed out
+// again. The recycling row replaces each subscription by a text never seen
+// before, whose steps need a fresh step key, fresh states of the merged NFA
+// and a predicate group of their own, with its scope id.
 func TestSubscriptionFootprint(t *testing.T) {
 	const n = 2000
 	for _, tc := range []struct {
 		name  string
 		query func(i int) string
 		limit float64 // bytes per subscription
+		fresh bool    // the replacements' texts are query(n), query(n+1), …
 	}{
-		{"fanout-pred", func(i int) string { return fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10) }, 1100},
-		{"churn", func(i int) string { return fmt.Sprintf("//catalog/item/f%d", i) }, 450},
+		{"fanout-pred", func(i int) string { return fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/10) }, 370, false},
+		{"churn", func(i int) string { return fmt.Sprintf("//catalog/item/f%d", i) }, 370, false},
 		// Both kinds of output below one prefix: an ungated leaf beside a
 		// gated one, below a predicated item.
 		{"mixed", func(i int) string {
@@ -45,12 +49,16 @@ func TestSubscriptionFootprint(t *testing.T) {
 				return fmt.Sprintf("//catalog/item/f%d", i/2)
 			}
 			return fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i/20)
-		}, 450},
+		}, 310, false},
+		{"recycling", func(i int) string { return fmt.Sprintf("//catalog/item[priority > %d]/g%d[v > %d]", i%10, i, i%7) }, 1900, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The texts and ids are the caller's; they are built first so that
 			// the measurement is of what the engine adds to them.
 			ids, texts := make([]string, n+5000), make([]string, n)
+			if tc.fresh {
+				texts = make([]string, n+5000)
+			}
 			for i := range ids {
 				ids[i] = fmt.Sprintf("s%d", i)
 			}
@@ -70,12 +78,22 @@ func TestSubscriptionFootprint(t *testing.T) {
 				t.Errorf("%s: a subscription holds %.0f bytes, want at most %.0f", tc.name, per, tc.limit)
 			}
 			want := run(t, e, doc)
+			// Each replacement gives back what the next takes: the spaces
+			// the per-engine vectors are sized by stay where they are.
+			spaces := func() [4]int {
+				return [4]int{len(e.subs), int(e.tr.ids.n), int(e.tr.sids.n), int(e.tr.keys.n)}
+			}
+			sized := spaces()
 			warm := heapAfterGC()
 			for i := 0; i < 5000; i++ {
 				if !e.Remove(ids[i]) {
 					t.Fatalf("%s is not subscribed", ids[i])
 				}
-				mustAdd(t, e, ids[n+i], texts[i%n])
+				if tc.fresh {
+					mustAdd(t, e, ids[n+i], texts[n+i])
+				} else {
+					mustAdd(t, e, ids[n+i], texts[i%n])
+				}
 				if i%16 == 0 {
 					if got := run(t, e, doc); len(got) != len(want) {
 						t.Fatalf("after %d replacements: %d matches, want %d", i+1, len(got), len(want))
@@ -83,6 +101,9 @@ func TestSubscriptionFootprint(t *testing.T) {
 				}
 			}
 			run(t, e, doc)
+			if got := spaces(); got != sized {
+				t.Errorf("%s: result slots, latch ids, scope ids and step keys grew from %v to %v", tc.name, sized, got)
+			}
 			// A slice that doubled once during the churn is slack, not growth:
 			// allow a twentieth of what the set holds.
 			if after := heapAfterGC(); after > warm+(held-before)/20 {

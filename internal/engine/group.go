@@ -3,7 +3,6 @@ package engine
 import (
 	"math/bits"
 	"slices"
-	"strings"
 
 	"streamxpath/internal/query"
 	"streamxpath/internal/value"
@@ -64,12 +63,12 @@ type predGroup struct {
 	// parent is the step the members continue — a group scope's origin is
 	// parent's scope; nil for a group of top nodes, whose scope has no
 	// origin — and key, with parent, finds the group in its state's hold.
-	// id names the group's stack of open scopes and its latch count
-	// (matcher.latched), against its size; frags its latch count of
-	// fragments kept, against tally.extracting.
-	parent    *tnode
-	key       string
-	id, frags int32
+	// sid names the group's stack of open scopes (matcher.open), id its
+	// latch count (matcher.latched), against its size, and frags its latch
+	// count of fragments kept, against tally.extracting.
+	parent         *tnode
+	key            string
+	sid, id, frags int32
 
 	class groupClass
 	neg   bool // classThreshold over negated values: the group of < and <=
@@ -108,8 +107,9 @@ type contRun struct {
 	// members (byKey), so that a threshold scope's boundary splits them by one
 	// search; in an equality group every member has the same key and the
 	// order is that of arrival. scoped counts the nodes a candidate opens a
-	// scope for (tnode.opens); id and frags are its latch counts, as a
-	// group's are, against its nodes and tally.extracting.
+	// scope for (tnode.opens, which give them a stack: rescope); id and frags
+	// are its latch counts, as a group's are, against its nodes and
+	// tally.extracting.
 	nodes     []*tnode
 	scoped    int
 	id, frags int32
@@ -162,10 +162,11 @@ func groupOf(cmp query.Comparison) (class groupClass, neg bool, tag string, ok b
 // joinGroup makes spine node n, newly placed at its state, a member of the
 // predicate group its predicate belongs to, creating the group for
 // its first member; it reports false, having done nothing, for a predicate
-// no group evaluates. preds are the predicate children of n's query node.
+// no group evaluates. u is n's query node, and preds its predicate children.
 // The cost is the query's own size plus one search and one copy in the
-// group: no sort, no rebuild.
-func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
+// group: no sort, no rebuild, and the group key is built where step keys
+// are (trie.buf).
+func (t *trie) joinGroup(n *tnode, u *query.Node, preds []*query.Node) bool {
 	if len(preds) != 1 {
 		return false
 	}
@@ -187,29 +188,25 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 	if !ok {
 		return false
 	}
-	var b strings.Builder
-	b.WriteString(n.axis.String())
-	b.WriteString(n.ntest)
-	b.WriteByte('[')
+	key := append(t.buf[:0], u.Axis.String()...)
+	key = append(append(key, u.NTest...), '[')
 	for v := preds[0]; ; v = v.Children[0] {
-		b.WriteString(v.Axis.String())
-		b.WriteString(v.NTest)
+		key = append(append(key, v.Axis.String()...), v.NTest...)
 		if v == leaf {
 			break
 		}
 	}
-	b.WriteString(tag)
-	key := b.String()
+	t.buf = append(key, tag...)
 
 	p, h := n.parent, t.holdOf(n)
-	i := slices.IndexFunc(h.groups, func(g *predGroup) bool { return g.parent == p && g.key == key })
+	i := slices.IndexFunc(h.groups, func(g *predGroup) bool { return g.parent == p && g.key == string(t.buf) })
 	if i < 0 {
 		i = len(h.groups)
-		g := &predGroup{parent: p, key: key, id: t.newID(), frags: t.newID(), class: class, neg: neg}
-		g.conj = []*tnode{t.buildPred(preds[0], n.at, g.id, 0)}
-		last := g.conj[0]
+		g := &predGroup{parent: p, key: string(t.buf), sid: t.sids.take(), id: t.ids.take(), frags: t.ids.take(), class: class, neg: neg}
+		g.conj = []*tnode{t.buildPred(preds[0], n.at, g.sid, 0)}
+		last := g.conj[0].x
 		for len(last.conj) > 0 {
-			last = last.conj[0]
+			last = last.conj[0].x
 		}
 		last.set, last.strs = nil, nil
 		switch class {
@@ -226,8 +223,8 @@ func (t *trie) joinGroup(n *tnode, preds []*query.Node) bool {
 
 // insert makes n the member of g that compares against cmp's constant.
 func (g *predGroup) insert(n *tnode, cmp query.Comparison) {
-	mb := &member{grp: g}
-	n.mem = mb
+	n.x = &nodeExt{mem: member{grp: g}}
+	mb := &n.x.mem
 	g.size++
 	if g.class == classThreshold {
 		mb.c, mb.strict = cmp.Num, cmp.Op == value.OpGt || cmp.Op == value.OpLt
@@ -262,7 +259,7 @@ func (g *predGroup) insert(n *tnode, cmp query.Comparison) {
 // remove undoes insert; a constant no member compares against any more
 // leaves the index.
 func (g *predGroup) remove(n *tnode) {
-	mb := n.mem
+	mb := &n.x.mem
 	g.size--
 	if g.class == classThreshold {
 		g.sorted = removeByKey(g.sorted, n)
@@ -271,7 +268,7 @@ func (g *predGroup) remove(n *tnode) {
 	bk := mb.bucket
 	if mb.ne {
 		last := g.ne[len(g.ne)-1]
-		g.ne[mb.nePos], last.mem.nePos = last, mb.nePos
+		g.ne[mb.nePos], last.x.mem.nePos = last, mb.nePos
 		g.ne = g.ne[:len(g.ne)-1]
 		bk.ne--
 	} else {
@@ -294,7 +291,7 @@ func (g *predGroup) remove(n *tnode) {
 // more, out of its group; a group left without members goes, with its
 // predicate path.
 func (t *trie) leaveGroup(n *tnode) {
-	g := n.mem.grp
+	g := n.x.mem.grp
 	g.remove(n)
 	if g.size > 0 {
 		return
@@ -302,8 +299,9 @@ func (t *trie) leaveGroup(n *tnode) {
 	h := t.holds[n.at]
 	h.groups = slices.DeleteFunc(h.groups, func(o *predGroup) bool { return o == g })
 	t.dropPreds(g.conj)
-	t.freeID(g.id)
-	t.freeID(g.frags)
+	t.sids.give(g.sid)
+	t.ids.give(g.id)
+	t.ids.give(g.frags)
 }
 
 // joinRun puts n, an ungrouped continuation of a member of g, in the run of
@@ -314,12 +312,12 @@ func (t *trie) joinRun(n *tnode, g *predGroup) {
 	i := slices.IndexFunc(h.runs, func(r *contRun) bool { return r.grp == g })
 	if i < 0 {
 		i = len(h.runs)
-		h.runs = append(h.runs, &contRun{grp: g, id: t.newID(), frags: t.newID()})
+		h.runs = append(h.runs, &contRun{grp: g, id: t.ids.take(), frags: t.ids.take()})
 	}
 	r := h.runs[i]
 	n.run = r
 	r.nodes = insertByKey(r.nodes, n)
-	if n.opens() {
+	if n.sid >= 0 {
 		r.scoped++
 	}
 }
@@ -329,7 +327,7 @@ func (t *trie) joinRun(n *tnode, g *predGroup) {
 func (t *trie) leaveRun(n *tnode) {
 	r := n.run
 	r.nodes = removeByKey(r.nodes, n)
-	if n.opens() {
+	if n.sid >= 0 {
 		r.scoped--
 	}
 	if len(r.nodes) > 0 {
@@ -337,18 +335,18 @@ func (t *trie) leaveRun(n *tnode) {
 	}
 	h := t.holds[n.at]
 	h.runs = slices.DeleteFunc(h.runs, func(o *contRun) bool { return o == r })
-	t.freeID(r.id)
-	t.freeID(r.frags)
+	t.ids.give(r.id)
+	t.ids.give(r.frags)
 }
 
 // byKey returns the member whose comparison orders spine node n among its
 // like: a threshold group's member by its own, a run's node by that of the
 // member it continues.
 func byKey(n *tnode) *member {
-	if n.mem != nil {
-		return n.mem
+	if mb := n.mem(); mb != nil {
+		return mb
 	}
-	return n.parent.mem
+	return &n.parent.x.mem
 }
 
 // insertByKey and removeByKey keep a threshold group's members, or a run's
@@ -402,7 +400,7 @@ type parsedText struct {
 // members' continuations find it.
 func (m *matcher) openGroup(g *predGroup, origin *scope, level int) {
 	sc := m.pushScope(origin, level, g.conj)
-	sc.grp, sc.prev, m.open[g.id] = g, m.open[g.id], sc
+	sc.grp, sc.prev, m.open[g.sid] = g, m.open[g.sid], sc
 	if m.cm.mode != CaptureOff && m.left(g.frags, g.extracting) {
 		// Members' own terminals are decided with the scope's values; capture
 		// the candidate element now, while its start event is current.
@@ -497,12 +495,12 @@ func (m *matcher) hit(sc *scope, bk *eqBucket) {
 
 // satisfied reports whether the values seen so far in group scope sc satisfy
 // member n's comparison. The answer only ever turns from false to true.
-func (sc *scope) satisfied(n *tnode) bool { return sc.grp.sat(n.mem, &sc.seen) }
+func (sc *scope) satisfied(n *tnode) bool { return sc.grp.sat(&n.x.mem, &sc.seen) }
 
 // turned reports whether member n is satisfied by the values group scope sc
 // has seen, but was not by those that had decided was.
 func (sc *scope) turned(n *tnode, was *seen) bool {
-	return sc.satisfied(n) && !sc.grp.sat(n.mem, was)
+	return sc.satisfied(n) && !sc.grp.sat(&n.x.mem, was)
 }
 
 // sat reports whether values that decided s satisfy member mb of g.
@@ -512,7 +510,7 @@ func (g *predGroup) sat(mb *member, s *seen) bool {
 		if s.bound == 0 {
 			return false
 		}
-		at := g.sorted[s.bound-1].mem
+		at := &g.sorted[s.bound-1].x.mem
 		return mb.c < at.c || (mb.c == at.c && (at.strict || !mb.strict))
 	case mb.ne:
 		return s.other || len(s.hits) > 1 || (len(s.hits) == 1 && s.hits[0] != mb.bucket)
@@ -532,7 +530,7 @@ func (sc *scope) split(r *contRun) (p, q int) {
 	if sc.bound == 0 {
 		return 0, 0
 	}
-	at := sc.grp.sorted[sc.bound-1].mem
+	at := &sc.grp.sorted[sc.bound-1].x.mem
 	p = rank(r.nodes, at.c, at.strict)
 	return p, p
 }
@@ -584,7 +582,7 @@ func (m *matcher) release(sc *scope, was *seen) {
 		if g.class == classThreshold {
 			p, _ := sc.split(rc.run)
 			for _, n := range rc.run.nodes[rc.from:p] {
-				if len(n.conj) == 0 {
+				if len(n.conj()) == 0 {
 					m.route(n.terminals, rc.cap, up, mem)
 				}
 			}
@@ -592,7 +590,7 @@ func (m *matcher) release(sc *scope, was *seen) {
 			continue
 		}
 		for _, n := range rc.run.nodes {
-			if len(n.conj) == 0 && sc.turned(n.parent, was) {
+			if len(n.conj()) == 0 && sc.turned(n.parent, was) {
 				m.route(n.terminals, rc.cap, up, mem)
 			}
 		}

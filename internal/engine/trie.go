@@ -30,44 +30,46 @@ const (
 
 // tnode is one node of the shared query index: a location step (spine) or
 // a predicate-subtree node, unified across all subscriptions that contain
-// a structurally identical step at the same prefix (see query.StepKey).
+// a structurally identical step at the same prefix (see query.StepKey). A
+// standing set holds one per distinct step, so it holds what every spine
+// step needs — 80 bytes — and keeps what only predicates and group members
+// need behind x.
 type tnode struct {
-	kind nodeKind
-	axis query.Axis
-	// restricted and ne belong with set and strs below; they sit here,
-	// where the small fields pack into one word.
-	restricted, ne bool
-	ntest          string
+	// parent is the spine step a spine node continues: nil on a top node (a
+	// subscription's first predicated or attribute step) and on predicate
+	// nodes. run is the run of a group member's continuation (group.go).
+	parent *tnode
+	run    *contRun
+	// x holds a node's predicate and group-member part: nil on a spine node
+	// with no predicate, which is most of them.
+	x *nodeExt
+
+	// terminals are the result slots of the subscriptions whose OUT node
+	// this spine node is: reaching it (with all predicates on the way
+	// satisfied) matches them. A node with neither terminals nor kids is
+	// unlinked.
+	terminals []int
 
 	// at is the merged NFA's state the node's step enters — on its
 	// subscriptions' paths, or Held for a predicate node — whose hold lists
 	// the node: among its members or preds, at slot, or, continuing a group
-	// member, in that group's run. parent is the spine step a spine node
-	// continues: nil on a top node (a subscription's first predicated or
-	// attribute step) and on predicate nodes. key is a spine node's step key.
-	// pos is a predicate node's index among its parent's conj and its
-	// tuple's in a parent scope's children. up is the id whose stack of open
-	// scopes (matcher.open) holds a predicate node's parent scopes: its spine
-	// node's, its group's or its parent predicate node's. id names a spine
-	// node's and an internal predicate node's own stack, and a spine node's
-	// entry in the document's latch counts (matcher.latched). kids counts a
-	// spine node's continuations: with its terminals, what a document has to
-	// match below it (tnode.need).
-	parent *tnode
-	run    *contRun
-	at     int32
-	up     int32
-	kids   int32
-	slot   int
-	key    string
-	pos    int
-	id     int32
+	// member, in that group's run. kids counts a spine node's continuations:
+	// with its terminals, what a document has to match below it
+	// (tnode.need). key is a spine node's step key, interned in the trie's
+	// key table. id is a spine node's entry in the document's latch counts
+	// (matcher.latched), and sid the stack of its open scopes (matcher.open)
+	// — an ungrouped spine node's while it opens scopes, an internal
+	// predicate node's — -1 where there is none.
+	at, kids, key int32
+	id, sid, slot int32
+	kind          nodeKind
+	axis          query.Axis
+}
 
-	// mem is set on a spine node whose one predicate is a comparison of a
-	// path's value against a constant: the node is a member of a predicate
-	// group (group.go), which evaluates the path once for all its members.
-	mem *member
-
+// nodeExt is the part of a trie node that only some carry: a predicated
+// spine step's conjunctive children, a group member's constant, and a
+// predicate node's place and truth set.
+type nodeExt struct {
 	// conj are the conjunctive children a candidate resolves: for a spine
 	// node, the roots of its predicate subtrees (none on a group member: the
 	// group holds the path, mem the constant); for a predicate node, all of
@@ -82,20 +84,43 @@ type tnode struct {
 	// restricted leaf compared by textual = or != (ne) — one constant, or a
 	// textual equality group's — and its candidates stream their text
 	// through a cursor into it instead of buffering it.
-	set  query.Set
-	strs *strIndex
+	set            query.Set
+	strs           *strIndex
+	restricted, ne bool
 
-	// terminals are the indexes of the subscriptions whose OUT node this
-	// spine node is: reaching it (with all predicates on the way
-	// satisfied) matches them. A node with neither terminals nor kids is
-	// unlinked.
-	terminals []int
+	// up is the stack of open scopes (matcher.open) that holds a predicate
+	// node's parent scopes: its spine node's, its group's or its parent
+	// predicate node's. pos is its index among its parent's conj, and its
+	// tuple's in a parent scope's children.
+	up, pos int32
+
+	// mem is set (grp non-nil) on a spine node whose one predicate is a
+	// comparison of a path's value against a constant: the node is a member
+	// of a predicate group (group.go), which evaluates the path once for
+	// all its members.
+	mem member
+}
+
+// conj returns n's conjunctive children (nodeExt.conj).
+func (n *tnode) conj() []*tnode {
+	if n.x == nil {
+		return nil
+	}
+	return n.x.conj
+}
+
+// mem returns the group member spine node n is, nil if it is none.
+func (n *tnode) mem() *member {
+	if n.x == nil || n.x.mem.grp == nil {
+		return nil
+	}
+	return &n.x.mem
 }
 
 // opens reports whether a candidate element for spine node n opens a scope:
 // only a step with predicates to resolve, or with continuations whose
 // matches it or a predicated ancestor gates, holds state.
-func (n *tnode) opens() bool { return len(n.conj) > 0 || n.kids > 0 }
+func (n *tnode) opens() bool { return n.kids > 0 || len(n.conj()) > 0 }
 
 // need is what a document has to latch below spine node n before n stops
 // accepting candidates: its terminals, and its continuations.
@@ -108,10 +133,10 @@ func scopesOf(p *tnode) int32 {
 	switch {
 	case p == nil:
 		return -1
-	case p.mem != nil:
-		return p.mem.grp.id
+	case p.mem() != nil:
+		return p.x.mem.grp.sid
 	}
-	return p.id
+	return p.sid
 }
 
 // hold is what the trie hangs off one state of the merged NFA: the nodes
@@ -153,12 +178,12 @@ func (t *trie) holdOf(n *tnode) *hold {
 // among the members, or in the run of the group the step it continues
 // belongs to.
 func (t *trie) addMember(n *tnode) {
-	if p := n.parent; p != nil && p.mem != nil {
-		t.joinRun(n, p.mem.grp)
+	if p := n.parent; p != nil && p.mem() != nil {
+		t.joinRun(n, p.x.mem.grp)
 		return
 	}
 	h := t.holdOf(n)
-	n.slot = len(h.members)
+	n.slot = int32(len(h.members))
 	h.members = append(h.members, n)
 }
 
@@ -183,74 +208,143 @@ type trie struct {
 	nfa *automaton.MergedNFA
 	// holds[s] is what hangs off the merged NFA's state s, nil where no
 	// node's step enters it. nodes finds every spine node by the node it
-	// continues (nil for a top node), its state and its step key.
+	// continues, its state and its step key (nodeKey). live counts the gated
+	// subscriptions.
 	holds []*hold
 	nodes map[nodeKey]*tnode
-	// outs[slot] is the OUT node of the gated subscription holding result
-	// slot slot (index.pos) — the rest of its trie path is the parent chain —
-	// nil on the other slots. live counts the gated subscriptions.
-	outs []*tnode
-	live int
-	// ids counts the ids newID has handed out, freeIDs those freeID took
-	// back. An id names one owner's stack of open scopes and its entry in
-	// the document's latch counts (matcher.open, matcher.latched): a spine
-	// node's, a predicate group's or a run's, and their second one (frags)
-	// for their extracting terminals; an internal predicate node's names its
-	// stack alone.
-	ids       int32
-	freeIDs   []int32
+	live  int
+	// ids are the latch counts' (matcher.latched): a spine node's, and a
+	// predicate group's or a run's and their second one (frags) for their
+	// extracting terminals. sids are the stacks of open scopes'
+	// (matcher.open): an ungrouped spine node's while it opens scopes
+	// (rescope), a group's and an internal predicate node's. Every engine
+	// holds a vector of each, so a step that opens no scope costs it a latch
+	// count alone.
+	ids, sids idSpace
+	// keys interns the spine nodes' step keys, and buf is where Add builds
+	// a key to look it up.
+	keys      keyTab
+	buf       []byte
 	predNodes int
 }
 
+// nodeKey finds a spine node in trie.nodes: the id of the node it continues
+// (-1 for a top node), its state and its step key's id.
 type nodeKey struct {
-	parent *tnode
-	at     int32
-	key    string
+	parent, at, key int32
+}
+
+// nodeKey returns the key n is entered in the trie's nodes under.
+func (n *tnode) nodeKey() nodeKey {
+	k := nodeKey{parent: -1, at: n.at, key: n.key}
+	if n.parent != nil {
+		k.parent = n.parent.id
+	}
+	return k
 }
 
 // newTrie returns a trie whose steps are states of nfa.
 func newTrie(nfa *automaton.MergedNFA) *trie {
-	return &trie{nfa: nfa, nodes: map[nodeKey]*tnode{}}
+	return &trie{nfa: nfa, nodes: map[nodeKey]*tnode{}, keys: keyTab{ids: map[string]int32{}}}
 }
 
-// newID hands out an id, a recycled one first.
-func (t *trie) newID() int32 {
-	if k := len(t.freeIDs); k > 0 {
-		id := t.freeIDs[k-1]
-		t.freeIDs = t.freeIDs[:k-1]
+// idSpace hands out small ids, the ones given back first, so that vectors
+// indexed by them stay as long as the most owners ever held at once.
+type idSpace struct {
+	n    int32 // the ids handed out, free ones included
+	free []int32
+}
+
+func (s *idSpace) take() int32 {
+	if k := len(s.free); k > 0 {
+		id := s.free[k-1]
+		s.free = s.free[:k-1]
 		return id
 	}
-	t.ids++
-	return t.ids - 1
+	s.n++
+	return s.n - 1
 }
 
-// freeID takes back the id of an owner that has left the trie.
-func (t *trie) freeID(id int32) { t.freeIDs = append(t.freeIDs, id) }
+func (s *idSpace) give(id int32) { s.free = append(s.free, id) }
+
+// keyTab interns step keys: each distinct key is one string and one id,
+// counted by the spine nodes that have it and freed with the last.
+type keyTab struct {
+	ids  map[string]int32
+	strs []string // by id; "" on a free one
+	refs []int32
+	idSpace
+}
+
+// find returns the id of key k, -1 if no node has it.
+func (kt *keyTab) find(k []byte) int32 {
+	if id, ok := kt.ids[string(k)]; ok {
+		return id
+	}
+	return -1
+}
+
+// intern returns the id of key k for one more node that has it; a key no
+// node has yet costs one string.
+func (kt *keyTab) intern(k []byte) int32 {
+	if id := kt.find(k); id >= 0 {
+		kt.refs[id]++
+		return id
+	}
+	id, s := kt.take(), string(k)
+	if int(id) == len(kt.strs) {
+		kt.strs, kt.refs = append(kt.strs, ""), append(kt.refs, 0)
+	}
+	kt.strs[id], kt.refs[id] = s, 1
+	kt.ids[s] = id
+	return id
+}
+
+// release gives back one node's use of key id.
+func (kt *keyTab) release(id int32) {
+	if kt.refs[id]--; kt.refs[id] == 0 {
+		delete(kt.ids, kt.strs[id])
+		kt.strs[id] = ""
+		kt.give(id)
+	}
+}
 
 // link and unlink enter spine node n in the trie's nodes as a continuation
-// of p, if any, or undo it, with p's continuations and — a step that gains
-// its first continuation or loses its last starts or stops opening scopes —
-// the tally of p's run.
+// of p, if any, or undo it, with p's continuations — a step that gains its
+// first continuation or loses its last starts or stops opening scopes
+// (rescope).
 func (t *trie) link(p, n *tnode) {
-	t.nodes[nodeKey{p, n.at, n.key}] = n
-	if p == nil {
-		return
-	}
-	was := p.opens()
-	p.kids++
-	if p.run != nil && !was {
-		p.run.scoped++
+	t.nodes[n.nodeKey()] = n
+	if p != nil {
+		p.kids++
+		t.rescope(p)
 	}
 }
 
 func (t *trie) unlink(p, n *tnode) {
-	delete(t.nodes, nodeKey{p, n.at, n.key})
-	if p == nil {
-		return
+	delete(t.nodes, n.nodeKey())
+	if p != nil {
+		p.kids--
+		t.rescope(p)
 	}
-	p.kids--
-	if p.run != nil && !p.opens() {
-		p.run.scoped--
+}
+
+// rescope gives ungrouped spine node n a stack of open scopes when it opens
+// them, and takes it back when it stops, with the tally of n's run: a group
+// member's scopes are its group's.
+func (t *trie) rescope(n *tnode) {
+	switch own := n.opens() && n.mem() == nil; {
+	case own && n.sid < 0:
+		n.sid = t.sids.take()
+		if n.run != nil {
+			n.run.scoped++
+		}
+	case !own && n.sid >= 0:
+		t.sids.give(n.sid)
+		n.sid = -1
+		if n.run != nil {
+			n.run.scoped--
+		}
 	}
 }
 
@@ -259,10 +353,10 @@ func (t *trie) unlink(p, n *tnode) {
 // every match when every is.
 func (n *tnode) ends(d int, extract, every bool) {
 	var ts *tally
-	switch {
-	case n.mem != nil:
-		n.mem.grp.terminals += d
-		ts = &n.mem.grp.tally
+	switch mb := n.mem(); {
+	case mb != nil:
+		mb.grp.terminals += d
+		ts = &mb.grp.tally
 	case n.run != nil:
 		ts = &n.run.tally
 	default:
@@ -276,32 +370,45 @@ func (n *tnode) ends(d int, extract, every bool) {
 	}
 }
 
+// predicateChildren counts u's children that are not its successor.
+func predicateChildren(u *query.Node) int {
+	if u.Successor != nil {
+		return len(u.Children) - 1
+	}
+	return len(u.Children)
+}
+
 // add merges one gated subscription's query, which fragment.Streamable
 // accepted and the merged NFA has Added, into the trie, ending it at result
-// slot slot: a spine node for each location step from the first predicated
-// or attribute step on — the last step when there is none (AddEvery); the
-// query has one (Engine.add refuses a query without). extract says whether
-// the subscription wants the matched element captured, and every whether it
-// wants every element it selects (which implies extract).
-func (t *trie) add(q *query.Query, slot int, extract, every bool) {
-	if n := slot + 1 - len(t.outs); n > 0 {
-		t.outs = append(t.outs, make([]*tnode, n)...)
-	}
+// slot slot, and returns its OUT node: a spine node for each location step
+// from the first predicated or attribute step on — the last step when there
+// is none (AddEvery); the query has one (Engine.add refuses a query
+// without). extract says whether the subscription wants the matched element
+// captured, and every whether it wants every element it selects (which
+// implies extract). A step some node has already costs no allocation.
+func (t *trie) add(q *query.Query, slot int, extract, every bool) *tnode {
 	var cur *tnode
 	at := 0
 	for u := q.Root.Successor; u != nil; u = u.Successor {
 		at = t.nfa.Child(at, u.Axis, u.NTest)
-		preds := u.PredicateChildren()
-		if cur == nil && len(preds) == 0 && u.Axis != query.AxisAttribute && u.Successor != nil {
+		if cur == nil && predicateChildren(u) == 0 && u.Axis != query.AxisAttribute && u.Successor != nil {
 			continue
 		}
-		key := query.StepKey(u)
-		child := t.nodes[nodeKey{cur, int32(at), key}]
+		t.buf = query.AppendStepKey(t.buf[:0], u)
+		k := nodeKey{parent: -1, at: int32(at), key: t.keys.find(t.buf)}
+		if cur != nil {
+			k.parent = cur.id
+		}
+		child := t.nodes[k]
 		if child == nil {
-			child = &tnode{kind: kindSpine, axis: u.Axis, ntest: u.NTest, parent: cur, key: key, id: t.newID(), at: int32(at)}
-			if !t.joinGroup(child, preds) {
+			child = &tnode{kind: kindSpine, axis: u.Axis, parent: cur, key: t.keys.intern(t.buf), id: t.ids.take(), sid: -1, at: int32(at)}
+			if preds := u.PredicateChildren(); !t.joinGroup(child, u, preds) {
+				if len(preds) > 0 {
+					// A predicated step opens scopes from the start (rescope).
+					child.x, child.sid = &nodeExt{}, t.sids.take()
+				}
 				for i, pc := range preds {
-					child.conj = append(child.conj, t.buildPred(pc, child.at, child.id, i))
+					child.x.conj = append(child.x.conj, t.buildPred(pc, child.at, child.sid, i))
 				}
 				t.addMember(child)
 			}
@@ -311,21 +418,20 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) {
 	}
 	cur.terminals = append(cur.terminals, slot)
 	cur.ends(1, extract, every)
-	t.outs[slot] = cur
 	t.live++
+	return cur
 }
 
 // remove withdraws the subscription holding result slot slot, added with
-// the same extract and every, unlinking the spine nodes left with neither
-// terminals nor continuations, with their predicate subtrees — from the
-// trie's nodes, their state's hold, group or run, and a predicate node's
-// Hold — deepest first, so each is a leaf when its turn comes. The scan of
-// the OUT node's terminals is linear in the subscriptions ending there
-// (duplicates of one query). Scopes a document in flight has open go stale;
-// the engine abandons it, and matcher.reset drops them unread.
-func (t *trie) remove(slot int, extract, every bool) {
-	out := t.outs[slot]
-	t.outs[slot] = nil
+// the same extract and every, whose OUT node is out, unlinking the spine
+// nodes left with neither terminals nor continuations, with their predicate
+// subtrees — from the trie's nodes, their state's hold, group or run, and a
+// predicate node's Hold — deepest first, so each is a leaf when its turn
+// comes, and giving back their ids and step keys. The scan of the OUT
+// node's terminals is linear in the subscriptions ending there (duplicates
+// of one query). Scopes a document in flight has open go stale; the engine
+// abandons it, and matcher.reset drops them unread.
+func (t *trie) remove(out *tnode, slot int, extract, every bool) {
 	t.live--
 	i := slices.Index(out.terminals, slot)
 	out.terminals[i] = out.terminals[len(out.terminals)-1]
@@ -333,14 +439,18 @@ func (t *trie) remove(slot int, extract, every bool) {
 	out.ends(-1, extract, every)
 	for n := out; n != nil && n.need() == 0; n = n.parent {
 		t.unlink(n.parent, n)
-		if n.mem != nil {
+		if n.mem() != nil {
 			t.leaveGroup(n)
 		} else {
 			t.dropMember(n)
-			t.dropPreds(n.conj)
+			t.dropPreds(n.conj())
 		}
 		t.unhold(n)
-		t.freeID(n.id)
+		if n.sid >= 0 {
+			t.sids.give(n.sid)
+		}
+		t.ids.give(n.id)
+		t.keys.release(n.key)
 	}
 }
 
@@ -357,18 +467,18 @@ func (t *trie) unhold(n *tnode) {
 
 // dropPreds takes predicate subtrees, whose spine node or group is leaving
 // the trie, out of their states' holds, deepest first, and gives back their
-// ids.
+// stacks' ids.
 func (t *trie) dropPreds(nodes []*tnode) {
 	for _, n := range nodes {
-		t.dropPreds(n.conj)
+		t.dropPreds(n.x.conj)
 		t.predNodes--
 		h := t.holds[n.at]
 		last := h.preds[len(h.preds)-1]
 		h.preds[n.slot], last.slot = last, n.slot
 		h.preds = h.preds[:len(h.preds)-1]
 		t.unhold(n)
-		if len(n.conj) > 0 {
-			t.freeID(n.id)
+		if n.sid >= 0 {
+			t.sids.give(n.sid)
 		}
 	}
 }
@@ -382,27 +492,25 @@ func (t *trie) dropPreds(nodes []*tnode) {
 func (t *trie) buildPred(v *query.Node, from, up int32, pos int) *tnode {
 	set, _ := query.TruthSetOf(v) // Streamable found every node's set
 	n := &tnode{
-		kind:       kindPred,
-		axis:       v.Axis,
-		ntest:      v.NTest,
-		set:        set,
-		restricted: v.IsLeaf() && !set.IsAll(),
-		at:         int32(t.nfa.Hold(int(from), v.Axis, v.NTest)),
-		up:         up,
-		pos:        pos,
+		kind: kindPred,
+		axis: v.Axis,
+		at:   int32(t.nfa.Hold(int(from), v.Axis, v.NTest)),
+		id:   -1,
+		sid:  -1,
+		x:    &nodeExt{set: set, restricted: v.IsLeaf() && !set.IsAll(), up: up, pos: int32(pos)},
 	}
-	if cmp, ok := query.ComparisonOf(set); ok && n.restricted && !cmp.Numeric {
-		n.strs, n.ne = newStrIndex(cmp.Str), cmp.Op == value.OpNe
+	if cmp, ok := query.ComparisonOf(set); ok && n.x.restricted && !cmp.Numeric {
+		n.x.strs, n.x.ne = newStrIndex(cmp.Str), cmp.Op == value.OpNe
 	}
 	t.predNodes++
 	h := t.holdOf(n)
-	n.slot = len(h.preds)
+	n.slot = int32(len(h.preds))
 	h.preds = append(h.preds, n)
 	if len(v.Children) > 0 {
-		n.id = t.newID()
+		n.sid = t.sids.take()
 	}
 	for i, c := range v.Children {
-		n.conj = append(n.conj, t.buildPred(c, n.at, n.id, i))
+		n.x.conj = append(n.x.conj, t.buildPred(c, n.at, n.sid, i))
 	}
 	return n
 }
@@ -542,9 +650,10 @@ type matcher struct {
 	// parked.
 	tuples int
 
-	// scopes are the open candidate scopes, ordered by level; open[id] tops
+	// scopes are the open candidate scopes, ordered by level; open[sid] tops
 	// the stack (scope.prev) of the open scopes of the node or group with
-	// id id, where a candidate finds its parent scopes.
+	// scope id sid (tnode.sid, predGroup.sid), where a candidate finds its
+	// parent scopes.
 	scopes   []*scope
 	open     []*scope
 	pendings []pendingVal
@@ -560,15 +669,15 @@ type matcher struct {
 	// hits is the engine's record of the document's verdicts and
 	// fragments, where the matcher latches its subscriptions by result slot.
 	hits *hits
-	// latched counts, by id, what the document has latched below each spine
-	// node, group and run, from zero: of a node, the subscriptions ending at
-	// it and the continuations that latched all they need; of a group, such
-	// members; of a run, such nodes; and, by a group's or a run's frags id,
-	// its extracting terminals that have a fragment kept. When a count
-	// reaches what the owner has (tnode.need, predGroup.size,
+	// latched counts, by latch id, what the document has latched below each
+	// spine node, group and run, from zero: of a node, the subscriptions
+	// ending at it and the continuations that latched all they need; of a
+	// group, such members; of a run, such nodes; and, by a group's or a
+	// run's frags id, its extracting terminals that have a fragment kept.
+	// When a count reaches what the owner has (tnode.need, predGroup.size,
 	// len(contRun.nodes), tally.extracting) the owner stops accepting
-	// candidates, or capturing for them — the per-subscription monotone early
-	// exit, applied to shared state.
+	// candidates, or capturing for them — the per-subscription monotone
+	// early exit, applied to shared state.
 	latched []int32
 
 	// Fragment-extraction state: cm is the engine's capture manager, whose
@@ -595,13 +704,15 @@ func newMatcher(t *trie, run *automaton.SharedRunner, h *hits) *matcher {
 // reset prepares the matcher for the next document.
 func (m *matcher) reset() {
 	m.tuples = 0
-	if n := int(m.tr.ids); len(m.latched) != n {
-		m.latched, m.open = make([]int32, n), make([]*scope, n)
+	if n := int(m.tr.ids.n); len(m.latched) != n {
+		m.latched = make([]int32, n)
 	} else {
 		clear(m.latched)
-		if len(m.scopes) > 0 {
-			clear(m.open) // a document abandoned mid-stream left scopes open
-		}
+	}
+	if n := int(m.tr.sids.n); len(m.open) != n {
+		m.open = make([]*scope, n)
+	} else if len(m.scopes) > 0 {
+		clear(m.open) // a document abandoned mid-stream left scopes open
 	}
 	m.scopes = m.scopes[:0]
 	m.pendings = m.pendings[:0]
@@ -636,7 +747,7 @@ func (m *matcher) collectPreds(elemLevel int) {
 	m.cands = m.cands[:0]
 	for _, h := range m.held {
 		for _, n := range h.preds {
-			m.offer(cand{node: n}, n.up, h.desc, elemLevel)
+			m.offer(cand{node: n}, n.x.up, h.desc, elemLevel)
 		}
 	}
 }
@@ -660,7 +771,7 @@ func (m *matcher) collectSpine(elemLevel int) {
 		}
 		for _, r := range h.runs {
 			if m.left(r.id, len(r.nodes)) {
-				m.offer(cand{run: r}, r.grp.id, h.desc, elemLevel)
+				m.offer(cand{run: r}, r.grp.sid, h.desc, elemLevel)
 			}
 		}
 	}
@@ -678,7 +789,7 @@ func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
 	}
 	from := len(m.cands)
 	for sc := m.open[parent]; sc != nil && (desc || sc.level == elemLevel-1); sc = sc.prev {
-		if n := c.node; n != nil && n.kind == kindPred && sc.children[n.pos].matched {
+		if n := c.node; n != nil && n.kind == kindPred && sc.children[n.x.pos].matched {
 			continue
 		}
 		m.stats.TupleVisits++
@@ -709,7 +820,7 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool, elemLevel int) {
 		// scope, so no predicate node has a candidate.)
 		m.collectPreds(elemLevel)
 		for _, c := range m.cands {
-			m.startPred(c.node, &c.origin.children[c.node.pos], c.origin, elemLevel)
+			m.startPred(c.node, &c.origin.children[c.node.x.pos], c.origin, elemLevel)
 		}
 	}
 	m.collectSpine(elemLevel)
@@ -729,7 +840,7 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool, elemLevel int) {
 			// only by ancestor scopes (its continuations serve other
 			// subscriptions); with predicates the commit waits for the scope's
 			// predicates to be decided.
-			if len(n.conj) == 0 && len(n.terminals) > 0 {
+			if len(n.conj()) == 0 && len(n.terminals) > 0 {
 				s, mem := m.gate(c.origin, n.parent)
 				m.routeCaptured(n.terminals, s, mem)
 			}
@@ -755,12 +866,12 @@ func (m *matcher) startPred(n *tnode, t *tuple, origin *scope, level int) {
 		t.parked = true
 		m.tuples--
 	}
-	switch {
-	case len(n.conj) > 0:
+	switch x := n.x; {
+	case len(x.conj) > 0:
 		m.openScope(n, t, origin, level)
-	case n.restricted:
+	case x.restricted:
 		p := pendingVal{tup: t, level: level, start: len(m.buf)}
-		if ix := n.strs; ix != nil {
+		if ix := x.strs; ix != nil {
 			p.cur = cursor{ix: ix, hi: len(ix.bks)}
 			m.cursors++
 			m.noteGroupBits(ix.bits())
@@ -796,7 +907,7 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 		if !m.left(n.id, n.need()) {
 			continue
 		}
-		if len(n.conj) == 0 {
+		if len(n.conj()) == 0 {
 			if i < p || (i < q && sc.satisfied(n.parent)) {
 				m.routeCaptured(n.terminals, up, mem)
 			} else {
@@ -823,13 +934,14 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 // scope goes on n's stack of open ones, where the candidates of its children
 // and continuations find it.
 func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
-	sc := m.pushScope(origin, level, n.conj)
+	conj := n.conj()
+	sc := m.pushScope(origin, level, conj)
 	sc.node, sc.tup = n, tup
-	sc.prev, m.open[n.id] = m.open[n.id], sc
+	sc.prev, m.open[n.sid] = m.open[n.sid], sc
 	if n.kind == kindPred {
 		return
 	}
-	if len(n.conj) > 0 && len(n.terminals) > 0 {
+	if len(conj) > 0 && len(n.terminals) > 0 {
 		// The node's own terminals are decided only with this scope's
 		// predicates; if any of them wants the element, capture it now,
 		// while its start event is current.
@@ -896,7 +1008,7 @@ func (m *matcher) advanceCursors(data []byte) {
 			p.cur.hi = p.cur.lo // decided already: stop reading
 		} else if p.cur.advance(data) {
 			continue
-		} else if p.tup.node.ne {
+		} else if p.tup.node.x.ne {
 			m.satisfy(p.tup)
 		}
 		m.cursors--
@@ -945,14 +1057,14 @@ func (m *matcher) endElement(closing int) {
 		m.pendings = m.pendings[:k-1]
 		if t := p.tup; !t.matched {
 			// Every pending of this level read the closing element's text.
-			switch n := t.node; {
-			case n.set == nil:
+			switch x := t.node.x; {
+			case x.set == nil:
 				m.probe(p, &parsed)
 			case p.cur.ix != nil:
-				if (p.cur.exact() != nil) != n.ne {
+				if (p.cur.exact() != nil) != x.ne {
 					m.satisfy(t)
 				}
-			case n.set.Contains(m.text(p)):
+			case x.set.Contains(m.text(p)):
 				m.satisfy(t)
 			}
 		}
@@ -1035,9 +1147,9 @@ func (m *matcher) closeScope(sc *scope) {
 	m.dropCommitCap(sc.cap)
 	if g := sc.grp; g != nil {
 		m.noteGroupBits(-(1 + len(sc.hits)) * g.indexBits())
-		m.open[g.id] = sc.prev
+		m.open[g.sid] = sc.prev
 	} else {
-		m.open[sc.node.id] = sc.prev
+		m.open[sc.node.sid] = sc.prev
 		if sc.tup != nil {
 			m.unpark(sc.tup)
 		}
@@ -1093,7 +1205,7 @@ func (m *matcher) route(outs []int, cap *capture, s *scope, mem *tnode) {
 	}
 	for _, sub := range outs {
 		c := cap
-		if c != nil && !m.hits.ix.extract[sub] {
+		if c != nil && !m.hits.ix.subs[sub].extract {
 			c = nil
 		}
 		m.routeEntry(sub, c, s, mem)
@@ -1135,13 +1247,14 @@ func (m *matcher) routeEntry(sub int, cap *capture, s *scope, mem *tnode) {
 // nothing, so nothing prunes its later matches.
 func (m *matcher) latch(sub int, cap *capture) {
 	first, captured := m.hits.latch(sub, cap)
-	out := m.tr.outs[sub]
-	if captured && out.mem != nil {
-		m.latched[out.mem.grp.frags]++
+	s := &m.hits.ix.subs[sub]
+	out := s.out
+	if mb := out.mem(); captured && mb != nil {
+		m.latched[mb.grp.frags]++
 	} else if captured && out.run != nil {
 		m.latched[out.run.frags]++
 	}
-	if !first || m.hits.ix.every[sub] {
+	if !first || s.every {
 		return
 	}
 	m.run.Latched(int(out.at))
@@ -1149,8 +1262,8 @@ func (m *matcher) latch(sub int, cap *capture) {
 		if m.latched[n.id]++; m.left(n.id, n.need()) {
 			break
 		}
-		if n.mem != nil {
-			m.latched[n.mem.grp.id]++
+		if mb := n.mem(); mb != nil {
+			m.latched[mb.grp.id]++
 		} else if n.run != nil {
 			m.latched[n.run.id]++
 		}

@@ -126,8 +126,11 @@ func StarRestricted(q *query.Query) Check {
 // particular no or/not anywhere, and no boolean-output operator strictly
 // inside an atomic predicate (which would force boolean-to-non-boolean
 // casts like 1 - (a > 5)).
-func Conjunctive(q *query.Query) Check {
-	for _, u := range q.Nodes() {
+func Conjunctive(q *query.Query) Check { return conjunctive(q.Nodes()) }
+
+// conjunctive is Conjunctive over the query's nodes.
+func conjunctive(nodes []*query.Node) Check {
+	for _, u := range nodes {
 		if u.Pred == nil {
 			continue
 		}
@@ -173,24 +176,57 @@ func atomicOK(e *query.Expr, isRoot bool) Check {
 
 // Univariate implements Definition 5.5: every atomic predicate references
 // at most one query node.
-func Univariate(q *query.Query) Check {
-	for _, u := range q.Nodes() {
+func Univariate(q *query.Query) Check { return univariate(q.Nodes()) }
+
+// univariate is Univariate over the query's nodes.
+func univariate(nodes []*query.Node) Check {
+	for _, u := range nodes {
 		if u.Pred == nil {
 			continue
 		}
-		for _, p := range u.Pred.AtomicPredicates() {
-			if n := len(p.PathLeaves()); n > 1 {
-				return Check{Reason: fmt.Sprintf("atomic predicate %s has %d variables", p, n)}
-			}
+		if p := firstAtomic(u.Pred, func(p *query.Expr) bool { return pathLeaves(p) > 1 }); p != nil {
+			return Check{Reason: fmt.Sprintf("atomic predicate %s has %d variables", p, pathLeaves(p))}
 		}
 	}
 	return Check{OK: true}
 }
 
+// firstAtomic returns the first of e's atomic predicates, in the order
+// Expr.AtomicPredicates lists them, that f holds for, or nil.
+func firstAtomic(e *query.Expr, f func(*query.Expr) bool) *query.Expr {
+	if !e.IsLogic() {
+		if f(e) {
+			return e
+		}
+		return nil
+	}
+	for _, a := range e.Args {
+		if p := firstAtomic(a, f); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// pathLeaves returns len(e.PathLeaves()).
+func pathLeaves(e *query.Expr) int {
+	n := 0
+	if e.Kind == query.ExprPath {
+		n++
+	}
+	for _, a := range e.Args {
+		n += pathLeaves(a)
+	}
+	return n
+}
+
 // LeafOnlyValueRestricted implements Definition 5.7: no internal node is
 // value-restricted.
-func LeafOnlyValueRestricted(q *query.Query) Check {
-	for _, u := range q.Nodes() {
+func LeafOnlyValueRestricted(q *query.Query) Check { return leafOnlyValueRestricted(q.Nodes()) }
+
+// leafOnlyValueRestricted is LeafOnlyValueRestricted over the query's nodes.
+func leafOnlyValueRestricted(nodes []*query.Node) Check {
+	for _, u := range nodes {
 		if u.IsLeaf() {
 			continue
 		}
@@ -214,24 +250,22 @@ func LeafOnlyValueRestricted(q *query.Query) Check {
 // query unsatisfiable); and every leaf has a truth set, which a tree built
 // by hand may lack. The first failure is the reason.
 func Streamable(q *query.Query) Check {
-	if c := Conjunctive(q); !c.OK {
+	nodes := q.Nodes()
+	if c := conjunctive(nodes); !c.OK {
 		return Check{Reason: "query not conjunctive: " + c.Reason}
 	}
-	if c := Univariate(q); !c.OK {
+	if c := univariate(nodes); !c.OK {
 		return Check{Reason: "query not univariate: " + c.Reason}
 	}
-	if c := LeafOnlyValueRestricted(q); !c.OK {
+	if c := leafOnlyValueRestricted(nodes); !c.OK {
 		return Check{Reason: "query not leaf-only-value-restricted: " + c.Reason}
 	}
-	nodes := q.Nodes()
 	for _, u := range nodes {
 		if u.Pred == nil {
 			continue
 		}
-		for _, p := range u.Pred.AtomicPredicates() {
-			if len(p.PathLeaves()) == 0 {
-				return Check{Reason: fmt.Sprintf("constant atomic predicate %s is not supported", p)}
-			}
+		if p := firstAtomic(u.Pred, func(p *query.Expr) bool { return pathLeaves(p) == 0 }); p != nil {
+			return Check{Reason: fmt.Sprintf("constant atomic predicate %s is not supported", p)}
 		}
 	}
 	for _, u := range nodes {
@@ -336,14 +370,23 @@ func FrontierAt(u *query.Node) []*query.Node {
 }
 
 // FrontierSize returns FS(Q) = max_u |F(u)| (Definition 4.1).
-func FrontierSize(q *query.Query) int {
-	best := 0
-	for _, u := range q.Nodes() {
-		if n := len(FrontierAt(u)); n > best {
-			best = n
+func FrontierSize(q *query.Query) int { return frontierMax(q.Root) }
+
+// frontierMax returns the largest |F(v)| over the nodes v of u's subtree,
+// counting what FrontierAt lists without building it.
+func frontierMax(u *query.Node) int {
+	n := 1
+	for cur := u; cur.Parent != nil; cur = cur.Parent {
+		for _, sib := range cur.Parent.Children {
+			if sib != cur {
+				n++
+			}
 		}
 	}
-	return best
+	for _, c := range u.Children {
+		n = max(n, frontierMax(c))
+	}
+	return n
 }
 
 // MaxFrontierNode returns a node achieving FS(Q) (the first in depth-first

@@ -1,11 +1,13 @@
 package fragment
 
 import (
+	"math/rand"
 	"testing"
 
 	"streamxpath/internal/query"
 	"streamxpath/internal/semantics"
 	"streamxpath/internal/tree"
+	"streamxpath/internal/workload"
 )
 
 // TestFig3FrontierSize reproduces Figure 3: the frontier size of
@@ -385,6 +387,28 @@ func TestRedundantNodesSound(t *testing.T) {
 				}
 			}
 			_ = full
+		}
+	}
+}
+
+// TestFrontierSizeCountsFrontierAt: FrontierSize counts the frontiers
+// without building them, and must read what FrontierAt lists, at its
+// largest, over random queries of both generators — the redundancy-free
+// ones branch, the streamable ones nest successions below predicates.
+func TestFrontierSizeCountsFrontierAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names, texts := []string{"a", "b", "c"}, []string{"x", "y"}
+	for i := 0; i < 1500; i++ {
+		q := workload.RandomStreamableQuery(rng, names, texts)
+		if i%2 == 0 {
+			q = workload.RandomRedundancyFreeQuery(rng, 1+i%12)
+		}
+		want := 0
+		for _, u := range q.Nodes() {
+			want = max(want, len(FrontierAt(u)))
+		}
+		if got := FrontierSize(q); got != want {
+			t.Fatalf("%s: FrontierSize %d, the largest FrontierAt lists %d", q, got, want)
 		}
 	}
 }

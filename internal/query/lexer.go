@@ -80,7 +80,9 @@ func isNameByte(c byte) bool {
 
 // lex tokenizes a query string.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// A token takes two bytes of source or more, but for a run of
+	// one-character operators: one allocation covers most queries.
+	toks := make([]token, 0, len(src)/2+1)
 	i := 0
 	emit := func(k tokKind, text string, pos int) {
 		toks = append(toks, token{kind: k, text: text, pos: pos})

@@ -14,6 +14,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -178,7 +179,7 @@ func (q *Query) Size() int { return q.Root.Size() }
 
 // String renders the query back to Forward XPath surface syntax.
 func (q *Query) String() string {
-	var b strings.Builder
+	var b bytes.Buffer
 	writeSuccession(&b, q.Root.Successor, false)
 	return b.String()
 }
@@ -186,7 +187,7 @@ func (q *Query) String() string {
 // writeSuccession renders the successor chain starting at n. rel indicates
 // relative-path context (first step of a RelPath omits the leading child
 // slash).
-func writeSuccession(b *strings.Builder, n *Node, rel bool) {
+func writeSuccession(b *bytes.Buffer, n *Node, rel bool) {
 	first := true
 	for ; n != nil; n = n.Successor {
 		switch n.Axis {
@@ -291,20 +292,24 @@ func (e *Expr) BoolOutput() bool {
 // between the quotes it does not contain — the syntax has no escapes. A
 // string holding both kinds, which no parsed query has, is written Go-quoted:
 // not surface syntax, but still one rendering per constant, as StepKey needs.
-func writeLiteral(b *strings.Builder, s string) {
+func writeLiteral(b *bytes.Buffer, s string) {
+	q := byte('"')
 	switch {
 	case !strings.Contains(s, `"`):
-		b.WriteString(`"` + s + `"`)
 	case !strings.Contains(s, `'`):
-		b.WriteString(`'` + s + `'`)
+		q = '\''
 	default:
-		fmt.Fprintf(b, "%q", s)
+		b.Write(strconv.AppendQuote(b.AvailableBuffer(), s))
+		return
 	}
+	b.WriteByte(q)
+	b.WriteString(s)
+	b.WriteByte(q)
 }
 
 // String renders the expression in surface syntax.
 func (e *Expr) String() string {
-	var b strings.Builder
+	var b bytes.Buffer
 	e.write(&b)
 	return b.String()
 }
@@ -347,7 +352,7 @@ func (e *Expr) prec() int {
 
 // writeAt renders e where the grammar expects an operand binding at least
 // as tightly as min, parenthesized if it binds more loosely.
-func (e *Expr) writeAt(b *strings.Builder, min int) {
+func (e *Expr) writeAt(b *bytes.Buffer, min int) {
 	if e.prec() >= min {
 		e.write(b)
 		return
@@ -360,7 +365,7 @@ func (e *Expr) writeAt(b *strings.Builder, min int) {
 // write renders e so that parsing the text gives e back: two expressions
 // render alike only if they are the same tree, which is what lets StepKey
 // stand for a step's predicate and the engine keep a query as its text.
-func (e *Expr) write(b *strings.Builder) {
+func (e *Expr) write(b *bytes.Buffer) {
 	switch e.Kind {
 	case ExprConst:
 		switch f := e.Const.Num(); {
@@ -368,7 +373,7 @@ func (e *Expr) write(b *strings.Builder) {
 			writeLiteral(b, e.Const.Str())
 		case e.Const.IsNumber() && !math.IsNaN(f) && !math.IsInf(f, 0):
 			// Digits only: the lexer reads no exponent.
-			b.WriteString(strconv.FormatFloat(f, 'f', -1, 64))
+			b.Write(strconv.AppendFloat(b.AvailableBuffer(), f, 'f', -1, 64))
 		default:
 			b.WriteString(e.Const.String())
 		}

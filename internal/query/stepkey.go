@@ -7,7 +7,7 @@
 // (whitespace, predicate formatting, etc. normalize away in the AST).
 package query
 
-import "strings"
+import "bytes"
 
 // StepKey returns the canonical key of a single location step: its axis,
 // node test, and — if present — the canonical rendering of its full
@@ -17,12 +17,21 @@ import "strings"
 // condition under which a shared engine may evaluate the step once for
 // both owners.
 func StepKey(n *Node) string {
-	var b strings.Builder
+	var b bytes.Buffer
 	writeStepKey(&b, n)
 	return b.String()
 }
 
-func writeStepKey(b *strings.Builder, n *Node) {
+// AppendStepKey appends StepKey(n) to dst and returns the extended buffer:
+// a caller that looks keys up in a reused buffer allocates nothing once it
+// has grown.
+func AppendStepKey(dst []byte, n *Node) []byte {
+	b := bytes.NewBuffer(dst)
+	writeStepKey(b, n)
+	return b.Bytes()
+}
+
+func writeStepKey(b *bytes.Buffer, n *Node) {
 	b.WriteString(n.Axis.String())
 	b.WriteString(n.NTest)
 	if n.Pred != nil {
@@ -50,7 +59,7 @@ func (q *Query) SpineKey() []string {
 // engine can then evaluate one of them and fan the answer out to all
 // subscriptions sharing the key.
 func (q *Query) Key() string {
-	var b strings.Builder
+	var b bytes.Buffer
 	for n := q.Root.Successor; n != nil; n = n.Successor {
 		writeStepKey(&b, n)
 	}

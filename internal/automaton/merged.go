@@ -714,12 +714,14 @@ func (r *SharedRunner) EndElement() {
 	}
 }
 
-// Latched counts out a gated output at state s, latched for the first time
-// this document before the root element's end.
-func (r *SharedRunner) Latched(s int) {
-	r.live[1]--
+// Latched counts out k gated outputs at state s, each latched for the
+// first time this document before the root element's end: the outputs one
+// trie node delivers, or those of a run's stretch, whose nodes share the
+// state.
+func (r *SharedRunner) Latched(s, k int) {
+	r.live[1] -= k
 	if r.m.states[s].bound {
-		r.bound--
+		r.bound -= k
 	}
 }
 

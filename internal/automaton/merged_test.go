@@ -586,7 +586,7 @@ func (o *owned) gate(gated map[int][]int) {
 				continue
 			}
 			o.latch([]int{out})
-			o.Latched(s)
+			o.Latched(s, 1)
 		}
 	}
 }

@@ -71,11 +71,18 @@ var churnTails = []string{"", "", "[b]", "[b > 1]", "/d", "/@id"}
 // independent draws share prefixes, whole paths, and often the entire query.
 // One draw in four is a continuation of a grouped step into one state —
 // //a[b ⋄ k]/c… — so that the runs below //a's groups gain nodes in
-// and out of order, lose them from the middle, empty and come back.
+// and out of order, lose them from the middle, empty and come back; one of
+// those in three hangs the run below a predicated ancestor, //d[b]//a[b ⋄
+// k]/c…, whose open scope gates what the run's satisfied stretches deliver
+// until the ancestor's predicate is decided.
 func churnQuery(d *dice) string {
 	if d.n(4) == 0 {
+		gate := ""
+		if d.n(3) == 0 {
+			gate = "//d[b]"
+		}
 		pred := fmt.Sprintf(churnPreds[d.n(len(churnPreds))], d.n(4))
-		return "//a" + pred + "/c" + churnTails[d.n(len(churnTails))]
+		return gate + "//a" + pred + "/c" + churnTails[d.n(len(churnTails))]
 	}
 	var b strings.Builder
 	steps := 1 + d.n(3)
@@ -607,7 +614,14 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 	}
 	tallies := map[*tally]tally{}
 	for _, n := range tr.nodes {
-		own(keyOf(n), n.id)
+		// A spine node owns a latch id exactly while its count is more than
+		// one terminal's result bit.
+		switch counted := n.kids > 0 || len(n.terminals) > 1; {
+		case counted:
+			own(keyOf(n), n.id)
+		case n.id != -1:
+			t.Fatalf("%s: %s is a leaf of one terminal and owns latch id %d", label, keyOf(n), n.id)
+		}
 		if n.parent != nil {
 			place(keyOf(n), n.parent.at, n)
 		} else {
@@ -694,6 +708,15 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 			if slices.IndexFunc(h.groups, func(o *predGroup) bool { return o.parent == g.parent && o.key == g.key }) != i {
 				t.Fatalf("%s: state %d holds two groups %s below one step", label, s, g.key)
 			}
+			for j, rec := range g.sorted {
+				mb := rec.n.mem()
+				if mb == nil || mb.grp != g || rec != (entry{n: rec.n, mem: rec.n, slot: -1}) || rank(g.sorted[:j], mb.c, mb.strict) != j {
+					t.Fatalf("%s: group %s: record %d reads %+v, or is out of order", label, g.key, j, rec)
+				}
+			}
+			if g.class == classThreshold && len(g.sorted) != g.size {
+				t.Fatalf("%s: group %s holds %d records for %d members", label, g.key, len(g.sorted), g.size)
+			}
 		}
 	}
 	held, heldPreds := 0, 0
@@ -713,18 +736,23 @@ func checkIndex(t testing.TB, label string, e *Engine, live []churnSub) {
 				t.Fatalf("%s: run below %s tallies %+v, its nodes' terminals %+v", label, r.grp.key, r.tally, tallies[&r.tally])
 			}
 			nodes, scoped := runs[r], 0
-			for i, n := range r.nodes {
+			for i, rec := range r.nodes {
+				n := rec.n
 				if !slices.Contains(nodes, n) || n.at != int32(s) {
 					t.Fatalf("%s: run below %s holds %s, which does not belong there", label, r.grp.key, keyOf(n))
 				}
 				if n.opens() {
 					scoped++
 				}
-				if k := byKey(n); rank(r.nodes[:i], k.c, k.strict) != i {
+				k := &n.parent.x.mem
+				if rec != (entry{n: n, mem: n.parent, slot: n.leafSlot()}) {
+					t.Fatalf("%s: run below %s: the record of %s reads %+v", label, r.grp.key, keyOf(n), rec)
+				}
+				if rank(r.nodes[:i], k.c, k.strict) != i {
 					t.Fatalf("%s: run below %s is out of order at %d", label, r.grp.key, i)
 				}
 			}
-			if len(r.nodes) != len(nodes) || scoped != r.scoped {
+			if len(r.nodes) != len(nodes) || scoped != r.scoped || r.at != int32(s) {
 				t.Fatalf("%s: run below %s: holds %d nodes of %d, tallies %d scoped of %d",
 					label, r.grp.key, len(r.nodes), len(nodes), r.scoped, scoped)
 			}

@@ -50,7 +50,8 @@
 // The kinds differ in how they find matches, and in nothing after: Add
 // gives every subscription a result slot from one free list, and both
 // latch by slot through one latch (hits.latch), which sets its result bit,
-// counts the match and keeps the document-order-first fragment, and count
+// counts the match and keeps the document-order-first fragment — a run's
+// stretch that captures nothing sets its bits alone (hits.mark) — and count
 // the runner down: Decided reads what is left of the root's reach.
 //
 // A standing set changes while documents flow, so the index is edited where
@@ -145,9 +146,21 @@ type hits struct {
 }
 
 // matched reads the verdict of the subscription holding slot.
-func (h *hits) matched(slot int) bool {
-	p := h.ix.subs[slot].pos
-	return h.words[p>>6]&(1<<(p&63)) != 0
+func (h *hits) matched(slot int) bool { return h.has(&h.ix.subs[slot]) }
+
+// has reads subscription s's bit.
+func (h *hits) has(s *subscription) bool { return h.words[s.pos>>6]&(1<<(s.pos&63)) != 0 }
+
+// mark sets subscription s's bit, reporting whether this is the document's
+// first latch of s.
+func (h *hits) mark(s *subscription) bool {
+	w, bit := s.pos>>6, uint64(1)<<(s.pos&63)
+	if h.words[w]&bit != 0 {
+		return false
+	}
+	h.words[w] |= bit
+	h.count++
+	return true
 }
 
 // latch is the one latch of both kinds: the subscription holding slot has
@@ -164,11 +177,7 @@ func (h *hits) matched(slot int) bool {
 func (h *hits) latch(slot int, cap *capture) (first, captured bool) {
 	s := &h.ix.subs[slot]
 	p := s.pos
-	w, bit := p>>6, uint64(1)<<(p&63)
-	if first = h.words[w]&bit == 0; first {
-		h.words[w] |= bit
-		h.count++
-	}
+	first = h.mark(s)
 	if cap == nil || !s.extract {
 		return first, false
 	}

@@ -31,7 +31,14 @@ import (
 // below an open group scope costs one probe of the scope and one search
 // against its boundary: the nodes before it continue satisfied members and
 // their subscriptions pass the group at once, the rest wait in the scope as
-// one range commit, released stretch by stretch as the boundary moves.
+// one range commit, released stretch by stretch as the boundary moves. The
+// search reads the members' keys, never the run's nodes, and a satisfied
+// stretch that nothing gates or captures never reads its leaves of one
+// terminal either: each is a result slot in the run's entry for it, set in
+// one pass that counts each into its member, the stretch into the run, and
+// the stretch out of the runner at once (latchStretch). Gated or capturing
+// stretches, and nodes with more than one terminal, or predicates or
+// continuations of their own, are routed node by node.
 //
 // A group of one runs the same code as a group of ten thousand; predicates
 // of any other shape (conjunctions, branching paths, string functions,
@@ -77,9 +84,9 @@ type predGroup struct {
 	conj []*tnode
 
 	// sorted are a threshold group's members by ascending (constant,
-	// strictness). num or strs hold an equality group's constants, and ne its
-	// != members. size counts the members.
-	sorted []*tnode
+	// strictness), one entry each. num or strs hold an equality group's
+	// constants, and ne its != members. size counts the members.
+	sorted []entry
 	num    map[float64]*eqBucket
 	strs   strIndex
 	ne     []*tnode
@@ -98,22 +105,36 @@ type tally struct {
 	extracting, every int
 }
 
-// contRun is a run of continuations: the ungrouped spine nodes of one state
-// that continue members of one predicate group, which are the steps a
+// contRun is a run of continuations: the ungrouped spine nodes of one state,
+// at, that continue members of one predicate group, which are the steps a
 // candidate element of which is parented by that group's scope.
 type contRun struct {
 	grp *predGroup
-	// nodes are ordered by the member they continue, as grp.sorted orders the
-	// members (byKey), so that a threshold scope's boundary splits them by one
-	// search; in an equality group every member has the same key and the
-	// order is that of arrival. scoped counts the nodes a candidate opens a
-	// scope for (tnode.opens, which give them a stack: rescope); id and frags
-	// are its latch counts, as a group's are, against its nodes and
-	// tally.extracting.
-	nodes     []*tnode
+	// nodes are the run's nodes, one entry each, kept by the trie's
+	// mutations (joinRun, leaveRun, refit) and only read by matching. They
+	// are ordered by the member they continue, as grp.sorted orders the
+	// members, so that a threshold scope's boundary splits them by one search;
+	// in an equality group every member has the same key and the order is
+	// that of arrival. scoped counts the nodes a candidate opens a scope for
+	// (tnode.opens, which give them a stack: refit); id and frags are its
+	// latch counts, as a group's are, against its nodes and tally.extracting.
+	nodes     []entry
 	scoped    int
+	at        int32
 	id, frags int32
 	tally
+}
+
+// entry is one of a threshold group's members, or of a run's nodes, n, kept
+// in the order of the key of mem — the member itself, or the one the run's
+// node continues — which a search reads off mem, one of the group's few
+// members, never off n. slot is, on a run's node that is a leaf with one
+// terminal and no predicate of its own (leafSlot), that terminal's result
+// slot, all that a satisfied stretch latches it by; -1 on any other node,
+// and on a member.
+type entry struct {
+	n, mem *tnode
+	slot   int32
 }
 
 // member is a grouped spine node's own part of its predicate: the constant
@@ -231,7 +252,7 @@ func (g *predGroup) insert(n *tnode, cmp query.Comparison) {
 		if g.neg {
 			mb.c = -mb.c
 		}
-		g.sorted = insertByKey(g.sorted, n)
+		g.sorted = slices.Insert(g.sorted, rank(g.sorted, mb.c, mb.strict), entry{n: n, mem: n, slot: -1})
 		return
 	}
 	var bk *eqBucket
@@ -262,7 +283,8 @@ func (g *predGroup) remove(n *tnode) {
 	mb := &n.x.mem
 	g.size--
 	if g.class == classThreshold {
-		g.sorted = removeByKey(g.sorted, n)
+		i := locate(g.sorted, n, mb)
+		g.sorted = slices.Delete(g.sorted, i, i+1)
 		return
 	}
 	bk := mb.bucket
@@ -305,28 +327,31 @@ func (t *trie) leaveGroup(n *tnode) {
 }
 
 // joinRun puts n, an ungrouped continuation of a member of g, in the run of
-// g at n's state, creating the run for its first node. Like joining a group
-// it costs one search and one copy, after a scan of the state's runs.
+// g at n's state, creating the run for its first node, and gives it its
+// entry there. Like joining a group it costs one search and one copy, after
+// a scan of the state's runs.
 func (t *trie) joinRun(n *tnode, g *predGroup) {
 	h := t.holdOf(n)
 	i := slices.IndexFunc(h.runs, func(r *contRun) bool { return r.grp == g })
 	if i < 0 {
 		i = len(h.runs)
-		h.runs = append(h.runs, &contRun{grp: g, id: t.ids.take(), frags: t.ids.take()})
+		h.runs = append(h.runs, &contRun{grp: g, at: n.at, id: t.ids.take(), frags: t.ids.take()})
 	}
 	r := h.runs[i]
 	n.run = r
-	r.nodes = insertByKey(r.nodes, n)
+	k := &n.parent.x.mem
+	r.nodes = slices.Insert(r.nodes, rank(r.nodes, k.c, k.strict), entry{n: n, mem: n.parent, slot: n.leafSlot()})
 	if n.sid >= 0 {
 		r.scoped++
 	}
 }
 
-// leaveRun takes n, a leaf by now, out of its run; a run left without nodes
-// goes.
+// leaveRun takes n, a leaf by now, and its entry out of its run; a run left
+// without nodes goes.
 func (t *trie) leaveRun(n *tnode) {
 	r := n.run
-	r.nodes = removeByKey(r.nodes, n)
+	j := locate(r.nodes, n, &n.parent.x.mem)
+	r.nodes = slices.Delete(r.nodes, j, j+1)
 	if n.sid >= 0 {
 		r.scoped--
 	}
@@ -339,41 +364,25 @@ func (t *trie) leaveRun(n *tnode) {
 	t.ids.give(r.frags)
 }
 
-// byKey returns the member whose comparison orders spine node n among its
-// like: a threshold group's member by its own, a run's node by that of the
-// member it continues.
-func byKey(n *tnode) *member {
-	if mb := n.mem(); mb != nil {
-		return mb
-	}
-	return &n.parent.x.mem
-}
-
-// insertByKey and removeByKey keep a threshold group's members, or a run's
-// nodes, in ascending key order, by one search and one copy.
-func insertByKey(nodes []*tnode, n *tnode) []*tnode {
-	k := byKey(n)
-	return slices.Insert(nodes, rank(nodes, k.c, k.strict), n)
-}
-
-func removeByKey(nodes []*tnode, n *tnode) []*tnode {
-	k := byKey(n)
-	i := rank(nodes, k.c, k.strict) - 1 // the last of the nodes with n's key
-	for nodes[i] != n {
+// locate returns the position among es of the entry of node n, whose key is
+// k's, by one search for the last entry with that key.
+func locate(es []entry, n *tnode, k *member) int {
+	i := rank(es, k.c, k.strict) - 1
+	for es[i].n != n {
 		i--
 	}
-	return slices.Delete(nodes, i, i+1)
+	return i
 }
 
-// rank returns how many of nodes, in key order, have a key no greater than
+// rank returns how many of es, in key order, have a key no greater than
 // (c, strict) — ascending constants, >= before > at equal ones. Over a
 // threshold group's members, rank(v, false) is the boundary a value v draws:
 // exactly the members before it are satisfied by v.
-func rank(nodes []*tnode, c float64, strict bool) int {
-	lo, hi := 0, len(nodes)
+func rank(es []entry, c float64, strict bool) int {
+	lo, hi := 0, len(es)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if mb := byKey(nodes[mid]); mb.c < c || (mb.c == c && (strict || !mb.strict)) {
+		if k := &es[mid].mem.x.mem; k.c < c || (k.c == c && (strict || !k.strict)) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -510,7 +519,7 @@ func (g *predGroup) sat(mb *member, s *seen) bool {
 		if s.bound == 0 {
 			return false
 		}
-		at := &g.sorted[s.bound-1].x.mem
+		at := &g.sorted[s.bound-1].mem.x.mem
 		return mb.c < at.c || (mb.c == at.c && (at.strict || !mb.strict))
 	case mb.ne:
 		return s.other || len(s.hits) > 1 || (len(s.hits) == 1 && s.hits[0] != mb.bucket)
@@ -530,7 +539,7 @@ func (sc *scope) split(r *contRun) (p, q int) {
 	if sc.bound == 0 {
 		return 0, 0
 	}
-	at := &sc.grp.sorted[sc.bound-1].x.mem
+	at := &sc.grp.sorted[sc.bound-1].mem.x.mem
 	p = rank(r.nodes, at.c, at.strict)
 	return p, p
 }
@@ -550,12 +559,13 @@ func (m *matcher) release(sc *scope, was *seen) {
 	g := sc.grp
 	up, mem := m.gate(sc.origin, g.parent)
 	if g.terminals > 0 {
-		members := g.sorted[was.bound:sc.bound]
-		if len(sc.hits) > len(was.hits) {
-			members = sc.hits[len(sc.hits)-1].eq
+		for _, k := range g.sorted[was.bound:sc.bound] {
+			m.route(k.n.terminals, sc.cap, up, mem)
 		}
-		for _, n := range members {
-			m.route(n.terminals, sc.cap, up, mem)
+		if len(sc.hits) > len(was.hits) {
+			for _, n := range sc.hits[len(sc.hits)-1].eq {
+				m.route(n.terminals, sc.cap, up, mem)
+			}
 		}
 		if !was.other && len(was.hits) < 2 {
 			for _, n := range g.ne {
@@ -577,20 +587,28 @@ func (m *matcher) release(sc *scope, was *seen) {
 	sc.commits = kept
 	for i := range sc.ranges {
 		// A threshold range holds the nodes from its split on, and the
-		// boundary moves the split. An equality range has no order to go by.
+		// boundary moves the split; a stretch that nothing gates or captures
+		// latches in one pass. An equality range has no order to go by.
 		rc := &sc.ranges[i]
-		if g.class == classThreshold {
-			p, _ := sc.split(rc.run)
-			for _, n := range rc.run.nodes[rc.from:p] {
-				if len(n.conj()) == 0 {
-					m.route(n.terminals, rc.cap, up, mem)
+		if r := rc.run; g.class == classThreshold {
+			p, _ := sc.split(r)
+			stretch := up == nil && rc.cap == nil
+			if stretch {
+				m.latchStretch(r, rc.from, p)
+			}
+			for _, k := range r.nodes[rc.from:p] {
+				if stretch && k.slot >= 0 {
+					continue
+				}
+				if len(k.n.conj()) == 0 {
+					m.route(k.n.terminals, rc.cap, up, mem)
 				}
 			}
 			rc.from = p
 			continue
 		}
-		for _, n := range rc.run.nodes {
-			if len(n.conj()) == 0 && sc.turned(n.parent, was) {
+		for _, k := range rc.run.nodes {
+			if n := k.n; len(n.conj()) == 0 && sc.turned(k.mem, was) {
 				m.route(n.terminals, rc.cap, up, mem)
 			}
 		}

@@ -57,9 +57,10 @@ type tnode struct {
 	// with its terminals, what a document has to match below it
 	// (tnode.need). key is a spine node's step key, interned in the trie's
 	// key table. id is a spine node's entry in the document's latch counts
-	// (matcher.latched), and sid the stack of its open scopes (matcher.open)
-	// — an ungrouped spine node's while it opens scopes, an internal
-	// predicate node's — -1 where there is none.
+	// (matcher.latched) — not a leaf's of one terminal, whose count is that
+	// terminal's result bit (matcher.owes) — and sid the stack of its open
+	// scopes (matcher.open) — an ungrouped spine node's while it opens
+	// scopes, an internal predicate node's — -1 where there is none (refit).
 	at, kids, key int32
 	id, sid, slot int32
 	kind          nodeKind
@@ -125,6 +126,16 @@ func (n *tnode) opens() bool { return n.kids > 0 || len(n.conj()) > 0 }
 // need is what a document has to latch below spine node n before n stops
 // accepting candidates: its terminals, and its continuations.
 func (n *tnode) need() int { return len(n.terminals) + int(n.kids) }
+
+// leafSlot returns the result slot of spine node n's one terminal when n is
+// a leaf with no predicate of its own — what a satisfied stretch of its run
+// latches it by (latchStretch) — and -1 otherwise.
+func (n *tnode) leafSlot() int32 {
+	if n.kids > 0 || len(n.terminals) != 1 || len(n.conj()) > 0 {
+		return -1
+	}
+	return int32(n.terminals[0])
+}
 
 // scopesOf returns the id of the stack that holds spine node p's open
 // scopes — its group's for a group member — or -1 for no node: what a top
@@ -213,13 +224,13 @@ type trie struct {
 	holds []*hold
 	nodes map[nodeKey]*tnode
 	live  int
-	// ids are the latch counts' (matcher.latched): a spine node's, and a
-	// predicate group's or a run's and their second one (frags) for their
-	// extracting terminals. sids are the stacks of open scopes'
-	// (matcher.open): an ungrouped spine node's while it opens scopes
-	// (rescope), a group's and an internal predicate node's. Every engine
-	// holds a vector of each, so a step that opens no scope costs it a latch
-	// count alone.
+	// ids are the latch counts' (matcher.latched): a spine node's while it
+	// has continuations or more than one terminal (refit), and a predicate
+	// group's or a run's and their second one (frags) for their extracting
+	// terminals. sids are the stacks of open scopes' (matcher.open): an
+	// ungrouped spine node's while it opens scopes (refit), a group's and an
+	// internal predicate node's. Every engine holds a vector of each, so a
+	// leaf of one terminal with no predicate costs it nothing.
 	ids, sids idSpace
 	// keys interns the spine nodes' step keys, and buf is where Add builds
 	// a key to look it up.
@@ -229,7 +240,8 @@ type trie struct {
 }
 
 // nodeKey finds a spine node in trie.nodes: the id of the node it continues
-// (-1 for a top node), its state and its step key's id.
+// (-1 for a top node; a node with a continuation has an id), its state and
+// its step key's id.
 type nodeKey struct {
 	parent, at, key int32
 }
@@ -311,28 +323,38 @@ func (kt *keyTab) release(id int32) {
 
 // link and unlink enter spine node n in the trie's nodes as a continuation
 // of p, if any, or undo it, with p's continuations — a step that gains its
-// first continuation or loses its last starts or stops opening scopes
-// (rescope).
+// first continuation or loses its last takes or gives back a latch id, and
+// starts or stops opening scopes (refit). p has an id while n is entered
+// under it.
 func (t *trie) link(p, n *tnode) {
-	t.nodes[n.nodeKey()] = n
 	if p != nil {
 		p.kids++
-		t.rescope(p)
+		t.refit(p)
 	}
+	t.nodes[n.nodeKey()] = n
 }
 
 func (t *trie) unlink(p, n *tnode) {
 	delete(t.nodes, n.nodeKey())
 	if p != nil {
 		p.kids--
-		t.rescope(p)
+		t.refit(p)
 	}
 }
 
-// rescope gives ungrouped spine node n a stack of open scopes when it opens
-// them, and takes it back when it stops, with the tally of n's run: a group
-// member's scopes are its group's.
-func (t *trie) rescope(n *tnode) {
+// refit brings what spine node n holds in line with its continuations and
+// terminals after either changed: a latch id while its count is more than
+// one terminal's result bit, a stack of open scopes while it opens them —
+// with the tally of n's run; a group member's scopes are its group's — and
+// its entry in its run.
+func (t *trie) refit(n *tnode) {
+	switch own := n.kids > 0 || len(n.terminals) > 1; {
+	case own && n.id < 0:
+		n.id = t.ids.take()
+	case !own && n.id >= 0:
+		t.ids.give(n.id)
+		n.id = -1
+	}
 	switch own := n.opens() && n.mem() == nil; {
 	case own && n.sid < 0:
 		n.sid = t.sids.take()
@@ -345,6 +367,9 @@ func (t *trie) rescope(n *tnode) {
 		if n.run != nil {
 			n.run.scoped--
 		}
+	}
+	if r := n.run; r != nil {
+		r.nodes[locate(r.nodes, n, &n.parent.x.mem)].slot = n.leafSlot()
 	}
 }
 
@@ -395,16 +420,19 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) *tnode {
 			continue
 		}
 		t.buf = query.AppendStepKey(t.buf[:0], u)
-		k := nodeKey{parent: -1, at: int32(at), key: t.keys.find(t.buf)}
-		if cur != nil {
-			k.parent = cur.id
+		var child *tnode
+		if cur == nil || cur.id >= 0 { // a node with no id has no continuation
+			k := nodeKey{parent: -1, at: int32(at), key: t.keys.find(t.buf)}
+			if cur != nil {
+				k.parent = cur.id
+			}
+			child = t.nodes[k]
 		}
-		child := t.nodes[k]
 		if child == nil {
-			child = &tnode{kind: kindSpine, axis: u.Axis, parent: cur, key: t.keys.intern(t.buf), id: t.ids.take(), sid: -1, at: int32(at)}
+			child = &tnode{kind: kindSpine, axis: u.Axis, parent: cur, key: t.keys.intern(t.buf), id: -1, sid: -1, at: int32(at)}
 			if preds := u.PredicateChildren(); !t.joinGroup(child, u, preds) {
 				if len(preds) > 0 {
-					// A predicated step opens scopes from the start (rescope).
+					// A predicated step opens scopes from the start (refit).
 					child.x, child.sid = &nodeExt{}, t.sids.take()
 				}
 				for i, pc := range preds {
@@ -418,6 +446,7 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) *tnode {
 	}
 	cur.terminals = append(cur.terminals, slot)
 	cur.ends(1, extract, every)
+	t.refit(cur)
 	t.live++
 	return cur
 }
@@ -427,7 +456,8 @@ func (t *trie) add(q *query.Query, slot int, extract, every bool) *tnode {
 // nodes left with neither terminals nor continuations, with their predicate
 // subtrees — from the trie's nodes, their state's hold, group or run, and a
 // predicate node's Hold — deepest first, so each is a leaf when its turn
-// comes, and giving back their ids and step keys. The scan of the OUT
+// comes, and giving back their scope ids and step keys (their latch ids went
+// with their last terminal or continuation: refit). The scan of the OUT
 // node's terminals is linear in the subscriptions ending there (duplicates
 // of one query). Scopes a document in flight has open go stale; the engine
 // abandons it, and matcher.reset drops them unread.
@@ -437,6 +467,7 @@ func (t *trie) remove(out *tnode, slot int, extract, every bool) {
 	out.terminals[i] = out.terminals[len(out.terminals)-1]
 	out.terminals = out.terminals[:len(out.terminals)-1]
 	out.ends(-1, extract, every)
+	t.refit(out)
 	for n := out; n != nil && n.need() == 0; n = n.parent {
 		t.unlink(n.parent, n)
 		if n.mem() != nil {
@@ -449,7 +480,6 @@ func (t *trie) remove(out *tnode, slot int, extract, every bool) {
 		if n.sid >= 0 {
 			t.sids.give(n.sid)
 		}
-		t.ids.give(n.id)
 		t.keys.release(n.key)
 	}
 }
@@ -677,7 +707,8 @@ type matcher struct {
 	// When a count reaches what the owner has (tnode.need, predGroup.size,
 	// len(contRun.nodes), tally.extracting) the owner stops accepting
 	// candidates, or capturing for them — the per-subscription monotone
-	// early exit, applied to shared state.
+	// early exit, applied to shared state. A leaf of one terminal has no
+	// count: its terminal's result bit is one (owes).
 	latched []int32
 
 	// Fragment-extraction state: cm is the engine's capture manager, whose
@@ -726,6 +757,17 @@ func (m *matcher) reset() {
 // left reports whether the owner of id has latched less than need.
 func (m *matcher) left(id int32, need int) bool { return m.latched[id] < int32(need) }
 
+// owes reports whether spine node n has latched less than it needs. A leaf
+// of one terminal, which has no latch id, owes until that terminal latches
+// — for ever, if it is an every-match subscription, which counts nothing.
+func (m *matcher) owes(n *tnode) bool {
+	if n.id >= 0 {
+		return m.left(n.id, n.need())
+	}
+	s := &m.hits.ix.subs[n.terminals[0]]
+	return s.every || !m.hits.has(s)
+}
+
 // entered gathers the holds of the states of items that the element entered
 // by their own step. items lists a state before the states below it, and so
 // do the holds, so that a candidate is processed before any it is a step
@@ -760,7 +802,7 @@ func (m *matcher) collectSpine(elemLevel int) {
 	m.cands = m.cands[:0]
 	for _, h := range m.held {
 		for _, n := range h.members {
-			if m.left(n.id, n.need()) {
+			if m.owes(n) {
 				m.offer(cand{node: n}, scopesOf(n.parent), h.desc, elemLevel)
 			}
 		}
@@ -832,7 +874,7 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool, elemLevel int) {
 			if m.left(c.grp.id, c.grp.size) {
 				m.openGroup(c.grp, c.origin, elemLevel)
 			}
-		case m.left(c.node.id, c.node.need()):
+		case m.owes(c.node):
 			// (None left: an earlier candidate of this same element already
 			// satisfied every subscription this step serves.)
 			n := c.node
@@ -893,18 +935,28 @@ func (m *matcher) startPred(n *tnode, t *tuple, origin *scope, level int) {
 // delivered to what gates the group itself; the rest wait in the scope as
 // one range commit. A node with predicates or continuations of its own opens
 // its scope below the group's. A threshold run is split by one search, and
-// with no scope to open nothing past the split is looked at.
+// with no scope to open nothing past the split is looked at; a satisfied
+// stretch that nothing gates or captures latches its leaves of one terminal
+// in one pass (latchStretch), and the loop routes its other nodes.
 func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 	g := r.grp
 	p, q := sc.split(r)
 	up, mem := m.gate(sc.origin, g.parent)
+	stretch := up == nil && (m.cm.mode == CaptureOff || !m.left(r.frags, r.extracting))
+	if stretch {
+		m.latchStretch(r, 0, p)
+	}
 	held := q < len(r.nodes)
 	end := q
 	if r.scoped > 0 {
 		end = len(r.nodes)
 	}
-	for i, n := range r.nodes[:end] {
-		if !m.left(n.id, n.need()) {
+	for i := 0; i < end; i++ {
+		if stretch && i < p && r.nodes[i].slot >= 0 {
+			continue
+		}
+		n := r.nodes[i].n
+		if !m.owes(n) {
 			continue
 		}
 		if len(n.conj()) == 0 {
@@ -1241,10 +1293,10 @@ func (m *matcher) routeEntry(sub int, cap *capture, s *scope, mem *tnode) {
 // latch finalizes a subscription's match in the engine's record (hits.latch,
 // which keeps the document-order-first fragment) and, the first time,
 // counts it out of the runner and into what has latched below its OUT node —
-// and, while a node has latched all it needs, below what that node is a part
-// of: its group or run, and the step it continues. The first fragment kept
-// counts into its group's or run's frags. An every-match subscription counts
-// nothing, so nothing prunes its later matches.
+// and, once the node has latched all it needs, into what that node is a part
+// of (finished). The first fragment kept counts into its group's or run's
+// frags. An every-match subscription counts nothing, so nothing prunes its
+// later matches.
 func (m *matcher) latch(sub int, cap *capture) {
 	first, captured := m.hits.latch(sub, cap)
 	s := &m.hits.ix.subs[sub]
@@ -1257,16 +1309,60 @@ func (m *matcher) latch(sub int, cap *capture) {
 	if !first || s.every {
 		return
 	}
-	m.run.Latched(int(out.at))
-	for n := out; n != nil; n = n.parent {
-		if m.latched[n.id]++; m.left(n.id, n.need()) {
-			break
+	m.run.Latched(int(out.at), 1)
+	if out.id >= 0 { // (a leaf of one terminal has latched all it needs)
+		if m.latched[out.id]++; m.left(out.id, out.need()) {
+			return
 		}
+	}
+	m.finished(out)
+}
+
+// finished counts spine node n, which has just latched all it needs, into
+// its group or run and into the step it continues, and so on up while each
+// step it reaches has latched all it needs in turn.
+func (m *matcher) finished(n *tnode) {
+	for {
 		if mb := n.mem(); mb != nil {
 			m.latched[mb.grp.id]++
 		} else if n.run != nil {
 			m.latched[n.run.id]++
 		}
+		if n = n.parent; n == nil {
+			return
+		}
+		if m.latched[n.id]++; m.left(n.id, n.need()) {
+			return
+		}
+	}
+}
+
+// latchStretch latches the leaves of one terminal among nodes [from, to) of
+// threshold run r — nodes that continue satisfied members, with nothing
+// gating or capturing what they deliver — off their entries alone, as
+// latch would one by one: it sets the result bits not set yet, counts each
+// such leaf into the member it continues, and the lot into the run and,
+// once, out of the runner, as the run's nodes share its state. The
+// stretch's other nodes are the caller's.
+func (m *matcher) latchStretch(r *contRun, from, to int) {
+	h, k := m.hits, 0
+	for i := from; i < to; i++ {
+		e := &r.nodes[i]
+		if e.slot < 0 {
+			continue
+		}
+		if s := &h.ix.subs[e.slot]; !h.mark(s) || s.every {
+			continue
+		}
+		k++
+		mb := e.mem
+		if m.latched[mb.id]++; !m.left(mb.id, mb.need()) {
+			m.finished(mb)
+		}
+	}
+	if k > 0 {
+		m.latched[r.id] += int32(k)
+		m.run.Latched(int(r.at), k)
 	}
 }
 

@@ -162,12 +162,14 @@ type TokenizerBytes struct {
 	// they configure the tokenizer, not the document.
 	lim limits.Limits
 
-	// nameCache is a direct-mapped cache in front of the symbol table:
-	// element and attribute names repeat heavily, and a cache hit (hash +
-	// length check + memeq) is several times cheaper than an interning
-	// map probe. Misses fall through to InternBytes and overwrite the
-	// slot.
-	nameCache []nameCacheEntry
+	// nameCache is a 2-way set-associative cache in front of the symbol
+	// table: element and attribute names repeat heavily, and a cache hit
+	// (hash + length check + memeq) is several times cheaper than an
+	// interning map probe. Misses fall through to InternBytes, counted in
+	// nameMisses, and take the set's first way, its old first way the
+	// second: two names whose hashes share a set both stay.
+	nameCache  []nameCacheSet
+	nameMisses int
 
 	// skim marks the rest of the document as validated without being
 	// materialized (see Skim). Elements opened while skimming are held in
@@ -200,17 +202,18 @@ type TokenizerBytes struct {
 	skimPieces int
 }
 
-// nameCacheBits sizes the direct-mapped name cache (the hash's top bits
-// index it).
-const (
-	nameCacheBits = 9
-	nameCacheSize = 1 << nameCacheBits
-)
+// nameCacheBits sizes the name cache: 1<<nameCacheBits sets of two
+// entries, 512 in all, indexed by the hash's top bits.
+const nameCacheBits = 8
 
 type nameCacheEntry struct {
 	name string
 	sym  symtab.Sym
 }
+
+// nameCacheSet is one set of the name cache, the most recently missed name
+// first.
+type nameCacheSet [2]nameCacheEntry
 
 // span is a half-open range of window offsets.
 type span struct{ start, end int }
@@ -250,7 +253,7 @@ func NewTokenizerBytes(data []byte, tab *symtab.Table) *TokenizerBytes {
 		data:      data,
 		tab:       tab,
 		suspendAt: -1,
-		nameCache: make([]nameCacheEntry, nameCacheSize),
+		nameCache: make([]nameCacheSet, 1<<nameCacheBits),
 	}
 }
 
@@ -363,16 +366,21 @@ func (t *TokenizerBytes) noteScan(searchStart, overlap int) {
 	t.scanned = n
 }
 
-// internName interns a scanned name through the direct-mapped cache. h is
-// the hash readName accumulated over the name's bytes, so a probe reads the
-// name once more only to confirm the hit.
+// internName interns a scanned name through the name cache. h is the hash
+// readName accumulated over the name's bytes, so a probe reads the name
+// once more only to confirm the hit.
 func (t *TokenizerBytes) internName(b []byte, h uint32) symtab.Sym {
-	e := &t.nameCache[h*0x9E3779B1>>(32-nameCacheBits)]
-	if len(e.name) == len(b) && string(b) == e.name {
+	set := &t.nameCache[h*0x9E3779B1>>(32-nameCacheBits)]
+	if e := &set[0]; len(e.name) == len(b) && string(b) == e.name {
 		return e.sym
 	}
+	if e := &set[1]; len(e.name) == len(b) && string(b) == e.name {
+		return e.sym
+	}
+	t.nameMisses++
 	sym := t.tab.InternBytes(b)
-	e.name, e.sym = t.tab.Name(sym), sym
+	set[1] = set[0]
+	set[0] = nameCacheEntry{t.tab.Name(sym), sym}
 	return sym
 }
 

@@ -63,7 +63,8 @@
 // depends on the subscriptions and on the paths documents took — is what Add
 // and Remove write; a memo miss adds to it under its own lock. Everything a
 // document writes — the NFA runner's stack, the trie matcher, the capture
-// manager, the tokenizers, the verdict record — is per engine. Replica makes
+// manager, the verdict record, and the one tokenizer that reads both its
+// buffered and its chunked documents — is per engine. Replica makes
 // another engine over the same index, which is how a FilterPool matches N
 // documents at once on one copy of the subscriptions and one memo, and
 // Rebuild, the quarantine after a recovered panic, replaces an engine's
@@ -311,13 +312,13 @@ type Engine struct {
 	hits   hits
 	runner *automaton.SharedRunner
 	mt     *matcher
-	// tok and stok are the tokenizers of MatchBytes and MatchReader, each
-	// created by its first call and reused from then on, and batch is the
-	// slice MatchBytes has tok fill; process and decided are the callbacks
-	// MatchReader drives stok with, built once so a repeat call allocates
-	// nothing.
-	tok     *sax.TokenizerBytes
-	stok    *sax.StreamTokenizer
+	// tok is the tokenizer of both MatchBytes, which reads its whole-buffer
+	// form (Whole), and MatchReader, which drives it a chunk at a time: one
+	// name cache, one set of scratch buffers and one copy of the limits.
+	// batch is the slice MatchBytes has it fill; process and decided are
+	// the callbacks MatchReader drives it with, built once so a repeat call
+	// allocates nothing.
+	tok     *sax.StreamTokenizer
 	batch   []sax.ByteEvent
 	process func(sax.ByteEvent) error
 	decided func() bool
@@ -379,8 +380,8 @@ func (e *Engine) Replica() *Engine {
 }
 
 // fresh gives the engine new per-document state — a verdict record, an NFA
-// runner, a trie matcher, a capture manager, and tokenizers to come — over
-// its index, and resets it.
+// runner, a trie matcher, a capture manager and a tokenizer — over its
+// index, and resets it.
 func (e *Engine) fresh() {
 	cm := newCapman(e.tab)
 	if e.cm != nil {
@@ -391,7 +392,16 @@ func (e *Engine) fresh() {
 	e.runner = automaton.NewSharedRunner(e.nfa, e.latchAccepted)
 	e.mt = newMatcher(e.tr, e.runner, &e.hits)
 	e.mt.cm = cm
-	e.tok, e.stok = nil, nil
+	e.tok = sax.NewStreamTokenizer(e.tab)
+	e.tok.SetLimits(e.lim)
+	e.batch = make([]sax.ByteEvent, sax.BatchSize)
+	e.process = func(ev sax.ByteEvent) error {
+		if err := e.processBytes(&ev); err != nil {
+			return fmt.Errorf("streamxpath: %w", err)
+		}
+		return nil
+	}
+	e.decided = e.Decided
 	e.Reset()
 }
 
@@ -405,19 +415,14 @@ func (e *Engine) Symbols() *symtab.Table { return e.tab }
 // engine reusable after the next Reset.
 func (e *Engine) SetLimits(l limits.Limits) {
 	e.lim = l
-	if e.tok != nil {
-		e.tok.SetLimits(l)
-	}
-	if e.stok != nil {
-		e.stok.SetLimits(l)
-	}
+	e.tok.SetLimits(l)
 }
 
 // Limits returns the configured budgets.
 func (e *Engine) Limits() limits.Limits { return e.lim }
 
 // Rebuild replaces the engine's per-document state — the NFA runner, the
-// trie matcher, the capture manager, the tokenizers — by fresh state over
+// trie matcher, the capture manager, the tokenizer — by fresh state over
 // the same index. It is the quarantine step after a recovered panic:
 // matching state of unknown integrity is thrown away wholesale instead of
 // trusting Reset's in-place sweeps, while the index, which matching never

@@ -3,10 +3,13 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+
+	"streamxpath/internal/sax"
 )
 
 // heapAfterGC is the live heap: HeapAlloc after two collections, the second
@@ -128,12 +131,16 @@ func allocated(f func()) uint64 {
 // TestMatcherHoldsNoVocabulary: what a matcher allocates for a document is
 // sized by the document's matching state, not by the names the engine's
 // symbol table has accumulated. After one document of 100,000 distinct names
-// and a late //a[zzz], the first match of <a><zzz/><b/></a> on the engine and
-// on two replicas allocates a few kilobytes each (2.4 MB each while the
-// predicate frontier was a dense index by symbol, sized to the whole table at
-// its first predicate tuple past it). The shared memo's transitions on the
+// and a late //a[zzz], the first match of <a k="1"><zzz/><b/></a> on the
+// engine and on two replicas allocates a few kilobytes each (2.4 MB each
+// while the predicate frontier was a dense index by symbol, sized to the
+// whole table at its first predicate tuple past it; 0.4 MB while the
+// tokenizer found duplicate attributes through a vector by symbol, which k,
+// interned after the 100,000, sized). The shared memo's transitions on the
 // probe's names are made first, through a third replica: a memo row is
-// indexed by symbol, and what it costs is the index's, paid once.
+// indexed by symbol, and what it costs is the index's, paid once. The
+// reader path then reads the probe through the tokenizer the buffered path
+// warmed, and adds only its chunk buffer.
 func TestMatcherHoldsNoVocabulary(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "b", "//a[b]")
@@ -148,13 +155,13 @@ func TestMatcherHoldsNoVocabulary(t *testing.T) {
 	}
 	mustAdd(t, e, "zzz", "//a[zzz]")
 	r1, r2, warm := e.Replica(), e.Replica(), e.Replica()
-	probe := []byte("<a><zzz/><b/></a>")
-	match := func(e *Engine) {
-		out, err := e.MatchBytes(nil, probe, CaptureOff)
+	probe := []byte(`<a k="1"><zzz/><b/></a>`)
+	check := func(out Outcome, err error) {
 		if err != nil || len(out.IDs) != 2 {
 			t.Fatalf("matched %v, %v; want both", out.IDs, err)
 		}
 	}
+	match := func(e *Engine) { check(e.MatchBytes(nil, probe, CaptureOff)) }
 	match(warm)
 	for i, e := range []*Engine{e, r1, r2} {
 		b := allocated(func() { match(e) })
@@ -162,6 +169,12 @@ func TestMatcherHoldsNoVocabulary(t *testing.T) {
 		if b >= 64<<10 {
 			t.Errorf("engine %d: the first match allocated %d bytes, want under 64 KiB", i, b)
 		}
+	}
+	r := bytes.NewReader(probe)
+	b := allocated(func() { check(e.MatchReader(nil, r, 0, CaptureOff)) })
+	t.Logf("engine 0: the first MatchReader allocated %d bytes", b)
+	if limit := sax.DefaultChunkSize + 16<<10; b >= uint64(limit) {
+		t.Errorf("engine 0: the first MatchReader allocated %d bytes, want under %d", b, limit)
 	}
 }
 

@@ -95,16 +95,7 @@ func (e *Engine) MatchBytes(dst []string, doc []byte, mode CaptureMode) (out Out
 		err = e.outcome(&out, dst, doc, mode, err)
 		return out, err
 	}
-	if e.tok == nil {
-		e.tok = sax.NewTokenizerBytes(doc, e.tab)
-		e.tok.SetLimits(e.lim)
-	} else {
-		e.tok.Reset(doc)
-	}
-	if e.batch == nil {
-		e.batch = make([]sax.ByteEvent, sax.BatchSize)
-	}
-	tok, batch := e.tok, e.batch
+	tok, batch := e.tok.Whole(doc), e.batch
 drive:
 	for {
 		n, terr := tok.NextBatch(batch)
@@ -146,9 +137,9 @@ drive:
 // MatchReader is MatchBytes's twin for a document that arrives through a
 // reader: the chunked drive loop every engine-backed matcher shares. The
 // document is read chunkSize bytes at a time (<= 0 selects
-// sax.DefaultChunkSize) into the engine's resumable tokenizer, which holds
-// only the unconsumed tail across chunk boundaries, and Decided is probed
-// between chunks: once every verdict is final the reader is abandoned —
+// sax.DefaultChunkSize) into the engine's tokenizer — MatchBytes's too —
+// which holds only the unconsumed tail across chunk boundaries, and Decided
+// is probed between chunks: once every verdict is final the reader is abandoned —
 // Outcome.Read reports the early exit, how much input it took, and whether
 // any verdict was decided negatively — and the remainder is neither read
 // nor validated. Where MatchBytes skims, MatchReader stops. A warm call
@@ -157,25 +148,13 @@ drive:
 func (e *Engine) MatchReader(dst []string, r io.Reader, chunkSize int, mode CaptureMode) (out Outcome, err error) {
 	e.SetCapture(mode)
 	e.Reset() // also recovers from a document abandoned mid-stream
-	if e.stok == nil {
-		e.stok = sax.NewStreamTokenizer(e.tab)
-		e.stok.SetLimits(e.lim)
-		e.process = func(ev sax.ByteEvent) error {
-			if err := e.processBytes(&ev); err != nil {
-				return fmt.Errorf("streamxpath: %w", err)
-			}
-			return nil
-		}
-		e.decided = e.Decided
-	} else {
-		e.stok.Reset()
-	}
+	e.tok.Reset()
 	read := &out.Read
-	sawEnd, err := e.stok.Drive(r, chunkSize, read, e.process, nil, e.decided)
+	sawEnd, err := e.tok.Drive(r, chunkSize, read, e.process, nil, e.decided)
 	if err == nil && !sawEnd && !read.EarlyExit {
 		err = errTruncated
 	}
 	err = e.outcome(&out, dst, nil, mode, err)
-	read.DecidedNegative = read.EarlyExit && len(out.IDs)-len(dst) < len(e.subs)
+	read.DecidedNegative = read.EarlyExit && len(out.IDs)-len(dst) < len(e.results)
 	return out, err
 }

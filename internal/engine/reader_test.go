@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
 
 	"streamxpath/internal/limits"
+	"streamxpath/internal/query"
 )
 
 // TestMatchReaderEqualsMatchBytes: read in chunks of every size from 1 to
@@ -177,5 +179,119 @@ func TestMatchAppendsToDst(t *testing.T) {
 	out, err = e.MatchReader(slices.Clone(prefix), strings.NewReader(doc), 16, CaptureOff)
 	if err != nil || !slices.Equal(out.IDs, want) || !out.Read.EarlyExit || !out.Read.DecidedNegative {
 		t.Fatalf("MatchReader: ids %v, read %+v, %v; want %v, a negative early exit", out.IDs, out.Read, err, want)
+	}
+}
+
+// TestDecidedNegativeAfterRemove: a reader's DecidedNegative counts the
+// standing subscriptions, not the result slots, which keep a removed
+// subscription's record until a later Add takes it. With /r/b removed, an
+// exit after <r><a/> decided every standing verdict positively, as on an
+// engine that never held /r/b.
+func TestDecidedNegativeAfterRemove(t *testing.T) {
+	doc := "<r><a/>" + strings.Repeat("<p/>", 2000) + "</r>"
+	removed := New()
+	mustAdd(t, removed, "a", "/r/a")
+	mustAdd(t, removed, "b", "/r/b")
+	if !removed.Remove("b") {
+		t.Fatal("b is not subscribed")
+	}
+	fresh := New()
+	mustAdd(t, fresh, "a", "/r/a")
+	for _, e := range []*Engine{removed, fresh} {
+		out, err := e.MatchReader(nil, strings.NewReader(doc), 4096, CaptureOff)
+		if err != nil || !slices.Equal(out.IDs, []string{"a"}) || !out.Read.EarlyExit || out.Read.DecidedNegative {
+			t.Fatalf("ids %v, read %+v, %v; want [a] and an all-positive early exit", out.IDs, out.Read, err)
+		}
+	}
+}
+
+// TestOneTokenizerServesBothPaths: an engine reads its buffered and its
+// chunked documents through one tokenizer, so nothing one path leaves in it
+// may reach the next call on the other. One engine alternates MatchBytes —
+// on documents decided early enough that their remainder skims in helper
+// pieces — MatchReader at chunks of 1, 512 and 4096, and MatchBytes again,
+// over well-formed and malformed documents, under no budget, budgets it
+// breaches and the abstain policy, with extraction on and off; each call's
+// Outcome and error must be, field by field, what a fresh engine over the
+// same index gives for it. CI runs it under -race at -cpu 1,4: the skim
+// helpers read the tokenizer's job on other cores, and that tokenizer then
+// serves the reader path.
+func TestOneTokenizerServesBothPaths(t *testing.T) {
+	e := New()
+	mustAdd(t, e, "a", "/r/a")
+	mustAdd(t, e, "bc", "/r/b[c]")
+	if err := e.AddExtract("k", query.MustParse(`//a[@k = "1"]`)); err != nil {
+		t.Fatal(err)
+	}
+	var filler strings.Builder
+	for i := 0; filler.Len() < 48<<10; i++ {
+		fmt.Fprintf(&filler, `<p q="%d" k="v">text &amp; %d<s/></p>`, i%9, i)
+	}
+	var many strings.Builder // nine attributes, the last the first again
+	for i := 0; i < 9; i++ {
+		fmt.Fprintf(&many, ` k%d="%d"`, i%8, i)
+	}
+	head := `<r><a k="1"/><b><c/></b>`
+	docs := []string{
+		head + filler.String() + "</r>",
+		head + filler.String() + "<e" + many.String() + "/></r>", // the skim finds the duplicate
+		"<r><e" + many.String() + "/><a k='1'/></r>",             // the tokenizer finds it
+		`<r><a k="1"></b></r>`,
+		`<r><a k="1" k="2"/></r>`,
+		head + `<d><d><d><d><d><d/></d></d></d></d></d></r>`, // budgets the skim enforces
+		head + `<t>` + strings.Repeat("x", 300) + `</t></r>`,
+		`<r><d><d><d><d><d><d/></d></d></d></d></d><a k="1"/></r>`, // and the tokenizer
+		`<r><t>` + strings.Repeat("x", 300) + `</t><a k="1"/></r>`,
+		`<r><a k="1">`,
+		"",
+	}
+	budgets := []limits.Limits{
+		{},
+		{MaxDepth: 5, MaxTokenBytes: 256},
+		{MaxDepth: 5, MaxTokenBytes: 256, Policy: limits.Abstain},
+	}
+	type call struct {
+		name  string
+		match func(*Engine, []byte, CaptureMode) (Outcome, error)
+	}
+	byBytes := call{"MatchBytes", func(e *Engine, doc []byte, mode CaptureMode) (Outcome, error) {
+		return e.MatchBytes(nil, doc, mode)
+	}}
+	calls := []call{byBytes}
+	for _, chunk := range []int{1, 512, 4096} {
+		calls = append(calls, call{fmt.Sprintf("MatchReader(%d)", chunk), func(e *Engine, doc []byte, mode CaptureMode) (Outcome, error) {
+			return e.MatchReader(nil, bytes.NewReader(doc), chunk, mode)
+		}})
+	}
+	calls = append(calls, byBytes)
+	skims := 0
+	for _, lim := range budgets {
+		e.SetLimits(lim)
+		for _, mode := range []CaptureMode{CaptureOff, CaptureSlice, CaptureSerial} {
+			for i, doc := range docs {
+				for _, c := range calls {
+					if mode == CaptureSlice && c.name != byBytes.name {
+						continue // a reader's captures are serialized
+					}
+					label := fmt.Sprintf("limits %+v, mode %d, doc %d, %s", lim, mode, i, c.name)
+					got, err := c.match(e, []byte(doc), mode)
+					fresh := e.Replica()
+					fresh.SetLimits(lim)
+					want, wantErr := c.match(fresh, []byte(doc), mode)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) || !sameFailure(err, wantErr) && !errors.Is(err, errTruncated) {
+						t.Fatalf("%s: error %v, a fresh engine's %v", label, err, wantErr)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: outcome\n%+v\na fresh engine's\n%+v", label, got, want)
+					}
+					if got.Skimmed > 32<<10 {
+						skims++
+					}
+				}
+			}
+		}
+	}
+	if skims == 0 {
+		t.Error("no remainder long enough for helper pieces was skimmed")
 	}
 }

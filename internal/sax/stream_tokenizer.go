@@ -78,6 +78,18 @@ func (s *StreamTokenizer) Reset() {
 	s.t.streaming = true
 }
 
+// Whole points the tokenizer at a document held whole in memory, keeping
+// the symbol table, the limits and every scratch buffer, and returns the
+// TokenizerBytes that reads it: one tokenizer then serves both a caller's
+// buffered and its chunked documents. The returned tokenizer reads doc as
+// NewTokenizerBytes(doc, s.Table()) under s's limits would, and is s's until
+// the next Reset or Whole; doc is not copied.
+func (s *StreamTokenizer) Whole(doc []byte) *TokenizerBytes {
+	s.t.Reset(doc)
+	s.t.streaming = false
+	return s.t
+}
+
 // compact discards the consumed prefix of the window, sliding the
 // unconsumed tail to the front of the scratch buffer. Only valid between
 // documents or after Next returned ErrNeedMoreData (the rewound position

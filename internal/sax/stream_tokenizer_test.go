@@ -189,7 +189,11 @@ type offEvent struct {
 
 // wholeOffEvents is wholeEvents keeping each event's Off.
 func wholeOffEvents(doc string) ([]offEvent, error) {
-	tok := sax.NewTokenizerBytes([]byte(doc), nil)
+	return drainOff(sax.NewTokenizerBytes([]byte(doc), nil))
+}
+
+// drainOff reads tok to its end, keeping each event's Off.
+func drainOff(tok *sax.TokenizerBytes) ([]offEvent, error) {
 	var out []offEvent
 	for {
 		ev, err := tok.Next()
@@ -255,7 +259,9 @@ func checkDrive(t testing.TB, tok *sax.StreamTokenizer, doc string, splits []int
 // split into two chunks at every byte offset, must end as the whole-buffer
 // TokenizerBytes ends it — the same events (hence the same deepest level)
 // and then the same error: type, message and offset — whether the chunks
-// are drained by Next or through Drive's batches.
+// are drained by Next or through Drive's batches. The same tokenizer's
+// whole-buffer form (Whole) then reads the document as a fresh
+// TokenizerBytes does, whatever the split left in it.
 func TestStreamTokenizerSplitEveryOffset(t *testing.T) {
 	tok := sax.NewStreamTokenizer(nil)
 	for _, doc := range append(append([]string(nil), streamCorpus...), sax.KernelShapes...) {
@@ -269,6 +275,9 @@ func TestStreamTokenizerSplitEveryOffset(t *testing.T) {
 			}
 			diffEvents(t, doc, got, wantEvents)
 			checkDrive(t, tok, doc, []int{off}, want, wantErr)
+			if got, err := drainOff(tok.Whole([]byte(doc))); !reflect.DeepEqual(err, wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("doc %q after a split at %d: Whole gave %v, %v; want %v, %v", doc, off, got, err, want, wantErr)
+			}
 		}
 	}
 }

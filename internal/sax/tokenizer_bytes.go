@@ -141,16 +141,15 @@ type TokenizerBytes struct {
 	textBuf []byte
 	attrBuf []byte
 
-	// attrSeen detects duplicate attributes in O(1) per attribute: the
-	// slot for a symbol holds the epoch of the last tag that used it, so
-	// "seen in this tag" is one stamped compare instead of a linear scan
-	// of the attributes so far (quadratic on many-attribute tags). The
-	// epoch advances per start tag that has attributes; on uint32
-	// wraparound the table is cleared. A skim interns nothing, so it keys the same check by the
-	// name's bytes: attrSlots is an open-addressed table of the name spans
-	// of the tag being skimmed, stamped with the same epoch (so nothing is
-	// cleared between tags) and doubled when a tag fills half of it.
-	attrSeen  []uint32
+	// attrSlots detects duplicate attributes in O(1) per attribute: it is
+	// an open-addressed table of the attribute names of the start tag being
+	// scanned (seenAttr), instead of a linear scan of the attributes so far
+	// (quadratic on many-attribute tags). A slot is stamped with the epoch
+	// of its tag, which advances per start tag that has attributes, so
+	// nothing is cleared between tags (on uint32 wraparound the table is);
+	// it doubles when a tag fills half of it, so its size follows the
+	// largest tag, not the vocabulary. A tokenized name is keyed by its
+	// symbol; a skim interns nothing, so a skimmed one is keyed by its bytes.
 	attrSlots []attrSlot
 	attrEpoch uint32
 
@@ -185,9 +184,8 @@ type TokenizerBytes struct {
 	// level like any element, and the attributes folded into child events
 	// sit one level below their element (see countLevels). deepest is the
 	// deepest level the skim has reached, tagAttrs how many attributes the
-	// start tag it is scanning has so far (Next sees them in pending), and
-	// breach a depth breach found at an attribute level, held back for one
-	// call.
+	// start tag being scanned has so far, and breach a depth breach found at
+	// an attribute level, held back for one call.
 	deepest  int
 	tagAttrs int
 	breach   error
@@ -218,9 +216,11 @@ type nameCacheSet [2]nameCacheEntry
 // span is a half-open range of window offsets.
 type span struct{ start, end int }
 
-// attrSlot is one attribute name of the tag whose epoch it carries.
+// attrSlot is one attribute name of the tag whose epoch it carries: its
+// symbol when the tag is tokenized, its span when the tag is skimmed.
 type attrSlot struct {
 	epoch, hash uint32
+	sym         symtab.Sym
 	name        span
 }
 
@@ -1262,8 +1262,9 @@ func (t *TokenizerBytes) readStartTag(p int) (symtab.Sym, error) {
 		return 0, t.errAt(end, "second root element <%s>", data[p:end])
 	}
 	var sym symtab.Sym
+	t.tagAttrs = 0
 	if t.skim {
-		t.tagName, t.tagAttrs = span{p, end}, 0
+		t.tagName = span{p, end}
 	} else {
 		sym = t.internName(data[p:end], hash)
 	}
@@ -1280,7 +1281,6 @@ func (t *TokenizerBytes) readStartTag(p int) (symtab.Sym, error) {
 	t.attrBuf = t.attrBuf[:0]
 	t.attrEpoch++
 	if t.attrEpoch == 0 {
-		clear(t.attrSeen)
 		clear(t.attrSlots)
 		t.attrEpoch = 1
 	}
@@ -1348,7 +1348,7 @@ func (t *TokenizerBytes) countLevels() error {
 		return limitErr("depth", limit, elem)
 	}
 	t.deepest = max(t.deepest, elem)
-	if t.tagAttrs == 0 && len(t.pending) == 0 {
+	if t.tagAttrs == 0 {
 		return nil
 	}
 	if limit <= 0 || elem < limit {
@@ -1459,23 +1459,16 @@ func (t *TokenizerBytes) scanAttrs(sym symtab.Sym, p int) error {
 			return err
 		}
 		p = next
-		if t.skim {
-			// No symbol, no events: the name is checked against the tag's
-			// other names by its bytes.
-			if t.seenAttr(name, hash) {
-				return t.errAt(p, "duplicate attribute %s", aname)
-			}
-			t.tagAttrs++
-			continue
+		var asym symtab.Sym
+		if !t.skim { // a skim interns nothing and queues no events
+			asym = t.internName(aname, hash)
 		}
-		asym := t.internName(aname, hash)
-		if int(asym) >= len(t.attrSeen) {
-			t.attrSeen = append(t.attrSeen, make([]uint32, int(asym)+1-len(t.attrSeen))...)
-		}
-		if t.attrSeen[asym] == t.attrEpoch {
+		if t.seenAttr(name, asym, hash) {
 			return t.errAt(p, "duplicate attribute %s", aname)
 		}
-		t.attrSeen[asym] = t.attrEpoch
+		if t.tagAttrs++; t.skim {
+			continue
+		}
 		t.pending = append(t.pending,
 			ByteEvent{Kind: StartElement, Sym: asym, Attribute: true, Off: t.base + attrMark},
 			ByteEvent{Kind: Text, Data: val, Off: t.base + attrMark},
@@ -1484,16 +1477,19 @@ func (t *TokenizerBytes) scanAttrs(sym symtab.Sym, p int) error {
 	}
 }
 
-// seenAttr records name (hash h, from readName) among the attribute names
-// of the tag being skimmed and reports whether the tag already had it.
-func (t *TokenizerBytes) seenAttr(name span, h uint32) bool {
+// seenAttr records an attribute name (at name, hash h from readName, sym
+// its symbol, 0 when skimming) among the attribute names of the start tag
+// being scanned and reports whether the tag already had it. The names of a
+// tokenized tag are compared by symbol — their spans go stale as a stream
+// window slides under a suspended tag — and a skimmed tag's by bytes.
+func (t *TokenizerBytes) seenAttr(name span, sym symtab.Sym, h uint32) bool {
 	if 2*t.tagAttrs >= len(t.attrSlots) {
 		// Half full of this tag's names: double, and re-enter them.
 		old := t.attrSlots
 		t.attrSlots = make([]attrSlot, max(16, 2*len(old)))
 		for _, s := range old {
 			if s.epoch == t.attrEpoch {
-				t.seenAttr(s.name, s.hash)
+				t.seenAttr(s.name, s.sym, s.hash)
 			}
 		}
 	}
@@ -1501,10 +1497,10 @@ func (t *TokenizerBytes) seenAttr(name span, h uint32) bool {
 	for i := h * 0x9E3779B1 >> 7 & mask; ; i = (i + 1) & mask {
 		s := &t.attrSlots[i]
 		if s.epoch != t.attrEpoch {
-			*s = attrSlot{t.attrEpoch, h, name}
+			*s = attrSlot{t.attrEpoch, h, sym, name}
 			return false
 		}
-		if s.hash == h && bytes.Equal(data[s.name.start:s.name.end], data[name.start:name.end]) {
+		if s.hash == h && s.sym == sym && (!t.skim || bytes.Equal(data[s.name.start:s.name.end], data[name.start:name.end])) {
 			return true
 		}
 	}

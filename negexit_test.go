@@ -402,3 +402,26 @@ func TestEngineDecidedLatchesFinalVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestDecidedNegativeAfterRemove: a FilterSet that removed a subscription
+// reports an all-positive early exit as one: DecidedNegative false, because
+// every subscription still standing had matched.
+func TestDecidedNegativeAfterRemove(t *testing.T) {
+	s := NewFilterSet()
+	for id, q := range map[string]string{"a": "/r/a", "b": "/r/b"} {
+		if err := s.Add(id, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Remove("b") {
+		t.Fatal("b is not subscribed")
+	}
+	doc := "<r><a/>" + strings.Repeat("<p/>", 64<<10) + "</r>"
+	res, err := s.MatchReaderResult(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := res.ReaderStats; strings.Join(res.MatchedIDs, ",") != "a" || !rs.EarlyExit || rs.DecidedNegative {
+		t.Fatalf("ids %v, %+v; want [a] and an all-positive early exit", res.MatchedIDs, rs)
+	}
+}

@@ -314,10 +314,11 @@ type Engine struct {
 	mt     *matcher
 	// tok is the tokenizer of both MatchBytes, which reads its whole-buffer
 	// form (Whole), and MatchReader, which drives it a chunk at a time: one
-	// name cache, one set of scratch buffers and one copy of the limits.
-	// batch is the slice MatchBytes has it fill; process and decided are
-	// the callbacks MatchReader drives it with, built once so a repeat call
-	// allocates nothing.
+	// name cache, one set of scratch buffers, one batch buffer and one copy
+	// of the limits. batch is that buffer (tok.Batch), which MatchBytes has
+	// it fill as Drive does; process and decided are the callbacks
+	// MatchReader drives it with, built once so a repeat call allocates
+	// nothing.
 	tok     *sax.StreamTokenizer
 	batch   []sax.ByteEvent
 	process func(sax.ByteEvent) error
@@ -394,7 +395,7 @@ func (e *Engine) fresh() {
 	e.mt.cm = cm
 	e.tok = sax.NewStreamTokenizer(e.tab)
 	e.tok.SetLimits(e.lim)
-	e.batch = make([]sax.ByteEvent, sax.BatchSize)
+	e.batch = e.tok.Batch()
 	e.process = func(ev sax.ByteEvent) error {
 		if err := e.processBytes(&ev); err != nil {
 			return fmt.Errorf("streamxpath: %w", err)

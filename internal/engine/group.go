@@ -339,6 +339,13 @@ func (t *trie) joinRun(n *tnode, g *predGroup) {
 	}
 	r := h.runs[i]
 	n.run = r
+	if len(r.nodes) == cap(r.nodes) {
+		// A run grows by an eighth, not append's double: its entries stand
+		// as long as its subscriptions do, and a run of 10 took 16 slots.
+		grown := make([]entry, len(r.nodes), len(r.nodes)+1+len(r.nodes)/8)
+		copy(grown, r.nodes)
+		r.nodes = grown
+	}
 	k := &n.parent.x.mem
 	r.nodes = slices.Insert(r.nodes, rank(r.nodes, k.c, k.strict), entry{n: n, mem: n.parent, slot: n.leafSlot()})
 	if n.sid >= 0 {
@@ -409,7 +416,14 @@ type parsedText struct {
 // members' continuations find it.
 func (m *matcher) openGroup(g *predGroup, origin *scope, level int) {
 	sc := m.pushScope(origin, level, g.conj)
-	sc.grp, sc.prev, m.open[g.sid] = g, m.open[g.sid], sc
+	gs := m.freeGroups
+	if gs != nil {
+		m.freeGroups, gs.next = gs.next, nil
+	} else {
+		gs = &groupScope{}
+	}
+	gs.g = g
+	sc.grp, sc.prev, m.open[g.sid] = gs, m.open[g.sid], sc
 	if m.cm.mode != CaptureOff && m.left(g.frags, g.extracting) {
 		// Members' own terminals are decided with the scope's values; capture
 		// the candidate element now, while its start event is current.
@@ -451,9 +465,10 @@ func (m *matcher) probe(p *pendingVal, pt *parsedText) {
 	for sc.grp == nil {
 		sc = sc.tup.origin
 	}
-	g := sc.grp
+	gs := sc.grp
+	g := gs.g
 	m.stats.GroupProbes++
-	was := sc.seen
+	was := gs.seen
 	switch {
 	case g.class == classStrEq:
 		if bk := p.cur.exact(); bk != nil {
@@ -464,14 +479,14 @@ func (m *matcher) probe(p *pendingVal, pt *parsedText) {
 		if bk := g.num[pt.num]; bk != nil {
 			m.hit(sc, bk)
 		} else {
-			sc.other = true
+			gs.other = true
 		}
 	default:
 		v := pt.num
 		if g.neg {
 			v = -v
 		}
-		if sc.bound = max(sc.bound, rank(g.sorted, v, false)); sc.bound == len(g.sorted) {
+		if gs.bound = max(gs.bound, rank(g.sorted, v, false)); gs.bound == len(g.sorted) {
 			// With every member satisfied no further value can tell
 			// anything: the leaf latches like any matched tuple and stops
 			// buffering.
@@ -493,23 +508,22 @@ func (pt *parsedText) number(text string) bool {
 
 // hit records that a value equalled an equality group's constant.
 func (m *matcher) hit(sc *scope, bk *eqBucket) {
-	for _, h := range sc.hits {
-		if h == bk {
-			return
-		}
+	gs := sc.grp
+	if slices.Contains(gs.hits, bk) {
+		return
 	}
-	sc.hits = append(sc.hits, bk)
-	m.noteGroupBits(sc.grp.indexBits())
+	gs.hits = append(gs.hits, bk)
+	m.noteGroupBits(gs.g.indexBits())
 }
 
 // satisfied reports whether the values seen so far in group scope sc satisfy
 // member n's comparison. The answer only ever turns from false to true.
-func (sc *scope) satisfied(n *tnode) bool { return sc.grp.sat(&n.x.mem, &sc.seen) }
+func (sc *scope) satisfied(n *tnode) bool { return sc.grp.g.sat(&n.x.mem, &sc.grp.seen) }
 
 // turned reports whether member n is satisfied by the values group scope sc
 // has seen, but was not by those that had decided was.
 func (sc *scope) turned(n *tnode, was *seen) bool {
-	return sc.satisfied(n) && !sc.grp.sat(&n.x.mem, was)
+	return sc.satisfied(n) && !sc.grp.g.sat(&n.x.mem, was)
 }
 
 // sat reports whether values that decided s satisfy member mb of g.
@@ -533,13 +547,14 @@ func (g *predGroup) sat(mb *member, s *seen) bool {
 // A threshold run is ordered like its group, so one search against the
 // scope's boundary finds p == q; an equality run has no order to go by.
 func (sc *scope) split(r *contRun) (p, q int) {
-	if sc.grp.class != classThreshold {
+	gs := sc.grp
+	if gs.g.class != classThreshold {
 		return 0, len(r.nodes)
 	}
-	if sc.bound == 0 {
+	if gs.bound == 0 {
 		return 0, 0
 	}
-	at := &sc.grp.sorted[sc.bound-1].mem.x.mem
+	at := &gs.g.sorted[gs.bound-1].mem.x.mem
 	p = rank(r.nodes, at.c, at.strict)
 	return p, p
 }
@@ -553,17 +568,18 @@ func (sc *scope) split(r *contRun) (p, q int) {
 // which one hit can turn by the dozen, are asked one by one. What no value
 // satisfies is dropped when the scope closes.
 func (m *matcher) release(sc *scope, was *seen) {
-	if sc.bound == was.bound && len(sc.hits) == len(was.hits) && sc.other == was.other {
+	gs := sc.grp
+	if gs.bound == was.bound && len(gs.hits) == len(was.hits) && gs.other == was.other {
 		return
 	}
-	g := sc.grp
+	g := gs.g
 	up, mem := m.gate(sc.origin, g.parent)
 	if g.terminals > 0 {
-		for _, k := range g.sorted[was.bound:sc.bound] {
+		for _, k := range g.sorted[was.bound:gs.bound] {
 			m.route(k.n.terminals, sc.cap, up, mem)
 		}
-		if len(sc.hits) > len(was.hits) {
-			for _, n := range sc.hits[len(sc.hits)-1].eq {
+		if len(gs.hits) > len(was.hits) {
+			for _, n := range gs.hits[len(gs.hits)-1].eq {
 				m.route(n.terminals, sc.cap, up, mem)
 			}
 		}
@@ -585,11 +601,11 @@ func (m *matcher) release(sc *scope, was *seen) {
 		}
 	}
 	sc.commits = kept
-	for i := range sc.ranges {
+	for i := range gs.ranges {
 		// A threshold range holds the nodes from its split on, and the
 		// boundary moves the split; a stretch that nothing gates or captures
 		// latches in one pass. An equality range has no order to go by.
-		rc := &sc.ranges[i]
+		rc := &gs.ranges[i]
 		if r := rc.run; g.class == classThreshold {
 			p, _ := sc.split(r)
 			stretch := up == nil && rc.cap == nil

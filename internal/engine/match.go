@@ -136,8 +136,10 @@ drive:
 
 // MatchReader is MatchBytes's twin for a document that arrives through a
 // reader: the chunked drive loop every engine-backed matcher shares. The
-// document is read chunkSize bytes at a time (<= 0 selects
-// sax.DefaultChunkSize) into the engine's tokenizer — MatchBytes's too —
+// document is read at most chunkSize bytes at a time (<= 0 selects
+// sax.DefaultChunkSize; sax.StreamTokenizer.FeedReader's grant keeps a
+// read below what the engine's documents have filled) into the engine's
+// tokenizer — MatchBytes's too —
 // which holds only the unconsumed tail across chunk boundaries, and Decided
 // is probed between chunks: once every verdict is final the reader is abandoned —
 // Outcome.Read reports the early exit, how much input it took, and whether

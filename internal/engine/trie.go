@@ -607,25 +607,33 @@ type rangeCommit struct {
 // scope's predicates (only undecided spine scopes with children hold
 // commits). cap, when non-nil, is the capture of the scope's own candidate
 // element, taken at open time for the node's terminals — they are decided
-// only later, after the element's start has streamed past.
+// only later, after the element's start has streamed past. A closed scope
+// waits for reuse on the matcher's free list, linked through prev.
 type scope struct {
 	node   *tnode
 	origin *scope
-	level  int
 	// tup is the predicate tuple this scope is a candidate for (nil on
 	// spine scopes).
 	tup      *tuple
 	prev     *scope
 	children []tuple
-	unmet    int
 	commits  []commit
 	cap      *capture
-	// grp marks a group scope (node is nil); ranges are the conditional
-	// matches its runs hold in it, and seen what its values have decided
-	// about its members so far.
-	grp    *predGroup
+	// grp is a group scope's part, nil on the others (node is nil on a
+	// group scope): a scope of a node holds none of it.
+	grp          *groupScope
+	level, unmet int32
+}
+
+// groupScope is what a group scope holds beyond a scope: its group, the
+// conditional matches its runs hold in it (ranges), and what its values have
+// decided about its members so far. A closed one waits for reuse on the
+// matcher's free list of them, linked through next.
+type groupScope struct {
+	g      *predGroup
 	ranges []rangeCommit
 	seen
+	next *groupScope
 }
 
 // pendingVal is an open candidate of a value-restricted predicate leaf: it
@@ -670,7 +678,8 @@ type matchStats struct {
 // ones, and pending text buffers; what it decides latches in the engine's
 // record (hits). One matcher evaluates every gated subscription in a
 // single document pass, reading the item sets its engine's NFA runner
-// enters. Scopes are recycled through a free list, so steady-state matching
+// enters. Scopes are recycled through a free list, trimmed at each reset to
+// what the last document held open at once, so steady-state matching
 // allocates nothing once the document shapes have been seen.
 type matcher struct {
 	tr  *trie
@@ -708,8 +717,10 @@ type matcher struct {
 	// len(contRun.nodes), tally.extracting) the owner stops accepting
 	// candidates, or capturing for them — the per-subscription monotone
 	// early exit, applied to shared state. A leaf of one terminal has no
-	// count: its terminal's result bit is one (owes).
+	// count: its terminal's result bit is one (owes). touched lists the ids
+	// the document has counted, each once, so that reset clears those alone.
 	latched []int32
+	touched []int32
 
 	// Fragment-extraction state: cm is the engine's capture manager, whose
 	// mode says whether the document captures at all. capCommits counts
@@ -719,10 +730,13 @@ type matcher struct {
 	cm         *capman
 	capCommits int
 
-	held       []*hold // scratch, reused across startElement calls
-	cands      []cand  // scratch, likewise
-	attrs      []int   // scratch, likewise
-	freeScopes []*scope
+	held  []*hold // scratch, reused across startElement calls
+	cands []cand  // scratch, likewise
+	attrs []int   // scratch, likewise
+	// freeScopes and freeGroups are the closed scopes and group parts kept
+	// for reuse, linked through scope.prev and groupScope.next.
+	freeScopes *scope
+	freeGroups *groupScope
 	stats      matchStats
 }
 
@@ -732,19 +746,44 @@ func newMatcher(t *trie, run *automaton.SharedRunner, h *hits) *matcher {
 	return m
 }
 
-// reset prepares the matcher for the next document.
+// reset prepares the matcher for the next document. What it clears is what
+// the last document touched — the latch counts it raised, the scopes it left
+// open — not what the index holds: the latch vector is never cleared whole,
+// only extended to the ids the trie has handed out since. The free scopes
+// are trimmed to the most the last document held open at once, so an
+// engine holds its documents' working state, not the largest it ever met.
 func (m *matcher) reset() {
 	m.tuples = 0
-	if n := int(m.tr.ids.n); len(m.latched) != n {
-		m.latched = make([]int32, n)
-	} else {
-		clear(m.latched)
+	for _, id := range m.touched {
+		m.latched[id] = 0
+	}
+	m.touched = m.touched[:0]
+	if k := int(m.tr.ids.n) - len(m.latched); k > 0 {
+		m.latched = append(m.latched, make([]int32, k)...)
 	}
 	if n := int(m.tr.sids.n); len(m.open) != n {
 		m.open = make([]*scope, n)
 	} else if len(m.scopes) > 0 {
 		clear(m.open) // a document abandoned mid-stream left scopes open
 	}
+	// A group scope is a scope too, so neither list keeps more than the
+	// last document held open at once.
+	keep := m.stats.PeakScopes
+	sc := &m.freeScopes
+	for k := 0; k < keep && *sc != nil; k++ {
+		sc = &(*sc).prev
+	}
+	*sc = nil
+	gs := &m.freeGroups
+	for k := 0; k < keep && *gs != nil; k++ {
+		gs = &(*gs).next
+	}
+	*gs = nil
+	// The scratch stacks' spare capacity still points at scopes and their
+	// tuples, which would keep the trimmed ones alive.
+	clear(m.scopes[:cap(m.scopes)])
+	clear(m.cands[:cap(m.cands)])
+	clear(m.pendings[:cap(m.pendings)])
 	m.scopes = m.scopes[:0]
 	m.pendings = m.pendings[:0]
 	m.buf = m.buf[:0]
@@ -752,6 +791,18 @@ func (m *matcher) reset() {
 	m.groupBits = 0
 	m.capCommits = 0
 	m.stats = matchStats{}
+}
+
+// count adds k to the latch count of owner id, listing id among the touched
+// the first time the document counts it, and returns the new count.
+func (m *matcher) count(id, k int32) int32 {
+	c := m.latched[id]
+	if c == 0 {
+		m.touched = append(m.touched, id)
+	}
+	c += k
+	m.latched[id] = c
+	return c
 }
 
 // left reports whether the owner of id has latched less than need.
@@ -830,7 +881,7 @@ func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
 		return
 	}
 	from := len(m.cands)
-	for sc := m.open[parent]; sc != nil && (desc || sc.level == elemLevel-1); sc = sc.prev {
+	for sc := m.open[parent]; sc != nil && (desc || int(sc.level) == elemLevel-1); sc = sc.prev {
 		if n := c.node; n != nil && n.kind == kindPred && sc.children[n.x.pos].matched {
 			continue
 		}
@@ -978,7 +1029,7 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 		rc.cap = m.cm.elemCapture(r.every > 0)
 		m.capCommits++
 	}
-	sc.ranges = append(sc.ranges, rc)
+	sc.grp.ranges = append(sc.grp.ranges, rc)
 }
 
 // openScope opens a candidate scope for node n — of predicate tuple tup, or
@@ -1008,14 +1059,13 @@ func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
 // below origin at level, with a live tuple for each of the conjunctive
 // children conj.
 func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
-	var sc *scope
-	if k := len(m.freeScopes); k > 0 {
-		sc = m.freeScopes[k-1]
-		m.freeScopes = m.freeScopes[:k-1]
+	sc := m.freeScopes
+	if sc != nil {
+		m.freeScopes, sc.prev = sc.prev, nil
 	} else {
 		sc = &scope{}
 	}
-	sc.origin, sc.level, sc.unmet = origin, level, len(conj)
+	sc.origin, sc.level, sc.unmet = origin, int32(level), int32(len(conj))
 	if n := len(conj); cap(sc.children) < n {
 		sc.children = make([]tuple, 0, (n+tupleBlock-1)/tupleBlock*tupleBlock)
 	}
@@ -1127,7 +1177,7 @@ func (m *matcher) endElement(closing int) {
 	}
 	for len(m.scopes) > 0 {
 		sc := m.scopes[len(m.scopes)-1]
-		if sc.level != closing {
+		if int(sc.level) != closing {
 			break
 		}
 		m.scopes = m.scopes[:len(m.scopes)-1]
@@ -1193,21 +1243,26 @@ func (m *matcher) closeScope(sc *scope) {
 	for _, c := range sc.commits {
 		m.dropCommitCap(c.cap)
 	}
-	for _, rc := range sc.ranges {
-		m.dropCommitCap(rc.cap)
+	gs := sc.grp
+	if gs != nil {
+		for _, rc := range gs.ranges {
+			m.dropCommitCap(rc.cap)
+		}
 	}
 	m.dropCommitCap(sc.cap)
-	if g := sc.grp; g != nil {
-		m.noteGroupBits(-(1 + len(sc.hits)) * g.indexBits())
-		m.open[g.sid] = sc.prev
+	if gs != nil {
+		m.noteGroupBits(-(1 + len(gs.hits)) * gs.g.indexBits())
+		m.open[gs.g.sid] = sc.prev
+		*gs = groupScope{ranges: gs.ranges[:0], seen: seen{hits: gs.hits[:0]}, next: m.freeGroups}
+		m.freeGroups = gs
 	} else {
 		m.open[sc.node.sid] = sc.prev
 		if sc.tup != nil {
 			m.unpark(sc.tup)
 		}
 	}
-	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], ranges: sc.ranges[:0], seen: seen{hits: sc.hits[:0]}}
-	m.freeScopes = append(m.freeScopes, sc)
+	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], prev: m.freeScopes}
+	m.freeScopes = sc
 }
 
 // unpark makes tuple t, whose candidate has just closed, live again for
@@ -1302,16 +1357,16 @@ func (m *matcher) latch(sub int, cap *capture) {
 	s := &m.hits.ix.subs[sub]
 	out := s.out
 	if mb := out.mem(); captured && mb != nil {
-		m.latched[mb.grp.frags]++
+		m.count(mb.grp.frags, 1)
 	} else if captured && out.run != nil {
-		m.latched[out.run.frags]++
+		m.count(out.run.frags, 1)
 	}
 	if !first || s.every {
 		return
 	}
 	m.run.Latched(int(out.at), 1)
 	if out.id >= 0 { // (a leaf of one terminal has latched all it needs)
-		if m.latched[out.id]++; m.left(out.id, out.need()) {
+		if m.count(out.id, 1) < int32(out.need()) {
 			return
 		}
 	}
@@ -1324,14 +1379,14 @@ func (m *matcher) latch(sub int, cap *capture) {
 func (m *matcher) finished(n *tnode) {
 	for {
 		if mb := n.mem(); mb != nil {
-			m.latched[mb.grp.id]++
+			m.count(mb.grp.id, 1)
 		} else if n.run != nil {
-			m.latched[n.run.id]++
+			m.count(n.run.id, 1)
 		}
 		if n = n.parent; n == nil {
 			return
 		}
-		if m.latched[n.id]++; m.left(n.id, n.need()) {
+		if m.count(n.id, 1) < int32(n.need()) {
 			return
 		}
 	}
@@ -1356,12 +1411,12 @@ func (m *matcher) latchStretch(r *contRun, from, to int) {
 		}
 		k++
 		mb := e.mem
-		if m.latched[mb.id]++; !m.left(mb.id, mb.need()) {
+		if m.count(mb.id, 1) >= int32(mb.need()) {
 			m.finished(mb)
 		}
 	}
 	if k > 0 {
-		m.latched[r.id] += int32(k)
+		m.count(r.id, int32(k))
 		m.run.Latched(int(r.at), k)
 	}
 }

@@ -236,6 +236,17 @@ var KernelShapes = func() []string {
 		}
 		docs = append(docs, "<r>"+strings.Repeat("x", n), "<r><a>"+strings.Repeat("x", n-1)+"&amp;")
 	}
+	// Names of 7, 8 and 9 bytes — either side of one word holding name and
+	// '>' — whose end tag ends at the end of the window, before a '<' where
+	// a piece can start, and after a start tag with attributes, whose name
+	// is not followed by '>'.
+	for n := 7; n <= 9; n++ {
+		name := "abcdefghi"[:n]
+		docs = append(docs,
+			"<r><"+name+"></"+name+">", "<r><"+name+"></"+name+"><a/></r>",
+			"<r><"+name+` k="1"></`+name+"></r>", "<r><"+name+"></"+name[:n-1]+"></r>",
+			"<r><"+name+"></"+name[:n-1]+"x></r>", "<r><"+name+"></"+name+"x></r>")
+	}
 	const w8, w16 = "abcdefgh", "abcdefghijklmnop"
 	docs = append(docs,
 		"<r>\xbc\xa6<a/>\xa6&amp;\xbc</r>", "<r>"+strings.Repeat("\xbc", 9)+"<a>"+strings.Repeat("\xa6", 16)+"</a></r>",

@@ -8,12 +8,16 @@ import (
 	"streamxpath/internal/symtab"
 )
 
-// DefaultChunkSize is the read granularity stream consumers use when the
-// caller does not pick one: large enough that per-chunk overhead (one
-// Read call, one tail compaction, one early-exit probe) amortizes to
-// noise, small enough that peak memory stays a tiny fraction of any
-// document worth streaming.
+// DefaultChunkSize is the largest read stream consumers make when the
+// caller does not pick a chunk size: large enough that per-chunk overhead
+// (one Read call, one tail compaction, one early-exit probe) amortizes to
+// noise on a long document, small enough that peak memory stays a tiny
+// fraction of any document worth streaming. A tokenizer reaches it only
+// once its documents fill smaller reads (see FeedReader).
 const DefaultChunkSize = 64 << 10
+
+// firstGrant is the most a StreamTokenizer's first Read asks for.
+const firstGrant = 4 << 10
 
 // StreamTokenizer is the chunked form of TokenizerBytes: the same
 // zero-allocation interned-symbol event stream, produced from a document
@@ -23,9 +27,11 @@ const DefaultChunkSize = 64 << 10
 // an incomplete construct. Internally the consumed prefix of the window
 // is discarded before each refill, so the retained state is exactly the
 // unconsumed tail plus the open-element stack: peak memory is bounded by
-// the chunk size plus the largest single token (a text run, tag, comment
-// or CDATA section — the paper's text-width term w), never by document
-// size.
+// the grant — the most one read asks for, at most the chunk size — plus
+// the largest single token (a text run, tag, comment or CDATA section —
+// the paper's text-width term w), never by document size. The grant starts
+// at 4 KiB and doubles only when a read fills it, so a tokenizer that reads
+// 5 KB documents holds an 8 KiB window, not the chunk size.
 //
 // The scan state crosses chunk boundaries anywhere — mid-tag, mid-name,
 // mid-entity, mid-CDATA — because an incomplete construct is rewound to
@@ -37,9 +43,9 @@ const DefaultChunkSize = 64 << 10
 // After the input ends, call Finish; Next then delivers the remaining
 // events, EndDocument, and io.EOF (or the syntax error a truncated
 // document deserves). A StreamTokenizer is reusable: Reset prepares it
-// for the next document, keeping the symbol table and every scratch
-// buffer, so steady-state streaming allocates only when the tail buffer
-// must grow past its high-water mark.
+// for the next document, keeping the symbol table, every scratch buffer
+// and the grant, so steady-state streaming allocates only when the tail
+// buffer must grow past its high-water mark.
 //
 // Contract: Feed/FeedReader may only be called before the first Next or
 // after Next returned ErrNeedMoreData — pending events may alias the
@@ -47,13 +53,16 @@ const DefaultChunkSize = 64 << 10
 type StreamTokenizer struct {
 	t     *TokenizerBytes
 	buf   []byte
-	batch []ByteEvent // Drive's NextBatch buffer
+	batch []ByteEvent // the drive loops' NextBatch buffer (Batch)
+	// grant caps what FeedReader asks one Read for, beside the chunk size:
+	// 4 KiB at first, doubled by each read that fills it, kept by Reset.
+	grant int
 }
 
 // NewStreamTokenizer returns a chunked tokenizer interning names into
 // tab. A nil tab allocates a fresh table (retrievable via Table).
 func NewStreamTokenizer(tab *symtab.Table) *StreamTokenizer {
-	s := &StreamTokenizer{t: NewTokenizerBytes(nil, tab)}
+	s := &StreamTokenizer{t: NewTokenizerBytes(nil, tab), grant: firstGrant}
 	s.t.streaming = true
 	return s
 }
@@ -71,7 +80,7 @@ func (s *StreamTokenizer) SetLimits(l limits.Limits) { s.t.lim = l }
 func (s *StreamTokenizer) Limits() limits.Limits { return s.t.lim }
 
 // Reset prepares the tokenizer for the next document, keeping the symbol
-// table and all scratch capacity.
+// table, all scratch capacity and the grant.
 func (s *StreamTokenizer) Reset() {
 	s.buf = s.buf[:0]
 	s.t.Reset(s.buf)
@@ -114,18 +123,23 @@ func (s *StreamTokenizer) Feed(chunk []byte) {
 	s.t.data = s.buf
 }
 
-// FeedReader refills the window with one Read of up to chunkSize bytes
-// (DefaultChunkSize when chunkSize <= 0), taken directly into the
-// internal buffer — no intermediate copy. It returns the byte count and
-// the reader's error verbatim; on io.EOF the caller calls Finish and
-// drains. Like Feed it first discards the consumed prefix, so a steady
-// stream of same-sized chunks reuses one buffer.
+// FeedReader refills the window with one Read of up to min(chunkSize,
+// grant) bytes (chunkSize <= 0 selects DefaultChunkSize), taken directly
+// into the internal buffer — no intermediate copy. The grant starts at
+// 4 KiB and doubles, up to chunkSize, each time a read fills it; Reset
+// keeps it, so a tokenizer's window follows the largest documents it has
+// read rather than the chunk size, and a chunk size of 4 KiB or less is
+// every read's size. It returns the byte count and the reader's error
+// verbatim; on io.EOF the caller calls Finish and drains. Like Feed it
+// first discards the consumed prefix, so a steady stream of same-sized
+// chunks reuses one buffer.
 func (s *StreamTokenizer) FeedReader(r io.Reader, chunkSize int) (int, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
+	ask := min(chunkSize, s.grant)
 	s.compact()
-	need := len(s.buf) + chunkSize
+	need := len(s.buf) + ask
 	if cap(s.buf) < need {
 		grown := make([]byte, len(s.buf), need)
 		copy(grown, s.buf)
@@ -139,6 +153,9 @@ func (s *StreamTokenizer) FeedReader(r io.Reader, chunkSize int) (int, error) {
 	}
 	s.buf = s.buf[:len(s.buf)+n]
 	s.t.data = s.buf
+	if n == ask && ask == s.grant && ask < chunkSize {
+		s.grant = min(2*ask, chunkSize)
+	}
 	return n, err
 }
 
@@ -186,9 +203,19 @@ type StreamStats struct {
 	DecidedNegative bool
 }
 
+// Batch returns the tokenizer's batch buffer, BatchSize events long, made on
+// first use: the slice Drive has NextBatch fill, which a caller driving the
+// whole-buffer form (Whole) may fill too, so that one tokenizer holds one.
+func (s *StreamTokenizer) Batch() []ByteEvent {
+	if s.batch == nil {
+		s.batch = make([]ByteEvent, BatchSize)
+	}
+	return s.batch
+}
+
 // Drive runs one document from r through the tokenizer: read a chunk
-// (chunkSize <= 0 selects DefaultChunkSize), drain its events into
-// process a batch at a time (NextBatch), call endChunk at each chunk
+// (FeedReader's; chunkSize <= 0 selects DefaultChunkSize), drain its
+// events into process a batch at a time (NextBatch), call endChunk at each chunk
 // boundary (nil to skip), probe decided between chunks until the root
 // closes (nil to never exit early),
 // and stop at end of document, early decision, or error. Bytes returned
@@ -201,9 +228,7 @@ type StreamStats struct {
 func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, process func(ByteEvent) error, endChunk func(), decided func() bool) (bool, error) {
 	*st = StreamStats{}
 	sawEnd := false
-	if s.batch == nil {
-		s.batch = make([]ByteEvent, BatchSize)
-	}
+	batch := s.Batch()
 	for {
 		n, rerr := s.FeedReader(r, chunkSize)
 		if n > 0 {
@@ -219,8 +244,8 @@ func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, pro
 			s.Finish()
 		}
 		for {
-			n, err := s.t.NextBatch(s.batch)
-			for _, ev := range s.batch[:n] {
+			n, err := s.t.NextBatch(batch)
+			for _, ev := range batch[:n] {
 				if ev.Kind == EndDocument {
 					sawEnd = true
 				}

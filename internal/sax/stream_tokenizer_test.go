@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -405,6 +406,88 @@ func TestStreamTokenizerFeedReader(t *testing.T) {
 		diffEvents(t, doc, got, want)
 		if tok.Consumed() != len(doc) {
 			t.Fatalf("chunk %d: consumed %d, want %d", chunk, tok.Consumed(), len(doc))
+		}
+	}
+}
+
+// askReader is a reader over data that records the size of every Read
+// request and fills each one, up to short bytes when short is set.
+type askReader struct {
+	data  []byte
+	short int
+	asks  []int
+}
+
+func (r *askReader) Read(p []byte) (int, error) {
+	r.asks = append(r.asks, len(p))
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if r.short > 0 {
+		n = min(n, r.short)
+	}
+	n = copy(p, r.data[:min(n, len(r.data))])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestStreamTokenizerGrant pins FeedReader's read schedule: the first read
+// asks for 4 KiB, and the grant doubles each time a read fills it, up to the
+// chunk size and never above it; a read that comes back short leaves it
+// where it is; Reset keeps it, so the next document's reads start at the
+// high-water; and a chunk size of 4 KiB or less is every read's size. Every
+// byte is read once, whatever the schedule.
+func TestStreamTokenizerGrant(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for b.Len() < 200<<10 {
+		b.WriteString("<item>some text</item>")
+	}
+	b.WriteString("</r>")
+	doc := []byte(b.String())
+	drive := func(tok *sax.StreamTokenizer, chunk, short int) []int {
+		t.Helper()
+		r := &askReader{data: doc, short: short}
+		var st sax.StreamStats
+		tok.Reset()
+		sawEnd, err := tok.Drive(r, chunk, &st, func(sax.ByteEvent) error { return nil }, nil, nil)
+		if err != nil || !sawEnd || st.BytesRead != int64(len(doc)) {
+			t.Fatalf("chunk %d: read %d of %d bytes, end %v, %v", chunk, st.BytesRead, len(doc), sawEnd, err)
+		}
+		return r.asks
+	}
+	head := func(asks []int, n int) []int { return asks[:min(n, len(asks))] }
+	const k = 1 << 10
+	tok := sax.NewStreamTokenizer(nil)
+	if got, want := head(drive(tok, 0, 0), 7), []int{4 * k, 8 * k, 16 * k, 32 * k, 64 * k, 64 * k, 64 * k}; !slices.Equal(got, want) {
+		t.Errorf("default chunk: reads ask %v, want %v", got, want)
+	}
+	if got, want := head(drive(tok, 0, 0), 2), []int{64 * k, 64 * k}; !slices.Equal(got, want) {
+		t.Errorf("default chunk after Reset: reads ask %v, want %v", got, want)
+	}
+	if got, want := head(drive(tok, 10*k, 0), 3), []int{10 * k, 10 * k, 10 * k}; !slices.Equal(got, want) {
+		t.Errorf("chunk 10 KiB after the grant reached 64 KiB: reads ask %v, want %v", got, want)
+	}
+	tok = sax.NewStreamTokenizer(nil)
+	if got, want := head(drive(tok, 10*k, 0), 4), []int{4 * k, 8 * k, 10 * k, 10 * k}; !slices.Equal(got, want) {
+		t.Errorf("chunk 10 KiB: reads ask %v, want %v", got, want)
+	}
+	if got, want := head(drive(tok, 0, 0), 3), []int{10 * k, 20 * k, 40 * k}; !slices.Equal(got, want) {
+		t.Errorf("default chunk after chunk 10 KiB: reads ask %v, want %v", got, want)
+	}
+	tok = sax.NewStreamTokenizer(nil)
+	if got, want := head(drive(tok, 0, 3*k), 3), []int{4 * k, 4 * k, 4 * k}; !slices.Equal(got, want) {
+		t.Errorf("short reads: reads ask %v, want %v", got, want)
+	}
+	for _, chunk := range []int{1, 512, 4 * k} {
+		tok = sax.NewStreamTokenizer(nil)
+		for range 2 {
+			for i, ask := range drive(tok, chunk, 0) {
+				if ask != chunk {
+					t.Fatalf("chunk %d: read %d asks %d", chunk, i, ask)
+				}
+			}
 		}
 	}
 }

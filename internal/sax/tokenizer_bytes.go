@@ -876,9 +876,17 @@ loop:
 				p = q + 1
 				continue
 			}
-			name := data[spans[n-1].start:spans[n-1].end]
-			end := p + 2 + len(name)
-			if end >= len(data) || data[end] != '>' || string(data[p+2:end]) != string(name) {
+			top := spans[n-1]
+			end := p + 2 + top.end - top.start
+			if l := uint(end-p-2) * 8; l < 64 && p+10 <= len(data) {
+				// name + '>' is at most 8 bytes: one masked compare against
+				// the start tag's name, which lies before p, with '>' put
+				// where the start tag may have anything.
+				want := binary.LittleEndian.Uint64(data[top.start:])&(1<<l-1) | '>'<<l
+				if (binary.LittleEndian.Uint64(data[p+2:])^want)&(1<<(l+8)-1) != 0 {
+					break
+				}
+			} else if end >= len(data) || data[end] != '>' || string(data[p+2:end]) != string(data[top.start:top.end]) {
 				break
 			}
 			spans = spans[:n-1]
@@ -1071,6 +1079,15 @@ func nextReference(data []byte, p, end int) int {
 // would decode: a predefined entity, told by its bytes, or a character
 // reference charReference accepts, within the bound on a name's length.
 func skipReference(data []byte, p int) int {
+	if p+4 <= len(data) {
+		// The references text carries most, in one load.
+		switch w := binary.LittleEndian.Uint32(data[p:]); {
+		case w&0xffffff == 'l'|'t'<<8|';'<<16, w&0xffffff == 'g'|'t'<<8|';'<<16:
+			return p + 3
+		case w == 'a'|'m'<<8|'p'<<16|';'<<24:
+			return p + 4
+		}
+	}
 	rest := data[p:]
 	switch {
 	case len(rest) < 3:

@@ -162,8 +162,10 @@ func (m *matcher) Limits() Limits {
 	return Limits{}
 }
 
-// SetChunkSize sets the read granularity of MatchReader (n <= 0 restores
-// DefaultChunkSize).
+// SetChunkSize sets the largest read MatchReader makes (n <= 0 restores
+// DefaultChunkSize). Each engine's reads start at 4 KiB and double, up to
+// it, only as its documents fill them, so its window follows the largest
+// documents it has read; a size of 4 KiB or less is every read's.
 func (m *matcher) SetChunkSize(n int) { m.chunk.Store(int64(n)) }
 
 // Stats returns the engine statistics: the size of the shared structures
@@ -248,15 +250,16 @@ func (m *matcher) MatchStringResult(xml string) (res MatchResult, err error) {
 // MatchReader streams one document past every subscription through the
 // chunked interned-symbol byte path and returns the ids that match, in
 // insertion order, non-nil even when empty. The document is read in
-// fixed-size chunks (SetChunkSize; DefaultChunkSize otherwise) and
-// tokenized by a resumable tokenizer that retains only the unconsumed
-// tail across chunk boundaries, so peak memory is bounded by chunk size
-// plus open-element depth rather than document size, and steady-state
-// per-event cost is allocation-free — the same pipeline as MatchBytes,
-// without buffering the document. When every subscription's verdict is
-// decided mid-stream the reader stops being consumed —
-// MatchResult.ReaderStats reports the early exit, and whether it was
-// (partly) negative — and the document's remainder is not validated.
+// chunks of at most the chunk size (SetChunkSize; DefaultChunkSize
+// otherwise) and tokenized by a resumable tokenizer that retains only the
+// unconsumed tail across chunk boundaries, so peak memory is bounded by
+// the largest read plus open-element depth rather than document size,
+// and steady-state per-event cost is allocation-free — the same pipeline
+// as MatchBytes, without buffering the document. When every
+// subscription's verdict is decided mid-stream the reader stops being
+// consumed — MatchResult.ReaderStats reports the early exit, and whether
+// it was (partly) negative — and the document's remainder is not
+// validated.
 // Positive verdicts latch by monotonicity; negative ones by the dead-state
 // analysis (no continuation of the document can reach the subscription's
 // remaining steps), so a `/news/...`-only set abandons a <catalog>

@@ -2,10 +2,10 @@ package streamxpath
 
 import "streamxpath/internal/sax"
 
-// DefaultChunkSize is the read granularity of the chunked reader entry
-// points (Filter.MatchReader, FilterSet.MatchReader,
-// FilterPool.MatchReader, StreamEvaluator.EvaluateReader) when no
-// chunk size has been set.
+// DefaultChunkSize is the largest read of the chunked reader entry points
+// (Filter.MatchReader, FilterSet.MatchReader, FilterPool.MatchReader,
+// StreamEvaluator.EvaluateReader) when no chunk size has been set. Reads
+// start at 4 KiB and double, up to it, only as documents fill them.
 const DefaultChunkSize = sax.DefaultChunkSize
 
 // ReaderStats describes one MatchReader/EvaluateReader call: how much

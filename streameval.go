@@ -49,8 +49,8 @@ func (q *Query) NewStreamEvaluator() (*StreamEvaluator, error) {
 func (s *StreamEvaluator) OnValue(fn func(value string)) { s.onValue = fn }
 
 // EvaluateReader streams a document and returns the selected values in
-// document order. The document is read in fixed-size chunks
-// (SetChunkSize; DefaultChunkSize otherwise) through the resumable byte
+// document order. The document is read in chunks of at most the chunk
+// size (SetChunkSize; DefaultChunkSize otherwise) through the resumable byte
 // tokenizer, so the input is never buffered whole — only the candidate
 // values awaiting their predicates (see Stats) and the tokenizer's
 // unconsumed-tail window are held. Full evaluation can never exit early:
@@ -66,8 +66,9 @@ func (s *StreamEvaluator) EvaluateReader(r io.Reader) ([]string, error) {
 	return s.vals, nil
 }
 
-// SetChunkSize sets the read granularity of EvaluateReader (n <= 0
-// restores DefaultChunkSize).
+// SetChunkSize sets the largest read EvaluateReader makes (n <= 0
+// restores DefaultChunkSize); reads start at 4 KiB and grow to it as
+// documents fill them.
 func (s *StreamEvaluator) SetChunkSize(n int) { s.chunk = n }
 
 // ReaderStats returns the input accounting of the last EvaluateReader

@@ -127,8 +127,9 @@ func (q *Query) NewFilter() (*Filter, error) {
 	return f, nil
 }
 
-// SetChunkSize sets the read granularity of MatchReader (n <= 0 restores
-// DefaultChunkSize).
+// SetChunkSize sets the largest read MatchReader makes (n <= 0 restores
+// DefaultChunkSize). Reads start at 4 KiB and grow to it only as
+// documents fill them; a size of 4 KiB or less is every read's.
 func (f *Filter) SetChunkSize(n int) { f.m.SetChunkSize(n) }
 
 // SetLimits configures the per-document resource budgets and breach
@@ -159,9 +160,10 @@ func (f *Filter) MatchString(xml string) (bool, error) {
 	return len(ids) > 0, err
 }
 
-// MatchReader streams an XML document from r in fixed-size chunks
-// (SetChunkSize; DefaultChunkSize otherwise): peak memory is bounded by
-// the chunk size plus the open-element depth, never the document size.
+// MatchReader streams an XML document from r in chunks of at most the
+// chunk size (SetChunkSize; DefaultChunkSize otherwise): peak memory is
+// bounded by the largest read plus the open-element depth, never the
+// document size.
 // The moment the verdict is decided — a match latches by monotonicity; a
 // non-match when no continuation of the document can satisfy the query,
 // e.g. /news/item against a <catalog> document at its first start tag —

@@ -1,7 +1,9 @@
-// Package bytestr provides a zero-copy read-only string view of a byte
-// slice, so hot paths that hold text in reusable byte buffers (the
-// tokenizer's scratch, the filters' text buffers) can evaluate string
-// predicates without allocating a copy per event.
+// Package bytestr provides the byte-level string helpers the tokenizers and
+// the value layer share: a zero-copy read-only string view of a byte slice,
+// so hot paths that hold text in reusable byte buffers (the tokenizer's
+// scratch, the filters' text buffers) can evaluate string predicates
+// without allocating a copy per event, and the one definition of XML white
+// space.
 package bytestr
 
 import "unsafe"
@@ -18,3 +20,8 @@ func String(b []byte) string {
 	}
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
+
+// IsSpace reports whether c is XML white space, the production S of XML 1.0
+// (#x20 | #x9 | #xD | #xA) that XPath 1.0 uses too. Nothing else is: not a
+// vertical tab or form feed, nor NEL, NBSP or any other Unicode space.
+func IsSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

@@ -316,12 +316,12 @@ type Engine struct {
 	// form (Whole), and MatchReader, which drives it a chunk at a time: one
 	// name cache, one set of scratch buffers, one batch buffer and one copy
 	// of the limits. batch is that buffer (tok.Batch), which MatchBytes has
-	// it fill as Drive does; process and decided are the callbacks
+	// it fill as DriveBatches does; process and decided are the callbacks
 	// MatchReader drives it with, built once so a repeat call allocates
 	// nothing.
 	tok     *sax.StreamTokenizer
 	batch   []sax.ByteEvent
-	process func(sax.ByteEvent) error
+	process func([]sax.ByteEvent) error
 	decided func() bool
 	// rebuilds counts the Rebuild calls.
 	rebuilds int
@@ -347,6 +347,12 @@ type Engine struct {
 	// refused, as the tokenizers refuse it: Decided rests on only the root's
 	// subtree producing elements.
 	rootClosed bool
+	// plain: a document is in progress, it captures nothing and it runs
+	// under no per-event budget (MaxDepth, MaxLiveTuples, MaxBufferedBytes),
+	// so an element or text event inside its root needs none of the checks
+	// that come with those (see dispatch). setPlain decides it wherever
+	// one of them changes.
+	plain bool
 
 	// lim holds the per-document resource budgets (zero value: none).
 	// Depth is checked at startElement, buffered text before each append,
@@ -396,8 +402,8 @@ func (e *Engine) fresh() {
 	e.tok = sax.NewStreamTokenizer(e.tab)
 	e.tok.SetLimits(e.lim)
 	e.batch = e.tok.Batch()
-	e.process = func(ev sax.ByteEvent) error {
-		if err := e.processBytes(&ev); err != nil {
+	e.process = func(evs []sax.ByteEvent) error {
+		if err := e.dispatch(evs); err != nil {
 			return fmt.Errorf("streamxpath: %w", err)
 		}
 		return nil
@@ -417,6 +423,14 @@ func (e *Engine) Symbols() *symtab.Table { return e.tab }
 func (e *Engine) SetLimits(l limits.Limits) {
 	e.lim = l
 	e.tok.SetLimits(l)
+	e.setPlain()
+}
+
+// setPlain decides whether the document runs the plain path: in progress,
+// capture off and no per-event budget.
+func (e *Engine) setPlain() {
+	e.plain = e.started && !e.finished && e.cm.mode == CaptureOff &&
+		e.lim.MaxDepth <= 0 && e.lim.MaxLiveTuples <= 0 && e.lim.MaxBufferedBytes <= 0
 }
 
 // Limits returns the configured budgets.
@@ -442,6 +456,7 @@ func (e *Engine) Rebuild() {
 func (e *Engine) mutating() {
 	e.version++
 	e.started = false
+	e.setPlain()
 }
 
 // takeSlot hands out a result slot: a removed subscription's while there is
@@ -616,6 +631,7 @@ func (e *Engine) Reset() {
 	e.level = 0
 	e.events, e.maxLevel, e.skimPieces = 0, 0, 0
 	e.rootClosed = false
+	e.setPlain()
 }
 
 // SetCapture selects the fragment-capture mode for subsequent documents
@@ -640,34 +656,105 @@ func (e *Engine) EmitStats() EmitStats { return e.cm.qstats }
 // already expanded from the tokenizer, so no per-element attribute
 // handling happens here; the whole path is allocation-free in the steady
 // state.
-func (e *Engine) ProcessBytes(ev sax.ByteEvent) error { return e.processBytes(&ev) }
+func (e *Engine) ProcessBytes(ev sax.ByteEvent) error {
+	return e.dispatch([]sax.ByteEvent{ev})
+}
 
-// processBytes is ProcessBytes reading the event where the tokenizer left
-// it: the engine's own drive loops hand events over by pointer.
-func (e *Engine) processBytes(ev *sax.ByteEvent) error {
-	switch ev.Kind {
-	case sax.StartDocument:
-		return e.startDocument()
-	case sax.EndDocument:
-		return e.endDocument()
-	case sax.StartElement:
-		return e.startElement(ev.Sym, ev.Attribute, ev.Off)
-	case sax.EndElement:
-		return e.endElement(ev.Sym, ev.Attribute, ev.Off)
-	case sax.Text:
-		if !e.started || e.finished {
-			return fmt.Errorf("engine: text outside document")
-		}
-		if err := e.checkBuffer(len(ev.Data)); err != nil {
-			return err
-		}
-		e.events++
-		if e.tr.live > 0 {
-			e.mt.textBytes(ev.Data)
-		}
-		if e.cm.mode != CaptureOff {
-			e.cm.noteText(ev.Data)
-			return e.checkCaptured()
+// dispatch hands evs to the engine in order, up to an EndDocument or the
+// first error: the one implementation of every event kind. Both drive
+// loops hand it a batch at a time, so the per-event path is this loop's
+// body and no call; ProcessBytes hands it one event. An event takes the
+// plain path when it is an element or text event, not an attribute's,
+// inside the root of a plain document (Engine.plain): it is then known to
+// lie within a document in progress, below its one root, and to owe no
+// capture or budget anything, and skips the checks and bookkeeping of
+// those, which are out of line.
+func (e *Engine) dispatch(evs []sax.ByteEvent) error {
+	for i := range evs {
+		ev := &evs[i]
+		plain := e.plain && e.level > 0 && !ev.Attribute
+		switch ev.Kind {
+		case sax.StartElement:
+			if !plain {
+				if err := e.opening(ev.Sym); err != nil {
+					return err
+				}
+			}
+			e.level++
+			e.events++
+			e.maxLevel = max(e.maxLevel, e.level)
+			if e.cm.mode != CaptureOff {
+				// Before the match hooks: a capture created for this element
+				// must start from its own '<'.
+				e.cm.noteStart(ev.Sym, ev.Attribute, ev.Off, e.level)
+			}
+			// The runner steps while any subscription stands: the trie finds its
+			// candidates in its item sets. An attribute enters none — it must
+			// never satisfy a child-axis node test.
+			if !ev.Attribute && len(e.results) > 0 {
+				e.runner.StartElementSym(ev.Sym)
+			}
+			if e.tr.live > 0 {
+				e.mt.startElementSym(ev.Sym, ev.Attribute, e.level)
+			}
+			if !plain {
+				if err := e.opened(); err != nil {
+					return err
+				}
+			}
+		case sax.EndElement:
+			if !plain {
+				if err := e.closing(ev.Sym); err != nil {
+					return err
+				}
+			}
+			closing := e.level
+			e.level--
+			if e.level == 0 {
+				e.rootClosed = true
+			}
+			e.events++
+			if e.tr.live > 0 {
+				e.mt.endElement(closing)
+			}
+			// After the matcher, whose latches the root element's end must follow.
+			if !ev.Attribute && len(e.results) > 0 {
+				e.runner.EndElement()
+			}
+			if e.cm.mode != CaptureOff {
+				// After the matcher: a scope resolving at this endElement may latch
+				// the closing element's capture, which finalizes here.
+				e.cm.noteEnd(ev.Sym, ev.Attribute, ev.Off, closing)
+				e.cm.flush()
+				if err := e.checkCaptured(); err != nil {
+					return err
+				}
+			}
+		case sax.Text:
+			if !plain {
+				if !e.started || e.finished {
+					return fmt.Errorf("engine: text outside document")
+				}
+				if err := e.checkBuffer(len(ev.Data)); err != nil {
+					return err
+				}
+			}
+			e.events++
+			if e.tr.live > 0 {
+				e.mt.textBytes(ev.Data)
+			}
+			if e.cm.mode != CaptureOff {
+				e.cm.noteText(ev.Data)
+				if err := e.checkCaptured(); err != nil {
+					return err
+				}
+			}
+		case sax.StartDocument:
+			if err := e.startDocument(); err != nil {
+				return err
+			}
+		case sax.EndDocument:
+			return e.endDocument() // the last event of a document
 		}
 	}
 	return nil
@@ -714,6 +801,7 @@ func (e *Engine) startDocument() error {
 		e.Reset()
 	}
 	e.started = true
+	e.setPlain()
 	e.events++
 	e.runner.StartDocument()
 	return nil
@@ -727,36 +815,29 @@ func (e *Engine) endDocument() error {
 	e.mt.endDocument()
 	e.cm.flush()
 	e.finished = true
+	e.setPlain()
 	return nil
 }
 
-func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
+// opening checks a start event off the plain path: it must fall inside a
+// document, open no second root, and not go deeper than MaxDepth.
+func (e *Engine) opening(sym symtab.Sym) error {
 	if !e.started || e.finished {
 		return fmt.Errorf("engine: startElement outside document")
 	}
 	if e.level == 0 && e.rootClosed {
 		return fmt.Errorf("engine: second root element <%s>", e.tab.Name(sym))
 	}
-	e.level++
-	if e.lim.MaxDepth > 0 && e.level > e.lim.MaxDepth {
+	if e.lim.MaxDepth > 0 && e.level >= e.lim.MaxDepth {
+		e.level++
 		return &limits.Error{Resource: "depth", Limit: int64(e.lim.MaxDepth), Observed: int64(e.level)}
 	}
-	e.events++
-	e.maxLevel = max(e.maxLevel, e.level)
-	if e.cm.mode != CaptureOff {
-		// Before the match hooks: a capture created for this element must
-		// start from its own '<'.
-		e.cm.noteStart(sym, isAttr, off, e.level)
-	}
-	// The runner steps while any subscription stands: the trie finds its
-	// candidates in its item sets. An attribute enters none — it must never
-	// satisfy a child-axis node test.
-	if !isAttr && len(e.results) > 0 {
-		e.runner.StartElementSym(sym)
-	}
-	if e.tr.live > 0 {
-		e.mt.startElementSym(sym, isAttr, e.level)
-	}
+	return nil
+}
+
+// opened finishes a start event off the plain path: the live-tuple budget,
+// and the element's captures.
+func (e *Engine) opened() error {
 	if e.lim.MaxLiveTuples > 0 {
 		// Live state is the trie matcher's tuples/scopes/pendings plus one
 		// NFA runner stack entry per open element. A matched tuple stops
@@ -777,32 +858,14 @@ func (e *Engine) startElement(sym symtab.Sym, isAttr bool, off int) error {
 	return nil
 }
 
-func (e *Engine) endElement(sym symtab.Sym, isAttr bool, off int) error {
+// closing checks an end event off the plain path: it must fall inside a
+// document and close an open element.
+func (e *Engine) closing(sym symtab.Sym) error {
 	if !e.started || e.finished {
 		return fmt.Errorf("engine: endElement outside document")
 	}
 	if e.level == 0 {
 		return fmt.Errorf("engine: unmatched endElement </%s>", e.tab.Name(sym))
-	}
-	closing := e.level
-	e.level--
-	if e.level == 0 {
-		e.rootClosed = true
-	}
-	e.events++
-	if e.tr.live > 0 {
-		e.mt.endElement(closing)
-	}
-	// After the matcher, whose latches the root element's end must follow.
-	if !isAttr && len(e.results) > 0 {
-		e.runner.EndElement()
-	}
-	if e.cm.mode != CaptureOff {
-		// After the matcher: a scope resolving at this endElement may latch
-		// the closing element's capture, which finalizes here.
-		e.cm.noteEnd(sym, isAttr, off, closing)
-		e.cm.flush()
-		return e.checkCaptured()
 	}
 	return nil
 }

@@ -96,18 +96,18 @@ func (e *Engine) MatchBytes(dst []string, doc []byte, mode CaptureMode) (out Out
 		return out, err
 	}
 	tok, batch := e.tok.Whole(doc), e.batch
-drive:
+	written := 0 // the batch entries this document wrote
 	for {
 		n, terr := tok.NextBatch(batch)
-		for i := range batch[:n] {
-			ev := &batch[i] // written by the tokenizer, read in place by the engine
-			if err = e.processBytes(ev); err != nil {
-				err = fmt.Errorf("streamxpath: %w", err)
-				break drive
-			}
-			if ev.Kind == sax.EndDocument {
-				break drive
-			}
+		written = max(written, n)
+		// The batch is read in place, where the tokenizer wrote it; an
+		// EndDocument is its last event.
+		if err = e.dispatch(batch[:n]); err != nil {
+			err = fmt.Errorf("streamxpath: %w", err)
+			break
+		}
+		if n > 0 && batch[n-1].Kind == sax.EndDocument {
+			break
 		}
 		if terr != nil {
 			if err = terr; err == io.EOF {
@@ -131,6 +131,10 @@ drive:
 		}
 	}
 	err = e.outcome(&out, dst, doc, mode, err)
+	// The engine goes back to its owner idle: nothing it keeps may point
+	// into the caller's document.
+	clear(batch[:written])
+	tok.Release()
 	return out, err
 }
 
@@ -152,7 +156,7 @@ func (e *Engine) MatchReader(dst []string, r io.Reader, chunkSize int, mode Capt
 	e.Reset() // also recovers from a document abandoned mid-stream
 	e.tok.Reset()
 	read := &out.Read
-	sawEnd, err := e.tok.Drive(r, chunkSize, read, e.process, nil, e.decided)
+	sawEnd, err := e.tok.DriveBatches(r, chunkSize, read, e.process, nil, e.decided)
 	if err == nil && !sawEnd && !read.EarlyExit {
 		err = errTruncated
 	}

@@ -309,10 +309,9 @@ func (t *TokenizerBytes) adopt(s *skimPiece) bool {
 	if s.faulted || open == 0 {
 		return false
 	}
-	data := t.data
 	taken, resume, peak := len(s.closes), s.stop, s.peak
 	for i, c := range s.closes {
-		if !t.opens(i, data[c.name.start:c.name.end]) {
+		if !t.opens(i, c.name) {
 			taken, resume, peak = i, c.name.start-2, c.peak
 			break
 		}
@@ -340,12 +339,12 @@ func (t *TokenizerBytes) adopt(s *skimPiece) bool {
 }
 
 // opens reports whether the i-th innermost open element (0 the innermost)
-// is named name.
-func (t *TokenizerBytes) opens(i int, name []byte) bool {
+// is named by the window span name.
+func (t *TokenizerBytes) opens(i int, name span) bool {
 	if n := len(t.spans); i < n {
-		return bytes.Equal(t.data[t.spans[n-1-i].start:t.spans[n-1-i].end], name)
+		return bytes.Equal(t.data[t.spans[n-1-i].start:t.spans[n-1-i].end], t.data[name.start:name.end])
 	}
-	return t.tab.Name(t.stack[len(t.stack)-1-(i-len(t.spans))]) == string(name)
+	return t.isNamed(t.stack[len(t.stack)-1-(i-len(t.spans))], t.data, name.start, name.end)
 }
 
 // SkimPieces reports how many pieces of the last Skim a helper validated and

@@ -258,8 +258,46 @@ var KernelShapes = func() []string {
 		"<r><a/></r>x", "<r><a/></r> \n", "<r><a/></r><!-- c -->", "<r><a/></r><?pi?>",
 		"<r><a/></r><s/>", "<r><a></a></r><s>", "<r>t</r>&amp;", "<r>t</r></r>",
 	)
-	return docs
+	return append(docs, wordShapes()...)
 }()
+
+// wordShapes are the shapes of names resolved and end tags closed by their
+// word (nameWord): names of 1, 7, 8, 9 and 16 bytes, ASCII and UTF-8, names
+// holding the bytes the name screen flags though they are name bytes ('-',
+// '.', '?', '#', NUL), names that share their first eight bytes, and end
+// tags that differ from their start tag only in the eighth or ninth byte or
+// in where '>' falls — each with the window's end at every distance after
+// it, which the differential tests see whole, split at every offset and
+// skimmed.
+func wordShapes() []string {
+	var docs []string
+	names := []string{"a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnop",
+		"é", "日本é", "日本語", "日本語日本", "a-b", "a.bcdefgh", "abcdefg?", "a#", "\x00", "a\x00b", "\x00\x00\x00\x00\x00\x00\x00\x00\x00"}
+	for _, name := range names {
+		for _, tail := range []string{"", "<", "</", "</r", "</r>", "x</r>", "xx</r>", "xxxx</r>", "xxxxxxx</r>", "xxxxxxxxxx</r>"} {
+			docs = append(docs,
+				"<r><"+name+"></"+name+">"+tail,
+				"<r><"+name+"/>"+tail,
+				"<r><"+name+">t</"+name+tail)
+		}
+	}
+	for _, pair := range [][2]string{
+		{"abcdefgh", "abcdefgX"}, {"abcdefghi", "abcdefgXi"}, {"abcdefghi", "abcdefghX"},
+		{"abcdefghij", "abcdefgXij"}, {"abcdefghij", "abcdefghXj"}, {"abcdefghi", "abcdefgh"},
+		{"abcdefgh", "abcdefghi"}, {"abcdefghi", "abcdefghij"}, {"abcdefghij", "abcdefghi"},
+		{"abcdefg", "abcdefgh"}, {"abcdefgh", "abcdefg"}, {"\x00", "\x00\x00"}, {"a\x00", "a"},
+	} {
+		docs = append(docs, "<r><"+pair[0]+"></"+pair[1]+"></r>", "<r><"+pair[0]+"></"+pair[0]+" ></r>")
+	}
+	// Names that share their first eight bytes, of one length and of two,
+	// and a long name whose word is 0 beside others of its length.
+	docs = append(docs,
+		"<r><abcdefgh1/><abcdefgh2/><abcdefgh1></abcdefgh1><abcdefgh22/><abcdefgh2>x</abcdefgh2><abcdefgh1/></r>",
+		"<r><abcdefghij></abcdefghij><abcdefghik></abcdefghik><abcdefghij/></r>",
+		"<r><\x00\x00\x00\x00\x00\x00\x00\x00\x00/><abcdefghi/><\x00\x00\x00\x00\x00\x00\x00\x00\x00></\x00\x00\x00\x00\x00\x00\x00\x00\x00></r>",
+	)
+	return docs
+}
 
 // manyAttrTag is a tag of n distinct attributes inside a root, from 8 on
 // enough of them to take the tokenizer's name table through its growth;

@@ -72,7 +72,7 @@ func (s *StreamTokenizer) Table() *symtab.Table { return s.t.tab }
 
 // SetLimits configures the per-document resource budgets (the zero value
 // disables them): token and depth budgets enforce inside the tokenizer,
-// and MaxDocBytes bounds the total bytes Drive will consume from a
+// and MaxDocBytes bounds the total bytes DriveBatches will consume from a
 // reader. Limits persist across Reset.
 func (s *StreamTokenizer) SetLimits(l limits.Limits) { s.t.lim = l }
 
@@ -183,7 +183,7 @@ func (s *StreamTokenizer) Consumed() int { return s.t.base + s.t.pos }
 // fall; see TokenizerBytes.Rescanned.
 func (s *StreamTokenizer) Rescanned() int { return s.t.Rescanned() }
 
-// StreamStats is the input accounting of one Drive call.
+// StreamStats is the input accounting of one DriveBatches call.
 type StreamStats struct {
 	// BytesRead is the number of bytes read from the io.Reader.
 	BytesRead int64
@@ -198,13 +198,13 @@ type StreamStats struct {
 	// of the last chunk) was not validated.
 	EarlyExit bool
 	// DecidedNegative refines EarlyExit: at least one verdict was decided
-	// negatively. Drive cannot know — it is left false for the consumer,
+	// negatively. DriveBatches cannot know — it is left false for the consumer,
 	// which holds the verdicts, to set.
 	DecidedNegative bool
 }
 
 // Batch returns the tokenizer's batch buffer, BatchSize events long, made on
-// first use: the slice Drive has NextBatch fill, which a caller driving the
+// first use: the slice DriveBatches has NextBatch fill, which a caller driving the
 // whole-buffer form (Whole) may fill too, so that one tokenizer holds one.
 func (s *StreamTokenizer) Batch() []ByteEvent {
 	if s.batch == nil {
@@ -213,19 +213,31 @@ func (s *StreamTokenizer) Batch() []ByteEvent {
 	return s.batch
 }
 
-// Drive runs one document from r through the tokenizer: read a chunk
-// (FeedReader's; chunkSize <= 0 selects DefaultChunkSize), drain its
-// events into process a batch at a time (NextBatch), call endChunk at each chunk
-// boundary (nil to skip), probe decided between chunks until the root
-// closes (nil to never exit early),
-// and stop at end of document, early decision, or error. Bytes returned
-// alongside a non-EOF read error are drained (and may decide the verdict)
-// before the error is surfaced. It returns whether EndDocument was processed;
-// a truncated or malformed document surfaces as the tokenizer's (or
-// process's) error. The caller resets the tokenizer and the consumer
-// first. Drive is the single implementation of the chunk loop every
-// reader entry point shares.
+// Drive is DriveBatches for a consumer that takes one event at a time.
 func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, process func(ByteEvent) error, endChunk func(), decided func() bool) (bool, error) {
+	return s.DriveBatches(r, chunkSize, st, func(evs []ByteEvent) error {
+		for _, ev := range evs {
+			if err := process(ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, endChunk, decided)
+}
+
+// DriveBatches runs one document from r through the tokenizer: read a
+// chunk (FeedReader's; chunkSize <= 0 selects DefaultChunkSize), hand its
+// events to process a batch at a time (NextBatch; the batch is valid until
+// process returns), call endChunk at each chunk boundary (nil to skip),
+// probe decided between chunks until the root closes (nil to never exit
+// early), and stop at end of document, early decision, or error. Bytes
+// returned alongside a non-EOF read error are drained (and may decide the
+// verdict) before the error is surfaced. It returns whether EndDocument was
+// processed; a truncated or malformed document surfaces as the tokenizer's
+// (or process's) error. The caller resets the tokenizer and the consumer
+// first. DriveBatches is the single implementation of the chunk loop every
+// reader entry point shares.
+func (s *StreamTokenizer) DriveBatches(r io.Reader, chunkSize int, st *StreamStats, process func([]ByteEvent) error, endChunk func(), decided func() bool) (bool, error) {
 	*st = StreamStats{}
 	sawEnd := false
 	batch := s.Batch()
@@ -245,14 +257,13 @@ func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, pro
 		}
 		for {
 			n, err := s.t.NextBatch(batch)
-			for _, ev := range batch[:n] {
-				if ev.Kind == EndDocument {
-					sawEnd = true
-				}
-				if err := process(ev); err != nil {
+			if n > 0 {
+				if err := process(batch[:n]); err != nil {
 					st.BytesConsumed = int64(s.Consumed())
 					return false, err
 				}
+				// EndDocument is the last event of a document.
+				sawEnd = batch[n-1].Kind == EndDocument
 			}
 			if err == ErrNeedMoreData || err == io.EOF {
 				break

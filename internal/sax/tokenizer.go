@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"unicode/utf8"
+
+	"streamxpath/internal/bytestr"
 )
 
 // errEOF is the sentinel returned by Readers after the final event.
@@ -136,14 +138,14 @@ func (t *Tokenizer) Next() (Event, error) {
 			}
 			return ev, nil
 		}
-		// Character data. Outside the root element only whitespace is
-		// permitted.
-		text, err := t.readText()
+		// Character data. Outside the root element only white space,
+		// written as itself, is permitted.
+		text, space, err := t.readText()
 		if err != nil {
 			return Event{}, err
 		}
 		if t.depth == 0 {
-			if strings.TrimSpace(text) != "" {
+			if !space {
 				return Event{}, t.errf("character data outside root element")
 			}
 			continue
@@ -156,29 +158,33 @@ func (t *Tokenizer) Next() (Event, error) {
 }
 
 // readText consumes character data up to the next '<' or EOF, resolving
-// entity and character references.
-func (t *Tokenizer) readText() (string, error) {
+// entity and character references. space reports that the run as written
+// is XML white space only: no reference, and no other character.
+func (t *Tokenizer) readText() (text string, space bool, err error) {
 	var b strings.Builder
+	space = true
 	for {
 		c, err := t.readByte()
 		if err == io.EOF {
-			return b.String(), nil
+			return b.String(), space, nil
 		}
 		if err != nil {
-			return "", err
+			return "", false, err
 		}
 		switch c {
 		case '<':
 			t.unreadByte()
-			return b.String(), nil
+			return b.String(), space, nil
 		case '&':
 			r, err := t.readReference()
 			if err != nil {
-				return "", err
+				return "", false, err
 			}
 			b.Write(r)
+			space = false
 		default:
 			b.WriteByte(c)
+			space = space && bytestr.IsSpace(c)
 		}
 	}
 }
@@ -453,7 +459,7 @@ func (t *Tokenizer) skipSpace() error {
 		if err != nil {
 			return err
 		}
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+		if !bytestr.IsSpace(c) {
 			t.unreadByte()
 			return nil
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/bits"
 
+	"streamxpath/internal/bytestr"
 	"streamxpath/internal/limits"
 	"streamxpath/internal/symtab"
 )
@@ -26,9 +27,9 @@ var ErrNeedMoreData = errors.New("sax: need more data")
 // TokenizerBytes converts a whole XML document held in a byte slice into
 // the five-event stream, with zero allocations per event in the steady
 // state: element and attribute names are interned into a shared symbol
-// table as they are scanned (a warm intern hits a direct-mapped name
-// cache — one hash, one memeq, no map probe), character data is returned
-// as a subslice of the input wherever no entity decoding is needed and
+// table as they are scanned (a warm intern hits the name cache — one 64-bit
+// load and compare, no map probe), character data is returned as a
+// subslice of the input wherever no entity decoding is needed and
 // otherwise decoded into a reusable scratch buffer, and attributes are
 // folded into attribute child events at scan time so no per-element
 // attribute list is built.
@@ -42,25 +43,27 @@ var ErrNeedMoreData = errors.New("sax: need more data")
 // IndexByte/Index each; a delimited run is then searched for '&' by one
 // more IndexByte bounded by the run (which the first scan has just pulled
 // into L1), and only a hit enters the decode path. Names are classified by
-// a 256-entry table and hashed while they are scanned.
+// a 256-entry table and keyed by their word (nameWord): their first eight
+// bytes in one little-endian load, masked to their length.
 //
 // The drive loops take events a batch at a time (NextBatch), and a batch
 // has a kernel in front of the scanners (eventKernel): inside the root, one
 // loop on a local cursor and a local copy of the open-element stack writes
 // the events of plain markup straight into the caller's slice — a text run
 // the word-at-a-time sweep (textDelim) ends at '<' as an input subslice,
-// <name> and <name/> hashed in the name-class loop and interned, both events
-// of <name/> at once, and </name> matched against the innermost element by
-// its bytes. It stops in front of anything else, and NextInto's scanners
-// take that construct from its first byte, so they remain the one authority
-// on errors, offsets and messages, and on suspension in streaming mode.
+// <name> and <name/> resolved through the name cache by their word, both
+// events of <name/> at once, and </name> matched against the innermost
+// element by one masked compare of its word and '>'. It stops in front of
+// anything else, and NextInto's scanners take that construct from its
+// first byte, so they remain the one authority on errors, offsets and
+// messages, and on suspension in streaming mode.
 //
 // Skim has a kernel of its own (skimKernel): one loop on a local cursor
 // that sweeps a text run eight bytes at a time for the first '<' or '&'
 // (textDelim), steps over the references skipReference knows, closes
-// <name> and <name/> on the name-class table without hashing, and matches
-// </name> against the innermost skimmed element by its bytes, with the
-// depth and token budgets enforced as it goes. Whatever else it meets —
+// <name> and <name/> on the name-class table without interning, and
+// matches </name> against the innermost skimmed element by its bytes, with
+// the depth and token budgets enforced as it goes. Whatever else it meets —
 // attributes, comments, PIs, CDATA, DOCTYPE, text outside the root, a
 // reference it does not know, any other end tag — it hands to the scanners
 // Next uses, from the construct's first byte, so they remain the one
@@ -105,13 +108,13 @@ type TokenizerBytes struct {
 
 	// Resume state for a start tag suspended between attributes: when
 	// tagActive is set, pos sits at an attribute boundary inside the tag
-	// whose element is tagSym, pending holds the attribute events staged
+	// whose element is tagElem, pending holds the attribute events staged
 	// so far, and the next call re-enters scanAttrs there instead of
 	// rewinding to '<'. tagOff is the absolute document offset of the
 	// tag's '<' — recorded up front because the suspended resume path no
 	// longer knows the construct's mark (and the window may have slid).
 	tagActive bool
-	tagSym    symtab.Sym
+	tagElem   openElem
 	tagOff    int
 
 	// rescanned counts input bytes re-examined after suspension rewinds —
@@ -122,7 +125,7 @@ type TokenizerBytes struct {
 	started  bool
 	ended    bool
 	rootSeen bool
-	stack    []symtab.Sym
+	stack    []openElem
 
 	// pending holds events synthesized ahead of parsing: attribute child
 	// events and the endElement of a self-closing tag. head indexes the
@@ -134,6 +137,9 @@ type TokenizerBytes struct {
 	pending    []ByteEvent
 	head       int
 	stabilized int
+	// staged is the most events pending has held since the last Release:
+	// the entries that may still point into a document.
+	staged int
 
 	// textBuf holds entity-decoded character data; attrBuf holds decoded
 	// (and, in streaming mode, window-stabilized) attribute values per
@@ -161,13 +167,11 @@ type TokenizerBytes struct {
 	// they configure the tokenizer, not the document.
 	lim limits.Limits
 
-	// nameCache is a 2-way set-associative cache in front of the symbol
-	// table: element and attribute names repeat heavily, and a cache hit
-	// (hash + length check + memeq) is several times cheaper than an
-	// interning map probe. Misses fall through to InternBytes, counted in
-	// nameMisses, and take the set's first way, its old first way the
-	// second: two names whose hashes share a set both stay.
-	nameCache  []nameCacheSet
+	// nameCache sits in front of the symbol table: element and attribute
+	// names repeat heavily, and a hit (one word compare) is several times
+	// cheaper than an interning map probe. Misses fall through to
+	// InternBytes, counted in nameMisses.
+	nameCache  *nameCache
 	nameMisses int
 
 	// skim marks the rest of the document as validated without being
@@ -200,18 +204,69 @@ type TokenizerBytes struct {
 	skimPieces int
 }
 
-// nameCacheBits sizes the name cache: 1<<nameCacheBits sets of two
-// entries, 512 in all, indexed by the hash's top bits.
-const nameCacheBits = 8
-
-type nameCacheEntry struct {
-	name string
+// openElem is an element open on the tokenizer's stack: its symbol, and
+// its name's word (nameWord) and length, which close its end tag without a
+// symbol-table read.
+type openElem struct {
+	word uint64
 	sym  symtab.Sym
+	n    uint32
 }
 
-// nameCacheSet is one set of the name cache, the most recently missed name
-// first.
-type nameCacheSet [2]nameCacheEntry
+// nameSlotBits sizes the name cache: two tables of 1<<nameSlotBits slots.
+const nameSlotBits = 8
+
+// nameCache is a two-choice (cuckoo) table of names keyed by word and
+// length: a name sits in its slot of either table, picked by two slices of
+// one multiplicative hash (nameHash), so a lookup is at most two probes,
+// and an insertion moves a resident name to its other slot rather than
+// evicting it. A slot of length 0 is empty: no name is. Its size is fixed,
+// 8 KiB whatever the vocabulary, and a vocabulary of a hundred or two
+// names stays resident where a direct-mapped table of the same size would
+// hold some of them in colliding pairs that evict each other on every use.
+type nameCache [2][1 << nameSlotBits]openElem
+
+// nameHash hashes a name by its key and length. A name's key is its word,
+// and for a name longer than eight bytes its word and its last eight bytes
+// (longKey), so that long names sharing a prefix spread over the table.
+func nameHash(key uint64, n int) uint64 { return (key ^ uint64(n)) * 0x9E3779B97F4A7C15 }
+
+// longKey is the key of a name longer than eight bytes whose word is w and
+// whose last eight bytes, as a little-endian word, are last.
+func longKey(w, last uint64) uint64 { return w ^ bits.RotateLeft64(last, 31) }
+
+// slot returns the slot of the name hashed to h in table i.
+func (c *nameCache) slot(i int, h uint64) *openElem {
+	return &c[i&1][h>>(64-nameSlotBits-8*uint(i&1))&(1<<nameSlotBits-1)]
+}
+
+// hit returns the name of n <= 8 bytes whose word is w from its
+// first-choice slot when it is there, which one compare decides, and an
+// element of length 0 otherwise: the inlined probe in front of name, which
+// it leaves the rest of the lookup to.
+func (c *nameCache) hit(w uint64, n int) openElem {
+	if e := c.slot(0, nameHash(w, n)); e.word == w && int(e.n) == n {
+		return *e
+	}
+	return openElem{}
+}
+
+// nameWord returns the word a name of n bytes at data[s:] is keyed and
+// compared by: its first eight bytes as a little-endian word, masked to the
+// name's length. With its length, a name of up to eight bytes is its word,
+// whatever bytes it holds (NUL is a name byte). Near the end of data the
+// word of a short name is assembled byte by byte; the byte after a name is
+// always in data, so a name of eight bytes or more always has a whole word.
+func nameWord(data []byte, s, n int) uint64 {
+	if s+8 <= len(data) {
+		return binary.LittleEndian.Uint64(data[s:]) & (^uint64(0) >> (64 - 8*min(n, 8)))
+	}
+	var w uint64
+	for i := min(n, 8) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(data[s+i])
+	}
+	return w
+}
 
 // span is a half-open range of window offsets.
 type span struct{ start, end int }
@@ -253,7 +308,7 @@ func NewTokenizerBytes(data []byte, tab *symtab.Table) *TokenizerBytes {
 		data:      data,
 		tab:       tab,
 		suspendAt: -1,
-		nameCache: make([]nameCacheSet, 1<<nameCacheBits),
+		nameCache: new(nameCache),
 	}
 }
 
@@ -288,6 +343,17 @@ func (t *TokenizerBytes) Reset(data []byte) {
 	t.stabilized = 0
 	t.textBuf = t.textBuf[:0]
 	t.attrBuf = t.attrBuf[:0]
+}
+
+// Release drops every reference the tokenizer holds into the document it
+// read — the window and the events it staged — so that a tokenizer kept
+// between documents does not keep its last one alive. Entries are cleared
+// only as far as the document staged them. The tokenizer reads nothing
+// until the next Reset.
+func (t *TokenizerBytes) Release() {
+	clear(t.pending[:t.staged])
+	t.pending, t.head, t.stabilized, t.staged = t.pending[:0], 0, 0, 0
+	t.data = nil
 }
 
 // Rescanned reports the total input bytes re-examined after suspension
@@ -366,22 +432,89 @@ func (t *TokenizerBytes) noteScan(searchStart, overlap int) {
 	t.scanned = n
 }
 
-// internName interns a scanned name through the name cache. h is the hash
-// readName accumulated over the name's bytes, so a probe reads the name
-// once more only to confirm the hit.
-func (t *TokenizerBytes) internName(b []byte, h uint32) symtab.Sym {
-	set := &t.nameCache[h*0x9E3779B1>>(32-nameCacheBits)]
-	if e := &set[0]; len(e.name) == len(b) && string(b) == e.name {
-		return e.sym
+// name interns the name data[s:q] through the name cache and returns it as
+// an element to open.
+func (t *TokenizerBytes) name(data []byte, s, q int) openElem {
+	n := q - s
+	w := nameWord(data, s, n)
+	key := w
+	if n > 8 {
+		key = longKey(w, binary.LittleEndian.Uint64(data[q-8:]))
 	}
-	if e := &set[1]; len(e.name) == len(b) && string(b) == e.name {
-		return e.sym
+	h := nameHash(key, n)
+	for i := range 2 {
+		if e := t.nameCache.slot(i, h); e.word == w && int(e.n) == n && (n <= 8 || t.tail(e.sym, data[s+8:q])) {
+			return *e
+		}
 	}
 	t.nameMisses++
-	sym := t.tab.InternBytes(b)
-	set[1] = set[0]
-	set[0] = nameCacheEntry{t.tab.Name(sym), sym}
-	return sym
+	el := openElem{w, t.tab.InternBytes(data[s:q]), uint32(n)}
+	t.cacheName(el, h)
+	return el
+}
+
+// tail reports that the bytes of a name past its word, b, are those of sym's.
+func (t *TokenizerBytes) tail(sym symtab.Sym, b []byte) bool {
+	return t.tab.Name(sym)[8:] == string(b)
+}
+
+// cacheName enters a name that missed, hashed to h, into the name cache: in
+// the first of its two slots that is empty, or else in its first slot, the
+// name there moving on to its other slot, and so on for a bounded number of
+// moves, after which the last name moved is dropped.
+func (t *TokenizerBytes) cacheName(el openElem, h uint64) {
+	c := t.nameCache
+	if e := c.slot(1, h); c.slot(0, h).n != 0 && e.n == 0 {
+		*e = el
+		return
+	}
+	for i, move := 0, 0; move < 16; i, move = 1-i, move+1 {
+		e := c.slot(i, h)
+		prev := *e
+		*e = el
+		if prev.n == 0 {
+			return
+		}
+		el, h = prev, t.hashOf(prev)
+	}
+}
+
+// hashOf is the hash name gave the cached name el.
+func (t *TokenizerBytes) hashOf(el openElem) uint64 {
+	key := el.word
+	if el.n > 8 {
+		name := t.tab.Name(el.sym)
+		var last uint64
+		for i := len(name) - 1; i >= len(name)-8; i-- {
+			last = last<<8 | uint64(name[i])
+		}
+		key = longKey(key, last)
+	}
+	return nameHash(key, int(el.n))
+}
+
+// endTag reports that the end tag whose name starts at p closes e: e's name
+// follows, then '>'. A name of up to seven bytes and its '>' take one masked
+// compare, a longer name one compare of its word, and the rest.
+func (t *TokenizerBytes) endTag(e *openElem, data []byte, p int) bool {
+	l := uint(e.n) * 8
+	if l < 64 && p+8 <= len(data) {
+		return (binary.LittleEndian.Uint64(data[p:])^(e.word|'>'<<l))&(1<<(l+8)-1) == 0
+	}
+	end := p + int(e.n)
+	if end >= len(data) || data[end] != '>' {
+		return false
+	}
+	if l < 64 { // a short name near the window's end
+		return nameWord(data, p, int(e.n)) == e.word
+	}
+	return binary.LittleEndian.Uint64(data[p:]) == e.word && (e.n == 8 || t.tail(e.sym, data[p+8:end]))
+}
+
+// isNamed reports that data[s:q] is the name of the open element e.
+func (t *TokenizerBytes) isNamed(e openElem, data []byte, s, q int) bool {
+	n := q - s
+	return n == int(e.n) && nameWord(data, s, n) == e.word && (n <= 8 || t.tail(e.sym, data[s+8:q]))
 }
 
 // Next returns the next event. The first event is always StartDocument
@@ -432,11 +565,11 @@ func (t *TokenizerBytes) NextInto(ev *ByteEvent) error {
 		// Resume the start tag suspended between attributes; pos sits at
 		// the attribute boundary scanAttrs rewound to.
 		t.tagActive = false
-		sym := t.tagSym
-		if err := t.scanAttrs(sym, t.pos); err != nil {
+		el := t.tagElem
+		if err := t.scanAttrs(el, t.pos); err != nil {
 			return err
 		}
-		*ev = ByteEvent{Kind: StartElement, Sym: sym, Off: t.tagOff}
+		*ev = ByteEvent{Kind: StartElement, Sym: el.sym, Off: t.tagOff}
 		return nil
 	}
 	data := t.data
@@ -557,8 +690,10 @@ func (t *TokenizerBytes) NextBatch(evs []ByteEvent) (int, error) {
 // other end tag, a construct the window cuts off (the scanners suspend it),
 // one that would breach MaxDepth or MaxTokenBytes (the scanners report it),
 // and a <name/> whose EndElement belongs in the next batch (NextInto stages
-// it). Names are hashed as readName hashes them and interned through the
-// same cache, so the symbols are the scanners' symbols.
+// it). A start tag's name is resolved by its word through the name cache
+// (name), as the scanners resolve it, so the symbols are theirs; an end tag
+// of up to seven bytes of name is closed by one masked compare of the
+// innermost element's word and '>', a longer one by its word and the rest.
 func (t *TokenizerBytes) eventKernel(evs []ByteEvent, n int) int {
 	data, stack, base, p := t.data, t.stack, t.base, t.pos
 	maxDepth, maxToken, deepest := t.lim.MaxDepth, t.lim.MaxTokenBytes, t.deepest
@@ -574,22 +709,40 @@ loop:
 		} else if p+1 == len(data) {
 			break
 		} else if c := data[p+1]; c == '/' {
-			top := stack[len(stack)-1]
-			name := t.tab.Name(top)
-			end := p + 2 + len(name)
-			if end >= len(data) || data[end] != '>' || string(data[p+2:end]) != name {
+			top := &stack[len(stack)-1]
+			if l := uint(top.n) * 8; l < 64 && p+10 <= len(data) {
+				// endTag's masked compare, inlined.
+				if (binary.LittleEndian.Uint64(data[p+2:])^(top.word|'>'<<l))&(1<<(l+8)-1) != 0 {
+					break
+				}
+			} else if !t.endTag(top, data, p+2) {
 				break
 			}
-			stack, p = stack[:len(stack)-1], end+1
-			evs[n] = ByteEvent{Kind: EndElement, Sym: top, Off: base + p}
+			p += 3 + int(top.n)
+			evs[n] = ByteEvent{Kind: EndElement, Sym: top.sym, Off: base + p}
+			stack = stack[:len(stack)-1]
 			n++
 		} else {
 			if nameClass[c]&classStart == 0 {
 				break
 			}
-			h, q := uint32(c), p+2
-			for ; q < len(data) && nameClass[data[q]]&className != 0; q++ {
-				h = bits.RotateLeft32(h, 5) ^ uint32(data[q])
+			// The name's word is loaded once: the screen ends the name at its
+			// first flag when that byte is '>' or '/' (the name starts at s,
+			// so its first byte is neither), and the word masked below the
+			// flag is its key in the name cache. Otherwise the table scans it.
+			s, q := p+1, 0
+			var el openElem
+			if s+8 < len(data) {
+				w := binary.LittleEndian.Uint64(data[s:])
+				m := nameScreen(w)
+				q = s + bits.TrailingZeros64(m)>>3
+				if d := data[q]; d == '>' || d == '/' {
+					el = t.nameCache.hit(w&(m&-m>>7-1), q-s)
+				} else {
+					q = nameEnd(data, q)
+				}
+			} else {
+				q = nameEnd(data, s+1)
 			}
 			var close int
 			switch {
@@ -613,13 +766,15 @@ loop:
 				}
 				deepest = max(deepest, elem)
 			}
-			sym := t.internName(data[p+1:q], h)
-			evs[n] = ByteEvent{Kind: StartElement, Sym: sym, Off: base + p}
+			if el.n == 0 {
+				el = t.name(data, s, q)
+			}
+			evs[n] = ByteEvent{Kind: StartElement, Sym: el.sym, Off: base + p}
 			n++
 			if close == q+1 {
-				stack = append(stack, sym)
+				stack = append(stack, el)
 			} else {
-				evs[n] = ByteEvent{Kind: EndElement, Sym: sym, Off: base + close}
+				evs[n] = ByteEvent{Kind: EndElement, Sym: el.sym, Off: base + close}
 				n++
 			}
 			p = close
@@ -665,7 +820,7 @@ func (t *TokenizerBytes) innermost() string {
 	if n := len(t.spans); n > 0 {
 		return string(t.data[t.spans[n-1].start:t.spans[n-1].end])
 	}
-	return t.tab.Name(t.stack[len(t.stack)-1])
+	return t.tab.Name(t.stack[len(t.stack)-1].sym)
 }
 
 // Offset returns the document offset of the scan position: every byte
@@ -934,6 +1089,32 @@ const (
 	swarAmp = '&' * swarLo
 )
 
+// nameEnd returns the offset of the first byte at or after s that is not a
+// name byte, or len(data). The eight bytes from s, when there are eight,
+// are screened at once for the bytes that can end a name — every one of
+// them is below '0' or one of '<' to '?' — and the table decides from the
+// first of those on, byte by byte: at once, unless that byte is a name
+// byte after all ('-', '.', '?', …) or none of the eight can end the name.
+// As in textDelim, the lowest flag of the screen is exact, so no byte
+// before it ends the name.
+func nameEnd(data []byte, s int) int {
+	if s+8 <= len(data) {
+		s += bits.TrailingZeros64(nameScreen(binary.LittleEndian.Uint64(data[s:]))) >> 3
+	}
+	for s < len(data) && nameClass[data[s]]&className != 0 {
+		s++
+	}
+	return s
+}
+
+// nameScreen flags the high bit of each byte of w that may end a name: the
+// bytes below '0' and '<' to '?'. Every byte that ends one is among them.
+// The lowest flag is exact; a borrow can flag a byte only above it.
+func nameScreen(w uint64) uint64 {
+	y := w&(0xFC*swarLo) ^ '<'*swarLo
+	return ((w-'0'*swarLo)&^w | (y-swarLo)&^y) & swarHi
+}
+
 // textDelim returns the offset of the first '<' or '&' at or after p, or
 // len(data). Eight bytes are compared at a time: x has a zero byte where
 // the word holds the delimiter, and (x-lo)&^x&hi flags it. A borrow can
@@ -1010,7 +1191,10 @@ func (t *TokenizerBytes) readText(start int) ([]byte, bool, error) {
 		out = t.textBuf
 	}
 	if outside {
-		if len(bytes.TrimSpace(out)) != 0 {
+		// Before and after the root only white space may stand, written
+		// as itself: XML's Misc has no character data, so a reference to
+		// a space is as wrong there as any other character.
+		if !allSpace(data[start:end]) {
 			return nil, false, t.errf("character data outside root element")
 		}
 		return nil, true, nil
@@ -1231,38 +1415,32 @@ func (t *TokenizerBytes) skipDecl(p int) error {
 	return t.errAt(p, "unterminated declaration")
 }
 
-// readName scans the name starting at p and returns where it ends and the
-// hash of its bytes (see internName), accumulated in the same pass. The
+// readName scans the name starting at p and returns where it ends. The
 // byte after a name is always in the window: a name that reaches the
 // window's end is incomplete or unterminated.
-func (t *TokenizerBytes) readName(p int) (end int, hash uint32, err error) {
+func (t *TokenizerBytes) readName(p int) (end int, err error) {
 	data := t.data
 	if p < len(data) && nameClass[data[p]]&classStart == 0 {
-		return 0, 0, t.errAt(p, "expected a name")
+		return 0, t.errAt(p, "expected a name")
 	}
-	for ; p < len(data) && nameClass[data[p]]&className != 0; p++ {
-		hash = bits.RotateLeft32(hash, 5) ^ uint32(data[p])
-	}
-	if p == len(data) {
+	if p = nameEnd(data, p); p == len(data) {
 		if t.suspendable() {
 			// Even a complete-looking name may continue in the next chunk.
-			return 0, 0, t.needMore(p)
+			return 0, t.needMore(p)
 		}
-		return 0, 0, t.errAt(p, "unterminated name")
+		return 0, t.errAt(p, "unterminated name")
 	}
-	return p, hash, nil
+	return p, nil
 }
 
-// skipSpace returns the offset of the first non-whitespace byte at or
-// after p; len(data) means end of input.
+// allSpace reports whether b is XML white space only.
+func allSpace(b []byte) bool { return skipSpace(b, 0) == len(b) }
+
+// skipSpace returns the offset of the first byte at or after p that is not
+// XML white space; len(data) means end of input.
 func skipSpace(data []byte, p int) int {
-	for p < len(data) {
-		switch data[p] {
-		case ' ', '\t', '\n', '\r':
-			p++
-		default:
-			return p
-		}
+	for p < len(data) && bytestr.IsSpace(data[p]) {
+		p++
 	}
 	return p
 }
@@ -1270,7 +1448,7 @@ func skipSpace(data []byte, p int) int {
 // readStartTag parses <name attr="v" ...> or <name/> from the name at p,
 // queueing attribute child events and the self-closing endElement.
 func (t *TokenizerBytes) readStartTag(p int) (symtab.Sym, error) {
-	end, hash, err := t.readName(p)
+	end, err := t.readName(p)
 	if err != nil {
 		return 0, err
 	}
@@ -1278,22 +1456,22 @@ func (t *TokenizerBytes) readStartTag(p int) (symtab.Sym, error) {
 	if t.rootSeen && t.outside() {
 		return 0, t.errAt(end, "second root element <%s>", data[p:end])
 	}
-	var sym symtab.Sym
+	var el openElem
 	t.tagAttrs = 0
 	if t.skim {
 		t.tagName = span{p, end}
 	} else {
-		sym = t.internName(data[p:end], hash)
+		el = t.name(data, p, end)
 	}
 	// <name> and <name/> are nearly every tag of a document: they close
 	// here, on one compare, before the attribute scanner is set up.
 	if data[end] == '>' {
 		t.pos = end + 1
-		return sym, t.openElement(sym)
+		return el.sym, t.openElement(el)
 	}
 	if data[end] == '/' && end+1 < len(data) && data[end+1] == '>' {
 		t.pos = end + 2
-		return sym, t.emptyElement(sym)
+		return el.sym, t.emptyElement(el.sym)
 	}
 	t.attrBuf = t.attrBuf[:0]
 	t.attrEpoch++
@@ -1301,28 +1479,30 @@ func (t *TokenizerBytes) readStartTag(p int) (symtab.Sym, error) {
 		clear(t.attrSlots)
 		t.attrEpoch = 1
 	}
-	return sym, t.scanAttrs(sym, end)
+	return el.sym, t.scanAttrs(el, end)
 }
 
 // tagNameOf names the start tag being scanned, for error messages: a
 // skimmed tag has a span where a tokenized one has a symbol.
-func (t *TokenizerBytes) tagNameOf(sym symtab.Sym) string {
+func (t *TokenizerBytes) tagNameOf(el openElem) string {
 	if t.skim {
 		return string(t.data[t.tagName.start:t.tagName.end])
 	}
-	return t.tab.Name(sym)
+	return t.tab.Name(el.sym)
 }
 
 // openElement closes a start tag at its '>', which t.pos is now past: the
 // element is open.
-func (t *TokenizerBytes) openElement(sym symtab.Sym) error {
-	if err := t.countLevels(); err != nil {
-		return err
+func (t *TokenizerBytes) openElement(el openElem) error {
+	if t.counting() {
+		if err := t.countLevels(); err != nil {
+			return err
+		}
 	}
 	if t.skim {
 		t.spans = append(t.spans, t.tagName)
 	} else {
-		t.stack = append(t.stack, sym)
+		t.stack = append(t.stack, el)
 	}
 	return nil
 }
@@ -1331,8 +1511,10 @@ func (t *TokenizerBytes) openElement(sym symtab.Sym) error {
 // <n/> is shorthand for <n></n>: the caller emits the start now, the end is
 // queued after any queued attribute events.
 func (t *TokenizerBytes) emptyElement(sym symtab.Sym) error {
-	if err := t.countLevels(); err != nil {
-		return err
+	if t.counting() {
+		if err := t.countLevels(); err != nil {
+			return err
+		}
 	}
 	if t.outside() {
 		t.rootSeen = true
@@ -1352,14 +1534,10 @@ func (t *TokenizerBytes) emptyElement(sym symtab.Sym) error {
 // second breach lies one event after the element's StartElement, which an
 // evaluator sees and may match on (under LimitAbstain those verdicts
 // stand), so Next delivers the event first and fails on the following call;
-// a skim has no event to deliver and fails at once. There is nothing to
-// count except while skimming or under a depth budget: tokenizing without
-// one, the evaluator does the counting.
+// a skim has no event to deliver and fails at once. It is called only while
+// counting.
 func (t *TokenizerBytes) countLevels() error {
 	limit := t.lim.MaxDepth
-	if !t.skim && limit <= 0 {
-		return nil
-	}
 	elem := t.depth() + 1
 	if limit > 0 && elem > limit {
 		return limitErr("depth", limit, elem)
@@ -1381,6 +1559,11 @@ func (t *TokenizerBytes) countLevels() error {
 	return nil
 }
 
+// counting reports that start tags count levels (countLevels): while
+// skimming or under a depth budget. Tokenizing without one, the evaluator
+// does the counting.
+func (t *TokenizerBytes) counting() bool { return t.skim || t.lim.MaxDepth > 0 }
+
 // suspendTag suspends the start tag, scanned up to p, at an attribute
 // boundary: pos rewinds only to the current attribute's first byte
 // (attrMark), the attributes already staged in pending/attrBuf are kept,
@@ -1389,7 +1572,7 @@ func (t *TokenizerBytes) countLevels() error {
 // O(k·tag). Staged attribute values still aliasing the window are copied
 // into attrBuf here — the refill is about to slide the window — so
 // stabilization costs nothing on tags that never suspend.
-func (t *TokenizerBytes) suspendTag(sym symtab.Sym, attrMark, p int) error {
+func (t *TokenizerBytes) suspendTag(el openElem, attrMark, p int) error {
 	// The staged attribute state of one tag grows with the tag itself;
 	// bound it like any other single token so a pathological
 	// many-attribute tag cannot accumulate past the budget across
@@ -1408,50 +1591,50 @@ func (t *TokenizerBytes) suspendTag(sym symtab.Sym, attrMark, p int) error {
 	t.rescanned += p - attrMark
 	t.pos = attrMark
 	t.tagActive = true
-	t.tagSym = sym
+	t.tagElem = el
 	return ErrNeedMoreData
 }
 
-// scanAttrs scans the attribute list of the start tag for sym, from the
+// scanAttrs scans the attribute list of the start tag of el, from the
 // attribute boundary at p to the closing '>' or '/>'. Each completed
 // attribute stages its three child events in pending; on success the
 // caller emits the element's StartElement, and Next then drains the
 // staged events.
-func (t *TokenizerBytes) scanAttrs(sym symtab.Sym, p int) error {
+func (t *TokenizerBytes) scanAttrs(el openElem, p int) error {
 	data := t.data
 	for {
 		attrMark := p
 		if p = skipSpace(data, p); p >= len(data) {
 			if t.suspendable() {
-				return t.suspendTag(sym, attrMark, p)
+				return t.suspendTag(el, attrMark, p)
 			}
-			return t.errAt(p, "unterminated start tag <%s", t.tagNameOf(sym))
+			return t.errAt(p, "unterminated start tag <%s", t.tagNameOf(el))
 		}
 		switch data[p] {
 		case '>':
 			t.pos = p + 1
-			return t.openElement(sym)
+			return t.openElement(el)
 		case '/':
 			if p++; p >= len(data) && t.suspendable() {
-				return t.suspendTag(sym, attrMark, p)
+				return t.suspendTag(el, attrMark, p)
 			}
 			if p >= len(data) || data[p] != '>' {
-				return t.errAt(p, "malformed self-closing tag <%s", t.tagNameOf(sym))
+				return t.errAt(p, "malformed self-closing tag <%s", t.tagNameOf(el))
 			}
 			t.pos = p + 1
-			return t.emptyElement(sym)
+			return t.emptyElement(el.sym)
 		}
-		nameEnd, hash, err := t.readName(p)
+		nameEnd, err := t.readName(p)
 		if err != nil {
 			if err == ErrNeedMoreData {
-				err = t.suspendTag(sym, attrMark, t.pos)
+				err = t.suspendTag(el, attrMark, t.pos)
 			}
 			return err
 		}
 		name, aname := span{p, nameEnd}, data[p:nameEnd]
 		if p = skipSpace(data, nameEnd); p >= len(data) {
 			if t.suspendable() {
-				return t.suspendTag(sym, attrMark, p)
+				return t.suspendTag(el, attrMark, p)
 			}
 			return t.errAt(p, "unterminated attribute %s", aname)
 		}
@@ -1460,7 +1643,7 @@ func (t *TokenizerBytes) scanAttrs(sym symtab.Sym, p int) error {
 		}
 		if p = skipSpace(data, p+1); p >= len(data) {
 			if t.suspendable() {
-				return t.suspendTag(sym, attrMark, p)
+				return t.suspendTag(el, attrMark, p)
 			}
 			return t.errAt(p, "unterminated attribute %s", aname)
 		}
@@ -1471,16 +1654,17 @@ func (t *TokenizerBytes) scanAttrs(sym symtab.Sym, p int) error {
 		val, next, err := t.readAttrValue(aname, quote, p+1)
 		if err != nil {
 			if err == ErrNeedMoreData {
-				err = t.suspendTag(sym, attrMark, next)
+				err = t.suspendTag(el, attrMark, next)
 			}
 			return err
 		}
 		p = next
 		var asym symtab.Sym
 		if !t.skim { // a skim interns nothing and queues no events
-			asym = t.internName(aname, hash)
+			asym = t.name(data, name.start, name.end).sym
 		}
-		if t.seenAttr(name, asym, hash) {
+		n := name.end - name.start
+		if t.seenAttr(name, asym, uint32(nameHash(nameWord(data, name.start, n), n)>>32)) {
 			return t.errAt(p, "duplicate attribute %s", aname)
 		}
 		if t.tagAttrs++; t.skim {
@@ -1491,10 +1675,11 @@ func (t *TokenizerBytes) scanAttrs(sym symtab.Sym, p int) error {
 			ByteEvent{Kind: Text, Data: val, Off: t.base + attrMark},
 			ByteEvent{Kind: EndElement, Sym: asym, Attribute: true, Off: t.base + p},
 		)
+		t.staged = max(t.staged, len(t.pending))
 	}
 }
 
-// seenAttr records an attribute name (at name, hash h from readName, sym
+// seenAttr records an attribute name (at name, hash h of its word, sym
 // its symbol, 0 when skimming) among the attribute names of the start tag
 // being scanned and reports whether the tag already had it. The names of a
 // tokenized tag are compared by symbol — their spans go stale as a stream
@@ -1572,8 +1757,8 @@ func (t *TokenizerBytes) readAttrValue(aname []byte, quote byte, p int) ([]byte,
 
 // readEndTag parses an end tag from the name at p, after "</". The fast
 // path handles the overwhelmingly common shape — "</name>" exactly matching
-// the open element — with one memeq against the interned top of stack and
-// no symbol-table probe at all; anything else (whitespace before '>',
+// the open element — by the open element's word (isNamed), with no
+// symbol-table probe at all; anything else (whitespace before '>',
 // window boundary, mismatch) falls through to the general scanner.
 // Elements opened by a skim close before the ones that were open when it
 // began; the skim kernel closes them itself, so only an end tag it did not
@@ -1582,18 +1767,16 @@ func (t *TokenizerBytes) readAttrValue(aname []byte, quote byte, p int) ([]byte,
 func (t *TokenizerBytes) readEndTag(p int) (symtab.Sym, error) {
 	data := t.data
 	if n := len(t.stack); n > 0 && len(t.spans) == 0 {
-		top := t.stack[n-1]
-		name := t.tab.Name(top)
-		if end := p + len(name); end < len(data) && data[end] == '>' && string(data[p:end]) == name {
-			t.pos = end + 1
+		if top := &t.stack[n-1]; t.endTag(top, data, p) {
+			t.pos = p + int(top.n) + 1
 			t.stack = t.stack[:n-1]
 			if n == 1 {
 				t.rootSeen = true
 			}
-			return top, nil
+			return top.sym, nil
 		}
 	}
-	end, _, err := t.readName(p)
+	end, err := t.readName(p)
 	if err != nil {
 		return 0, err
 	}
@@ -1616,8 +1799,8 @@ func (t *TokenizerBytes) readEndTag(p int) (symtab.Sym, error) {
 	if n := len(t.spans); n > 0 {
 		matches = bytes.Equal(name, data[t.spans[n-1].start:t.spans[n-1].end])
 	} else {
-		sym = t.stack[len(t.stack)-1]
-		matches = string(name) == t.tab.Name(sym)
+		top := t.stack[len(t.stack)-1]
+		sym, matches = top.sym, t.isNamed(top, data, end-len(name), end)
 	}
 	if !matches {
 		return 0, t.errf("end tag </%s> does not match open element <%s>", name, t.innermost())

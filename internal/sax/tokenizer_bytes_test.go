@@ -3,6 +3,7 @@ package sax_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -36,7 +37,8 @@ func stringEvents(doc string) ([]sax.Event, error) {
 
 // TestTokenizerBytesDifferentialCorpus drives both tokenizers over a
 // hand-written corpus covering every syntactic feature and every error
-// class, requiring identical event streams and matching error-ness.
+// class, and over the kernel's shapes, requiring identical event streams
+// and matching error-ness.
 func TestTokenizerBytesDifferentialCorpus(t *testing.T) {
 	corpus := []string{
 		"<a/>",
@@ -84,7 +86,7 @@ func TestTokenizerBytesDifferentialCorpus(t *testing.T) {
 		"<a", "<a b", "<a b=", "<a b=\"v",
 		"<a>&toolongentityname;</a>",
 	}
-	for _, doc := range corpus {
+	for _, doc := range append(corpus, sax.KernelShapes...) {
 		want, wantErr := stringEvents(doc)
 		got, gotErr := sax.ParseBytes([]byte(doc))
 		if (wantErr != nil) != (gotErr != nil) {
@@ -238,5 +240,41 @@ func TestTokenizerBytesComments(t *testing.T) {
 	// ends at its first "-->" and the trailing text survives.
 	if len(got) != 5 || got[2].Kind != sax.Text || got[2].Data != "x" {
 		t.Fatalf("comment swallowed following text: %v", got)
+	}
+}
+
+// TestOnlyXMLSpaceOutsideRoot: before and after the root only XML white
+// space (#x20 #x9 #xD #xA) may stand, written as itself — XML's Misc allows
+// neither another character nor a reference there, even one to a space.
+// Both tokenizers refuse alike, and the byte tokenizer refuses whole, by
+// Skim and chunked at every split, with the same error.
+func TestOnlyXMLSpaceOutsideRoot(t *testing.T) {
+	refused := []string{
+		"<a/>&#32;", "<a/>&#x20;", "<a/>&#xA0;", "<a/>&#10;", "&#32;<a/>", "<a/> &amp; ",
+		"\u00a0<a/>", "<a/>\u00a0", "<a/>\n\u00a0\n", "<a/>\v", "\f<a/>", "<a/>\u0085", "<a/>\u3000",
+		"<a></a>&#32;<!-- c -->", "<a><b/></a>\t&#x9;",
+	}
+	accepted := []string{" \t\r\n<a/> \t\r\n", "<a/>\n<!-- c -->\n<?pi?>\r\n", "\n<a> \u00a0 &#32; </a>\n"}
+	tok := sax.NewStreamTokenizer(nil)
+	for _, doc := range append(refused, accepted...) {
+		want := !slices.Contains(accepted, doc)
+		_, strErr := sax.Parse(doc)
+		evs, wholeErr := wholeOffEvents(doc)
+		if (strErr != nil) != want || (wholeErr != nil) != want {
+			t.Fatalf("doc %q: string err = %v, bytes err = %v; want refused %v", doc, strErr, wholeErr, want)
+		}
+		skim := sax.NewTokenizerBytes([]byte(doc), nil)
+		if _, err := skim.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := skim.Skim(); !reflect.DeepEqual(err, wholeErr) {
+			t.Fatalf("doc %q: Skim err = %v, want %v", doc, err, wholeErr)
+		}
+		for off := 0; off <= len(doc); off++ {
+			if _, err := streamEvents(tok, doc, []int{off}); !reflect.DeepEqual(err, wholeErr) {
+				t.Fatalf("doc %q split at %d: err = %v, want %v", doc, off, err, wholeErr)
+			}
+			checkDrive(t, tok, doc, []int{off}, evs, wholeErr)
+		}
 	}
 }

@@ -5,8 +5,10 @@
 // filter) dispatches on the symbol instead of re-hashing the name string
 // per event. This is the interning/dense-dispatch idiom of high-
 // throughput parsers: after the first occurrence of a name, looking it up
-// again costs one map probe in the tokenizer and a plain integer index
-// everywhere else, with no per-event string allocation anywhere.
+// again costs the tokenizer one compare in its name cache (a name keyed by
+// its first eight bytes as a word, and its length), a map probe here only
+// when the cache misses, and a plain integer index everywhere else, with no
+// per-event string allocation anywhere.
 //
 // A Table is shared between a tokenizer and the matching structures bound
 // to it; symbols from different tables are not comparable.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"streamxpath/internal/bytestr"
 )
 
 // CompOp is one of the six XPath comparison operators.
@@ -186,6 +188,27 @@ func LookupFunc(name string) (FuncSig, bool) {
 	return sig, ok
 }
 
+// normalizeSpace is XPath's normalize-space: s with its leading and
+// trailing XML white space removed and every other run of it replaced by
+// one space.
+func normalizeSpace(s string) string {
+	out := make([]byte, 0, len(s))
+	for i := 0; i < len(s); {
+		if !bytestr.IsSpace(s[i]) {
+			out = append(out, s[i])
+			i++
+			continue
+		}
+		for i < len(s) && bytestr.IsSpace(s[i]) {
+			i++
+		}
+		if len(out) > 0 && i < len(s) {
+			out = append(out, ' ')
+		}
+	}
+	return string(out)
+}
+
 // Call applies a basic XPath function to atomic arguments. It returns an
 // error for unknown functions or arity mismatches; these are caught at query
 // compile time, so evaluation-time errors indicate a compiler bug.
@@ -218,7 +241,7 @@ func Call(name string, args []Value) (Value, error) {
 	case "substring":
 		return String_(substring(ToString(args[0]), ToNumber(args[1]), ToNumber(args[2]))), nil
 	case "normalize-space":
-		return String_(strings.Join(strings.Fields(ToString(args[0])), " ")), nil
+		return String_(normalizeSpace(ToString(args[0]))), nil
 	case "number":
 		return Number(ToNumber(args[0])), nil
 	case "string":

@@ -25,7 +25,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
+
+	"streamxpath/internal/bytestr"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -119,16 +120,25 @@ func (v Value) Equal(w Value) bool {
 }
 
 // ParseNumber parses s as an XPath 1.0 number: optional leading/trailing
-// whitespace, optional '-', then Digits ('.' Digits?)? | '.' Digits.
-// It reports ok=false (value NaN) if s is not a number.
+// XML white space (bytestr.IsSpace), optional '-', then Digits ('.'
+// Digits?)? | '.' Digits. It reports ok=false (value NaN) if s is not a
+// number. An integer of at most 15 digits — exact in a float64, and what
+// numeric predicates mostly compare — is read digit by digit; everything
+// else goes to strconv.ParseFloat.
 func ParseNumber(s string) (f float64, ok bool) {
-	t := strings.TrimSpace(s)
+	t := trimSpace(s)
 	if t == "" {
 		return math.NaN(), false
 	}
 	body := t
 	if body[0] == '-' {
 		body = body[1:]
+	}
+	if f, ok := parseInt(body); ok {
+		if body != t {
+			f = -f // "-0" is negative zero, as ParseFloat reads it
+		}
+		return f, true
 	}
 	if !isNumberBody(body) {
 		return math.NaN(), false
@@ -138,6 +148,35 @@ func ParseNumber(s string) (f float64, ok bool) {
 		return math.NaN(), false
 	}
 	return f, true
+}
+
+// parseInt reads s when it is 1 to 15 decimal digits, every such integer
+// being exact in a float64.
+func parseInt(s string) (float64, bool) {
+	if len(s) == 0 || len(s) > 15 {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(c)
+	}
+	return float64(n), true
+}
+
+// trimSpace returns s without its leading and trailing XML white space.
+func trimSpace(s string) string {
+	i, j := 0, len(s)
+	for i < j && bytestr.IsSpace(s[i]) {
+		i++
+	}
+	for j > i && bytestr.IsSpace(s[j-1]) {
+		j--
+	}
+	return s[i:j]
 }
 
 // isNumberBody reports whether s matches Digits ('.' Digits?)? | '.' Digits.

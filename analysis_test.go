@@ -40,6 +40,7 @@ func TestStreamableDecisionAgrees(t *testing.T) {
 		{"//*", true},
 		{"/a[c[.//e and f] and b > 5]", true},
 		{`//item[keyword = "go"]/title`, true},
+		{"/a[*/b > 5 and c/b//d > 12 and .//d < 30]", true},
 	} {
 		if got := check(query.MustParse(c.src)); got != c.want {
 			t.Errorf("%s: streamable=%v, want %v", c.src, got, c.want)

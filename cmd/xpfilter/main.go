@@ -74,7 +74,7 @@ func main() {
 		bench    = flag.Int("bench", 0, "re-match each file N times; print events/sec and allocs/event")
 		extract  = flag.Bool("extract", false, "with -subs: capture and print each matched subscription's subtree")
 		workers  = flag.Int("workers", 0, "match the inputs concurrently on a pool of N engine replicas (0 = sequential)")
-		chunk    = flag.Int("chunk", 0, "streaming read size in bytes (0 = 64KiB default)")
+		chunk    = flag.Int("chunk", 0, "largest streaming read in bytes (0 = 64KiB default); reads start at 4KiB and grow to it as documents fill them")
 
 		maxDepth  = flag.Int("max-depth", 0, "max open-element depth per document (0 = unlimited)")
 		maxToken  = flag.Int("max-token", 0, "max bytes of a single token (0 = unlimited)")

@@ -3,12 +3,12 @@
 // concurrent clients over a generated news-feed corpus — mixing
 // buffered (Content-Length) and chunked (streaming) bodies — and
 // reports docs/s, latency percentiles, and the error count, optionally
-// snapshotting the result as a BENCH-style JSON artifact.
+// writing the report to a JSON file.
 //
 // Usage:
 //
 //	xpload -addr 127.0.0.1:8080 -clients 64 -requests 5000
-//	xpload -addr $(cat /tmp/xpfilterd.addr) -o BENCH_pr8_server.json
+//	xpload -addr $(cat /tmp/xpfilterd.addr) -o load.json
 //
 // With -webhook the harness also measures the outbound delivery path:
 // it runs an in-process webhook receiver, registers the subscriptions

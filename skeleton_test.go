@@ -289,6 +289,44 @@ func TestSkeletonRebuiltAcrossAddRemove(t *testing.T) {
 	check("r,p")
 }
 
+// disseminationSubs builds n subscriptions of one topology:
+//
+//   - shared:       //catalog/item/f<i> — one two-step prefix;
+//   - disjoint:     //p<i>/c<i> — nothing shared;
+//   - predshared:   //catalog/item[priority > k]/f<j> — ten predicated
+//     prefixes × n/10 leaves;
+//   - preddisjoint: //catalog/item[priority > i]/f<i> — every
+//     subscription its own threshold and leaf.
+func disseminationSubs(topology string, n int) []string {
+	subs := make([]string, n)
+	for i := range subs {
+		switch topology {
+		case "shared":
+			subs[i] = fmt.Sprintf("//catalog/item/f%d", i)
+		case "disjoint":
+			subs[i] = fmt.Sprintf("//p%d/c%d", i, i)
+		case "predshared":
+			subs[i] = fmt.Sprintf("//catalog/item[priority > %d]/f%d", i%10, i%(n/10+1))
+		case "preddisjoint":
+			subs[i] = fmt.Sprintf("//catalog/item[priority > %d]/f%d", i, i)
+		}
+	}
+	return subs
+}
+
+// disseminationDoc builds the feed document: a catalog of items carrying
+// a few of the subscribed leaf names, so a small fraction of
+// subscriptions match.
+func disseminationDoc(items int) string {
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for j := 0; j < items; j++ {
+		fmt.Fprintf(&b, "<item><priority>%d</priority><f%d/><f%d/></item>", j%12, j, j+items)
+	}
+	b.WriteString("</catalog>")
+	return b.String()
+}
+
 // trieCounts matches doc against subs and returns the counts the scaling
 // pin compares, with ⌈log₂|Q|⌉ — the cost model's per-tuple node-name
 // term, the one input of EstimatedBits that grows with the standing set

@@ -292,7 +292,8 @@ func TestFilterSetPredicatedZeroAlloc(t *testing.T) {
 // subscriptions, every verdict final within the first items. A feed spans
 // many pieces of the skim's split, so run at -cpu 1,2,4 the pin holds with
 // helpers on zero, one and three other cores; on one core no helper runs
-// (Stats().SkimPieces is 0), on more a helper's pieces are adopted.
+// (Stats().SkimPieces is 0), on more a helper's pieces are adopted in every
+// trial the pin counts (skimMallocs).
 func TestFilterSetSkimZeroAlloc(t *testing.T) {
 	s := NewFilterSet()
 	for i, q := range []string{"/news/item", "/news/item/title", "/news//p", "/news/*/keyword",
@@ -327,27 +328,47 @@ func TestFilterSetSkimZeroAlloc(t *testing.T) {
 					t.Fatalf("%d-byte feed on one core: %d pieces validated by helpers, want 0", len(doc), pieces)
 				}
 			}
-			// With another core, a helper gets to a piece before the caller
-			// does — if not on the first try, on one of the next.
-			for i := 0; runtime.GOMAXPROCS(0) > 1 && s.Stats().SkimPieces == 0; i++ {
-				if i == 100 {
-					t.Fatalf("%d-byte feed on %d cores: no piece validated by a helper in 100 matches", len(doc), runtime.GOMAXPROCS(0))
-				}
-				if _, err := s.MatchBytes(doc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if _, err := s.MatchBytes(doc); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("warm MatchBytes on a decided-early %d-byte feed (%q bodies), limits %+v: %v allocs/run, want 0",
-					len(doc), body, lim, allocs)
+			if allocs := skimMallocs(t, s, doc); allocs != 0 {
+				t.Errorf("warm MatchBytes on a decided-early %d-byte feed (%q bodies), limits %+v, %d cores: %d allocs in every match, want 0",
+					len(doc), body, lim, runtime.GOMAXPROCS(0), allocs)
 			}
 		}
 	}
+}
+
+// skimMallocs returns the heap allocations, every goroutine's, of one warm
+// match of doc on s at the test's GOMAXPROCS — testing.AllocsPerRun sets it
+// to 1, where no helper runs — as the least over 20 matches. The least
+// leaves out what happens beside a skim now and then: the test framework's
+// allocations, and the 96-byte sudog the runtime allocates for a helper that
+// parks on the task channel while its P's cache of them is empty, which
+// stops once the caches have filled (a memory profile of a probe at -cpu 4
+// on a 2-core host read about one per five skims over the first thousands
+// and none after 30,000). On more than one core only matches in which a
+// helper validated a piece count, so an allocation a helper makes per skim
+// or per piece is in every match counted.
+func skimMallocs(t *testing.T, s *FilterSet, doc []byte) uint64 {
+	t.Helper()
+	least, counted := ^uint64(0), 0
+	var ms runtime.MemStats
+	for trial := 0; counted < 20; trial++ {
+		if trial == 200 {
+			t.Fatalf("%d-byte feed on %d cores: a helper validated a piece in %d of %d matches, want 20",
+				len(doc), runtime.GOMAXPROCS(0), counted, trial)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if _, err := s.MatchBytes(doc); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if runtime.GOMAXPROCS(0) > 1 && s.Stats().SkimPieces == 0 {
+			continue
+		}
+		least = min(least, ms.Mallocs-before)
+		counted++
+	}
+	return least
 }
 
 // TestFilterMatchBytesSteadyStateAllocs: the standalone Filter's byte

@@ -329,8 +329,8 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 			t.Fatalf("%s: matched patched=%v fresh=%v", label, got, want)
 		}
 		checkResults(t, label, patched, live, []byte(doc))
-		if mt := patched.mt; mt.tuples != 0 || len(mt.scopes) != 0 {
-			t.Fatalf("%s: %d live tuples and %d open scopes after the document", label, mt.tuples, len(mt.scopes))
+		if mt := patched.mt; mt.tuples != 0 || mt.lone != 0 || len(mt.scopes) != 0 {
+			t.Fatalf("%s: %d live tuples, %d live folded obligations and %d open scopes after the document", label, mt.tuples, mt.lone, len(mt.scopes))
 		}
 		root := tree.MustParse(doc)
 		for _, s := range live {
@@ -395,14 +395,15 @@ func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []
 // checkLive is one walk of the matcher's live structures, held against what
 // the matcher counts as it goes: the open scopes' tuples that are neither
 // matched nor parked behind an open candidate, plus the scopes, plus the
-// pending leaf candidates, are live(); no step whose path carries no
+// pending leaf candidates, are live(); the scopes' folded obligations that
+// are neither are the matcher's lone count; no step whose path carries no
 // predicate holds a scope — a spine scope's node opens one, and its chain of
 // nodes up from there, its own step included, meets a predicated one — and
 // MemStats' peak is at least what is live now.
 func checkLive(t testing.TB, label string, e *Engine) {
 	t.Helper()
 	m := e.mt
-	n := len(m.scopes) + len(m.pendings)
+	n, lone := len(m.scopes)+len(m.pendings), 0
 	for _, sc := range m.scopes {
 		if sc.node != nil && sc.node.kind == kindSpine {
 			p := sc.node
@@ -418,9 +419,15 @@ func checkLive(t testing.TB, label string, e *Engine) {
 				n++
 			}
 		}
+		if len(sc.children) == 0 && sc.unmet > 0 && !sc.parked {
+			lone++
+		}
 	}
 	if live := m.live(); n != live {
 		t.Fatalf("%s: %d live tuples, scopes and pendings recounted, live() = %d", label, n, live)
+	}
+	if lone != m.lone {
+		t.Fatalf("%s: %d live folded obligations recounted, the matcher counts %d", label, lone, m.lone)
 	}
 	if peak := e.MemStats().PeakLiveTuples; peak < n {
 		t.Fatalf("%s: %d live, above the peak %d", label, n, peak)

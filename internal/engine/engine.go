@@ -840,9 +840,9 @@ func (e *Engine) opening(sym symtab.Sym) error {
 func (e *Engine) opened() error {
 	if e.lim.MaxLiveTuples > 0 {
 		// Live state is the trie matcher's tuples/scopes/pendings plus one
-		// NFA runner stack entry per open element. A matched tuple stops
-		// counting at once; before declaring a breach, sweep out the
-		// pending leaf candidates whose tuple has matched since they
+		// NFA runner stack entry per open element. A matched obligation
+		// stops counting at once; before declaring a breach, sweep out the
+		// pending leaf candidates whose obligation has matched since they
 		// opened, so only state that can still influence a verdict counts.
 		if live := e.mt.live() + e.level; live > e.lim.MaxLiveTuples {
 			e.mt.evictDead()
@@ -1042,14 +1042,14 @@ type Stats struct {
 	// engine dispatched (MemStats.Events) and MaxLevel is its deepest level
 	// (MemStats.MaxDepth); the rest are the trie matcher's. TupleVisits
 	// counts the candidates offered at startElement events, held by a state
-	// the element entered: each predicate node whose tuple is unmatched,
-	// once per open scope of its parent, and each spine step, predicate
-	// group and run of group continuations with subscriptions left to
-	// match, once per open scope of the step it continues — once per
-	// element for a top node, which continues none. A group or a run is one
-	// visit, whatever its size. FrontierInserts counts the predicate tuples
-	// candidate scopes open with plus the scopes — the state-maintenance
-	// work visits do not see. Both grow with the distinct steps a document
+	// the element entered: each predicate node whose obligation is
+	// unmatched, once per open scope of its parent, and each spine step,
+	// predicate group and run of group continuations with subscriptions
+	// left to match, once per open scope of the step it continues — once
+	// per element for a top node, which continues none. A group or a run is
+	// one visit, whatever its size. FrontierInserts counts the predicate
+	// obligations candidate scopes open with plus the scopes — the
+	// state-maintenance work visits do not see. Both grow with the distinct steps a document
 	// exercises, not with the subscription count or the depth of
 	// unpredicated nesting. GroupProbes counts the candidate values resolved
 	// against a predicate group — one search or lookup each, whatever the
@@ -1060,7 +1060,9 @@ type Stats struct {
 	// peak of live predicate tuples: a tuple is live from its scope's
 	// opening until it matches, a child-axis candidate of it opens — an
 	// internal node's scope or a restricted leaf's pending, for as long as
-	// that is open — or its scope closes.
+	// that is open — or its scope closes. Only scopes with two or more
+	// obligations hold tuples: a lone obligation is its scope, and counts
+	// here never.
 	Events          int
 	TupleVisits     int
 	FrontierInserts int
@@ -1127,12 +1129,15 @@ type MemStats struct {
 	// tuples + open candidate scopes + pending leaf candidates, buffering or
 	// streamed, counted together after each start event (the only events at
 	// which the sum grows) — the count Limits.MaxLiveTuples budgets, less
-	// the budget's depth term. A predicate group holds one scope, one tuple
-	// per step of its path and one pending candidate per open element,
-	// whatever its size; what that scope holds beyond a scope's cost is
-	// PeakGroupBits. A step with no predicate on its path from the root
-	// holds nothing, and neither does the document root: a set with no
-	// predicate reads 0.
+	// the budget's depth term: the records the matcher holds. A scope with
+	// one obligation — every group scope, and a step's or a predicate
+	// node's with one conjunctive child — holds it as part of itself, so it
+	// counts once, as a scope; only scopes of two or more hold tuples. A
+	// predicate group holds its scope, one more per inner step of its path,
+	// and one pending candidate per open element, whatever its size; what
+	// its scope holds beyond a scope's cost is PeakGroupBits. A step with no
+	// predicate on its path from the root holds nothing, and neither does
+	// the document root: a set with no predicate reads 0.
 	PeakLiveTuples int
 	// PeakGroupBits is the peak of the index state held by open group
 	// scopes and streamed candidates: ⌈log₂(|group|+1)⌉ bits for a

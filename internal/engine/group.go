@@ -14,14 +14,15 @@ import (
 // value. Spine nodes that continue the same step, carry the same node test
 // and have as their only predicate one comparison of the same relative path
 // against a constant, with operators of one class, are the members of one
-// predicate group. An element that is a candidate for them opens ONE scope
-// with one tuple chain for the path and one pending text value; a value is
-// parsed once and resolved against every member by one search over the
-// group's constants. What the scope holds is the outcome of those searches —
-// for thresholds a single index, the boundary between the members the values
-// seen so far satisfy and the rest — so the matcher holds one tuple per
-// group where the Section 8 algorithm holds one per subscriber, and
-// Theorem 8.8's per-tuple charge falls with it. The path's steps are held
+// predicate group. An element that is a candidate for them opens ONE scope,
+// whose one obligation, the path, is the scope itself (a scope more per
+// inner step of the path), and one pending text value; a value is parsed
+// once and resolved against every member by one search over the group's
+// constants. What the scope holds is the outcome of those searches — for
+// thresholds a single index, the boundary between the members the values
+// seen so far satisfy and the rest — so the matcher holds one scope per
+// group where the Section 8 algorithm holds a tuple per subscriber, and
+// Theorem 8.8's per-entry charge falls with it. The path's steps are held
 // states of the merged NFA below the members' state, one for the group.
 //
 // The continuations of a group's members are indexed the same way. The
@@ -411,7 +412,7 @@ type parsedText struct {
 }
 
 // openGroup opens the one scope a candidate element gets for all of g's
-// members, holding one tuple for the shared predicate path, and puts it on
+// members, whose one obligation is the shared predicate path, and puts it on
 // g's stack of open ones, where the path's candidates and the runs of the
 // members' continuations find it.
 func (m *matcher) openGroup(g *predGroup, origin *scope, level int) {
@@ -453,17 +454,16 @@ type seen struct {
 }
 
 // probe resolves closed candidate p of a group's predicate path — the
-// pending of the path's leaf tuple — against the group's constants: one
+// pending of the path's leaf obligation — against the group's constants: one
 // search moves a threshold group's boundary (the running maximum of the
 // values seen is what XPath's existential comparison needs), one lookup
 // records a numeric equality group's hit, and a textual one's is the
 // constant its cursor ended on. The members that turn satisfied are decided
 // there and then (release).
 func (m *matcher) probe(p *pendingVal, pt *parsedText) {
-	t := p.tup
-	sc := t.origin
+	sc := p.ob.sc
 	for sc.grp == nil {
-		sc = sc.tup.origin
+		sc = sc.origin
 	}
 	gs := sc.grp
 	g := gs.g
@@ -488,9 +488,9 @@ func (m *matcher) probe(p *pendingVal, pt *parsedText) {
 		}
 		if gs.bound = max(gs.bound, rank(g.sorted, v, false)); gs.bound == len(g.sorted) {
 			// With every member satisfied no further value can tell
-			// anything: the leaf latches like any matched tuple and stops
-			// buffering.
-			m.satisfy(t)
+			// anything: the leaf latches like any matched obligation and
+			// stops buffering.
+			m.satisfy(p.ob)
 		}
 	}
 	m.release(sc, &was)

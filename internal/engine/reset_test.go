@@ -67,7 +67,10 @@ func TestResetClearsWhatTheDocumentTouched(t *testing.T) {
 // scope parts, as the last document held open at once, and nothing else the
 // matcher holds still points at the scopes it let go. A document nesting 40
 // a elements, each a scope of //a[x]/b and of the group //a[v > I], is
-// followed by one holding one of each.
+// followed by one holding one of each. Then one a scope gates 1,000 b
+// matches, and a small document follows: the scopes Reset keeps have room
+// for no more commits than the last document's scopes held, append's
+// doubling aside.
 func TestResetTrimsFreeScopes(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "x", "//a[x]/b")
@@ -109,8 +112,29 @@ func TestResetTrimsFreeScopes(t *testing.T) {
 		}
 	}
 	for i, p := range m.pendings[:cap(m.pendings)] {
-		if p.tup != nil {
-			t.Fatalf("the pending scratch's spare slot %d still points at a tuple", i)
+		if p.ob.sc != nil {
+			t.Fatalf("the pending scratch's spare slot %d still points at a scope", i)
+		}
+	}
+
+	wide := "<a>" + strings.Repeat("<b/>", 1000) + "</a>"
+	if _, err := e.MatchBytes(nil, []byte(wide), CaptureOff); err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	for sc := m.freeScopes; sc != nil; sc = sc.prev {
+		most = max(most, cap(sc.commits))
+	}
+	if most < 1000 {
+		t.Fatalf("after 1,000 gated b matches the largest free scope has room for %d commits, want 1,000 or more", most)
+	}
+	if _, err := e.MatchBytes(nil, []byte("<a><v>2</v><b/></a>"), CaptureOff); err != nil {
+		t.Fatal(err)
+	}
+	e.Reset()
+	for sc := m.freeScopes; sc != nil; sc = sc.prev {
+		if c := cap(sc.commits); c > 2 {
+			t.Errorf("after a document gating one match per scope, a free scope kept room for %d commits", c)
 		}
 	}
 }

@@ -47,17 +47,17 @@ func TestScopesOnlyWherePredicated(t *testing.T) {
 		doc          string
 		scopes, live int
 	}{
-		// One b scope holding c's tuple: the two open a elements are two
-		// candidates of a free step, which open nothing, so b is offered
-		// once.
-		{"nested free ancestors", []string{"//a//b[c]"}, "<a><a><b><c/></b></a></a>", 1, 2},
+		// One b scope, its c obligation folded into it: the two open a
+		// elements are two candidates of a free step, which open nothing, so
+		// b is offered once.
+		{"nested free ancestors", []string{"//a//b[c]"}, "<a><a><b><c/></b></a></a>", 1, 1},
 		// One state, two b steps: the free one opens nothing, and the c[x]
 		// below it is offered once, below no scope; the c[x] below b[y] once
-		// per b[y] scope. At <c>: b[y] and the two c scopes, with an x tuple
-		// each.
-		{"free and predicated siblings", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><y/><c><x/></c></b></a>", 3, 5},
-		{"free sibling alone", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><c><x/></c></b></a>", 3, 6},
-		{"neither", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><c/><y/></b></a>", 3, 6},
+		// per b[y] scope. At <c>: b[y] and the two c scopes, each scope its
+		// one obligation.
+		{"free and predicated siblings", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><y/><c><x/></c></b></a>", 3, 3},
+		{"free sibling alone", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><c><x/></c></b></a>", 3, 3},
+		{"neither", []string{"/a/b/c[x]", "/a/b[y]/c[x]"}, "<a><b><c/><y/></b></a>", 3, 3},
 	} {
 		e := New()
 		for i, src := range c.subs {

@@ -50,7 +50,8 @@ type stretchSub struct {
 // readings of the engine that latched a run's nodes one by one, by
 // subscription set and capture mode: the event after which Decided first
 // holds (-1: not before the document's end), and the engine's MemStats and
-// Stats after the document.
+// Stats after the document — their live counts, and the bits priced off
+// them, less the tuples a scope of one obligation no longer holds.
 var stretchDocs = []struct {
 	xml  string
 	want [2][2]string
@@ -59,11 +60,11 @@ var stretchDocs = []struct {
 	// each element starts.
 	{xml: "<catalog><item><priority>5</priority><f1/><f2/><f3/></item></catalog>", want: [2][2]string{
 		{
-			"decided@-1 {Events:15 GroupProbes:1 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:7 DFATransitions:6 DFAMaterialized:6 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
-			"decided@-1 {Events:15 GroupProbes:1 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:7 DFATransitions:6 DFAMaterialized:6 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
+			"decided@-1 {Events:15 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:7 DFATransitions:6 DFAMaterialized:6 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
+			"decided@-1 {Events:15 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:7 DFATransitions:6 DFAMaterialized:6 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
 		}, {
-			"decided@13 {Events:15 GroupProbes:1 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:7 DFATransitions:6 DFAMaterialized:6 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
-			"decided@13 {Events:15 GroupProbes:1 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:7 DFATransitions:6 DFAMaterialized:6 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
+			"decided@13 {Events:15 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:7 DFATransitions:6 DFAMaterialized:6 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
+			"decided@13 {Events:15 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:7 DFATransitions:6 DFAMaterialized:6 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
 		},
 	}},
 	// Continuations before the value wait in the group scope as range
@@ -71,53 +72,53 @@ var stretchDocs = []struct {
 	// with a <g>.
 	{xml: "<catalog><item><f1/><f3/><priority>3</priority><f1><g/></f1></item></catalog>", want: [2][2]string{
 		{
-			"decided@-1 {Events:17 GroupProbes:1 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:17 TupleVisits:7 FrontierInserts:8 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
-			"decided@-1 {Events:17 GroupProbes:1 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:17 TupleVisits:7 FrontierInserts:8 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@-1 {Events:17 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:17 TupleVisits:7 FrontierInserts:8 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@-1 {Events:17 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:17 TupleVisits:7 FrontierInserts:8 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
 		}, {
-			"decided@15 {Events:17 GroupProbes:1 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:17 TupleVisits:7 FrontierInserts:8 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
-			"decided@15 {Events:17 GroupProbes:1 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:17 TupleVisits:7 FrontierInserts:8 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@15 {Events:17 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:17 TupleVisits:7 FrontierInserts:8 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@15 {Events:17 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:17 TupleVisits:7 FrontierInserts:8 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
 		},
 	}},
 	// A second <priority> after the continuations moves the boundary again:
 	// the range commits release a further stretch.
 	{xml: "<catalog><item><priority>1</priority><f1/><f2/><f3/><priority>7</priority></item><item><priority>0</priority><f1/></item></catalog>", want: [2][2]string{
 		{
-			"decided@-1 {Events:25 GroupProbes:3 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:25 TupleVisits:9 FrontierInserts:10 GroupProbes:3 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
-			"decided@-1 {Events:25 GroupProbes:3 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:25 TupleVisits:9 FrontierInserts:10 GroupProbes:3 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
+			"decided@-1 {Events:25 GroupProbes:3 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:25 TupleVisits:9 FrontierInserts:10 GroupProbes:3 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
+			"decided@-1 {Events:25 GroupProbes:3 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:25 TupleVisits:9 FrontierInserts:10 GroupProbes:3 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
 		}, {
-			"decided@23 {Events:25 GroupProbes:3 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:25 TupleVisits:9 FrontierInserts:10 GroupProbes:3 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
-			"decided@23 {Events:25 GroupProbes:3 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:58 LowerBoundBits:6 OptimalityRatio:9.666666666666666} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:25 TupleVisits:9 FrontierInserts:10 GroupProbes:3 SkimPieces:0 PeakTuples:2 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
+			"decided@23 {Events:25 GroupProbes:3 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:25 TupleVisits:9 FrontierInserts:10 GroupProbes:3 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
+			"decided@23 {Events:25 GroupProbes:3 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:3 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:25 TupleVisits:9 FrontierInserts:10 GroupProbes:3 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:3}",
 		},
 	}},
 	// Member 6 latches all it needs (f2 and f3 below one item of priority
 	// 7); the every-match leaf never stops.
 	{xml: "<catalog><item><priority>7</priority><f2/><f3/><f1><g/></f1></item><item><priority>9</priority><f1/><f2/></item></catalog>", want: [2][2]string{
 		{
-			"decided@-1 {Events:26 GroupProbes:2 PeakLiveTuples:4 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:49 LowerBoundBits:6 OptimalityRatio:8.166666666666666} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:26 TupleVisits:10 FrontierInserts:7 GroupProbes:2 SkimPieces:0 PeakTuples:1 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
-			"decided@-1 {Events:26 GroupProbes:2 PeakLiveTuples:4 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:49 LowerBoundBits:6 OptimalityRatio:8.166666666666666} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:26 TupleVisits:10 FrontierInserts:7 GroupProbes:2 SkimPieces:0 PeakTuples:1 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@-1 {Events:26 GroupProbes:2 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:26 TupleVisits:10 FrontierInserts:7 GroupProbes:2 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@-1 {Events:26 GroupProbes:2 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:26 TupleVisits:10 FrontierInserts:7 GroupProbes:2 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
 		}, {
-			"decided@11 {Events:26 GroupProbes:1 PeakLiveTuples:4 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:49 LowerBoundBits:6 OptimalityRatio:8.166666666666666} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:26 TupleVisits:7 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:1 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
-			"decided@13 {Events:26 GroupProbes:1 PeakLiveTuples:4 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:49 LowerBoundBits:6 OptimalityRatio:8.166666666666666} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:26 TupleVisits:7 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:1 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@11 {Events:26 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:26 TupleVisits:7 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@13 {Events:26 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:3 PeakScopes:3 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:40 LowerBoundBits:6 OptimalityRatio:6.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:8 DFATransitions:7 DFAMaterialized:7 Rebuilds:0 Events:26 TupleVisits:7 FrontierInserts:5 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:3 PeakBufferBytes:1 MaxLevel:4}",
 		},
 	}},
 	// The gate: undecided while the run delivers, decided by the <y>
 	// after; then decided before the run delivers.
 	{xml: "<x><catalog><item><priority>4</priority><f1/></item></catalog><y/></x>", want: [2][2]string{
 		{
-			"decided@-1 {Events:15 GroupProbes:2 PeakLiveTuples:8 PeakGroupBits:4 PeakScopes:5 PeakPendings:2 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:86 LowerBoundBits:6 OptimalityRatio:14.333333333333334} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:14 DFATransitions:13 DFAMaterialized:13 Rebuilds:0 Events:15 TupleVisits:8 FrontierInserts:9 GroupProbes:2 SkimPieces:0 PeakTuples:3 PeakScopes:5 PeakBufferBytes:1 MaxLevel:4}",
-			"decided@-1 {Events:15 GroupProbes:2 PeakLiveTuples:8 PeakGroupBits:4 PeakScopes:5 PeakPendings:2 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:86 LowerBoundBits:6 OptimalityRatio:14.333333333333334} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:14 DFATransitions:13 DFAMaterialized:13 Rebuilds:0 Events:15 TupleVisits:8 FrontierInserts:9 GroupProbes:2 SkimPieces:0 PeakTuples:3 PeakScopes:5 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@-1 {Events:15 GroupProbes:2 PeakLiveTuples:5 PeakGroupBits:4 PeakScopes:5 PeakPendings:2 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:59 LowerBoundBits:6 OptimalityRatio:9.833333333333334} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:14 DFATransitions:13 DFAMaterialized:13 Rebuilds:0 Events:15 TupleVisits:8 FrontierInserts:9 GroupProbes:2 SkimPieces:0 PeakTuples:0 PeakScopes:5 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@-1 {Events:15 GroupProbes:2 PeakLiveTuples:5 PeakGroupBits:4 PeakScopes:5 PeakPendings:2 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:59 LowerBoundBits:6 OptimalityRatio:9.833333333333334} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:14 DFATransitions:13 DFAMaterialized:13 Rebuilds:0 Events:15 TupleVisits:8 FrontierInserts:9 GroupProbes:2 SkimPieces:0 PeakTuples:0 PeakScopes:5 PeakBufferBytes:1 MaxLevel:4}",
 		}, {
-			"decided@11 {Events:15 GroupProbes:1 PeakLiveTuples:4 PeakGroupBits:1 PeakScopes:2 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:47 LowerBoundBits:6 OptimalityRatio:7.833333333333333} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:14 DFATransitions:13 DFAMaterialized:13 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:4 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:2 PeakBufferBytes:1 MaxLevel:4}",
-			"decided@11 {Events:15 GroupProbes:1 PeakLiveTuples:4 PeakGroupBits:1 PeakScopes:2 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:47 LowerBoundBits:6 OptimalityRatio:7.833333333333333} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:14 DFATransitions:13 DFAMaterialized:13 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:4 GroupProbes:1 SkimPieces:0 PeakTuples:2 PeakScopes:2 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@11 {Events:15 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:1 PeakScopes:2 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:38 LowerBoundBits:6 OptimalityRatio:6.333333333333333} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:14 DFATransitions:13 DFAMaterialized:13 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:4 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:2 PeakBufferBytes:1 MaxLevel:4}",
+			"decided@11 {Events:15 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:1 PeakScopes:2 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:4 CapturedBytes:0 EstimatedBits:38 LowerBoundBits:6 OptimalityRatio:6.333333333333333} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:14 DFATransitions:13 DFAMaterialized:13 Rebuilds:0 Events:15 TupleVisits:5 FrontierInserts:4 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:2 PeakBufferBytes:1 MaxLevel:4}",
 		},
 	}},
 	{xml: "<x><y/><item><priority>4</priority><f1/><f2/></item><catalog><item><priority>8</priority><f1><g/></f1><f2/><f3/></item></catalog></x>", want: [2][2]string{
 		{
-			"decided@-1 {Events:30 GroupProbes:2 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:4 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:5 CapturedBytes:0 EstimatedBits:64 LowerBoundBits:9 OptimalityRatio:7.111111111111111} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:21 DFATransitions:20 DFAMaterialized:20 Rebuilds:0 Events:30 TupleVisits:12 FrontierInserts:9 GroupProbes:2 SkimPieces:0 PeakTuples:1 PeakScopes:4 PeakBufferBytes:1 MaxLevel:5}",
-			"decided@-1 {Events:30 GroupProbes:2 PeakLiveTuples:5 PeakGroupBits:3 PeakScopes:4 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:5 CapturedBytes:0 EstimatedBits:64 LowerBoundBits:9 OptimalityRatio:7.111111111111111} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:21 DFATransitions:20 DFAMaterialized:20 Rebuilds:0 Events:30 TupleVisits:12 FrontierInserts:9 GroupProbes:2 SkimPieces:0 PeakTuples:1 PeakScopes:4 PeakBufferBytes:1 MaxLevel:5}",
+			"decided@-1 {Events:30 GroupProbes:2 PeakLiveTuples:4 PeakGroupBits:3 PeakScopes:4 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:5 CapturedBytes:0 EstimatedBits:54 LowerBoundBits:9 OptimalityRatio:6} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:21 DFATransitions:20 DFAMaterialized:20 Rebuilds:0 Events:30 TupleVisits:12 FrontierInserts:9 GroupProbes:2 SkimPieces:0 PeakTuples:0 PeakScopes:4 PeakBufferBytes:1 MaxLevel:5}",
+			"decided@-1 {Events:30 GroupProbes:2 PeakLiveTuples:4 PeakGroupBits:3 PeakScopes:4 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:5 CapturedBytes:0 EstimatedBits:54 LowerBoundBits:9 OptimalityRatio:6} {Subscriptions:13 NFARouted:0 TrieRouted:13 SpineSteps:40 SharedStates:21 PredNodes:4 PredGroups:2 LargestGroup:7 DFAStates:21 DFATransitions:20 DFAMaterialized:20 Rebuilds:0 Events:30 TupleVisits:12 FrontierInserts:9 GroupProbes:2 SkimPieces:0 PeakTuples:0 PeakScopes:4 PeakBufferBytes:1 MaxLevel:5}",
 		}, {
-			"decided@8 {Events:30 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:1 PeakScopes:2 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:5 CapturedBytes:0 EstimatedBits:42 LowerBoundBits:9 OptimalityRatio:4.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:14 DFATransitions:17 DFAMaterialized:17 Rebuilds:0 Events:30 TupleVisits:5 FrontierInserts:4 GroupProbes:1 SkimPieces:0 PeakTuples:1 PeakScopes:2 PeakBufferBytes:1 MaxLevel:5}",
-			"decided@8 {Events:30 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:1 PeakScopes:2 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:5 CapturedBytes:0 EstimatedBits:42 LowerBoundBits:9 OptimalityRatio:4.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:14 DFATransitions:17 DFAMaterialized:17 Rebuilds:0 Events:30 TupleVisits:5 FrontierInserts:4 GroupProbes:1 SkimPieces:0 PeakTuples:1 PeakScopes:2 PeakBufferBytes:1 MaxLevel:5}",
+			"decided@8 {Events:30 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:1 PeakScopes:2 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:5 CapturedBytes:0 EstimatedBits:42 LowerBoundBits:9 OptimalityRatio:4.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:14 DFATransitions:17 DFAMaterialized:17 Rebuilds:0 Events:30 TupleVisits:5 FrontierInserts:4 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:2 PeakBufferBytes:1 MaxLevel:5}",
+			"decided@8 {Events:30 GroupProbes:1 PeakLiveTuples:3 PeakGroupBits:1 PeakScopes:2 PeakPendings:1 PeakBufferedBytes:1 MaxDepth:5 CapturedBytes:0 EstimatedBits:42 LowerBoundBits:9 OptimalityRatio:4.666666666666667} {Subscriptions:12 NFARouted:0 TrieRouted:12 SpineSteps:37 SharedStates:19 PredNodes:4 PredGroups:2 LargestGroup:6 DFAStates:14 DFATransitions:17 DFAMaterialized:17 Rebuilds:0 Events:30 TupleVisits:5 FrontierInserts:4 GroupProbes:1 SkimPieces:0 PeakTuples:0 PeakScopes:2 PeakBufferBytes:1 MaxLevel:5}",
 		},
 	}},
 }

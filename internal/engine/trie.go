@@ -22,7 +22,7 @@ const (
 	// kindPred marks a node inside a predicate subtree. Predicate nodes
 	// follow the paper's Section 8 conjunction rule exactly as in
 	// internal/core: a candidate scope resolves to a real match iff every
-	// child tuple matched, and value-restricted leaves buffer candidate
+	// child obligation matched, and value-restricted leaves buffer candidate
 	// text for truth-set evaluation at endElement — or, compared by
 	// textual = or !=, stream it through a cursor (streq.go).
 	kindPred
@@ -92,7 +92,7 @@ type nodeExt struct {
 	// up is the stack of open scopes (matcher.open) that holds a predicate
 	// node's parent scopes: its spine node's, its group's or its parent
 	// predicate node's. pos is its index among its parent's conj, and its
-	// tuple's in a parent scope's children.
+	// tuple's in a parent scope's children where there are two or more.
 	up, pos int32
 
 	// mem is set (grp non-nil) on a spine node whose one predicate is a
@@ -545,28 +545,65 @@ func (t *trie) buildPred(v *query.Node, from, up int32, pos int) *tnode {
 	return n
 }
 
-// tuple is one obligation of a candidate scope: a predicate node awaiting a
-// candidate match within the scope (origin) that holds it among its
-// children, one level below the scope's for a child or attribute step — the
-// multi-query generalization of core.Tuple. It is in no index: the merged
-// NFA's states offer its node to the element, once per open scope of its
-// parent, and the scope's children give the tuple.
+// tuple is one obligation of a candidate scope with two or more: a
+// predicate node awaiting a candidate match within the scope that holds it
+// among its children, one level below the scope's for a child or attribute
+// step — the multi-query generalization of core.Tuple. A scope with one
+// obligation holds no tuple: the obligation is the scope itself (obl). It
+// is in no index: the merged NFA's states offer its node to the element,
+// once per open scope of its parent, and the scope gives the obligation.
 type tuple struct {
 	node    *tnode
-	origin  *scope
 	matched bool // latches like core.Tuple.Matched
-	// parked: the tuple's child-axis candidate scope is open, and no other
+	// parked: the tuple's child-axis candidate is open, and no other
 	// element can be its candidate until that closes (Fig. 20 lines 10-11).
 	parked bool
 }
 
-// tupleBlock is the unit a scope's children grow by. 8 tuples are 192
+// tupleBlock is the unit a scope's children grow by. 8 tuples are 128
 // bytes: whole 64-byte cache lines, and the allocator places an object of
 // that size on line boundaries. The matchers of a pool write their tuples
 // (matched, parked) from different cores; a smaller array could share a
 // line with another matcher's, and each write would wait for the other
 // core.
 const tupleBlock = 8
+
+// obl reaches one obligation of open scope sc, in either form: its tuple t
+// among sc's children, or — t nil — the lone obligation of a scope whose
+// node or group has one conjunctive child, which the scope holds folded
+// into itself: sc.unmet (1 or 0) is its matched bit, sc.parked its parked
+// one. It is a value; reaching an obligation allocates nothing.
+type obl struct {
+	sc *scope
+	t  *tuple
+}
+
+// matched reports whether o has matched.
+func (o obl) matched() bool {
+	if o.t != nil {
+		return o.t.matched
+	}
+	return o.sc.unmet == 0
+}
+
+// parked returns o's parked bit.
+func (o obl) parked() *bool {
+	if o.t != nil {
+		return &o.t.parked
+	}
+	return &o.sc.parked
+}
+
+// node returns the predicate node o awaits a candidate of.
+func (o obl) node() *tnode {
+	if o.t != nil {
+		return o.t.node
+	}
+	if gs := o.sc.grp; gs != nil {
+		return gs.g.conj[0]
+	}
+	return o.sc.node.x.conj[0]
+}
 
 // commit is one conditional match held by a gating scope: subscription
 // sub matches if the scope's predicates resolve true — in a group scope, if
@@ -599,12 +636,15 @@ type rangeCommit struct {
 // scope up the trie-ancestor chain, which is how a commit finds the
 // predicate scopes that gate it (an unrelated subscription's open predicate
 // scope must not). A scope is on its node's or group's stack of open scopes
-// (matcher.open), prev the one below it. children are the conjunctive
-// obligations, in the order of the node's conj, unmet of them not matched
-// yet: matching is monotone, so the scope's predicate is decided true the
-// moment unmet reaches zero (decide), and refuted if the scope closes first.
+// (matcher.open), prev the one below it. Its conjunctive obligations, in
+// the order of the node's conj, are unmet of them not matched yet: matching
+// is monotone, so the scope's predicate is decided true the moment unmet
+// reaches zero (decide), and refuted if the scope closes first. Two or more
+// are tuples, its children; one — every group scope's, and a node's with
+// one conjunctive child — is the scope itself, parked while its candidate
+// is open (obl), and it holds no children.
 // commits holds the subscriptions whose match is conditional on this
-// scope's predicates (only undecided spine scopes with children hold
+// scope's predicates (only undecided spine scopes with obligations hold
 // commits). cap, when non-nil, is the capture of the scope's own candidate
 // element, taken at open time for the node's terminals — they are decided
 // only later, after the element's start has streamed past. A closed scope
@@ -612,8 +652,9 @@ type rangeCommit struct {
 type scope struct {
 	node   *tnode
 	origin *scope
-	// tup is the predicate tuple this scope is a candidate for (nil on
-	// spine scopes).
+	// tup is, on a predicate scope, the tuple among origin's children this
+	// scope is a candidate for — nil when origin's obligation is folded
+	// (cand) — and nil on the others.
 	tup      *tuple
 	prev     *scope
 	children []tuple
@@ -623,7 +664,20 @@ type scope struct {
 	// group scope): a scope of a node holds none of it.
 	grp          *groupScope
 	level, unmet int32
+	parked       bool
 }
+
+// ob returns sc's obligation to the pos-th conjunctive child of its node or
+// group.
+func (sc *scope) ob(pos int32) obl {
+	if len(sc.children) == 0 {
+		return obl{sc: sc}
+	}
+	return obl{sc: sc, t: &sc.children[pos]}
+}
+
+// cand returns the obligation predicate scope sc is a candidate for.
+func (sc *scope) cand() obl { return obl{sc: sc.origin, t: sc.tup} }
 
 // groupScope is what a group scope holds beyond a scope: its group, the
 // conditional matches its runs hold in it (ranges), and what its values have
@@ -640,16 +694,16 @@ type groupScope struct {
 // streams the element's text through cur into the leaf's string index, or
 // buffers it from start on in the shared buffer, as core's pending does.
 type pendingVal struct {
-	tup   *tuple
+	ob    obl
 	level int
 	start int
 	cur   cursor
 }
 
 // cand is what a state the current element entered offers it below origin,
-// an open scope of the parent step: a predicate node (origin's tuple of it),
-// a spine node, a predicate group for all its members, or a run for all its
-// nodes.
+// an open scope of the parent step: a predicate node (origin's obligation
+// to it), a spine node, a predicate group for all its members, or a run for
+// all its nodes.
 type cand struct {
 	node   *tnode
 	grp    *predGroup
@@ -674,8 +728,8 @@ type matchStats struct {
 }
 
 // matcher is the streaming run state over a trie: a stack of candidate
-// scopes, holding their tuples, with a stack per node and group of its open
-// ones, and pending text buffers; what it decides latches in the engine's
+// scopes, holding their obligations, with a stack per node and group of its
+// open ones, and pending text buffers; what it decides latches in the engine's
 // record (hits). One matcher evaluates every gated subscription in a
 // single document pass, reading the item sets its engine's NFA runner
 // enters. Scopes are recycled through a free list, trimmed at each reset to
@@ -686,8 +740,9 @@ type matcher struct {
 	run *automaton.SharedRunner
 
 	// tuples counts the live tuples of the open scopes: unmatched, and not
-	// parked.
-	tuples int
+	// parked; lone counts the live obligations scopes hold folded (obl),
+	// which are no record of their own.
+	tuples, lone int
 
 	// scopes are the open candidate scopes, ordered by level; open[sid] tops
 	// the stack (scope.prev) of the open scopes of the node or group with
@@ -734,9 +789,11 @@ type matcher struct {
 	cands []cand  // scratch, likewise
 	attrs []int   // scratch, likewise
 	// freeScopes and freeGroups are the closed scopes and group parts kept
-	// for reuse, linked through scope.prev and groupScope.next.
+	// for reuse, linked through scope.prev and groupScope.next. commitPeak
+	// is the most commits one scope of the document has held.
 	freeScopes *scope
 	freeGroups *groupScope
+	commitPeak int
 	stats      matchStats
 }
 
@@ -750,10 +807,12 @@ func newMatcher(t *trie, run *automaton.SharedRunner, h *hits) *matcher {
 // the last document touched — the latch counts it raised, the scopes it left
 // open — not what the index holds: the latch vector is never cleared whole,
 // only extended to the ids the trie has handed out since. The free scopes
-// are trimmed to the most the last document held open at once, so an
-// engine holds its documents' working state, not the largest it ever met.
+// are trimmed to the most the last document held open at once, and the
+// commits they have room for to twice the most one of its scopes held —
+// the slack of append's doubling — so an engine holds its documents'
+// working state, not the largest it ever met.
 func (m *matcher) reset() {
-	m.tuples = 0
+	m.tuples, m.lone = 0, 0
 	for _, id := range m.touched {
 		m.latched[id] = 0
 	}
@@ -771,6 +830,9 @@ func (m *matcher) reset() {
 	keep := m.stats.PeakScopes
 	sc := &m.freeScopes
 	for k := 0; k < keep && *sc != nil; k++ {
+		if cap((*sc).commits) > 2*m.commitPeak {
+			(*sc).commits = nil
+		}
 		sc = &(*sc).prev
 	}
 	*sc = nil
@@ -789,7 +851,7 @@ func (m *matcher) reset() {
 	m.buf = m.buf[:0]
 	m.refCount, m.cursors = 0, 0
 	m.groupBits = 0
-	m.capCommits = 0
+	m.capCommits, m.commitPeak = 0, 0
 	m.stats = matchStats{}
 }
 
@@ -835,7 +897,7 @@ func (m *matcher) entered(items []int) {
 // collectPreds gathers the predicate nodes the entered states hold, once per
 // open scope that parents a candidate: every open scope of the parent node
 // (or group) below a descendant step, the parent element's below any other.
-// A scope whose tuple of the node has matched is skipped uncounted.
+// A scope whose obligation to the node has matched is skipped uncounted.
 func (m *matcher) collectPreds(elemLevel int) {
 	m.cands = m.cands[:0]
 	for _, h := range m.held {
@@ -882,7 +944,7 @@ func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
 	}
 	from := len(m.cands)
 	for sc := m.open[parent]; sc != nil && (desc || int(sc.level) == elemLevel-1); sc = sc.prev {
-		if n := c.node; n != nil && n.kind == kindPred && sc.children[n.x.pos].matched {
+		if n := c.node; n != nil && n.kind == kindPred && sc.ob(n.x.pos).matched() {
 			continue
 		}
 		m.stats.TupleVisits++
@@ -908,12 +970,12 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool, elemLevel int) {
 		items = m.attrs
 	}
 	m.entered(items)
-	if m.tuples > 0 {
-		// (Zero: every tuple has matched or is parked below its own open
-		// scope, so no predicate node has a candidate.)
+	if m.tuples+m.lone > 0 {
+		// (Zero: every obligation has matched or is parked below its own
+		// open candidate, so no predicate node has a candidate.)
 		m.collectPreds(elemLevel)
 		for _, c := range m.cands {
-			m.startPred(c.node, &c.origin.children[c.node.x.pos], c.origin, elemLevel)
+			m.startPred(c.node, c.origin.ob(c.node.x.pos), elemLevel)
 		}
 	}
 	m.collectSpine(elemLevel)
@@ -945,25 +1007,25 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool, elemLevel int) {
 	m.notePeak()
 }
 
-// startPred offers the current element to predicate node n's tuple t in
-// open scope origin. An earlier candidate of the element may have matched
-// the tuple already, which leaves nothing to do. A child-axis tuple parks
+// startPred offers the current element to obligation o, predicate node n's
+// in an open scope. An earlier candidate of the element may have matched
+// o already, which leaves nothing to do. A child-axis obligation parks
 // behind its candidate — an internal node's scope or a restricted leaf's
 // pending — while that is open: no sibling can be a candidate meanwhile
 // (Fig. 20 lines 10-11). (An existence leaf's parks and matches at once.)
-func (m *matcher) startPred(n *tnode, t *tuple, origin *scope, level int) {
-	if t.matched {
+func (m *matcher) startPred(n *tnode, o obl, level int) {
+	if o.matched() {
 		return
 	}
 	if n.axis == query.AxisChild {
-		t.parked = true
-		m.tuples--
+		*o.parked() = true
+		m.retire(o)
 	}
 	switch x := n.x; {
 	case len(x.conj) > 0:
-		m.openScope(n, t, origin, level)
+		m.openScope(n, o.t, o.sc, level)
 	case x.restricted:
-		p := pendingVal{tup: t, level: level, start: len(m.buf)}
+		p := pendingVal{ob: o, level: level, start: len(m.buf)}
 		if ix := x.strs; ix != nil {
 			p.cur = cursor{ix: ix, hi: len(ix.bks)}
 			m.cursors++
@@ -976,7 +1038,7 @@ func (m *matcher) startPred(n *tnode, t *tuple, origin *scope, level int) {
 			m.stats.PeakPendings = len(m.pendings)
 		}
 	default:
-		m.satisfy(t)
+		m.satisfy(o)
 	}
 }
 
@@ -1032,8 +1094,9 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 	sc.grp.ranges = append(sc.grp.ranges, rc)
 }
 
-// openScope opens a candidate scope for node n — of predicate tuple tup, or
-// of a spine step — holding a tuple for each of n's conjunctive children. The
+// openScope opens a candidate scope for node n — of a predicate obligation,
+// tuple tup among origin's children or origin's folded one, or of a spine
+// step — holding an obligation for each of n's conjunctive children. The
 // scope goes on n's stack of open ones, where the candidates of its children
 // and continuations find it.
 func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
@@ -1056,8 +1119,9 @@ func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
 }
 
 // pushScope takes a scope off the free list (or allocates one) and opens it
-// below origin at level, with a live tuple for each of the conjunctive
-// children conj.
+// below origin at level, with a live obligation for each of the conjunctive
+// children conj: a tuple each when there are two or more, and folded into
+// the scope when there is one.
 func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 	sc := m.freeScopes
 	if sc != nil {
@@ -1066,13 +1130,17 @@ func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 		sc = &scope{}
 	}
 	sc.origin, sc.level, sc.unmet = origin, int32(level), int32(len(conj))
-	if n := len(conj); cap(sc.children) < n {
-		sc.children = make([]tuple, 0, (n+tupleBlock-1)/tupleBlock*tupleBlock)
+	if n := len(conj); n == 1 {
+		m.lone++
+	} else if n > 1 {
+		if cap(sc.children) < n {
+			sc.children = make([]tuple, 0, (n+tupleBlock-1)/tupleBlock*tupleBlock)
+		}
+		for _, c := range conj {
+			sc.children = append(sc.children, tuple{node: c})
+		}
+		m.addTuples(n)
 	}
-	for _, c := range conj {
-		sc.children = append(sc.children, tuple{node: c, origin: sc})
-	}
-	m.addTuples(len(conj))
 	m.stats.FrontierInserts += len(conj) + 1
 	m.scopes = append(m.scopes, sc)
 	if len(m.scopes) > m.stats.PeakScopes {
@@ -1106,12 +1174,12 @@ func (m *matcher) advanceCursors(data []byte) {
 		if !p.cur.live() {
 			continue
 		}
-		if p.tup.matched {
+		if p.ob.matched() {
 			p.cur.hi = p.cur.lo // decided already: stop reading
 		} else if p.cur.advance(data) {
 			continue
-		} else if p.tup.node.x.ne {
-			m.satisfy(p.tup)
+		} else if p.ob.node().x.ne {
+			m.satisfy(p.ob)
 		}
 		m.cursors--
 	}
@@ -1157,23 +1225,23 @@ func (m *matcher) endElement(closing int) {
 		// Resolving a candidate opens none: p stays put.
 		p := &m.pendings[k-1]
 		m.pendings = m.pendings[:k-1]
-		if t := p.tup; !t.matched {
+		if o := p.ob; !o.matched() {
 			// Every pending of this level read the closing element's text.
-			switch x := t.node.x; {
+			switch x := o.node().x; {
 			case x.set == nil:
 				m.probe(p, &parsed)
 			case p.cur.ix != nil:
 				if (p.cur.exact() != nil) != x.ne {
-					m.satisfy(t)
+					m.satisfy(o)
 				}
 			case x.set.Contains(m.text(p)):
-				m.satisfy(t)
+				m.satisfy(o)
 			}
 		}
 		if p.cur.ix == nil {
 			m.dropPending(p)
 		}
-		m.unpark(p.tup)
+		m.unpark(p.ob)
 	}
 	for len(m.scopes) > 0 {
 		sc := m.scopes[len(m.scopes)-1]
@@ -1185,34 +1253,36 @@ func (m *matcher) endElement(closing int) {
 	}
 }
 
-// satisfy latches predicate tuple t: an element matched it. Conjunctive
-// matching is monotone (Section 8.1), so when t is the last of its scope's
-// children to match, the scope's predicate is decided there and then
-// (decide) rather than when the scope closes. A group scope's members are
-// decided by its values instead (release).
-func (m *matcher) satisfy(t *tuple) {
-	if t.matched {
+// satisfy latches predicate obligation o: an element matched it.
+// Conjunctive matching is monotone (Section 8.1), so when o is the last of
+// its scope's obligations to match, the scope's predicate is decided there
+// and then (decide) rather than when the scope closes. A group scope's
+// members are decided by its values instead (release).
+func (m *matcher) satisfy(o obl) {
+	if o.matched() {
 		return
 	}
-	t.matched = true
-	if !t.parked {
-		m.tuples--
+	if o.t != nil {
+		o.t.matched = true
 	}
-	sc := t.origin
+	if !*o.parked() {
+		m.retire(o)
+	}
+	sc := o.sc
 	if sc.unmet--; sc.unmet == 0 && sc.grp == nil {
 		m.decide(sc)
 	}
 }
 
 // decide acts on a scope whose predicate has just been decided true. A
-// predicate scope's candidate element matches its tuple. A spine scope
+// predicate scope's candidate element matches its obligation. A spine scope
 // routes what it holds through gate at once — its commits, and its node's
 // own terminals with the element's capture — and from then on gates
 // nothing: later matches below it pass straight up.
 func (m *matcher) decide(sc *scope) {
 	n := sc.node
 	if n.kind == kindPred {
-		m.satisfy(sc.tup)
+		m.satisfy(sc.cand())
 		return
 	}
 	up, mem := m.gate(sc.origin, n.parent)
@@ -1226,15 +1296,18 @@ func (m *matcher) decide(sc *scope) {
 	sc.cap = nil
 }
 
-// closeScope retires a candidate scope, its child tuples and whatever it
+// closeScope retires a candidate scope, its obligations and whatever it
 // still holds. A decided scope has routed everything already; an undecided
 // one is refuted, and its conditional matches die with their capture holds —
 // as do those of a group scope's members its values never satisfied. The
 // scope leaves the top of its stack, and a parked child-axis owner is live
 // again for sibling candidates (unpark). The scope returns to the free list
-// (its tuples' candidates closed at deeper levels already, so none of its
-// unmatched tuples is parked).
+// (its obligations' candidates closed at deeper levels already, so none of
+// its unmatched obligations is parked).
 func (m *matcher) closeScope(sc *scope) {
+	if len(sc.children) == 0 {
+		m.lone -= int(sc.unmet) // a lone obligation, or none
+	}
 	for i := range sc.children {
 		if !sc.children[i].matched {
 			m.tuples--
@@ -1257,23 +1330,37 @@ func (m *matcher) closeScope(sc *scope) {
 		m.freeGroups = gs
 	} else {
 		m.open[sc.node.sid] = sc.prev
-		if sc.tup != nil {
-			m.unpark(sc.tup)
+		if sc.node.kind == kindPred {
+			m.unpark(sc.cand())
 		}
 	}
 	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], prev: m.freeScopes}
 	m.freeScopes = sc
 }
 
-// unpark makes tuple t, whose candidate has just closed, live again for
-// its siblings (Fig. 21 lines 23-27) unless it has matched: the flag
+// unpark makes obligation o, whose candidate has just closed, live again
+// for its siblings (Fig. 21 lines 23-27) unless it has matched: the flag
 // latches, so it can never accept another.
-func (m *matcher) unpark(t *tuple) {
-	if t.parked {
-		t.parked = false
-		if !t.matched {
+func (m *matcher) unpark(o obl) {
+	if p := o.parked(); *p {
+		*p = false
+		switch {
+		case o.matched():
+		case o.t != nil:
 			m.addTuples(1)
+		default:
+			m.lone++
 		}
+	}
+}
+
+// retire stops counting obligation o live: it matched, or a child-axis
+// candidate of it opened.
+func (m *matcher) retire(o obl) {
+	if o.t != nil {
+		m.tuples--
+	} else {
+		m.lone--
 	}
 }
 
@@ -1343,6 +1430,7 @@ func (m *matcher) routeEntry(sub int, cap *capture, s *scope, mem *tnode) {
 		m.capCommits++
 	}
 	s.commits = append(s.commits, commit{sub: sub, cap: cap, mem: mem})
+	m.commitPeak = max(m.commitPeak, len(s.commits))
 }
 
 // latch finalizes a subscription's match in the engine's record (hits.latch,
@@ -1437,24 +1525,25 @@ func (m *matcher) addTuples(n int) {
 	}
 }
 
-// live returns the matcher's live-state count: live tuples, open candidate
-// scopes, and pending leaf candidates, buffering or streamed. This is what
-// the MaxLiveTuples budget measures (plus the NFA runner's depth term, added
-// by the engine).
+// live returns the matcher's live-state count, the records it holds: live
+// tuples, open candidate scopes, and pending leaf candidates, buffering or
+// streamed. A scope's folded obligation is the scope, and counts once. This
+// is what the MaxLiveTuples budget measures (plus the NFA runner's depth
+// term, added by the engine).
 func (m *matcher) live() int {
 	return m.tuples + len(m.scopes) + len(m.pendings)
 }
 
 // notePeak records the live-state count after a start event, the only
-// events at which it grows: an end event closes candidates, and a tuple it
-// unparks takes the place of the candidate it parked behind.
+// events at which it grows: an end event closes candidates, and an
+// obligation it unparks takes the place of the candidate it parked behind.
 func (m *matcher) notePeak() {
 	m.stats.PeakLive = max(m.stats.PeakLive, m.live())
 }
 
-// evictDead sweeps out the pending leaf candidates whose tuple already
-// matched: they stop buffering or streaming. A matched tuple stops counting
-// the moment it matches; a dead pending is only noticed at its element's
+// evictDead sweeps out the pending leaf candidates whose obligation already
+// matched: they stop buffering or streaming. A matched obligation stops
+// counting the moment it matches; a dead pending is only noticed at its element's
 // end, so this sweep backs the live-tuple budget check, which must not
 // declare a breach on account of state that is already dead.
 func (m *matcher) evictDead() {
@@ -1464,7 +1553,7 @@ func (m *matcher) evictDead() {
 	// pendings' start offsets index into the shared buffer.
 	out := m.pendings[:0]
 	for i := range m.pendings {
-		if p := &m.pendings[i]; p.tup.matched {
+		if p := &m.pendings[i]; p.ob.matched() {
 			m.dropPending(p)
 			continue
 		}

@@ -72,10 +72,12 @@ type Limits struct {
 	// tuples — a subscription's location-step continuations are offered by
 	// the shared automaton's states, not held, a step with no predicate on
 	// its path from the root opens no scope, and no scope stands for the
-	// document root, so a set with no predicate is charged the depth alone
-	// — and dead-but-unremoved tuples are evicted before a breach is
-	// declared, so the budget measures state that could still influence a
-	// verdict.
+	// document root, so a set with no predicate is charged the depth alone;
+	// a scope with one obligation (a predicate group's, a step's or a
+	// predicate node's with one conjunct) holds it as part of itself and is
+	// charged once — and dead-but-unremoved tuples are evicted before a
+	// breach is declared, so the budget measures state that could still
+	// influence a verdict.
 	MaxLiveTuples int
 	// MaxDocBytes bounds the total document size: bytes consumed from a
 	// reader, or the slice length on the in-memory paths.

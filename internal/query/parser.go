@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"strconv"
 
 	"streamxpath/internal/value"
 )
@@ -333,8 +332,9 @@ func (p *parser) parsePrimary(owner *Node) (*Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
+		// A literal past float64's range is ±Infinity, as in a document.
+		f, ok := value.ParseNumber(t.text)
+		if !ok {
 			return nil, p.errf("bad number %q", t.text)
 		}
 		return &Expr{Kind: ExprConst, Const: value.Number(f)}, nil

@@ -350,6 +350,10 @@ func (e *Expr) prec() int {
 	return precPrimary
 }
 
+// infLiteral is how +Infinity renders: the least power of ten past
+// float64's range, which the parser reads back as +Infinity.
+var infLiteral = "1" + strings.Repeat("0", 309)
+
 // writeAt renders e where the grammar expects an operand binding at least
 // as tightly as min, parenthesized if it binds more loosely.
 func (e *Expr) writeAt(b *bytes.Buffer, min int) {
@@ -374,6 +378,9 @@ func (e *Expr) write(b *bytes.Buffer) {
 		case e.Const.IsNumber() && !math.IsNaN(f) && !math.IsInf(f, 0):
 			// Digits only: the lexer reads no exponent.
 			b.Write(strconv.AppendFloat(b.AvailableBuffer(), f, 'f', -1, 64))
+		case e.Const.IsNumber() && math.IsInf(f, 1):
+			// A literal past float64's range: one that parses back to it.
+			b.WriteString(infLiteral)
 		default:
 			b.WriteString(e.Const.String())
 		}

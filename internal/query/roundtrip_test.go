@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"streamxpath/internal/query"
@@ -99,6 +100,8 @@ var roundTripSeeds = []string{
 	"/a[contains((b = c), 'x')][d]",
 	"/a[(not(b)) = c]",
 	"/a[b idiv 2 mod 3 = c div (d div 2)]",
+	"/a[b > 1" + strings.Repeat("0", 400) + "]",
+	"/a[-1" + strings.Repeat("0", 320) + " < b]",
 }
 
 func TestQueryRoundTrip(t *testing.T) {

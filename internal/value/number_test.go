@@ -1,6 +1,7 @@
 package value
 
 import (
+	"errors"
 	"math"
 	"strconv"
 	"strings"
@@ -9,14 +10,15 @@ import (
 
 // refParseNumber is ParseNumber read without its integer path: XML white
 // space trimmed, the XPath grammar checked, and the rest left to
-// strconv.ParseFloat.
+// strconv.ParseFloat, whose ±Inf for a numeral past float64's range is the
+// value (XPath 1.0 §4.4 rounds to the nearest IEEE 754 number).
 func refParseNumber(s string) (float64, bool) {
 	t := strings.Trim(s, " \t\r\n")
 	if t == "" || !isNumberBody(strings.TrimPrefix(t, "-")) {
 		return math.NaN(), false
 	}
 	f, err := strconv.ParseFloat(t, 64)
-	if err != nil {
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
 		return math.NaN(), false
 	}
 	return f, true
@@ -92,11 +94,32 @@ func TestParseNumberEdges(t *testing.T) {
 	}
 }
 
+// TestParseNumberOutOfRange: a numeral past float64's range is ±Infinity,
+// not NaN, and one below its least subnormal is a zero of its sign.
+func TestParseNumberOutOfRange(t *testing.T) {
+	big := "1" + strings.Repeat("0", 400)
+	tiny := "0." + strings.Repeat("0", 400) + "1"
+	for _, c := range []struct {
+		s    string
+		want float64
+	}{
+		{big, math.Inf(1)}, {"-" + big, math.Inf(-1)}, {" " + big + ".5\n", math.Inf(1)},
+		{tiny, 0}, {"-" + tiny, math.Copysign(0, -1)},
+	} {
+		if !sameNumber(c.s, c.want, true) {
+			got, ok := ParseNumber(c.s)
+			t.Errorf("ParseNumber(%.12q…) = %v (bits %x), %v; want %v (bits %x), true",
+				c.s, got, math.Float64bits(got), ok, c.want, math.Float64bits(c.want))
+		}
+	}
+}
+
 // FuzzParseNumber holds ParseNumber to refParseNumber on any string.
 //
 // Run with: go test -fuzz FuzzParseNumber ./internal/value
 func FuzzParseNumber(f *testing.F) {
-	for _, s := range []string{"0", "-0", "42", " 7 ", "-999999999999999", "1234567890123456", "3.25", ".5", "1e3", "\u00a05", "\v5"} {
+	for _, s := range []string{"0", "-0", "42", " 7 ", "-999999999999999", "1234567890123456", "3.25", ".5", "1e3", "\u00a05", "\v5",
+		"1" + strings.Repeat("0", 400), "-1" + strings.Repeat("0", 400), "0." + strings.Repeat("0", 400) + "1"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

@@ -22,6 +22,7 @@
 package value
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -122,9 +123,10 @@ func (v Value) Equal(w Value) bool {
 // ParseNumber parses s as an XPath 1.0 number: optional leading/trailing
 // XML white space (bytestr.IsSpace), optional '-', then Digits ('.'
 // Digits?)? | '.' Digits. It reports ok=false (value NaN) if s is not a
-// number. An integer of at most 15 digits — exact in a float64, and what
-// numeric predicates mostly compare — is read digit by digit; everything
-// else goes to strconv.ParseFloat.
+// number. A numeral beyond float64's range is ±Infinity, the nearest IEEE
+// 754 value (XPath 1.0 §4.4), not NaN. An integer of at most 15 digits —
+// exact in a float64, and what numeric predicates mostly compare — is read
+// digit by digit; everything else goes to strconv.ParseFloat.
 func ParseNumber(s string) (f float64, ok bool) {
 	t := trimSpace(s)
 	if t == "" {
@@ -144,10 +146,10 @@ func ParseNumber(s string) (f float64, ok bool) {
 		return math.NaN(), false
 	}
 	f, err := strconv.ParseFloat(t, 64)
-	if err != nil {
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
 		return math.NaN(), false
 	}
-	return f, true
+	return f, true // out of range, f is ParseFloat's ±Inf
 }
 
 // parseInt reads s when it is 1 to 15 decimal digits, every such integer

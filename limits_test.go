@@ -8,6 +8,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"streamxpath/internal/query"
+	"streamxpath/internal/semantics"
+	"streamxpath/internal/tree"
 )
 
 // deepDoc builds <a> nested to the given depth around a single text
@@ -618,4 +622,81 @@ func FuzzMatchLimitsNoPanic(f *testing.F) {
 			_ = ids
 		}
 	})
+}
+
+// TestLiveBudgetServeShaped pins the smallest MaxLiveTuples budget the
+// serve workload's standing set passes on a feed of its shape: 7, an
+// item's three scopes — its two predicate groups' and //item[keyword]'s —
+// with the open levels and the priority's pending. Each scope's one
+// obligation is the scope itself; while each was a tuple of its own the
+// smallest budget was 9. One
+// below it breaches, and under LimitAbstain every budget up to it leaves
+// verdicts among the tree evaluator's: the ones decided before the breach,
+// all of them from the smallest budget on.
+func TestLiveBudgetServeShaped(t *testing.T) {
+	s := NewFilterSet()
+	var srcs []string
+	for cycle, flag := range []string{"go", "xml", "streams", "theory"} {
+		srcs = append(srcs, "/news/item", "/news/item/title", "/news//p",
+			fmt.Sprintf("/news/item[priority > %d]", 2+2*cycle), fmt.Sprintf("/news/item[keyword = %q]", flag),
+			"/news/*/keyword", "/feed/entry", "//item[keyword]/body")
+	}
+	for i, src := range srcs {
+		add := s.Add
+		if i < 16 {
+			add = s.AddExtract
+		}
+		if err := add(fmt.Sprint("s", i), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keywords := []string{"databases", "systems", "go", "databases", "xml", "systems", "streams", "theory"}
+	var b strings.Builder
+	b.WriteString("<news>")
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&b, "<item><title>story %d</title><keyword>%s</keyword><priority>%d</priority><body><p>%s</p></body></item>",
+			i, keywords[i%len(keywords)], i*7%10, strings.Repeat("lorem ipsum ", 1+i%5))
+	}
+	b.WriteString("</news>")
+	doc := []byte(b.String())
+	root := tree.MustParse(b.String())
+	truth, matches := map[string]bool{}, 0
+	for i, src := range srcs {
+		if semantics.BoolEval(query.MustParse(src), root) {
+			truth[fmt.Sprint("s", i)] = true
+			matches++
+		}
+	}
+
+	least := 0
+	for budget := 1; least == 0; budget++ {
+		s.SetLimits(Limits{MaxLiveTuples: budget})
+		_, err := s.MatchBytes(doc)
+		if err == nil {
+			least = budget
+			continue
+		}
+		wantLimitError(t, err, "live-tuples")
+		if budget == 32 {
+			t.Fatalf("budget %d still breached", budget)
+		}
+	}
+	if least != 7 {
+		t.Fatalf("the smallest budget passed is %d, want 7", least)
+	}
+	for budget := 1; budget <= least; budget++ {
+		s.SetLimits(Limits{MaxLiveTuples: budget, Policy: LimitAbstain})
+		res, err := s.MatchBytesResult(doc)
+		if err != nil || res.Abstained != (budget < least) {
+			t.Fatalf("budget %d: abstained %v (%v), want %v", budget, res.Abstained, err, budget < least)
+		}
+		for _, id := range res.MatchedIDs {
+			if !truth[id] {
+				t.Fatalf("budget %d: %s matched, the tree evaluator says it does not", budget, id)
+			}
+		}
+		if n := len(res.MatchedIDs); budget == least && n != matches {
+			t.Fatalf("budget %d: %d matched, want the tree evaluator's %d", budget, n, matches)
+		}
+	}
 }

@@ -70,7 +70,7 @@ func TestResetClearsWhatTheDocumentTouched(t *testing.T) {
 // followed by one holding one of each. Then one a scope gates 1,000 b
 // matches, and a small document follows: the scopes Reset keeps have room
 // for no more commits than the last document's scopes held, append's
-// doubling aside.
+// doubling aside, or than keptCommits.
 func TestResetTrimsFreeScopes(t *testing.T) {
 	e := New()
 	mustAdd(t, e, "x", "//a[x]/b")
@@ -133,7 +133,7 @@ func TestResetTrimsFreeScopes(t *testing.T) {
 	}
 	e.Reset()
 	for sc := m.freeScopes; sc != nil; sc = sc.prev {
-		if c := cap(sc.commits); c > 2 {
+		if c := cap(sc.commits); c > keptCommits {
 			t.Errorf("after a document gating one match per scope, a free scope kept room for %d commits", c)
 		}
 	}

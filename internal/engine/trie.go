@@ -568,6 +568,12 @@ type tuple struct {
 // core.
 const tupleBlock = 8
 
+// keptCommits is the room for commits that Reset leaves every free scope it
+// keeps, whatever the last document used: 16 commits are 384 bytes, and a
+// stream whose documents gate up to that many matches on one scope, or
+// none, reuses its scopes' room rather than growing it again per document.
+const keptCommits = 16
+
 // obl reaches one obligation of open scope sc, in either form: its tuple t
 // among sc's children, or — t nil — the lone obligation of a scope whose
 // node or group has one conjunctive child, which the scope holds folded
@@ -809,8 +815,8 @@ func newMatcher(t *trie, run *automaton.SharedRunner, h *hits) *matcher {
 // only extended to the ids the trie has handed out since. The free scopes
 // are trimmed to the most the last document held open at once, and the
 // commits they have room for to twice the most one of its scopes held —
-// the slack of append's doubling — so an engine holds its documents'
-// working state, not the largest it ever met.
+// the slack of append's doubling — or keptCommits, if more, so an engine
+// holds its documents' working state, not the largest it ever met.
 func (m *matcher) reset() {
 	m.tuples, m.lone = 0, 0
 	for _, id := range m.touched {
@@ -830,7 +836,7 @@ func (m *matcher) reset() {
 	keep := m.stats.PeakScopes
 	sc := &m.freeScopes
 	for k := 0; k < keep && *sc != nil; k++ {
-		if cap((*sc).commits) > 2*m.commitPeak {
+		if cap((*sc).commits) > max(2*m.commitPeak, keptCommits) {
 			(*sc).commits = nil
 		}
 		sc = &(*sc).prev

@@ -240,7 +240,9 @@ func linearize(e *Expr) (linear, bool) {
 			return linear{}, false
 		}
 		c := value.ToNumber(cv)
-		if math.IsNaN(c) {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			// Infinity times 0, or less Infinity, is NaN, which no
+			// threshold on x stands for.
 			return linear{}, false
 		}
 		switch value.ArithOp(e.Op) {
@@ -346,14 +348,15 @@ func recognize(p *Expr) (Set, bool) {
 		if math.IsNaN(c) {
 			return EmptySet, true
 		}
-		if l.coef == 0 {
-			// Degenerate: value is constant but still requires x numeric.
-			if value.Compare(op, value.Number(l.off), value.Number(c)) {
-				return NumAnySet(), true
-			}
-			return EmptySet, true
-		}
 		thr := (c - l.off) / l.coef
+		if l.coef == 0 || !finite(l.coef) || !finite(l.off) || !finite(thr) {
+			// A threshold on x stands for the comparison only where
+			// coef*x + off is a number for every numeric x: not with a
+			// zero coef (0 times an infinite x is NaN), an infinite coef
+			// or off (times 0, or less Infinity, is NaN), or an infinite
+			// threshold. The exact evaluation (GenericSet) decides those.
+			return nil, false
+		}
 		if l.coef < 0 {
 			op = op.Flip()
 		}
@@ -381,6 +384,9 @@ func recognize(p *Expr) (Set, bool) {
 	}
 	return nil, false
 }
+
+// finite reports whether f is neither NaN nor ±Infinity.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // collectConstants gathers string renderings of every constant in the
 // expression, with numeric neighbors, as a candidate pool for GenericSet.

@@ -31,10 +31,9 @@ import (
 //
 // Nothing allocates per skim once a tokenizer is warm: the job and its pieces
 // are the tokenizer's and reused, helpers are long-lived goroutines fed job
-// pointers over a channel, which they block on only after a pause longer
-// than they look for the next skim (nextTask), and a claim word stamped
-// with the skim's generation lets a helper that arrives after its skim
-// ended leave without reading a byte. The cursor does not return before every piece a helper
+// pointers over a channel, and a claim word stamped with the skim's
+// generation lets a helper that arrives after its skim ended leave without
+// reading a byte. The cursor does not return before every piece a helper
 // claimed is finished, so no helper reads the document after Skim returns.
 
 // skimPieceBytes is the nominal size of a piece: large enough that a
@@ -61,13 +60,6 @@ const maxHelpers = 64
 // lingering helper yields between looks, so it takes no time a runnable
 // goroutine wants.
 const helperLinger = 200 * time.Microsecond
-
-// helperNap and helperDoze are the first sleep, and the sleeps in all, of a
-// helper that lingered past helperLinger without finding a skim (nextTask).
-const (
-	helperNap  = 50 * time.Microsecond
-	helperDoze = 10 * time.Millisecond
-)
 
 // Piece states: open (unclaimed, or claimed and being validated), done (a
 // helper's result is ready) and taken (the cursor validates it itself).
@@ -395,39 +387,19 @@ func (j *skimJob) post(helpers int) {
 }
 
 // skimHelper is a helper goroutine: it lives for the process and takes
-// pieces of whatever skim it is offered, looking for the next one for a
-// while after each (nextTask) before it blocks on the channel again.
+// pieces of whatever skim it is offered, lingering after each (see
+// helperLinger).
 func skimHelper() {
 	for task := range skimTasks {
-		for ok := true; ok; task, ok = nextTask() {
-			task.job.help(task.gen)
+		task.job.help(task.gen)
+		for idle := time.Now(); time.Since(idle) < helperLinger; {
+			select {
+			case task = <-skimTasks:
+				task.job.help(task.gen)
+				idle = time.Now()
+			default:
+				runtime.Gosched()
+			}
 		}
 	}
-}
-
-// nextTask looks for the next skim's task, yielding between looks, for
-// helperLinger, and then between sleeps that double from helperNap, for
-// helperDoze. A goroutine blocked on a channel holds a sudog, which the
-// runtime takes from its P's cache, and allocates when that cache is empty —
-// as it is, now and then, on a P the helper moved to while it yielded. A
-// sleeping goroutine holds none, so skims that follow each other within
-// helperDoze never block a helper, and cost no allocation.
-func nextTask() (skimTask, bool) {
-	for idle := time.Now(); time.Since(idle) < helperLinger; {
-		select {
-		case task := <-skimTasks:
-			return task, true
-		default:
-			runtime.Gosched()
-		}
-	}
-	for nap, slept := helperNap, time.Duration(0); slept < helperDoze; nap, slept = 2*nap, slept+nap {
-		time.Sleep(nap)
-		select {
-		case task := <-skimTasks:
-			return task, true
-		default:
-		}
-	}
-	return skimTask{}, false
 }

@@ -21,6 +21,8 @@ import (
 // TestFilterSetPredicatedZeroAlloc, TestFilterSetMatchReaderZeroAlloc,
 // TestLimitsSteadyStateAllocs (budgets set and never hit),
 // TestBooleanPathZeroAllocsWithExtractSubs and TestFilterSetSkimZeroAlloc.
+// One row alternates two documents, where one document's pass could undo
+// what the other warmed.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	type row struct {
 		name    string
@@ -28,6 +30,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		doc     []byte
 		reader  bool
 		matched int
+		alt     []byte // matched every other time in doc's place, if set
 	}
 	var rows []row
 	doc, wide := []byte(disseminationDoc(40)), []byte(disseminationWideDoc(40))
@@ -43,7 +46,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	} {
 		for i, n := range []int{100, 1000, 10000} {
 			rows = append(rows, row{fmt.Sprintf("FilterSet/%s/subs=%d", c.topology, n),
-				disseminationSubs(c.topology, n), c.doc, false, c.matched[i]})
+				disseminationSubs(c.topology, n), c.doc, false, c.matched[i], nil})
 		}
 	}
 	// The catalog's leaf names are f0-f9: with a name per item, the set
@@ -67,8 +70,15 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	catalog := []byte(big.String())
 	rows = append(rows,
-		row{"MatchReaderNoMatch/buffered", news, catalog, false, 0},
-		row{"MatchReaderNoMatch/chunked-fullread", append(slices.Clone(news), "//never/matches"), catalog, true, 0})
+		row{"MatchReaderNoMatch/buffered", news, catalog, false, 0, nil},
+		row{"MatchReaderNoMatch/chunked-fullread", append(slices.Clone(news), "//never/matches"), catalog, true, 0, nil},
+		// Each b of the first document waits on its a's x, a commit on
+		// the a scope; the second's x comes first and gates none. The
+		// scope Reset keeps holds on to its room for up to 16 commits
+		// across both (a document gating more on one scope, then one
+		// gating fewer, gives the room above twice that back).
+		row{"AlternatingGatedCommits", []string{"//a[x]/b"},
+			[]byte("<a>" + strings.Repeat("<b/>", 12) + "<x/></a>"), false, 1, []byte("<a><x/><b/></a>")})
 
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -79,10 +89,14 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				}
 			}
 			r := bytes.NewReader(row.doc)
+			n := 0
 			match := func() ([]string, error) {
 				if row.reader {
 					r.Reset(row.doc)
 					return s.MatchReader(r)
+				}
+				if n++; row.alt != nil && n%2 == 0 {
+					return s.MatchBytes(row.alt)
 				}
 				return s.MatchBytes(row.doc)
 			}

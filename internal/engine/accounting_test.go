@@ -207,7 +207,7 @@ var scanQueries = []string{
 // item's group scope and its priority's pending, the group's obligation
 // parked behind it — //catalog opens no scope; serve's is the three scopes
 // an item opens (the two groups' and //item[keyword]'s) and a pending, each
-// scope's one obligation folded into it.
+// scope's one obligation paid for by the scope.
 func TestWorkloadShapedMemStats(t *testing.T) {
 	serve, extract := serveQueries()
 	var fanout, churn []string

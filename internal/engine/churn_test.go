@@ -329,8 +329,8 @@ func runChurnWith(t testing.TB, data []byte, draw func(*dice) string) churnCover
 			t.Fatalf("%s: matched patched=%v fresh=%v", label, got, want)
 		}
 		checkResults(t, label, patched, live, []byte(doc))
-		if mt := patched.mt; mt.tuples != 0 || mt.lone != 0 || len(mt.scopes) != 0 {
-			t.Fatalf("%s: %d live tuples, %d live folded obligations and %d open scopes after the document", label, mt.tuples, mt.lone, len(mt.scopes))
+		if mt := patched.mt; mt.tuples != 0 || mt.lone != 0 || len(mt.scopes) != 0 || len(mt.met) != 0 {
+			t.Fatalf("%s: %d live tuples, %d live lone obligations, %d open scopes and %d words of matched bits after the document", label, mt.tuples, mt.lone, len(mt.scopes), len(mt.met))
 		}
 		root := tree.MustParse(doc)
 		for _, s := range live {
@@ -393,17 +393,28 @@ func checkResults(t testing.TB, label string, e *Engine, live []churnSub, doc []
 }
 
 // checkLive is one walk of the matcher's live structures, held against what
-// the matcher counts as it goes: the open scopes' tuples that are neither
-// matched nor parked behind an open candidate, plus the scopes, plus the
-// pending leaf candidates, are live(); the scopes' folded obligations that
-// are neither are the matcher's lone count; no step whose path carries no
-// predicate holds a scope — a spine scope's node opens one, and its chain of
-// nodes up from there, its own step included, meets a predicated one — and
-// MemStats' peak is at least what is live now.
+// the matcher counts as it goes. It recounts the live obligations from the
+// candidates, not from any flag: an unmatched obligation of an open scope is
+// live unless its node's axis is child and an open scope or pending is its
+// candidate. Those of scopes with two or more conjunctive children, plus
+// the scopes, plus the pending leaf candidates, are live() and the tuples
+// count; those of scopes with one are the lone count. No step whose path
+// carries no predicate holds a scope — a spine scope's node opens one, and
+// its chain of nodes up from there, its own step included, meets a
+// predicated one — and MemStats' peak is at least what is live now.
 func checkLive(t testing.TB, label string, e *Engine) {
 	t.Helper()
 	m := e.mt
-	n, lone := len(m.scopes)+len(m.pendings), 0
+	open := map[obl]bool{}
+	for _, sc := range m.scopes {
+		if sc.node != nil && sc.node.kind == kindPred {
+			open[sc.cand()] = true
+		}
+	}
+	for _, p := range m.pendings {
+		open[p.ob] = true
+	}
+	tuples, lone := 0, 0
 	for _, sc := range m.scopes {
 		if sc.node != nil && sc.node.kind == kindSpine {
 			p := sc.node
@@ -414,20 +425,30 @@ func checkLive(t testing.TB, label string, e *Engine) {
 				t.Fatalf("%s: step %s holds a scope with no predicate on its path", label, e.tr.keys.strs[sc.node.key])
 			}
 		}
-		for i := range sc.children {
-			if c := &sc.children[i]; !c.matched && !c.parked {
-				n++
+		var conj []*tnode
+		if sc.grp != nil {
+			conj = sc.grp.g.conj
+		} else {
+			conj = sc.node.conj()
+		}
+		for _, n := range conj {
+			o := obl{sc, n}
+			if m.matched(o) || n.axis == query.AxisChild && open[o] {
+				continue
+			}
+			if len(conj) > 1 {
+				tuples++
+			} else {
+				lone++
 			}
 		}
-		if len(sc.children) == 0 && sc.unmet > 0 && !sc.parked {
-			lone++
-		}
 	}
+	n := tuples + len(m.scopes) + len(m.pendings)
 	if live := m.live(); n != live {
 		t.Fatalf("%s: %d live tuples, scopes and pendings recounted, live() = %d", label, n, live)
 	}
-	if lone != m.lone {
-		t.Fatalf("%s: %d live folded obligations recounted, the matcher counts %d", label, lone, m.lone)
+	if tuples != m.tuples || lone != m.lone {
+		t.Fatalf("%s: %d live tuples and %d lone obligations recounted, the matcher counts %d and %d", label, tuples, lone, m.tuples, m.lone)
 	}
 	if peak := e.MemStats().PeakLiveTuples; peak < n {
 		t.Fatalf("%s: %d live, above the peak %d", label, n, peak)

@@ -1057,12 +1057,12 @@ type Stats struct {
 	// (MatchBytes) that helper goroutines validated on the other cores and
 	// the skim adopted: 0 on one core, for a remainder shorter than two
 	// pieces, and on the reader path, which does not skim. PeakTuples is the
-	// peak of live predicate tuples: a tuple is live from its scope's
-	// opening until it matches, a child-axis candidate of it opens — an
-	// internal node's scope or a restricted leaf's pending, for as long as
-	// that is open — or its scope closes. Only scopes with two or more
-	// obligations hold tuples: a lone obligation is its scope, and counts
-	// here never.
+	// peak of live predicate tuples: the obligations of scopes with two or
+	// more, each live from its scope's opening until it matches, a
+	// child-axis candidate of it opens — an internal node's scope or a
+	// restricted leaf's pending, for as long as that is open — or its scope
+	// closes. Every obligation is one matched bit of its scope; a scope's
+	// lone obligation is paid for by the scope, and counts here never.
 	Events          int
 	TupleVisits     int
 	FrontierInserts int
@@ -1129,15 +1129,16 @@ type MemStats struct {
 	// tuples + open candidate scopes + pending leaf candidates, buffering or
 	// streamed, counted together after each start event (the only events at
 	// which the sum grows) — the count Limits.MaxLiveTuples budgets, less
-	// the budget's depth term: the records the matcher holds. A scope with
-	// one obligation — every group scope, and a step's or a predicate
-	// node's with one conjunctive child — holds it as part of itself, so it
-	// counts once, as a scope; only scopes of two or more hold tuples. A
-	// predicate group holds its scope, one more per inner step of its path,
-	// and one pending candidate per open element, whatever its size; what
-	// its scope holds beyond a scope's cost is PeakGroupBits. A step with no
-	// predicate on its path from the root holds nothing, and neither does
-	// the document root: a set with no predicate reads 0.
+	// the budget's depth term. Every obligation is one matched bit of its
+	// scope, and counts as a tuple while live where its scope has two or
+	// more; a scope with one — every group scope, and a step's or a
+	// predicate node's with one conjunctive child — pays for it, and counts
+	// once, as a scope. A predicate group holds its scope, one more per
+	// inner step of its path, and one pending candidate per open element,
+	// whatever its size; what its scope holds beyond a scope's cost is
+	// PeakGroupBits. A step with no predicate on its path from the root
+	// holds nothing, and neither does the document root: a set with no
+	// predicate reads 0.
 	PeakLiveTuples int
 	// PeakGroupBits is the peak of the index state held by open group
 	// scopes and streamed candidates: ⌈log₂(|group|+1)⌉ bits for a

@@ -15,7 +15,7 @@ import (
 // and have as their only predicate one comparison of the same relative path
 // against a constant, with operators of one class, are the members of one
 // predicate group. An element that is a candidate for them opens ONE scope,
-// whose one obligation, the path, is the scope itself (a scope more per
+// whose one obligation, the path, is a bit of the scope (a scope more per
 // inner step of the path), and one pending text value; a value is parsed
 // once and resolved against every member by one search over the group's
 // constants. What the scope holds is the outcome of those searches — for

@@ -129,8 +129,8 @@ func TestPredicateGroupPatching(t *testing.T) {
 }
 
 // TestPredicateGroupProbesOncePerValue: a value is resolved against a group
-// once, whatever the group's size, and the group holds one scope, one tuple
-// and one pending per open candidate.
+// once, whatever the group's size, and the group holds one scope, whose one
+// obligation is a bit of it, and one pending per open candidate.
 func TestPredicateGroupProbesOncePerValue(t *testing.T) {
 	doc := `<r><a><b>1</b><b>5</b><c></c></a><a><b>x</b><c></c></a></r>`
 	var probes, live []int

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"streamxpath/internal/query"
 	"streamxpath/internal/sax"
@@ -25,8 +26,8 @@ func loneEngine(t *testing.T, srcs []string) *Engine {
 
 // stepFold streams doc through e event by event, recounting the matcher's
 // live state after each (checkLive: the tuples, scopes and pendings live()
-// counts, and the folded obligations lone counts), and holds the verdicts
-// to the tree evaluator's. It returns the document's MemStats.
+// counts, and the lone obligations lone counts), and holds the verdicts to
+// the tree evaluator's. It returns the document's MemStats.
 func stepFold(t *testing.T, e *Engine, srcs []string, doc string) MemStats {
 	t.Helper()
 	e.Reset()
@@ -44,8 +45,8 @@ func stepFold(t *testing.T, e *Engine, srcs []string, doc string) MemStats {
 		}
 		checkLive(t, fmt.Sprintf("%s: event %d", doc, n), e)
 	}
-	if m := e.mt; m.tuples != 0 || m.lone != 0 || len(m.scopes) != 0 {
-		t.Fatalf("%s: %d live tuples, %d live folded obligations and %d open scopes after the document", doc, m.tuples, m.lone, len(m.scopes))
+	if m := e.mt; m.tuples != 0 || m.lone != 0 || len(m.scopes) != 0 || len(m.met) != 0 {
+		t.Fatalf("%s: %d live tuples, %d live lone obligations, %d open scopes and %d words of matched bits after the document", doc, m.tuples, m.lone, len(m.scopes), len(m.met))
 	}
 	if got, want := e.MatchedIDs(), truth(srcs, doc); !slices.Equal(got, want) {
 		t.Fatalf("%s: matched %v, the tree evaluator %v", doc, got, want)
@@ -136,11 +137,11 @@ var loneCases = []struct {
 		[]int{4, 4, 4}},
 }
 
-// TestLoneObligations: a scope whose node or group has one conjunctive
-// child holds no tuple — its unmet count is the obligation's matched bit,
-// and a bit on it parks the obligation — and the engine agrees with the
-// tree evaluator, event by event and whole, buffered and read in chunks,
-// with no tuple ever live and the peaks the scopes and pendings alone.
+// TestLoneObligations: the lone obligation of a scope whose node or group
+// has one conjunctive child is paid for by its scope, and counts as no
+// tuple, and the engine agrees with the tree evaluator, event by event and
+// whole, buffered and read in chunks, with no tuple ever live and the peaks
+// the scopes and pendings alone.
 func TestLoneObligations(t *testing.T) {
 	for _, c := range loneCases {
 		e := loneEngine(t, c.subs)
@@ -178,7 +179,7 @@ func TestLoneAndTupleScopesTogether(t *testing.T) {
 }
 
 // TestLoneObligationsAbandoned: a document abandoned mid-stream, by Reset
-// or by a Remove, leaves no live obligation of either form counted, and the
+// or by a Remove, leaves no live obligation counted, lone or tuple, and the
 // next document's counts and verdicts are right.
 func TestLoneObligationsAbandoned(t *testing.T) {
 	subs := []string{"//item[p > 3]", "//item[a[b]]/f", `//item[k != "x"]`, "//item[p > 1 and a]"}
@@ -201,11 +202,11 @@ func TestLoneObligationsAbandoned(t *testing.T) {
 		e := loneEngine(t, subs)
 		half(e, upTo)
 		if e.mt.lone == 0 {
-			t.Fatalf("up to %s: no folded obligation live mid-document", upTo)
+			t.Fatalf("up to %s: no lone obligation live mid-document", upTo)
 		}
 		e.Reset()
 		if m := e.mt; m.lone != 0 || m.tuples != 0 {
-			t.Fatalf("up to %s: Reset left %d folded obligations and %d tuples counted", upTo, m.lone, m.tuples)
+			t.Fatalf("up to %s: Reset left %d lone obligations and %d tuples counted", upTo, m.lone, m.tuples)
 		}
 		stepFold(t, e, subs, doc)
 
@@ -223,30 +224,59 @@ func TestLoneObligationsAbandoned(t *testing.T) {
 	}
 }
 
-// TestLoneScopesHoldNoChildren: a set whose every scope has one obligation
-// never gives a scope room for a tuple, so the scopes an engine keeps from
-// document to document carry none.
-func TestLoneScopesHoldNoChildren(t *testing.T) {
-	var subs []string
+// TestMatchedBitsStack pins the one form an obligation takes, a matched
+// bit of its scope on the matcher's met stack: a scope is at most 80 bytes;
+// the stack's room is a power of two of at least metBlock words, whole
+// cache lines, once a scope has opened; and every document, finished or
+// abandoned mid-stream, leaves it empty. The set adds to loneCases' a step
+// of 130 conjuncts, three words a scope, nested 20 deep.
+func TestMatchedBitsStack(t *testing.T) {
+	if size := unsafe.Sizeof(scope{}); size > 80 {
+		t.Fatalf("a scope is %d bytes, want at most 80", size)
+	}
+	var subs, docs []string
 	for _, c := range loneCases {
 		subs = append(subs, c.subs...)
+		docs = append(docs, c.docs...)
 	}
+	wide := make([]string, 130)
+	for i := range wide {
+		wide[i] = fmt.Sprint("c", i)
+	}
+	subs = append(subs, "//a["+strings.Join(wide, " and ")+"]")
+	docs = append(docs, strings.Repeat("<a><c0/>", 20)+strings.Repeat("</a>", 20))
 	e := loneEngine(t, subs)
-	for _, c := range loneCases {
-		for _, doc := range c.docs {
-			matchWhole(t, e, subs, doc)
-			kept := 0
-			for sc := e.mt.freeScopes; sc != nil; sc = sc.prev {
-				kept++
-				if cap(sc.children) != 0 {
-					t.Fatalf("after %s a kept scope has room for %d tuples", doc, cap(sc.children))
-				}
-			}
-			if kept == 0 && e.MemStats().PeakScopes > 0 {
-				t.Fatalf("after %s no scope kept", doc)
-			}
+	stack := func(label string) {
+		t.Helper()
+		if c := cap(e.mt.met); c < metBlock || c&(c-1) != 0 {
+			t.Fatalf("%s: the stack has room for %d words, want a power of two of at least %d", label, c, metBlock)
+		}
+		if n := len(e.mt.met); n != 0 {
+			t.Fatalf("%s: %d words left on the stack", label, n)
 		}
 	}
+	for _, doc := range docs {
+		matchWhole(t, e, subs, doc)
+		stack(doc)
+	}
+	if c := cap(e.mt.met); c < 64 {
+		t.Fatalf("20 nested scopes of three words each left room for %d words, want at least 64", c)
+	}
+	tok := sax.NewTokenizerBytes([]byte(docs[len(docs)-1]), e.Symbols())
+	for k := 0; k < 30; k++ {
+		ev, err := tok.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ProcessBytes(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(e.mt.met) == 0 {
+		t.Fatal("no words on the stack mid-document")
+	}
+	e.Reset()
+	stack("abandoned")
 }
 
 // TestOutOfRangeNumbers: a numeral past float64's range, in a document or

@@ -47,7 +47,7 @@ func TestScopesOnlyWherePredicated(t *testing.T) {
 		doc          string
 		scopes, live int
 	}{
-		// One b scope, its c obligation folded into it: the two open a
+		// One b scope, its c obligation a bit of it: the two open a
 		// elements are two candidates of a free step, which open nothing, so
 		// b is offered once.
 		{"nested free ancestors", []string{"//a//b[c]"}, "<a><a><b><c/></b></a></a>", 1, 1},

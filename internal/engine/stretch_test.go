@@ -51,7 +51,7 @@ type stretchSub struct {
 // subscription set and capture mode: the event after which Decided first
 // holds (-1: not before the document's end), and the engine's MemStats and
 // Stats after the document — their live counts, and the bits priced off
-// them, less the tuples a scope of one obligation no longer holds.
+// them, which count a scope's lone obligation as no tuple.
 var stretchDocs = []struct {
 	xml  string
 	want [2][2]string

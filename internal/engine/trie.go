@@ -92,7 +92,7 @@ type nodeExt struct {
 	// up is the stack of open scopes (matcher.open) that holds a predicate
 	// node's parent scopes: its spine node's, its group's or its parent
 	// predicate node's. pos is its index among its parent's conj, and its
-	// tuple's in a parent scope's children where there are two or more.
+	// obligation's bit among a parent scope's matched bits (obl).
 	up, pos int32
 
 	// mem is set (grp non-nil) on a spine node whose one predicate is a
@@ -545,28 +545,14 @@ func (t *trie) buildPred(v *query.Node, from, up int32, pos int) *tnode {
 	return n
 }
 
-// tuple is one obligation of a candidate scope with two or more: a
-// predicate node awaiting a candidate match within the scope that holds it
-// among its children, one level below the scope's for a child or attribute
-// step — the multi-query generalization of core.Tuple. A scope with one
-// obligation holds no tuple: the obligation is the scope itself (obl). It
-// is in no index: the merged NFA's states offer its node to the element,
-// once per open scope of its parent, and the scope gives the obligation.
-type tuple struct {
-	node    *tnode
-	matched bool // latches like core.Tuple.Matched
-	// parked: the tuple's child-axis candidate is open, and no other
-	// element can be its candidate until that closes (Fig. 20 lines 10-11).
-	parked bool
-}
-
-// tupleBlock is the unit a scope's children grow by. 8 tuples are 128
-// bytes: whole 64-byte cache lines, and the allocator places an object of
-// that size on line boundaries. The matchers of a pool write their tuples
-// (matched, parked) from different cores; a smaller array could share a
-// line with another matcher's, and each write would wait for the other
-// core.
-const tupleBlock = 8
+// metBlock is the least room the matcher's stack of matched bits
+// (matcher.met) has, in words. 8 words are 64 bytes, a whole cache line;
+// the stack grows by doubling, and the allocator places an object of a
+// power-of-two size on that size's boundary, so it fills whole lines. The
+// matchers of a pool write their bits from different cores; a smaller
+// array could share a line with another matcher's, and each write would
+// wait for the other core.
+const metBlock = 8
 
 // keptCommits is the room for commits that Reset leaves every free scope it
 // keeps, whatever the last document used: 16 commits are 384 bytes, and a
@@ -574,41 +560,20 @@ const tupleBlock = 8
 // none, reuses its scopes' room rather than growing it again per document.
 const keptCommits = 16
 
-// obl reaches one obligation of open scope sc, in either form: its tuple t
-// among sc's children, or — t nil — the lone obligation of a scope whose
-// node or group has one conjunctive child, which the scope holds folded
-// into itself: sc.unmet (1 or 0) is its matched bit, sc.parked its parked
-// one. It is a value; reaching an obligation allocates nothing.
+// obl is one obligation of open scope sc: predicate node n, one of the
+// conjunctive children of sc's node or group, awaiting a candidate match
+// within the scope, one level below the scope's for a child or attribute
+// step — the multi-query generalization of core.Tuple, whose node and level
+// the scope fixes. What is left of the tuple is its matched bit, bit
+// n.x.pos of the scope's words on the matcher's met stack, which latches
+// like core.Tuple.Matched. An unmatched obligation whose node's axis is
+// child is parked while a candidate of it is open: no other element can be
+// its candidate until that closes (Fig. 20 lines 10-11). It is in no index:
+// the merged NFA's states offer n to the element, once per open scope of
+// its parent. It is a value; reaching an obligation allocates nothing.
 type obl struct {
 	sc *scope
-	t  *tuple
-}
-
-// matched reports whether o has matched.
-func (o obl) matched() bool {
-	if o.t != nil {
-		return o.t.matched
-	}
-	return o.sc.unmet == 0
-}
-
-// parked returns o's parked bit.
-func (o obl) parked() *bool {
-	if o.t != nil {
-		return &o.t.parked
-	}
-	return &o.sc.parked
-}
-
-// node returns the predicate node o awaits a candidate of.
-func (o obl) node() *tnode {
-	if o.t != nil {
-		return o.t.node
-	}
-	if gs := o.sc.grp; gs != nil {
-		return gs.g.conj[0]
-	}
-	return o.sc.node.x.conj[0]
+	n  *tnode
 }
 
 // commit is one conditional match held by a gating scope: subscription
@@ -645,10 +610,10 @@ type rangeCommit struct {
 // (matcher.open), prev the one below it. Its conjunctive obligations, in
 // the order of the node's conj, are unmet of them not matched yet: matching
 // is monotone, so the scope's predicate is decided true the moment unmet
-// reaches zero (decide), and refuted if the scope closes first. Two or more
-// are tuples, its children; one — every group scope's, and a node's with
-// one conjunctive child — is the scope itself, parked while its candidate
-// is open (obl), and it holds no children.
+// reaches zero (decide), and refuted if the scope closes first. Their
+// matched bits are the words of the matcher's met stack from met on, one
+// bit per conjunctive child (obl); scopes open and close in stack order, so
+// each scope's words top the stack while it is the innermost open.
 // commits holds the subscriptions whose match is conditional on this
 // scope's predicates (only undecided spine scopes with obligations hold
 // commits). cap, when non-nil, is the capture of the scope's own candidate
@@ -656,34 +621,28 @@ type rangeCommit struct {
 // only later, after the element's start has streamed past. A closed scope
 // waits for reuse on the matcher's free list, linked through prev.
 type scope struct {
-	node   *tnode
-	origin *scope
-	// tup is, on a predicate scope, the tuple among origin's children this
-	// scope is a candidate for — nil when origin's obligation is folded
-	// (cand) — and nil on the others.
-	tup      *tuple
-	prev     *scope
-	children []tuple
-	commits  []commit
-	cap      *capture
+	node    *tnode
+	origin  *scope
+	prev    *scope
+	commits []commit
+	cap     *capture
 	// grp is a group scope's part, nil on the others (node is nil on a
 	// group scope): a scope of a node holds none of it.
-	grp          *groupScope
-	level, unmet int32
-	parked       bool
+	grp               *groupScope
+	level, unmet, met int32
 }
 
-// ob returns sc's obligation to the pos-th conjunctive child of its node or
-// group.
-func (sc *scope) ob(pos int32) obl {
-	if len(sc.children) == 0 {
-		return obl{sc: sc}
+// arity returns how many conjunctive children sc's node or group has: one
+// for a group, whose one obligation is its path.
+func (sc *scope) arity() int {
+	if sc.grp != nil {
+		return 1
 	}
-	return obl{sc: sc, t: &sc.children[pos]}
+	return len(sc.node.conj())
 }
 
 // cand returns the obligation predicate scope sc is a candidate for.
-func (sc *scope) cand() obl { return obl{sc: sc.origin, t: sc.tup} }
+func (sc *scope) cand() obl { return obl{sc: sc.origin, n: sc.node} }
 
 // groupScope is what a group scope holds beyond a scope: its group, the
 // conditional matches its runs hold in it (ranges), and what its values have
@@ -745,10 +704,11 @@ type matcher struct {
 	tr  *trie
 	run *automaton.SharedRunner
 
-	// tuples counts the live tuples of the open scopes: unmatched, and not
-	// parked; lone counts the live obligations scopes hold folded (obl),
-	// which are no record of their own.
+	// tuples and lone count the open scopes' live obligations — unmatched,
+	// and not parked — apart by their scope's arity (track). met is the
+	// stack of the open scopes' matched bits, in the order of scopes.
 	tuples, lone int
+	met          []uint64
 
 	// scopes are the open candidate scopes, ordered by level; open[sid] tops
 	// the stack (scope.prev) of the open scopes of the node or group with
@@ -847,12 +807,13 @@ func (m *matcher) reset() {
 		gs = &(*gs).next
 	}
 	*gs = nil
-	// The scratch stacks' spare capacity still points at scopes and their
-	// tuples, which would keep the trimmed ones alive.
+	// The scratch stacks' spare capacity still points at scopes, which would
+	// keep the trimmed ones alive.
 	clear(m.scopes[:cap(m.scopes)])
 	clear(m.cands[:cap(m.cands)])
 	clear(m.pendings[:cap(m.pendings)])
 	m.scopes = m.scopes[:0]
+	m.met = m.met[:0]
 	m.pendings = m.pendings[:0]
 	m.buf = m.buf[:0]
 	m.refCount, m.cursors = 0, 0
@@ -950,7 +911,7 @@ func (m *matcher) offer(c cand, parent int32, desc bool, elemLevel int) {
 	}
 	from := len(m.cands)
 	for sc := m.open[parent]; sc != nil && (desc || int(sc.level) == elemLevel-1); sc = sc.prev {
-		if n := c.node; n != nil && n.kind == kindPred && sc.ob(n.x.pos).matched() {
+		if n := c.node; n != nil && n.kind == kindPred && m.matched(obl{sc, n}) {
 			continue
 		}
 		m.stats.TupleVisits++
@@ -981,7 +942,7 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool, elemLevel int) {
 		// open candidate, so no predicate node has a candidate.)
 		m.collectPreds(elemLevel)
 		for _, c := range m.cands {
-			m.startPred(c.node, c.origin.ob(c.node.x.pos), elemLevel)
+			m.startPred(obl{c.origin, c.node}, elemLevel)
 		}
 	}
 	m.collectSpine(elemLevel)
@@ -1006,30 +967,30 @@ func (m *matcher) startElementSym(sym symtab.Sym, isAttr bool, elemLevel int) {
 				m.routeCaptured(n.terminals, s, mem)
 			}
 			if n.opens() {
-				m.openScope(n, nil, c.origin, elemLevel)
+				m.openScope(n, c.origin, elemLevel)
 			}
 		}
 	}
 	m.notePeak()
 }
 
-// startPred offers the current element to obligation o, predicate node n's
-// in an open scope. An earlier candidate of the element may have matched
-// o already, which leaves nothing to do. A child-axis obligation parks
-// behind its candidate — an internal node's scope or a restricted leaf's
-// pending — while that is open: no sibling can be a candidate meanwhile
-// (Fig. 20 lines 10-11). (An existence leaf's parks and matches at once.)
-func (m *matcher) startPred(n *tnode, o obl, level int) {
-	if o.matched() {
+// startPred offers the current element to obligation o in an open scope.
+// An earlier candidate of the element may have matched o already, which
+// leaves nothing to do. A child-axis obligation parks behind its candidate
+// — an internal node's scope or a restricted leaf's pending — while that is
+// open: no sibling can be a candidate meanwhile (Fig. 20 lines 10-11). (An
+// existence leaf's parks and matches at once.)
+func (m *matcher) startPred(o obl, level int) {
+	if m.matched(o) {
 		return
 	}
+	n := o.n
 	if n.axis == query.AxisChild {
-		*o.parked() = true
-		m.retire(o)
+		m.track(o.sc.arity(), -1)
 	}
 	switch x := n.x; {
 	case len(x.conj) > 0:
-		m.openScope(n, o.t, o.sc, level)
+		m.openScope(n, o.sc, level)
 	case x.restricted:
 		p := pendingVal{ob: o, level: level, start: len(m.buf)}
 		if ix := x.strs; ix != nil {
@@ -1086,7 +1047,7 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 			}
 		}
 		if n.opens() {
-			m.openScope(n, nil, sc, level)
+			m.openScope(n, sc, level)
 		}
 	}
 	if !held || !m.left(r.id, len(r.nodes)) {
@@ -1101,14 +1062,13 @@ func (m *matcher) startRun(r *contRun, sc *scope, level int) {
 }
 
 // openScope opens a candidate scope for node n — of a predicate obligation,
-// tuple tup among origin's children or origin's folded one, or of a spine
-// step — holding an obligation for each of n's conjunctive children. The
-// scope goes on n's stack of open ones, where the candidates of its children
-// and continuations find it.
-func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
+// origin's to n, or of a spine step — holding an obligation for each of n's
+// conjunctive children. The scope goes on n's stack of open ones, where the
+// candidates of its children and continuations find it.
+func (m *matcher) openScope(n *tnode, origin *scope, level int) {
 	conj := n.conj()
 	sc := m.pushScope(origin, level, conj)
-	sc.node, sc.tup = n, tup
+	sc.node = n
 	sc.prev, m.open[n.sid] = m.open[n.sid], sc
 	if n.kind == kindPred {
 		return
@@ -1126,8 +1086,8 @@ func (m *matcher) openScope(n *tnode, tup *tuple, origin *scope, level int) {
 
 // pushScope takes a scope off the free list (or allocates one) and opens it
 // below origin at level, with a live obligation for each of the conjunctive
-// children conj: a tuple each when there are two or more, and folded into
-// the scope when there is one.
+// children conj: a word of unmatched bits per 64 of them, pushed on the met
+// stack.
 func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 	sc := m.freeScopes
 	if sc != nil {
@@ -1135,19 +1095,20 @@ func (m *matcher) pushScope(origin *scope, level int, conj []*tnode) *scope {
 	} else {
 		sc = &scope{}
 	}
-	sc.origin, sc.level, sc.unmet = origin, int32(level), int32(len(conj))
-	if n := len(conj); n == 1 {
-		m.lone++
-	} else if n > 1 {
-		if cap(sc.children) < n {
-			sc.children = make([]tuple, 0, (n+tupleBlock-1)/tupleBlock*tupleBlock)
+	k := len(conj)
+	sc.origin, sc.level, sc.unmet, sc.met = origin, int32(level), int32(k), int32(len(m.met))
+	top := len(m.met) + (k+63)/64
+	if top > cap(m.met) {
+		c := max(cap(m.met), metBlock)
+		for c < top {
+			c *= 2
 		}
-		for _, c := range conj {
-			sc.children = append(sc.children, tuple{node: c})
-		}
-		m.addTuples(n)
+		m.met = append(make([]uint64, 0, c), m.met...)
 	}
-	m.stats.FrontierInserts += len(conj) + 1
+	m.met = m.met[:top]
+	clear(m.met[sc.met:])
+	m.track(k, k)
+	m.stats.FrontierInserts += k + 1
 	m.scopes = append(m.scopes, sc)
 	if len(m.scopes) > m.stats.PeakScopes {
 		m.stats.PeakScopes = len(m.scopes)
@@ -1180,11 +1141,11 @@ func (m *matcher) advanceCursors(data []byte) {
 		if !p.cur.live() {
 			continue
 		}
-		if p.ob.matched() {
+		if m.matched(p.ob) {
 			p.cur.hi = p.cur.lo // decided already: stop reading
 		} else if p.cur.advance(data) {
 			continue
-		} else if p.ob.node().x.ne {
+		} else if p.ob.n.x.ne {
 			m.satisfy(p.ob)
 		}
 		m.cursors--
@@ -1231,9 +1192,9 @@ func (m *matcher) endElement(closing int) {
 		// Resolving a candidate opens none: p stays put.
 		p := &m.pendings[k-1]
 		m.pendings = m.pendings[:k-1]
-		if o := p.ob; !o.matched() {
+		if o := p.ob; !m.matched(o) {
 			// Every pending of this level read the closing element's text.
-			switch x := o.node().x; {
+			switch x := o.n.x; {
 			case x.set == nil:
 				m.probe(p, &parsed)
 			case p.cur.ix != nil:
@@ -1265,14 +1226,13 @@ func (m *matcher) endElement(closing int) {
 // and then (decide) rather than when the scope closes. A group scope's
 // members are decided by its values instead (release).
 func (m *matcher) satisfy(o obl) {
-	if o.matched() {
+	w, b := m.bit(o)
+	if *w&b != 0 {
 		return
 	}
-	if o.t != nil {
-		o.t.matched = true
-	}
-	if !*o.parked() {
-		m.retire(o)
+	*w |= b
+	if o.n.axis != query.AxisChild {
+		m.track(o.sc.arity(), -1) // (a parked one is not live)
 	}
 	sc := o.sc
 	if sc.unmet--; sc.unmet == 0 && sc.grp == nil {
@@ -1306,19 +1266,14 @@ func (m *matcher) decide(sc *scope) {
 // still holds. A decided scope has routed everything already; an undecided
 // one is refuted, and its conditional matches die with their capture holds —
 // as do those of a group scope's members its values never satisfied. The
-// scope leaves the top of its stack, and a parked child-axis owner is live
-// again for sibling candidates (unpark). The scope returns to the free list
-// (its obligations' candidates closed at deeper levels already, so none of
-// its unmatched obligations is parked).
+// scope leaves the top of its stack, its words the top of the met stack,
+// and a parked child-axis owner is live again for sibling candidates
+// (unpark). The scope returns to the free list (its obligations' candidates
+// closed at deeper levels already, so all its unmatched obligations are
+// live).
 func (m *matcher) closeScope(sc *scope) {
-	if len(sc.children) == 0 {
-		m.lone -= int(sc.unmet) // a lone obligation, or none
-	}
-	for i := range sc.children {
-		if !sc.children[i].matched {
-			m.tuples--
-		}
-	}
+	m.track(sc.arity(), -int(sc.unmet))
+	m.met = m.met[:sc.met]
 	for _, c := range sc.commits {
 		m.dropCommitCap(c.cap)
 	}
@@ -1340,34 +1295,30 @@ func (m *matcher) closeScope(sc *scope) {
 			m.unpark(sc.cand())
 		}
 	}
-	*sc = scope{children: sc.children[:0], commits: sc.commits[:0], prev: m.freeScopes}
+	*sc = scope{commits: sc.commits[:0], prev: m.freeScopes}
 	m.freeScopes = sc
 }
 
 // unpark makes obligation o, whose candidate has just closed, live again
-// for its siblings (Fig. 21 lines 23-27) unless it has matched: the flag
-// latches, so it can never accept another.
+// for its siblings (Fig. 21 lines 23-27) if it parked — a child-axis one did
+// — unless it has matched: the bit latches, so it can never accept another.
 func (m *matcher) unpark(o obl) {
-	if p := o.parked(); *p {
-		*p = false
-		switch {
-		case o.matched():
-		case o.t != nil:
-			m.addTuples(1)
-		default:
-			m.lone++
-		}
+	if o.n.axis == query.AxisChild && !m.matched(o) {
+		m.track(o.sc.arity(), 1)
 	}
 }
 
-// retire stops counting obligation o live: it matched, or a child-axis
-// candidate of it opened.
-func (m *matcher) retire(o obl) {
-	if o.t != nil {
-		m.tuples--
-	} else {
-		m.lone--
-	}
+// bit returns the word of the met stack that holds obligation o's matched
+// bit, and the bit.
+func (m *matcher) bit(o obl) (*uint64, uint64) {
+	pos := o.n.x.pos
+	return &m.met[o.sc.met+pos>>6], 1 << (pos & 63)
+}
+
+// matched reports whether obligation o has matched.
+func (m *matcher) matched(o obl) bool {
+	w, b := m.bit(o)
+	return *w&b != 0
 }
 
 // gate returns the nearest scope up the trie-ancestor chain from from whose
@@ -1523,19 +1474,27 @@ func (m *matcher) dropCommitCap(cap *capture) {
 	}
 }
 
-// addTuples counts n more live tuples.
-func (m *matcher) addTuples(n int) {
-	m.tuples += n
+// track adds d to the live obligations of a scope of k conjunctive
+// children. Two or more are the paper's tuples, which live(), PeakTuples
+// and EstimatedBits count; a lone one — every group scope's, and a node's
+// with one conjunctive child — is paid for by its scope, and lone counts it
+// only so that collectPreds knows it is there.
+func (m *matcher) track(k, d int) {
+	if k < 2 {
+		m.lone += d
+		return
+	}
+	m.tuples += d
 	if m.tuples > m.stats.PeakTuples {
 		m.stats.PeakTuples = m.tuples
 	}
 }
 
-// live returns the matcher's live-state count, the records it holds: live
-// tuples, open candidate scopes, and pending leaf candidates, buffering or
-// streamed. A scope's folded obligation is the scope, and counts once. This
-// is what the MaxLiveTuples budget measures (plus the NFA runner's depth
-// term, added by the engine).
+// live returns the matcher's live-state count: live tuples, open candidate
+// scopes, and pending leaf candidates, buffering or streamed. A scope's lone
+// obligation is paid for by the scope, which counts once. This is what the
+// MaxLiveTuples budget measures (plus the NFA runner's depth term, added by
+// the engine).
 func (m *matcher) live() int {
 	return m.tuples + len(m.scopes) + len(m.pendings)
 }
@@ -1559,7 +1518,7 @@ func (m *matcher) evictDead() {
 	// pendings' start offsets index into the shared buffer.
 	out := m.pendings[:0]
 	for i := range m.pendings {
-		if p := &m.pendings[i]; p.ob.matched() {
+		if p := &m.pendings[i]; m.matched(p.ob) {
 			m.dropPending(p)
 			continue
 		}

@@ -333,7 +333,7 @@ func randomDocXML(rng *rand.Rand) string {
 		n := rng.Intn(3)
 		for i := 0; i < n && depth < 6; i++ {
 			if rng.Intn(2) == 0 {
-				b.WriteString(escapeText(randText(rng)))
+				b.Write(AppendTextEscaped(nil, []byte(randText(rng))))
 			} else {
 				emit(depth + 1)
 			}

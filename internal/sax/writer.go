@@ -10,83 +10,40 @@ import (
 // the Tokenizer (modulo entity-encoding choices) and is used to materialize
 // the synthetic documents built by the lower-bound generators.
 //
-// The stream must be well-formed, and every element and attribute name one
-// the tokenizers would read back as that name; Serialize reports an error
-// otherwise so that generator bugs surface immediately rather than as
-// confusing parses.
+// The stream must be well-formed (CheckWellFormed), and every element and
+// attribute name one the tokenizers would read back as that name; Serialize
+// reports an error otherwise so that generator bugs surface immediately
+// rather than as confusing parses. Text and attribute values are escaped by
+// AppendTextEscaped and AppendAttrEscaped, as the engine's fragments are.
 func Serialize(w io.Writer, events []Event) error {
-	var stack []string
-	roots := 0
-	started, ended := false, false
+	if err := CheckWellFormed(events); err != nil {
+		return err
+	}
+	var buf []byte
 	for i, e := range events {
+		buf = buf[:0]
 		switch e.Kind {
-		case StartDocument:
-			if started {
-				return fmt.Errorf("sax: event %d: duplicate startDocument", i)
-			}
-			started = true
-		case EndDocument:
-			if !started || ended {
-				return fmt.Errorf("sax: event %d: misplaced endDocument", i)
-			}
-			if len(stack) != 0 {
-				return fmt.Errorf("sax: event %d: endDocument with %d open element(s)", i, len(stack))
-			}
-			ended = true
 		case StartElement:
-			if !started || ended {
-				return fmt.Errorf("sax: event %d: startElement outside document", i)
-			}
-			if len(stack) == 0 {
-				roots++
-				if roots > 1 {
-					return fmt.Errorf("sax: event %d: second root element <%s>", i, e.Name)
-				}
-			}
 			if !validName(e.Name) {
 				return fmt.Errorf("sax: event %d: %q is not a name", i, e.Name)
 			}
-			if _, err := io.WriteString(w, "<"+e.Name); err != nil {
-				return err
-			}
+			buf = append(append(buf, '<'), e.Name...)
 			for _, a := range e.Attrs {
 				if !validName(a.Name) {
 					return fmt.Errorf("sax: event %d: %q is not an attribute name", i, a.Name)
 				}
-				if _, err := io.WriteString(w, " "+a.Name+"=\""+escapeAttr(a.Value)+"\""); err != nil {
-					return err
-				}
+				buf = append(append(append(buf, ' '), a.Name...), `="`...)
+				buf = append(AppendAttrEscaped(buf, []byte(a.Value)), '"')
 			}
-			if _, err := io.WriteString(w, ">"); err != nil {
-				return err
-			}
-			stack = append(stack, e.Name)
+			buf = append(buf, '>')
 		case EndElement:
-			if len(stack) == 0 {
-				return fmt.Errorf("sax: event %d: endElement(%s) with no open element", i, e.Name)
-			}
-			top := stack[len(stack)-1]
-			if top != e.Name {
-				return fmt.Errorf("sax: event %d: endElement(%s) does not match open <%s>", i, e.Name, top)
-			}
-			stack = stack[:len(stack)-1]
-			if _, err := io.WriteString(w, "</"+e.Name+">"); err != nil {
-				return err
-			}
+			buf = append(append(append(buf, "</"...), e.Name...), '>')
 		case Text:
-			if len(stack) == 0 {
-				return fmt.Errorf("sax: event %d: text outside root element", i)
-			}
-			if _, err := io.WriteString(w, escapeText(e.Data)); err != nil {
-				return err
-			}
+			buf = AppendTextEscaped(buf, []byte(e.Data))
 		}
-	}
-	if !started || !ended {
-		return fmt.Errorf("sax: stream missing startDocument/endDocument")
-	}
-	if roots == 0 {
-		return fmt.Errorf("sax: document has no root element")
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -100,18 +57,9 @@ func SerializeString(events []Event) (string, error) {
 	return b.String(), nil
 }
 
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-
-var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", "\"", "&quot;")
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
-
 // AppendTextEscaped appends s to dst with Serialize's text escaping
-// (&, <, > become entities). It is the allocation-free counterpart of
-// escapeText used by the engine's fragment re-serializer, which must
-// produce output byte-identical to Serialize.
+// (&, <, > become entities): Serialize and the engine's fragment
+// re-serializer escape through it, so their output is byte-identical.
 func AppendTextEscaped(dst, s []byte) []byte {
 	for _, c := range s {
 		switch c {

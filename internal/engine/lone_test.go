@@ -224,13 +224,23 @@ func TestLoneObligationsAbandoned(t *testing.T) {
 	}
 }
 
-// TestMatchedBitsStack pins the one form an obligation takes, a matched
-// bit of its scope on the matcher's met stack: a scope is at most 80 bytes;
-// the stack's room is a power of two of at least metBlock words, whole
-// cache lines, once a scope has opened; and every document, finished or
-// abandoned mid-stream, leaves it empty. The set adds to loneCases' a step
-// of 130 conjuncts, three words a scope, nested 20 deep.
-func TestMatchedBitsStack(t *testing.T) {
+// wideNest is a step of k conjuncts, c0 … c(k-1), and a document that opens
+// it nest deep with only c0 present, so every scope stays open to the end.
+func wideNest(k, nest int) (sub, doc string) {
+	wide := make([]string, k)
+	for i := range wide {
+		wide[i] = fmt.Sprint("c", i)
+	}
+	return "//a[" + strings.Join(wide, " and ") + "]", strings.Repeat("<a><c0/>", nest) + strings.Repeat("</a>", nest)
+}
+
+// TestLoneScopesHoldNoChildren pins the one form an obligation takes, a
+// matched bit of its scope on the matcher's met stack, so no scope, lone or
+// not, holds a record per child: a scope is at most 80 bytes, and every
+// document, finished or abandoned mid-stream, leaves the stack empty. The
+// set adds to loneCases' a step of 130 conjuncts, three words a scope,
+// nested 20 deep.
+func TestLoneScopesHoldNoChildren(t *testing.T) {
 	if size := unsafe.Sizeof(scope{}); size > 80 {
 		t.Fatalf("a scope is %d bytes, want at most 80", size)
 	}
@@ -239,30 +249,16 @@ func TestMatchedBitsStack(t *testing.T) {
 		subs = append(subs, c.subs...)
 		docs = append(docs, c.docs...)
 	}
-	wide := make([]string, 130)
-	for i := range wide {
-		wide[i] = fmt.Sprint("c", i)
-	}
-	subs = append(subs, "//a["+strings.Join(wide, " and ")+"]")
-	docs = append(docs, strings.Repeat("<a><c0/>", 20)+strings.Repeat("</a>", 20))
+	sub, doc := wideNest(130, 20)
+	subs, docs = append(subs, sub), append(docs, doc)
 	e := loneEngine(t, subs)
-	stack := func(label string) {
-		t.Helper()
-		if c := cap(e.mt.met); c < metBlock || c&(c-1) != 0 {
-			t.Fatalf("%s: the stack has room for %d words, want a power of two of at least %d", label, c, metBlock)
-		}
-		if n := len(e.mt.met); n != 0 {
-			t.Fatalf("%s: %d words left on the stack", label, n)
-		}
-	}
 	for _, doc := range docs {
 		matchWhole(t, e, subs, doc)
-		stack(doc)
+		if n := len(e.mt.met); n != 0 {
+			t.Fatalf("%s: %d words left on the stack", doc, n)
+		}
 	}
-	if c := cap(e.mt.met); c < 64 {
-		t.Fatalf("20 nested scopes of three words each left room for %d words, want at least 64", c)
-	}
-	tok := sax.NewTokenizerBytes([]byte(docs[len(docs)-1]), e.Symbols())
+	tok := sax.NewTokenizerBytes([]byte(doc), e.Symbols())
 	for k := 0; k < 30; k++ {
 		ev, err := tok.Next()
 		if err != nil {
@@ -276,7 +272,9 @@ func TestMatchedBitsStack(t *testing.T) {
 		t.Fatal("no words on the stack mid-document")
 	}
 	e.Reset()
-	stack("abandoned")
+	if n := len(e.mt.met); n != 0 {
+		t.Fatalf("abandoned: %d words left on the stack", n)
+	}
 }
 
 // TestOutOfRangeNumbers: a numeral past float64's range, in a document or

@@ -8,7 +8,32 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestTupleBlockFillsCacheLines holds the matcher's met stack, the matched
+// bits that tupleBlock's tuples once held, to whole 64-byte cache lines,
+// written by one matcher of a pool while the others run on other cores: a
+// block of metBlock words fills them, and once a scope has opened the
+// stack's room is a power of two of at least metBlock words, here after a
+// document of 20 nested scopes of 130 conjuncts, three words each.
+func TestTupleBlockFillsCacheLines(t *testing.T) {
+	if b := unsafe.Sizeof(uint64(0)) * metBlock; b%64 != 0 {
+		t.Fatalf("%d words are %d bytes, not whole 64-byte cache lines", metBlock, b)
+	}
+	sub, wide := wideNest(130, 20)
+	subs := []string{"/r[x and y]", sub}
+	e := loneEngine(t, subs)
+	for _, doc := range []string{"<r><x/><y/></r>", wide, "<r><y/></r>"} {
+		matchWhole(t, e, subs, doc)
+		if c := cap(e.mt.met); c < metBlock || c&(c-1) != 0 {
+			t.Fatalf("%s: the stack has room for %d words, want a power of two of at least %d", doc, c, metBlock)
+		}
+	}
+	if c := cap(e.mt.met); c < 64 {
+		t.Fatalf("20 nested scopes of three words each left room for %d words, want at least 64", c)
+	}
+}
 
 // shareCase is a standing set and a corpus for TestMatchersShareIndexRace,
 // with one subscription to add and one to remove between waves. refill

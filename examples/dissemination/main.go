@@ -10,22 +10,22 @@
 // Feed documents arrive as byte slices and go through MatchBytes, the
 // interned-symbol fast path: names are interned once into the engine's
 // shared symbol table and every layer dispatches on integer symbols, so
-// the steady-state matching loop allocates nothing — which the
-// throughput report at the end measures on this very workload.
+// the steady-state matching loop allocates nothing.
 //
-// The closing section scales the same workload out across cores with the
-// document-parallel FilterPool (N engines sharing one subscription index,
-// matching whole documents concurrently).
+// The closing section matches a feed on the document-parallel FilterPool
+// (N engines sharing one subscription index, matching whole documents
+// concurrently) and exits with an error unless every document's ids are
+// the sequential FilterSet's. How fast either runs is the benchmark's
+// to measure (bench/), not the example's.
 package main
 
 import (
 	"fmt"
 	"log"
 	"math/rand"
-	"runtime"
+	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"streamxpath"
 )
@@ -119,69 +119,54 @@ func main() {
 	}
 	fmt.Printf("\nafter Remove(bob)+Add(frank), next doc -> %v\n", notified)
 
-	// Throughput of the warm interned-symbol fast path on this workload.
-	doc := makeFeed(rng, 100, keywords)
-	const iters = 5000
-	if _, err := set.MatchBytes(doc); err != nil { // warm DFA rows and scratch
-		log.Fatal(err)
-	}
-	events := set.Stats().Events
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := set.MatchBytes(doc); err != nil {
-			log.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	total := float64(events) * iters
-	fmt.Printf("\nwarm fast path: %d docs x %d trie events: %.2fM events/sec, %.4f allocs/event\n",
-		iters, events, total/elapsed.Seconds()/1e6, float64(m1.Mallocs-m0.Mallocs)/total)
-
-	// Scaling out: the same subscriptions and feed on the pool, which
-	// matches whole documents concurrently on engine replicas and returns
-	// exactly the sequential ids. On a multi-core machine it beats the
-	// sequential number; with GOMAXPROCS=1 it only shows its
-	// synchronization overhead.
-	workers := runtime.GOMAXPROCS(0)
-	fmt.Println(strings.Repeat("-", 60))
-	fmt.Printf("scaling out across %d worker(s):\n", workers)
-
-	seqRate := float64(iters) / elapsed.Seconds()
-	fmt.Printf("  sequential FilterSet:      %8.0f docs/sec\n", seqRate)
-
+	// Scaling out: the same subscriptions on a FilterPool, which matches
+	// whole documents concurrently on engines sharing one index. Whichever
+	// engine runs a document, its ids are the sequential FilterSet's.
+	const workers = 4
 	pool := streamxpath.NewFilterPool(workers)
 	for _, s := range subscriptions() {
 		if err := pool.Add(s.user, s.q); err != nil {
 			log.Fatal(err)
 		}
 	}
-	// Warm every replica (the idle ring is FIFO, so this visits each).
-	for w := 0; w < pool.Workers(); w++ {
-		if _, err := pool.MatchBytes(doc); err != nil {
+	pool.Remove("bob")
+	if err := pool.Add("frank", `//item[priority > 2 and keyword = "systems"]`); err != nil {
+		log.Fatal(err)
+	}
+	feed := make([][]byte, 64)
+	want := make([][]string, len(feed))
+	for i := range feed {
+		feed[i] = makeFeed(rng, 300+i, keywords)
+		ids, err := set.MatchBytes(feed[i])
+		if err != nil {
 			log.Fatal(err)
 		}
+		want[i] = slices.Clone(ids) // the set reuses its id slice
 	}
-	start = time.Now()
+	got := make([][]string, len(feed))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < iters/workers; i++ {
-				if _, err := pool.MatchBytes(doc); err != nil {
+			for i := w; i < len(feed); i += workers {
+				ids, err := pool.MatchBytes(feed[i])
+				if err != nil {
 					log.Fatal(err)
 				}
+				got[i] = ids
 			}
 		}()
 	}
 	wg.Wait()
-	poolRate := float64(iters/workers*workers) / time.Since(start).Seconds()
-	fmt.Printf("  document pool (%d reps):   %8.0f docs/sec (%.2fx)\n",
-		pool.Workers(), poolRate, poolRate/seqRate)
+	for i := range feed {
+		if !slices.Equal(got[i], want[i]) {
+			log.Fatalf("pool: doc %d -> %v, sequential FilterSet -> %v", i, got[i], want[i])
+		}
+	}
+	fmt.Println(strings.Repeat("-", 60))
+	fmt.Printf("FilterPool of %d engines, %d documents from %d goroutines: the sequential FilterSet's ids for every one\n",
+		pool.Workers(), len(feed), workers)
 }
 
 // makeFeed builds one feed document with a few items, as raw bytes for

@@ -16,7 +16,7 @@ import (
 // once its documents fill smaller reads (see FeedReader).
 const DefaultChunkSize = 64 << 10
 
-// firstGrant is the most a StreamTokenizer's first Read asks for.
+// firstGrant is the most a document's first Read asks for.
 const firstGrant = 4 << 10
 
 // StreamTokenizer is the chunked form of TokenizerBytes: the same
@@ -29,9 +29,9 @@ const firstGrant = 4 << 10
 // unconsumed tail plus the open-element stack: peak memory is bounded by
 // the grant — the most one read asks for, at most the chunk size — plus
 // the largest single token (a text run, tag, comment or CDATA section —
-// the paper's text-width term w), never by document size. The grant starts
-// at 4 KiB and doubles only when a read fills it, so a tokenizer that reads
-// 5 KB documents holds an 8 KiB window, not the chunk size.
+// the paper's text-width term w), never by document size. Each document's
+// grant starts at 4 KiB and doubles only when a read fills it, so a 5 KB
+// document is read into an 8 KiB window, not the chunk size.
 //
 // The scan state crosses chunk boundaries anywhere — mid-tag, mid-name,
 // mid-entity, mid-CDATA — because an incomplete construct is rewound to
@@ -43,9 +43,9 @@ const firstGrant = 4 << 10
 // After the input ends, call Finish; Next then delivers the remaining
 // events, EndDocument, and io.EOF (or the syntax error a truncated
 // document deserves). A StreamTokenizer is reusable: Reset prepares it
-// for the next document, keeping the symbol table, every scratch buffer
-// and the grant, so steady-state streaming allocates only when the tail
-// buffer must grow past its high-water mark.
+// for the next document, keeping the symbol table and every scratch
+// buffer, so steady-state streaming allocates only when the tail buffer
+// must grow past its high-water mark.
 //
 // Contract: Feed/FeedReader may only be called before the first Next or
 // after Next returned ErrNeedMoreData — pending events may alias the
@@ -55,7 +55,7 @@ type StreamTokenizer struct {
 	buf   []byte
 	batch []ByteEvent // the drive loops' NextBatch buffer (Batch)
 	// grant caps what FeedReader asks one Read for, beside the chunk size:
-	// 4 KiB at first, doubled by each read that fills it, kept by Reset.
+	// 4 KiB at each document's start, doubled by each read that fills it.
 	grant int
 }
 
@@ -80,8 +80,11 @@ func (s *StreamTokenizer) SetLimits(l limits.Limits) { s.t.lim = l }
 func (s *StreamTokenizer) Limits() limits.Limits { return s.t.lim }
 
 // Reset prepares the tokenizer for the next document, keeping the symbol
-// table, all scratch capacity and the grant.
+// table and all scratch capacity. The grant starts over at 4 KiB, so how a
+// document is read — and so where a reader's early exit falls — does not
+// depend on the documents the tokenizer read before.
 func (s *StreamTokenizer) Reset() {
+	s.grant = firstGrant
 	s.buf = s.buf[:0]
 	s.t.Reset(s.buf)
 	s.t.streaming = true
@@ -127,12 +130,12 @@ func (s *StreamTokenizer) Feed(chunk []byte) {
 // grant) bytes (chunkSize <= 0 selects DefaultChunkSize), taken directly
 // into the internal buffer — no intermediate copy. The grant starts at
 // 4 KiB and doubles, up to chunkSize, each time a read fills it; Reset
-// keeps it, so a tokenizer's window follows the largest documents it has
-// read rather than the chunk size, and a chunk size of 4 KiB or less is
-// every read's size. It returns the byte count and the reader's error
-// verbatim; on io.EOF the caller calls Finish and drains. Like Feed it
-// first discards the consumed prefix, so a steady stream of same-sized
-// chunks reuses one buffer.
+// starts it over, so a document's reads follow its own length, not the
+// chunk size or the documents before it, and a chunk size of 4 KiB or less
+// is every read's size. The window keeps its capacity across Reset. It
+// returns the byte count and the reader's error verbatim; on io.EOF the
+// caller calls Finish and drains. Like Feed it first discards the consumed
+// prefix, so a steady stream of same-sized chunks reuses one buffer.
 func (s *StreamTokenizer) FeedReader(r io.Reader, chunkSize int) (int, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize

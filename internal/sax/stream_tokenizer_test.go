@@ -435,9 +435,9 @@ func (r *askReader) Read(p []byte) (int, error) {
 // TestStreamTokenizerGrant pins FeedReader's read schedule: the first read
 // asks for 4 KiB, and the grant doubles each time a read fills it, up to the
 // chunk size and never above it; a read that comes back short leaves it
-// where it is; Reset keeps it, so the next document's reads start at the
-// high-water; and a chunk size of 4 KiB or less is every read's size. Every
-// byte is read once, whatever the schedule.
+// where it is; Reset starts it over, so every document's reads start at
+// 4 KiB whatever the tokenizer read before; and a chunk size of 4 KiB or
+// less is every read's size. Every byte is read once, whatever the schedule.
 func TestStreamTokenizerGrant(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("<r>")
@@ -463,17 +463,17 @@ func TestStreamTokenizerGrant(t *testing.T) {
 	if got, want := head(drive(tok, 0, 0), 7), []int{4 * k, 8 * k, 16 * k, 32 * k, 64 * k, 64 * k, 64 * k}; !slices.Equal(got, want) {
 		t.Errorf("default chunk: reads ask %v, want %v", got, want)
 	}
-	if got, want := head(drive(tok, 0, 0), 2), []int{64 * k, 64 * k}; !slices.Equal(got, want) {
+	if got, want := head(drive(tok, 0, 0), 2), []int{4 * k, 8 * k}; !slices.Equal(got, want) {
 		t.Errorf("default chunk after Reset: reads ask %v, want %v", got, want)
 	}
-	if got, want := head(drive(tok, 10*k, 0), 3), []int{10 * k, 10 * k, 10 * k}; !slices.Equal(got, want) {
+	if got, want := head(drive(tok, 10*k, 0), 3), []int{4 * k, 8 * k, 10 * k}; !slices.Equal(got, want) {
 		t.Errorf("chunk 10 KiB after the grant reached 64 KiB: reads ask %v, want %v", got, want)
 	}
 	tok = sax.NewStreamTokenizer(nil)
 	if got, want := head(drive(tok, 10*k, 0), 4), []int{4 * k, 8 * k, 10 * k, 10 * k}; !slices.Equal(got, want) {
 		t.Errorf("chunk 10 KiB: reads ask %v, want %v", got, want)
 	}
-	if got, want := head(drive(tok, 0, 0), 3), []int{10 * k, 20 * k, 40 * k}; !slices.Equal(got, want) {
+	if got, want := head(drive(tok, 0, 0), 3), []int{4 * k, 8 * k, 16 * k}; !slices.Equal(got, want) {
 		t.Errorf("default chunk after chunk 10 KiB: reads ask %v, want %v", got, want)
 	}
 	tok = sax.NewStreamTokenizer(nil)

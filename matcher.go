@@ -163,9 +163,9 @@ func (m *matcher) Limits() Limits {
 }
 
 // SetChunkSize sets the largest read MatchReader makes (n <= 0 restores
-// DefaultChunkSize). Each engine's reads start at 4 KiB and double, up to
-// it, only as its documents fill them, so its window follows the largest
-// documents it has read; a size of 4 KiB or less is every read's.
+// DefaultChunkSize). Each document's reads start at 4 KiB and double, up
+// to it, only as the document fills them, whichever engine reads it; a size
+// of 4 KiB or less is every read's.
 func (m *matcher) SetChunkSize(n int) { m.chunk.Store(int64(n)) }
 
 // Stats returns the engine statistics: the size of the shared structures

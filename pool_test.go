@@ -337,3 +337,62 @@ func TestSetLimitsConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// feedOf builds a news feed of at least size bytes whose first item
+// decides every subscription of TestPoolReaderMatchesSet.
+func feedOf(size int) []byte {
+	var b strings.Builder
+	b.WriteString("<news>")
+	for i := 0; b.Len() < size; i++ {
+		fmt.Fprintf(&b, "<item><title>story %d</title><keyword>go</keyword><priority>%d</priority><body><p>%s</p></body></item>",
+			i, 9-i%10, strings.Repeat("text ", 20))
+	}
+	b.WriteString("</news>")
+	return []byte(b.String())
+}
+
+// TestPoolReaderMatchesSet holds a FilterPool's reader path to the
+// FilterSet's over a document sequence whose first document fills more
+// than the first read and whose second fits in two: each engine reads a
+// document from the same first read, whatever documents it read before, so
+// ids, fragments and the reader and memory accounting are equal whichever
+// engine of the ring ran it.
+func TestPoolReaderMatchesSet(t *testing.T) {
+	docs := [][]byte{feedOf(20 << 10), feedOf(6 << 10), feedOf(20 << 10), feedOf(6 << 10)}
+	subs := []struct{ id, q string }{
+		{"item", "/news/item"}, {"kw", "//keyword"}, {"hot", "//item[priority > 5]"}, {"fe", "/feed/entry"},
+	}
+	for _, chunk := range []int{0, 4 << 10} {
+		set := NewFilterSet()
+		pools := []*FilterPool{NewFilterPool(1), NewFilterPool(2), NewFilterPool(3)}
+		ms := []*matcher{&set.matcher}
+		for _, p := range pools {
+			ms = append(ms, &p.matcher)
+		}
+		for _, m := range ms {
+			for _, s := range subs {
+				mustAddSub(t, m, s.id, s.q)
+			}
+			if err := m.AddExtract("x", "//item[priority > 8]/title"); err != nil {
+				t.Fatal(err)
+			}
+			m.SetChunkSize(chunk)
+		}
+		for i, doc := range docs {
+			want, err := set.MatchReaderResult(bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pools {
+				got, err := p.MatchReaderResult(bytes.NewReader(doc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("chunk %d, doc %d (%d bytes), FilterPool(%d):\n got %+v\nwant %+v",
+						chunk, i, len(doc), p.Workers(), got, want)
+				}
+			}
+		}
+	}
+}

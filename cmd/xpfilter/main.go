@@ -25,7 +25,8 @@
 // and the bytes consumed are reported. An input's lines print as soon as
 // it and every earlier input are done. -extract captures each matched
 // query's subtree (the document-order-first match) and prints it under the
-// verdict. -stats prints each input's own memory accounting under it,
+// verdict, as its bytes appear in the input: the window keeps an element's
+// bytes while it is being captured, which -max-buffer bounds. -stats prints each input's own memory accounting under it,
 // including the optimality ratio of estimated bits against the paper's
 // lower bound, and the engine's shared-structure sizes once, after the
 // last input.

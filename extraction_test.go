@@ -1,10 +1,12 @@
-// Extraction tests for the public MatchResult API: the fragments
-// returned by the Match*Result methods must be byte-identical to an
+// Extraction tests for the public MatchResult API: on documents in the
+// serializer's canonical form, the fragments returned by the Match*Result
+// methods — the document's own bytes — must be byte-identical to an
 // independent reference serializer (internal/tree + internal/semantics
 // FULLEVAL) on both the whole-buffer slice path and the chunked reader
 // path — the latter at EVERY chunk split offset, so a capture suspended
 // mid-tag, mid-text, or mid-entity across a chunk boundary is exercised
-// for each boundary position. The remaining tests pin the API contract:
+// for each boundary position (crosspath_test.go holds both paths to each
+// other on documents in any form). The remaining tests pin the API contract:
 // whole-buffer subtree fragments are zero-copy subslices of the caller's
 // document, overlapping matches share one captured fragment, the
 // boolean wrappers agree with their Result siblings, and the boolean
@@ -29,7 +31,7 @@ import (
 // refFragment computes the reference expectation for one extraction
 // subscription: evaluate q over the document tree with the reference
 // semantics (FULLEVAL, document order), take the first result node, and
-// serialize it to the canonical form the engine's capture paths promise
+// serialize it to the canonical form the test documents are written in
 // — the element's subtree rendered exactly as sax.Serialize would (no
 // empty-element tags, text escaped), or the decoded string value for an
 // attribute node. The empty string with ok=false means no match.
@@ -185,8 +187,8 @@ func queryForDoc(rng *rand.Rand, d *tree.Node) *query.Query {
 // serialization of FULLEVAL's document-order-first result node — on
 // the buffered path and on the chunked path at every split offset. The
 // documents are serialized canonically, so the zero-copy subslice and
-// the re-serialized capture must be byte-identical to each other and
-// to the reference. Half the queries are derived from the document (a
+// the reader's copy must be byte-identical to each other and to the
+// reference. Half the queries are derived from the document (a
 // dense positive corpus); half come from the redundancy-free generator
 // (mostly negative, covering the no-capture paths).
 func TestExtractionReferenceEquivalenceRandomized(t *testing.T) {
@@ -353,8 +355,8 @@ func TestExtractionOverlappingMatchesShareFragment(t *testing.T) {
 			t.Errorf("fragment %q does not alias the shared zero-copy capture", id)
 		}
 	}
-	// The reader path re-serializes into one shared capture buffer too;
-	// at the public layer each fragment is a private copy of it, so
+	// The reader path copies the element into one shared capture buffer
+	// too; at the public layer each fragment is a private copy of it, so
 	// equality (not aliasing) is the contract there.
 	res, err = set.MatchReaderResult(&boundaryReader{data: doc, split: 17})
 	if err != nil {

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"streamxpath/internal/sax"
-	"streamxpath/internal/symtab"
-)
+import "streamxpath/internal/sax"
 
 // CaptureMode selects how the engine materializes the subtree of a
 // matched element for extraction-enabled subscriptions.
@@ -13,23 +10,20 @@ const (
 	// CaptureOff disables fragment capture entirely; the boolean verdict
 	// path pays nothing.
 	CaptureOff CaptureMode = iota
-	// CaptureSlice records only the [start, end) byte offsets of the
-	// matched element in the source document. It is the zero-copy mode for
-	// whole-buffer matching: the fragment is a subslice of the caller's
-	// document, contiguous by construction. It requires the entire
-	// document to stay addressable at its original offsets, so it is not
-	// usable under a chunked tokenizer whose window compacts away.
+	// CaptureSlice returns the matched element as the document's own bytes,
+	// [start, end) of the offsets its StartElement and EndElement carry. On
+	// a buffered document (MatchBytes, or ProcessBytes over a whole-buffer
+	// tokenizer) it records the offsets only, and the fragment is a
+	// zero-copy subslice of the caller's document. On a reader (MatchReader)
+	// the tokenizer's window keeps the bytes from the outermost open
+	// capture's start on, and the fragment is copied out of it when the
+	// element ends: memory is one copy of the outermost open fragment,
+	// accounted against Limits.MaxBufferedBytes.
 	CaptureSlice
-	// CaptureSerial re-serializes the matched subtree from the event
-	// stream as it passes, byte-identical to sax.Serialize over the same
-	// events. It is the mode for chunked readers, where the subtree may
-	// span compacted windows; memory is O(captured fragment), accounted
-	// against Limits.MaxBufferedBytes.
-	CaptureSerial
 	// CaptureValue holds the matched element's string value as
 	// tree.(*Node).StrVal defines it: the decoded text of the subtree,
 	// attribute values included — what an attribute capture holds in every
-	// mode. It needs no offsets, so it works under the chunked tokenizer.
+	// mode. It needs no offsets, so it works with any event source.
 	CaptureValue
 )
 
@@ -62,11 +56,14 @@ type capture struct {
 // in sync with the element nesting, a same-element memo so overlapping
 // matches share one capture, and byte accounting for the buffered-bytes
 // budget. All open captures span ancestors-or-self of the current
-// position, so every event byte appended in CaptureSerial mode goes to
-// each of them.
+// position, so the outermost one's start is where a reader's window must
+// keep the bytes from.
 type capman struct {
 	mode CaptureMode
-	tab  *symtab.Table
+	// win is the reader's tokenizer, whose window holds the open element
+	// captures' bytes until they are copied out at their end; nil when the
+	// offsets index the caller's buffer.
+	win *sax.StreamTokenizer
 
 	open []*capture // unfinalized captures, innermost last
 	all  []*capture // every capture allocated this document (recycled at reset)
@@ -75,14 +72,14 @@ type capman struct {
 	bytes     int // live capture-buffer bytes (counted against MaxBufferedBytes)
 	peakBytes int
 
-	inAttr  bool // between an attribute pseudo start and its end
-	tagOpen bool // serial mode: innermost start tag not yet closed with '>'
+	inAttr bool // between an attribute pseudo start and its end
 
 	// Current-element context, valid during the startElement hook window;
 	// elemCap memoizes the capture created for the current element so
-	// every match hook of one element shares it.
-	curSym   symtab.Sym
+	// every match hook of one element shares it. at is the offset of the
+	// last element event, start or end.
 	curOff   int
+	at       int
 	curLevel int
 	curAttr  bool
 	elemCap  *capture
@@ -110,15 +107,12 @@ type EmitStats struct {
 	PeakBufferedBytes int
 }
 
-func newCapman(tab *symtab.Table) *capman {
-	return &capman{tab: tab}
-}
-
 // reset prepares the manager for the next document in the given mode,
 // recycling every capture of the previous one wholesale (holders are
-// cleared by the matcher's own reset).
+// cleared by the matcher's own reset). The document's offsets index a
+// buffer until the reader path sets win.
 func (cm *capman) reset(mode CaptureMode) {
-	cm.mode = mode
+	cm.mode, cm.win = mode, nil
 	for _, c := range cm.all {
 		c.refs = 0
 		c.buf = c.buf[:0]
@@ -132,7 +126,6 @@ func (cm *capman) reset(mode CaptureMode) {
 	cm.bytes = 0
 	cm.peakBytes = 0
 	cm.inAttr = false
-	cm.tagOpen = false
 	cm.elemCap = nil
 }
 
@@ -149,10 +142,14 @@ func (cm *capman) alloc() *capture {
 	return c
 }
 
-func (cm *capman) grow(n int) {
-	cm.bytes += n
-	if cm.bytes > cm.peakBytes {
-		cm.peakBytes = cm.bytes
+// add appends data to c's buffer, accounting for it.
+func (cm *capman) add(c *capture, data []byte) {
+	c.buf = append(c.buf, data...)
+	cm.bytes += len(data)
+	cm.peakBytes = max(cm.peakBytes, cm.bytes)
+	if c.queued {
+		cm.qbytes += len(data)
+		cm.qstats.PeakBufferedBytes = max(cm.qstats.PeakBufferedBytes, cm.qbytes)
 	}
 }
 
@@ -189,12 +186,6 @@ func (cm *capman) elemCapture(queue bool) *capture {
 		c.start = cm.curOff
 		c.valueOnly = cm.curAttr || cm.mode == CaptureValue
 		c.refs = 1
-		if cm.mode == CaptureSerial && !c.valueOnly {
-			name := cm.tab.Name(cm.curSym)
-			c.buf = append(c.buf, '<')
-			c.buf = append(c.buf, name...)
-			cm.grow(len(c.buf))
-		}
 		cm.open = append(cm.open, c)
 		cm.all = append(cm.all, c)
 		cm.elemCap = c
@@ -233,143 +224,49 @@ func (cm *capman) flush() {
 	}
 }
 
-// closeTag emits the deferred '>' of the innermost start tag to every
-// open serial capture. Every open capture contains the innermost element,
-// so all of them take the byte.
-func (cm *capman) closeTag() {
-	if !cm.tagOpen {
-		return
-	}
-	cm.tagOpen = false
-	for _, c := range cm.open {
-		if c.valueOnly || c.refs == 0 {
-			continue
-		}
-		c.buf = append(c.buf, '>')
-		cm.grow(1)
-	}
-}
-
 // noteStart records a startElement event: it refreshes the current-
-// element context (invalidating the same-element memo) and, in serial
-// mode, appends the construct's opening bytes to every open capture.
-// It runs before the match hooks, so a capture created for this element
-// starts from its own '<'.
-func (cm *capman) noteStart(sym symtab.Sym, isAttr bool, off, level int) {
+// element context, invalidating the same-element memo. It runs before the
+// match hooks, so a capture created for this element starts from its own
+// '<'.
+func (cm *capman) noteStart(isAttr bool, off, level int) {
 	cm.elemCap = nil
-	cm.curSym, cm.curOff, cm.curLevel, cm.curAttr = sym, off, level, isAttr
+	cm.curOff, cm.curLevel, cm.curAttr, cm.at = off, level, isAttr, off
 	if isAttr {
 		cm.inAttr = true
-		if cm.mode == CaptureSerial {
-			name := cm.tab.Name(sym)
-			for _, c := range cm.open {
-				if c.valueOnly || c.refs == 0 {
-					continue
-				}
-				n := len(c.buf)
-				c.buf = append(c.buf, ' ')
-				c.buf = append(c.buf, name...)
-				c.buf = append(c.buf, '=', '"')
-				cm.grow(len(c.buf) - n)
-			}
-		}
-		return
 	}
-	if cm.mode == CaptureSerial && len(cm.open) > 0 {
-		cm.closeTag()
-		name := cm.tab.Name(sym)
-		for _, c := range cm.open {
-			if c.valueOnly || c.refs == 0 {
-				continue
-			}
-			n := len(c.buf)
-			c.buf = append(c.buf, '<')
-			c.buf = append(c.buf, name...)
-			cm.grow(len(c.buf) - n)
-		}
-	}
-	cm.tagOpen = true
 }
 
-// noteText records character data: the raw decoded text for an open value
-// capture, serializer-escaped bytes for enclosing serial captures
-// (attribute-value escaping inside an attribute, text escaping in element
-// content, with the pending '>' emitted first). A slice capture of an
-// element holds offsets only.
+// noteText records character data: the decoded text goes to every open
+// value capture — inside an attribute, or under CaptureValue. A slice
+// capture of an element holds offsets only.
 func (cm *capman) noteText(data []byte) {
-	if len(cm.open) == 0 || len(data) == 0 || (cm.mode == CaptureSlice && !cm.inAttr) {
+	if len(cm.open) == 0 || len(data) == 0 || (cm.mode != CaptureValue && !cm.inAttr) {
 		return
-	}
-	if cm.mode == CaptureSerial && !cm.inAttr {
-		cm.closeTag()
 	}
 	for _, c := range cm.open {
-		if c.refs == 0 {
-			continue
-		}
-		n := len(c.buf)
-		switch {
-		case c.valueOnly:
-			c.buf = append(c.buf, data...)
-		case cm.mode != CaptureSerial:
-			continue
-		case cm.inAttr:
-			c.buf = sax.AppendAttrEscaped(c.buf, data)
-		default:
-			c.buf = sax.AppendTextEscaped(c.buf, data)
-		}
-		cm.grow(len(c.buf) - n)
-		if c.queued {
-			cm.qbytes += len(c.buf) - n
-			cm.qstats.PeakBufferedBytes = max(cm.qstats.PeakBufferedBytes, cm.qbytes)
+		if c.refs > 0 && c.valueOnly {
+			cm.add(c, data)
 		}
 	}
 }
 
-// noteEnd records an endElement event, appending the closing bytes to
-// open serial captures and finalizing the capture of the closing element
-// (identified by level — the open stack nests with the elements, so it
-// can only be the innermost). It runs after the matcher's endElement, so
-// a scope resolution that latches the closing element's own capture sees
-// it still open; the bytes complete here.
-func (cm *capman) noteEnd(sym symtab.Sym, isAttr bool, off, level int) {
+// noteEnd records an endElement event, finalizing the capture of the
+// closing construct. It runs after the matcher's endElement, so a scope
+// resolution that latches the closing element's own capture sees it still
+// open; the bytes complete here.
+func (cm *capman) noteEnd(isAttr bool, off, level int) {
 	cm.elemCap = nil
+	cm.at = off
 	if isAttr {
 		cm.inAttr = false
-		if cm.mode == CaptureSerial {
-			for _, c := range cm.open {
-				if c.valueOnly || c.refs == 0 {
-					continue
-				}
-				c.buf = append(c.buf, '"')
-				cm.grow(1)
-			}
-		}
-		cm.finalize(level, off)
-		return
-	}
-	if cm.mode == CaptureSerial && len(cm.open) > 0 {
-		cm.closeTag()
-		name := cm.tab.Name(sym)
-		for _, c := range cm.open {
-			if c.valueOnly || c.refs == 0 {
-				continue
-			}
-			n := len(c.buf)
-			c.buf = append(c.buf, '<', '/')
-			c.buf = append(c.buf, name...)
-			c.buf = append(c.buf, '>')
-			cm.grow(len(c.buf) - n)
-		}
-	} else {
-		cm.tagOpen = false
 	}
 	cm.finalize(level, off)
 }
 
 // finalize completes the capture of the construct closing at level, if it
 // has one: the open stack nests with the elements, so it can only be the
-// innermost.
+// innermost. A held element capture on a reader copies its bytes out of
+// the window, which keeps them only while the capture is open.
 func (cm *capman) finalize(level, off int) {
 	n := len(cm.open)
 	if n == 0 || cm.open[n-1].level != level {
@@ -379,7 +276,33 @@ func (cm *capman) finalize(level, off int) {
 	cm.open = cm.open[:n-1]
 	c.end = off
 	c.done = true
-	if c.refs == 0 {
+	switch {
+	case c.refs == 0:
 		cm.reclaim(c)
+	case cm.win != nil && !c.valueOnly:
+		cm.add(c, cm.win.Window(c.start, off))
 	}
+}
+
+// keep returns the start of the outermost open element capture that has a
+// holder, which a reader's window must keep its bytes from, or -1.
+func (cm *capman) keep() int {
+	for _, c := range cm.open {
+		if c.refs > 0 && !c.valueOnly {
+			return c.start
+		}
+	}
+	return -1
+}
+
+// held is the bytes the captures hold at the last element event: their
+// buffers, and on a reader the window's span from the keep offset.
+func (cm *capman) held() int {
+	if cm.win == nil {
+		return cm.bytes
+	}
+	if k := cm.keep(); k >= 0 {
+		return cm.bytes + cm.at - k
+	}
+	return cm.bytes
 }

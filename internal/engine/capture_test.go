@@ -2,6 +2,7 @@ package engine
 
 import (
 	"io"
+	"strings"
 	"testing"
 
 	"streamxpath/internal/query"
@@ -46,32 +47,27 @@ func TestCaptureSliceBasic(t *testing.T) {
 	}
 }
 
-func TestCaptureSerialBasic(t *testing.T) {
+// TestCaptureReaderBasic: read in chunks of any size, a reader's fragment
+// is the element's bytes as they appear in the document, copied out of the
+// tokenizer's window (volatile), as MatchBytes subslices them.
+func TestCaptureReaderBasic(t *testing.T) {
 	e := New()
 	if err := e.AddExtract("x", query.MustParse("//item[keyword=\"go\"]")); err != nil {
 		t.Fatal(err)
 	}
-	doc := `<feed><item><keyword>rust</keyword></item><item id="7"><keyword>go</keyword><body>a &amp; b</body></item></feed>`
-	frags := driveBytes(t, e, doc, CaptureSerial)
-	if len(frags) != 1 {
-		t.Fatalf("fragments = %v, want 1", frags)
+	doc := `<feed><item><keyword>rust</keyword></item><item id='7' ><keyword>go</keyword><body>a &amp; b<br/></body></item></feed>`
+	want := `<item id='7' ><keyword>go</keyword><body>a &amp; b<br/></body></item>`
+	if frags := driveBytes(t, e, doc, CaptureSlice); len(frags) != 1 || string(frags[0].Data) != want || frags[0].Volatile {
+		t.Fatalf("buffered fragments = %v, want %q", frags, want)
 	}
-	want := `<item id="7"><keyword>go</keyword><body>a &amp; b</body></item>`
-	if string(frags[0].Data) != want {
-		t.Errorf("fragment = %q, want %q", frags[0].Data, want)
-	}
-	// The same document as reference-tokenizer events: the one event
-	// surface captures their text too.
-	events, err := sax.Parse(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Reset()
-	if err := feed(e, events...); err != nil {
-		t.Fatal(err)
-	}
-	if frags = e.AppendFragments(nil, nil); len(frags) != 1 || string(frags[0].Data) != want {
-		t.Errorf("fragments from reference events = %v, want %q", frags, want)
+	for _, chunk := range []int{1, 5, 16, 0} {
+		out, err := e.MatchReader(nil, strings.NewReader(doc), chunk, CaptureSlice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Frags) != 1 || string(out.Frags[0].Data) != want || !out.Frags[0].Volatile {
+			t.Errorf("chunk %d: fragments = %v, want %q", chunk, out.Frags, want)
+		}
 	}
 }
 
@@ -83,18 +79,14 @@ func TestCaptureDocOrderFirstNested(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := `<r><a><a><b/></a><b/></a></r>`
-	for _, mode := range []CaptureMode{CaptureSlice, CaptureSerial} {
-		frags := driveBytes(t, e, doc, mode)
-		if len(frags) != 1 {
-			t.Fatalf("mode %d: fragments = %v, want 1", mode, frags)
-		}
-		want := `<a><a><b/></a><b/></a>`
-		if mode == CaptureSerial {
-			want = `<a><a><b></b></a><b></b></a>`
-		}
-		if string(frags[0].Data) != want {
-			t.Errorf("mode %d: fragment = %q, want %q", mode, frags[0].Data, want)
-		}
+	want := `<a><a><b/></a><b/></a>`
+	frags := driveBytes(t, e, doc, CaptureSlice)
+	if len(frags) != 1 || string(frags[0].Data) != want {
+		t.Errorf("buffered: fragments = %v, want %q", frags, want)
+	}
+	out, err := e.MatchReader(nil, strings.NewReader(doc), 3, CaptureSlice)
+	if err != nil || len(out.Frags) != 1 || string(out.Frags[0].Data) != want {
+		t.Errorf("reader: fragments = %v, want %q (err %v)", out.Frags, want, err)
 	}
 }
 
@@ -104,7 +96,7 @@ func TestCaptureAttributeValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := `<feed><item id="a&amp;1"><x/></item></feed>`
-	for _, mode := range []CaptureMode{CaptureSlice, CaptureSerial} {
+	for _, mode := range []CaptureMode{CaptureSlice, CaptureValue} {
 		frags := driveBytes(t, e, doc, mode)
 		if len(frags) != 1 {
 			t.Fatalf("mode %d: fragments = %v, want 1", mode, frags)
@@ -125,8 +117,9 @@ func TestCaptureSharedRefcount(t *testing.T) {
 		}
 	}
 	doc := `<feed><item><keyword>go</keyword></item></feed>`
-	frags := driveBytes(t, e, doc, CaptureSerial)
-	if len(frags) != 3 {
+	out, err := e.MatchReader(nil, strings.NewReader(doc), 4, CaptureSlice)
+	frags := out.Frags
+	if err != nil || len(frags) != 3 {
 		t.Fatalf("fragments = %v, want 3", frags)
 	}
 	if len(e.cm.all) != 1 {

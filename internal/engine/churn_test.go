@@ -983,16 +983,19 @@ func TestEngineStateSlotsAreReused(t *testing.T) {
 // the last holder — verdict or fragment — carries over to the new one. An
 // extracting //a/b matches a document, gives its slot up to an extracting
 // //a[c]/b (and the other way round), and the next documents' ids and
-// fragments are a fresh engine's in either capture mode that copies
-// fragments out of the engine.
+// fragments are a fresh engine's, buffered, where fragments subslice the
+// document, and read, where they are copied into the engine.
 func TestEngineSlotChangesRoute(t *testing.T) {
 	docs := []string{"<a><b>2</b></a>", "<a><b>3</b><c/></a>", "<a><c/><b>4</b></a>"}
-	for _, mode := range []CaptureMode{CaptureSlice, CaptureSerial} {
+	for _, reader := range []bool{false, true} {
 		for _, pair := range [][2]string{{"//a/b", "//a[c]/b"}, {"//a[c]/b", "//a/b"}} {
-			label := fmt.Sprintf("mode %d, %s then %s", mode, pair[0], pair[1])
+			label := fmt.Sprintf("reader %v, %s then %s", reader, pair[0], pair[1])
 			match := func(e *Engine, doc string) string {
 				t.Helper()
-				out, err := e.MatchBytes(nil, []byte(doc), mode)
+				out, err := e.MatchBytes(nil, []byte(doc), CaptureSlice)
+				if reader {
+					out, err = e.MatchReader(nil, strings.NewReader(doc), 3, CaptureSlice)
+				}
 				if err != nil {
 					t.Fatalf("%s: %s: %v", label, doc, err)
 				}

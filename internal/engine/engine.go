@@ -316,12 +316,13 @@ type Engine struct {
 	// form (Whole), and MatchReader, which drives it a chunk at a time: one
 	// name cache, one set of scratch buffers, one batch buffer and one copy
 	// of the limits. batch is that buffer (tok.Batch), which MatchBytes has
-	// it fill as DriveBatches does; process and decided are the callbacks
-	// MatchReader drives it with, built once so a repeat call allocates
-	// nothing.
+	// it fill as DriveBatches does; process, keep and decided are the
+	// callbacks MatchReader drives it with, built once so a repeat call
+	// allocates nothing.
 	tok     *sax.StreamTokenizer
 	batch   []sax.ByteEvent
 	process func([]sax.ByteEvent) error
+	keep    func() int
 	decided func() bool
 	// rebuilds counts the Rebuild calls.
 	rebuilds int
@@ -390,7 +391,7 @@ func (e *Engine) Replica() *Engine {
 // runner, a trie matcher, a capture manager and a tokenizer — over its
 // index, and resets it.
 func (e *Engine) fresh() {
-	cm := newCapman(e.tab)
+	cm := &capman{}
 	if e.cm != nil {
 		cm.emit = e.cm.emit
 	}
@@ -408,6 +409,7 @@ func (e *Engine) fresh() {
 		}
 		return nil
 	}
+	e.keep = cm.keep
 	e.decided = e.Decided
 	e.Reset()
 }
@@ -635,11 +637,12 @@ func (e *Engine) Reset() {
 }
 
 // SetCapture selects the fragment-capture mode for subsequent documents
-// (taking effect at the next Reset/StartDocument). CaptureSlice requires
-// the document to be processed as one contiguous buffer whose ByteEvent
-// offsets index it from zero; CaptureSerial works with any event source
-// carrying offsets, CaptureValue with any at all. The mode is ignored while
-// no subscription has extraction enabled.
+// (taking effect at the next Reset/StartDocument). Through ProcessBytes,
+// CaptureSlice requires the document to be processed as one contiguous
+// buffer whose ByteEvent offsets index it from zero (MatchReader keeps its
+// reader's bytes in the tokenizer's window instead); CaptureValue works
+// with any event source. The mode is ignored while no subscription has
+// extraction enabled.
 func (e *Engine) SetCapture(mode CaptureMode) { e.capMode = mode }
 
 // SetEmit registers the callback that receives, in document order, each
@@ -686,7 +689,7 @@ func (e *Engine) dispatch(evs []sax.ByteEvent) error {
 			if e.cm.mode != CaptureOff {
 				// Before the match hooks: a capture created for this element
 				// must start from its own '<'.
-				e.cm.noteStart(ev.Sym, ev.Attribute, ev.Off, e.level)
+				e.cm.noteStart(ev.Attribute, ev.Off, e.level)
 			}
 			// The runner steps while any subscription stands: the trie finds its
 			// candidates in its item sets. An attribute enters none — it must
@@ -724,7 +727,7 @@ func (e *Engine) dispatch(evs []sax.ByteEvent) error {
 			if e.cm.mode != CaptureOff {
 				// After the matcher: a scope resolving at this endElement may latch
 				// the closing element's capture, which finalizes here.
-				e.cm.noteEnd(ev.Sym, ev.Attribute, ev.Off, closing)
+				e.cm.noteEnd(ev.Attribute, ev.Off, closing)
 				e.cm.flush()
 				if err := e.checkCaptured(); err != nil {
 					return err
@@ -768,7 +771,7 @@ func (e *Engine) checkBuffer(n int) error {
 	if e.lim.MaxBufferedBytes <= 0 {
 		return nil
 	}
-	held := len(e.mt.buf) + e.cm.bytes
+	held := len(e.mt.buf) + e.cm.held()
 	if (e.mt.refCount > 0 || len(e.cm.open) > 0) && held+n > e.lim.MaxBufferedBytes {
 		return &limits.Error{Resource: "buffered-bytes", Limit: int64(e.lim.MaxBufferedBytes), Observed: int64(held + n)}
 	}
@@ -776,13 +779,17 @@ func (e *Engine) checkBuffer(n int) error {
 }
 
 // checkCaptured enforces MaxBufferedBytes against the bytes already held
-// by fragment captures. Capture appends account after the fact (the tag
-// and text bytes of an event are appended, then checked), so a breach
-// surfaces one event late at worst — the budget is a resource guard, not
-// an exact admission test.
+// by fragment captures (capman.held: on a reader, the window's span from
+// the outermost open capture's start to the last element event). Captures
+// account after the fact — an event's bytes are taken, then checked — so
+// a breach surfaces one event late at worst: the budget is a resource
+// guard, not an exact admission test.
 func (e *Engine) checkCaptured() error {
-	if e.lim.MaxBufferedBytes > 0 && e.cm.bytes > 0 && len(e.mt.buf)+e.cm.bytes > e.lim.MaxBufferedBytes {
-		return &limits.Error{Resource: "buffered-bytes", Limit: int64(e.lim.MaxBufferedBytes), Observed: int64(len(e.mt.buf) + e.cm.bytes)}
+	if e.lim.MaxBufferedBytes <= 0 {
+		return nil
+	}
+	if held := e.cm.held(); held > 0 && len(e.mt.buf)+held > e.lim.MaxBufferedBytes {
+		return &limits.Error{Resource: "buffered-bytes", Limit: int64(e.lim.MaxBufferedBytes), Observed: int64(len(e.mt.buf) + held)}
 	}
 	return nil
 }
@@ -913,21 +920,22 @@ type Fragment struct {
 	ID   string
 	Data []byte
 	// Volatile marks Data as aliasing engine-internal capture memory,
-	// valid only until the engine's next Reset — re-serialized subtrees
-	// and decoded attribute values. False means Data subslices the
-	// caller-provided document buffer (zero-copy). Holders that outlive
-	// the engine's current document must copy volatile fragments.
+	// valid only until the engine's next Reset — a reader's subtrees,
+	// copied out of the tokenizer's window, and decoded values. False
+	// means Data subslices the caller-provided document buffer
+	// (zero-copy). Holders that outlive the engine's current document must
+	// copy volatile fragments.
 	Volatile bool
 }
 
 // AppendFragments appends the fragments captured for the current (or
 // last) document to dst, in subscription insertion order. For
-// CaptureSlice captures doc must be the document buffer the offsets
-// index (the same slice handed to the tokenizer); the returned Data
-// subslices it zero-copy. CaptureSerial and attribute-value captures
-// return the engine's internal buffers, valid only until the next Reset
-// — callers that retain them must copy. A fragment is kept only with a
-// match, so the sweep is the one appendMatchedIDs makes.
+// CaptureSlice captures of a buffered document doc must be the document
+// buffer the offsets index (the same slice handed to the tokenizer); the
+// returned Data subslices it zero-copy. A reader's subtrees and value
+// captures return the engine's internal buffers, valid only until the
+// next Reset — callers that retain them must copy. A fragment is kept only
+// with a match, so the sweep is the one appendMatchedIDs makes.
 func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
 	if e.stale() || !e.hits.capturing {
 		return dst
@@ -942,7 +950,7 @@ func (e *Engine) AppendFragments(dst []Fragment, doc []byte) []Fragment {
 			var data []byte
 			volatile := false
 			switch {
-			case c.valueOnly || e.cm.mode == CaptureSerial:
+			case c.valueOnly || e.cm.win != nil:
 				data = c.buf
 				volatile = true
 			case doc != nil:
@@ -1167,7 +1175,9 @@ type MemStats struct {
 	// that was dispatched.
 	MaxDepth int
 	// CapturedBytes is the peak bytes held by fragment captures (zero
-	// without extraction). Captures are working state charged against
+	// without extraction): decoded values, and a reader's subtrees copied
+	// out of its window; a buffered document's subtrees are subslices of it
+	// and hold none. Captures are working state charged against
 	// Limits.MaxBufferedBytes alongside predicate text, but they are
 	// output being assembled rather than matching state, so they stay out
 	// of EstimatedBits — the paper's cost model prices the decision

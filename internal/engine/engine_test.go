@@ -17,7 +17,9 @@ import (
 // lists are expanded into attribute child events as the byte tokenizer
 // emits them (the paper's folding of the attribute axis into the child
 // axis) and names are interned into the engine's table. The events carry
-// no offsets, so of the capture modes only CaptureSerial applies.
+// no offsets, so of the capture modes only CaptureValue applies: element
+// fragments are the document's bytes, which MatchBytes and MatchReader
+// capture.
 func feed(e *Engine, events ...sax.Event) error {
 	for _, ev := range sax.ExpandAttributes(events) {
 		be := sax.ByteEvent{Kind: ev.Kind, Data: []byte(ev.Data), Attribute: ev.Attribute}

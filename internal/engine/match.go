@@ -155,8 +155,9 @@ func (e *Engine) MatchReader(dst []string, r io.Reader, chunkSize int, mode Capt
 	e.SetCapture(mode)
 	e.Reset() // also recovers from a document abandoned mid-stream
 	e.tok.Reset()
+	e.cm.win = e.tok
 	read := &out.Read
-	sawEnd, err := e.tok.DriveBatches(r, chunkSize, read, e.process, nil, e.decided)
+	sawEnd, err := e.tok.DriveBatches(r, chunkSize, read, e.process, e.keep, e.decided)
 	if err == nil && !sawEnd && !read.EarlyExit {
 		err = errTruncated
 	}

@@ -36,7 +36,8 @@ func readEngine(e *Engine, err error) plainReading {
 // size — on plain documents, which take the plain path (capture off, no
 // per-event budget), and on those that leave it: attributes, a second root,
 // an unmatched end tag, a truncated document, a MaxDepth, MaxLiveTuples or
-// MaxBufferedBytes budget, capture on. Under budgets too large to breach,
+// MaxBufferedBytes budget, capture on (where a reader alone holds copies of
+// its fragments, MemStats.CapturedBytes). Under budgets too large to breach,
 // which only move a document off the plain path, every reading is the
 // plain path's. //zzz keeps every verdict open to the end, so no path skims
 // or stops early. Each path runs twice and its second reading counts, the
@@ -58,7 +59,7 @@ func TestPlainPathAgrees(t *testing.T) {
 		mode CaptureMode
 	}{
 		{}, {lim: huge}, {lim: limits.Limits{MaxDepth: 3}}, {lim: limits.Limits{MaxLiveTuples: 6}},
-		{lim: limits.Limits{MaxBufferedBytes: 4}}, {mode: CaptureSlice}, {mode: CaptureSerial},
+		{lim: limits.Limits{MaxBufferedBytes: 4}}, {mode: CaptureSlice}, {mode: CaptureValue},
 	}
 	plain := map[string]plainReading{}
 	for _, c := range configs {
@@ -90,9 +91,19 @@ func TestPlainPathAgrees(t *testing.T) {
 			if c.lim != huge {
 				want, ok = plainReading{}, false
 			}
+			copied := -1 // a reader's CapturedBytes
 			for _, p := range paths {
 				p.run()
 				got := readEngine(e, p.run())
+				if c.mode == CaptureSlice && strings.HasPrefix(p.name, "MatchReader") {
+					// A reader copies out of its window the fragments a
+					// buffer subslices: it alone holds their bytes, as many
+					// at every chunk size.
+					if copied >= 0 && got.mem.CapturedBytes != copied {
+						t.Errorf("limits %+v, doc %s: %s captured %d bytes, another chunk size %d", c.lim, doc, p.name, got.mem.CapturedBytes, copied)
+					}
+					copied, got.mem.CapturedBytes = got.mem.CapturedBytes, want.mem.CapturedBytes
+				}
 				if !ok {
 					want, ok = got, true
 					if c.lim == (limits.Limits{}) && c.mode == CaptureOff {

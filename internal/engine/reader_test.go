@@ -17,8 +17,8 @@ import (
 )
 
 // TestMatchReaderEqualsMatchBytes: read in chunks of every size from 1 to
-// 64 bytes, a document yields the ids and (canonical-form) fragments the
-// buffered twin yields, the same read accounting wherever the reader
+// 64 bytes, a document yields the ids and fragments — the document's own
+// bytes — the buffered twin yields, the same read accounting wherever the reader
 // delivers its EOF, and — unless the reader was abandoned at a decision
 // point, which the buffered path skims past instead — the same depth for
 // the memory accounting's log d.
@@ -36,13 +36,13 @@ func TestMatchReaderEqualsMatchBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := ref.MatchBytes(nil, []byte(doc), CaptureSerial)
+		want, err := ref.MatchBytes(nil, []byte(doc), CaptureSlice)
 		if err != nil {
 			t.Fatalf("iter %d: the generator's own document %s: %v", iter, doc, err)
 		}
 		for chunk := 1; chunk <= 64; chunk++ {
 			label := fmt.Sprintf("iter %d, doc %s, subscriptions %v, chunk size %d", iter, doc, subs, chunk)
-			got, err := e.MatchReader(nil, strings.NewReader(doc), chunk, CaptureSerial)
+			got, err := e.MatchReader(nil, strings.NewReader(doc), chunk, CaptureSlice)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -54,7 +54,7 @@ func TestMatchReaderEqualsMatchBytes(t *testing.T) {
 			}
 			// Where the reader delivers its EOF — with the last bytes or
 			// after them — is the transport's business, not the outcome's.
-			withEOF, err := e.MatchReader(nil, iotest.DataErrReader(strings.NewReader(doc)), chunk, CaptureSerial)
+			withEOF, err := e.MatchReader(nil, iotest.DataErrReader(strings.NewReader(doc)), chunk, CaptureSlice)
 			if err != nil || withEOF.Read != got.Read {
 				t.Fatalf("%s: read %+v when EOF comes with the last bytes, %+v when after them (err %v)", label, withEOF.Read, got.Read, err)
 			}
@@ -144,7 +144,7 @@ func TestMatchReaderErrorsKeepDecidedVerdicts(t *testing.T) {
 
 	e.SetLimits(limits.Limits{MaxDepth: 20})
 	whole := head + strings.Repeat("</a>", 50) + "</r>"
-	out, err = e.MatchReader(nil, strings.NewReader(whole), 16, CaptureSerial) // a capture mode, for Mem
+	out, err = e.MatchReader(nil, strings.NewReader(whole), 16, CaptureSlice) // a capture mode, for Mem
 	var le *limits.Error
 	if !errors.As(err, &le) || le.Resource != "depth" || !slices.Equal(out.IDs, []string{"early"}) {
 		t.Fatalf("depth breach: ids %v, err %v", out.IDs, err)
@@ -267,12 +267,9 @@ func TestOneTokenizerServesBothPaths(t *testing.T) {
 	skims := 0
 	for _, lim := range budgets {
 		e.SetLimits(lim)
-		for _, mode := range []CaptureMode{CaptureOff, CaptureSlice, CaptureSerial} {
+		for _, mode := range []CaptureMode{CaptureOff, CaptureSlice, CaptureValue} {
 			for i, doc := range docs {
 				for _, c := range calls {
-					if mode == CaptureSlice && c.name != byBytes.name {
-						continue // a reader's captures are serialized
-					}
 					label := fmt.Sprintf("limits %+v, mode %d, doc %d, %s", lim, mode, i, c.name)
 					got, err := c.match(e, []byte(doc), mode)
 					fresh := e.Replica()

@@ -139,13 +139,13 @@ func runStreamedEquality(t testing.TB, data []byte) streqCover {
 				cover[shape[s.id]][0]++
 			}
 		}
-		out, err := e.MatchBytes(nil, []byte(doc), CaptureSerial)
+		out, err := e.MatchBytes(nil, []byte(doc), CaptureSlice)
 		if err != nil || !slices.Equal(out.IDs, want) {
 			t.Fatalf("%s: MatchBytes %v (%v), the tree evaluator %v", label, out.IDs, err, want)
 		}
 		frags := fragmentStrings(out.Frags)
 		for chunk := 1; chunk <= 7; chunk++ {
-			out, err := e.MatchReader(nil, bytes.NewReader([]byte(doc)), chunk, CaptureSerial)
+			out, err := e.MatchReader(nil, bytes.NewReader([]byte(doc)), chunk, CaptureSlice)
 			if err != nil || !slices.Equal(out.IDs, want) {
 				t.Fatalf("%s: MatchReader at chunk %d %v (%v), the tree evaluator %v", label, chunk, out.IDs, err, want)
 			}

@@ -29,9 +29,11 @@ const firstGrant = 4 << 10
 // unconsumed tail plus the open-element stack: peak memory is bounded by
 // the grant — the most one read asks for, at most the chunk size — plus
 // the largest single token (a text run, tag, comment or CDATA section —
-// the paper's text-width term w), never by document size. Each document's
-// grant starts at 4 KiB and doubles only when a read fills it, so a 5 KB
-// document is read into an 8 KiB window, not the chunk size.
+// the paper's text-width term w), never by document size, unless the
+// consumer asks to keep more (DriveBatches's keep hook: a fragment being
+// captured). Each document's grant starts at 4 KiB and doubles only when a
+// read fills it, so a 5 KB document is read into an 8 KiB window, not the
+// chunk size.
 //
 // The scan state crosses chunk boundaries anywhere — mid-tag, mid-name,
 // mid-entity, mid-CDATA — because an incomplete construct is rewound to
@@ -57,12 +59,15 @@ type StreamTokenizer struct {
 	// grant caps what FeedReader asks one Read for, beside the chunk size:
 	// 4 KiB at each document's start, doubled by each read that fills it.
 	grant int
+	// keep is the document offset compact keeps the window from, -1 for
+	// none: what DriveBatches's keep hook last returned.
+	keep int
 }
 
 // NewStreamTokenizer returns a chunked tokenizer interning names into
 // tab. A nil tab allocates a fresh table (retrievable via Table).
 func NewStreamTokenizer(tab *symtab.Table) *StreamTokenizer {
-	s := &StreamTokenizer{t: NewTokenizerBytes(nil, tab), grant: firstGrant}
+	s := &StreamTokenizer{t: NewTokenizerBytes(nil, tab), grant: firstGrant, keep: -1}
 	s.t.streaming = true
 	return s
 }
@@ -84,7 +89,7 @@ func (s *StreamTokenizer) Limits() limits.Limits { return s.t.lim }
 // document is read — and so where a reader's early exit falls — does not
 // depend on the documents the tokenizer read before.
 func (s *StreamTokenizer) Reset() {
-	s.grant = firstGrant
+	s.grant, s.keep = firstGrant, -1
 	s.buf = s.buf[:0]
 	s.t.Reset(s.buf)
 	s.t.streaming = true
@@ -103,19 +108,36 @@ func (s *StreamTokenizer) Whole(doc []byte) *TokenizerBytes {
 }
 
 // compact discards the consumed prefix of the window, sliding the
-// unconsumed tail to the front of the scratch buffer. Only valid between
-// documents or after Next returned ErrNeedMoreData (the rewound position
-// is then the start of the incomplete construct).
+// unconsumed tail to the front of the scratch buffer. It keeps the bytes
+// from the keep offset on, and those of a start tag suspended between
+// attributes, whose StartElement, carrying the tag's offset, is still to
+// come. Only valid between documents or after Next returned
+// ErrNeedMoreData (the rewound position is then the start of the
+// incomplete construct).
 func (s *StreamTokenizer) compact() {
 	t := s.t
-	if t.pos == 0 {
+	from := t.pos
+	if t.tagActive {
+		from = min(from, t.tagOff-t.base)
+	}
+	if s.keep >= 0 {
+		from = min(from, s.keep-t.base)
+	}
+	if from <= 0 {
 		return
 	}
-	tail := copy(s.buf, s.buf[t.pos:])
+	tail := copy(s.buf, s.buf[from:])
 	s.buf = s.buf[:tail]
-	t.base += t.pos
-	t.pos = 0
+	t.base += from
+	t.pos -= from
 	t.data = s.buf
+}
+
+// Window returns the document bytes [start, end): they must still be in the
+// window — kept (DriveBatches's keep hook), or not yet consumed. The slice
+// aliases the window, valid until the next Feed, FeedReader or Reset.
+func (s *StreamTokenizer) Window(start, end int) []byte {
+	return s.buf[start-s.t.base : end-s.t.base]
 }
 
 // Feed appends one chunk of the document. The chunk is copied into the
@@ -144,7 +166,9 @@ func (s *StreamTokenizer) FeedReader(r io.Reader, chunkSize int) (int, error) {
 	s.compact()
 	need := len(s.buf) + ask
 	if cap(s.buf) < need {
-		grown := make([]byte, len(s.buf), need)
+		// The window at least doubles what it holds: a construct, or a kept
+		// capture, that spans k reads is copied O(log k) times, not k.
+		grown := make([]byte, len(s.buf), max(need, 2*len(s.buf)))
 		copy(grown, s.buf)
 		s.buf = grown
 	}
@@ -217,7 +241,7 @@ func (s *StreamTokenizer) Batch() []ByteEvent {
 }
 
 // Drive is DriveBatches for a consumer that takes one event at a time.
-func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, process func(ByteEvent) error, endChunk func(), decided func() bool) (bool, error) {
+func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, process func(ByteEvent) error, keep func() int, decided func() bool) (bool, error) {
 	return s.DriveBatches(r, chunkSize, st, func(evs []ByteEvent) error {
 		for _, ev := range evs {
 			if err := process(ev); err != nil {
@@ -225,14 +249,16 @@ func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, pro
 			}
 		}
 		return nil
-	}, endChunk, decided)
+	}, keep, decided)
 }
 
 // DriveBatches runs one document from r through the tokenizer: read a
 // chunk (FeedReader's; chunkSize <= 0 selects DefaultChunkSize), hand its
 // events to process a batch at a time (NextBatch; the batch is valid until
-// process returns), call endChunk at each chunk boundary (nil to skip),
-// probe decided between chunks until the root closes (nil to never exit
+// process returns), ask keep at each chunk boundary (nil: never) for the
+// document offset from which the window holds on to its bytes across the
+// next refill, so that Window still returns them (negative: none), probe
+// decided between chunks until the root closes (nil to never exit
 // early), and stop at end of document, early decision, or error. Bytes
 // returned alongside a non-EOF read error are drained (and may decide the
 // verdict) before the error is surfaced. It returns whether EndDocument was
@@ -240,7 +266,7 @@ func (s *StreamTokenizer) Drive(r io.Reader, chunkSize int, st *StreamStats, pro
 // (or process's) error. The caller resets the tokenizer and the consumer
 // first. DriveBatches is the single implementation of the chunk loop every
 // reader entry point shares.
-func (s *StreamTokenizer) DriveBatches(r io.Reader, chunkSize int, st *StreamStats, process func([]ByteEvent) error, endChunk func(), decided func() bool) (bool, error) {
+func (s *StreamTokenizer) DriveBatches(r io.Reader, chunkSize int, st *StreamStats, process func([]ByteEvent) error, keep func() int, decided func() bool) (bool, error) {
 	*st = StreamStats{}
 	sawEnd := false
 	batch := s.Batch()
@@ -280,8 +306,8 @@ func (s *StreamTokenizer) DriveBatches(r io.Reader, chunkSize int, st *StreamSta
 		if sawEnd {
 			return true, nil
 		}
-		if endChunk != nil {
-			endChunk()
+		if keep != nil {
+			s.keep = keep()
 		}
 		// After the root has closed only comments and white space may
 		// follow: they are read out, so that an early exit always stops

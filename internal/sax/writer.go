@@ -14,7 +14,7 @@ import (
 // attribute name one the tokenizers would read back as that name; Serialize
 // reports an error otherwise so that generator bugs surface immediately
 // rather than as confusing parses. Text and attribute values are escaped by
-// AppendTextEscaped and AppendAttrEscaped, as the engine's fragments are.
+// AppendTextEscaped and AppendAttrEscaped.
 func Serialize(w io.Writer, events []Event) error {
 	if err := CheckWellFormed(events); err != nil {
 		return err
@@ -58,8 +58,7 @@ func SerializeString(events []Event) (string, error) {
 }
 
 // AppendTextEscaped appends s to dst with Serialize's text escaping
-// (&, <, > become entities): Serialize and the engine's fragment
-// re-serializer escape through it, so their output is byte-identical.
+// (&, <, > become entities).
 func AppendTextEscaped(dst, s []byte) []byte {
 	for _, c := range s {
 		switch c {

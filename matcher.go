@@ -252,8 +252,9 @@ func (m *matcher) MatchStringResult(xml string) (res MatchResult, err error) {
 // insertion order, non-nil even when empty. The document is read in
 // chunks of at most the chunk size (SetChunkSize; DefaultChunkSize
 // otherwise) and tokenized by a resumable tokenizer that retains only the
-// unconsumed tail across chunk boundaries, so peak memory is bounded by
-// the largest read plus open-element depth rather than document size,
+// unconsumed tail across chunk boundaries (and, for MatchReaderResult, the
+// bytes of an open candidate capture), so peak memory is bounded by the
+// largest read plus open-element depth rather than document size,
 // and steady-state per-event cost is allocation-free — the same pipeline
 // as MatchBytes, without buffering the document. When every
 // subscription's verdict is decided mid-stream the reader stops being
@@ -273,15 +274,17 @@ func (m *matcher) MatchReader(r io.Reader) ([]string, error) {
 
 // MatchReaderResult is MatchReader returning the call's whole MatchResult:
 // the matched ids plus, for extraction-enabled subscriptions (AddExtract),
-// the matched subtrees re-serialized to canonical form — the input is
-// never buffered whole, so reader-path fragments are rebuilt from the
-// event stream (attribute order and quoting normalized, empty-element
-// tags expanded) and freshly allocated — and the call's own reader and
-// memory accounting. When extraction subscriptions have open candidate
+// the matched element's subtree, and the call's own reader and memory
+// accounting. A subtree fragment is the element's bytes as they appear in
+// the document, byte for byte what MatchBytesResult returns for the same
+// document: the tokenizer's window keeps the bytes of an open candidate
+// capture across chunk boundaries, and they are copied out, freshly
+// allocated, when the element ends. Attribute-value fragments are decoded
+// copies, as there. When extraction subscriptions have open candidate
 // captures, early exit is deferred until they finalize, so a decided
 // verdict never truncates a fragment.
 func (m *matcher) MatchReaderResult(r io.Reader) (res MatchResult, err error) {
-	err = m.matchReader(&res, r, engine.CaptureSerial)
+	err = m.matchReader(&res, r, engine.CaptureSlice)
 	return res, err
 }
 

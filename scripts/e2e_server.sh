@@ -5,8 +5,9 @@
 # drive webhook delivery through a fault-injecting receiver (forcing a
 # retry), assert fragment extraction end to end (the /match response's
 # fragments object AND the webhook body carry the matched subtree
-# itself), scrape /metrics, drive a short xpload run, then SIGTERM it
-# and assert a clean graceful-drain exit.
+# itself, as its bytes appear in the document, and a chunked body gets
+# the buffered one's fragments), scrape /metrics, drive a short xpload
+# run, then SIGTERM it and assert a clean graceful-drain exit.
 #
 # Usage:
 #   scripts/e2e_server.sh            # race build, 16-client load smoke
@@ -122,8 +123,10 @@ echo "== fragment extraction: response fragments and webhook subtree body"
 code=$(curl -s -o "$work/out" -w '%{http_code}' -X PUT "$base/v1/tenants/e2e/subscriptions/router" \
   -d "{\"query\": \"//item[keyword]\", \"extract\": true, \"webhook\": {\"url\": \"http://$sink_addr/hook\"}}")
 [ "$code" = 201 ] || fail "PUT extraction subscription: $code $(cat "$work/out")"
-want_frag='<item><title>t</title><keyword>go</keyword></item>'
-curl -fsS -X POST "$base/v1/tenants/e2e/match" -d "$doc" >"$work/verdict3" || fail "extraction match"
+# An empty-element tag: the fragment is the document's bytes, as written.
+xdoc='<news><item><title>t</title><keyword>go</keyword><br/></item></news>'
+want_frag='<item><title>t</title><keyword>go</keyword><br/></item>'
+curl -fsS -X POST "$base/v1/tenants/e2e/match" -d "$xdoc" >"$work/verdict3" || fail "extraction match"
 grep -qF "\"router\":\"${want_frag//\"/\\\"}\"" "$work/verdict3" \
   || fail "match response lacks extracted fragment: $(cat "$work/verdict3")"
 # The webhook body must be the matched subtree itself (not a JSON
@@ -139,6 +142,13 @@ curl -fsS -D "$work/last.hdr" "http://$sink_addr/last" >"$work/last.body" || fai
 [ "$(cat "$work/last.body")" = "$want_frag" ] \
   || fail "webhook body is not the matched subtree: $(cat "$work/last.body")"
 grep -qi 'content-type: application/xml' "$work/last.hdr" || fail "webhook body not application/xml"
+# A chunked body is read, not buffered; its fragments are the same bytes.
+printf '%s' "$xdoc" | curl -fsS -X POST -H 'Transfer-Encoding: chunked' \
+  --data-binary @- "$base/v1/tenants/e2e/match" >"$work/verdict4" || fail "chunked extraction match"
+frags_buffered="$(grep -o '"fragments":{[^}]*}' "$work/verdict3")"
+frags_chunked="$(grep -o '"fragments":{[^}]*}' "$work/verdict4")"
+[ -n "$frags_buffered" ] && [ "$frags_chunked" = "$frags_buffered" ] \
+  || fail "chunked fragments $frags_chunked, buffered $frags_buffered"
 curl -s -o /dev/null -X DELETE "$base/v1/tenants/e2e/subscriptions/router"
 kill -TERM "$sink_pid" 2>/dev/null || true
 wait "$sink_pid" 2>/dev/null || true
@@ -146,7 +156,7 @@ sink_pid=""
 
 echo "== load smoke ($clients clients, $requests requests)"
 "$work/xpload" -addr "$addr" -clients "$clients" -requests "$requests" \
-  -o "$work/load.json" || fail "xpload reported errors"
+  || fail "xpload reported errors"
 
 echo "== graceful drain on SIGTERM"
 kill -TERM "$daemon_pid"
